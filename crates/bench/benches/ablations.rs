@@ -1,5 +1,5 @@
-//! ABL-1..4 — the §7 optimization ablations (DESIGN.md §5):
-//! duplicate-communication elimination, schedule reuse, fused
+//! ABL-1..4 — the §7 optimization ablations (README.md, "Reproducing
+//! the paper's evaluation"): duplicate-communication elimination, schedule reuse, fused
 //! multicast_shift, overlap vs temporary shift.
 
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -10,7 +10,7 @@
 //!
 //! `--quick` shrinks the Gaussian-elimination size (255 instead of 1023)
 //! so the whole suite finishes in about a minute; the shapes are
-//! unchanged. EXPERIMENTS.md records a full-size run.
+//! unchanged (README.md, "Reproducing the paper's evaluation").
 //!
 //! `--backend` selects the execution engine for the executing experiments
 //! (fig5 / table4 / fig6 / port): the tree-walking interpreter or the
@@ -121,6 +121,19 @@ fn timed(label: &str, backend: Backend, f: impl FnOnce()) {
     );
 }
 
+/// The usage block of this file's module doc: the lines between its
+/// first pair of code fences.
+fn usage() -> String {
+    include_str!("repro.rs")
+        .lines()
+        .map(|l| l.strip_prefix("//! ").unwrap_or(l))
+        .skip_while(|l| !l.starts_with("```"))
+        .skip(1)
+        .take_while(|l| !l.starts_with("```"))
+        .map(|l| format!("{l}\n"))
+        .collect()
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let mut which = "all".to_string();
@@ -142,6 +155,10 @@ fn main() {
     let mut it = args.iter().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
+            "--help" | "-h" => {
+                print!("{}", usage());
+                return;
+            }
             "--exp" => which = it.next().cloned().unwrap_or_else(|| "all".into()),
             "--native" => native = true,
             "--no-native" => native = false,

@@ -1,7 +1,7 @@
 //! Experiment runners — one per paper table/figure and ablation
-//! (DESIGN.md §5 index). Every function returns plain data so the
-//! `repro` binary, the criterion benches and EXPERIMENTS.md all draw
-//! from the same source.
+//! (ARCHITECTURE.md, "Where the numbers come from"). Every function
+//! returns plain data so the `repro` binary and the criterion benches
+//! draw from the same source.
 
 use std::sync::Arc;
 

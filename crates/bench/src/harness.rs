@@ -23,7 +23,7 @@ use std::collections::VecDeque;
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use f90d_core::{compile, vm_cache, Backend, CompileOptions};
+use f90d_core::{compile, Backend, CompileOptions};
 use f90d_distrib::ProcGrid;
 use f90d_machine::{budget, ExecMode, Machine, MachineSpec};
 use serde::json::Json;
@@ -439,9 +439,6 @@ pub fn run_matrix_cfg(cells: &[Cell], cfg: &MatrixConfig) -> MatrixReport {
     if let Some(total) = cfg.budget {
         budget::global().set_total(total);
     }
-    let (hits0, misses0) = (vm_cache().hits(), vm_cache().misses());
-    let sched = f90d_comm::sched_cache::global();
-    let (shits0, smisses0) = (sched.hits(), sched.misses());
     let t0 = Instant::now();
 
     let queues: Vec<Mutex<VecDeque<usize>>> =
@@ -468,20 +465,26 @@ pub fn run_matrix_cfg(cells: &[Cell], cfg: &MatrixConfig) -> MatrixReport {
         }
     });
 
+    let wall_s = t0.elapsed().as_secs_f64();
+    let cells: Vec<CellResult> = slots
+        .into_iter()
+        .map(|s| s.into_inner().expect("every cell ran"))
+        .collect();
+    // Cache statistics are summed from this run's own cells: the caches
+    // are process-wide, so deltas of their counters would also count
+    // whatever else the process ran meanwhile.
+    let count = |hit: bool| cells.iter().filter(|c| c.cache_hit == Some(hit)).count() as u64;
     MatrixReport {
         suite: cfg.scale.name(),
         jobs,
-        wall_s: t0.elapsed().as_secs_f64(),
-        cache_hits: vm_cache().hits() - hits0,
-        cache_misses: vm_cache().misses() - misses0,
-        sched_hits: sched.hits() - shits0,
-        sched_misses: sched.misses() - smisses0,
+        wall_s,
+        cache_hits: count(true),
+        cache_misses: count(false),
+        sched_hits: cells.iter().map(|c| c.sched_hits).sum(),
+        sched_misses: cells.iter().map(|c| c.sched_misses).sum(),
         exec: cfg.exec,
         worker_budget: budget::global().total(),
-        cells: slots
-            .into_iter()
-            .map(|s| s.into_inner().expect("every cell ran"))
-            .collect(),
+        cells,
     }
 }
 

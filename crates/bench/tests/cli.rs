@@ -1,5 +1,6 @@
 //! CLI contract of the `repro` binary: flag validation exits 2 with a
-//! diagnostic before any experiment runs.
+//! diagnostic before any experiment runs; `--help` prints the usage
+//! block and exits 0.
 
 use std::process::Command;
 
@@ -46,4 +47,17 @@ fn other_bad_flags_still_exit_2() {
     expect_exit_2(&["--exec", "warp-speed"], "--exec expects");
     expect_exit_2(&["--backend", "jit"], "--backend expects");
     expect_exit_2(&["--frobnicate"], "unknown argument");
+}
+
+#[test]
+fn help_prints_usage_and_exits_0() {
+    for flag in ["--help", "-h"] {
+        let out = repro_bin().arg(flag).output().unwrap();
+        assert_eq!(out.status.code(), Some(0), "{flag} must exit 0");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.starts_with("repro [--exp "), "{flag}: {stdout:?}");
+        assert!(stdout.contains("--baseline results.json"), "{stdout:?}");
+        assert!(!stdout.contains("//!"), "doc markers leaked: {stdout:?}");
+        assert!(out.stderr.is_empty());
+    }
 }

@@ -33,7 +33,7 @@
 use std::sync::Arc;
 
 use f90d_distrib::{ArrayDimMap, Dad};
-use f90d_machine::{Machine, Transport};
+use f90d_machine::{ElemType, LocalArray, Machine, Transport, Value};
 
 use crate::op::{CommError, CommOp, CommResult};
 use crate::overlap::{dims_overlap_compatible, Margins};
@@ -240,7 +240,7 @@ pub fn run_overlap<S: ComputeSink>(
 /// (= `local_only`) selects the local-only schedule over fan-in
 /// requests; for writes (`is_write`), it (= `invertible`) selects
 /// local-only over the sender-driven schedule. One mapping, used by
-/// both backends' gather and scatter executors.
+/// the gather and scatter executors below.
 pub fn schedule(
     m: &mut Machine,
     rs: &mut RunSchedules,
@@ -256,6 +256,136 @@ pub fn schedule(
         ScheduleKind::FanInRequests
     };
     rs.schedule(m, kind, reqs, is_write)
+}
+
+/// Inspector output of one unstructured FORALL read
+/// (`tmp(count) = src(subs(i…))`): the request list and each rank's
+/// element count. A backend's inspector loop evaluates the subscripts
+/// (the only tier-specific part) and [`push`](Self::push)es them in
+/// iteration order; [`execute`](Self::execute) is the executor half.
+#[derive(Debug)]
+pub struct GatherRequests<'a> {
+    src: &'a str,
+    src_dad: &'a Dad,
+    reqs: Vec<ElementReq>,
+    counts: Vec<usize>,
+}
+
+impl<'a> GatherRequests<'a> {
+    /// An empty request list against array `src` (live descriptor
+    /// `src_dad`) for a machine of `nranks` nodes.
+    pub fn new(src: &'a str, src_dad: &'a Dad, nranks: usize) -> Self {
+        GatherRequests {
+            src,
+            src_dad,
+            reqs: Vec::new(),
+            counts: vec![0; nranks],
+        }
+    }
+
+    /// `rank`'s next sequential-buffer slot reads `src(g)`.
+    pub fn push(&mut self, m: &Machine, rank: i64, g: &[i64]) -> CommResult<()> {
+        check_bounds(self.src, self.src_dad, g)?;
+        let owner = self.src_dad.owner_ranks(g)[0];
+        let src_off = m.mems[owner as usize]
+            .array(self.src)
+            .offset(&self.src_dad.local_index(g));
+        let count = &mut self.counts[rank as usize];
+        self.reqs.push(ElementReq {
+            requester: rank,
+            owner,
+            src_off,
+            dst_off: *count,
+        });
+        *count += 1;
+        Ok(())
+    }
+
+    /// Charge the modelled inspector (4 element ops per request, one
+    /// lump per rank), size the per-rank sequential buffers `tmp`, build
+    /// or reuse the schedule (per-run §7(3) reuse + cross-run cache) and
+    /// run the vectorized read.
+    pub fn execute(
+        self,
+        m: &mut Machine,
+        rs: &mut RunSchedules,
+        tmp: &str,
+        ty: ElemType,
+        local_only: bool,
+    ) -> CommResult<()> {
+        for (rank, &n) in self.counts.iter().enumerate() {
+            m.transport.charge_elem_ops(rank as i64, 4 * n as i64);
+            m.mems[rank].insert_array(tmp, LocalArray::zeros(ty, &[n.max(1) as i64]));
+        }
+        let sched = schedule(m, rs, &self.reqs, local_only, false)?;
+        crate::schedule::execute_read(m, &sched, self.src, tmp)
+    }
+}
+
+/// Post-loop executor of a FORALL whose left-hand side is written
+/// through a vector-valued subscript (paper §4 cases 3/4):
+/// `outputs[rank]` are that rank's `(global subscripts, value)` pairs in
+/// iteration order. Values are staged into per-rank sequential buffers
+/// and moved to the owners of `dst` by `postcomp_write` (`invertible`)
+/// or `scatter`.
+pub fn scatter(
+    m: &mut Machine,
+    rs: &mut RunSchedules,
+    dst: &str,
+    dst_dad: &Dad,
+    ty: ElemType,
+    outputs: &[Vec<(Vec<i64>, Value)>],
+    invertible: bool,
+) -> CommResult<()> {
+    let buf = format!("__SCATBUF_{dst}");
+    for (rank, vals) in outputs.iter().enumerate() {
+        let mut la = LocalArray::zeros(ty, &[vals.len().max(1) as i64]);
+        for (k, (_, v)) in vals.iter().enumerate() {
+            la.set(&[k as i64], *v);
+        }
+        m.mems[rank].insert_array(buf.as_str(), la);
+    }
+    let mut reqs = Vec::new();
+    for (rank, vals) in outputs.iter().enumerate() {
+        for (k, (g, _)) in vals.iter().enumerate() {
+            check_bounds(dst, dst_dad, g)?;
+            let src_off = m.mems[rank].array(&buf).offset(&[k as i64]);
+            let l = dst_dad.local_index(g);
+            for owner in dst_dad.owner_ranks(g) {
+                reqs.push(ElementReq {
+                    // For write schedules the "requester" is the
+                    // receiving owner and the "owner" the producer.
+                    requester: owner,
+                    owner: rank as i64,
+                    src_off,
+                    dst_off: m.mems[owner as usize].array(dst).offset(&l),
+                });
+            }
+        }
+    }
+    let sched = schedule(m, rs, &reqs, invertible, true)?;
+    crate::schedule::execute_write(m, &sched, &buf, dst)
+}
+
+/// Subscript `g` (0-based) must lie inside dimension `dim` of `arr`:
+/// the one structured out-of-range error of every run-time subscript
+/// check outside the element loops, worded like theirs.
+pub fn check_dim(arr: &str, dad: &Dad, dim: usize, g: i64) -> CommResult<()> {
+    let extent = dad.dims[dim].extent;
+    if (0..extent).contains(&g) {
+        return Ok(());
+    }
+    Err(CommError(format!(
+        "subscript {} out of bounds on dim {dim} of {arr} (extent {extent})",
+        g + 1
+    )))
+}
+
+/// [`check_dim`] for a full subscript list.
+pub fn check_bounds(arr: &str, dad: &Dad, g: &[i64]) -> CommResult<()> {
+    g.iter()
+        .enumerate()
+        .try_for_each(|(d, &gd)| check_dim(arr, dad, d, gd))
 }
 
 /// The rank-1 slab-temp subscript contract, shared by every consumer of

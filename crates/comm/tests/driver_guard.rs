@@ -1,10 +1,13 @@
 //! Dual-site guard: the FORALL communication lifecycle is sequenced in
-//! exactly one place — `f90d_comm::driver`. PR 8's bugfix battery showed
-//! what happens otherwise: the rank-1 multicast slab-temp bug had to be
+//! exactly one place — `f90d_comm::driver` — and the calls into the
+//! run-time library are dispatched in exactly one place — the statement
+//! layer's `f90d_vm::dispatch`. PR 8's bugfix battery showed what
+//! happens otherwise: the rank-1 multicast slab-temp bug had to be
 //! fixed twice, once per backend. This test fails the build if either
 //! backend grows a direct reference to the batching planner, the raw
-//! overlap move builder, or the raw transport post call, so the
-//! fix-it-twice bug class cannot quietly return.
+//! overlap move builder, the raw transport post call, the structured
+//! or redistribution primitives, the `set_BOUND` routine or the scatter
+//! executor, so the fix-it-twice bug class cannot quietly return.
 
 use std::fs;
 use std::path::Path;
@@ -12,7 +15,15 @@ use std::path::Path;
 /// Raw-orchestration identifiers the backends must not mention. Doc
 /// comments count too: a comment pointing readers at the raw layer is
 /// the first step toward someone calling it.
-const FORBIDDEN: &[&str] = &["PhaseExchange", "overlap_shift_moves", "post_send"];
+const FORBIDDEN: &[&str] = &[
+    "PhaseExchange",
+    "overlap_shift_moves",
+    "post_send",
+    "structured::",
+    "redist::",
+    "set_bound",
+    "execute_write",
+];
 
 fn check(rel: &str) {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(rel);
@@ -22,8 +33,9 @@ fn check(rel: &str) {
         for (lineno, line) in src.lines().enumerate() {
             assert!(
                 !line.contains(needle),
-                "{rel}:{} references `{needle}` directly; FORALL comm \
-                 orchestration must go through f90d_comm::driver\n  {}",
+                "{rel}:{} references `{needle}` directly; comm orchestration \
+                 goes through f90d_comm::driver, run-time calls through \
+                 f90d_vm::dispatch\n  {}",
                 lineno + 1,
                 line.trim()
             );

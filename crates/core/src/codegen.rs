@@ -1014,8 +1014,8 @@ impl<'a> Codegen<'a> {
         }
 
         // Structured detection per dimension (Algorithm 1 steps 2–9).
-        let lhs_mapping = ctx.info.mappings.get(&self.arrays[ctx.lhs_arr].base_name());
-        let rhs_mapping = ctx.info.mappings.get(&decl.base_name());
+        let lhs_mapping = ctx.info.mappings.get(&base_name(&self.arrays[ctx.lhs_arr]));
+        let rhs_mapping = ctx.info.mappings.get(&base_name(&decl));
         let mut tags: Vec<DimTag> = Vec::with_capacity(pats.len());
         for (d, pat) in pats.iter().enumerate() {
             if !decl.dad.dims[d].is_distributed() {
@@ -1396,19 +1396,17 @@ struct RefCtx<'a> {
     lhs_replicated: bool,
 }
 
-impl ArrayDecl {
-    /// Source-level name with inlining prefixes stripped.
-    pub fn base_name(&self) -> String {
-        match self.name.rfind("__") {
-            Some(k)
-                if self.name[..k]
-                    .chars()
-                    .all(|c| c.is_ascii_alphanumeric() || c == '_') =>
-            {
-                self.name[k + 2..].to_string()
-            }
-            _ => self.name.clone(),
+/// Source-level name of `decl` with inlining prefixes stripped.
+fn base_name(decl: &ArrayDecl) -> String {
+    match decl.name.rfind("__") {
+        Some(k)
+            if decl.name[..k]
+                .chars()
+                .all(|c| c.is_ascii_alphanumeric() || c == '_') =>
+        {
+            decl.name[k + 2..].to_string()
         }
+        _ => decl.name.clone(),
     }
 }
 

@@ -1,41 +1,26 @@
 //! The loosely synchronous executor: walks the SPMD IR once, running
 //! local statements per rank and communication statements machine-wide,
-//! charging the machine's cost model as it goes (DESIGN.md §4).
+//! charging the machine's cost model as it goes (ARCHITECTURE.md, "The
+//! three execution tiers"). Statement sequencing, tree-expression
+//! evaluation and the element loops live here; everything that does not
+//! depend on how an expression is evaluated is the shared statement
+//! layer's (`f90d_vm::dispatch`, `f90d_comm::driver`).
 
 use std::collections::HashMap;
 
-use f90d_comm::driver::{self, CommDriver, ComputeSink, PhaseOutcome};
-use f90d_comm::op::CommError;
-use f90d_comm::overlap::Margins;
-use f90d_comm::plan::GhostSpec;
+use f90d_comm::driver::{self, CommDriver, ComputeSink, GatherRequests, PhaseOutcome};
 use f90d_comm::sched_cache::RunSchedules;
-use f90d_comm::schedule::{self, ElementReq};
-use f90d_comm::structured;
-use f90d_distrib::{set_bound, ArrayDimMap, Dad, DistKind};
+use f90d_distrib::{Dad, DistKind};
 use f90d_frontend::ast::{BinOp, UnOp};
-use f90d_machine::{ElemType, LocalArray, Machine, Value};
-use f90d_runtime::intrinsics as rt;
+use f90d_machine::{Machine, Value};
 use f90d_runtime::DistArray;
+use f90d_vm::dispatch;
 
 use crate::ir::*;
 
-/// Execution error (runtime faults in the compiled program).
-#[derive(Debug, Clone)]
-pub struct ExecError(pub String);
-
-impl std::fmt::Display for ExecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.0.fmt(f)
-    }
-}
-
-impl std::error::Error for ExecError {}
-
-impl From<CommError> for ExecError {
-    fn from(e: CommError) -> Self {
-        ExecError(e.0)
-    }
-}
+/// Execution error (runtime faults in the compiled program) and the
+/// result of one execution — one type each for both executors.
+pub use f90d_vm::{RunReport as ExecReport, VmError as ExecError};
 
 type EResult<T> = Result<T, ExecError>;
 
@@ -43,24 +28,11 @@ fn eerr<T>(msg: impl Into<String>) -> EResult<T> {
     Err(ExecError(msg.into()))
 }
 
-/// Result of one execution.
-#[derive(Debug, Clone)]
-pub struct ExecReport {
-    /// Modelled elapsed time (seconds on the simulated machine).
-    pub elapsed: f64,
-    /// Messages sent.
-    pub messages: u64,
-    /// Payload bytes sent.
-    pub bytes: u64,
-    /// Collected PRINT output.
-    pub printed: Vec<String>,
-}
-
 /// Executor state.
 pub struct Executor<'p> {
     prog: &'p SProgram,
-    /// Runtime descriptors (REDISTRIBUTE may change them).
-    dads: Vec<Dad>,
+    /// Live array table (REDISTRIBUTE may change a descriptor).
+    arrays: Vec<DistArray>,
     scalars: HashMap<String, Value>,
     printed: Vec<String>,
     /// Schedule reuse (§7(3), per-run) and the cross-run schedule cache:
@@ -117,40 +89,8 @@ impl Env {
 impl<'p> Executor<'p> {
     /// Prepare an executor and allocate every array on the machine.
     pub fn new(prog: &'p SProgram, m: &mut Machine) -> Self {
-        assert_eq!(
-            m.grid.shape, prog.grid_shape,
-            "machine grid must match the compiled grid"
-        );
-        for decl in &prog.arrays {
-            let shape = decl.dad.local_shape();
-            let g: Vec<i64> = decl
-                .dad
-                .dims
-                .iter()
-                .map(|d| if d.is_distributed() { decl.ghost } else { 0 })
-                .collect();
-            for mem in &mut m.mems {
-                mem.insert_array(
-                    decl.name.clone(),
-                    LocalArray::with_ghost_lazy(decl.ty, &shape, &g, &g),
-                );
-            }
-        }
-        let mut scalars = HashMap::new();
-        for (name, ty) in &prog.scalars {
-            scalars.insert(name.clone(), ty.zero());
-        }
-        Executor {
-            prog,
-            dads: prog.arrays.iter().map(|a| a.dad.clone()).collect(),
-            scalars,
-            printed: Vec::new(),
-            sched: RunSchedules::new(),
-            overlap: false,
-            exec: None,
-            plan: false,
-            comm: CommDriver::new(),
-        }
+        let arrays = dispatch::allocate(m, &prog.grid_shape, &prog.arrays, false);
+        Self::fresh(prog, arrays)
     }
 
     /// Like [`Executor::new`] but reuses existing array segments on the
@@ -159,30 +99,19 @@ impl<'p> Executor<'p> {
     /// benchmark harness times elimination separately from data
     /// generation this way).
     pub fn new_preserving(prog: &'p SProgram, m: &mut Machine) -> Self {
-        for decl in &prog.arrays {
-            if !m.mems[0].has_array(&decl.name) {
-                let shape = decl.dad.local_shape();
-                let g: Vec<i64> = decl
-                    .dad
-                    .dims
-                    .iter()
-                    .map(|d| if d.is_distributed() { decl.ghost } else { 0 })
-                    .collect();
-                for mem in &mut m.mems {
-                    mem.insert_array(
-                        decl.name.clone(),
-                        LocalArray::with_ghost_lazy(decl.ty, &shape, &g, &g),
-                    );
-                }
-            }
-        }
-        let mut scalars = HashMap::new();
-        for (name, ty) in &prog.scalars {
-            scalars.insert(name.clone(), ty.zero());
-        }
+        let arrays = dispatch::allocate(m, &prog.grid_shape, &prog.arrays, true);
+        Self::fresh(prog, arrays)
+    }
+
+    fn fresh(prog: &'p SProgram, arrays: Vec<DistArray>) -> Self {
+        let scalars = prog
+            .scalars
+            .iter()
+            .map(|(name, ty)| (name.clone(), ty.zero()))
+            .collect();
         Executor {
             prog,
-            dads: prog.arrays.iter().map(|a| a.dad.clone()).collect(),
+            arrays,
             scalars,
             printed: Vec::new(),
             sched: RunSchedules::new(),
@@ -203,13 +132,7 @@ impl<'p> Executor<'p> {
         let stmts = &self.prog.stmts;
         let mut env = Env::default();
         self.exec_stmts(stmts, m, &mut env)?;
-        driver::quiesce(m)?;
-        Ok(ExecReport {
-            elapsed: m.elapsed(),
-            messages: m.transport.messages,
-            bytes: m.transport.bytes,
-            printed: std::mem::take(&mut self.printed),
-        })
+        dispatch::finish_run(m, std::mem::take(&mut self.printed))
     }
 
     /// Read a scalar by name (post-run inspection).
@@ -219,7 +142,7 @@ impl<'p> Executor<'p> {
 
     /// Current runtime descriptor of array `id`.
     pub fn dad(&self, id: ArrId) -> &Dad {
-        &self.dads[id]
+        &self.arrays[id].dad
     }
 
     /// Seed a named array from a host row-major buffer before running
@@ -228,24 +151,14 @@ impl<'p> Executor<'p> {
         let Some(id) = self.prog.array_id(name) else {
             return false;
         };
-        let h = DistArray {
-            name: self.prog.arrays[id].name.clone(),
-            dad: self.dads[id].clone(),
-            ty: self.prog.arrays[id].ty,
-        };
-        h.scatter_host(m, data);
+        self.arrays[id].scatter_host(m, data);
         true
     }
 
     /// Gather a named array to a host buffer (inspection).
     pub fn gather_array(&self, m: &mut Machine, name: &str) -> Option<f90d_machine::ArrayData> {
         let id = self.prog.array_id(name)?;
-        let h = DistArray {
-            name: self.prog.arrays[id].name.clone(),
-            dad: self.dads[id].clone(),
-            ty: self.prog.arrays[id].ty,
-        };
-        Some(h.gather_host(m))
+        Some(self.arrays[id].gather_host(m))
     }
 
     fn exec_stmts(&mut self, stmts: &[SStmt], m: &mut Machine, env: &mut Env) -> EResult<()> {
@@ -275,36 +188,20 @@ impl<'p> Executor<'p> {
     /// per-statement execution — the annotations are advisory, the `pre`
     /// lists are still in place.
     fn exec_phase(&mut self, stmts: &[SStmt], m: &mut Machine, env: &mut Env) -> EResult<()> {
-        let mut specs: Vec<GhostSpec> = Vec::new();
+        let mut specs = Vec::new();
         for s in stmts {
             let SStmt::Forall(f) = s else {
                 return eerr("comm phase contains a non-FORALL statement");
             };
-            for c in &f.pre {
-                let CommStmt::OverlapShift { arr, dim, c } = c else {
-                    return eerr("comm phase member has a non-overlap-shift prelude");
-                };
-                specs.push(GhostSpec {
-                    arr: self.prog.arrays[*arr].name.clone(),
-                    dad: self.dads[*arr].clone(),
-                    dim: *dim,
-                    c: *c,
-                });
-            }
+            let Some(shifts) = pre_shifts(f) else {
+                return eerr("comm phase member has a non-overlap-shift prelude");
+            };
+            specs.extend(dispatch::ghost_specs(&self.arrays, &shifts));
         }
-        match self.comm.phase_exchange(m, specs)? {
-            PhaseOutcome::Refused => {
-                // Structured fallback: per-statement execution.
-                for s in stmts {
-                    self.exec_stmt(s, m, env)?;
-                }
-            }
-            PhaseOutcome::Exchanged => {
-                for s in stmts {
-                    let SStmt::Forall(f) = s else { unreachable!() };
-                    self.exec_forall_inner(f, m, env, true)?;
-                }
-            }
+        let skip_pre = self.comm.phase_exchange(m, specs)? == PhaseOutcome::Exchanged;
+        for s in stmts {
+            let SStmt::Forall(f) = s else { unreachable!() };
+            self.exec_forall(f, m, env, skip_pre)?;
         }
         Ok(())
     }
@@ -312,7 +209,7 @@ impl<'p> Executor<'p> {
     fn exec_stmt(&mut self, s: &SStmt, m: &mut Machine, env: &mut Env) -> EResult<()> {
         match s {
             SStmt::Comm(c) => self.exec_comm(c, m, env),
-            SStmt::Forall(f) => self.exec_forall(f, m, env),
+            SStmt::Forall(f) => self.exec_forall(f, m, env, false),
             SStmt::ScalarAssign { name, rhs } => {
                 let ops = rhs.op_count();
                 let v = self.eval_scalar(rhs, m, env)?;
@@ -328,14 +225,8 @@ impl<'p> Executor<'p> {
                     .map(|e| self.eval_scalar(e, m, env).map(|v| v.as_int()))
                     .collect::<EResult<_>>()?;
                 let v = self.eval_scalar(rhs, m, env)?;
-                let dad = &self.dads[*arr];
-                let l = dad.local_index(&g);
-                let name = &self.prog.arrays[*arr].name;
-                for rank in dad.owner_ranks(&g) {
-                    m.mems[rank as usize].array_mut(name).set(&l, v);
-                    m.transport.charge_elem_ops(rank, rhs.op_count().max(1));
-                }
-                Ok(())
+                let cost = rhs.op_count().max(1);
+                Ok(dispatch::owner_assign(m, &self.arrays[*arr], &g, v, cost)?)
             }
             SStmt::DoSeq {
                 var,
@@ -391,307 +282,89 @@ impl<'p> Executor<'p> {
                 self.printed.push(line);
                 Ok(())
             }
-            SStmt::Runtime(call) => self.exec_runtime(call, m, env),
-        }
-    }
-
-    fn dist_array(&self, id: ArrId) -> DistArray {
-        DistArray {
-            name: self.prog.arrays[id].name.clone(),
-            dad: self.dads[id].clone(),
-            ty: self.prog.arrays[id].ty,
-        }
-    }
-
-    fn exec_runtime(&mut self, call: &RtCall, m: &mut Machine, env: &mut Env) -> EResult<()> {
-        match call {
-            RtCall::CShift {
-                src,
-                dst,
-                dim,
-                shift,
-            } => {
-                let s = self.eval_scalar(shift, m, env)?.as_int();
-                let (a, b) = (self.dist_array(*src), self.dist_array(*dst));
-                rt::cshift(m, &a, &b, *dim, s);
-                Ok(())
-            }
-            RtCall::EoShift {
-                src,
-                dst,
-                dim,
-                shift,
-                boundary,
-            } => {
-                let s = self.eval_scalar(shift, m, env)?.as_int();
-                let bv = self.eval_scalar(boundary, m, env)?;
-                let (a, b) = (self.dist_array(*src), self.dist_array(*dst));
-                rt::eoshift(m, &a, &b, *dim, s, bv);
-                Ok(())
-            }
-            RtCall::Transpose { src, dst } => {
-                let (a, b) = (self.dist_array(*src), self.dist_array(*dst));
-                rt::transpose(m, &a, &b);
-                Ok(())
-            }
-            RtCall::Matmul { a, b, c } => {
-                let (aa, bb, cc) = (
-                    self.dist_array(*a),
-                    self.dist_array(*b),
-                    self.dist_array(*c),
-                );
-                rt::matmul(m, &aa, &bb, &cc);
-                Ok(())
-            }
-            RtCall::Redistribute { arr, new_dad } => {
-                let old = self.dist_array(*arr);
-                let staging = format!("__REDIST_{}", old.name);
-                let mut nd = new_dad.clone();
-                nd.name = old.name.clone();
-                let target = DistArray::from_dad(m, staging.clone(), old.ty, nd.clone(), 0);
-                f90d_comm::redist::redistribute(m, &old.name, &old.dad, &staging, &target.dad)?;
-                // Move staged segments under the original name.
-                for mem in &mut m.mems {
-                    let seg = mem.remove_array(&staging).expect("staging allocated");
-                    mem.insert_array(old.name.clone(), seg);
-                }
-                self.dads[*arr] = nd;
-                Ok(())
-            }
-            RtCall::RemapCopy { src, dst } => {
-                let s = self.dist_array(*src);
-                let d = self.dist_array(*dst);
-                f90d_comm::redist::redistribute(m, &s.name, &s.dad, &d.name, &d.dad)?;
-                Ok(())
+            SStmt::Runtime(call) => {
+                let call = call.try_map(|e| self.eval_scalar(e, m, env))?;
+                dispatch::exec_runtime(m, &mut self.arrays, &call)
             }
         }
     }
 
-    fn exec_comm(&mut self, c: &CommStmt, m: &mut Machine, env: &mut Env) -> EResult<()> {
-        match c {
-            CommStmt::Multicast {
-                src,
-                tmp,
-                dim,
-                src_g,
-            } => {
-                let g = self.eval_scalar(src_g, m, env)?.as_int();
-                let dad = self.dads[*src].clone();
-                structured::multicast(
-                    m,
-                    &self.prog.arrays[*src].name,
-                    &dad,
-                    &self.prog.arrays[*tmp].name,
-                    *dim,
-                    g,
-                )?;
-                Ok(())
-            }
-            CommStmt::Transfer {
-                src,
-                tmp,
-                dim,
-                src_g,
-                dst_g,
-                dst_arr,
-                dst_dim,
-            } => {
-                let sg = self.eval_scalar(src_g, m, env)?.as_int();
-                let dg = self.eval_scalar(dst_g, m, env)?.as_int();
-                let dst_coord = self.dads[*dst_arr].dims[*dst_dim].proc_of(dg);
-                let dad = self.dads[*src].clone();
-                structured::transfer(
-                    m,
-                    &self.prog.arrays[*src].name,
-                    &dad,
-                    &self.prog.arrays[*tmp].name,
-                    *dim,
-                    sg,
-                    dst_coord,
-                )?;
-                Ok(())
-            }
-            CommStmt::OverlapShift { arr, dim, c } => {
-                let dad = self.dads[*arr].clone();
-                driver::ghost_exchange(m, &self.prog.arrays[*arr].name, &dad, *dim, *c)?;
-                Ok(())
-            }
-            CommStmt::TempShift {
-                src,
-                tmp,
-                dim,
-                amount,
-            } => {
-                let s = self.eval_scalar(amount, m, env)?.as_int();
-                let dad = self.dads[*src].clone();
-                structured::temporary_shift(
-                    m,
-                    &self.prog.arrays[*src].name,
-                    &dad,
-                    &self.prog.arrays[*tmp].name,
-                    *dim,
-                    s,
-                    false,
-                )?;
-                Ok(())
-            }
-            CommStmt::MulticastShift {
-                src,
-                tmp,
-                mdim,
-                src_g,
-                sdim,
-                amount,
-            } => {
-                let g = self.eval_scalar(src_g, m, env)?.as_int();
-                let s = self.eval_scalar(amount, m, env)?.as_int();
-                let dad = self.dads[*src].clone();
-                structured::multicast_shift(
-                    m,
-                    &self.prog.arrays[*src].name,
-                    &dad,
-                    &self.prog.arrays[*tmp].name,
-                    *mdim,
-                    g,
-                    *sdim,
-                    s,
-                )?;
-                Ok(())
-            }
-            CommStmt::Concat { src, tmp } => {
-                let dad = self.dads[*src].clone();
-                structured::concatenation(
-                    m,
-                    &self.prog.arrays[*src].name,
-                    &dad,
-                    &self.prog.arrays[*tmp].name,
-                )?;
-                Ok(())
-            }
-            CommStmt::BroadcastElem { arr, subs, target } => {
-                let g: Vec<i64> = subs
-                    .iter()
-                    .map(|e| self.eval_scalar(e, m, env).map(|v| v.as_int()))
-                    .collect::<EResult<_>>()?;
-                let dad = &self.dads[*arr];
-                let owner = dad.owner_ranks(&g)[0];
-                let l = dad.local_index(&g);
-                let v = m.mems[owner as usize]
-                    .array(&self.prog.arrays[*arr].name)
-                    .get(&l);
-                // Tree broadcast of one element to all ranks.
-                let members: Vec<i64> = (0..m.nranks()).collect();
-                let root_pos = members.iter().position(|&r| r == owner).unwrap();
-                let mut payload = f90d_machine::ArrayData::zeros(v.elem_type(), 1);
-                payload.set(0, v);
-                m.stats.record("broadcast_elem");
-                f90d_comm::helpers::tree_broadcast(m, &members, root_pos, payload, |_, _, _| {})?;
-                self.scalars.insert(target.clone(), v);
-                Ok(())
-            }
-            CommStmt::ReduceScalar {
-                kind,
-                arr,
-                arr2,
-                target,
-            } => {
-                let a = self.dist_array(*arr);
-                let v = match kind {
-                    ReduceKind::Sum => Value::Real(rt::sum(m, &a)),
-                    ReduceKind::Product => Value::Real(rt::product(m, &a)),
-                    ReduceKind::MaxVal => Value::Real(rt::maxval(m, &a)),
-                    ReduceKind::MinVal => Value::Real(rt::minval(m, &a)),
-                    ReduceKind::Count => Value::Int(rt::count(m, &a)),
-                    ReduceKind::All => Value::Bool(rt::all(m, &a)),
-                    ReduceKind::Any => Value::Bool(rt::any(m, &a)),
-                    ReduceKind::DotProduct => {
-                        let b = self.dist_array(arr2.expect("dotproduct second operand"));
-                        Value::Real(rt::dotproduct(m, &a, &b))
-                    }
-                };
-                let v = if self.prog.arrays[*arr].ty == ElemType::Int
-                    && matches!(
-                        kind,
-                        ReduceKind::Sum
-                            | ReduceKind::Product
-                            | ReduceKind::MaxVal
-                            | ReduceKind::MinVal
-                    ) {
-                    Value::Int(v.as_real() as i64)
-                } else {
-                    v
-                };
-                self.scalars.insert(target.clone(), v);
-                Ok(())
-            }
+    /// Evaluate the call's operands, run the shared dispatcher, store
+    /// the result into the call's scalar target if it has one.
+    fn exec_comm(&mut self, c: &CommStmt, m: &mut Machine, env: &Env) -> EResult<()> {
+        let call = c.try_map(|e| self.eval_scalar(e, m, env), |_| ())?;
+        if let Some(v) = dispatch::exec_comm(m, &self.arrays, &call)? {
+            let target = c.target().expect("a comm with a result has a target");
+            self.scalars.insert(target.clone(), v);
         }
+        Ok(())
     }
 
     // ---- FORALL ------------------------------------------------------------
 
-    fn exec_forall(&mut self, f: &ForallNode, m: &mut Machine, env: &mut Env) -> EResult<()> {
-        self.exec_forall_inner(f, m, env, false)
-    }
-
-    /// FORALL body with an optional prelude skip: a phase lead already
-    /// posted (and completed) this statement's ghost exchanges, so phase
-    /// members run with `skip_pre` — which also bypasses the split-phase
+    /// One FORALL. `skip_pre`: a phase lead already posted (and
+    /// completed) this statement's ghost exchanges, so phase members run
+    /// with their prelude skipped — which also bypasses the split-phase
     /// overlap path, whose post/finish would re-send the exchanges.
-    fn exec_forall_inner(
+    ///
+    /// Under `overlap`, an eligible stencil ([`dispatch::overlap_plan`])
+    /// runs split-phase (paper §5.1/§7 latency hiding), sequenced by the
+    /// shared [`driver::run_overlap`]: the driver posts the ghost
+    /// exchanges, runs this backend's interior tree walk while the
+    /// strips are on the wire, completes the exchanges, runs the
+    /// boundary slabs, and commits — array results are bit-identical to
+    /// the blocking path, only the virtual clocks differ.
+    fn exec_forall(
         &mut self,
         f: &ForallNode,
         m: &mut Machine,
         env: &mut Env,
         skip_pre: bool,
     ) -> EResult<()> {
-        if self.overlap && !skip_pre {
-            if let Some(margins) = self.overlap_plan(f) {
-                return self.exec_forall_overlap(f, m, env, &margins);
-            }
-        }
-        // Communication prelude.
-        if !skip_pre {
+        let plain = f.gathers.is_empty()
+            && f.owner_filter.is_empty()
+            && f.body.iter().all(|b| b.write == WritePlan::Owned);
+        let split = if self.overlap && !skip_pre && plain {
+            let parts = f.vars.iter().map(|v| &v.part);
+            pre_shifts(f).and_then(|s| dispatch::overlap_plan(&self.arrays, &s, parts))
+        } else {
+            None
+        };
+        // Blocking communication prelude.
+        if split.is_none() && !skip_pre {
             for c in &f.pre {
                 self.exec_comm(c, m, env)?;
             }
         }
-        // Owner filter: which ranks participate.
-        let mut active = vec![true; m.nranks() as usize];
+        // Owner filter and bounds are replicated values: evaluate once.
+        let mut filter = Vec::with_capacity(f.owner_filter.len());
         for (arr, dim, idx) in &f.owner_filter {
-            let g = self.eval_scalar(idx, m, env)?.as_int();
-            let dad = &self.dads[*arr];
-            let dm = &dad.dims[*dim];
-            let axis = dm.grid_axis.expect("owner filter on distributed dim");
-            let owner = dm.proc_of(g);
-            for rank in 0..m.nranks() {
-                if m.grid.coords_of(rank)[axis] != owner {
-                    active[rank as usize] = false;
-                }
-            }
+            filter.push((*arr, *dim, self.eval_scalar(idx, m, env)?.as_int()));
         }
-        // Per-rank iteration lists.
-        let mut iter_lists: Vec<Vec<Vec<i64>>> = Vec::with_capacity(m.nranks() as usize);
-        for rank in 0..m.nranks() {
-            if !active[rank as usize] {
-                iter_lists.push(vec![vec![]; f.vars.len()]);
-                continue;
-            }
-            let mut lists = Vec::with_capacity(f.vars.len());
-            for spec in &f.vars {
-                lists.push(self.iterations_for(spec, m, rank, env)?);
-            }
-            iter_lists.push(lists);
+        let mut loops = Vec::with_capacity(f.vars.len());
+        for spec in &f.vars {
+            let lb = self.eval_scalar(&spec.lb, m, env)?.as_int();
+            let ub = self.eval_scalar(&spec.ub, m, env)?.as_int();
+            let st = self.eval_scalar(&spec.st, m, env)?.as_int();
+            loops.push((&spec.part, [lb, ub, st]));
+        }
+        let iter_lists = dispatch::iteration_lists(m, &self.arrays, &loops, &filter)?;
+        let nranks = m.nranks() as usize;
+        if let Some((specs, margins)) = split {
+            let mut sink = TreeSink {
+                ex: self,
+                f,
+                env,
+                staged: vec![Vec::new(); nranks],
+            };
+            return driver::run_overlap(m, &specs, &margins, &iter_lists, &mut sink);
         }
         // Unstructured reads: inspector + vectorized executor.
-        for (slot, g) in f.gathers.iter().enumerate() {
-            self.exec_gather(f, g, slot, m, env, &iter_lists)?;
+        for g in &f.gathers {
+            self.exec_gather(f, g, m, env, &iter_lists)?;
         }
         // Main loop, rank by rank (loosely synchronous local phase).
-        let scatter = f.body.iter().find_map(|b| match &b.write {
-            WritePlan::ScatterSeq { invertible } => Some(*invertible),
-            WritePlan::Owned => None,
-        });
-        let mut scatter_out: Vec<Vec<(Vec<i64>, Value)>> = vec![Vec::new(); m.nranks() as usize];
+        let mut scatter_out: Vec<Vec<(Vec<i64>, Value)>> = vec![Vec::new(); nranks];
         for rank in 0..m.nranks() {
             let lists = &iter_lists[rank as usize];
             if lists.iter().any(|l| l.is_empty()) {
@@ -719,109 +392,24 @@ impl<'p> Executor<'p> {
             m.transport.charge_elem_ops(rank, ops);
         }
         // Post-loop scatter (paper §4 cases 3/4).
+        let scatter = f.body.iter().find_map(|b| match &b.write {
+            WritePlan::ScatterSeq { invertible } => Some(*invertible),
+            WritePlan::Owned => None,
+        });
         if let Some(invertible) = scatter {
-            self.exec_scatter(f, m, invertible, &scatter_out)?;
+            let dst = &self.arrays[f.body[0].arr];
+            let (name, dad) = (&dst.name, &dst.dad);
+            driver::scatter(
+                m,
+                &mut self.sched,
+                name,
+                dad,
+                dst.ty,
+                &scatter_out,
+                invertible,
+            )?;
         }
         Ok(())
-    }
-
-    /// Decide whether `f` is eligible for split-phase execution under
-    /// `comm_compute_overlap`, and compute the per-loop-variable ghost
-    /// margins if so.
-    ///
-    /// Eligible: the communication prelude is pure `overlap_shift` (the
-    /// canonical BLOCK stencil case the paper's §5.1 overlap areas serve),
-    /// no unstructured gathers, no owner filter, owned writes only, and
-    /// every shifted dimension maps onto a stride-1 `OwnerDim` loop
-    /// variable per the shared [`driver::stencil_margins`] geometry —
-    /// that identity is what makes "iteration value within the owned
-    /// block interior" imply "every shifted read stays owned". Anything
-    /// else falls back to the blocking path (correct for every program;
-    /// overlap is a pure virtual-time optimization).
-    fn overlap_plan(&self, f: &ForallNode) -> Option<Margins> {
-        if f.pre.is_empty() || !f.gathers.is_empty() || !f.owner_filter.is_empty() {
-            return None;
-        }
-        if !f.body.iter().all(|b| matches!(b.write, WritePlan::Owned)) {
-            return None;
-        }
-        let loop_dims: Vec<Option<&ArrayDimMap>> = f
-            .vars
-            .iter()
-            .map(|spec| match &spec.part {
-                Partition::OwnerDim {
-                    arr: la,
-                    dim: ld,
-                    a: 1,
-                    ..
-                } => Some(&self.dads[*la].dims[*ld]),
-                _ => None,
-            })
-            .collect();
-        let mut shifts = Vec::with_capacity(f.pre.len());
-        for c in &f.pre {
-            let CommStmt::OverlapShift {
-                arr,
-                dim,
-                c: amount,
-            } = c
-            else {
-                return None;
-            };
-            shifts.push((&self.dads[*arr].dims[*dim], *amount));
-        }
-        driver::stencil_margins(&loop_dims, &shifts)
-    }
-
-    /// Split-phase stencil execution (paper §5.1/§7 latency hiding),
-    /// sequenced by the shared [`driver::run_overlap`]: the driver posts
-    /// the ghost exchanges, runs this backend's interior tree walk while
-    /// the strips are on the wire, completes the exchanges, runs the
-    /// boundary slabs, and commits — array results are bit-identical to
-    /// the blocking path, only the virtual clocks differ.
-    fn exec_forall_overlap(
-        &mut self,
-        f: &ForallNode,
-        m: &mut Machine,
-        env: &mut Env,
-        margins: &Margins,
-    ) -> EResult<()> {
-        let mut shifts = Vec::with_capacity(f.pre.len());
-        for c in &f.pre {
-            let CommStmt::OverlapShift {
-                arr,
-                dim,
-                c: amount,
-            } = c
-            else {
-                unreachable!("overlap_plan admitted a non-shift prelude")
-            };
-            shifts.push(GhostSpec {
-                arr: self.prog.arrays[*arr].name.clone(),
-                dad: self.dads[*arr].clone(),
-                dim: *dim,
-                c: *amount,
-            });
-        }
-        // Per-rank iteration lists (no owner filter by eligibility); the
-        // driver splits them into interior/boundary via the shared
-        // `f90d_comm::overlap` geometry.
-        let nranks = m.nranks() as usize;
-        let mut iter_lists: Vec<Vec<Vec<i64>>> = Vec::with_capacity(nranks);
-        for rank in 0..m.nranks() {
-            let mut lists = Vec::with_capacity(f.vars.len());
-            for spec in &f.vars {
-                lists.push(self.iterations_for(spec, m, rank, env)?);
-            }
-            iter_lists.push(lists);
-        }
-        let mut sink = TreeSink {
-            ex: self,
-            f,
-            env,
-            staged: vec![Vec::new(); nranks],
-        };
-        driver::run_overlap(m, &shifts, margins, &iter_lists, &mut sink)
     }
 
     /// One rank's element loop over the plain cartesian product of
@@ -908,137 +496,50 @@ impl<'p> Executor<'p> {
         Ok(ops)
     }
 
-    /// The iterations of `spec` assigned to `rank` — the `set_BOUND`
-    /// computation (paper §4), returning **global** iteration values.
-    fn iterations_for(
-        &mut self,
-        spec: &LoopSpec,
-        m: &Machine,
-        rank: i64,
-        env: &mut Env,
-    ) -> EResult<Vec<i64>> {
-        let lb = self.eval_scalar_m(&spec.lb, m, env)?.as_int();
-        let ub = self.eval_scalar_m(&spec.ub, m, env)?.as_int();
-        let st = self.eval_scalar_m(&spec.st, m, env)?.as_int();
-        if st <= 0 {
-            return eerr("FORALL stride must be positive");
-        }
-        if lb > ub {
-            return Ok(vec![]);
-        }
-        match &spec.part {
-            Partition::Replicate => Ok((0..)
-                .map(|k| lb + k * st)
-                .take_while(|&v| v <= ub)
-                .collect()),
-            Partition::BlockIter => {
-                let count = (ub - lb) / st + 1;
-                let p = m.nranks();
-                let chunk = (count + p - 1) / p;
-                let first = rank * chunk;
-                let last = ((rank + 1) * chunk).min(count);
-                Ok((first..last).map(|k| lb + k * st).collect())
-            }
-            Partition::OwnerDim { arr, dim, a, b } => {
-                let dad = &self.dads[*arr];
-                let dm = &dad.dims[*dim];
-                if !dm.is_distributed() {
-                    return Ok((0..)
-                        .map(|k| lb + k * st)
-                        .take_while(|&v| v <= ub)
-                        .collect());
-                }
-                let coord = m.grid.coords_of(rank)[dm.grid_axis.unwrap()];
-                // Template progression t(v) = S*v + O.
-                let s_align = dm.align.stride;
-                let o_align = dm.align.offset;
-                let s = s_align * a;
-                let o = s_align * b + o_align;
-                let t1 = s * lb + o;
-                let t2 = s * ub + o;
-                let (tlo, thi) = if t1 <= t2 { (t1, t2) } else { (t2, t1) };
-                let tstep = (s * st).abs();
-                let li = set_bound(&dm.dist, coord, tlo, thi, tstep);
-                let mut out = Vec::with_capacity(li.len() as usize);
-                for l in li.to_vec() {
-                    let t = dm
-                        .dist
-                        .global_of(coord, l)
-                        .expect("set_bound local maps to global");
-                    let num = t - o;
-                    if num % s != 0 {
-                        continue;
-                    }
-                    let v = num / s;
-                    if v >= lb && v <= ub && (v - lb) % st == 0 {
-                        out.push(v);
-                    }
-                }
-                out.sort_unstable();
-                Ok(out)
-            }
-        }
-    }
-
+    /// Unstructured read: this tier's inspector (tree evaluation of the
+    /// mask and subscripts for every local iteration, in iteration
+    /// order) feeding the shared request list and executor.
     fn exec_gather(
         &mut self,
         f: &ForallNode,
         g: &GatherSpec,
-        _slot: usize,
         m: &mut Machine,
         env: &mut Env,
         iter_lists: &[Vec<Vec<i64>>],
     ) -> EResult<()> {
-        let src_name = self.prog.arrays[g.src].name.clone();
-        let tmp_name = self.prog.arrays[g.tmp].name.clone();
-        let src_dad = self.dads[g.src].clone();
-        // Inspector: per rank, evaluate the subscripts for every local
-        // iteration (in iteration order), forming the request list.
-        let mut reqs: Vec<ElementReq> = Vec::new();
-        let mut counts = vec![0usize; m.nranks() as usize];
-        for rank in 0..m.nranks() {
-            let lists = &iter_lists[rank as usize];
+        let src = &self.arrays[g.src];
+        let mut reqs = GatherRequests::new(&src.name, &src.dad, iter_lists.len());
+        for (rank, lists) in iter_lists.iter().enumerate() {
             if lists.iter().any(|l| l.is_empty()) {
                 continue;
             }
-            let mut dummy_counters = vec![usize::MAX; f.gathers.len()];
+            let rank = rank as i64;
+            // Masks and subscripts must not depend on gathered values.
+            let mut no_seq = vec![usize::MAX; f.gathers.len()];
             let mut cursor = vec![0usize; lists.len()];
-            let mut insp_ops = 0i64;
             'iter: loop {
                 for (spec, (&c, list)) in f.vars.iter().zip(cursor.iter().zip(lists)) {
                     env.push(&spec.var, list[c]);
                 }
-                let mut run = true;
-                if let Some(mask) = &f.mask {
-                    // Masks must not depend on gathered values.
-                    run = self
-                        .eval_elem(mask, m, rank, env, &mut dummy_counters)?
-                        .as_bool();
-                }
+                let run = match &f.mask {
+                    Some(mask) => self.eval_elem(mask, m, rank, env, &mut no_seq)?.as_bool(),
+                    None => true,
+                };
                 if run {
                     let gidx: Vec<i64> = g
                         .subs
                         .iter()
                         .map(|e| {
-                            self.eval_elem(e, m, rank, env, &mut dummy_counters)
+                            self.eval_elem(e, m, rank, env, &mut no_seq)
                                 .map(|x| x.as_int())
                         })
                         .collect::<EResult<_>>()?;
-                    insp_ops += 4;
-                    let owner = src_dad.owner_ranks(&gidx)[0];
-                    let l = src_dad.local_index(&gidx);
-                    let src_off = m.mems[owner as usize].array(&src_name).offset(&l);
-                    reqs.push(ElementReq {
-                        requester: rank,
-                        owner,
-                        src_off,
-                        dst_off: counts[rank as usize],
-                    });
-                    counts[rank as usize] += 1;
+                    reqs.push(m, rank, &gidx)?;
                 }
                 for _ in 0..f.vars.len() {
                     env.pop();
                 }
+                // advance cartesian cursor (last var fastest)
                 let mut d = lists.len();
                 loop {
                     if d == 0 {
@@ -1052,64 +553,9 @@ impl<'p> Executor<'p> {
                     cursor[d] = 0;
                 }
             }
-            m.transport.charge_elem_ops(rank, insp_ops);
         }
-        // Size the sequential buffers.
-        let ty = self.prog.arrays[g.tmp].ty;
-        for rank in 0..m.nranks() {
-            let n = counts[rank as usize].max(1) as i64;
-            m.mems[rank as usize].insert_array(tmp_name.clone(), LocalArray::zeros(ty, &[n]));
-        }
-        // Schedule (per-run §7(3) reuse + cross-run cache); the driver
-        // maps (fast_path, read) onto the schedule kind.
-        let sched = driver::schedule(m, &mut self.sched, &reqs, g.local_only, false)?;
-        schedule::execute_read(m, &sched, &src_name, &tmp_name)?;
-        Ok(())
-    }
-
-    fn exec_scatter(
-        &mut self,
-        f: &ForallNode,
-        m: &mut Machine,
-        invertible: bool,
-        outputs: &[Vec<(Vec<i64>, Value)>],
-    ) -> EResult<()> {
-        let body = &f.body[0];
-        let dst = body.arr;
-        let dst_name = self.prog.arrays[dst].name.clone();
-        let dst_dad = self.dads[dst].clone();
-        let ty = self.prog.arrays[dst].ty;
-        // Stage values into per-rank sequential source buffers.
-        let buf_name = format!("__SCATBUF_{}", dst_name);
-        for rank in 0..m.nranks() {
-            let vals = &outputs[rank as usize];
-            let mut la = LocalArray::zeros(ty, &[vals.len().max(1) as i64]);
-            for (k, (_, v)) in vals.iter().enumerate() {
-                la.set(&[k as i64], *v);
-            }
-            m.mems[rank as usize].insert_array(buf_name.clone(), la);
-        }
-        let mut reqs = Vec::new();
-        for rank in 0..m.nranks() {
-            for (k, (g, _)) in outputs[rank as usize].iter().enumerate() {
-                let src_off = m.mems[rank as usize].array(&buf_name).offset(&[k as i64]);
-                for owner in dst_dad.owner_ranks(g) {
-                    let l = dst_dad.local_index(g);
-                    let dst_off = m.mems[owner as usize].array(&dst_name).offset(&l);
-                    reqs.push(ElementReq {
-                        // For write schedules the "requester" is the
-                        // receiving owner and the "owner" the producer.
-                        requester: owner,
-                        owner: rank,
-                        src_off,
-                        dst_off,
-                    });
-                }
-            }
-        }
-        let sched = driver::schedule(m, &mut self.sched, &reqs, invertible, true)?;
-        schedule::execute_write(m, &sched, &buf_name, &dst_name)?;
-        Ok(())
+        let tmp = &self.prog.arrays[g.tmp];
+        Ok(reqs.execute(m, &mut self.sched, &tmp.name, tmp.ty, g.local_only)?)
     }
 
     // ---- evaluation ----------------------------------------------------------
@@ -1117,7 +563,7 @@ impl<'p> Executor<'p> {
     /// Offset of global index `g` in `rank`'s segment of array `arr`,
     /// allowing ghost positions on BLOCK dimensions.
     fn owned_offset(&self, arr: ArrId, m: &Machine, rank: i64, g: &[i64]) -> EResult<usize> {
-        let dad = &self.dads[arr];
+        let dad = &self.arrays[arr].dad;
         let coords = m.grid.coords_of(rank);
         let name = &self.prog.arrays[arr].name;
         let la = m.mems[rank as usize].array(name);
@@ -1155,10 +601,6 @@ impl<'p> Executor<'p> {
 
     /// Evaluate in scalar (replicated) context.
     fn eval_scalar(&self, e: &SExpr, m: &Machine, env: &Env) -> EResult<Value> {
-        self.eval_scalar_m(e, m, env)
-    }
-
-    fn eval_scalar_m(&self, e: &SExpr, m: &Machine, env: &Env) -> EResult<Value> {
         match e {
             SExpr::Const(v) => Ok(*v),
             SExpr::Scalar(n) => {
@@ -1176,15 +618,15 @@ impl<'p> Executor<'p> {
                 .map(Value::Int)
                 .ok_or_else(|| ExecError(format!("loop variable `{n}` not in scope"))),
             SExpr::Bin(op, l, r) => {
-                let a = self.eval_scalar_m(l, m, env)?;
-                let b = self.eval_scalar_m(r, m, env)?;
+                let a = self.eval_scalar(l, m, env)?;
+                let b = self.eval_scalar(r, m, env)?;
                 eval_bin(*op, a, b)
             }
-            SExpr::Un(op, x) => eval_un(*op, self.eval_scalar_m(x, m, env)?),
+            SExpr::Un(op, x) => eval_un(*op, self.eval_scalar(x, m, env)?),
             SExpr::Elemental(name, args) => {
                 let vals: Vec<Value> = args
                     .iter()
-                    .map(|a| self.eval_scalar_m(a, m, env))
+                    .map(|a| self.eval_scalar(a, m, env))
                     .collect::<EResult<_>>()?;
                 eval_elemental(name, &vals)
             }
@@ -1196,14 +638,9 @@ impl<'p> Executor<'p> {
                 }
                 let g: Vec<i64> = subs
                     .iter()
-                    .map(|s| self.eval_scalar_m(s, m, env).map(|v| v.as_int()))
+                    .map(|s| self.eval_scalar(s, m, env).map(|v| v.as_int()))
                     .collect::<EResult<_>>()?;
-                let dad = &self.dads[*arr];
-                let rank = dad.owner_ranks(&g)[0];
-                let l = dad.local_index(&g);
-                Ok(m.mems[rank as usize]
-                    .array(&self.prog.arrays[*arr].name)
-                    .get(&l))
+                Ok(dispatch::read_elem(m, &self.arrays[*arr], &g)?.1)
             }
         }
     }
@@ -1301,6 +738,12 @@ impl<'p> Executor<'p> {
             },
         }
     }
+}
+
+/// The `(arr, dim, c)` triples of `f`'s prelude when it is pure
+/// `overlap_shift` (what phase batching and split-phase overlap take).
+fn pre_shifts(f: &ForallNode) -> Option<Vec<(ArrId, usize, i64)>> {
+    f.pre.iter().map(|c| c.as_overlap_shift()).collect()
 }
 
 /// The tree walker's [`ComputeSink`]: the shared driver decides *when*

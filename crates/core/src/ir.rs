@@ -9,29 +9,24 @@
 //! their iterations per rank and communication statements run
 //! machine-wide.
 
-use f90d_distrib::Dad;
 use f90d_frontend::ast::{BinOp, UnOp};
 use f90d_machine::{ElemType, Value};
 
-/// Index of an array in the program's array table.
-pub type ArrId = usize;
+// The statement-level node types are defined once, in `f90d_vm::stmt`,
+// generic over the expression and scalar-name representation; the tree
+// IR instantiates them with `SExpr` and names.
+pub use f90d_vm::stmt::{ArrId, ArrayDecl, Partition, PhaseRole, ReduceKind};
 
-/// One distributed (or replicated) array of the compiled program.
-#[derive(Debug, Clone)]
-pub struct ArrayDecl {
-    /// Source-level name.
-    pub name: String,
-    /// Element type.
-    pub ty: ElemType,
-    /// Three-stage mapping descriptor.
-    pub dad: Dad,
-    /// Ghost width allocated on every distributed dimension (the maximum
-    /// compile-time shift constant the detector saw — Gerndt-style
-    /// overlap areas).
-    pub ghost: i64,
-    /// `true` for compiler temporaries.
-    pub is_temp: bool,
-}
+/// Collective communication statements over tree expressions.
+pub type CommStmt = f90d_vm::stmt::CommStmt<SExpr, String>;
+/// Runtime-library calls over tree expressions.
+pub type RtCall = f90d_vm::stmt::RtCall<SExpr>;
+/// One FORALL loop variable (by name) with its iteration partitioning.
+pub type LoopSpec = f90d_vm::stmt::LoopSpec<SExpr, String>;
+/// One unstructured read of a FORALL.
+pub type GatherSpec = f90d_vm::stmt::GatherSpec<SExpr>;
+/// One `PRINT *,` item.
+pub type PrintItem = f90d_vm::stmt::PrintItem<SExpr>;
 
 /// How an array read obtains its element (the communication tag the
 /// detector attached — paper Tables 1 and 2 outcomes).
@@ -153,179 +148,6 @@ impl SExpr {
     }
 }
 
-/// Reduction kinds supported in scalar context.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReduceKind {
-    /// `SUM`
-    Sum,
-    /// `PRODUCT`
-    Product,
-    /// `MAXVAL`
-    MaxVal,
-    /// `MINVAL`
-    MinVal,
-    /// `COUNT`
-    Count,
-    /// `ALL`
-    All,
-    /// `ANY`
-    Any,
-    /// `DOTPRODUCT`
-    DotProduct,
-}
-
-/// Collective communication statements (the generated `call …` lines).
-#[derive(Debug, Clone, PartialEq)]
-pub enum CommStmt {
-    /// Broadcast slab `src[.., src_g, ..]` along the grid axis of `dim`
-    /// into `tmp` (paper Fig. 4b).
-    Multicast {
-        /// Source array.
-        src: ArrId,
-        /// Slab temporary.
-        tmp: ArrId,
-        /// Fixed dimension.
-        dim: usize,
-        /// Global index of the slab (0-based).
-        src_g: SExpr,
-    },
-    /// Move slab `src[.., src_g, ..]` to the owners of LHS index `dst_g`
-    /// (paper Fig. 4a).
-    Transfer {
-        /// Source array.
-        src: ArrId,
-        /// Slab temporary.
-        tmp: ArrId,
-        /// Fixed dimension (of the source).
-        dim: usize,
-        /// Source global index.
-        src_g: SExpr,
-        /// Destination global index, in `dst_arr` index space.
-        dst_g: SExpr,
-        /// LHS array whose owners of `dst_g` receive the slab.
-        dst_arr: ArrId,
-        /// LHS dimension of `dst_g`.
-        dst_dim: usize,
-    },
-    /// Fill ghost cells for a compile-time shift by `c` on `dim`.
-    OverlapShift {
-        /// The array whose overlap area is filled.
-        arr: ArrId,
-        /// Dimension.
-        dim: usize,
-        /// Shift constant.
-        c: i64,
-    },
-    /// Runtime-amount shift into a same-mapping temporary.
-    TempShift {
-        /// Source array.
-        src: ArrId,
-        /// Temporary (same mapping as `src`).
-        tmp: ArrId,
-        /// Dimension.
-        dim: usize,
-        /// Shift amount.
-        amount: SExpr,
-    },
-    /// Fused multicast+shift (paper §5.3.1 example 3).
-    MulticastShift {
-        /// Source array.
-        src: ArrId,
-        /// Slab temporary.
-        tmp: ArrId,
-        /// Broadcast dimension.
-        mdim: usize,
-        /// Global slab index.
-        src_g: SExpr,
-        /// Shift dimension.
-        sdim: usize,
-        /// Shift amount.
-        amount: SExpr,
-    },
-    /// Concatenate a distributed array into a replicated temporary
-    /// (Algorithm 1 step 11).
-    Concat {
-        /// Source array.
-        src: ArrId,
-        /// Replicated full-shape temporary.
-        tmp: ArrId,
-    },
-    /// Broadcast one element of a distributed array into a replicated
-    /// scalar (scalar-context reads of distributed elements).
-    BroadcastElem {
-        /// Source array.
-        arr: ArrId,
-        /// Global subscripts.
-        subs: Vec<SExpr>,
-        /// Destination scalar.
-        target: String,
-    },
-    /// Full reduction into a replicated scalar (Table 3 category 2).
-    ReduceScalar {
-        /// Reduction operator.
-        kind: ReduceKind,
-        /// Operand.
-        arr: ArrId,
-        /// Second operand (DOTPRODUCT).
-        arr2: Option<ArrId>,
-        /// Destination scalar.
-        target: String,
-    },
-}
-
-/// One unstructured read of a FORALL: `tmp(count) = src(subs(i…))`
-/// gathered before the loop.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GatherSpec {
-    /// Source array.
-    pub src: ArrId,
-    /// Sequential buffer.
-    pub tmp: ArrId,
-    /// Global subscripts as functions of the loop variables.
-    pub subs: Vec<SExpr>,
-    /// `true` when preprocessing is local-only (invertible subscripts →
-    /// `schedule1`/`precomp_read`); `false` → `schedule2`/`gather`.
-    pub local_only: bool,
-}
-
-/// One FORALL loop variable with its iteration partitioning.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LoopSpec {
-    /// Variable name.
-    pub var: String,
-    /// Global lower bound (0-based).
-    pub lb: SExpr,
-    /// Global upper bound (0-based, inclusive).
-    pub ub: SExpr,
-    /// Stride (positive).
-    pub st: SExpr,
-    /// Iteration-to-rank assignment.
-    pub part: Partition,
-}
-
-/// Iteration-space partitioning of one FORALL variable (paper §4).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Partition {
-    /// Owner-computes through LHS dimension `dim` of `arr`, whose
-    /// subscript is `a*var + b`: each rank runs the iterations whose LHS
-    /// element it owns (computed with `set_BOUND`).
-    OwnerDim {
-        /// LHS array.
-        arr: ArrId,
-        /// LHS dimension.
-        dim: usize,
-        /// Subscript stride.
-        a: i64,
-        /// Subscript offset.
-        b: i64,
-    },
-    /// Equal block split of the iteration space over all ranks (paper §4
-    /// example 2: non-canonical LHS).
-    BlockIter,
-    /// Every rank runs every iteration (undistributed LHS dimension).
-    Replicate,
-}
-
 /// The single elementwise assignment of a FORALL body.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ElemAssign {
@@ -366,91 +188,6 @@ pub struct ForallNode {
     /// an annotation — the `pre` lists stay in place, so any executor
     /// that ignores the plan still runs the per-statement schedule.
     pub plan: Option<PhaseRole>,
-}
-
-/// Role of a FORALL inside a planner-formed comm phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PhaseRole {
-    /// First statement of a phase of `len` consecutive FORALLs
-    /// (including itself). The lead's executor batches the ghost
-    /// exchanges of all `len` members.
-    Lead {
-        /// Number of FORALLs in the phase, `>= 1`.
-        len: usize,
-    },
-    /// Non-lead member: its ghost exchanges were posted by the lead, so
-    /// its own prelude is skipped when the plan is honoured.
-    Member,
-}
-
-/// Runtime-library whole-statement calls (array-valued intrinsics and
-/// redistribution).
-#[derive(Debug, Clone, PartialEq)]
-pub enum RtCall {
-    /// `dst = CSHIFT(src, shift, dim)`
-    CShift {
-        /// Source.
-        src: ArrId,
-        /// Destination.
-        dst: ArrId,
-        /// Dimension (0-based).
-        dim: usize,
-        /// Shift amount.
-        shift: SExpr,
-    },
-    /// `dst = EOSHIFT(src, shift, boundary, dim)`
-    EoShift {
-        /// Source.
-        src: ArrId,
-        /// Destination.
-        dst: ArrId,
-        /// Dimension.
-        dim: usize,
-        /// Shift amount.
-        shift: SExpr,
-        /// Boundary fill.
-        boundary: SExpr,
-    },
-    /// `dst = TRANSPOSE(src)`
-    Transpose {
-        /// Source.
-        src: ArrId,
-        /// Destination.
-        dst: ArrId,
-    },
-    /// `c = MATMUL(a, b)`
-    Matmul {
-        /// Left operand.
-        a: ArrId,
-        /// Right operand.
-        b: ArrId,
-        /// Result.
-        c: ArrId,
-    },
-    /// Change an array's distribution at runtime (extension).
-    Redistribute {
-        /// The array.
-        arr: ArrId,
-        /// The new descriptor.
-        new_dad: Dad,
-    },
-    /// Copy `src` into the differently-mapped `dst` (subroutine-boundary
-    /// redistribution, paper §6).
-    RemapCopy {
-        /// Source array.
-        src: ArrId,
-        /// Destination array (may have any mapping of the same shape).
-        dst: ArrId,
-    },
-}
-
-/// One `PRINT *,` item.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PrintItem {
-    /// A character literal, printed verbatim.
-    Text(String),
-    /// A scalar expression.
-    Val(SExpr),
 }
 
 /// Statements.
@@ -530,25 +267,13 @@ impl SProgram {
     /// (used by optimizer tests).
     pub fn comm_census(&self) -> std::collections::BTreeMap<&'static str, usize> {
         let mut census = std::collections::BTreeMap::new();
-        fn comm_name(c: &CommStmt) -> &'static str {
-            match c {
-                CommStmt::Multicast { .. } => "multicast",
-                CommStmt::Transfer { .. } => "transfer",
-                CommStmt::OverlapShift { .. } => "overlap_shift",
-                CommStmt::TempShift { .. } => "temporary_shift",
-                CommStmt::MulticastShift { .. } => "multicast_shift",
-                CommStmt::Concat { .. } => "concatenation",
-                CommStmt::BroadcastElem { .. } => "broadcast_elem",
-                CommStmt::ReduceScalar { .. } => "reduce",
-            }
-        }
         fn walk(stmts: &[SStmt], census: &mut std::collections::BTreeMap<&'static str, usize>) {
             for s in stmts {
                 match s {
-                    SStmt::Comm(c) => *census.entry(comm_name(c)).or_insert(0) += 1,
+                    SStmt::Comm(c) => *census.entry(c.name()).or_insert(0) += 1,
                     SStmt::Forall(f) => {
                         for c in &f.pre {
-                            *census.entry(comm_name(c)).or_insert(0) += 1;
+                            *census.entry(c.name()).or_insert(0) += 1;
                         }
                         for g in &f.gathers {
                             let name = if g.local_only {

@@ -166,16 +166,11 @@ impl Compiled {
                 eng.overlap = self.options.opt.comm_compute_overlap;
                 eng.plan = self.options.opt.comm_plan;
                 eng.exec = self.options.exec_mode;
-                let rep = eng.run(m).map_err(|e| exec::ExecError(e.0))?;
+                let rep = eng.run(m)?;
                 let (native_matched, native_fallback) = eng.native_counts();
                 let (comm_groups, comm_fallbacks) = eng.comm.counts();
                 Ok((
-                    ExecReport {
-                        elapsed: rep.elapsed,
-                        messages: rep.messages,
-                        bytes: rep.bytes,
-                        printed: rep.printed,
-                    },
+                    rep,
                     RunTrace {
                         program_cache_hit: Some(hit),
                         sched_hits: eng.sched.hits(),

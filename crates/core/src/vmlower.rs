@@ -17,8 +17,9 @@ use std::collections::HashMap;
 
 use f90d_frontend::ast::{BinOp, UnOp};
 use f90d_machine::{ElemType, Value};
-use f90d_vm::bytecode::*;
+use f90d_vm::bytecode::{AccPlan, ExprCode, Op, PInst, VmAssign, VmForall, VmProgram};
 use f90d_vm::ops::Intrin;
+use f90d_vm::stmt;
 
 use crate::ir::*;
 
@@ -44,17 +45,7 @@ pub fn lower(prog: &SProgram) -> LResult<VmProgram> {
 pub fn lower_with(prog: &SProgram, native_kernels: bool) -> LResult<VmProgram> {
     let mut lw = Lowerer::new(prog);
     lw.lower_stmts(&prog.stmts)?;
-    let arrays: Vec<VmArrayDecl> = prog
-        .arrays
-        .iter()
-        .map(|a| VmArrayDecl {
-            name: a.name.clone(),
-            ty: a.ty,
-            dad: a.dad.clone(),
-            ghost: a.ghost,
-            is_temp: a.is_temp,
-        })
-        .collect();
+    let arrays = prog.arrays.clone();
     let mut natives = Vec::new();
     if native_kernels {
         for f in &mut lw.foralls {
@@ -122,9 +113,9 @@ struct Lowerer<'p> {
     nvars: usize,
     code: Vec<PInst>,
     foralls: Vec<VmForall>,
-    comms: Vec<VmComm>,
-    rtcalls: Vec<VmRt>,
-    prints: Vec<Vec<VmPrintItem>>,
+    comms: Vec<stmt::CommStmt<ExprCode, u16>>,
+    rtcalls: Vec<stmt::RtCall<ExprCode>>,
+    prints: Vec<Vec<stmt::PrintItem<ExprCode>>>,
 }
 
 impl<'p> Lowerer<'p> {
@@ -505,8 +496,8 @@ impl<'p> Lowerer<'p> {
                     .iter()
                     .map(|it| {
                         Ok(match it {
-                            PrintItem::Text(t) => VmPrintItem::Text(t.clone()),
-                            PrintItem::Val(e) => VmPrintItem::Val(self.compile(e)?),
+                            PrintItem::Text(t) => stmt::PrintItem::Text(t.clone()),
+                            PrintItem::Val(e) => stmt::PrintItem::Val(self.compile(e)?),
                         })
                     })
                     .collect::<LResult<_>>()?;
@@ -523,160 +514,18 @@ impl<'p> Lowerer<'p> {
     }
 
     fn lower_comm(&mut self, c: &CommStmt) -> LResult<u16> {
-        let vc = match c {
-            CommStmt::Multicast {
-                src,
-                tmp,
-                dim,
-                src_g,
-            } => VmComm::Multicast {
-                src: *src,
-                tmp: *tmp,
-                dim: *dim,
-                src_g: self.compile(src_g)?,
-            },
-            CommStmt::Transfer {
-                src,
-                tmp,
-                dim,
-                src_g,
-                dst_g,
-                dst_arr,
-                dst_dim,
-            } => VmComm::Transfer {
-                src: *src,
-                tmp: *tmp,
-                dim: *dim,
-                src_g: self.compile(src_g)?,
-                dst_g: self.compile(dst_g)?,
-                dst_arr: *dst_arr,
-                dst_dim: *dst_dim,
-            },
-            CommStmt::OverlapShift { arr, dim, c } => VmComm::OverlapShift {
-                arr: *arr,
-                dim: *dim,
-                c: *c,
-            },
-            CommStmt::TempShift {
-                src,
-                tmp,
-                dim,
-                amount,
-            } => VmComm::TempShift {
-                src: *src,
-                tmp: *tmp,
-                dim: *dim,
-                amount: self.compile(amount)?,
-            },
-            CommStmt::MulticastShift {
-                src,
-                tmp,
-                mdim,
-                src_g,
-                sdim,
-                amount,
-            } => VmComm::MulticastShift {
-                src: *src,
-                tmp: *tmp,
-                mdim: *mdim,
-                src_g: self.compile(src_g)?,
-                sdim: *sdim,
-                amount: self.compile(amount)?,
-            },
-            CommStmt::Concat { src, tmp } => VmComm::Concat {
-                src: *src,
-                tmp: *tmp,
-            },
-            CommStmt::BroadcastElem { arr, subs, target } => VmComm::BroadcastElem {
-                arr: *arr,
-                subs: subs
-                    .iter()
-                    .map(|e| self.compile(e))
-                    .collect::<LResult<_>>()?,
-                target: self.scalar_slot(target),
-            },
-            CommStmt::ReduceScalar {
-                kind,
-                arr,
-                arr2,
-                target,
-            } => {
-                let vk = match kind {
-                    ReduceKind::Sum => VmReduce::Sum,
-                    ReduceKind::Product => VmReduce::Product,
-                    ReduceKind::MaxVal => VmReduce::MaxVal,
-                    ReduceKind::MinVal => VmReduce::MinVal,
-                    ReduceKind::Count => VmReduce::Count,
-                    ReduceKind::All => VmReduce::All,
-                    ReduceKind::Any => VmReduce::Any,
-                    ReduceKind::DotProduct => VmReduce::DotProduct,
-                };
-                let to_int = self.prog.arrays[*arr].ty == ElemType::Int
-                    && matches!(
-                        kind,
-                        ReduceKind::Sum
-                            | ReduceKind::Product
-                            | ReduceKind::MaxVal
-                            | ReduceKind::MinVal
-                    );
-                VmComm::Reduce {
-                    kind: vk,
-                    arr: *arr,
-                    arr2: *arr2,
-                    target: self.scalar_slot(target),
-                    to_int,
-                }
-            }
-        };
+        let slot = c.target().map(|name| self.scalar_slot(name));
+        let vc = c.try_map(
+            |e| self.compile(e),
+            |_| slot.expect("target slot resolved above"),
+        )?;
         let id = idx16(self.comms.len(), "comm table");
         self.comms.push(vc);
         Ok(id)
     }
 
     fn lower_rt(&mut self, call: &RtCall) -> LResult<u16> {
-        let vr = match call {
-            RtCall::CShift {
-                src,
-                dst,
-                dim,
-                shift,
-            } => VmRt::CShift {
-                src: *src,
-                dst: *dst,
-                dim: *dim,
-                shift: self.compile(shift)?,
-            },
-            RtCall::EoShift {
-                src,
-                dst,
-                dim,
-                shift,
-                boundary,
-            } => VmRt::EoShift {
-                src: *src,
-                dst: *dst,
-                dim: *dim,
-                shift: self.compile(shift)?,
-                boundary: self.compile(boundary)?,
-            },
-            RtCall::Transpose { src, dst } => VmRt::Transpose {
-                src: *src,
-                dst: *dst,
-            },
-            RtCall::Matmul { a, b, c } => VmRt::Matmul {
-                a: *a,
-                b: *b,
-                c: *c,
-            },
-            RtCall::Redistribute { arr, new_dad } => VmRt::Redistribute {
-                arr: *arr,
-                new_dad: new_dad.clone(),
-            },
-            RtCall::RemapCopy { src, dst } => VmRt::RemapCopy {
-                src: *src,
-                dst: *dst,
-            },
-        };
+        let vr = call.try_map(|e| self.compile(e))?;
         let id = idx16(self.rtcalls.len(), "runtime-call table");
         self.rtcalls.push(vr);
         Ok(id)
@@ -700,25 +549,15 @@ impl<'p> Lowerer<'p> {
             let lb = self.compile(&spec.lb)?;
             let ub = self.compile(&spec.ub)?;
             let st = self.compile(&spec.st)?;
-            let part = match &spec.part {
-                Partition::OwnerDim { arr, dim, a, b } => VmPartition::OwnerDim {
-                    arr: *arr,
-                    dim: *dim,
-                    a: *a,
-                    b: *b,
-                },
-                Partition::BlockIter => VmPartition::BlockIter,
-                Partition::Replicate => VmPartition::Replicate,
-            };
-            specs.push((lb, ub, st, part));
+            specs.push((lb, ub, st, spec.part.clone()));
         }
         // Bind the loop variables for the element-context code.
         let var_names: Vec<String> = f.vars.iter().map(|v| v.var.clone()).collect();
-        let vars: Vec<VmLoopSpec> = f
+        let vars: Vec<stmt::LoopSpec<ExprCode, u16>> = f
             .vars
             .iter()
             .zip(specs)
-            .map(|(spec, (lb, ub, st, part))| VmLoopSpec {
+            .map(|(spec, (lb, ub, st, part))| stmt::LoopSpec {
                 var: self.bind(&spec.var),
                 lb,
                 ub,
@@ -767,7 +606,7 @@ impl<'p> Lowerer<'p> {
             .gathers
             .iter()
             .map(|g| {
-                Ok(VmGather {
+                Ok(stmt::GatherSpec {
                     src: g.src,
                     tmp: g.tmp,
                     subs: g
@@ -823,10 +662,7 @@ impl<'p> Lowerer<'p> {
             body,
             accs_used,
             native: None, // the selection post-pass in `lower_with` fills this
-            plan: f.plan.map(|p| match p {
-                PhaseRole::Lead { len } => f90d_vm::bytecode::VmPhase::Lead { len: len as u16 },
-                PhaseRole::Member => f90d_vm::bytecode::VmPhase::Member,
-            }),
+            plan: f.plan,
         });
         Ok(id)
     }

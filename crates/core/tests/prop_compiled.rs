@@ -1,4 +1,4 @@
-//! Property-based differential testing (DESIGN.md §7): randomized FORALL
+//! Property-based differential testing (README.md, "Tests"): randomized FORALL
 //! programs over random distributions and grid sizes must produce
 //! identical array contents under the compiled SPMD execution and the
 //! sequential reference interpreter.

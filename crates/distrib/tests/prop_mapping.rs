@@ -1,6 +1,6 @@
-//! Property tests for the three-stage mapping invariants (DESIGN.md §7):
-//! ownership partitions, `μ⁻¹∘μ = id`, `set_BOUND` covers iteration spaces
-//! exactly and disjointly for every distribution kind.
+//! Property tests for the three-stage mapping invariants (README.md,
+//! "Tests"): ownership partitions, `μ⁻¹∘μ = id`, `set_BOUND` covers
+//! iteration spaces exactly and disjointly for every distribution kind.
 
 use f90d_distrib::{
     set_bound, AlignExpr, Alignment, AxisAlign, DadBuilder, DimDist, DistKind, ProcGrid, Template,

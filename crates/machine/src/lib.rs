@@ -2,7 +2,7 @@
 //!
 //! The paper evaluates on an Intel iPSC/860 and an nCUBE/2. We do not have
 //! that hardware, so this crate provides the substitution documented in
-//! DESIGN.md §2: a deterministic *virtual-time* simulation of a
+//! ARCHITECTURE.md ("Machine model and interconnect"): a deterministic *virtual-time* simulation of a
 //! distributed-memory message-passing multicomputer, with per-machine cost
 //! models ([`spec::MachineSpec`]) and physical topologies
 //! ([`spec::Topology`]).

@@ -160,7 +160,8 @@ pub struct MachineSpec {
 
 impl MachineSpec {
     /// Intel iPSC/860 (calibrated so that sequential 1023×1024 Gaussian
-    /// elimination lands near the paper's 623 s; see EXPERIMENTS.md).
+    /// elimination lands near the paper's 623 s; README.md, "Reproducing
+    /// the paper's evaluation").
     ///
     /// Published-era parameters: ≈75 µs message latency, ≈2.8 MB/s
     /// sustained bandwidth, i860 sustaining low single-digit MFLOPS on

@@ -1,0 +1,133 @@
+//! A run-time subscript outside the array extent in a statement the
+//! shared statement layer executes — the element of `X = A(K)`
+//! (`broadcast_elem`), the slab index of `B(I,J) = A(I,K)` (`multicast`
+//! / `transfer`), a gathered or scattered `A(U(I))`, an owner
+//! assignment `A(K) = …`, a fixed LHS index `B(I,K) = …` — is a fault
+//! of the tenant's program, not of the daemon: both backends must
+//! report the same structured "subscript … out of bounds" error the
+//! element loops give, and `f90d-serve` must answer
+//! `execution error: …` (not `internal error: execution panicked`) and
+//! stay healthy.
+
+use f90d_core::{compile, Backend, CompileOptions};
+use f90d_distrib::ProcGrid;
+use f90d_machine::{Machine, MachineSpec};
+use f90d_serve::{Client, RunRequest, ServeConfig, Server};
+use serde::json::Json;
+
+const GRID: [i64; 2] = [2, 2];
+
+/// Declarations shared by every case: K = 40 and U(I) = I + 16 are
+/// outside every extent (N = 16).
+const PRELUDE: &str = "
+PROGRAM OOB
+INTEGER, PARAMETER :: N = 16
+REAL A(N), B(N), A2(N, N), B2(N, N)
+REAL X
+INTEGER U(N)
+INTEGER K
+C$ TEMPLATE T(N)
+C$ TEMPLATE T2(N, N)
+C$ ALIGN A(I) WITH T(I)
+C$ ALIGN B(I) WITH T(I)
+C$ ALIGN U(I) WITH T(I)
+C$ ALIGN A2(I, J) WITH T2(I, J)
+C$ ALIGN B2(I, J) WITH T2(I, J)
+C$ DISTRIBUTE T(BLOCK)
+C$ DISTRIBUTE T2(BLOCK, BLOCK)
+FORALL (I=1:N) B(I) = REAL(I)
+FORALL (I=1:N) U(I) = I + N
+K = 40
+";
+
+/// `(faulting statement, the error both backends must give)`.
+const CASES: [(&str, &str); 7] = [
+    (
+        "X = B(K)",
+        "subscript 40 out of bounds on dim 0 of B (extent 16)",
+    ),
+    (
+        "FORALL (I=1:N, J=1:N) B2(I,J) = A2(I,K)",
+        "subscript 40 out of bounds on dim 1 of A2 (extent 16)",
+    ),
+    (
+        "FORALL (I=1:N) B2(I,3) = A2(I,K)",
+        "subscript 40 out of bounds on dim 1 of A2 (extent 16)",
+    ),
+    (
+        "FORALL (I=1:N) B2(I,K) = A2(I,1)",
+        "subscript 40 out of bounds on dim 1 of B2 (extent 16)",
+    ),
+    (
+        "FORALL (I=1:N) A(I) = B(U(I))",
+        "subscript 17 out of bounds on dim 0 of B (extent 16)",
+    ),
+    (
+        "FORALL (I=1:N) A(U(I)) = B(I)",
+        "subscript 17 out of bounds on dim 0 of A (extent 16)",
+    ),
+    (
+        "A(K) = 1.0",
+        "subscript 40 out of bounds on dim 0 of A (extent 16)",
+    ),
+];
+
+fn program(stmt: &str) -> String {
+    format!("{PRELUDE}{stmt}\nEND\n")
+}
+
+#[test]
+fn both_backends_report_the_structured_error() {
+    for (stmt, want) in CASES {
+        for backend in [Backend::TreeWalk, Backend::Vm] {
+            let opts = CompileOptions::on_grid(&GRID).with_backend(backend);
+            let compiled = compile(&program(stmt), &opts).unwrap();
+            let mut m = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(&GRID));
+            let err = compiled.run_on(&mut m).unwrap_err();
+            assert_eq!(err.0, want, "`{stmt}` on {backend:?}");
+        }
+    }
+}
+
+#[test]
+fn the_daemon_answers_execution_error_and_stays_healthy() {
+    let handle = Server::spawn(ServeConfig::default()).unwrap();
+    let mut c = Client::connect(handle.addr).unwrap();
+    for (stmt, want) in CASES {
+        for backend in [Backend::TreeWalk, Backend::Vm] {
+            let resp = c
+                .run(&RunRequest {
+                    source: program(stmt),
+                    grid: GRID.to_vec(),
+                    machine: "ipsc860".to_string(),
+                    backend,
+                    sched_cache: true,
+                    threaded: false,
+                    overlap: false,
+                })
+                .unwrap();
+            assert_eq!(resp.get("ok"), Some(&Json::Bool(false)), "{resp:?}");
+            assert_eq!(
+                resp.get("error"),
+                Some(&Json::Str(format!("execution error: {want}"))),
+                "`{stmt}` on {backend:?}"
+            );
+        }
+    }
+    // Still serving, and on the same machine shape: the faulted runs
+    // leaked nothing.
+    assert_eq!(c.ping().unwrap().get("ok"), Some(&Json::Bool(true)));
+    let good = c
+        .run(&RunRequest {
+            source: program("X = B(3)\nPRINT *, X"),
+            grid: GRID.to_vec(),
+            machine: "ipsc860".to_string(),
+            backend: Backend::Vm,
+            sched_cache: true,
+            threaded: false,
+            overlap: false,
+        })
+        .unwrap();
+    assert_eq!(good.get("ok"), Some(&Json::Bool(true)), "{good:?}");
+    handle.shutdown().unwrap();
+}

@@ -8,34 +8,16 @@
 //! jump targets; FORALL loops, communication calls and runtime calls are
 //! table-driven super-instructions executed by [`crate::engine::Engine`].
 
-use f90d_distrib::Dad;
 use f90d_frontend::ast::{BinOp, UnOp};
 use f90d_machine::{ElemType, Value};
 
 use crate::ops::Intrin;
-
-/// Index of an array in the program's array table.
-pub type ArrId = usize;
+pub use crate::stmt::{
+    ArrId, ArrayDecl, CommStmt, GatherSpec, LoopSpec, Partition, PhaseRole, PrintItem, RtCall,
+};
 
 /// A register index within one [`ExprCode`].
 pub type Reg = u16;
-
-/// One declared array of the lowered program (copied from the IR so the
-/// engine is self-contained).
-#[derive(Debug, Clone)]
-pub struct VmArrayDecl {
-    /// Source-level (or temporary) name, as allocated on node memories.
-    pub name: String,
-    /// Element type.
-    pub ty: ElemType,
-    /// Compile-time mapping descriptor (REDISTRIBUTE may replace it at
-    /// run time; the engine tracks live descriptors separately).
-    pub dad: Dad,
-    /// Ghost width on distributed dimensions.
-    pub ghost: i64,
-    /// `true` for compiler temporaries.
-    pub is_temp: bool,
-}
 
 /// How a `Read` instruction locates its element (static half; the engine
 /// resolves this against the live descriptors per FORALL execution).
@@ -180,56 +162,6 @@ pub struct ExprCode {
     pub nregs: u16,
 }
 
-/// Iteration-to-rank partitioning of one FORALL variable (mirror of the
-/// IR's `Partition`, with resolved array ids).
-#[derive(Debug, Clone)]
-pub enum VmPartition {
-    /// Owner-computes over LHS dimension `dim` of `arr` with subscript
-    /// `a*var + b` (`set_BOUND`).
-    OwnerDim {
-        /// LHS array.
-        arr: ArrId,
-        /// LHS dimension.
-        dim: usize,
-        /// Subscript stride.
-        a: i64,
-        /// Subscript offset.
-        b: i64,
-    },
-    /// Equal block split of the iteration space over all ranks.
-    BlockIter,
-    /// Every rank runs every iteration.
-    Replicate,
-}
-
-/// One FORALL loop variable with compiled bounds.
-#[derive(Debug, Clone)]
-pub struct VmLoopSpec {
-    /// Loop-variable slot.
-    pub var: u16,
-    /// Lower bound (scalar context).
-    pub lb: ExprCode,
-    /// Upper bound (inclusive).
-    pub ub: ExprCode,
-    /// Stride (positive).
-    pub st: ExprCode,
-    /// Partitioning.
-    pub part: VmPartition,
-}
-
-/// One unstructured gather of a FORALL.
-#[derive(Debug, Clone)]
-pub struct VmGather {
-    /// Source array.
-    pub src: ArrId,
-    /// Sequential buffer.
-    pub tmp: ArrId,
-    /// Subscripts as functions of the loop variables.
-    pub subs: Vec<ExprCode>,
-    /// `true` → `schedule1`/`precomp_read`; `false` → `schedule2`/`gather`.
-    pub local_only: bool,
-}
-
 /// One elementwise assignment of a FORALL body.
 #[derive(Debug, Clone)]
 pub struct VmAssign {
@@ -251,8 +183,8 @@ pub struct VmAssign {
 /// A lowered FORALL super-instruction.
 #[derive(Debug, Clone)]
 pub struct VmForall {
-    /// Loop variables, outer to inner.
-    pub vars: Vec<VmLoopSpec>,
+    /// Loop variables (slots), outer to inner.
+    pub vars: Vec<LoopSpec<ExprCode, u16>>,
     /// Optional mask (element context).
     pub mask: Option<ExprCode>,
     /// Modelled cost of one mask evaluation.
@@ -260,7 +192,7 @@ pub struct VmForall {
     /// Communication prelude (comm-table indices).
     pub pre: Vec<u16>,
     /// Unstructured reads.
-    pub gathers: Vec<VmGather>,
+    pub gathers: Vec<GatherSpec<ExprCode>>,
     /// `set_BOUND` masking of inactive processors.
     pub owner_filter: Vec<(ArrId, usize, ExprCode)>,
     /// Body assignments.
@@ -280,205 +212,7 @@ pub struct VmForall {
     /// `Lead` and its following `len - 1` members into one coalesced
     /// exchange when `Engine::plan` is on; otherwise (or on a runtime
     /// planning refusal) the per-statement `pre` lists run as usual.
-    pub plan: Option<VmPhase>,
-}
-
-/// Mirror of the IR's `PhaseRole` for lowered FORALLs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VmPhase {
-    /// First member of a phase of `len` consecutive FORALL instructions.
-    Lead {
-        /// Phase length including the lead.
-        len: u16,
-    },
-    /// Non-lead member (prelude posted by the lead).
-    Member,
-}
-
-/// Reduction kinds (mirror of the IR's `ReduceKind`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VmReduce {
-    /// `SUM`
-    Sum,
-    /// `PRODUCT`
-    Product,
-    /// `MAXVAL`
-    MaxVal,
-    /// `MINVAL`
-    MinVal,
-    /// `COUNT`
-    Count,
-    /// `ALL`
-    All,
-    /// `ANY`
-    Any,
-    /// `DOTPRODUCT`
-    DotProduct,
-}
-
-/// A lowered collective communication statement.
-#[derive(Debug, Clone)]
-pub enum VmComm {
-    /// Broadcast slab along the grid axis of `dim`.
-    Multicast {
-        /// Source array.
-        src: ArrId,
-        /// Slab temporary.
-        tmp: ArrId,
-        /// Fixed dimension.
-        dim: usize,
-        /// Global slab index.
-        src_g: ExprCode,
-    },
-    /// Move a slab to the owners of an LHS index.
-    Transfer {
-        /// Source array.
-        src: ArrId,
-        /// Slab temporary.
-        tmp: ArrId,
-        /// Fixed source dimension.
-        dim: usize,
-        /// Source global index.
-        src_g: ExprCode,
-        /// Destination global index.
-        dst_g: ExprCode,
-        /// LHS array.
-        dst_arr: ArrId,
-        /// LHS dimension.
-        dst_dim: usize,
-    },
-    /// Fill ghost cells for a compile-time shift.
-    OverlapShift {
-        /// The array.
-        arr: ArrId,
-        /// Dimension.
-        dim: usize,
-        /// Shift constant.
-        c: i64,
-    },
-    /// Runtime-amount shift into a same-mapping temporary.
-    TempShift {
-        /// Source array.
-        src: ArrId,
-        /// Temporary.
-        tmp: ArrId,
-        /// Dimension.
-        dim: usize,
-        /// Shift amount.
-        amount: ExprCode,
-    },
-    /// Fused multicast + shift.
-    MulticastShift {
-        /// Source array.
-        src: ArrId,
-        /// Slab temporary.
-        tmp: ArrId,
-        /// Broadcast dimension.
-        mdim: usize,
-        /// Global slab index.
-        src_g: ExprCode,
-        /// Shift dimension.
-        sdim: usize,
-        /// Shift amount.
-        amount: ExprCode,
-    },
-    /// Concatenate into a replicated temporary.
-    Concat {
-        /// Source array.
-        src: ArrId,
-        /// Replicated temporary.
-        tmp: ArrId,
-    },
-    /// Broadcast one element into a replicated scalar.
-    BroadcastElem {
-        /// Source array.
-        arr: ArrId,
-        /// Global subscripts.
-        subs: Vec<ExprCode>,
-        /// Destination scalar slot.
-        target: u16,
-    },
-    /// Full reduction into a replicated scalar.
-    Reduce {
-        /// Reduction operator.
-        kind: VmReduce,
-        /// Operand.
-        arr: ArrId,
-        /// Second operand (DOTPRODUCT).
-        arr2: Option<ArrId>,
-        /// Destination scalar slot.
-        target: u16,
-        /// Convert the (real) reduction result back to INTEGER.
-        to_int: bool,
-    },
-}
-
-/// A lowered runtime-library call.
-#[derive(Debug, Clone)]
-pub enum VmRt {
-    /// `dst = CSHIFT(src, shift, dim)`
-    CShift {
-        /// Source.
-        src: ArrId,
-        /// Destination.
-        dst: ArrId,
-        /// Dimension.
-        dim: usize,
-        /// Shift amount.
-        shift: ExprCode,
-    },
-    /// `dst = EOSHIFT(src, shift, boundary, dim)`
-    EoShift {
-        /// Source.
-        src: ArrId,
-        /// Destination.
-        dst: ArrId,
-        /// Dimension.
-        dim: usize,
-        /// Shift amount.
-        shift: ExprCode,
-        /// Boundary fill.
-        boundary: ExprCode,
-    },
-    /// `dst = TRANSPOSE(src)`
-    Transpose {
-        /// Source.
-        src: ArrId,
-        /// Destination.
-        dst: ArrId,
-    },
-    /// `c = MATMUL(a, b)`
-    Matmul {
-        /// Left operand.
-        a: ArrId,
-        /// Right operand.
-        b: ArrId,
-        /// Result.
-        c: ArrId,
-    },
-    /// Change an array's distribution at run time.
-    Redistribute {
-        /// The array.
-        arr: ArrId,
-        /// New descriptor.
-        new_dad: Dad,
-    },
-    /// Copy into a differently mapped destination.
-    RemapCopy {
-        /// Source.
-        src: ArrId,
-        /// Destination.
-        dst: ArrId,
-    },
-}
-
-/// One `PRINT *,` item.
-#[derive(Debug, Clone)]
-pub enum VmPrintItem {
-    /// Verbatim text.
-    Text(String),
-    /// A scalar expression.
-    Val(ExprCode),
+    pub plan: Option<PhaseRole>,
 }
 
 /// One statement-level instruction of the flat program.
@@ -557,7 +291,7 @@ pub struct VmProgram {
     /// Logical grid shape.
     pub grid_shape: Vec<i64>,
     /// Array table.
-    pub arrays: Vec<VmArrayDecl>,
+    pub arrays: Vec<ArrayDecl>,
     /// Scalar slots (name, type), replicated.
     pub scalars: Vec<(String, ElemType)>,
     /// Number of loop-variable slots.
@@ -570,12 +304,12 @@ pub struct VmProgram {
     pub code: Vec<PInst>,
     /// FORALL table.
     pub foralls: Vec<VmForall>,
-    /// Communication table.
-    pub comms: Vec<VmComm>,
+    /// Communication table (scalar targets are slots).
+    pub comms: Vec<CommStmt<ExprCode, u16>>,
     /// Runtime-call table.
-    pub rtcalls: Vec<VmRt>,
+    pub rtcalls: Vec<RtCall<ExprCode>>,
     /// Print table.
-    pub prints: Vec<Vec<VmPrintItem>>,
+    pub prints: Vec<Vec<PrintItem<ExprCode>>>,
     /// Native-tier kernel table ([`VmForall::native`] indexes into it).
     /// Empty when lowering ran with `native_kernels` off.
     pub natives: Vec<crate::native::NativeKernel>,

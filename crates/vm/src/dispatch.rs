@@ -1,0 +1,467 @@
+//! The run-time half of the statement layer: every operation of a node
+//! program whose body does not depend on *how* an expression is
+//! evaluated, implemented once for both executors.
+//!
+//! The tree walker (`f90d_core::exec`) and the bytecode
+//! [`Engine`](crate::engine::Engine) evaluate a statement's operands
+//! their own way — [`CommStmt::try_map`] / [`RtCall::try_map`] with
+//! `E = Value` — and then call the plain functions here: collective and
+//! runtime-library dispatch (including the REDISTRIBUTE descriptor
+//! swap), array allocation, owner-filter activation and the paper's
+//! `set_BOUND` iteration partitioning, split-phase overlap eligibility,
+//! and the scalar-context element accesses. Every function works on the
+//! live array table, a `[DistArray]` indexed by [`ArrId`] — the
+//! `(array, DAD)` pairs the paper's generated code hands its run-time.
+
+use f90d_comm::driver;
+use f90d_comm::helpers::tree_broadcast;
+use f90d_comm::op::CommError;
+use f90d_comm::overlap::Margins;
+use f90d_comm::plan::GhostSpec;
+use f90d_comm::{redist, structured};
+use f90d_distrib::{set_bound, ArrayDimMap, ProcGrid};
+use f90d_machine::{ArrayData, ElemType, LocalArray, Machine, Value};
+use f90d_runtime::intrinsics as rt;
+use f90d_runtime::DistArray;
+
+use crate::stmt::{ArrId, ArrayDecl, CommStmt, Partition, ReduceKind, RtCall};
+
+/// Execution error (runtime faults in the compiled program).
+#[derive(Debug, Clone)]
+pub struct VmError(pub String);
+
+impl std::fmt::Display for VmError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.fmt(f)
+    }
+}
+
+impl std::error::Error for VmError {}
+
+impl From<CommError> for VmError {
+    fn from(e: CommError) -> Self {
+        VmError(e.0)
+    }
+}
+
+/// Result of a statement-layer operation.
+pub type VmResult<T> = Result<T, VmError>;
+
+/// Result of one execution.
+#[derive(Debug, Clone)]
+pub struct RunReport {
+    /// Modelled elapsed time (seconds on the simulated machine).
+    pub elapsed: f64,
+    /// Messages sent.
+    pub messages: u64,
+    /// Payload bytes sent.
+    pub bytes: u64,
+    /// Collected PRINT output.
+    pub printed: Vec<String>,
+}
+
+/// End a run: the transport quiescence check — leaked in-flight
+/// messages or never-completed posted receives surface as an error
+/// instead of being silently dropped — then the report.
+pub fn finish_run(m: &mut Machine, printed: Vec<String>) -> VmResult<RunReport> {
+    driver::quiesce(m)?;
+    Ok(RunReport {
+        elapsed: m.elapsed(),
+        messages: m.transport.messages,
+        bytes: m.transport.bytes,
+        printed,
+    })
+}
+
+/// Allocate every declared array on the machine (lazily materialized
+/// segments, symmetric ghost cells on distributed dimensions) and return
+/// the live array table. With `keep_existing`, arrays already present on
+/// the machine keep their segments — running a program fragment over
+/// state produced by an earlier fragment.
+pub fn allocate(
+    m: &mut Machine,
+    grid_shape: &[i64],
+    decls: &[ArrayDecl],
+    keep_existing: bool,
+) -> Vec<DistArray> {
+    if !keep_existing {
+        assert_eq!(
+            m.grid.shape, grid_shape,
+            "machine grid must match the compiled grid"
+        );
+    }
+    for decl in decls {
+        if keep_existing && m.mems[0].has_array(&decl.name) {
+            continue;
+        }
+        let shape = decl.dad.local_shape();
+        let ghost: Vec<i64> = decl
+            .dad
+            .dims
+            .iter()
+            .map(|d| if d.is_distributed() { decl.ghost } else { 0 })
+            .collect();
+        for mem in &mut m.mems {
+            mem.insert_array(
+                decl.name.clone(),
+                LocalArray::with_ghost_lazy(decl.ty, &shape, &ghost, &ghost),
+            );
+        }
+    }
+    decls
+        .iter()
+        .map(|d| DistArray {
+            name: d.name.clone(),
+            dad: d.dad.clone(),
+            ty: d.ty,
+        })
+        .collect()
+}
+
+/// Scalar-context read of element `g` of `a` from its first owner:
+/// `(owner rank, value)`.
+pub fn read_elem(m: &Machine, a: &DistArray, g: &[i64]) -> VmResult<(i64, Value)> {
+    driver::check_bounds(&a.name, &a.dad, g)?;
+    let owner = a.dad.owner_ranks(g)[0];
+    let v = m.mems[owner as usize]
+        .array(&a.name)
+        .get(&a.dad.local_index(g));
+    Ok((owner, v))
+}
+
+/// Element assignment executed by the owners (`A(3) = …`), charging
+/// each of them `cost` element operations.
+pub fn owner_assign(
+    m: &mut Machine,
+    a: &DistArray,
+    g: &[i64],
+    v: Value,
+    cost: i64,
+) -> VmResult<()> {
+    driver::check_bounds(&a.name, &a.dad, g)?;
+    let l = a.dad.local_index(g);
+    for rank in a.dad.owner_ranks(g) {
+        m.mems[rank as usize].array_mut(&a.name).set(&l, v);
+        m.transport.charge_elem_ops(rank, cost);
+    }
+    Ok(())
+}
+
+/// Execute one collective call whose operands are already evaluated.
+/// Returns the value to store into the call's scalar target
+/// ([`CommStmt::target`]), if it has one.
+pub fn exec_comm(
+    m: &mut Machine,
+    arrays: &[DistArray],
+    c: &CommStmt<Value, ()>,
+) -> VmResult<Option<Value>> {
+    match c {
+        CommStmt::Multicast {
+            src,
+            tmp,
+            dim,
+            src_g,
+        } => {
+            let (a, g) = (&arrays[*src], src_g.as_int());
+            driver::check_dim(&a.name, &a.dad, *dim, g)?;
+            structured::multicast(m, &a.name, &a.dad, &arrays[*tmp].name, *dim, g)?;
+        }
+        CommStmt::Transfer {
+            src,
+            tmp,
+            dim,
+            src_g,
+            dst_g,
+            dst_arr,
+            dst_dim,
+        } => {
+            let (a, d) = (&arrays[*src], &arrays[*dst_arr]);
+            let (sg, dg) = (src_g.as_int(), dst_g.as_int());
+            driver::check_dim(&a.name, &a.dad, *dim, sg)?;
+            driver::check_dim(&d.name, &d.dad, *dst_dim, dg)?;
+            let dst_coord = d.dad.dims[*dst_dim].proc_of(dg);
+            structured::transfer(m, &a.name, &a.dad, &arrays[*tmp].name, *dim, sg, dst_coord)?;
+        }
+        CommStmt::OverlapShift { arr, dim, c } => {
+            let a = &arrays[*arr];
+            driver::ghost_exchange(m, &a.name, &a.dad, *dim, *c)?;
+        }
+        CommStmt::TempShift {
+            src,
+            tmp,
+            dim,
+            amount,
+        } => {
+            let a = &arrays[*src];
+            let s = amount.as_int();
+            structured::temporary_shift(m, &a.name, &a.dad, &arrays[*tmp].name, *dim, s, false)?;
+        }
+        CommStmt::MulticastShift {
+            src,
+            tmp,
+            mdim,
+            src_g,
+            sdim,
+            amount,
+        } => {
+            let (a, g) = (&arrays[*src], src_g.as_int());
+            driver::check_dim(&a.name, &a.dad, *mdim, g)?;
+            let (tmp, s) = (&arrays[*tmp].name, amount.as_int());
+            structured::multicast_shift(m, &a.name, &a.dad, tmp, *mdim, g, *sdim, s)?;
+        }
+        CommStmt::Concat { src, tmp } => {
+            let a = &arrays[*src];
+            structured::concatenation(m, &a.name, &a.dad, &arrays[*tmp].name)?;
+        }
+        CommStmt::BroadcastElem { arr, subs, .. } => {
+            let g: Vec<i64> = subs.iter().map(|v| v.as_int()).collect();
+            let (owner, v) = read_elem(m, &arrays[*arr], &g)?;
+            // Tree broadcast of one element to all ranks.
+            let members: Vec<i64> = (0..m.nranks()).collect();
+            let mut payload = ArrayData::zeros(v.elem_type(), 1);
+            payload.set(0, v);
+            m.stats.record(c.name());
+            tree_broadcast(m, &members, owner as usize, payload, |_, _, _| {})?;
+            return Ok(Some(v));
+        }
+        CommStmt::ReduceScalar {
+            kind, arr, arr2, ..
+        } => {
+            let a = &arrays[*arr];
+            let v = match kind {
+                ReduceKind::Sum => Value::Real(rt::sum(m, a)),
+                ReduceKind::Product => Value::Real(rt::product(m, a)),
+                ReduceKind::MaxVal => Value::Real(rt::maxval(m, a)),
+                ReduceKind::MinVal => Value::Real(rt::minval(m, a)),
+                ReduceKind::Count => Value::Int(rt::count(m, a)),
+                ReduceKind::All => Value::Bool(rt::all(m, a)),
+                ReduceKind::Any => Value::Bool(rt::any(m, a)),
+                ReduceKind::DotProduct => {
+                    let b = &arrays[arr2.expect("dotproduct second operand")];
+                    Value::Real(rt::dotproduct(m, a, b))
+                }
+            };
+            // The runtime reduces in REAL; INTEGER operands convert back.
+            let to_int = a.ty == ElemType::Int
+                && matches!(
+                    kind,
+                    ReduceKind::Sum | ReduceKind::Product | ReduceKind::MaxVal | ReduceKind::MinVal
+                );
+            return Ok(Some(if to_int {
+                Value::Int(v.as_real() as i64)
+            } else {
+                v
+            }));
+        }
+    }
+    Ok(None)
+}
+
+/// Execute one runtime-library call whose operands are already
+/// evaluated. REDISTRIBUTE replaces the array's live descriptor.
+pub fn exec_runtime(
+    m: &mut Machine,
+    arrays: &mut [DistArray],
+    call: &RtCall<Value>,
+) -> VmResult<()> {
+    match call {
+        RtCall::CShift {
+            src,
+            dst,
+            dim,
+            shift,
+        } => rt::cshift(m, &arrays[*src], &arrays[*dst], *dim, shift.as_int()),
+        RtCall::EoShift {
+            src,
+            dst,
+            dim,
+            shift,
+            boundary,
+        } => {
+            let (a, b) = (&arrays[*src], &arrays[*dst]);
+            rt::eoshift(m, a, b, *dim, shift.as_int(), *boundary)
+        }
+        RtCall::Transpose { src, dst } => rt::transpose(m, &arrays[*src], &arrays[*dst]),
+        RtCall::Matmul { a, b, c } => {
+            rt::matmul(m, &arrays[*a], &arrays[*b], &arrays[*c]);
+        }
+        RtCall::Redistribute { arr, new_dad } => {
+            let old = &arrays[*arr];
+            let mut nd = new_dad.clone();
+            nd.name = old.name.clone();
+            let staged = DistArray::from_dad(m, format!("__REDIST_{}", old.name), old.ty, nd, 0);
+            redist::redistribute(m, &old.name, &old.dad, &staged.name, &staged.dad)?;
+            // Move staged segments under the original name.
+            for mem in &mut m.mems {
+                let seg = mem.remove_array(&staged.name).expect("staging allocated");
+                mem.insert_array(old.name.clone(), seg);
+            }
+            arrays[*arr].dad = staged.dad;
+        }
+        RtCall::RemapCopy { src, dst } => {
+            let (s, d) = (&arrays[*src], &arrays[*dst]);
+            redist::redistribute(m, &s.name, &s.dad, &d.name, &d.dad)?;
+        }
+    }
+    Ok(())
+}
+
+/// The iterations of one FORALL variable over `lb..=ub` step `st`
+/// assigned to `rank` — the `set_BOUND` computation (paper §4),
+/// returning **global** iteration values in ascending order.
+pub fn iterations_for(
+    part: &Partition,
+    [lb, ub, st]: [i64; 3],
+    arrays: &[DistArray],
+    grid: &ProcGrid,
+    rank: i64,
+) -> Vec<i64> {
+    if lb > ub {
+        return vec![];
+    }
+    // The last iterate: `ub` itself need not lie on the stride, but the
+    // template progression below is anchored at whichever end maps
+    // lowest — with a negative subscript or alignment stride, that is
+    // this one.
+    let ub = lb + (ub - lb) / st * st;
+    let all = || (lb..=ub).step_by(st as usize).collect();
+    match part {
+        Partition::Replicate => all(),
+        Partition::BlockIter => {
+            let count = (ub - lb) / st + 1;
+            let p = grid.size();
+            let chunk = (count + p - 1) / p;
+            let first = rank * chunk;
+            let last = ((rank + 1) * chunk).min(count);
+            (first..last).map(|k| lb + k * st).collect()
+        }
+        Partition::OwnerDim { arr, dim, a, b } => {
+            let dm = &arrays[*arr].dad.dims[*dim];
+            if !dm.is_distributed() {
+                return all();
+            }
+            let coord = grid.coords_of(rank)[dm.grid_axis.unwrap()];
+            // Template progression t(v) = S*v + O.
+            let s = dm.align.stride * a;
+            let o = dm.align.stride * b + dm.align.offset;
+            let (t1, t2) = (s * lb + o, s * ub + o);
+            let li = set_bound(&dm.dist, coord, t1.min(t2), t1.max(t2), (s * st).abs());
+            let mut out = Vec::with_capacity(li.len() as usize);
+            for l in li.to_vec() {
+                let t = dm
+                    .dist
+                    .global_of(coord, l)
+                    .expect("set_bound local maps to global");
+                let num = t - o;
+                if num % s != 0 {
+                    continue;
+                }
+                let v = num / s;
+                if v >= lb && v <= ub && (v - lb) % st == 0 {
+                    out.push(v);
+                }
+            }
+            out.sort_unstable();
+            out
+        }
+    }
+}
+
+/// Per-rank, per-variable iteration lists of one FORALL execution:
+/// `loops` pairs each variable's partition with its evaluated
+/// `[lb, ub, st]`; `owner_filter` holds the evaluated fixed LHS indices
+/// `(arr, dim, index)` — only ranks owning `index` on `dim` take part
+/// (`set_BOUND` masking of inactive processors, paper §4), the others
+/// get empty lists.
+pub fn iteration_lists(
+    m: &Machine,
+    arrays: &[DistArray],
+    loops: &[(&Partition, [i64; 3])],
+    owner_filter: &[(ArrId, usize, i64)],
+) -> VmResult<Vec<Vec<Vec<i64>>>> {
+    if loops.iter().any(|(_, [_, _, st])| *st <= 0) {
+        return Err(VmError("FORALL stride must be positive".into()));
+    }
+    let mut active = vec![true; m.nranks() as usize];
+    for &(arr, dim, g) in owner_filter {
+        let a = &arrays[arr];
+        driver::check_dim(&a.name, &a.dad, dim, g)?;
+        let dm = &a.dad.dims[dim];
+        let axis = dm.grid_axis.expect("owner filter on distributed dim");
+        let owner = dm.proc_of(g);
+        for (rank, slot) in active.iter_mut().enumerate() {
+            if m.grid.coords_of(rank as i64)[axis] != owner {
+                *slot = false;
+            }
+        }
+    }
+    Ok(active
+        .iter()
+        .enumerate()
+        .map(|(rank, &on)| {
+            loops
+                .iter()
+                .map(|&(part, bounds)| {
+                    if on {
+                        iterations_for(part, bounds, arrays, &m.grid, rank as i64)
+                    } else {
+                        vec![]
+                    }
+                })
+                .collect()
+        })
+        .collect())
+}
+
+/// The ghost exchanges of an `overlap_shift` prelude
+/// ([`CommStmt::as_overlap_shift`] triples) against the live
+/// descriptors, as the comm driver's phase batching and split-phase
+/// overlap take them.
+pub fn ghost_specs(arrays: &[DistArray], shifts: &[(ArrId, usize, i64)]) -> Vec<GhostSpec> {
+    shifts
+        .iter()
+        .map(|&(arr, dim, c)| GhostSpec {
+            arr: arrays[arr].name.clone(),
+            dad: arrays[arr].dad.clone(),
+            dim,
+            c,
+        })
+        .collect()
+}
+
+/// Decide whether a FORALL is eligible for split-phase execution under
+/// `comm_compute_overlap`, and compute its ghost exchanges and the
+/// per-loop-variable ghost margins if so.
+///
+/// The caller has established that the communication prelude is pure
+/// `overlap_shift` (`shifts` — the canonical BLOCK stencil case the
+/// paper's §5.1 overlap areas serve) and that the FORALL has no
+/// unstructured gathers, no owner filter and owned writes only.
+/// Eligible then: the prelude is non-empty and every shifted dimension
+/// maps onto a stride-1 `OwnerDim` loop variable per the shared
+/// [`driver::stencil_margins`] geometry — that identity is what makes
+/// "iteration value within the owned block interior" imply "every
+/// shifted read stays owned". Anything else falls back to the blocking
+/// path (correct for every program; overlap is a pure virtual-time
+/// optimization).
+pub fn overlap_plan<'a>(
+    arrays: &[DistArray],
+    shifts: &[(ArrId, usize, i64)],
+    parts: impl Iterator<Item = &'a Partition>,
+) -> Option<(Vec<GhostSpec>, Margins)> {
+    if shifts.is_empty() {
+        return None;
+    }
+    let loop_dims: Vec<Option<&ArrayDimMap>> = parts
+        .map(|part| match part {
+            Partition::OwnerDim { arr, dim, a: 1, .. } => Some(&arrays[*arr].dad.dims[*dim]),
+            _ => None,
+        })
+        .collect();
+    let shift_dims: Vec<(&ArrayDimMap, i64)> = shifts
+        .iter()
+        .map(|&(arr, dim, c)| (&arrays[arr].dad.dims[dim], c))
+        .collect();
+    let margins = driver::stencil_margins(&loop_dims, &shift_dims)?;
+    Some((ghost_specs(arrays, shifts), margins))
+}

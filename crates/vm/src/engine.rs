@@ -16,57 +16,21 @@
 
 use std::sync::Arc;
 
-use f90d_comm::driver::{self, CommDriver, ComputeSink, PhaseOutcome};
-use f90d_comm::op::CommError;
-use f90d_comm::overlap::Margins;
-use f90d_comm::plan::GhostSpec;
+use f90d_comm::driver::{self, CommDriver, ComputeSink, GatherRequests, PhaseOutcome};
 use f90d_comm::sched_cache::RunSchedules;
-use f90d_comm::schedule::{self, ElementReq};
-use f90d_comm::structured;
-use f90d_distrib::{set_bound, ArrayDimMap, Dad, DistKind};
+use f90d_distrib::{ArrayDimMap, Dad, DistKind};
 use f90d_machine::{ArrayData, LocalArray, Machine, NodeMemory, Value};
-use f90d_runtime::intrinsics as rt;
 use f90d_runtime::DistArray;
 
 use crate::bytecode::*;
+use crate::dispatch::{self, VmResult};
 use crate::native::{ElemArgs, ElemFn, Lin, NativeKernel, ReadSite};
 use crate::ops;
 
-/// Execution error (runtime faults in the compiled program).
-#[derive(Debug, Clone)]
-pub struct VmError(pub String);
-
-impl std::fmt::Display for VmError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.0.fmt(f)
-    }
-}
-
-impl std::error::Error for VmError {}
-
-impl From<CommError> for VmError {
-    fn from(e: CommError) -> Self {
-        VmError(e.0)
-    }
-}
-
-type VmResult<T> = Result<T, VmError>;
+pub use crate::dispatch::{RunReport, VmError};
 
 fn verr<T>(msg: impl Into<String>) -> VmResult<T> {
     Err(VmError(msg.into()))
-}
-
-/// Result of one execution (mirror of the tree-walker's report).
-#[derive(Debug, Clone)]
-pub struct RunReport {
-    /// Modelled elapsed time (seconds on the simulated machine).
-    pub elapsed: f64,
-    /// Messages sent.
-    pub messages: u64,
-    /// Payload bytes sent.
-    pub bytes: u64,
-    /// Collected PRINT output.
-    pub printed: Vec<String>,
 }
 
 /// One dimension of a resolved accessor: how a global subscript becomes
@@ -157,11 +121,11 @@ impl ResolvedAcc {
     }
 }
 
-/// Engine state: live descriptors, replicated scalars, loop variables.
+/// Engine state: live array table, replicated scalars, loop variables.
 pub struct Engine {
     prog: Arc<VmProgram>,
-    /// Runtime descriptors (REDISTRIBUTE may change them).
-    dads: Vec<Dad>,
+    /// Live array table (REDISTRIBUTE may change a descriptor).
+    arrays: Vec<DistArray>,
     scalars: Vec<Value>,
     vars: Vec<i64>,
     printed: Vec<String>,
@@ -179,7 +143,7 @@ pub struct Engine {
     /// executing. `None` respects the machine as given. Virtual metrics
     /// are identical either way.
     pub exec: Option<f90d_machine::ExecMode>,
-    /// `OptFlags::comm_plan`: honour [`VmPhase`] annotations, batching
+    /// `OptFlags::comm_plan`: honour [`PhaseRole`] annotations, batching
     /// each phase's ghost exchanges into one coalesced exchange
     /// sequenced by the shared [`CommDriver`]. Off (the default) runs
     /// the per-statement schedule even on annotated programs.
@@ -200,46 +164,23 @@ pub struct Engine {
 impl Engine {
     /// Prepare an engine and allocate every array on the machine.
     pub fn new(prog: Arc<VmProgram>, m: &mut Machine) -> Self {
-        assert_eq!(
-            m.grid.shape, prog.grid_shape,
-            "machine grid must match the compiled grid"
-        );
-        for decl in &prog.arrays {
-            let (shape, ghost) = decl_alloc(decl);
-            for mem in &mut m.mems {
-                mem.insert_array(
-                    decl.name.clone(),
-                    LocalArray::with_ghost_lazy(decl.ty, &shape, &ghost, &ghost),
-                );
-            }
-        }
-        Self::fresh(prog)
+        let arrays = dispatch::allocate(m, &prog.grid_shape, &prog.arrays, false);
+        Self::fresh(prog, arrays)
     }
 
     /// Like [`Engine::new`] but keeps existing array segments (running a
     /// program fragment over state produced by an earlier fragment).
     pub fn new_preserving(prog: Arc<VmProgram>, m: &mut Machine) -> Self {
-        for decl in &prog.arrays {
-            if !m.mems[0].has_array(&decl.name) {
-                let (shape, ghost) = decl_alloc(decl);
-                for mem in &mut m.mems {
-                    mem.insert_array(
-                        decl.name.clone(),
-                        LocalArray::with_ghost_lazy(decl.ty, &shape, &ghost, &ghost),
-                    );
-                }
-            }
-        }
-        Self::fresh(prog)
+        let arrays = dispatch::allocate(m, &prog.grid_shape, &prog.arrays, true);
+        Self::fresh(prog, arrays)
     }
 
-    fn fresh(prog: Arc<VmProgram>) -> Self {
+    fn fresh(prog: Arc<VmProgram>, arrays: Vec<DistArray>) -> Self {
         let scalars = prog.scalars.iter().map(|(_, ty)| ty.zero()).collect();
-        let dads = prog.arrays.iter().map(|a| a.dad.clone()).collect();
         let nvars = prog.nvars;
         Engine {
             prog,
-            dads,
+            arrays,
             scalars,
             vars: vec![0; nvars],
             printed: Vec::new(),
@@ -269,7 +210,7 @@ impl Engine {
 
     /// Current runtime descriptor of array `id`.
     pub fn dad(&self, id: ArrId) -> &Dad {
-        &self.dads[id]
+        &self.arrays[id].dad
     }
 
     /// Seed a named array from a host row-major buffer before running.
@@ -277,22 +218,14 @@ impl Engine {
         let Some(id) = self.prog.array_id(name) else {
             return false;
         };
-        self.dist_array(id).scatter_host(m, data);
+        self.arrays[id].scatter_host(m, data);
         true
     }
 
     /// Gather a named array to a host buffer (inspection).
     pub fn gather_array(&self, m: &mut Machine, name: &str) -> Option<ArrayData> {
         let id = self.prog.array_id(name)?;
-        Some(self.dist_array(id).gather_host(m))
-    }
-
-    fn dist_array(&self, id: ArrId) -> DistArray {
-        DistArray {
-            name: self.prog.arrays[id].name.clone(),
-            dad: self.dads[id].clone(),
-            ty: self.prog.arrays[id].ty,
-        }
+        Some(self.arrays[id].gather_host(m))
     }
 
     /// Run the whole program: a flat fetch/decode loop over the
@@ -326,13 +259,7 @@ impl Engine {
                         .map(|e| self.eval_scalar(e, m, &mut regs).map(|v| v.as_int()))
                         .collect::<VmResult<_>>()?;
                     let v = self.eval_scalar(rhs, m, &mut regs)?;
-                    let dad = &self.dads[*arr];
-                    let l = dad.local_index(&g);
-                    let name = &prog.arrays[*arr].name;
-                    for rank in dad.owner_ranks(&g) {
-                        m.mems[rank as usize].array_mut(name).set(&l, v);
-                        m.transport.charge_elem_ops(rank, *cost);
-                    }
+                    dispatch::owner_assign(m, &self.arrays[*arr], &g, v, *cost)?;
                     pc += 1;
                 }
                 PInst::Comm(i) => {
@@ -341,21 +268,21 @@ impl Engine {
                 }
                 PInst::Forall(i) => {
                     if self.plan {
-                        if let Some(VmPhase::Lead { len }) = prog.foralls[*i as usize].plan {
+                        if let Some(PhaseRole::Lead { len }) = prog.foralls[*i as usize].plan {
                             // Collect the phase: `len` consecutive FORALL
                             // instructions starting here (the planner only
                             // groups adjacent FORALLs, which lower to
                             // adjacent instructions).
-                            let mut ids = Vec::with_capacity(len as usize);
+                            let mut ids = Vec::with_capacity(len);
                             let mut j = pc;
-                            while ids.len() < len as usize && j < prog.code.len() {
+                            while ids.len() < len && j < prog.code.len() {
                                 let PInst::Forall(k) = &prog.code[j] else {
                                     break;
                                 };
                                 ids.push(*k);
                                 j += 1;
                             }
-                            if ids.len() == len as usize {
+                            if ids.len() == len {
                                 self.exec_phase(&ids, m)?;
                                 pc = j;
                                 continue;
@@ -365,11 +292,13 @@ impl Engine {
                             // always-correct per-statement schedule.
                         }
                     }
-                    self.exec_forall(&prog.foralls[*i as usize], m)?;
+                    self.exec_forall(&prog.foralls[*i as usize], m, false)?;
                     pc += 1;
                 }
                 PInst::Runtime(i) => {
-                    self.exec_runtime(&prog.rtcalls[*i as usize], m, &mut regs)?;
+                    let call =
+                        prog.rtcalls[*i as usize].try_map(|e| self.eval_scalar(e, m, &mut regs))?;
+                    dispatch::exec_runtime(m, &mut self.arrays, &call)?;
                     pc += 1;
                 }
                 PInst::Print(i) => {
@@ -379,8 +308,8 @@ impl Engine {
                             line.push(' ');
                         }
                         match item {
-                            VmPrintItem::Text(t) => line.push_str(t),
-                            VmPrintItem::Val(e) => {
+                            PrintItem::Text(t) => line.push_str(t),
+                            PrintItem::Val(e) => {
                                 let v = self.eval_scalar(e, m, &mut regs)?;
                                 line.push_str(&v.to_string());
                             }
@@ -434,13 +363,7 @@ impl Engine {
                 }
             }
         }
-        driver::quiesce(m)?;
-        Ok(RunReport {
-            elapsed: m.elapsed(),
-            messages: m.transport.messages,
-            bytes: m.transport.bytes,
-            printed: std::mem::take(&mut self.printed),
-        })
+        dispatch::finish_run(m, std::mem::take(&mut self.printed))
     }
 
     // ---- scalar (replicated-context) evaluation ------------------------
@@ -479,11 +402,7 @@ impl Engine {
                         .iter()
                         .map(|v| v.as_int())
                         .collect();
-                    let dad = &self.dads[*arr];
-                    let rank = dad.owner_ranks(&g)[0];
-                    let l = dad.local_index(&g);
-                    regs[dst as usize] =
-                        m.mems[rank as usize].array(&prog.arrays[*arr].name).get(&l);
+                    regs[dst as usize] = dispatch::read_elem(m, &self.arrays[*arr], &g)?.1;
                 }
                 Op::ReadSeq { .. } => return verr("non-replicated read in scalar context"),
             }
@@ -491,237 +410,25 @@ impl Engine {
         Ok(regs[code.out as usize])
     }
 
-    // ---- communication and runtime calls -------------------------------
+    // ---- communication ------------------------------------------------
 
-    fn exec_comm(&mut self, c: &VmComm, m: &mut Machine, regs: &mut Vec<Value>) -> VmResult<()> {
-        let prog = self.prog.clone();
-        match c {
-            VmComm::Multicast {
-                src,
-                tmp,
-                dim,
-                src_g,
-            } => {
-                let g = self.eval_scalar(src_g, m, regs)?.as_int();
-                let dad = self.dads[*src].clone();
-                structured::multicast(
-                    m,
-                    &prog.arrays[*src].name,
-                    &dad,
-                    &prog.arrays[*tmp].name,
-                    *dim,
-                    g,
-                )?;
-                Ok(())
-            }
-            VmComm::Transfer {
-                src,
-                tmp,
-                dim,
-                src_g,
-                dst_g,
-                dst_arr,
-                dst_dim,
-            } => {
-                let sg = self.eval_scalar(src_g, m, regs)?.as_int();
-                let dg = self.eval_scalar(dst_g, m, regs)?.as_int();
-                let dst_coord = self.dads[*dst_arr].dims[*dst_dim].proc_of(dg);
-                let dad = self.dads[*src].clone();
-                structured::transfer(
-                    m,
-                    &prog.arrays[*src].name,
-                    &dad,
-                    &prog.arrays[*tmp].name,
-                    *dim,
-                    sg,
-                    dst_coord,
-                )?;
-                Ok(())
-            }
-            VmComm::OverlapShift { arr, dim, c } => {
-                let dad = self.dads[*arr].clone();
-                driver::ghost_exchange(m, &prog.arrays[*arr].name, &dad, *dim, *c)?;
-                Ok(())
-            }
-            VmComm::TempShift {
-                src,
-                tmp,
-                dim,
-                amount,
-            } => {
-                let s = self.eval_scalar(amount, m, regs)?.as_int();
-                let dad = self.dads[*src].clone();
-                structured::temporary_shift(
-                    m,
-                    &prog.arrays[*src].name,
-                    &dad,
-                    &prog.arrays[*tmp].name,
-                    *dim,
-                    s,
-                    false,
-                )?;
-                Ok(())
-            }
-            VmComm::MulticastShift {
-                src,
-                tmp,
-                mdim,
-                src_g,
-                sdim,
-                amount,
-            } => {
-                let g = self.eval_scalar(src_g, m, regs)?.as_int();
-                let s = self.eval_scalar(amount, m, regs)?.as_int();
-                let dad = self.dads[*src].clone();
-                structured::multicast_shift(
-                    m,
-                    &prog.arrays[*src].name,
-                    &dad,
-                    &prog.arrays[*tmp].name,
-                    *mdim,
-                    g,
-                    *sdim,
-                    s,
-                )?;
-                Ok(())
-            }
-            VmComm::Concat { src, tmp } => {
-                let dad = self.dads[*src].clone();
-                structured::concatenation(
-                    m,
-                    &prog.arrays[*src].name,
-                    &dad,
-                    &prog.arrays[*tmp].name,
-                )?;
-                Ok(())
-            }
-            VmComm::BroadcastElem { arr, subs, target } => {
-                let g: Vec<i64> = subs
-                    .iter()
-                    .map(|e| self.eval_scalar(e, m, regs).map(|v| v.as_int()))
-                    .collect::<VmResult<_>>()?;
-                let dad = &self.dads[*arr];
-                let owner = dad.owner_ranks(&g)[0];
-                let l = dad.local_index(&g);
-                let v = m.mems[owner as usize]
-                    .array(&prog.arrays[*arr].name)
-                    .get(&l);
-                // Tree broadcast of one element to all ranks.
-                let members: Vec<i64> = (0..m.nranks()).collect();
-                let root_pos = members.iter().position(|&r| r == owner).unwrap();
-                let mut payload = ArrayData::zeros(v.elem_type(), 1);
-                payload.set(0, v);
-                m.stats.record("broadcast_elem");
-                f90d_comm::helpers::tree_broadcast(m, &members, root_pos, payload, |_, _, _| {})?;
-                self.scalars[*target as usize] = v;
-                Ok(())
-            }
-            VmComm::Reduce {
-                kind,
-                arr,
-                arr2,
-                target,
-                to_int,
-            } => {
-                let a = self.dist_array(*arr);
-                let v = match kind {
-                    VmReduce::Sum => Value::Real(rt::sum(m, &a)),
-                    VmReduce::Product => Value::Real(rt::product(m, &a)),
-                    VmReduce::MaxVal => Value::Real(rt::maxval(m, &a)),
-                    VmReduce::MinVal => Value::Real(rt::minval(m, &a)),
-                    VmReduce::Count => Value::Int(rt::count(m, &a)),
-                    VmReduce::All => Value::Bool(rt::all(m, &a)),
-                    VmReduce::Any => Value::Bool(rt::any(m, &a)),
-                    VmReduce::DotProduct => {
-                        let b = self.dist_array(arr2.expect("dotproduct second operand"));
-                        Value::Real(rt::dotproduct(m, &a, &b))
-                    }
-                };
-                let v = if *to_int {
-                    Value::Int(v.as_real() as i64)
-                } else {
-                    v
-                };
-                self.scalars[*target as usize] = v;
-                Ok(())
-            }
-        }
-    }
-
-    fn exec_runtime(
+    /// Evaluate the call's operands, run the shared dispatcher, store
+    /// the result into the call's scalar slot if it has one.
+    fn exec_comm(
         &mut self,
-        call: &VmRt,
+        c: &CommStmt<ExprCode, u16>,
         m: &mut Machine,
         regs: &mut Vec<Value>,
     ) -> VmResult<()> {
-        match call {
-            VmRt::CShift {
-                src,
-                dst,
-                dim,
-                shift,
-            } => {
-                let s = self.eval_scalar(shift, m, regs)?.as_int();
-                let (a, b) = (self.dist_array(*src), self.dist_array(*dst));
-                rt::cshift(m, &a, &b, *dim, s);
-                Ok(())
-            }
-            VmRt::EoShift {
-                src,
-                dst,
-                dim,
-                shift,
-                boundary,
-            } => {
-                let s = self.eval_scalar(shift, m, regs)?.as_int();
-                let bv = self.eval_scalar(boundary, m, regs)?;
-                let (a, b) = (self.dist_array(*src), self.dist_array(*dst));
-                rt::eoshift(m, &a, &b, *dim, s, bv);
-                Ok(())
-            }
-            VmRt::Transpose { src, dst } => {
-                let (a, b) = (self.dist_array(*src), self.dist_array(*dst));
-                rt::transpose(m, &a, &b);
-                Ok(())
-            }
-            VmRt::Matmul { a, b, c } => {
-                let (aa, bb, cc) = (
-                    self.dist_array(*a),
-                    self.dist_array(*b),
-                    self.dist_array(*c),
-                );
-                rt::matmul(m, &aa, &bb, &cc);
-                Ok(())
-            }
-            VmRt::Redistribute { arr, new_dad } => {
-                let old = self.dist_array(*arr);
-                let staging = format!("__REDIST_{}", old.name);
-                let mut nd = new_dad.clone();
-                nd.name = old.name.clone();
-                let target = DistArray::from_dad(m, staging.clone(), old.ty, nd.clone(), 0);
-                f90d_comm::redist::redistribute(m, &old.name, &old.dad, &staging, &target.dad)?;
-                // Move staged segments under the original name.
-                for mem in &mut m.mems {
-                    let seg = mem.remove_array(&staging).expect("staging allocated");
-                    mem.insert_array(old.name.clone(), seg);
-                }
-                self.dads[*arr] = nd;
-                Ok(())
-            }
-            VmRt::RemapCopy { src, dst } => {
-                let s = self.dist_array(*src);
-                let d = self.dist_array(*dst);
-                f90d_comm::redist::redistribute(m, &s.name, &s.dad, &d.name, &d.dad)?;
-                Ok(())
-            }
+        let call = c.try_map(|e| self.eval_scalar(e, m, regs), |_| ())?;
+        if let Some(v) = dispatch::exec_comm(m, &self.arrays, &call)? {
+            let slot = c.target().expect("a comm with a result has a target");
+            self.scalars[*slot as usize] = v;
         }
+        Ok(())
     }
 
     // ---- FORALL --------------------------------------------------------
-
-    fn exec_forall(&mut self, f: &VmForall, m: &mut Machine) -> VmResult<()> {
-        self.exec_forall_inner(f, m, false)
-    }
 
     /// Execute one planner-formed comm phase (`ids` are forall-table
     /// indices): hand every member's ghost exchanges (against the live
@@ -731,96 +438,66 @@ impl Engine {
     /// bit-identical per-statement path — the annotations are advisory.
     fn exec_phase(&mut self, ids: &[u16], m: &mut Machine) -> VmResult<()> {
         let prog = self.prog.clone();
-        let mut specs: Vec<GhostSpec> = Vec::new();
+        let mut specs = Vec::new();
         for &id in ids {
-            for &ci in &prog.foralls[id as usize].pre {
-                let VmComm::OverlapShift { arr, dim, c } = &prog.comms[ci as usize] else {
-                    return verr("comm phase member has a non-overlap-shift prelude");
-                };
-                specs.push(GhostSpec {
-                    arr: prog.arrays[*arr].name.clone(),
-                    dad: self.dads[*arr].clone(),
-                    dim: *dim,
-                    c: *c,
-                });
-            }
+            let Some(shifts) = pre_shifts(&prog, &prog.foralls[id as usize]) else {
+                return verr("comm phase member has a non-overlap-shift prelude");
+            };
+            specs.extend(dispatch::ghost_specs(&self.arrays, &shifts));
         }
-        match self.comm.phase_exchange(m, specs)? {
-            PhaseOutcome::Refused => {
-                for &id in ids {
-                    self.exec_forall(&prog.foralls[id as usize], m)?;
-                }
-            }
-            PhaseOutcome::Exchanged => {
-                for &id in ids {
-                    self.exec_forall_inner(&prog.foralls[id as usize], m, true)?;
-                }
-            }
+        let skip_pre = self.comm.phase_exchange(m, specs)? == PhaseOutcome::Exchanged;
+        for &id in ids {
+            self.exec_forall(&prog.foralls[id as usize], m, skip_pre)?;
         }
         Ok(())
     }
 
-    /// FORALL body with an optional prelude skip: a phase lead already
-    /// posted (and completed) this statement's ghost exchanges, so phase
-    /// members run with `skip_pre` — which also bypasses the split-phase
+    /// One FORALL. `skip_pre`: a phase lead already posted (and
+    /// completed) this statement's ghost exchanges, so phase members run
+    /// with their prelude skipped — which also bypasses the split-phase
     /// overlap path, whose post/finish would re-send the exchanges. The
     /// native tier still binds as usual.
-    fn exec_forall_inner(&mut self, f: &VmForall, m: &mut Machine, skip_pre: bool) -> VmResult<()> {
+    ///
+    /// Under `overlap`, an eligible stencil ([`dispatch::overlap_plan`])
+    /// runs split-phase (paper §5.1/§7 latency hiding), sequenced by the
+    /// shared [`driver::run_overlap`]: the driver posts the ghost
+    /// exchanges, runs this backend's interior element loop under the
+    /// machine's [`f90d_machine::ExecMode`] while the strips are on the
+    /// wire, completes the exchanges, runs the boundary slabs, and
+    /// commits — array results bit-identical to blocking execution, only
+    /// virtual clocks differ.
+    fn exec_forall(&mut self, f: &VmForall, m: &mut Machine, skip_pre: bool) -> VmResult<()> {
         let prog = self.prog.clone();
-        if self.overlap && !skip_pre {
-            if let Some(margins) = self.overlap_plan(f, &prog) {
-                // Split-phase boundary/interior execution always runs
-                // the bytecode element loop.
-                self.native_fallback += 1;
-                return self.exec_forall_overlap(f, m, &margins);
-            }
-        }
         let mut regs: Vec<Value> = Vec::new();
-        // Communication prelude.
-        if !skip_pre {
+        let plain = f.gathers.is_empty()
+            && f.owner_filter.is_empty()
+            && f.body.iter().all(|b| b.scatter.is_none());
+        let split = if self.overlap && !skip_pre && plain {
+            let parts = f.vars.iter().map(|v| &v.part);
+            pre_shifts(&prog, f).and_then(|s| dispatch::overlap_plan(&self.arrays, &s, parts))
+        } else {
+            None
+        };
+        // Blocking communication prelude.
+        if split.is_none() && !skip_pre {
             for &c in &f.pre {
                 self.exec_comm(&prog.comms[c as usize], m, &mut regs)?;
             }
         }
-        let nranks = m.nranks() as usize;
-        // Owner filter: which ranks participate.
-        let mut active = vec![true; nranks];
+        // Owner filter and bounds are replicated values: evaluate once.
+        let mut filter = Vec::with_capacity(f.owner_filter.len());
         for (arr, dim, idx) in &f.owner_filter {
-            let g = self.eval_scalar(idx, m, &mut regs)?.as_int();
-            let dad = &self.dads[*arr];
-            let dm = &dad.dims[*dim];
-            let axis = dm.grid_axis.expect("owner filter on distributed dim");
-            let owner = dm.proc_of(g);
-            for (rank, slot) in active.iter_mut().enumerate() {
-                if m.grid.coords_of(rank as i64)[axis] != owner {
-                    *slot = false;
-                }
-            }
+            filter.push((*arr, *dim, self.eval_scalar(idx, m, &mut regs)?.as_int()));
         }
-        // Bounds are replicated values: evaluate once.
-        let mut bounds = Vec::with_capacity(f.vars.len());
+        let mut loops = Vec::with_capacity(f.vars.len());
         for spec in &f.vars {
             let lb = self.eval_scalar(&spec.lb, m, &mut regs)?.as_int();
             let ub = self.eval_scalar(&spec.ub, m, &mut regs)?.as_int();
             let st = self.eval_scalar(&spec.st, m, &mut regs)?.as_int();
-            if st <= 0 {
-                return verr("FORALL stride must be positive");
-            }
-            bounds.push((lb, ub, st));
+            loops.push((&spec.part, [lb, ub, st]));
         }
-        // Per-rank iteration lists (`set_BOUND`).
-        let mut iter_lists: Vec<Vec<Vec<i64>>> = Vec::with_capacity(nranks);
-        for rank in 0..nranks {
-            if !active[rank] {
-                iter_lists.push(vec![vec![]; f.vars.len()]);
-                continue;
-            }
-            let mut lists = Vec::with_capacity(f.vars.len());
-            for (spec, &b) in f.vars.iter().zip(&bounds) {
-                lists.push(self.iterations_for(spec, b, m, rank as i64));
-            }
-            iter_lists.push(lists);
-        }
+        let iter_lists = dispatch::iteration_lists(m, &self.arrays, &loops, &filter)?;
+        let nranks = m.nranks() as usize;
         // Resolve the accessors this FORALL references, per rank.
         let resolved: Vec<Vec<Option<ResolvedAcc>>> = (0..nranks)
             .map(|rank| {
@@ -833,6 +510,22 @@ impl Engine {
                 table
             })
             .collect();
+        let max_regs = forall_max_regs(f);
+        if let Some((specs, margins)) = split {
+            // Split-phase boundary/interior execution always runs the
+            // bytecode element loop.
+            self.native_fallback += 1;
+            let mut sink = VmSink {
+                prog: &prog,
+                f,
+                resolved: &resolved,
+                vars: &self.vars,
+                scalars: &self.scalars,
+                max_regs,
+                staged: vec![StagedWrites::new(); nranks],
+            };
+            return driver::run_overlap(m, &specs, &margins, &iter_lists, &mut sink);
+        }
         // Unstructured reads: inspector + vectorized executor.
         for g in &f.gathers {
             self.exec_gather(f, g, m, &iter_lists, &resolved)?;
@@ -848,8 +541,6 @@ impl Engine {
         }
         self.native_fallback += 1;
         // Main loop: one local phase under the machine's ExecMode.
-        let scatter = f.body.iter().find_map(|b| b.scatter);
-        let max_regs = forall_max_regs(f);
         let results: Vec<Result<ScatterOut, String>> = m.local_phase_map(|rank, mem| {
             match run_forall_rank(
                 &prog,
@@ -871,195 +562,21 @@ impl Engine {
         for r in results {
             scatter_out.push(r.map_err(VmError)?);
         }
-        // Post-loop scatter.
-        if let Some(invertible) = scatter {
-            self.exec_scatter(f, m, invertible, &scatter_out)?;
+        // Post-loop scatter (paper §4 cases 3/4).
+        if let Some(invertible) = f.body.iter().find_map(|b| b.scatter) {
+            let dst = &self.arrays[f.body[0].arr];
+            let (name, dad) = (&dst.name, &dst.dad);
+            driver::scatter(
+                m,
+                &mut self.sched,
+                name,
+                dad,
+                dst.ty,
+                &scatter_out,
+                invertible,
+            )?;
         }
         Ok(())
-    }
-
-    /// Mirror of the tree walker's overlap eligibility test: the prelude
-    /// is pure `overlap_shift`, no gathers, no owner filter, owned writes
-    /// only, and every shifted dimension maps onto a stride-1 `OwnerDim`
-    /// loop variable per the shared [`driver::stencil_margins`] geometry.
-    /// Returns the per-variable ghost margins, or `None` to fall back to
-    /// blocking execution. The margin arithmetic, the eligibility core,
-    /// and the interior/boundary split all live in `f90d_comm`, shared
-    /// with the tree walker, so the backends cannot drift on which
-    /// FORALLs overlap or which tuples count as interior.
-    fn overlap_plan(&self, f: &VmForall, prog: &VmProgram) -> Option<Margins> {
-        if f.pre.is_empty() || !f.gathers.is_empty() || !f.owner_filter.is_empty() {
-            return None;
-        }
-        if !f.body.iter().all(|b| b.scatter.is_none()) {
-            return None;
-        }
-        let loop_dims: Vec<Option<&ArrayDimMap>> = f
-            .vars
-            .iter()
-            .map(|spec| match &spec.part {
-                VmPartition::OwnerDim {
-                    arr: la,
-                    dim: ld,
-                    a: 1,
-                    ..
-                } => Some(&self.dads[*la].dims[*ld]),
-                _ => None,
-            })
-            .collect();
-        let mut shifts = Vec::with_capacity(f.pre.len());
-        for &ci in &f.pre {
-            let VmComm::OverlapShift {
-                arr,
-                dim,
-                c: amount,
-            } = &prog.comms[ci as usize]
-            else {
-                return None;
-            };
-            shifts.push((&self.dads[*arr].dims[*dim], *amount));
-        }
-        driver::stencil_margins(&loop_dims, &shifts)
-    }
-
-    /// Split-phase stencil execution (paper §5.1/§7 latency hiding),
-    /// sequenced by the shared [`driver::run_overlap`]: the driver posts
-    /// the ghost exchanges, runs this backend's interior element loop
-    /// under the machine's [`f90d_machine::ExecMode`] while the strips
-    /// are on the wire, completes the exchanges, runs the boundary
-    /// slabs, and commits — array results bit-identical to blocking
-    /// execution, only virtual clocks differ.
-    fn exec_forall_overlap(
-        &mut self,
-        f: &VmForall,
-        m: &mut Machine,
-        margins: &Margins,
-    ) -> VmResult<()> {
-        let prog = self.prog.clone();
-        let mut regs: Vec<Value> = Vec::new();
-        let mut shifts = Vec::with_capacity(f.pre.len());
-        for &ci in &f.pre {
-            let VmComm::OverlapShift { arr, dim, c } = &prog.comms[ci as usize] else {
-                unreachable!("overlap_plan admitted a non-shift prelude")
-            };
-            shifts.push(GhostSpec {
-                arr: prog.arrays[*arr].name.clone(),
-                dad: self.dads[*arr].clone(),
-                dim: *dim,
-                c: *c,
-            });
-        }
-        // Bounds and per-rank iteration lists (no owner filter by
-        // eligibility); the driver splits them into interior/boundary
-        // via the shared `f90d_comm::overlap` geometry.
-        let nranks = m.nranks() as usize;
-        let mut bounds = Vec::with_capacity(f.vars.len());
-        for spec in &f.vars {
-            let lb = self.eval_scalar(&spec.lb, m, &mut regs)?.as_int();
-            let ub = self.eval_scalar(&spec.ub, m, &mut regs)?.as_int();
-            let st = self.eval_scalar(&spec.st, m, &mut regs)?.as_int();
-            if st <= 0 {
-                return verr("FORALL stride must be positive");
-            }
-            bounds.push((lb, ub, st));
-        }
-        let mut iter_lists: Vec<Vec<Vec<i64>>> = Vec::with_capacity(nranks);
-        for rank in 0..nranks {
-            iter_lists.push(
-                f.vars
-                    .iter()
-                    .zip(&bounds)
-                    .map(|(spec, &b)| self.iterations_for(spec, b, m, rank as i64))
-                    .collect(),
-            );
-        }
-        let resolved: Vec<Vec<Option<ResolvedAcc>>> = (0..nranks)
-            .map(|rank| {
-                let coords = m.grid.coords_of(rank as i64);
-                let mut table: Vec<Option<ResolvedAcc>> = vec![None; prog.accessors.len()];
-                for &a in &f.accs_used {
-                    table[a as usize] =
-                        Some(self.resolve_acc(&prog.accessors[a as usize], &coords));
-                }
-                table
-            })
-            .collect();
-        let mut sink = VmSink {
-            prog: &prog,
-            f,
-            resolved: &resolved,
-            vars: &self.vars,
-            scalars: &self.scalars,
-            max_regs: forall_max_regs(f),
-            staged: vec![StagedWrites::new(); nranks],
-        };
-        driver::run_overlap(m, &shifts, margins, &iter_lists, &mut sink)
-    }
-
-    /// The iterations of `spec` assigned to `rank` (`set_BOUND`),
-    /// returning global iteration values.
-    fn iterations_for(
-        &self,
-        spec: &VmLoopSpec,
-        (lb, ub, st): (i64, i64, i64),
-        m: &Machine,
-        rank: i64,
-    ) -> Vec<i64> {
-        if lb > ub {
-            return vec![];
-        }
-        match &spec.part {
-            VmPartition::Replicate => (0..)
-                .map(|k| lb + k * st)
-                .take_while(|&v| v <= ub)
-                .collect(),
-            VmPartition::BlockIter => {
-                let count = (ub - lb) / st + 1;
-                let p = m.nranks();
-                let chunk = (count + p - 1) / p;
-                let first = rank * chunk;
-                let last = ((rank + 1) * chunk).min(count);
-                (first..last).map(|k| lb + k * st).collect()
-            }
-            VmPartition::OwnerDim { arr, dim, a, b } => {
-                let dad = &self.dads[*arr];
-                let dm = &dad.dims[*dim];
-                if !dm.is_distributed() {
-                    return (0..)
-                        .map(|k| lb + k * st)
-                        .take_while(|&v| v <= ub)
-                        .collect();
-                }
-                let coord = m.grid.coords_of(rank)[dm.grid_axis.unwrap()];
-                // Template progression t(v) = S*v + O.
-                let s_align = dm.align.stride;
-                let o_align = dm.align.offset;
-                let s = s_align * a;
-                let o = s_align * b + o_align;
-                let t1 = s * lb + o;
-                let t2 = s * ub + o;
-                let (tlo, thi) = if t1 <= t2 { (t1, t2) } else { (t2, t1) };
-                let tstep = (s * st).abs();
-                let li = set_bound(&dm.dist, coord, tlo, thi, tstep);
-                let mut out = Vec::with_capacity(li.len() as usize);
-                for l in li.to_vec() {
-                    let t = dm
-                        .dist
-                        .global_of(coord, l)
-                        .expect("set_bound local maps to global");
-                    let num = t - o;
-                    if num % s != 0 {
-                        continue;
-                    }
-                    let v = num / s;
-                    if v >= lb && v <= ub && (v - lb) % st == 0 {
-                        out.push(v);
-                    }
-                }
-                out.sort_unstable();
-                out
-            }
-        }
     }
 
     /// Resolve one accessor against the live descriptor for a node at
@@ -1067,7 +584,7 @@ impl Engine {
     fn resolve_acc(&self, plan: &AccPlan, coords: &[i64]) -> ResolvedAcc {
         let target = plan.target();
         let decl = &self.prog.arrays[target];
-        let dad = &self.dads[target];
+        let dad = &self.arrays[target].dad;
         let alloc = dad.local_shape();
         let ndim = dad.rank();
         let mut dims = Vec::with_capacity(ndim);
@@ -1249,32 +766,25 @@ impl Engine {
 
     // ---- unstructured communication ------------------------------------
 
+    /// Unstructured read: this tier's inspector (bytecode evaluation of
+    /// the mask and subscripts for every local iteration, in iteration
+    /// order) feeding the shared request list and executor.
     fn exec_gather(
         &mut self,
         f: &VmForall,
-        g: &VmGather,
+        g: &GatherSpec<ExprCode>,
         m: &mut Machine,
         iter_lists: &[Vec<Vec<i64>>],
         resolved: &[Vec<Option<ResolvedAcc>>],
     ) -> VmResult<()> {
         let prog = self.prog.clone();
-        let src_name = prog.arrays[g.src].name.clone();
-        let tmp_name = prog.arrays[g.tmp].name.clone();
-        let src_dad = self.dads[g.src].clone();
-        let nranks = m.nranks() as usize;
+        let src = &self.arrays[g.src];
         let max_regs = forall_max_regs(f);
-        // Inspector: per rank, evaluate the subscripts for every local
-        // iteration in iteration order, forming the request list.
-        let mut reqs: Vec<ElementReq> = Vec::new();
-        let mut counts = vec![0usize; nranks];
-        let mut insp_ops = vec![0i64; nranks];
-        let mut visited = vec![false; nranks];
-        for rank in 0..nranks {
-            let lists = &iter_lists[rank];
+        let mut reqs = GatherRequests::new(&src.name, &src.dad, iter_lists.len());
+        for (rank, lists) in iter_lists.iter().enumerate() {
             if lists.iter().any(|l| l.is_empty()) {
                 continue;
             }
-            visited[rank] = true;
             let table = &resolved[rank];
             let views: Vec<Option<&LocalArray>> = table
                 .iter()
@@ -1285,63 +795,39 @@ impl Engine {
                 .collect();
             let mut vars = self.vars.clone();
             let mut regs = vec![Value::Int(0); max_regs];
-            let mut dummy_counters: Vec<usize> = Vec::new();
+            // Masks and subscripts must not depend on gathered values.
+            let mut eval = |code: &ExprCode, vars: &[i64]| {
+                eval_elem(
+                    &prog,
+                    code,
+                    &mut regs,
+                    vars,
+                    &self.scalars,
+                    &views,
+                    table,
+                    &[],
+                    &mut [],
+                    false,
+                    rank as i64,
+                )
+                .map_err(VmError)
+            };
+            let mut gidx = Vec::with_capacity(g.subs.len());
             let mut cursor = vec![0usize; lists.len()];
             'iter: loop {
                 for (k, list) in lists.iter().enumerate() {
                     vars[f.vars[k].var as usize] = list[cursor[k]];
                 }
-                let mut run = true;
-                if let Some(mask) = &f.mask {
-                    // Masks must not depend on gathered values.
-                    run = eval_elem(
-                        &prog,
-                        mask,
-                        &mut regs,
-                        &vars,
-                        &self.scalars,
-                        &views,
-                        table,
-                        &[],
-                        &mut dummy_counters,
-                        false,
-                        rank as i64,
-                    )
-                    .map_err(VmError)?
-                    .as_bool();
-                }
+                let run = match &f.mask {
+                    Some(mask) => eval(mask, &vars)?.as_bool(),
+                    None => true,
+                };
                 if run {
-                    let mut gidx = Vec::with_capacity(g.subs.len());
+                    gidx.clear();
                     for s in &g.subs {
-                        gidx.push(
-                            eval_elem(
-                                &prog,
-                                s,
-                                &mut regs,
-                                &vars,
-                                &self.scalars,
-                                &views,
-                                table,
-                                &[],
-                                &mut dummy_counters,
-                                false,
-                                rank as i64,
-                            )
-                            .map_err(VmError)?
-                            .as_int(),
-                        );
+                        gidx.push(eval(s, &vars)?.as_int());
                     }
-                    insp_ops[rank] += 4;
-                    let owner = src_dad.owner_ranks(&gidx)[0];
-                    let l = src_dad.local_index(&gidx);
-                    let src_off = m.mems[owner as usize].array(&src_name).offset(&l);
-                    reqs.push(ElementReq {
-                        requester: rank as i64,
-                        owner,
-                        src_off,
-                        dst_off: counts[rank],
-                    });
-                    counts[rank] += 1;
+                    reqs.push(m, rank as i64, &gidx)?;
                 }
                 // advance cartesian cursor (last var fastest)
                 let mut d = lists.len();
@@ -1358,65 +844,8 @@ impl Engine {
                 }
             }
         }
-        for rank in 0..nranks {
-            if visited[rank] {
-                m.transport.charge_elem_ops(rank as i64, insp_ops[rank]);
-            }
-        }
-        // Size the sequential buffers.
-        let ty = prog.arrays[g.tmp].ty;
-        for (rank, &n) in counts.iter().enumerate() {
-            m.mems[rank].insert_array(tmp_name.clone(), LocalArray::zeros(ty, &[n.max(1) as i64]));
-        }
-        // Schedule (per-run §7(3) reuse + cross-run cache); the driver
-        // maps (fast_path, read) onto the schedule kind.
-        let sched = driver::schedule(m, &mut self.sched, &reqs, g.local_only, false)?;
-        schedule::execute_read(m, &sched, &src_name, &tmp_name)?;
-        Ok(())
-    }
-
-    fn exec_scatter(
-        &mut self,
-        f: &VmForall,
-        m: &mut Machine,
-        invertible: bool,
-        outputs: &[ScatterOut],
-    ) -> VmResult<()> {
-        let prog = self.prog.clone();
-        let dst = f.body[0].arr;
-        let dst_name = prog.arrays[dst].name.clone();
-        let dst_dad = self.dads[dst].clone();
-        let ty = prog.arrays[dst].ty;
-        // Stage values into per-rank sequential source buffers.
-        let buf_name = format!("__SCATBUF_{dst_name}");
-        for (rank, vals) in outputs.iter().enumerate() {
-            let mut la = LocalArray::zeros(ty, &[vals.len().max(1) as i64]);
-            for (k, (_, v)) in vals.iter().enumerate() {
-                la.set(&[k as i64], *v);
-            }
-            m.mems[rank].insert_array(buf_name.clone(), la);
-        }
-        let mut reqs = Vec::new();
-        for (rank, vals) in outputs.iter().enumerate() {
-            for (k, (g, _)) in vals.iter().enumerate() {
-                let src_off = m.mems[rank].array(&buf_name).offset(&[k as i64]);
-                for owner in dst_dad.owner_ranks(g) {
-                    let l = dst_dad.local_index(g);
-                    let dst_off = m.mems[owner as usize].array(&dst_name).offset(&l);
-                    reqs.push(ElementReq {
-                        // For write schedules the "requester" is the
-                        // receiving owner and the "owner" the producer.
-                        requester: owner,
-                        owner: rank as i64,
-                        src_off,
-                        dst_off,
-                    });
-                }
-            }
-        }
-        let sched = driver::schedule(m, &mut self.sched, &reqs, invertible, true)?;
-        schedule::execute_write(m, &sched, &buf_name, &dst_name)?;
-        Ok(())
+        let tmp = &prog.arrays[g.tmp];
+        Ok(reqs.execute(m, &mut self.sched, &tmp.name, tmp.ty, g.local_only)?)
     }
 }
 
@@ -1535,16 +964,13 @@ type ScatterOut = Vec<(Vec<i64>, Value)>;
 /// uncommitted to the caller during split-phase (overlap) execution.
 type StagedWrites = Vec<(usize, Value)>;
 
-/// Allocation shape + symmetric ghost widths for one declared array.
-fn decl_alloc(decl: &VmArrayDecl) -> (Vec<i64>, Vec<i64>) {
-    let shape = decl.dad.local_shape();
-    let ghost: Vec<i64> = decl
-        .dad
-        .dims
+/// The `(arr, dim, c)` triples of `f`'s prelude when it is pure
+/// `overlap_shift` (what phase batching and split-phase overlap take).
+fn pre_shifts(prog: &VmProgram, f: &VmForall) -> Option<Vec<(ArrId, usize, i64)>> {
+    f.pre
         .iter()
-        .map(|d| if d.is_distributed() { decl.ghost } else { 0 })
-        .collect();
-    (shape, ghost)
+        .map(|&c| prog.comms[c as usize].as_overlap_shift())
+        .collect()
 }
 
 /// Largest register file any element-context code of `f` needs.

@@ -21,9 +21,20 @@
 //! its `ComputeSink` contract), exactly like the tree walker, so the
 //! two backends sequence communication from one code path.
 //!
+//! Because `f90d-core` depends on this crate, it is also where the two
+//! executors' common **statement layer** lives: the collective /
+//! runtime-call / loop-spec node types, generic over the expression
+//! representation, and the one implementation of every run-time
+//! operation that does not depend on how an expression is evaluated.
+//!
+//! * [`stmt`] — statement-level node types shared by the tree IR and
+//!   the bytecode (`CommStmt<E, N>`, `RtCall<E>`, `LoopSpec<E, N>`, …).
+//! * [`dispatch`] — their run-time half: collective and runtime-library
+//!   dispatch, array allocation, `set_BOUND` iteration partitioning,
+//!   overlap eligibility — called by both executors.
 //! * [`bytecode`] — instruction set, expression code, program tables.
-//! * [`engine`] — the execution engine (mirrors the tree walker's
-//!   `Executor` API: seed, run, gather, scalar inspection).
+//! * [`engine`] — the execution engine (same API as the tree walker's
+//!   `Executor`: seed, run, gather, scalar inspection).
 //! * [`native`] — the third tier: FORALL superinstructions selected at
 //!   lowering time and monomorphized into prebuilt Rust closures; the
 //!   engine dispatches to them per execution and falls back to bytecode
@@ -36,9 +47,11 @@
 
 pub mod bytecode;
 pub mod cache;
+pub mod dispatch;
 pub mod engine;
 pub mod native;
 pub mod ops;
+pub mod stmt;
 
 pub use bytecode::VmProgram;
 pub use cache::ProgramCache;

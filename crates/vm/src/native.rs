@@ -26,7 +26,7 @@ use std::sync::Arc;
 use f90d_frontend::ast::{BinOp, UnOp};
 use f90d_machine::{ElemType, Value};
 
-use crate::bytecode::{AccPlan, ExprCode, Op, VmArrayDecl, VmForall};
+use crate::bytecode::{AccPlan, ArrayDecl, ExprCode, Op, VmForall};
 use crate::ops::Intrin;
 
 /// Index of a [`NativeKernel`] in [`VmProgram::natives`](crate::bytecode::VmProgram::natives).
@@ -233,7 +233,7 @@ enum Sym {
 }
 
 struct BodyCtx<'a> {
-    arrays: &'a [VmArrayDecl],
+    arrays: &'a [ArrayDecl],
     scalars: &'a [(String, ElemType)],
     consts: &'a [Value],
     accessors: &'a [AccPlan],
@@ -378,7 +378,7 @@ impl BodyCtx<'_> {
 /// bit-exactly; the bytecode element loop remains the executor then.
 pub fn select(
     f: &VmForall,
-    arrays: &[VmArrayDecl],
+    arrays: &[ArrayDecl],
     scalars: &[(String, ElemType)],
     consts: &[Value],
     accessors: &[AccPlan],

@@ -20,7 +20,7 @@
 //!   (`CompileOptions::backend = Backend::Vm`): same results and virtual
 //!   times as the tree walker, several times lower host wall-clock.
 //!
-//! See `README.md` for a quickstart and `DESIGN.md` / `EXPERIMENTS.md` for
+//! See `README.md` for a quickstart and `ARCHITECTURE.md` for
 //! the system inventory and the paper-reproduction index.
 
 pub use f90d_comm as comm;
