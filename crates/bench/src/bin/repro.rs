@@ -245,85 +245,63 @@ fn main() {
             }
         }
     }
-    // The harness flags only make sense for the matrix experiment; they
-    // imply it, and combining them with another --exp is an error rather
-    // than a silently-skipped regression gate.
-    let matrix_flags = jobs.is_some()
-        || out.is_some()
-        || baseline.is_some()
-        || wall_tol.is_some()
-        || repeat > 1
-        || !sched_cache
-        || exec != ExecMode::Sequential
-        || workers.is_some()
-        || !native;
-    if which == "vmcmp" {
-        // Like overlap, the experiment fixes its own cells and always
-        // runs every tier; reject flags it would otherwise ignore.
-        if jobs.is_some()
-            || baseline.is_some()
-            || wall_tol.is_some()
-            || repeat > 1
-            || !sched_cache
-            || exec != ExecMode::Sequential
-            || workers.is_some()
-            || !native
-            || n_arg
-            || backend_arg
-        {
-            eprintln!("--exp vmcmp accepts only --quick, --out and --gate (it always runs all three tiers at its own sizes)");
+    // Which tuning flags were given. An experiment honours the ones it
+    // names; any other is an error rather than a silently ignored request
+    // (or a silently skipped regression gate).
+    let given: Vec<&str> = [
+        ("--jobs", jobs.is_some()),
+        ("--out", out.is_some()),
+        ("--baseline", baseline.is_some()),
+        ("--wall-tol", wall_tol.is_some()),
+        ("--repeat", repeat > 1),
+        ("--no-sched-cache", !sched_cache),
+        ("--exec", exec != ExecMode::Sequential),
+        ("--workers", workers.is_some()),
+        ("--no-native", !native),
+        ("--n", n_arg),
+        ("--backend", backend_arg),
+        ("--gate", gate.is_some()),
+    ]
+    .into_iter()
+    .filter_map(|(flag, was_given)| was_given.then_some(flag))
+    .collect();
+    let accept_only = |accepted: &[&str], msg: &str| {
+        if given.iter().any(|flag| !accepted.contains(flag)) {
+            eprintln!("{msg}");
             std::process::exit(2);
         }
-        exp_vmcmp(quick, out, gate);
-        return;
-    }
-    if which == "commplan" {
-        // Fixed cells like overlap/vmcmp: both machine models, both
-        // backends, planner off vs on, at its own sizes.
-        if jobs.is_some()
-            || baseline.is_some()
-            || wall_tol.is_some()
-            || repeat > 1
-            || !sched_cache
-            || exec != ExecMode::Sequential
-            || workers.is_some()
-            || !native
-            || n_arg
-            || backend_arg
-        {
-            eprintln!("--exp commplan accepts only --quick, --out and --gate (it always runs both backends at its own sizes)");
-            std::process::exit(2);
+    };
+    // The fixed-cell experiments choose their own sizes, backends and
+    // tiers, so they take (besides --quick) only these.
+    match which.as_str() {
+        "vmcmp" => {
+            accept_only(&["--out", "--gate"], "--exp vmcmp accepts only --quick, --out and --gate (it always runs all three tiers at its own sizes)");
+            return exp_vmcmp(quick, out, gate);
         }
-        exp_commplan(quick, out, gate);
-        return;
-    }
-    if which == "scaling" {
-        // Fixed sweep (workloads × topologies × P, contention off/on)
-        // with committed gates — no tunable flags beyond --quick/--out.
-        if jobs.is_some()
-            || baseline.is_some()
-            || wall_tol.is_some()
-            || repeat > 1
-            || !sched_cache
-            || exec != ExecMode::Sequential
-            || workers.is_some()
-            || !native
-            || n_arg
-            || backend_arg
-            || gate.is_some()
-        {
-            eprintln!(
-                "--exp scaling accepts only --quick and --out (its gates are committed constants)"
+        "commplan" => {
+            accept_only(&["--out", "--gate"], "--exp commplan accepts only --quick, --out and --gate (it always runs both backends at its own sizes)");
+            return exp_commplan(quick, out, gate);
+        }
+        "scaling" => {
+            accept_only(
+                &["--out"],
+                "--exp scaling accepts only --quick and --out (its gates are committed constants)",
             );
-            std::process::exit(2);
+            return exp_scaling(quick, out);
         }
-        exp_scaling(quick, out);
-        return;
+        _ => {}
     }
     if gate.is_some() {
         eprintln!("--gate is a claim gate; it requires --exp vmcmp (native speedup) or --exp commplan (planner speedup)");
         std::process::exit(2);
     }
+    if which == "overlap" {
+        accept_only(&["--out"], "--exp overlap accepts only --quick and --out (it always runs both backends at its own sizes)");
+        return exp_overlap(quick, out);
+    }
+    // The harness flags imply the matrix experiment; combining them with
+    // another --exp is an error.
+    let matrix_flags = given.iter().any(|f| !["--n", "--backend"].contains(f));
     if matrix_flags && which == "all" {
         which = "matrix".into();
     }
@@ -340,27 +318,6 @@ fn main() {
             workers,
             native,
         );
-        return;
-    }
-    if which == "overlap" {
-        // The experiment fixes its own cell (both backends, Jacobi sizes
-        // per --quick); reject ignored flags instead of silently running
-        // something other than what was asked for.
-        if jobs.is_some()
-            || baseline.is_some()
-            || wall_tol.is_some()
-            || repeat > 1
-            || !sched_cache
-            || exec != ExecMode::Sequential
-            || workers.is_some()
-            || !native
-            || n_arg
-            || backend_arg
-        {
-            eprintln!("--exp overlap accepts only --quick and --out (it always runs both backends at its own sizes)");
-            std::process::exit(2);
-        }
-        exp_overlap(quick, out);
         return;
     }
     if matrix_flags {

@@ -11,8 +11,8 @@
 //! [`diff_baseline`] compares a run against a committed `results.json`
 //! bit-exactly on the virtual metrics while only reporting wall clock.
 //!
-//! The shared hot state is two process-wide sharded caches: the VM
-//! program cache (`f90d_vm::ProgramCache` — one lowering per (source,
+//! The shared hot state is two process-wide build-once caches: the VM
+//! program cache (`f90d_core::vm_cache` — one lowering per (source,
 //! options, grid) key) and the schedule cache
 //! (`f90d_comm::sched_cache` — one inspector build per (kind, grid,
 //! request-pattern) key, across cells *and* across repeated matrix

@@ -49,6 +49,35 @@ fn other_bad_flags_still_exit_2() {
     expect_exit_2(&["--frobnicate"], "unknown argument");
 }
 
+/// The fixed-cell experiments reject every flag they would ignore.
+#[test]
+fn fixed_cell_experiments_reject_ignored_flags() {
+    expect_exit_2(
+        &["--exp", "vmcmp", "--backend", "vm"],
+        "--exp vmcmp accepts only --quick, --out and --gate",
+    );
+    expect_exit_2(
+        &["--exp", "commplan", "--jobs", "2"],
+        "--exp commplan accepts only --quick, --out and --gate",
+    );
+    expect_exit_2(
+        &["--exp", "scaling", "--gate", "1.5"],
+        "--exp scaling accepts only --quick and --out",
+    );
+    expect_exit_2(
+        &["--exp", "overlap", "--n", "64"],
+        "--exp overlap accepts only --quick and --out",
+    );
+    expect_exit_2(
+        &["--exp", "overlap", "--gate", "2"],
+        "--gate is a claim gate",
+    );
+    expect_exit_2(
+        &["--exp", "fig5", "--repeat", "2"],
+        "require the matrix experiment (--exp matrix), not --exp fig5",
+    );
+}
+
 #[test]
 fn help_prints_usage_and_exits_0() {
     for flag in ["--help", "-h"] {

@@ -48,7 +48,7 @@
 //! message (paper §7 optimization 1). Schedules are reusable; executing a
 //! saved schedule skips the preprocessing cost entirely (§7 optimization 3).
 //! The process-wide [`sched_cache`] extends that reuse *across* runs:
-//! executors fetch built schedules from a sharded full-pattern-keyed map
+//! executors fetch built schedules from a full-pattern-keyed build-once map
 //! (skipping the wall-clock rebuild) while still charging the modelled
 //! inspector cost per run, so virtual metrics are cache-independent.
 //!
@@ -78,5 +78,5 @@ pub mod structured;
 pub use driver::{CommDriver, ComputeSink, PhaseOutcome};
 pub use op::{CommError, CommOp, CommResult};
 pub use reduce::ReduceOp;
-pub use sched_cache::{RunSchedules, SchedCache, SchedKey};
+pub use sched_cache::{RunSchedules, SchedKey};
 pub use schedule::{Schedule, ScheduleKind};

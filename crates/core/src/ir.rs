@@ -245,7 +245,7 @@ pub enum SStmt {
 }
 
 /// A compiled SPMD program.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SProgram {
     /// Logical grid shape.
     pub grid_shape: Vec<i64>,

@@ -61,9 +61,9 @@ pub mod vmlower;
 use std::sync::{Arc, OnceLock};
 
 use f90d_frontend::sema::AnalyzedProgram;
-use f90d_machine::Machine;
+use f90d_machine::{Machine, OnceMap};
 use f90d_vm::cache::fnv1a;
-use f90d_vm::{ProgramCache, VmProgram};
+use f90d_vm::VmProgram;
 
 pub use exec::{ExecReport, Executor};
 pub use options::{Backend, CompileOptions, OptFlags};
@@ -187,7 +187,7 @@ impl Compiled {
     }
 
     /// The lowered bytecode program, via the global cache keyed by
-    /// (source hash, options, grid): repeated runs skip lowering.
+    /// [`ProgramKey`]: repeated runs skip lowering.
     pub fn vm_program(&self) -> Result<Arc<VmProgram>, String> {
         self.vm_program_traced().map(|(p, _)| p)
     }
@@ -195,42 +195,25 @@ impl Compiled {
     /// [`Compiled::vm_program`] that also reports whether the lookup was
     /// a cache hit.
     pub fn vm_program_traced(&self) -> Result<(Arc<VmProgram>, bool), String> {
-        vm_cache().get_or_lower_traced(self.vm_cache_key(), || {
-            vmlower::lower_with(&self.spmd, self.options.opt.native_kernels)
-        })
-    }
-
-    fn vm_cache_key(&self) -> u64 {
-        // Exhaustive destructuring: adding an OptFlags field without
-        // extending the cache key is a compile error, not a silent
-        // cross-configuration cache hit.
-        let OptFlags {
-            merge_comm,
-            schedule_reuse,
-            fuse_multicast_shift,
-            hoist_invariant_comm,
-            overlap_shift,
-            comm_compute_overlap,
-            comm_plan,
-            native_kernels,
-        } = self.options.opt;
-        let mut bytes = self.source_hash.to_le_bytes().to_vec();
-        for flag in [
-            merge_comm,
-            schedule_reuse,
-            fuse_multicast_shift,
-            hoist_invariant_comm,
-            overlap_shift,
-            comm_compute_overlap,
-            comm_plan,
-            native_kernels,
-        ] {
-            bytes.push(flag as u8);
+        let lower = || vmlower::lower_with(&self.spmd, self.options.opt.native_kernels);
+        let key = ProgramKey {
+            source_hash: self.source_hash,
+            opt: self.options.opt.clone(),
+            grid: self.spmd.grid_shape.clone(),
+        };
+        let (entry, hit) = vm_cache().get_or_try_build(&key, || {
+            Ok::<_, String>(LoweredProgram {
+                spmd: self.spmd.clone(),
+                program: Arc::new(lower()?),
+            })
+        })?;
+        if entry.spmd == self.spmd {
+            Ok((Arc::clone(&entry.program), hit))
+        } else {
+            // `source_hash` is a hash (and a public field): another
+            // program owns this key. Equality decides — lower privately.
+            Ok((Arc::new(lower()?), false))
         }
-        for e in &self.spmd.grid_shape {
-            bytes.extend_from_slice(&e.to_le_bytes());
-        }
-        fnv1a(&bytes)
     }
 
     /// Render the generated node program as Fortran 77 + MP text.
@@ -239,21 +222,43 @@ impl Compiled {
     }
 }
 
+/// Programs kept in [`vm_cache`] — the bound of the daemon's compile
+/// cache in front of it.
+pub const PROGRAM_CACHE_CAP: usize = 512;
+
+/// Identity of a lowering in [`vm_cache`]: everything besides the node
+/// program itself that `vmlower` and the engine setup depend on. The
+/// whole [`OptFlags`] is a field, so a new flag extends the key.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct ProgramKey {
+    source_hash: u64,
+    opt: OptFlags,
+    grid: Vec<i64>,
+}
+
+/// A [`vm_cache`] entry: the bytecode plus the node program it was
+/// lowered from, which a hit is checked against — `source_hash` can
+/// collide, and a colliding program must not run this one's bytecode.
+#[derive(Debug)]
+pub struct LoweredProgram {
+    spmd: ir::SProgram,
+    program: Arc<VmProgram>,
+}
+
 /// The process-wide bytecode program cache.
-pub fn vm_cache() -> &'static ProgramCache {
-    static CACHE: OnceLock<ProgramCache> = OnceLock::new();
-    CACHE.get_or_init(ProgramCache::new)
+pub fn vm_cache() -> &'static OnceMap<ProgramKey, LoweredProgram> {
+    static CACHE: OnceLock<OnceMap<ProgramKey, LoweredProgram>> = OnceLock::new();
+    CACHE.get_or_init(|| OnceMap::new(PROGRAM_CACHE_CAP))
 }
 
 // The parallel repro harness compiles once and runs the same `Compiled`
-// from many workers sharing one `ProgramCache`; losing either bound (for
+// from many workers sharing `vm_cache()`; losing either bound (for
 // example by putting an `Rc` in the IR) is a compile error here, not a
 // runtime surprise there.
 const _: fn() = || {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Compiled>();
-    assert_send_sync::<ProgramCache>();
-    assert_send_sync::<Arc<VmProgram>>();
+    assert_send_sync::<OnceMap<ProgramKey, LoweredProgram>>();
 };
 
 /// Compile Fortran 90D/HPF source text.

@@ -4,7 +4,7 @@ use f90d_machine::ExecMode;
 
 /// Optimization switches — each corresponds to one of the paper's §7
 /// communication optimizations and is exercised by an ablation benchmark.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct OptFlags {
     /// §7(2): replace the union of overlapping communications by a single
     /// primitive (duplicate-comm elimination inside one FORALL).

@@ -1,7 +1,7 @@
 //! End-to-end concurrency: many workers compiling and running the same
 //! and different programs through the process-wide VM program cache must
-//! produce bit-identical reports, share one lowering per key, and keep
-//! the counters exact.
+//! produce bit-identical reports, share one lowering per key, keep the
+//! counters exact, and stay within the cache's bound.
 //!
 //! Everything lives in ONE test function: the assertions are deltas on
 //! the global `vm_cache()` counters, so no other cache user may run
@@ -9,7 +9,7 @@
 
 use std::sync::Barrier;
 
-use f90d_core::{compile, vm_cache, Backend, CompileOptions};
+use f90d_core::{compile, vm_cache, Backend, CompileOptions, PROGRAM_CACHE_CAP};
 use f90d_distrib::ProcGrid;
 use f90d_machine::{Machine, MachineSpec};
 
@@ -106,4 +106,16 @@ fn concurrent_compiled_runs_share_one_lowering() {
         assert_eq!(rep.elapsed.to_bits(), conc.0.to_bits(), "n={n}");
         assert_eq!((rep.messages, rep.bytes), (conc.1, conc.2), "n={n}");
     }
+
+    // Phase 3 — the bound at the real cap: 3 × CAP distinct keys (one
+    // program under 3 × CAP `source_hash`es) each lower exactly once and
+    // at most CAP lowerings stay resident.
+    let mut compiled = compile(&src, &opts).unwrap();
+    let m2 = vm_cache().misses();
+    for hash in 0..3 * PROGRAM_CACHE_CAP as u64 {
+        compiled.source_hash = hash;
+        assert!(!compiled.vm_program_traced().unwrap().1, "hash {hash}");
+    }
+    assert_eq!(vm_cache().misses() - m2, 3 * PROGRAM_CACHE_CAP as u64);
+    assert_eq!(vm_cache().len(), PROGRAM_CACHE_CAP);
 }

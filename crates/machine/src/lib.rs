@@ -37,6 +37,9 @@
 //!   that keeps `harness jobs × per-machine workers` within the host's
 //!   parallelism (machines lease workers per run and degrade gracefully
 //!   to sequential when the budget is exhausted).
+//! * [`once_map`] — the one keyed build-once cache ([`OnceMap`]) that the
+//!   program, schedule and compile caches of the crates above are
+//!   instances of.
 //!
 //! Virtual time: every node has a clock. Local computation advances one
 //! node's clock by a modelled cost; a message from `s` to `d` of `m` bytes
@@ -51,6 +54,7 @@ pub mod machine;
 pub mod memory;
 pub mod mpool;
 pub mod net;
+pub mod once_map;
 pub mod pool;
 pub mod spec;
 pub mod transport;
@@ -61,6 +65,7 @@ pub use machine::{ExecMode, Machine, MachineStats};
 pub use memory::{LocalArray, NodeMemory};
 pub use mpool::MachinePool;
 pub use net::{LinkClocks, LinkId};
+pub use once_map::OnceMap;
 pub use pool::WorkerPool;
 pub use spec::{MachineSpec, SpecError, Topology};
 pub use transport::{MailboxTransport, RecvHandle, Transport, TransportError};

@@ -18,17 +18,16 @@
 //! cache ([`f90d_comm::sched_cache`]) and the [`MachinePool`]. Each
 //! response reports which of those fired for it.
 
-use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use f90d_core::{compile, Compiled};
-use f90d_machine::{budget, MachinePool};
+use f90d_machine::{budget, MachinePool, OnceMap};
 use serde::json::{Json, ParseLimits};
 
 use crate::admission::Admission;
@@ -39,8 +38,9 @@ use crate::protocol::{
 };
 use crate::telemetry::ServerStats;
 
-/// Compiled programs kept server-side before an epoch-style clear.
-const COMPILED_CACHE_CAP: usize = 512;
+/// Compiled programs kept server-side (a request key holds its whole
+/// source, up to the request-line cap).
+const COMPILE_CACHE_CAP: usize = 512;
 
 /// Daemon configuration (the binary's flags map onto this 1:1).
 #[derive(Debug, Clone)]
@@ -85,7 +85,7 @@ pub struct ServerState {
     pub pool: MachinePool,
     admission: Admission,
     inflight: Arc<Inflight<RunRequest, JobResult>>,
-    compiled: Mutex<HashMap<RunRequest, Arc<Compiled>>>,
+    compiled: OnceMap<RunRequest, Compiled>,
     shutdown: AtomicBool,
 }
 
@@ -99,7 +99,7 @@ impl ServerState {
             pool,
             admission,
             inflight: Arc::new(Inflight::new()),
-            compiled: Mutex::new(HashMap::new()),
+            compiled: OnceMap::new(COMPILE_CACHE_CAP),
             shutdown: AtomicBool::new(false),
         }
     }
@@ -121,26 +121,19 @@ impl ServerState {
     /// The compiled program for `req`, via the server-side cache.
     /// Returns the program and whether the lookup hit.
     fn compiled_for(&self, req: &RunRequest) -> Result<(Arc<Compiled>, bool), Reject> {
-        if let Some(hit) = self.compiled.lock().unwrap().get(req) {
-            ServerStats::bump(&self.stats.compile_cache_hits);
-            return Ok((Arc::clone(hit), true));
-        }
-        // Compile outside the lock: the frontend is the expensive part,
-        // and concurrent *distinct* jobs must not serialize behind it.
-        let compiled = compile(&req.source, &req.compile_options()).map_err(|e| {
-            ServerStats::bump(&self.stats.compile_errors);
-            Reject::new(422, format!("compile error: {e}"))
-        })?;
-        ServerStats::bump(&self.stats.compile_cache_misses);
-        let arc = Arc::new(compiled);
-        let mut map = self.compiled.lock().unwrap();
-        if map.len() >= COMPILED_CACHE_CAP {
-            // Epoch-style clear, like the schedule cache: rebuild cost is
-            // bounded and the map can never grow without bound.
-            map.clear();
-        }
-        map.insert(req.clone(), Arc::clone(&arc));
-        Ok((arc, false))
+        let (compiled, hit) = self
+            .compiled
+            .get_or_try_build(req, || compile(&req.source, &req.compile_options()))
+            .map_err(|e| {
+                ServerStats::bump(&self.stats.compile_errors);
+                Reject::new(422, format!("compile error: {e}"))
+            })?;
+        ServerStats::bump(if hit {
+            &self.stats.compile_cache_hits
+        } else {
+            &self.stats.compile_cache_misses
+        });
+        Ok((compiled, hit))
     }
 
     /// Execute one job (the dedup leader's path).
@@ -539,6 +532,7 @@ pub fn install_sigterm_handler() {}
 mod tests {
     use super::*;
     use std::io::Cursor;
+    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn capped_reader_splits_lines_and_flags_overflow() {
@@ -588,5 +582,45 @@ mod tests {
             panic!()
         };
         assert_eq!(l, b"next");
+    }
+
+    /// The compile cache at its real cap, through the server's own
+    /// lookup: 3 × CAP distinct jobs compile once each and at most CAP
+    /// stay; non-compiling sources count as errors, never as misses, and
+    /// leave no entry (a request key holds its whole source).
+    #[test]
+    fn compile_cache_is_bounded_and_keeps_no_failed_source() {
+        let state = ServerState::new(ServeConfig::default());
+        let job = |source: String| RunRequest {
+            source,
+            grid: vec![2],
+            machine: "ideal".to_string(),
+            backend: f90d_core::Backend::Vm,
+            sched_cache: true,
+            threaded: false,
+            overlap: false,
+        };
+        let load = |n: &AtomicU64| n.load(Ordering::Relaxed);
+        for i in 0..3 * COMPILE_CACHE_CAP {
+            let bad = job(format!("PROGRAM BAD{i}\nTHIS IS NOT FORTRAN(\nEND\n"));
+            assert_eq!(state.compiled_for(&bad).unwrap_err().code, 422);
+        }
+        assert_eq!(
+            load(&state.stats.compile_errors),
+            3 * COMPILE_CACHE_CAP as u64
+        );
+        assert_eq!(load(&state.stats.compile_cache_misses), 0);
+        assert!(state.compiled.is_empty());
+
+        for i in 0..3 * COMPILE_CACHE_CAP {
+            let good = job(format!("PROGRAM P{i}\nREAL X\nX = {i}.0\nEND\n"));
+            assert!(!state.compiled_for(&good).unwrap().1, "job {i} hit");
+        }
+        assert_eq!(
+            load(&state.stats.compile_cache_misses),
+            3 * COMPILE_CACHE_CAP as u64
+        );
+        assert_eq!(load(&state.stats.compile_cache_hits), 0);
+        assert_eq!(state.compiled.len(), COMPILE_CACHE_CAP);
     }
 }

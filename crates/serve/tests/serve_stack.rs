@@ -13,6 +13,7 @@
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 use f90d_core::{compile, Backend};
 use f90d_machine::{budget, Machine, MachineSpec};
@@ -419,16 +420,24 @@ fn overload_gets_a_structured_429() {
     let addr = handle.addr;
     let state = Arc::clone(handle.state());
 
+    // The blocker must outlast the observer below by a wide margin on
+    // any build profile: 250 sweeps of N=128 run ~150 ms optimized (~3 s
+    // unoptimized), against microseconds per poll.
     let slow = std::thread::spawn(move || {
         let mut c = Client::connect(addr).unwrap();
-        c.run(&run_req(jacobi(64, 8), vec![2, 2])).unwrap()
+        c.run(&run_req(jacobi(128, 250), vec![2, 2])).unwrap()
     });
     // Wait until the slow job holds the run slot.
-    loop {
-        let stats = state.stats_json();
-        if num(&stats, &["stats", "admission", "running"]) >= 1.0 {
-            break;
-        }
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while num(&state.stats_json(), &["stats", "admission", "running"]) < 1.0 {
+        assert!(
+            !slow.is_finished(),
+            "the blocking job finished before it was seen running: enlarge it"
+        );
+        assert!(
+            Instant::now() < deadline,
+            "the blocking job never took its run slot"
+        );
         std::thread::yield_now();
     }
     let mut c = Client::connect(addr).unwrap();

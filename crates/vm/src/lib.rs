@@ -41,7 +41,8 @@
 //!   when a kernel's preconditions fail.
 //! * [`ops`] — value-level operator semantics, shared with the tree
 //!   walker so the two backends cannot diverge.
-//! * [`cache`] — keyed program cache so repeated runs skip lowering.
+//! * [`cache`] — the `fnv1a` content hash (the program cache itself is
+//!   `f90d_core::vm_cache()`).
 
 #![warn(missing_docs)]
 
@@ -54,5 +55,4 @@ pub mod ops;
 pub mod stmt;
 
 pub use bytecode::VmProgram;
-pub use cache::ProgramCache;
 pub use engine::{Engine, RunReport, VmError};

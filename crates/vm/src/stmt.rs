@@ -21,7 +21,7 @@ use f90d_machine::ElemType;
 pub type ArrId = usize;
 
 /// One distributed (or replicated) array of the compiled program.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArrayDecl {
     /// Source-level (or temporary) name, as allocated on node memories.
     pub name: String,

@@ -237,3 +237,54 @@ fn vm_backend_experiment_runners_agree_with_treewalk() {
         "modelled elimination time must not depend on the backend"
     );
 }
+
+/// One tiny VM-backend program per `word`, printing it.
+fn printing_program(word: &str) -> fortran90d::compiler::Compiled {
+    use fortran90d::compiler::Backend;
+    let src = format!(
+        "
+PROGRAM SAYS
+REAL A(8)
+C$ DISTRIBUTE A(BLOCK)
+FORALL (I=1:8) A(I) = 1.0
+PRINT *, '{word}'
+END
+"
+    );
+    let opts = CompileOptions::on_grid(&[4]).with_backend(Backend::Vm);
+    compile(&src, &opts).unwrap()
+}
+
+/// Run on a fresh machine: what was printed, and the program-cache outcome.
+fn printed_and_hit(c: &fortran90d::compiler::Compiled) -> (Vec<String>, Option<bool>) {
+    let mut m = Machine::new(MachineSpec::ideal(), ProcGrid::new(&[4]));
+    let (report, trace) = c.run_on_traced(&mut m).unwrap();
+    (report.printed, trace.program_cache_hit)
+}
+
+#[test]
+fn program_cache_lowers_once_per_compiled_program() {
+    use fortran90d::compiler::vm_cache;
+    let compiled = printing_program("once");
+    let len0 = vm_cache().len();
+    let outcomes: Vec<_> = (0..3).map(|_| printed_and_hit(&compiled).1).collect();
+    assert_eq!(outcomes, [Some(false), Some(true), Some(true)]);
+    // Other tests of this binary lower concurrently, so "by one" is ≥.
+    assert!(vm_cache().len() > len0, "the lowering was not retained");
+}
+
+/// `source_hash` is a hash: two tenants' sources can share it (here the
+/// public field is simply set). Each must still run its own bytecode.
+#[test]
+fn program_cache_collision_runs_each_programs_own_bytecode() {
+    let mine = printing_program("mine");
+    let mut theirs = printing_program("theirs");
+    theirs.source_hash = mine.source_hash;
+    assert_eq!(printed_and_hit(&mine), (vec!["mine".into()], Some(false)));
+    assert_eq!(
+        printed_and_hit(&theirs),
+        (vec!["theirs".into()], Some(false)),
+        "a colliding key must not read as a hit"
+    );
+    assert_eq!(printed_and_hit(&mine), (vec!["mine".into()], Some(true)));
+}
