@@ -5,9 +5,12 @@
 //! Non-matching shapes (masks, unstructured subscripts) and non-binding
 //! dispatches (CYCLIC mappings) must fall back to bytecode, counted.
 
+use std::collections::HashMap;
+
+use f90d_core::reference::run_reference;
 use f90d_core::{compile, Backend, CompileOptions, RunTrace};
 use f90d_distrib::ProcGrid;
-use f90d_machine::{ArrayData, Machine, MachineSpec};
+use f90d_machine::{budget, ArrayData, ExecMode, Machine, MachineSpec};
 
 fn jacobi(n: i64, iters: i64) -> String {
     format!(
@@ -40,10 +43,21 @@ fn run_vm(
     arrays: &[&str],
     native: bool,
 ) -> (Vec<ArrayData>, f64, u64, u64, Vec<String>, RunTrace) {
+    run_vm_mode(src, grid, arrays, native, ExecMode::Sequential)
+}
+
+/// [`run_vm`] under a chosen local-phase execution mode.
+fn run_vm_mode(
+    src: &str,
+    grid: &[i64],
+    arrays: &[&str],
+    native: bool,
+    exec: ExecMode,
+) -> (Vec<ArrayData>, f64, u64, u64, Vec<String>, RunTrace) {
     let mut opts = CompileOptions::on_grid(grid).with_backend(Backend::Vm);
     opts.opt.native_kernels = native;
-    let compiled = compile(src, &opts).expect("compiles");
-    let mut m = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(grid));
+    let compiled = compile(src, &opts).unwrap_or_else(|e| panic!("compile failed: {e}\n{src}"));
+    let mut m = Machine::with_mode(MachineSpec::ipsc860(), ProcGrid::new(grid), exec);
     let (rep, trace) = compiled.run_on_traced(&mut m).expect("runs");
     let prog = compiled.vm_program().expect("lowers");
     let eng = f90d_vm::Engine::new_preserving(prog, &mut m);
@@ -239,4 +253,193 @@ fn overlap_split_phase_counts_as_fallback() {
     // The 2 stencil sweeps run split-phase (fallback); the non-stencil
     // FORALLs (2 inits + 2 copies) still dispatch native.
     assert_eq!((tr.native_matched, tr.native_fallback), (4, 2));
+}
+
+/// One FORALL shape the row path has to get right: `body` runs after
+/// the shared 2-D prologue (or is a whole program when it starts with
+/// `PROGRAM`), on `grid`, and every one of its `foralls` FORALL
+/// executions must dispatch native.
+struct RowCase {
+    label: &'static str,
+    body: &'static str,
+    grid: &'static [i64],
+    foralls: u64,
+}
+
+/// `B`, `U` (2-D) and `V` (1-D, replicated along the second grid axis)
+/// filled with sign-mixed non-dyadic values; `A` is the usual target.
+const PROLOGUE_2D: &str = "
+INTEGER, PARAMETER :: N = 16
+REAL A(N,N), B(N,N), U(N,N), V(N)
+C$ TEMPLATE T(N,N)
+C$ ALIGN A(I,J) WITH T(I,J)
+C$ ALIGN B(I,J) WITH T(I,J)
+C$ ALIGN U(I,J) WITH T(I,J)
+C$ ALIGN V(I) WITH T(I,*)
+C$ DISTRIBUTE T(BLOCK,BLOCK)
+FORALL (I=1:N, J=1:N) A(I,J) = -1.0
+FORALL (I=1:N, J=1:N) B(I,J) = REAL(I*N+J)/3.0 - 40.0
+FORALL (I=1:N, J=1:N) U(I,J) = REAL(I-2*J)*0.7
+FORALL (I=1:N) V(I) = 1.0/REAL(I+2)
+";
+
+const ROW_CASES: &[RowCase] = &[
+    RowCase {
+        label: "strided inner loop",
+        body: "FORALL (I=1:N, J=1:N:3) A(I,J) = B(I,J)*2.0 - U(I,J)",
+        grid: &[2, 2],
+        foralls: 1,
+    },
+    RowCase {
+        label: "negative-step read along the row",
+        body: "FORALL (I=1:N, J=1:N) A(I,J) = B(I,N+1-J) - U(I,J)",
+        grid: &[2, 1],
+        foralls: 1,
+    },
+    RowCase {
+        label: "negative-step strided write",
+        body: "FORALL (I=1:N, J=1:N:2) A(I,N+1-J) = B(I,J) + 0.5",
+        grid: &[2, 1],
+        foralls: 1,
+    },
+    RowCase {
+        label: "inner-invariant (stride-0) read",
+        body: "FORALL (I=1:N, J=1:N) A(I,J) = B(I,J)*V(I) + V(I)/3.0",
+        grid: &[2, 2],
+        foralls: 1,
+    },
+    RowCase {
+        label: "in-place stencil across rows (must stage)",
+        body: "FORALL (I=2:N, J=1:N) U(I,J) = 0.5*(U(I-1,J) + U(I,J))",
+        grid: &[2, 2],
+        foralls: 1,
+    },
+    RowCase {
+        label: "in-place stencil along the row (must stage)",
+        body: "FORALL (I=1:N, J=2:N) U(I,J) = 0.5*(U(I,J-1) + U(I,J))",
+        grid: &[2, 1],
+        foralls: 1,
+    },
+    RowCase {
+        label: "many-to-one LHS (last J wins)",
+        body: "FORALL (I=1:N, J=1:N) A(I,1) = B(I,J)",
+        grid: &[2, 1],
+        foralls: 1,
+    },
+    RowCase {
+        label: "FORALL construct whose statements write overlapping locations",
+        body: "FORALL (I=1:N, J=1:N-1)
+  A(I,J) = B(I,J)
+  A(I,J+1) = A(I,J) + U(I,J)
+END FORALL",
+        grid: &[2, 1],
+        foralls: 2,
+    },
+    RowCase {
+        label: "length-1 rows",
+        body: "FORALL (I=1:N, J=5:5) A(I,J) = B(I,J)*3.0 - U(I,J-1)",
+        grid: &[2, 1],
+        foralls: 1,
+    },
+    RowCase {
+        label: "1-D FORALL down a column of a 2-D array",
+        body: "FORALL (I=1:N) A(I,3) = B(I,3) + V(I)",
+        grid: &[2, 2],
+        foralls: 1,
+    },
+    RowCase {
+        label: "inner variable on the first dimension (strided rows)",
+        body: "FORALL (I=1:N, J=1:N) A(J,I) = B(J,I) + U(J,I)*0.25",
+        grid: &[2, 2],
+        foralls: 1,
+    },
+    RowCase {
+        label: "rank-1 update with the row multiplier hoisted",
+        body: "PROGRAM G
+INTEGER, PARAMETER :: N = 16
+REAL A(N,N)
+INTEGER K
+C$ DISTRIBUTE A(*, BLOCK)
+FORALL (I=1:N, J=1:N) A(I,J) = 1.0/REAL(I+J)
+FORALL (I=1:N) A(I,I) = A(I,I) + 2.0
+DO K = 1, N-1
+  FORALL (I=K+1:N, J=K+1:N) A(I,J) = A(I,J) - A(I,K)/A(K,K)*A(K,J)
+END DO
+END",
+        grid: &[4],
+        foralls: 17,
+    },
+    RowCase {
+        label: "3-D FORALL",
+        body: "PROGRAM P3
+INTEGER, PARAMETER :: N = 8
+REAL A(N,N,N), B(N,N,N)
+C$ TEMPLATE T(N,N,N)
+C$ ALIGN A(I,J,K) WITH T(I,J,K)
+C$ ALIGN B(I,J,K) WITH T(I,J,K)
+C$ DISTRIBUTE T(BLOCK,*,BLOCK)
+FORALL (I=1:N, J=1:N, K=1:N) B(I,J,K) = REAL(I+3*J-K)/7.0
+FORALL (I=1:N, J=2:N, K=1:N) A(I,J,K) = B(I,J,K) - B(I,J-1,K)*0.5 + REAL(K)
+END",
+        grid: &[2, 2],
+        foralls: 2,
+    },
+];
+
+/// The row kernels against every other evaluator of the language: each
+/// shape dispatches native on every FORALL execution and is
+/// bit-identical — arrays, PRINT, virtual time, messages, bytes — to the
+/// bytecode tier and the tree walker, sequential and threaded, with the
+/// arrays also matching the sequential reference interpreter.
+#[test]
+fn row_kernels_agree_with_every_other_tier() {
+    budget::global().ensure_total_at_least(8);
+    for case in ROW_CASES {
+        let (src, arrays, prologue_foralls): (String, &[&str], u64) =
+            if case.body.starts_with("PROGRAM") {
+                (format!("{}\n", case.body), &["A"], 0)
+            } else {
+                let src = format!("PROGRAM ROWS{PROLOGUE_2D}{}\nEND\n", case.body);
+                (src, &["A", "U"], 4)
+            };
+        let label = case.label;
+        let (nat, nat_t, nat_msg, nat_b, nat_out, tr) = run_vm(&src, case.grid, arrays, true);
+        assert_eq!(
+            (tr.native_matched, tr.native_fallback),
+            (case.foralls + prologue_foralls, 0),
+            "{label}: every FORALL should dispatch native\n{src}"
+        );
+        let (thr, thr_t, thr_msg, thr_b, thr_out, thr_tr) =
+            run_vm_mode(&src, case.grid, arrays, true, ExecMode::Threaded);
+        assert_eq!(thr_tr.native_matched, tr.native_matched, "{label}");
+        assert_eq!(nat, thr, "{label}: sequential vs threaded images");
+        assert_eq!(
+            (nat_t.to_bits(), nat_msg, nat_b, &nat_out),
+            (thr_t.to_bits(), thr_msg, thr_b, &thr_out),
+            "{label}: sequential vs threaded"
+        );
+        let (vm, vm_t, vm_msg, vm_b, vm_out, vm_tr) = run_vm(&src, case.grid, arrays, false);
+        assert_eq!(vm_tr.native_matched, 0, "{label}");
+        assert_eq!(nat, vm, "{label}: native vs bytecode images\n{src}");
+        assert_eq!(
+            (nat_t.to_bits(), nat_msg, nat_b, &nat_out),
+            (vm_t.to_bits(), vm_msg, vm_b, &vm_out),
+            "{label}: native vs bytecode"
+        );
+        let (tw, tw_t, tw_msg, tw_b) = run_treewalk(&src, case.grid, arrays);
+        assert_eq!(nat, tw, "{label}: native vs tree-walk images");
+        assert_eq!(
+            (nat_t.to_bits(), nat_msg, nat_b),
+            (tw_t.to_bits(), tw_msg, tw_b),
+            "{label}: native vs tree walk"
+        );
+        let compiled = compile(&src, &CompileOptions::on_grid(case.grid)).expect("compiles");
+        let reference = run_reference(&compiled.analyzed, &HashMap::new()).expect("reference runs");
+        for (name, img) in arrays.iter().zip(&nat) {
+            assert_eq!(
+                img, &reference.arrays[*name].data,
+                "{label}: array {name} vs the reference interpreter\n{src}"
+            );
+        }
+    }
 }

@@ -1,5 +1,6 @@
 //! Differential property test for the execution backends: random FORALL
-//! programs (1-D and 2-D, random distributions, shifts, masks) must
+//! programs (1-D and 2-D, random distributions, shifts, masks, strided
+//! innermost loops, inner-invariant reads, in-place updates) must
 //! produce **bit-identical** arrays under `Backend::TreeWalk`,
 //! `Backend::Vm` — with the native kernel tier both on (the default;
 //! unmasked BLOCK samples dispatch to the monomorphized closures) and
@@ -29,6 +30,13 @@ struct RandProgram {
     shift2: i64,
     scale: f64,
     masked: bool,
+    /// Stride of the innermost FORALL variable.
+    stride: i64,
+    /// Add a read that does not depend on the innermost variable.
+    invariant: bool,
+    /// The second FORALL reads its own LHS array at the shifted site, so
+    /// the write must not land before the read.
+    inplace: bool,
     grid: Vec<i64>,
     exec: ExecMode,
 }
@@ -45,8 +53,15 @@ fn program(p: &RandProgram) -> String {
     let n = p.n;
     let pad = p.shift1.abs().max(p.shift2.abs());
     let (lo, hi) = (1 + pad, n - pad);
+    let st = p.stride;
+    let own = if p.inplace { "C" } else { "B" };
     if p.ndim == 1 {
         let mask = if p.masked { ", B(I) > 0.0" } else { "" };
+        let inv = if p.invariant {
+            format!(" + B({lo})")
+        } else {
+            String::new()
+        };
         format!(
             "
 PROGRAM RAND1
@@ -57,8 +72,8 @@ C$ ALIGN A(I) WITH T(I)
 C$ ALIGN B(I) WITH T(I)
 C$ ALIGN C(I) WITH T(I)
 C$ DISTRIBUTE T({dist})
-FORALL (I={lo}:{hi}{mask}) A(I) = {scale}*B(I{s1}) + C(I{s2}) - B(I)
-FORALL (I={lo}:{hi}) C(I) = A(I) + B(I{s2})
+FORALL (I={lo}:{hi}:{st}{mask}) A(I) = {scale}*B(I{s1}) + C(I{s2}) - B(I){inv}
+FORALL (I={lo}:{hi}:{st}) C(I) = A(I) + {own}(I{s2})
 END
 ",
             dist = p.dist,
@@ -68,6 +83,11 @@ END
         )
     } else {
         let mask = if p.masked { ", B(I,J) > 0.0" } else { "" };
+        let inv = if p.invariant {
+            format!(" + B(I,{lo})")
+        } else {
+            String::new()
+        };
         format!(
             "
 PROGRAM RAND2
@@ -78,9 +98,9 @@ C$ ALIGN A(I,J) WITH T(I,J)
 C$ ALIGN B(I,J) WITH T(I,J)
 C$ ALIGN C(I,J) WITH T(I,J)
 C$ DISTRIBUTE T({dist}, {dist2})
-FORALL (I={lo}:{hi}, J={lo}:{hi}{mask})&
-& A(I,J) = {scale}*B(I{s1},J) + C(I,J{s2}) - B(I,J)
-FORALL (I={lo}:{hi}, J={lo}:{hi}) C(I,J) = A(I,J) + B(I,J{s2})
+FORALL (I={lo}:{hi}, J={lo}:{hi}:{st}{mask})&
+& A(I,J) = {scale}*B(I{s1},J) + C(I,J{s2}) - B(I,J){inv}
+FORALL (I={lo}:{hi}, J={lo}:{hi}:{st}) C(I,J) = A(I,J) + {own}(I,J{s2})
 END
 ",
             dist = p.dist,
@@ -109,12 +129,23 @@ fn rand_program() -> impl Strategy<Value = RandProgram> {
         -2i64..=2,
         -2i64..=2,
         prop_oneof![Just(0.5f64), Just(1.0), Just(-2.0)],
-        any::<bool>(),
+        (any::<bool>(), 1i64..=3, any::<bool>(), any::<bool>()),
         0usize..3,
         exec_modes(),
     )
         .prop_map(
-            |(ndim, n, dist, dist2, shift1, shift2, scale, masked, grid_pick, exec)| {
+            |(
+                ndim,
+                n,
+                dist,
+                dist2,
+                shift1,
+                shift2,
+                scale,
+                (masked, stride, invariant, inplace),
+                grid_pick,
+                exec,
+            )| {
                 // The issue's grid matrix: [1], [2] for 1-D programs and
                 // [1,1], [2,1], [2,2] for 2-D ones.
                 let grid = match (ndim, grid_pick) {
@@ -133,6 +164,9 @@ fn rand_program() -> impl Strategy<Value = RandProgram> {
                     shift2,
                     scale,
                     masked,
+                    stride,
+                    invariant,
+                    inplace,
                     grid,
                     exec,
                 }

@@ -185,9 +185,11 @@ impl Dad {
         Some(out)
     }
 
-    /// Iterate `(global_index, local_index)` pairs owned by the node at
-    /// grid `coords`, in row-major local order.
-    pub fn owned_elements(&self, coords: &[i64]) -> Vec<(Vec<i64>, Vec<i64>)> {
+    /// Visit the `(global_index, local_index)` pairs owned by the node at
+    /// grid `coords`, in row-major order of increasing global index. The
+    /// two slices are buffers reused from element to element: nothing is
+    /// allocated per element.
+    pub fn for_each_owned(&self, coords: &[i64], mut f: impl FnMut(&[i64], &[i64])) {
         // Per-dim list of (global, local) pairs owned on this node.
         let mut per_dim: Vec<Vec<(i64, i64)>> = Vec::with_capacity(self.rank());
         for d in &self.dims {
@@ -200,31 +202,40 @@ impl Dad {
             } else {
                 (0..d.extent).map(|i| (i, i)).collect()
             };
+            if pairs.is_empty() {
+                return;
+            }
             per_dim.push(pairs);
         }
-        let mut out = Vec::new();
         let mut cursor = vec![0usize; self.rank()];
-        if per_dim.iter().any(|v| v.is_empty()) {
-            return out;
-        }
+        let mut g: Vec<i64> = per_dim.iter().map(|v| v[0].0).collect();
+        let mut l: Vec<i64> = per_dim.iter().map(|v| v[0].1).collect();
         loop {
-            let g: Vec<i64> = cursor.iter().zip(&per_dim).map(|(&c, v)| v[c].0).collect();
-            let l: Vec<i64> = cursor.iter().zip(&per_dim).map(|(&c, v)| v[c].1).collect();
-            out.push((g, l));
+            f(&g, &l);
             // advance row-major (last dim fastest)
             let mut dim = self.rank();
             loop {
                 if dim == 0 {
-                    return out;
+                    return;
                 }
                 dim -= 1;
                 cursor[dim] += 1;
-                if cursor[dim] < per_dim[dim].len() {
+                if cursor[dim] == per_dim[dim].len() {
+                    cursor[dim] = 0;
+                }
+                (g[dim], l[dim]) = per_dim[dim][cursor[dim]];
+                if cursor[dim] != 0 {
                     break;
                 }
-                cursor[dim] = 0;
             }
         }
+    }
+
+    /// The pairs [`Dad::for_each_owned`] visits, collected.
+    pub fn owned_elements(&self, coords: &[i64]) -> Vec<(Vec<i64>, Vec<i64>)> {
+        let mut out = Vec::new();
+        self.for_each_owned(coords, |g, l| out.push((g.to_vec(), l.to_vec())));
+        out
     }
 }
 

@@ -28,14 +28,13 @@ fn local_partial(
         let mut acc = op.identity();
         if canonical {
             let arr = m.mems[rank as usize].array(&a.name);
-            let owned = a.dad.owned_elements(&coords);
-            let n = owned.len() as i64;
-            for (_, l) in owned {
-                let v = map(arr.get(&l));
+            let mut n = 0i64;
+            a.dad.for_each_owned(&coords, |_, l| {
                 let mut slot = [acc];
-                op.fold(&mut slot, &[v]);
+                op.fold(&mut slot, &[map(arr.get(l))]);
                 acc = slot[0];
-            }
+                n += 1;
+            });
             m.transport.charge_elem_ops(rank, n);
         }
         partials.push(acc);
@@ -97,12 +96,12 @@ pub fn dotproduct(m: &mut Machine, a: &DistArray, b: &DistArray) -> f64 {
         if canonical {
             let mem = &m.mems[rank as usize];
             let (aa, bb) = (mem.array(&a.name), mem.array(&b.name));
-            let owned = a.dad.owned_elements(&coords);
-            let n = owned.len() as i64;
-            for (g, l) in owned {
-                let bl = b.dad.local_index(&g);
-                acc += aa.get(&l).as_real() * bb.get(&bl).as_real();
-            }
+            let mut n = 0i64;
+            a.dad.for_each_owned(&coords, |g, l| {
+                let bl = b.dad.local_index(g);
+                acc += aa.get(l).as_real() * bb.get(&bl).as_real();
+                n += 1;
+            });
             m.transport.charge_elem_ops(rank, 2 * n);
         }
         partials.push(acc);
@@ -119,11 +118,11 @@ fn loc_reduce(m: &mut Machine, a: &DistArray, op: ReduceOp) -> Vec<i64> {
         let mut best = (op.identity(), -1i64);
         if canonical {
             let arr = m.mems[rank as usize].array(&a.name);
-            let owned = a.dad.owned_elements(&coords);
-            let n = owned.len() as i64;
-            for (g, l) in owned {
-                let v = arr.get(&l).as_real();
-                let flat = flatten(&g, &strides) as i64;
+            let mut n = 0i64;
+            a.dad.for_each_owned(&coords, |g, l| {
+                n += 1;
+                let v = arr.get(l).as_real();
+                let flat = flatten(g, &strides) as i64;
                 let better = match op {
                     ReduceOp::MaxLoc => {
                         v > best.0 || (v == best.0 && (best.1 < 0 || flat < best.1))
@@ -136,7 +135,7 @@ fn loc_reduce(m: &mut Machine, a: &DistArray, op: ReduceOp) -> Vec<i64> {
                 if better {
                     best = (v, flat);
                 }
-            }
+            });
             m.transport.charge_elem_ops(rank, n);
         }
         partials.push(best);
@@ -253,6 +252,57 @@ mod tests {
             assert_eq!(maxval(&mut m, &a), 5.0);
             assert_eq!(minval(&mut m, &a), -9.0);
             assert_eq!(product(&mut m, &a), -3.0 * 4.0 * 5.0 * -9.0 * 2.0);
+        }
+    }
+
+    /// The per-rank partials fold the rank's elements in the order
+    /// `owned_elements` lists them — row-major by global index — bit for
+    /// bit on values whose sum depends on the order, and charge one
+    /// element operation per owned element.
+    #[test]
+    fn partials_fold_in_owned_element_order() {
+        let shape = [7i64, 10];
+        for kind in [DistKind::Block, DistKind::Cyclic, DistKind::BlockCyclic(3)] {
+            let mut m = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(&[2, 2]));
+            let a = DistArray::create(&mut m, "A", ElemType::Real, &shape, &[kind, kind]);
+            a.fill_with(&mut m, |g| {
+                let x = (g[0] * 10 + g[1]) as f64;
+                Value::Real(if g[1] % 3 == 0 {
+                    1e16 - x
+                } else {
+                    0.1 * x - 1e16
+                })
+            });
+            m.reset_time();
+            let got = local_partial(&mut m, &a, ReduceOp::Sum, |v| v.as_real());
+            let mut charged = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(&[2, 2]));
+            for rank in 0..m.nranks() {
+                let arr = m.mems[rank as usize].array("A");
+                let (mut want, mut owned) = ([ReduceOp::Sum.identity()], 0);
+                for flat in 0..a.dad.size() {
+                    let g = crate::array::unflatten(flat, &shape);
+                    if a.dad.is_owner(rank, &g) {
+                        let v = arr.get(&a.dad.local_index(&g)).as_real();
+                        ReduceOp::Sum.fold(&mut want, &[v]);
+                        owned += 1;
+                    }
+                }
+                assert_eq!(
+                    a.dad.owned_elements(&m.grid.coords_of(rank)).len(),
+                    owned as usize
+                );
+                assert_eq!(
+                    got[rank as usize].to_bits(),
+                    want[0].to_bits(),
+                    "{kind:?} rank {rank}"
+                );
+                charged.transport.charge_elem_ops(rank, owned);
+                assert_eq!(
+                    m.transport.clock(rank).to_bits(),
+                    charged.transport.clock(rank).to_bits(),
+                    "{kind:?} rank {rank} element-op charge"
+                );
+            }
         }
     }
 

@@ -17,6 +17,7 @@
 use std::sync::Arc;
 
 use f90d_comm::driver::{self, CommDriver, ComputeSink, GatherRequests, PhaseOutcome};
+use f90d_comm::helpers::cartesian;
 use f90d_comm::sched_cache::RunSchedules;
 use f90d_distrib::{ArrayDimMap, Dad, DistKind};
 use f90d_machine::{ArrayData, LocalArray, Machine, NodeMemory, Value};
@@ -24,7 +25,7 @@ use f90d_runtime::DistArray;
 
 use crate::bytecode::*;
 use crate::dispatch::{self, VmResult};
-use crate::native::{ElemArgs, ElemFn, Lin, NativeKernel, ReadSite};
+use crate::native::{Lin, NativeKernel, ReadSite, RowArgs, RowFn, RowRead, Scratch};
 use crate::ops;
 
 pub use crate::dispatch::{RunReport, VmError};
@@ -498,9 +499,14 @@ impl Engine {
         }
         let iter_lists = dispatch::iteration_lists(m, &self.arrays, &loops, &filter)?;
         let nranks = m.nranks() as usize;
-        // Resolve the accessors this FORALL references, per rank.
+        // Resolve the accessors this FORALL references, per rank. A rank
+        // with an empty iteration list runs nothing — every consumer
+        // skips it before looking at its table — so it gets none.
         let resolved: Vec<Vec<Option<ResolvedAcc>>> = (0..nranks)
             .map(|rank| {
+                if iter_lists[rank].iter().any(|l| l.is_empty()) {
+                    return Vec::new();
+                }
                 let coords = m.grid.coords_of(rank as i64);
                 let mut table: Vec<Option<ResolvedAcc>> = vec![None; prog.accessors.len()];
                 for &a in &f.accs_used {
@@ -531,12 +537,13 @@ impl Engine {
             self.exec_gather(f, g, m, &iter_lists, &resolved)?;
         }
         // Native tier: when lowering selected a kernel and every rank's
-        // dispatch preconditions hold, run the monomorphized closures
+        // dispatch preconditions hold, run the monomorphized row kernels
         // instead of the bytecode element loop.
         if let Some(kid) = f.native {
             if let Some(bound) = self.bind_native(&prog.natives[kid], &iter_lists, &resolved) {
                 self.native_matched += 1;
-                return run_native_forall(&prog, f, m, &bound, &iter_lists);
+                run_native_forall(&prog, m, &bound, &iter_lists);
+                return Ok(());
             }
         }
         self.native_fallback += 1;
@@ -639,12 +646,18 @@ impl Engine {
     /// violation is exactly a bytecode runtime error), every INTEGER
     /// scalar a subscript folds holds `Value::Int`, and every REAL
     /// scalar the closures read holds `Value::Real`.
+    ///
+    /// What a bound rank carries is, per site, the flat padded offset as
+    /// an affine form over the FORALL variables — so each row of the
+    /// innermost variable is a `(start, step)` walk through the segment —
+    /// and the decision whether its rows may be written in place
+    /// ([`NatRank::new`]).
     fn bind_native(
         &self,
         kernel: &NativeKernel,
         iter_lists: &[Vec<Vec<i64>>],
         resolved: &[Vec<Option<ResolvedAcc>>],
-    ) -> Option<Vec<Option<Vec<NatBody>>>> {
+    ) -> Option<Vec<Option<NatRank>>> {
         let nv = kernel.var_slots.len();
         let mut out = Vec::with_capacity(iter_lists.len());
         for (rank, lists) in iter_lists.iter().enumerate() {
@@ -689,11 +702,12 @@ impl Engine {
                     read_arrs,
                     lin_vals,
                     scalars,
+                    lhs_arr: lhs.target,
                     lhs_off,
                     cost: b.cost,
                 });
             }
-            out.push(Some(bodies));
+            out.push(Some(NatRank::new(bodies, lists.last()?)));
         }
         Some(out)
     }
@@ -1004,13 +1018,29 @@ struct NatAff {
 }
 
 impl NatAff {
+    /// The form's value with the outer variables at `outer` and the
+    /// innermost at zero: a row's fixed part.
     #[inline]
-    fn at(&self, vals: &[i64]) -> i64 {
+    fn outer_at(&self, outer: &[i64]) -> i64 {
         let mut v = self.base;
-        for (c, x) in self.k.iter().zip(vals) {
+        for (c, x) in self.k.iter().zip(outer) {
             v += c * x;
         }
         v
+    }
+
+    /// Coefficient of the innermost variable.
+    #[inline]
+    fn inner(&self) -> i64 {
+        *self.k.last().expect("a FORALL has a variable")
+    }
+
+    /// `(start, step)` of the form along `run` of the innermost variable
+    /// under the outer tuple `outer`.
+    #[inline]
+    fn row(&self, outer: &[i64], run: &Run) -> (i64, i64) {
+        let k = self.inner();
+        (self.outer_at(outer) + k * run.first, k * run.stride)
     }
 
     /// Exact min/max over the box `[lo, hi]` per variable (attained at
@@ -1044,110 +1074,216 @@ impl NatAff {
     }
 }
 
-/// One kernel body bound to one rank: everything the element loop needs
-/// with no descriptor math, bounds checks, or `Value` boxing left.
+/// One kernel body bound to one rank: everything a row needs with no
+/// descriptor math, bounds checks, or `Value` boxing left.
 struct NatBody {
-    func: ElemFn,
+    func: RowFn,
     /// Flat padded offset of each read site.
     read_offs: Vec<NatAff>,
     /// Target array of each read site (view lookup).
     read_arrs: Vec<ArrId>,
-    /// Values for [`ElemArgs::lins`].
+    /// Values for [`RowArgs::lins`].
     lin_vals: Vec<NatAff>,
-    /// Snapshot for [`ElemArgs::scalars`].
+    /// Snapshot for [`RowArgs::scalars`].
     scalars: Vec<f64>,
+    /// The written array.
+    lhs_arr: ArrId,
     /// Flat padded offset of the owned write.
     lhs_off: NatAff,
     /// Modelled cost per iteration (identical to the bytecode body's).
     cost: i64,
 }
 
+/// A maximal arithmetic-progression run of the innermost iteration
+/// list: `len` values from `first` in steps of `stride`, starting at
+/// list position `pos`. One run is one kernel row. A BLOCK partition's
+/// list is a single run; a list that is no progression is several
+/// shorter ones through the same path.
+#[derive(Debug, PartialEq)]
+struct Run {
+    pos: usize,
+    len: usize,
+    first: i64,
+    stride: i64,
+}
+
+fn inner_runs(list: &[i64]) -> Vec<Run> {
+    let mut runs = Vec::new();
+    let mut pos = 0;
+    while pos < list.len() {
+        let stride = list.get(pos + 1).map_or(0, |next| next - list[pos]);
+        let mut len = 1;
+        while pos + len < list.len() && list[pos + len] - list[pos + len - 1] == stride {
+            len += 1;
+        }
+        runs.push(Run {
+            pos,
+            len,
+            first: list[pos],
+            stride,
+        });
+        pos += len;
+    }
+    runs
+}
+
+/// A kernel bound to one rank: its bodies, the rows of the innermost
+/// variable, and where the rows are written.
+struct NatRank {
+    bodies: Vec<NatBody>,
+    runs: Vec<Run>,
+    /// `true`: every row is written straight into the LHS segment.
+    /// `false`: rows go to a dense stage that is committed after the
+    /// phase in element order (RHS before LHS, last writer as listed).
+    direct: bool,
+}
+
+impl NatRank {
+    /// The alias rule. Rows may be written in place only when nothing
+    /// the phase still has to read can be overwritten and the order of
+    /// writes is the element order anyway: one body, no read site on the
+    /// written array, and the write walking the segment at unit stride
+    /// along every row (so a row is one `&mut` slice of it). Everything
+    /// else — in-place stencils, updates that read their own LHS,
+    /// many-to-one or strided writes, several bodies — is staged.
+    fn new(bodies: Vec<NatBody>, inner: &[i64]) -> NatRank {
+        let runs = inner_runs(inner);
+        let direct = match &bodies[..] {
+            [b] => {
+                !b.read_arrs.contains(&b.lhs_arr)
+                    && runs
+                        .iter()
+                        .all(|r| r.len == 1 || b.lhs_off.inner() * r.stride == 1)
+            }
+            _ => false,
+        };
+        NatRank {
+            bodies,
+            runs,
+            direct,
+        }
+    }
+}
+
 /// Execute a bound native kernel: one local phase under the machine's
-/// `ExecMode`, same cost charging, staging, and commit order as the
-/// bytecode loop — only the per-element work is closure calls over raw
-/// `f64` slices.
+/// `ExecMode`, same cost charging and same resulting segment as the
+/// bytecode loop — only the work is row kernels over raw `f64` slices.
 fn run_native_forall(
     prog: &VmProgram,
-    f: &VmForall,
     m: &mut Machine,
-    bound: &[Option<Vec<NatBody>>],
+    bound: &[Option<NatRank>],
     iter_lists: &[Vec<Vec<i64>>],
-) -> VmResult<()> {
-    let commit_name = &prog.arrays[f.body[0].arr].name;
-    m.local_phase(|rank, mem| {
-        let Some(bodies) = &bound[rank as usize] else {
-            return 0;
-        };
-        let lists = &iter_lists[rank as usize];
-        // Lazily-allocated segments expose no raw slice until their
-        // buffer exists (`LocalArray::data`); force every array this
-        // phase will view before taking shared borrows.
-        for b in bodies {
-            for &arr in &b.read_arrs {
-                mem.array_mut(&prog.arrays[arr].name).materialize();
-            }
-        }
-        // Pre-borrow every read view as a raw f64 slice (selection
-        // admits REAL arrays only).
-        let mut view_base = Vec::with_capacity(bodies.len());
-        let mut views: Vec<&[f64]> = Vec::new();
-        for b in bodies {
-            view_base.push(views.len());
-            for &arr in &b.read_arrs {
-                views.push(mem.array(&prog.arrays[arr].name).data().as_real_slice());
-            }
-        }
-        let mut vals = vec![0i64; lists.len()];
-        let mut readbuf: Vec<f64> = Vec::new();
-        let mut linbuf: Vec<i64> = Vec::new();
-        let mut staged: Vec<(usize, f64)> = Vec::new();
-        let mut ops: i64 = 0;
-        let mut cursor = vec![0usize; lists.len()];
-        'iter: loop {
-            for (k, list) in lists.iter().enumerate() {
-                vals[k] = list[cursor[k]];
-            }
-            for (bi, b) in bodies.iter().enumerate() {
-                readbuf.clear();
-                for (ri, off) in b.read_offs.iter().enumerate() {
-                    readbuf.push(views[view_base[bi] + ri][off.at(&vals) as usize]);
-                }
-                linbuf.clear();
-                for l in &b.lin_vals {
-                    linbuf.push(l.at(&vals));
-                }
-                let v = (b.func)(&ElemArgs {
-                    reads: &readbuf,
-                    lins: &linbuf,
-                    scalars: &b.scalars,
-                });
-                ops += b.cost;
-                staged.push((b.lhs_off.at(&vals) as usize, v));
-            }
-            // advance cartesian cursor (last var fastest)
-            let mut d = lists.len();
-            loop {
-                if d == 0 {
-                    break 'iter;
-                }
-                d -= 1;
-                cursor[d] += 1;
-                if cursor[d] < lists[d].len() {
-                    break;
-                }
-                cursor[d] = 0;
-            }
-        }
-        drop(views);
-        // Commit staged owned writes (RHS-before-LHS within the rank),
-        // same single-target commit as the bytecode loop.
-        let out = mem.array_mut(commit_name).data_mut().as_real_slice_mut();
-        for (off, v) in staged {
-            out[off] = v;
-        }
-        ops
+) {
+    m.local_phase(|rank, mem| match &bound[rank as usize] {
+        Some(nr) => run_native_rank(nr, &iter_lists[rank as usize], mem, |a| {
+            &prog.arrays[a].name
+        }),
+        None => 0,
     });
-    Ok(())
+}
+
+/// One rank's share of [`run_native_forall`]: for every tuple of the
+/// outer variables, every body, every run of the innermost variable —
+/// one kernel call. Returns the modelled cost.
+fn run_native_rank<'p>(
+    nr: &NatRank,
+    lists: &[Vec<i64>],
+    mem: &mut NodeMemory,
+    name: impl Fn(ArrId) -> &'p str,
+) -> i64 {
+    let (inner, outer) = lists.split_last().expect("a bound rank has a variable");
+    let (bodies, nb, row_len) = (&nr.bodies, nr.bodies.len(), inner.len());
+    let lhs_name = name(bodies[0].lhs_arr);
+    // Lazily-allocated segments expose no raw slice until their buffer
+    // exists (`LocalArray::data`); force every array this phase views.
+    for &arr in bodies.iter().flat_map(|b| &b.read_arrs) {
+        mem.array_mut(name(arr)).materialize();
+    }
+    // In-place rows borrow the written segment mutably next to the
+    // shared read views, so it leaves the node memory for the phase.
+    let mut lhs = nr.direct.then(|| {
+        mem.remove_array(lhs_name)
+            .expect("the written array is allocated on this node")
+    });
+    let tuples: usize = lists.iter().map(|l| l.len()).product();
+    let mut stage = vec![0.0f64; if nr.direct { 0 } else { tuples * nb }];
+    {
+        let mut lhs_rows = lhs.as_mut().map(|a| a.data_mut().as_real_slice_mut());
+        // Selection admits REAL arrays only.
+        let views: Vec<Vec<&[f64]>> = bodies
+            .iter()
+            .map(|b| {
+                let view = |&arr| mem.array(name(arr)).data().as_real_slice();
+                b.read_arrs.iter().map(view).collect()
+            })
+            .collect();
+        let mut reads: Vec<RowRead<'_>> = Vec::new();
+        let mut lins: Vec<(i64, i64)> = Vec::new();
+        let mut scratch = Scratch::default();
+        // Stage layout: per outer tuple, one dense row per body.
+        let mut row0 = 0usize;
+        cartesian(outer, |vals| {
+            for (b, views) in bodies.iter().zip(&views) {
+                for run in &nr.runs {
+                    reads.clear();
+                    for (off, data) in b.read_offs.iter().zip(views) {
+                        let (start, step) = off.row(vals, run);
+                        reads.push(RowRead {
+                            data,
+                            start: start as usize,
+                            step: step as isize,
+                        });
+                    }
+                    lins.clear();
+                    lins.extend(b.lin_vals.iter().map(|l| l.row(vals, run)));
+                    let out = match &mut lhs_rows {
+                        Some(seg) => {
+                            let start = b.lhs_off.row(vals, run).0 as usize;
+                            &mut seg[start..start + run.len]
+                        }
+                        None => &mut stage[row0 + run.pos..row0 + run.pos + run.len],
+                    };
+                    let args = RowArgs {
+                        reads: &reads,
+                        lins: &lins,
+                        scalars: &b.scalars,
+                    };
+                    (b.func)(&args, out, &mut scratch);
+                }
+                row0 += row_len;
+            }
+        });
+    }
+    match lhs {
+        Some(arr) => mem.insert_array(lhs_name, arr),
+        None => {
+            // Commit in the element loop's order — tuple by tuple, body
+            // by body within a tuple — so overlapping writes keep their
+            // last writer.
+            let seg = mem.array_mut(lhs_name).data_mut().as_real_slice_mut();
+            let mut row0 = 0usize;
+            let mut dst: Vec<(i64, i64)> = Vec::with_capacity(nb);
+            cartesian(outer, |vals| {
+                for run in &nr.runs {
+                    dst.clear();
+                    dst.extend(bodies.iter().map(|b| b.lhs_off.row(vals, run)));
+                    let at = row0 + run.pos;
+                    if let [(start, 1)] = dst[..] {
+                        let start = start as usize;
+                        seg[start..start + run.len].copy_from_slice(&stage[at..at + run.len]);
+                        continue;
+                    }
+                    for i in 0..run.len {
+                        for (bi, &(start, step)) in dst.iter().enumerate() {
+                            seg[(start + i as i64 * step) as usize] = stage[at + bi * row_len + i];
+                        }
+                    }
+                }
+                row0 += nb * row_len;
+            });
+        }
+    }
+    bodies.iter().map(|b| b.cost).sum::<i64>() * tuples as i64
 }
 
 /// The per-rank element loop: flat fetch/decode over the mask and body
@@ -1350,4 +1486,161 @@ fn eval_elem(
         }
     }
     Ok(regs[code.out as usize])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::native::{match_template, NExpr};
+    use f90d_frontend::ast::BinOp;
+    use f90d_machine::ElemType;
+
+    /// Test arrays: `A` (id 0, the written one) and `B` (id 1) are 6×12
+    /// segments, `C` (id 2) is a 12-vector.
+    const NAMES: [&str; 3] = ["A", "B", "C"];
+    const COLS: i64 = 12;
+
+    /// An affine site over `(i, j)`: `(array, base, [k_i, k_j])`.
+    type Site = (ArrId, i64, [i64; 2]);
+
+    fn aff((_, base, k): Site) -> NatAff {
+        NatAff {
+            base,
+            k: k.to_vec(),
+        }
+    }
+
+    fn at((_, base, k): Site, i: i64, j: i64) -> usize {
+        (base + k[0] * i + k[1] * j) as usize
+    }
+
+    /// Bind one `lhs = r0 + r1` body per entry of `bodies` over `lists`,
+    /// run it through the row path, and require the written segment to
+    /// carry exactly what the element loop leaves: every tuple in list
+    /// order, bodies in order within a tuple, all reads from the state
+    /// before the phase, later writes over earlier ones. Returns whether
+    /// the rank wrote in place.
+    fn check_row_path(bodies: &[(Site, [Site; 2])], lists: &[Vec<i64>]) -> bool {
+        let mut mem = NodeMemory::new();
+        for (k, name) in NAMES.iter().enumerate() {
+            let shape: &[i64] = if k == 2 { &[COLS] } else { &[6, COLS] };
+            let mut arr = LocalArray::zeros(ElemType::Real, shape);
+            for (x, v) in arr.data_mut().as_real_slice_mut().iter_mut().enumerate() {
+                *v = ((x * 7 + k * 5) % 31) as f64 / 3.0 - 4.1;
+            }
+            mem.insert_array(*name, arr);
+        }
+        let pre: Vec<Vec<f64>> = NAMES
+            .iter()
+            .map(|n| mem.array(n).data().as_real_slice().to_vec())
+            .collect();
+        let mut want = pre[0].clone();
+        for &i in &lists[0] {
+            for &j in &lists[1] {
+                for &(lhs, [r0, r1]) in bodies {
+                    want[at(lhs, i, j)] = pre[r0.0][at(r0, i, j)] + pre[r1.0][at(r1, i, j)];
+                }
+            }
+        }
+        let sum = NExpr::Bin(
+            BinOp::Add,
+            Box::new(NExpr::Read(0)),
+            Box::new(NExpr::Read(1)),
+        );
+        let bound = bodies
+            .iter()
+            .map(|&(lhs, reads)| NatBody {
+                func: match_template(&sum).1,
+                read_offs: reads.iter().map(|&r| aff(r)).collect(),
+                read_arrs: reads.iter().map(|r| r.0).collect(),
+                lin_vals: Vec::new(),
+                scalars: Vec::new(),
+                lhs_arr: lhs.0,
+                lhs_off: aff(lhs),
+                cost: 3,
+            })
+            .collect();
+        let nr = NatRank::new(bound, &lists[1]);
+        let cost = run_native_rank(&nr, lists, &mut mem, |a| NAMES[a]);
+        let tuples = (lists[0].len() * lists[1].len()) as i64;
+        assert_eq!(cost, 3 * bodies.len() as i64 * tuples);
+        let got = mem.array("A").data().as_real_slice();
+        for (x, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "A[{x}]: {g} vs {w}");
+        }
+        nr.direct
+    }
+
+    const A_IJ: Site = (0, 0, [COLS, 1]);
+    const B_IJ: Site = (1, 0, [COLS, 1]);
+    const C_J: Site = (2, 0, [0, 1]);
+
+    #[test]
+    fn inner_list_splits_into_maximal_progressions() {
+        let run = |pos, len, first, stride| Run {
+            pos,
+            len,
+            first,
+            stride,
+        };
+        assert_eq!(inner_runs(&[3, 5, 7, 9]), vec![run(0, 4, 3, 2)]);
+        assert_eq!(inner_runs(&[4]), vec![run(0, 1, 4, 0)]);
+        assert_eq!(
+            inner_runs(&[0, 1, 2, 5, 6, 9, 11]),
+            vec![run(0, 3, 0, 1), run(3, 2, 5, 1), run(5, 2, 9, 2)]
+        );
+        assert_eq!(inner_runs(&[]), vec![]);
+    }
+
+    /// An inner list that is no arithmetic progression goes through the
+    /// same path as shorter runs and leaves the element loop's writes.
+    #[test]
+    fn non_progression_inner_list_gives_the_element_writes() {
+        let outer = vec![1, 3, 4];
+        let body = [(A_IJ, [B_IJ, C_J])];
+        assert!(
+            check_row_path(&body, &[outer.clone(), (0..COLS).collect()]),
+            "a unit-stride write that reads other arrays is in place"
+        );
+        assert!(
+            check_row_path(&body, &[outer.clone(), vec![0, 1, 2, 5, 6, 7, 10]]),
+            "unit-stride runs of a broken list are still in place"
+        );
+        assert!(
+            !check_row_path(&body, &[outer.clone(), vec![0, 1, 2, 5, 6, 9, 11]]),
+            "a strided run is staged"
+        );
+        // The same lists with a read of the written array one element
+        // to the left: staged, and read before any write lands.
+        let shifted = [(A_IJ, [(0, -1, [COLS, 1]), B_IJ])];
+        assert!(!check_row_path(
+            &shifted,
+            &[outer.clone(), (1..COLS).collect()]
+        ));
+        assert!(!check_row_path(
+            &shifted,
+            &[outer, vec![1, 2, 3, 6, 7, 9, 11]]
+        ));
+    }
+
+    /// Writes that land on one location more than once — a many-to-one
+    /// LHS, a reversed LHS, two bodies whose targets overlap at
+    /// different tuples — keep the element loop's last writer.
+    #[test]
+    fn overlapping_writes_keep_the_last_writer() {
+        let lists = [vec![0, 2, 5], (0..COLS - 1).collect::<Vec<i64>>()];
+        let many_to_one: Site = (0, 3, [COLS, 0]);
+        assert!(!check_row_path(&[(many_to_one, [B_IJ, C_J])], &lists));
+        let reversed: Site = (0, COLS - 1, [COLS, -1]);
+        assert!(!check_row_path(&[(reversed, [B_IJ, C_J])], &lists));
+        let right_neighbour: Site = (0, 1, [COLS, 1]);
+        assert!(!check_row_path(
+            &[(A_IJ, [B_IJ, C_J]), (right_neighbour, [B_IJ, B_IJ])],
+            &lists
+        ));
+        assert!(!check_row_path(
+            &[(right_neighbour, [B_IJ, B_IJ]), (A_IJ, [A_IJ, C_J])],
+            &lists
+        ));
+    }
 }
