@@ -1,0 +1,177 @@
+//! Per-layer microbench for the host-side message path: what one
+//! collective, one point-to-point message and one routed transfer cost
+//! on the host, at the shapes the repo benchmark's comm-bound workloads
+//! produce. This is the number below the job level that a change to
+//! `f90d_machine::transport`, `f90d_machine::net` or the pack/unpack
+//! loops of `f90d_comm` moves first.
+//!
+//! Reading the output (median of each line):
+//!
+//! * `multicast/*` — one sample is 1000 `multicast` calls of one column
+//!   of a `(*, BLOCK)` matrix, so **ms reads as µs per call**. The
+//!   machine is reset after every job's worth of calls (N−1 elimination
+//!   steps), as a pooled machine is between jobs.
+//!   `ipsc16_192x12` is `gauss-ipsc16`'s step (15 receiving ranks),
+//!   `fattree256_64x1` is `gauss-fattree256`'s (255 receiving ranks,
+//!   contention on: µs per call × 1000 / 255 = ns per receiving rank).
+//!   The `*_one_member` lines run the same local shape on a one-rank
+//!   grid: no message, so they are the pack plus one deposit.
+//! * `post_complete/fresh_tag/after/N` — one sample is 1000
+//!   `post_send` + `post_recv` + `complete` triples of a 64-element
+//!   message, **each under a tag never used before** (what collectives
+//!   do), on a transport that has already carried at least N such
+//!   messages: **µs reads as ns per message**, and the line should not
+//!   depend on N.
+//! * `route_transfer/*` — one sample is 1000 `Topology::route` +
+//!   `LinkClocks::transfer` over seeded rank pairs: µs reads as ns per
+//!   routed message.
+
+use std::hint::black_box;
+
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use f90d_comm::structured::{alloc_slab_tmp, multicast};
+use f90d_distrib::{Dad, DadBuilder, DistKind, ProcGrid};
+use f90d_machine::{
+    ArrayData, ElemType, LinkClocks, LocalArray, Machine, MachineSpec, MailboxTransport, Transport,
+    Value,
+};
+
+const PER_SAMPLE: usize = 1000;
+
+/// A `rows × cols` REAL matrix distributed `(*, BLOCK)` over `p` ranks,
+/// filled, with its multicast slab temporary allocated.
+fn column_machine(spec: MachineSpec, p: i64, rows: i64, cols: i64) -> (Machine, Dad) {
+    let grid = ProcGrid::new(&[p]);
+    let mut m = Machine::new(spec, grid.clone());
+    let dad = DadBuilder::new("A", &[rows, cols])
+        .distribute(&[DistKind::Collapsed, DistKind::Block])
+        .grid(grid)
+        .build()
+        .expect("valid (*, BLOCK) descriptor");
+    for rank in 0..m.nranks() {
+        let coords = m.grid.coords_of(rank);
+        let mut la = LocalArray::zeros(ElemType::Real, &dad.local_shape());
+        dad.for_each_owned(&coords, |g, l| {
+            la.set(l, Value::Real((100 * g[0] + g[1]) as f64));
+        });
+        m.mems[rank as usize].insert_array("A", la);
+    }
+    alloc_slab_tmp(&mut m, "TMP", &dad, 1, ElemType::Real);
+    (m, dad)
+}
+
+/// `PER_SAMPLE` multicasts of successive columns, the machine reset
+/// after every `steps` of them (one Gaussian elimination's worth).
+fn run_multicasts(m: &mut Machine, dad: &Dad, steps: usize, contention: bool) {
+    let cols = dad.shape[1];
+    for k in 0..PER_SAMPLE {
+        if k % steps == 0 {
+            m.reset_time();
+            m.set_contention(contention);
+        }
+        multicast(m, "A", dad, "TMP", 1, (k % steps) as i64 % cols).expect("multicast");
+    }
+    black_box(m.elapsed());
+}
+
+fn bench_multicast(c: &mut Criterion) {
+    let mut g = c.benchmark_group("multicast");
+    g.sample_size(10);
+    let ipsc = MachineSpec::ipsc860;
+    let fat = || MachineSpec::fat_tree(4, 4).expect("valid fat tree");
+    // (label, spec, ranks, global rows, global columns, steps per job,
+    // contention)
+    let shapes = [
+        ("ipsc16_192x12", ipsc(), 16, 192, 192, 191, false),
+        ("ipsc16_192x12_one_member", ipsc(), 1, 192, 12, 191, false),
+        ("fattree256_64x1", fat(), 256, 64, 64, 63, true),
+        ("fattree256_64x1_one_member", fat(), 1, 64, 1, 63, true),
+    ];
+    for (label, spec, p, rows, cols, steps, contention) in shapes {
+        let (mut m, dad) = column_machine(spec, p, rows, cols);
+        g.bench_function(label, |b| {
+            b.iter(|| run_multicasts(&mut m, &dad, steps, contention))
+        });
+    }
+    g.finish();
+}
+
+/// Seeded rank pairs with `a != b` (xorshift; no dependency).
+fn pairs(nranks: i64, n: usize) -> Vec<(i64, i64)> {
+    let mut s: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mut next = move || {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        s
+    };
+    (0..n)
+        .map(|_| {
+            let a = (next() % nranks as u64) as i64;
+            let b = (a + 1 + (next() % (nranks as u64 - 1)) as i64) % nranks;
+            (a, b)
+        })
+        .collect()
+}
+
+fn bench_post_complete(c: &mut Criterion) {
+    let mut g = c.benchmark_group("post_complete");
+    g.sample_size(10);
+    let nranks = 256;
+    let pairs = pairs(nranks, 997);
+    for already in [0usize, 16_000, 64_000] {
+        let mut t = MailboxTransport::new(MachineSpec::ipsc860(), nranks);
+        let mut tag = 0u32;
+        let mut burst = |n: usize| {
+            for _ in 0..n {
+                tag += 1;
+                let (a, b) = pairs[tag as usize % pairs.len()];
+                t.post_send(a, b, tag, ArrayData::zeros(ElemType::Real, 64));
+                let h = t.post_recv(b, a, tag);
+                black_box(t.complete(h).expect("the send was posted"));
+            }
+        };
+        // Untimed: the traffic the transport has carried before the
+        // first sample (every later sample adds its own 1000).
+        burst(already);
+        g.bench_function(BenchmarkId::new("fresh_tag/after", already), |b| {
+            b.iter(|| burst(PER_SAMPLE))
+        });
+    }
+    g.finish();
+}
+
+fn bench_route_transfer(c: &mut Criterion) {
+    let mut g = c.benchmark_group("route_transfer");
+    g.sample_size(10);
+    let specs = [
+        ("hypercube16", MachineSpec::ipsc860(), 16),
+        (
+            "fattree256",
+            MachineSpec::fat_tree(4, 4).expect("valid fat tree"),
+            256,
+        ),
+    ];
+    for (label, spec, nranks) in specs {
+        let pairs = pairs(nranks, PER_SAMPLE);
+        g.bench_function(label, |b| {
+            b.iter(|| {
+                let mut links = LinkClocks::new();
+                for (i, &(a, bb)) in pairs.iter().enumerate() {
+                    let route = spec.topology.route(a, bb);
+                    black_box(links.transfer(&spec, &route, i as f64 * 1e-6, 512));
+                }
+                links.links_used()
+            })
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_multicast,
+    bench_post_complete,
+    bench_route_transfer
+);
+criterion_main!(benches);

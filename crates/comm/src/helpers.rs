@@ -17,22 +17,30 @@ use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use f90d_distrib::Dad;
-use f90d_machine::{ArrayData, Machine, RecvHandle, Transport, Value};
+use f90d_machine::{ArrayData, Machine, RecvHandle, Transport};
 
 use crate::op::{CommError, CommOp, CommResult};
 
 /// Local indices (template-local numbering) of the elements of array
 /// dimension `d` owned by grid coordinate `coord`, in increasing global
 /// order.
+///
+/// Walks the coordinate's own template slots — `O(owned)`, not a filter
+/// of the whole dimension through `proc_of` — keeping those that hold
+/// an array element. Slots ascend with the template index, which runs
+/// against the array index under a negative alignment stride.
 pub fn owned_dim_locals(dad: &Dad, d: usize, coord: i64) -> Vec<i64> {
     let dm = &dad.dims[d];
     if !dm.is_distributed() {
         return (0..dm.extent).collect();
     }
-    (0..dm.extent)
-        .filter(|&i| dm.proc_of(i) == coord)
-        .map(|i| dm.local_of(i))
-        .collect()
+    let mut locals: Vec<i64> = (0..dm.dist.local_count(coord))
+        .filter(|&l| dm.array_index_of(coord, l).is_some())
+        .collect();
+    if dm.align.stride < 0 {
+        locals.reverse();
+    }
+    locals
 }
 
 /// Per-dimension owned locals on the node at grid `coords`.
@@ -72,10 +80,35 @@ pub fn cartesian(lists: &[Vec<i64>], mut f: impl FnMut(&[i64])) {
     }
 }
 
+/// Flat offsets `Σ (l_d + bias_d) · stride_d` of every index vector of
+/// the cartesian product of the per-dimension `lists`, in the row-major
+/// order [`cartesian`] visits them.
+pub(crate) fn cartesian_offsets(lists: &[Vec<i64>], strides: &[i64], bias: &[i64]) -> Vec<usize> {
+    let mut offs = vec![0usize];
+    for ((list, &stride), &b) in lists.iter().zip(strides).zip(bias) {
+        let mut next = Vec::with_capacity(offs.len() * list.len());
+        for &o in &offs {
+            next.extend(list.iter().map(|&l| o + ((l + b) * stride) as usize));
+        }
+        offs = next;
+    }
+    offs
+}
+
 /// One element movement between nodes: flat padded offsets into the
 /// source array on the source node and the destination array on the
 /// destination node.
 pub type PairMoves = BTreeMap<(i64, i64), Vec<(usize, usize)>>;
+
+/// The source offsets of one pair's moves, in message order.
+pub(crate) fn srcs(moves: &[(usize, usize)]) -> impl Iterator<Item = usize> + '_ {
+    moves.iter().map(|&(s, _)| s)
+}
+
+/// The destination offsets of one pair's moves, in message order.
+pub(crate) fn dsts(moves: &[(usize, usize)]) -> impl Iterator<Item = usize> + '_ {
+    moves.iter().map(|&(_, d)| d)
+}
 
 /// A split-phase vectorized pairwise exchange: for every `(from, to)`
 /// pair of `moves`, pack the listed source elements of array `src` into
@@ -152,37 +185,17 @@ impl CommOp for ExchangeOp<'_> {
             if elems.is_empty() {
                 continue;
             }
+            // Pack (a local copy stages through the same payload, so
+            // `src == dst` needs no care about overlapping offsets).
+            let mem = &mut m.mems[from as usize];
+            let payload = mem.array(&self.src).gather_flat(srcs(elems));
             if from == to {
-                let mem = &mut m.mems[from as usize];
-                if self.src == self.dst {
-                    let vals: Vec<Value> = {
-                        let a = mem.array(&self.src);
-                        elems.iter().map(|&(s, _)| a.get_flat(s)).collect()
-                    };
-                    let a = mem.array_mut(&self.dst);
-                    for (&(_, d), v) in elems.iter().zip(vals) {
-                        a.set_flat(d, v);
-                    }
-                } else {
-                    let (s_arr, d_arr) = mem.two_arrays_mut(&self.src, &self.dst);
-                    for &(so, do_) in elems {
-                        d_arr.set_flat(do_, s_arr.get_flat(so));
-                    }
-                }
-                let bytes =
-                    elems.len() as i64 * m.mems[from as usize].array(&self.dst).elem_type().bytes();
+                let a = mem.array_mut(&self.dst);
+                a.scatter_flat(dsts(elems), &payload);
+                let bytes = elems.len() as i64 * a.elem_type().bytes();
                 m.transport.charge_compute(from, copy_rate * bytes as f64);
                 continue;
             }
-            // Pack.
-            let payload = {
-                let a = m.mems[from as usize].array(&self.src);
-                let mut data = ArrayData::zeros(a.elem_type(), elems.len());
-                for (k, &(so, _)) in elems.iter().enumerate() {
-                    data.set(k, a.get_flat(so));
-                }
-                data
-            };
             let bytes = payload.len() as i64 * payload.elem_type().bytes();
             m.transport.charge_compute(from, copy_rate * bytes as f64);
             m.transport.post_send(from, to, tag, payload);
@@ -204,11 +217,9 @@ impl CommOp for ExchangeOp<'_> {
             let (_, to) = pair;
             let bytes = payload.len() as i64 * payload.elem_type().bytes();
             m.transport.charge_compute(to, copy_rate * bytes as f64);
-            let elems = &self.moves[&pair];
-            let a = m.mems[to as usize].array_mut(&self.dst);
-            for (k, &(_, do_)) in elems.iter().enumerate() {
-                a.set_flat(do_, payload.get(k));
-            }
+            m.mems[to as usize]
+                .array_mut(&self.dst)
+                .scatter_flat(dsts(&self.moves[&pair]), &payload);
         }
         Ok(())
     }
@@ -286,7 +297,8 @@ pub fn tree_reduce(
         let mut s = 0;
         while s + step < f {
             let (to, from) = (members[s], members[s + step]);
-            let payload = contributions[s + step].clone();
+            // The sender's slot is never read again: move it out.
+            let payload = std::mem::replace(&mut contributions[s + step], ArrayData::Int(vec![]));
             let bytes = payload.len() as i64 * payload.elem_type().bytes();
             m.transport.charge_compute(from, copy_rate * bytes as f64);
             m.transport.post_send(from, to, tag, payload);
@@ -320,7 +332,7 @@ pub fn fiber_through(m: &Machine, coords: &[i64], axis: usize) -> (Vec<i64>, usi
 mod tests {
     use super::*;
     use f90d_distrib::{DadBuilder, DistKind, ProcGrid};
-    use f90d_machine::{ElemType, LocalArray, MachineSpec};
+    use f90d_machine::{ElemType, LocalArray, MachineSpec, Value};
 
     fn mk_machine(p: i64) -> Machine {
         Machine::new(MachineSpec::ideal(), ProcGrid::new(&[p]))
@@ -335,6 +347,87 @@ mod tests {
             .unwrap();
         assert_eq!(owned_dim_locals(&dad, 0, 0), vec![0, 1, 2]);
         assert_eq!(owned_dim_locals(&dad, 0, 3), vec![0]);
+    }
+
+    /// The `O(extent)` definition `owned_dim_locals` replaced, kept as
+    /// its oracle: filter the whole dimension through `proc_of`.
+    fn owned_dim_locals_by_filter(dad: &Dad, d: usize, coord: i64) -> Vec<i64> {
+        let dm = &dad.dims[d];
+        if !dm.is_distributed() {
+            return (0..dm.extent).collect();
+        }
+        (0..dm.extent)
+            .filter(|&i| dm.proc_of(i) == coord)
+            .map(|i| dm.local_of(i))
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Same list, element for element, under every distribution
+        /// kind and affine alignment (either direction, any stride and
+        /// offset, slack on both ends of the template).
+        #[test]
+        fn owned_dim_locals_equals_the_filter(
+            kind in 0usize..4,
+            p in 1i64..7,
+            n in 1i64..40,
+            stride in 1i64..4,
+            reversed in proptest::prelude::any::<bool>(),
+            lead in 0i64..6,
+            tail in 0i64..6,
+        ) {
+            use f90d_distrib::{AlignExpr, Alignment, AxisAlign, Template};
+            let kind = [
+                DistKind::Block,
+                DistKind::Cyclic,
+                DistKind::BlockCyclic(2),
+                DistKind::BlockCyclic(5),
+            ][kind];
+            let span = stride * (n - 1);
+            let expr = if reversed {
+                AlignExpr::new(-stride, span + lead)
+            } else {
+                AlignExpr::new(stride, lead)
+            };
+            let dad = DadBuilder::new("A", &[n])
+                .template(Template::new("T", &[span + lead + tail + 1]))
+                .align(Alignment {
+                    axes: vec![AxisAlign::Aligned { template_dim: 0, expr }],
+                    replicated_template_dims: vec![],
+                })
+                .distribute(&[kind])
+                .grid(ProcGrid::new(&[p]))
+                .build()
+                .unwrap();
+            let mut total = 0;
+            for coord in 0..p {
+                let got = owned_dim_locals(&dad, 0, coord);
+                proptest::prop_assert_eq!(&got, &owned_dim_locals_by_filter(&dad, 0, coord));
+                total += got.len() as i64;
+            }
+            proptest::prop_assert_eq!(total, n);
+        }
+    }
+
+    #[test]
+    fn cartesian_offsets_are_the_offsets_cartesian_visits() {
+        // A 3-D segment with ghosts: offsets by stride arithmetic must
+        // be `LocalArray::offset` of every visited index, in order.
+        let arr = LocalArray::with_ghost(ElemType::Int, &[3, 4, 2], &[1, 0, 2], &[0, 1, 1]);
+        let strides = [(4 + 1) * (2 + 3), 2 + 3, 1];
+        for lists in [
+            vec![vec![-1, 0, 2], vec![3, 1], vec![-2, 2]],
+            vec![vec![1], vec![0, 1, 2, 3, 4], vec![0]],
+            vec![vec![0, 1], vec![], vec![0]],
+        ] {
+            let mut want = Vec::new();
+            cartesian(&lists, |idx| want.push(arr.offset(idx)));
+            assert_eq!(cartesian_offsets(&lists, &strides, &arr.ghost_lo), want);
+        }
+        // No dimensions: the one empty index vector, offset 0.
+        assert_eq!(cartesian_offsets(&[], &[], &[]), vec![0]);
     }
 
     #[test]

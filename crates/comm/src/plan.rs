@@ -27,6 +27,7 @@ use std::collections::BTreeMap;
 use f90d_distrib::Dad;
 use f90d_machine::{ArrayData, ElemType, Machine, RecvHandle, Transport};
 
+use crate::helpers::{dsts, srcs};
 use crate::op::{CommError, CommOp, CommResult};
 use crate::structured::overlap_shift_moves;
 
@@ -150,30 +151,19 @@ impl CommOp for PhaseExchange {
             }
             let bytes = n_elems as i64 * elem_bytes;
             if from == to {
-                let mem = &mut m.mems[from as usize];
                 for (k, mv) in entries {
-                    let name = &self.items[*k].arr;
-                    let vals: Vec<_> = {
-                        let a = mem.array(name);
-                        mv.iter().map(|&(s, _)| a.get_flat(s)).collect()
-                    };
-                    let a = mem.array_mut(name);
-                    for (&(_, d), v) in mv.iter().zip(vals) {
-                        a.set_flat(d, v);
-                    }
+                    let a = m.mems[from as usize].array_mut(&self.items[*k].arr);
+                    let strip = a.gather_flat(srcs(mv));
+                    a.scatter_flat(dsts(mv), &strip);
                 }
                 m.transport.charge_compute(from, copy_rate * bytes as f64);
                 continue;
             }
             // Pack every item's strip into one payload, in item order.
-            let mut data = ArrayData::zeros(self.ty, n_elems);
-            let mut off = 0usize;
+            let mut data = ArrayData::zeros(self.ty, 0);
             for (k, mv) in entries {
                 let a = m.mems[from as usize].array(&self.items[*k].arr);
-                for &(s, _) in mv {
-                    data.set(off, a.get_flat(s));
-                    off += 1;
-                }
+                a.gather_flat_into(srcs(mv), &mut data);
             }
             m.transport.charge_compute(from, copy_rate * bytes as f64);
             m.transport.post_send(from, to, tag, data);
@@ -210,11 +200,9 @@ impl CommOp for PhaseExchange {
             let mut off = 0usize;
             for (k, mv) in &self.moves[&pair] {
                 let a = m.mems[to as usize].array_mut(&self.items[*k].arr);
-                for &(_, d) in mv {
-                    a.set_flat(d, payload.get(off));
-                    off += 1;
-                }
+                off = a.scatter_flat_from(dsts(mv), &payload, off);
             }
+            assert_eq!(off, payload.len(), "coalesced payload longer than its plan");
         }
         if failed.is_empty() {
             Ok(())

@@ -18,10 +18,11 @@
 //!   indexed so that the local loop body reads `TMP(i)` for `B(i ± s)`.
 
 use f90d_distrib::Dad;
-use f90d_machine::{ArrayData, ElemType, LocalArray, Machine, Transport, Value};
+use f90d_machine::{ArrayData, ElemType, LocalArray, Machine, Transport};
 
 use crate::helpers::{
-    cartesian, exchange, fiber_through, owned_locals_per_dim, tree_broadcast, ExchangeOp, PairMoves,
+    cartesian, cartesian_offsets, exchange, fiber_through, owned_locals_per_dim, tree_broadcast,
+    ExchangeOp, PairMoves,
 };
 use crate::op::{CommOp, CommResult};
 
@@ -29,19 +30,41 @@ use crate::op::{CommOp, CommResult};
 /// over dimension `dim` of `dad`: rank `r-1`, shaped by the local
 /// allocation of the remaining dimensions.
 pub fn alloc_slab_tmp(m: &mut Machine, name: &str, dad: &Dad, dim: usize, ty: ElemType) {
-    let shape: Vec<i64> = dad
-        .local_shape()
-        .iter()
-        .enumerate()
-        .filter(|&(d, _)| d != dim)
-        .map(|(_, &e)| e)
-        .collect();
+    let shape = slab_shape(dad, dim);
     let shape = if shape.is_empty() { vec![1] } else { shape };
     for mem in &mut m.mems {
         mem.insert_array(name, LocalArray::zeros(ty, &shape));
     }
 }
 
+/// Local allocation shape of the slab temporary: `dad`'s without `dim`.
+fn slab_shape(dad: &Dad, dim: usize) -> Vec<i64> {
+    let mut shape = dad.local_shape();
+    shape.remove(dim);
+    shape
+}
+
+/// Row-major strides of a segment of the given (padded) extents.
+fn row_major_strides(extents: &[i64]) -> Vec<i64> {
+    let mut strides = vec![1; extents.len()];
+    for d in (1..extents.len()).rev() {
+        strides[d - 1] = strides[d] * extents[d];
+    }
+    strides
+}
+
+/// `arr.offset(idx)` of every index vector of the cartesian product of
+/// the per-dimension `lists`, in row-major order — by stride
+/// arithmetic, no index vector per element.
+fn local_offsets(arr: &LocalArray, lists: &[Vec<i64>]) -> Vec<usize> {
+    let extents: Vec<i64> = (0..arr.rank()).map(|d| arr.padded_extent(d)).collect();
+    cartesian_offsets(lists, &row_major_strides(&extents), &arr.ghost_lo)
+}
+
+/// Pack the slab `src[.., src_g, ..]` owned by the node at `coords`;
+/// also returns where each packed element lands in the rank-`r-1`
+/// temporary (row-major over the remaining dimensions, the same on
+/// every node).
 fn slab_pack(
     m: &Machine,
     src: &str,
@@ -50,53 +73,21 @@ fn slab_pack(
     dim: usize,
     src_g: i64,
 ) -> (ArrayData, Vec<usize>) {
-    let rank = m.grid.rank_of(coords);
-    let mem = &m.mems[rank as usize];
-    let arr = mem.array(src);
-    let l_fix = dad.dims[dim].local_of(src_g);
+    let arr = m.mems[m.grid.rank_of(coords) as usize].array(src);
     let mut lists = owned_locals_per_dim(dad, coords);
-    lists[dim] = vec![l_fix];
-    let mut vals = Vec::new();
-    let mut tmp_offsets = Vec::new();
-    // tmp is rank-1 lower: offsets computed over remaining dims in the
-    // same row-major order.
-    let tmp_shape: Vec<i64> = dad
-        .local_shape()
-        .iter()
-        .enumerate()
-        .filter(|&(d, _)| d != dim)
-        .map(|(_, &e)| e)
-        .collect();
-    cartesian(&lists, |idx| {
-        vals.push(arr.get(idx));
-        let rest: Vec<i64> = idx
-            .iter()
-            .enumerate()
-            .filter(|&(d, _)| d != dim)
-            .map(|(_, &l)| l)
-            .collect();
-        let mut off: i64 = 0;
-        if tmp_shape.is_empty() {
-            tmp_offsets.push(0);
-            return;
-        }
-        for (d, &l) in rest.iter().enumerate() {
-            off = off * tmp_shape[d] + l;
-        }
-        tmp_offsets.push(off as usize);
-    });
-    let mut data = ArrayData::zeros(arr.elem_type(), vals.len());
-    for (k, v) in vals.into_iter().enumerate() {
-        data.set(k, v);
-    }
-    (data, tmp_offsets)
+    lists[dim] = vec![dad.dims[dim].local_of(src_g)];
+    // The fixed dimension does not exist in the temporary: stride 0.
+    let mut tmp_strides = row_major_strides(&slab_shape(dad, dim));
+    tmp_strides.insert(dim, 0);
+    let tmp_offsets = cartesian_offsets(&lists, &tmp_strides, &vec![0; lists.len()]);
+    let payload = arr.gather_flat(local_offsets(arr, &lists));
+    (payload, tmp_offsets)
 }
 
 fn slab_unpack(m: &mut Machine, tmp: &str, rank: i64, data: &ArrayData, offsets: &[usize]) {
-    let arr = m.mems[rank as usize].array_mut(tmp);
-    for (k, &off) in offsets.iter().enumerate() {
-        arr.set_flat(off, data.get(k));
-    }
+    m.mems[rank as usize]
+        .array_mut(tmp)
+        .scatter_flat(offsets.iter().copied(), data);
 }
 
 /// `transfer` (paper §5.3.1 example 1, Fig. 4a): move the slab
@@ -296,14 +287,10 @@ pub fn overlap_shift_moves(
             src_idx_lists[dim] = vec![src_l];
             let mut dst_idx_lists = lists.clone();
             dst_idx_lists[dim] = vec![gl];
-            let src_arr = m.mems[src_rank as usize].array(arr);
-            let dst_arr = m.mems[rank as usize].array(arr);
-            let mut pairs = Vec::new();
-            let mut dst_offsets = Vec::new();
-            cartesian(&src_idx_lists, |idx| pairs.push(src_arr.offset(idx)));
-            cartesian(&dst_idx_lists, |idx| dst_offsets.push(dst_arr.offset(idx)));
+            let src_offs = local_offsets(m.mems[src_rank as usize].array(arr), &src_idx_lists);
+            let dst_offs = local_offsets(m.mems[rank as usize].array(arr), &dst_idx_lists);
             let entry = moves.entry((src_rank, rank)).or_default();
-            entry.extend(pairs.into_iter().zip(dst_offsets));
+            entry.extend(src_offs.into_iter().zip(dst_offs));
         }
     }
     moves
@@ -357,10 +344,8 @@ pub fn temporary_shift(
             src_lists[dim] = vec![src_l];
             let mut dst_lists = lists.clone();
             dst_lists[dim] = vec![l];
-            let mut src_offs = Vec::new();
-            let mut dst_offs = Vec::new();
-            cartesian(&src_lists, |idx| src_offs.push(src_arr.offset(idx)));
-            cartesian(&dst_lists, |idx| dst_offs.push(dst_arr.offset(idx)));
+            let src_offs = local_offsets(src_arr, &src_lists);
+            let dst_offs = local_offsets(dst_arr, &dst_lists);
             let entry = moves.entry((src_rank, rank)).or_default();
             entry.extend(src_offs.into_iter().zip(dst_offs));
         }
@@ -415,14 +400,10 @@ pub fn multicast_shift(
         let mut shifted_lists = lists.clone();
         shifted_lists[mcast_dim] = vec![l_fix];
         // Build the payload in row-major order over remaining dims.
-        let tmp_shape: Vec<i64> = dad
-            .local_shape()
-            .iter()
-            .enumerate()
-            .filter(|&(d, _)| d != mcast_dim)
-            .map(|(_, &e)| e)
-            .collect();
-        let mut vals: Vec<Value> = Vec::new();
+        let tmp_shape = slab_shape(dad, mcast_dim);
+        // Where each payload element is read — (rank, flat offset), in
+        // pack order — and where it lands in the temporary.
+        let mut picks: Vec<(i64, usize)> = Vec::new();
         let mut offsets: Vec<usize> = Vec::new();
         let ty = m.mems[rank as usize].array(src).elem_type();
         cartesian(&shifted_lists, |idx| {
@@ -456,15 +437,14 @@ pub fn multicast_shift(
             let src_rank = m.grid.rank_of(&src_c);
             let mut sidx = idx.to_vec();
             sidx[shift_dim] = src_l;
-            let v = m.mems[src_rank as usize].array(src).get(&sidx);
-            vals.push(v);
+            picks.push((src_rank, m.mems[src_rank as usize].array(src).offset(&sidx)));
             offsets.push(off as usize);
         });
         // Charge the intra-line fetches as one vectorized neighbour
         // exchange when the shift axis is distributed.
         if let Some(sax) = sdm.grid_axis {
             if sdm.is_distributed() && s != 0 {
-                let bytes = vals.len() as i64 * ty.bytes();
+                let bytes = picks.len() as i64 * ty.bytes();
                 let neigh = m
                     .grid
                     .neighbor_wrap(&coords, sax, if s > 0 { 1 } else { -1 });
@@ -474,14 +454,15 @@ pub fn multicast_shift(
                 }
             }
         }
-        let mut payload = ArrayData::zeros(ty, vals.len());
-        for (k, v) in vals.into_iter().enumerate() {
-            payload.set(k, v);
+        // One typed gather per run of elements read from the same node.
+        let mut payload = ArrayData::zeros(ty, 0);
+        for run in picks.chunk_by(|a, b| a.0 == b.0) {
+            let from = m.mems[run[0].0 as usize].array(src);
+            from.gather_flat_into(run.iter().map(|&(_, off)| off), &mut payload);
         }
         let (members, root_pos) = fiber_through(m, &coords, axis);
-        let offs = offsets.clone();
         tree_broadcast(m, &members, root_pos, payload, |m, r, data| {
-            slab_unpack(m, tmp, r, data, &offs);
+            slab_unpack(m, tmp, r, data, &offsets);
         })?;
     }
     Ok(())
@@ -496,61 +477,48 @@ pub fn concatenation(m: &mut Machine, src: &str, dad: &Dad, dst: &str) -> CommRe
     let tag = m.fresh_tag();
     let copy_rate = m.spec().time_copy_byte;
     let nranks = m.nranks();
-    // Phase 1: everyone sends owned (global, value) runs to rank 0.
-    let mut assembled: Vec<(Vec<i64>, Value)> = Vec::new();
+    // Phase 1: everyone sends its owned elements to rank 0, which
+    // deposits them at their global positions. `dst` has the same
+    // layout on every node, so rank 0's offsets serve all of them.
+    let mut assembled: Vec<usize> = Vec::new();
     for rank in 0..nranks {
         let coords = m.grid.coords_of(rank);
         // Skip non-canonical replicas (they hold the same data).
         if dad.replicated_axes.iter().any(|&ax| coords[ax] != 0) {
             continue;
         }
-        let owned = dad.owned_elements(&coords);
-        if owned.is_empty() {
+        let arr = m.mems[rank as usize].array(src);
+        let full = m.mems[0].array(dst);
+        let (mut src_offs, mut dst_offs) = (Vec::new(), Vec::new());
+        dad.for_each_owned(&coords, |g, l| {
+            src_offs.push(arr.offset(l));
+            dst_offs.push(full.offset(g));
+        });
+        if src_offs.is_empty() {
             continue;
         }
-        let arr = m.mems[rank as usize].array(src);
-        let ty = arr.elem_type();
-        let mut payload = ArrayData::zeros(ty, owned.len());
-        for (k, (_, l)) in owned.iter().enumerate() {
-            payload.set(k, arr.get(l));
-        }
-        if rank == 0 {
-            for ((g, _), k) in owned.iter().zip(0..) {
-                assembled.push((g.clone(), payload.get(k)));
-            }
-        } else {
-            let bytes = payload.len() as i64 * ty.bytes();
+        let mut payload = arr.gather_flat(src_offs);
+        if rank != 0 {
+            let bytes = payload.len() as i64 * payload.elem_type().bytes();
             m.transport.charge_compute(rank, copy_rate * bytes as f64);
             m.transport.post_send(rank, 0, tag, payload);
             let h = m.transport.post_recv(0, rank, tag);
-            let got = m.transport.complete(h)?;
+            payload = m.transport.complete(h)?;
             m.transport.charge_compute(0, copy_rate * bytes as f64);
-            for ((g, _), k) in owned.iter().zip(0..) {
-                assembled.push((g.clone(), got.get(k)));
-            }
         }
+        m.mems[0]
+            .array_mut(dst)
+            .scatter_flat(dst_offs.iter().copied(), &payload);
+        assembled.extend(dst_offs);
     }
-    // Phase 2: rank 0 assembles the full array and tree-broadcasts it.
-    {
-        let full = m.mems[0].array_mut(dst);
-        for (g, v) in &assembled {
-            full.set(g, *v);
-        }
-    }
-    let ty = m.mems[0].array(dst).elem_type();
-    let mut payload = ArrayData::zeros(ty, assembled.len());
-    for (k, (_, v)) in assembled.iter().enumerate() {
-        payload.set(k, *v);
-    }
+    // Phase 2: rank 0 tree-broadcasts the assembled array.
+    let payload = m.mems[0].array(dst).gather_flat(assembled.iter().copied());
     let members: Vec<i64> = (0..nranks).collect();
-    let globals: Vec<Vec<i64>> = assembled.iter().map(|(g, _)| g.clone()).collect();
     tree_broadcast(m, &members, 0, payload, |m, r, data| {
-        if r == 0 {
-            return;
-        }
-        let arr = m.mems[r as usize].array_mut(dst);
-        for (k, g) in globals.iter().enumerate() {
-            arr.set(g, data.get(k));
+        if r != 0 {
+            m.mems[r as usize]
+                .array_mut(dst)
+                .scatter_flat(assembled.iter().copied(), data);
         }
     })
 }
@@ -559,7 +527,7 @@ pub fn concatenation(m: &mut Machine, src: &str, dad: &Dad, dst: &str) -> CommRe
 mod tests {
     use super::*;
     use f90d_distrib::{DadBuilder, DistKind, ProcGrid};
-    use f90d_machine::MachineSpec;
+    use f90d_machine::{MachineSpec, Value};
 
     /// 2-D machine + (BLOCK, BLOCK) array initialized to A(i,j) = 100i + j.
     fn setup_2d(n: i64, p: i64, q: i64) -> (Machine, Dad) {

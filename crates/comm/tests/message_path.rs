@@ -1,0 +1,710 @@
+//! The message path's results, pinned. Every structured primitive and a
+//! coalesced phase exchange run on 1-D and 2-D BLOCK and CYCLIC layouts
+//! (4, 6 and 16 ranks, REAL and INTEGER arrays); each scenario's
+//! fingerprint — every padded cell of every array on every rank, every
+//! rank clock by `to_bits`, `messages` and `bytes` — must equal the
+//! value recorded in [`GOLDEN`].
+//!
+//! The golden values were recorded by running this file against the
+//! implementation that packed and deposited one `Value` per element
+//! through `get_flat`/`set_flat` (the commit before the typed
+//! `gather_flat`/`scatter_flat` path and the drained channel table), so
+//! they are that oracle's output, not the current code's. To re-record
+//! after an intended change of the cost model, empty `GOLDEN`: the
+//! failure message prints the table to paste.
+//!
+//! Each scenario also checks the channel-lifetime rule: once a
+//! collective returns, the transport holds no channel at all.
+
+use f90d_comm::plan::{GhostSpec, PhaseExchange};
+use f90d_comm::structured::{
+    alloc_slab_tmp, concatenation, multicast, multicast_shift, overlap_shift, temporary_shift,
+    transfer,
+};
+use f90d_comm::CommOp;
+use f90d_distrib::{Dad, DadBuilder, DistKind, ProcGrid};
+use f90d_machine::{ElemType, LocalArray, Machine, MachineSpec, Transport, Value};
+
+use DistKind::{Block, Collapsed, Cyclic};
+
+struct Layout {
+    name: &'static str,
+    shape: &'static [i64],
+    kinds: &'static [DistKind],
+    grid: &'static [i64],
+}
+
+const LAYOUTS: [Layout; 6] = [
+    Layout {
+        name: "block1d",
+        shape: &[37],
+        kinds: &[Block],
+        grid: &[4],
+    },
+    Layout {
+        name: "cyclic1d",
+        shape: &[37],
+        kinds: &[Cyclic],
+        grid: &[4],
+    },
+    Layout {
+        name: "block_block",
+        shape: &[9, 10],
+        kinds: &[Block, Block],
+        grid: &[2, 3],
+    },
+    Layout {
+        name: "cyclic_block",
+        shape: &[10, 9],
+        kinds: &[Cyclic, Block],
+        grid: &[3, 2],
+    },
+    Layout {
+        name: "star_block16",
+        shape: &[8, 40],
+        kinds: &[Collapsed, Block],
+        grid: &[16],
+    },
+    Layout {
+        name: "block_block16",
+        shape: &[16, 16],
+        kinds: &[Block, Block],
+        grid: &[4, 4],
+    },
+];
+
+const GHOST: i64 = 2;
+
+fn dad_of(l: &Layout) -> Dad {
+    DadBuilder::new("B", l.shape)
+        .distribute(l.kinds)
+        .grid(ProcGrid::new(l.grid))
+        .build()
+        .expect("valid layout")
+}
+
+/// The value of global element `g` of the array numbered `base`.
+fn element(ty: ElemType, base: i64, g: &[i64]) -> Value {
+    let v = g.iter().fold(base, |acc, &i| acc * 100 + i);
+    match ty {
+        ElemType::Int => Value::Int(v),
+        _ => Value::Real(v as f64 + 0.25),
+    }
+}
+
+/// A machine holding `names` as arrays of layout `l`, ghost width 2 on
+/// every side, each owned element set from its global index.
+fn setup(l: &Layout, ty: ElemType, names: &[&str]) -> (Machine, Dad) {
+    let dad = dad_of(l);
+    let mut m = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(l.grid));
+    let ghosts = vec![GHOST; l.shape.len()];
+    for (base, name) in names.iter().enumerate() {
+        for rank in 0..m.nranks() {
+            let coords = m.grid.coords_of(rank);
+            let mut la = LocalArray::with_ghost(ty, &dad.local_shape(), &ghosts, &ghosts);
+            dad.for_each_owned(&coords, |g, loc| {
+                la.set(loc, element(ty, base as i64 + 1, g))
+            });
+            m.mems[rank as usize].insert_array(*name, la);
+        }
+    }
+    (m, dad)
+}
+
+/// A same-local-shape temporary without ghosts, on every rank.
+fn alloc_shift_tmp(m: &mut Machine, dad: &Dad, ty: ElemType) {
+    for mem in &mut m.mems {
+        mem.insert_array("TMP", LocalArray::zeros(ty, &dad.local_shape()));
+    }
+}
+
+fn fnv(h: &mut u64, x: u64) {
+    for b in x.to_le_bytes() {
+        *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// Everything a collective may change, in one number.
+fn fingerprint(m: &Machine) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for mem in &m.mems {
+        let mut names: Vec<&str> = mem.array_names().collect();
+        names.sort_unstable();
+        for name in names {
+            let a = mem.array(name);
+            let padded: i64 = (0..a.rank()).map(|d| a.padded_extent(d)).product();
+            for off in 0..padded as usize {
+                match a.get_flat(off) {
+                    Value::Int(i) => fnv(&mut h, i as u64),
+                    Value::Real(r) => fnv(&mut h, r.to_bits()),
+                    other => panic!("unexpected element {other:?}"),
+                }
+            }
+        }
+    }
+    for c in &m.transport.clocks {
+        fnv(&mut h, c.to_bits());
+    }
+    fnv(&mut h, m.transport.messages);
+    fnv(&mut h, m.transport.bytes);
+    h
+}
+
+/// The channel-lifetime rule: nothing in flight, nothing awaited, and
+/// no entry left behind for either.
+fn assert_drained(m: &Machine, what: &str) {
+    m.transport
+        .quiescent_check()
+        .unwrap_or_else(|e| panic!("{what}: {e}"));
+    assert_eq!(m.transport.channels_len(), 0, "{what}: channels left");
+}
+
+/// Run every scenario; `(name, fingerprint)` in a fixed order.
+fn scenarios() -> Vec<(String, u64)> {
+    let mut out = Vec::new();
+    let mut record = |name: String, m: &Machine| {
+        assert_drained(m, &name);
+        out.push((name, fingerprint(m)));
+    };
+    for l in &LAYOUTS {
+        let types: &[ElemType] = if l.name == "block_block" {
+            &[ElemType::Real, ElemType::Int]
+        } else {
+            &[ElemType::Real]
+        };
+        for &ty in types {
+            let tag = format!("{}/{ty:?}", l.name);
+            let dad = dad_of(l);
+            let distributed: Vec<usize> = (0..dad.rank())
+                .filter(|&d| dad.dims[d].is_distributed())
+                .collect();
+            for &d in &distributed {
+                let (n, p) = (l.shape[d], dad.dims[d].dist.nprocs);
+                for g in [0, n / 2 + 1, n - 1] {
+                    let (mut m, dad) = setup(l, ty, &["B"]);
+                    alloc_slab_tmp(&mut m, "TMP", &dad, d, ty);
+                    multicast(&mut m, "B", &dad, "TMP", d, g).unwrap();
+                    record(format!("{tag}/multicast/d{d}/g{g}"), &m);
+                }
+                for dst in [0, p - 1] {
+                    let (mut m, dad) = setup(l, ty, &["B"]);
+                    alloc_slab_tmp(&mut m, "TMP", &dad, d, ty);
+                    transfer(&mut m, "B", &dad, "TMP", d, n / 2, dst).unwrap();
+                    record(format!("{tag}/transfer/d{d}/to{dst}"), &m);
+                }
+                for (s, periodic) in [(3, false), (-1, false), (2, true), (-5, true)] {
+                    let (mut m, dad) = setup(l, ty, &["B"]);
+                    alloc_shift_tmp(&mut m, &dad, ty);
+                    temporary_shift(&mut m, "B", &dad, "TMP", d, s, periodic).unwrap();
+                    record(format!("{tag}/temporary_shift/d{d}/s{s}/p{periodic}"), &m);
+                }
+                if l.kinds[d] != Block {
+                    continue;
+                }
+                for (c, periodic) in [(2, false), (-1, false), (1, true), (-2, true)] {
+                    let (mut m, dad) = setup(l, ty, &["B"]);
+                    overlap_shift(&mut m, "B", &dad, d, c, periodic).unwrap();
+                    record(format!("{tag}/overlap_shift/d{d}/c{c}/p{periodic}"), &m);
+                }
+                // Two arrays one way, one of them also the other way:
+                // the first pair's strips share a message.
+                let (mut m, dad) = setup(l, ty, &["B", "C"]);
+                let items = [("B", 1), ("C", 1), ("C", -2)]
+                    .into_iter()
+                    .map(|(arr, c)| GhostSpec {
+                        arr: arr.into(),
+                        dad: dad.clone(),
+                        dim: d,
+                        c,
+                    })
+                    .collect();
+                let mut px = PhaseExchange::plan(&m, items).unwrap();
+                px.post(&mut m).unwrap();
+                px.finish(&mut m).unwrap();
+                record(format!("{tag}/phase_exchange/d{d}"), &m);
+            }
+            // Onto every rank, into an array of the other numeric type:
+            // the deposit converts.
+            let full_ty = match ty {
+                ElemType::Int => ElemType::Real,
+                _ => ElemType::Int,
+            };
+            for full_ty in [ty, full_ty] {
+                let (mut m, dad) = setup(l, ty, &["B"]);
+                for mem in &mut m.mems {
+                    mem.insert_array("FULL", LocalArray::zeros(full_ty, l.shape));
+                }
+                concatenation(&mut m, "B", &dad, "FULL").unwrap();
+                record(format!("{tag}/concatenation/{full_ty:?}"), &m);
+            }
+            if dad.rank() == 2 {
+                let mcast = distributed[distributed.len() - 1];
+                for s in [1, -2] {
+                    let (mut m, dad) = setup(l, ty, &["B"]);
+                    alloc_slab_tmp(&mut m, "TMP", &dad, mcast, ty);
+                    let g = l.shape[mcast] / 2;
+                    multicast_shift(&mut m, "B", &dad, "TMP", mcast, g, 1 - mcast, s).unwrap();
+                    record(format!("{tag}/multicast_shift/d{mcast}/s{s}"), &m);
+                }
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn primitives_reproduce_the_per_element_oracle() {
+    let got = scenarios();
+    let same = got.len() == GOLDEN.len()
+        && got
+            .iter()
+            .zip(GOLDEN)
+            .all(|((name, fp), (gname, gfp))| name == gname && fp == gfp);
+    if !same {
+        let table: String = got
+            .iter()
+            .map(|(name, fp)| format!("    (\"{name}\", {fp:#018x}),\n"))
+            .collect();
+        let moved: Vec<&str> = got
+            .iter()
+            .zip(GOLDEN)
+            .filter(|((name, fp), (gname, gfp))| name != gname || fp != gfp)
+            .map(|((name, _), _)| name.as_str())
+            .collect();
+        panic!(
+            "{} scenario(s) against {} recorded; differing: {moved:?}\ncomputed table:\n{table}",
+            got.len(),
+            GOLDEN.len()
+        );
+    }
+}
+
+/// Recorded from the per-element implementation (see the module docs).
+const GOLDEN: &[(&str, u64)] = &[
+    ("block1d/Real/multicast/d0/g0", 0x2fbe52b3907b76ef),
+    ("block1d/Real/multicast/d0/g19", 0x2ccf9ca6379027f5),
+    ("block1d/Real/multicast/d0/g36", 0x9417343b0c0e3535),
+    ("block1d/Real/transfer/d0/to0", 0x1af93432514df62f),
+    ("block1d/Real/transfer/d0/to3", 0xc50d1783e2a23003),
+    (
+        "block1d/Real/temporary_shift/d0/s3/pfalse",
+        0x90557e811d3a2a33,
+    ),
+    (
+        "block1d/Real/temporary_shift/d0/s-1/pfalse",
+        0xb516a5622d5b393c,
+    ),
+    (
+        "block1d/Real/temporary_shift/d0/s2/ptrue",
+        0x51366ede6baf4760,
+    ),
+    (
+        "block1d/Real/temporary_shift/d0/s-5/ptrue",
+        0x2884e4a9ded3025a,
+    ),
+    (
+        "block1d/Real/overlap_shift/d0/c2/pfalse",
+        0x76f4bf2e0632b27a,
+    ),
+    (
+        "block1d/Real/overlap_shift/d0/c-1/pfalse",
+        0x0b1334be0e83fc89,
+    ),
+    ("block1d/Real/overlap_shift/d0/c1/ptrue", 0xead7cfc4b9b1b6d0),
+    (
+        "block1d/Real/overlap_shift/d0/c-2/ptrue",
+        0x43c607f1a00406b9,
+    ),
+    ("block1d/Real/phase_exchange/d0", 0xc8956b06c2f5aabe),
+    ("block1d/Real/concatenation/Real", 0xc7b5a5d5d803ffc9),
+    ("block1d/Real/concatenation/Int", 0x2a3261056e31a1b9),
+    ("cyclic1d/Real/multicast/d0/g0", 0x2849a26b1097203f),
+    ("cyclic1d/Real/multicast/d0/g19", 0x67ec6db2172d03d5),
+    ("cyclic1d/Real/multicast/d0/g36", 0xdb28d31d2b99de9f),
+    ("cyclic1d/Real/transfer/d0/to0", 0x37d401fc7fa9bd4f),
+    ("cyclic1d/Real/transfer/d0/to3", 0xc017915838d017c3),
+    (
+        "cyclic1d/Real/temporary_shift/d0/s3/pfalse",
+        0xd290231646bd9be4,
+    ),
+    (
+        "cyclic1d/Real/temporary_shift/d0/s-1/pfalse",
+        0x5bd15efffd72eae3,
+    ),
+    (
+        "cyclic1d/Real/temporary_shift/d0/s2/ptrue",
+        0xa694b3d1a23e65c8,
+    ),
+    (
+        "cyclic1d/Real/temporary_shift/d0/s-5/ptrue",
+        0xdeac9ea4e1faf505,
+    ),
+    ("cyclic1d/Real/concatenation/Real", 0xf5442db8b3329b5a),
+    ("cyclic1d/Real/concatenation/Int", 0x8ec65a0ddc587a3a),
+    ("block_block/Real/multicast/d0/g0", 0xc5fdbb7f8bcf6a19),
+    ("block_block/Real/multicast/d0/g5", 0xb0582b5d09814bf1),
+    ("block_block/Real/multicast/d0/g8", 0xac289404cda07371),
+    ("block_block/Real/transfer/d0/to0", 0xbe8e564d146cbe5d),
+    ("block_block/Real/transfer/d0/to1", 0xe398ad7627fbdb81),
+    (
+        "block_block/Real/temporary_shift/d0/s3/pfalse",
+        0x7f12b67335135857,
+    ),
+    (
+        "block_block/Real/temporary_shift/d0/s-1/pfalse",
+        0x63a742f881941664,
+    ),
+    (
+        "block_block/Real/temporary_shift/d0/s2/ptrue",
+        0xc483c1d04a92290c,
+    ),
+    (
+        "block_block/Real/temporary_shift/d0/s-5/ptrue",
+        0xb62eaf7739be8f7c,
+    ),
+    (
+        "block_block/Real/overlap_shift/d0/c2/pfalse",
+        0x2876c406e068e727,
+    ),
+    (
+        "block_block/Real/overlap_shift/d0/c-1/pfalse",
+        0xb3c72a5b68c0c791,
+    ),
+    (
+        "block_block/Real/overlap_shift/d0/c1/ptrue",
+        0xfa2469ae8ca1c077,
+    ),
+    (
+        "block_block/Real/overlap_shift/d0/c-2/ptrue",
+        0xacecef58305d96f8,
+    ),
+    ("block_block/Real/phase_exchange/d0", 0x502300f6eeec6cd8),
+    ("block_block/Real/multicast/d1/g0", 0x8a48a4ec3599477f),
+    ("block_block/Real/multicast/d1/g6", 0x1af6b6ddd1ad6a95),
+    ("block_block/Real/multicast/d1/g9", 0xf61dfababa03eb00),
+    ("block_block/Real/transfer/d1/to0", 0x035c84e37e88819a),
+    ("block_block/Real/transfer/d1/to2", 0x4d7c58b74688e269),
+    (
+        "block_block/Real/temporary_shift/d1/s3/pfalse",
+        0x700d1f4dcc9e8d01,
+    ),
+    (
+        "block_block/Real/temporary_shift/d1/s-1/pfalse",
+        0xcb46b61892d347e6,
+    ),
+    (
+        "block_block/Real/temporary_shift/d1/s2/ptrue",
+        0x8cd40e2a3825ba87,
+    ),
+    (
+        "block_block/Real/temporary_shift/d1/s-5/ptrue",
+        0xb337781b3db65ee7,
+    ),
+    (
+        "block_block/Real/overlap_shift/d1/c2/pfalse",
+        0x9edd9e192f6084f1,
+    ),
+    (
+        "block_block/Real/overlap_shift/d1/c-1/pfalse",
+        0x0e34d9e5a4383e7d,
+    ),
+    (
+        "block_block/Real/overlap_shift/d1/c1/ptrue",
+        0xb672632bdc28bade,
+    ),
+    (
+        "block_block/Real/overlap_shift/d1/c-2/ptrue",
+        0x33256c13d65e5d6f,
+    ),
+    ("block_block/Real/phase_exchange/d1", 0x02dd8288bb2c00b3),
+    ("block_block/Real/concatenation/Real", 0x69d85a5bba1fd712),
+    ("block_block/Real/concatenation/Int", 0x252a9dc23598520a),
+    ("block_block/Real/multicast_shift/d1/s1", 0xcfffb266e9484651),
+    (
+        "block_block/Real/multicast_shift/d1/s-2",
+        0x2fd4b7a2cd6db737,
+    ),
+    ("block_block/Int/multicast/d0/g0", 0xb731f6f2f1954fbc),
+    ("block_block/Int/multicast/d0/g5", 0x6a039e3c4a849f04),
+    ("block_block/Int/multicast/d0/g8", 0xca88c2a521f9d21c),
+    ("block_block/Int/transfer/d0/to0", 0x4cf31b616b7c28d9),
+    ("block_block/Int/transfer/d0/to1", 0xf6851cb9dcde26c5),
+    (
+        "block_block/Int/temporary_shift/d0/s3/pfalse",
+        0x12efdf5c514bb40e,
+    ),
+    (
+        "block_block/Int/temporary_shift/d0/s-1/pfalse",
+        0xb91428ae8cb92649,
+    ),
+    (
+        "block_block/Int/temporary_shift/d0/s2/ptrue",
+        0xfb03562ca385b914,
+    ),
+    (
+        "block_block/Int/temporary_shift/d0/s-5/ptrue",
+        0xd0148f604b081014,
+    ),
+    (
+        "block_block/Int/overlap_shift/d0/c2/pfalse",
+        0x683d46cb7692c70a,
+    ),
+    (
+        "block_block/Int/overlap_shift/d0/c-1/pfalse",
+        0xb713459b71eb7465,
+    ),
+    (
+        "block_block/Int/overlap_shift/d0/c1/ptrue",
+        0x1d57b7e1ab783846,
+    ),
+    (
+        "block_block/Int/overlap_shift/d0/c-2/ptrue",
+        0x803d962b41843d59,
+    ),
+    ("block_block/Int/phase_exchange/d0", 0xf65c757040448ee0),
+    ("block_block/Int/multicast/d1/g0", 0xaeeaadce2673a8f4),
+    ("block_block/Int/multicast/d1/g6", 0x663154029ef7bca1),
+    ("block_block/Int/multicast/d1/g9", 0xb070e5cc861e0e76),
+    ("block_block/Int/transfer/d1/to0", 0x7c5ec114ebb1f68a),
+    ("block_block/Int/transfer/d1/to2", 0xe9170dcb037b2b79),
+    (
+        "block_block/Int/temporary_shift/d1/s3/pfalse",
+        0x6a3125f92e655ce7,
+    ),
+    (
+        "block_block/Int/temporary_shift/d1/s-1/pfalse",
+        0xeff7143804d20279,
+    ),
+    (
+        "block_block/Int/temporary_shift/d1/s2/ptrue",
+        0xe0b9814c946aa56f,
+    ),
+    (
+        "block_block/Int/temporary_shift/d1/s-5/ptrue",
+        0xda5aa750fe546c27,
+    ),
+    (
+        "block_block/Int/overlap_shift/d1/c2/pfalse",
+        0x861499b7a84a4e00,
+    ),
+    (
+        "block_block/Int/overlap_shift/d1/c-1/pfalse",
+        0x6ec657f5f5f31516,
+    ),
+    (
+        "block_block/Int/overlap_shift/d1/c1/ptrue",
+        0xa6d29cbaab0b0af3,
+    ),
+    (
+        "block_block/Int/overlap_shift/d1/c-2/ptrue",
+        0xb9ffc240a3e0b0d7,
+    ),
+    ("block_block/Int/phase_exchange/d1", 0xe2d22bee8e0776e8),
+    ("block_block/Int/concatenation/Int", 0x779ae1e8819db717),
+    ("block_block/Int/concatenation/Real", 0xa3b227e69a7c8e87),
+    ("block_block/Int/multicast_shift/d1/s1", 0x30b97c20ef7e0e00),
+    ("block_block/Int/multicast_shift/d1/s-2", 0xb0d143ce17faec59),
+    ("cyclic_block/Real/multicast/d0/g0", 0x49a32170da833e7c),
+    ("cyclic_block/Real/multicast/d0/g6", 0x85f4aa7b84ff548b),
+    ("cyclic_block/Real/multicast/d0/g9", 0x21bb0bee40ab2acc),
+    ("cyclic_block/Real/transfer/d0/to0", 0x60d7cd1459b5630d),
+    ("cyclic_block/Real/transfer/d0/to2", 0xed94898819ab5cda),
+    (
+        "cyclic_block/Real/temporary_shift/d0/s3/pfalse",
+        0xd4967ec96a52c733,
+    ),
+    (
+        "cyclic_block/Real/temporary_shift/d0/s-1/pfalse",
+        0xa2808c1a342a0b5d,
+    ),
+    (
+        "cyclic_block/Real/temporary_shift/d0/s2/ptrue",
+        0x205bd41bf4cae04a,
+    ),
+    (
+        "cyclic_block/Real/temporary_shift/d0/s-5/ptrue",
+        0x2471821c8848207d,
+    ),
+    ("cyclic_block/Real/multicast/d1/g0", 0xe8a680bf95f6f6e6),
+    ("cyclic_block/Real/multicast/d1/g5", 0x8ac8af959cad9e7a),
+    ("cyclic_block/Real/multicast/d1/g8", 0x1d04c3431ef763f6),
+    ("cyclic_block/Real/transfer/d1/to0", 0xdb7e746e9947ab6d),
+    ("cyclic_block/Real/transfer/d1/to1", 0x74280bd5690be7d3),
+    (
+        "cyclic_block/Real/temporary_shift/d1/s3/pfalse",
+        0x43c128d095dd3cd0,
+    ),
+    (
+        "cyclic_block/Real/temporary_shift/d1/s-1/pfalse",
+        0xc5738ca549f328aa,
+    ),
+    (
+        "cyclic_block/Real/temporary_shift/d1/s2/ptrue",
+        0x446024f8c7a9c51e,
+    ),
+    (
+        "cyclic_block/Real/temporary_shift/d1/s-5/ptrue",
+        0x87293dbc69c34430,
+    ),
+    (
+        "cyclic_block/Real/overlap_shift/d1/c2/pfalse",
+        0xcf62f7dca4065f04,
+    ),
+    (
+        "cyclic_block/Real/overlap_shift/d1/c-1/pfalse",
+        0xc213dc0efd6f0463,
+    ),
+    (
+        "cyclic_block/Real/overlap_shift/d1/c1/ptrue",
+        0xc59f487f0ce6435a,
+    ),
+    (
+        "cyclic_block/Real/overlap_shift/d1/c-2/ptrue",
+        0xc1bc03ca582a09c9,
+    ),
+    ("cyclic_block/Real/phase_exchange/d1", 0x4c43fc10b6dccbc8),
+    ("cyclic_block/Real/concatenation/Real", 0x7f1cb8fca8d54372),
+    ("cyclic_block/Real/concatenation/Int", 0x53645787816cb276),
+    (
+        "cyclic_block/Real/multicast_shift/d1/s1",
+        0xb6dd7c43d31a21dc,
+    ),
+    (
+        "cyclic_block/Real/multicast_shift/d1/s-2",
+        0x2bffddb45d0f1596,
+    ),
+    ("star_block16/Real/multicast/d1/g0", 0x1860e63ebc43a2ab),
+    ("star_block16/Real/multicast/d1/g21", 0xdf204e9d856b6227),
+    ("star_block16/Real/multicast/d1/g39", 0x6f62c3d24eb98d90),
+    ("star_block16/Real/transfer/d1/to0", 0xc0ed1a922fa0e4eb),
+    ("star_block16/Real/transfer/d1/to15", 0x403ead1f775802db),
+    (
+        "star_block16/Real/temporary_shift/d1/s3/pfalse",
+        0x0a09896b72866dec,
+    ),
+    (
+        "star_block16/Real/temporary_shift/d1/s-1/pfalse",
+        0x8111dab996548c95,
+    ),
+    (
+        "star_block16/Real/temporary_shift/d1/s2/ptrue",
+        0x3dd19a612f1de4d1,
+    ),
+    (
+        "star_block16/Real/temporary_shift/d1/s-5/ptrue",
+        0xbf66ab339be8b2bb,
+    ),
+    (
+        "star_block16/Real/overlap_shift/d1/c2/pfalse",
+        0x4ad6e16c4ab7310f,
+    ),
+    (
+        "star_block16/Real/overlap_shift/d1/c-1/pfalse",
+        0xd19db642f8a32533,
+    ),
+    (
+        "star_block16/Real/overlap_shift/d1/c1/ptrue",
+        0x93738c21187ac55a,
+    ),
+    (
+        "star_block16/Real/overlap_shift/d1/c-2/ptrue",
+        0xa8423f2e7c10277c,
+    ),
+    ("star_block16/Real/phase_exchange/d1", 0x98302ba2f41fe24c),
+    ("star_block16/Real/concatenation/Real", 0xfd2d35f69e325c40),
+    ("star_block16/Real/concatenation/Int", 0xc8a7d4dfe91565f0),
+    (
+        "star_block16/Real/multicast_shift/d1/s1",
+        0x65c8cce3372bd2d9,
+    ),
+    (
+        "star_block16/Real/multicast_shift/d1/s-2",
+        0x8665997d79b22487,
+    ),
+    ("block_block16/Real/multicast/d0/g0", 0xfcc4ff5e7e8b1b36),
+    ("block_block16/Real/multicast/d0/g9", 0xa6ef1efd687cbc76),
+    ("block_block16/Real/multicast/d0/g15", 0x324e6c6b42dbce2e),
+    ("block_block16/Real/transfer/d0/to0", 0x58ebf792f4bdcc29),
+    ("block_block16/Real/transfer/d0/to3", 0x2ecac5d6dd966e29),
+    (
+        "block_block16/Real/temporary_shift/d0/s3/pfalse",
+        0x5c5b6904dca3f29d,
+    ),
+    (
+        "block_block16/Real/temporary_shift/d0/s-1/pfalse",
+        0xb8b92dd7a4f99cfe,
+    ),
+    (
+        "block_block16/Real/temporary_shift/d0/s2/ptrue",
+        0xe9f594feb24f52d9,
+    ),
+    (
+        "block_block16/Real/temporary_shift/d0/s-5/ptrue",
+        0xdf850573f6aefd75,
+    ),
+    (
+        "block_block16/Real/overlap_shift/d0/c2/pfalse",
+        0x1e86301bdf166498,
+    ),
+    (
+        "block_block16/Real/overlap_shift/d0/c-1/pfalse",
+        0x315d626f55e55cee,
+    ),
+    (
+        "block_block16/Real/overlap_shift/d0/c1/ptrue",
+        0x1b26ed3194ce1a6f,
+    ),
+    (
+        "block_block16/Real/overlap_shift/d0/c-2/ptrue",
+        0xc50e258814e18f19,
+    ),
+    ("block_block16/Real/phase_exchange/d0", 0x0294ae10421ec68b),
+    ("block_block16/Real/multicast/d1/g0", 0x6f94ebd3d5954016),
+    ("block_block16/Real/multicast/d1/g9", 0xe04424e10c7ccbf6),
+    ("block_block16/Real/multicast/d1/g15", 0xc7db09afab0e26ce),
+    ("block_block16/Real/transfer/d1/to0", 0x82cf493a890f5005),
+    ("block_block16/Real/transfer/d1/to3", 0x8bb59d86f70271d5),
+    (
+        "block_block16/Real/temporary_shift/d1/s3/pfalse",
+        0x7a08148febcfea2d,
+    ),
+    (
+        "block_block16/Real/temporary_shift/d1/s-1/pfalse",
+        0x062e35de7585622e,
+    ),
+    (
+        "block_block16/Real/temporary_shift/d1/s2/ptrue",
+        0x571b3be02b935ad1,
+    ),
+    (
+        "block_block16/Real/temporary_shift/d1/s-5/ptrue",
+        0x31351edae84e95a5,
+    ),
+    (
+        "block_block16/Real/overlap_shift/d1/c2/pfalse",
+        0x94e690fbfae3da5c,
+    ),
+    (
+        "block_block16/Real/overlap_shift/d1/c-1/pfalse",
+        0x649373bef108fe36,
+    ),
+    (
+        "block_block16/Real/overlap_shift/d1/c1/ptrue",
+        0xb69ef08007822d2f,
+    ),
+    (
+        "block_block16/Real/overlap_shift/d1/c-2/ptrue",
+        0x119bd8ec895a2199,
+    ),
+    ("block_block16/Real/phase_exchange/d1", 0xe8de62c4fd5515ad),
+    ("block_block16/Real/concatenation/Real", 0xf7240f4ea519afcc),
+    ("block_block16/Real/concatenation/Int", 0x9eb3db77a087baac),
+    (
+        "block_block16/Real/multicast_shift/d1/s1",
+        0x835d8c87137c4cac,
+    ),
+    (
+        "block_block16/Real/multicast_shift/d1/s-2",
+        0xa702a76373315b22,
+    ),
+];

@@ -163,8 +163,11 @@ impl DimDist {
 
     /// Maximum local count over all processors — the local allocation size
     /// a compiler must reserve on every node for this dimension.
+    /// Coordinate 0 owns the first block, the first element of every
+    /// cycle and the first block of every cycle, so under every kind it
+    /// owns the maximum.
     pub fn max_local_count(&self) -> i64 {
-        (0..self.nprocs).map(|p| self.local_count(p)).max().unwrap()
+        self.local_count(0)
     }
 
     /// Iterate the global indices owned by processor `p`, in increasing
@@ -272,6 +275,18 @@ mod tests {
                     let total: i64 = (0..p).map(|q| d.local_count(q)).sum();
                     assert_eq!(total, n, "{d:?}");
                     assert!(d.max_local_count() >= crate::ceil_div(n, p));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn max_local_count_is_coordinate_zeros() {
+        for n in 1..=40 {
+            for p in 1..=9 {
+                for d in all_kinds(n, p) {
+                    let fold = (0..d.nprocs).map(|q| d.local_count(q)).max().unwrap();
+                    assert_eq!(d.max_local_count(), fold, "{d:?}");
                 }
             }
         }

@@ -1,0 +1,38 @@
+//! The hasher of the message path's two tables (the transport's channel
+//! table and the link clocks): their keys are a few small integers, so
+//! one rotate–xor–multiply per field replaces SipHash over the key's
+//! bytes. Not DoS-resistant — the keys are rank numbers and tags the
+//! program itself generates.
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A `HashMap` keyed by small integer tuples, on [`IntHasher`].
+pub(crate) type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
+
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct IntHasher(u64);
+
+impl Hasher for IntHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    // `write_i64` defaults to this; every other width a key uses must
+    // be forwarded here by hand or it takes the byte loop above.
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+
+    // The multiply leaves its best-mixed bits at the top; the table
+    // indexes buckets by the low ones.
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}

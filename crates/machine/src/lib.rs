@@ -50,6 +50,7 @@
 #![warn(missing_docs)]
 
 pub mod budget;
+mod int_hash;
 pub mod machine;
 pub mod memory;
 pub mod mpool;

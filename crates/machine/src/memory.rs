@@ -176,6 +176,117 @@ impl LocalArray {
         self.data.set(off, v);
     }
 
+    /// Pack the elements at the flat padded `offsets`, in order, into a
+    /// new payload of this segment's element type — the message side of
+    /// a vectorized send. The element type is matched once per call,
+    /// not once per element; an unmaterialized lazy segment packs zeros
+    /// without allocating itself.
+    ///
+    /// # Panics
+    /// Panics on an offset outside the padded segment.
+    pub fn gather_flat(&self, offsets: impl IntoIterator<Item = usize>) -> ArrayData {
+        let mut out = ArrayData::zeros(self.ty, 0);
+        self.gather_flat_into(offsets, &mut out);
+        out
+    }
+
+    /// [`LocalArray::gather_flat`] appending to `out`, for one message
+    /// that carries strips of several arrays.
+    ///
+    /// # Panics
+    /// Panics when `out` is not of this segment's element type.
+    pub fn gather_flat_into(&self, offsets: impl IntoIterator<Item = usize>, out: &mut ArrayData) {
+        fn gather<T: Copy + Default>(
+            src: Option<&[T]>,
+            len: usize,
+            offsets: impl Iterator<Item = usize>,
+            out: &mut Vec<T>,
+        ) {
+            match src {
+                Some(src) => out.extend(offsets.map(|o| src[o])),
+                None => out.extend(offsets.map(|o| {
+                    assert!(o < len, "flat offset {o} out of range ({len})");
+                    T::default()
+                })),
+            }
+        }
+        let (live, len, offsets) = (self.is_materialized(), self.padded_len, offsets.into_iter());
+        match (&self.data, out) {
+            (ArrayData::Int(s), ArrayData::Int(o)) => gather(live.then_some(s), len, offsets, o),
+            (ArrayData::Real(s), ArrayData::Real(o)) => gather(live.then_some(s), len, offsets, o),
+            (ArrayData::Bool(s), ArrayData::Bool(o)) => gather(live.then_some(s), len, offsets, o),
+            (ArrayData::Complex(s), ArrayData::Complex(o)) => {
+                gather(live.then_some(s), len, offsets, o);
+            }
+            (_, out) => panic!(
+                "gather of {:?} elements into a {:?} payload",
+                self.ty,
+                out.elem_type()
+            ),
+        }
+    }
+
+    /// Deposit the whole payload `data` at the flat padded `offsets`, in
+    /// order — the receiving side of [`LocalArray::gather_flat`]. A
+    /// payload of this segment's element type is copied by a loop over
+    /// that type; any other is converted element by element under the
+    /// Fortran assignment rules.
+    ///
+    /// # Panics
+    /// Panics when `offsets` and `data` differ in length (nothing is
+    /// silently truncated) or on an offset outside the padded segment.
+    pub fn scatter_flat(&mut self, offsets: impl IntoIterator<Item = usize>, data: &ArrayData) {
+        let end = self.scatter_flat_from(offsets, data, 0);
+        assert_eq!(end, data.len(), "payload longer than its offset list");
+    }
+
+    /// Deposit `data[start..]`'s leading elements, one per offset, and
+    /// return the payload position after the last one — the unpacking
+    /// of one array's strip out of a message that carries several.
+    ///
+    /// # Panics
+    /// Panics when the payload runs out before the offsets do.
+    pub fn scatter_flat_from(
+        &mut self,
+        offsets: impl IntoIterator<Item = usize>,
+        data: &ArrayData,
+        start: usize,
+    ) -> usize {
+        fn scatter<T: Copy>(
+            dst: &mut [T],
+            offsets: impl Iterator<Item = usize>,
+            src: &[T],
+        ) -> usize {
+            let mut k = 0;
+            for o in offsets {
+                dst[o] = src[k];
+                k += 1;
+            }
+            k
+        }
+        let mut offsets = offsets.into_iter().peekable();
+        if offsets.peek().is_none() {
+            // Nothing to write: a lazy segment stays unallocated.
+            return start;
+        }
+        self.materialize();
+        start
+            + match (&mut self.data, data) {
+                (ArrayData::Int(d), ArrayData::Int(s)) => scatter(d, offsets, &s[start..]),
+                (ArrayData::Real(d), ArrayData::Real(s)) => scatter(d, offsets, &s[start..]),
+                (ArrayData::Bool(d), ArrayData::Bool(s)) => scatter(d, offsets, &s[start..]),
+                (ArrayData::Complex(d), ArrayData::Complex(s)) => scatter(d, offsets, &s[start..]),
+                (d, s) => {
+                    let mut k = 0;
+                    for o in offsets {
+                        d.set(o, s.get(start + k));
+                        k += 1;
+                    }
+                    k
+                }
+            }
+    }
+
     /// Borrow the raw storage.
     ///
     /// An unmaterialized lazy segment exposes an **empty** buffer here
@@ -288,19 +399,6 @@ impl NodeMemory {
         self.arrays.contains_key(name)
     }
 
-    /// Mutably borrow two distinct arrays at once.
-    ///
-    /// # Panics
-    /// Panics if the names are equal or either is missing.
-    pub fn two_arrays_mut(&mut self, a: &str, b: &str) -> (&mut LocalArray, &mut LocalArray) {
-        assert_ne!(a, b, "two_arrays_mut needs distinct names");
-        let [x, y] = self.arrays.get_disjoint_mut([a, b]);
-        (
-            x.unwrap_or_else(|| panic!("array `{a}` not allocated")),
-            y.unwrap_or_else(|| panic!("array `{b}` not allocated")),
-        )
-    }
-
     /// Set scalar `name` (a node-local write; shadows any shared
     /// constant of the same name on this rank only).
     pub fn set_scalar(&mut self, name: impl Into<String>, v: Value) {
@@ -394,18 +492,6 @@ mod tests {
     }
 
     #[test]
-    fn two_arrays_mut_works() {
-        let mut m = NodeMemory::new();
-        m.insert_array("A", LocalArray::zeros(ElemType::Real, &[2]));
-        m.insert_array("B", LocalArray::zeros(ElemType::Real, &[2]));
-        let (a, b) = m.two_arrays_mut("A", "B");
-        a.set(&[0], Value::Real(1.0));
-        b.set(&[0], Value::Real(2.0));
-        assert_eq!(m.array("A").get(&[0]), Value::Real(1.0));
-        assert_eq!(m.array("B").get(&[0]), Value::Real(2.0));
-    }
-
-    #[test]
     fn interior_indices_row_major() {
         let a = LocalArray::zeros(ElemType::Int, &[2, 2]);
         assert_eq!(
@@ -470,6 +556,167 @@ mod tests {
         a.set(&[1], Value::Real(3.0));
         a.materialize();
         assert_eq!(a.get(&[1]), Value::Real(3.0));
+    }
+
+    const ALL_TYPES: [ElemType; 4] = [
+        ElemType::Int,
+        ElemType::Real,
+        ElemType::Bool,
+        ElemType::Complex,
+    ];
+
+    /// A distinct value of type `ty` for flat position `k`.
+    fn sample(ty: ElemType, k: usize) -> Value {
+        match ty {
+            ElemType::Int => Value::Int(3 * k as i64 - 7),
+            ElemType::Real => Value::Real(k as f64 * 0.5 - 2.0),
+            ElemType::Bool => Value::Bool(k % 3 == 1),
+            ElemType::Complex => Value::Complex(k as f64, -(k as f64) / 4.0),
+        }
+    }
+
+    /// A 4×5 segment with ghosts (padded 6×8 = 48), every padded cell
+    /// holding `sample(ty, offset)`.
+    fn filled(ty: ElemType) -> LocalArray {
+        let mut a = LocalArray::with_ghost(ty, &[4, 5], &[1, 2], &[1, 1]);
+        for k in 0..48 {
+            a.set_flat(k, sample(ty, k));
+        }
+        a
+    }
+
+    /// Strided, reversed, repeated and ghost-touching offset lists.
+    fn offset_lists() -> Vec<Vec<usize>> {
+        vec![
+            vec![],
+            vec![17],
+            (0..48).collect(),
+            (3..48).step_by(7).collect(),
+            (0..48).rev().step_by(5).collect(),
+            vec![9, 9, 9, 2, 47, 2, 0],
+        ]
+    }
+
+    /// The oracle both fast paths replaced: one `Value` per element.
+    fn gather_oracle(a: &LocalArray, offsets: &[usize]) -> ArrayData {
+        let mut out = ArrayData::zeros(a.elem_type(), offsets.len());
+        for (k, &o) in offsets.iter().enumerate() {
+            out.set(k, a.get_flat(o));
+        }
+        out
+    }
+
+    fn scatter_oracle(a: &mut LocalArray, offsets: &[usize], data: &ArrayData) {
+        for (k, &o) in offsets.iter().enumerate() {
+            a.set_flat(o, data.get(k));
+        }
+    }
+
+    #[test]
+    fn gather_flat_matches_the_per_element_loop() {
+        for ty in ALL_TYPES {
+            let a = filled(ty);
+            let lazy = LocalArray::with_ghost_lazy(ty, &[4, 5], &[1, 2], &[1, 1]);
+            for offs in offset_lists() {
+                assert_eq!(
+                    a.gather_flat(offs.iter().copied()),
+                    gather_oracle(&a, &offs),
+                    "{ty:?} {offs:?}"
+                );
+                // An unmaterialized source packs zeros and stays lazy.
+                assert_eq!(
+                    lazy.gather_flat(offs.iter().copied()),
+                    ArrayData::zeros(ty, offs.len())
+                );
+                assert!(!lazy.is_materialized());
+                // Appending keeps what the payload already holds.
+                let mut out = a.gather_flat([1usize, 2]);
+                a.gather_flat_into(offs.iter().copied(), &mut out);
+                let mut both = vec![1, 2];
+                both.extend(&offs);
+                assert_eq!(out, gather_oracle(&a, &both));
+            }
+        }
+    }
+
+    #[test]
+    fn scatter_flat_matches_the_per_element_loop() {
+        for ty in ALL_TYPES {
+            for offs in offset_lists() {
+                let mut data = ArrayData::zeros(ty, offs.len());
+                for k in 0..offs.len() {
+                    data.set(k, sample(ty, 100 + k));
+                }
+                for lazy in [false, true] {
+                    let mk = || {
+                        if lazy {
+                            LocalArray::with_ghost_lazy(ty, &[4, 5], &[1, 2], &[1, 1])
+                        } else {
+                            filled(ty)
+                        }
+                    };
+                    let (mut fast, mut slow) = (mk(), mk());
+                    fast.scatter_flat(offs.iter().copied(), &data);
+                    scatter_oracle(&mut slow, &offs, &data);
+                    assert_eq!(fast, slow, "{ty:?} lazy={lazy} {offs:?}");
+                    // Writing nothing allocates nothing.
+                    assert_eq!(fast.is_materialized(), !(lazy && offs.is_empty()));
+                }
+                // The same strip from position 3 of a longer payload.
+                let mut long = ArrayData::zeros(ty, 3);
+                filled(ty).gather_flat_into(0..offs.len(), &mut long);
+                let strip = filled(ty).gather_flat(0..offs.len());
+                let (mut fast, mut slow) = (filled(ty), filled(ty));
+                let end = fast.scatter_flat_from(offs.iter().copied(), &long, 3);
+                assert_eq!(end, 3 + offs.len());
+                scatter_oracle(&mut slow, &offs, &strip);
+                assert_eq!(fast, slow, "{ty:?} strip {offs:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn scatter_flat_converts_a_payload_of_another_type() {
+        // INTEGER payload into a REAL destination (and back), by the
+        // Fortran assignment rules `set(get)` applies.
+        let offs = [5usize, 0, 13];
+        let ints = ArrayData::Int(vec![4, -2, 9]);
+        let (mut fast, mut slow) = (filled(ElemType::Real), filled(ElemType::Real));
+        fast.scatter_flat(offs, &ints);
+        scatter_oracle(&mut slow, &offs, &ints);
+        assert_eq!(fast, slow);
+        assert_eq!(fast.get_flat(0), Value::Real(-2.0));
+        let reals = ArrayData::Real(vec![2.9, -0.5, 1e3]);
+        let (mut fast, mut slow) = (filled(ElemType::Int), filled(ElemType::Int));
+        fast.scatter_flat(offs, &reals);
+        scatter_oracle(&mut slow, &offs, &reals);
+        assert_eq!(fast, slow);
+        assert_eq!(fast.get_flat(5), Value::Int(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "payload longer than its offset list")]
+    fn scatter_flat_rejects_a_long_payload() {
+        filled(ElemType::Real).scatter_flat([1usize, 2], &ArrayData::Real(vec![0.0; 3]));
+    }
+
+    #[test]
+    #[should_panic]
+    fn scatter_flat_rejects_a_short_payload() {
+        filled(ElemType::Real).scatter_flat([1usize, 2, 3], &ArrayData::Real(vec![0.0; 2]));
+    }
+
+    #[test]
+    #[should_panic]
+    fn gather_flat_bounds_checks_a_lazy_source() {
+        LocalArray::with_ghost_lazy(ElemType::Real, &[4], &[0], &[0]).gather_flat([4usize]);
+    }
+
+    #[test]
+    #[should_panic(expected = "payload")]
+    fn gather_flat_into_rejects_a_payload_of_another_type() {
+        let mut out = ArrayData::zeros(ElemType::Int, 0);
+        filled(ElemType::Real).gather_flat_into([0usize], &mut out);
     }
 
     #[test]

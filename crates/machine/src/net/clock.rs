@@ -15,17 +15,18 @@
 //! a contended one can only be **slower**, never faster (queueing waits
 //! are `max`es against the uncontended head time).
 
-use std::collections::HashMap;
-
+use crate::int_hash::IntMap;
 use crate::net::route::LinkId;
 use crate::spec::MachineSpec;
 
 /// Busy-until virtual times, one per directed link that has ever carried
 /// traffic (absent = idle since t=0). Link state is sparse: a 4096-rank
-/// machine only pays for the links its program actually crosses.
+/// machine only pays for the links its program actually crosses (a
+/// crossbar has P² of them, so a dense table is not an option) — the
+/// probes are kept cheap by the integer hasher instead.
 #[derive(Debug, Clone, Default)]
 pub struct LinkClocks {
-    busy: HashMap<LinkId, f64>,
+    busy: IntMap<LinkId, f64>,
 }
 
 impl LinkClocks {

@@ -1,6 +1,6 @@
 //! Deterministic minimal-path routing: `Topology::route(a, b)` expands a
 //! rank pair into the ordered list of directed links the message
-//! traverses.
+//! traverses (`Topology::route_into` does it into a reused buffer).
 //!
 //! Entity numbering: compute nodes are `0..P`; fat-tree switches get ids
 //! `leaves·level + group` (disjoint from every leaf id because levels
@@ -38,14 +38,23 @@ impl Topology {
     /// traverses. Empty for a self-message; `route(a, b).len()` always
     /// equals [`Topology::hops`]`(a, b)`.
     pub fn route(&self, a: i64, b: i64) -> Vec<LinkId> {
+        let mut links = Vec::new();
+        self.route_into(a, b, &mut links);
+        links
+    }
+
+    /// [`Topology::route`] into a caller-owned buffer: `links` is
+    /// cleared and refilled, so a transport routing every message
+    /// through one buffer allocates nothing per message.
+    pub fn route_into(&self, a: i64, b: i64, links: &mut Vec<LinkId>) {
+        links.clear();
         if a == b {
-            return Vec::new();
+            return;
         }
         match self {
-            Topology::Crossbar => vec![LinkId::new(a, b)],
+            Topology::Crossbar => links.push(LinkId::new(a, b)),
             Topology::Hypercube => {
                 // Fix differing address bits lowest-first.
-                let mut links = Vec::new();
                 let mut cur = a;
                 let mut diff = a ^ b;
                 while diff != 0 {
@@ -55,10 +64,8 @@ impl Topology {
                     cur = next;
                     diff &= diff - 1;
                 }
-                links
             }
             Topology::Mesh2D { cols, .. } => {
-                let mut links = Vec::new();
                 let (mut r, mut c) = (a / cols, a % cols);
                 let (br, bc) = (b / cols, b % cols);
                 let mut push = |r0: i64, c0: i64, r1: i64, c1: i64| {
@@ -74,7 +81,6 @@ impl Topology {
                     push(r, c, r, nc);
                     c = nc;
                 }
-                links
             }
             Topology::Torus { dims } => {
                 let mut cur = Topology::torus_coords(dims, a);
@@ -82,7 +88,6 @@ impl Topology {
                 let rank_of = |c: &[i64]| -> i64 {
                     c.iter().zip(dims).fold(0, |acc, (&x, &ext)| acc * ext + x)
                 };
-                let mut links = Vec::new();
                 for d in 0..dims.len() {
                     let ext = dims[d];
                     let fwd = (dst[d] - cur[d]).rem_euclid(ext);
@@ -99,13 +104,11 @@ impl Topology {
                         links.push(LinkId::new(from, rank_of(&cur)));
                     }
                 }
-                links
             }
             Topology::FatTree { arity, levels } => {
                 let leaves = arity.checked_pow(*levels as u32).expect("fat tree size");
                 let switch = |level: i64, group: i64| leaves * level + group;
                 let lca = Topology::fat_tree_lca(*arity, *levels, a, b);
-                let mut links = Vec::new();
                 // Up from leaf `a` to the common ancestor…
                 let mut cur = a; // entity id; group of level-l ancestor is a / arity^l
                 let mut ga = a;
@@ -123,7 +126,6 @@ impl Topology {
                     cur = next;
                 }
                 links.push(LinkId::new(cur, b));
-                links
             }
         }
     }

@@ -35,9 +35,11 @@
 //! payload occupies the wire for β·bytes, and the receiver cannot complete
 //! its receive before the arrival time.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::VecDeque;
 
-use crate::net::LinkClocks;
+use crate::int_hash::IntMap;
+use crate::net::{LinkClocks, LinkId};
 use crate::spec::MachineSpec;
 use crate::value::ArrayData;
 
@@ -208,6 +210,18 @@ pub trait Transport {
     }
 }
 
+/// `(arrival_time, payload)` of the in-flight messages of one channel,
+/// oldest first.
+type Queue = VecDeque<(f64, ArrayData)>;
+
+/// One `(from, to, tag)` channel: its in-flight messages and the count
+/// of receives posted on it and not yet completed.
+#[derive(Debug)]
+struct Channel {
+    queue: Queue,
+    open_recvs: u64,
+}
+
 /// In-memory mailbox transport with virtual clocks — the `Sim` machine's
 /// native transport.
 #[derive(Debug)]
@@ -216,8 +230,17 @@ pub struct MailboxTransport {
     nranks: i64,
     /// `clocks[r]` = virtual time of node `r`, in seconds.
     pub clocks: Vec<f64>,
-    /// (from, to, tag) → queue of (arrival_time, payload)
-    boxes: HashMap<(i64, i64, Tag), VecDeque<(f64, ArrayData)>>,
+    /// `(from, to, tag) → channel`. An entry exists **iff** the channel
+    /// holds an in-flight message or an open receive: the completion
+    /// that drains it removes it, so under collectives (a fresh tag
+    /// each) the table stays a handful of entries instead of growing by
+    /// one per message, and the quiescence report can still *name* a
+    /// leaked handle when nothing is left in flight — the signature of
+    /// a batched finish that failed mid-way (see `f90d_comm::plan`).
+    channels: IntMap<(i64, i64, Tag), Channel>,
+    /// Drained queues of removed channels, reused (always empty) by the
+    /// next channel created, so a message costs no queue allocation.
+    spare: Vec<Queue>,
     /// Total messages sent (excluding self-copies).
     pub messages: u64,
     /// Total payload bytes sent (excluding self-copies).
@@ -225,19 +248,15 @@ pub struct MailboxTransport {
     /// Transport generation, bumped by [`MailboxTransport::reset`]:
     /// handles from earlier epochs are stale.
     epoch: u64,
-    /// Receives posted in the current epoch and not yet completed.
-    open_recvs: u64,
-    /// `(from, to, tag) → count` of those open receives, so the
-    /// quiescence report can *name* a leaked handle even when nothing
-    /// is left in flight — the signature of a batched finish that
-    /// failed mid-way (see `f90d_comm::plan`).
-    open_set: HashMap<(i64, i64, Tag), u64>,
     /// Per-link congestion state ([`crate::net`]): `Some` routes every
     /// wire message over the topology's links and serializes transfers
     /// that share one; `None` (the default, and the state after
     /// [`MailboxTransport::reset`]) keeps the paper's distance-only
     /// formula bit-exact.
     contention: Option<LinkClocks>,
+    /// The route of the message being posted (contention on only) —
+    /// one buffer for every message instead of a `Vec` each.
+    route: Vec<LinkId>,
 }
 
 impl MailboxTransport {
@@ -248,13 +267,13 @@ impl MailboxTransport {
             spec,
             nranks,
             clocks: vec![0.0; nranks as usize],
-            boxes: HashMap::new(),
+            channels: IntMap::default(),
+            spare: Vec::new(),
             messages: 0,
             bytes: 0,
             epoch: 0,
-            open_recvs: 0,
-            open_set: HashMap::new(),
             contention: None,
+            route: Vec::new(),
         }
     }
 
@@ -338,18 +357,30 @@ impl MailboxTransport {
     /// [`MailboxTransport::set_contention`].
     pub fn reset(&mut self) {
         self.clocks.iter_mut().for_each(|c| *c = 0.0);
-        self.boxes.clear();
+        self.channels.clear();
         self.messages = 0;
         self.bytes = 0;
         self.epoch += 1;
-        self.open_recvs = 0;
-        self.open_set.clear();
         self.contention = None;
     }
 
     /// `true` when no message is still in flight.
     pub fn quiescent(&self) -> bool {
-        self.boxes.values().all(|q| q.is_empty())
+        self.channels.values().all(|c| c.queue.is_empty())
+    }
+
+    /// Number of live channels: those holding an in-flight message or
+    /// an open receive. Zero between collectives.
+    pub fn channels_len(&self) -> usize {
+        self.channels.len()
+    }
+
+    /// The channel `key`, created (on a recycled queue) if absent.
+    fn channel(&mut self, key: (i64, i64, Tag)) -> &mut Channel {
+        self.channels.entry(key).or_insert_with(|| Channel {
+            queue: self.spare.pop().unwrap_or_default(),
+            open_recvs: 0,
+        })
     }
 }
 
@@ -372,8 +403,8 @@ impl Transport for MailboxTransport {
             self.bytes += bytes as u64;
             match &mut self.contention {
                 Some(links) => {
-                    let route = self.spec.topology.route(from, to);
-                    links.transfer(&self.spec, &route, start, bytes)
+                    self.spec.topology.route_into(from, to, &mut self.route);
+                    links.transfer(&self.spec, &self.route, start, bytes)
                 }
                 None => start + wire,
             }
@@ -382,15 +413,13 @@ impl Transport for MailboxTransport {
             self.clocks[from as usize] = start + wire;
             start + wire
         };
-        self.boxes
-            .entry((from, to, tag))
-            .or_default()
+        self.channel((from, to, tag))
+            .queue
             .push_back((arrival, payload));
     }
 
     fn post_recv(&mut self, to: i64, from: i64, tag: Tag) -> RecvHandle {
-        self.open_recvs += 1;
-        *self.open_set.entry((from, to, tag)).or_default() += 1;
+        self.channel((from, to, tag)).open_recvs += 1;
         RecvHandle::new(to, from, tag, self.epoch)
     }
 
@@ -402,24 +431,22 @@ impl Transport for MailboxTransport {
                 tag: h.tag,
             });
         }
-        let (arrival, payload) = self
-            .boxes
-            .get_mut(&(h.from, h.to, h.tag))
-            .and_then(VecDeque::pop_front)
-            .ok_or(TransportError::NoMatchingMessage {
-                to: h.to,
-                from: h.from,
-                tag: h.tag,
-            })?;
         // Only a *successful* completion retires the posted receive: a
-        // failed one never delivered, so it must keep counting against
-        // the quiescence check.
-        self.open_recvs = self.open_recvs.saturating_sub(1);
-        if let Some(n) = self.open_set.get_mut(&(h.from, h.to, h.tag)) {
-            *n -= 1;
-            if *n == 0 {
-                self.open_set.remove(&(h.from, h.to, h.tag));
-            }
+        // failed one never delivered, so its channel stays, the receive
+        // still counted against the quiescence check.
+        let no_message = TransportError::NoMatchingMessage {
+            to: h.to,
+            from: h.from,
+            tag: h.tag,
+        };
+        let Entry::Occupied(mut slot) = self.channels.entry((h.from, h.to, h.tag)) else {
+            return Err(no_message);
+        };
+        let ch = slot.get_mut();
+        let (arrival, payload) = ch.queue.pop_front().ok_or(no_message)?;
+        ch.open_recvs = ch.open_recvs.saturating_sub(1);
+        if ch.queue.is_empty() && ch.open_recvs == 0 {
+            self.spare.push(slot.remove().queue);
         }
         let c = &mut self.clocks[h.to as usize];
         *c = c.max(arrival);
@@ -427,23 +454,22 @@ impl Transport for MailboxTransport {
     }
 
     fn quiescent_check(&self) -> Result<(), TransportError> {
-        let in_flight: usize = self.boxes.values().map(VecDeque::len).sum();
-        if in_flight == 0 && self.open_recvs == 0 {
+        if self.channels.is_empty() {
             return Ok(());
         }
-        // Name one leak: an in-flight message if any, otherwise an open
-        // receive (deterministically the smallest key) — the latter is
-        // what a phase plan whose batched finish failed mid-way leaves
-        // behind, and used to be reported as a bare count.
+        // Every live channel is a leak. Name one: an in-flight message
+        // if any, otherwise an open receive (deterministically the
+        // smallest key either way) — the latter is what a phase plan
+        // whose batched finish failed mid-way leaves behind.
         let example = self
-            .boxes
+            .channels
             .iter()
-            .find(|(_, q)| !q.is_empty())
-            .map(|(&k, _)| k)
-            .or_else(|| self.open_set.keys().min().copied());
+            .map(|(&key, c)| (c.queue.is_empty(), key))
+            .min()
+            .map(|(_, key)| key);
         Err(TransportError::NotQuiescent {
-            in_flight,
-            open_recvs: self.open_recvs as usize,
+            in_flight: self.channels.values().map(|c| c.queue.len()).sum(),
+            open_recvs: self.channels.values().map(|c| c.open_recvs).sum::<u64>() as usize,
             example,
         })
     }
@@ -586,10 +612,125 @@ mod tests {
                 tag: 5
             })
         );
-        // A fresh post/complete pair works and drains the new message.
+        // The stale completion touched nothing: the new message is
+        // still there for a fresh post/complete pair, which drains it.
+        assert_eq!(t.channels_len(), 1);
         let h2 = t.post_recv(1, 0, 5);
         assert!(t.complete(h2).is_ok());
+        assert_eq!(t.channels_len(), 0);
         assert!(t.quiescent_check().is_ok());
+    }
+
+    fn tagged(v: f64) -> ArrayData {
+        ArrayData::Real(vec![v])
+    }
+
+    #[test]
+    fn a_channel_lives_only_while_in_flight_or_awaited() {
+        let mut t = MailboxTransport::new(MachineSpec::ideal(), 4);
+        assert_eq!(t.channels_len(), 0);
+        // A fresh tag per message, as collectives do: the table must
+        // not keep one entry per message ever sent.
+        for tag in 0..1000 {
+            t.post_send(0, 1, tag, payload(2));
+            assert_eq!(t.channels_len(), 1);
+            let h = t.post_recv(1, 0, tag);
+            t.complete(h).unwrap();
+            assert_eq!(t.channels_len(), 0);
+        }
+        // A receive posted first opens the channel; the send joins it.
+        let h = t.post_recv(2, 3, 9);
+        assert_eq!(t.channels_len(), 1);
+        t.post_send(3, 2, 9, payload(1));
+        assert_eq!(t.channels_len(), 1);
+        t.complete(h).unwrap();
+        assert_eq!(t.channels_len(), 0);
+        assert!(t.quiescent_check().is_ok());
+        // Two messages, one completed: still in flight, entry stays.
+        t.post_send(0, 1, 5, payload(1));
+        t.post_send(0, 1, 5, payload(1));
+        t.recv(1, 0, 5);
+        assert_eq!(t.channels_len(), 1);
+        t.recv(1, 0, 5);
+        assert_eq!(t.channels_len(), 0);
+    }
+
+    #[test]
+    fn fifo_per_channel_with_interleaved_tags_and_recycled_queues() {
+        let mut t = MailboxTransport::new(MachineSpec::ideal(), 3);
+        // Drain a few channels first so later ones run on recycled
+        // queues: a reused queue must never carry a message across.
+        for tag in 100..104 {
+            t.send(2, 0, tag, tagged(-1.0));
+            t.recv(0, 2, tag);
+        }
+        // Interleave three channels, several messages each.
+        for round in 0..4 {
+            t.send(0, 1, 7, tagged(70.0 + round as f64));
+            t.send(0, 1, 8, tagged(80.0 + round as f64));
+            t.send(1, 0, 7, tagged(170.0 + round as f64));
+        }
+        // Completion order across channels is free; within one it is
+        // the send order.
+        for round in 0..4 {
+            assert_eq!(t.recv(0, 1, 7), tagged(170.0 + round as f64));
+        }
+        for round in 0..4 {
+            assert_eq!(t.recv(1, 0, 8), tagged(80.0 + round as f64));
+            assert_eq!(t.recv(1, 0, 7), tagged(70.0 + round as f64));
+        }
+        assert_eq!(t.channels_len(), 0);
+        // A new channel on a recycled queue starts empty.
+        let h = t.post_recv(1, 0, 7);
+        assert_eq!(
+            t.complete(h),
+            Err(TransportError::NoMatchingMessage {
+                to: 1,
+                from: 0,
+                tag: 7
+            })
+        );
+    }
+
+    #[test]
+    fn failed_complete_keeps_its_receive_counted_and_named() {
+        let mut t = MailboxTransport::new(MachineSpec::ideal(), 4);
+        // Two receives on one channel, one message: the second
+        // completion fails and must stay open, alone, under its key.
+        t.post_send(2, 3, 11, payload(1));
+        let h1 = t.post_recv(3, 2, 11);
+        let h2 = t.post_recv(3, 2, 11);
+        assert!(t.complete(h1).is_ok());
+        assert!(t.complete(h2).is_err());
+        assert_eq!(t.channels_len(), 1);
+        assert_eq!(
+            t.quiescent_check(),
+            Err(TransportError::NotQuiescent {
+                in_flight: 0,
+                open_recvs: 1,
+                example: Some((2, 3, 11)),
+            })
+        );
+        // An in-flight message elsewhere takes over as the example
+        // (smallest such key), the open receive still counted.
+        t.post_send(1, 0, 4, payload(1));
+        t.post_send(0, 1, 6, payload(1));
+        assert_eq!(
+            t.quiescent_check(),
+            Err(TransportError::NotQuiescent {
+                in_flight: 2,
+                open_recvs: 1,
+                example: Some((0, 1, 6)),
+            })
+        );
+        // The late send satisfies a fresh receive on the failed
+        // channel; the original leak remains.
+        t.post_send(2, 3, 11, payload(1));
+        t.recv(3, 2, 11);
+        match t.quiescent_check() {
+            Err(TransportError::NotQuiescent { open_recvs, .. }) => assert_eq!(open_recvs, 1),
+            other => panic!("expected NotQuiescent, got {other:?}"),
+        }
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //!   topology's entities, starts at the source, ends at the destination,
 //!   and its length equals `hops` exactly;
 //! * routing is deterministic (two calls give the same links), which is
-//!   what makes the contention model reproducible;
+//!   what makes the contention model reproducible, and `route_into` a
+//!   reused buffer gives exactly `route`'s links;
 //! * an idle `LinkClocks` network reproduces the paper's distance
 //!   formula `α + β·bytes + τ·hops` to fp-association precision.
 
@@ -91,6 +92,30 @@ proptest! {
         }
         // Deterministic: the contention model replays the same links.
         prop_assert_eq!(route, topo.route(a, b));
+    }
+
+    /// `route_into` is `route`: the same links in the same order —
+    /// `hops` of them — whatever an earlier message left in the reused
+    /// buffer.
+    #[test]
+    fn route_into_a_dirty_buffer_equals_route(
+        tp in topo_and_size(),
+        ra in 0i64..4096,
+        rb in 0i64..4096,
+        rc in 0i64..4096,
+    ) {
+        let (topo, p) = tp;
+        let (a, b, c) = (ra % p, rb % p, rc % p);
+        let mut buf = Vec::new();
+        // Dirty the buffer with another pair's route first.
+        topo.route_into(c, a, &mut buf);
+        prop_assert_eq!(&buf, &topo.route(c, a));
+        topo.route_into(a, b, &mut buf);
+        prop_assert_eq!(buf.len() as i64, topo.hops(a, b));
+        prop_assert_eq!(&buf, &topo.route(a, b));
+        // A self-message clears it.
+        topo.route_into(b, b, &mut buf);
+        prop_assert!(buf.is_empty());
     }
 
     /// An idle contention model degenerates to the paper's distance

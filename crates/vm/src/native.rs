@@ -727,7 +727,7 @@ fn eval_row<'a>(e: &NExpr, a: &RowArgs<'a>, out: &mut [f64], scratch: &mut Scrat
     }
 }
 
-/// The row kernel for shapes with no fused template: [`eval_row`] over
+/// The row kernel for shapes with no fused template: `eval_row` over
 /// the reduced tree, then whatever is not already in the output row is
 /// copied or filled there.
 pub fn compose(e: &NExpr) -> RowFn {
