@@ -104,6 +104,7 @@ fn bench(c: &mut Criterion) {
                         .collect();
                     let args = RowArgs {
                         reads: &reads,
+                        ireads: &[],
                         lins: &[(5, step as i64)],
                         scalars: &[0.75],
                     };

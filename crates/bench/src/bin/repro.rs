@@ -22,8 +22,13 @@
 //! `--quick`, `--out vmcmp.json` (an `f90d-vmcmp/v2` document, schema in
 //! the README) and `--gate <factor>`, which exits 1 unless the native
 //! tier beats the bytecode VM by at least that wall-clock factor on some
-//! comm-light workload (jacobi / gauss — irregular is gather-bound and
-//! only reported). Virtual-time drift between tiers always exits 1.
+//! comm-light workload (jacobi / gauss) **and** by at least 2× on the
+//! irregular kernel, whose gather/scatter FORALL, INTEGER fills and
+//! inspector subscripts run as row kernels too (measured 4–5×: the
+//! request lists, schedule lookups and executors are shared work the
+//! bytecode tier got faster at as well, so the floor is half of that).
+//! Virtual-time drift between tiers always exits 1, and so does a
+//! single bytecode fallback on the irregular program.
 //!
 //! `--no-native` turns the native kernel tier off for the matrix
 //! (`OptFlags::native_kernels = false`: every FORALL runs the bytecode
@@ -473,13 +478,22 @@ fn exp_matrix(
 
 /// Execution-tier head-to-head: host wall-clock of one full run per
 /// workload under each of the three tiers (tree walk / bytecode VM /
-/// native kernels), a check that the modelled times agree bit-for-bit,
-/// and — with `--gate` — an exit-1 gate on the native-vs-vm speedup over
-/// the comm-light workloads.
+/// native kernels), a check that the modelled times agree bit-for-bit
+/// and that the irregular program never leaves the native tier, and —
+/// with `--gate` — an exit-1 gate on the native-vs-vm speedup: the
+/// given factor over the comm-light workloads, `IRREGULAR_GATE` on the
+/// irregular one.
 fn exp_vmcmp(quick: bool, out: Option<String>, gate: Option<f64>) {
-    // `comm_light`: FORALL time dominates, so the native tier has
-    // something to accelerate. The irregular kernel is gather/scatter
-    // bound (and falls back to bytecode anyway) — reported, never gated.
+    /// Native-over-bytecode floor of the irregular row under `--gate`:
+    /// half the measured ratio (4.1–5.0× at `--quick`, 5.3× at full
+    /// size on the 2-core reference host), not below 2×. The row is
+    /// bound by inspector, schedule and executor work both tiers share,
+    /// so it cannot approach the comm-light rows' factor.
+    const IRREGULAR_GATE: f64 = 2.0;
+    // `comm_light`: FORALL time dominates, so the native tier has the
+    // whole job to accelerate and `--gate`'s factor applies. The
+    // irregular kernel is the other kind: every FORALL of it must
+    // dispatch native, and its speedup is held to `IRREGULAR_GATE`.
     struct Case {
         name: &'static str,
         src: String,
@@ -618,7 +632,31 @@ fn exp_vmcmp(quick: bool, out: Option<String>, gate: Option<f64>) {
         eprintln!("# VIRTUAL TIME DRIFT between tiers on: {drifted:?}");
         std::process::exit(1);
     }
+    let irregular = rows.iter().filter(|(c, _)| !c.comm_light);
+    for (c, r) in irregular.clone() {
+        if r.native_fallback != 0 {
+            eprintln!(
+                "# IRREGULAR PATH LEFT THE NATIVE TIER: {} FORALL execution(s) of {} fell back to bytecode",
+                r.native_fallback, c.name
+            );
+            std::process::exit(1);
+        }
+    }
     if let Some(need) = gate {
+        for (c, r) in irregular {
+            let speedup = r.wall_vm_s / r.wall_native_s;
+            if speedup < IRREGULAR_GATE {
+                eprintln!(
+                    "# NATIVE TIER GATE FAILED: native-vs-vm speedup {speedup:.2}x on {} < {IRREGULAR_GATE}x",
+                    c.name
+                );
+                std::process::exit(1);
+            }
+            println!(
+                "  irregular path gate: {speedup:.2}x on {} (>= {IRREGULAR_GATE}x required), 0 fallbacks: pass",
+                c.name
+            );
+        }
         let best = rows
             .iter()
             .filter(|(c, _)| c.comm_light)

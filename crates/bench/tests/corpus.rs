@@ -3,7 +3,9 @@
 //! `corpus/README.md`) runs on a 4-rank grid, on both backends, with
 //! the communication optimizers off and on, and its PRINT output must
 //! be bit-identical across all four configurations **and** to the
-//! committed `<name>.expected` file.
+//! committed `<name>.expected` file. A program that faults at run time
+//! pins its structured error instead, as the single line
+//! `ERROR <message>`.
 //!
 //! Re-bless intentional output changes with
 //! `CORPUS_BLESS=1 cargo test -p f90d-bench --test corpus`.
@@ -20,17 +22,18 @@ fn corpus_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus")
 }
 
-/// PRINT output of one program under one configuration.
+/// PRINT output of one program under one configuration, or the line
+/// `ERROR <message>` when the run returns a structured error.
 fn printed(src: &str, backend: Backend, optimize: bool) -> Vec<String> {
     let mut opts = CompileOptions::on_grid(&GRID).with_backend(backend);
     opts.opt.comm_plan = optimize;
     opts.opt.hoist_invariant_comm = optimize;
     let compiled = compile(src, &opts).unwrap_or_else(|e| panic!("corpus program: {e}"));
     let mut m = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(&GRID));
-    let rep = compiled
-        .run_on(&mut m)
-        .unwrap_or_else(|e| panic!("corpus run: {e}"));
-    rep.printed
+    match compiled.run_on(&mut m) {
+        Ok(rep) => rep.printed,
+        Err(e) => vec![format!("ERROR {e}")],
+    }
 }
 
 #[test]

@@ -32,8 +32,8 @@
 
 use std::sync::Arc;
 
-use f90d_distrib::{ArrayDimMap, Dad};
-use f90d_machine::{ElemType, LocalArray, Machine, Transport, Value};
+use f90d_distrib::{ArrayDimMap, Dad, Locator};
+use f90d_machine::{ArrayData, ElemType, LocalArray, Machine, Transport, Value};
 
 use crate::op::{CommError, CommOp, CommResult};
 use crate::overlap::{dims_overlap_compatible, Margins};
@@ -236,15 +236,16 @@ pub fn run_overlap<S: ComputeSink>(
 }
 
 /// Build (or reuse, per-run and through the cross-run cache) the
-/// schedule for an unstructured request list. For reads, `fast_path`
-/// (= `local_only`) selects the local-only schedule over fan-in
-/// requests; for writes (`is_write`), it (= `invertible`) selects
-/// local-only over the sender-driven schedule. One mapping, used by
-/// the gather and scatter executors below.
+/// schedule for an unstructured request list, which is taken by value —
+/// it becomes the cache key. For reads, `fast_path` (= `local_only`)
+/// selects the local-only schedule over fan-in requests; for writes
+/// (`is_write`), it (= `invertible`) selects local-only over the
+/// sender-driven schedule. One mapping, used by the gather and scatter
+/// executors below.
 pub fn schedule(
     m: &mut Machine,
     rs: &mut RunSchedules,
-    reqs: &[ElementReq],
+    reqs: Vec<ElementReq>,
     fast_path: bool,
     is_write: bool,
 ) -> CommResult<Arc<Schedule>> {
@@ -258,38 +259,50 @@ pub fn schedule(
     rs.schedule(m, kind, reqs, is_write)
 }
 
+/// The element locator of array `arr` (live descriptor `dad`) over the
+/// segments the machine holds for it: built once per inspector run, it
+/// stands in for `owner_ranks` + `local_index` + a by-name segment
+/// lookup per element. Every rank allocates an array's segment with one
+/// shape and one set of ghost widths, so rank 0's speaks for all.
+fn locator(m: &Machine, arr: &str, dad: &Dad) -> Locator {
+    let seg = m.mems[0].array(arr);
+    Locator::new(dad, &seg.shape, &seg.ghost_lo, &seg.ghost_hi)
+}
+
 /// Inspector output of one unstructured FORALL read
 /// (`tmp(count) = src(subs(i…))`): the request list and each rank's
 /// element count. A backend's inspector loop evaluates the subscripts
 /// (the only tier-specific part) and [`push`](Self::push)es them in
-/// iteration order; [`execute`](Self::execute) is the executor half.
+/// iteration order — or a run of iterations at a time through
+/// [`push_row`](Self::push_row); [`execute`](Self::execute) is the
+/// executor half.
 #[derive(Debug)]
 pub struct GatherRequests<'a> {
     src: &'a str,
     src_dad: &'a Dad,
+    locate: Locator,
     reqs: Vec<ElementReq>,
     counts: Vec<usize>,
 }
 
 impl<'a> GatherRequests<'a> {
     /// An empty request list against array `src` (live descriptor
-    /// `src_dad`) for a machine of `nranks` nodes.
-    pub fn new(src: &'a str, src_dad: &'a Dad, nranks: usize) -> Self {
+    /// `src_dad`) as machine `m` holds it.
+    pub fn new(m: &Machine, src: &'a str, src_dad: &'a Dad) -> Self {
         GatherRequests {
             src,
             src_dad,
+            locate: locator(m, src, src_dad),
             reqs: Vec::new(),
-            counts: vec![0; nranks],
+            counts: vec![0; m.nranks() as usize],
         }
     }
 
     /// `rank`'s next sequential-buffer slot reads `src(g)`.
-    pub fn push(&mut self, m: &Machine, rank: i64, g: &[i64]) -> CommResult<()> {
+    #[inline]
+    pub fn push(&mut self, rank: i64, g: &[i64]) -> CommResult<()> {
         check_bounds(self.src, self.src_dad, g)?;
-        let owner = self.src_dad.owner_ranks(g)[0];
-        let src_off = m.mems[owner as usize]
-            .array(self.src)
-            .offset(&self.src_dad.local_index(g));
+        let (owner, src_off) = self.locate.locate(g);
         let count = &mut self.counts[rank as usize];
         self.reqs.push(ElementReq {
             requester: rank,
@@ -299,6 +312,16 @@ impl<'a> GatherRequests<'a> {
         });
         *count += 1;
         Ok(())
+    }
+
+    /// [`push`](Self::push) for a run of `rank`'s iterations at once:
+    /// `subs` holds their subscripts row-major, `src`'s rank values per
+    /// iteration. Stops at the first out-of-range subscript, with
+    /// `push`'s error.
+    pub fn push_row(&mut self, rank: i64, subs: &[i64]) -> CommResult<()> {
+        let ndim = self.src_dad.rank();
+        self.reqs.reserve(subs.len() / ndim);
+        subs.chunks_exact(ndim).try_for_each(|g| self.push(rank, g))
     }
 
     /// Charge the modelled inspector (4 element ops per request, one
@@ -317,53 +340,80 @@ impl<'a> GatherRequests<'a> {
             m.transport.charge_elem_ops(rank as i64, 4 * n as i64);
             m.mems[rank].insert_array(tmp, LocalArray::zeros(ty, &[n.max(1) as i64]));
         }
-        let sched = schedule(m, rs, &self.reqs, local_only, false)?;
+        let sched = schedule(m, rs, self.reqs, local_only, false)?;
         crate::schedule::execute_read(m, &sched, self.src, tmp)
+    }
+}
+
+/// One rank's scatter-write output in iteration order, as flat typed
+/// columns: the global subscripts row-major (the destination's rank
+/// values per write) and the values, already of the destination's
+/// element type.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ScatterOut {
+    /// Global subscripts, `vals.len()` rows of the destination's rank.
+    pub subs: Vec<i64>,
+    /// One value per row.
+    pub vals: ArrayData,
+}
+
+impl ScatterOut {
+    /// No writes yet, into an array of element type `ty`.
+    pub fn new(ty: ElemType) -> Self {
+        ScatterOut {
+            subs: Vec::new(),
+            vals: ArrayData::zeros(ty, 0),
+        }
+    }
+
+    /// Append the write `dst(g) = v`, converting `v` to the column's
+    /// element type under the Fortran assignment rules.
+    pub fn push(&mut self, g: &[i64], v: Value) {
+        self.subs.extend_from_slice(g);
+        self.vals.push(v);
     }
 }
 
 /// Post-loop executor of a FORALL whose left-hand side is written
 /// through a vector-valued subscript (paper §4 cases 3/4):
-/// `outputs[rank]` are that rank's `(global subscripts, value)` pairs in
-/// iteration order. Values are staged into per-rank sequential buffers
-/// and moved to the owners of `dst` by `postcomp_write` (`invertible`)
-/// or `scatter`.
+/// `outputs[rank]` is that rank's writes in iteration order. Each value
+/// column becomes the rank's sequential buffer, and the values move to
+/// the owners of `dst` — every copy, along replicated grid axes — by
+/// `postcomp_write` (`invertible`) or `scatter`.
 pub fn scatter(
     m: &mut Machine,
     rs: &mut RunSchedules,
     dst: &str,
     dst_dad: &Dad,
-    ty: ElemType,
-    outputs: &[Vec<(Vec<i64>, Value)>],
+    outputs: &[ScatterOut],
     invertible: bool,
 ) -> CommResult<()> {
     let buf = format!("__SCATBUF_{dst}");
-    for (rank, vals) in outputs.iter().enumerate() {
-        let mut la = LocalArray::zeros(ty, &[vals.len().max(1) as i64]);
-        for (k, (_, v)) in vals.iter().enumerate() {
-            la.set(&[k as i64], *v);
-        }
+    let locate = locator(m, dst, dst_dad);
+    let ndim = dst_dad.rank();
+    let total: usize = outputs.iter().map(|out| out.vals.len()).sum();
+    let mut reqs = Vec::with_capacity(total * locate.replicas().len());
+    for (rank, out) in outputs.iter().enumerate() {
+        let n = out.vals.len();
+        let mut la = LocalArray::zeros(out.vals.elem_type(), &[n.max(1) as i64]);
+        la.scatter_flat(0..n, &out.vals);
         m.mems[rank].insert_array(buf.as_str(), la);
-    }
-    let mut reqs = Vec::new();
-    for (rank, vals) in outputs.iter().enumerate() {
-        for (k, (g, _)) in vals.iter().enumerate() {
+        for (k, g) in out.subs.chunks_exact(ndim).enumerate() {
             check_bounds(dst, dst_dad, g)?;
-            let src_off = m.mems[rank].array(&buf).offset(&[k as i64]);
-            let l = dst_dad.local_index(g);
-            for owner in dst_dad.owner_ranks(g) {
+            let (owner, dst_off) = locate.locate(g);
+            for replica in locate.replicas() {
                 reqs.push(ElementReq {
                     // For write schedules the "requester" is the
                     // receiving owner and the "owner" the producer.
-                    requester: owner,
+                    requester: owner + replica,
                     owner: rank as i64,
-                    src_off,
-                    dst_off: m.mems[owner as usize].array(dst).offset(&l),
+                    src_off: k,
+                    dst_off,
                 });
             }
         }
     }
-    let sched = schedule(m, rs, &reqs, invertible, true)?;
+    let sched = schedule(m, rs, reqs, invertible, true)?;
     crate::schedule::execute_write(m, &sched, &buf, dst)
 }
 

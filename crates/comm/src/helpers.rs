@@ -23,24 +23,12 @@ use crate::op::{CommError, CommOp, CommResult};
 
 /// Local indices (template-local numbering) of the elements of array
 /// dimension `d` owned by grid coordinate `coord`, in increasing global
-/// order.
+/// order: [`ArrayDimMap::owned_locals`], the one `O(owned)` walk
+/// `Dad::for_each_owned` is built on too.
 ///
-/// Walks the coordinate's own template slots — `O(owned)`, not a filter
-/// of the whole dimension through `proc_of` — keeping those that hold
-/// an array element. Slots ascend with the template index, which runs
-/// against the array index under a negative alignment stride.
+/// [`ArrayDimMap::owned_locals`]: f90d_distrib::ArrayDimMap::owned_locals
 pub fn owned_dim_locals(dad: &Dad, d: usize, coord: i64) -> Vec<i64> {
-    let dm = &dad.dims[d];
-    if !dm.is_distributed() {
-        return (0..dm.extent).collect();
-    }
-    let mut locals: Vec<i64> = (0..dm.dist.local_count(coord))
-        .filter(|&l| dm.array_index_of(coord, l).is_some())
-        .collect();
-    if dm.align.stride < 0 {
-        locals.reverse();
-    }
-    locals
+    dad.dims[d].owned_locals(coord)
 }
 
 /// Per-dimension owned locals on the node at grid `coords`.
@@ -347,68 +335,6 @@ mod tests {
             .unwrap();
         assert_eq!(owned_dim_locals(&dad, 0, 0), vec![0, 1, 2]);
         assert_eq!(owned_dim_locals(&dad, 0, 3), vec![0]);
-    }
-
-    /// The `O(extent)` definition `owned_dim_locals` replaced, kept as
-    /// its oracle: filter the whole dimension through `proc_of`.
-    fn owned_dim_locals_by_filter(dad: &Dad, d: usize, coord: i64) -> Vec<i64> {
-        let dm = &dad.dims[d];
-        if !dm.is_distributed() {
-            return (0..dm.extent).collect();
-        }
-        (0..dm.extent)
-            .filter(|&i| dm.proc_of(i) == coord)
-            .map(|i| dm.local_of(i))
-            .collect()
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
-
-        /// Same list, element for element, under every distribution
-        /// kind and affine alignment (either direction, any stride and
-        /// offset, slack on both ends of the template).
-        #[test]
-        fn owned_dim_locals_equals_the_filter(
-            kind in 0usize..4,
-            p in 1i64..7,
-            n in 1i64..40,
-            stride in 1i64..4,
-            reversed in proptest::prelude::any::<bool>(),
-            lead in 0i64..6,
-            tail in 0i64..6,
-        ) {
-            use f90d_distrib::{AlignExpr, Alignment, AxisAlign, Template};
-            let kind = [
-                DistKind::Block,
-                DistKind::Cyclic,
-                DistKind::BlockCyclic(2),
-                DistKind::BlockCyclic(5),
-            ][kind];
-            let span = stride * (n - 1);
-            let expr = if reversed {
-                AlignExpr::new(-stride, span + lead)
-            } else {
-                AlignExpr::new(stride, lead)
-            };
-            let dad = DadBuilder::new("A", &[n])
-                .template(Template::new("T", &[span + lead + tail + 1]))
-                .align(Alignment {
-                    axes: vec![AxisAlign::Aligned { template_dim: 0, expr }],
-                    replicated_template_dims: vec![],
-                })
-                .distribute(&[kind])
-                .grid(ProcGrid::new(&[p]))
-                .build()
-                .unwrap();
-            let mut total = 0;
-            for coord in 0..p {
-                let got = owned_dim_locals(&dad, 0, coord);
-                proptest::prop_assert_eq!(&got, &owned_dim_locals_by_filter(&dad, 0, coord));
-                total += got.len() as i64;
-            }
-            proptest::prop_assert_eq!(total, n);
-        }
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! one build-once cache ([`OnceMap`]): N workers racing one cold key
 //! perform exactly one build, and keys are **full patterns** — a
 //! [`SchedKey`] is the `(ScheduleKind, grid shape, complete request
-//! list)` triple, compared by *equality*, never by
-//! `Schedule::signature()` alone: the signature is a 64-bit hash and can
-//! collide.
+//! list)` triple, compared by *equality*, never by a hash alone:
+//! `Schedule::signature()` and the key's own fingerprint are 64-bit
+//! digests and can collide. Hashes route, equality decides.
 //!
 //! What a hit skips is the **wall-clock** rebuild of the move table. The
 //! modelled inspector cost ([`schedule::inspect`]) is charged on every
@@ -21,6 +21,7 @@
 
 use std::collections::HashMap;
 use std::convert::Infallible;
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 
 use f90d_machine::{Machine, OnceMap};
@@ -36,15 +37,85 @@ pub const SCHED_CACHE_CAP: usize = 1024;
 
 /// The full identity of a communication schedule: inspector family, the
 /// logical grid it was built for, and the complete element-request
-/// pattern. Two keys are the same schedule iff they are `==`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// pattern. Two keys are the same schedule iff they are `==`, which
+/// compares the whole pattern.
+///
+/// The key holds the pattern once, shared: the within-run reuse map and
+/// the process-wide cache clone the `Arc`, not the list (an `Arc` of
+/// the inspector's own `Vec`, so making a key moves the list instead
+/// of copying it — a lookup that hits drops it again). Its `Hash`
+/// feeds the hasher `kind`, `grid`, the pattern's length and a 64-bit
+/// fingerprint taken in one pass when the key is made — a lookup hashes
+/// five words, not four fields per request. The fingerprint only picks
+/// a bucket; two patterns that share it are still two keys.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchedKey {
+    kind: ScheduleKind,
+    grid: Vec<i64>,
+    fingerprint: u64,
+    reqs: Arc<Vec<ElementReq>>,
+}
+
+impl SchedKey {
+    /// Per-field multipliers of [`SchedKey::fingerprint`]'s request
+    /// word, in `(requester, owner, src_off, dst_off)` order.
+    pub const FIELD_WEIGHTS: [u64; 4] = [
+        0x9e37_79b9_7f4a_7c15,
+        0xc2b2_ae3d_27d4_eb4f,
+        0x1656_67b1_9e37_79f9,
+        0x27d4_eb2f_1656_67c5,
+    ];
+
+    /// The key of `reqs` (in inspector order) under `kind` on `grid`.
+    pub fn new(kind: ScheduleKind, grid: Vec<i64>, reqs: Vec<ElementReq>) -> Self {
+        SchedKey {
+            kind,
+            grid,
+            fingerprint: Self::fingerprint_of(&reqs),
+            reqs: Arc::new(reqs),
+        }
+    }
+
+    /// One pass over the pattern: each request is folded to a word —
+    /// the wrapping sum of its fields times [`SchedKey::FIELD_WEIGHTS`],
+    /// four independent multiplies — and the words are chained in order
+    /// with one rotate–xor–multiply each. Deliberately cheap rather
+    /// than collision-proof (a request word is linear in its fields).
+    fn fingerprint_of(reqs: &[ElementReq]) -> u64 {
+        let [wr, wo, ws, wd] = Self::FIELD_WEIGHTS;
+        reqs.iter().fold(0u64, |h, r| {
+            let word = (r.requester as u64)
+                .wrapping_mul(wr)
+                .wrapping_add((r.owner as u64).wrapping_mul(wo))
+                .wrapping_add((r.src_off as u64).wrapping_mul(ws))
+                .wrapping_add((r.dst_off as u64).wrapping_mul(wd));
+            (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
+        })
+    }
+
     /// Which inspector family builds this schedule.
-    pub kind: ScheduleKind,
-    /// Logical processor-grid shape the request ranks refer to.
-    pub grid: Vec<i64>,
+    pub fn kind(&self) -> ScheduleKind {
+        self.kind
+    }
+
     /// The full request pattern, in inspector order.
-    pub reqs: Vec<ElementReq>,
+    pub fn reqs(&self) -> &[ElementReq] {
+        &self.reqs
+    }
+
+    /// The pattern digest the key's `Hash` routes by.
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+}
+
+impl Hash for SchedKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.kind.hash(state);
+        self.grid.hash(state);
+        self.reqs.len().hash(state);
+        self.fingerprint.hash(state);
+    }
 }
 
 /// The process-wide schedule cache shared by every executor backend.
@@ -63,7 +134,7 @@ pub struct RunSchedules {
     /// schedule is side-agnostic, but each side's first occurrence must
     /// charge its own inspector cost, exactly as the per-executor caches
     /// did. Indexing by side (instead of keying by it) lets the hit path
-    /// look up with one borrowed key — no extra pattern clone.
+    /// look up with one key.
     seen: HashMap<SchedKey, [Option<Arc<Schedule>>; 2]>,
     /// §7(3) flag: reuse schedules across executions of the same pattern
     /// within this run (skipping the inspector *charge* on repeats).
@@ -94,36 +165,33 @@ impl RunSchedules {
         }
     }
 
-    /// The schedule for `reqs` under inspector family `kind`.
+    /// The schedule for `reqs` under inspector family `kind`. The list
+    /// is taken by value: it becomes the key, held once.
     ///
     /// Within-run repeats (when [`RunSchedules::reuse`] is on) are free —
     /// no inspector charge, no cache traffic — matching the paper's
     /// schedule-reuse optimization. The first occurrence per run always
     /// charges the full modelled inspector cost through
-    /// [`schedule::inspect`]; only the wall-clock move-table build is
-    /// skipped on a global-cache hit.
+    /// [`schedule::inspect`] (read off the move table, built or found);
+    /// only the wall-clock move-table build is skipped on a
+    /// global-cache hit.
     pub fn schedule(
         &mut self,
         m: &mut Machine,
         kind: ScheduleKind,
-        reqs: &[ElementReq],
+        reqs: Vec<ElementReq>,
         is_write: bool,
     ) -> CommResult<Arc<Schedule>> {
-        let key = SchedKey {
-            kind,
-            grid: m.grid.shape.clone(),
-            reqs: reqs.to_vec(),
-        };
+        let key = SchedKey::new(kind, m.grid.shape.clone(), reqs);
         let side = is_write as usize;
         if self.reuse {
             if let Some(s) = self.seen.get(&key).and_then(|pair| pair[side].as_ref()) {
                 return Ok(s.clone());
             }
         }
-        schedule::inspect(m, kind, reqs)?;
         let sched = if self.use_global {
             let Ok((s, hit)) = global().get_or_try_build(&key, || {
-                Ok::<_, Infallible>(schedule::build_schedule(kind, reqs))
+                Ok::<_, Infallible>(schedule::build_schedule(kind, key.reqs()))
             });
             if hit {
                 self.hits += 1;
@@ -132,8 +200,9 @@ impl RunSchedules {
             }
             s
         } else {
-            Arc::new(schedule::build_schedule(kind, reqs))
+            Arc::new(schedule::build_schedule(kind, key.reqs()))
         };
+        schedule::inspect(m, &sched)?;
         if self.reuse {
             self.seen.entry(key).or_default()[side] = Some(sched.clone());
         }

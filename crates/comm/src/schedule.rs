@@ -20,9 +20,7 @@
 //! The compiler's schedule-reuse optimization keys schedules by their
 //! request pattern — see [`Schedule::signature`].
 
-use std::collections::BTreeMap;
-
-use f90d_machine::{ArrayData, Machine, Transport};
+use f90d_machine::{ArrayData, IntMap, Machine, Transport};
 
 use crate::helpers::PairMoves;
 use crate::op::CommResult;
@@ -131,113 +129,110 @@ pub struct ElementReq {
 /// [`crate::sched_cache`] calls this on a miss and skips it on a hit;
 /// the cost-model half ([`inspect`]) is charged on every run either way,
 /// which is what keeps cached and uncached runs virtual-time identical.
+///
+/// One pass: each request finds its `(owner, requester)` bucket through
+/// an integer-hashed index, and the ordered move table is assembled
+/// from the finished buckets — one tree insertion per processor pair,
+/// not one tree probe per element.
 pub fn build_schedule(kind: ScheduleKind, reqs: &[ElementReq]) -> Schedule {
-    let mut moves: PairMoves = BTreeMap::new();
+    let mut index: IntMap<(i64, i64), usize> = IntMap::default();
+    let mut buckets: Vec<((i64, i64), Vec<(usize, usize)>)> = Vec::new();
     for r in reqs {
-        moves
-            .entry((r.owner, r.requester))
-            .or_default()
-            .push((r.src_off, r.dst_off));
+        let pair = (r.owner, r.requester);
+        let at = *index.entry(pair).or_insert_with(|| {
+            buckets.push((pair, Vec::new()));
+            buckets.len() - 1
+        });
+        buckets[at].1.push((r.src_off, r.dst_off));
     }
+    let moves: PairMoves = buckets.into_iter().collect();
     let sig = hash_moves(&moves);
     Schedule { kind, moves, sig }
 }
 
-/// The modelled cost of running `kind`'s inspector over `reqs`: records
-/// the builder stat and charges the preprocessing loop (and, for
-/// `schedule2`/`schedule3`, the real fan-in/count messages) to the
-/// machine. Split from [`build_schedule`] so the schedule cache can
-/// charge a run that skips the rebuild.
-pub fn inspect(m: &mut Machine, kind: ScheduleKind, reqs: &[ElementReq]) -> CommResult<()> {
+/// The modelled cost of running `sched`'s inspector over the request
+/// list it was built from: records the builder stat and charges the
+/// preprocessing loop (and, for `schedule2`/`schedule3`, the real
+/// fan-in/count messages) to the machine. Split from [`build_schedule`]
+/// so the schedule cache can charge a run that skips the rebuild, and
+/// read off the move table — per processor pair, not per request: the
+/// table holds every request exactly once under its `(owner,
+/// requester)`, which is all the cost model looks at.
+pub fn inspect(m: &mut Machine, sched: &Schedule) -> CommResult<()> {
+    let kind = sched.kind;
     m.stats.record(kind.stat_name());
-    // schedule1/schedule2 preprocess on the requesters (read side);
-    // schedule3 preprocesses on the producers.
-    charge_inspector(m, kind, reqs, kind != ScheduleKind::SenderDriven)
+    // Local preprocessing loop: ~4 ops per element (proc-of, local-of,
+    // list appends), charged as one lump where the loop runs: on the
+    // requesters for schedule1/schedule2 (read side), on the producers
+    // for schedule3.
+    let read_side = kind != ScheduleKind::SenderDriven;
+    let mut per_rank = vec![0i64; m.nranks() as usize];
+    for (&(owner, requester), elems) in &sched.moves {
+        let runner = if read_side { requester } else { owner };
+        per_rank[runner as usize] += 4 * elems.len() as i64;
+    }
+    for (rank, &ops) in per_rank.iter().enumerate() {
+        if ops > 0 {
+            m.transport.charge_elem_ops(rank as i64, ops);
+        }
+    }
+    if kind == ScheduleKind::LocalOnly {
+        return Ok(());
+    }
+    // The inspector's own messages, one per remote pair in sender
+    // order, all posted before the first completes.
+    let mut remote: Vec<(i64, i64, usize)> = sched
+        .moves
+        .iter()
+        .filter(|((owner, requester), _)| owner != requester)
+        .map(|(&(owner, requester), elems)| match kind {
+            // Receivers transmit their index lists to owners: 8 bytes
+            // per element.
+            ScheduleKind::FanInRequests => (requester, owner, elems.len()),
+            // Senders announce counts: one 8-byte message.
+            _ => (owner, requester, 1),
+        })
+        .collect();
+    remote.sort_unstable();
+    let tag = m.fresh_tag();
+    for &(from, to, n) in &remote {
+        m.transport
+            .post_send(from, to, tag, ArrayData::Int(vec![0; n]));
+    }
+    for &(from, to, _) in &remote {
+        let h = m.transport.post_recv(to, from, tag);
+        m.transport.complete(h)?;
+    }
+    Ok(())
 }
 
-/// Inspector cost model shared by the builders: each request element
-/// costs a few ops in the preprocessing loop on its *requester* (for
-/// reads) or *producer* (for writes); fan-in/count exchanges add real
-/// messages through the transport.
-fn charge_inspector(
+/// Inspector + builder of one family, uncached.
+fn inspect_and_build(
     m: &mut Machine,
     kind: ScheduleKind,
     reqs: &[ElementReq],
-    read_side: bool,
-) -> CommResult<()> {
-    // Local preprocessing loop: ~4 ops per element (proc-of, local-of,
-    // list appends), charged where the loop runs.
-    let mut per_rank: BTreeMap<i64, i64> = BTreeMap::new();
-    for r in reqs {
-        let runner = if read_side { r.requester } else { r.owner };
-        *per_rank.entry(runner).or_insert(0) += 4;
-    }
-    for (rank, ops) in per_rank {
-        m.transport.charge_elem_ops(rank, ops);
-    }
-    match kind {
-        ScheduleKind::LocalOnly => {}
-        ScheduleKind::FanInRequests => {
-            // Receivers transmit their index lists to owners: one message
-            // of 8 bytes per element per (requester → owner) pair.
-            let tag = m.fresh_tag();
-            let mut pairs: BTreeMap<(i64, i64), usize> = BTreeMap::new();
-            for r in reqs {
-                if r.requester != r.owner {
-                    *pairs.entry((r.requester, r.owner)).or_insert(0) += 1;
-                }
-            }
-            for (&(from, to), &n) in &pairs {
-                m.transport
-                    .post_send(from, to, tag, ArrayData::Int(vec![0; n]));
-            }
-            for &(from, to) in pairs.keys() {
-                let h = m.transport.post_recv(to, from, tag);
-                m.transport.complete(h)?;
-            }
-        }
-        ScheduleKind::SenderDriven => {
-            // Senders announce counts: one 8-byte message per pair.
-            let tag = m.fresh_tag();
-            let mut pairs: Vec<(i64, i64)> = reqs
-                .iter()
-                .filter(|r| r.requester != r.owner)
-                .map(|r| (r.owner, r.requester))
-                .collect();
-            pairs.sort_unstable();
-            pairs.dedup();
-            for &(from, to) in &pairs {
-                m.transport
-                    .post_send(from, to, tag, ArrayData::Int(vec![0]));
-            }
-            for &(from, to) in &pairs {
-                let h = m.transport.post_recv(to, from, tag);
-                m.transport.complete(h)?;
-            }
-        }
-    }
-    Ok(())
+) -> CommResult<Schedule> {
+    let sched = build_schedule(kind, reqs);
+    inspect(m, &sched)?;
+    Ok(sched)
 }
 
 /// `schedule1` (paper §5.3.2 example 1): invertible subscript — both
 /// sides preprocess locally, no inspector communication.
 pub fn schedule1(m: &mut Machine, reqs: &[ElementReq]) -> CommResult<Schedule> {
-    inspect(m, ScheduleKind::LocalOnly, reqs)?;
-    Ok(build_schedule(ScheduleKind::LocalOnly, reqs))
+    inspect_and_build(m, ScheduleKind::LocalOnly, reqs)
 }
 
 /// `schedule2` (paper §5.3.2 example 2): gather — receivers fan their
 /// request lists in to the owners.
 pub fn schedule2(m: &mut Machine, reqs: &[ElementReq]) -> CommResult<Schedule> {
-    inspect(m, ScheduleKind::FanInRequests, reqs)?;
-    Ok(build_schedule(ScheduleKind::FanInRequests, reqs))
+    inspect_and_build(m, ScheduleKind::FanInRequests, reqs)
 }
 
 /// `schedule3` (paper §5.3.2 example 3): scatter — senders know targets;
 /// only counts are exchanged.
 pub fn schedule3(m: &mut Machine, reqs: &[ElementReq]) -> CommResult<Schedule> {
-    inspect(m, ScheduleKind::SenderDriven, reqs)?;
-    Ok(build_schedule(ScheduleKind::SenderDriven, reqs))
+    inspect_and_build(m, ScheduleKind::SenderDriven, reqs)
 }
 
 /// Executor for read-side schedules: `precomp_read` when the schedule

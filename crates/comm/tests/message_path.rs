@@ -13,10 +13,24 @@
 //! after an intended change of the cost model, empty `GOLDEN`: the
 //! failure message prints the table to paste.
 //!
+//! The unstructured scenarios (gather / `precomp_read` / scatter /
+//! `postcomp_write`, on the same layouts plus one replicated along a
+//! grid axis; duplicate, out-of-order and many-to-one patterns; a
+//! repeat of each through the same `RunSchedules`, which must skip the
+//! inspector charge) were recorded the same way one change later: by
+//! running this file on the commit before the allocation-free locate,
+//! the flat `ScatterOut` and the by-value request lists, with the two
+//! shims [`run_gather`] and [`run_scatter`] written against that
+//! commit's signatures (`GatherRequests::new(name, dad, nranks)` +
+//! `push(&m, rank, g)`; `driver::scatter(.., ty, &[Vec<(Vec<i64>,
+//! Value)>], ..)`) and nothing else changed.
+//!
 //! Each scenario also checks the channel-lifetime rule: once a
 //! collective returns, the transport holds no channel at all.
 
+use f90d_comm::driver::{self, GatherRequests, ScatterOut};
 use f90d_comm::plan::{GhostSpec, PhaseExchange};
+use f90d_comm::sched_cache::RunSchedules;
 use f90d_comm::structured::{
     alloc_slab_tmp, concatenation, multicast, multicast_shift, overlap_shift, temporary_shift,
     transfer,
@@ -159,6 +173,129 @@ fn assert_drained(m: &Machine, what: &str) {
     assert_eq!(m.transport.channels_len(), 0, "{what}: channels left");
 }
 
+/// One inspector + executor of an unstructured read of `B` into the
+/// sequential buffers `TMP`: `subs[rank]` are that rank's global
+/// subscripts in iteration order.
+fn run_gather(
+    m: &mut Machine,
+    rs: &mut RunSchedules,
+    dad: &Dad,
+    ty: ElemType,
+    subs: &[Vec<Vec<i64>>],
+    local_only: bool,
+) {
+    let mut reqs = GatherRequests::new(m, "B", dad);
+    for (rank, list) in subs.iter().enumerate() {
+        for g in list {
+            reqs.push(rank as i64, g).unwrap();
+        }
+    }
+    reqs.execute(m, rs, "TMP", ty, local_only).unwrap();
+}
+
+/// One post-loop vector-subscripted write into `B`: `writes[rank]` are
+/// that rank's `(global subscripts, value)` pairs in iteration order.
+fn run_scatter(
+    m: &mut Machine,
+    rs: &mut RunSchedules,
+    dad: &Dad,
+    ty: ElemType,
+    writes: &[Vec<(Vec<i64>, Value)>],
+    invertible: bool,
+) {
+    let outputs: Vec<ScatterOut> = writes
+        .iter()
+        .map(|pairs| {
+            let mut out = ScatterOut::new(ty);
+            for (g, v) in pairs {
+                out.push(g, *v);
+            }
+            out
+        })
+        .collect();
+    driver::scatter(m, rs, "B", dad, &outputs, invertible).unwrap();
+}
+
+/// The layouts of the unstructured scenarios: every structured one, and
+/// a BLOCK vector replicated along the second axis of a 2 x 2 grid
+/// (every write lands on both copies).
+fn unstructured_layouts() -> Vec<&'static Layout> {
+    const REPLICATED: Layout = Layout {
+        name: "block_replicated",
+        shape: &[10],
+        kinds: &[Block],
+        grid: &[2, 2],
+    };
+    LAYOUTS.iter().chain([&REPLICATED]).collect()
+}
+
+/// Element number `i` (row-major) of an array of shape `shape`.
+fn unflatten(mut i: i64, shape: &[i64]) -> Vec<i64> {
+    let mut g = vec![0; shape.len()];
+    for d in (0..shape.len()).rev() {
+        g[d] = i % shape[d];
+        i /= shape[d];
+    }
+    g
+}
+
+/// Gather, `precomp_read`, scatter and `postcomp_write` on every
+/// layout, each executed twice through one `RunSchedules`.
+fn unstructured_scenarios(record: &mut impl FnMut(String, &Machine)) {
+    for l in unstructured_layouts() {
+        let types: &[ElemType] = if l.name == "block_block" {
+            &[ElemType::Real, ElemType::Int]
+        } else {
+            &[ElemType::Real]
+        };
+        let size: i64 = l.shape.iter().product();
+        let nranks: i64 = l.grid.iter().product();
+        for &ty in types {
+            let tag = format!("{}/{ty:?}", l.name);
+            // Rank 1 asks for nothing; squares repeat and run backwards
+            // modulo the size.
+            let subs: Vec<Vec<Vec<i64>>> = (0..nranks)
+                .map(|r| {
+                    let n = if r == 1 { 0 } else { 5 + (3 * r) % 7 };
+                    (0..n)
+                        .map(|k| unflatten((r * 31 + k * k * 7 + 3) % size, l.shape))
+                        .collect()
+                })
+                .collect();
+            for (what, local_only) in [("gather", false), ("precomp_read", true)] {
+                let (mut m, dad) = setup(l, ty, &["B"]);
+                let mut rs = RunSchedules::new();
+                run_gather(&mut m, &mut rs, &dad, ty, &subs, local_only);
+                record(format!("{tag}/{what}"), &m);
+                run_gather(&mut m, &mut rs, &dad, ty, &subs, local_only);
+                record(format!("{tag}/{what}/reused"), &m);
+            }
+            // Several ranks write one element (`k * 11` wraps onto
+            // another rank's targets), and a rank writes one twice.
+            let writes: Vec<Vec<(Vec<i64>, Value)>> = (0..nranks)
+                .map(|r| {
+                    let n = if r == 0 { 0 } else { 4 + (5 * r) % 6 };
+                    (0..n)
+                        .map(|k| {
+                            let g = unflatten((r * 13 + (k % 5) * 11) % size, l.shape);
+                            let v = element(ty, 7 + r, &[k]);
+                            (g, v)
+                        })
+                        .collect()
+                })
+                .collect();
+            for (what, invertible) in [("scatter", false), ("postcomp_write", true)] {
+                let (mut m, dad) = setup(l, ty, &["B"]);
+                let mut rs = RunSchedules::new();
+                run_scatter(&mut m, &mut rs, &dad, ty, &writes, invertible);
+                record(format!("{tag}/{what}"), &m);
+                run_scatter(&mut m, &mut rs, &dad, ty, &writes, invertible);
+                record(format!("{tag}/{what}/reused"), &m);
+            }
+        }
+    }
+}
+
 /// Run every scenario; `(name, fingerprint)` in a fixed order.
 fn scenarios() -> Vec<(String, u64)> {
     let mut out = Vec::new();
@@ -249,6 +386,7 @@ fn scenarios() -> Vec<(String, u64)> {
             }
         }
     }
+    unstructured_scenarios(&mut record);
     out
 }
 
@@ -706,5 +844,86 @@ const GOLDEN: &[(&str, u64)] = &[
     (
         "block_block16/Real/multicast_shift/d1/s-2",
         0xa702a76373315b22,
+    ),
+    // Unstructured scenarios, recorded on the commit before the locate
+    // and the flat scatter columns (see the module docs).
+    ("block1d/Real/gather", 0xa0d5d94a9ec7fb86),
+    ("block1d/Real/gather/reused", 0x1c95da79e1022c4a),
+    ("block1d/Real/precomp_read", 0x18054890b713cfc1),
+    ("block1d/Real/precomp_read/reused", 0x8f08009f549a0259),
+    ("block1d/Real/scatter", 0xc54b744d8c5444b8),
+    ("block1d/Real/scatter/reused", 0x5da4023ec33867ec),
+    ("block1d/Real/postcomp_write", 0x69cd35ccac8b95c6),
+    ("block1d/Real/postcomp_write/reused", 0x55c53672c849bef0),
+    ("cyclic1d/Real/gather", 0xd626ff5fdd47f4f9),
+    ("cyclic1d/Real/gather/reused", 0x44c684ac2ade3b65),
+    ("cyclic1d/Real/precomp_read", 0x05470fd8fb0cba17),
+    ("cyclic1d/Real/precomp_read/reused", 0xa3ff3817df12a467),
+    ("cyclic1d/Real/scatter", 0xfc0b7849ec6cda0c),
+    ("cyclic1d/Real/scatter/reused", 0xe9ed289d50327aae),
+    ("cyclic1d/Real/postcomp_write", 0x3836890107db4fe8),
+    ("cyclic1d/Real/postcomp_write/reused", 0x2385e4025c42a927),
+    ("block_block/Real/gather", 0x8cbd73068b897336),
+    ("block_block/Real/gather/reused", 0x71bfd88733d39645),
+    ("block_block/Real/precomp_read", 0x3ffd689ea695055f),
+    ("block_block/Real/precomp_read/reused", 0xdc8715c3c29a1256),
+    ("block_block/Real/scatter", 0xc0b1abefc32c015a),
+    ("block_block/Real/scatter/reused", 0x39aec068169d7a26),
+    ("block_block/Real/postcomp_write", 0xc1858d2cedc0f2e7),
+    ("block_block/Real/postcomp_write/reused", 0x8de5de86173ed18e),
+    ("block_block/Int/gather", 0x3bd781515a0543d1),
+    ("block_block/Int/gather/reused", 0x962c2fc22586d5ce),
+    ("block_block/Int/precomp_read", 0x6f3f3e7ea09fa974),
+    ("block_block/Int/precomp_read/reused", 0xdb04c26b2f9fa4fd),
+    ("block_block/Int/scatter", 0xa985b52d40929333),
+    ("block_block/Int/scatter/reused", 0x1ecdc83ad5deddbb),
+    ("block_block/Int/postcomp_write", 0xd9d7e1a8b828f996),
+    ("block_block/Int/postcomp_write/reused", 0x1ee7eb90506b7eb3),
+    ("cyclic_block/Real/gather", 0xb4801fa67b8fbcdc),
+    ("cyclic_block/Real/gather/reused", 0x137d92dfb1edae20),
+    ("cyclic_block/Real/precomp_read", 0x062c089def30059c),
+    ("cyclic_block/Real/precomp_read/reused", 0xc11dbf97f9e0ba3f),
+    ("cyclic_block/Real/scatter", 0x060d48715e8b637b),
+    ("cyclic_block/Real/scatter/reused", 0x231b0eca2f8b39c9),
+    ("cyclic_block/Real/postcomp_write", 0xff16ddc82c4ba5c3),
+    (
+        "cyclic_block/Real/postcomp_write/reused",
+        0x083afaa1253b55ba,
+    ),
+    ("star_block16/Real/gather", 0x2b3e2bac2fae6053),
+    ("star_block16/Real/gather/reused", 0x8b55b86c74355fb8),
+    ("star_block16/Real/precomp_read", 0x155d17c07968662e),
+    ("star_block16/Real/precomp_read/reused", 0x336237bc865a806e),
+    ("star_block16/Real/scatter", 0x7687d135576c2096),
+    ("star_block16/Real/scatter/reused", 0xcdd4daefed97c583),
+    ("star_block16/Real/postcomp_write", 0x24e8a220b26cd57a),
+    (
+        "star_block16/Real/postcomp_write/reused",
+        0x1e3696288d320259,
+    ),
+    ("block_block16/Real/gather", 0x84b46071126ccda1),
+    ("block_block16/Real/gather/reused", 0x370eb3becb87ae08),
+    ("block_block16/Real/precomp_read", 0xfe72bffecd114801),
+    ("block_block16/Real/precomp_read/reused", 0xb02c4825693d6e9c),
+    ("block_block16/Real/scatter", 0x18780ee7bc3bbf91),
+    ("block_block16/Real/scatter/reused", 0xb669c310c10d9edd),
+    ("block_block16/Real/postcomp_write", 0x20368991ef86f723),
+    (
+        "block_block16/Real/postcomp_write/reused",
+        0xccaad221ad5554fb,
+    ),
+    ("block_replicated/Real/gather", 0xff41053c2848b799),
+    ("block_replicated/Real/gather/reused", 0xb1971bb1729fc377),
+    ("block_replicated/Real/precomp_read", 0xf27ef70a402cfc25),
+    (
+        "block_replicated/Real/precomp_read/reused",
+        0x9c9915c3d554dfe3,
+    ),
+    ("block_replicated/Real/scatter", 0x0a1f3d6f41bdb2e7),
+    ("block_replicated/Real/scatter/reused", 0xea356e041ddf779f),
+    ("block_replicated/Real/postcomp_write", 0x50f550baffcee97b),
+    (
+        "block_replicated/Real/postcomp_write/reused",
+        0xc62502515d886cfd,
     ),
 ];

@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use f90d_comm::driver::{self, CommDriver, ComputeSink, GatherRequests, PhaseOutcome};
+use f90d_comm::driver::{self, CommDriver, ComputeSink, GatherRequests, PhaseOutcome, ScatterOut};
 use f90d_comm::sched_cache::RunSchedules;
 use f90d_distrib::{Dad, DistKind};
 use f90d_frontend::ast::{BinOp, UnOp};
@@ -364,7 +364,7 @@ impl<'p> Executor<'p> {
             self.exec_gather(f, g, m, env, &iter_lists)?;
         }
         // Main loop, rank by rank (loosely synchronous local phase).
-        let mut scatter_out: Vec<Vec<(Vec<i64>, Value)>> = vec![Vec::new(); nranks];
+        let mut scatter_out = vec![ScatterOut::new(self.arrays[f.body[0].arr].ty); nranks];
         for rank in 0..m.nranks() {
             let lists = &iter_lists[rank as usize];
             if lists.iter().any(|l| l.is_empty()) {
@@ -399,15 +399,7 @@ impl<'p> Executor<'p> {
         if let Some(invertible) = scatter {
             let dst = &self.arrays[f.body[0].arr];
             let (name, dad) = (&dst.name, &dst.dad);
-            driver::scatter(
-                m,
-                &mut self.sched,
-                name,
-                dad,
-                dst.ty,
-                &scatter_out,
-                invertible,
-            )?;
+            driver::scatter(m, &mut self.sched, name, dad, &scatter_out, invertible)?;
         }
         Ok(())
     }
@@ -427,7 +419,7 @@ impl<'p> Executor<'p> {
         env: &mut Env,
         lists: &[Vec<i64>],
         staged: &mut Vec<(usize, Value)>,
-        scatter_out: &mut Vec<(Vec<i64>, Value)>,
+        scatter_out: &mut ScatterOut,
     ) -> EResult<i64> {
         if lists.iter().any(|l| l.is_empty()) {
             return Ok(0);
@@ -471,7 +463,7 @@ impl<'p> Executor<'p> {
                             staged.push((off, v));
                         }
                         WritePlan::ScatterSeq { .. } => {
-                            scatter_out.push((g, v));
+                            scatter_out.push(&g, v);
                         }
                     }
                 }
@@ -508,7 +500,7 @@ impl<'p> Executor<'p> {
         iter_lists: &[Vec<Vec<i64>>],
     ) -> EResult<()> {
         let src = &self.arrays[g.src];
-        let mut reqs = GatherRequests::new(&src.name, &src.dad, iter_lists.len());
+        let mut reqs = GatherRequests::new(m, &src.name, &src.dad);
         for (rank, lists) in iter_lists.iter().enumerate() {
             if lists.iter().any(|l| l.is_empty()) {
                 continue;
@@ -534,7 +526,7 @@ impl<'p> Executor<'p> {
                                 .map(|x| x.as_int())
                         })
                         .collect::<EResult<_>>()?;
-                    reqs.push(m, rank, &gidx)?;
+                    reqs.push(rank, &gidx)?;
                 }
                 for _ in 0..f.vars.len() {
                     env.pop();
@@ -766,7 +758,7 @@ impl ComputeSink for TreeSink<'_, '_> {
     fn interior(&mut self, m: &mut Machine, lists: &[Vec<Vec<i64>>]) -> EResult<()> {
         for rank in 0..m.nranks() {
             // Overlap-eligible FORALLs have owned writes only.
-            let mut no_scatter = Vec::new();
+            let mut no_scatter = ScatterOut::new(self.ex.arrays[self.f.body[0].arr].ty);
             let ops = self.ex.forall_rank_run(
                 self.f,
                 m,
@@ -783,7 +775,7 @@ impl ComputeSink for TreeSink<'_, '_> {
 
     fn boundary(&mut self, m: &mut Machine, slabs: &[Vec<Vec<Vec<i64>>>]) -> EResult<()> {
         for rank in 0..m.nranks() {
-            let mut no_scatter = Vec::new();
+            let mut no_scatter = ScatterOut::new(self.ex.arrays[self.f.body[0].arr].ty);
             let mut ops = 0;
             for slab in &slabs[rank as usize] {
                 ops += self.ex.forall_rank_run(

@@ -2,15 +2,18 @@
 //! the bytecode VM): selection at lowering time is invisible in every
 //! observable — array bits, virtual time, messages, bytes, PRINT — and
 //! the engine's `native_counts` trace proves which tier actually ran.
-//! Non-matching shapes (masks, unstructured subscripts) and non-binding
-//! dispatches (CYCLIC mappings) must fall back to bytecode, counted.
+//! Non-matching shapes (masks, divisors that can fault) and non-binding
+//! dispatches (CYCLIC accessors) must fall back to bytecode, counted.
+//! The irregular path — INTEGER bodies, gathered reads, scattered
+//! writes — rides the same rows and is held to the same contract,
+//! faults included.
 
 use std::collections::HashMap;
 
 use f90d_core::reference::run_reference;
 use f90d_core::{compile, Backend, CompileOptions, RunTrace};
 use f90d_distrib::ProcGrid;
-use f90d_machine::{budget, ArrayData, ExecMode, Machine, MachineSpec};
+use f90d_machine::{budget, ArrayData, ExecMode, Machine, MachineSpec, Value};
 
 fn jacobi(n: i64, iters: i64) -> String {
     format!(
@@ -185,11 +188,344 @@ END
     assert_eq!(tr.native_fallback, 1, "the masked FORALL must fall back");
 }
 
-/// Indirect (non-affine) subscripts go through the unstructured gather
-/// machinery — never native.
-#[test]
-fn non_affine_subscript_falls_back_to_bytecode() {
-    let src = "
+/// Everything one run shows: the gathered arrays, every padded cell of
+/// them on every rank (so a copy along a replicated grid axis counts),
+/// every rank clock by bits, messages, bytes, PRINT and the tier tally
+/// — or the run's error, with whether the transport was left quiescent.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    arrays: Vec<ArrayData>,
+    cells: Vec<Vec<Value>>,
+    /// `(array, row-major global element number, value)` of every
+    /// element every rank holds — each copy of a replicated one.
+    owned: Vec<(usize, usize, Value)>,
+    clocks: Vec<u64>,
+    messages: u64,
+    bytes: u64,
+    printed: Vec<String>,
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Tier {
+    Native,
+    Bytecode,
+    TreeWalk,
+}
+
+fn observe(
+    src: &str,
+    grid: &[i64],
+    arrays: &[&str],
+    tier: Tier,
+    exec: ExecMode,
+) -> Result<(Observed, RunTrace), String> {
+    let backend = match tier {
+        Tier::TreeWalk => Backend::TreeWalk,
+        _ => Backend::Vm,
+    };
+    let mut opts = CompileOptions::on_grid(grid).with_backend(backend);
+    opts.opt.native_kernels = matches!(tier, Tier::Native);
+    let compiled = compile(src, &opts).unwrap_or_else(|e| panic!("compile failed: {e}\n{src}"));
+    let mut m = Machine::with_mode(MachineSpec::ipsc860(), ProcGrid::new(grid), exec);
+    let (rep, trace) = compiled.run_on_traced(&mut m).map_err(|e| {
+        f90d_comm::driver::quiesce(&mut m).expect("a failed run leaks nothing in flight");
+        e.to_string()
+    })?;
+    let images = match tier {
+        Tier::TreeWalk => {
+            let ex = f90d_core::Executor::new_preserving(&compiled.spmd, &mut m);
+            (arrays.iter())
+                .map(|a| ex.gather_array(&mut m, a).expect("array exists"))
+                .collect()
+        }
+        _ => {
+            let prog = compiled.vm_program().expect("lowers");
+            let eng = f90d_vm::Engine::new_preserving(prog, &mut m);
+            (arrays.iter())
+                .map(|a| eng.gather_array(&mut m, a).expect("array exists"))
+                .collect()
+        }
+    };
+    let cells = (m.mems.iter())
+        .flat_map(|mem| arrays.iter().map(move |a| mem.array(a)))
+        .map(|seg| {
+            let padded: i64 = (0..seg.rank()).map(|d| seg.padded_extent(d)).product();
+            (0..padded as usize).map(|off| seg.get_flat(off)).collect()
+        })
+        .collect();
+    let mut owned = Vec::new();
+    for (rank, mem) in m.mems.iter().enumerate() {
+        let coords = m.grid.coords_of(rank as i64);
+        for (k, name) in arrays.iter().enumerate() {
+            let decl = (compiled.spmd.arrays.iter())
+                .find(|d| d.name == *name)
+                .expect("array is declared");
+            decl.dad.for_each_owned(&coords, |g, l| {
+                let flat = g
+                    .iter()
+                    .zip(&decl.dad.shape)
+                    .fold(0, |at, (&i, &n)| at * n + i);
+                owned.push((k, flat as usize, mem.array(name).get(l)));
+            });
+        }
+    }
+    let observed = Observed {
+        arrays: images,
+        cells,
+        owned,
+        clocks: m.transport.clocks.iter().map(|c| c.to_bits()).collect(),
+        messages: rep.messages,
+        bytes: rep.bytes,
+        printed: rep.printed,
+    };
+    Ok((observed, trace))
+}
+
+/// One program of the irregular path: on `grid`, `native` of its FORALL
+/// executions must dispatch native and `bytecode` fall back, and every
+/// tier must show the same [`Observed`]. `reference` also holds the
+/// arrays to the sequential interpreter — off where several iterations
+/// write one element, whose winner the distributed run-time decides by
+/// message order (and every tier must decide alike).
+struct IrregularCase {
+    label: &'static str,
+    src: &'static str,
+    grid: &'static [i64],
+    arrays: &'static [&'static str],
+    native: u64,
+    bytecode: u64,
+    reference: bool,
+}
+
+/// `A(U(I)) = B(V(I)) + C(I)` over 1-D arrays under `{dist}`, `U` with
+/// duplicates and out of order (`I*I` is not affine: an integer tree),
+/// `V` a permutation.
+const IRREGULAR_1D: &str = "
+PROGRAM IRR
+INTEGER, PARAMETER :: N = 30
+REAL A(N), B(N), C(N)
+REAL S
+INTEGER U(N), V(N)
+C$ TEMPLATE T(N)
+C$ ALIGN A(I) WITH T(I)
+C$ ALIGN B(I) WITH T(I)
+C$ ALIGN C(I) WITH T(I)
+C$ DISTRIBUTE T({dist})
+FORALL (I=1:N) A(I) = -1.0
+FORALL (I=1:N) B(I) = REAL(I) * 0.5
+FORALL (I=1:N) C(I) = REAL(N - I)
+FORALL (I=1:N) U(I) = MOD(I*{u}, N) + 1
+FORALL (I=1:N) V(I) = MOD(I*11 + 3, N) + 1
+FORALL (I=1:N{mask}) A(U(I)) = B(V(I)) + C(I)
+S = SUM(A)
+PRINT *, 'S', S, A(1), A(2), A(N)
+END
+";
+
+const IRREGULAR_CASES: &[IrregularCase] = &[
+    IrregularCase {
+        label: "INTEGER bodies: MOD and / over negative operands and constants",
+        src: "
+PROGRAM INTS
+INTEGER, PARAMETER :: N = 32
+INTEGER K(N), L(N), R(N)
+C$ TEMPLATE T(N)
+C$ ALIGN K(I) WITH T(I)
+C$ ALIGN L(I) WITH T(I)
+C$ DISTRIBUTE T(BLOCK)
+FORALL (I=1:N) K(I) = MOD(I*5 - 40, 7) - (I - 20)/3
+FORALL (I=1:N) L(I) = MOD(K(I), -4) + K(I)/(-2) + (-I)/5
+FORALL (I=1:N) R(I) = MOD(-I*I, 9) * (I - 16) - MOD(I, 3)/2
+END
+",
+        grid: &[4],
+        arrays: &["K", "L", "R"],
+        native: 3,
+        bytecode: 0,
+        reference: true,
+    },
+    IrregularCase {
+        label: "a divisor that is no constant stays on the bytecode tier",
+        src: "
+PROGRAM VARDIV
+INTEGER, PARAMETER :: N = 32
+INTEGER K(N)
+INTEGER D
+C$ DISTRIBUTE K(BLOCK)
+D = -3
+FORALL (I=1:N) K(I) = MOD(I - 12, D) + (I - 12)/D
+FORALL (I=1:N) K(I) = K(I) + MOD(I, -1) + I/(-1)
+END
+",
+        grid: &[4],
+        arrays: &["K"],
+        native: 0,
+        bytecode: 2,
+        reference: true,
+    },
+    IrregularCase {
+        label: "an integer tree under REAL() stays on the bytecode tier",
+        src: "
+PROGRAM WEIGHT
+INTEGER, PARAMETER :: N = 32
+REAL A(N), W(N)
+C$ TEMPLATE T(N)
+C$ ALIGN A(I) WITH T(I)
+C$ ALIGN W(I) WITH T(I)
+C$ DISTRIBUTE T(BLOCK)
+FORALL (I=1:N) A(I) = REAL(I - 9) * 0.25
+FORALL (I=1:N) W(I) = A(I) * REAL(MOD(I - 20, 7) + 1)
+END
+",
+        grid: &[4],
+        arrays: &["W"],
+        native: 1,
+        bytecode: 1,
+        reference: true,
+    },
+    IrregularCase {
+        label: "gather + scatter, duplicate and out-of-order U (many-to-one)",
+        src: IRREGULAR_1D,
+        grid: &[4],
+        arrays: &["A"],
+        native: 6,
+        bytecode: 0,
+        reference: false,
+    },
+    IrregularCase {
+        label: "gather + scatter through permutations, BLOCK",
+        src: IRREGULAR_1D,
+        grid: &[4],
+        arrays: &["A"],
+        native: 6,
+        bytecode: 0,
+        reference: true,
+    },
+    IrregularCase {
+        label: "a masked irregular FORALL stays on the bytecode tier",
+        src: IRREGULAR_1D,
+        grid: &[4],
+        arrays: &["A"],
+        native: 5,
+        bytecode: 1,
+        reference: true,
+    },
+    IrregularCase {
+        label: "CYCLIC source and destination (reached through schedules)",
+        src: IRREGULAR_1D,
+        grid: &[4],
+        arrays: &["A"],
+        // The three REAL fills go through CYCLIC accessors and fall back;
+        // the irregular FORALL's accessors are the replicated U and V.
+        native: 3,
+        bytecode: 3,
+        reference: true,
+    },
+    IrregularCase {
+        label: "CYCLIC(3) source and destination",
+        src: IRREGULAR_1D,
+        grid: &[4],
+        arrays: &["A"],
+        native: 3,
+        bytecode: 3,
+        reference: true,
+    },
+    IrregularCase {
+        label: "B(V(I), J) on a 2-D (BLOCK,BLOCK) source",
+        src: "
+PROGRAM TWOD
+INTEGER, PARAMETER :: N = 12
+REAL A(N,N), B(N,N)
+INTEGER V(N)
+C$ TEMPLATE T(N,N)
+C$ ALIGN A(I,J) WITH T(I,J)
+C$ ALIGN B(I,J) WITH T(I,J)
+C$ DISTRIBUTE T(BLOCK,BLOCK)
+FORALL (I=1:N, J=1:N) B(I,J) = REAL(I*N+J)/4.0
+FORALL (I=1:N) V(I) = MOD(I*5 + 3, N) + 1
+FORALL (I=1:N, J=1:N) A(I,J) = B(V(I), J) + 1.0
+END
+",
+        grid: &[2, 2],
+        arrays: &["A"],
+        native: 3,
+        bytecode: 0,
+        reference: true,
+    },
+    IrregularCase {
+        label: "a 2-D vector-subscripted destination",
+        src: "
+PROGRAM TWODW
+INTEGER, PARAMETER :: N = 12
+REAL A(N,N), B(N,N)
+INTEGER U(N)
+C$ TEMPLATE T(N,N)
+C$ ALIGN A(I,J) WITH T(I,J)
+C$ ALIGN B(I,J) WITH T(I,J)
+C$ DISTRIBUTE T(BLOCK,BLOCK)
+FORALL (I=1:N, J=1:N) A(I,J) = 0.0
+FORALL (I=1:N, J=1:N) B(I,J) = REAL(I*N+J)/4.0
+FORALL (I=1:N) U(I) = MOD(I*7 + 2, N) + 1
+FORALL (I=1:N, J=1:N:2) A(U(I), N+1-J) = B(I,J) * 2.0
+END
+",
+        grid: &[2, 2],
+        arrays: &["A"],
+        native: 4,
+        bytecode: 0,
+        reference: true,
+    },
+    IrregularCase {
+        label: "a destination replicated along one grid axis (every copy written)",
+        src: "
+PROGRAM REPL
+INTEGER, PARAMETER :: N = 16
+REAL A(N), B(N)
+INTEGER U(N), V(N)
+C$ TEMPLATE T(N,N)
+C$ ALIGN A(I) WITH T(I,*)
+C$ ALIGN B(I) WITH T(I,*)
+C$ DISTRIBUTE T(BLOCK,BLOCK)
+FORALL (I=1:N) A(I) = -1.0
+FORALL (I=1:N) B(I) = REAL(I) * 0.5
+FORALL (I=1:N) U(I) = MOD(I*5 + 2, N) + 1
+FORALL (I=1:N) V(I) = MOD(I*7 + 3, N) + 1
+FORALL (I=1:N) A(U(I)) = B(V(I)) + 1.0
+END
+",
+        grid: &[2, 2],
+        arrays: &["A"],
+        native: 5,
+        bytecode: 0,
+        reference: true,
+    },
+    IrregularCase {
+        label: "an INTEGER gathered array, scattered into an INTEGER array",
+        src: "
+PROGRAM INTG
+INTEGER, PARAMETER :: N = 32
+INTEGER K(N), L(N)
+INTEGER U(N), V(N)
+C$ TEMPLATE T(N)
+C$ ALIGN K(I) WITH T(I)
+C$ ALIGN L(I) WITH T(I)
+C$ DISTRIBUTE T(BLOCK)
+FORALL (I=1:N) K(I) = MOD(I*5 - 40, 7) - (I - 20)/3
+FORALL (I=1:N) L(I) = I
+FORALL (I=1:N) U(I) = MOD(I*7 + 2, N) + 1
+FORALL (I=1:N) V(I) = MOD(I*I, N) + 1
+FORALL (I=1:N) L(U(I)) = K(V(I)) + L(I) * 2
+END
+",
+        grid: &[4],
+        arrays: &["L"],
+        native: 5,
+        bytecode: 0,
+        reference: true,
+    },
+    IrregularCase {
+        label: "a distributed indirection array read through an owned accessor",
+        src: "
 PROGRAM INDIRECT
 INTEGER, PARAMETER :: N = 16
 REAL A(N), B(N)
@@ -203,14 +539,145 @@ FORALL (I=1:N) B(I) = REAL(I) * 0.5
 FORALL (I=1:N) U(I) = MOD(I*5, N) + 1
 FORALL (I=1:N) A(I) = B(U(I))
 END
-";
-    let (nat, .., tr) = run_vm(src, &[4], &["A"], true);
-    // B's init matches; U writes an INTEGER array and A reads through
-    // a gathered temporary — both must fall back.
-    assert_eq!((tr.native_matched, tr.native_fallback), (1, 2));
-    let (vm, .., vm_tr) = run_vm(src, &[4], &["A"], false);
-    assert_eq!(vm_tr.native_matched, 0);
-    assert_eq!(nat, vm);
+",
+        grid: &[4],
+        arrays: &["A"],
+        native: 3,
+        bytecode: 0,
+        reference: true,
+    },
+];
+
+/// How each [`IRREGULAR_1D`] case fills the template's holes, by label.
+fn instantiate(case: &IrregularCase) -> String {
+    let (dist, u, mask) = match case.label {
+        l if l.contains("many-to-one") => ("BLOCK", "I", ""),
+        l if l.contains("masked") => ("BLOCK", "7 + 2", ", U(I) > 10"),
+        l if l.starts_with("CYCLIC(3)") => ("CYCLIC(3)", "7 + 2", ""),
+        l if l.starts_with("CYCLIC") => ("CYCLIC", "7 + 2", ""),
+        _ => ("BLOCK", "7 + 2", ""),
+    };
+    (case.src.replace("{dist}", dist))
+        .replace("{u}", u)
+        .replace("{mask}", mask)
+}
+
+/// The irregular path against every other evaluator of the language:
+/// native ≡ bytecode ≡ tree walk in arrays, every copy of them, PRINT,
+/// every rank clock, messages and bytes, sequential and threaded, with
+/// the arrays also matching the sequential reference interpreter.
+#[test]
+fn irregular_shapes_agree_with_every_other_tier() {
+    budget::global().ensure_total_at_least(8);
+    for case in IRREGULAR_CASES {
+        let (label, src) = (case.label, instantiate(case));
+        let run = |tier, exec| {
+            observe(&src, case.grid, case.arrays, tier, exec)
+                .unwrap_or_else(|e| panic!("{label}: {tier:?} failed: {e}\n{src}"))
+        };
+        let (nat, tr) = run(Tier::Native, ExecMode::Sequential);
+        assert_eq!(
+            (tr.native_matched, tr.native_fallback),
+            (case.native, case.bytecode),
+            "{label}: FORALL executions (native, bytecode)\n{src}"
+        );
+        let (thr, thr_tr) = run(Tier::Native, ExecMode::Threaded);
+        assert_eq!(thr_tr.native_matched, tr.native_matched, "{label}");
+        assert_eq!(nat, thr, "{label}: sequential vs threaded\n{src}");
+        let (vm, vm_tr) = run(Tier::Bytecode, ExecMode::Sequential);
+        assert_eq!(vm_tr.native_matched, 0, "{label}");
+        assert_eq!(nat, vm, "{label}: native vs bytecode\n{src}");
+        let (tw, _) = run(Tier::TreeWalk, ExecMode::Sequential);
+        assert_eq!(nat, tw, "{label}: native vs tree walk\n{src}");
+        if !case.reference {
+            continue;
+        }
+        let compiled = compile(&src, &CompileOptions::on_grid(case.grid)).expect("compiles");
+        let reference = run_reference(&compiled.analyzed, &HashMap::new()).expect("reference runs");
+        for (name, img) in case.arrays.iter().zip(&nat.arrays) {
+            assert_eq!(
+                img, &reference.arrays[*name].data,
+                "{label}: array {name} vs the reference interpreter\n{src}"
+            );
+        }
+        // Every copy, not only the canonical one a gather reads.
+        for &(k, flat, v) in &nat.owned {
+            let name = case.arrays[k];
+            assert_eq!(
+                v,
+                reference.arrays[name].data.get(flat),
+                "{label}: a copy of {name} element {flat} vs the reference\n{src}"
+            );
+        }
+    }
+}
+
+/// Faults are part of the contract: a subscript vector that leaves the
+/// array and an integer divisor that is zero at run time return the
+/// same structured error on every tier — a row kernel never faults
+/// where the bytecode would have returned an error, because the shapes
+/// that can are not selected — and leave nothing in flight. The
+/// reference interpreter reports the arithmetic faults in the same
+/// words (a subscript out of range it asserts on).
+#[test]
+fn irregular_faults_are_the_same_structured_error_on_every_tier() {
+    let cases: [(&str, &str, &str, bool); 4] = [
+        (
+            "scatter subscript out of range",
+            "subscript 33 out of bounds on dim 0 of A (extent 32)",
+            "FORALL (I=1:N) U(I) = I + 1
+FORALL (I=1:N) A(U(I)) = B(I)",
+            false,
+        ),
+        (
+            "gather subscript out of range",
+            "subscript 0 out of bounds on dim 0 of B (extent 32)",
+            "FORALL (I=1:N) U(I) = I - 1
+FORALL (I=1:N) A(I) = B(U(I))",
+            false,
+        ),
+        (
+            "MOD by a scalar that is zero",
+            "integer MOD by zero",
+            "FORALL (I=1:N) U(I) = MOD(I, D)",
+            true,
+        ),
+        (
+            "division by a scalar that is zero",
+            "integer division by zero",
+            "FORALL (I=1:N) U(I) = I / D",
+            true,
+        ),
+    ];
+    for (label, want, body, reference) in cases {
+        let src = format!(
+            "
+PROGRAM FAULT
+INTEGER, PARAMETER :: N = 32
+REAL A(N), B(N)
+INTEGER U(N)
+INTEGER D
+C$ TEMPLATE T(N)
+C$ ALIGN A(I) WITH T(I)
+C$ ALIGN B(I) WITH T(I)
+C$ DISTRIBUTE T(BLOCK)
+D = 0
+FORALL (I=1:N) B(I) = REAL(I)
+{body}
+END
+"
+        );
+        for tier in [Tier::Native, Tier::Bytecode, Tier::TreeWalk] {
+            let err = observe(&src, &[4], &["A"], tier, ExecMode::Sequential)
+                .expect_err("the program faults");
+            assert_eq!(err, want, "{label} on {tier:?}\n{src}");
+        }
+        if reference {
+            let compiled = compile(&src, &CompileOptions::on_grid(&[4])).expect("compiles");
+            let err = run_reference(&compiled.analyzed, &HashMap::new()).expect_err("faults");
+            assert_eq!(err, want, "{label} in the reference interpreter");
+        }
+    }
 }
 
 /// CYCLIC mappings select a kernel (the body is affine REAL) but can

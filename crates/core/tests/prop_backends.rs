@@ -10,6 +10,13 @@
 //! cross-run schedule cache on as everywhere) must be indistinguishable
 //! from `ExecMode::Sequential` in arrays, virtual time, and elapsed
 //! parity between backends.
+//!
+//! A second property samples the irregular path the same way:
+//! `A(U(I)) = B(V(I)) + C(I)` behind INTEGER fills of `U`, `V` and a
+//! work array through `MOD` and `/` by sampled constants (negative
+//! ones, `-1` and non-constants included), under every distribution,
+//! masked or not — duplicate and out-of-order `U` whenever the sampled
+//! multiplier shares a factor with `N`.
 
 use std::collections::HashMap;
 
@@ -283,6 +290,178 @@ proptest! {
                 m.elapsed().to_bits(), ms.elapsed().to_bits(),
                 "virtual time must be mode-independent\n{}", src
             );
+        }
+    }
+}
+
+/// One sample of the irregular path.
+#[derive(Debug, Clone)]
+struct RandIrregular {
+    n: i64,
+    dist: &'static str,
+    /// `U(I) = MOD(I*ua + ub, N) + 1`: a permutation iff `gcd(ua, N) = 1`.
+    ua: i64,
+    ub: i64,
+    va: i64,
+    /// Divisor of the INTEGER work array's fill; `0` samples the scalar
+    /// `D` (a non-constant divisor, which must fall back).
+    div: i64,
+    masked: bool,
+    grid: Vec<i64>,
+    exec: ExecMode,
+}
+
+fn irregular_program(p: &RandIrregular) -> String {
+    let div = if p.div == 0 {
+        "D".to_string()
+    } else {
+        format!("({})", p.div)
+    };
+    let mask = if p.masked { ", K(I) > -2" } else { "" };
+    format!(
+        "
+PROGRAM RANDIRR
+INTEGER, PARAMETER :: N = {n}
+REAL A(N), B(N), C(N)
+INTEGER U(N), V(N), K(N)
+INTEGER D
+C$ TEMPLATE T(N)
+C$ ALIGN A(I) WITH T(I)
+C$ ALIGN B(I) WITH T(I)
+C$ ALIGN C(I) WITH T(I)
+C$ DISTRIBUTE T({dist})
+D = 4
+FORALL (I=1:N) A(I) = -1.0
+FORALL (I=1:N) B(I) = REAL(I) * 0.5
+FORALL (I=1:N) C(I) = REAL(N - 2*I)
+FORALL (I=1:N) K(I) = MOD(I*3 - N, {div}) + (I - 7)/{div} - MOD(-I, 5)
+FORALL (I=1:N) U(I) = MOD(I*{ua} + {ub}, N) + 1
+FORALL (I=1:N) V(I) = MOD(I*{va} + K(I)*N + 64*N, N) + 1
+FORALL (I=1:N{mask}) A(U(I)) = B(V(I)) + C(I)
+END
+",
+        n = p.n,
+        dist = p.dist,
+        ua = p.ua,
+        ub = p.ub,
+        va = p.va,
+    )
+}
+
+fn rand_irregular() -> impl Strategy<Value = RandIrregular> {
+    (
+        10i64..28,
+        dists(),
+        (1i64..9, 0i64..9, 1i64..9),
+        prop_oneof![
+            Just(-5i64),
+            Just(-2),
+            Just(-1),
+            Just(0),
+            Just(2),
+            Just(3),
+            Just(7)
+        ],
+        any::<bool>(),
+        0usize..3,
+        exec_modes(),
+    )
+        .prop_map(
+            |(n, dist, (ua, ub, va), div, masked, grid_pick, exec)| RandIrregular {
+                n,
+                dist,
+                ua,
+                ub,
+                va,
+                div,
+                masked,
+                grid: vec![[1, 2, 4][grid_pick]],
+                exec,
+            },
+        )
+}
+
+fn gcd(a: i64, b: i64) -> i64 {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn irregular_backends_and_reference_bit_identical(p in rand_irregular()) {
+        budget::global().ensure_total_at_least(8);
+        let src = irregular_program(&p);
+        let names = ["A", "K", "U", "V"];
+        let run = |backend: Backend, native: bool| {
+            let mut opts = CompileOptions::on_grid(&p.grid).with_backend(backend);
+            opts.opt.native_kernels = native;
+            let compiled = compile(&src, &opts)
+                .unwrap_or_else(|e| panic!("compile failed: {e}\n{src}"));
+            let mut m = Machine::with_mode(MachineSpec::ipsc860(), ProcGrid::new(&p.grid), p.exec);
+            let (rep, trace) = compiled
+                .run_on_traced(&mut m)
+                .unwrap_or_else(|e| panic!("{backend:?} (native {native}) failed: {e}\n{src}"));
+            let arrays: Vec<ArrayData> = match backend {
+                Backend::TreeWalk => {
+                    let ex = Executor::new_preserving(&compiled.spmd, &mut m);
+                    names.iter().map(|a| ex.gather_array(&mut m, a).unwrap()).collect()
+                }
+                Backend::Vm => {
+                    let eng = f90d_vm::Engine::new_preserving(compiled.vm_program().unwrap(), &mut m);
+                    names.iter().map(|a| eng.gather_array(&mut m, a).unwrap()).collect()
+                }
+            };
+            let clocks: Vec<u64> = m.transport.clocks.iter().map(|c| c.to_bits()).collect();
+            (arrays, clocks, rep.messages, rep.bytes, trace)
+        };
+        let (nat, nat_clocks, nat_msgs, nat_bytes, nat_tr) = run(Backend::Vm, true);
+        let (vm, vm_clocks, vm_msgs, vm_bytes, vm_tr) = run(Backend::Vm, false);
+        let (tw, tw_clocks, tw_msgs, tw_bytes, _) = run(Backend::TreeWalk, false);
+        prop_assert_eq!(vm_tr.native_matched, 0, "native off must never dispatch\n{}", src);
+        // U and V are replicated INTEGER fills and always select (V's
+        // subscript tree reads K); K's fill selects unless its divisor
+        // is -1 or the scalar D; the irregular FORALL selects unmasked
+        // (its own accessors are the replicated U and V) wherever the
+        // compiler made its indirect subscripts a gather and a scatter
+        // — on one rank they stay in place, per-element work; the REAL
+        // fills bind under BLOCK only.
+        let safe_divisor = p.div != 0 && p.div != -1;
+        let one_rank = p.grid == [1];
+        let block = p.dist == "BLOCK" || one_rank;
+        let irregular = !p.masked && !one_rank;
+        let want = 2 + safe_divisor as u64 + irregular as u64 + if block { 3 } else { 0 };
+        prop_assert_eq!(
+            (nat_tr.native_matched, nat_tr.native_fallback), (want, 7 - want),
+            "FORALL executions (native, bytecode)\n{}", src
+        );
+        prop_assert_eq!(&nat, &vm, "arrays differ: native vs bytecode\n{}", src);
+        prop_assert_eq!(&nat, &tw, "arrays differ: native vs tree walk\n{}", src);
+        prop_assert_eq!(
+            (&nat_clocks, nat_msgs, nat_bytes), (&vm_clocks, vm_msgs, vm_bytes),
+            "clocks, messages, bytes: native vs bytecode\n{}", src
+        );
+        prop_assert_eq!(
+            (&nat_clocks, nat_msgs, nat_bytes), (&tw_clocks, tw_msgs, tw_bytes),
+            "clocks, messages, bytes: native vs tree walk\n{}", src
+        );
+        // Where several iterations write one element the distributed
+        // run-time's winner is message order, not iteration order:
+        // only the other arrays are the reference's then.
+        let compiled = compile(&src, &CompileOptions::on_grid(&p.grid)).unwrap();
+        let reference = run_reference(&compiled.analyzed, &HashMap::new()).unwrap();
+        let permutation = gcd(p.ua, p.n) == 1;
+        for (name, img) in names.iter().zip(&nat) {
+            if *name != "A" || permutation {
+                prop_assert_eq!(
+                    img, &reference.arrays[*name].data,
+                    "array {} vs the reference interpreter\n{}", name, src
+                );
+            }
         }
     }
 }

@@ -63,6 +63,40 @@ impl ArrayDimMap {
         }
     }
 
+    /// The elements of this dimension held by grid coordinate `p`, in
+    /// increasing array index, each as `f(array index, local index)`.
+    ///
+    /// Walks the coordinate's own template slots — `O(owned)`, not a
+    /// filter of the whole dimension through [`ArrayDimMap::proc_of`] —
+    /// keeping those that hold an array element. Slots ascend with the
+    /// template index, which runs against the array index under a
+    /// negative alignment stride. An undistributed dimension is held
+    /// whole, at local index = array index.
+    fn owned_walk<T>(&self, p: i64, f: impl Fn(i64, i64) -> T) -> Vec<T> {
+        if !self.is_distributed() {
+            return (0..self.extent).map(|i| f(i, i)).collect();
+        }
+        let mut owned: Vec<T> = (0..self.dist.local_count(p))
+            .filter_map(|l| self.array_index_of(p, l).map(|i| f(i, l)))
+            .collect();
+        if self.align.stride < 0 {
+            owned.reverse();
+        }
+        owned
+    }
+
+    /// The `(array index, local index)` pairs of the elements of this
+    /// dimension held by grid coordinate `p`, in increasing array index
+    /// (`O(owned)`).
+    pub fn owned_pairs(&self, p: i64) -> Vec<(i64, i64)> {
+        self.owned_walk(p, |i, l| (i, l))
+    }
+
+    /// The local half of [`ArrayDimMap::owned_pairs`].
+    pub fn owned_locals(&self, p: i64) -> Vec<i64> {
+        self.owned_walk(p, |_, l| l)
+    }
+
     /// Number of local slots a node must allocate for this dimension
     /// (template-local count of the owning processor).
     pub fn local_alloc(&self) -> i64 {
@@ -193,15 +227,7 @@ impl Dad {
         // Per-dim list of (global, local) pairs owned on this node.
         let mut per_dim: Vec<Vec<(i64, i64)>> = Vec::with_capacity(self.rank());
         for d in &self.dims {
-            let pairs: Vec<(i64, i64)> = if d.is_distributed() {
-                let p = coords[d.grid_axis.unwrap()];
-                (0..d.extent)
-                    .filter(|&i| d.proc_of(i) == p)
-                    .map(|i| (i, d.local_of(i)))
-                    .collect()
-            } else {
-                (0..d.extent).map(|i| (i, i)).collect()
-            };
+            let pairs = d.owned_pairs(d.grid_axis.map_or(0, |ax| coords[ax]));
             if pairs.is_empty() {
                 return;
             }
@@ -236,6 +262,104 @@ impl Dad {
         let mut out = Vec::new();
         self.for_each_owned(coords, |g, l| out.push((g.to_vec(), l.to_vec())));
         out
+    }
+}
+
+/// Where a global element lives, without allocating: the canonical
+/// owner's physical rank and the element's flat offset in that rank's
+/// ghost-padded segment — [`Dad::owner_ranks`]`[0]` and the row-major
+/// offset of [`Dad::local_index`] in one pass over the subscripts.
+///
+/// Built once per `(descriptor, segment layout)` — every rank allocates
+/// an array's segment with the same shape and ghost widths — and
+/// evaluated per element by the unstructured-communication inspectors.
+#[derive(Debug, Clone)]
+pub struct Locator {
+    dims: Vec<LocatorDim>,
+    /// Rank offset of every copy along the replicated grid axes, in
+    /// [`Dad::owner_ranks`] order; the first is 0, the canonical copy.
+    replicas: Vec<i64>,
+}
+
+#[derive(Debug, Clone)]
+struct LocatorDim {
+    /// A distributed dimension's alignment, distribution, and the rank
+    /// contribution of each grid coordinate along its axis (`φ` is a sum
+    /// of per-axis terms under both embeddings).
+    owner: Option<(AlignExpr, DimDist, Vec<i64>)>,
+    ghost_lo: i64,
+    /// Row-major stride over the padded extents.
+    stride: i64,
+}
+
+impl Locator {
+    /// The locator of `dad` over segments of interior `shape` padded by
+    /// `ghost_lo` / `ghost_hi` cells per dimension.
+    pub fn new(dad: &Dad, shape: &[i64], ghost_lo: &[i64], ghost_hi: &[i64]) -> Self {
+        assert_eq!(shape.len(), dad.rank(), "segment rank mismatch");
+        let grid = &dad.grid;
+        // Rank contribution of coordinate `c` on `axis`, others at 0.
+        let axis_ranks = |axis: usize| -> Vec<i64> {
+            let mut coords = vec![0; grid.rank()];
+            (0..grid.extent(axis))
+                .map(|c| {
+                    coords[axis] = c;
+                    grid.rank_of(&coords)
+                })
+                .collect()
+        };
+        let mut dims = Vec::with_capacity(dad.rank());
+        let mut stride = 1;
+        for d in (0..dad.rank()).rev() {
+            let dm = &dad.dims[d];
+            let owner = dm.is_distributed().then(|| {
+                let axis = dm.grid_axis.expect("distributed dim has axis");
+                (dm.align, dm.dist, axis_ranks(axis))
+            });
+            dims.push(LocatorDim {
+                owner,
+                ghost_lo: ghost_lo[d],
+                stride,
+            });
+            stride *= shape[d] + ghost_lo[d] + ghost_hi[d];
+        }
+        dims.reverse();
+        let mut replicas = vec![0];
+        for &axis in &dad.replicated_axes {
+            let parts = axis_ranks(axis);
+            replicas = replicas
+                .iter()
+                .flat_map(|base| parts.iter().map(move |p| base + p))
+                .collect();
+        }
+        Locator { dims, replicas }
+    }
+
+    /// `(canonical owner rank, flat padded offset)` of global element
+    /// `g`, which the caller has checked to lie inside the array. Every
+    /// copy lives at the same offset on rank `owner + r` for each `r` of
+    /// [`Locator::replicas`].
+    #[inline]
+    pub fn locate(&self, g: &[i64]) -> (i64, usize) {
+        debug_assert_eq!(g.len(), self.dims.len());
+        let (mut rank, mut off) = (0, 0);
+        for (dim, &g) in self.dims.iter().zip(g) {
+            let local = match &dim.owner {
+                Some((align, dist, ranks)) => {
+                    let (p, l) = dist.global_to_local(align.apply(g));
+                    rank += ranks[p as usize];
+                    l
+                }
+                None => g,
+            };
+            off += (local + dim.ghost_lo) * dim.stride;
+        }
+        (rank, off as usize)
+    }
+
+    /// Rank offsets of the element's copies (see [`Locator::locate`]).
+    pub fn replicas(&self) -> &[i64] {
+        &self.replicas
     }
 }
 
@@ -463,6 +587,227 @@ mod tests {
             for row in &count {
                 assert!(row.iter().all(|&c| c == 1), "grid {p}x{q}");
             }
+        }
+    }
+
+    /// One array dimension of the property tests below: `n` elements
+    /// aligned at `±stride` with `lead` / `tail` template cells of slack.
+    #[derive(Debug, Clone, Copy)]
+    struct DimCase {
+        kind: usize,
+        n: i64,
+        stride: i64,
+        reversed: bool,
+        lead: i64,
+        tail: i64,
+    }
+
+    impl DimCase {
+        fn kind(&self) -> DistKind {
+            [
+                DistKind::Block,
+                DistKind::Cyclic,
+                DistKind::BlockCyclic(2),
+                DistKind::BlockCyclic(5),
+            ][self.kind]
+        }
+
+        fn template_extent(&self) -> i64 {
+            self.stride * (self.n - 1) + self.lead + self.tail + 1
+        }
+
+        fn expr(&self) -> AlignExpr {
+            let span = self.stride * (self.n - 1);
+            if self.reversed {
+                AlignExpr::new(-self.stride, span + self.lead)
+            } else {
+                AlignExpr::new(self.stride, self.lead)
+            }
+        }
+    }
+
+    fn dim_case() -> impl proptest::strategy::Strategy<Value = DimCase> {
+        use proptest::prelude::*;
+        (
+            0usize..4,
+            1i64..40,
+            1i64..4,
+            any::<bool>(),
+            0i64..6,
+            0i64..6,
+        )
+            .prop_map(|(kind, n, stride, reversed, lead, tail)| DimCase {
+                kind,
+                n,
+                stride,
+                reversed,
+                lead,
+                tail,
+            })
+    }
+
+    /// A 1-D (`second == None`) or 2-D descriptor over a `p × q` grid.
+    fn dad_of(first: DimCase, second: Option<DimCase>, p: i64, q: i64) -> Dad {
+        let cases: Vec<DimCase> = std::iter::once(first).chain(second).collect();
+        let grid: Vec<i64> = [p, q][..cases.len()].to_vec();
+        DadBuilder::new("A", &cases.iter().map(|c| c.n).collect::<Vec<_>>())
+            .template(Template::new(
+                "T",
+                &cases
+                    .iter()
+                    .map(DimCase::template_extent)
+                    .collect::<Vec<_>>(),
+            ))
+            .align(Alignment {
+                axes: cases
+                    .iter()
+                    .enumerate()
+                    .map(|(template_dim, c)| AxisAlign::Aligned {
+                        template_dim,
+                        expr: c.expr(),
+                    })
+                    .collect(),
+                replicated_template_dims: vec![],
+            })
+            .distribute(&cases.iter().map(DimCase::kind).collect::<Vec<_>>())
+            .grid(ProcGrid::new(&grid))
+            .build()
+            .unwrap()
+    }
+
+    /// The `O(extent × ranks)` definition `for_each_owned` replaced, kept
+    /// as its oracle: filter every dimension through `proc_of`.
+    fn owned_elements_by_filter(dad: &Dad, coords: &[i64]) -> Vec<(Vec<i64>, Vec<i64>)> {
+        let per_dim: Vec<Vec<(i64, i64)>> = dad
+            .dims
+            .iter()
+            .map(|d| {
+                (0..d.extent)
+                    .filter(|&i| {
+                        !d.is_distributed() || d.proc_of(i) == coords[d.grid_axis.unwrap()]
+                    })
+                    .map(|i| (i, if d.is_distributed() { d.local_of(i) } else { i }))
+                    .collect()
+            })
+            .collect();
+        let mut out = vec![(vec![], vec![])];
+        for pairs in &per_dim {
+            out = out
+                .iter()
+                .flat_map(|(g, l)| {
+                    pairs.iter().map(move |&(gi, li)| {
+                        let (mut g, mut l) = (g.clone(), l.clone());
+                        g.push(gi);
+                        l.push(li);
+                        (g, l)
+                    })
+                })
+                .collect();
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The owned walk visits exactly the filter's pairs in the
+        /// filter's order, on every rank, under every distribution kind
+        /// and affine alignment (either direction, any stride and
+        /// offset, slack on both ends of the template), 1-D and 2-D.
+        #[test]
+        fn for_each_owned_equals_the_filter(
+            first in dim_case(),
+            second in dim_case(),
+            two_d in proptest::prelude::any::<bool>(),
+            p in 1i64..7,
+            q in 1i64..4,
+        ) {
+            let dad = dad_of(first, two_d.then_some(second), p, q);
+            let mut total = 0;
+            for rank in 0..dad.grid.size() {
+                let coords = dad.grid.coords_of(rank);
+                let got = dad.owned_elements(&coords);
+                proptest::prop_assert_eq!(&got, &owned_elements_by_filter(&dad, &coords));
+                total += got.len() as i64;
+            }
+            proptest::prop_assert_eq!(total, dad.size());
+        }
+
+        /// `Locator::locate` is `owner_ranks(g)[0]` with the row-major
+        /// padded offset of `local_index(g)`, for every element, under
+        /// both grid embeddings and any ghost widths.
+        #[test]
+        fn locator_equals_owner_ranks_and_local_index(
+            first in dim_case(),
+            second in dim_case(),
+            two_d in proptest::prelude::any::<bool>(),
+            p in 0u32..3,
+            q in 0u32..2,
+            gray in proptest::prelude::any::<bool>(),
+            ghost_lo in 0i64..3,
+            ghost_hi in 0i64..3,
+        ) {
+            let mut dad = dad_of(first, two_d.then_some(second), 1 << p, 1 << q);
+            if gray {
+                dad.grid.embedding = crate::GridEmbedding::GrayCode;
+            }
+            let shape = dad.local_shape();
+            let (lo, hi) = (vec![ghost_lo; dad.rank()], vec![ghost_hi; dad.rank()]);
+            let loc = Locator::new(&dad, &shape, &lo, &hi);
+            proptest::prop_assert_eq!(loc.replicas(), &[0][..]);
+            let mut g = vec![0; dad.rank()];
+            'elements: loop {
+                let local = dad.local_index(&g);
+                let want_off = local
+                    .iter()
+                    .zip(&shape)
+                    .fold(0, |off, (&l, &s)| off * (s + ghost_lo + ghost_hi) + l + ghost_lo);
+                let want = (dad.owner_ranks(&g)[0], want_off as usize);
+                proptest::prop_assert_eq!(loc.locate(&g), want, "element {:?}", &g);
+                // Next element, row-major.
+                let mut d = dad.rank();
+                loop {
+                    if d == 0 {
+                        break 'elements;
+                    }
+                    d -= 1;
+                    g[d] += 1;
+                    if g[d] < dad.shape[d] {
+                        break;
+                    }
+                    g[d] = 0;
+                }
+            }
+        }
+    }
+
+    /// Copies along replicated grid axes — one template dimension with no
+    /// aligned array axis, one grid axis no template dimension uses —
+    /// are the canonical owner plus `replicas`, in `owner_ranks` order.
+    #[test]
+    fn locator_replicas_are_owner_ranks() {
+        let a = Alignment {
+            axes: vec![AxisAlign::Aligned {
+                template_dim: 1,
+                expr: AlignExpr::IDENTITY,
+            }],
+            replicated_template_dims: vec![0],
+        };
+        let dad = DadBuilder::new("A", &[9])
+            .template(Template::new("T", &[4, 9]))
+            .align(a)
+            .distribute(&[DistKind::Block, DistKind::Cyclic])
+            .grid(ProcGrid::new(&[2, 3, 2]))
+            .build()
+            .unwrap();
+        assert_eq!(dad.replicated_axes, vec![0, 2]);
+        let shape = dad.local_shape();
+        let loc = Locator::new(&dad, &shape, &[1], &[1]);
+        for g in 0..9 {
+            let (owner, off) = loc.locate(&[g]);
+            let copies: Vec<i64> = loc.replicas().iter().map(|r| owner + r).collect();
+            assert_eq!(copies, dad.owner_ranks(&[g]), "element {g}");
+            assert_eq!(off as i64, dad.local_index(&[g])[0] + 1);
         }
     }
 

@@ -106,10 +106,24 @@ impl DimDist {
         }
     }
 
-    /// `μ` as a pair: `(proc, local)`.
+    /// `μ` as a pair: `(proc, local)` — [`DimDist::proc_of`] and
+    /// [`DimDist::local_of`] sharing their divisions, for per-element
+    /// callers.
     #[inline]
     pub fn global_to_local(&self, g: i64) -> (i64, i64) {
-        (self.proc_of(g), self.local_of(g))
+        match self.kind {
+            DistKind::Block => {
+                let b = self.block_size();
+                let p = (g / b).min(self.nprocs - 1);
+                (p, g - p * b)
+            }
+            DistKind::Cyclic => (g % self.nprocs, g / self.nprocs),
+            DistKind::BlockCyclic(k) => {
+                let block = g / k;
+                (block % self.nprocs, block / self.nprocs * k + g % k)
+            }
+            DistKind::Collapsed => (0, g),
+        }
     }
 
     /// `μ⁻¹`: the global index of local `l` on processor `p`. Returns

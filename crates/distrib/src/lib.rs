@@ -38,7 +38,7 @@ pub mod template;
 
 pub use align::{AlignExpr, Alignment, AxisAlign};
 pub use bounds::{set_bound, LocalIter, LocalRange};
-pub use dad::{ArrayDimMap, Dad, DadBuilder};
+pub use dad::{ArrayDimMap, Dad, DadBuilder, Locator};
 pub use dist::{DimDist, DistKind};
 pub use grid::{GridEmbedding, ProcGrid};
 pub use template::Template;

@@ -31,6 +31,7 @@ proptest! {
             for g in d.owned_globals(p) {
                 prop_assert_eq!(d.proc_of(g), p);
                 let l = d.local_of(g);
+                prop_assert_eq!(d.global_to_local(g), (p, l));
                 prop_assert_eq!(d.global_of(p, l), Some(g));
                 owned += 1;
             }

@@ -595,7 +595,7 @@ pub fn simplify(e: Expr) -> Expr {
                     BinOp::Add => Some(a + b),
                     BinOp::Sub => Some(a - b),
                     BinOp::Mul => Some(a * b),
-                    BinOp::Div if *b != 0 => Some(a / b),
+                    BinOp::Div if *b != 0 => Some(a.wrapping_div(*b)),
                     BinOp::Pow if *b >= 0 => Some(a.pow(*b as u32)),
                     _ => None,
                 };

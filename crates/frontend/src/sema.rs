@@ -482,7 +482,9 @@ pub fn const_eval(e: &Expr, params: &HashMap<String, i64>) -> SResult<i64> {
                     if b == 0 {
                         return err("constant division by zero");
                     }
-                    a / b
+                    // `i64::MIN / -1` wraps, as at run time
+                    // (`f90d_vm::ops`), instead of aborting the compile.
+                    a.wrapping_div(b)
                 }
                 BinOp::Pow => {
                     if b < 0 {

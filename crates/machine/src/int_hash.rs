@@ -1,17 +1,19 @@
-//! The hasher of the message path's two tables (the transport's channel
-//! table and the link clocks): their keys are a few small integers, so
-//! one rotate–xor–multiply per field replaces SipHash over the key's
-//! bytes. Not DoS-resistant — the keys are rank numbers and tags the
-//! program itself generates.
+//! The hasher of the message path's tables (the transport's channel
+//! table, the link clocks, the schedule builder's processor-pair
+//! index): their keys are a few small integers, so one
+//! rotate–xor–multiply per field replaces SipHash over the key's bytes.
+//! Not DoS-resistant — the keys are rank numbers and tags the program
+//! itself generates.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A `HashMap` keyed by small integer tuples, on [`IntHasher`].
-pub(crate) type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
+pub type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
 
+/// One rotate–xor–multiply per integer field (see the module docs).
 #[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct IntHasher(u64);
+pub struct IntHasher(u64);
 
 impl Hasher for IntHasher {
     fn write(&mut self, bytes: &[u8]) {

@@ -62,6 +62,7 @@ pub mod transport;
 pub mod value;
 
 pub use budget::{WorkerBudget, WorkerLease};
+pub use int_hash::{IntHasher, IntMap};
 pub use machine::{ExecMode, Machine, MachineStats};
 pub use memory::{LocalArray, NodeMemory};
 pub use mpool::MachinePool;

@@ -181,12 +181,19 @@ impl ArrayData {
             ArrayData::Int(v) => v[i] = val.as_int(),
             ArrayData::Real(v) => v[i] = val.as_real(),
             ArrayData::Bool(v) => v[i] = val.as_bool(),
-            ArrayData::Complex(v) => {
-                v[i] = match val {
-                    Value::Complex(re, im) => [re, im],
-                    other => [other.as_real(), 0.0],
-                }
-            }
+            ArrayData::Complex(v) => v[i] = complex_parts(val),
+        }
+    }
+
+    /// Append one element, converting `val` to the storage type as
+    /// [`ArrayData::set`] does.
+    #[inline]
+    pub fn push(&mut self, val: Value) {
+        match self {
+            ArrayData::Int(v) => v.push(val.as_int()),
+            ArrayData::Real(v) => v.push(val.as_real()),
+            ArrayData::Bool(v) => v.push(val.as_bool()),
+            ArrayData::Complex(v) => v.push(complex_parts(val)),
         }
     }
 
@@ -212,6 +219,23 @@ impl ArrayData {
             ArrayData::Int(v) => v,
             other => panic!("expected INTEGER storage, got {:?}", other.elem_type()),
         }
+    }
+
+    /// Borrow as `&mut [i64]`; panics for non-INTEGER storage.
+    pub fn as_int_slice_mut(&mut self) -> &mut [i64] {
+        match self {
+            ArrayData::Int(v) => v,
+            other => panic!("expected INTEGER storage, got {:?}", other.elem_type()),
+        }
+    }
+}
+
+/// `[re, im]` of `val` stored to COMPLEX (a real value has no
+/// imaginary part).
+fn complex_parts(val: Value) -> [f64; 2] {
+    match val {
+        Value::Complex(re, im) => [re, im],
+        other => [other.as_real(), 0.0],
     }
 }
 

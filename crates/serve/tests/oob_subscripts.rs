@@ -7,7 +7,9 @@
 //! report the same structured "subscript … out of bounds" error the
 //! element loops give, and `f90d-serve` must answer
 //! `execution error: …` (not `internal error: execution panicked`) and
-//! stay healthy.
+//! stay healthy. So is an integer `MOD` or `/` whose divisor is zero at
+//! run time, in an element loop or in scalar context: `MOD(x, 0)` used
+//! to abort the run with Rust's remainder-by-zero panic.
 
 use f90d_core::{compile, Backend, CompileOptions};
 use f90d_distrib::ProcGrid;
@@ -18,14 +20,14 @@ use serde::json::Json;
 const GRID: [i64; 2] = [2, 2];
 
 /// Declarations shared by every case: K = 40 and U(I) = I + 16 are
-/// outside every extent (N = 16).
+/// outside every extent (N = 16), and Z is zero.
 const PRELUDE: &str = "
 PROGRAM OOB
 INTEGER, PARAMETER :: N = 16
 REAL A(N), B(N), A2(N, N), B2(N, N)
 REAL X
 INTEGER U(N)
-INTEGER K
+INTEGER K, Z
 C$ TEMPLATE T(N)
 C$ TEMPLATE T2(N, N)
 C$ ALIGN A(I) WITH T(I)
@@ -38,10 +40,11 @@ C$ DISTRIBUTE T2(BLOCK, BLOCK)
 FORALL (I=1:N) B(I) = REAL(I)
 FORALL (I=1:N) U(I) = I + N
 K = 40
+Z = 0
 ";
 
 /// `(faulting statement, the error both backends must give)`.
-const CASES: [(&str, &str); 7] = [
+const CASES: [(&str, &str); 10] = [
     (
         "X = B(K)",
         "subscript 40 out of bounds on dim 0 of B (extent 16)",
@@ -70,6 +73,9 @@ const CASES: [(&str, &str); 7] = [
         "A(K) = 1.0",
         "subscript 40 out of bounds on dim 0 of A (extent 16)",
     ),
+    ("FORALL (I=1:N) U(I) = MOD(I, Z)", "integer MOD by zero"),
+    ("K = MOD(K, Z)", "integer MOD by zero"),
+    ("FORALL (I=1:N) U(I) = I / Z", "integer division by zero"),
 ];
 
 fn program(stmt: &str) -> String {

@@ -16,16 +16,18 @@
 
 use std::sync::Arc;
 
-use f90d_comm::driver::{self, CommDriver, ComputeSink, GatherRequests, PhaseOutcome};
+use f90d_comm::driver::{self, CommDriver, ComputeSink, GatherRequests, PhaseOutcome, ScatterOut};
 use f90d_comm::helpers::cartesian;
 use f90d_comm::sched_cache::RunSchedules;
 use f90d_distrib::{ArrayDimMap, Dad, DistKind};
-use f90d_machine::{ArrayData, LocalArray, Machine, NodeMemory, Value};
+use f90d_machine::{ArrayData, ElemType, LocalArray, Machine, NodeMemory, Value};
 use f90d_runtime::DistArray;
 
 use crate::bytecode::*;
 use crate::dispatch::{self, VmResult};
-use crate::native::{Lin, NativeKernel, ReadSite, RowArgs, RowFn, RowRead, Scratch};
+use crate::native::{
+    Lane, Lhs, Lin, NativeKernel, ReadSite, RowArgs, RowFn, RowKernel, RowRead, Scratch, Sites,
+};
 use crate::ops;
 
 pub use crate::dispatch::{RunReport, VmError};
@@ -532,56 +534,51 @@ impl Engine {
             };
             return driver::run_overlap(m, &specs, &margins, &iter_lists, &mut sink);
         }
-        // Unstructured reads: inspector + vectorized executor.
-        for g in &f.gathers {
-            self.exec_gather(f, g, m, &iter_lists, &resolved)?;
-        }
         // Native tier: when lowering selected a kernel and every rank's
-        // dispatch preconditions hold, run the monomorphized row kernels
-        // instead of the bytecode element loop.
-        if let Some(kid) = f.native {
-            if let Some(bound) = self.bind_native(&prog.natives[kid], &iter_lists, &resolved) {
-                self.native_matched += 1;
-                run_native_forall(&prog, m, &bound, &iter_lists);
-                return Ok(());
-            }
+        // dispatch preconditions hold, the row kernels run instead of
+        // the bytecode element loop — in the inspector below too.
+        let bound = f
+            .native
+            .and_then(|kid| self.bind_native(&prog.natives[kid], f, &iter_lists, &resolved));
+        // Unstructured reads: inspector + vectorized executor.
+        for (gi, g) in f.gathers.iter().enumerate() {
+            self.exec_gather(f, gi, g, m, &iter_lists, &resolved, bound.as_deref())?;
         }
-        self.native_fallback += 1;
-        // Main loop: one local phase under the machine's ExecMode.
-        let results: Vec<Result<ScatterOut, String>> = m.local_phase_map(|rank, mem| {
-            match run_forall_rank(
-                &prog,
-                f,
-                rank,
-                mem,
-                &iter_lists[rank as usize],
-                &resolved[rank as usize],
-                &self.vars,
-                &self.scalars,
-                max_regs,
-                true,
-            ) {
-                Ok((scat, _, ops)) => (Ok(scat), ops),
-                Err(e) => (Err(e), 0),
-            }
-        });
-        let mut scatter_out: Vec<ScatterOut> = Vec::with_capacity(nranks);
-        for r in results {
-            scatter_out.push(r.map_err(VmError)?);
-        }
+        let dst = &self.arrays[f.body[0].arr];
+        let scatter = f.body.iter().find_map(|b| b.scatter);
+        let scatter_out: Vec<ScatterOut> = if let Some(bound) = bound {
+            self.native_matched += 1;
+            let columns = scatter.map(|_| dst.ty);
+            run_native_forall(&prog, m, &bound, &iter_lists, columns)
+        } else {
+            self.native_fallback += 1;
+            // Main loop: one local phase under the machine's ExecMode.
+            let results: Vec<Result<ScatterOut, String>> = m.local_phase_map(|rank, mem| {
+                match run_forall_rank(
+                    &prog,
+                    f,
+                    rank,
+                    mem,
+                    &iter_lists[rank as usize],
+                    &resolved[rank as usize],
+                    &self.vars,
+                    &self.scalars,
+                    max_regs,
+                    true,
+                ) {
+                    Ok((scat, _, ops)) => (Ok(scat), ops),
+                    Err(e) => (Err(e), 0),
+                }
+            });
+            results
+                .into_iter()
+                .collect::<Result<_, String>>()
+                .map_err(VmError)?
+        };
         // Post-loop scatter (paper §4 cases 3/4).
-        if let Some(invertible) = f.body.iter().find_map(|b| b.scatter) {
-            let dst = &self.arrays[f.body[0].arr];
+        if let Some(invertible) = scatter {
             let (name, dad) = (&dst.name, &dst.dad);
-            driver::scatter(
-                m,
-                &mut self.sched,
-                name,
-                dad,
-                dst.ty,
-                &scatter_out,
-                invertible,
-            )?;
+            driver::scatter(m, &mut self.sched, name, dad, &scatter_out, invertible)?;
         }
         Ok(())
     }
@@ -647,79 +644,107 @@ impl Engine {
     /// scalar a subscript folds holds `Value::Int`, and every REAL
     /// scalar the closures read holds `Value::Real`.
     ///
-    /// What a bound rank carries is, per site, the flat padded offset as
-    /// an affine form over the FORALL variables — so each row of the
-    /// innermost variable is a `(start, step)` walk through the segment —
-    /// and the decision whether its rows may be written in place
-    /// ([`NatRank::new`]).
+    /// What a bound rank carries is, per array site, the flat padded
+    /// offset as an affine form over the FORALL variables — so each row
+    /// of the innermost variable is a `(start, step)` walk through the
+    /// segment; a gathered value's row starts at its iteration ordinal
+    /// ([`SiteOff::Ordinal`]) — and the decision whether its rows may
+    /// be written in place ([`NatRank::new`]). The arrays an
+    /// unstructured read or write goes *to* are not sites: they are
+    /// reached through schedules, under any distribution.
     fn bind_native(
         &self,
         kernel: &NativeKernel,
+        f: &VmForall,
         iter_lists: &[Vec<Vec<i64>>],
         resolved: &[Vec<Option<ResolvedAcc>>],
     ) -> Option<Vec<Option<NatRank>>> {
-        let nv = kernel.var_slots.len();
-        let mut out = Vec::with_capacity(iter_lists.len());
+        let mut ranks = Vec::with_capacity(iter_lists.len());
         for (rank, lists) in iter_lists.iter().enumerate() {
             if lists.iter().any(|l| l.is_empty()) {
-                out.push(None);
+                ranks.push(None);
                 continue;
             }
             // Iteration lists are sorted ascending, so firsts/lasts are
             // the per-variable box corners.
-            let lo: Vec<i64> = lists.iter().map(|l| l[0]).collect();
-            let hi: Vec<i64> = lists.iter().map(|l| *l.last().unwrap()).collect();
-            let table = &resolved[rank];
+            let bx = IterBox {
+                kernel,
+                table: &resolved[rank],
+                lo: lists.iter().map(|l| l[0]).collect(),
+                hi: lists.iter().map(|l| *l.last().unwrap()).collect(),
+            };
+            // Selection makes a scatter body the only body and every
+            // owned body a write of one array.
+            let out = match &kernel.bodies[0].lhs {
+                Lhs::Scatter { subs } => NatOut::Scatter { subs: subs.clone() },
+                Lhs::Owned { acc, .. } => {
+                    let arr = bx.table[*acc as usize].as_ref()?.target;
+                    let mut offs = Vec::with_capacity(kernel.bodies.len());
+                    for b in &kernel.bodies {
+                        let Lhs::Owned { acc, subs } = &b.lhs else {
+                            return None;
+                        };
+                        let racc = bx.table[*acc as usize].as_ref()?;
+                        offs.push(self.bind_site(subs, racc, &bx)?);
+                    }
+                    NatOut::Owned { arr, offs }
+                }
+            };
             let mut bodies = Vec::with_capacity(kernel.bodies.len());
             for b in &kernel.bodies {
-                let mut read_offs = Vec::with_capacity(b.reads.len());
-                let mut read_arrs = Vec::with_capacity(b.reads.len());
-                for site in &b.reads {
-                    let racc = table[site.acc as usize].as_ref()?;
-                    read_offs.push(self.bind_site(site, racc, kernel, nv, &lo, &hi)?);
-                    read_arrs.push(racc.target);
-                }
-                let lhs = table[b.lhs_acc as usize].as_ref()?;
-                let lhs_site = ReadSite {
-                    acc: b.lhs_acc,
-                    subs: b.lhs_subs.clone(),
-                };
-                let lhs_off = self.bind_site(&lhs_site, lhs, kernel, nv, &lo, &hi)?;
-                let mut lin_vals = Vec::with_capacity(b.lins.len());
-                for lin in &b.lins {
-                    lin_vals.push(self.bind_lin(lin, kernel, nv)?);
-                }
-                let mut scalars = Vec::with_capacity(b.scalar_slots.len());
-                for &slot in &b.scalar_slots {
-                    match self.scalars[slot as usize] {
-                        Value::Real(v) => scalars.push(v),
-                        _ => return None,
-                    }
-                }
                 bodies.push(NatBody {
                     func: b.func.clone(),
-                    read_offs,
-                    read_arrs,
-                    lin_vals,
-                    scalars,
-                    lhs_arr: lhs.target,
-                    lhs_off,
+                    sites: self.bind_sites(&b.sites, f, &bx)?,
                     cost: b.cost,
                 });
             }
-            out.push(Some(NatRank::new(bodies, lists.last()?)));
+            let mut gathers = Vec::with_capacity(kernel.gathers.len());
+            for g in &kernel.gathers {
+                gathers.push(NatGather {
+                    subs: g.subs.clone(),
+                    sites: self.bind_sites(&g.sites, f, &bx)?,
+                });
+            }
+            ranks.push(Some(NatRank::new(bodies, gathers, out, lists.last()?)));
         }
-        Some(out)
+        Some(ranks)
+    }
+
+    /// Bind one group of leaf tables to a rank.
+    fn bind_sites(&self, sites: &Sites, f: &VmForall, bx: &IterBox<'_>) -> Option<NatSites> {
+        let site = |s: &ReadSite| match s {
+            ReadSite::Array { acc, subs } => {
+                let racc = bx.table[*acc as usize].as_ref()?;
+                let off = self.bind_site(subs, racc, bx)?;
+                Some((racc.target, SiteOff::Affine(off)))
+            }
+            ReadSite::Gathered { gather } => {
+                Some((f.gathers[*gather as usize].tmp, SiteOff::Ordinal))
+            }
+        };
+        Some(NatSites {
+            reads: sites.reads.iter().map(site).collect::<Option<_>>()?,
+            ireads: sites.ireads.iter().map(site).collect::<Option<_>>()?,
+            lins: (sites.lins.iter())
+                .map(|lin| self.bind_lin(lin, bx.kernel))
+                .collect::<Option<_>>()?,
+            scalars: (sites.scalar_slots.iter())
+                .map(|&slot| match self.scalars[slot as usize] {
+                    Value::Real(v) => Some(v),
+                    _ => None,
+                })
+                .collect::<Option<_>>()?,
+        })
     }
 
     /// Fold a selection-time [`Lin`] into a per-rank affine form over the
     /// FORALL variables: outer loop variables take their current values,
     /// INTEGER scalar terms fold their current `Value::Int` (anything
     /// else fails the bind).
-    fn bind_lin(&self, lin: &Lin, kernel: &NativeKernel, nv: usize) -> Option<NatAff> {
+    fn bind_lin(&self, lin: &Lin, kernel: &NativeKernel) -> Option<NatAff> {
         let mut aff = NatAff {
             base: lin.base,
-            k: vec![0; nv],
+            k: vec![0; kernel.var_slots.len()],
         };
         for &(slot, c) in &lin.vterms {
             match kernel.var_slots.iter().position(|&s| s == slot) {
@@ -741,26 +766,18 @@ impl Engine {
     /// [`ResolvedAcc::offset`], including the slab drop-dim skip and
     /// both bounds checks (validated over the iteration box corners
     /// instead of per element).
-    fn bind_site(
-        &self,
-        site: &ReadSite,
-        racc: &ResolvedAcc,
-        kernel: &NativeKernel,
-        nv: usize,
-        lo: &[i64],
-        hi: &[i64],
-    ) -> Option<NatAff> {
+    fn bind_site(&self, subs: &[Lin], racc: &ResolvedAcc, bx: &IterBox<'_>) -> Option<NatAff> {
         let mut off = NatAff {
             base: 0,
-            k: vec![0; nv],
+            k: vec![0; bx.lo.len()],
         };
         let mut k = 0usize;
-        for (d, sub) in site.subs.iter().enumerate() {
+        for (d, sub) in subs.iter().enumerate() {
             if Some(d) == racc.drop_dim {
                 continue;
             }
-            let g = self.bind_lin(sub, kernel, nv)?;
-            let (gmin, gmax) = g.range(lo, hi);
+            let g = self.bind_lin(sub, bx.kernel)?;
+            let (gmin, gmax) = g.range(&bx.lo, &bx.hi);
             if gmin < 0 || gmax >= racc.extents[k] {
                 return None;
             }
@@ -768,7 +785,7 @@ impl Engine {
                 return None; // CYCLIC / BLOCK-CYCLIC: per-element ownership math
             };
             let l = g.scale_shift(a, b);
-            let (lmin, lmax) = l.range(lo, hi);
+            let (lmin, lmax) = l.range(&bx.lo, &bx.hi);
             if lmin < 0 || lmax >= racc.padded[k] {
                 return None;
             }
@@ -780,23 +797,36 @@ impl Engine {
 
     // ---- unstructured communication ------------------------------------
 
-    /// Unstructured read: this tier's inspector (bytecode evaluation of
-    /// the mask and subscripts for every local iteration, in iteration
-    /// order) feeding the shared request list and executor.
+    /// Unstructured read: this tier's inspector feeding the shared
+    /// request list and executor. On a rank the native tier bound
+    /// (`bound`), the subscripts are INTEGER row kernels evaluated a run
+    /// of iterations at a time; otherwise the bytecode evaluates the
+    /// mask and subscripts of every local iteration — in iteration
+    /// order either way.
+    #[allow(clippy::too_many_arguments)]
     fn exec_gather(
         &mut self,
         f: &VmForall,
+        gi: usize,
         g: &GatherSpec<ExprCode>,
         m: &mut Machine,
         iter_lists: &[Vec<Vec<i64>>],
         resolved: &[Vec<Option<ResolvedAcc>>],
+        bound: Option<&[Option<NatRank>]>,
     ) -> VmResult<()> {
         let prog = self.prog.clone();
         let src = &self.arrays[g.src];
         let max_regs = forall_max_regs(f);
-        let mut reqs = GatherRequests::new(&src.name, &src.dad, iter_lists.len());
+        let mut reqs = GatherRequests::new(m, &src.name, &src.dad);
         for (rank, lists) in iter_lists.iter().enumerate() {
             if lists.iter().any(|l| l.is_empty()) {
+                continue;
+            }
+            if let Some(nr) = bound.and_then(|b| b[rank].as_ref()) {
+                let name = |a: ArrId| prog.arrays[a].name.as_str();
+                inspect_rows(nr, gi, lists, &mut m.mems[rank], name, |subs| {
+                    reqs.push_row(rank as i64, subs)
+                })?;
                 continue;
             }
             let table = &resolved[rank];
@@ -841,7 +871,7 @@ impl Engine {
                     for s in &g.subs {
                         gidx.push(eval(s, &vars)?.as_int());
                     }
-                    reqs.push(m, rank as i64, &gidx)?;
+                    reqs.push(rank as i64, &gidx)?;
                 }
                 // advance cartesian cursor (last var fastest)
                 let mut d = lists.len();
@@ -970,10 +1000,6 @@ impl ComputeSink for VmSink<'_> {
     }
 }
 
-/// One rank's scatter-write output: `(global_subscripts, value)` pairs in
-/// iteration order.
-type ScatterOut = Vec<(Vec<i64>, Value)>;
-
 /// One rank's staged owned writes: `(flat offset, value)` pairs, returned
 /// uncommitted to the caller during split-phase (overlap) execution.
 type StagedWrites = Vec<(usize, Value)>;
@@ -1074,24 +1100,142 @@ impl NatAff {
     }
 }
 
+/// The rank's iteration box and accessor table, as the bind proofs use
+/// them.
+struct IterBox<'a> {
+    kernel: &'a NativeKernel,
+    table: &'a [Option<ResolvedAcc>],
+    /// Least / greatest value of each FORALL variable on this rank.
+    lo: Vec<i64>,
+    hi: Vec<i64>,
+}
+
+/// Where one read site's rows start on a bound rank.
+enum SiteOff {
+    /// The flat padded offset as an affine form over the FORALL
+    /// variables.
+    Affine(NatAff),
+    /// A gathered value: the row starts at the iteration ordinal of its
+    /// first element and walks the sequential buffer at unit stride.
+    Ordinal,
+}
+
+/// One group of leaf tables ([`Sites`]) bound to one rank.
+struct NatSites {
+    /// Array and row start of each REAL read site.
+    reads: Vec<(ArrId, SiteOff)>,
+    /// Array and row start of each INTEGER read site.
+    ireads: Vec<(ArrId, SiteOff)>,
+    /// Values for [`RowArgs::lins`].
+    lins: Vec<NatAff>,
+    /// Snapshot for [`RowArgs::scalars`].
+    scalars: Vec<f64>,
+}
+
+impl NatSites {
+    /// Every array a row of this group views.
+    fn arrays(&self) -> impl Iterator<Item = ArrId> + '_ {
+        self.reads.iter().chain(&self.ireads).map(|&(arr, _)| arr)
+    }
+}
+
+/// The segments a [`NatSites`] views on one node, and the per-row
+/// descriptors over them — buffers reused from row to row.
+struct SiteRows<'v> {
+    views: Vec<&'v [f64]>,
+    iviews: Vec<&'v [i64]>,
+    reads: Vec<RowRead<'v>>,
+    ireads: Vec<RowRead<'v, i64>>,
+    lins: Vec<(i64, i64)>,
+}
+
+impl<'v> SiteRows<'v> {
+    /// Borrow the (materialized) segments `sites` reads from `mem`.
+    fn new<'p>(sites: &NatSites, mem: &'v NodeMemory, name: impl Fn(ArrId) -> &'p str) -> Self {
+        let data = |arr| mem.array(name(arr)).data();
+        SiteRows {
+            views: (sites.reads.iter())
+                .map(|&(arr, _)| data(arr).as_real_slice())
+                .collect(),
+            iviews: (sites.ireads.iter())
+                .map(|&(arr, _)| data(arr).as_int_slice())
+                .collect(),
+            reads: Vec::new(),
+            ireads: Vec::new(),
+            lins: Vec::new(),
+        }
+    }
+
+    /// The kernel arguments of the row `run` under the outer tuple
+    /// `outer`, whose first element is the rank's `ordinal`-th
+    /// iteration.
+    fn args<'s>(
+        &'s mut self,
+        sites: &'s NatSites,
+        outer: &[i64],
+        run: &Run,
+        ordinal: usize,
+    ) -> RowArgs<'s> {
+        #[inline(always)]
+        fn rows<'v, T>(
+            out: &mut Vec<RowRead<'v, T>>,
+            sites: &[(ArrId, SiteOff)],
+            views: &[&'v [T]],
+            row: impl Fn(&SiteOff) -> (i64, i64),
+        ) {
+            out.clear();
+            for ((_, off), &data) in sites.iter().zip(views) {
+                let (start, step) = row(off);
+                out.push(RowRead {
+                    data,
+                    start: start as usize,
+                    step: step as isize,
+                });
+            }
+        }
+        let row = |off: &SiteOff| match off {
+            SiteOff::Affine(aff) => aff.row(outer, run),
+            SiteOff::Ordinal => (ordinal as i64, 1),
+        };
+        rows(&mut self.reads, &sites.reads, &self.views, row);
+        rows(&mut self.ireads, &sites.ireads, &self.iviews, row);
+        self.lins.clear();
+        for lin in &sites.lins {
+            self.lins.push(lin.row(outer, run));
+        }
+        RowArgs {
+            reads: &self.reads,
+            ireads: &self.ireads,
+            lins: &self.lins,
+            scalars: &sites.scalars,
+        }
+    }
+}
+
+/// Where a bound rank's rows go.
+enum NatOut {
+    /// Owned writes of `arr`: body `i`'s flat padded offset is
+    /// `offs[i]`.
+    Owned { arr: ArrId, offs: Vec<NatAff> },
+    /// The rank's scatter columns: the one body's row is a run of the
+    /// value column, `subs` fill the same run of the index column.
+    Scatter { subs: Vec<RowFn<i64>> },
+}
+
 /// One kernel body bound to one rank: everything a row needs with no
 /// descriptor math, bounds checks, or `Value` boxing left.
 struct NatBody {
-    func: RowFn,
-    /// Flat padded offset of each read site.
-    read_offs: Vec<NatAff>,
-    /// Target array of each read site (view lookup).
-    read_arrs: Vec<ArrId>,
-    /// Values for [`RowArgs::lins`].
-    lin_vals: Vec<NatAff>,
-    /// Snapshot for [`RowArgs::scalars`].
-    scalars: Vec<f64>,
-    /// The written array.
-    lhs_arr: ArrId,
-    /// Flat padded offset of the owned write.
-    lhs_off: NatAff,
+    func: RowKernel,
+    sites: NatSites,
     /// Modelled cost per iteration (identical to the bytecode body's).
     cost: i64,
+}
+
+/// One unstructured read's inspector bound to one rank.
+struct NatGather {
+    /// Global subscript kernels, one per source dimension.
+    subs: Vec<RowFn<i64>>,
+    sites: NatSites,
 }
 
 /// A maximal arithmetic-progression run of the innermost iteration
@@ -1127,14 +1271,18 @@ fn inner_runs(list: &[i64]) -> Vec<Run> {
     runs
 }
 
-/// A kernel bound to one rank: its bodies, the rows of the innermost
-/// variable, and where the rows are written.
+/// A kernel bound to one rank: its bodies and inspectors, the rows of
+/// the innermost variable, and where the rows are written.
 struct NatRank {
     bodies: Vec<NatBody>,
+    gathers: Vec<NatGather>,
     runs: Vec<Run>,
+    out: NatOut,
     /// `true`: every row is written straight into the LHS segment.
     /// `false`: rows go to a dense stage that is committed after the
-    /// phase in element order (RHS before LHS, last writer as listed).
+    /// phase in element order (RHS before LHS, last writer as listed) —
+    /// or, for a scatter body, handed to the scatter executor as the
+    /// rank's value column.
     direct: bool,
 }
 
@@ -1146,144 +1294,229 @@ impl NatRank {
     /// along every row (so a row is one `&mut` slice of it). Everything
     /// else — in-place stencils, updates that read their own LHS,
     /// many-to-one or strided writes, several bodies — is staged.
-    fn new(bodies: Vec<NatBody>, inner: &[i64]) -> NatRank {
+    fn new(bodies: Vec<NatBody>, gathers: Vec<NatGather>, out: NatOut, inner: &[i64]) -> NatRank {
         let runs = inner_runs(inner);
-        let direct = match &bodies[..] {
-            [b] => {
-                !b.read_arrs.contains(&b.lhs_arr)
-                    && runs
-                        .iter()
-                        .all(|r| r.len == 1 || b.lhs_off.inner() * r.stride == 1)
+        let direct = match (&bodies[..], &out) {
+            ([b], NatOut::Owned { arr, offs }) => {
+                b.sites.arrays().all(|a| a != *arr)
+                    && (runs.iter()).all(|r| r.len == 1 || offs[0].inner() * r.stride == 1)
             }
             _ => false,
         };
         NatRank {
             bodies,
+            gathers,
             runs,
+            out,
             direct,
         }
     }
 }
 
+/// Evaluate the subscript kernels `subs` over one row into `cols`,
+/// row-major: `subs.len()` values per row element.
+fn index_rows(
+    subs: &[RowFn<i64>],
+    args: &RowArgs<'_>,
+    cols: &mut [i64],
+    row: &mut Vec<i64>,
+    scratch: &mut Scratch,
+) {
+    if let [sub] = subs {
+        return sub(args, cols, scratch);
+    }
+    let ndim = subs.len();
+    row.resize(cols.len() / ndim, 0);
+    for (d, sub) in subs.iter().enumerate() {
+        sub(args, row, scratch);
+        for (col, &v) in cols[d..].iter_mut().step_by(ndim).zip(row.iter()) {
+            *col = v;
+        }
+    }
+}
+
+/// One rank's native inspector for gather `gi` of a bound FORALL: the
+/// source subscripts of every iteration, a row at a time in iteration
+/// order, handed to `push` row-major.
+fn inspect_rows<'p, E>(
+    nr: &NatRank,
+    gi: usize,
+    lists: &[Vec<i64>],
+    mem: &mut NodeMemory,
+    name: impl Fn(ArrId) -> &'p str,
+    mut push: impl FnMut(&[i64]) -> Result<(), E>,
+) -> Result<(), E> {
+    let g = &nr.gathers[gi];
+    // Lazily-allocated segments expose no raw slice until their buffer
+    // exists (`LocalArray::data`).
+    for arr in g.sites.arrays() {
+        mem.array_mut(name(arr)).materialize();
+    }
+    let (_, outer) = lists.split_last().expect("a bound rank has a variable");
+    let mut rows = SiteRows::new(&g.sites, mem, &name);
+    let (mut cols, mut row, mut scratch) = (Vec::new(), Vec::new(), Scratch::default());
+    let mut result = Ok(());
+    cartesian(outer, |vals| {
+        for run in &nr.runs {
+            if result.is_err() {
+                return;
+            }
+            // Inspector subscripts read no gathered value: no ordinal.
+            let args = rows.args(&g.sites, vals, run, 0);
+            cols.resize(run.len * g.subs.len(), 0);
+            index_rows(&g.subs, &args, &mut cols, &mut row, &mut scratch);
+            result = push(&cols);
+        }
+    });
+    result
+}
+
 /// Execute a bound native kernel: one local phase under the machine's
 /// `ExecMode`, same cost charging and same resulting segment as the
-/// bytecode loop — only the work is row kernels over raw `f64` slices.
+/// bytecode loop — only the work is row kernels over raw slices.
+/// `columns` is the destination's element type when the body is a
+/// vector-subscripted write: every rank's scatter columns are returned
+/// then (empty ones for ranks with no iteration), nothing otherwise.
 fn run_native_forall(
     prog: &VmProgram,
     m: &mut Machine,
     bound: &[Option<NatRank>],
     iter_lists: &[Vec<Vec<i64>>],
-) {
-    m.local_phase(|rank, mem| match &bound[rank as usize] {
+    columns: Option<ElemType>,
+) -> Vec<ScatterOut> {
+    let run = |rank: i64, mem: &mut NodeMemory| match &bound[rank as usize] {
         Some(nr) => run_native_rank(nr, &iter_lists[rank as usize], mem, |a| {
             &prog.arrays[a].name
         }),
-        None => 0,
-    });
+        None => (None, 0),
+    };
+    let Some(ty) = columns else {
+        m.local_phase(|rank, mem| run(rank, mem).1);
+        return Vec::new();
+    };
+    (m.local_phase_map(run).into_iter())
+        .map(|out| out.unwrap_or_else(|| ScatterOut::new(ty)))
+        .collect()
 }
 
-/// One rank's share of [`run_native_forall`]: for every tuple of the
-/// outer variables, every body, every run of the innermost variable —
-/// one kernel call. Returns the modelled cost.
+/// One rank's share of [`run_native_forall`], on the lane of the
+/// written array's element type.
 fn run_native_rank<'p>(
     nr: &NatRank,
     lists: &[Vec<i64>],
     mem: &mut NodeMemory,
     name: impl Fn(ArrId) -> &'p str,
-) -> i64 {
+) -> (Option<ScatterOut>, i64) {
+    match nr.bodies[0].func {
+        RowKernel::Real(_) => run_native_rows::<f64>(nr, lists, mem, name),
+        RowKernel::Int(_) => run_native_rows::<i64>(nr, lists, mem, name),
+    }
+}
+
+/// For every tuple of the outer variables, every body, every run of the
+/// innermost variable — one kernel call. Returns the scatter columns,
+/// if the body is a scatter, and the modelled cost.
+fn run_native_rows<'p, T: Lane>(
+    nr: &NatRank,
+    lists: &[Vec<i64>],
+    mem: &mut NodeMemory,
+    name: impl Fn(ArrId) -> &'p str,
+) -> (Option<ScatterOut>, i64) {
     let (inner, outer) = lists.split_last().expect("a bound rank has a variable");
     let (bodies, nb, row_len) = (&nr.bodies, nr.bodies.len(), inner.len());
-    let lhs_name = name(bodies[0].lhs_arr);
     // Lazily-allocated segments expose no raw slice until their buffer
     // exists (`LocalArray::data`); force every array this phase views.
-    for &arr in bodies.iter().flat_map(|b| &b.read_arrs) {
+    for arr in bodies.iter().flat_map(|b| b.sites.arrays()) {
         mem.array_mut(name(arr)).materialize();
     }
+    let tuples: usize = lists.iter().map(|l| l.len()).product();
+    let cost = bodies.iter().map(|b| b.cost).sum::<i64>() * tuples as i64;
     // In-place rows borrow the written segment mutably next to the
     // shared read views, so it leaves the node memory for the phase.
-    let mut lhs = nr.direct.then(|| {
-        mem.remove_array(lhs_name)
-            .expect("the written array is allocated on this node")
-    });
-    let tuples: usize = lists.iter().map(|l| l.len()).product();
-    let mut stage = vec![0.0f64; if nr.direct { 0 } else { tuples * nb }];
+    let mut lhs = match &nr.out {
+        NatOut::Owned { arr, .. } if nr.direct => {
+            let seg = mem.remove_array(name(*arr));
+            Some(seg.expect("the written array is allocated on this node"))
+        }
+        _ => None,
+    };
+    // Stage layout: per outer tuple, one dense row per body. A scatter
+    // body is alone, so its stage is the value column in iteration
+    // order, next to the row-major index column.
+    let mut stage = vec![T::default(); if nr.direct { 0 } else { tuples * nb }];
+    let mut index = match &nr.out {
+        NatOut::Scatter { subs } => vec![0i64; tuples * subs.len()],
+        NatOut::Owned { .. } => Vec::new(),
+    };
     {
-        let mut lhs_rows = lhs.as_mut().map(|a| a.data_mut().as_real_slice_mut());
-        // Selection admits REAL arrays only.
-        let views: Vec<Vec<&[f64]>> = bodies
+        let mut lhs_rows = lhs.as_mut().map(|a| T::slice_mut(a.data_mut()));
+        let mut rows: Vec<SiteRows<'_>> = bodies
             .iter()
-            .map(|b| {
-                let view = |&arr| mem.array(name(arr)).data().as_real_slice();
-                b.read_arrs.iter().map(view).collect()
-            })
+            .map(|b| SiteRows::new(&b.sites, mem, &name))
             .collect();
-        let mut reads: Vec<RowRead<'_>> = Vec::new();
-        let mut lins: Vec<(i64, i64)> = Vec::new();
-        let mut scratch = Scratch::default();
-        // Stage layout: per outer tuple, one dense row per body.
-        let mut row0 = 0usize;
+        let (mut sub_row, mut scratch) = (Vec::new(), Scratch::default());
+        let (mut row0, mut ordinal0) = (0usize, 0usize);
         cartesian(outer, |vals| {
-            for (b, views) in bodies.iter().zip(&views) {
+            for (bi, (b, rows)) in bodies.iter().zip(&mut rows).enumerate() {
                 for run in &nr.runs {
-                    reads.clear();
-                    for (off, data) in b.read_offs.iter().zip(views) {
-                        let (start, step) = off.row(vals, run);
-                        reads.push(RowRead {
-                            data,
-                            start: start as usize,
-                            step: step as isize,
-                        });
-                    }
-                    lins.clear();
-                    lins.extend(b.lin_vals.iter().map(|l| l.row(vals, run)));
-                    let out = match &mut lhs_rows {
-                        Some(seg) => {
-                            let start = b.lhs_off.row(vals, run).0 as usize;
+                    let ordinal = ordinal0 + run.pos;
+                    let args = rows.args(&b.sites, vals, run, ordinal);
+                    let out = match (&mut lhs_rows, &nr.out) {
+                        (Some(seg), NatOut::Owned { offs, .. }) => {
+                            let start = offs[bi].row(vals, run).0 as usize;
                             &mut seg[start..start + run.len]
                         }
-                        None => &mut stage[row0 + run.pos..row0 + run.pos + run.len],
+                        _ => &mut stage[row0 + run.pos..row0 + run.pos + run.len],
                     };
-                    let args = RowArgs {
-                        reads: &reads,
-                        lins: &lins,
-                        scalars: &b.scalars,
-                    };
-                    (b.func)(&args, out, &mut scratch);
+                    T::kernel(&b.func)(&args, out, &mut scratch);
+                    if let NatOut::Scatter { subs } = &nr.out {
+                        let cols = &mut index[ordinal * subs.len()..][..run.len * subs.len()];
+                        index_rows(subs, &args, cols, &mut sub_row, &mut scratch);
+                    }
                 }
                 row0 += row_len;
             }
+            ordinal0 += row_len;
         });
     }
-    match lhs {
-        Some(arr) => mem.insert_array(lhs_name, arr),
-        None => {
-            // Commit in the element loop's order — tuple by tuple, body
-            // by body within a tuple — so overlapping writes keep their
-            // last writer.
-            let seg = mem.array_mut(lhs_name).data_mut().as_real_slice_mut();
-            let mut row0 = 0usize;
-            let mut dst: Vec<(i64, i64)> = Vec::with_capacity(nb);
-            cartesian(outer, |vals| {
-                for run in &nr.runs {
-                    dst.clear();
-                    dst.extend(bodies.iter().map(|b| b.lhs_off.row(vals, run)));
-                    let at = row0 + run.pos;
-                    if let [(start, 1)] = dst[..] {
-                        let start = start as usize;
-                        seg[start..start + run.len].copy_from_slice(&stage[at..at + run.len]);
-                        continue;
-                    }
-                    for i in 0..run.len {
-                        for (bi, &(start, step)) in dst.iter().enumerate() {
-                            seg[(start + i as i64 * step) as usize] = stage[at + bi * row_len + i];
-                        }
-                    }
-                }
-                row0 += nb * row_len;
-            });
+    let (arr, offs) = match &nr.out {
+        NatOut::Scatter { .. } => {
+            let out = ScatterOut {
+                subs: index,
+                vals: T::column(stage),
+            };
+            return (Some(out), cost);
         }
+        NatOut::Owned { arr, offs } => (*arr, offs),
+    };
+    if let Some(seg) = lhs {
+        mem.insert_array(name(arr), seg);
+        return (None, cost);
     }
-    bodies.iter().map(|b| b.cost).sum::<i64>() * tuples as i64
+    // Commit in the element loop's order — tuple by tuple, body by body
+    // within a tuple — so overlapping writes keep their last writer.
+    let seg = T::slice_mut(mem.array_mut(name(arr)).data_mut());
+    let mut row0 = 0usize;
+    let mut dst: Vec<(i64, i64)> = Vec::with_capacity(nb);
+    cartesian(outer, |vals| {
+        for run in &nr.runs {
+            dst.clear();
+            dst.extend(offs.iter().map(|off| off.row(vals, run)));
+            let at = row0 + run.pos;
+            if let [(start, 1)] = dst[..] {
+                let start = start as usize;
+                seg[start..start + run.len].copy_from_slice(&stage[at..at + run.len]);
+                continue;
+            }
+            for i in 0..run.len {
+                for (bi, &(start, step)) in dst.iter().enumerate() {
+                    seg[(start + i as i64 * step) as usize] = stage[at + bi * row_len + i];
+                }
+            }
+        }
+        row0 += nb * row_len;
+    });
+    (None, cost)
 }
 
 /// The per-rank element loop: flat fetch/decode over the mask and body
@@ -1310,7 +1543,7 @@ fn run_forall_rank(
     max_regs: usize,
     commit: bool,
 ) -> Result<(ScatterOut, StagedWrites, i64), String> {
-    let mut scat: ScatterOut = Vec::new();
+    let mut scat = ScatterOut::new(prog.arrays[f.body[0].arr].ty);
     if lists.iter().any(|l| l.is_empty()) {
         return Ok((scat, Vec::new(), 0));
     }
@@ -1395,7 +1628,7 @@ fn run_forall_rank(
                         let off = acc.offset(&subs_buf, &prog.arrays[b.arr].name, rank)?;
                         staged.push((off, v));
                     }
-                    Some(_) => scat.push((subs_buf.clone(), v)),
+                    Some(_) => scat.push(&subs_buf, v),
                 }
             }
         }
@@ -1493,7 +1726,6 @@ mod tests {
     use super::*;
     use crate::native::{match_template, NExpr};
     use f90d_frontend::ast::BinOp;
-    use f90d_machine::ElemType;
 
     /// Test arrays: `A` (id 0, the written one) and `B` (id 1) are 6×12
     /// segments, `C` (id 2) is a 12-vector.
@@ -1549,19 +1781,26 @@ mod tests {
         );
         let bound = bodies
             .iter()
-            .map(|&(lhs, reads)| NatBody {
-                func: match_template(&sum).1,
-                read_offs: reads.iter().map(|&r| aff(r)).collect(),
-                read_arrs: reads.iter().map(|r| r.0).collect(),
-                lin_vals: Vec::new(),
-                scalars: Vec::new(),
-                lhs_arr: lhs.0,
-                lhs_off: aff(lhs),
+            .map(|&(_, reads)| NatBody {
+                func: RowKernel::Real(match_template(&sum).1),
+                sites: NatSites {
+                    reads: (reads.iter())
+                        .map(|&r| (r.0, SiteOff::Affine(aff(r))))
+                        .collect(),
+                    ireads: Vec::new(),
+                    lins: Vec::new(),
+                    scalars: Vec::new(),
+                },
                 cost: 3,
             })
             .collect();
-        let nr = NatRank::new(bound, &lists[1]);
-        let cost = run_native_rank(&nr, lists, &mut mem, |a| NAMES[a]);
+        let out = NatOut::Owned {
+            arr: bodies[0].0 .0,
+            offs: bodies.iter().map(|&(lhs, _)| aff(lhs)).collect(),
+        };
+        let nr = NatRank::new(bound, Vec::new(), out, &lists[1]);
+        let (scattered, cost) = run_native_rank(&nr, lists, &mut mem, |a| NAMES[a]);
+        assert!(scattered.is_none(), "owned writes scatter nothing");
         let tuples = (lists[0].len() * lists[1].len()) as i64;
         assert_eq!(cost, 3 * bodies.len() as i64 * tuples);
         let got = mem.array("A").data().as_real_slice();

@@ -45,7 +45,9 @@ pub fn eval_bin(op: BinOp, a: Value, b: Value) -> OpResult {
                 if y == 0 {
                     return Err("integer division by zero".into());
                 }
-                x / y
+                // `i64::MIN / -1` wraps like every other integer operator
+                // of a release build instead of aborting the run.
+                x.wrapping_div(y)
             }
             Pow => {
                 if y < 0 {
@@ -177,7 +179,10 @@ pub fn eval_intrin(f: Intrin, args: &[Value]) -> OpResult {
         Intrin::Cos => f1(f64::cos),
         Intrin::Tan => f1(f64::tan),
         Intrin::Mod => match (args[0], args[1]) {
-            (Value::Int(a), Value::Int(b)) => Ok(Value::Int(a % b)),
+            (Value::Int(_), Value::Int(0)) => Err("integer MOD by zero".into()),
+            // Sign of the dividend (truncation toward zero);
+            // `MOD(i64::MIN, -1)` is 0, not an overflow abort.
+            (Value::Int(a), Value::Int(b)) => Ok(Value::Int(a.wrapping_rem(b))),
             (a, b) => Ok(Value::Real(a.as_real() % b.as_real())),
         },
         Intrin::Min => Ok(fold_minmax(args, true)),
@@ -238,6 +243,35 @@ mod tests {
             eval_bin(BinOp::Mul, Value::Int(2), Value::Real(1.5)).unwrap(),
             Value::Real(3.0)
         );
+    }
+
+    /// Integer `/` and `MOD` fault on a zero divisor with a structured
+    /// error, truncate toward zero, and never abort on `i64::MIN / -1`.
+    #[test]
+    fn integer_div_and_mod_never_panic() {
+        let int = |op: BinOp, a, b| eval_bin(op, Value::Int(a), Value::Int(b));
+        let imod = |a, b| eval_intrin(Intrin::Mod, &[Value::Int(a), Value::Int(b)]);
+        assert_eq!(
+            int(BinOp::Div, 1, 0).unwrap_err(),
+            "integer division by zero"
+        );
+        assert_eq!(imod(7, 0).unwrap_err(), "integer MOD by zero");
+        assert_eq!(imod(i64::MIN, 0).unwrap_err(), "integer MOD by zero");
+        for (a, b, q, r) in [
+            (7, 2, 3, 1),
+            (-7, 2, -3, -1),
+            (7, -2, -3, 1),
+            (-7, -2, 3, -1),
+            (i64::MIN, -1, i64::MIN, 0),
+            (i64::MIN, 1, i64::MIN, 0),
+            (5, -1, -5, 0),
+        ] {
+            assert_eq!(int(BinOp::Div, a, b).unwrap(), Value::Int(q), "{a} / {b}");
+            assert_eq!(imod(a, b).unwrap(), Value::Int(r), "MOD({a}, {b})");
+        }
+        // REAL MOD by zero is IEEE: NaN, no fault.
+        let r = eval_intrin(Intrin::Mod, &[Value::Real(1.5), Value::Int(0)]).unwrap();
+        assert!(matches!(r, Value::Real(x) if x.is_nan()));
     }
 
     #[test]
