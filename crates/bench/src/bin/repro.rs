@@ -19,14 +19,20 @@
 //! what the VM accelerates. `--exp vmcmp` prints all three execution
 //! tiers head-to-head — tree walk, bytecode VM, and the native kernel
 //! tier — so BENCH records can track both speedups. It accepts only
-//! `--quick`, `--out vmcmp.json` (an `f90d-vmcmp/v2` document, schema in
+//! `--quick`, `--out vmcmp.json` (an `f90d-vmcmp/v3` document, schema in
 //! the README) and `--gate <factor>`, which exits 1 unless the native
 //! tier beats the bytecode VM by at least that wall-clock factor on some
-//! comm-light workload (jacobi / gauss) **and** by at least 2× on the
-//! irregular kernel, whose gather/scatter FORALL, INTEGER fills and
-//! inspector subscripts run as row kernels too (measured 4–5×: the
-//! request lists, schedule lookups and executors are shared work the
-//! bytecode tier got faster at as well, so the floor is half of that).
+//! comm-light workload (jacobi / gauss) **and** the bytecode VM beats
+//! the tree walker by at least 20× on one — a floor the flag does not
+//! move: half the ≈ 42× the chunk-at-a-time evaluator measures, where
+//! the per-element loop it replaced measured 3–4×. Since that evaluator
+//! the native factor is single digits (≈ 5× on jacobi-128, where it was
+//! 39× over the per-element loop: the denominator got faster), so CI
+//! passes `--gate 2.2`, half of what it measures. The irregular kernel
+//! has no ratio floor any more — its gather/scatter FORALL, INTEGER
+//! fills and inspector subscripts cost about the same on either tier now
+//! (1.1–1.2×; the request lists, schedule lookups and executors are
+//! shared work) — but every FORALL of it must still dispatch native.
 //! Virtual-time drift between tiers always exits 1, and so does a
 //! single bytecode fallback on the irregular program.
 //!
@@ -480,20 +486,25 @@ fn exp_matrix(
 /// workload under each of the three tiers (tree walk / bytecode VM /
 /// native kernels), a check that the modelled times agree bit-for-bit
 /// and that the irregular program never leaves the native tier, and —
-/// with `--gate` — an exit-1 gate on the native-vs-vm speedup: the
-/// given factor over the comm-light workloads, `IRREGULAR_GATE` on the
-/// irregular one.
+/// with `--gate` — two exit-1 gates on the comm-light workloads: the
+/// given factor on the native-vs-vm speedup, `BYTECODE_FLOOR` on the
+/// vm-vs-treewalk one.
 fn exp_vmcmp(quick: bool, out: Option<String>, gate: Option<f64>) {
-    /// Native-over-bytecode floor of the irregular row under `--gate`:
-    /// half the measured ratio (4.1–5.0× at `--quick`, 5.3× at full
-    /// size on the 2-core reference host), not below 2×. The row is
-    /// bound by inspector, schedule and executor work both tiers share,
-    /// so it cannot approach the comm-light rows' factor.
-    const IRREGULAR_GATE: f64 = 2.0;
-    // `comm_light`: FORALL time dominates, so the native tier has the
-    // whole job to accelerate and `--gate`'s factor applies. The
-    // irregular kernel is the other kind: every FORALL of it must
-    // dispatch native, and its speedup is held to `IRREGULAR_GATE`.
+    /// Bytecode-over-tree-walk floor under `--gate`, whatever its
+    /// factor: half the measured ratio (41–45× on jacobi-128, 32–41× on
+    /// gauss-64 at `--quick`; 42× and 50× at full size, on the 2-core
+    /// reference host). The per-element loop the chunk-at-a-time
+    /// evaluator replaced measured 3–4×, so this is what notices a
+    /// regression to it — as `--gate` notices the row kernels
+    /// regressing to per-element dispatch.
+    const BYTECODE_FLOOR: f64 = 20.0;
+    // `comm_light`: FORALL time dominates, so a tier has the whole job
+    // to accelerate and the gates apply. The irregular kernel is the
+    // other kind: inspector, schedule and executor work every tier
+    // shares bounds it (native over bytecode measures 1.1–1.2× at
+    // `--quick`, 1.6× at full size, under any floor worth holding), so
+    // it is held to one thing only — every FORALL of it dispatches
+    // native.
     struct Case {
         name: &'static str,
         src: String,
@@ -558,6 +569,7 @@ fn exp_vmcmp(quick: bool, out: Option<String>, gate: Option<f64>) {
                 format!("{:.1}", r.wall_native_s * 1e3),
                 format!("{:.2}x", r.wall_vm_s / r.wall_native_s),
                 format!("{:.2}x", r.wall_treewalk_s / r.wall_native_s),
+                format!("{:.2}x", r.wall_treewalk_s / r.wall_vm_s),
                 format!("{}/{}", r.native_matched, r.native_fallback),
                 if r.virt_equal {
                     "yes".into()
@@ -576,6 +588,7 @@ fn exp_vmcmp(quick: bool, out: Option<String>, gate: Option<f64>) {
             "native ms",
             "native vs vm",
             "native vs tw",
+            "vm vs tw",
             "matched/fallback",
             "virtual time equal",
         ],
@@ -584,7 +597,7 @@ fn exp_vmcmp(quick: bool, out: Option<String>, gate: Option<f64>) {
     if let Some(path) = &out {
         use serde::json::Json;
         let doc = Json::Obj(vec![
-            ("schema".into(), Json::Str("f90d-vmcmp/v2".into())),
+            ("schema".into(), Json::Str("f90d-vmcmp/v3".into())),
             (
                 "machine".into(),
                 Json::Str(MachineSpec::ipsc860().name.clone()),
@@ -600,6 +613,10 @@ fn exp_vmcmp(quick: bool, out: Option<String>, gate: Option<f64>) {
                                 ("wall_treewalk_s".into(), Json::Num(r.wall_treewalk_s)),
                                 ("wall_vm_s".into(), Json::Num(r.wall_vm_s)),
                                 ("wall_native_s".into(), Json::Num(r.wall_native_s)),
+                                (
+                                    "vm_vs_treewalk".into(),
+                                    Json::Num(r.wall_treewalk_s / r.wall_vm_s),
+                                ),
                                 ("virt_s".into(), Json::Num(r.virt_s)),
                                 ("virt_equal".into(), Json::Bool(r.virt_equal)),
                                 (
@@ -632,8 +649,7 @@ fn exp_vmcmp(quick: bool, out: Option<String>, gate: Option<f64>) {
         eprintln!("# VIRTUAL TIME DRIFT between tiers on: {drifted:?}");
         std::process::exit(1);
     }
-    let irregular = rows.iter().filter(|(c, _)| !c.comm_light);
-    for (c, r) in irregular.clone() {
+    for (c, r) in rows.iter().filter(|(c, _)| !c.comm_light) {
         if r.native_fallback != 0 {
             eprintln!(
                 "# IRREGULAR PATH LEFT THE NATIVE TIER: {} FORALL execution(s) of {} fell back to bytecode",
@@ -643,39 +659,41 @@ fn exp_vmcmp(quick: bool, out: Option<String>, gate: Option<f64>) {
         }
     }
     if let Some(need) = gate {
-        for (c, r) in irregular {
-            let speedup = r.wall_vm_s / r.wall_native_s;
-            if speedup < IRREGULAR_GATE {
+        // Each gate holds the best comm-light row of its ratio.
+        let best = |ratio: fn(&exp::TierRow) -> f64| {
+            (rows.iter().filter(|(c, _)| c.comm_light))
+                .map(|(c, r)| (c.name, ratio(r)))
+                .fold(
+                    ("none", 0.0_f64),
+                    |acc, x| if x.1 > acc.1 { x } else { acc },
+                )
+        };
+        let gates = [
+            (
+                "NATIVE TIER",
+                "native-vs-vm",
+                best(|r| r.wall_vm_s / r.wall_native_s),
+                need,
+            ),
+            (
+                "BYTECODE TIER",
+                "vm-vs-treewalk",
+                best(|r| r.wall_treewalk_s / r.wall_vm_s),
+                BYTECODE_FLOOR,
+            ),
+        ];
+        for (tier, ratio, (name, speedup), need) in gates {
+            if speedup < need {
                 eprintln!(
-                    "# NATIVE TIER GATE FAILED: native-vs-vm speedup {speedup:.2}x on {} < {IRREGULAR_GATE}x",
-                    c.name
+                    "# {tier} GATE FAILED: best comm-light {ratio} speedup {speedup:.2}x ({name}) < {need}x"
                 );
                 std::process::exit(1);
             }
             println!(
-                "  irregular path gate: {speedup:.2}x on {} (>= {IRREGULAR_GATE}x required), 0 fallbacks: pass",
-                c.name
+                "  {} gate: {ratio} {speedup:.2}x on {name} (>= {need}x required): pass",
+                tier.to_lowercase()
             );
         }
-        let best = rows
-            .iter()
-            .filter(|(c, _)| c.comm_light)
-            .map(|(c, r)| (c.name, r.wall_vm_s / r.wall_native_s))
-            .fold(
-                ("none", 0.0_f64),
-                |acc, x| if x.1 > acc.1 { x } else { acc },
-            );
-        if best.1 < need {
-            eprintln!(
-                "# NATIVE TIER GATE FAILED: best comm-light native-vs-vm speedup {:.2}x ({}) < {need}x",
-                best.1, best.0
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "  native tier gate: {:.2}x on {} (>= {need}x required): pass",
-            best.1, best.0
-        );
     }
 }
 

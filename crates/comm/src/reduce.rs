@@ -71,28 +71,38 @@ impl ReduceOp {
             }
         } else {
             for (x, &y) in a.iter_mut().zip(b) {
-                *x = match self {
-                    ReduceOp::Sum => *x + y,
-                    ReduceOp::Prod => *x * y,
-                    ReduceOp::Max => x.max(y),
-                    ReduceOp::Min => x.min(y),
-                    ReduceOp::And => {
-                        if *x != 0.0 && y != 0.0 {
-                            1.0
-                        } else {
-                            0.0
-                        }
-                    }
-                    ReduceOp::Or => {
-                        if *x != 0.0 || y != 0.0 {
-                            1.0
-                        } else {
-                            0.0
-                        }
-                    }
-                    _ => unreachable!(),
-                };
+                *x = self.combine(*x, y);
             }
+        }
+    }
+
+    /// `x ⊕ y` of one slot of a value reduction — the step both
+    /// [`ReduceOp::fold`] and the per-rank partials take.
+    ///
+    /// # Panics
+    /// Panics on the (value, index) operators, which combine pairs.
+    #[inline]
+    pub fn combine(&self, x: f64, y: f64) -> f64 {
+        match self {
+            ReduceOp::Sum => x + y,
+            ReduceOp::Prod => x * y,
+            ReduceOp::Max => x.max(y),
+            ReduceOp::Min => x.min(y),
+            ReduceOp::And => {
+                if x != 0.0 && y != 0.0 {
+                    1.0
+                } else {
+                    0.0
+                }
+            }
+            ReduceOp::Or => {
+                if x != 0.0 || y != 0.0 {
+                    1.0
+                } else {
+                    0.0
+                }
+            }
+            ReduceOp::MaxLoc | ReduceOp::MinLoc => panic!("a loc reduction combines pairs"),
         }
     }
 }

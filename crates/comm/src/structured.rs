@@ -56,7 +56,7 @@ fn row_major_strides(extents: &[i64]) -> Vec<i64> {
 /// `arr.offset(idx)` of every index vector of the cartesian product of
 /// the per-dimension `lists`, in row-major order — by stride
 /// arithmetic, no index vector per element.
-fn local_offsets(arr: &LocalArray, lists: &[Vec<i64>]) -> Vec<usize> {
+pub fn local_offsets(arr: &LocalArray, lists: &[Vec<i64>]) -> Vec<usize> {
     let extents: Vec<i64> = (0..arr.rank()).map(|d| arr.padded_extent(d)).collect();
     cartesian_offsets(lists, &row_major_strides(&extents), &arr.ghost_lo)
 }

@@ -241,8 +241,8 @@ impl<'p> Executor<'p> {
                 if st == 0 {
                     return eerr("DO stride of zero");
                 }
-                let mut v = lb;
-                while (st > 0 && v <= ub) || (st < 0 && v >= ub) {
+                let mut next = Some(lb);
+                while let Some(v) = next.filter(|&v| (st > 0 && v <= ub) || (st < 0 && v >= ub)) {
                     env.push(var, v);
                     let r = self.exec_stmts(body, m, env);
                     env.pop();
@@ -250,7 +250,8 @@ impl<'p> Executor<'p> {
                     for rank in 0..m.nranks() {
                         m.transport.charge_elem_ops(rank, 1); // loop control
                     }
-                    v += st;
+                    // An iterate that overflows lies beyond any bound.
+                    next = v.checked_add(st);
                 }
                 Ok(())
             }

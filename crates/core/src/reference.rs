@@ -208,13 +208,17 @@ fn exec_stmt(
             let lb = eval(lb, info, st, env)?.as_int();
             let ub = eval(ub, info, st, env)?.as_int();
             let sp = eval(step, info, st, env)?.as_int();
-            let mut v = lb;
-            while (sp > 0 && v <= ub) || (sp < 0 && v >= ub) {
+            if sp == 0 {
+                return Err("DO stride of zero".into());
+            }
+            let mut next = Some(lb);
+            while let Some(v) = next.filter(|&v| (sp > 0 && v <= ub) || (sp < 0 && v >= ub)) {
                 env.push((var.clone(), v));
                 let r = exec_block(body, prog, info, st, env);
                 env.pop();
                 r?;
-                v += sp;
+                // An iterate that overflows lies beyond any bound.
+                next = v.checked_add(sp);
             }
             Ok(())
         }

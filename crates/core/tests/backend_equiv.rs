@@ -205,6 +205,69 @@ END
     assert_backends_agree("sums", src, &[4], &["A"]);
 }
 
+/// A `DO` whose next iterate overflows `i64` has run its last
+/// iteration: `DO K = i64::MAX - 1, i64::MAX` is two trips, on both
+/// backends and in the reference interpreter (it used to wrap to
+/// `i64::MIN <= ub` and never end; a panic in a debug build). Same
+/// downwards at `i64::MIN`, and the loop-control charges are those of
+/// the trips that ran, so the backends still agree on virtual time.
+#[test]
+fn a_do_increment_that_overflows_ends_the_loop() {
+    let src = "
+PROGRAM EDGE
+INTEGER, PARAMETER :: N = 16
+REAL A(N)
+INTEGER S, K
+C$ DISTRIBUTE A(BLOCK)
+FORALL (I=1:N) A(I) = 0.0
+S = 0
+DO K = 9223372036854775806, 9223372036854775807
+  S = S + 1
+  FORALL (I=1:N) A(I) = A(I) + REAL(I)
+END DO
+PRINT *, 'UP', S, A(3)
+S = 0
+DO K = -9223372036854775806, -9223372036854775807 - 1, -2
+  S = S + 1
+END DO
+PRINT *, 'DOWN', S
+END
+";
+    assert_backends_agree("do-overflow", src, &[4], &["A"]);
+    let want = vec!["UP 2 6.000000".to_string(), "DOWN 2".to_string()];
+    let (_, _, _, _, printed) = run_backend(src, &[4], &["A"], Backend::Vm, ExecMode::Sequential);
+    assert_eq!(printed, want);
+    let compiled = compile(src, &CompileOptions::on_grid(&[4])).expect("compiles");
+    let reference = f90d_core::reference::run_reference(&compiled.analyzed, &Default::default())
+        .expect("the reference interpreter terminates too");
+    assert_eq!(reference.printed, want);
+}
+
+/// A zero `DO` stride is the same structured error everywhere — the
+/// reference interpreter used to run zero iterations and succeed.
+#[test]
+fn a_zero_do_stride_is_an_error_on_every_evaluator() {
+    let src = "
+PROGRAM ZSTRIDE
+INTEGER S, K, Z
+Z = 0
+DO K = 1, 4, Z
+  S = S + 1
+END DO
+END
+";
+    for backend in [Backend::TreeWalk, Backend::Vm] {
+        let compiled = compile(src, &CompileOptions::on_grid(&[2]).with_backend(backend)).unwrap();
+        let mut m = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(&[2]));
+        let err = compiled.run_on(&mut m).expect_err("a zero stride faults");
+        assert_eq!(err.0, "DO stride of zero", "{backend:?}");
+    }
+    let compiled = compile(src, &CompileOptions::on_grid(&[2])).unwrap();
+    let err = f90d_core::reference::run_reference(&compiled.analyzed, &Default::default())
+        .expect_err("a zero stride faults");
+    assert_eq!(err, "DO stride of zero");
+}
+
 #[test]
 fn vm_program_is_cached_across_runs() {
     let src = jacobi(8, 1);

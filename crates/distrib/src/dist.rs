@@ -126,6 +126,39 @@ impl DimDist {
         }
     }
 
+    /// [`DimDist::global_to_local`] of every `(index, item)` of `run`, in
+    /// order, through `each(proc, local, item)` — for callers that map a
+    /// column of indices at once, each with something to do it for. The
+    /// kind is matched once for the run, not once per index, and the
+    /// cyclic kinds divide unsigned: an index of the dimension is not
+    /// negative.
+    #[inline]
+    pub fn global_to_local_run<T>(
+        &self,
+        run: impl Iterator<Item = (i64, T)>,
+        mut each: impl FnMut(i64, i64, T),
+    ) {
+        let np = self.nprocs as u64;
+        match self.kind {
+            DistKind::Cyclic => run.for_each(|(g, item)| {
+                let g = g as u64;
+                each((g % np) as i64, (g / np) as i64, item)
+            }),
+            DistKind::BlockCyclic(k) => {
+                let k = k as u64;
+                run.for_each(|(g, item)| {
+                    let g = g as u64;
+                    let block = g / k;
+                    each((block % np) as i64, (block / np * k + g % k) as i64, item)
+                })
+            }
+            DistKind::Block | DistKind::Collapsed => run.for_each(|(g, item)| {
+                let (p, l) = self.global_to_local(g);
+                each(p, l, item)
+            }),
+        }
+    }
+
     /// `μ⁻¹`: the global index of local `l` on processor `p`. Returns
     /// `None` when `(p, l)` names no element (past the edge of the last
     /// block, or a processor that owns fewer cycles).
@@ -272,6 +305,25 @@ mod tests {
                         }
                     }
                     assert!(seen.iter().all(|&s| s), "{d:?} misses elements");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_run_maps_like_its_elements() {
+        for n in [1, 2, 7, 10, 16, 33] {
+            for p in [1, 2, 3, 4, 7] {
+                for d in all_kinds(n, p) {
+                    let mut run = Vec::new();
+                    let indices = (0..n).rev().map(|g| (g, 2 * g));
+                    d.global_to_local_run(indices, |proc, local, item| {
+                        run.push((proc, local, item));
+                    });
+                    let each: Vec<(i64, i64, i64)> = ((0..n).rev())
+                        .map(|g| (d.proc_of(g), d.local_of(g), 2 * g))
+                        .collect();
+                    assert_eq!(run, each, "{d:?}");
                 }
             }
         }

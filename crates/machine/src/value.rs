@@ -89,16 +89,25 @@ impl Value {
         }
     }
 
+    /// `[re, im]` of the value as a COMPLEX (a real value has no
+    /// imaginary part). Panics on LOGICAL.
+    pub fn complex_parts(&self) -> [f64; 2] {
+        match self {
+            Value::Complex(re, im) => [*re, *im],
+            other => [other.as_real(), 0.0],
+        }
+    }
+
     /// Convert to `ty`, following Fortran assignment conversion rules.
     pub fn convert_to(&self, ty: ElemType) -> Value {
         match ty {
             ElemType::Int => Value::Int(self.as_int()),
             ElemType::Real => Value::Real(self.as_real()),
             ElemType::Bool => Value::Bool(self.as_bool()),
-            ElemType::Complex => match self {
-                Value::Complex(re, im) => Value::Complex(*re, *im),
-                other => Value::Complex(other.as_real(), 0.0),
-            },
+            ElemType::Complex => {
+                let [re, im] = self.complex_parts();
+                Value::Complex(re, im)
+            }
         }
     }
 }
@@ -181,7 +190,7 @@ impl ArrayData {
             ArrayData::Int(v) => v[i] = val.as_int(),
             ArrayData::Real(v) => v[i] = val.as_real(),
             ArrayData::Bool(v) => v[i] = val.as_bool(),
-            ArrayData::Complex(v) => v[i] = complex_parts(val),
+            ArrayData::Complex(v) => v[i] = val.complex_parts(),
         }
     }
 
@@ -193,7 +202,7 @@ impl ArrayData {
             ArrayData::Int(v) => v.push(val.as_int()),
             ArrayData::Real(v) => v.push(val.as_real()),
             ArrayData::Bool(v) => v.push(val.as_bool()),
-            ArrayData::Complex(v) => v.push(complex_parts(val)),
+            ArrayData::Complex(v) => v.push(val.complex_parts()),
         }
     }
 
@@ -227,15 +236,6 @@ impl ArrayData {
             ArrayData::Int(v) => v,
             other => panic!("expected INTEGER storage, got {:?}", other.elem_type()),
         }
-    }
-}
-
-/// `[re, im]` of `val` stored to COMPLEX (a real value has no
-/// imaginary part).
-fn complex_parts(val: Value) -> [f64; 2] {
-    match val {
-        Value::Complex(re, im) => [re, im],
-        other => [other.as_real(), 0.0],
     }
 }
 

@@ -6,21 +6,22 @@
 //! array dimension with a tree per grid fiber and produce a rank-lowered
 //! distributed result replicated along the reduced grid axis.
 
+use f90d_comm::helpers::owned_locals_per_dim;
 use f90d_comm::reduce::{
     allreduce_along_axis, allreduce_loc, allreduce_scalar, encode_value, ReduceOp,
 };
+use f90d_comm::structured::local_offsets;
 use f90d_distrib::Dad;
-use f90d_machine::{Machine, Value};
+use f90d_machine::{ArrayData, LocalArray, Machine, Value};
 
 use crate::array::{flatten, row_major_strides, DistArray};
 
-/// Per-rank partial over canonically-owned elements.
-fn local_partial(
-    m: &mut Machine,
-    a: &DistArray,
-    op: ReduceOp,
-    map: impl Fn(Value) -> f64,
-) -> Vec<f64> {
+/// Per-rank partial over canonically-owned elements: `op` folded from
+/// its identity over the rank's elements in [`Dad::for_each_owned`]
+/// order, strictly left to right. `logical` selects how an element
+/// becomes the `f64` the reduction runs in: [`encode_value`] (a LOGICAL
+/// counts 1.0 when true) or `Value::as_real`.
+fn local_partial(m: &mut Machine, a: &DistArray, op: ReduceOp, logical: bool) -> Vec<f64> {
     let mut partials = Vec::with_capacity(m.nranks() as usize);
     for rank in 0..m.nranks() {
         let coords = m.grid.coords_of(rank);
@@ -28,13 +29,8 @@ fn local_partial(
         let mut acc = op.identity();
         if canonical {
             let arr = m.mems[rank as usize].array(&a.name);
-            let mut n = 0i64;
-            a.dad.for_each_owned(&coords, |_, l| {
-                let mut slot = [acc];
-                op.fold(&mut slot, &[map(arr.get(l))]);
-                acc = slot[0];
-                n += 1;
-            });
+            let n;
+            (acc, n) = fold_owned(&a.dad, &coords, arr, op, logical);
             m.transport.charge_elem_ops(rank, n);
         }
         partials.push(acc);
@@ -42,45 +38,72 @@ fn local_partial(
     partials
 }
 
+/// `op` folded over the elements of segment `arr` that the node at
+/// `coords` owns, and how many there are. The element type is matched
+/// once: REAL and INTEGER segments fold from the raw slice; LOGICAL and
+/// COMPLEX ones, and a lazy segment nothing has written yet (every
+/// element reads as zero), one `Value` at a time.
+fn fold_owned(
+    dad: &Dad,
+    coords: &[i64],
+    arr: &LocalArray,
+    op: ReduceOp,
+    logical: bool,
+) -> (f64, i64) {
+    fn fold(offs: &[usize], op: ReduceOp, at: impl Fn(usize) -> f64) -> f64 {
+        (offs.iter()).fold(op.identity(), |acc, &off| op.combine(acc, at(off)))
+    }
+    // Per-dimension owned locals, increasing global index: their
+    // row-major product is the order `for_each_owned` visits.
+    let offs = local_offsets(arr, &owned_locals_per_dim(dad, coords));
+    let acc = match arr.data() {
+        ArrayData::Real(data) if arr.is_materialized() => fold(&offs, op, |off| data[off]),
+        ArrayData::Int(data) if arr.is_materialized() => fold(&offs, op, |off| data[off] as f64),
+        _ if logical => fold(&offs, op, |off| encode_value(arr.get_flat(off))),
+        _ => fold(&offs, op, |off| arr.get_flat(off).as_real()),
+    };
+    (acc, offs.len() as i64)
+}
+
 /// `SUM(a)` — full sum, replicated scalar result.
 pub fn sum(m: &mut Machine, a: &DistArray) -> f64 {
-    let p = local_partial(m, a, ReduceOp::Sum, |v| v.as_real());
+    let p = local_partial(m, a, ReduceOp::Sum, false);
     allreduce_scalar(m, ReduceOp::Sum, p).expect("collective is internally matched")
 }
 
 /// `PRODUCT(a)`.
 pub fn product(m: &mut Machine, a: &DistArray) -> f64 {
-    let p = local_partial(m, a, ReduceOp::Prod, |v| v.as_real());
+    let p = local_partial(m, a, ReduceOp::Prod, false);
     allreduce_scalar(m, ReduceOp::Prod, p).expect("collective is internally matched")
 }
 
 /// `MAXVAL(a)`.
 pub fn maxval(m: &mut Machine, a: &DistArray) -> f64 {
-    let p = local_partial(m, a, ReduceOp::Max, |v| v.as_real());
+    let p = local_partial(m, a, ReduceOp::Max, false);
     allreduce_scalar(m, ReduceOp::Max, p).expect("collective is internally matched")
 }
 
 /// `MINVAL(a)`.
 pub fn minval(m: &mut Machine, a: &DistArray) -> f64 {
-    let p = local_partial(m, a, ReduceOp::Min, |v| v.as_real());
+    let p = local_partial(m, a, ReduceOp::Min, false);
     allreduce_scalar(m, ReduceOp::Min, p).expect("collective is internally matched")
 }
 
 /// `COUNT(mask)` — number of `.TRUE.` elements of a LOGICAL array.
 pub fn count(m: &mut Machine, mask: &DistArray) -> i64 {
-    let p = local_partial(m, mask, ReduceOp::Sum, encode_value);
+    let p = local_partial(m, mask, ReduceOp::Sum, true);
     allreduce_scalar(m, ReduceOp::Sum, p).expect("collective is internally matched") as i64
 }
 
 /// `ALL(mask)`.
 pub fn all(m: &mut Machine, mask: &DistArray) -> bool {
-    let p = local_partial(m, mask, ReduceOp::And, encode_value);
+    let p = local_partial(m, mask, ReduceOp::And, true);
     allreduce_scalar(m, ReduceOp::And, p).expect("collective is internally matched") != 0.0
 }
 
 /// `ANY(mask)`.
 pub fn any(m: &mut Machine, mask: &DistArray) -> bool {
-    let p = local_partial(m, mask, ReduceOp::Or, encode_value);
+    let p = local_partial(m, mask, ReduceOp::Or, true);
     allreduce_scalar(m, ReduceOp::Or, p).expect("collective is internally matched") != 0.0
 }
 
@@ -274,7 +297,7 @@ mod tests {
                 })
             });
             m.reset_time();
-            let got = local_partial(&mut m, &a, ReduceOp::Sum, |v| v.as_real());
+            let got = local_partial(&mut m, &a, ReduceOp::Sum, false);
             let mut charged = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(&[2, 2]));
             for rank in 0..m.nranks() {
                 let arr = m.mems[rank as usize].array("A");
@@ -302,6 +325,127 @@ mod tests {
                     charged.transport.clock(rank).to_bits(),
                     "{kind:?} rank {rank} element-op charge"
                 );
+            }
+        }
+    }
+
+    /// What `local_partial` replaced, kept as the oracle: one `Value`
+    /// per element through `for_each_owned`, folded a slot at a time.
+    fn local_partial_oracle(
+        m: &mut Machine,
+        a: &DistArray,
+        op: ReduceOp,
+        map: impl Fn(Value) -> f64,
+    ) -> Vec<f64> {
+        let mut partials = Vec::with_capacity(m.nranks() as usize);
+        for rank in 0..m.nranks() {
+            let coords = m.grid.coords_of(rank);
+            let canonical = !a.dad.replicated_axes.iter().any(|&ax| coords[ax] != 0);
+            let mut acc = op.identity();
+            if canonical {
+                let arr = m.mems[rank as usize].array(&a.name);
+                let mut n = 0i64;
+                a.dad.for_each_owned(&coords, |_, l| {
+                    let mut slot = [acc];
+                    op.fold(&mut slot, &[map(arr.get(l))]);
+                    acc = slot[0];
+                    n += 1;
+                });
+                m.transport.charge_elem_ops(rank, n);
+            }
+            partials.push(acc);
+        }
+        partials
+    }
+
+    /// All seven reductions × REAL / INTEGER / LOGICAL × a `(BLOCK,
+    /// BLOCK)` array with ghost cells, a `(CYCLIC(3), CYCLIC(3))` one, a
+    /// vector replicated along a grid axis and a lazy segment nothing
+    /// has written: every rank's partial and every rank's clock are the
+    /// per-element fold's, bit for bit.
+    #[test]
+    fn typed_partials_equal_the_per_element_fold() {
+        // (op, LOGICAL encoding) of SUM, PRODUCT, MAXVAL, MINVAL, COUNT,
+        // ALL, ANY.
+        let reductions = [
+            (ReduceOp::Sum, false),
+            (ReduceOp::Prod, false),
+            (ReduceOp::Max, false),
+            (ReduceOp::Min, false),
+            (ReduceOp::Sum, true),
+            (ReduceOp::And, true),
+            (ReduceOp::Or, true),
+        ];
+        let bc3 = DistKind::BlockCyclic(3);
+        let layouts: [(&[i64], &[DistKind], i64); 3] = [
+            (&[7, 10], &[DistKind::Block, DistKind::Block], 1),
+            (&[7, 10], &[bc3, bc3], 0),
+            (&[11], &[bc3], 0), // replicated along grid axis 1
+        ];
+        for ty in [ElemType::Real, ElemType::Int, ElemType::Bool] {
+            for (shape, kinds, ghost) in layouts {
+                for written in [true, false] {
+                    let mut m = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(&[2, 2]));
+                    let dad = f90d_distrib::DadBuilder::new("A", shape)
+                        .distribute(kinds)
+                        .grid(m.grid.clone())
+                        .build()
+                        .unwrap();
+                    let a = DistArray::from_dad(&mut m, "A", ty, dad, ghost);
+                    if written {
+                        a.fill_with(&mut m, |g| {
+                            let x = g.iter().fold(3, |x, &i| x * 10 + i);
+                            match ty {
+                                // Sums that depend on the order of the adds.
+                                ElemType::Real if x % 3 == 0 => Value::Real(1e16 - x as f64),
+                                ElemType::Real => Value::Real(0.1 * x as f64 - 1e16),
+                                ElemType::Int => Value::Int(x % 7 - 3),
+                                _ => Value::Bool(x % 5 != 0),
+                            }
+                        });
+                    } else {
+                        for mem in &mut m.mems {
+                            let seg = mem.array("A");
+                            let lazy = LocalArray::with_ghost_lazy(
+                                ty,
+                                &seg.shape,
+                                &seg.ghost_lo,
+                                &seg.ghost_hi,
+                            );
+                            mem.insert_array("A", lazy);
+                        }
+                    }
+                    for (op, logical) in reductions {
+                        if ty == ElemType::Bool && !logical {
+                            continue; // a LOGICAL in a numeric reduction is a compiler bug
+                        }
+                        let label = format!("{ty:?} {kinds:?} written={written} {op:?}");
+                        m.reset_time();
+                        let want = if logical {
+                            local_partial_oracle(&mut m, &a, op, encode_value)
+                        } else {
+                            local_partial_oracle(&mut m, &a, op, |v| v.as_real())
+                        };
+                        let clocks: Vec<u64> = (0..m.nranks())
+                            .map(|r| m.transport.clock(r).to_bits())
+                            .collect();
+                        m.reset_time();
+                        let got = local_partial(&mut m, &a, op, logical);
+                        for rank in 0..m.nranks() as usize {
+                            assert_eq!(got[rank].to_bits(), want[rank].to_bits(), "{label}");
+                            assert_eq!(
+                                m.transport.clock(rank as i64).to_bits(),
+                                clocks[rank],
+                                "{label}: element-op charge"
+                            );
+                        }
+                        assert_eq!(
+                            m.mems[0].array("A").is_materialized(),
+                            written,
+                            "{label}: reading allocates nothing"
+                        );
+                    }
+                }
             }
         }
     }

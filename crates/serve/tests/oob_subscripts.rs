@@ -137,3 +137,39 @@ fn the_daemon_answers_execution_error_and_stays_healthy() {
     assert_eq!(good.get("ok"), Some(&Json::Bool(true)), "{good:?}");
     handle.shutdown().unwrap();
 }
+
+/// `DO K = i64::MAX - 1, i64::MAX` used to wrap its increment past the
+/// bound and never end, holding the tenant's admission slot forever (a
+/// panic in a debug build). It is two trips: the daemon answers with
+/// the PRINT line, on both backends, and goes on serving.
+#[test]
+fn a_do_loop_at_the_edge_of_i64_terminates() {
+    let handle = Server::spawn(ServeConfig::default()).unwrap();
+    let mut c = Client::connect(handle.addr).unwrap();
+    let stmt = "K = 0
+DO Z = 9223372036854775806, 9223372036854775807
+  K = K + 1
+END DO
+PRINT *, 'TRIPS', K";
+    for backend in [Backend::TreeWalk, Backend::Vm] {
+        let resp = c
+            .run(&RunRequest {
+                source: program(stmt),
+                grid: GRID.to_vec(),
+                machine: "ipsc860".to_string(),
+                backend,
+                sched_cache: true,
+                threaded: false,
+                overlap: false,
+            })
+            .unwrap();
+        assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{resp:?}");
+        assert_eq!(
+            resp.get("result").and_then(|r| r.get("printed")),
+            Some(&Json::Arr(vec![Json::Str("TRIPS 2".into())])),
+            "{backend:?}"
+        );
+    }
+    assert_eq!(c.ping().unwrap().get("ok"), Some(&Json::Bool(true)));
+    handle.shutdown().unwrap();
+}

@@ -19,7 +19,7 @@ use f90d_comm::op::CommError;
 use f90d_comm::overlap::Margins;
 use f90d_comm::plan::GhostSpec;
 use f90d_comm::{redist, structured};
-use f90d_distrib::{set_bound, ArrayDimMap, ProcGrid};
+use f90d_distrib::{set_bound, ArrayDimMap, DistKind, LocalIter, ProcGrid};
 use f90d_machine::{ArrayData, ElemType, LocalArray, Machine, Value};
 use f90d_runtime::intrinsics as rt;
 use f90d_runtime::DistArray;
@@ -311,10 +311,29 @@ pub fn exec_runtime(
 /// returning **global** iteration values in ascending order.
 pub fn iterations_for(
     part: &Partition,
-    [lb, ub, st]: [i64; 3],
+    bounds: [i64; 3],
     arrays: &[DistArray],
     grid: &ProcGrid,
     rank: i64,
+) -> Vec<i64> {
+    iterations_at(
+        part,
+        bounds,
+        arrays,
+        grid.size(),
+        rank,
+        &grid.coords_of(rank),
+    )
+}
+
+/// [`iterations_for`] the rank at grid coordinates `coords` of `nranks`.
+fn iterations_at(
+    part: &Partition,
+    [lb, ub, st]: [i64; 3],
+    arrays: &[DistArray],
+    nranks: i64,
+    rank: i64,
+    coords: &[i64],
 ) -> Vec<i64> {
     if lb > ub {
         return vec![];
@@ -329,8 +348,7 @@ pub fn iterations_for(
         Partition::Replicate => all(),
         Partition::BlockIter => {
             let count = (ub - lb) / st + 1;
-            let p = grid.size();
-            let chunk = (count + p - 1) / p;
+            let chunk = (count + nranks - 1) / nranks;
             let first = rank * chunk;
             let last = ((rank + 1) * chunk).min(count);
             (first..last).map(|k| lb + k * st).collect()
@@ -340,28 +358,50 @@ pub fn iterations_for(
             if !dm.is_distributed() {
                 return all();
             }
-            let coord = grid.coords_of(rank)[dm.grid_axis.unwrap()];
+            let coord = coords[dm.grid_axis.unwrap()];
             // Template progression t(v) = S*v + O.
             let s = dm.align.stride * a;
             let o = dm.align.stride * b + dm.align.offset;
             let (t1, t2) = (s * lb + o, s * ub + o);
             let li = set_bound(&dm.dist, coord, t1.min(t2), t1.max(t2), (s * st).abs());
-            let mut out = Vec::with_capacity(li.len() as usize);
-            for l in li.to_vec() {
-                let t = dm
-                    .dist
-                    .global_of(coord, l)
-                    .expect("set_bound local maps to global");
-                let num = t - o;
-                if num % s != 0 {
-                    continue;
+            let cell =
+                |l: i64| (dm.dist.global_of(coord, l)).expect("set_bound local maps to global");
+            // The iteration whose LHS element sits in template cell `t`,
+            // when the cell is on the loop's progression.
+            let on_stride = |t: i64| {
+                let (num, v) = (t - o, (t - o) / s);
+                (num % s == 0 && (v - lb) % st == 0).then_some(v)
+            };
+            let in_loop = |v: &i64| (lb..=ub).contains(v);
+            let each = |l: i64| on_stride(cell(l)).filter(in_loop);
+            // μ⁻¹ is affine in the local index under every kind but
+            // CYCLIC(k), so a local range is a progression of template
+            // cells — and of iterations, all of them on the loop's
+            // stride or none, once a step of it is a whole number of the
+            // loop's steps.
+            let progression = match &li {
+                LocalIter::Range(r)
+                    if r.len() >= 2 && !matches!(dm.dist.kind, DistKind::BlockCyclic(_)) =>
+                {
+                    let step = cell(r.lb + r.st) - cell(r.lb);
+                    (step % s == 0 && step / s % st == 0).then(|| match on_stride(cell(r.lb)) {
+                        Some(v0) => ((0..r.len()).map(|k| v0 + k * (step / s)))
+                            .filter(in_loop)
+                            .collect(),
+                        None => Vec::new(),
+                    })
                 }
-                let v = num / s;
-                if v >= lb && v <= ub && (v - lb) % st == 0 {
-                    out.push(v);
-                }
+                _ => None,
+            };
+            let mut out: Vec<i64> = progression.unwrap_or_else(|| match &li {
+                LocalIter::Range(r) => r.iter().filter_map(each).collect(),
+                LocalIter::List(locals) => locals.iter().copied().filter_map(each).collect(),
+            });
+            // Ascending locals are ascending template cells: descending
+            // iterations under a negative template stride.
+            if s < 0 {
+                out.reverse();
             }
-            out.sort_unstable();
             out
         }
     }
@@ -372,7 +412,8 @@ pub fn iterations_for(
 /// `[lb, ub, st]`; `owner_filter` holds the evaluated fixed LHS indices
 /// `(arr, dim, index)` — only ranks owning `index` on `dim` take part
 /// (`set_BOUND` masking of inactive processors, paper §4), the others
-/// get empty lists.
+/// get empty lists. So does a rank one of whose lists is empty: it runs
+/// nothing, and every list of it is empty.
 pub fn iteration_lists(
     m: &Machine,
     arrays: &[DistArray],
@@ -382,33 +423,40 @@ pub fn iteration_lists(
     if loops.iter().any(|(_, [_, _, st])| *st <= 0) {
         return Err(VmError("FORALL stride must be positive".into()));
     }
-    let mut active = vec![true; m.nranks() as usize];
+    let mut owners = Vec::with_capacity(owner_filter.len());
     for &(arr, dim, g) in owner_filter {
         let a = &arrays[arr];
         driver::check_dim(&a.name, &a.dad, dim, g)?;
         let dm = &a.dad.dims[dim];
         let axis = dm.grid_axis.expect("owner filter on distributed dim");
-        let owner = dm.proc_of(g);
-        for (rank, slot) in active.iter_mut().enumerate() {
-            if m.grid.coords_of(rank as i64)[axis] != owner {
-                *slot = false;
-            }
-        }
+        owners.push((axis, dm.proc_of(g)));
     }
-    Ok(active
-        .iter()
-        .enumerate()
-        .map(|(rank, &on)| {
-            loops
-                .iter()
-                .map(|&(part, bounds)| {
-                    if on {
-                        iterations_for(part, bounds, arrays, &m.grid, rank as i64)
-                    } else {
-                        vec![]
+    // The variables whose list does not depend on the rank, last: a rank
+    // whose share of a partitioned one is empty runs nothing, so its
+    // copy of the others is never made.
+    let replicated = |part: &Partition| match part {
+        Partition::Replicate => true,
+        Partition::BlockIter => false,
+        Partition::OwnerDim { arr, dim, .. } => !arrays[*arr].dad.dims[*dim].is_distributed(),
+    };
+    let mut order: Vec<usize> = (0..loops.len()).collect();
+    order.sort_by_key(|&k| replicated(loops[k].0));
+    let nranks = m.nranks();
+    Ok((0..nranks)
+        .map(|rank| {
+            let coords = m.grid.coords_of(rank);
+            let mut lists = vec![Vec::new(); loops.len()];
+            if owners.iter().all(|&(axis, owner)| coords[axis] == owner) {
+                for &k in &order {
+                    let (part, bounds) = loops[k];
+                    lists[k] = iterations_at(part, bounds, arrays, nranks, rank, &coords);
+                    if lists[k].is_empty() {
+                        lists.iter_mut().for_each(Vec::clear);
+                        break;
                     }
-                })
-                .collect()
+                }
+            }
+            lists
         })
         .collect())
 }

@@ -2,17 +2,52 @@
 //!
 //! Runs a [`VmProgram`] against a simulated machine with the same
 //! loosely synchronous structure and the same virtual-time cost model as
-//! the tree-walking executor in `f90d-core` — but the per-element hot
-//! path is a flat fetch/decode loop over pre-resolved register code:
-//! array accesses go through per-rank *resolved accessors* (affine
-//! local-index forms plus a row-major stride sum) instead of per-element
-//! descriptor math and name lookups.
+//! the tree-walking executor in `f90d-core`. Statements are a flat
+//! fetch/decode loop; a FORALL the native tier does not take runs
+//! **chunk-at-a-time**: one driver (`Chunk::for_each`) walks a rank's
+//! cartesian iteration space `CHUNK` tuples at a time (a chunk spans
+//! outer tuples, so short rows still fill it), materializes the FORALL
+//! variables as `i64` columns, and evaluates each [`ExprCode`] one `Op`
+//! at a time over the whole chunk — a register is a typed column or one
+//! uniform value (`columns::Reg`), every operator dispatches once per chunk and
+//! then loops over typed slices (`crate::columns`), an array read turns
+//! subscript columns into a flat-offset column through the rank's
+//! *resolved accessor* (`ResolvedAcc::offsets`) and gathers typed.
+//!
+//! What the chunk loop keeps of the element loop it replaced, bit for
+//! bit:
+//!
+//! * **Masks compact, they do not predicate.** The mask is evaluated
+//!   over the chunk, the variable columns are compacted to the lanes
+//!   that passed, and only those are evaluated further: a masked-out
+//!   iteration evaluates nothing that can fault and charges `mask_cost`
+//!   only.
+//! * **Gathered values keep their ordinal.** The *k*-th executed
+//!   iteration of a rank reads element *k·r + q* of a gather's
+//!   sequential buffer at the *q*-th of its *r* `ReadSeq` sites.
+//! * **Writes commit after the rank's last chunk**, executed-iteration
+//!   major and body minor (a typed `Stage`, interleaved by body as it
+//!   is filled), so FORALL keeps RHS-before-LHS semantics and
+//!   overlapping writes keep their last writer.
+//! * **A fault is the element loop's fault**: the first faulting
+//!   iteration in FORALL order and the first faulting operation within
+//!   it. A chunk that faults anywhere is re-walked one lane at a time
+//!   through the same operators, and the first lane that faults gives
+//!   the error; nothing of the rank is committed.
+//!
+//! The same driver serves the blocking path, both phases of split-phase
+//! overlap (interior, boundary slabs) and the bytecode inspector of an
+//! unstructured read. Replicated-context expressions (`eval_scalar`:
+//! bounds, scalar assignments, collective operands) still evaluate one
+//! [`Value`] at a time — there is one of each per statement, not per
+//! element.
 //!
 //! FORALL local phases run under the machine's
 //! [`ExecMode`](f90d_machine::ExecMode) — rank by
 //! rank, or all ranks concurrently on scoped threads — because every
 //! element read of a compiled FORALL body targets the executing rank's
-//! own memory.
+//! own memory. Column buffers are per rank and per call, so the threaded
+//! mode shares nothing.
 
 use std::sync::Arc;
 
@@ -20,10 +55,11 @@ use f90d_comm::driver::{self, CommDriver, ComputeSink, GatherRequests, PhaseOutc
 use f90d_comm::helpers::cartesian;
 use f90d_comm::sched_cache::RunSchedules;
 use f90d_distrib::{ArrayDimMap, Dad, DistKind};
-use f90d_machine::{ArrayData, ElemType, LocalArray, Machine, NodeMemory, Value};
+use f90d_machine::{ArrayData, ElemType, Machine, NodeMemory, Value};
 use f90d_runtime::DistArray;
 
 use crate::bytecode::*;
+use crate::columns::{self, Arg, Pool, Reg};
 use crate::dispatch::{self, VmResult};
 use crate::native::{
     Lane, Lhs, Lin, NativeKernel, ReadSite, RowArgs, RowFn, RowKernel, RowRead, Scratch, Sites,
@@ -122,6 +158,131 @@ impl ResolvedAcc {
         }
         Ok(off as usize)
     }
+
+    /// Column form of [`ResolvedAcc::offset`]: append the flat padded
+    /// offsets of `n` lanes, whose global subscripts are the registers
+    /// `subs`, to `out`. Each dimension is one slice loop with both
+    /// bounds checks kept — folded, for an affine dimension, into the
+    /// one window of subscripts that pass them ([`affine_window`]); the
+    /// first lane that fails one is handed to the scalar form, which
+    /// owns the wording.
+    fn offsets(
+        &self,
+        subs: &[Reg],
+        n: usize,
+        name: &str,
+        rank: i64,
+        pool: &mut Pool,
+        out: &mut Vec<i64>,
+    ) -> Result<(), String> {
+        /// Add each lane's `(in range, term)` to its offset.
+        #[inline(always)]
+        fn add(offs: &mut [i64], g: &Arg<'_, i64>, term: impl Fn(i64) -> (bool, i64)) -> bool {
+            let mut ok = true;
+            match g.col() {
+                Ok(col) => {
+                    for (off, &g) in offs.iter_mut().zip(col) {
+                        let (fine, t) = term(g);
+                        ok &= fine;
+                        *off = off.wrapping_add(t);
+                    }
+                }
+                Err(g) => {
+                    let (fine, t) = term(g);
+                    ok = fine;
+                    offs.iter_mut().for_each(|off| *off = off.wrapping_add(t));
+                }
+            }
+            ok
+        }
+        /// [`add`] for a CYCLIC / CYCLIC(k) dimension: ownership and μ
+        /// per lane, the distribution kind decided once for the column.
+        #[inline(always)]
+        fn general(
+            offs: &mut [i64],
+            gs: impl Iterator<Item = i64>,
+            (dm, coord, ghost_lo): (&ArrayDimMap, i64, i64),
+            (extent, padded, stride): (i64, i64, i64),
+        ) -> bool {
+            let (mut inside, mut owned) = (true, true);
+            // A lane outside the extent is refused here and maps
+            // template cell 0 below, whoever owns that.
+            let cells = offs.iter_mut().zip(gs).map(|(off, g)| {
+                let fine = (0..extent).contains(&g);
+                inside &= fine;
+                (if fine { dm.align.apply(g) } else { 0 }, off)
+            });
+            dm.dist.global_to_local_run(cells, |owner, l, off| {
+                let l = l + ghost_lo;
+                owned &= owner == coord && (0..padded).contains(&l);
+                *off = off.wrapping_add(l.wrapping_mul(stride));
+            });
+            inside & owned
+        }
+        let at = out.len();
+        out.resize(at + n, 0);
+        let offs = &mut out[at..];
+        let mut ok = true;
+        let mut k = 0usize;
+        for (d, sub) in subs.iter().enumerate() {
+            if Some(d) == self.drop_dim {
+                continue;
+            }
+            let (extent, padded, stride) = (self.extents[k], self.padded[k], self.strides[k]);
+            let g = columns::ints(sub, pool);
+            // Wrapping: a lane outside its window may overflow, and is
+            // refused whatever it wraps to.
+            ok &= match &self.dims[k] {
+                &RDim::Affine { a, b } => {
+                    let (lo, hi) = affine_window(a, b, extent, padded);
+                    let span = (hi - lo).max(0) as u64;
+                    let (scale, shift) = (a * stride, b * stride);
+                    add(offs, &g, |g| {
+                        let fine = (g.wrapping_sub(lo) as u64) < span;
+                        (fine, scale.wrapping_mul(g).wrapping_add(shift))
+                    })
+                }
+                RDim::General {
+                    dm,
+                    coord,
+                    ghost_lo,
+                } => {
+                    let (dim, shape) = ((dm, *coord, *ghost_lo), (extent, padded, stride));
+                    match g.col() {
+                        Ok(col) => general(offs, col.iter().copied(), dim, shape),
+                        Err(g) => general(offs, std::iter::repeat_n(g, n), dim, shape),
+                    }
+                }
+            };
+            g.done(pool);
+            k += 1;
+        }
+        if ok {
+            return Ok(());
+        }
+        let mut lane = Vec::with_capacity(subs.len());
+        for i in 0..n {
+            lane.clear();
+            lane.extend(subs.iter().map(|sub| sub.lane(i).as_int()));
+            self.offset(&lane, name, rank)?;
+        }
+        unreachable!("a lane the column form refuses faults in the scalar form")
+    }
+}
+
+/// The subscripts `g` of `0..extent` whose padded index `a*g + b` lies
+/// in `0..padded`, as the half-open range `lo..hi` (empty when
+/// `lo >= hi`): both bounds checks of an affine dimension as one window.
+fn affine_window(a: i64, b: i64, extent: i64, padded: i64) -> (i64, i64) {
+    let floor = |x: i64, d: i64| x.div_euclid(d);
+    let ceil = |x: i64, d: i64| -(-x).div_euclid(d);
+    let (lo, hi) = match a {
+        0 if (0..padded).contains(&b) => (0, extent),
+        0 => (0, 0),
+        1.. => (ceil(-b, a), floor(padded - 1 - b, a) + 1),
+        _ => (ceil(b - padded + 1, -a), floor(b, -a) + 1),
+    };
+    (lo.max(0), hi.min(extent))
 }
 
 /// Engine state: live array table, replicated scalars, loop variables.
@@ -355,13 +516,16 @@ impl Engine {
                         m.transport.charge_elem_ops(r, 1); // loop control
                     }
                     let (ub, st) = *do_stack.last().expect("DoNext outside DO");
-                    let v = self.vars[*var as usize] + st;
-                    if (st > 0 && v <= ub) || (st < 0 && v >= ub) {
-                        self.vars[*var as usize] = v;
-                        pc = *back;
-                    } else {
-                        do_stack.pop();
-                        pc += 1;
+                    // An iterate that overflows lies beyond any bound.
+                    match self.vars[*var as usize].checked_add(st) {
+                        Some(v) if (st > 0 && v <= ub) || (st < 0 && v >= ub) => {
+                            self.vars[*var as usize] = v;
+                            pc = *back;
+                        }
+                        _ => {
+                            do_stack.pop();
+                            pc += 1;
+                        }
                     }
                 }
             }
@@ -518,25 +682,20 @@ impl Engine {
                 table
             })
             .collect();
-        let max_regs = forall_max_regs(f);
         if let Some((specs, margins)) = split {
             // Split-phase boundary/interior execution always runs the
-            // bytecode element loop.
+            // bytecode chunk loop.
             self.native_fallback += 1;
             let mut sink = VmSink {
-                prog: &prog,
-                f,
+                cx: self.forall_cx(&prog, f),
                 resolved: &resolved,
-                vars: &self.vars,
-                scalars: &self.scalars,
-                max_regs,
-                staged: vec![StagedWrites::new(); nranks],
+                staged: vec![Vec::new(); nranks],
             };
             return driver::run_overlap(m, &specs, &margins, &iter_lists, &mut sink);
         }
         // Native tier: when lowering selected a kernel and every rank's
         // dispatch preconditions hold, the row kernels run instead of
-        // the bytecode element loop — in the inspector below too.
+        // the bytecode chunk loop — in the inspector below too.
         let bound = f
             .native
             .and_then(|kid| self.bind_native(&prog.natives[kid], f, &iter_lists, &resolved));
@@ -552,21 +711,18 @@ impl Engine {
             run_native_forall(&prog, m, &bound, &iter_lists, columns)
         } else {
             self.native_fallback += 1;
-            // Main loop: one local phase under the machine's ExecMode.
+            // Main loop: one local phase under the machine's ExecMode,
+            // each rank committing its staged owned writes after its
+            // last chunk (RHS-before-LHS within the rank).
+            let cx = self.forall_cx(&prog, f);
             let results: Vec<Result<ScatterOut, String>> = m.local_phase_map(|rank, mem| {
-                match run_forall_rank(
-                    &prog,
-                    f,
-                    rank,
-                    mem,
-                    &iter_lists[rank as usize],
-                    &resolved[rank as usize],
-                    &self.vars,
-                    &self.scalars,
-                    max_regs,
-                    true,
-                ) {
-                    Ok((scat, _, ops)) => (Ok(scat), ops),
+                let r = rank as usize;
+                let lists = std::slice::from_ref(&iter_lists[r]);
+                match run_forall_rank(cx, rank, mem, &resolved[r], lists) {
+                    Ok(out) => {
+                        out.stage.commit(cx, mem);
+                        (Ok(out.scat), out.ops)
+                    }
                     Err(e) => (Err(e), 0),
                 }
             });
@@ -581,6 +737,16 @@ impl Engine {
             driver::scatter(m, &mut self.sched, name, dad, &scatter_out, invertible)?;
         }
         Ok(())
+    }
+
+    /// What the chunk loops of one execution of `f` evaluate against.
+    fn forall_cx<'a>(&'a self, prog: &'a VmProgram, f: &'a VmForall) -> ForallCx<'a> {
+        ForallCx {
+            prog,
+            f,
+            vars: &self.vars,
+            scalars: &self.scalars,
+        }
     }
 
     /// Resolve one accessor against the live descriptor for a node at
@@ -800,9 +966,9 @@ impl Engine {
     /// Unstructured read: this tier's inspector feeding the shared
     /// request list and executor. On a rank the native tier bound
     /// (`bound`), the subscripts are INTEGER row kernels evaluated a run
-    /// of iterations at a time; otherwise the bytecode evaluates the
-    /// mask and subscripts of every local iteration — in iteration
-    /// order either way.
+    /// of iterations at a time; otherwise the bytecode chunk loop
+    /// evaluates the mask and subscripts of every local iteration — in
+    /// iteration order either way.
     #[allow(clippy::too_many_arguments)]
     fn exec_gather(
         &mut self,
@@ -816,7 +982,7 @@ impl Engine {
     ) -> VmResult<()> {
         let prog = self.prog.clone();
         let src = &self.arrays[g.src];
-        let max_regs = forall_max_regs(f);
+        let cx = self.forall_cx(&prog, f);
         let mut reqs = GatherRequests::new(m, &src.name, &src.dad);
         for (rank, lists) in iter_lists.iter().enumerate() {
             if lists.iter().any(|l| l.is_empty()) {
@@ -829,64 +995,17 @@ impl Engine {
                 })?;
                 continue;
             }
-            let table = &resolved[rank];
-            let views: Vec<Option<&LocalArray>> = table
-                .iter()
-                .map(|o| {
-                    o.as_ref()
-                        .map(|a| m.mems[rank].array(&prog.arrays[a.target].name))
-                })
-                .collect();
-            let mut vars = self.vars.clone();
-            let mut regs = vec![Value::Int(0); max_regs];
             // Masks and subscripts must not depend on gathered values.
-            let mut eval = |code: &ExprCode, vars: &[i64]| {
-                eval_elem(
-                    &prog,
-                    code,
-                    &mut regs,
-                    vars,
-                    &self.scalars,
-                    &views,
-                    table,
-                    &[],
-                    &mut [],
-                    false,
-                    rank as i64,
-                )
-                .map_err(VmError)
-            };
-            let mut gidx = Vec::with_capacity(g.subs.len());
-            let mut cursor = vec![0usize; lists.len()];
-            'iter: loop {
-                for (k, list) in lists.iter().enumerate() {
-                    vars[f.vars[k].var as usize] = list[cursor[k]];
-                }
-                let run = match &f.mask {
-                    Some(mask) => eval(mask, &vars)?.as_bool(),
-                    None => true,
-                };
-                if run {
-                    gidx.clear();
-                    for s in &g.subs {
-                        gidx.push(eval(s, &vars)?.as_int());
-                    }
-                    reqs.push(rank as i64, &gidx)?;
-                }
-                // advance cartesian cursor (last var fastest)
-                let mut d = lists.len();
-                loop {
-                    if d == 0 {
-                        break 'iter;
-                    }
-                    d -= 1;
-                    cursor[d] += 1;
-                    if cursor[d] < lists[d].len() {
-                        break;
-                    }
-                    cursor[d] = 0;
-                }
-            }
+            let mut ev = Chunk::new(cx, rank as i64, &m.mems[rank], &resolved[rank], false);
+            let mut rows = Vec::new();
+            ev.for_each(lists, |ev| {
+                ev.mask()?;
+                ev.eval_subs(&g.subs)?;
+                rows.clear();
+                columns::store_rows(&mut rows, 0, 1, ev.n, &ev.subs, &mut ev.pool);
+                reqs.push_row(rank as i64, &rows).map_err(|e| e.0)
+            })
+            .map_err(VmError)?;
         }
         let tmp = &prog.arrays[g.tmp];
         Ok(reqs.execute(m, &mut self.sched, &tmp.name, tmp.ty, g.local_only)?)
@@ -895,114 +1014,61 @@ impl Engine {
 
 /// The bytecode engine's [`ComputeSink`]: the shared driver decides
 /// *when* ghost exchanges post, complete, and commit; this sink runs the
-/// interior/boundary element loops ([`run_forall_rank`], uncommitted)
+/// interior/boundary chunk loops ([`run_forall_rank`], uncommitted)
 /// under the machine's `ExecMode` via `local_phase_map`, which charges
 /// interior ranks as usual and each rank's boundary slabs as one summed
 /// lump (the tree walker charges identically, keeping backend virtual
 /// time bit-equal).
 struct VmSink<'a> {
-    prog: &'a VmProgram,
-    f: &'a VmForall,
+    cx: ForallCx<'a>,
     resolved: &'a [Vec<Option<ResolvedAcc>>],
-    vars: &'a [i64],
-    scalars: &'a [Value],
-    max_regs: usize,
-    staged: Vec<StagedWrites>,
+    /// Per rank, the stage of each phase run so far, in order.
+    staged: Vec<Vec<Stage>>,
+}
+
+impl VmSink<'_> {
+    /// Run rank `r`'s iteration spaces `spaces(r)` on every rank, as one
+    /// local phase, and keep what each staged.
+    fn phase<'s>(
+        &mut self,
+        m: &mut Machine,
+        spaces: impl Fn(usize) -> &'s [Vec<Vec<i64>>] + Sync,
+    ) -> VmResult<()> {
+        let (cx, resolved) = (self.cx, self.resolved);
+        let results: Vec<Result<Stage, String>> = m.local_phase_map(|rank, mem| {
+            let r = rank as usize;
+            match run_forall_rank(cx, rank, mem, &resolved[r], spaces(r)) {
+                Ok(out) => (Ok(out.stage), out.ops),
+                Err(e) => (Err(e), 0),
+            }
+        });
+        for (rank, r) in results.into_iter().enumerate() {
+            self.staged[rank].push(r.map_err(VmError)?);
+        }
+        Ok(())
+    }
 }
 
 impl ComputeSink for VmSink<'_> {
     type Error = VmError;
 
     fn interior(&mut self, m: &mut Machine, lists: &[Vec<Vec<i64>>]) -> VmResult<()> {
-        let (prog, f, resolved, vars, scalars, max_regs) = (
-            self.prog,
-            self.f,
-            self.resolved,
-            self.vars,
-            self.scalars,
-            self.max_regs,
-        );
-        let results: Vec<Result<StagedWrites, String>> = m.local_phase_map(|rank, mem| {
-            match run_forall_rank(
-                prog,
-                f,
-                rank,
-                mem,
-                &lists[rank as usize],
-                &resolved[rank as usize],
-                vars,
-                scalars,
-                max_regs,
-                false,
-            ) {
-                Ok((_, staged, ops)) => (Ok(staged), ops),
-                Err(e) => (Err(e), 0),
-            }
-        });
-        for (rank, r) in results.into_iter().enumerate() {
-            self.staged[rank].extend(r.map_err(VmError)?);
-        }
-        Ok(())
+        self.phase(m, |r| std::slice::from_ref(&lists[r]))
     }
 
     fn boundary(&mut self, m: &mut Machine, slabs: &[Vec<Vec<Vec<i64>>>]) -> VmResult<()> {
-        let (prog, f, resolved, vars, scalars, max_regs) = (
-            self.prog,
-            self.f,
-            self.resolved,
-            self.vars,
-            self.scalars,
-            self.max_regs,
-        );
-        let results: Vec<Result<StagedWrites, String>> = m.local_phase_map(|rank, mem| {
-            let mut staged = StagedWrites::new();
-            let mut ops = 0i64;
-            for slab in &slabs[rank as usize] {
-                match run_forall_rank(
-                    prog,
-                    f,
-                    rank,
-                    mem,
-                    slab,
-                    &resolved[rank as usize],
-                    vars,
-                    scalars,
-                    max_regs,
-                    false,
-                ) {
-                    Ok((_, st, o)) => {
-                        staged.extend(st);
-                        ops += o;
-                    }
-                    Err(e) => return (Err(e), 0),
-                }
-            }
-            (Ok(staged), ops)
-        });
-        for (rank, r) in results.into_iter().enumerate() {
-            self.staged[rank].extend(r.map_err(VmError)?);
-        }
-        Ok(())
+        self.phase(m, |r| &slabs[r])
     }
 
     fn commit(&mut self, m: &mut Machine) -> VmResult<()> {
-        let name = &self.prog.arrays[self.f.body[0].arr].name;
-        for (rank, writes) in std::mem::take(&mut self.staged).into_iter().enumerate() {
-            if writes.is_empty() {
-                continue;
-            }
-            let arr = m.mems[rank].array_mut(name);
-            for (off, v) in writes {
-                arr.set_flat(off, v);
+        for (rank, stages) in std::mem::take(&mut self.staged).into_iter().enumerate() {
+            for stage in stages {
+                stage.commit(self.cx, &mut m.mems[rank]);
             }
         }
         Ok(())
     }
 }
-
-/// One rank's staged owned writes: `(flat offset, value)` pairs, returned
-/// uncommitted to the caller during split-phase (overlap) execution.
-type StagedWrites = Vec<(usize, Value)>;
 
 /// The `(arr, dim, c)` triples of `f`'s prelude when it is pure
 /// `overlap_shift` (what phase batching and split-phase overlap take).
@@ -1011,29 +1077,6 @@ fn pre_shifts(prog: &VmProgram, f: &VmForall) -> Option<Vec<(ArrId, usize, i64)>
         .iter()
         .map(|&c| prog.comms[c as usize].as_overlap_shift())
         .collect()
-}
-
-/// Largest register file any element-context code of `f` needs.
-fn forall_max_regs(f: &VmForall) -> usize {
-    let mut n = f.mask.as_ref().map_or(0, |c| c.nregs) as usize;
-    for v in &f.vars {
-        n = n
-            .max(v.lb.nregs as usize)
-            .max(v.ub.nregs as usize)
-            .max(v.st.nregs as usize);
-    }
-    for b in &f.body {
-        n = n.max(b.rhs.nregs as usize);
-        for s in &b.subs {
-            n = n.max(s.nregs as usize);
-        }
-    }
-    for g in &f.gathers {
-        for s in &g.subs {
-            n = n.max(s.nregs as usize);
-        }
-    }
-    n
 }
 
 /// One affine form bound to a rank: `base + Σ k[j]·iter_value[j]` over
@@ -1519,206 +1562,383 @@ fn run_native_rows<'p, T: Lane>(
     (None, cost)
 }
 
-/// The per-rank element loop: flat fetch/decode over the mask and body
-/// register code, with owned writes staged (FORALL RHS-before-LHS
-/// semantics within the rank) and scatter writes collected for the
-/// post-loop schedule. Returns the scatter outputs, any uncommitted
-/// staged writes, and the modelled cost.
-///
-/// `commit`: `true` commits the staged owned writes into `mem` before
-/// returning (the blocking path). `false` returns them uncommitted —
-/// the overlap driver runs this once over the interior sub-product and
-/// once per boundary slab, and commits both phases together after the
-/// ghost exchange completes.
-#[allow(clippy::too_many_arguments)]
-fn run_forall_rank(
-    prog: &VmProgram,
-    f: &VmForall,
-    rank: i64,
-    mem: &mut NodeMemory,
-    lists: &[Vec<i64>],
-    resolved: &[Option<ResolvedAcc>],
-    vars_base: &[i64],
-    scalars: &[Value],
-    max_regs: usize,
-    commit: bool,
-) -> Result<(ScatterOut, StagedWrites, i64), String> {
-    let mut scat = ScatterOut::new(prog.arrays[f.body[0].arr].ty);
-    if lists.iter().any(|l| l.is_empty()) {
-        return Ok((scat, Vec::new(), 0));
-    }
-    let views: Vec<Option<&LocalArray>> = resolved
-        .iter()
-        .map(|o| o.as_ref().map(|a| mem.array(&prog.arrays[a.target].name)))
-        .collect();
-    let seq_views: Vec<&LocalArray> = f
-        .gathers
-        .iter()
-        .map(|g| mem.array(&prog.arrays[g.tmp].name))
-        .collect();
-    let mut vars = vars_base.to_vec();
-    let mut regs = vec![Value::Int(0); max_regs];
-    let mut counters = vec![0usize; f.gathers.len()];
-    let mut staged: Vec<(usize, Value)> = Vec::new();
-    let mut subs_buf: Vec<i64> = Vec::new();
-    let mut ops: i64 = 0;
-    let mut cursor = vec![0usize; lists.len()];
-    'iter: loop {
-        for (k, list) in lists.iter().enumerate() {
-            vars[f.vars[k].var as usize] = list[cursor[k]];
-        }
-        let mut run = true;
-        if let Some(mask) = &f.mask {
-            ops += f.mask_cost;
-            run = eval_elem(
-                prog,
-                mask,
-                &mut regs,
-                &vars,
-                scalars,
-                &views,
-                resolved,
-                &seq_views,
-                &mut counters,
-                true,
-                rank,
-            )?
-            .as_bool();
-        }
-        if run {
-            for b in &f.body {
-                let v = eval_elem(
-                    prog,
-                    &b.rhs,
-                    &mut regs,
-                    &vars,
-                    scalars,
-                    &views,
-                    resolved,
-                    &seq_views,
-                    &mut counters,
-                    true,
-                    rank,
-                )?;
-                ops += b.cost;
-                subs_buf.clear();
-                for s in &b.subs {
-                    subs_buf.push(
-                        eval_elem(
-                            prog,
-                            s,
-                            &mut regs,
-                            &vars,
-                            scalars,
-                            &views,
-                            resolved,
-                            &seq_views,
-                            &mut counters,
-                            true,
-                            rank,
-                        )?
-                        .as_int(),
-                    );
-                }
-                match b.scatter {
-                    None => {
-                        let acc = resolved[b.lhs_acc.expect("owned write accessor") as usize]
-                            .as_ref()
-                            .expect("lhs accessor resolved");
-                        let off = acc.offset(&subs_buf, &prog.arrays[b.arr].name, rank)?;
-                        staged.push((off, v));
-                    }
-                    Some(_) => scat.push(&subs_buf, v),
-                }
-            }
-        }
-        // advance cartesian cursor (last var fastest)
-        let mut d = lists.len();
-        loop {
-            if d == 0 {
-                break 'iter;
-            }
-            d -= 1;
-            cursor[d] += 1;
-            if cursor[d] < lists[d].len() {
-                break;
-            }
-            cursor[d] = 0;
-        }
-    }
-    drop(views);
-    drop(seq_views);
-    // Blocking path: commit staged owned writes (RHS-before-LHS within
-    // the rank); the commit target follows the tree walker: the first
-    // body assignment's array (lowering rejects mixed-array owned
-    // bodies). Overlap phases return them uncommitted instead.
-    if commit {
-        if !staged.is_empty() {
-            let arr = mem.array_mut(&prog.arrays[f.body[0].arr].name);
-            for (off, v) in staged {
-                arr.set_flat(off, v);
-            }
-        }
-        return Ok((scat, Vec::new(), ops));
-    }
-    Ok((scat, staged, ops))
+/// Iterations evaluated per operator dispatch. Large enough that the
+/// dispatch, the per-chunk register traffic and a by-name segment lookup
+/// per array read vanish per element; small enough that the dozen live
+/// columns of a stencil body (8 bytes a lane) stay in L1. It trades
+/// nothing a user could want to tune, so it is a constant, not a flag.
+const CHUNK: usize = 512;
+
+/// What every rank of one FORALL execution evaluates against.
+#[derive(Clone, Copy)]
+struct ForallCx<'a> {
+    prog: &'a VmProgram,
+    f: &'a VmForall,
+    /// Loop-variable slots as the statement stream left them: the
+    /// enclosing `DO` variables.
+    vars: &'a [i64],
+    scalars: &'a [Value],
 }
 
-/// Element-context expression evaluation: the innermost fetch/decode
-/// loop. All array reads go through the rank's pre-borrowed `views` and
-/// pre-resolved accessors.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn eval_elem(
-    prog: &VmProgram,
-    code: &ExprCode,
-    regs: &mut [Value],
-    vars: &[i64],
-    scalars: &[Value],
-    views: &[Option<&LocalArray>],
-    resolved: &[Option<ResolvedAcc>],
-    seq_views: &[&LocalArray],
-    counters: &mut [usize],
-    seq_ok: bool,
+/// One rank's staged owned writes, in commit order: executed iteration
+/// major, body minor.
+#[derive(Debug, Clone)]
+struct Stage {
+    /// Flat padded offsets into the written segment.
+    offs: Vec<i64>,
+    /// The values, already of the written array's element type.
+    vals: ArrayData,
+}
+
+impl Stage {
+    /// Apply the writes to the FORALL's destination on this node. The
+    /// target follows the tree walker: the first body assignment's array
+    /// (lowering rejects mixed-array owned bodies).
+    fn commit(&self, cx: ForallCx<'_>, mem: &mut NodeMemory) {
+        if self.offs.is_empty() {
+            return;
+        }
+        let arr = mem.array_mut(&cx.prog.arrays[cx.f.body[0].arr].name);
+        arr.scatter_flat(self.offs.iter().map(|&off| off as usize), &self.vals);
+    }
+}
+
+/// What one rank's chunk loop produces: staged owned writes, scatter
+/// writes for the post-loop schedule, and the modelled cost.
+struct RankOut {
+    stage: Stage,
+    scat: ScatterOut,
+    ops: i64,
+}
+
+/// The per-rank FORALL loop over each iteration space of `spaces` in
+/// turn (the rank's whole space; or an interior sub-product; or its
+/// boundary slabs): mask and body register code a chunk at a time, owned
+/// writes staged — uncommitted, the caller commits them once every phase
+/// has run — and scatter writes collected.
+fn run_forall_rank(
+    cx: ForallCx<'_>,
     rank: i64,
-) -> Result<Value, String> {
-    for op in &code.ops {
-        match *op {
-            Op::Const { dst, k } => regs[dst as usize] = prog.consts[k as usize],
-            Op::LoadVar { dst, slot } => regs[dst as usize] = Value::Int(vars[slot as usize]),
-            Op::LoadScalar { dst, slot } => regs[dst as usize] = scalars[slot as usize],
-            Op::Affine { dst, slot, a, b } => {
-                regs[dst as usize] = Value::Int(a * vars[slot as usize] + b)
-            }
-            Op::Bin { op, dst, a, b } => {
-                regs[dst as usize] = ops::eval_bin(op, regs[a as usize], regs[b as usize])?
-            }
-            Op::Un { op, dst, a } => regs[dst as usize] = ops::eval_un(op, regs[a as usize])?,
-            Op::Intrin { f, dst, base, n } => {
-                let args = &regs[base as usize..(base + n) as usize];
-                regs[dst as usize] = ops::eval_intrin(f, args)?
-            }
-            Op::Read { dst, acc, base, n } => {
-                let mut subs = [0i64; 8];
-                for (k, v) in regs[base as usize..(base + n) as usize].iter().enumerate() {
-                    subs[k] = v.as_int();
+    mem: &NodeMemory,
+    table: &[Option<ResolvedAcc>],
+    spaces: &[Vec<Vec<i64>>],
+) -> Result<RankOut, String> {
+    let ty = cx.prog.arrays[cx.f.body[0].arr].ty;
+    let mut out = RankOut {
+        stage: Stage {
+            offs: Vec::new(),
+            vals: ArrayData::zeros(ty, 0),
+        },
+        scat: ScatterOut::new(ty),
+        ops: 0,
+    };
+    if spaces.iter().all(|lists| lists.iter().any(Vec::is_empty)) {
+        return Ok(out);
+    }
+    let mut ev = Chunk::new(cx, rank, mem, table, true);
+    for lists in spaces {
+        ev.for_each(lists, |ev| ev.run_bodies(&mut out))?;
+    }
+    Ok(out)
+}
+
+/// One rank's chunk evaluator: the FORALL variables of the chunk's
+/// active lanes as columns, a register file of columns, and the buffers
+/// both reuse from chunk to chunk.
+struct Chunk<'a> {
+    cx: ForallCx<'a>,
+    rank: i64,
+    mem: &'a NodeMemory,
+    table: &'a [Option<ResolvedAcc>],
+    /// `ReadSeq` sites per executed iteration, by gather — `None` in an
+    /// inspector, where no gathered value exists yet.
+    seq_sites: Option<Vec<usize>>,
+    /// Of those, how many the current chunk has evaluated.
+    seq_turn: Vec<usize>,
+    /// Iterations this rank executed before the current chunk.
+    executed: usize,
+    /// One column per FORALL variable, outer to inner.
+    cols: Vec<Vec<i64>>,
+    /// Active lanes: the length of every column.
+    n: usize,
+    regs: Vec<Reg>,
+    /// The subscript columns of the assignment or gather at hand.
+    subs: Vec<Reg>,
+    pool: Pool,
+}
+
+impl<'a> Chunk<'a> {
+    fn new(
+        cx: ForallCx<'a>,
+        rank: i64,
+        mem: &'a NodeMemory,
+        table: &'a [Option<ResolvedAcc>],
+        gathered: bool,
+    ) -> Self {
+        let seq_sites = gathered.then(|| {
+            let mut sites = vec![0; cx.f.gathers.len()];
+            let codes = (cx.f.body.iter()).flat_map(|b| std::iter::once(&b.rhs).chain(&b.subs));
+            for op in codes.flat_map(|code| &code.ops) {
+                if let Op::ReadSeq { gather, .. } = *op {
+                    sites[gather as usize] += 1;
                 }
-                let racc = resolved[acc as usize].as_ref().expect("accessor resolved");
-                let off = racc.offset(&subs[..n as usize], &prog.arrays[racc.target].name, rank)?;
-                let view = views[acc as usize].expect("accessor view");
-                regs[dst as usize] = view.get_flat(off);
             }
-            Op::ReadSeq { dst, gather } => {
-                if !seq_ok {
-                    return Err("gathered value read outside the element loop".into());
-                }
-                let k = counters[gather as usize];
-                counters[gather as usize] += 1;
-                regs[dst as usize] = seq_views[gather as usize].get(&[k as i64]);
-            }
+            sites
+        });
+        Chunk {
+            cx,
+            rank,
+            mem,
+            table,
+            seq_sites,
+            seq_turn: vec![0; cx.f.gathers.len()],
+            executed: 0,
+            cols: vec![Vec::new(); cx.f.vars.len()],
+            n: 0,
+            regs: Vec::new(),
+            subs: Vec::new(),
+            pool: Pool::default(),
         }
     }
-    Ok(regs[code.out as usize])
+
+    /// The chunk driver: walk the cartesian product of `lists` (last
+    /// variable fastest) [`CHUNK`] tuples at a time through `body`. A
+    /// chunk that faults is walked again one tuple at a time, so the
+    /// error returned is the first faulting iteration's first fault —
+    /// whatever other lanes of the chunk would have faulted too.
+    fn for_each(
+        &mut self,
+        lists: &[Vec<i64>],
+        mut body: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        let total: usize = lists.iter().map(Vec::len).product();
+        let mut pos = 0;
+        while pos < total {
+            let n = CHUNK.min(total - pos);
+            let executed = self.executed;
+            self.load(lists, pos, n);
+            if let Err(e) = body(self) {
+                if n > 1 {
+                    self.executed = executed;
+                    for lane in pos..pos + n {
+                        self.load(lists, lane, 1);
+                        body(self)?;
+                    }
+                }
+                return Err(e);
+            }
+            pos += n;
+        }
+        Ok(())
+    }
+
+    /// Start a chunk: fill the variable columns with tuples
+    /// `pos..pos + n` of the product of `lists`; no `ReadSeq` site of it
+    /// has had its turn yet.
+    fn load(&mut self, lists: &[Vec<i64>], pos: usize, n: usize) {
+        let (inner, outer) = lists.split_last().expect("a FORALL has a variable");
+        self.cols.iter_mut().for_each(Vec::clear);
+        let (mut row, mut at, mut left) = (pos / inner.len(), pos % inner.len(), n);
+        while left > 0 {
+            let run = left.min(inner.len() - at);
+            let mut tuple = row;
+            for (col, list) in self.cols.iter_mut().zip(outer).rev() {
+                col.resize(col.len() + run, list[tuple % list.len()]);
+                tuple /= list.len();
+            }
+            self.cols[outer.len()].extend_from_slice(&inner[at..at + run]);
+            (row, at, left) = (row + 1, 0, left - run);
+        }
+        self.n = n;
+        self.seq_turn.fill(0);
+    }
+
+    /// Evaluate `code` over the active lanes, one `Op` at a time, and
+    /// take its result out of the register file.
+    fn eval(&mut self, code: &ExprCode) -> Result<Reg, String> {
+        let Chunk {
+            cx,
+            rank,
+            mem,
+            table,
+            seq_sites,
+            seq_turn,
+            executed,
+            cols,
+            n,
+            regs,
+            pool,
+            ..
+        } = self;
+        let (n, prog) = (*n, cx.prog);
+        if regs.len() < code.nregs as usize {
+            regs.resize_with(code.nregs as usize, Reg::default);
+        }
+        // `a*v + b` of a loop variable: a column for a FORALL variable,
+        // uniform for an enclosing DO's.
+        let affine = |slot: u16, a: i64, b: i64, pool: &mut Pool| {
+            match cx.f.vars.iter().position(|v| v.var == slot) {
+                // `1*v + b` without the multiply, which no baseline
+                // x86-64 vector unit has for 64-bit lanes.
+                Some(k) if a == 1 => {
+                    Reg::Col(ArrayData::Int(pool.collect(cols[k].iter().map(|&v| v + b))))
+                }
+                Some(k) => {
+                    let col = pool.collect(cols[k].iter().map(|&v| a * v + b));
+                    Reg::Col(ArrayData::Int(col))
+                }
+                None => Reg::Uni(Value::Int(a * cx.vars[slot as usize] + b)),
+            }
+        };
+        for op in &code.ops {
+            let (dst, val) = match *op {
+                Op::Const { dst, k } => (dst, Reg::Uni(prog.consts[k as usize])),
+                Op::LoadVar { dst, slot } => (dst, affine(slot, 1, 0, pool)),
+                Op::LoadScalar { dst, slot } => (dst, Reg::Uni(cx.scalars[slot as usize])),
+                Op::Affine { dst, slot, a, b } => (dst, affine(slot, a, b, pool)),
+                Op::Bin { op, dst, a, b } => {
+                    let (a, b) = (&regs[a as usize], &regs[b as usize]);
+                    (dst, columns::bin(op, a, b, n, pool)?)
+                }
+                Op::Un { op, dst, a } => (dst, columns::un(op, &regs[a as usize], n, pool)?),
+                Op::Intrin {
+                    f,
+                    dst,
+                    base,
+                    n: argc,
+                } => {
+                    let args = &regs[base as usize..(base + argc) as usize];
+                    (dst, columns::intrin(f, args, n, pool)?)
+                }
+                Op::Read {
+                    dst,
+                    acc,
+                    base,
+                    n: nsubs,
+                } => {
+                    let racc = table[acc as usize].as_ref().expect("accessor resolved");
+                    let name = &prog.arrays[racc.target].name;
+                    let subs = &regs[base as usize..(base + nsubs) as usize];
+                    let mut offs = pool.take::<i64>();
+                    racc.offsets(subs, n, name, *rank, pool, &mut offs)?;
+                    let view = mem.array(name);
+                    let mut col = pool.column(view.elem_type());
+                    view.gather_flat_into(offs.iter().map(|&off| off as usize), &mut col);
+                    pool.give(Reg::Col(ArrayData::Int(offs)));
+                    (dst, Reg::Col(col))
+                }
+                Op::ReadSeq { dst, gather } => {
+                    let Some(sites) = seq_sites else {
+                        return Err("gathered value read outside the element loop".into());
+                    };
+                    // The k-th executed iteration's q-th of r reads of
+                    // this gather is element k·r + q of its buffer.
+                    let g = gather as usize;
+                    let (r, q) = (sites[g], seq_turn[g]);
+                    seq_turn[g] += 1;
+                    let view = mem.array(&prog.arrays[cx.f.gathers[g].tmp].name);
+                    let mut col = pool.column(view.elem_type());
+                    view.gather_flat_into((*executed..*executed + n).map(|k| k * r + q), &mut col);
+                    (dst, Reg::Col(col))
+                }
+            };
+            pool.give(std::mem::replace(&mut regs[dst as usize], val));
+        }
+        Ok(std::mem::take(&mut regs[code.out as usize]))
+    }
+
+    /// Evaluate the FORALL's mask, if it has one, and compact the
+    /// variable columns to the lanes that pass — masked-out iterations
+    /// are not predicated, they are gone.
+    fn mask(&mut self) -> Result<(), String> {
+        let Some(code) = &self.cx.f.mask else {
+            return Ok(());
+        };
+        let mask = self.eval(code)?;
+        let keep = columns::bools(&mask, &mut self.pool);
+        self.n = match keep.col() {
+            Err(true) => self.n,
+            Err(false) => 0,
+            Ok(keep) => {
+                let passed = keep.iter().filter(|&&k| k).count();
+                if passed < keep.len() {
+                    for col in &mut self.cols {
+                        let mut kept = 0;
+                        for (i, &k) in keep.iter().enumerate() {
+                            col[kept] = col[i];
+                            kept += k as usize;
+                        }
+                    }
+                }
+                passed
+            }
+        };
+        self.cols.iter_mut().for_each(|col| col.truncate(self.n));
+        keep.done(&mut self.pool);
+        self.pool.give(mask);
+        Ok(())
+    }
+
+    /// Evaluate the subscript programs `codes` into [`Chunk::subs`].
+    fn eval_subs(&mut self, codes: &[ExprCode]) -> Result<(), String> {
+        while let Some(sub) = self.subs.pop() {
+            self.pool.give(sub);
+        }
+        if self.n > 0 {
+            for code in codes {
+                let sub = self.eval(code)?;
+                self.subs.push(sub);
+            }
+        }
+        Ok(())
+    }
+
+    /// One chunk of the FORALL: mask, then every body over the lanes
+    /// that pass. Body `b`'s write of the chunk's `j`-th executed
+    /// iteration lands at position `j·bodies + b` past what `out`
+    /// already holds, so the stage is in commit order as it fills.
+    fn run_bodies(&mut self, out: &mut RankOut) -> Result<(), String> {
+        let f = self.cx.f;
+        out.ops += f.mask_cost * self.n as i64;
+        self.mask()?;
+        let n = self.n;
+        if n == 0 {
+            return Ok(());
+        }
+        let owned = f.body.iter().filter(|b| b.scatter.is_none()).count();
+        let (stage_at, scat_at) = (out.stage.offs.len(), out.scat.vals.len());
+        let (mut nth_owned, mut nth_scat) = (0, 0);
+        for b in &f.body {
+            let rhs = self.eval(&b.rhs)?;
+            out.ops += b.cost * n as i64;
+            self.eval_subs(&b.subs)?;
+            let pool = &mut self.pool;
+            if b.scatter.is_none() {
+                let acc = b.lhs_acc.expect("owned write accessor") as usize;
+                let racc = self.table[acc].as_ref().expect("lhs accessor resolved");
+                let name = &self.cx.prog.arrays[b.arr].name;
+                let at = stage_at + nth_owned;
+                if owned == 1 {
+                    racc.offsets(&self.subs, n, name, self.rank, pool, &mut out.stage.offs)?;
+                } else {
+                    let mut offs = pool.take::<i64>();
+                    racc.offsets(&self.subs, n, name, self.rank, pool, &mut offs)?;
+                    columns::store_strided(&mut out.stage.offs, at, owned, n, &Arg::Ref(&offs));
+                    pool.give(Reg::Col(ArrayData::Int(offs)));
+                }
+                columns::store(&mut out.stage.vals, at, owned, n, &rhs, pool);
+                nth_owned += 1;
+            } else {
+                let (at, step) = (scat_at + nth_scat, f.body.len() - owned);
+                columns::store_rows(&mut out.scat.subs, at, step, n, &self.subs, pool);
+                columns::store(&mut out.scat.vals, at, step, n, &rhs, pool);
+                nth_scat += 1;
+            }
+            pool.give(rhs);
+        }
+        self.executed += n;
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -1726,6 +1946,7 @@ mod tests {
     use super::*;
     use crate::native::{match_template, NExpr};
     use f90d_frontend::ast::BinOp;
+    use f90d_machine::LocalArray;
 
     /// Test arrays: `A` (id 0, the written one) and `B` (id 1) are 6×12
     /// segments, `C` (id 2) is a 12-vector.
@@ -1813,6 +2034,95 @@ mod tests {
     const A_IJ: Site = (0, 0, [COLS, 1]);
     const B_IJ: Site = (1, 0, [COLS, 1]);
     const C_J: Site = (2, 0, [0, 1]);
+
+    /// The column form of an accessor against the scalar form, lane by
+    /// lane: over affine dimensions of every sign of stride with offsets
+    /// that put part of the extent outside the padding, CYCLIC and
+    /// CYCLIC(3) dimensions on each coordinate, a dropped slab dimension
+    /// and a uniform subscript, the same offsets — and, as soon as one
+    /// lane faults, the first faulting lane's error.
+    #[test]
+    fn column_offsets_are_the_scalar_offsets() {
+        use f90d_distrib::{DadBuilder, ProcGrid};
+        let general = |kind: DistKind, coord: i64| {
+            let dad = DadBuilder::new("A", &[11])
+                .distribute(&[kind])
+                .grid(ProcGrid::new(&[3]))
+                .build()
+                .unwrap();
+            RDim::General {
+                dm: dad.dims[0].clone(),
+                coord,
+                ghost_lo: 1,
+            }
+        };
+        let mut first = Vec::new();
+        for a in -3i64..=3 {
+            for b in [-5, -1, 0, 2, 12] {
+                first.push(RDim::Affine { a, b });
+            }
+        }
+        for coord in 0..3 {
+            first.push(general(DistKind::Cyclic, coord));
+            first.push(general(DistKind::BlockCyclic(3), coord));
+        }
+        let gs: Vec<i64> = (-4..16).collect();
+        let mut pool = Pool::default();
+        for dim0 in first {
+            for (extent, padded) in [(1, 1), (7, 5), (11, 9), (11, 40)] {
+                for drop_dim in [None, Some(1)] {
+                    let racc = ResolvedAcc {
+                        target: 0,
+                        drop_dim,
+                        dims: vec![dim0.clone(), RDim::Affine { a: 1, b: 2 }],
+                        extents: vec![extent, 6],
+                        padded: vec![padded, 9],
+                        strides: vec![9, 1],
+                    };
+                    // Dimension 0 sweeps, a dropped dimension holds
+                    // anything, the last one is uniform.
+                    let mut subs = vec![Reg::Col(ArrayData::Int(gs.clone()))];
+                    if drop_dim.is_some() {
+                        subs.push(Reg::Uni(Value::Int(-77)));
+                    }
+                    subs.push(Reg::Uni(Value::Int(4)));
+                    let scalar = |i: usize| {
+                        let lane: Vec<i64> = subs.iter().map(|s| s.lane(i).as_int()).collect();
+                        racc.offset(&lane, "A", 2)
+                    };
+                    // Every run of clean lanes, then a run ending in the
+                    // first faulting one.
+                    let mut start = 0;
+                    while start < gs.len() {
+                        let bad = (start..gs.len()).find(|&i| scalar(i).is_err());
+                        let end = bad.map_or(gs.len(), |i| i + 1);
+                        let lanes = subs
+                            .iter()
+                            .map(|s| match s {
+                                Reg::Col(ArrayData::Int(col)) => {
+                                    Reg::Col(ArrayData::Int(col[start..end].to_vec()))
+                                }
+                                uniform => Reg::Uni(uniform.lane(0)),
+                            })
+                            .collect::<Vec<_>>();
+                        let mut offs = vec![-1];
+                        let got = racc.offsets(&lanes, end - start, "A", 2, &mut pool, &mut offs);
+                        match bad {
+                            Some(i) => assert_eq!(got, Err(scalar(i).unwrap_err())),
+                            None => assert_eq!(got, Ok(())),
+                        }
+                        if got.is_ok() {
+                            let want: Vec<i64> = std::iter::once(-1)
+                                .chain((start..end).map(|i| scalar(i).unwrap() as i64))
+                                .collect();
+                            assert_eq!(offs, want, "offsets are appended");
+                        }
+                        start = end;
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn inner_list_splits_into_maximal_progressions() {

@@ -6,9 +6,12 @@
 //! program once into a compact register bytecode ([`bytecode::VmProgram`])
 //! — flat instruction streams, resolved array/scalar/loop-variable slots,
 //! constant-folded affine subscript forms — and the [`engine::Engine`]
-//! runs it with a flat fetch/decode loop, charging the **same**
-//! virtual-time cost model as the tree walker, under both sequential and
-//! threaded local-phase execution.
+//! runs it: a flat fetch/decode loop over the statements, and every
+//! FORALL a chunk of iterations at a time over typed columns
+//! (vectorized interpretation: one operator dispatch per chunk, then a
+//! loop over `&[i64]` / `&[f64]` / `&[bool]` slices), charging the
+//! **same** virtual-time cost model as the tree walker, under both
+//! sequential and threaded local-phase execution.
 //!
 //! Layering: this crate sits beside the runtime — it depends on the
 //! machine, mapping, communication and runtime crates but *not* on the
@@ -40,7 +43,9 @@
 //!   engine dispatches to them per execution and falls back to bytecode
 //!   when a kernel's preconditions fail.
 //! * [`ops`] — value-level operator semantics, shared with the tree
-//!   walker so the two backends cannot diverge.
+//!   walker so the two backends cannot diverge; the engine's column
+//!   operators (the private `columns` module) are their chunk forms and
+//!   are unit-tested against them arm by arm.
 //! * [`cache`] — the `fnv1a` content hash (the program cache itself is
 //!   `f90d_core::vm_cache()`).
 
@@ -48,6 +53,7 @@
 
 pub mod bytecode;
 pub mod cache;
+mod columns;
 pub mod dispatch;
 pub mod engine;
 pub mod native;

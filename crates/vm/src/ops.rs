@@ -57,14 +57,12 @@ pub fn eval_bin(op: BinOp, a: Value, b: Value) -> OpResult {
             }
             _ => unreachable!(),
         })),
-        (Value::Complex(xr, xi), y) => {
-            let (yr, yi) = match y {
-                Value::Complex(r, i) => (r, i),
-                other => (other.as_real(), 0.0),
-            };
-            complex_bin(op, (xr, xi), (yr, yi))
+        (Value::Complex(..), _) | (_, Value::Complex(..)) => {
+            match complex_arith(op, a.complex_parts(), b.complex_parts()) {
+                Some([re, im]) => Ok(Value::Complex(re, im)),
+                None => Err("unsupported complex operation".into()),
+            }
         }
-        (x, Value::Complex(yr, yi)) => complex_bin(op, (x.as_real(), 0.0), (yr, yi)),
         (x, y) => {
             let (x, y) = (x.as_real(), y.as_real());
             Ok(Value::Real(match op {
@@ -79,19 +77,19 @@ pub fn eval_bin(op: BinOp, a: Value, b: Value) -> OpResult {
     }
 }
 
-fn complex_bin(op: BinOp, (ar, ai): (f64, f64), (br, bi): (f64, f64)) -> OpResult {
+/// COMPLEX `+ - * /` on `[re, im]` pairs; `None` for any other operator.
+pub(crate) fn complex_arith(op: BinOp, [ar, ai]: [f64; 2], [br, bi]: [f64; 2]) -> Option<[f64; 2]> {
     use BinOp::*;
-    let v = match op {
-        Add => (ar + br, ai + bi),
-        Sub => (ar - br, ai - bi),
-        Mul => (ar * br - ai * bi, ar * bi + ai * br),
+    Some(match op {
+        Add => [ar + br, ai + bi],
+        Sub => [ar - br, ai - bi],
+        Mul => [ar * br - ai * bi, ar * bi + ai * br],
         Div => {
             let d = br * br + bi * bi;
-            ((ar * br + ai * bi) / d, (ai * br - ar * bi) / d)
+            [(ar * br + ai * bi) / d, (ai * br - ar * bi) / d]
         }
-        _ => return Err("unsupported complex operation".into()),
-    };
-    Ok(Value::Complex(v.0, v.1))
+        _ => return None,
+    })
 }
 
 /// Apply a unary operator.

@@ -5,9 +5,15 @@
 //! subscripts `a*v + b` and loop strides 1..3, the per-rank iteration
 //! lists of an owner-computes loop are sorted, pairwise disjoint, and
 //! their union is exactly `lb..=ub step st` — every iteration runs on
-//! exactly one rank.
+//! exactly one rank — and each list equals what the implementation
+//! `iterations_for` replaced computes ([`iterations_oracle`]: every
+//! local of `set_bound` through μ⁻¹, filtered, sorted). A second
+//! property pins the branch that reverses instead of sorting: a negative
+//! template stride over CYCLIC(K) with `ub` off the loop's stride.
 
-use f90d_distrib::{AlignExpr, Alignment, AxisAlign, DadBuilder, DistKind, ProcGrid, Template};
+use f90d_distrib::{
+    set_bound, AlignExpr, Alignment, AxisAlign, DadBuilder, DistKind, ProcGrid, Template,
+};
 use f90d_machine::ElemType;
 use f90d_runtime::DistArray;
 use f90d_vm::dispatch::iterations_for;
@@ -24,6 +30,119 @@ fn dist_kind() -> impl Strategy<Value = DistKind> {
 
 fn nonzero(lo: i64, hi: i64) -> impl Strategy<Value = i64> {
     prop_oneof![lo..0i64, 1i64..hi + 1]
+}
+
+/// The owner-computes branch of `iterations_for` as it was before it
+/// stopped materializing its list three times: kept as the oracle.
+fn iterations_oracle(
+    (a, b): (i64, i64),
+    [lb, ub, st]: [i64; 3],
+    array: &DistArray,
+    grid: &ProcGrid,
+    rank: i64,
+) -> Vec<i64> {
+    if lb > ub {
+        return vec![];
+    }
+    let ub = lb + (ub - lb) / st * st;
+    let dm = &array.dad.dims[0];
+    if !dm.is_distributed() {
+        return (lb..=ub).step_by(st as usize).collect();
+    }
+    let coord = grid.coords_of(rank)[dm.grid_axis.unwrap()];
+    let s = dm.align.stride * a;
+    let o = dm.align.stride * b + dm.align.offset;
+    let (t1, t2) = (s * lb + o, s * ub + o);
+    let li = set_bound(&dm.dist, coord, t1.min(t2), t1.max(t2), (s * st).abs());
+    let mut out = Vec::with_capacity(li.len() as usize);
+    for l in li.to_vec() {
+        let t = dm
+            .dist
+            .global_of(coord, l)
+            .expect("set_bound local maps to global");
+        let num = t - o;
+        if num % s != 0 {
+            continue;
+        }
+        let v = num / s;
+        if v >= lb && v <= ub && (v - lb) % st == 0 {
+            out.push(v);
+        }
+    }
+    out.sort_unstable();
+    out
+}
+
+/// The owner-computes loop `lb..=ub step st` over `A(a*v + b)`, `A`
+/// aligned `align_stride*i + offset` to a template distributed `kind`
+/// over `p` ranks: every rank's list is sorted, owned and the oracle's,
+/// and together they are the loop.
+fn check_partition(
+    kind: DistKind,
+    p: i64,
+    (align_stride, align_offset): (i64, i64),
+    (a, b_slack): (i64, i64),
+    [lb, ub, st]: [i64; 3],
+) -> Result<(), TestCaseError> {
+    // LHS subscript a*v + b, shifted so the smallest index is b_slack.
+    let b = b_slack - (a * lb).min(a * ub);
+    let n = (a * lb + b).max(a * ub + b) + 1 + b_slack;
+    // Template cell of array index i: align_stride*i + offset ≥ 0.
+    let offset = align_offset - (align_stride * (n - 1)).min(0);
+    let t_extent = align_stride.abs() * (n - 1) + align_offset + 1 + p;
+    let grid = ProcGrid::new(&[p]);
+    let dad = DadBuilder::new("A", &[n])
+        .template(Template::new("T", &[t_extent]))
+        .align(Alignment {
+            axes: vec![AxisAlign::Aligned {
+                template_dim: 0,
+                expr: AlignExpr::new(align_stride, offset),
+            }],
+            replicated_template_dims: vec![],
+        })
+        .distribute(&[kind])
+        .grid(grid.clone())
+        .build()
+        .unwrap();
+    let arrays = [DistArray {
+        name: "A".into(),
+        dad,
+        ty: ElemType::Real,
+    }];
+    let part = Partition::OwnerDim {
+        arr: 0,
+        dim: 0,
+        a,
+        b,
+    };
+
+    let mut all: Vec<i64> = Vec::new();
+    for rank in 0..p {
+        let list = iterations_for(&part, [lb, ub, st], &arrays, &grid, rank);
+        prop_assert!(
+            list.windows(2).all(|w| w[0] < w[1]),
+            "rank {} unsorted: {:?}",
+            rank,
+            list
+        );
+        // Owner computes: the rank owns every LHS element it iterates.
+        for &v in &list {
+            prop_assert!(
+                arrays[0].dad.is_owner(rank, &[a * v + b]),
+                "rank {} runs unowned v={}",
+                rank,
+                v
+            );
+        }
+        let oracle = iterations_oracle((a, b), [lb, ub, st], &arrays[0], &grid, rank);
+        prop_assert_eq!(&list, &oracle);
+        all.extend(list);
+    }
+    all.sort_unstable();
+    let want: Vec<i64> = (lb..=ub).step_by(st as usize).collect();
+    // Equal to the duplicate-free expected list ⇒ disjoint and complete.
+    prop_assert_eq!(all, want);
+    Ok(())
 }
 
 proptest! {
@@ -44,42 +163,30 @@ proptest! {
     ) {
         // The loop runs lb..=ub step st; ub need not lie on the stride.
         let ub = lb + (count - 1) * st + ub_slack.min(st - 1);
-        // LHS subscript a*v + b, shifted so the smallest index is b_slack.
-        let b = b_slack - (a * lb).min(a * ub);
-        let n = (a * lb + b).max(a * ub + b) + 1 + b_slack;
-        // Template cell of array index i: align_stride*i + offset ≥ 0.
-        let offset = align_offset - (align_stride * (n - 1)).min(0);
-        let t_extent = align_stride.abs() * (n - 1) + align_offset + 1 + p;
-        let grid = ProcGrid::new(&[p]);
-        let dad = DadBuilder::new("A", &[n])
-            .template(Template::new("T", &[t_extent]))
-            .align(Alignment {
-                axes: vec![AxisAlign::Aligned {
-                    template_dim: 0,
-                    expr: AlignExpr::new(align_stride, offset),
-                }],
-                replicated_template_dims: vec![],
-            })
-            .distribute(&[kind])
-            .grid(grid.clone())
-            .build()
-            .unwrap();
-        let arrays = [DistArray { name: "A".into(), dad, ty: ElemType::Real }];
-        let part = Partition::OwnerDim { arr: 0, dim: 0, a, b };
+        check_partition(kind, p, (align_stride, align_offset), (a, b_slack), [lb, ub, st])?;
+    }
 
-        let mut all: Vec<i64> = Vec::new();
-        for rank in 0..p {
-            let list = iterations_for(&part, [lb, ub, st], &arrays, &grid, rank);
-            prop_assert!(list.windows(2).all(|w| w[0] < w[1]), "rank {} unsorted: {:?}", rank, list);
-            // Owner computes: the rank owns every LHS element it iterates.
-            for &v in &list {
-                prop_assert!(arrays[0].dad.is_owner(rank, &[a * v + b]), "rank {} runs unowned v={}", rank, v);
-            }
-            all.extend(list);
-        }
-        all.sort_unstable();
-        let want: Vec<i64> = (lb..=ub).step_by(st as usize).collect();
-        // Equal to the duplicate-free expected list ⇒ disjoint and complete.
-        prop_assert_eq!(all, want);
+    /// The template progression runs downwards (a negative alignment
+    /// stride under a positive subscript stride, so the lists come out
+    /// of `set_bound` descending and are reversed), the distribution is
+    /// CYCLIC(K) (explicit local lists, μ⁻¹ not affine) and `ub` is off
+    /// the loop's stride (the progression is anchored at the last
+    /// iterate, not at `ub`).
+    #[test]
+    fn reversed_lists_under_a_negative_template_stride(
+        k in 2i64..5,
+        p in 2i64..7,
+        align_stride in -3i64..0,
+        align_offset in 0i64..5,
+        a in 1i64..3,
+        b_slack in 0i64..3,
+        lb in 0i64..5,
+        count in 2i64..25,
+        st in 2i64..4,
+        ub_slack in 1i64..3,
+    ) {
+        let ub = lb + (count - 1) * st + ub_slack.min(st - 1);
+        let kind = DistKind::BlockCyclic(k);
+        check_partition(kind, p, (align_stride, align_offset), (a, b_slack), [lb, ub, st])?;
     }
 }
