@@ -19,7 +19,7 @@
 //! what the VM accelerates. `--exp vmcmp` prints all three execution
 //! tiers head-to-head — tree walk, bytecode VM, and the native kernel
 //! tier — so BENCH records can track both speedups. It accepts only
-//! `--quick`, `--out vmcmp.json` (an `f90d-vmcmp/v3` document, schema in
+//! `--quick`, `--out vmcmp.json` (an `f90d-vmcmp/v4` document, schema in
 //! the README) and `--gate <factor>`, which exits 1 unless the native
 //! tier beats the bytecode VM by at least that wall-clock factor on some
 //! comm-light workload (jacobi / gauss) **and** the bytecode VM beats
@@ -484,10 +484,11 @@ fn exp_matrix(
 
 /// Execution-tier head-to-head: host wall-clock of one full run per
 /// workload under each of the three tiers (tree walk / bytecode VM /
-/// native kernels), a check that the modelled times agree bit-for-bit
-/// and that the irregular program never leaves the native tier, and —
-/// with `--gate` — two exit-1 gates on the comm-light workloads: the
-/// given factor on the native-vs-vm speedup, `BYTECODE_FLOOR` on the
+/// native kernels), a check that the modelled times agree bit-for-bit,
+/// that the irregular program never leaves the native tier and that no
+/// program stages a FORALL it is known to write in place, and — with
+/// `--gate` — two exit-1 gates on the comm-light workloads: the given
+/// factor on the native-vs-vm speedup, `BYTECODE_FLOOR` on the
 /// vm-vs-treewalk one.
 fn exp_vmcmp(quick: bool, out: Option<String>, gate: Option<f64>) {
     /// Bytecode-over-tree-walk floor under `--gate`, whatever its
@@ -495,7 +496,7 @@ fn exp_vmcmp(quick: bool, out: Option<String>, gate: Option<f64>) {
     /// gauss-64 at `--quick`; 42× and 50× at full size, on the 2-core
     /// reference host). The per-element loop the chunk-at-a-time
     /// evaluator replaced measured 3–4×, so this is what notices a
-    /// regression to it — as `--gate` notices the row kernels
+    /// regression to it — as `--gate` notices the box kernels
     /// regressing to per-element dispatch.
     const BYTECODE_FLOOR: f64 = 20.0;
     // `comm_light`: FORALL time dominates, so a tier has the whole job
@@ -504,12 +505,15 @@ fn exp_vmcmp(quick: bool, out: Option<String>, gate: Option<f64>) {
     // shares bounds it (native over bytecode measures 1.1–1.2× at
     // `--quick`, 1.6× at full size, under any floor worth holding), so
     // it is held to one thing only — every FORALL of it dispatches
-    // native.
+    // native. `staged` is exact on every row: how many of the program's
+    // native FORALL executions go through the stage (the Gaussian
+    // diagonal shift, a strided write; none of its rank-1 updates).
     struct Case {
         name: &'static str,
         src: String,
         grid: Vec<i64>,
         comm_light: bool,
+        staged: u64,
     }
     let cases: Vec<Case> = if quick {
         vec![
@@ -518,18 +522,21 @@ fn exp_vmcmp(quick: bool, out: Option<String>, gate: Option<f64>) {
                 src: workloads::jacobi(128, 4),
                 grid: vec![2, 2],
                 comm_light: true,
+                staged: 0,
             },
             Case {
                 name: "gauss 64, [4]",
                 src: workloads::gaussian(64),
                 grid: vec![4],
                 comm_light: true,
+                staged: 1,
             },
             Case {
                 name: "irregular 2048, [4]",
                 src: workloads::irregular(2048),
                 grid: vec![4],
                 comm_light: false,
+                staged: 0,
             },
         ]
     } else {
@@ -539,18 +546,21 @@ fn exp_vmcmp(quick: bool, out: Option<String>, gate: Option<f64>) {
                 src: workloads::jacobi(256, 4),
                 grid: vec![2, 2],
                 comm_light: true,
+                staged: 0,
             },
             Case {
                 name: "gauss 96, [4]",
                 src: workloads::gaussian(96),
                 grid: vec![4],
                 comm_light: true,
+                staged: 1,
             },
             Case {
                 name: "irregular 4096, [4]",
                 src: workloads::irregular(4096),
                 grid: vec![4],
                 comm_light: false,
+                staged: 0,
             },
         ]
     };
@@ -571,6 +581,7 @@ fn exp_vmcmp(quick: bool, out: Option<String>, gate: Option<f64>) {
                 format!("{:.2}x", r.wall_treewalk_s / r.wall_native_s),
                 format!("{:.2}x", r.wall_treewalk_s / r.wall_vm_s),
                 format!("{}/{}", r.native_matched, r.native_fallback),
+                r.native_staged.to_string(),
                 if r.virt_equal {
                     "yes".into()
                 } else {
@@ -590,6 +601,7 @@ fn exp_vmcmp(quick: bool, out: Option<String>, gate: Option<f64>) {
             "native vs tw",
             "vm vs tw",
             "matched/fallback",
+            "staged",
             "virtual time equal",
         ],
         &table,
@@ -597,7 +609,7 @@ fn exp_vmcmp(quick: bool, out: Option<String>, gate: Option<f64>) {
     if let Some(path) = &out {
         use serde::json::Json;
         let doc = Json::Obj(vec![
-            ("schema".into(), Json::Str("f90d-vmcmp/v3".into())),
+            ("schema".into(), Json::Str("f90d-vmcmp/v4".into())),
             (
                 "machine".into(),
                 Json::Str(MachineSpec::ipsc860().name.clone()),
@@ -624,6 +636,7 @@ fn exp_vmcmp(quick: bool, out: Option<String>, gate: Option<f64>) {
                                     Json::Obj(vec![
                                         ("matched".into(), Json::Num(r.native_matched as f64)),
                                         ("fallback".into(), Json::Num(r.native_fallback as f64)),
+                                        ("staged".into(), Json::Num(r.native_staged as f64)),
                                     ]),
                                 ),
                             ])
@@ -654,6 +667,15 @@ fn exp_vmcmp(quick: bool, out: Option<String>, gate: Option<f64>) {
             eprintln!(
                 "# IRREGULAR PATH LEFT THE NATIVE TIER: {} FORALL execution(s) of {} fell back to bytecode",
                 r.native_fallback, c.name
+            );
+            std::process::exit(1);
+        }
+    }
+    for (c, r) in &rows {
+        if r.native_staged != c.staged {
+            eprintln!(
+                "# ALIAS RULE MOVED: {} native FORALL execution(s) of {} staged, {} expected",
+                r.native_staged, c.name, c.staged
             );
             std::process::exit(1);
         }

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use f90d_core::{compile, Backend, CompileOptions, Executor, OptFlags};
+use f90d_core::{compile, Backend, CompileOptions, Executor, OptFlags, RunTrace};
 use f90d_distrib::ProcGrid;
 use f90d_machine::{ExecMode, Machine, MachineSpec};
 
@@ -87,6 +87,9 @@ pub struct TierRow {
     pub native_matched: u64,
     /// FORALL executions the native run left on the bytecode loop.
     pub native_fallback: u64,
+    /// Of the matched, the executions in which some rank staged its
+    /// writes instead of writing them in place.
+    pub native_staged: u64,
 }
 
 /// Host wall-clock of one full run of `src` under each execution tier:
@@ -107,17 +110,12 @@ pub fn tier_wallclock(src: &str, grid: &[i64], spec: &MachineSpec) -> TierRow {
             let mut m = Machine::new(spec.clone(), ProcGrid::new(grid));
             let t0 = std::time::Instant::now();
             let (rep, trace) = compiled.run_on_traced(&mut m).expect("runs");
-            (
-                t0.elapsed().as_secs_f64(),
-                rep.elapsed,
-                trace.native_matched,
-                trace.native_fallback,
-            )
+            (t0.elapsed().as_secs_f64(), rep.elapsed, trace)
         };
         once();
         (0..3)
             .map(|_| once())
-            .fold((f64::INFINITY, 0.0, 0, 0), |acc, r| {
+            .fold((f64::INFINITY, 0.0, RunTrace::default()), |acc, r| {
                 if r.0 < acc.0 {
                     r
                 } else {
@@ -125,17 +123,18 @@ pub fn tier_wallclock(src: &str, grid: &[i64], spec: &MachineSpec) -> TierRow {
                 }
             })
     };
-    let (wt, vt, _, _) = run(Backend::TreeWalk, false);
-    let (wv, vv, _, _) = run(Backend::Vm, false);
-    let (wn, vn, matched, fallback) = run(Backend::Vm, true);
+    let (wt, vt, _) = run(Backend::TreeWalk, false);
+    let (wv, vv, _) = run(Backend::Vm, false);
+    let (wn, vn, trace) = run(Backend::Vm, true);
     TierRow {
         wall_treewalk_s: wt,
         wall_vm_s: wv,
         wall_native_s: wn,
         virt_s: vn,
         virt_equal: vt.to_bits() == vv.to_bits() && vv.to_bits() == vn.to_bits(),
-        native_matched: matched,
-        native_fallback: fallback,
+        native_matched: trace.native_matched,
+        native_fallback: trace.native_fallback,
+        native_staged: trace.native_staged,
     }
 }
 

@@ -108,6 +108,11 @@ pub struct RunTrace {
     /// kernel was selected at lowering, a dispatch precondition failed,
     /// or the overlap split-phase path ran.
     pub native_fallback: u64,
+    /// Of the `native_matched`, the executions in which at least one
+    /// rank staged its owned writes (committed after the phase) because
+    /// the native tier's alias rule could not prove they may land in
+    /// place. Exact; explains host time, moves no virtual metric.
+    pub native_staged: u64,
     /// Comm phases the shared driver posted as one batched, coalesced
     /// ghost exchange (`comm_plan` on; both backends). Informational —
     /// the driver's fallback contract keeps results bit-identical.
@@ -153,6 +158,7 @@ impl Compiled {
                         workers: m.workers(),
                         native_matched: 0,
                         native_fallback: 0,
+                        native_staged: 0,
                         comm_groups,
                         comm_fallbacks,
                     },
@@ -178,6 +184,7 @@ impl Compiled {
                         workers: m.workers(),
                         native_matched,
                         native_fallback,
+                        native_staged: eng.native_staged(),
                         comm_groups,
                         comm_fallbacks,
                     },

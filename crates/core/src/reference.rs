@@ -310,13 +310,19 @@ fn forall_iter(
         let lb = eval(&ix.lb, info, st, env)?.as_int();
         let ub = eval(&ix.ub, info, st, env)?.as_int();
         let sp = eval(&ix.st, info, st, env)?.as_int();
-        let mut v = lb;
-        while v <= ub {
+        // The executors' rule and wording (`dispatch::iteration_lists`):
+        // a zero stride would never end, a negative one run nothing.
+        if sp <= 0 {
+            return Err("FORALL stride must be positive".into());
+        }
+        let mut next = Some(lb);
+        // An iterate that overflows lies beyond any bound.
+        while let Some(v) = next.filter(|&v| v <= ub) {
             env.push((ix.var.clone(), v));
             let r = rec(k + 1, indices, info, st, env, f);
             env.pop();
             r?;
-            v += sp;
+            next = v.checked_add(sp);
         }
         Ok(())
     }

@@ -268,6 +268,81 @@ END
     assert_eq!(err, "DO stride of zero");
 }
 
+/// A FORALL stride that is zero or negative is the same structured
+/// error everywhere. The reference interpreter used to loop forever on
+/// the first (staging a write per trip: 9.9 GB in two minutes) and run
+/// nothing on the second, so it answers on a thread with a deadline: a
+/// hung oracle fails here instead of hanging the suite.
+#[test]
+fn a_forall_stride_that_is_not_positive_is_an_error_on_every_evaluator() {
+    const WANT: &str = "FORALL stride must be positive";
+    for stride in ["0", "-1"] {
+        let src = format!(
+            "
+PROGRAM FSTRIDE
+INTEGER, PARAMETER :: N = 8
+REAL A(N), B(N)
+INTEGER Z
+C$ DISTRIBUTE A(BLOCK)
+C$ DISTRIBUTE B(BLOCK)
+Z = {stride}
+FORALL (I=1:N) B(I) = REAL(I)
+FORALL (I=1:N:Z) A(I) = B(I)
+PRINT *, SUM(A)
+END
+"
+        );
+        for backend in [Backend::TreeWalk, Backend::Vm] {
+            let opts = CompileOptions::on_grid(&[2]).with_backend(backend);
+            let compiled = compile(&src, &opts).unwrap();
+            let mut m = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(&[2]));
+            let err = compiled.run_on(&mut m).expect_err("the stride faults");
+            assert_eq!(err.0, WANT, "{backend:?}, stride {stride}");
+        }
+        let (answer, asked) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let compiled = compile(&src, &CompileOptions::on_grid(&[2])).unwrap();
+            let run = f90d_core::reference::run_reference(&compiled.analyzed, &Default::default());
+            let _ = answer.send(run.map(|out| out.printed));
+        });
+        let run = asked
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("the reference interpreter hangs on stride {stride}"));
+        assert_eq!(run.expect_err("the stride faults"), WANT, "stride {stride}");
+    }
+}
+
+/// A multicast slab whose fixed dimension is the *first* one: row `K`
+/// read as `A(K,J)` under `(BLOCK,BLOCK)`. Lowering drops the fixed
+/// subscript; the engine used to drop "dimension 0" a second time — the
+/// one subscript left — and read element 0 of the slab at every `J`, on
+/// the bytecode and the native tier alike (the `(*,BLOCK)` Gaussian
+/// never multicasts a row, so nothing saw it).
+#[test]
+fn a_row_slab_is_indexed_by_its_surviving_subscript() {
+    let src = "
+PROGRAM ROWSLAB
+INTEGER, PARAMETER :: N = 8
+REAL A(N,N)
+INTEGER K
+C$ DISTRIBUTE A(BLOCK, BLOCK)
+FORALL (I=1:N, J=1:N) A(I,J) = REAL(10*I+J)
+K = 1
+FORALL (I=K+1:N, J=K+1:N) A(I,J) = A(I,K)*A(K,J)
+END
+";
+    assert_backends_agree("row slab", src, &[2, 2], &["A"]);
+    let (vm, ..) = run_backend(src, &[2, 2], &["A"], Backend::Vm, ExecMode::Sequential);
+    let want: Vec<f64> = (1..=8)
+        .flat_map(|i| (1..=8).map(move |j| (i, j)))
+        .map(|(i, j)| match i.min(j) {
+            1 => (10 * i + j) as f64,
+            _ => ((10 * i + 1) * (10 + j)) as f64,
+        })
+        .collect();
+    assert_eq!(vm[0], ArrayData::Real(want));
+}
+
 #[test]
 fn vm_program_is_cached_across_runs() {
     let src = jacobi(8, 1);

@@ -632,15 +632,17 @@ fn overlap_split_phase_counts_as_fallback() {
     assert_eq!((tr.native_matched, tr.native_fallback), (4, 2));
 }
 
-/// One FORALL shape the row path has to get right: `body` runs after
+/// One FORALL shape the box path has to get right: `body` runs after
 /// the shared 2-D prologue (or is a whole program when it starts with
-/// `PROGRAM`), on `grid`, and every one of its `foralls` FORALL
-/// executions must dispatch native.
-struct RowCase {
+/// `PROGRAM`), on `grid`; every one of its `foralls` FORALL executions
+/// must dispatch native, and exactly `staged` of them must stage — the
+/// rest write in place.
+struct BoxCase {
     label: &'static str,
     body: &'static str,
     grid: &'static [i64],
     foralls: u64,
+    staged: u64,
 }
 
 /// `B`, `U` (2-D) and `V` (1-D, replicated along the second grid axis)
@@ -660,50 +662,90 @@ FORALL (I=1:N, J=1:N) U(I,J) = REAL(I-2*J)*0.7
 FORALL (I=1:N) V(I) = 1.0/REAL(I+2)
 ";
 
-const ROW_CASES: &[RowCase] = &[
-    RowCase {
+/// Gaussian elimination's fill, diagonal shift (a strided write: the one
+/// FORALL of the program that stages) and rank-1 updates, `{n}` × `{n}`
+/// under `{dist}`.
+const GAUSS: &str = "PROGRAM G
+INTEGER, PARAMETER :: N = {n}
+REAL A(N,N)
+INTEGER K
+C$ DISTRIBUTE A({dist})
+FORALL (I=1:N, J=1:N) A(I,J) = 1.0/REAL(I+J)
+FORALL (I=1:N) A(I,I) = A(I,I) + 2.0
+DO K = 1, N-1
+  FORALL (I=K+1:N, J=K+1:N) A(I,J) = A(I,J) - A(I,K)/A(K,K)*A(K,J)
+END DO
+END";
+
+/// A filled `A` under `{dist}`, then `{body}` with `K` = 6.
+const ALIASED: &str = "PROGRAM AL
+INTEGER, PARAMETER :: N = 16
+REAL A(N,N)
+INTEGER K
+C$ DISTRIBUTE A({dist})
+FORALL (I=1:N, J=1:N) A(I,J) = REAL(I*N-3*J)/7.0
+K = 6
+{body}
+END";
+
+const BOX_CASES: &[BoxCase] = &[
+    BoxCase {
         label: "strided inner loop",
         body: "FORALL (I=1:N, J=1:N:3) A(I,J) = B(I,J)*2.0 - U(I,J)",
         grid: &[2, 2],
         foralls: 1,
+        staged: 1,
     },
-    RowCase {
+    BoxCase {
         label: "negative-step read along the row",
         body: "FORALL (I=1:N, J=1:N) A(I,J) = B(I,N+1-J) - U(I,J)",
         grid: &[2, 1],
         foralls: 1,
+        staged: 0,
     },
-    RowCase {
+    BoxCase {
         label: "negative-step strided write",
         body: "FORALL (I=1:N, J=1:N:2) A(I,N+1-J) = B(I,J) + 0.5",
         grid: &[2, 1],
         foralls: 1,
+        staged: 1,
     },
-    RowCase {
+    BoxCase {
         label: "inner-invariant (stride-0) read",
         body: "FORALL (I=1:N, J=1:N) A(I,J) = B(I,J)*V(I) + V(I)/3.0",
         grid: &[2, 2],
         foralls: 1,
+        staged: 0,
     },
-    RowCase {
+    BoxCase {
         label: "in-place stencil across rows (must stage)",
         body: "FORALL (I=2:N, J=1:N) U(I,J) = 0.5*(U(I-1,J) + U(I,J))",
         grid: &[2, 2],
         foralls: 1,
+        staged: 1,
     },
-    RowCase {
+    BoxCase {
         label: "in-place stencil along the row (must stage)",
         body: "FORALL (I=1:N, J=2:N) U(I,J) = 0.5*(U(I,J-1) + U(I,J))",
         grid: &[2, 1],
         foralls: 1,
+        staged: 1,
     },
-    RowCase {
+    BoxCase {
         label: "many-to-one LHS (last J wins)",
         body: "FORALL (I=1:N, J=1:N) A(I,1) = B(I,J)",
         grid: &[2, 1],
         foralls: 1,
+        staged: 1,
     },
-    RowCase {
+    BoxCase {
+        label: "many-to-one read-modify-write (must stage: old + B(I,N))",
+        body: "FORALL (I=1:N, J=1:N) A(I,1) = A(I,1) + B(I,J)",
+        grid: &[2, 1],
+        foralls: 1,
+        staged: 1,
+    },
+    BoxCase {
         label: "FORALL construct whose statements write overlapping locations",
         body: "FORALL (I=1:N, J=1:N-1)
   A(I,J) = B(I,J)
@@ -711,43 +753,119 @@ const ROW_CASES: &[RowCase] = &[
 END FORALL",
         grid: &[2, 1],
         foralls: 2,
+        staged: 1,
     },
-    RowCase {
+    BoxCase {
         label: "length-1 rows",
         body: "FORALL (I=1:N, J=5:5) A(I,J) = B(I,J)*3.0 - U(I,J-1)",
         grid: &[2, 1],
         foralls: 1,
+        staged: 0,
     },
-    RowCase {
+    BoxCase {
+        label: "a one-row box with an own-element read",
+        body: "FORALL (I=3:3, J=1:N) U(I,J) = U(I,J) + B(I,J)",
+        grid: &[2, 2],
+        foralls: 1,
+        staged: 0,
+    },
+    BoxCase {
         label: "1-D FORALL down a column of a 2-D array",
         body: "FORALL (I=1:N) A(I,3) = B(I,3) + V(I)",
         grid: &[2, 2],
         foralls: 1,
+        staged: 1,
     },
-    RowCase {
+    BoxCase {
         label: "inner variable on the first dimension (strided rows)",
         body: "FORALL (I=1:N, J=1:N) A(J,I) = B(J,I) + U(J,I)*0.25",
         grid: &[2, 2],
         foralls: 1,
+        staged: 1,
     },
-    RowCase {
-        label: "rank-1 update with the row multiplier hoisted",
-        body: "PROGRAM G
-INTEGER, PARAMETER :: N = 16
-REAL A(N,N)
-INTEGER K
-C$ DISTRIBUTE A(*, BLOCK)
-FORALL (I=1:N, J=1:N) A(I,J) = 1.0/REAL(I+J)
-FORALL (I=1:N) A(I,I) = A(I,I) + 2.0
-DO K = 1, N-1
-  FORALL (I=K+1:N, J=K+1:N) A(I,J) = A(I,J) - A(I,K)/A(K,K)*A(K,J)
-END DO
-END",
+    BoxCase {
+        label: "own element not the leftmost leaf",
+        body: "FORALL (I=1:N, J=1:N) U(I,J) = B(I,J) - U(I,J)*2.0",
+        grid: &[2, 2],
+        foralls: 1,
+        staged: 0,
+    },
+    BoxCase {
+        label: "own element read three times",
+        body: "FORALL (I=1:N, J=1:N) U(I,J) = U(I,J)*U(I,J) + U(I,J)",
+        grid: &[2, 2],
+        foralls: 1,
+        staged: 0,
+    },
+    BoxCase {
+        label: "own element under reversed rows",
+        body: "FORALL (I=1:N, J=1:N) U(N+1-I,J) = U(N+1-I,J)*0.5 + B(I,J)",
+        grid: &[2, 1],
+        foralls: 1,
+        staged: 0,
+    },
+    BoxCase {
+        label: "own element under a strided outer list",
+        body: "FORALL (I=1:N:3, J=1:N) U(I,J) = U(I,J) - B(I,J)/3.0",
+        grid: &[2, 2],
+        foralls: 1,
+        staged: 0,
+    },
+    BoxCase {
+        label: "rank-1 update on (*,BLOCK), the row multiplier hoisted",
+        body: GAUSS,
         grid: &[4],
         foralls: 17,
+        staged: 1,
     },
-    RowCase {
-        label: "3-D FORALL",
+    BoxCase {
+        // The diagonal shift is a scatter here (no rank owns `A(I,I)`
+        // for every `I` of its share), which has no stage of this kind.
+        label: "rank-1 update on (BLOCK,BLOCK)",
+        body: GAUSS,
+        grid: &[2, 2],
+        foralls: 17,
+        staged: 0,
+    },
+    BoxCase {
+        // One diagonal element per rank: a one-element row walks no
+        // stride, so even the diagonal shift is in place.
+        label: "rank-1 update over one-element rows (a column per rank)",
+        body: GAUSS,
+        grid: &[8],
+        foralls: 9,
+        staged: 0,
+    },
+    BoxCase {
+        label: "a row strictly above the written rows",
+        body: ALIASED,
+        grid: &[4],
+        foralls: 2,
+        staged: 0,
+    },
+    BoxCase {
+        label: "a row strictly below the written rows",
+        body: ALIASED,
+        grid: &[4],
+        foralls: 2,
+        staged: 0,
+    },
+    BoxCase {
+        label: "a row inside the written range (must stage)",
+        body: ALIASED,
+        grid: &[4],
+        foralls: 2,
+        staged: 1,
+    },
+    BoxCase {
+        label: "an interleaved column on (BLOCK,*) (must stage)",
+        body: ALIASED,
+        grid: &[4],
+        foralls: 2,
+        staged: 1,
+    },
+    BoxCase {
+        label: "3-D FORALL: boxes over (J,K) under a walk over I",
         body: "PROGRAM P3
 INTEGER, PARAMETER :: N = 8
 REAL A(N,N,N), B(N,N,N)
@@ -757,66 +875,179 @@ C$ ALIGN B(I,J,K) WITH T(I,J,K)
 C$ DISTRIBUTE T(BLOCK,*,BLOCK)
 FORALL (I=1:N, J=1:N, K=1:N) B(I,J,K) = REAL(I+3*J-K)/7.0
 FORALL (I=1:N, J=2:N, K=1:N) A(I,J,K) = B(I,J,K) - B(I,J-1,K)*0.5 + REAL(K)
+FORALL (I=1:N, J=2:N:2, K=1:N) A(I,J,K) = B(I,J,K) - A(I,J,K)*A(I,J,K)
+FORALL (I=1:N, J=2:N, K=1:N) A(I,J,K) = A(I,J,K) + A(I,J-1,K)
 END",
         grid: &[2, 2],
-        foralls: 2,
+        foralls: 4,
+        staged: 1,
+    },
+    BoxCase {
+        label: "an INTEGER read-modify-write",
+        body: "PROGRAM IRMW
+INTEGER, PARAMETER :: N = 16
+INTEGER K(N,N), L(N,N)
+C$ TEMPLATE T(N,N)
+C$ ALIGN K(I,J) WITH T(I,J)
+C$ ALIGN L(I,J) WITH T(I,J)
+C$ DISTRIBUTE T(BLOCK,BLOCK)
+FORALL (I=1:N, J=1:N) K(I,J) = MOD(I*5 - 3*J, 7) - 2
+FORALL (I=1:N, J=1:N) L(I,J) = I - J
+FORALL (I=1:N, J=1:N) K(I,J) = K(I,J)*3 - L(I,J) + MOD(K(I,J), 4)
+FORALL (I=2:N, J=1:N) L(I,J) = L(I,J) - L(I-1,J)
+END",
+        grid: &[2, 2],
+        foralls: 4,
+        staged: 1,
+    },
+    BoxCase {
+        label: "a gathered read next to an own-element read under a 2-D box",
+        body: "PROGRAM GRMW
+INTEGER, PARAMETER :: N = 12
+REAL A(N,N), B(N,N)
+INTEGER V(N)
+C$ TEMPLATE T(N,N)
+C$ ALIGN A(I,J) WITH T(I,J)
+C$ ALIGN B(I,J) WITH T(I,J)
+C$ DISTRIBUTE T(BLOCK,BLOCK)
+FORALL (I=1:N, J=1:N) A(I,J) = REAL(I-J)/3.0
+FORALL (I=1:N, J=1:N) B(I,J) = REAL(I*N+J)/4.0
+FORALL (I=1:N) V(I) = MOD(I*5 + 3, N) + 1
+FORALL (I=1:N, J=1:N) A(I,J) = A(I,J) + B(V(I), J)*0.5
+END",
+        grid: &[2, 2],
+        foralls: 4,
+        staged: 0,
+    },
+    BoxCase {
+        // The value and index columns fill box by box; a scatter's
+        // column is no stage.
+        label: "scatter bodies under a 2-D box, by row and by column",
+        body: "PROGRAM SC2
+INTEGER, PARAMETER :: N = 12
+REAL A(N,N), B(N,N)
+INTEGER V(N)
+C$ TEMPLATE T(N,N)
+C$ ALIGN A(I,J) WITH T(I,J)
+C$ ALIGN B(I,J) WITH T(I,J)
+C$ DISTRIBUTE T(BLOCK,BLOCK)
+FORALL (I=1:N, J=1:N) A(I,J) = REAL(I-J)/3.0
+FORALL (I=1:N, J=1:N) B(I,J) = REAL(I*N+J)/4.0
+FORALL (I=1:N) V(I) = MOD(I*5 + 3, N) + 1
+FORALL (I=1:N, J=1:N) A(V(I),J) = B(I,J)*0.5 - REAL(J)
+FORALL (I=1:N, J=2:N:2) A(I,V(J)) = A(I,V(J)) + B(I,J)/3.0
+END",
+        grid: &[2, 2],
+        foralls: 5,
+        staged: 0,
     },
 ];
 
-/// The row kernels against every other evaluator of the language: each
-/// shape dispatches native on every FORALL execution and is
-/// bit-identical — arrays, PRINT, virtual time, messages, bytes — to the
-/// bytecode tier and the tree walker, sequential and threaded, with the
-/// arrays also matching the sequential reference interpreter.
+/// How each templated [`BOX_CASES`] program fills its holes, by label.
+fn box_source(case: &BoxCase) -> String {
+    let aliased =
+        |dist: &str, body: &str| (case.body.replace("{dist}", dist)).replace("{body}", body);
+    match case.label {
+        l if l.contains("one-element rows") => {
+            (case.body.replace("{n}", "8")).replace("{dist}", "*, BLOCK")
+        }
+        l if l.contains("(BLOCK,BLOCK)") => {
+            (case.body.replace("{n}", "16")).replace("{dist}", "BLOCK, BLOCK")
+        }
+        l if l.starts_with("rank-1") => {
+            (case.body.replace("{n}", "16")).replace("{dist}", "*, BLOCK")
+        }
+        l if l.contains("above") => aliased(
+            "*, BLOCK",
+            "FORALL (I=1:K-1, J=1:N) A(I,J) = A(I,J) - 0.5*A(K,J)",
+        ),
+        l if l.contains("below") => aliased(
+            "*, BLOCK",
+            "FORALL (I=K+1:N, J=1:N) A(I,J) = A(K,J)*A(I,J) + A(K,J)",
+        ),
+        l if l.contains("inside") => aliased(
+            "*, BLOCK",
+            "FORALL (I=1:N, J=1:N) A(I,J) = A(I,J) - 0.5*A(K,J)",
+        ),
+        l if l.contains("interleaved") => aliased(
+            "BLOCK, *",
+            "FORALL (I=1:N, J=K+1:N) A(I,J) = A(I,J) - A(I,K)",
+        ),
+        _ if case.body.starts_with("PROGRAM") => format!("{}\n", case.body),
+        _ => format!("PROGRAM BOXES{PROLOGUE_2D}{}\nEND\n", case.body),
+    }
+}
+
+/// The box kernels against every other evaluator of the language: each
+/// shape dispatches native on every FORALL execution, stages exactly
+/// where the alias rule has no proof, and is bit-identical — arrays,
+/// every padded cell of every copy, PRINT, every rank clock, messages,
+/// bytes — to the bytecode tier and the tree walker, sequential and
+/// threaded, with the arrays also matching the sequential reference
+/// interpreter.
 #[test]
-fn row_kernels_agree_with_every_other_tier() {
+fn box_kernels_agree_with_every_other_tier() {
     budget::global().ensure_total_at_least(8);
-    for case in ROW_CASES {
-        let (src, arrays, prologue_foralls): (String, &[&str], u64) =
-            if case.body.starts_with("PROGRAM") {
-                (format!("{}\n", case.body), &["A"], 0)
-            } else {
-                let src = format!("PROGRAM ROWS{PROLOGUE_2D}{}\nEND\n", case.body);
-                (src, &["A", "U"], 4)
-            };
-        let label = case.label;
-        let (nat, nat_t, nat_msg, nat_b, nat_out, tr) = run_vm(&src, case.grid, arrays, true);
+    for case in BOX_CASES {
+        let (label, src) = (case.label, box_source(case));
+        let whole = case.body.starts_with("PROGRAM");
+        let arrays: &[&str] = match () {
+            _ if src.contains("INTEGER K(N,N)") => &["K", "L"],
+            _ if whole => &["A"],
+            _ => &["A", "U"],
+        };
+        let prologue = if whole { 0 } else { 4 };
+        let run = |tier, exec| {
+            observe(&src, case.grid, arrays, tier, exec)
+                .unwrap_or_else(|e| panic!("{label}: {tier:?} failed: {e}\n{src}"))
+        };
+        let (nat, tr) = run(Tier::Native, ExecMode::Sequential);
         assert_eq!(
             (tr.native_matched, tr.native_fallback),
-            (case.foralls + prologue_foralls, 0),
+            (case.foralls + prologue, 0),
             "{label}: every FORALL should dispatch native\n{src}"
         );
-        let (thr, thr_t, thr_msg, thr_b, thr_out, thr_tr) =
-            run_vm_mode(&src, case.grid, arrays, true, ExecMode::Threaded);
-        assert_eq!(thr_tr.native_matched, tr.native_matched, "{label}");
-        assert_eq!(nat, thr, "{label}: sequential vs threaded images");
         assert_eq!(
-            (nat_t.to_bits(), nat_msg, nat_b, &nat_out),
-            (thr_t.to_bits(), thr_msg, thr_b, &thr_out),
-            "{label}: sequential vs threaded"
+            tr.native_staged, case.staged,
+            "{label}: FORALL executions that staged\n{src}"
         );
-        let (vm, vm_t, vm_msg, vm_b, vm_out, vm_tr) = run_vm(&src, case.grid, arrays, false);
-        assert_eq!(vm_tr.native_matched, 0, "{label}");
-        assert_eq!(nat, vm, "{label}: native vs bytecode images\n{src}");
+        let (thr, thr_tr) = run(Tier::Native, ExecMode::Threaded);
         assert_eq!(
-            (nat_t.to_bits(), nat_msg, nat_b, &nat_out),
-            (vm_t.to_bits(), vm_msg, vm_b, &vm_out),
-            "{label}: native vs bytecode"
+            (thr_tr.native_matched, thr_tr.native_staged),
+            (tr.native_matched, tr.native_staged),
+            "{label}"
         );
-        let (tw, tw_t, tw_msg, tw_b) = run_treewalk(&src, case.grid, arrays);
-        assert_eq!(nat, tw, "{label}: native vs tree-walk images");
+        assert_eq!(nat, thr, "{label}: sequential vs threaded\n{src}");
+        let (vm, vm_tr) = run(Tier::Bytecode, ExecMode::Sequential);
         assert_eq!(
-            (nat_t.to_bits(), nat_msg, nat_b),
-            (tw_t.to_bits(), tw_msg, tw_b),
-            "{label}: native vs tree walk"
+            (vm_tr.native_matched, vm_tr.native_staged),
+            (0, 0),
+            "{label}"
         );
+        assert_eq!(nat, vm, "{label}: native vs bytecode\n{src}");
+        let (tw, _) = run(Tier::TreeWalk, ExecMode::Sequential);
+        assert_eq!(nat, tw, "{label}: native vs tree walk\n{src}");
         let compiled = compile(&src, &CompileOptions::on_grid(case.grid)).expect("compiles");
         let reference = run_reference(&compiled.analyzed, &HashMap::new()).expect("reference runs");
-        for (name, img) in arrays.iter().zip(&nat) {
+        for (name, img) in arrays.iter().zip(&nat.arrays) {
             assert_eq!(
                 img, &reference.arrays[*name].data,
                 "{label}: array {name} vs the reference interpreter\n{src}"
             );
+        }
+        if label.contains("old + B(I,N)") {
+            // By hand, not only across evaluators: every J reads the
+            // prologue's -1.0, and the last J's sum is the one that stays.
+            let n = 16;
+            for i in 1..=n {
+                let b = (i * n + n) as f64 / 3.0 - 40.0;
+                let got = nat.arrays[0].get(((i - 1) * n) as usize);
+                assert_eq!(
+                    got,
+                    f90d_machine::Value::Real(-1.0 + b),
+                    "{label}: A({i},1)"
+                );
+            }
         }
     }
 }

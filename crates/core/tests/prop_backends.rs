@@ -1,6 +1,8 @@
 //! Differential property test for the execution backends: random FORALL
 //! programs (1-D and 2-D, random distributions, shifts, masks, strided
-//! innermost loops, inner-invariant reads, in-place updates) must
+//! innermost loops, inner-invariant reads, in-place updates, updates
+//! that also read a row of their own array outside the rows they write)
+//! must
 //! produce **bit-identical** arrays under `Backend::TreeWalk`,
 //! `Backend::Vm` — with the native kernel tier both on (the default;
 //! unmasked BLOCK samples dispatch to the monomorphized closures) and
@@ -44,6 +46,12 @@ struct RandProgram {
     /// The second FORALL reads its own LHS array at the shifted site, so
     /// the write must not land before the read.
     inplace: bool,
+    /// The second FORALL also reads the row (2-D, whose rows are then
+    /// local: `(*, dist2)` on a 1-D grid) or element (1-D) of its own LHS
+    /// array just below the ones it writes — or the first written one,
+    /// when the shifts leave none below: the Gaussian update's read of
+    /// row `K`, beside the stencil's in-place hazard.
+    pivot: bool,
     grid: Vec<i64>,
     exec: ExecMode,
 }
@@ -62,7 +70,13 @@ fn program(p: &RandProgram) -> String {
     let (lo, hi) = (1 + pad, n - pad);
     let st = p.stride;
     let own = if p.inplace { "C" } else { "B" };
+    let row = (lo - 1).max(1);
     if p.ndim == 1 {
+        let pivot = if p.pivot {
+            format!(" - 0.5*C({row})")
+        } else {
+            String::new()
+        };
         let mask = if p.masked { ", B(I) > 0.0" } else { "" };
         let inv = if p.invariant {
             format!(" + B({lo})")
@@ -80,7 +94,7 @@ C$ ALIGN B(I) WITH T(I)
 C$ ALIGN C(I) WITH T(I)
 C$ DISTRIBUTE T({dist})
 FORALL (I={lo}:{hi}:{st}{mask}) A(I) = {scale}*B(I{s1}) + C(I{s2}) - B(I){inv}
-FORALL (I={lo}:{hi}:{st}) C(I) = A(I) + {own}(I{s2})
+FORALL (I={lo}:{hi}:{st}) C(I) = A(I) + {own}(I{s2}){pivot}
 END
 ",
             dist = p.dist,
@@ -92,6 +106,11 @@ END
         let mask = if p.masked { ", B(I,J) > 0.0" } else { "" };
         let inv = if p.invariant {
             format!(" + B(I,{lo})")
+        } else {
+            String::new()
+        };
+        let pivot = if p.pivot {
+            format!(" - 0.5*C({row},J)")
         } else {
             String::new()
         };
@@ -107,7 +126,7 @@ C$ ALIGN C(I,J) WITH T(I,J)
 C$ DISTRIBUTE T({dist}, {dist2})
 FORALL (I={lo}:{hi}, J={lo}:{hi}:{st}{mask})&
 & A(I,J) = {scale}*B(I{s1},J) + C(I,J{s2}) - B(I,J){inv}
-FORALL (I={lo}:{hi}, J={lo}:{hi}:{st}) C(I,J) = A(I,J) + {own}(I,J{s2})
+FORALL (I={lo}:{hi}, J={lo}:{hi}:{st}) C(I,J) = A(I,J) + {own}(I,J{s2}){pivot}
 END
 ",
             dist = p.dist,
@@ -136,7 +155,13 @@ fn rand_program() -> impl Strategy<Value = RandProgram> {
         -2i64..=2,
         -2i64..=2,
         prop_oneof![Just(0.5f64), Just(1.0), Just(-2.0)],
-        (any::<bool>(), 1i64..=3, any::<bool>(), any::<bool>()),
+        (
+            any::<bool>(),
+            1i64..=3,
+            any::<bool>(),
+            any::<bool>(),
+            any::<bool>(),
+        ),
         0usize..3,
         exec_modes(),
     )
@@ -149,15 +174,18 @@ fn rand_program() -> impl Strategy<Value = RandProgram> {
                 shift1,
                 shift2,
                 scale,
-                (masked, stride, invariant, inplace),
+                (masked, stride, invariant, inplace, pivot),
                 grid_pick,
                 exec,
             )| {
                 // The issue's grid matrix: [1], [2] for 1-D programs and
-                // [1,1], [2,1], [2,2] for 2-D ones.
+                // [1,1], [2,1], [2,2] for 2-D ones — whose first
+                // dimension a pivot sample collapses, on a 1-D grid.
+                let dist = if ndim == 2 && pivot { "*" } else { dist };
                 let grid = match (ndim, grid_pick) {
                     (1, 0) => vec![1],
                     (1, _) => vec![2],
+                    (2, pick) if pivot => vec![[1, 2, 2][pick]],
                     (2, 0) => vec![1, 1],
                     (2, 1) => vec![2, 1],
                     _ => vec![2, 2],
@@ -174,6 +202,7 @@ fn rand_program() -> impl Strategy<Value = RandProgram> {
                     stride,
                     invariant,
                     inplace,
+                    pivot,
                     grid,
                     exec,
                 }

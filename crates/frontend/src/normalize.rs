@@ -596,7 +596,7 @@ pub fn simplify(e: Expr) -> Expr {
                     BinOp::Sub => Some(a - b),
                     BinOp::Mul => Some(a * b),
                     BinOp::Div if *b != 0 => Some(a.wrapping_div(*b)),
-                    BinOp::Pow if *b >= 0 => Some(a.pow(*b as u32)),
+                    BinOp::Pow if *b >= 0 => Some(a.wrapping_pow(*b as u32)),
                     _ => None,
                 };
                 if let Some(v) = v {

@@ -490,7 +490,8 @@ pub fn const_eval(e: &Expr, params: &HashMap<String, i64>) -> SResult<i64> {
                     if b < 0 {
                         return err("negative constant exponent");
                     }
-                    a.pow(b as u32)
+                    // Wraps, as at run time (`f90d_vm::ops::int_pow`).
+                    a.wrapping_pow(b as u32)
                 }
                 _ => return err("non-arithmetic constant expression"),
             })

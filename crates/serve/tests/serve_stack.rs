@@ -407,6 +407,45 @@ fn server_run_is_bit_identical_to_direct_run() {
     handle.shutdown().unwrap();
 }
 
+/// INTEGER `**` keeps the exponent's parity above 62 everywhere a tenant
+/// can reach it: `corpus/int_pow.f90d` (`(-1)**63`, a 128-element
+/// alternating fill that sums to 0, powers that wrap) prints its pinned
+/// lines from the reference interpreter, the tree walker, the bytecode
+/// tier and the daemon alike. Every one of them used to clamp the
+/// exponent to 62 and print `ALT 66.000000`.
+#[test]
+fn integer_pow_is_the_same_on_every_evaluator_and_through_the_daemon() {
+    let source = include_str!("../../../corpus/int_pow.f90d");
+    let want: Vec<&str> = include_str!("../../../corpus/int_pow.expected")
+        .lines()
+        .collect();
+    assert!(want[0].starts_with("ALT 0.000000 -1.000000 1.000000 -1.000000"));
+    let grid = vec![4];
+    let mut req = run_req(source.to_string(), grid.clone());
+
+    let compiled = compile(source, &req.compile_options()).unwrap();
+    let reference = f90d_core::reference::run_reference(&compiled.analyzed, &Default::default());
+    assert_eq!(reference.unwrap().printed, want, "reference interpreter");
+
+    let handle = Server::spawn(ServeConfig::default()).unwrap();
+    let mut c = Client::connect(handle.addr).unwrap();
+    for backend in [Backend::TreeWalk, Backend::Vm] {
+        req.backend = backend;
+        let compiled = compile(source, &req.compile_options()).unwrap();
+        let mut machine = Machine::new(MachineSpec::ipsc860(), f90d_distrib::ProcGrid::new(&grid));
+        let direct = compiled.run_on(&mut machine).unwrap();
+        assert_eq!(direct.printed, want, "{backend:?}");
+        let resp = c.run(&req).unwrap();
+        assert_ok(&resp);
+        let printed: Vec<&str> = match get(&resp, &["result", "printed"]) {
+            Json::Arr(items) => items.iter().map(|i| i.as_str().unwrap()).collect(),
+            other => panic!("printed not an array: {other:?}"),
+        };
+        assert_eq!(printed, want, "{backend:?} through the daemon");
+    }
+    handle.shutdown().unwrap();
+}
+
 /// With one run slot and a zero-length queue, a second distinct job is
 /// refused with a structured 429 while the first is still executing.
 #[test]

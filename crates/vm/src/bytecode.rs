@@ -29,8 +29,9 @@ pub enum AccPlan {
         /// The array.
         arr: ArrId,
     },
-    /// Read a slab temporary produced by multicast/transfer; the
-    /// subscript of `fixed_dim` is dropped.
+    /// Read a slab temporary produced by multicast/transfer: lowering
+    /// drops the subscript of `fixed_dim`, so the `Read` carries one
+    /// subscript per dimension of the temporary.
     Slab {
         /// The temporary.
         tmp: ArrId,
@@ -50,14 +51,6 @@ impl AccPlan {
         match *self {
             AccPlan::Owned { arr } => arr,
             AccPlan::Slab { tmp, .. } | AccPlan::Same { tmp } => tmp,
-        }
-    }
-
-    /// The dropped source dimension, for slab reads.
-    pub fn dropped_dim(&self) -> Option<usize> {
-        match *self {
-            AccPlan::Slab { fixed_dim, .. } => Some(fixed_dim),
-            _ => None,
         }
     }
 }
@@ -137,8 +130,7 @@ pub enum Op {
         /// First subscript register (subscripts are consecutive,
         /// evaluated as integers).
         base: Reg,
-        /// Subscript count (the source array rank, before any slab
-        /// dimension drop).
+        /// Subscript count: the rank of the array the accessor reads.
         n: u16,
     },
     /// `r[dst] = next element of gather buffer `gather`` (sequential

@@ -42,6 +42,16 @@
 //! [`Value`] at a time — there is one of each per statement, not per
 //! element.
 //!
+//! A FORALL the native tier selected and this execution can bind
+//! (`bind_native`) runs no bytecode: its affine forms are folded once
+//! per execution (`Engine::fold_native`), each rank's sites are proved
+//! in bounds over its iteration box, its iterations are cut into boxes —
+//! runs of the second-innermost variable × runs of the innermost, never
+//! reordering rows (`NatRank::new`) — and one walk (`NatRank::for_each_box`)
+//! hands every box to the body's kernel (`crate::native`), commits a
+//! staged rank and feeds the inspector. The alias rule (`in_place`)
+//! decides per rank whether boxes are written where they stand.
+//!
 //! FORALL local phases run under the machine's
 //! [`ExecMode`](f90d_machine::ExecMode) — rank by
 //! rank, or all ranks concurrently on scoped threads — because every
@@ -49,6 +59,7 @@
 //! own memory. Column buffers are per rank and per call, so the threaded
 //! mode shares nothing.
 
+use std::cell::OnceCell;
 use std::sync::Arc;
 
 use f90d_comm::driver::{self, CommDriver, ComputeSink, GatherRequests, PhaseOutcome, ScatterOut};
@@ -62,7 +73,8 @@ use crate::bytecode::*;
 use crate::columns::{self, Arg, Pool, Reg};
 use crate::dispatch::{self, VmResult};
 use crate::native::{
-    Lane, Lhs, Lin, NativeKernel, ReadSite, RowArgs, RowFn, RowKernel, RowRead, Scratch, Sites,
+    BoxArgs, BoxFn, BoxKernel, BoxOut, BoxRead, Lane, Lhs, Lin, NativeKernel, ReadSite, Scratch,
+    Sites, Walk,
 };
 use crate::ops;
 
@@ -102,8 +114,6 @@ enum RDim {
 struct ResolvedAcc {
     /// The array actually read/written.
     target: ArrId,
-    /// Source dimension dropped before indexing (slab reads).
-    drop_dim: Option<usize>,
     /// Per-dimension index transforms.
     dims: Vec<RDim>,
     /// Global extent per dimension (bounds check).
@@ -115,19 +125,16 @@ struct ResolvedAcc {
 }
 
 impl ResolvedAcc {
-    /// Flat padded offset of global subscripts `subs` (which still
-    /// include any dropped slab dimension).
+    /// Flat padded offset of global subscripts `subs`, one per dimension
+    /// of the target (lowering has already dropped a slab read's fixed
+    /// dimension).
     #[inline]
     fn offset(&self, subs: &[i64], name: &str, rank: i64) -> Result<usize, String> {
         let mut off: i64 = 0;
-        let mut k = 0usize;
-        for (d, &g) in subs.iter().enumerate() {
-            if Some(d) == self.drop_dim {
-                continue;
-            }
+        for (k, &g) in subs.iter().enumerate() {
             if g < 0 || g >= self.extents[k] {
                 return Err(format!(
-                    "subscript {} out of bounds on dim {d} of {name} (extent {})",
+                    "subscript {} out of bounds on dim {k} of {name} (extent {})",
                     g + 1,
                     self.extents[k]
                 ));
@@ -154,7 +161,6 @@ impl ResolvedAcc {
                 ));
             }
             off += l_pad * self.strides[k];
-            k += 1;
         }
         Ok(off as usize)
     }
@@ -223,11 +229,7 @@ impl ResolvedAcc {
         out.resize(at + n, 0);
         let offs = &mut out[at..];
         let mut ok = true;
-        let mut k = 0usize;
-        for (d, sub) in subs.iter().enumerate() {
-            if Some(d) == self.drop_dim {
-                continue;
-            }
+        for (k, sub) in subs.iter().enumerate() {
             let (extent, padded, stride) = (self.extents[k], self.padded[k], self.strides[k]);
             let g = columns::ints(sub, pool);
             // Wrapping: a lane outside its window may overflow, and is
@@ -255,7 +257,6 @@ impl ResolvedAcc {
                 }
             };
             g.done(pool);
-            k += 1;
         }
         if ok {
             return Ok(());
@@ -323,6 +324,9 @@ pub struct Engine {
     /// kernel selected, a dispatch precondition failed, or the overlap
     /// split-phase path ran).
     native_fallback: u64,
+    /// Of the `native_matched`, those in which some rank's owned writes
+    /// went through the stage instead of in place.
+    native_staged: u64,
 }
 
 impl Engine {
@@ -355,6 +359,7 @@ impl Engine {
             comm: CommDriver::new(),
             native_matched: 0,
             native_fallback: 0,
+            native_staged: 0,
         }
     }
 
@@ -364,6 +369,16 @@ impl Engine {
     /// bit-identical on every virtual metric.
     pub fn native_counts(&self) -> (u64, u64) {
         (self.native_matched, self.native_fallback)
+    }
+
+    /// How many of the native-tier FORALL executions staged: on at least
+    /// one rank the alias rule (`in_place`) could not prove that the
+    /// owned writes may land where they stand, so that rank's boxes went
+    /// to a dense stage committed after the phase. Exact, and — like the
+    /// tier itself — invisible in every virtual metric: what it explains
+    /// is host time.
+    pub fn native_staged(&self) -> u64 {
+        self.native_staged
     }
 
     /// Read a scalar by name (post-run inspection).
@@ -694,11 +709,11 @@ impl Engine {
             return driver::run_overlap(m, &specs, &margins, &iter_lists, &mut sink);
         }
         // Native tier: when lowering selected a kernel and every rank's
-        // dispatch preconditions hold, the row kernels run instead of
+        // dispatch preconditions hold, the box kernels run instead of
         // the bytecode chunk loop — in the inspector below too.
-        let bound = f
-            .native
-            .and_then(|kid| self.bind_native(&prog.natives[kid], f, &iter_lists, &resolved));
+        let folded = f.native.map(|kid| self.fold_native(&prog.natives[kid], f));
+        let bound = (folded.as_ref())
+            .and_then(|folded| bind_native(folded.as_ref(), &iter_lists, &resolved));
         // Unstructured reads: inspector + vectorized executor.
         for (gi, g) in f.gathers.iter().enumerate() {
             self.exec_gather(f, gi, g, m, &iter_lists, &resolved, bound.as_deref())?;
@@ -707,6 +722,7 @@ impl Engine {
         let scatter = f.body.iter().find_map(|b| b.scatter);
         let scatter_out: Vec<ScatterOut> = if let Some(bound) = bound {
             self.native_matched += 1;
+            self.native_staged += bound.iter().flatten().any(NatRank::staged) as u64;
             let columns = scatter.map(|_| dst.ty);
             run_native_forall(&prog, m, &bound, &iter_lists, columns)
         } else {
@@ -789,7 +805,6 @@ impl Engine {
         }
         ResolvedAcc {
             target,
-            drop_dim: plan.dropped_dim(),
             dims,
             extents,
             padded,
@@ -799,112 +814,58 @@ impl Engine {
 
     // ---- native tier dispatch ------------------------------------------
 
-    /// Bind a selected [`NativeKernel`] against this execution's per-rank
-    /// resolved accessors and iteration lists. Returns `None` — whole
-    /// FORALL falls back to bytecode — unless, on **every** active rank:
-    /// every used accessor dimension is affine (BLOCK / undistributed),
-    /// every read/write site stays inside the array extents and the
-    /// padded segment over the rank's whole iteration box (no mask means
-    /// every listed tuple executes, so corner analysis is exact and any
-    /// violation is exactly a bytecode runtime error), every INTEGER
-    /// scalar a subscript folds holds `Value::Int`, and every REAL
-    /// scalar the closures read holds `Value::Real`.
-    ///
-    /// What a bound rank carries is, per array site, the flat padded
-    /// offset as an affine form over the FORALL variables — so each row
-    /// of the innermost variable is a `(start, step)` walk through the
-    /// segment; a gathered value's row starts at its iteration ordinal
-    /// ([`SiteOff::Ordinal`]) — and the decision whether its rows may
-    /// be written in place ([`NatRank::new`]). The arrays an
-    /// unstructured read or write goes *to* are not sites: they are
-    /// reached through schedules, under any distribution.
-    fn bind_native(
-        &self,
-        kernel: &NativeKernel,
-        f: &VmForall,
-        iter_lists: &[Vec<Vec<i64>>],
-        resolved: &[Vec<Option<ResolvedAcc>>],
-    ) -> Option<Vec<Option<NatRank>>> {
-        let mut ranks = Vec::with_capacity(iter_lists.len());
-        for (rank, lists) in iter_lists.iter().enumerate() {
-            if lists.iter().any(|l| l.is_empty()) {
-                ranks.push(None);
-                continue;
-            }
-            // Iteration lists are sorted ascending, so firsts/lasts are
-            // the per-variable box corners.
-            let bx = IterBox {
-                kernel,
-                table: &resolved[rank],
-                lo: lists.iter().map(|l| l[0]).collect(),
-                hi: lists.iter().map(|l| *l.last().unwrap()).collect(),
-            };
-            // Selection makes a scatter body the only body and every
-            // owned body a write of one array.
-            let out = match &kernel.bodies[0].lhs {
-                Lhs::Scatter { subs } => NatOut::Scatter { subs: subs.clone() },
-                Lhs::Owned { acc, .. } => {
-                    let arr = bx.table[*acc as usize].as_ref()?.target;
-                    let mut offs = Vec::with_capacity(kernel.bodies.len());
-                    for b in &kernel.bodies {
-                        let Lhs::Owned { acc, subs } = &b.lhs else {
-                            return None;
-                        };
-                        let racc = bx.table[*acc as usize].as_ref()?;
-                        offs.push(self.bind_site(subs, racc, &bx)?);
-                    }
-                    NatOut::Owned { arr, offs }
-                }
-            };
-            let mut bodies = Vec::with_capacity(kernel.bodies.len());
-            for b in &kernel.bodies {
-                bodies.push(NatBody {
-                    func: b.func.clone(),
-                    sites: self.bind_sites(&b.sites, f, &bx)?,
-                    cost: b.cost,
-                });
-            }
-            let mut gathers = Vec::with_capacity(kernel.gathers.len());
-            for g in &kernel.gathers {
-                gathers.push(NatGather {
-                    subs: g.subs.clone(),
-                    sites: self.bind_sites(&g.sites, f, &bx)?,
-                });
-            }
-            ranks.push(Some(NatRank::new(bodies, gathers, out, lists.last()?)));
-        }
-        Some(ranks)
-    }
-
-    /// Bind one group of leaf tables to a rank.
-    fn bind_sites(&self, sites: &Sites, f: &VmForall, bx: &IterBox<'_>) -> Option<NatSites> {
-        let site = |s: &ReadSite| match s {
-            ReadSite::Array { acc, subs } => {
-                let racc = bx.table[*acc as usize].as_ref()?;
-                let off = self.bind_site(subs, racc, bx)?;
-                Some((racc.target, SiteOff::Affine(off)))
-            }
-            ReadSite::Gathered { gather } => {
-                Some((f.gathers[*gather as usize].tmp, SiteOff::Ordinal))
-            }
-        };
-        Some(NatSites {
-            reads: sites.reads.iter().map(site).collect::<Option<_>>()?,
-            ireads: sites.ireads.iter().map(site).collect::<Option<_>>()?,
-            lins: (sites.lins.iter())
-                .map(|lin| self.bind_lin(lin, bx.kernel))
-                .collect::<Option<_>>()?,
-            scalars: (sites.scalar_slots.iter())
-                .map(|&slot| match self.scalars[slot as usize] {
-                    Value::Real(v) => Some(v),
-                    _ => None,
+    /// The rank-independent half of a bind: every affine form of
+    /// `kernel` — site subscripts, the writes', the `lins` — folded over
+    /// the current outer loop variables and INTEGER scalars, and the REAL
+    /// scalars the closures read, once per execution. `None` when an
+    /// INTEGER scalar a form folds does not hold `Value::Int` or a REAL
+    /// one does not hold `Value::Real`.
+    fn fold_native<'k>(&self, kernel: &'k NativeKernel, f: &VmForall) -> Option<Folded<'k>> {
+        let lin = |lin: &Lin| self.bind_lin(lin, kernel);
+        let sites = |sites: &Sites| {
+            let site = |s: &ReadSite| {
+                Some(match s {
+                    ReadSite::Array { acc, subs } => FoldedSite::Array {
+                        acc: *acc,
+                        subs: subs.iter().map(lin).collect::<Option<_>>()?,
+                    },
+                    ReadSite::Gathered { gather } => FoldedSite::Gathered {
+                        tmp: f.gathers[*gather as usize].tmp,
+                    },
                 })
+            };
+            Some(FoldedSites {
+                reads: sites.reads.iter().map(site).collect::<Option<_>>()?,
+                ireads: sites.ireads.iter().map(site).collect::<Option<_>>()?,
+                lins: sites.lins.iter().map(lin).collect::<Option<_>>()?,
+                scalars: (sites.scalar_slots.iter())
+                    .map(|&slot| match self.scalars[slot as usize] {
+                        Value::Real(v) => Some(v),
+                        _ => None,
+                    })
+                    .collect::<Option<_>>()?,
+            })
+        };
+        let mut writes = Vec::new();
+        for b in &kernel.bodies {
+            if let Lhs::Owned { acc, subs } = &b.lhs {
+                writes.push((*acc, subs.iter().map(lin).collect::<Option<_>>()?));
+            }
+        }
+        Some(Folded {
+            kernel,
+            bodies: (kernel.bodies.iter())
+                .map(|b| sites(&b.sites))
                 .collect::<Option<_>>()?,
+            gathers: (kernel.gathers.iter())
+                .map(|g| sites(&g.sites))
+                .collect::<Option<_>>()?,
+            writes,
         })
     }
 
-    /// Fold a selection-time [`Lin`] into a per-rank affine form over the
-    /// FORALL variables: outer loop variables take their current values,
+    /// Fold a selection-time [`Lin`] into an affine form over the FORALL
+    /// variables: outer loop variables take their current values,
     /// INTEGER scalar terms fold their current `Value::Int` (anything
     /// else fails the bind).
     fn bind_lin(&self, lin: &Lin, kernel: &NativeKernel) -> Option<NatAff> {
@@ -927,45 +888,11 @@ impl Engine {
         Some(aff)
     }
 
-    /// Compose a site's affine subscripts through a resolved accessor
-    /// into a flat padded-offset affine form — the symbolic mirror of
-    /// [`ResolvedAcc::offset`], including the slab drop-dim skip and
-    /// both bounds checks (validated over the iteration box corners
-    /// instead of per element).
-    fn bind_site(&self, subs: &[Lin], racc: &ResolvedAcc, bx: &IterBox<'_>) -> Option<NatAff> {
-        let mut off = NatAff {
-            base: 0,
-            k: vec![0; bx.lo.len()],
-        };
-        let mut k = 0usize;
-        for (d, sub) in subs.iter().enumerate() {
-            if Some(d) == racc.drop_dim {
-                continue;
-            }
-            let g = self.bind_lin(sub, bx.kernel)?;
-            let (gmin, gmax) = g.range(&bx.lo, &bx.hi);
-            if gmin < 0 || gmax >= racc.extents[k] {
-                return None;
-            }
-            let RDim::Affine { a, b } = racc.dims[k] else {
-                return None; // CYCLIC / BLOCK-CYCLIC: per-element ownership math
-            };
-            let l = g.scale_shift(a, b);
-            let (lmin, lmax) = l.range(&bx.lo, &bx.hi);
-            if lmin < 0 || lmax >= racc.padded[k] {
-                return None;
-            }
-            off.add_scaled(&l, racc.strides[k]);
-            k += 1;
-        }
-        Some(off)
-    }
-
     // ---- unstructured communication ------------------------------------
 
     /// Unstructured read: this tier's inspector feeding the shared
     /// request list and executor. On a rank the native tier bound
-    /// (`bound`), the subscripts are INTEGER row kernels evaluated a run
+    /// (`bound`), the subscripts are INTEGER box kernels evaluated a box
     /// of iterations at a time; otherwise the bytecode chunk loop
     /// evaluates the mask and subscripts of every local iteration — in
     /// iteration order either way.
@@ -978,7 +905,7 @@ impl Engine {
         m: &mut Machine,
         iter_lists: &[Vec<Vec<i64>>],
         resolved: &[Vec<Option<ResolvedAcc>>],
-        bound: Option<&[Option<NatRank>]>,
+        bound: Option<&[Option<NatRank<'_>>]>,
     ) -> VmResult<()> {
         let prog = self.prog.clone();
         let src = &self.arrays[g.src];
@@ -990,7 +917,7 @@ impl Engine {
             }
             if let Some(nr) = bound.and_then(|b| b[rank].as_ref()) {
                 let name = |a: ArrId| prog.arrays[a].name.as_str();
-                inspect_rows(nr, gi, lists, &mut m.mems[rank], name, |subs| {
+                inspect_boxes(nr, gi, lists, &mut m.mems[rank], name, |subs| {
                     reqs.push_row(rank as i64, subs)
                 })?;
                 continue;
@@ -1081,35 +1008,35 @@ fn pre_shifts(prog: &VmProgram, f: &VmForall) -> Option<Vec<(ArrId, usize, i64)>
 
 /// One affine form bound to a rank: `base + Σ k[j]·iter_value[j]` over
 /// the FORALL variables, outer to inner.
+#[derive(Debug, PartialEq)]
 struct NatAff {
     base: i64,
     k: Vec<i64>,
 }
 
 impl NatAff {
-    /// The form's value with the outer variables at `outer` and the
-    /// innermost at zero: a row's fixed part.
-    #[inline]
-    fn outer_at(&self, outer: &[i64]) -> i64 {
-        let mut v = self.base;
-        for (c, x) in self.k.iter().zip(outer) {
-            v += c * x;
-        }
-        v
-    }
-
     /// Coefficient of the innermost variable.
     #[inline]
     fn inner(&self) -> i64 {
         *self.k.last().expect("a FORALL has a variable")
     }
 
-    /// `(start, step)` of the form along `run` of the innermost variable
-    /// under the outer tuple `outer`.
+    /// The form over the box `bx`: one multiply-add per variable, once
+    /// per box.
     #[inline]
-    fn row(&self, outer: &[i64], run: &Run) -> (i64, i64) {
-        let k = self.inner();
-        (self.outer_at(outer) + k * run.first, k * run.stride)
+    fn at(&self, bx: &BoxAt<'_>) -> Walk {
+        let (inner, rest) = self.k.split_last().expect("a FORALL has a variable");
+        // A 1-D FORALL's one row is row 0 of nothing: no coefficient.
+        let mid = rest.last().copied().unwrap_or(0);
+        let mut start = self.base + mid * bx.rows.first + inner * bx.run.first;
+        for (c, x) in rest.iter().zip(bx.outer) {
+            start += c * x;
+        }
+        Walk {
+            start,
+            row_step: mid * bx.rows.stride,
+            step: inner * bx.run.stride,
+        }
     }
 
     /// Exact min/max over the box `[lo, hi]` per variable (attained at
@@ -1128,164 +1055,270 @@ impl NatAff {
         (a, b)
     }
 
-    fn scale_shift(&self, a: i64, b: i64) -> NatAff {
-        NatAff {
-            base: a * self.base + b,
-            k: self.k.iter().map(|&c| a * c).collect(),
-        }
-    }
-
+    /// `self += s·other`.
     fn add_scaled(&mut self, other: &NatAff, s: i64) {
         self.base += s * other.base;
         for (c, o) in self.k.iter_mut().zip(&other.k) {
             *c += s * o;
         }
     }
+
+    /// Whether distinct tuples give distinct values, when variable `j`
+    /// ranges over a list whose least gap and whose span (last − first)
+    /// are `steps[j]` — a mixed-radix test, sufficient and not necessary:
+    /// taking the variables that vary by the least change each can make
+    /// (`|coefficient| ×` its list's least gap), every one must out-step
+    /// everything the smaller ones can add up to (`|coefficient| ×` their
+    /// lists' spans).
+    fn one_to_one(&self, steps: impl Iterator<Item = (i64, i64)>) -> bool {
+        let mut vars: Vec<(i64, i64)> = (self.k.iter().zip(steps))
+            .filter(|&(_, (_, span))| span > 0)
+            .map(|(c, (gap, span))| (c.abs() * gap, c.abs() * span))
+            .collect();
+        vars.sort_unstable();
+        let mut below = 0;
+        vars.iter().all(|&(least, span)| {
+            let apart = least > below;
+            below += span;
+            apart
+        })
+    }
+}
+
+/// What a bind folds once per execution, for every rank: the kernel's
+/// affine forms over the FORALL variables and its REAL scalars.
+struct Folded<'k> {
+    kernel: &'k NativeKernel,
+    /// Per body, in order.
+    bodies: Vec<FoldedSites>,
+    /// Per gather, in order.
+    gathers: Vec<FoldedSites>,
+    /// The accessor and subscripts of every owned write, in body order.
+    writes: Vec<(u16, Vec<NatAff>)>,
+}
+
+/// A [`Sites`] with its forms folded.
+struct FoldedSites {
+    reads: Vec<FoldedSite>,
+    ireads: Vec<FoldedSite>,
+    /// Values for [`BoxArgs::lins`].
+    lins: Vec<NatAff>,
+    /// Snapshot for [`BoxArgs::scalars`].
+    scalars: Vec<f64>,
+}
+
+/// A [`ReadSite`] with its subscripts folded.
+enum FoldedSite {
+    Array { acc: u16, subs: Vec<NatAff> },
+    Gathered { tmp: ArrId },
 }
 
 /// The rank's iteration box and accessor table, as the bind proofs use
 /// them.
 struct IterBox<'a> {
-    kernel: &'a NativeKernel,
     table: &'a [Option<ResolvedAcc>],
     /// Least / greatest value of each FORALL variable on this rank.
-    lo: Vec<i64>,
-    hi: Vec<i64>,
+    lo: &'a [i64],
+    hi: &'a [i64],
 }
 
-/// Where one read site's rows start on a bound rank.
+impl IterBox<'_> {
+    /// Compose a site's folded subscripts through accessor `acc` into
+    /// the array it reaches and its flat padded-offset form — the
+    /// symbolic mirror of [`ResolvedAcc::offset`], including both bounds
+    /// checks (validated over the iteration box corners instead of per
+    /// element).
+    fn site(&self, acc: u16, subs: &[NatAff]) -> Option<(ArrId, NatAff)> {
+        let racc = self.table[acc as usize].as_ref()?;
+        let mut off = NatAff {
+            base: 0,
+            k: vec![0; self.lo.len()],
+        };
+        for (k, g) in subs.iter().enumerate() {
+            let (gmin, gmax) = g.range(self.lo, self.hi);
+            if gmin < 0 || gmax >= racc.extents[k] {
+                return None;
+            }
+            let RDim::Affine { a, b } = racc.dims[k] else {
+                return None; // CYCLIC / BLOCK-CYCLIC: per-element ownership math
+            };
+            // The padded index `a·g + b` is affine in `g`: its range is
+            // the image of `g`'s.
+            let (lmin, lmax) = if a >= 0 {
+                (a * gmin + b, a * gmax + b)
+            } else {
+                (a * gmax + b, a * gmin + b)
+            };
+            if lmin < 0 || lmax >= racc.padded[k] {
+                return None;
+            }
+            off.add_scaled(g, a * racc.strides[k]);
+            off.base += b * racc.strides[k];
+        }
+        Some((racc.target, off))
+    }
+
+    /// Bind one group of leaf tables to the rank.
+    fn sites<'f>(&self, folded: &'f FoldedSites) -> Option<NatSites<'f>> {
+        let site = |s: &FoldedSite| {
+            let (arr, off) = match s {
+                FoldedSite::Array { acc, subs } => {
+                    let (arr, off) = self.site(*acc, subs)?;
+                    (arr, SiteOff::Affine(off))
+                }
+                FoldedSite::Gathered { tmp } => (*tmp, SiteOff::Ordinal),
+            };
+            let view = View::Array;
+            Some(NatSite { arr, off, view })
+        };
+        Some(NatSites {
+            folded,
+            reads: folded.reads.iter().map(site).collect::<Option<_>>()?,
+            ireads: folded.ireads.iter().map(site).collect::<Option<_>>()?,
+        })
+    }
+}
+
+/// Where one read site's walk starts on a bound rank.
 enum SiteOff {
     /// The flat padded offset as an affine form over the FORALL
     /// variables.
     Affine(NatAff),
-    /// A gathered value: the row starts at the iteration ordinal of its
-    /// first element and walks the sequential buffer at unit stride.
+    /// A gathered value: the walk starts at the iteration ordinal of the
+    /// box's first element and goes through the sequential buffer at
+    /// unit stride, one inner list per row.
     Ordinal,
 }
 
+/// What a read site views while its rank's boxes run.
+#[derive(Clone, Copy)]
+enum View {
+    /// Its array's segment in the node memory.
+    Array,
+    /// The element each tuple is about to overwrite, on a rank that
+    /// writes in place: the kernel takes it from the output row.
+    Own,
+    /// The part of the segment written in place that lies below every
+    /// offset the rank writes.
+    Below,
+    /// The part above every offset the rank writes; the site's form
+    /// counts from its first element.
+    Above,
+}
+
+/// One read site bound to one rank.
+struct NatSite {
+    arr: ArrId,
+    off: SiteOff,
+    view: View,
+}
+
 /// One group of leaf tables ([`Sites`]) bound to one rank.
-struct NatSites {
-    /// Array and row start of each REAL read site.
-    reads: Vec<(ArrId, SiteOff)>,
-    /// Array and row start of each INTEGER read site.
-    ireads: Vec<(ArrId, SiteOff)>,
-    /// Values for [`RowArgs::lins`].
-    lins: Vec<NatAff>,
-    /// Snapshot for [`RowArgs::scalars`].
-    scalars: Vec<f64>,
+struct NatSites<'f> {
+    /// The rank-independent half: `lins` and `scalars`.
+    folded: &'f FoldedSites,
+    reads: Vec<NatSite>,
+    ireads: Vec<NatSite>,
 }
 
-impl NatSites {
-    /// Every array a row of this group views.
+impl NatSites<'_> {
+    /// Every array a box of this group views.
     fn arrays(&self) -> impl Iterator<Item = ArrId> + '_ {
-        self.reads.iter().chain(&self.ireads).map(|&(arr, _)| arr)
+        self.reads.iter().chain(&self.ireads).map(|site| site.arr)
     }
 }
 
-/// The segments a [`NatSites`] views on one node, and the per-row
-/// descriptors over them — buffers reused from row to row.
-struct SiteRows<'v> {
-    views: Vec<&'v [f64]>,
-    iviews: Vec<&'v [i64]>,
-    reads: Vec<RowRead<'v>>,
-    ireads: Vec<RowRead<'v, i64>>,
-    lins: Vec<(i64, i64)>,
+/// The box arguments of one lane of a [`NatSites`] on one node: the
+/// segments viewed are fixed for the phase, the walks are rewritten box
+/// by box.
+struct SiteBoxes<'v, T> {
+    reads: Vec<BoxRead<'v, T>>,
+    lins: Vec<Walk>,
 }
 
-impl<'v> SiteRows<'v> {
-    /// Borrow the (materialized) segments `sites` reads from `mem`.
-    fn new<'p>(sites: &NatSites, mem: &'v NodeMemory, name: impl Fn(ArrId) -> &'p str) -> Self {
-        let data = |arr| mem.array(name(arr)).data();
-        SiteRows {
-            views: (sites.reads.iter())
-                .map(|&(arr, _)| data(arr).as_real_slice())
-                .collect(),
-            iviews: (sites.ireads.iter())
-                .map(|&(arr, _)| data(arr).as_int_slice())
-                .collect(),
-            reads: Vec::new(),
-            ireads: Vec::new(),
-            lins: Vec::new(),
+impl<'v, T: Lane> SiteBoxes<'v, T> {
+    /// Borrow the (materialized) segments `sites` reads from `mem` — or,
+    /// for a site on the segment written in place, its part
+    /// `[below, above]` of that.
+    fn new<'p>(
+        sites: &NatSites<'_>,
+        mem: &'v NodeMemory,
+        name: impl Fn(ArrId) -> &'p str,
+        [below, above]: [&'v [T]; 2],
+    ) -> Self {
+        let reads = T::pick(&sites.reads, &sites.ireads)
+            .iter()
+            .map(|site| BoxRead {
+                data: match site.view {
+                    View::Array => Some(T::slice(mem.array(name(site.arr)).data())),
+                    View::Own => None,
+                    View::Below => Some(below),
+                    View::Above => Some(above),
+                },
+                walk: Walk::default(),
+            })
+            .collect();
+        SiteBoxes {
+            reads,
+            lins: vec![Walk::default(); sites.folded.lins.len()],
         }
     }
 
-    /// The kernel arguments of the row `run` under the outer tuple
-    /// `outer`, whose first element is the rank's `ordinal`-th
-    /// iteration.
-    fn args<'s>(
-        &'s mut self,
-        sites: &'s NatSites,
-        outer: &[i64],
-        run: &Run,
-        ordinal: usize,
-    ) -> RowArgs<'s> {
-        #[inline(always)]
-        fn rows<'v, T>(
-            out: &mut Vec<RowRead<'v, T>>,
-            sites: &[(ArrId, SiteOff)],
-            views: &[&'v [T]],
-            row: impl Fn(&SiteOff) -> (i64, i64),
-        ) {
-            out.clear();
-            for ((_, off), &data) in sites.iter().zip(views) {
-                let (start, step) = row(off);
-                out.push(RowRead {
-                    data,
-                    start: start as usize,
-                    step: step as isize,
-                });
-            }
+    /// The kernel arguments of the box `bx`.
+    fn args<'s>(&'s mut self, sites: &'s NatSites<'_>, bx: &BoxAt<'_>) -> BoxArgs<'s, T> {
+        for (read, site) in (self.reads.iter_mut()).zip(T::pick(&sites.reads, &sites.ireads)) {
+            read.walk = match &site.off {
+                SiteOff::Affine(aff) => aff.at(bx),
+                SiteOff::Ordinal => Walk {
+                    start: bx.ordinal() as i64,
+                    row_step: bx.inner_len as i64,
+                    step: 1,
+                },
+            };
         }
-        let row = |off: &SiteOff| match off {
-            SiteOff::Affine(aff) => aff.row(outer, run),
-            SiteOff::Ordinal => (ordinal as i64, 1),
-        };
-        rows(&mut self.reads, &sites.reads, &self.views, row);
-        rows(&mut self.ireads, &sites.ireads, &self.iviews, row);
-        self.lins.clear();
-        for lin in &sites.lins {
-            self.lins.push(lin.row(outer, run));
+        for (walk, lin) in self.lins.iter_mut().zip(&sites.folded.lins) {
+            *walk = lin.at(bx);
         }
-        RowArgs {
+        BoxArgs {
+            rows: bx.rows.len,
+            len: bx.run.len,
             reads: &self.reads,
-            ireads: &self.ireads,
             lins: &self.lins,
-            scalars: &sites.scalars,
+            scalars: &sites.folded.scalars,
         }
     }
 }
 
-/// Where a bound rank's rows go.
-enum NatOut {
+/// Where a bound rank's boxes go.
+enum NatOut<'f> {
     /// Owned writes of `arr`: body `i`'s flat padded offset is
     /// `offs[i]`.
     Owned { arr: ArrId, offs: Vec<NatAff> },
-    /// The rank's scatter columns: the one body's row is a run of the
+    /// The rank's scatter columns: the one body's box is a run of the
     /// value column, `subs` fill the same run of the index column.
-    Scatter { subs: Vec<RowFn<i64>> },
+    Scatter { subs: &'f [BoxFn<i64>] },
 }
 
-/// One kernel body bound to one rank: everything a row needs with no
+/// One kernel body bound to one rank: everything a box needs with no
 /// descriptor math, bounds checks, or `Value` boxing left.
-struct NatBody {
-    func: RowKernel,
-    sites: NatSites,
+struct NatBody<'f> {
+    func: &'f BoxKernel,
+    sites: NatSites<'f>,
     /// Modelled cost per iteration (identical to the bytecode body's).
     cost: i64,
 }
 
 /// One unstructured read's inspector bound to one rank.
-struct NatGather {
+struct NatGather<'f> {
     /// Global subscript kernels, one per source dimension.
-    subs: Vec<RowFn<i64>>,
-    sites: NatSites,
+    subs: &'f [BoxFn<i64>],
+    sites: NatSites<'f>,
 }
 
-/// A maximal arithmetic-progression run of the innermost iteration
-/// list: `len` values from `first` in steps of `stride`, starting at
-/// list position `pos`. One run is one kernel row. A BLOCK partition's
-/// list is a single run; a list that is no progression is several
-/// shorter ones through the same path.
+/// A maximal arithmetic-progression run of an iteration list: `len`
+/// values from `first` in steps of `stride`, starting at list position
+/// `pos`. A BLOCK partition's list is a single run; a list that is no
+/// progression is several shorter ones through the same path.
 #[derive(Debug, PartialEq)]
 struct Run {
     pos: usize,
@@ -1295,6 +1328,19 @@ struct Run {
 }
 
 fn inner_runs(list: &[i64]) -> Vec<Run> {
+    // One progression — every BLOCK share — is seen in one pass with no
+    // early exit, which the compiler vectorizes.
+    if let [first, second, ..] = *list {
+        let stride = second - first;
+        if (list.windows(2)).fold(true, |all, w| all & (w[1] - w[0] == stride)) {
+            return vec![Run {
+                pos: 0,
+                len: list.len(),
+                first,
+                stride,
+            }];
+        }
+    }
     let mut runs = Vec::new();
     let mut pos = 0;
     while pos < list.len() {
@@ -1314,75 +1360,327 @@ fn inner_runs(list: &[i64]) -> Vec<Run> {
     runs
 }
 
-/// A kernel bound to one rank: its bodies and inspectors, the rows of
-/// the innermost variable, and where the rows are written.
-struct NatRank {
-    bodies: Vec<NatBody>,
-    gathers: Vec<NatGather>,
-    runs: Vec<Run>,
-    out: NatOut,
-    /// `true`: every row is written straight into the LHS segment.
-    /// `false`: rows go to a dense stage that is committed after the
-    /// phase in element order (RHS before LHS, last writer as listed) —
-    /// or, for a scatter body, handed to the scatter executor as the
-    /// rank's value column.
-    direct: bool,
+/// The least gap between neighbours of the list `runs` cuts, and its
+/// span: what [`NatAff::one_to_one`] asks of a variable.
+fn steps(runs: &[Run]) -> (i64, i64) {
+    let last = |run: &Run| run.first + (run.len as i64 - 1) * run.stride;
+    let within = runs.iter().filter(|run| run.len > 1).map(|run| run.stride);
+    let between = runs.windows(2).map(|w| w[1].first - last(&w[0]));
+    let span = runs.last().map_or(0, last) - runs.first().map_or(0, |run| run.first);
+    (within.chain(between).min().unwrap_or(0), span)
 }
 
-impl NatRank {
-    /// The alias rule. Rows may be written in place only when nothing
-    /// the phase still has to read can be overwritten and the order of
-    /// writes is the element order anyway: one body, no read site on the
-    /// written array, and the write walking the segment at unit stride
-    /// along every row (so a row is one `&mut` slice of it). Everything
-    /// else — in-place stencils, updates that read their own LHS,
-    /// many-to-one or strided writes, several bodies — is staged.
-    fn new(bodies: Vec<NatBody>, gathers: Vec<NatGather>, out: NatOut, inner: &[i64]) -> NatRank {
+/// One box of a rank's iteration space: under the values `outer` of the
+/// variables outside the last two, the rows `rows` of the
+/// second-innermost variable × the run `run` of the innermost. One box
+/// is one kernel call per body.
+struct BoxAt<'a> {
+    outer: &'a [i64],
+    rows: &'a Run,
+    run: &'a Run,
+    /// Which of the rank's rows — `outer` tuples × the second-innermost
+    /// list, in iteration order — the box's first is.
+    row0: usize,
+    /// Length of the innermost list: iterations per row.
+    inner_len: usize,
+}
+
+impl BoxAt<'_> {
+    /// Which of the rank's iterations the box's first element is.
+    fn ordinal(&self) -> usize {
+        self.row0 * self.inner_len + self.run.pos
+    }
+}
+
+/// A kernel bound to one rank: its bodies and inspectors, the boxes of
+/// the two innermost variables, and where the boxes are written.
+struct NatRank<'f> {
+    bodies: Vec<NatBody<'f>>,
+    gathers: Vec<NatGather<'f>>,
+    /// The runs of the innermost list: what a row spans.
+    runs: Vec<Run>,
+    /// The runs of the second-innermost list: the rows a box spans.
+    row_runs: Vec<Run>,
+    out: NatOut<'f>,
+    /// `Some`: every box is written straight into the LHS segment,
+    /// between these least and greatest flat offsets. `None`: boxes go
+    /// to a dense stage that is committed after the phase in element
+    /// order (RHS before LHS, last writer as listed) — or, for a scatter
+    /// body, handed to the scatter executor as the rank's value column.
+    direct: Option<(usize, usize)>,
+}
+
+impl<'f> NatRank<'f> {
+    /// Form the rank's boxes and decide where they are written.
+    ///
+    /// **A box never reorders rows.** It spans several values of the
+    /// second-innermost variable only when the innermost list is a
+    /// single run, so that box order is iteration order; under a broken
+    /// innermost list every `(row, run)` is a box of one row, in the
+    /// order the element loop visits them (run-major order would change
+    /// the last writer of `A(I+J) = …`). A 1-D FORALL is one row.
+    fn new(
+        mut bodies: Vec<NatBody<'f>>,
+        gathers: Vec<NatGather<'f>>,
+        out: NatOut<'f>,
+        lists: &[Vec<i64>],
+        bx: &IterBox<'_>,
+    ) -> Self {
+        let (inner, rest) = lists.split_last().expect("a FORALL has a variable");
         let runs = inner_runs(inner);
-        let direct = match (&bodies[..], &out) {
-            ([b], NatOut::Owned { arr, offs }) => {
-                b.sites.arrays().all(|a| a != *arr)
-                    && (runs.iter()).all(|r| r.len == 1 || offs[0].inner() * r.stride == 1)
-            }
-            _ => false,
+        let one_row = |(pos, &first)| Run {
+            pos,
+            len: 1,
+            first,
+            stride: 0,
         };
+        let row_runs = match rest.last() {
+            Some(mid) if runs.len() == 1 => inner_runs(mid),
+            Some(mid) => mid.iter().enumerate().map(one_row).collect(),
+            None => vec![one_row((0, &0))],
+        };
+        let direct = in_place(&mut bodies, &out, [&row_runs, &runs], lists, bx);
         NatRank {
             bodies,
             gathers,
             runs,
+            row_runs,
             out,
             direct,
         }
     }
+
+    /// Whether the rank's owned writes go through the stage.
+    fn staged(&self) -> bool {
+        matches!(self.out, NatOut::Owned { .. }) && self.direct.is_none()
+    }
+
+    /// Every box of the rank over `lists`, in iteration order: the one
+    /// walk the run, the commit and the inspector share.
+    fn for_each_box(&self, lists: &[Vec<i64>], mut f: impl FnMut(&BoxAt<'_>)) {
+        let (inner, rest) = lists.split_last().expect("a FORALL has a variable");
+        let (mid_len, outer) = match rest.split_last() {
+            Some((mid, outer)) => (mid.len(), outer),
+            None => (1, rest),
+        };
+        let mut row0 = 0;
+        cartesian(outer, |outer| {
+            for rows in &self.row_runs {
+                for run in &self.runs {
+                    f(&BoxAt {
+                        outer,
+                        rows,
+                        run,
+                        row0: row0 + rows.pos,
+                        inner_len: inner.len(),
+                    });
+                }
+            }
+            row0 += mid_len;
+        });
+    }
 }
 
-/// Evaluate the subscript kernels `subs` over one row into `cols`,
-/// row-major: `subs.len()` values per row element.
-fn index_rows(
-    subs: &[RowFn<i64>],
-    args: &RowArgs<'_>,
+/// The alias rule. Boxes may be written in place only when nothing the
+/// phase still has to read can be overwritten and the order of writes is
+/// the element order anyway: one body, the write walking the segment at
+/// unit stride along every row (so a row is one `&mut` slice of it), and
+/// every read site **on the written array** covered by one of two
+/// proofs —
+///
+/// * *own element*: the site's bound form is the write's own (same base,
+///   same coefficients), so each tuple reads exactly the element it is
+///   about to overwrite, and the write is one-to-one over the rank's
+///   iterations ([`NatAff::one_to_one`]) so no other tuple has written
+///   it first; the kernel reads a row before it writes it
+///   ([`View::Own`]);
+/// * *disjoint range*: the site's exact flat range over the rank's box
+///   lies wholly below the write's least offset or wholly above its
+///   greatest, so the segment splits (`split_at_mut`) into a part the
+///   site reads and the part the boxes write ([`View::Below`],
+///   [`View::Above`]).
+///
+/// Everything else — in-place stencils, a read of a row or column that
+/// interleaves with the written ones, many-to-one or strided writes,
+/// several bodies — is staged. Returns the least and greatest offset
+/// written when the rank goes in place, with the sites' views set.
+fn in_place(
+    bodies: &mut [NatBody<'_>],
+    out: &NatOut<'_>,
+    [row_runs, runs]: [&[Run]; 2],
+    lists: &[Vec<i64>],
+    bx: &IterBox<'_>,
+) -> Option<(usize, usize)> {
+    let ([body], NatOut::Owned { arr, offs }) = (bodies, out) else {
+        return None;
+    };
+    let write = &offs[0];
+    if !(runs.iter()).all(|r| r.len == 1 || write.inner() * r.stride == 1) {
+        return None;
+    }
+    let (wmin, wmax) = write.range(bx.lo, bx.hi);
+    // The two innermost lists are cut into runs already.
+    let one_to_one = OnceCell::new();
+    let injective = || {
+        let of = |(j, list): (usize, &Vec<i64>)| match lists.len() - 1 - j {
+            0 => steps(runs),
+            1 => steps(row_runs),
+            _ => steps(&inner_runs(list)),
+        };
+        write.one_to_one(lists.iter().enumerate().map(of))
+    };
+    let view = |site: &NatSite| {
+        let SiteOff::Affine(read) = &site.off else {
+            return None;
+        };
+        let (rmin, rmax) = read.range(bx.lo, bx.hi);
+        if rmax < wmin {
+            Some(View::Below)
+        } else if rmin > wmax {
+            Some(View::Above)
+        } else if read == write && *one_to_one.get_or_init(injective) {
+            Some(View::Own)
+        } else {
+            None
+        }
+    };
+    let NatSites { reads, ireads, .. } = &mut body.sites;
+    let aliased = |site: &NatSite| site.arr == *arr;
+    if !(reads.iter().chain(&*ireads)).all(|site| !aliased(site) || view(site).is_some()) {
+        return None;
+    }
+    for site in reads.iter_mut().chain(ireads).filter(|site| aliased(site)) {
+        site.view = view(site).expect("every aliased site was just seen to have a view");
+        if let (View::Above, SiteOff::Affine(read)) = (site.view, &mut site.off) {
+            read.base -= wmax + 1;
+        }
+    }
+    Some((wmin as usize, wmax as usize))
+}
+
+/// Bind a folded kernel against this execution's per-rank resolved
+/// accessors and iteration lists. Returns `None` — whole FORALL falls
+/// back to bytecode — unless the fold succeeded (`folded`; it is only
+/// asked for once a rank has iterations) and, on **every** active rank:
+/// every used accessor dimension is affine (BLOCK / undistributed) and
+/// every read/write site stays inside the array extents and the padded
+/// segment over the rank's whole iteration box (no mask means every
+/// listed tuple executes, so corner analysis is exact and any violation
+/// is exactly a bytecode runtime error).
+///
+/// What a bound rank carries is, per array site, the flat padded offset
+/// as an affine form over the FORALL variables — so over a box of the
+/// two innermost variables it is a `(start, row_step, step)` walk
+/// through the segment; a gathered value's walk starts at its iteration
+/// ordinal ([`SiteOff::Ordinal`]) — and the decision whether its boxes
+/// may be written in place ([`NatRank::new`]). The arrays an
+/// unstructured read or write goes *to* are not sites: they are reached
+/// through schedules, under any distribution.
+fn bind_native<'f>(
+    folded: Option<&'f Folded<'_>>,
+    iter_lists: &[Vec<Vec<i64>>],
+    resolved: &[Vec<Option<ResolvedAcc>>],
+) -> Option<Vec<Option<NatRank<'f>>>> {
+    let mut ranks = Vec::with_capacity(iter_lists.len());
+    let (mut lo, mut hi) = (Vec::new(), Vec::new());
+    for (lists, table) in iter_lists.iter().zip(resolved) {
+        if lists.iter().any(|l| l.is_empty()) {
+            ranks.push(None);
+            continue;
+        }
+        let folded = folded?;
+        // Iteration lists are sorted ascending, so firsts/lasts are
+        // the per-variable box corners.
+        lo.clear();
+        lo.extend(lists.iter().map(|l| l[0]));
+        hi.clear();
+        hi.extend(lists.iter().map(|l| *l.last().unwrap()));
+        let bx = IterBox {
+            table,
+            lo: &lo,
+            hi: &hi,
+        };
+        // Selection makes a scatter body the only body and every
+        // owned body a write of one array.
+        let bodies = &folded.kernel.bodies;
+        let out = match &bodies[0].lhs {
+            Lhs::Scatter { subs } => NatOut::Scatter { subs },
+            Lhs::Owned { acc, .. } => {
+                if folded.writes.len() != bodies.len() {
+                    return None;
+                }
+                let arr = bx.table[*acc as usize].as_ref()?.target;
+                let mut offs = Vec::with_capacity(bodies.len());
+                for (acc, subs) in &folded.writes {
+                    offs.push(bx.site(*acc, subs)?.1);
+                }
+                NatOut::Owned { arr, offs }
+            }
+        };
+        let bodies = (bodies.iter().zip(&folded.bodies))
+            .map(|(b, sites)| {
+                Some(NatBody {
+                    func: &b.func,
+                    sites: bx.sites(sites)?,
+                    cost: b.cost,
+                })
+            })
+            .collect::<Option<_>>()?;
+        let gathers = (folded.kernel.gathers.iter().zip(&folded.gathers))
+            .map(|(g, sites)| {
+                Some(NatGather {
+                    subs: &g.subs,
+                    sites: bx.sites(sites)?,
+                })
+            })
+            .collect::<Option<_>>()?;
+        ranks.push(Some(NatRank::new(bodies, gathers, out, lists, &bx)));
+    }
+    Some(ranks)
+}
+
+/// Evaluate the subscript kernels `subs` over one box into `cols`,
+/// row-major with `subs.len()` values per element: the element `i` of
+/// row `r` is the `at + r·row_step + i`-th of `cols`.
+fn index_box(
+    subs: &[BoxFn<i64>],
+    args: &BoxArgs<'_, i64>,
     cols: &mut [i64],
-    row: &mut Vec<i64>,
-    scratch: &mut Scratch,
+    (at, row_step): (usize, usize),
+    dense: &mut Vec<i64>,
+    scratch: &mut Scratch<i64>,
 ) {
     if let [sub] = subs {
-        return sub(args, cols, scratch);
+        let mut out = BoxOut {
+            data: cols,
+            start: at,
+            row_step: row_step as isize,
+        };
+        return sub(args, &mut out, scratch);
     }
     let ndim = subs.len();
-    row.resize(cols.len() / ndim, 0);
+    dense.resize(args.rows * args.len, 0);
     for (d, sub) in subs.iter().enumerate() {
-        sub(args, row, scratch);
-        for (col, &v) in cols[d..].iter_mut().step_by(ndim).zip(row.iter()) {
-            *col = v;
+        let mut out = BoxOut {
+            data: dense,
+            start: 0,
+            row_step: args.len as isize,
+        };
+        sub(args, &mut out, scratch);
+        for (r, row) in dense.chunks_exact(args.len).enumerate() {
+            let to = &mut cols[(at + r * row_step) * ndim + d..];
+            for (col, &v) in to.iter_mut().step_by(ndim).zip(row) {
+                *col = v;
+            }
         }
     }
 }
 
 /// One rank's native inspector for gather `gi` of a bound FORALL: the
-/// source subscripts of every iteration, a row at a time in iteration
+/// source subscripts of every iteration, a box at a time in iteration
 /// order, handed to `push` row-major.
-fn inspect_rows<'p, E>(
-    nr: &NatRank,
+fn inspect_boxes<'p, E>(
+    nr: &NatRank<'_>,
     gi: usize,
     lists: &[Vec<i64>],
     mem: &mut NodeMemory,
@@ -1395,35 +1693,40 @@ fn inspect_rows<'p, E>(
     for arr in g.sites.arrays() {
         mem.array_mut(name(arr)).materialize();
     }
-    let (_, outer) = lists.split_last().expect("a bound rank has a variable");
-    let mut rows = SiteRows::new(&g.sites, mem, &name);
-    let (mut cols, mut row, mut scratch) = (Vec::new(), Vec::new(), Scratch::default());
+    // Inspector subscripts read no gathered value and alias no write.
+    let mut boxes = SiteBoxes::<i64>::new(&g.sites, mem, &name, [&[], &[]]);
+    let (mut cols, mut dense, mut scratch) = (Vec::new(), Vec::new(), Scratch::default());
     let mut result = Ok(());
-    cartesian(outer, |vals| {
-        for run in &nr.runs {
-            if result.is_err() {
-                return;
-            }
-            // Inspector subscripts read no gathered value: no ordinal.
-            let args = rows.args(&g.sites, vals, run, 0);
-            cols.resize(run.len * g.subs.len(), 0);
-            index_rows(&g.subs, &args, &mut cols, &mut row, &mut scratch);
-            result = push(&cols);
+    nr.for_each_box(lists, |bx| {
+        if result.is_err() {
+            return;
         }
+        let args = boxes.args(&g.sites, bx);
+        cols.resize(args.rows * args.len * g.subs.len(), 0);
+        let dense_rows = (0, args.len);
+        index_box(
+            g.subs,
+            &args,
+            &mut cols,
+            dense_rows,
+            &mut dense,
+            &mut scratch,
+        );
+        result = push(&cols);
     });
     result
 }
 
 /// Execute a bound native kernel: one local phase under the machine's
 /// `ExecMode`, same cost charging and same resulting segment as the
-/// bytecode loop — only the work is row kernels over raw slices.
+/// bytecode loop — only the work is box kernels over raw slices.
 /// `columns` is the destination's element type when the body is a
 /// vector-subscripted write: every rank's scatter columns are returned
 /// then (empty ones for ranks with no iteration), nothing otherwise.
 fn run_native_forall(
     prog: &VmProgram,
     m: &mut Machine,
-    bound: &[Option<NatRank>],
+    bound: &[Option<NatRank<'_>>],
     iter_lists: &[Vec<Vec<i64>>],
     columns: Option<ElemType>,
 ) -> Vec<ScatterOut> {
@@ -1445,28 +1748,27 @@ fn run_native_forall(
 /// One rank's share of [`run_native_forall`], on the lane of the
 /// written array's element type.
 fn run_native_rank<'p>(
-    nr: &NatRank,
+    nr: &NatRank<'_>,
     lists: &[Vec<i64>],
     mem: &mut NodeMemory,
     name: impl Fn(ArrId) -> &'p str,
 ) -> (Option<ScatterOut>, i64) {
     match nr.bodies[0].func {
-        RowKernel::Real(_) => run_native_rows::<f64>(nr, lists, mem, name),
-        RowKernel::Int(_) => run_native_rows::<i64>(nr, lists, mem, name),
+        BoxKernel::Real(_) => run_native_boxes::<f64>(nr, lists, mem, name),
+        BoxKernel::Int(_) => run_native_boxes::<i64>(nr, lists, mem, name),
     }
 }
 
-/// For every tuple of the outer variables, every body, every run of the
-/// innermost variable — one kernel call. Returns the scatter columns,
-/// if the body is a scatter, and the modelled cost.
-fn run_native_rows<'p, T: Lane>(
-    nr: &NatRank,
+/// Every box of the rank, every body — one kernel call. Returns the
+/// scatter columns, if the body is a scatter, and the modelled cost.
+fn run_native_boxes<'p, T: Lane>(
+    nr: &NatRank<'_>,
     lists: &[Vec<i64>],
     mem: &mut NodeMemory,
     name: impl Fn(ArrId) -> &'p str,
 ) -> (Option<ScatterOut>, i64) {
-    let (inner, outer) = lists.split_last().expect("a bound rank has a variable");
-    let (bodies, nb, row_len) = (&nr.bodies, nr.bodies.len(), inner.len());
+    let (bodies, nb) = (&nr.bodies, nr.bodies.len());
+    let inner_len = lists.last().expect("a bound rank has a variable").len();
     // Lazily-allocated segments expose no raw slice until their buffer
     // exists (`LocalArray::data`); force every array this phase views.
     for arr in bodies.iter().flat_map(|b| b.sites.arrays()) {
@@ -1474,52 +1776,69 @@ fn run_native_rows<'p, T: Lane>(
     }
     let tuples: usize = lists.iter().map(|l| l.len()).product();
     let cost = bodies.iter().map(|b| b.cost).sum::<i64>() * tuples as i64;
-    // In-place rows borrow the written segment mutably next to the
+    // In-place boxes borrow the written segment mutably next to the
     // shared read views, so it leaves the node memory for the phase.
-    let mut lhs = match &nr.out {
-        NatOut::Owned { arr, .. } if nr.direct => {
+    let mut lhs = match (&nr.out, nr.direct) {
+        (NatOut::Owned { arr, .. }, Some(_)) => {
             let seg = mem.remove_array(name(*arr));
             Some(seg.expect("the written array is allocated on this node"))
         }
         _ => None,
     };
-    // Stage layout: per outer tuple, one dense row per body. A scatter
-    // body is alone, so its stage is the value column in iteration
-    // order, next to the row-major index column.
-    let mut stage = vec![T::default(); if nr.direct { 0 } else { tuples * nb }];
-    let mut index = match &nr.out {
-        NatOut::Scatter { subs } => vec![0i64; tuples * subs.len()],
-        NatOut::Owned { .. } => Vec::new(),
+    // Stage layout: per row of the rank, one dense row per body. A
+    // scatter body is alone, so its stage is the value column in
+    // iteration order, next to the row-major index column.
+    let mut stage = vec![T::default(); if lhs.is_some() { 0 } else { tuples * nb }];
+    let scatter = match &nr.out {
+        NatOut::Scatter { subs } => Some(*subs),
+        NatOut::Owned { .. } => None,
     };
+    let mut index = vec![0i64; tuples * scatter.map_or(0, <[_]>::len)];
     {
-        let mut lhs_rows = lhs.as_mut().map(|a| T::slice_mut(a.data_mut()));
-        let mut rows: Vec<SiteRows<'_>> = bodies
-            .iter()
-            .map(|b| SiteRows::new(&b.sites, mem, &name))
-            .collect();
-        let (mut sub_row, mut scratch) = (Vec::new(), Scratch::default());
-        let (mut row0, mut ordinal0) = (0usize, 0usize);
-        cartesian(outer, |vals| {
-            for (bi, (b, rows)) in bodies.iter().zip(&mut rows).enumerate() {
-                for run in &nr.runs {
-                    let ordinal = ordinal0 + run.pos;
-                    let args = rows.args(&b.sites, vals, run, ordinal);
-                    let out = match (&mut lhs_rows, &nr.out) {
-                        (Some(seg), NatOut::Owned { offs, .. }) => {
-                            let start = offs[bi].row(vals, run).0 as usize;
-                            &mut seg[start..start + run.len]
-                        }
-                        _ => &mut stage[row0 + run.pos..row0 + run.pos + run.len],
-                    };
-                    T::kernel(&b.func)(&args, out, &mut scratch);
-                    if let NatOut::Scatter { subs } = &nr.out {
-                        let cols = &mut index[ordinal * subs.len()..][..run.len * subs.len()];
-                        index_rows(subs, &args, cols, &mut sub_row, &mut scratch);
-                    }
-                }
-                row0 += row_len;
+        // In place, the segment splits around what the rank writes: the
+        // proofs of `in_place` put every read of it on one side.
+        let (halves, written, base): ([&[T]; 2], &mut [T], usize) = match (&mut lhs, nr.direct) {
+            (Some(seg), Some((lo, hi))) => {
+                let (below, rest) = T::slice_mut(seg.data_mut()).split_at_mut(lo);
+                let (written, above) = rest.split_at_mut(hi + 1 - lo);
+                ([below, above], written, lo)
             }
-            ordinal0 += row_len;
+            _ => ([&[], &[]], &mut stage, 0),
+        };
+        let mut boxes: Vec<SiteBoxes<'_, T>> = bodies
+            .iter()
+            .map(|b| SiteBoxes::new(&b.sites, mem, &name, halves))
+            .collect();
+        let mut scratch = Scratch::default();
+        // A scatter's subscripts: INTEGER kernels over the same sites.
+        let mut index_boxes = scatter.map(|subs| {
+            let boxes = SiteBoxes::<i64>::new(&bodies[0].sites, mem, &name, [&[], &[]]);
+            (subs, boxes, Vec::new(), Scratch::default())
+        });
+        nr.for_each_box(lists, |bx| {
+            for (bi, (b, boxes)) in bodies.iter().zip(&mut boxes).enumerate() {
+                let (start, row_step) = match &nr.out {
+                    NatOut::Owned { offs, .. } if nr.direct.is_some() => {
+                        let to = offs[bi].at(bx);
+                        (to.start as usize - base, to.row_step as isize)
+                    }
+                    _ => (
+                        (bx.row0 * nb + bi) * inner_len + bx.run.pos,
+                        (nb * inner_len) as isize,
+                    ),
+                };
+                let mut out = BoxOut {
+                    data: &mut *written,
+                    start,
+                    row_step,
+                };
+                T::kernel(b.func)(&boxes.args(&b.sites, bx), &mut out, &mut scratch);
+            }
+            if let Some((subs, boxes, dense, scratch)) = &mut index_boxes {
+                let args = boxes.args(&bodies[0].sites, bx);
+                let at = (bx.ordinal(), inner_len);
+                index_box(subs, &args, &mut index, at, dense, scratch);
+            }
         });
     }
     let (arr, offs) = match &nr.out {
@@ -1539,25 +1858,25 @@ fn run_native_rows<'p, T: Lane>(
     // Commit in the element loop's order — tuple by tuple, body by body
     // within a tuple — so overlapping writes keep their last writer.
     let seg = T::slice_mut(mem.array_mut(name(arr)).data_mut());
-    let mut row0 = 0usize;
-    let mut dst: Vec<(i64, i64)> = Vec::with_capacity(nb);
-    cartesian(outer, |vals| {
-        for run in &nr.runs {
-            dst.clear();
-            dst.extend(offs.iter().map(|off| off.row(vals, run)));
-            let at = row0 + run.pos;
-            if let [(start, 1)] = dst[..] {
-                let start = start as usize;
-                seg[start..start + run.len].copy_from_slice(&stage[at..at + run.len]);
+    let mut dst: Vec<Walk> = Vec::with_capacity(nb);
+    nr.for_each_box(lists, |bx| {
+        dst.clear();
+        dst.extend(offs.iter().map(|off| off.at(bx)));
+        let len = bx.run.len;
+        for r in 0..bx.rows.len {
+            let at = (bx.row0 + r) * nb * inner_len + bx.run.pos;
+            let row = |to: &Walk| to.start + r as i64 * to.row_step;
+            if let [to @ Walk { step: 1, .. }] = &dst[..] {
+                let start = row(to) as usize;
+                seg[start..start + len].copy_from_slice(&stage[at..at + len]);
                 continue;
             }
-            for i in 0..run.len {
-                for (bi, &(start, step)) in dst.iter().enumerate() {
-                    seg[(start + i as i64 * step) as usize] = stage[at + bi * row_len + i];
+            for i in 0..len {
+                for (bi, to) in dst.iter().enumerate() {
+                    seg[(row(to) + i as i64 * to.step) as usize] = stage[at + bi * inner_len + i];
                 }
             }
         }
-        row0 += nb * row_len;
     });
     (None, cost)
 }
@@ -1968,12 +2287,18 @@ mod tests {
     }
 
     /// Bind one `lhs = r0 + r1` body per entry of `bodies` over `lists`,
-    /// run it through the row path, and require the written segment to
+    /// run it through the box path, and require the written segment to
     /// carry exactly what the element loop leaves: every tuple in list
     /// order, bodies in order within a tuple, all reads from the state
     /// before the phase, later writes over earlier ones. Returns whether
     /// the rank wrote in place.
-    fn check_row_path(bodies: &[(Site, [Site; 2])], lists: &[Vec<i64>]) -> bool {
+    fn check_box_path(bodies: &[(Site, [Site; 2])], lists: &[Vec<i64>]) -> bool {
+        check_boxes(bodies, lists).0
+    }
+
+    /// [`check_box_path`], returning also how many boxes the rank's
+    /// iterations formed.
+    fn check_boxes(bodies: &[(Site, [Site; 2])], lists: &[Vec<i64>]) -> (bool, usize) {
         let mut mem = NodeMemory::new();
         for (k, name) in NAMES.iter().enumerate() {
             let shape: &[i64] = if k == 2 { &[COLS] } else { &[6, COLS] };
@@ -2000,17 +2325,27 @@ mod tests {
             Box::new(NExpr::Read(0)),
             Box::new(NExpr::Read(1)),
         );
+        let func = BoxKernel::Real(match_template(&sum).1);
+        let folded = FoldedSites {
+            reads: Vec::new(),
+            ireads: Vec::new(),
+            lins: Vec::new(),
+            scalars: Vec::new(),
+        };
         let bound = bodies
             .iter()
             .map(|&(_, reads)| NatBody {
-                func: RowKernel::Real(match_template(&sum).1),
+                func: &func,
                 sites: NatSites {
+                    folded: &folded,
                     reads: (reads.iter())
-                        .map(|&r| (r.0, SiteOff::Affine(aff(r))))
+                        .map(|&r| NatSite {
+                            arr: r.0,
+                            off: SiteOff::Affine(aff(r)),
+                            view: View::Array,
+                        })
                         .collect(),
                     ireads: Vec::new(),
-                    lins: Vec::new(),
-                    scalars: Vec::new(),
                 },
                 cost: 3,
             })
@@ -2019,7 +2354,14 @@ mod tests {
             arr: bodies[0].0 .0,
             offs: bodies.iter().map(|&(lhs, _)| aff(lhs)).collect(),
         };
-        let nr = NatRank::new(bound, Vec::new(), out, &lists[1]);
+        let lo: Vec<i64> = lists.iter().map(|l| l[0]).collect();
+        let hi: Vec<i64> = lists.iter().map(|l| *l.last().unwrap()).collect();
+        let bx = IterBox {
+            table: &[],
+            lo: &lo,
+            hi: &hi,
+        };
+        let nr = NatRank::new(bound, Vec::new(), out, lists, &bx);
         let (scattered, cost) = run_native_rank(&nr, lists, &mut mem, |a| NAMES[a]);
         assert!(scattered.is_none(), "owned writes scatter nothing");
         let tuples = (lists[0].len() * lists[1].len()) as i64;
@@ -2028,7 +2370,9 @@ mod tests {
         for (x, (g, w)) in got.iter().zip(&want).enumerate() {
             assert_eq!(g.to_bits(), w.to_bits(), "A[{x}]: {g} vs {w}");
         }
-        nr.direct
+        let mut boxes = 0;
+        nr.for_each_box(lists, |_| boxes += 1);
+        (nr.direct.is_some(), boxes)
     }
 
     const A_IJ: Site = (0, 0, [COLS, 1]);
@@ -2038,9 +2382,9 @@ mod tests {
     /// The column form of an accessor against the scalar form, lane by
     /// lane: over affine dimensions of every sign of stride with offsets
     /// that put part of the extent outside the padding, CYCLIC and
-    /// CYCLIC(3) dimensions on each coordinate, a dropped slab dimension
-    /// and a uniform subscript, the same offsets — and, as soon as one
-    /// lane faults, the first faulting lane's error.
+    /// CYCLIC(3) dimensions on each coordinate and a uniform subscript,
+    /// the same offsets — and, as soon as one lane faults, the first
+    /// faulting lane's error.
     #[test]
     fn column_offsets_are_the_scalar_offsets() {
         use f90d_distrib::{DadBuilder, ProcGrid};
@@ -2070,22 +2414,19 @@ mod tests {
         let mut pool = Pool::default();
         for dim0 in first {
             for (extent, padded) in [(1, 1), (7, 5), (11, 9), (11, 40)] {
-                for drop_dim in [None, Some(1)] {
+                {
                     let racc = ResolvedAcc {
                         target: 0,
-                        drop_dim,
                         dims: vec![dim0.clone(), RDim::Affine { a: 1, b: 2 }],
                         extents: vec![extent, 6],
                         padded: vec![padded, 9],
                         strides: vec![9, 1],
                     };
-                    // Dimension 0 sweeps, a dropped dimension holds
-                    // anything, the last one is uniform.
-                    let mut subs = vec![Reg::Col(ArrayData::Int(gs.clone()))];
-                    if drop_dim.is_some() {
-                        subs.push(Reg::Uni(Value::Int(-77)));
-                    }
-                    subs.push(Reg::Uni(Value::Int(4)));
+                    // Dimension 0 sweeps, the last one is uniform.
+                    let subs = [
+                        Reg::Col(ArrayData::Int(gs.clone())),
+                        Reg::Uni(Value::Int(4)),
+                    ];
                     let scalar = |i: usize| {
                         let lane: Vec<i64> = subs.iter().map(|s| s.lane(i).as_int()).collect();
                         racc.offset(&lane, "A", 2)
@@ -2148,25 +2489,25 @@ mod tests {
         let outer = vec![1, 3, 4];
         let body = [(A_IJ, [B_IJ, C_J])];
         assert!(
-            check_row_path(&body, &[outer.clone(), (0..COLS).collect()]),
+            check_box_path(&body, &[outer.clone(), (0..COLS).collect()]),
             "a unit-stride write that reads other arrays is in place"
         );
         assert!(
-            check_row_path(&body, &[outer.clone(), vec![0, 1, 2, 5, 6, 7, 10]]),
+            check_box_path(&body, &[outer.clone(), vec![0, 1, 2, 5, 6, 7, 10]]),
             "unit-stride runs of a broken list are still in place"
         );
         assert!(
-            !check_row_path(&body, &[outer.clone(), vec![0, 1, 2, 5, 6, 9, 11]]),
+            !check_box_path(&body, &[outer.clone(), vec![0, 1, 2, 5, 6, 9, 11]]),
             "a strided run is staged"
         );
         // The same lists with a read of the written array one element
         // to the left: staged, and read before any write lands.
         let shifted = [(A_IJ, [(0, -1, [COLS, 1]), B_IJ])];
-        assert!(!check_row_path(
+        assert!(!check_box_path(
             &shifted,
             &[outer.clone(), (1..COLS).collect()]
         ));
-        assert!(!check_row_path(
+        assert!(!check_box_path(
             &shifted,
             &[outer, vec![1, 2, 3, 6, 7, 9, 11]]
         ));
@@ -2179,17 +2520,152 @@ mod tests {
     fn overlapping_writes_keep_the_last_writer() {
         let lists = [vec![0, 2, 5], (0..COLS - 1).collect::<Vec<i64>>()];
         let many_to_one: Site = (0, 3, [COLS, 0]);
-        assert!(!check_row_path(&[(many_to_one, [B_IJ, C_J])], &lists));
+        assert!(!check_box_path(&[(many_to_one, [B_IJ, C_J])], &lists));
         let reversed: Site = (0, COLS - 1, [COLS, -1]);
-        assert!(!check_row_path(&[(reversed, [B_IJ, C_J])], &lists));
+        assert!(!check_box_path(&[(reversed, [B_IJ, C_J])], &lists));
         let right_neighbour: Site = (0, 1, [COLS, 1]);
-        assert!(!check_row_path(
+        assert!(!check_box_path(
             &[(A_IJ, [B_IJ, C_J]), (right_neighbour, [B_IJ, B_IJ])],
             &lists
         ));
-        assert!(!check_row_path(
+        assert!(!check_box_path(
             &[(right_neighbour, [B_IJ, B_IJ]), (A_IJ, [A_IJ, C_J])],
             &lists
         ));
+    }
+
+    /// The two proofs of the alias rule, and what neither covers. In
+    /// place: a read of the element about to be overwritten (wherever it
+    /// stands among the operands, read twice too) under a one-to-one
+    /// write, and a read of a row of the written array that lies wholly
+    /// below or above every written row. Staged: that row once it falls
+    /// inside the written range, a column that interleaves with the
+    /// written ones, and an own-element read under a many-to-one write —
+    /// each with the element loop's values either way.
+    #[test]
+    fn own_element_and_disjoint_reads_are_written_in_place() {
+        let inner: Vec<i64> = (0..COLS).collect();
+        let lists = |outer: &[i64]| [outer.to_vec(), inner.clone()];
+        for reads in [[A_IJ, B_IJ], [B_IJ, A_IJ], [A_IJ, A_IJ]] {
+            assert!(check_box_path(&[(A_IJ, reads)], &lists(&[1, 3, 4])));
+        }
+        let row = |i: i64| -> Site { (0, i * COLS, [0, 1]) };
+        assert!(
+            check_box_path(&[(A_IJ, [A_IJ, row(0)])], &lists(&[1, 3, 4])),
+            "row 0 lies below rows 1..=4"
+        );
+        assert!(
+            check_box_path(&[(A_IJ, [row(5), A_IJ])], &lists(&[0, 1, 2, 3])),
+            "row 5 lies above rows 0..=3"
+        );
+        assert!(
+            !check_box_path(&[(A_IJ, [A_IJ, row(3)])], &lists(&[1, 3, 4])),
+            "row 3 is written by this very phase"
+        );
+        assert!(
+            !check_box_path(&[(A_IJ, [A_IJ, row(2)])], &lists(&[1, 3, 4])),
+            "row 2 is not written, but lies between rows that are"
+        );
+        // Column 0 of every row, under writes of columns 1..: its range
+        // starts below the writes and ends among them.
+        let column: Site = (0, 0, [COLS, 0]);
+        assert!(!check_box_path(
+            &[(A_IJ, [A_IJ, column])],
+            &[vec![1, 3, 4], (1..COLS).collect()]
+        ));
+        // `A(I,1) = A(I,1) + B(I,J)`: every J reads the old `A(I,1)`, the
+        // last one's sum stays.
+        let first: Site = (0, 1, [COLS, 0]);
+        assert!(!check_box_path(
+            &[(first, [first, B_IJ])],
+            &lists(&[0, 2, 5])
+        ));
+        // The same write over one-element rows walks no row at a stride,
+        // but is still many-to-one across them: `A(3) = A(3) + B(I,4)`.
+        let cell: Site = (0, 3, [0, 0]);
+        assert!(!check_box_path(
+            &[(cell, [cell, B_IJ])],
+            &[vec![0, 2, 5], vec![4]]
+        ));
+    }
+
+    /// A box never reorders rows. Under an innermost list of several
+    /// runs every `(row, run)` is a box of its own, in the element
+    /// loop's order — `A(I+J)` is written by many tuples, and the last
+    /// in that order must win — and an outer list that is no progression
+    /// splits into one box per run of it.
+    #[test]
+    fn boxes_follow_the_element_order() {
+        let diagonal: Site = (0, 0, [1, 1]);
+        let broken = vec![0, 1, 2, 5, 6, 9, 11];
+        let (in_place, boxes) = check_boxes(
+            &[(diagonal, [B_IJ, C_J])],
+            &[vec![0, 1, 2, 4], broken.clone()],
+        );
+        assert!(!in_place, "a many-to-one write is staged");
+        assert_eq!(boxes, 4 * 3, "one box per row and run");
+        // Whole rows: one box per run of the outer list.
+        let whole: Vec<i64> = (0..COLS).collect();
+        let body = [(A_IJ, [B_IJ, C_J])];
+        assert_eq!(
+            check_boxes(&body, &[vec![0, 1, 2, 3, 4], whole.clone()]),
+            (true, 1)
+        );
+        assert_eq!(
+            check_boxes(&body, &[vec![0, 2, 4], whole.clone()]),
+            (true, 1)
+        );
+        assert_eq!(
+            check_boxes(&body, &[vec![0, 1, 3, 4], whole.clone()]),
+            (true, 2)
+        );
+        assert_eq!(check_boxes(&body, &[vec![0, 1, 3, 5], whole]), (true, 2));
+        assert_eq!(
+            check_boxes(&body, &[vec![0, 1, 3, 4], broken]),
+            (false, 4 * 3)
+        );
+        // The diagonal again over whole rows, where boxes span rows: it
+        // reads nothing of `A`, so rows written in order, in place, leave
+        // the last writer too.
+        let (in_place, boxes) = check_boxes(
+            &[(diagonal, [B_IJ, C_J])],
+            &[vec![0, 1, 2, 4], (0..6).collect()],
+        );
+        assert_eq!((in_place, boxes), (true, 2));
+    }
+
+    /// The mixed-radix test on hand-built forms.
+    #[test]
+    fn one_to_one_is_a_mixed_radix_test() {
+        let one_to_one = |k: [i64; 2], lists: [Vec<i64>; 2]| {
+            let form = NatAff {
+                base: 7,
+                k: k.to_vec(),
+            };
+            form.one_to_one(lists.iter().map(|list| steps(&inner_runs(list))))
+        };
+        let upto = |n: i64| (0..n).collect::<Vec<i64>>();
+        assert!(one_to_one([12, 1], [upto(5), upto(12)]));
+        assert!(
+            one_to_one([-12, 1], [upto(5), upto(12)]),
+            "signs do not matter"
+        );
+        assert!(
+            one_to_one([1, 5], [upto(5), upto(12)]),
+            "nor does the order"
+        );
+        assert!(!one_to_one([1, 1], [upto(5), upto(12)]));
+        assert!(!one_to_one([0, 1], [upto(2), upto(12)]));
+        assert!(
+            one_to_one([0, 1], [upto(1), upto(12)]),
+            "one row: nothing varies"
+        );
+        assert!(!one_to_one([12, 1], [upto(5), upto(13)]));
+        // The stride of a list counts: rows 0, 3, 6 are 12 apart.
+        assert!(one_to_one([4, 1], [vec![0, 3, 6], upto(12)]));
+        assert!(
+            !one_to_one([4, 1], [vec![0, 3, 4], upto(12)]),
+            "its least gap"
+        );
     }
 }

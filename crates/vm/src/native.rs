@@ -7,26 +7,37 @@
 //! the straight-line body over the register code, and — when every
 //! value is REAL or INTEGER arithmetic the closures can reproduce
 //! bit-for-bit over subscripts affine in the loop variables — emits a
-//! [`NativeKernel`]: per-body row kernels ([`RowKernel`]) plus the
+//! [`NativeKernel`]: per-body box kernels ([`BoxKernel`]) plus the
 //! read/write site descriptions the engine binds against each rank's
 //! resolved accessors at dispatch time.
 //!
-//! A row kernel runs one body over one run of the FORALL's innermost
-//! variable: the engine hands it, per read site, the array segment and
-//! the `(start, step)` of the row through it ([`RowRead`]), and the
-//! kernel is one loop over `f64` (or `i64`) slices — the plain local
-//! loop the paper's generated Fortran 77 has between run-time calls.
+//! A box kernel runs one body over one *box* of the iteration space:
+//! `rows` consecutive values of the FORALL's second-innermost variable ×
+//! one run of the innermost. The engine hands it, per read site, the
+//! array segment and the `(start, row_step, step)` of the site's walk
+//! through it ([`BoxRead`], [`Walk`]); inside, rows run in order, a row's
+//! descriptors are one multiply-add per site away from the box's, and a
+//! row is one loop over `f64` (or `i64`) slices — the plain doubly
+//! nested local loop the paper's generated Fortran 77 has between
+//! run-time calls. The `dyn` call, the argument build and the output
+//! slicing happen once per box; what is per row is what the arithmetic
+//! needs (the rank-1 update's multiplier is divided once per row). A
+//! 1-D FORALL is a box of one row. A site may be the very element the
+//! box overwrites ([`BoxRead::data`] is `None`): the kernel reads it
+//! from the output row before the row is written — element by element
+//! when it is the operand the shape updates (`x - m*y`, a tree's
+//! leftmost leaf), from a snapshot of the row otherwise.
 //!
-//! The irregular path (paper §4 ex. 3) rides the same rows. A value the
+//! The irregular path (paper §4 ex. 3) rides the same boxes. A value the
 //! FORALL's inspector/executor gathered (`B(V(I))`) is, once the
 //! executor has run, element *k* of a sequential buffer at the rank's
-//! *k*-th iteration: a unit-stride row starting at the row's iteration
-//! ordinal ([`ReadSite::Gathered`]). A vector-subscripted left-hand
-//! side (`A(U(I)) = …`) writes its row into a dense value column and
-//! its subscripts — INTEGER row kernels — into an index column, both
-//! handed to the shared scatter executor ([`Lhs::Scatter`]). The
-//! inspector's own subscripts (`V(I)`) are INTEGER row kernels too
-//! ([`NativeGather`]).
+//! *k*-th iteration: a unit-stride walk from the box's iteration
+//! ordinal, one inner list per row ([`ReadSite::Gathered`]). A
+//! vector-subscripted left-hand side (`A(U(I)) = …`) writes its box into
+//! a dense value column and its subscripts — INTEGER box kernels — into
+//! an index column, both handed to the shared scatter executor
+//! ([`Lhs::Scatter`]). The inspector's own subscripts (`V(I)`) are
+//! INTEGER box kernels too ([`NativeGather`]).
 //!
 //! The contract is strict bit-identity with the bytecode engine (and
 //! therefore with the tree walker): same operation tree in the same
@@ -191,20 +202,100 @@ pub enum IExpr {
     ModC(Box<IExpr>, i64),
 }
 
-/// One read site along a row: element `i` of the row is
-/// `data[start + i·step]`. The engine's bind has proved every index of
-/// the row in bounds; `step` is 1 for the usual innermost-dimension
-/// walk and for a gathered value, 0 for a read that does not depend on
-/// the innermost FORALL variable, anything else (negative included) for
-/// the rest.
+/// An affine walk over a box: at element `i` of row `r` it stands at
+/// `start + r·row_step + i·step`. A read site's flat padded offset, an
+/// affine integer's value and a gathered value's iteration ordinal are
+/// all walks.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Walk {
+    /// Where row 0 starts.
+    pub start: i64,
+    /// Increment per row: 0 for a walk that does not depend on the
+    /// second-innermost FORALL variable.
+    pub row_step: i64,
+    /// Increment per row element: 1 for the usual innermost-dimension
+    /// walk and for a gathered value, 0 for a walk that does not depend
+    /// on the innermost FORALL variable, anything else (negative
+    /// included) for the rest.
+    pub step: i64,
+}
+
+impl Walk {
+    /// `(start, step)` of row `r`: one multiply-add.
+    #[inline(always)]
+    fn row(&self, r: usize) -> (i64, i64) {
+        (self.start + r as i64 * self.row_step, self.step)
+    }
+}
+
+/// One read site over a box: element `i` of row `r` is `data[walk]`.
+/// The engine's bind has proved every index of the box in bounds.
 #[derive(Debug, Clone, Copy)]
-pub struct RowRead<'a, T = f64> {
-    /// The array segment's raw storage.
-    pub data: &'a [T],
-    /// Flat padded offset of the row's first element.
+pub struct BoxRead<'a, T = f64> {
+    /// The array segment's raw storage — or `None` for the site that
+    /// reads, at every tuple, the very element the box writes there
+    /// (`A(I,J) = A(I,J) - …` written in place): the kernel takes it from
+    /// the output row, before the row is overwritten.
+    pub data: Option<&'a [T]>,
+    /// Flat padded offset of the site over the box.
+    pub walk: Walk,
+}
+
+/// What a [`BoxFn`] runs over: `rows` consecutive rows of `len` elements
+/// each, and the leaf values of its lane over them, in the order of the
+/// owning [`Sites`]' tables.
+pub struct BoxArgs<'a, T = f64> {
+    /// Rows of the box: values of the second-innermost FORALL variable.
+    pub rows: usize,
+    /// Elements per row: one run of the innermost variable.
+    pub len: usize,
+    /// One descriptor per read site of the kernel's lane
+    /// ([`Sites::reads`] for a REAL kernel, [`Sites::ireads`] for an
+    /// INTEGER one).
+    pub reads: &'a [BoxRead<'a, T>],
+    /// One walk per [`Sites::lins`] entry: the affine integer's value.
+    pub lins: &'a [Walk],
+    /// One value per [`Sites::scalar_slots`] entry.
+    pub scalars: &'a [f64],
+}
+
+/// Where a [`BoxFn`] writes: row `r` is the `len` elements of `data`
+/// from `start + r·row_step` — rows are dense, they need not be adjacent
+/// or ascending.
+pub struct BoxOut<'a, T = f64> {
+    /// The written segment (or stage, or column).
+    pub data: &'a mut [T],
+    /// Where row 0 starts.
     pub start: usize,
-    /// Offset increment per row element.
-    pub step: isize,
+    /// Increment per row.
+    pub row_step: isize,
+}
+
+/// Buffers a kernel borrows from call to call: scratch rows for the
+/// generic evaluators' intermediate operands, and the snapshot of an
+/// output row a [`BoxRead`] without `data` reads. One per rank, phase
+/// and lane.
+#[derive(Debug, Default)]
+pub struct Scratch<T = f64> {
+    free: Vec<Vec<T>>,
+    own: Vec<T>,
+}
+
+/// A monomorphized box kernel: one whole expression over `rows` × `len`
+/// iterations as a single call. Inside, rows run in order, each row's
+/// descriptors one multiply-add per site away from the box's, and a row
+/// is one loop over slices — no dispatch per row, none per element.
+/// Writes every element of every output row.
+pub type BoxFn<T = f64> =
+    Arc<dyn Fn(&BoxArgs<'_, T>, &mut BoxOut<'_, T>, &mut Scratch<T>) + Send + Sync>;
+
+/// One read site along one row of a box: element `i` of the row is
+/// `data[start + i·step]`.
+#[derive(Clone, Copy)]
+struct RowRead<'a, T> {
+    data: &'a [T],
+    start: usize,
+    step: isize,
 }
 
 impl<'a, T: Copy> RowRead<'a, T> {
@@ -221,44 +312,107 @@ impl<'a, T: Copy> RowRead<'a, T> {
     }
 }
 
-/// Per-row inputs handed to a [`RowFn`], each in the order of the owning
-/// [`Sites`]' tables. The row length is the output slice's.
-pub struct RowArgs<'a> {
-    /// One descriptor per [`Sites::reads`] site.
-    pub reads: &'a [RowRead<'a>],
-    /// One descriptor per [`Sites::ireads`] site.
-    pub ireads: &'a [RowRead<'a, i64>],
-    /// `(start, step)` per [`Sites::lins`] entry: the affine integer
-    /// is `start + i·step` at row element `i`.
-    pub lins: &'a [(i64, i64)],
-    /// One value per [`Sites::scalar_slots`] entry.
-    pub scalars: &'a [f64],
+/// Row `r` of a box: what one pass of a kernel's row loop reads.
+struct Row<'a, T> {
+    r: usize,
+    /// The output row as it stood before this pass, when a site reads
+    /// it — unless the kernel updates that site in place (`in_place`).
+    own: &'a [T],
+    /// The one site without `data` is the operand the kernel asked to
+    /// take from the output row itself, element by element as it goes:
+    /// no snapshot was made, and the kernel must not read that site.
+    in_place: bool,
 }
 
-/// Scratch rows the generic evaluators borrow for intermediate operands:
-/// one per rank and phase, reused across rows.
-#[derive(Debug, Default)]
-pub struct Scratch {
-    free: Vec<Vec<f64>>,
-    ifree: Vec<Vec<i64>>,
+impl<'a, T: Copy> Row<'a, T> {
+    /// The read site `site` along this row.
+    #[inline(always)]
+    fn of(&self, site: &BoxRead<'a, T>) -> RowRead<'a, T> {
+        let Some(data) = site.data else {
+            return RowRead {
+                data: self.own,
+                start: 0,
+                step: 1,
+            };
+        };
+        let (start, step) = site.walk.row(self.r);
+        RowRead {
+            data,
+            start: start as usize,
+            step: step as isize,
+        }
+    }
+
+    /// Whether `site` is the operand updated in place: its row is the
+    /// output row, which already holds it.
+    #[inline(always)]
+    fn updates(&self, site: &BoxRead<'_, T>) -> bool {
+        self.in_place && site.data.is_none()
+    }
 }
 
-/// A monomorphized row kernel: one whole expression over one run of the
-/// innermost FORALL variable as a single call that loops over slices —
-/// no per-element dispatch. Writes every element of the output row.
-pub type RowFn<T = f64> = Arc<dyn Fn(&RowArgs<'_>, &mut [T], &mut Scratch) + Send + Sync>;
+/// Keep the output row as it stands, for the sites that read it. Out of
+/// line: the copy is a call, and the row loop's registers should not
+/// have to survive it on the boxes that never make it.
+#[inline(never)]
+fn snapshot<T: Copy>(own: &mut Vec<T>, row: &[T]) {
+    own.clear();
+    own.extend_from_slice(row);
+}
 
-/// A body's row kernel, by the element type of the array it writes.
+impl<T: Copy> BoxArgs<'_, T> {
+    /// The row loop every kernel is written over: `f` once per row, in
+    /// order, on that row's view and output slice. A row some site reads
+    /// its own element of is snapshotted first — a FORALL reads before it
+    /// writes, wherever in the expression the read stands — unless that
+    /// site is `rmw` and no other: the operand `f` can update in place
+    /// (`x = x - m*y` read and written element by element is the same
+    /// thing, without the copy).
+    #[inline(always)]
+    fn for_rows(
+        &self,
+        out: &mut BoxOut<'_, T>,
+        scratch: &mut Scratch<T>,
+        rmw: Option<usize>,
+        mut f: impl FnMut(&Row<'_, T>, &mut [T], &mut Scratch<T>),
+    ) {
+        let mut owned = (self.reads.iter().enumerate())
+            .filter_map(|(i, site)| site.data.is_none().then_some(i));
+        let (first, second) = (owned.next(), owned.next());
+        let in_place = first.is_some() && first == rmw && second.is_none();
+        let keep = first.is_some() && !in_place;
+        let mut own = std::mem::take(&mut scratch.own);
+        // By value: nothing below is reloaded after a row is stored.
+        let (rows, len, start, row_step) = (self.rows, self.len, out.start, out.row_step);
+        let data = &mut *out.data;
+        for r in 0..rows {
+            let at = (start as isize + r as isize * row_step) as usize;
+            let row = &mut data[at..at + len];
+            if keep {
+                snapshot(&mut own, row);
+            }
+            let view = Row {
+                r,
+                own: &own,
+                in_place,
+            };
+            f(&view, row, scratch);
+        }
+        scratch.own = own;
+    }
+}
+
+/// A body's box kernel, by the element type of the array it writes.
 #[derive(Clone)]
-pub enum RowKernel {
-    /// Rows of a REAL array.
-    Real(RowFn),
-    /// Rows of an INTEGER array.
-    Int(RowFn<i64>),
+pub enum BoxKernel {
+    /// Boxes of a REAL array.
+    Real(BoxFn),
+    /// Boxes of an INTEGER array.
+    Int(BoxFn<i64>),
 }
 
-/// An element type the row kernels run over: `f64` for REAL arrays,
-/// `i64` for INTEGER ones. What the engine's one row loop needs to stay
+/// An element type the box kernels run over: `f64` for REAL arrays,
+/// `i64` for INTEGER ones. What the engine's one box loop needs to stay
 /// generic over the two.
 pub trait Lane: Copy + Default + Send + 'static {
     /// The raw storage of an array of this type (panics on another).
@@ -268,7 +422,10 @@ pub trait Lane: Copy + Default + Send + 'static {
     /// A dense column as array storage.
     fn column(vals: Vec<Self>) -> ArrayData;
     /// The kernel of this lane (panics on the other's).
-    fn kernel(k: &RowKernel) -> &RowFn<Self>;
+    fn kernel(k: &BoxKernel) -> &BoxFn<Self>;
+    /// This lane's of a `(REAL, INTEGER)` pair — [`Sites::reads`] or
+    /// [`Sites::ireads`], say.
+    fn pick<X>(real: X, int: X) -> X;
 }
 
 impl Lane for f64 {
@@ -281,11 +438,14 @@ impl Lane for f64 {
     fn column(vals: Vec<f64>) -> ArrayData {
         ArrayData::Real(vals)
     }
-    fn kernel(k: &RowKernel) -> &RowFn {
+    fn kernel(k: &BoxKernel) -> &BoxFn {
         match k {
-            RowKernel::Real(f) => f,
-            RowKernel::Int(_) => panic!("an INTEGER kernel on a REAL lane"),
+            BoxKernel::Real(f) => f,
+            BoxKernel::Int(_) => panic!("an INTEGER kernel on a REAL lane"),
         }
+    }
+    fn pick<X>(real: X, _: X) -> X {
+        real
     }
 }
 
@@ -299,21 +459,23 @@ impl Lane for i64 {
     fn column(vals: Vec<i64>) -> ArrayData {
         ArrayData::Int(vals)
     }
-    fn kernel(k: &RowKernel) -> &RowFn<i64> {
+    fn kernel(k: &BoxKernel) -> &BoxFn<i64> {
         match k {
-            RowKernel::Int(f) => f,
-            RowKernel::Real(_) => panic!("a REAL kernel on an INTEGER lane"),
+            BoxKernel::Int(f) => f,
+            BoxKernel::Real(_) => panic!("a REAL kernel on an INTEGER lane"),
         }
+    }
+    fn pick<X>(_: X, int: X) -> X {
+        int
     }
 }
 
-/// One read site of a row kernel.
+/// One read site of a box kernel.
 #[derive(Debug, Clone)]
 pub enum ReadSite {
     /// An array element: which accessor, and the affine global
-    /// subscripts (still including any slab-dropped dimension, exactly
-    /// as the bytecode `Read` would present them to
-    /// `ResolvedAcc::offset`).
+    /// subscripts, exactly as the bytecode `Read` would present them to
+    /// `ResolvedAcc::offset`.
     Array {
         /// Accessor-table index.
         acc: u16,
@@ -323,25 +485,25 @@ pub enum ReadSite {
     /// The value the FORALL's `gather`-th unstructured read fetched for
     /// this iteration (the bytecode's `ReadSeq`): element *k* of the
     /// gather's sequential buffer at the rank's *k*-th iteration — a
-    /// unit-stride row.
+    /// unit-stride row, one inner list past the row before it.
     Gathered {
         /// Index into the FORALL's gather list.
         gather: u16,
     },
 }
 
-/// The leaf tables of a group of row kernels that run over the same
-/// rows (one body's RHS and vector subscripts; one gather's inspector
-/// subscripts): what the engine binds per rank to fill [`RowArgs`].
+/// The leaf tables of a group of box kernels that run over the same
+/// boxes (one body's RHS and vector subscripts; one gather's inspector
+/// subscripts): what the engine binds per rank to fill [`BoxArgs`].
 #[derive(Debug, Clone, Default)]
 pub struct Sites {
-    /// REAL read sites feeding [`RowArgs::reads`].
+    /// REAL read sites: a REAL kernel's [`BoxArgs::reads`].
     pub reads: Vec<ReadSite>,
-    /// INTEGER read sites feeding [`RowArgs::ireads`].
+    /// INTEGER read sites: an INTEGER kernel's [`BoxArgs::reads`].
     pub ireads: Vec<ReadSite>,
-    /// Affine integers feeding [`RowArgs::lins`].
+    /// Affine integers feeding [`BoxArgs::lins`].
     pub lins: Vec<Lin>,
-    /// REAL scalar slots feeding [`RowArgs::scalars`] (must hold
+    /// REAL scalar slots feeding [`BoxArgs::scalars`] (must hold
     /// `Value::Real` at dispatch or the FORALL falls back).
     pub scalar_slots: Vec<u16>,
 }
@@ -373,7 +535,7 @@ impl Sites {
     }
 }
 
-/// Where a body's rows go.
+/// Where a body's boxes go.
 #[derive(Clone)]
 pub enum Lhs {
     /// An owned write at affine global subscripts.
@@ -383,13 +545,13 @@ pub enum Lhs {
         /// Affine global subscripts of the write.
         subs: Vec<Lin>,
     },
-    /// A vector-subscripted write (paper §4 cases 3/4): the row is a
-    /// run of the rank's value column for the post-loop scatter
-    /// executor, and `subs` — one INTEGER row kernel per destination
-    /// dimension, over the body's [`Sites`] — fill its index column.
+    /// A vector-subscripted write (paper §4 cases 3/4): a row is a run
+    /// of the rank's value column for the post-loop scatter executor,
+    /// and `subs` — one INTEGER box kernel per destination dimension,
+    /// over the body's [`Sites`] — fill its index column.
     Scatter {
         /// Global subscript kernels, one per destination dimension.
-        subs: Vec<RowFn<i64>>,
+        subs: Vec<BoxFn<i64>>,
     },
 }
 
@@ -399,8 +561,8 @@ pub struct NativeBody {
     /// Which template matched (`"generic"` / `"int_rows"` for composed
     /// closures) — diagnostic only.
     pub template: &'static str,
-    /// The row kernel.
-    pub func: RowKernel,
+    /// The box kernel.
+    pub func: BoxKernel,
     /// Leaf tables of `func` and of the [`Lhs::Scatter`] kernels.
     pub sites: Sites,
     /// The write.
@@ -421,12 +583,12 @@ impl fmt::Debug for NativeBody {
 }
 
 /// The inspector half of one unstructured read, compiled: the global
-/// subscripts of `src(subs(i…))` as INTEGER row kernels, evaluated a
-/// run of iterations at a time into the request list.
+/// subscripts of `src(subs(i…))` as INTEGER box kernels, evaluated a
+/// box of iterations at a time into the request list.
 #[derive(Clone)]
 pub struct NativeGather {
     /// One kernel per source dimension.
-    pub subs: Vec<RowFn<i64>>,
+    pub subs: Vec<BoxFn<i64>>,
     /// Their leaf tables.
     pub sites: Sites,
 }
@@ -689,8 +851,8 @@ impl SiteCtx<'_> {
         }
     }
 
-    /// `codes` as INTEGER row kernels — vector or inspector subscripts.
-    fn int_kernels(&mut self, codes: &[ExprCode]) -> Option<Vec<RowFn<i64>>> {
+    /// `codes` as INTEGER box kernels — vector or inspector subscripts.
+    fn int_kernels(&mut self, codes: &[ExprCode]) -> Option<Vec<BoxFn<i64>>> {
         codes
             .iter()
             .map(|c| {
@@ -746,11 +908,11 @@ pub fn select(
                     return None;
                 };
                 let (template, func) = match_template(&expr);
-                (template, RowKernel::Real(func))
+                (template, BoxKernel::Real(func))
             }
             // A REAL value stored to an INTEGER array truncates per
             // element: bytecode's.
-            ElemType::Int => ("int_rows", RowKernel::Int(compose_int(&ctx.int_tree(rhs)?))),
+            ElemType::Int => ("int_rows", BoxKernel::Int(compose_int(&ctx.int_tree(rhs)?))),
             _ => return None,
         };
         let lhs = match b.scatter {
@@ -809,12 +971,17 @@ pub fn select(
 
 /// `out[i] = f([r0[i], …])` over `N` read rows: a loop over dense
 /// slices when every row is unit-stride, an indexed walk otherwise.
+/// `in_place`: operand 0 is `out[i]` itself, as it stood.
 #[inline(always)]
 fn map_rows<const N: usize>(
     out: &mut [f64],
-    reads: [&RowRead<'_>; N],
+    reads: [RowRead<'_, f64>; N],
+    in_place: bool,
     f: impl Fn([f64; N]) -> f64,
 ) {
+    if in_place {
+        return update_rows(out, reads, f);
+    }
     let n = out.len();
     let unit = reads.map(|r| r.unit(n));
     if unit.iter().all(Option::is_some) {
@@ -829,13 +996,78 @@ fn map_rows<const N: usize>(
     }
 }
 
+/// [`map_rows`] with `out[i]` for operand 0: `reads[0]` is not looked
+/// at.
+#[inline(always)]
+fn update_rows<const N: usize>(
+    out: &mut [f64],
+    reads: [RowRead<'_, f64>; N],
+    f: impl Fn([f64; N]) -> f64,
+) {
+    let n = out.len();
+    let mut rows: [&[f64]; N] = [&[]; N];
+    let mut unit = true;
+    for k in 1..N {
+        match reads[k].unit(n) {
+            Some(row) => rows[k] = row,
+            None => unit = false,
+        }
+    }
+    if unit {
+        for (i, o) in out.iter_mut().enumerate() {
+            let mut vals = [*o; N];
+            for k in 1..N {
+                vals[k] = rows[k][i];
+            }
+            *o = f(vals);
+        }
+    } else {
+        for (i, o) in out.iter_mut().enumerate() {
+            let mut vals = [*o; N];
+            for k in 1..N {
+                vals[k] = reads[k].at(i);
+            }
+            *o = f(vals);
+        }
+    }
+}
+
+/// The operand a kernel may update in place, given the read site of each
+/// of its operands in evaluation order (`None`: no array read): the
+/// first, which is evaluated into the output row — unless another operand
+/// reads the same site, which an element-by-element update cannot stand
+/// in for.
+fn updated_operand(operands: &[Option<usize>]) -> Option<usize> {
+    let first = (*operands.first()?)?;
+    let reads = operands.iter().filter(|&&site| site == Some(first));
+    (reads.count() == 1).then_some(first)
+}
+
+/// The box kernel of a fused shape over the read sites `sites`: every
+/// row of the box through [`map_rows`] under the element function
+/// `per_box` makes for the box, operand 0 updated in place where the box
+/// allows it.
+fn fused<const N: usize, F: Fn([f64; N]) -> f64>(
+    sites: [usize; N],
+    per_box: impl Fn(&BoxArgs<'_>) -> F + Send + Sync + 'static,
+) -> BoxFn {
+    let rmw = updated_operand(&sites.map(Some));
+    Arc::new(move |a, out, scratch| {
+        // Copies: a site is not reloaded after a row is stored.
+        let (reads, f) = (sites.map(|i| a.reads[i]), per_box(a));
+        a.for_rows(out, scratch, rmw, |row, o, _| {
+            map_rows(o, reads.map(|site| row.of(&site)), row.in_place, &f)
+        })
+    })
+}
+
 /// Match the reduced RHS against the fused templates (the paper's hot
 /// shapes: stencil update, rank-1 row elimination, axpy, accumulate) and
 /// fall back to the row-at-a-time tree evaluator. Both paths produce the
 /// identical f64 operation per element; the fused names exist so one
-/// pass over the row covers the benchmark corpus and the template name
+/// pass over a row covers the benchmark corpus and the template name
 /// is visible in diagnostics.
-pub fn match_template(e: &NExpr) -> (&'static str, RowFn) {
+pub fn match_template(e: &NExpr) -> (&'static str, BoxFn) {
     use BinOp::{Add, Div, Mul, Sub};
     use NExpr::*;
     // Leaves: the tree evaluator's fill / copy / cast is already one pass.
@@ -853,12 +1085,9 @@ pub fn match_template(e: &NExpr) -> (&'static str, RowFn) {
             if let (Bin(Add, p, q), Read(i3)) = (&**x, &**y) {
                 if let (Bin(Add, a0, a1), Read(i2)) = (&**p, &**q) {
                     if let (Read(i0), Read(i1)) = (&**a0, &**a1) {
-                        let (c, i0, i1, i2, i3) = (*c, *i0, *i1, *i2, *i3);
-                        let f: RowFn = Arc::new(move |a, out, _| {
-                            let r = a.reads;
-                            map_rows(out, [&r[i0], &r[i1], &r[i2], &r[i3]], |[w, x, y, z]| {
-                                c * (((w + x) + y) + z)
-                            })
+                        let c = *c;
+                        let f = fused([*i0, *i1, *i2, *i3], move |_| {
+                            move |[w, x, y, z]| c * (((w + x) + y) + z)
                         });
                         return ("stencil4_scale", f);
                     }
@@ -873,15 +1102,22 @@ pub fn match_template(e: &NExpr) -> (&'static str, RowFn) {
         if let (Read(i0), Bin(Mul, m1, m2)) = (&**l, &**r) {
             if let (Bin(Div, n1, n2), Read(i3)) = (&**m1, &**m2) {
                 if let (Read(i1), Read(i2)) = (&**n1, &**n2) {
-                    let (i0, i1, i2, i3) = (*i0, *i1, *i2, *i3);
-                    let f: RowFn = Arc::new(move |a, out, _| {
-                        let r = a.reads;
-                        if r[i1].step == 0 && r[i2].step == 0 {
-                            let m = r[i1].at(0) / r[i2].at(0);
-                            map_rows(out, [&r[i0], &r[i3]], |[x, y]| x - m * y)
+                    let sites = [*i0, *i1, *i2, *i3];
+                    let rmw = updated_operand(&sites.map(Some));
+                    let f: BoxFn = Arc::new(move |a, out, scratch| {
+                        let [x, p, q, y] = sites.map(|i| a.reads[i]);
+                        let fixed = |site: &BoxRead<'_>| site.data.is_some() && site.walk.step == 0;
+                        if fixed(&p) && fixed(&q) {
+                            a.for_rows(out, scratch, rmw, |row, o, _| {
+                                let m = row.of(&p).at(0) / row.of(&q).at(0);
+                                map_rows(o, [row.of(&x), row.of(&y)], row.in_place, |[x, y]| {
+                                    x - m * y
+                                })
+                            })
                         } else {
-                            map_rows(out, [&r[i0], &r[i1], &r[i2], &r[i3]], |[w, x, y, z]| {
-                                w - (x / y) * z
+                            a.for_rows(out, scratch, rmw, |row, o, _| {
+                                let reads = [x, p, q, y].map(|site| row.of(&site));
+                                map_rows(o, reads, row.in_place, |[w, x, y, z]| w - (x / y) * z)
                             })
                         }
                     });
@@ -894,37 +1130,27 @@ pub fn match_template(e: &NExpr) -> (&'static str, RowFn) {
         // r0 + r1 — reduction accumulate, the partial-sum FORALL feeding
         // a SUM-into-scalar reduction.
         if let (Read(i0), Read(i1)) = (&**l, &**r) {
-            let (i0, i1) = (*i0, *i1);
-            let f: RowFn = Arc::new(move |a, out, _| {
-                map_rows(out, [&a.reads[i0], &a.reads[i1]], |[x, y]| x + y)
-            });
+            let f = fused([*i0, *i1], |_| |[x, y]| x + y);
             return ("reduce_accumulate", f);
         }
         if let (Read(i0), Bin(Mul, m1, m2)) = (&**l, &**r) {
             // r0 + c*r1 — axpy.
             if let (Lit(c), Read(i1)) = (&**m1, &**m2) {
-                let (c, i0, i1) = (*c, *i0, *i1);
-                let f: RowFn = Arc::new(move |a, out, _| {
-                    map_rows(out, [&a.reads[i0], &a.reads[i1]], |[x, y]| x + c * y)
-                });
-                return ("axpy", f);
+                let c = *c;
+                return ("axpy", fused([*i0, *i1], move |_| move |[x, y]| x + c * y));
             }
             // r0 + s*r1 — scalar-weighted reduction accumulate.
             if let (Scalar(s), Read(i1)) = (&**m1, &**m2) {
-                let (s, i0, i1) = (*s, *i0, *i1);
-                let f: RowFn = Arc::new(move |a, out, _| {
+                let s = *s;
+                let f = fused([*i0, *i1], move |a| {
                     let w = a.scalars[s];
-                    map_rows(out, [&a.reads[i0], &a.reads[i1]], |[x, y]| x + w * y)
+                    move |[x, y]| x + w * y
                 });
                 return ("reduce_accumulate", f);
             }
             // r0 + r1*r2 — reduction/product accumulate.
             if let (Read(i1), Read(i2)) = (&**m1, &**m2) {
-                let (i0, i1, i2) = (*i0, *i1, *i2);
-                let f: RowFn = Arc::new(move |a, out, _| {
-                    let r = a.reads;
-                    map_rows(out, [&r[i0], &r[i1], &r[i2]], |[x, y, z]| x + y * z)
-                });
+                let f = fused([*i0, *i1, *i2], |_| |[x, y, z]| x + y * z);
                 return ("multiply_accumulate", f);
             }
         }
@@ -1011,7 +1237,7 @@ fn map_row<'a, T: Copy>(out: &mut [T], v: Val<'a, T>, f: impl Fn(T) -> T) -> Val
 /// A read site's row: a uniform value, a borrowed slice, or a strided
 /// walk copied to `out`.
 #[inline(always)]
-fn read_row<'a, T: Copy>(r: &RowRead<'a, T>, out: &mut [T]) -> Val<'a, T> {
+fn read_row<'a, T: Copy>(r: RowRead<'a, T>, out: &mut [T]) -> Val<'a, T> {
     if r.step == 0 {
         return Val::Uniform(r.at(0));
     }
@@ -1040,28 +1266,36 @@ fn lin_row<'a, T: Copy>(
     Val::Out
 }
 
+/// A scratch row of `n` elements from the free list.
+fn scratch_row<T: Copy + Default>(scratch: &mut Scratch<T>, n: usize) -> Vec<T> {
+    let mut tmp = scratch.free.pop().unwrap_or_default();
+    tmp.resize(n, T::default());
+    tmp
+}
+
 /// Evaluate `e` over one row of `out.len()` elements, one tight loop per
 /// tree node. Mirrors `ops::eval_bin`'s REAL arithmetic node for node.
 fn eval_row<'a>(
     e: &NExpr,
-    a: &RowArgs<'a>,
+    a: &BoxArgs<'a>,
+    row: &Row<'a, f64>,
     out: &mut [f64],
     scratch: &mut Scratch,
 ) -> Val<'a, f64> {
     match e {
         NExpr::Lit(c) => Val::Uniform(*c),
         NExpr::Scalar(i) => Val::Uniform(a.scalars[*i]),
-        NExpr::Cast(i) => lin_row(a.lins[*i], out, |v| v as f64),
-        NExpr::Read(i) => read_row(&a.reads[*i], out),
+        NExpr::Cast(i) => lin_row(a.lins[*i].row(row.r), out, |v| v as f64),
+        NExpr::Read(i) if row.updates(&a.reads[*i]) => Val::Out,
+        NExpr::Read(i) => read_row(row.of(&a.reads[*i]), out),
         NExpr::Neg(x) => {
-            let v = eval_row(x, a, out, scratch);
+            let v = eval_row(x, a, row, out, scratch);
             map_row(out, v, |v| -v)
         }
         NExpr::Bin(op, l, r) => {
-            let lv = eval_row(l, a, out, scratch);
-            let mut tmp = scratch.free.pop().unwrap_or_default();
-            tmp.resize(out.len(), 0.0);
-            let rv = match eval_row(r, a, &mut tmp, scratch) {
+            let lv = eval_row(l, a, row, out, scratch);
+            let mut tmp = scratch_row(scratch, out.len());
+            let rv = match eval_row(r, a, row, &mut tmp, scratch) {
                 Val::Out => Val::Slice(&tmp),
                 v => v,
             };
@@ -1083,30 +1317,31 @@ fn eval_row<'a>(
 /// `ops::eval_bin` / `eval_un` / `eval_intrin`, node for node.
 fn eval_irow<'a>(
     e: &IExpr,
-    a: &RowArgs<'a>,
+    a: &BoxArgs<'a, i64>,
+    row: &Row<'a, i64>,
     out: &mut [i64],
-    scratch: &mut Scratch,
+    scratch: &mut Scratch<i64>,
 ) -> Val<'a, i64> {
     match e {
-        IExpr::Lin(i) => lin_row(a.lins[*i], out, |v| v),
-        IExpr::Read(i) => read_row(&a.ireads[*i], out),
+        IExpr::Lin(i) => lin_row(a.lins[*i].row(row.r), out, |v| v),
+        IExpr::Read(i) if row.updates(&a.reads[*i]) => Val::Out,
+        IExpr::Read(i) => read_row(row.of(&a.reads[*i]), out),
         IExpr::Neg(x) => {
-            let v = eval_irow(x, a, out, scratch);
+            let v = eval_irow(x, a, row, out, scratch);
             map_row(out, v, |v| -v)
         }
         IExpr::DivC(x, k) => {
-            let (v, k) = (eval_irow(x, a, out, scratch), *k);
+            let (v, k) = (eval_irow(x, a, row, out, scratch), *k);
             map_row(out, v, |v| v / k)
         }
         IExpr::ModC(x, k) => {
-            let (v, k) = (eval_irow(x, a, out, scratch), *k);
+            let (v, k) = (eval_irow(x, a, row, out, scratch), *k);
             map_row(out, v, |v| v % k)
         }
         IExpr::Bin(op, l, r) => {
-            let lv = eval_irow(l, a, out, scratch);
-            let mut tmp = scratch.ifree.pop().unwrap_or_default();
-            tmp.resize(out.len(), 0);
-            let rv = match eval_irow(r, a, &mut tmp, scratch) {
+            let lv = eval_irow(l, a, row, out, scratch);
+            let mut tmp = scratch_row(scratch, out.len());
+            let rv = match eval_irow(r, a, row, &mut tmp, scratch) {
                 Val::Out => Val::Slice(&tmp),
                 v => v,
             };
@@ -1116,7 +1351,7 @@ fn eval_irow<'a>(
                 BinOp::Mul => zip_rows(out, lv, rv, |x, y| x * y),
                 _ => unreachable!("selection admits + - * only"),
             };
-            scratch.ifree.push(tmp);
+            scratch.free.push(tmp);
             folded.map_or(Val::Out, Val::Uniform)
         }
     }
@@ -1133,22 +1368,55 @@ fn settle<T: Copy>(out: &mut [T], v: Val<'_, T>) {
     }
 }
 
-/// The row kernel for REAL shapes with no fused template: `eval_row`
-/// over the reduced tree.
-pub fn compose(e: &NExpr) -> RowFn {
-    let e = e.clone();
+/// The box kernel for REAL shapes with no fused template: `eval_row`
+/// over the reduced tree, row by row. The tree's leftmost leaf is
+/// evaluated first and into the output row: the one operand that can be
+/// updated in place (`updated_operand`).
+pub fn compose(e: &NExpr) -> BoxFn {
+    fn leaves(e: &NExpr, out: &mut Vec<Option<usize>>) {
+        match e {
+            NExpr::Read(i) => out.push(Some(*i)),
+            NExpr::Neg(x) => leaves(x, out),
+            NExpr::Bin(_, l, r) => {
+                leaves(l, out);
+                leaves(r, out)
+            }
+            NExpr::Lit(_) | NExpr::Scalar(_) | NExpr::Cast(_) => out.push(None),
+        }
+    }
+    let mut operands = Vec::new();
+    leaves(e, &mut operands);
+    let (e, rmw) = (e.clone(), updated_operand(&operands));
     Arc::new(move |a, out, scratch| {
-        let v = eval_row(&e, a, out, scratch);
-        settle(out, v)
+        a.for_rows(out, scratch, rmw, |row, o, scratch| {
+            let v = eval_row(&e, a, row, o, scratch);
+            settle(o, v)
+        })
     })
 }
 
-/// The row kernel of an INTEGER tree: `eval_irow` over it.
-pub fn compose_int(e: &IExpr) -> RowFn<i64> {
-    let e = e.clone();
+/// The box kernel of an INTEGER tree: `eval_irow` over it, row by row,
+/// the leftmost leaf in place as in [`compose`].
+pub fn compose_int(e: &IExpr) -> BoxFn<i64> {
+    fn leaves(e: &IExpr, out: &mut Vec<Option<usize>>) {
+        match e {
+            IExpr::Read(i) => out.push(Some(*i)),
+            IExpr::Lin(_) => out.push(None),
+            IExpr::Neg(x) | IExpr::DivC(x, _) | IExpr::ModC(x, _) => leaves(x, out),
+            IExpr::Bin(_, l, r) => {
+                leaves(l, out);
+                leaves(r, out)
+            }
+        }
+    }
+    let mut operands = Vec::new();
+    leaves(e, &mut operands);
+    let (e, rmw) = (e.clone(), updated_operand(&operands));
     Arc::new(move |a, out, scratch| {
-        let v = eval_irow(&e, a, out, scratch);
-        settle(out, v)
+        a.for_rows(out, scratch, rmw, |row, o, scratch| {
+            let v = eval_irow(&e, a, row, o, scratch);
+            settle(o, v)
+        })
     })
 }
 
@@ -1187,7 +1455,7 @@ mod tests {
             .as_int()
     }
 
-    /// The per-element meaning of a reduced tree — the oracle the row
+    /// The per-element meaning of a reduced tree — the oracle the box
     /// kernels are checked against.
     fn eval_elem(e: &NExpr, reads: &[f64], lins: &[i64], scalars: &[f64]) -> f64 {
         let ev = |x: &NExpr| eval_elem(x, reads, lins, scalars);
@@ -1206,79 +1474,165 @@ mod tests {
         }
     }
 
-    /// Unit-stride, strided, negative-step and stride-0 (inner-invariant)
-    /// `(start, step)` descriptors over one 64-element segment.
-    const LAYOUTS: [(usize, isize); 4] = [(5, 1), (2, 3), (60, -2), (17, 0)];
+    /// `(start, row_step, step)` walks through one 256-element segment:
+    /// unit-stride rows, strided, negative steps both ways, stride-0
+    /// (inner-invariant), row-invariant, and one value for the whole box.
+    const LAYOUTS: [(i64, i64, i64); 6] = [
+        (5, 21, 1),
+        (2, 61, 3),
+        (250, -70, -2),
+        (17, 5, 0),
+        (30, 0, 1),
+        (9, 0, 0),
+    ];
 
     /// Which of [`LAYOUTS`] each read site gets: every site alike, one
     /// of each, and the Gaussian update's own mix (sites 1 and 2
     /// inner-invariant between unit-stride rows, which is what lets the
     /// rank-1 kernel divide once per row).
-    const MIXES: [[usize; 4]; 6] = [
+    const MIXES: [[usize; 4]; 9] = [
         [0, 0, 0, 0],
         [1, 1, 1, 1],
         [2, 2, 2, 2],
         [3, 3, 3, 3],
+        [4, 4, 4, 4],
+        [5, 5, 5, 5],
         [0, 1, 2, 3],
-        [0, 3, 3, 0],
+        [0, 3, 3, 4],
+        [4, 5, 3, 0],
     ];
 
-    /// The row of [`LAYOUTS`]`[layout]` through `data`.
-    fn row<T>(data: &[T], layout: usize) -> RowRead<'_, T> {
-        let (start, step) = LAYOUTS[layout];
-        RowRead { data, start, step }
+    /// Which read sites are the element the box overwrites: none, the
+    /// leftmost, and two that are not.
+    const OWN: [&[usize]; 3] = [&[], &[0], &[1, 3]];
+
+    /// Box shapes `(rows, len)`: one element, one row, several rows,
+    /// one-element rows.
+    const SHAPES: [(usize, usize); 4] = [(1, 1), (1, 7), (3, 20), (4, 1)];
+
+    /// Where a box of `len`-element rows is written, as `(start,
+    /// row_step)`: dense ascending rows, and spaced descending ones.
+    fn out_layouts(rows: usize, len: usize) -> [(usize, isize); 2] {
+        let spaced = len + 3;
+        [
+            (0, len as isize),
+            (2 + (rows - 1) * spaced, -(spaced as isize)),
+        ]
+    }
+
+    /// The sites of [`LAYOUTS`]`[mix[k]]` through `data[k]`, with the
+    /// sites of `own` reading the output instead.
+    fn sites<'a, T>(data: &'a [Vec<T>], mix: [usize; 4], own: &[usize]) -> Vec<BoxRead<'a, T>> {
+        (data.iter().enumerate())
+            .map(|(k, data)| {
+                let (start, row_step, step) = LAYOUTS[mix[k]];
+                BoxRead {
+                    data: (!own.contains(&k)).then_some(&data[..]),
+                    walk: Walk {
+                        start,
+                        row_step,
+                        step,
+                    },
+                }
+            })
+            .collect()
+    }
+
+    /// Run `f` over the box, written at each of [`out_layouts`] over an
+    /// output that holds `before`, and require every element of every
+    /// row to be — by `bits` — what `want` makes of the site values and
+    /// the affine integers there, and everything between the rows to be
+    /// untouched.
+    fn check_box<T: Lane>(
+        f: &BoxFn<T>,
+        args: &BoxArgs<'_, T>,
+        before: &[T],
+        bits: fn(T) -> u64,
+        want: impl Fn(&[T], &[i64]) -> T,
+        what: &str,
+    ) {
+        let mut scratch = Scratch::default();
+        for to in out_layouts(args.rows, args.len) {
+            let (mut got, mut expect) = (before.to_vec(), before.to_vec());
+            let mut out = BoxOut {
+                data: &mut got,
+                start: to.0,
+                row_step: to.1,
+            };
+            f(args, &mut out, &mut scratch);
+            for r in 0..args.rows {
+                for i in 0..args.len {
+                    let at = |w: &Walk| w.start + r as i64 * w.row_step + i as i64 * w.step;
+                    let own = (to.0 as isize + r as isize * to.1) as usize + i;
+                    let reads: Vec<T> = (args.reads.iter())
+                        .map(|site| match site.data {
+                            Some(data) => data[at(&site.walk) as usize],
+                            None => before[own],
+                        })
+                        .collect();
+                    let lins: Vec<i64> = args.lins.iter().map(at).collect();
+                    expect[own] = want(&reads, &lins);
+                }
+            }
+            let bits = |v: Vec<T>| v.into_iter().map(bits).collect::<Vec<_>>();
+            assert_eq!(bits(got), bits(expect), "{what}, written at {to:?}");
+        }
     }
 
     /// Sign-mixed INTEGER segments, one per site.
     fn int_data(nreads: usize) -> Vec<Vec<i64>> {
         (0..nreads)
             .map(|k| {
-                (0..64)
+                (0..256)
                     .map(|x| (x * 37 + k as i64 * 11) % 29 - 13)
                     .collect()
             })
             .collect()
     }
 
-    /// Run `e`'s matched kernel and the generic evaluator over rows of
-    /// several lengths under every layout mix, and require each element
-    /// to carry the bits of the per-element oracle.
-    fn check_rows(e: &NExpr, want_template: &str, nreads: usize) {
+    /// Run `e`'s matched kernel and the generic evaluator over boxes of
+    /// several shapes under every layout mix, with and without sites
+    /// that read the output's own elements, and require each element to
+    /// carry the bits of the per-element oracle.
+    fn check_boxes(e: &NExpr, want_template: &str, nreads: usize) {
         let (name, fused) = match_template(e);
         assert_eq!(name, want_template);
         // Distinct, sign-mixed, non-dyadic values so a swapped operand
         // or reassociated sum changes bits.
         let data: Vec<Vec<f64>> = (0..nreads)
             .map(|k| {
-                (0..64)
+                (0..256)
                     .map(|x| ((x * 7 + k * 13) % 23) as f64 / 3.0 - 2.9)
                     .collect()
             })
             .collect();
+        let before: Vec<f64> = (0..100).map(|x| (x % 17) as f64 / 7.0 - 1.1).collect();
         let scalars = [0.7, -1.3];
-        let lins = [(4i64, 3i64), (9, 0)];
-        let mut scratch = Scratch::default();
-        for n in [1usize, 7, 20] {
+        let lins = [(4, 11, 3), (9, 0, 0), (-3, 2, 0)].map(|(start, row_step, step)| Walk {
+            start,
+            row_step,
+            step,
+        });
+        for (rows, len) in SHAPES {
             for mix in MIXES {
-                let reads: Vec<RowRead<'_>> = (0..nreads).map(|k| row(&data[k], mix[k])).collect();
-                let args = RowArgs {
-                    reads: &reads,
-                    ireads: &[],
-                    lins: &lins,
-                    scalars: &scalars,
-                };
-                for (label, f) in [(name, &fused), ("generic", &compose(e))] {
-                    let mut out = vec![f64::NAN; n];
-                    f(&args, &mut out, &mut scratch);
-                    for (i, got) in out.iter().enumerate() {
-                        let r: Vec<f64> = reads.iter().map(|r| r.at(i)).collect();
-                        let l: Vec<i64> = lins.iter().map(|&(s, st)| s + i as i64 * st).collect();
-                        let want = eval_elem(e, &r, &l, &scalars);
-                        assert_eq!(
-                            got.to_bits(),
-                            want.to_bits(),
-                            "{label} row kernel, n={n} mix={mix:?} element {i}: {got} vs {want}"
-                        );
+                for own in OWN {
+                    if own.iter().any(|&k| k >= nreads) {
+                        continue;
+                    }
+                    let reads = sites(&data, mix, own);
+                    let args = BoxArgs {
+                        rows,
+                        len,
+                        reads: &reads,
+                        lins: &lins,
+                        scalars: &scalars,
+                    };
+                    for (label, f) in [(name, &fused), ("generic", &compose(e))] {
+                        let what = format!("{label} kernel, {rows}x{len} mix={mix:?} own={own:?}");
+                        let want =
+                            |reads: &[f64], lins: &[i64]| eval_elem(e, reads, lins, &scalars);
+                        // Bits, not values: `-0.0 == 0.0`.
+                        check_box(f, &args, &before, f64::to_bits, want, &what);
                     }
                 }
             }
@@ -1289,12 +1643,12 @@ mod tests {
         IExpr::Bin(op, Box::new(l), Box::new(r))
     }
 
-    /// INTEGER row kernels carry, element for element, what
+    /// INTEGER box kernels carry, element for element, what
     /// `ops::eval_bin` / `eval_intrin` compute: truncation toward zero
     /// and the sign of the dividend over negative operands and negative
-    /// constants, under every site layout.
+    /// constants, under every site layout and with own-element reads.
     #[test]
-    fn int_rows_match_the_value_operators() {
+    fn int_boxes_match_the_value_operators() {
         use BinOp::*;
         use IExpr::*;
         let fill = ibin(
@@ -1316,30 +1670,28 @@ mod tests {
             ibin(Mul, Lin(0), Lin(0)),
         ];
         let idata = int_data(2);
-        let lins = [(-20i64, 3i64), (9, 0)];
-        let mut scratch = Scratch::default();
+        let before: Vec<i64> = (0..100).map(|x| (x * 5) % 23 - 11).collect();
+        let lins = [(-20, 7, 3), (9, 0, 0)].map(|(start, row_step, step)| Walk {
+            start,
+            row_step,
+            step,
+        });
         for e in &trees {
             let f = compose_int(e);
-            for n in [1usize, 7, 20] {
+            for (rows, len) in SHAPES {
                 for mix in MIXES {
-                    let ireads: Vec<RowRead<'_, i64>> =
-                        (0..2).map(|k| row(&idata[k], mix[k])).collect();
-                    let args = RowArgs {
-                        reads: &[],
-                        ireads: &ireads,
-                        lins: &lins,
-                        scalars: &[],
-                    };
-                    let mut out = vec![i64::MIN; n];
-                    f(&args, &mut out, &mut scratch);
-                    for (i, got) in out.iter().enumerate() {
-                        let ir: Vec<i64> = ireads.iter().map(|r| r.at(i)).collect();
-                        let l: Vec<i64> = lins.iter().map(|&(s, st)| s + i as i64 * st).collect();
-                        assert_eq!(
-                            *got,
-                            eval_ielem(e, &ir, &l),
-                            "{e:?}, n={n} mix={mix:?} element {i}"
-                        );
+                    for own in [&[][..], &[0], &[1]] {
+                        let reads = sites(&idata, mix, own);
+                        let args = BoxArgs {
+                            rows,
+                            len,
+                            reads: &reads,
+                            lins: &lins,
+                            scalars: &[],
+                        };
+                        let what = format!("{e:?}, {rows}x{len} mix={mix:?} own={own:?}");
+                        let want = |reads: &[i64], lins: &[i64]| eval_ielem(e, reads, lins);
+                        check_box(&f, &args, &before, |v| v as u64, want, &what);
                     }
                 }
             }
@@ -1355,20 +1707,20 @@ mod tests {
             Lit(0.25),
             bin(Add, bin(Add, bin(Add, Read(0), Read(1)), Read(2)), Read(3)),
         );
-        check_rows(&stencil, "stencil4_scale", 4);
+        check_boxes(&stencil, "stencil4_scale", 4);
         let rank1 = bin(Sub, Read(0), bin(Mul, bin(Div, Read(1), Read(2)), Read(3)));
-        check_rows(&rank1, "rank1_update", 4);
-        check_rows(&bin(Add, Read(0), bin(Mul, Lit(-1.5), Read(1))), "axpy", 2);
-        check_rows(
+        check_boxes(&rank1, "rank1_update", 4);
+        check_boxes(&bin(Add, Read(0), bin(Mul, Lit(-1.5), Read(1))), "axpy", 2);
+        check_boxes(
             &bin(Add, Read(0), bin(Mul, Read(1), Read(2))),
             "multiply_accumulate",
             3,
         );
-        check_rows(&Lit(2.5), "fill_const", 0);
-        check_rows(&Read(0), "copy", 1);
-        check_rows(&Cast(0), "index_cast", 0);
-        check_rows(&Cast(1), "index_cast", 0);
-        check_rows(&Scalar(1), "scalar_fill", 0);
+        check_boxes(&Lit(2.5), "fill_const", 0);
+        check_boxes(&Read(0), "copy", 1);
+        check_boxes(&Cast(0), "index_cast", 0);
+        check_boxes(&Cast(1), "index_cast", 0);
+        check_boxes(&Scalar(1), "scalar_fill", 0);
         // Shapes with no fused template go through the tree evaluator:
         // nested right operands, negation, casts and scalars inside.
         let odd = bin(
@@ -1380,8 +1732,8 @@ mod tests {
                 bin(Add, Scalar(0), bin(Mul, Read(2), Read(0))),
             ),
         );
-        check_rows(&odd, "generic", 3);
-        check_rows(&Neg(Box::new(Read(0))), "generic", 1);
+        check_boxes(&odd, "generic", 3);
+        check_boxes(&Neg(Box::new(Read(0))), "generic", 1);
     }
 
     /// `FORALL (I) A(I) = <rhs over gather 0 of B>`, lowered by hand.
@@ -1466,9 +1818,9 @@ mod tests {
         use BinOp::*;
         use NExpr::*;
         // r0 + r1 — the plain partial-sum accumulate.
-        check_rows(&bin(Add, Read(0), Read(1)), "reduce_accumulate", 2);
+        check_boxes(&bin(Add, Read(0), Read(1)), "reduce_accumulate", 2);
         // r0 + s*r1 — scalar-weighted accumulate.
-        check_rows(
+        check_boxes(
             &bin(Add, Read(0), bin(Mul, Scalar(0), Read(1))),
             "reduce_accumulate",
             2,

@@ -53,7 +53,7 @@ pub fn eval_bin(op: BinOp, a: Value, b: Value) -> OpResult {
                 if y < 0 {
                     return Err("negative integer exponent".into());
                 }
-                x.pow(y.min(62) as u32)
+                int_pow(x, y)
             }
             _ => unreachable!(),
         })),
@@ -203,6 +203,16 @@ pub fn eval_elemental(name: &str, args: &[Value]) -> OpResult {
     }
 }
 
+/// INTEGER `x ** y` for `y >= 0`: exact whenever the result fits `i64`,
+/// the wrapped bits of a release build's multiplications otherwise —
+/// never a panic, and never the wrong sign of `(-1)**y`. An exponent
+/// beyond `u32` is clamped keeping its parity: 0 and ±1 cannot tell, and
+/// every other base overflowed long before.
+pub(crate) fn int_pow(x: i64, y: i64) -> i64 {
+    let clamped = (u32::MAX - 1) | (y & 1) as u32;
+    x.wrapping_pow(u32::try_from(y).unwrap_or(clamped))
+}
+
 fn fold_minmax(args: &[Value], min: bool) -> Value {
     let all_int = args.iter().all(|v| matches!(v, Value::Int(_)));
     if all_int {
@@ -270,6 +280,36 @@ mod tests {
         // REAL MOD by zero is IEEE: NaN, no fault.
         let r = eval_intrin(Intrin::Mod, &[Value::Real(1.5), Value::Int(0)]).unwrap();
         assert!(matches!(r, Value::Real(x) if x.is_nan()));
+    }
+
+    /// INTEGER `**` keeps the exponent's parity however large it is, is
+    /// exact while the result fits, wraps (and does not abort) beyond.
+    #[test]
+    fn integer_pow_is_exact_or_wrapped_never_clamped() {
+        let pow = |x, y| eval_bin(BinOp::Pow, Value::Int(x), Value::Int(y));
+        for (x, y, want) in [
+            (-1, 61, -1),
+            (-1, 62, 1),
+            (-1, 63, -1),
+            (-1, 64, 1),
+            (-1, 65, -1),
+            (-1, i64::MAX, -1),
+            (-1, i64::MAX - 1, 1),
+            (0, 70, 0),
+            (0, 0, 1),
+            (1, i64::MAX, 1),
+            (2, 62, 1 << 62),
+            (2, 63, i64::MIN),
+            (2, 64, 0),
+            (-2, 63, i64::MIN),
+            (3, 39, 4_052_555_153_018_976_267),
+            (3, 41, 3i64.wrapping_pow(41)),
+            (3, 50, 3i64.wrapping_pow(50)),
+            (7, 3, 343),
+        ] {
+            assert_eq!(pow(x, y).unwrap(), Value::Int(want), "{x} ** {y}");
+        }
+        assert_eq!(pow(2, -1).unwrap_err(), "negative integer exponent");
     }
 
     #[test]
