@@ -16,6 +16,16 @@
 //!   contention on: µs per call × 1000 / 255 = ns per receiving rank).
 //!   The `*_one_member` lines run the same local shape on a one-rank
 //!   grid: no message, so they are the pack plus one deposit.
+//! * `ghost_exchange/{planned,replayed}` — one sample is 1000 ghost
+//!   exchanges at `stencil-ghost`'s shape (a 256 × 256 `(BLOCK, BLOCK)`
+//!   field on a 4 × 4 grid: 64 × 64 segments, `c = ±1` on both
+//!   dimensions in turn), so **ms reads as µs per call**; the machine is
+//!   reset every 80 calls, one job's worth. `planned` is the one-shot
+//!   `structured::overlap_shift`, which plans its move table on every
+//!   call — what every exchange of a run cost before runs kept their
+//!   plans; `replayed` is `driver::ghost_exchange` against a run's
+//!   table that already holds the four plans: key compare, pack, post,
+//!   complete, unpack.
 //! * `post_complete/fresh_tag/after/N` — one sample is 1000
 //!   `post_send` + `post_recv` + `complete` triples of a 64-element
 //!   message, **each under a tag never used before** (what collectives
@@ -29,7 +39,8 @@
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use f90d_comm::structured::{alloc_slab_tmp, multicast};
+use f90d_comm::structured::{alloc_slab_tmp, multicast, overlap_shift};
+use f90d_comm::{driver, RunSchedules};
 use f90d_distrib::{Dad, DadBuilder, DistKind, ProcGrid};
 use f90d_machine::{
     ArrayData, ElemType, LinkClocks, LocalArray, Machine, MachineSpec, MailboxTransport, Transport,
@@ -93,6 +104,45 @@ fn bench_multicast(c: &mut Criterion) {
             b.iter(|| run_multicasts(&mut m, &dad, steps, contention))
         });
     }
+    g.finish();
+}
+
+fn bench_ghost_exchange(c: &mut Criterion) {
+    let mut g = c.benchmark_group("ghost_exchange");
+    g.sample_size(10);
+    let grid = ProcGrid::new(&[4, 4]);
+    let mut m = Machine::new(MachineSpec::ipsc860(), grid.clone());
+    let dad = DadBuilder::new("U", &[256, 256])
+        .distribute(&[DistKind::Block, DistKind::Block])
+        .grid(grid)
+        .build()
+        .expect("valid (BLOCK, BLOCK) descriptor");
+    for mem in &mut m.mems {
+        let seg = LocalArray::with_ghost(ElemType::Real, &dad.local_shape(), &[1, 1], &[1, 1]);
+        mem.insert_array("U", seg);
+    }
+    const SHIFTS: [(usize, i64); 4] = [(0, -1), (0, 1), (1, -1), (1, 1)];
+    let mut run = |exchange: &mut dyn FnMut(&mut Machine, usize, i64)| {
+        for k in 0..PER_SAMPLE {
+            if k % 80 == 0 {
+                m.reset_time();
+            }
+            let (dim, c) = SHIFTS[k % 4];
+            exchange(&mut m, dim, c);
+        }
+        black_box(m.elapsed());
+    };
+    g.bench_function("planned", |b| {
+        b.iter(|| run(&mut |m, dim, c| overlap_shift(m, "U", &dad, dim, c, false).expect("shift")))
+    });
+    let mut rs = RunSchedules::new();
+    g.bench_function("replayed", |b| {
+        b.iter(|| {
+            run(&mut |m, dim, c| {
+                driver::ghost_exchange(m, &mut rs, "U", &dad, dim, c).expect("shift")
+            })
+        })
+    });
     g.finish();
 }
 
@@ -171,6 +221,7 @@ fn bench_route_transfer(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_multicast,
+    bench_ghost_exchange,
     bench_post_complete,
     bench_route_transfer
 );

@@ -459,6 +459,13 @@ fn exp_matrix(
             "# schedule cache (run {run}): hits={} misses={}",
             report.sched_hits, report.sched_misses
         );
+        let sum = |f: fn(&harness::CellResult) -> u64| report.cells.iter().map(f).sum::<u64>();
+        eprintln!(
+            "# plan reuse (run {run}): ghost_plans_built={} ghost_plans_reused={} dispatch_reused={}",
+            sum(|c| c.ghost_plans_built),
+            sum(|c| c.ghost_plans_reused),
+            sum(|c| c.dispatch_reused)
+        );
         let json = harness::report_json(&report);
         // Write (overwriting earlier runs) BEFORE the baseline diff: when
         // the gate exits 1, the CI artifact must hold exactly the run

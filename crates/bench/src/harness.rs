@@ -138,6 +138,17 @@ pub struct CellResult {
     pub native_matched: u64,
     /// FORALL executions that ran the bytecode element loop instead.
     pub native_fallback: u64,
+    /// Structured shift plans the cell's run planned / replayed from
+    /// its per-run table (`RunTrace::ghost_plans_built` / `_reused`),
+    /// and FORALL executions that reused the previous execution's
+    /// iteration lists (`RunTrace::dispatch_reused`; VM cells only).
+    /// Exact per cell, informational, never gated: they explain host
+    /// time and move no gated metric.
+    pub ghost_plans_built: u64,
+    /// See [`CellResult::ghost_plans_built`].
+    pub ghost_plans_reused: u64,
+    /// See [`CellResult::ghost_plans_built`].
+    pub dispatch_reused: u64,
     /// Comm phases the shared driver posted as one batched, coalesced
     /// ghost exchange (nonzero only with `comm_plan` on — e.g. the
     /// `--exp commplan` ablation). Informational, never gated.
@@ -305,6 +316,9 @@ pub fn run_cell_native(cell: &Cell, sched_cache: bool, exec: ExecMode, native: b
         workers: trace.workers,
         native_matched: trace.native_matched,
         native_fallback: trace.native_fallback,
+        ghost_plans_built: trace.ghost_plans_built,
+        ghost_plans_reused: trace.ghost_plans_reused,
+        dispatch_reused: trace.dispatch_reused,
         comm_groups: trace.comm_groups,
         comm_fallbacks: trace.comm_fallbacks,
     }
@@ -567,6 +581,26 @@ pub fn report_json(rep: &MatrixReport) -> Json {
                     Json::Obj(vec![
                         ("matched".into(), Json::Num(c.native_matched as f64)),
                         ("fallback".into(), Json::Num(c.native_fallback as f64)),
+                    ]),
+                ),
+                // What the run planned once and replayed (structured
+                // shift plans; FORALL iteration lists). Exact,
+                // informational, never gated.
+                (
+                    "plan_reuse".into(),
+                    Json::Obj(vec![
+                        (
+                            "ghost_plans_built".into(),
+                            Json::Num(c.ghost_plans_built as f64),
+                        ),
+                        (
+                            "ghost_plans_reused".into(),
+                            Json::Num(c.ghost_plans_reused as f64),
+                        ),
+                        (
+                            "dispatch_reused".into(),
+                            Json::Num(c.dispatch_reused as f64),
+                        ),
                     ]),
                 ),
                 // Shared comm driver phase outcomes for this cell.

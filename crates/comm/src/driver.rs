@@ -11,10 +11,19 @@
 //! `f90d-core` and the bytecode engine in `f90d-vm`) drive it through
 //! the same entry points. The backends keep only evaluation: they hand
 //! the driver a [`ComputeSink`] with interior/boundary element-loop
-//! callbacks and never touch [`PhaseExchange`], `overlap_shift_moves`,
-//! or the raw transport themselves (a guard test in `tests/` enforces
-//! exactly that), so an orchestration bug can no longer be fixed in one
-//! backend and survive in the other.
+//! callbacks and never touch [`PhaseExchange`], the shift planner
+//! (`structured::shift_moves`), or the raw transport themselves (a
+//! guard test in `tests/` enforces exactly that), so an orchestration
+//! bug can no longer be fixed in one backend and survive in the other.
+//!
+//! Every structured shift that goes through here — the per-statement
+//! [`ghost_exchange`] and [`temporary_shift`], and the [`GhostSpec`]s
+//! [`CommDriver::phase_exchange`] batches and [`run_overlap`] posts — is
+//! planned once per run and key, in the run's [`RunSchedules`], and
+//! replayed after that (the paper's schedule reuse, §7 optimization 3,
+//! applied to the structured path). A replay posts, charges and moves
+//! exactly what the planner's table says, which is what a fresh plan
+//! would say: no virtual metric can tell the two apart.
 //!
 //! Contracts preserved from the per-backend implementations, bit for
 //! bit:
@@ -35,12 +44,12 @@ use std::sync::Arc;
 use f90d_distrib::{ArrayDimMap, Dad, Locator};
 use f90d_machine::{ArrayData, ElemType, LocalArray, Machine, Transport, Value};
 
+use crate::helpers::{exchange, ExchangeOp};
 use crate::op::{CommError, CommOp, CommResult};
 use crate::overlap::{dims_overlap_compatible, Margins};
 use crate::plan::{GhostSpec, PhaseExchange};
 use crate::sched_cache::RunSchedules;
 use crate::schedule::{ElementReq, Schedule, ScheduleKind};
-use crate::structured;
 
 /// Outcome of a batched phase exchange attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,9 +131,34 @@ impl CommDriver {
 
 /// One blocking per-statement ghost exchange (the `overlap_shift`
 /// prelude of an unbatched FORALL): fill the ghost cells of `arr` for a
-/// compile-time shift by `c` along `dim`.
-pub fn ghost_exchange(m: &mut Machine, arr: &str, dad: &Dad, dim: usize, c: i64) -> CommResult<()> {
-    structured::overlap_shift(m, arr, dad, dim, c, false)
+/// compile-time shift by `c` along `dim`, by the run's plan for it.
+pub fn ghost_exchange(
+    m: &mut Machine,
+    rs: &mut RunSchedules,
+    arr: &str,
+    dad: &Dad,
+    dim: usize,
+    c: i64,
+) -> CommResult<()> {
+    m.stats.record("overlap_shift");
+    let plan = rs.shift_plan(m, arr, None, dad, dim, c, false);
+    exchange(m, arr, arr, &plan)
+}
+
+/// One blocking `temporary_shift` statement: `tmp(l) = src(global(l) +
+/// s)` for a run-time amount `s`, by the run's plan for that amount.
+pub fn temporary_shift(
+    m: &mut Machine,
+    rs: &mut RunSchedules,
+    src: &str,
+    dad: &Dad,
+    tmp: &str,
+    dim: usize,
+    s: i64,
+) -> CommResult<()> {
+    m.stats.record("temporary_shift");
+    let plan = rs.shift_plan(m, src, Some(tmp), dad, dim, s, false);
+    exchange(m, src, tmp, &plan)
 }
 
 /// Map a FORALL's `overlap_shift` prelude onto per-loop-variable ghost
@@ -207,9 +241,10 @@ pub fn run_overlap<S: ComputeSink>(
     // 1. Post every ghost exchange: senders pay pack + α and are free.
     let mut posted = Vec::with_capacity(shifts.len());
     for s in shifts {
-        posted.push(structured::overlap_shift_post(
-            m, &s.arr, &s.dad, s.dim, s.c, false,
-        )?);
+        m.stats.record("overlap_shift");
+        let mut op = ExchangeOp::new(&s.arr, &s.arr, &s.plan);
+        op.post(m)?;
+        posted.push(op);
     }
     // 2. Split each rank's iteration space once via the shared geometry.
     let interior: Vec<Vec<Vec<i64>>> = iter_lists
@@ -490,13 +525,14 @@ mod tests {
         (m, dad)
     }
 
-    fn spec(dad: &Dad, name: &str, c: i64) -> GhostSpec {
-        GhostSpec {
-            arr: name.into(),
-            dad: dad.clone(),
-            dim: 0,
-            c,
-        }
+    /// The specs of `(array, c)` shifts along dimension 0, planned in a
+    /// fresh per-run table.
+    fn specs(m: &Machine, dad: &Dad, shifts: &[(&str, i64)]) -> Vec<GhostSpec> {
+        let mut rs = RunSchedules::new();
+        shifts
+            .iter()
+            .map(|&(name, c)| GhostSpec::new(m, &mut rs, name, dad, 0, c))
+            .collect()
     }
 
     /// Duplicate specs across phase members collapse to one exchange:
@@ -506,7 +542,7 @@ mod tests {
     fn phase_exchange_dedups_and_counts_groups() {
         let (mut m_ref, dad) = setup(32, 4, &["A", "B"]);
         let mut drv_ref = CommDriver::new();
-        let deduped = vec![spec(&dad, "A", 1), spec(&dad, "B", 1)];
+        let deduped = specs(&m_ref, &dad, &[("A", 1), ("B", 1)]);
         assert_eq!(
             drv_ref.phase_exchange(&mut m_ref, deduped).unwrap(),
             PhaseOutcome::Exchanged
@@ -515,12 +551,7 @@ mod tests {
         let (mut m, dad) = setup(32, 4, &["A", "B"]);
         let mut drv = CommDriver::new();
         // Three members, two of them re-reading the same shifted A.
-        let dup = vec![
-            spec(&dad, "A", 1),
-            spec(&dad, "A", 1),
-            spec(&dad, "B", 1),
-            spec(&dad, "A", 1),
-        ];
+        let dup = specs(&m, &dad, &[("A", 1), ("A", 1), ("B", 1), ("A", 1)]);
         assert_eq!(
             drv.phase_exchange(&mut m, dup).unwrap(),
             PhaseOutcome::Exchanged
@@ -542,9 +573,9 @@ mod tests {
             m.mems[rank as usize].insert_array("K", la);
         }
         let mut drv = CommDriver::new();
-        let specs = vec![spec(&dad, "A", 1), spec(&dad, "K", 1)];
+        let mixed = specs(&m, &dad, &[("A", 1), ("K", 1)]);
         assert_eq!(
-            drv.phase_exchange(&mut m, specs).unwrap(),
+            drv.phase_exchange(&mut m, mixed).unwrap(),
             PhaseOutcome::Refused
         );
         assert_eq!(drv.counts(), (0, 1));
@@ -593,7 +624,7 @@ mod tests {
         }
 
         let (mut m, dad) = setup(32, 4, &["A"]);
-        let shifts = vec![spec(&dad, "A", 1), spec(&dad, "A", -1)];
+        let shifts = specs(&m, &dad, &[("A", 1), ("A", -1)]);
         let mut margins = Margins::new(1);
         margins.add(0, 1);
         margins.add(0, -1);

@@ -13,7 +13,6 @@
 //! wrapper is post-then-finish with nothing in between — bit-identical
 //! virtual time to the pre-redesign blocking loop.
 
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use f90d_distrib::Dad;
@@ -83,23 +82,101 @@ pub(crate) fn cartesian_offsets(lists: &[Vec<i64>], strides: &[i64], bias: &[i64
     offs
 }
 
-/// One element movement between nodes: flat padded offsets into the
-/// source array on the source node and the destination array on the
-/// destination node.
+/// The element moves of an exchange while it is being planned:
+/// `(from, to) → ordered (source flat offset, destination flat offset)`
+/// — flat padded offsets into the source array on the source node and
+/// the destination array on the destination node. The map is what gives
+/// a plan its deterministic pair order; an [`ExchangePlan`] is what runs.
 pub type PairMoves = BTreeMap<(i64, i64), Vec<(usize, usize)>>;
 
-/// The source offsets of one pair's moves, in message order.
-pub(crate) fn srcs(moves: &[(usize, usize)]) -> impl Iterator<Item = usize> + '_ {
-    moves.iter().map(|&(s, _)| s)
+/// A planned exchange as it is executed and kept: the non-empty pairs
+/// of a [`PairMoves`] in its order, their offsets laid out as one
+/// source and one destination column that `gather_flat` / `scatter_flat`
+/// take a pair's slice of directly.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ExchangePlan {
+    /// `(from, to, end)`: the pair's elements are `[previous end, end)`
+    /// of both columns.
+    pairs: Vec<(i64, i64, usize)>,
+    srcs: Vec<usize>,
+    dsts: Vec<usize>,
 }
 
-/// The destination offsets of one pair's moves, in message order.
-pub(crate) fn dsts(moves: &[(usize, usize)]) -> impl Iterator<Item = usize> + '_ {
-    moves.iter().map(|&(_, d)| d)
+/// One processor pair of an [`ExchangePlan`]: every element travelling
+/// `from → to`, in message order.
+#[derive(Debug, Clone, Copy)]
+pub struct PairRun<'a> {
+    /// Sending rank.
+    pub from: i64,
+    /// Receiving rank (`== from`: a local copy).
+    pub to: i64,
+    /// Flat offsets into the source array on `from`.
+    pub srcs: &'a [usize],
+    /// Flat offsets into the destination array on `to`.
+    pub dsts: &'a [usize],
+}
+
+impl From<PairMoves> for ExchangePlan {
+    fn from(moves: PairMoves) -> Self {
+        let mut plan = ExchangePlan::default();
+        for ((from, to), elems) in moves {
+            if elems.is_empty() {
+                continue;
+            }
+            plan.srcs.extend(elems.iter().map(|&(s, _)| s));
+            plan.dsts.extend(elems.iter().map(|&(_, d)| d));
+            plan.pairs.push((from, to, plan.srcs.len()));
+        }
+        plan
+    }
+}
+
+impl ExchangePlan {
+    /// Number of processor pairs (local copies included).
+    pub fn pair_count(&self) -> usize {
+        self.pairs.len()
+    }
+
+    /// The `k`-th pair, in plan order.
+    pub fn pair(&self, k: usize) -> PairRun<'_> {
+        let (from, to, end) = self.pairs[k];
+        let start = if k == 0 { 0 } else { self.pairs[k - 1].2 };
+        PairRun {
+            from,
+            to,
+            srcs: &self.srcs[start..end],
+            dsts: &self.dsts[start..end],
+        }
+    }
+
+    /// Every pair, in plan order.
+    pub fn pairs(&self) -> impl Iterator<Item = PairRun<'_>> {
+        (0..self.pairs.len()).map(|k| self.pair(k))
+    }
+
+    /// Total number of elements moved, local copies included.
+    pub fn len(&self) -> usize {
+        self.srcs.len()
+    }
+
+    /// A plan that moves nothing.
+    pub fn is_empty(&self) -> bool {
+        self.srcs.is_empty()
+    }
+
+    /// Total number of elements moved between distinct nodes.
+    pub fn remote_elements(&self) -> usize {
+        self.remote().map(|p| p.srcs.len()).sum()
+    }
+
+    /// The pairs that cross the wire: one message each.
+    pub fn remote(&self) -> impl Iterator<Item = PairRun<'_>> {
+        self.pairs().filter(|p| p.from != p.to)
+    }
 }
 
 /// A split-phase vectorized pairwise exchange: for every `(from, to)`
-/// pair of `moves`, pack the listed source elements of array `src` into
+/// pair of `plan`, pack the listed source elements of array `src` into
 /// one message and unpack into the listed offsets of array `dst` on the
 /// destination node. `from == to` pairs are local copies charged at
 /// memcpy rate (performed at post time — ghost copies from a node's own
@@ -108,50 +185,31 @@ pub(crate) fn dsts(moves: &[(usize, usize)]) -> impl Iterator<Item = usize> + '_
 /// `src` and `dst` may name the same array only if no (from, to) pair has
 /// overlapping src/dst offsets on one node; redistribution avoids this by
 /// staging through a fresh array.
+///
+/// The op borrows everything it runs from — names and plan belong to
+/// whoever planned the exchange (a schedule, the per-run shift table, a
+/// one-shot planner's local).
 #[derive(Debug)]
 pub struct ExchangeOp<'a> {
-    src: String,
-    dst: String,
-    moves: Cow<'a, PairMoves>,
-    /// Posted receives, in deterministic pair order.
-    pending: Vec<((i64, i64), RecvHandle)>,
+    src: &'a str,
+    dst: &'a str,
+    plan: &'a ExchangePlan,
+    /// Posted receives, `(pair index, handle)` in plan order.
+    pending: Vec<(usize, RecvHandle)>,
     posted: bool,
 }
 
 impl<'a> ExchangeOp<'a> {
-    /// Plan an exchange over an owned move table (split-phase callers
-    /// that outlive the planning scope).
-    pub fn new(src: impl Into<String>, dst: impl Into<String>, moves: PairMoves) -> Self {
-        Self::with_moves(src, dst, Cow::Owned(moves))
-    }
-
-    /// Plan an exchange over a borrowed move table (blocking wrappers and
-    /// schedule executors — no clone on the hot path).
-    pub fn borrowed(src: impl Into<String>, dst: impl Into<String>, moves: &'a PairMoves) -> Self {
-        Self::with_moves(src, dst, Cow::Borrowed(moves))
-    }
-
-    fn with_moves(
-        src: impl Into<String>,
-        dst: impl Into<String>,
-        moves: Cow<'a, PairMoves>,
-    ) -> Self {
+    /// An exchange of `plan`'s elements from array `src` into array
+    /// `dst`, not yet posted.
+    pub fn new(src: &'a str, dst: &'a str, plan: &'a ExchangePlan) -> Self {
         ExchangeOp {
-            src: src.into(),
-            dst: dst.into(),
-            moves,
+            src,
+            dst,
+            plan,
             pending: Vec::new(),
             posted: false,
         }
-    }
-
-    /// Total number of elements moved between distinct nodes.
-    pub fn remote_elements(&self) -> usize {
-        self.moves
-            .iter()
-            .filter(|((f, t), _)| f != t)
-            .map(|(_, v)| v.len())
-            .sum()
     }
 }
 
@@ -168,19 +226,18 @@ impl CommOp for ExchangeOp<'_> {
         self.posted = true;
         let tag = m.fresh_tag();
         let copy_rate = m.spec().time_copy_byte;
+        self.pending.reserve(self.plan.pair_count());
         // Sends (and local copies) in deterministic pair order.
-        for (&(from, to), elems) in self.moves.iter() {
-            if elems.is_empty() {
-                continue;
-            }
+        for (k, pair) in self.plan.pairs().enumerate() {
+            let (from, to) = (pair.from, pair.to);
             // Pack (a local copy stages through the same payload, so
             // `src == dst` needs no care about overlapping offsets).
             let mem = &mut m.mems[from as usize];
-            let payload = mem.array(&self.src).gather_flat(srcs(elems));
+            let payload = mem.array(self.src).gather_flat(pair.srcs.iter().copied());
             if from == to {
-                let a = mem.array_mut(&self.dst);
-                a.scatter_flat(dsts(elems), &payload);
-                let bytes = elems.len() as i64 * a.elem_type().bytes();
+                let a = mem.array_mut(self.dst);
+                a.scatter_flat(pair.dsts.iter().copied(), &payload);
+                let bytes = pair.dsts.len() as i64 * a.elem_type().bytes();
                 m.transport.charge_compute(from, copy_rate * bytes as f64);
                 continue;
             }
@@ -188,7 +245,7 @@ impl CommOp for ExchangeOp<'_> {
             m.transport.charge_compute(from, copy_rate * bytes as f64);
             m.transport.post_send(from, to, tag, payload);
             let h = m.transport.post_recv(to, from, tag);
-            self.pending.push(((from, to), h));
+            self.pending.push((k, h));
         }
         Ok(())
     }
@@ -200,14 +257,15 @@ impl CommOp for ExchangeOp<'_> {
             return Err(CommError("exchange finished before post".into()));
         }
         let copy_rate = m.spec().time_copy_byte;
-        for (pair, h) in self.pending {
+        for (k, h) in self.pending {
             let payload = m.transport.complete(h)?;
-            let (_, to) = pair;
+            let pair = self.plan.pair(k);
             let bytes = payload.len() as i64 * payload.elem_type().bytes();
-            m.transport.charge_compute(to, copy_rate * bytes as f64);
-            m.mems[to as usize]
-                .array_mut(&self.dst)
-                .scatter_flat(dsts(&self.moves[&pair]), &payload);
+            m.transport
+                .charge_compute(pair.to, copy_rate * bytes as f64);
+            m.mems[pair.to as usize]
+                .array_mut(self.dst)
+                .scatter_flat(pair.dsts.iter().copied(), &payload);
         }
         Ok(())
     }
@@ -215,8 +273,8 @@ impl CommOp for ExchangeOp<'_> {
 
 /// Blocking wrapper: post-then-finish with no compute in between —
 /// virtual metrics bit-identical to the pre-redesign blocking exchange.
-pub fn exchange(m: &mut Machine, src: &str, dst: &str, moves: &PairMoves) -> CommResult<()> {
-    let mut op = ExchangeOp::borrowed(src, dst, moves);
+pub fn exchange(m: &mut Machine, src: &str, dst: &str, plan: &ExchangePlan) -> CommResult<()> {
+    let mut op = ExchangeOp::new(src, dst, plan);
     op.post(m)?;
     op.finish(m)
 }
@@ -384,7 +442,7 @@ mod tests {
         m.mems[0].array_mut("S").set(&[1], Value::Real(42.0));
         let mut moves = PairMoves::new();
         moves.insert((0, 1), vec![(1, 2)]);
-        exchange(&mut m, "S", "D", &moves).unwrap();
+        exchange(&mut m, "S", "D", &moves.into()).unwrap();
         assert_eq!(m.mems[1].array("D").get(&[2]), Value::Real(42.0));
         assert_eq!(m.transport.messages, 1);
     }
@@ -396,7 +454,7 @@ mod tests {
         m.mems[0].array_mut("A").set(&[0], Value::Int(9));
         let mut moves = PairMoves::new();
         moves.insert((0, 0), vec![(0, 2)]);
-        exchange(&mut m, "A", "A", &moves).unwrap();
+        exchange(&mut m, "A", "A", &moves.into()).unwrap();
         assert_eq!(m.mems[0].array("A").get(&[2]), Value::Int(9));
         assert_eq!(m.transport.messages, 0);
     }
@@ -414,17 +472,17 @@ mod tests {
             }
             let mut moves = PairMoves::new();
             moves.insert((0, 1), (0..1024).map(|k| (k, k)).collect());
-            moves
+            ExchangePlan::from(moves)
         };
         // Blocking: exchange then compute.
         let mut mb = Machine::new(spec.clone(), ProcGrid::new(&[2]));
-        let moves = build(&mut mb);
-        exchange(&mut mb, "S", "D", &moves).unwrap();
+        let plan = build(&mut mb);
+        exchange(&mut mb, "S", "D", &plan).unwrap();
         mb.transport.charge_elem_ops(1, 4096);
         // Overlapped: post, compute, finish.
         let mut mo = Machine::new(spec, ProcGrid::new(&[2]));
-        let moves = build(&mut mo);
-        let mut op = ExchangeOp::new("S", "D", moves);
+        let plan = build(&mut mo);
+        let mut op = ExchangeOp::new("S", "D", &plan);
         op.post(&mut mo).unwrap();
         mo.transport.charge_elem_ops(1, 4096);
         op.finish(&mut mo).unwrap();
@@ -447,10 +505,11 @@ mod tests {
         for mem in &mut m.mems {
             mem.insert_array("S", LocalArray::zeros(ElemType::Real, &[1]));
         }
-        let mut op = ExchangeOp::new("S", "S", PairMoves::new());
+        let nothing = ExchangePlan::default();
+        let mut op = ExchangeOp::new("S", "S", &nothing);
         assert!(op.post(&mut m).is_ok());
         assert!(op.post(&mut m).is_err());
-        let op2 = ExchangeOp::new("S", "S", PairMoves::new());
+        let op2 = ExchangeOp::new("S", "S", &nothing);
         assert!(op2.finish(&mut m).is_err());
     }
 
@@ -465,7 +524,8 @@ mod tests {
         }
         let mut moves = PairMoves::new();
         moves.insert((0, 1), vec![(0, 0)]);
-        let mut op = ExchangeOp::new("S", "D", moves);
+        let plan = ExchangePlan::from(moves);
+        let mut op = ExchangeOp::new("S", "D", &plan);
         op.post(&mut m).unwrap();
         m.reset_time();
         let err = op.finish(&mut m).unwrap_err();

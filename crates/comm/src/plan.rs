@@ -23,36 +23,55 @@
 //! quiescence report names them all.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use f90d_distrib::Dad;
 use f90d_machine::{ArrayData, ElemType, Machine, RecvHandle, Transport};
 
-use crate::helpers::{dsts, srcs};
+use crate::helpers::ExchangePlan;
 use crate::op::{CommError, CommOp, CommResult};
-use crate::structured::overlap_shift_moves;
+use crate::sched_cache::RunSchedules;
 
-/// One ghost exchange batched into a phase: fill the ghost cells of
-/// `arr` (live descriptor `dad`) for a compile-time shift by `c` along
-/// array dimension `dim`. The executors build one spec per *distinct*
-/// `(array, dim, c)` in the phase — duplicate exchanges across phase
-/// members collapse to one spec (none of the phase's members writes the
-/// exchanged array, so repeated fills would carry identical data).
+/// One planned ghost exchange: fill the ghost cells of `arr` for a
+/// compile-time shift by `c` along array dimension `dim`, by the moves
+/// of `plan` — the run's kept plan for the array's live descriptor
+/// ([`RunSchedules::shift_plan`]), so a spec built twice shares one.
+/// The executors build one spec per *distinct* `(array, dim, c)` in a
+/// phase — duplicate exchanges across phase members collapse to one
+/// spec (none of the phase's members writes the exchanged array, so
+/// repeated fills would carry identical data).
 #[derive(Debug, Clone)]
 pub struct GhostSpec {
     /// Array whose ghost cells are filled.
     pub arr: String,
-    /// Its live distribution descriptor.
-    pub dad: Dad,
     /// Shifted array dimension.
     pub dim: usize,
     /// Compile-time shift constant.
     pub c: i64,
+    /// The element moves, as every path that runs this exchange
+    /// prices and performs them.
+    pub plan: Arc<ExchangePlan>,
 }
 
-/// `(from, to) → [(item index, element moves)]`: every element travelling
-/// between one rank pair, grouped by the [`GhostSpec`] it belongs to, in
-/// deterministic (pair, item) order.
-type PhaseMoves = BTreeMap<(i64, i64), Vec<(usize, Vec<(usize, usize)>)>>;
+impl GhostSpec {
+    /// The non-periodic ghost exchange of `arr` (live descriptor `dad`)
+    /// by `c` along `dim`, planned — or found planned — in `rs`.
+    pub fn new(
+        m: &Machine,
+        rs: &mut RunSchedules,
+        arr: &str,
+        dad: &Dad,
+        dim: usize,
+        c: i64,
+    ) -> Self {
+        GhostSpec {
+            arr: arr.to_string(),
+            dim,
+            c,
+            plan: rs.shift_plan(m, arr, None, dad, dim, c, false),
+        }
+    }
+}
 
 /// A split-phase, multi-array coalesced ghost exchange.
 ///
@@ -67,18 +86,22 @@ type PhaseMoves = BTreeMap<(i64, i64), Vec<(usize, Vec<(usize, usize)>)>>;
 pub struct PhaseExchange {
     items: Vec<GhostSpec>,
     ty: ElemType,
-    moves: PhaseMoves,
-    /// Posted receives, in deterministic pair order.
-    pending: Vec<((i64, i64), RecvHandle)>,
+    /// `((from, to), [(item, index of the pair in the item's plan)])`:
+    /// every strip travelling between one rank pair, in deterministic
+    /// (pair, item) order.
+    merged: Vec<((i64, i64), Vec<(usize, usize)>)>,
+    /// Posted receives, `(index into merged, handle)` in pair order.
+    pending: Vec<(usize, RecvHandle)>,
     posted: bool,
 }
 
 impl PhaseExchange {
-    /// Plan a coalesced exchange over `items`. Planning reads the live
-    /// arrays (for offsets and element types) but posts nothing. All
-    /// items must share one element type — the phase planner only
-    /// groups same-typed arrays, so a mix here is a planner bug and
-    /// surfaces as a structured error rather than a mis-packed message.
+    /// Plan a coalesced exchange over `items` by merging their plans
+    /// per rank pair. Reads the live arrays for their element types but
+    /// posts nothing. All items must share one element type — the phase
+    /// planner only groups same-typed arrays, so a mix here is a planner
+    /// bug and surfaces as a structured error rather than a mis-packed
+    /// message.
     pub fn plan(m: &Machine, items: Vec<GhostSpec>) -> CommResult<PhaseExchange> {
         let ty = match items.first() {
             Some(it) => m.mems[0].array(&it.arr).elem_type(),
@@ -93,19 +116,19 @@ impl PhaseExchange {
                 )));
             }
         }
-        let mut moves: PhaseMoves = BTreeMap::new();
+        let mut merged: BTreeMap<(i64, i64), Vec<(usize, usize)>> = BTreeMap::new();
         for (k, it) in items.iter().enumerate() {
-            let pm = overlap_shift_moves(m, &it.arr, &it.dad, it.dim, it.c, false);
-            for (pair, mv) in pm {
-                if !mv.is_empty() {
-                    moves.entry(pair).or_default().push((k, mv));
-                }
+            for (at, pair) in it.plan.pairs().enumerate() {
+                merged
+                    .entry((pair.from, pair.to))
+                    .or_default()
+                    .push((k, at));
             }
         }
         Ok(PhaseExchange {
             items,
             ty,
-            moves,
+            merged: merged.into_iter().collect(),
             pending: Vec::new(),
             posted: false,
         })
@@ -113,17 +136,17 @@ impl PhaseExchange {
 
     /// Number of wire messages this phase will send (remote pairs).
     pub fn coalesced_messages(&self) -> usize {
-        self.moves.iter().filter(|((f, t), _)| f != t).count()
+        self.remote().count()
     }
 
     /// Number of wire messages the per-statement path would send for the
     /// same items: one per (item, remote pair).
     pub fn per_statement_messages(&self) -> usize {
-        self.moves
-            .iter()
-            .filter(|((f, t), _)| f != t)
-            .map(|(_, entries)| entries.len())
-            .sum()
+        self.remote().map(|(_, strips)| strips.len()).sum()
+    }
+
+    fn remote(&self) -> impl Iterator<Item = &((i64, i64), Vec<(usize, usize)>)> {
+        self.merged.iter().filter(|((f, t), _)| f != t)
     }
 }
 
@@ -144,31 +167,33 @@ impl CommOp for PhaseExchange {
         let tag = m.fresh_tag();
         let copy_rate = m.spec().time_copy_byte;
         let elem_bytes = self.ty.bytes();
-        for (&(from, to), entries) in self.moves.iter() {
-            let n_elems: usize = entries.iter().map(|(_, mv)| mv.len()).sum();
-            if n_elems == 0 {
-                continue;
-            }
+        for (at, ((from, to), strips)) in self.merged.iter().enumerate() {
+            let (from, to) = (*from, *to);
+            let strips = || {
+                (strips.iter())
+                    .map(|&(k, p)| (self.items[k].arr.as_str(), self.items[k].plan.pair(p)))
+            };
+            let n_elems: usize = strips().map(|(_, pair)| pair.srcs.len()).sum();
             let bytes = n_elems as i64 * elem_bytes;
             if from == to {
-                for (k, mv) in entries {
-                    let a = m.mems[from as usize].array_mut(&self.items[*k].arr);
-                    let strip = a.gather_flat(srcs(mv));
-                    a.scatter_flat(dsts(mv), &strip);
+                for (arr, pair) in strips() {
+                    let a = m.mems[from as usize].array_mut(arr);
+                    let strip = a.gather_flat(pair.srcs.iter().copied());
+                    a.scatter_flat(pair.dsts.iter().copied(), &strip);
                 }
                 m.transport.charge_compute(from, copy_rate * bytes as f64);
                 continue;
             }
             // Pack every item's strip into one payload, in item order.
             let mut data = ArrayData::zeros(self.ty, 0);
-            for (k, mv) in entries {
-                let a = m.mems[from as usize].array(&self.items[*k].arr);
-                a.gather_flat_into(srcs(mv), &mut data);
+            for (arr, pair) in strips() {
+                let a = m.mems[from as usize].array(arr);
+                a.gather_flat_into(pair.srcs.iter().copied(), &mut data);
             }
             m.transport.charge_compute(from, copy_rate * bytes as f64);
             m.transport.post_send(from, to, tag, data);
             let h = m.transport.post_recv(to, from, tag);
-            self.pending.push(((from, to), h));
+            self.pending.push((at, h));
         }
         Ok(())
     }
@@ -186,7 +211,7 @@ impl CommOp for PhaseExchange {
         }
         let copy_rate = m.spec().time_copy_byte;
         let mut failed: Vec<String> = Vec::new();
-        for (pair, h) in std::mem::take(&mut self.pending) {
+        for (at, h) in std::mem::take(&mut self.pending) {
             let payload = match m.transport.complete(h) {
                 Ok(p) => p,
                 Err(e) => {
@@ -194,13 +219,14 @@ impl CommOp for PhaseExchange {
                     continue;
                 }
             };
-            let (_, to) = pair;
+            let ((_, to), strips) = &self.merged[at];
             let bytes = payload.len() as i64 * payload.elem_type().bytes();
-            m.transport.charge_compute(to, copy_rate * bytes as f64);
+            m.transport.charge_compute(*to, copy_rate * bytes as f64);
             let mut off = 0usize;
-            for (k, mv) in &self.moves[&pair] {
-                let a = m.mems[to as usize].array_mut(&self.items[*k].arr);
-                off = a.scatter_flat_from(dsts(mv), &payload, off);
+            for &(k, p) in strips {
+                let a = m.mems[*to as usize].array_mut(&self.items[k].arr);
+                let dsts = self.items[k].plan.pair(p).dsts;
+                off = a.scatter_flat_from(dsts.iter().copied(), &payload, off);
             }
             assert_eq!(off, payload.len(), "coalesced payload longer than its plan");
         }
@@ -274,14 +300,10 @@ mod tests {
 
         // Phase: the same three exchanges coalesced.
         let (mut m2, _) = setup(n, p, &["A", "B", "C"]);
+        let mut rs = RunSchedules::new();
         let items = ["A", "B", "C"]
             .iter()
-            .map(|&name| GhostSpec {
-                arr: name.into(),
-                dad: dad.clone(),
-                dim: 0,
-                c: 1,
-            })
+            .map(|&name| GhostSpec::new(&m2, &mut rs, name, &dad, 0, 1))
             .collect();
         let mut px = PhaseExchange::plan(&m2, items).unwrap();
         assert_eq!(px.per_statement_messages(), 3 * px.coalesced_messages());
@@ -312,19 +334,10 @@ mod tests {
     fn mixed_directions_and_widths_coalesce_per_pair() {
         let n = 24;
         let (mut m, dad) = setup(n, 4, &["A", "B"]);
+        let mut rs = RunSchedules::new();
         let items = vec![
-            GhostSpec {
-                arr: "A".into(),
-                dad: dad.clone(),
-                dim: 0,
-                c: 2,
-            },
-            GhostSpec {
-                arr: "B".into(),
-                dad: dad.clone(),
-                dim: 0,
-                c: -1,
-            },
+            GhostSpec::new(&m, &mut rs, "A", &dad, 0, 2),
+            GhostSpec::new(&m, &mut rs, "B", &dad, 0, -1),
         ];
         let mut px = PhaseExchange::plan(&m, items).unwrap();
         // Opposite signs travel between different pairs: no merge, but
@@ -341,19 +354,10 @@ mod tests {
     #[test]
     fn mid_finish_error_reports_every_open_handle_and_drains_the_rest() {
         let (mut m, dad) = setup(32, 4, &["A", "B"]);
+        let mut rs = RunSchedules::new();
         let items = vec![
-            GhostSpec {
-                arr: "A".into(),
-                dad: dad.clone(),
-                dim: 0,
-                c: 1,
-            },
-            GhostSpec {
-                arr: "B".into(),
-                dad: dad.clone(),
-                dim: 0,
-                c: 1,
-            },
+            GhostSpec::new(&m, &mut rs, "A", &dad, 0, 1),
+            GhostSpec::new(&m, &mut rs, "B", &dad, 0, 1),
         ];
         let mut px = PhaseExchange::plan(&m, items).unwrap();
         px.post(&mut m).unwrap();
@@ -363,7 +367,7 @@ mod tests {
         // steal the message of one middle pair by completing a
         // handle on the same channel, so that pair's own completion
         // finds no matching message while later pairs still succeed.
-        let victim = px.pending[posted / 2].0;
+        let victim = px.merged[px.pending[posted / 2].0].0;
         let tag = px.pending[posted / 2].1.tag();
         let stolen = m.transport.post_recv(victim.1, victim.0, tag);
         m.transport.complete(stolen).unwrap();
@@ -405,19 +409,10 @@ mod tests {
             let la = LocalArray::with_ghost(ElemType::Int, &dad.local_shape(), &[2], &[2]);
             m.mems[rank as usize].insert_array("K", la);
         }
+        let mut rs = RunSchedules::new();
         let items = vec![
-            GhostSpec {
-                arr: "A".into(),
-                dad: dad.clone(),
-                dim: 0,
-                c: 1,
-            },
-            GhostSpec {
-                arr: "K".into(),
-                dad: dad.clone(),
-                dim: 0,
-                c: 1,
-            },
+            GhostSpec::new(&m, &mut rs, "A", &dad, 0, 1),
+            GhostSpec::new(&m, &mut rs, "K", &dad, 0, 1),
         ];
         let err = PhaseExchange::plan(&m, items).unwrap_err();
         assert!(err.0.contains("element types"), "{err}");

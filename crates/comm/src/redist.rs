@@ -58,7 +58,7 @@ pub fn redistribute(
             }
         }
     }
-    exchange(m, src, dst, &moves)
+    exchange(m, src, dst, &moves.into())
 }
 
 /// Allocate `name` on every node with `dad.local_shape()` (no ghosts) and

@@ -24,10 +24,13 @@ use std::convert::Infallible;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 
-use f90d_machine::{Machine, OnceMap};
+use f90d_distrib::{ArrayDimMap, Dad, ProcGrid};
+use f90d_machine::{LocalArray, Machine, OnceMap};
 
+use crate::helpers::ExchangePlan;
 use crate::op::CommResult;
 use crate::schedule::{self, ElementReq, Schedule, ScheduleKind};
+use crate::structured::shift_moves;
 
 /// Schedules kept process-wide. A key retains its full request pattern
 /// plus the built move table, so an unbounded map would grow without
@@ -124,6 +127,51 @@ pub fn global() -> &'static OnceMap<SchedKey, Schedule> {
     CACHE.get_or_init(|| OnceMap::new(SCHED_CACHE_CAP))
 }
 
+/// Element moves kept in one run's shift-plan table. Ghost strips are
+/// tens to hundreds of moves each; the bound is for `temporary_shift`,
+/// whose plan moves a whole array and whose key holds a run-time amount
+/// (a `DO` that shifts by its own variable plans once per iteration). A
+/// plan that does not fit is built, used and dropped, as every plan was
+/// before the table.
+pub const SHIFT_PLAN_CAP: usize = 1 << 20;
+
+/// The allocation geometry of an array's segments — one shape and one
+/// set of ghost widths on every rank, so rank 0's speaks for all.
+#[derive(Debug, PartialEq, Eq)]
+struct SegGeometry {
+    shape: Vec<i64>,
+    ghost_lo: Vec<i64>,
+    ghost_hi: Vec<i64>,
+}
+
+impl SegGeometry {
+    fn of(seg: &LocalArray) -> Self {
+        SegGeometry {
+            shape: seg.shape.clone(),
+            ghost_lo: seg.ghost_lo.clone(),
+            ghost_hi: seg.ghost_hi.clone(),
+        }
+    }
+
+    fn is(&self, seg: &LocalArray) -> bool {
+        self.shape == seg.shape && self.ghost_lo == seg.ghost_lo && self.ghost_hi == seg.ghost_hi
+    }
+}
+
+/// What a kept shift plan is a function of besides the `(dim, amount,
+/// periodic, into ghost cells)` its bucket is found by: everything
+/// [`shift_moves`] reads, compared by equality. The descriptor's
+/// diagnostic `name` is not among it — two arrays of one layout share
+/// one plan — and a REDISTRIBUTEd array simply presents other `dims`:
+/// another key, no invalidation.
+#[derive(Debug)]
+struct ShiftLayout {
+    dims: Vec<ArrayDimMap>,
+    grid: ProcGrid,
+    src: SegGeometry,
+    dst: SegGeometry,
+}
+
 /// Per-run front end over the caches: owns the §7(3) within-run reuse
 /// map (previously a signature-keyed `HashMap` in each executor — now
 /// keyed by the full pattern, so a signature collision can no longer
@@ -145,6 +193,15 @@ pub struct RunSchedules {
     pub use_global: bool,
     hits: u64,
     misses: u64,
+    /// Structured shift plans of this run (ghost exchanges and
+    /// temporary shifts), bucketed by `(dim, amount, periodic, into
+    /// ghost cells)`; a bucket holds one plan per distinct layout.
+    /// Per-run only: nothing here outlives the run or is shared.
+    shifts: HashMap<(usize, i64, bool, bool), Vec<(ShiftLayout, Arc<ExchangePlan>)>>,
+    /// Element moves the table holds, against [`SHIFT_PLAN_CAP`].
+    shift_moves_kept: usize,
+    shifts_built: u64,
+    shifts_reused: u64,
 }
 
 impl Default for RunSchedules {
@@ -162,6 +219,10 @@ impl RunSchedules {
             use_global: true,
             hits: 0,
             misses: 0,
+            shifts: HashMap::new(),
+            shift_moves_kept: 0,
+            shifts_built: 0,
+            shifts_reused: 0,
         }
     }
 
@@ -207,6 +268,61 @@ impl RunSchedules {
             self.seen.entry(key).or_default()[side] = Some(sched.clone());
         }
         Ok(sched)
+    }
+
+    /// The plan of a structured shift of `src` (live descriptor `dad`)
+    /// by `s` along `dim` — into `src`'s own ghost cells (`tmp == None`,
+    /// `overlap_shift`) or the same-shape temporary `tmp`
+    /// (`temporary_shift`): [`shift_moves`], run once per run and key.
+    /// A repeat compares the key and clones an `Arc` — it allocates
+    /// nothing. What a caller then posts, charges and moves is the
+    /// plan's either way, so no virtual metric can tell a replay.
+    #[allow(clippy::too_many_arguments)]
+    pub fn shift_plan(
+        &mut self,
+        m: &Machine,
+        src: &str,
+        tmp: Option<&str>,
+        dad: &Dad,
+        dim: usize,
+        s: i64,
+        periodic: bool,
+    ) -> Arc<ExchangePlan> {
+        let src_seg = m.mems[0].array(src);
+        let dst_seg = tmp.map_or(src_seg, |t| m.mems[0].array(t));
+        let key = (dim, s, periodic, tmp.is_none());
+        let same_layout = |l: &ShiftLayout| {
+            l.dims == dad.dims && l.grid == m.grid && l.src.is(src_seg) && l.dst.is(dst_seg)
+        };
+        let kept = self.shifts.get(&key);
+        if let Some((_, plan)) = kept.and_then(|b| b.iter().find(|(l, _)| same_layout(l))) {
+            self.shifts_reused += 1;
+            return plan.clone();
+        }
+        self.shifts_built += 1;
+        let plan = Arc::new(shift_moves(m, src, tmp, dad, dim, s, periodic));
+        // A plan that moves nothing still occupies an entry.
+        let cost = plan.len().max(1);
+        if self.shift_moves_kept + cost <= SHIFT_PLAN_CAP {
+            self.shift_moves_kept += cost;
+            let layout = ShiftLayout {
+                dims: dad.dims.clone(),
+                grid: m.grid.clone(),
+                src: SegGeometry::of(src_seg),
+                dst: SegGeometry::of(dst_seg),
+            };
+            self.shifts
+                .entry(key)
+                .or_default()
+                .push((layout, plan.clone()));
+        }
+        plan
+    }
+
+    /// `(built, reused)`: structured shift plans this run planned vs
+    /// replayed from its table. Exact.
+    pub fn shift_plans(&self) -> (u64, u64) {
+        (self.shifts_built, self.shifts_reused)
     }
 
     /// Global-cache hits this run (first-per-run patterns found built).

@@ -22,7 +22,7 @@
 
 use f90d_machine::{ArrayData, IntMap, Machine, Transport};
 
-use crate::helpers::PairMoves;
+use crate::helpers::{ExchangePlan, PairMoves};
 use crate::op::CommResult;
 
 /// Which inspector built the schedule (affects modelled preprocessing
@@ -54,8 +54,9 @@ impl ScheduleKind {
 #[derive(Debug, Clone)]
 pub struct Schedule {
     kind: ScheduleKind,
-    /// (src_rank, dst_rank) → ordered (src flat offset, dst flat offset).
-    moves: PairMoves,
+    /// Per (src_rank, dst_rank), the ordered (src flat offset, dst flat
+    /// offset) moves the executors run.
+    plan: ExchangePlan,
     /// Structural signature for reuse detection.
     sig: u64,
 }
@@ -75,33 +76,26 @@ impl Schedule {
 
     /// Total number of elements moved between distinct nodes.
     pub fn remote_elements(&self) -> usize {
-        self.moves
-            .iter()
-            .filter(|((f, t), _)| f != t)
-            .map(|(_, v)| v.len())
-            .sum()
+        self.plan.remote_elements()
     }
 
     /// Number of point-to-point messages the executor will send.
     pub fn message_count(&self) -> usize {
-        self.moves
-            .iter()
-            .filter(|((f, t), v)| f != t && !v.is_empty())
-            .count()
+        self.plan.remote().count()
     }
 }
 
-fn hash_moves(moves: &PairMoves) -> u64 {
+fn hash_moves(plan: &ExchangePlan) -> u64 {
     // FNV-1a over the move structure; deterministic across runs.
     let mut h: u64 = 0xcbf29ce484222325;
     let mut mix = |x: u64| {
         h ^= x;
         h = h.wrapping_mul(0x100000001b3);
     };
-    for (&(f, t), elems) in moves {
-        mix(f as u64);
-        mix(t as u64);
-        for &(s, d) in elems {
+    for pair in plan.pairs() {
+        mix(pair.from as u64);
+        mix(pair.to as u64);
+        for (&s, &d) in pair.srcs.iter().zip(pair.dsts) {
             mix(s as u64);
             mix(d as u64 ^ 0x9e3779b97f4a7c15);
         }
@@ -145,9 +139,9 @@ pub fn build_schedule(kind: ScheduleKind, reqs: &[ElementReq]) -> Schedule {
         });
         buckets[at].1.push((r.src_off, r.dst_off));
     }
-    let moves: PairMoves = buckets.into_iter().collect();
-    let sig = hash_moves(&moves);
-    Schedule { kind, moves, sig }
+    let plan = ExchangePlan::from(buckets.into_iter().collect::<PairMoves>());
+    let sig = hash_moves(&plan);
+    Schedule { kind, plan, sig }
 }
 
 /// The modelled cost of running `sched`'s inspector over the request
@@ -167,9 +161,9 @@ pub fn inspect(m: &mut Machine, sched: &Schedule) -> CommResult<()> {
     // for schedule3.
     let read_side = kind != ScheduleKind::SenderDriven;
     let mut per_rank = vec![0i64; m.nranks() as usize];
-    for (&(owner, requester), elems) in &sched.moves {
-        let runner = if read_side { requester } else { owner };
-        per_rank[runner as usize] += 4 * elems.len() as i64;
+    for pair in sched.plan.pairs() {
+        let runner = if read_side { pair.to } else { pair.from };
+        per_rank[runner as usize] += 4 * pair.srcs.len() as i64;
     }
     for (rank, &ops) in per_rank.iter().enumerate() {
         if ops > 0 {
@@ -182,15 +176,14 @@ pub fn inspect(m: &mut Machine, sched: &Schedule) -> CommResult<()> {
     // The inspector's own messages, one per remote pair in sender
     // order, all posted before the first completes.
     let mut remote: Vec<(i64, i64, usize)> = sched
-        .moves
-        .iter()
-        .filter(|((owner, requester), _)| owner != requester)
-        .map(|(&(owner, requester), elems)| match kind {
+        .plan
+        .remote()
+        .map(|pair| match kind {
             // Receivers transmit their index lists to owners: 8 bytes
             // per element.
-            ScheduleKind::FanInRequests => (requester, owner, elems.len()),
+            ScheduleKind::FanInRequests => (pair.to, pair.from, pair.srcs.len()),
             // Senders announce counts: one 8-byte message.
-            _ => (owner, requester, 1),
+            _ => (pair.from, pair.to, 1),
         })
         .collect();
     remote.sort_unstable();
@@ -244,7 +237,7 @@ pub fn execute_read(m: &mut Machine, sched: &Schedule, src: &str, dst: &str) -> 
         ScheduleKind::LocalOnly => "precomp_read",
         _ => "gather",
     });
-    crate::helpers::exchange(m, src, dst, &sched.moves)
+    crate::helpers::exchange(m, src, dst, &sched.plan)
 }
 
 /// Executor for write-side schedules: `postcomp_write` (`schedule1`) or
@@ -255,7 +248,7 @@ pub fn execute_write(m: &mut Machine, sched: &Schedule, src: &str, dst: &str) ->
         ScheduleKind::LocalOnly => "postcomp_write",
         _ => "scatter",
     });
-    crate::helpers::exchange(m, src, dst, &sched.moves)
+    crate::helpers::exchange(m, src, dst, &sched.plan)
 }
 
 #[cfg(test)]

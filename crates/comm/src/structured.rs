@@ -22,9 +22,9 @@ use f90d_machine::{ArrayData, ElemType, LocalArray, Machine, Transport};
 
 use crate::helpers::{
     cartesian, cartesian_offsets, exchange, fiber_through, owned_locals_per_dim, tree_broadcast,
-    ExchangeOp, PairMoves,
+    ExchangePlan, PairMoves,
 };
-use crate::op::{CommOp, CommResult};
+use crate::op::CommResult;
 
 /// Allocate (on every node) the slab temporary for `transfer`/`multicast`
 /// over dimension `dim` of `dad`: rank `r-1`, shaped by the local
@@ -186,8 +186,9 @@ pub fn multicast(
 /// Supports BLOCK distributions — the only case the paper's Table 1 emits
 /// it for (shifts on CYCLIC layouts route through the unstructured path).
 ///
-/// Blocking wrapper over [`overlap_shift_post`] + `finish` — virtual
-/// metrics bit-identical to the pre-redesign one-shot call.
+/// One-shot: plans, posts and finishes. A run that repeats the exchange
+/// replays it from its per-run table instead
+/// ([`crate::driver::ghost_exchange`]) — same plan, same messages.
 pub fn overlap_shift(
     m: &mut Machine,
     arr: &str,
@@ -196,104 +197,9 @@ pub fn overlap_shift(
     c: i64,
     periodic: bool,
 ) -> CommResult<()> {
-    overlap_shift_post(m, arr, dad, dim, c, periodic)?.finish(m)
-}
-
-/// Split-phase `overlap_shift`: plans the ghost exchange and **posts**
-/// it — boundary strips are packed and leave the senders (which pay the
-/// packing copy and the startup α), receives are registered, and the
-/// caller is free to charge interior computation before calling
-/// [`finish`](crate::op::CommOp::finish) on the returned op. This is the
-/// primitive the `comm_compute_overlap` optimization drives: ghost
-/// exchange posted → interior compute → complete → boundary compute.
-pub fn overlap_shift_post(
-    m: &mut Machine,
-    arr: &str,
-    dad: &Dad,
-    dim: usize,
-    c: i64,
-    periodic: bool,
-) -> CommResult<ExchangeOp<'static>> {
     m.stats.record("overlap_shift");
-    let moves = overlap_shift_moves(m, arr, dad, dim, c, periodic);
-    let mut op = ExchangeOp::new(arr, arr, moves);
-    op.post(m)?;
-    Ok(op)
-}
-
-/// Plan the element moves of an [`overlap_shift`] without posting
-/// anything: the receiver-centric `(src_rank, dst_rank) → (src, dst)
-/// flat offsets` table of every ghost cell of `arr` filled for a shift
-/// by compile-time `c` along `dim`. Shared by the per-statement
-/// split-phase op above and the phase-level coalescing planner in
-/// [`crate::plan`], so both price and move exactly the same elements.
-pub fn overlap_shift_moves(
-    m: &Machine,
-    arr: &str,
-    dad: &Dad,
-    dim: usize,
-    c: i64,
-    periodic: bool,
-) -> PairMoves {
-    if c == 0 {
-        return PairMoves::new();
-    }
-    let dm = &dad.dims[dim];
-    let axis = dm.grid_axis.expect("overlap_shift needs a distributed dim");
-    assert!(
-        matches!(dm.dist.kind, f90d_distrib::DistKind::Block),
-        "overlap_shift supports BLOCK distributions"
-    );
-    let n = dm.extent;
-    // Receiver-centric: each node needs, for interior local l with global
-    // g, the value at g + c when it falls outside its own block; those
-    // form a strip of width |c| owned by the neighbour at +sign(c).
-    let mut moves: PairMoves = PairMoves::new();
-    for rank in 0..m.nranks() {
-        let coords = m.grid.coords_of(rank);
-        let lists = owned_locals_per_dim(dad, &coords);
-        if lists[dim].is_empty() {
-            continue;
-        }
-        // Ghost cells to fill: local indices just past the owned range.
-        let lo = *lists[dim].first().unwrap();
-        let hi = *lists[dim].last().unwrap();
-        let ghost_locals: Vec<i64> = if c > 0 {
-            (hi + 1..=hi + c).collect()
-        } else {
-            (lo + c..lo).collect()
-        };
-        for gl in ghost_locals {
-            // Global index this ghost cell mirrors.
-            let interior_l = if c > 0 { hi } else { lo };
-            let interior_g = dm
-                .array_index_of(coords[axis], interior_l)
-                .expect("interior local maps to a global");
-            let g = interior_g + (gl - interior_l);
-            let g_eff = if periodic {
-                g.rem_euclid(n)
-            } else if (0..n).contains(&g) {
-                g
-            } else {
-                continue;
-            };
-            let owner = dm.proc_of(g_eff);
-            let src_l = dm.local_of(g_eff);
-            let mut src_c = coords.clone();
-            src_c[axis] = owner;
-            let src_rank = m.grid.rank_of(&src_c);
-            // Pair each ghost cell with its source over all other dims.
-            let mut src_idx_lists = lists.clone();
-            src_idx_lists[dim] = vec![src_l];
-            let mut dst_idx_lists = lists.clone();
-            dst_idx_lists[dim] = vec![gl];
-            let src_offs = local_offsets(m.mems[src_rank as usize].array(arr), &src_idx_lists);
-            let dst_offs = local_offsets(m.mems[rank as usize].array(arr), &dst_idx_lists);
-            let entry = moves.entry((src_rank, rank)).or_default();
-            entry.extend(src_offs.into_iter().zip(dst_offs));
-        }
-    }
-    moves
+    let plan = shift_moves(m, arr, None, dad, dim, c, periodic);
+    exchange(m, arr, arr, &plan)
 }
 
 /// `temporary_shift` (paper §5.1): shift by a (possibly runtime) amount
@@ -302,6 +208,9 @@ pub fn overlap_shift_moves(
 /// whose shifted global stays in range (`periodic` wraps instead).
 /// Unlike `overlap_shift` this may require intra-processor copying — the
 /// cost difference is the ablation ABL-4 measures.
+///
+/// One-shot, like [`overlap_shift`]; [`crate::driver::temporary_shift`]
+/// replays.
 pub fn temporary_shift(
     m: &mut Machine,
     src: &str,
@@ -312,45 +221,85 @@ pub fn temporary_shift(
     periodic: bool,
 ) -> CommResult<()> {
     m.stats.record("temporary_shift");
+    let plan = shift_moves(m, src, Some(tmp), dad, dim, s, periodic);
+    exchange(m, src, tmp, &plan)
+}
+
+/// Plan the element moves of a shift of `src` by `s` along `dim` without
+/// posting anything — the one planner of both shift primitives and of
+/// the phase-level coalescing in [`crate::plan`], so all of them price
+/// and move exactly the same elements. Receiver-centric: every
+/// destination cell is paired with the element `s` away in global space
+/// (wrapped under `periodic`, skipped when it falls off the array).
+///
+/// * `tmp == None` ([`overlap_shift`]): the destination cells are the
+///   `|s|` ghost cells of `src` itself just past each node's owned block
+///   on the side `s` points to. BLOCK only.
+/// * `tmp == Some(t)` ([`temporary_shift`]): the destination cells are
+///   every owned local of the same-shape temporary `t`.
+///
+/// The result is a function of `dad.dims`, the machine's grid, `dim`,
+/// `s`, `periodic`, which of the two destinations, and the two arrays'
+/// segment geometry — what [`crate::sched_cache::RunSchedules`] keys a
+/// kept plan on.
+pub fn shift_moves(
+    m: &Machine,
+    src: &str,
+    tmp: Option<&str>,
+    dad: &Dad,
+    dim: usize,
+    s: i64,
+    periodic: bool,
+) -> ExchangePlan {
+    if tmp.is_none() && s == 0 {
+        return ExchangePlan::default();
+    }
     let dm = &dad.dims[dim];
-    let axis = dm
-        .grid_axis
-        .expect("temporary_shift needs a distributed dim");
+    let axis = dm.grid_axis.expect("a shift needs a distributed dim");
+    assert!(
+        tmp.is_some() || matches!(dm.dist.kind, f90d_distrib::DistKind::Block),
+        "overlap_shift supports BLOCK distributions"
+    );
     let n = dm.extent;
-    let mut moves: PairMoves = PairMoves::new();
+    let mut moves = PairMoves::new();
     for rank in 0..m.nranks() {
         let coords = m.grid.coords_of(rank);
-        let lists = owned_locals_per_dim(dad, &coords);
-        let dst_arr = m.mems[rank as usize].array(tmp);
-        for &l in &lists[dim] {
-            let g = dm
-                .array_index_of(coords[axis], l)
-                .expect("owned local maps to global");
-            let gs = g + s;
+        let mut lists = owned_locals_per_dim(dad, &coords);
+        let (Some(&lo), Some(&hi)) = (lists[dim].first(), lists[dim].last()) else {
+            continue;
+        };
+        let global = |l: i64| {
+            dm.array_index_of(coords[axis], l)
+                .expect("owned local maps to a global")
+        };
+        // (destination local, global index it mirrors) along `dim`.
+        let cells: Vec<(i64, i64)> = match tmp {
+            Some(_) => lists[dim].iter().map(|&l| (l, global(l) + s)).collect(),
+            None if s > 0 => (1..=s).map(|k| (hi + k, global(hi) + k)).collect(),
+            None => (s..0).map(|k| (lo + k, global(lo) + k)).collect(),
+        };
+        let dst_arr = m.mems[rank as usize].array(tmp.unwrap_or(src));
+        for (dst_l, g) in cells {
             let g_eff = if periodic {
-                gs.rem_euclid(n)
-            } else if (0..n).contains(&gs) {
-                gs
+                g.rem_euclid(n)
+            } else if (0..n).contains(&g) {
+                g
             } else {
                 continue;
             };
-            let owner = dm.proc_of(g_eff);
-            let src_l = dm.local_of(g_eff);
             let mut src_c = coords.clone();
-            src_c[axis] = owner;
+            src_c[axis] = dm.proc_of(g_eff);
             let src_rank = m.grid.rank_of(&src_c);
-            let src_arr = m.mems[src_rank as usize].array(src);
-            let mut src_lists = lists.clone();
-            src_lists[dim] = vec![src_l];
-            let mut dst_lists = lists.clone();
-            dst_lists[dim] = vec![l];
-            let src_offs = local_offsets(src_arr, &src_lists);
-            let dst_offs = local_offsets(dst_arr, &dst_lists);
+            // Pair the cell with its source over all other dims.
+            lists[dim] = vec![dm.local_of(g_eff)];
+            let src_offs = local_offsets(m.mems[src_rank as usize].array(src), &lists);
+            lists[dim] = vec![dst_l];
+            let dst_offs = local_offsets(dst_arr, &lists);
             let entry = moves.entry((src_rank, rank)).or_default();
             entry.extend(src_offs.into_iter().zip(dst_offs));
         }
     }
-    exchange(m, src, tmp, &moves)
+    moves.into()
 }
 
 /// Fused `multicast_shift` (paper §5.3.1 example 3): for

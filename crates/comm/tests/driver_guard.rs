@@ -5,9 +5,10 @@
 //! happens otherwise: the rank-1 multicast slab-temp bug had to be
 //! fixed twice, once per backend. This test fails the build if either
 //! backend grows a direct reference to the batching planner, the raw
-//! overlap move builder, the raw transport post call, the structured
-//! or redistribution primitives, the `set_BOUND` routine or the scatter
-//! executor, so the fix-it-twice bug class cannot quietly return.
+//! shift planner or its per-run table, the raw transport post call, the
+//! structured or redistribution primitives, the `set_BOUND` routine or
+//! the scatter executor, so the fix-it-twice bug class cannot quietly
+//! return.
 
 use std::fs;
 use std::path::Path;
@@ -17,7 +18,8 @@ use std::path::Path;
 /// the first step toward someone calling it.
 const FORBIDDEN: &[&str] = &[
     "PhaseExchange",
-    "overlap_shift_moves",
+    "shift_moves",
+    "shift_plan(",
     "post_send",
     "structured::",
     "redist::",

@@ -346,14 +346,10 @@ fn scenarios() -> Vec<(String, u64)> {
                 // Two arrays one way, one of them also the other way:
                 // the first pair's strips share a message.
                 let (mut m, dad) = setup(l, ty, &["B", "C"]);
+                let mut rs = RunSchedules::new();
                 let items = [("B", 1), ("C", 1), ("C", -2)]
                     .into_iter()
-                    .map(|(arr, c)| GhostSpec {
-                        arr: arr.into(),
-                        dad: dad.clone(),
-                        dim: d,
-                        c,
-                    })
+                    .map(|(arr, c)| GhostSpec::new(&m, &mut rs, arr, &dad, d, c))
                     .collect();
                 let mut px = PhaseExchange::plan(&m, items).unwrap();
                 px.post(&mut m).unwrap();
@@ -415,6 +411,112 @@ fn primitives_reproduce_the_per_element_oracle() {
             GOLDEN.len()
         );
     }
+}
+
+/// A shift replayed from a run's plan table is the one-shot primitive,
+/// bit for bit — every padded cell, every rank clock, messages and
+/// bytes — on every shape the pinned scenarios cover (positive,
+/// negative, periodic, an edge that stays unfilled, `|c| = 2`), and
+/// only the first call per key plans: the second array of the layout
+/// and the repeat both replay.
+#[test]
+fn replayed_shifts_are_the_one_shot_primitives() {
+    use f90d_comm::helpers::exchange;
+    for l in &LAYOUTS {
+        let dad = dad_of(l);
+        let ty = ElemType::Real;
+        for d in (0..dad.rank()).filter(|&d| dad.dims[d].is_distributed()) {
+            let what = |prim: &str, s: i64, p: bool| format!("{}/{prim}/d{d}/s{s}/p{p}", l.name);
+            for (s, periodic) in [(3, false), (-1, false), (2, true), (-5, true)] {
+                let (mut one, _) = setup(l, ty, &["B"]);
+                let (mut rep, _) = setup(l, ty, &["B"]);
+                alloc_shift_tmp(&mut one, &dad, ty);
+                alloc_shift_tmp(&mut rep, &dad, ty);
+                let mut rs = RunSchedules::new();
+                for _ in 0..2 {
+                    temporary_shift(&mut one, "B", &dad, "TMP", d, s, periodic).unwrap();
+                    if periodic {
+                        rep.stats.record("temporary_shift");
+                        let plan = rs.shift_plan(&rep, "B", Some("TMP"), &dad, d, s, true);
+                        exchange(&mut rep, "B", "TMP", &plan).unwrap();
+                    } else {
+                        driver::temporary_shift(&mut rep, &mut rs, "B", &dad, "TMP", d, s).unwrap();
+                    }
+                }
+                let what = what("temporary_shift", s, periodic);
+                assert_eq!(fingerprint(&rep), fingerprint(&one), "{what}");
+                assert_eq!(rep.stats.sorted(), one.stats.sorted(), "{what}");
+                assert_eq!(rs.shift_plans(), (1, 1), "{what}");
+                assert_drained(&rep, &what);
+            }
+            if l.kinds[d] != Block {
+                continue;
+            }
+            for (c, periodic) in [(2, false), (-1, false), (1, false), (1, true), (-2, true)] {
+                let (mut one, _) = setup(l, ty, &["B", "C"]);
+                let (mut rep, _) = setup(l, ty, &["B", "C"]);
+                let mut rs = RunSchedules::new();
+                for arr in ["B", "C", "B"] {
+                    overlap_shift(&mut one, arr, &dad, d, c, periodic).unwrap();
+                    if periodic {
+                        rep.stats.record("overlap_shift");
+                        let plan = rs.shift_plan(&rep, arr, None, &dad, d, c, true);
+                        exchange(&mut rep, arr, arr, &plan).unwrap();
+                    } else {
+                        driver::ghost_exchange(&mut rep, &mut rs, arr, &dad, d, c).unwrap();
+                    }
+                }
+                let what = what("overlap_shift", c, periodic);
+                assert_eq!(fingerprint(&rep), fingerprint(&one), "{what}");
+                assert_eq!(rep.stats.sorted(), one.stats.sorted(), "{what}");
+                assert_eq!(rs.shift_plans(), (1, 2), "{what}");
+                assert_drained(&rep, &what);
+            }
+        }
+    }
+}
+
+/// The key of a kept plan is everything the planner reads: another
+/// amount, another direction of the same width, another destination,
+/// another layout of the same array and another ghost width are all
+/// other plans — and each is still the one-shot primitive's.
+#[test]
+fn a_plan_is_not_replayed_across_anything_it_depends_on() {
+    let l = &LAYOUTS[0];
+    let ty = ElemType::Real;
+    let (mut one, dad) = setup(l, ty, &["B"]);
+    let (mut rep, _) = setup(l, ty, &["B"]);
+    // "N": the layout of B with ghost width 1 instead of 2.
+    for m in [&mut one, &mut rep] {
+        alloc_shift_tmp(m, &dad, ty);
+        for rank in 0..m.nranks() {
+            let coords = m.grid.coords_of(rank);
+            let mut la = LocalArray::with_ghost(ty, &dad.local_shape(), &[1], &[1]);
+            dad.for_each_owned(&coords, |g, loc| la.set(loc, element(ty, 9, g)));
+            m.mems[rank as usize].insert_array("N", la);
+        }
+    }
+    let mut rs = RunSchedules::new();
+    for (arr, c) in [("B", 1), ("B", -1), ("B", 2), ("N", 1), ("B", 1)] {
+        overlap_shift(&mut one, arr, &dad, 0, c, false).unwrap();
+        driver::ghost_exchange(&mut rep, &mut rs, arr, &dad, 0, c).unwrap();
+    }
+    assert_eq!(rs.shift_plans(), (4, 1));
+    // A temporary shift by the same amount is not the ghost exchange.
+    temporary_shift(&mut one, "B", &dad, "TMP", 0, 1, false).unwrap();
+    driver::temporary_shift(&mut rep, &mut rs, "B", &dad, "TMP", 0, 1).unwrap();
+    assert_eq!(rs.shift_plans(), (5, 1));
+    // The same array, same shape, CYCLIC: what REDISTRIBUTE leaves.
+    let cyclic = DadBuilder::new("B", l.shape)
+        .distribute(&[Cyclic])
+        .grid(ProcGrid::new(l.grid))
+        .build()
+        .unwrap();
+    assert_eq!(cyclic.local_shape(), dad.local_shape());
+    temporary_shift(&mut one, "B", &cyclic, "TMP", 0, 1, false).unwrap();
+    driver::temporary_shift(&mut rep, &mut rs, "B", &cyclic, "TMP", 0, 1).unwrap();
+    assert_eq!(rs.shift_plans(), (6, 1));
+    assert_eq!(fingerprint(&rep), fingerprint(&one));
 }
 
 /// Recorded from the per-element implementation (see the module docs).

@@ -196,7 +196,12 @@ impl<'p> Executor<'p> {
             let Some(shifts) = pre_shifts(f) else {
                 return eerr("comm phase member has a non-overlap-shift prelude");
             };
-            specs.extend(dispatch::ghost_specs(&self.arrays, &shifts));
+            specs.extend(dispatch::ghost_specs(
+                m,
+                &mut self.sched,
+                &self.arrays,
+                &shifts,
+            ));
         }
         let skip_pre = self.comm.phase_exchange(m, specs)? == PhaseOutcome::Exchanged;
         for s in stmts {
@@ -285,7 +290,7 @@ impl<'p> Executor<'p> {
             }
             SStmt::Runtime(call) => {
                 let call = call.try_map(|e| self.eval_scalar(e, m, env))?;
-                dispatch::exec_runtime(m, &mut self.arrays, &call)
+                dispatch::exec_runtime(m, &mut self.arrays, &self.prog.arrays, &call)
             }
         }
     }
@@ -294,7 +299,7 @@ impl<'p> Executor<'p> {
     /// the result into the call's scalar target if it has one.
     fn exec_comm(&mut self, c: &CommStmt, m: &mut Machine, env: &Env) -> EResult<()> {
         let call = c.try_map(|e| self.eval_scalar(e, m, env), |_| ())?;
-        if let Some(v) = dispatch::exec_comm(m, &self.arrays, &call)? {
+        if let Some(v) = dispatch::exec_comm(m, &self.arrays, &mut self.sched, &call)? {
             let target = c.target().expect("a comm with a result has a target");
             self.scalars.insert(target.clone(), v);
         }
@@ -327,7 +332,8 @@ impl<'p> Executor<'p> {
             && f.body.iter().all(|b| b.write == WritePlan::Owned);
         let split = if self.overlap && !skip_pre && plain {
             let parts = f.vars.iter().map(|v| &v.part);
-            pre_shifts(f).and_then(|s| dispatch::overlap_plan(&self.arrays, &s, parts))
+            pre_shifts(f)
+                .and_then(|s| dispatch::overlap_plan(m, &mut self.sched, &self.arrays, &s, parts))
         } else {
             None
         };

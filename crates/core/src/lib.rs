@@ -113,6 +113,18 @@ pub struct RunTrace {
     /// the native tier's alias rule could not prove they may land in
     /// place. Exact; explains host time, moves no virtual metric.
     pub native_staged: u64,
+    /// Structured shift plans (ghost exchanges, temporary shifts) this
+    /// run planned: one per distinct `(layout, dim, amount)` — arrays of
+    /// one layout share a plan (both backends). Exact; like the two
+    /// counts below it explains host time and moves no virtual metric.
+    pub ghost_plans_built: u64,
+    /// Structured shifts this run replayed from a plan it had kept.
+    pub ghost_plans_reused: u64,
+    /// FORALL executions that reused the iteration lists of the
+    /// statement's previous execution in the same `DO` (same evaluated
+    /// bounds, same layouts) instead of partitioning again (VM backend
+    /// only).
+    pub dispatch_reused: u64,
     /// Comm phases the shared driver posted as one batched, coalesced
     /// ghost exchange (`comm_plan` on; both backends). Informational —
     /// the driver's fallback contract keeps results bit-identical.
@@ -149,6 +161,7 @@ impl Compiled {
                 ex.exec = self.options.exec_mode;
                 let rep = ex.run(m)?;
                 let (comm_groups, comm_fallbacks) = ex.comm.counts();
+                let (ghost_plans_built, ghost_plans_reused) = ex.sched.shift_plans();
                 Ok((
                     rep,
                     RunTrace {
@@ -159,6 +172,9 @@ impl Compiled {
                         native_matched: 0,
                         native_fallback: 0,
                         native_staged: 0,
+                        ghost_plans_built,
+                        ghost_plans_reused,
+                        dispatch_reused: 0,
                         comm_groups,
                         comm_fallbacks,
                     },
@@ -175,6 +191,7 @@ impl Compiled {
                 let rep = eng.run(m)?;
                 let (native_matched, native_fallback) = eng.native_counts();
                 let (comm_groups, comm_fallbacks) = eng.comm.counts();
+                let (ghost_plans_built, ghost_plans_reused) = eng.sched.shift_plans();
                 Ok((
                     rep,
                     RunTrace {
@@ -185,6 +202,9 @@ impl Compiled {
                         native_matched,
                         native_fallback,
                         native_staged: eng.native_staged(),
+                        ghost_plans_built,
+                        ghost_plans_reused,
+                        dispatch_reused: eng.dispatch_reused(),
                         comm_groups,
                         comm_fallbacks,
                     },

@@ -369,3 +369,120 @@ fn vm_program_is_cached_across_runs() {
     let p3 = other.vm_program().unwrap();
     assert!(!std::sync::Arc::ptr_eq(&p1, &p3));
 }
+
+/// PRINT output, every rank's clock, messages, bytes and the run trace
+/// of `src` on `grid` under one tier.
+fn traced(
+    src: &str,
+    grid: &[i64],
+    backend: Backend,
+    native: bool,
+) -> (Vec<String>, Vec<u64>, u64, u64, f90d_core::RunTrace) {
+    let mut opts = CompileOptions::on_grid(grid).with_backend(backend);
+    opts.opt.native_kernels = native;
+    let compiled = compile(src, &opts).expect("compiles");
+    let mut m = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(grid));
+    let (rep, trace) = compiled.run_on_traced(&mut m).expect("runs");
+    let clocks = m.transport.clocks.iter().map(|c| c.to_bits()).collect();
+    (rep.printed, clocks, rep.messages, rep.bytes, trace)
+}
+
+/// What a run keeps between executions of one statement — iteration
+/// lists, resolved accessors, shift plans — must never outlive the
+/// layout it was computed for, and must never change a result. Each
+/// program repeats a FORALL inside a `DO` with the *same* evaluated
+/// bounds while something else moves: the reference interpreter (which
+/// keeps nothing) and the tree walker (which keeps only shift plans)
+/// are the oracles for PRINT; clocks, messages and bytes must agree
+/// between all three tiers bit for bit. The first two are pinned in
+/// `corpus/` as well.
+#[test]
+fn nothing_kept_between_executions_outlives_its_layout() {
+    // (program, [ghost plans built, reused], lists reused on the VM)
+    let redist_in_loop = include_str!("../../../corpus/redist_in_loop.f90d");
+    let redist_round_trip = include_str!("../../../corpus/redist_round_trip.f90d");
+    // A reversed subscript under a stride the upper bound is off
+    // (corpus/reverse_stride's shape), twice over: the second trip's
+    // lists are the first's.
+    let reverse_stride_twice = "
+PROGRAM REVTWICE
+INTEGER, PARAMETER :: N = 23
+REAL A(N), B(N)
+REAL SA, SB
+INTEGER IT
+C$ TEMPLATE T(N)
+C$ TEMPLATE TB(N)
+C$ ALIGN A(I) WITH T(I)
+C$ ALIGN B(I) WITH TB(I)
+C$ DISTRIBUTE T(CYCLIC)
+C$ DISTRIBUTE TB(BLOCK)
+FORALL (I=1:N) A(I) = 0.0
+FORALL (I=1:N) B(I) = 0.0
+DO IT = 1, 2
+  FORALL (I=1:N:3) A(N+1-I) = A(N+1-I) + REAL(I)
+  FORALL (I=2:N:4) B(N+1-I) = B(N+1-I) + REAL(I)
+END DO
+SA = SUM(A)
+SB = SUM(B)
+PRINT *, 'CYC', SA, A(1), A(2), A(23)
+PRINT *, 'BLK', SB, B(1), B(2), B(22)
+END
+";
+    // The bounds of the inner FORALL repeat (1:N) while the owner
+    // filter's row moves with K: same bounds, different owners.
+    let moving_owner_filter = "
+PROGRAM ROWS
+INTEGER, PARAMETER :: N = 16
+REAL A(N,N)
+REAL S
+INTEGER K
+C$ DISTRIBUTE A(BLOCK, *)
+FORALL (I=1:N, J=1:N) A(I,J) = REAL(I)
+DO K = 1, N
+  FORALL (J=1:N) A(K,J) = A(K,J) + REAL(J*K)
+END DO
+S = SUM(A)
+PRINT *, 'SUM', S, A(1,2), A(9,3), A(16,16)
+END
+";
+    for (name, src, plans, lists) in [
+        // Every trip redistributes: nothing is ever reused, and a list
+        // or an accessor that were would index the wrong layout.
+        ("redist_in_loop", redist_in_loop, [0, 0], 0),
+        // A is BLOCK again at each stencil, in fresh segments: the two
+        // ghost plans of the first trip serve the other two, the lists
+        // of the trip before must not.
+        ("redist_round_trip", redist_round_trip, [2, 4], 0),
+        ("reverse_stride_twice", reverse_stride_twice, [0, 0], 2),
+        ("moving_owner_filter", moving_owner_filter, [0, 0], 0),
+    ] {
+        let compiled = compile(src, &CompileOptions::on_grid(&[4])).expect("compiles");
+        let reference =
+            f90d_core::reference::run_reference(&compiled.analyzed, &Default::default())
+                .expect("the reference interpreter runs");
+        let tw = traced(src, &[4], Backend::TreeWalk, false);
+        for native in [true, false] {
+            let vm = traced(src, &[4], Backend::Vm, native);
+            assert_eq!(vm.0, reference.printed, "{name}: PRINT (native {native})");
+            assert_eq!(
+                (&vm.1, vm.2, vm.3),
+                (&tw.1, tw.2, tw.3),
+                "{name}: clocks, messages, bytes (native {native})"
+            );
+            let t = vm.4;
+            assert_eq!(
+                [t.ghost_plans_built, t.ghost_plans_reused],
+                plans,
+                "{name}: shift plans (native {native})"
+            );
+            assert_eq!(t.dispatch_reused, lists, "{name}: lists (native {native})");
+        }
+        assert_eq!(tw.0, reference.printed, "{name}: PRINT (tree walk)");
+        let t = tw.4;
+        assert_eq!(
+            [t.ghost_plans_built, t.ghost_plans_reused],
+            plans,
+            "{name}: shift plans (tree walk)"
+        );
+    }
+}

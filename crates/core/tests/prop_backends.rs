@@ -1,7 +1,9 @@
 //! Differential property test for the execution backends: random FORALL
 //! programs (1-D and 2-D, random distributions, shifts, masks, strided
 //! innermost loops, inner-invariant reads, in-place updates, updates
-//! that also read a row of their own array outside the rows they write)
+//! that also read a row of their own array outside the rows they write,
+//! the whole pair of statements run once or twice by an enclosing `DO`
+//! — the second trip takes its iteration lists from the first's)
 //! must
 //! produce **bit-identical** arrays under `Backend::TreeWalk`,
 //! `Backend::Vm` — with the native kernel tier both on (the default;
@@ -52,6 +54,10 @@ struct RandProgram {
     /// when the shifts leave none below: the Gaussian update's read of
     /// row `K`, beside the stencil's in-place hazard.
     pivot: bool,
+    /// Run the two FORALLs inside `DO IT = 1, 2`: on the second trip
+    /// the engine reuses each statement's iteration lists (off-stride
+    /// upper bounds included) and its resolved accessors.
+    repeat: bool,
     grid: Vec<i64>,
     exec: ExecMode,
 }
@@ -71,6 +77,11 @@ fn program(p: &RandProgram) -> String {
     let st = p.stride;
     let own = if p.inplace { "C" } else { "B" };
     let row = (lo - 1).max(1);
+    let (do_, end_do) = if p.repeat {
+        ("DO IT = 1, 2", "END DO")
+    } else {
+        ("", "")
+    };
     if p.ndim == 1 {
         let pivot = if p.pivot {
             format!(" - 0.5*C({row})")
@@ -88,13 +99,16 @@ fn program(p: &RandProgram) -> String {
 PROGRAM RAND1
 INTEGER, PARAMETER :: N = {n}
 REAL A(N), B(N), C(N)
+INTEGER IT
 C$ TEMPLATE T(N)
 C$ ALIGN A(I) WITH T(I)
 C$ ALIGN B(I) WITH T(I)
 C$ ALIGN C(I) WITH T(I)
 C$ DISTRIBUTE T({dist})
+{do_}
 FORALL (I={lo}:{hi}:{st}{mask}) A(I) = {scale}*B(I{s1}) + C(I{s2}) - B(I){inv}
 FORALL (I={lo}:{hi}:{st}) C(I) = A(I) + {own}(I{s2}){pivot}
+{end_do}
 END
 ",
             dist = p.dist,
@@ -119,14 +133,17 @@ END
 PROGRAM RAND2
 INTEGER, PARAMETER :: N = {n}
 REAL A(N,N), B(N,N), C(N,N)
+INTEGER IT
 C$ TEMPLATE T(N,N)
 C$ ALIGN A(I,J) WITH T(I,J)
 C$ ALIGN B(I,J) WITH T(I,J)
 C$ ALIGN C(I,J) WITH T(I,J)
 C$ DISTRIBUTE T({dist}, {dist2})
+{do_}
 FORALL (I={lo}:{hi}, J={lo}:{hi}:{st}{mask})&
 & A(I,J) = {scale}*B(I{s1},J) + C(I,J{s2}) - B(I,J){inv}
 FORALL (I={lo}:{hi}, J={lo}:{hi}:{st}) C(I,J) = A(I,J) + {own}(I,J{s2}){pivot}
+{end_do}
 END
 ",
             dist = p.dist,
@@ -161,6 +178,7 @@ fn rand_program() -> impl Strategy<Value = RandProgram> {
             any::<bool>(),
             any::<bool>(),
             any::<bool>(),
+            any::<bool>(),
         ),
         0usize..3,
         exec_modes(),
@@ -174,7 +192,7 @@ fn rand_program() -> impl Strategy<Value = RandProgram> {
                 shift1,
                 shift2,
                 scale,
-                (masked, stride, invariant, inplace, pivot),
+                (masked, stride, invariant, inplace, pivot, repeat),
                 grid_pick,
                 exec,
             )| {
@@ -203,6 +221,7 @@ fn rand_program() -> impl Strategy<Value = RandProgram> {
                     invariant,
                     inplace,
                     pivot,
+                    repeat,
                     grid,
                     exec,
                 }
@@ -256,6 +275,9 @@ proptest! {
             prop_assert!(eng.seed_array(&mut m2, name, data));
         }
         eng.run(&mut m2).unwrap_or_else(|e| panic!("vm failed: {e}\n{src}"));
+        // Both statements of a second trip reuse the first trip's
+        // iteration lists; nothing outside a loop keeps any.
+        prop_assert_eq!(eng.dispatch_reused(), 2 * p.repeat as u64, "list reuse\n{}", src);
 
         for (k, name) in names.iter().enumerate() {
             let vm = eng.gather_array(&mut m2, name).unwrap();

@@ -170,7 +170,8 @@ fn matmul_fox(m: &mut Machine, a: &DistArray, b: &DistArray, c: &DistArray) {
                 }
                 moves.insert((rank, dst), elems);
             }
-            exchange(m, &b.name, "MM_BROLL", &moves).expect("collective is internally matched");
+            exchange(m, &b.name, "MM_BROLL", &moves.into())
+                .expect("collective is internally matched");
             // Swap rolled data back into B.
             for rank in 0..m.nranks() {
                 let mem = &mut m.mems[rank as usize];
@@ -203,7 +204,7 @@ fn matmul_fox(m: &mut Machine, a: &DistArray, b: &DistArray, c: &DistArray) {
             }
             moves.insert((rank, dst), elems);
         }
-        exchange(m, &b.name, "MM_BROLL", &moves).expect("collective is internally matched");
+        exchange(m, &b.name, "MM_BROLL", &moves.into()).expect("collective is internally matched");
         for rank in 0..m.nranks() {
             let mem = &mut m.mems[rank as usize];
             let vals: Vec<Value> = {

@@ -136,7 +136,7 @@ pub fn pack(m: &mut Machine, src: &DistArray, mask: &DistArray, dst: &DistArray)
             }
         }
     }
-    exchange(m, &src.name, &dst.name, &moves).expect("collective is internally matched");
+    exchange(m, &src.name, &dst.name, &moves.into()).expect("collective is internally matched");
     total
 }
 
@@ -167,7 +167,7 @@ pub fn unpack(m: &mut Machine, vec: &DistArray, mask: &DistArray, dst: &DistArra
             }
         }
     }
-    exchange(m, &vec.name, &dst.name, &moves).expect("collective is internally matched");
+    exchange(m, &vec.name, &dst.name, &moves.into()).expect("collective is internally matched");
 }
 
 #[cfg(test)]

@@ -37,7 +37,7 @@ pub fn remap(
                 .push((src_off, dst_off));
         }
     }
-    exchange(m, &src.name, &dst.name, &moves).expect("collective is internally matched");
+    exchange(m, &src.name, &dst.name, &moves.into()).expect("collective is internally matched");
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@ use f90d_comm::helpers::tree_broadcast;
 use f90d_comm::op::CommError;
 use f90d_comm::overlap::Margins;
 use f90d_comm::plan::GhostSpec;
-use f90d_comm::{redist, structured};
+use f90d_comm::{redist, structured, RunSchedules};
 use f90d_distrib::{set_bound, ArrayDimMap, DistKind, LocalIter, ProcGrid};
 use f90d_machine::{ArrayData, ElemType, LocalArray, Machine, Value};
 use f90d_runtime::intrinsics as rt;
@@ -147,12 +147,14 @@ pub fn owner_assign(
     Ok(())
 }
 
-/// Execute one collective call whose operands are already evaluated.
+/// Execute one collective call whose operands are already evaluated;
+/// the two shift primitives replay from the run's plans in `rs`.
 /// Returns the value to store into the call's scalar target
 /// ([`CommStmt::target`]), if it has one.
 pub fn exec_comm(
     m: &mut Machine,
     arrays: &[DistArray],
+    rs: &mut RunSchedules,
     c: &CommStmt<Value, ()>,
 ) -> VmResult<Option<Value>> {
     match c {
@@ -184,7 +186,7 @@ pub fn exec_comm(
         }
         CommStmt::OverlapShift { arr, dim, c } => {
             let a = &arrays[*arr];
-            driver::ghost_exchange(m, &a.name, &a.dad, *dim, *c)?;
+            driver::ghost_exchange(m, rs, &a.name, &a.dad, *dim, *c)?;
         }
         CommStmt::TempShift {
             src,
@@ -192,9 +194,8 @@ pub fn exec_comm(
             dim,
             amount,
         } => {
-            let a = &arrays[*src];
-            let s = amount.as_int();
-            structured::temporary_shift(m, &a.name, &a.dad, &arrays[*tmp].name, *dim, s, false)?;
+            let (a, tmp) = (&arrays[*src], &arrays[*tmp].name);
+            driver::temporary_shift(m, rs, &a.name, &a.dad, tmp, *dim, amount.as_int())?;
         }
         CommStmt::MulticastShift {
             src,
@@ -258,10 +259,13 @@ pub fn exec_comm(
 }
 
 /// Execute one runtime-library call whose operands are already
-/// evaluated. REDISTRIBUTE replaces the array's live descriptor.
+/// evaluated. REDISTRIBUTE replaces the array's live descriptor and its
+/// segments, which keep the declared overlap width (`decls`, the
+/// program's array table) on whatever dimensions are distributed now.
 pub fn exec_runtime(
     m: &mut Machine,
     arrays: &mut [DistArray],
+    decls: &[ArrayDecl],
     call: &RtCall<Value>,
 ) -> VmResult<()> {
     match call {
@@ -289,7 +293,9 @@ pub fn exec_runtime(
             let old = &arrays[*arr];
             let mut nd = new_dad.clone();
             nd.name = old.name.clone();
-            let staged = DistArray::from_dad(m, format!("__REDIST_{}", old.name), old.ty, nd, 0);
+            let ghost = decls[*arr].ghost;
+            let staged =
+                DistArray::from_dad(m, format!("__REDIST_{}", old.name), old.ty, nd, ghost);
             redist::redistribute(m, &old.name, &old.dad, &staged.name, &staged.dad)?;
             // Move staged segments under the original name.
             for mem in &mut m.mems {
@@ -433,7 +439,9 @@ pub fn iteration_lists(
     }
     // The variables whose list does not depend on the rank, last: a rank
     // whose share of a partitioned one is empty runs nothing, so its
-    // copy of the others is never made.
+    // copy of the others is never made. Their lists are built once for
+    // the execution (the coordinates play no part) and copied to the
+    // ranks that run.
     let replicated = |part: &Partition| match part {
         Partition::Replicate => true,
         Partition::BlockIter => false,
@@ -442,6 +450,11 @@ pub fn iteration_lists(
     let mut order: Vec<usize> = (0..loops.len()).collect();
     order.sort_by_key(|&k| replicated(loops[k].0));
     let nranks = m.nranks();
+    let shared: Vec<Option<Vec<i64>>> = (loops.iter())
+        .map(|&(part, bounds)| {
+            replicated(part).then(|| iterations_at(part, bounds, arrays, nranks, 0, &[]))
+        })
+        .collect();
     Ok((0..nranks)
         .map(|rank| {
             let coords = m.grid.coords_of(rank);
@@ -449,7 +462,10 @@ pub fn iteration_lists(
             if owners.iter().all(|&(axis, owner)| coords[axis] == owner) {
                 for &k in &order {
                     let (part, bounds) = loops[k];
-                    lists[k] = iterations_at(part, bounds, arrays, nranks, rank, &coords);
+                    lists[k] = match &shared[k] {
+                        Some(all) => all.clone(),
+                        None => iterations_at(part, bounds, arrays, nranks, rank, &coords),
+                    };
                     if lists[k].is_empty() {
                         lists.iter_mut().for_each(Vec::clear);
                         break;
@@ -462,18 +478,18 @@ pub fn iteration_lists(
 }
 
 /// The ghost exchanges of an `overlap_shift` prelude
-/// ([`CommStmt::as_overlap_shift`] triples) against the live
-/// descriptors, as the comm driver's phase batching and split-phase
-/// overlap take them.
-pub fn ghost_specs(arrays: &[DistArray], shifts: &[(ArrId, usize, i64)]) -> Vec<GhostSpec> {
+/// ([`CommStmt::as_overlap_shift`] triples) planned against the live
+/// descriptors — or found planned in `rs` — as the comm driver's phase
+/// batching and split-phase overlap take them.
+pub fn ghost_specs(
+    m: &Machine,
+    rs: &mut RunSchedules,
+    arrays: &[DistArray],
+    shifts: &[(ArrId, usize, i64)],
+) -> Vec<GhostSpec> {
     shifts
         .iter()
-        .map(|&(arr, dim, c)| GhostSpec {
-            arr: arrays[arr].name.clone(),
-            dad: arrays[arr].dad.clone(),
-            dim,
-            c,
-        })
+        .map(|&(arr, dim, c)| GhostSpec::new(m, rs, &arrays[arr].name, &arrays[arr].dad, dim, c))
         .collect()
 }
 
@@ -493,6 +509,8 @@ pub fn ghost_specs(arrays: &[DistArray], shifts: &[(ArrId, usize, i64)]) -> Vec<
 /// path (correct for every program; overlap is a pure virtual-time
 /// optimization).
 pub fn overlap_plan<'a>(
+    m: &Machine,
+    rs: &mut RunSchedules,
     arrays: &[DistArray],
     shifts: &[(ArrId, usize, i64)],
     parts: impl Iterator<Item = &'a Partition>,
@@ -511,5 +529,5 @@ pub fn overlap_plan<'a>(
         .map(|&(arr, dim, c)| (&arrays[arr].dad.dims[dim], c))
         .collect();
     let margins = driver::stencil_margins(&loop_dims, &shift_dims)?;
-    Some((ghost_specs(arrays, shifts), margins))
+    Some((ghost_specs(m, rs, arrays, shifts), margins))
 }

@@ -327,6 +327,30 @@ pub struct Engine {
     /// Of the `native_matched`, those in which some rank's owned writes
     /// went through the stage instead of in place.
     native_staged: u64,
+    /// The program's accessors resolved against the live descriptors,
+    /// `[rank][accessor]`: an entry is filled by the first FORALL
+    /// execution that needs it on that rank and kept for the run.
+    /// Emptied by [`Engine::relayout`].
+    accs: Vec<Vec<Option<ResolvedAcc>>>,
+    /// Per FORALL (`VmProgram::foralls` index), the iteration lists of
+    /// its last execution *inside a DO* with what they were built from.
+    /// A statement outside every loop runs once and keeps nothing.
+    /// Emptied by [`Engine::relayout`].
+    lists: Vec<Option<ListMemo>>,
+    /// FORALL executions that took their iteration lists from `lists`.
+    dispatch_reused: u64,
+}
+
+/// Per-rank, per-variable iteration lists of one FORALL execution.
+type IterLists = Vec<Vec<Vec<i64>>>;
+
+/// One FORALL's kept iteration lists. `key` is everything
+/// [`dispatch::iteration_lists`] computes them from besides the live
+/// descriptors and the grid: the evaluated `[lb, ub, st]` of every
+/// variable, then the evaluated owner-filter indices.
+struct ListMemo {
+    key: Vec<i64>,
+    lists: Arc<IterLists>,
 }
 
 impl Engine {
@@ -345,7 +369,7 @@ impl Engine {
 
     fn fresh(prog: Arc<VmProgram>, arrays: Vec<DistArray>) -> Self {
         let scalars = prog.scalars.iter().map(|(_, ty)| ty.zero()).collect();
-        let nvars = prog.nvars;
+        let (nvars, nforalls) = (prog.nvars, prog.foralls.len());
         Engine {
             prog,
             arrays,
@@ -360,7 +384,19 @@ impl Engine {
             native_matched: 0,
             native_fallback: 0,
             native_staged: 0,
+            accs: Vec::new(),
+            lists: std::iter::repeat_with(|| None).take(nforalls).collect(),
+            dispatch_reused: 0,
         }
+    }
+
+    /// An array's descriptor was swapped (REDISTRIBUTE): drop everything
+    /// this engine planned against the old layouts. The one invalidation
+    /// site of the accessor table and the iteration-list memos — the
+    /// comm layer's shift plans need none, their key holds the layout.
+    fn relayout(&mut self) {
+        self.accs.clear();
+        self.lists.iter_mut().for_each(|kept| *kept = None);
     }
 
     /// `(matched, fallback)` FORALL execution counts for this engine:
@@ -379,6 +415,14 @@ impl Engine {
     /// is host time.
     pub fn native_staged(&self) -> u64 {
         self.native_staged
+    }
+
+    /// How many FORALL executions reused the iteration lists of the
+    /// statement's previous execution (same evaluated bounds and owner
+    /// filter, same layouts, inside a `DO`) instead of partitioning the
+    /// iteration space again. Exact; explains host time only.
+    pub fn dispatch_reused(&self) -> u64 {
+        self.dispatch_reused
     }
 
     /// Read a scalar by name (post-run inspection).
@@ -462,7 +506,7 @@ impl Engine {
                                 j += 1;
                             }
                             if ids.len() == len {
-                                self.exec_phase(&ids, m)?;
+                                self.exec_phase(&ids, m, !do_stack.is_empty())?;
                                 pc = j;
                                 continue;
                             }
@@ -471,13 +515,16 @@ impl Engine {
                             // always-correct per-statement schedule.
                         }
                     }
-                    self.exec_forall(&prog.foralls[*i as usize], m, false)?;
+                    self.exec_forall(*i, m, false, !do_stack.is_empty())?;
                     pc += 1;
                 }
                 PInst::Runtime(i) => {
                     let call =
                         prog.rtcalls[*i as usize].try_map(|e| self.eval_scalar(e, m, &mut regs))?;
-                    dispatch::exec_runtime(m, &mut self.arrays, &call)?;
+                    dispatch::exec_runtime(m, &mut self.arrays, &prog.arrays, &call)?;
+                    if matches!(call, RtCall::Redistribute { .. }) {
+                        self.relayout();
+                    }
                     pc += 1;
                 }
                 PInst::Print(i) => {
@@ -603,7 +650,7 @@ impl Engine {
         regs: &mut Vec<Value>,
     ) -> VmResult<()> {
         let call = c.try_map(|e| self.eval_scalar(e, m, regs), |_| ())?;
-        if let Some(v) = dispatch::exec_comm(m, &self.arrays, &call)? {
+        if let Some(v) = dispatch::exec_comm(m, &self.arrays, &mut self.sched, &call)? {
             let slot = c.target().expect("a comm with a result has a target");
             self.scalars[*slot as usize] = v;
         }
@@ -618,27 +665,34 @@ impl Engine {
     /// them into one coalesced exchange, then run the members with their
     /// preludes skipped. A runtime planning refusal falls back to the
     /// bit-identical per-statement path — the annotations are advisory.
-    fn exec_phase(&mut self, ids: &[u16], m: &mut Machine) -> VmResult<()> {
+    fn exec_phase(&mut self, ids: &[u16], m: &mut Machine, in_loop: bool) -> VmResult<()> {
         let prog = self.prog.clone();
         let mut specs = Vec::new();
         for &id in ids {
             let Some(shifts) = pre_shifts(&prog, &prog.foralls[id as usize]) else {
                 return verr("comm phase member has a non-overlap-shift prelude");
             };
-            specs.extend(dispatch::ghost_specs(&self.arrays, &shifts));
+            specs.extend(dispatch::ghost_specs(
+                m,
+                &mut self.sched,
+                &self.arrays,
+                &shifts,
+            ));
         }
         let skip_pre = self.comm.phase_exchange(m, specs)? == PhaseOutcome::Exchanged;
         for &id in ids {
-            self.exec_forall(&prog.foralls[id as usize], m, skip_pre)?;
+            self.exec_forall(id, m, skip_pre, in_loop)?;
         }
         Ok(())
     }
 
-    /// One FORALL. `skip_pre`: a phase lead already posted (and
-    /// completed) this statement's ghost exchanges, so phase members run
-    /// with their prelude skipped — which also bypasses the split-phase
-    /// overlap path, whose post/finish would re-send the exchanges. The
-    /// native tier still binds as usual.
+    /// One FORALL, `prog.foralls[fi]`. `skip_pre`: a phase lead already
+    /// posted (and completed) this statement's ghost exchanges, so phase
+    /// members run with their prelude skipped — which also bypasses the
+    /// split-phase overlap path, whose post/finish would re-send the
+    /// exchanges. The native tier still binds as usual. `in_loop`: the
+    /// statement sits inside a `DO` and may run again, so its iteration
+    /// lists are worth keeping.
     ///
     /// Under `overlap`, an eligible stencil ([`dispatch::overlap_plan`])
     /// runs split-phase (paper §5.1/§7 latency hiding), sequenced by the
@@ -648,15 +702,23 @@ impl Engine {
     /// wire, completes the exchanges, runs the boundary slabs, and
     /// commits — array results bit-identical to blocking execution, only
     /// virtual clocks differ.
-    fn exec_forall(&mut self, f: &VmForall, m: &mut Machine, skip_pre: bool) -> VmResult<()> {
+    fn exec_forall(
+        &mut self,
+        fi: u16,
+        m: &mut Machine,
+        skip_pre: bool,
+        in_loop: bool,
+    ) -> VmResult<()> {
         let prog = self.prog.clone();
+        let f = &prog.foralls[fi as usize];
         let mut regs: Vec<Value> = Vec::new();
         let plain = f.gathers.is_empty()
             && f.owner_filter.is_empty()
             && f.body.iter().all(|b| b.scatter.is_none());
         let split = if self.overlap && !skip_pre && plain {
             let parts = f.vars.iter().map(|v| &v.part);
-            pre_shifts(&prog, f).and_then(|s| dispatch::overlap_plan(&self.arrays, &s, parts))
+            pre_shifts(&prog, f)
+                .and_then(|s| dispatch::overlap_plan(m, &mut self.sched, &self.arrays, &s, parts))
         } else {
             None
         };
@@ -678,32 +740,35 @@ impl Engine {
             let st = self.eval_scalar(&spec.st, m, &mut regs)?.as_int();
             loops.push((&spec.part, [lb, ub, st]));
         }
-        let iter_lists = dispatch::iteration_lists(m, &self.arrays, &loops, &filter)?;
+        let iter_lists = self.iteration_lists(fi, m, &loops, &filter, in_loop)?;
         let nranks = m.nranks() as usize;
-        // Resolve the accessors this FORALL references, per rank. A rank
-        // with an empty iteration list runs nothing — every consumer
-        // skips it before looking at its table — so it gets none.
-        let resolved: Vec<Vec<Option<ResolvedAcc>>> = (0..nranks)
-            .map(|rank| {
-                if iter_lists[rank].iter().any(|l| l.is_empty()) {
-                    return Vec::new();
-                }
-                let coords = m.grid.coords_of(rank as i64);
-                let mut table: Vec<Option<ResolvedAcc>> = vec![None; prog.accessors.len()];
-                for &a in &f.accs_used {
-                    table[a as usize] =
-                        Some(self.resolve_acc(&prog.accessors[a as usize], &coords));
-                }
-                table
-            })
-            .collect();
+        // Resolve the accessors this FORALL references that no earlier
+        // execution has, per rank. A rank with an empty iteration list
+        // runs nothing — every consumer skips it before looking at its
+        // table — so it asks for none.
+        self.accs.resize(nranks, Vec::new());
+        for (rank, lists) in iter_lists.iter().enumerate() {
+            if lists.iter().any(|l| l.is_empty()) {
+                continue;
+            }
+            let table = &mut self.accs[rank];
+            table.resize(prog.accessors.len(), None);
+            let mut coords = None;
+            for &a in &f.accs_used {
+                table[a as usize].get_or_insert_with(|| {
+                    let coords = coords.get_or_insert_with(|| m.grid.coords_of(rank as i64));
+                    resolve_acc(&prog, &self.arrays, &prog.accessors[a as usize], coords)
+                });
+            }
+        }
+        let resolved = &self.accs[..];
         if let Some((specs, margins)) = split {
             // Split-phase boundary/interior execution always runs the
             // bytecode chunk loop.
             self.native_fallback += 1;
             let mut sink = VmSink {
                 cx: self.forall_cx(&prog, f),
-                resolved: &resolved,
+                resolved,
                 staged: vec![Vec::new(); nranks],
             };
             return driver::run_overlap(m, &specs, &margins, &iter_lists, &mut sink);
@@ -713,10 +778,19 @@ impl Engine {
         // the bytecode chunk loop — in the inspector below too.
         let folded = f.native.map(|kid| self.fold_native(&prog.natives[kid], f));
         let bound = (folded.as_ref())
-            .and_then(|folded| bind_native(folded.as_ref(), &iter_lists, &resolved));
+            .and_then(|folded| bind_native(folded.as_ref(), &iter_lists, resolved));
         // Unstructured reads: inspector + vectorized executor.
         for (gi, g) in f.gathers.iter().enumerate() {
-            self.exec_gather(f, gi, g, m, &iter_lists, &resolved, bound.as_deref())?;
+            // Field by field, not `forall_cx`: `sched` is lent out too.
+            let cx = ForallCx {
+                prog: &prog,
+                f,
+                vars: &self.vars,
+                scalars: &self.scalars,
+            };
+            let dispatched = (&iter_lists[..], resolved, bound.as_deref());
+            let src = &self.arrays[g.src];
+            exec_gather(cx, src, &mut self.sched, gi, g, m, dispatched)?;
         }
         let dst = &self.arrays[f.body[0].arr];
         let scatter = f.body.iter().find_map(|b| b.scatter);
@@ -765,53 +839,42 @@ impl Engine {
         }
     }
 
-    /// Resolve one accessor against the live descriptor for a node at
-    /// `coords`.
-    fn resolve_acc(&self, plan: &AccPlan, coords: &[i64]) -> ResolvedAcc {
-        let target = plan.target();
-        let decl = &self.prog.arrays[target];
-        let dad = &self.arrays[target].dad;
-        let alloc = dad.local_shape();
-        let ndim = dad.rank();
-        let mut dims = Vec::with_capacity(ndim);
-        let mut extents = Vec::with_capacity(ndim);
-        let mut padded = Vec::with_capacity(ndim);
-        for (d, dm) in dad.dims.iter().enumerate() {
-            let ghost = if dm.is_distributed() { decl.ghost } else { 0 };
-            let pad = alloc[d] + 2 * ghost;
-            let rd = if !dm.is_distributed() {
-                RDim::Affine { a: 1, b: ghost }
-            } else if dm.dist.kind == DistKind::Block {
-                let coord = coords[dm.grid_axis.unwrap()];
-                RDim::Affine {
-                    a: dm.align.stride,
-                    b: dm.align.offset - coord * dm.dist.block_size() + ghost,
-                }
-            } else {
-                let coord = coords[dm.grid_axis.unwrap()];
-                RDim::General {
-                    dm: dm.clone(),
-                    coord,
-                    ghost_lo: ghost,
-                }
-            };
-            dims.push(rd);
-            extents.push(dm.extent);
-            padded.push(pad);
+    /// The iteration lists of this execution of FORALL `fi`:
+    /// [`dispatch::iteration_lists`] of the evaluated bounds and owner
+    /// filter — or, `in_loop`, the statement's previous execution's when
+    /// both evaluated to the same values (the layouts are the same:
+    /// [`Engine::relayout`] drops the memo otherwise), which is what a
+    /// sweep loop's FORALLs do on every iteration after the first.
+    fn iteration_lists(
+        &mut self,
+        fi: u16,
+        m: &Machine,
+        loops: &[(&Partition, [i64; 3])],
+        filter: &[(ArrId, usize, i64)],
+        in_loop: bool,
+    ) -> VmResult<Arc<IterLists>> {
+        if !in_loop {
+            return dispatch::iteration_lists(m, &self.arrays, loops, filter).map(Arc::new);
         }
-        let mut strides = vec![1i64; ndim];
-        for d in (0..ndim.saturating_sub(1)).rev() {
-            strides[d] = strides[d + 1] * padded[d + 1];
+        let key = || {
+            let bounds = loops.iter().flat_map(|(_, bounds)| *bounds);
+            bounds.chain(filter.iter().map(|&(_, _, index)| index))
+        };
+        let memo = &mut self.lists[fi as usize];
+        if let Some(kept) = memo
+            .as_ref()
+            .filter(|kept| kept.key.iter().copied().eq(key()))
+        {
+            self.dispatch_reused += 1;
+            return Ok(kept.lists.clone());
         }
-        ResolvedAcc {
-            target,
-            dims,
-            extents,
-            padded,
-            strides,
-        }
+        let lists = Arc::new(dispatch::iteration_lists(m, &self.arrays, loops, filter)?);
+        *memo = Some(ListMemo {
+            key: key().collect(),
+            lists: lists.clone(),
+        });
+        Ok(lists)
     }
-
     // ---- native tier dispatch ------------------------------------------
 
     /// The rank-independent half of a bind: every affine form of
@@ -887,55 +950,106 @@ impl Engine {
         }
         Some(aff)
     }
+}
 
-    // ---- unstructured communication ------------------------------------
-
-    /// Unstructured read: this tier's inspector feeding the shared
-    /// request list and executor. On a rank the native tier bound
-    /// (`bound`), the subscripts are INTEGER box kernels evaluated a box
-    /// of iterations at a time; otherwise the bytecode chunk loop
-    /// evaluates the mask and subscripts of every local iteration — in
-    /// iteration order either way.
-    #[allow(clippy::too_many_arguments)]
-    fn exec_gather(
-        &mut self,
-        f: &VmForall,
-        gi: usize,
-        g: &GatherSpec<ExprCode>,
-        m: &mut Machine,
-        iter_lists: &[Vec<Vec<i64>>],
-        resolved: &[Vec<Option<ResolvedAcc>>],
-        bound: Option<&[Option<NatRank<'_>>]>,
-    ) -> VmResult<()> {
-        let prog = self.prog.clone();
-        let src = &self.arrays[g.src];
-        let cx = self.forall_cx(&prog, f);
-        let mut reqs = GatherRequests::new(m, &src.name, &src.dad);
-        for (rank, lists) in iter_lists.iter().enumerate() {
-            if lists.iter().any(|l| l.is_empty()) {
-                continue;
-            }
-            if let Some(nr) = bound.and_then(|b| b[rank].as_ref()) {
-                let name = |a: ArrId| prog.arrays[a].name.as_str();
-                inspect_boxes(nr, gi, lists, &mut m.mems[rank], name, |subs| {
-                    reqs.push_row(rank as i64, subs)
-                })?;
-                continue;
-            }
-            // Masks and subscripts must not depend on gathered values.
-            let mut ev = Chunk::new(cx, rank as i64, &m.mems[rank], &resolved[rank], false);
-            let mut rows = Vec::new();
-            ev.for_each(lists, |ev| {
-                ev.mask()?;
-                ev.eval_subs(&g.subs)?;
-                rows.clear();
-                columns::store_rows(&mut rows, 0, 1, ev.n, &ev.subs, &mut ev.pool);
-                reqs.push_row(rank as i64, &rows).map_err(|e| e.0)
-            })
-            .map_err(VmError)?;
+/// Unstructured read `gi` of the FORALL `cx.f`: this tier's inspector
+/// feeding the shared request list and executor. On a rank the native
+/// tier bound (`bound`), the subscripts are INTEGER box kernels evaluated
+/// a box of iterations at a time; otherwise the bytecode chunk loop
+/// evaluates the mask and subscripts of every local iteration — in
+/// iteration order either way. `dispatched` is the execution's
+/// `(iteration lists, resolved accessors, native bind)`.
+fn exec_gather(
+    cx: ForallCx<'_>,
+    src: &DistArray,
+    sched: &mut RunSchedules,
+    gi: usize,
+    g: &GatherSpec<ExprCode>,
+    m: &mut Machine,
+    (iter_lists, resolved, bound): (
+        &[Vec<Vec<i64>>],
+        &[Vec<Option<ResolvedAcc>>],
+        Option<&[Option<NatRank<'_>>]>,
+    ),
+) -> VmResult<()> {
+    let prog = cx.prog;
+    let mut reqs = GatherRequests::new(m, &src.name, &src.dad);
+    for (rank, lists) in iter_lists.iter().enumerate() {
+        if lists.iter().any(|l| l.is_empty()) {
+            continue;
         }
-        let tmp = &prog.arrays[g.tmp];
-        Ok(reqs.execute(m, &mut self.sched, &tmp.name, tmp.ty, g.local_only)?)
+        if let Some(nr) = bound.and_then(|b| b[rank].as_ref()) {
+            let name = |a: ArrId| prog.arrays[a].name.as_str();
+            inspect_boxes(nr, gi, lists, &mut m.mems[rank], name, |subs| {
+                reqs.push_row(rank as i64, subs)
+            })?;
+            continue;
+        }
+        // Masks and subscripts must not depend on gathered values.
+        let mut ev = Chunk::new(cx, rank as i64, &m.mems[rank], &resolved[rank], false);
+        let mut rows = Vec::new();
+        ev.for_each(lists, |ev| {
+            ev.mask()?;
+            ev.eval_subs(&g.subs)?;
+            rows.clear();
+            columns::store_rows(&mut rows, 0, 1, ev.n, &ev.subs, &mut ev.pool);
+            reqs.push_row(rank as i64, &rows).map_err(|e| e.0)
+        })
+        .map_err(VmError)?;
+    }
+    let tmp = &prog.arrays[g.tmp];
+    Ok(reqs.execute(m, sched, &tmp.name, tmp.ty, g.local_only)?)
+}
+
+/// Resolve one accessor of `prog` against the live descriptor in
+/// `arrays` for a node at `coords`.
+fn resolve_acc(
+    prog: &VmProgram,
+    arrays: &[DistArray],
+    plan: &AccPlan,
+    coords: &[i64],
+) -> ResolvedAcc {
+    let target = plan.target();
+    let decl = &prog.arrays[target];
+    let dad = &arrays[target].dad;
+    let alloc = dad.local_shape();
+    let ndim = dad.rank();
+    let mut dims = Vec::with_capacity(ndim);
+    let mut extents = Vec::with_capacity(ndim);
+    let mut padded = Vec::with_capacity(ndim);
+    for (d, dm) in dad.dims.iter().enumerate() {
+        let ghost = if dm.is_distributed() { decl.ghost } else { 0 };
+        let pad = alloc[d] + 2 * ghost;
+        let rd = if !dm.is_distributed() {
+            RDim::Affine { a: 1, b: ghost }
+        } else if dm.dist.kind == DistKind::Block {
+            let coord = coords[dm.grid_axis.unwrap()];
+            RDim::Affine {
+                a: dm.align.stride,
+                b: dm.align.offset - coord * dm.dist.block_size() + ghost,
+            }
+        } else {
+            let coord = coords[dm.grid_axis.unwrap()];
+            RDim::General {
+                dm: dm.clone(),
+                coord,
+                ghost_lo: ghost,
+            }
+        };
+        dims.push(rd);
+        extents.push(dm.extent);
+        padded.push(pad);
+    }
+    let mut strides = vec![1i64; ndim];
+    for d in (0..ndim.saturating_sub(1)).rev() {
+        strides[d] = strides[d + 1] * padded[d + 1];
+    }
+    ResolvedAcc {
+        target,
+        dims,
+        extents,
+        padded,
+        strides,
     }
 }
 

@@ -9,14 +9,19 @@
 //! `iterations_for` replaced computes ([`iterations_oracle`]: every
 //! local of `set_bound` through μ⁻¹, filtered, sorted). A second
 //! property pins the branch that reverses instead of sorting: a negative
-//! template stride over CYCLIC(K) with `ub` off the loop's stride.
+//! template stride over CYCLIC(K) with `ub` off the loop's stride. Both
+//! also hold the whole-FORALL form the executors call,
+//! `dispatch::iteration_lists`, to the per-rank function: beside the
+//! partitioned variable a replicated one, whose list is built once and
+//! copied, must read on every rank that runs as `iterations_for` says —
+//! and a rank with no share of the partitioned one gets nothing.
 
 use f90d_distrib::{
     set_bound, AlignExpr, Alignment, AxisAlign, DadBuilder, DistKind, ProcGrid, Template,
 };
-use f90d_machine::ElemType;
+use f90d_machine::{ElemType, Machine, MachineSpec};
 use f90d_runtime::DistArray;
-use f90d_vm::dispatch::iterations_for;
+use f90d_vm::dispatch::{iteration_lists, iterations_for};
 use f90d_vm::stmt::Partition;
 use proptest::prelude::*;
 
@@ -116,9 +121,22 @@ fn check_partition(
         b,
     };
 
+    // The same loop with a replicated variable beside it, as one FORALL.
+    let inner = [ub - lb, ub + st, st];
+    let m = Machine::new(MachineSpec::ideal(), grid.clone());
+    let loops = [(&part, [lb, ub, st]), (&Partition::Replicate, inner)];
+    let lists = iteration_lists(&m, &arrays, &loops, &[]).unwrap();
+
     let mut all: Vec<i64> = Vec::new();
     for rank in 0..p {
         let list = iterations_for(&part, [lb, ub, st], &arrays, &grid, rank);
+        let shared = iterations_for(&Partition::Replicate, inner, &arrays, &grid, rank);
+        let want = if list.is_empty() {
+            vec![vec![], vec![]]
+        } else {
+            vec![list.clone(), shared]
+        };
+        prop_assert_eq!(&lists[rank as usize], &want, "rank {}", rank);
         prop_assert!(
             list.windows(2).all(|w| w[0] < w[1]),
             "rank {} unsorted: {:?}",
