@@ -745,6 +745,16 @@ const BOX_CASES: &[BoxCase] = &[
         foralls: 1,
         staged: 1,
     },
+    // The write walks each row at unit stride and reads its own element,
+    // but every row is the same row: only injectivity over *all* the
+    // variables says that row I must not see what row I-1 wrote.
+    BoxCase {
+        label: "many-to-one over the outer variable (must stage: old + B(N,J))",
+        body: "FORALL (I=1:N, J=1:N) A(1,J) = A(1,J) + B(I,J)",
+        grid: &[1, 2],
+        foralls: 1,
+        staged: 1,
+    },
     BoxCase {
         label: "FORALL construct whose statements write overlapping locations",
         body: "FORALL (I=1:N, J=1:N-1)
@@ -1034,6 +1044,20 @@ fn box_kernels_agree_with_every_other_tier() {
                 img, &reference.arrays[*name].data,
                 "{label}: array {name} vs the reference interpreter\n{src}"
             );
+        }
+        if label.contains("old + B(N,J)") {
+            // By hand: every I reads the prologue's -1.0, and the last
+            // I's sum is the one that stays.
+            let n = 16;
+            for j in 1..=n {
+                let b = (n * n + j) as f64 / 3.0 - 40.0;
+                let got = nat.arrays[0].get((j - 1) as usize);
+                assert_eq!(
+                    got,
+                    f90d_machine::Value::Real(-1.0 + b),
+                    "{label}: A(1,{j})"
+                );
+            }
         }
         if label.contains("old + B(I,N)") {
             // By hand, not only across evaluators: every J reads the
