@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro [--exp all|t1|t2|t3|fig5|table4|fig6|port|vmcmp|overlap|commplan|scaling|abl-shift|abl-sched|abl-fuse|abl-overlap|matrix]
-//!       [--n <matrix size>] [--quick] [--backend treewalk|vm]
+//!       [--n <matrix size>] [--quick]
 //!       [--jobs N] [--exec sequential|threaded] [--workers N]
 //!       [--out results.json] [--baseline results.json] [--wall-tol F]
 //!       [--repeat N] [--no-sched-cache] [--native|--no-native] [--gate F]
@@ -12,29 +12,24 @@
 //! so the whole suite finishes in about a minute; the shapes are
 //! unchanged (README.md, "Reproducing the paper's evaluation").
 //!
-//! `--backend` selects the execution engine for the executing experiments
-//! (fig5 / table4 / fig6 / port): the tree-walking interpreter or the
-//! register-bytecode VM. Modelled (virtual) times are identical by
-//! construction; the host wall-clock printed beside each experiment is
-//! what the VM accelerates. `--exp vmcmp` prints all three execution
-//! tiers head-to-head — tree walk, bytecode VM, and the native kernel
-//! tier — so BENCH records can track both speedups. It accepts only
-//! `--quick`, `--out vmcmp.json` (an `f90d-vmcmp/v4` document, schema in
-//! the README) and `--gate <factor>`, which exits 1 unless the native
-//! tier beats the bytecode VM by at least that wall-clock factor on some
-//! comm-light workload (jacobi / gauss) **and** the bytecode VM beats
-//! the tree walker by at least 20× on one — a floor the flag does not
-//! move: half the ≈ 42× the chunk-at-a-time evaluator measures, where
-//! the per-element loop it replaced measured 3–4×. Since that evaluator
-//! the native factor is single digits (≈ 5× on jacobi-128, where it was
-//! 39× over the per-element loop: the denominator got faster), so CI
-//! passes `--gate 2.2`, half of what it measures. The irregular kernel
-//! has no ratio floor any more — its gather/scatter FORALL, INTEGER
-//! fills and inspector subscripts cost about the same on either tier now
-//! (1.1–1.2×; the request lists, schedule lookups and executors are
-//! shared work) — but every FORALL of it must still dispatch native.
-//! Virtual-time drift between tiers always exits 1, and so does a
-//! single bytecode fallback on the irregular program.
+//! Every executing experiment runs on the one engine (`f90d_vm::Engine`
+//! over the lowered bytecode); the host wall-clock is printed beside
+//! fig5 / table4 / fig6 / port. `--exp vmcmp` prints its two tiers
+//! head-to-head — bytecode only (`native_kernels` off) and the native
+//! kernel tier. It accepts only `--quick`, `--out vmcmp.json` (an
+//! `f90d-vmcmp/v5` document, schema in the README) and `--gate
+//! <factor>`, which exits 1 unless the native tier beats the bytecode
+//! tier by at least that wall-clock factor on some comm-light workload
+//! (jacobi / gauss). Since the chunk-at-a-time bytecode evaluator the
+//! factor is single digits (≈ 5× on jacobi-128, where it was 39× over
+//! the per-element loop: the denominator got faster), so CI passes
+//! `--gate 2.8`, half of what it measures. The irregular kernel has no
+//! ratio floor — its gather/scatter FORALL, INTEGER fills and inspector
+//! subscripts cost about the same on either tier (1.1–1.2×; the request
+//! lists, schedule lookups and executors are shared work) — but every
+//! FORALL of it must still dispatch native. Virtual-time drift between
+//! tiers always exits 1, and so does a single bytecode fallback on the
+//! irregular program.
 //!
 //! `--no-native` turns the native kernel tier off for the matrix
 //! (`OptFlags::native_kernels = false`: every FORALL runs the bytecode
@@ -54,23 +49,23 @@
 //! gated when `--wall-tol <factor>` is given).
 //!
 //! `--exp overlap` reproduces the §5.1/§7 communication–computation
-//! overlap claim on Jacobi: for both machine models and both backends it
-//! compares temporary-shift, blocking ghost-exchange, and split-phase
+//! overlap claim on Jacobi: for both machine models it compares
+//! temporary-shift, blocking ghost-exchange, and split-phase
 //! (`comm_compute_overlap`) execution, verifies array results and PRINT
 //! are bit-identical across all three, and **exits 1** if overlap does
 //! not strictly lower the modelled time — CI runs it as a smoke gate.
-//! `--out overlap.json` writes the rows as an `f90d-overlap/v1` document
+//! `--out overlap.json` writes the rows as an `f90d-overlap/v2` document
 //! (schema in the README).
 //!
 //! `--exp commplan` reproduces the phase-level communication planning
 //! claim (`OptFlags::comm_plan`, PARTI-style message coalescing): for
-//! both machine models and both backends it runs the multi-array stencil
-//! and the multigrid V-cycle with per-statement vs phase-batched ghost
+//! both machine models it runs the multi-array stencil and the
+//! multigrid V-cycle with per-statement vs phase-batched ghost
 //! exchanges, verifies arrays/PRINT/bytes are bit-identical, and **exits
 //! 1** unless the planner never loses and strictly wins (fewer messages,
 //! lower modelled time) on the multi-array stencil. `--gate <factor>`
-//! additionally requires that multi-stencil speedup on every machine ×
-//! backend; `--out commplan.json` writes an `f90d-commplan/v1` document
+//! additionally requires that multi-stencil speedup on every machine;
+//! `--out commplan.json` writes an `f90d-commplan/v2` document
 //! (schema in the README).
 //!
 //! `--exp scaling` runs the thousand-rank weak-scaling sweep
@@ -109,26 +104,18 @@ use f90d_bench::experiments as exp;
 use f90d_bench::scaling;
 use f90d_bench::workloads;
 use f90d_core::detect::{classify_pair, classify_subscript, DimAlign};
-use f90d_core::{compile, Backend, CompileOptions};
+use f90d_core::{compile, CompileOptions};
 use f90d_frontend::ast::{BinOp, Expr};
 use f90d_machine::{ExecMode, MachineSpec};
 
-fn backend_name(b: Backend) -> &'static str {
-    match b {
-        Backend::TreeWalk => "treewalk",
-        Backend::Vm => "vm",
-    }
-}
-
 /// Run one executing experiment and print its host wall-clock beside the
 /// modelled output.
-fn timed(label: &str, backend: Backend, f: impl FnOnce()) {
+fn timed(label: &str, f: impl FnOnce()) {
     let t0 = Instant::now();
     f();
     println!(
-        "  [{label}] wall-clock {:.1} ms (backend={})",
-        t0.elapsed().as_secs_f64() * 1e3,
-        backend_name(backend)
+        "  [{label}] wall-clock {:.1} ms",
+        t0.elapsed().as_secs_f64() * 1e3
     );
 }
 
@@ -150,7 +137,6 @@ fn main() {
     let mut which = "all".to_string();
     let mut n: i64 = 1023;
     let mut quick = false;
-    let mut backend = Backend::TreeWalk;
     let mut jobs: Option<usize> = None;
     let mut out: Option<String> = None;
     let mut baseline: Option<String> = None;
@@ -162,7 +148,6 @@ fn main() {
     let mut native = true;
     let mut gate: Option<f64> = None;
     let mut n_arg = false;
-    let mut backend_arg = false;
     let mut it = args.iter().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -239,17 +224,6 @@ fn main() {
                     std::process::exit(2);
                 }))
             }
-            "--backend" => {
-                backend_arg = true;
-                backend = match it.next().map(String::as_str) {
-                    Some("treewalk") => Backend::TreeWalk,
-                    Some("vm") => Backend::Vm,
-                    other => {
-                        eprintln!("--backend expects `treewalk` or `vm`, got {other:?}");
-                        std::process::exit(2);
-                    }
-                }
-            }
             other => {
                 eprintln!("unknown argument {other}");
                 std::process::exit(2);
@@ -270,7 +244,6 @@ fn main() {
         ("--workers", workers.is_some()),
         ("--no-native", !native),
         ("--n", n_arg),
-        ("--backend", backend_arg),
         ("--gate", gate.is_some()),
     ]
     .into_iter()
@@ -282,15 +255,18 @@ fn main() {
             std::process::exit(2);
         }
     };
-    // The fixed-cell experiments choose their own sizes, backends and
-    // tiers, so they take (besides --quick) only these.
+    // The fixed-cell experiments choose their own sizes and tiers, so
+    // they take (besides --quick) only these.
     match which.as_str() {
         "vmcmp" => {
-            accept_only(&["--out", "--gate"], "--exp vmcmp accepts only --quick, --out and --gate (it always runs all three tiers at its own sizes)");
+            accept_only(&["--out", "--gate"], "--exp vmcmp accepts only --quick, --out and --gate (it always runs both tiers at its own sizes)");
             return exp_vmcmp(quick, out, gate);
         }
         "commplan" => {
-            accept_only(&["--out", "--gate"], "--exp commplan accepts only --quick, --out and --gate (it always runs both backends at its own sizes)");
+            accept_only(
+                &["--out", "--gate"],
+                "--exp commplan accepts only --quick, --out and --gate (it runs at its own sizes)",
+            );
             return exp_commplan(quick, out, gate);
         }
         "scaling" => {
@@ -307,12 +283,15 @@ fn main() {
         std::process::exit(2);
     }
     if which == "overlap" {
-        accept_only(&["--out"], "--exp overlap accepts only --quick and --out (it always runs both backends at its own sizes)");
+        accept_only(
+            &["--out"],
+            "--exp overlap accepts only --quick and --out (it runs at its own sizes)",
+        );
         return exp_overlap(quick, out);
     }
     // The harness flags imply the matrix experiment; combining them with
     // another --exp is an error.
-    let matrix_flags = given.iter().any(|f| !["--n", "--backend"].contains(f));
+    let matrix_flags = given.iter().any(|f| *f != "--n");
     if matrix_flags && which == "all" {
         which = "matrix".into();
     }
@@ -349,15 +328,13 @@ fn main() {
         exp_t3();
     }
     if all || which == "fig5" {
-        timed("fig5", backend, || exp_fig5(backend));
+        timed("fig5", exp_fig5);
     }
     if all || which == "table4" || which == "fig6" {
-        timed("table4/fig6", backend, || {
-            exp_table4_fig6(n, which == "fig6", backend)
-        });
+        timed("table4/fig6", || exp_table4_fig6(n, which == "fig6"));
     }
     if all || which == "port" {
-        timed("port", backend, || exp_portability(backend));
+        timed("port", exp_portability);
     }
     if all {
         // `--exp vmcmp` alone returns above (it takes its own flags);
@@ -490,24 +467,16 @@ fn exp_matrix(
 }
 
 /// Execution-tier head-to-head: host wall-clock of one full run per
-/// workload under each of the three tiers (tree walk / bytecode VM /
-/// native kernels), a check that the modelled times agree bit-for-bit,
-/// that the irregular program never leaves the native tier and that no
-/// program stages a FORALL it is known to write in place, and — with
-/// `--gate` — two exit-1 gates on the comm-light workloads: the given
-/// factor on the native-vs-vm speedup, `BYTECODE_FLOOR` on the
-/// vm-vs-treewalk one.
+/// workload under each tier (bytecode only / native kernels), a check
+/// that the modelled times agree bit-for-bit, that the irregular program
+/// never leaves the native tier and that no program stages a FORALL it
+/// is known to write in place, and — with `--gate` — an exit-1 gate on
+/// the comm-light workloads: the given factor on the native-vs-vm
+/// speedup (what notices the box kernels regressing to per-element
+/// dispatch).
 fn exp_vmcmp(quick: bool, out: Option<String>, gate: Option<f64>) {
-    /// Bytecode-over-tree-walk floor under `--gate`, whatever its
-    /// factor: half the measured ratio (41–45× on jacobi-128, 32–41× on
-    /// gauss-64 at `--quick`; 42× and 50× at full size, on the 2-core
-    /// reference host). The per-element loop the chunk-at-a-time
-    /// evaluator replaced measured 3–4×, so this is what notices a
-    /// regression to it — as `--gate` notices the box kernels
-    /// regressing to per-element dispatch.
-    const BYTECODE_FLOOR: f64 = 20.0;
     // `comm_light`: FORALL time dominates, so a tier has the whole job
-    // to accelerate and the gates apply. The irregular kernel is the
+    // to accelerate and the gate applies. The irregular kernel is the
     // other kind: inspector, schedule and executor work every tier
     // shares bounds it (native over bytecode measures 1.1–1.2× at
     // `--quick`, 1.6× at full size, under any floor worth holding), so
@@ -581,12 +550,9 @@ fn exp_vmcmp(quick: bool, out: Option<String>, gate: Option<f64>) {
         .map(|(c, r)| {
             vec![
                 c.name.to_string(),
-                format!("{:.1}", r.wall_treewalk_s * 1e3),
                 format!("{:.1}", r.wall_vm_s * 1e3),
                 format!("{:.1}", r.wall_native_s * 1e3),
                 format!("{:.2}x", r.wall_vm_s / r.wall_native_s),
-                format!("{:.2}x", r.wall_treewalk_s / r.wall_native_s),
-                format!("{:.2}x", r.wall_treewalk_s / r.wall_vm_s),
                 format!("{}/{}", r.native_matched, r.native_fallback),
                 r.native_staged.to_string(),
                 if r.virt_equal {
@@ -598,15 +564,12 @@ fn exp_vmcmp(quick: bool, out: Option<String>, gate: Option<f64>) {
         })
         .collect();
     exp::print_table(
-        "Execution tiers — host wall-clock, tree walk vs bytecode vs native kernels (iPSC/860 model)",
+        "Execution tiers — host wall-clock, bytecode vs native kernels (iPSC/860 model)",
         &[
             "workload",
-            "treewalk ms",
             "vm ms",
             "native ms",
             "native vs vm",
-            "native vs tw",
-            "vm vs tw",
             "matched/fallback",
             "staged",
             "virtual time equal",
@@ -616,7 +579,7 @@ fn exp_vmcmp(quick: bool, out: Option<String>, gate: Option<f64>) {
     if let Some(path) = &out {
         use serde::json::Json;
         let doc = Json::Obj(vec![
-            ("schema".into(), Json::Str("f90d-vmcmp/v4".into())),
+            ("schema".into(), Json::Str("f90d-vmcmp/v5".into())),
             (
                 "machine".into(),
                 Json::Str(MachineSpec::ipsc860().name.clone()),
@@ -629,13 +592,8 @@ fn exp_vmcmp(quick: bool, out: Option<String>, gate: Option<f64>) {
                             Json::Obj(vec![
                                 ("workload".into(), Json::Str(c.name.into())),
                                 ("comm_light".into(), Json::Bool(c.comm_light)),
-                                ("wall_treewalk_s".into(), Json::Num(r.wall_treewalk_s)),
                                 ("wall_vm_s".into(), Json::Num(r.wall_vm_s)),
                                 ("wall_native_s".into(), Json::Num(r.wall_native_s)),
-                                (
-                                    "vm_vs_treewalk".into(),
-                                    Json::Num(r.wall_treewalk_s / r.wall_vm_s),
-                                ),
                                 ("virt_s".into(), Json::Num(r.virt_s)),
                                 ("virt_equal".into(), Json::Bool(r.virt_equal)),
                                 (
@@ -688,47 +646,26 @@ fn exp_vmcmp(quick: bool, out: Option<String>, gate: Option<f64>) {
         }
     }
     if let Some(need) = gate {
-        // Each gate holds the best comm-light row of its ratio.
-        let best = |ratio: fn(&exp::TierRow) -> f64| {
-            (rows.iter().filter(|(c, _)| c.comm_light))
-                .map(|(c, r)| (c.name, ratio(r)))
-                .fold(
-                    ("none", 0.0_f64),
-                    |acc, x| if x.1 > acc.1 { x } else { acc },
-                )
-        };
-        let gates = [
-            (
-                "NATIVE TIER",
-                "native-vs-vm",
-                best(|r| r.wall_vm_s / r.wall_native_s),
-                need,
-            ),
-            (
-                "BYTECODE TIER",
-                "vm-vs-treewalk",
-                best(|r| r.wall_treewalk_s / r.wall_vm_s),
-                BYTECODE_FLOOR,
-            ),
-        ];
-        for (tier, ratio, (name, speedup), need) in gates {
-            if speedup < need {
-                eprintln!(
-                    "# {tier} GATE FAILED: best comm-light {ratio} speedup {speedup:.2}x ({name}) < {need}x"
-                );
-                std::process::exit(1);
-            }
-            println!(
-                "  {} gate: {ratio} {speedup:.2}x on {name} (>= {need}x required): pass",
-                tier.to_lowercase()
+        // The gate holds the best comm-light row.
+        let (name, speedup) = (rows.iter().filter(|(c, _)| c.comm_light))
+            .map(|(c, r)| (c.name, r.wall_vm_s / r.wall_native_s))
+            .max_by(|a, b| a.1.total_cmp(&b.1))
+            .unwrap_or(("none", 0.0));
+        if speedup < need {
+            eprintln!(
+                "# NATIVE TIER GATE FAILED: best comm-light native-vs-vm speedup {speedup:.2}x ({name}) < {need}x"
             );
+            std::process::exit(1);
         }
+        println!(
+            "  native tier gate: native-vs-vm {speedup:.2}x on {name} (>= {need}x required): pass"
+        );
     }
 }
 
 /// The §5.1/§7 communication–computation overlap experiment: Jacobi
 /// under temporary-shift, blocking ghost-exchange and split-phase
-/// execution, per machine model and backend. Exits 1 when the overlap
+/// execution, per machine model. Exits 1 when the overlap
 /// claim does not hold (modelled time must strictly drop with results
 /// bit-identical).
 fn exp_overlap(quick: bool, out: Option<String>) {
@@ -739,7 +676,6 @@ fn exp_overlap(quick: bool, out: Option<String>) {
         .map(|r| {
             vec![
                 r.machine.to_string(),
-                backend_name(r.backend).to_string(),
                 format!("{:.6}", r.t_temporary),
                 format!("{:.6}", r.t_blocking),
                 format!("{:.6}", r.t_overlap),
@@ -759,7 +695,6 @@ fn exp_overlap(quick: bool, out: Option<String>) {
         ),
         &[
             "machine",
-            "backend",
             "temporary",
             "blocking",
             "overlap",
@@ -773,7 +708,7 @@ fn exp_overlap(quick: bool, out: Option<String>) {
         let doc = serde::json::Json::Obj(vec![
             (
                 "schema".into(),
-                serde::json::Json::Str("f90d-overlap/v1".into()),
+                serde::json::Json::Str("f90d-overlap/v2".into()),
             ),
             ("n".into(), serde::json::Json::Num(n as f64)),
             ("iters".into(), serde::json::Json::Num(iters as f64)),
@@ -791,10 +726,6 @@ fn exp_overlap(quick: bool, out: Option<String>) {
                         .map(|r| {
                             serde::json::Json::Obj(vec![
                                 ("machine".into(), serde::json::Json::Str(r.machine.into())),
-                                (
-                                    "backend".into(),
-                                    serde::json::Json::Str(backend_name(r.backend).into()),
-                                ),
                                 (
                                     "t_temporary_s".into(),
                                     serde::json::Json::Num(r.t_temporary),
@@ -824,23 +755,22 @@ fn exp_overlap(quick: bool, out: Option<String>) {
     let failed: Vec<String> = rows
         .iter()
         .filter(|r| !r.holds())
-        .map(|r| format!("{}/{}", r.machine, backend_name(r.backend)))
+        .map(|r| r.machine.to_string())
         .collect();
     if !failed.is_empty() {
         eprintln!("# OVERLAP CLAIM VIOLATED on: {failed:?}");
         std::process::exit(1);
     }
     println!(
-        "  overlap < temporary and overlap < blocking on every machine x backend, results bit-identical: yes"
+        "  overlap < temporary and overlap < blocking on every machine, results bit-identical: yes"
     );
 }
 
 /// The phase-level communication planning experiment: the multi-array
 /// stencil and the multigrid V-cycle under per-statement vs phase-batched
-/// coalesced ghost exchanges, per machine model and backend. Exits 1
-/// when any row changes a result bit or moves more traffic, or — with
-/// `--gate` — when the multi-stencil speedup falls below the factor on
-/// any machine × backend.
+/// coalesced ghost exchanges, per machine model. Exits 1 when any row
+/// changes a result bit or moves more traffic, or — with `--gate` — when
+/// the multi-stencil speedup falls below the factor on any machine.
 fn exp_commplan(quick: bool, out: Option<String>, gate: Option<f64>) {
     let (n, iters, p) = if quick { (48, 4, 4) } else { (128, 8, 4) };
     let rows = exp::commplan_experiment(n, iters, p);
@@ -850,7 +780,6 @@ fn exp_commplan(quick: bool, out: Option<String>, gate: Option<f64>) {
             vec![
                 r.workload.to_string(),
                 r.machine.to_string(),
-                backend_name(r.backend).to_string(),
                 format!("{:.6}", r.t_per_stmt),
                 format!("{:.6}", r.t_plan),
                 format!("{:.2}x", r.speedup()),
@@ -871,7 +800,6 @@ fn exp_commplan(quick: bool, out: Option<String>, gate: Option<f64>) {
         &[
             "workload",
             "machine",
-            "backend",
             "per-stmt",
             "planned",
             "speedup",
@@ -884,7 +812,7 @@ fn exp_commplan(quick: bool, out: Option<String>, gate: Option<f64>) {
     if let Some(path) = &out {
         use serde::json::Json;
         let doc = Json::Obj(vec![
-            ("schema".into(), Json::Str("f90d-commplan/v1".into())),
+            ("schema".into(), Json::Str("f90d-commplan/v2".into())),
             ("n".into(), Json::Num(n as f64)),
             ("iters".into(), Json::Num(iters as f64)),
             ("grid".into(), Json::Arr(vec![Json::Num(p as f64)])),
@@ -896,7 +824,6 @@ fn exp_commplan(quick: bool, out: Option<String>, gate: Option<f64>) {
                             Json::Obj(vec![
                                 ("workload".into(), Json::Str(r.workload.into())),
                                 ("machine".into(), Json::Str(r.machine.into())),
-                                ("backend".into(), Json::Str(backend_name(r.backend).into())),
                                 ("t_per_stmt_s".into(), Json::Num(r.t_per_stmt)),
                                 ("t_plan_s".into(), Json::Num(r.t_plan)),
                                 ("msgs_per_stmt".into(), Json::Num(r.msgs_per_stmt as f64)),
@@ -920,7 +847,7 @@ fn exp_commplan(quick: bool, out: Option<String>, gate: Option<f64>) {
     let failed: Vec<String> = rows
         .iter()
         .filter(|r| !r.holds())
-        .map(|r| format!("{}/{}/{}", r.workload, r.machine, backend_name(r.backend)))
+        .map(|r| format!("{}/{}", r.workload, r.machine))
         .collect();
     if !failed.is_empty() {
         eprintln!("# COMM-PLAN CLAIM VIOLATED on: {failed:?}");
@@ -941,15 +868,13 @@ fn exp_commplan(quick: bool, out: Option<String>, gate: Option<f64>) {
         if worst.1 < need {
             let r = worst.0.unwrap();
             eprintln!(
-                "# COMM-PLAN GATE FAILED: multi-stencil speedup {:.2}x on {}/{} < {need}x",
-                worst.1,
-                r.machine,
-                backend_name(r.backend)
+                "# COMM-PLAN GATE FAILED: multi-stencil speedup {:.2}x on {} < {need}x",
+                worst.1, r.machine
             );
             std::process::exit(1);
         }
         println!(
-            "  comm-plan gate: worst multi-stencil speedup {:.2}x (>= {need}x required on every machine x backend): pass",
+            "  comm-plan gate: worst multi-stencil speedup {:.2}x (>= {need}x required on every machine): pass",
             worst.1
         );
     }
@@ -1177,9 +1102,9 @@ fn exp_t3() {
 }
 
 /// Figure 5: GE time vs N, 16 nodes, iPSC/860 vs nCUBE/2.
-fn exp_fig5(backend: Backend) {
+fn exp_fig5() {
     let sizes: Vec<i64> = (2..=19).map(|k| k * 16).collect();
-    let rows: Vec<Vec<String>> = exp::fig5_backend(&sizes, 16, backend)
+    let rows: Vec<Vec<String>> = exp::fig5(&sizes, 16)
         .into_iter()
         .map(|(n, a, b)| vec![n.to_string(), format!("{a:.4}"), format!("{b:.4}")])
         .collect();
@@ -1191,8 +1116,8 @@ fn exp_fig5(backend: Backend) {
 }
 
 /// Table 4 + Figure 6.
-fn exp_table4_fig6(n: i64, fig6_only: bool, backend: Backend) {
-    let rows = exp::table4_backend(n, &[1, 2, 4, 8, 16], backend);
+fn exp_table4_fig6(n: i64, fig6_only: bool) {
+    let rows = exp::table4(n, &[1, 2, 4, 8, 16]);
     if !fig6_only {
         let t: Vec<Vec<String>> = rows
             .iter()
@@ -1222,8 +1147,8 @@ fn exp_table4_fig6(n: i64, fig6_only: bool, backend: Backend) {
     );
 }
 
-fn exp_portability(backend: Backend) {
-    let rows: Vec<Vec<String>> = exp::portability_backend(128, 16, backend)
+fn exp_portability() {
+    let rows: Vec<Vec<String>> = exp::portability(128, 16)
         .into_iter()
         .map(|(name, t)| vec![name, format!("{t:.4}")])
         .collect();

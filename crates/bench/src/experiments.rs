@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use f90d_core::{compile, Backend, CompileOptions, Executor, OptFlags, RunTrace};
+use f90d_core::{compile, CompileOptions, OptFlags, RunTrace};
 use f90d_distrib::ProcGrid;
 use f90d_machine::{ExecMode, Machine, MachineSpec};
 
@@ -16,72 +16,41 @@ use crate::workloads;
 /// returns the modelled elimination time (initialization excluded the
 /// same way for both variants).
 pub fn ge_compiled_time(n: i64, p: i64, spec: &MachineSpec, merge_comm: bool) -> f64 {
-    ge_compiled_time_backend(n, p, spec, merge_comm, Backend::TreeWalk)
-}
-
-/// [`ge_compiled_time`] with an explicit execution backend.
-pub fn ge_compiled_time_backend(
-    n: i64,
-    p: i64,
-    spec: &MachineSpec,
-    merge_comm: bool,
-    backend: Backend,
-) -> f64 {
     let mut opts = CompileOptions::on_grid(&[p]);
     opts.opt.merge_comm = merge_comm;
-    opts.backend = backend;
     let compiled = compile(&workloads::gaussian(n), &opts).expect("gaussian compiles");
     let mut m = Machine::new(spec.clone(), ProcGrid::new(&[p]));
     // Execute the initialization FORALLs, reset the clock, then eliminate
-    // — Table 4 times the solver, not the data generation.
-    let init: Vec<_> = compiled.spmd.stmts[..2].to_vec();
-    let elim: Vec<_> = compiled.spmd.stmts[2..].to_vec();
-    let init_prog = f90d_core::ir::SProgram {
-        stmts: init,
-        ..compiled.spmd.clone()
+    // over the arrays they left — Table 4 times the solver, not the data
+    // generation.
+    let fragment = |stmts: &[f90d_core::ir::SStmt]| {
+        let prog = f90d_core::ir::SProgram {
+            stmts: stmts.to_vec(),
+            ..compiled.spmd.clone()
+        };
+        Arc::new(f90d_core::vmlower::lower(&prog).expect("fragment lowers"))
     };
-    let elim_prog = f90d_core::ir::SProgram {
-        stmts: elim,
-        ..compiled.spmd.clone()
-    };
-    match backend {
-        Backend::TreeWalk => {
-            // Run init with a throwaway executor sharing the machine arrays.
-            let mut ex0 = Executor::new(&init_prog, &mut m);
-            ex0.run(&mut m).expect("init runs");
-            m.reset_time();
-            let mut ex1 = Executor::new_preserving(&elim_prog, &mut m);
-            ex1.sched.reuse = true;
-            ex1.run(&mut m).expect("elimination runs");
-        }
-        Backend::Vm => {
-            let init_bc = f90d_core::vmlower::lower(&init_prog).expect("init lowers");
-            let elim_bc = f90d_core::vmlower::lower(&elim_prog).expect("elim lowers");
-            let mut e0 = f90d_vm::Engine::new(Arc::new(init_bc), &mut m);
-            e0.run(&mut m).expect("init runs");
-            m.reset_time();
-            let mut e1 = f90d_vm::Engine::new_preserving(Arc::new(elim_bc), &mut m);
-            e1.sched.reuse = true;
-            e1.run(&mut m).expect("elimination runs");
-        }
-    }
+    let (init, elim) = compiled.spmd.stmts.split_at(2);
+    let mut e0 = f90d_vm::Engine::new(fragment(init), &mut m);
+    e0.run(&mut m).expect("init runs");
+    m.reset_time();
+    let mut e1 = f90d_vm::Engine::new_preserving(fragment(elim), &mut m);
+    e1.run(&mut m).expect("elimination runs");
     m.elapsed()
 }
 
-/// One row of the three-tier head-to-head (`repro --exp vmcmp`): best-of-
-/// three host wall-clock per execution tier on one workload, plus the
-/// modelled metrics that must be bit-identical across tiers.
+/// One row of the tier head-to-head (`repro --exp vmcmp`): best-of-three
+/// host wall-clock per execution tier on one workload, plus the modelled
+/// metrics that must be bit-identical across tiers.
 #[derive(Debug, Clone)]
 pub struct TierRow {
-    /// Tree-walking interpreter wall-clock (seconds).
-    pub wall_treewalk_s: f64,
-    /// Bytecode VM with the native kernel tier disabled.
+    /// Wall-clock (seconds) with the native kernel tier disabled.
     pub wall_vm_s: f64,
-    /// Bytecode VM with native kernels on (the default configuration).
+    /// With native kernels on (the default configuration).
     pub wall_native_s: f64,
-    /// Modelled time of the native run (the other tiers must agree).
+    /// Modelled time of the native run (the bytecode run must agree).
     pub virt_s: f64,
-    /// Virtual time bit-identical across all three tiers.
+    /// Virtual time bit-identical across the two tiers.
     pub virt_equal: bool,
     /// FORALL executions the native run dispatched to kernels.
     pub native_matched: u64,
@@ -93,18 +62,16 @@ pub struct TierRow {
 }
 
 /// Host wall-clock of one full run of `src` under each execution tier:
-/// tree walk, bytecode VM (`native_kernels` off), and the native kernel
-/// tier. Lowering is warmed outside the timed region (the program cache
-/// is what repeated-run harnesses hit); each tier gets one warm-up run
-/// and then the best of three.
+/// bytecode only (`native_kernels` off) and the native kernel tier.
+/// Lowering is warmed outside the timed region (the program cache is
+/// what repeated-run harnesses hit); each tier gets one warm-up run and
+/// then the best of three.
 pub fn tier_wallclock(src: &str, grid: &[i64], spec: &MachineSpec) -> TierRow {
-    let run = |backend: Backend, native: bool| {
-        let mut opts = CompileOptions::on_grid(grid).with_backend(backend);
+    let run = |native: bool| {
+        let mut opts = CompileOptions::on_grid(grid);
         opts.opt.native_kernels = native;
         let compiled = compile(src, &opts).expect("compiles");
-        if backend == Backend::Vm {
-            compiled.vm_program().expect("lowers");
-        }
+        compiled.vm_program().expect("lowers");
         // One warm-up, then the best of three timed runs.
         let once = || {
             let mut m = Machine::new(spec.clone(), ProcGrid::new(grid));
@@ -123,15 +90,13 @@ pub fn tier_wallclock(src: &str, grid: &[i64], spec: &MachineSpec) -> TierRow {
                 }
             })
     };
-    let (wt, vt, _) = run(Backend::TreeWalk, false);
-    let (wv, vv, _) = run(Backend::Vm, false);
-    let (wn, vn, trace) = run(Backend::Vm, true);
+    let (wv, vv, _) = run(false);
+    let (wn, vn, trace) = run(true);
     TierRow {
-        wall_treewalk_s: wt,
         wall_vm_s: wv,
         wall_native_s: wn,
         virt_s: vn,
-        virt_equal: vt.to_bits() == vv.to_bits() && vv.to_bits() == vn.to_bits(),
+        virt_equal: vv.to_bits() == vn.to_bits(),
         native_matched: trace.native_matched,
         native_fallback: trace.native_fallback,
         native_staged: trace.native_staged,
@@ -147,11 +112,6 @@ pub fn ge_hand_time(n: i64, p: i64, spec: &MachineSpec) -> f64 {
 /// Figure 5: compiled-GE execution time vs problem size on 16 nodes of
 /// the iPSC/860 and nCUBE/2 models. Returns `(n, t_ipsc, t_ncube)` rows.
 pub fn fig5(sizes: &[i64], p: i64) -> Vec<(i64, f64, f64)> {
-    fig5_backend(sizes, p, Backend::TreeWalk)
-}
-
-/// [`fig5`] with an explicit execution backend.
-pub fn fig5_backend(sizes: &[i64], p: i64, backend: Backend) -> Vec<(i64, f64, f64)> {
     let ipsc = MachineSpec::ipsc860();
     let ncube = MachineSpec::ncube2();
     sizes
@@ -159,8 +119,8 @@ pub fn fig5_backend(sizes: &[i64], p: i64, backend: Backend) -> Vec<(i64, f64, f
         .map(|&n| {
             (
                 n,
-                ge_compiled_time_backend(n, p, &ipsc, true, backend),
-                ge_compiled_time_backend(n, p, &ncube, true, backend),
+                ge_compiled_time(n, p, &ipsc, true),
+                ge_compiled_time(n, p, &ncube, true),
             )
         })
         .collect()
@@ -168,30 +128,17 @@ pub fn fig5_backend(sizes: &[i64], p: i64, backend: Backend) -> Vec<(i64, f64, f
 
 /// One Table 4 row: `(p, hand_time, compiled_time)`.
 pub fn table4_row(n: i64, p: i64) -> (i64, f64, f64) {
-    table4_row_backend(n, p, Backend::TreeWalk)
-}
-
-/// [`table4_row`] with an explicit execution backend.
-pub fn table4_row_backend(n: i64, p: i64, backend: Backend) -> (i64, f64, f64) {
     let spec = MachineSpec::ipsc860();
     (
         p,
         ge_hand_time(n, p, &spec),
-        ge_compiled_time_backend(n, p, &spec, true, backend),
+        ge_compiled_time(n, p, &spec, true),
     )
 }
 
 /// Table 4: hand-written vs compiled GE, iPSC/860 model.
 pub fn table4(n: i64, procs: &[i64]) -> Vec<(i64, f64, f64)> {
-    table4_backend(n, procs, Backend::TreeWalk)
-}
-
-/// [`table4`] with an explicit execution backend.
-pub fn table4_backend(n: i64, procs: &[i64], backend: Backend) -> Vec<(i64, f64, f64)> {
-    procs
-        .iter()
-        .map(|&p| table4_row_backend(n, p, backend))
-        .collect()
+    procs.iter().map(|&p| table4_row(n, p)).collect()
 }
 
 /// Figure 6: speedups against the sequential (P = 1) run of each code.
@@ -299,8 +246,8 @@ pub fn ablation_merge_comm(n: i64, p: i64) -> (u64, u64, f64, f64) {
         opts.opt.merge_comm = merge;
         let compiled = compile(&workloads::gaussian(n), &opts).unwrap();
         let mut m = Machine::new(spec.clone(), ProcGrid::new(&[p]));
-        let mut ex = Executor::new(&compiled.spmd, &mut m);
-        ex.run(&mut m).unwrap();
+        let mut eng = compiled.engine(&mut m).unwrap();
+        eng.run(&mut m).unwrap();
         (m.transport.messages, m.elapsed())
     };
     let (msg_on, t_on) = run(true);
@@ -317,9 +264,8 @@ pub fn ablation_schedule_reuse(n: i64, p: i64) -> (f64, f64) {
         opts.opt.schedule_reuse = reuse;
         let compiled = compile(&workloads::irregular(n), &opts).unwrap();
         let mut m = Machine::new(spec.clone(), ProcGrid::new(&[p]));
-        let mut ex = Executor::new(&compiled.spmd, &mut m);
-        ex.sched.reuse = reuse;
-        ex.run(&mut m).unwrap();
+        let mut eng = compiled.engine(&mut m).unwrap();
+        eng.run(&mut m).unwrap();
         m.elapsed()
     };
     (run(true), run(false))
@@ -352,8 +298,8 @@ END
         opts.opt.hoist_invariant_comm = false;
         let compiled = compile(&src, &opts).unwrap();
         let mut m = Machine::new(spec.clone(), ProcGrid::new(&[4, 4]));
-        let mut ex = Executor::new(&compiled.spmd, &mut m);
-        ex.run(&mut m).unwrap();
+        let mut eng = compiled.engine(&mut m).unwrap();
+        eng.run(&mut m).unwrap();
         m.elapsed()
     };
     (run(true), run(false))
@@ -368,8 +314,8 @@ pub fn ablation_overlap_shift(n: i64, iters: i64, p: i64) -> (f64, f64) {
         opts.opt.overlap_shift = overlap;
         let compiled = compile(&workloads::jacobi(n, iters), &opts).unwrap();
         let mut m = Machine::new(spec.clone(), ProcGrid::new(&[p, p]));
-        let mut ex = Executor::new(&compiled.spmd, &mut m);
-        ex.run(&mut m).unwrap();
+        let mut eng = compiled.engine(&mut m).unwrap();
+        eng.run(&mut m).unwrap();
         m.elapsed()
     };
     (run(true), run(false))
@@ -382,8 +328,6 @@ pub fn ablation_overlap_shift(n: i64, iters: i64, p: i64) -> (f64, f64) {
 pub struct OverlapRow {
     /// Machine model name (`ipsc860` / `ncube2`).
     pub machine: &'static str,
-    /// Execution backend.
-    pub backend: Backend,
     /// `OptFlags::overlap_shift = false`: every shift through a
     /// temporary (the §5.1 baseline the claimed speedup is measured
     /// against).
@@ -413,71 +357,48 @@ impl OverlapRow {
 }
 
 /// Communication–computation overlap on Jacobi (`n × n`, `iters` sweeps,
-/// `p × p` grid): one row per machine model × backend.
+/// `p × p` grid): one row per machine model.
 pub fn overlap_experiment(n: i64, iters: i64, p: i64) -> Vec<OverlapRow> {
-    use f90d_machine::ArrayData;
     let src = workloads::jacobi(n, iters);
     let grid = [p, p];
-    let run = |spec: &MachineSpec,
-               backend: Backend,
-               overlap_shift: bool,
-               overlap: bool|
-     -> (f64, Vec<String>, Vec<ArrayData>) {
-        let mut opts = CompileOptions::on_grid(&grid).with_backend(backend);
+    let run = |spec: &MachineSpec, overlap_shift: bool, overlap: bool| {
+        let mut opts = CompileOptions::on_grid(&grid);
         opts.opt.overlap_shift = overlap_shift;
         opts.opt.comm_compute_overlap = overlap;
         let compiled = compile(&src, &opts).expect("jacobi compiles");
         let mut m = Machine::new(spec.clone(), ProcGrid::new(&grid));
-        match backend {
-            Backend::TreeWalk => {
-                let mut ex = Executor::new(&compiled.spmd, &mut m);
-                ex.overlap = overlap;
-                let rep = ex.run(&mut m).expect("jacobi runs");
-                let arrays = ["A", "B"]
-                    .iter()
-                    .map(|a| ex.gather_array(&mut m, a).unwrap())
-                    .collect();
-                (rep.elapsed, rep.printed, arrays)
-            }
-            Backend::Vm => {
-                let prog = compiled.vm_program().expect("jacobi lowers");
-                let mut eng = f90d_vm::Engine::new(prog, &mut m);
-                eng.overlap = overlap;
-                let rep = eng.run(&mut m).expect("jacobi runs");
-                let arrays = ["A", "B"]
-                    .iter()
-                    .map(|a| eng.gather_array(&mut m, a).unwrap())
-                    .collect();
-                (rep.elapsed, rep.printed, arrays)
-            }
-        }
+        let mut eng = compiled.engine(&mut m).expect("jacobi lowers");
+        let rep = eng.run(&mut m).expect("jacobi runs");
+        let arrays: Vec<_> = ["A", "B"]
+            .iter()
+            .map(|a| eng.gather_array(&mut m, a).unwrap())
+            .collect();
+        (rep.elapsed, rep.printed, arrays)
     };
-    let mut rows = Vec::new();
-    for (machine, spec) in [
+    [
         ("ipsc860", MachineSpec::ipsc860()),
         ("ncube2", MachineSpec::ncube2()),
-    ] {
-        for backend in [Backend::TreeWalk, Backend::Vm] {
-            let (t_temporary, pr_t, arr_t) = run(&spec, backend, false, false);
-            let (t_blocking, pr_b, arr_b) = run(&spec, backend, true, false);
-            let (t_overlap, pr_o, arr_o) = run(&spec, backend, true, true);
-            rows.push(OverlapRow {
-                machine,
-                backend,
-                t_temporary,
-                t_blocking,
-                t_overlap,
-                arrays_identical: arr_t == arr_b && arr_b == arr_o,
-                print_identical: pr_t == pr_b && pr_b == pr_o,
-            });
+    ]
+    .into_iter()
+    .map(|(machine, spec)| {
+        let (t_temporary, pr_t, arr_t) = run(&spec, false, false);
+        let (t_blocking, pr_b, arr_b) = run(&spec, true, false);
+        let (t_overlap, pr_o, arr_o) = run(&spec, true, true);
+        OverlapRow {
+            machine,
+            t_temporary,
+            t_blocking,
+            t_overlap,
+            arrays_identical: arr_t == arr_b && arr_b == arr_o,
+            print_identical: pr_t == pr_b && pr_b == pr_o,
         }
-    }
-    rows
+    })
+    .collect()
 }
 
 /// One row of the phase-level communication planning experiment
-/// (`repro --exp commplan`): one workload × machine model × backend,
-/// with the planner off (per-statement ghost exchanges) and on
+/// (`repro --exp commplan`): one workload × machine model, with the
+/// planner off (per-statement ghost exchanges) and on
 /// (phase-batched, PARTI-style coalesced posts).
 #[derive(Debug, Clone)]
 pub struct CommPlanRow {
@@ -485,8 +406,6 @@ pub struct CommPlanRow {
     pub workload: &'static str,
     /// Machine model name (`ipsc860` / `ncube2`).
     pub machine: &'static str,
-    /// Execution backend.
-    pub backend: Backend,
     /// `OptFlags::comm_plan = false`: one ghost-exchange post per
     /// statement per array per direction (the baseline configuration).
     pub t_per_stmt: f64,
@@ -532,9 +451,8 @@ impl CommPlanRow {
 
 /// Phase-level communication planning on the multi-array stencil and the
 /// multigrid V-cycle (`n` elements, `iters` sweeps, `p` processors): one
-/// row per workload × machine model × backend.
+/// row per workload × machine model.
 pub fn commplan_experiment(n: i64, iters: i64, p: i64) -> Vec<CommPlanRow> {
-    use f90d_machine::ArrayData;
     let grid = [p];
     let cases: Vec<(&'static str, String, Vec<&'static str>, bool)> = vec![
         (
@@ -550,39 +468,18 @@ pub fn commplan_experiment(n: i64, iters: i64, p: i64) -> Vec<CommPlanRow> {
             false,
         ),
     ];
-    let run = |src: &str,
-               names: &[&str],
-               spec: &MachineSpec,
-               backend: Backend,
-               plan: bool|
-     -> (f64, u64, u64, Vec<String>, Vec<ArrayData>) {
-        let mut opts = CompileOptions::on_grid(&grid).with_backend(backend);
+    let run = |src: &str, names: &[&str], spec: &MachineSpec, plan: bool| {
+        let mut opts = CompileOptions::on_grid(&grid);
         opts.opt.comm_plan = plan;
         let compiled = compile(src, &opts).expect("workload compiles");
         let mut m = Machine::new(spec.clone(), ProcGrid::new(&grid));
-        match backend {
-            Backend::TreeWalk => {
-                let mut ex = Executor::new(&compiled.spmd, &mut m);
-                ex.plan = plan;
-                let rep = ex.run(&mut m).expect("workload runs");
-                let arrays = names
-                    .iter()
-                    .map(|a| ex.gather_array(&mut m, a).unwrap())
-                    .collect();
-                (rep.elapsed, rep.messages, rep.bytes, rep.printed, arrays)
-            }
-            Backend::Vm => {
-                let prog = compiled.vm_program().expect("workload lowers");
-                let mut eng = f90d_vm::Engine::new(prog, &mut m);
-                eng.plan = plan;
-                let rep = eng.run(&mut m).expect("workload runs");
-                let arrays = names
-                    .iter()
-                    .map(|a| eng.gather_array(&mut m, a).unwrap())
-                    .collect();
-                (rep.elapsed, rep.messages, rep.bytes, rep.printed, arrays)
-            }
-        }
+        let mut eng = compiled.engine(&mut m).expect("workload lowers");
+        let rep = eng.run(&mut m).expect("workload runs");
+        let arrays: Vec<_> = names
+            .iter()
+            .map(|a| eng.gather_array(&mut m, a).unwrap())
+            .collect();
+        (rep.elapsed, rep.messages, rep.bytes, rep.printed, arrays)
     };
     let mut rows = Vec::new();
     for (workload, src, names, gated) in &cases {
@@ -590,24 +487,20 @@ pub fn commplan_experiment(n: i64, iters: i64, p: i64) -> Vec<CommPlanRow> {
             ("ipsc860", MachineSpec::ipsc860()),
             ("ncube2", MachineSpec::ncube2()),
         ] {
-            for backend in [Backend::TreeWalk, Backend::Vm] {
-                let (t_off, msg_off, by_off, pr_off, arr_off) =
-                    run(src, names, &spec, backend, false);
-                let (t_on, msg_on, by_on, pr_on, arr_on) = run(src, names, &spec, backend, true);
-                rows.push(CommPlanRow {
-                    workload,
-                    machine,
-                    backend,
-                    t_per_stmt: t_off,
-                    t_plan: t_on,
-                    msgs_per_stmt: msg_off,
-                    msgs_plan: msg_on,
-                    bytes_equal: by_on == by_off,
-                    arrays_identical: arr_on == arr_off,
-                    print_identical: pr_on == pr_off,
-                    gated: *gated,
-                });
-            }
+            let (t_off, msg_off, by_off, pr_off, arr_off) = run(src, names, &spec, false);
+            let (t_on, msg_on, by_on, pr_on, arr_on) = run(src, names, &spec, true);
+            rows.push(CommPlanRow {
+                workload,
+                machine,
+                t_per_stmt: t_off,
+                t_plan: t_on,
+                msgs_per_stmt: msg_off,
+                msgs_plan: msg_on,
+                bytes_equal: by_on == by_off,
+                arrays_identical: arr_on == arr_off,
+                print_identical: pr_on == pr_off,
+                gated: *gated,
+            });
         }
     }
     rows
@@ -616,11 +509,6 @@ pub fn commplan_experiment(n: i64, iters: i64, p: i64) -> Vec<CommPlanRow> {
 /// Portability demonstration (paper §8.1): the same compiled program runs
 /// under every machine model; returns `(machine, time)` rows.
 pub fn portability(n: i64, p: i64) -> Vec<(String, f64)> {
-    portability_backend(n, p, Backend::TreeWalk)
-}
-
-/// [`portability`] with an explicit execution backend.
-pub fn portability_backend(n: i64, p: i64, backend: Backend) -> Vec<(String, f64)> {
     [
         MachineSpec::ipsc860(),
         MachineSpec::ncube2(),
@@ -629,7 +517,7 @@ pub fn portability_backend(n: i64, p: i64, backend: Backend) -> Vec<(String, f64
     .into_iter()
     .map(|spec| {
         let name = spec.name.clone();
-        (name, ge_compiled_time_backend(n, p, &spec, true, backend))
+        (name, ge_compiled_time(n, p, &spec, true))
     })
     .collect()
 }

@@ -1,5 +1,5 @@
-//! Parallel repro harness: the full (workload × size × grid × machine ×
-//! backend) experiment matrix of the paper's §8 evaluation, run by a
+//! Parallel repro harness: the full (workload × size × grid × machine)
+//! experiment matrix of the paper's §8 evaluation, run by a
 //! work-stealing pool of `std::thread::scope` workers.
 //!
 //! Execution is *virtual-time* deterministic — every cell builds its own
@@ -23,7 +23,7 @@ use std::collections::VecDeque;
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use f90d_core::{compile, Backend, CompileOptions};
+use f90d_core::{compile, CompileOptions};
 use f90d_distrib::ProcGrid;
 use f90d_machine::{budget, ExecMode, Machine, MachineSpec};
 use serde::json::Json;
@@ -63,20 +63,17 @@ pub struct Cell {
     pub grid: Vec<i64>,
     /// Machine model: `ipsc860` or `ncube2`.
     pub machine: &'static str,
-    /// Execution backend.
-    pub backend: Backend,
 }
 
 impl Cell {
-    /// Canonical id, e.g. `jacobi/n96/g2x2/ipsc860/vm`.
+    /// Canonical id, e.g. `jacobi/n96/g2x2/ipsc860`.
     pub fn id(&self) -> String {
         format!(
-            "{}/n{}/g{}/{}/{}",
+            "{}/n{}/g{}/{}",
             self.workload,
             self.n,
             grid_name(&self.grid),
-            self.machine,
-            backend_name(self.backend)
+            self.machine
         )
     }
 
@@ -117,11 +114,11 @@ pub struct CellResult {
     /// Host wall clock for the run (informational — never gated by
     /// default, scheduling-dependent).
     pub wall_s: f64,
-    /// Program-cache outcome: `Some(true)` hit, `Some(false)` this cell
-    /// performed the lowering, `None` tree walk. Which cell of a key
-    /// group lowers depends on worker scheduling, so this is
-    /// informational; the *totals* are deterministic.
-    pub cache_hit: Option<bool>,
+    /// Program-cache outcome: a hit, or this cell performed the
+    /// lowering. Which cell of a key group lowers depends on worker
+    /// scheduling, so this is informational; the *totals* are
+    /// deterministic.
+    pub cache_hit: bool,
     /// Schedule-cache hits during this cell's run (informational — which
     /// cell of a pattern group builds depends on worker scheduling).
     pub sched_hits: u64,
@@ -133,7 +130,7 @@ pub struct CellResult {
     /// grants depend on which cells run concurrently — and never gated.
     pub workers: usize,
     /// FORALL executions dispatched to a native-tier kernel (always 0
-    /// for tree-walk cells or under `repro --no-native`). Informational,
+    /// under `repro --no-native`). Informational,
     /// never gated — the tiers are bit-identical on every gated metric.
     pub native_matched: u64,
     /// FORALL executions that ran the bytecode element loop instead.
@@ -141,7 +138,7 @@ pub struct CellResult {
     /// Structured shift plans the cell's run planned / replayed from
     /// its per-run table (`RunTrace::ghost_plans_built` / `_reused`),
     /// and FORALL executions that reused the previous execution's
-    /// iteration lists (`RunTrace::dispatch_reused`; VM cells only).
+    /// iteration lists (`RunTrace::dispatch_reused`).
     /// Exact per cell, informational, never gated: they explain host
     /// time and move no gated metric.
     pub ghost_plans_built: u64,
@@ -193,21 +190,6 @@ fn grid_name(grid: &[i64]) -> String {
         .join("x")
 }
 
-fn backend_name(b: Backend) -> &'static str {
-    match b {
-        Backend::TreeWalk => "treewalk",
-        Backend::Vm => "vm",
-    }
-}
-
-fn backend_of(name: &str) -> Option<Backend> {
-    match name {
-        "treewalk" => Some(Backend::TreeWalk),
-        "vm" => Some(Backend::Vm),
-        _ => None,
-    }
-}
-
 /// Intern a serialized workload name back to the matrix's static name
 /// (also validates it).
 fn workload_of(name: &str) -> Option<&'static str> {
@@ -222,7 +204,7 @@ fn machine_of(name: &str) -> Option<&'static str> {
 }
 
 /// The experiment matrix at `scale`, in canonical order: workload, then
-/// size, then grid, then machine, then backend.
+/// size, then grid, then machine.
 pub fn matrix(scale: Scale) -> Vec<Cell> {
     // (workload, sizes, grids) per scale.
     type Row = (&'static str, Vec<i64>, Vec<Vec<i64>>);
@@ -251,15 +233,12 @@ pub fn matrix(scale: Scale) -> Vec<Cell> {
         for &n in &sizes {
             for grid in &grids {
                 for machine in ["ipsc860", "ncube2"] {
-                    for backend in [Backend::TreeWalk, Backend::Vm] {
-                        cells.push(Cell {
-                            workload,
-                            n,
-                            grid: grid.clone(),
-                            machine,
-                            backend,
-                        });
-                    }
+                    cells.push(Cell {
+                        workload,
+                        n,
+                        grid: grid.clone(),
+                        machine,
+                    });
                 }
             }
         }
@@ -292,7 +271,7 @@ pub fn run_cell_cfg(cell: &Cell, sched_cache: bool, exec: ExecMode) -> CellResul
 /// --no-native`). Every gated metric is identical either way; only host
 /// wall clock and the informational `native_kernels` counters change.
 pub fn run_cell_native(cell: &Cell, sched_cache: bool, exec: ExecMode, native: bool) -> CellResult {
-    let mut opts = CompileOptions::on_grid(&cell.grid).with_backend(cell.backend);
+    let mut opts = CompileOptions::on_grid(&cell.grid);
     opts.sched_cache = sched_cache;
     opts.exec_mode = Some(exec);
     opts.opt.native_kernels = native;
@@ -310,7 +289,7 @@ pub fn run_cell_native(cell: &Cell, sched_cache: bool, exec: ExecMode, native: b
         bytes: rep.bytes,
         printed: rep.printed,
         wall_s: t0.elapsed().as_secs_f64(),
-        cache_hit: trace.program_cache_hit,
+        cache_hit: trace.program_cache_hit == Some(true),
         sched_hits: trace.sched_hits,
         sched_misses: trace.sched_misses,
         workers: trace.workers,
@@ -487,7 +466,7 @@ pub fn run_matrix_cfg(cells: &[Cell], cfg: &MatrixConfig) -> MatrixReport {
     // Cache statistics are summed from this run's own cells: the caches
     // are process-wide, so deltas of their counters would also count
     // whatever else the process ran meanwhile.
-    let count = |hit: bool| cells.iter().filter(|c| c.cache_hit == Some(hit)).count() as u64;
+    let count = |hit: bool| cells.iter().filter(|c| c.cache_hit == hit).count() as u64;
     MatrixReport {
         suite: cfg.scale.name(),
         jobs,
@@ -509,15 +488,14 @@ pub fn run_matrix_cfg(cells: &[Cell], cfg: &MatrixConfig) -> MatrixReport {
 /// `--jobs` values.
 pub fn render_table(rep: &MatrixReport) -> String {
     let mut out = String::new();
-    out.push_str("workload\tn\tgrid\tmachine\tbackend\tvirt_s\tmessages\tbytes\n");
+    out.push_str("workload\tn\tgrid\tmachine\tvirt_s\tmessages\tbytes\n");
     for c in &rep.cells {
         out.push_str(&format!(
-            "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
+            "{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
             c.cell.workload,
             c.cell.n,
             grid_name(&c.cell.grid),
             c.cell.machine,
-            backend_name(c.cell.backend),
             c.virt_s,
             c.messages,
             c.bytes
@@ -533,7 +511,7 @@ pub fn render_table(rep: &MatrixReport) -> String {
     out
 }
 
-/// Serialize a report to the `results.json` tree (`f90d-results/v1`).
+/// Serialize a report to the `results.json` tree (`f90d-results/v2`).
 pub fn report_json(rep: &MatrixReport) -> Json {
     let cells = rep
         .cells
@@ -547,10 +525,6 @@ pub fn report_json(rep: &MatrixReport) -> Json {
                     Json::Arr(c.cell.grid.iter().map(|&d| Json::Num(d as f64)).collect()),
                 ),
                 ("machine".into(), Json::Str(c.cell.machine.into())),
-                (
-                    "backend".into(),
-                    Json::Str(backend_name(c.cell.backend).into()),
-                ),
                 ("virt_s".into(), Json::Num(c.virt_s)),
                 ("messages".into(), Json::Num(c.messages as f64)),
                 ("bytes".into(), Json::Num(c.bytes as f64)),
@@ -559,13 +533,7 @@ pub fn report_json(rep: &MatrixReport) -> Json {
                     Json::Arr(c.printed.iter().map(|s| Json::Str(s.clone())).collect()),
                 ),
                 ("wall_s".into(), Json::Num(c.wall_s)),
-                (
-                    "cache_hit".into(),
-                    match c.cache_hit {
-                        Some(b) => Json::Bool(b),
-                        None => Json::Null,
-                    },
-                ),
+                ("cache_hit".into(), Json::Bool(c.cache_hit)),
                 ("sched_hits".into(), Json::Num(c.sched_hits as f64)),
                 ("sched_misses".into(), Json::Num(c.sched_misses as f64)),
                 // Pool workers leased for this cell's local phases.
@@ -618,7 +586,7 @@ pub fn report_json(rep: &MatrixReport) -> Json {
         })
         .collect();
     Json::Obj(vec![
-        ("schema".into(), Json::Str("f90d-results/v1".into())),
+        ("schema".into(), Json::Str("f90d-results/v2".into())),
         ("suite".into(), Json::Str(rep.suite.into())),
         ("jobs".into(), Json::Num(rep.jobs as f64)),
         // Execution mode + worker budget (informational, never gated:
@@ -666,7 +634,6 @@ fn cell_key(c: &Json) -> Result<String, String> {
     let field = |k: &'static str| c.get(k).ok_or(k);
     let workload = field("workload")?.as_str().ok_or("workload")?;
     let machine = field("machine")?.as_str().ok_or("machine")?;
-    let backend = field("backend")?.as_str().ok_or("backend")?;
     let cell = Cell {
         workload: workload_of(workload).ok_or_else(|| format!("unknown workload {workload}"))?,
         n: field("n")?.as_f64().ok_or("n")? as i64,
@@ -677,7 +644,6 @@ fn cell_key(c: &Json) -> Result<String, String> {
             .map(|d| d.as_f64().map(|f| f as i64).ok_or("grid".to_string()))
             .collect::<Result<_, _>>()?,
         machine: machine_of(machine).ok_or_else(|| format!("unknown machine {machine}"))?,
-        backend: backend_of(backend).ok_or_else(|| format!("unknown backend {backend}"))?,
     };
     Ok(cell.id())
 }
@@ -703,8 +669,8 @@ fn cell_metrics(c: &Json) -> Result<CellMetrics, String> {
 }
 
 fn doc_cells(doc: &Json) -> Result<Vec<(String, CellMetrics)>, String> {
-    if doc.get("schema").and_then(Json::as_str) != Some("f90d-results/v1") {
-        return Err("not a f90d-results/v1 document".into());
+    if doc.get("schema").and_then(Json::as_str) != Some("f90d-results/v2") {
+        return Err("not a f90d-results/v2 document".into());
     }
     doc.get("cells")
         .and_then(Json::as_arr)
@@ -718,7 +684,7 @@ fn doc_cells(doc: &Json) -> Result<Vec<(String, CellMetrics)>, String> {
         .collect()
 }
 
-/// Diff `current` against `baseline` (both `f90d-results/v1` trees).
+/// Diff `current` against `baseline` (both `f90d-results/v2` trees).
 ///
 /// Virtual time (bit-exact), message count, byte count, PRINT output and
 /// the cell set itself are gated; any drift returns `Err` with one line
@@ -822,14 +788,13 @@ mod tests {
     }
 
     #[test]
-    fn every_scale_covers_all_workloads_machines_backends() {
+    fn every_scale_covers_all_workloads_and_machines() {
         for scale in [Scale::Tiny, Scale::Quick, Scale::Full] {
             let cells = matrix(scale);
             for w in ["gaussian", "jacobi", "fft", "irregular"] {
                 assert!(cells.iter().any(|c| c.workload == w), "{scale:?} {w}");
             }
             assert!(cells.iter().any(|c| c.machine == "ncube2"));
-            assert!(cells.iter().any(|c| c.backend == Backend::Vm));
         }
     }
 }

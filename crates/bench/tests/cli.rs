@@ -45,15 +45,17 @@ fn zero_jobs_and_workers_exit_2() {
 fn other_bad_flags_still_exit_2() {
     expect_exit_2(&["--repeat", "0"], "--repeat expects");
     expect_exit_2(&["--exec", "warp-speed"], "--exec expects");
-    expect_exit_2(&["--backend", "jit"], "--backend expects");
     expect_exit_2(&["--frobnicate"], "unknown argument");
+    // There is one executor: the flag that chose between two is gone.
+    expect_exit_2(&["--backend", "treewalk"], "unknown argument --backend");
+    expect_exit_2(&["--backend", "vm"], "unknown argument --backend");
 }
 
 /// The fixed-cell experiments reject every flag they would ignore.
 #[test]
 fn fixed_cell_experiments_reject_ignored_flags() {
     expect_exit_2(
-        &["--exp", "vmcmp", "--backend", "vm"],
+        &["--exp", "vmcmp", "--n", "64"],
         "--exp vmcmp accepts only --quick, --out and --gate",
     );
     expect_exit_2(

@@ -1,7 +1,7 @@
 //! Golden-corpus runner: every `corpus/*.f90d` program (regression
 //! cases promoted out of the property-test batteries — see
-//! `corpus/README.md`) runs on a 4-rank grid, on every execution tier
-//! (tree walker, bytecode, native), under three configurations: the
+//! `corpus/README.md`) runs on a 4-rank grid, on both execution tiers
+//! (bytecode, native), under three configurations: the
 //! communication optimizers off, on (`comm_plan` +
 //! `hoist_invariant_comm`), and split-phase `comm_compute_overlap`.
 //!
@@ -12,14 +12,15 @@
 //! * Modelled time (by bits), messages and bytes must be identical
 //!   across the tiers under each configuration **and** to the committed
 //!   `<name>.virt` file (one line per configuration; programs that
-//!   fault have none).
+//!   fault have none). The committed lines were blessed while the tree
+//!   walker still existed and agreed with both tiers (commit aec6942).
 //!
 //! Re-bless intentional changes of either with
 //! `CORPUS_BLESS=1 cargo test -p f90d-bench --test corpus`.
 
 use std::path::{Path, PathBuf};
 
-use f90d_core::{compile, Backend, CompileOptions, OptFlags};
+use f90d_core::{compile, CompileOptions, OptFlags};
 use f90d_distrib::ProcGrid;
 use f90d_machine::{Machine, MachineSpec};
 
@@ -35,13 +36,6 @@ const CONFIGS: [(&str, fn(&mut OptFlags)); 3] = [
     ("overlap", |opt| opt.comm_compute_overlap = true),
 ];
 
-/// The execution tiers: backend and `native_kernels`.
-const TIERS: [(&str, Backend, bool); 3] = [
-    ("treewalk", Backend::TreeWalk, false),
-    ("bytecode", Backend::Vm, false),
-    ("native", Backend::Vm, true),
-];
-
 fn corpus_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus")
 }
@@ -51,11 +45,10 @@ fn corpus_dir() -> PathBuf {
 /// error.
 fn run(
     src: &str,
-    backend: Backend,
     native: bool,
     config: &(&str, fn(&mut OptFlags)),
 ) -> (Vec<String>, Option<String>) {
-    let mut opts = CompileOptions::on_grid(&GRID).with_backend(backend);
+    let mut opts = CompileOptions::on_grid(&GRID);
     opts.opt.comm_plan = false;
     opts.opt.hoist_invariant_comm = false;
     config.1(&mut opts.opt);
@@ -113,19 +106,17 @@ fn corpus_programs_match_golden_output() {
         let mut printed: Option<Vec<String>> = None;
         let mut virt = Vec::new();
         for config in &CONFIGS {
-            let mut pinned: Option<Option<String>> = None;
-            for (tier, backend, native) in TIERS {
-                let (got, line) = run(&src, backend, native, config);
-                let base = printed.get_or_insert_with(|| got.clone());
-                assert_eq!(&got, base, "{name}: PRINT diverged ({tier}, {})", config.0);
-                let first = pinned.get_or_insert_with(|| line.clone());
-                assert_eq!(
-                    &line, first,
-                    "{name}: modelled time, messages or bytes diverged ({tier}, {})",
-                    config.0
-                );
-            }
-            virt.extend(pinned.flatten());
+            let bytecode = run(&src, false, config);
+            let native = run(&src, true, config);
+            assert_eq!(
+                native, bytecode,
+                "{name}: the tiers diverged in PRINT, modelled time, messages or bytes ({})",
+                config.0
+            );
+            let (got, line) = bytecode;
+            let base = printed.get_or_insert_with(|| got.clone());
+            assert_eq!(&got, base, "{name}: PRINT diverged ({})", config.0);
+            virt.extend(line);
         }
         let printed = printed.expect("at least one configuration ran");
         assert!(!printed.is_empty(), "{name}: corpus programs must PRINT");

@@ -48,17 +48,11 @@ fn jobs8_matches_jobs1_bit_exactly() {
     // The second run reused every lowering from the first: cross-run
     // sharing through the process-wide cache.
     assert_eq!(parallel.cache_misses, 0);
-    assert_eq!(
-        parallel.cache_hits,
-        cells
-            .iter()
-            .filter(|c| c.backend == f90d_core::Backend::Vm)
-            .count() as u64
-    );
+    assert_eq!(parallel.cache_hits, cells.len() as u64);
 
     // Same for the schedule cache: the serial run built every distinct
     // (kind, grid, pattern) key, so the parallel rerun is all hits —
-    // cross-run inspector reuse, on both backends.
+    // cross-run inspector reuse.
     assert_eq!(parallel.sched_misses, 0, "second run must rebuild nothing");
     assert!(parallel.sched_hits > 0, "tiny matrix has irregular cells");
     assert_eq!(
@@ -184,18 +178,18 @@ fn threaded_exec_matches_sequential_bit_exactly_within_budget() {
 fn synthetic() -> Json {
     Json::parse(
         r#"{
-  "schema": "f90d-results/v1",
+  "schema": "f90d-results/v2",
   "suite": "tiny",
   "jobs": 1,
   "wall_s": 1.0,
   "cache": {"hits": 1, "misses": 1},
   "cells": [
     {"workload": "gaussian", "n": 16, "grid": [4], "machine": "ipsc860",
-     "backend": "vm", "virt_s": 0.125, "messages": 10, "bytes": 640,
+     "virt_s": 0.125, "messages": 10, "bytes": 640,
      "printed": [], "wall_s": 0.5, "cache_hit": false},
     {"workload": "jacobi", "n": 12, "grid": [2, 2], "machine": "ncube2",
-     "backend": "treewalk", "virt_s": 0.25, "messages": 8, "bytes": 128,
-     "printed": ["SUM = 3.0"], "wall_s": 0.25, "cache_hit": null}
+     "virt_s": 0.25, "messages": 8, "bytes": 128,
+     "printed": ["SUM = 3.0"], "wall_s": 0.25, "cache_hit": true}
   ]
 }"#,
     )
@@ -266,6 +260,14 @@ fn gate_passes_clean_and_catches_each_drift_kind() {
     let Json::Obj(top) = &mut other else { panic!() };
     top.iter_mut().find(|(k, _)| k == "suite").unwrap().1 = Json::Str("full".into());
     assert!(harness::diff_baseline(&other, &base, None).is_err());
+
+    // So does a `f90d-results/v1` baseline: it carried a `treewalk` twin
+    // of every cell, which this harness would read as a duplicate.
+    let mut v1 = synthetic();
+    let Json::Obj(top) = &mut v1 else { panic!() };
+    top.iter_mut().find(|(k, _)| k == "schema").unwrap().1 = Json::Str("f90d-results/v1".into());
+    let err = harness::diff_baseline(&base, &v1, None).unwrap_err();
+    assert!(err.contains("not a f90d-results/v2 document"), "{err}");
 }
 
 /// The `schedule_cache` stats block (and the per-cell sched counters)

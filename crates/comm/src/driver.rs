@@ -1,4 +1,4 @@
-//! The backend-agnostic FORALL communication driver.
+//! The FORALL communication driver.
 //!
 //! The paper's central claim is one portable run-time support system
 //! under every compiled program (§6). This module is where that claim
@@ -7,14 +7,13 @@
 //! overlap (`comm_compute_overlap`), phase-level batching
 //! (`comm_plan`), unstructured schedule reuse, the rank-1 slab-temp
 //! subscript contract, and the end-of-run quiescence check — is
-//! sequenced **here**, once, and both executors (the tree walker in
-//! `f90d-core` and the bytecode engine in `f90d-vm`) drive it through
-//! the same entry points. The backends keep only evaluation: they hand
-//! the driver a [`ComputeSink`] with interior/boundary element-loop
-//! callbacks and never touch [`PhaseExchange`], the shift planner
-//! (`structured::shift_moves`), or the raw transport themselves (a
-//! guard test in `tests/` enforces exactly that), so an orchestration
-//! bug can no longer be fixed in one backend and survive in the other.
+//! sequenced **here**, once, and the engine in `f90d-vm` (which this
+//! crate cannot depend on) drives it through these entry points. The
+//! engine keeps only evaluation: it hands the driver a [`ComputeSink`]
+//! with interior/boundary element-loop callbacks and never touches
+//! [`PhaseExchange`], the shift planner (`structured::shift_moves`), or
+//! the raw transport itself (a guard test in `tests/` enforces exactly
+//! that), so orchestration has one home whatever evaluates elements.
 //!
 //! Every structured shift that goes through here — the per-statement
 //! [`ghost_exchange`] and [`temporary_shift`], and the [`GhostSpec`]s
@@ -25,8 +24,7 @@
 //! exactly what the planner's table says, which is what a fresh plan
 //! would say: no virtual metric can tell the two apart.
 //!
-//! Contracts preserved from the per-backend implementations, bit for
-//! bit:
+//! Contracts:
 //! * [`CommDriver::phase_exchange`] batches a phase's deduplicated
 //!   ghost exchanges through one coalesced [`PhaseExchange`]; a runtime
 //!   planning refusal is reported as [`PhaseOutcome::Refused`] (and
@@ -36,8 +34,7 @@
 //!   interior compute **before** completing them (so the interior
 //!   genuinely hides wire time), completes, runs the boundary slabs,
 //!   and commits — the split geometry comes from the shared
-//!   [`Margins`], so both backends agree exactly on which tuples are
-//!   interior.
+//!   [`Margins`], which decides exactly which tuples are interior.
 
 use std::sync::Arc;
 
@@ -162,8 +159,8 @@ pub fn temporary_shift(
 }
 
 /// Map a FORALL's `overlap_shift` prelude onto per-loop-variable ghost
-/// margins — the eligibility core of split-phase execution, shared so
-/// the backends cannot drift on *which* FORALLs overlap.
+/// margins — the eligibility core of split-phase execution: *which*
+/// FORALLs overlap.
 ///
 /// `loop_dims[k]` is the LHS dimension map carried by loop variable `k`
 /// when that variable is a stride-1 owner-computes partition (`None`
@@ -186,16 +183,15 @@ pub fn stencil_margins(
     Some(margins)
 }
 
-/// The compute half a backend lends to [`run_overlap`]: the driver owns
-/// *when* ghost exchanges post, complete, and commit; the sink owns
-/// *how* elements are evaluated (tree walk vs bytecode) and *how* their
-/// cost is charged.
+/// The compute half the engine lends to [`run_overlap`]: the driver
+/// owns *when* ghost exchanges post, complete, and commit; the sink owns
+/// *how* elements are evaluated and *how* their cost is charged.
 ///
 /// Contract: `interior` runs (and charges) entirely before the posted
 /// exchanges complete — that ordering is the latency hiding.
 /// `boundary` runs after completion and must charge each rank's slabs
-/// as **one** lump sum (both backends do, keeping their virtual clocks
-/// bit-equal). Writes from both calls must be staged, not applied;
+/// as **one** lump sum (the order of the additions is part of the
+/// virtual clock's bits). Writes from both calls must be staged, not applied;
 /// `commit` applies them together, preserving FORALL RHS-before-LHS
 /// semantics across the phase split.
 pub trait ComputeSink {
@@ -220,8 +216,7 @@ pub trait ComputeSink {
 }
 
 /// Split-phase stencil execution (paper §5.1/§7 latency hiding), the
-/// single implementation behind `comm_compute_overlap` on both
-/// backends: post every ghost exchange in `shifts`, run the sink's
+/// single implementation behind `comm_compute_overlap`: post every ghost exchange in `shifts`, run the sink's
 /// interior compute while the strips are on the wire, complete the
 /// exchanges, run the boundary slabs that read the freshly filled ghost
 /// cells, then commit both phases' staged writes. Array results are
@@ -474,8 +469,8 @@ pub fn check_bounds(arr: &str, dad: &Dad, g: &[i64]) -> CommResult<()> {
 }
 
 /// The rank-1 slab-temp subscript contract, shared by every consumer of
-/// a scalar-multicast slab temporary (the tree walker's element reader
-/// and the VM lowering): which of a read's `nsubs` source subscripts
+/// a scalar-multicast slab temporary (the bytecode lowering and the
+/// engine's accessors): which of a read's `nsubs` source subscripts
 /// survive the dropped `fixed_dim`. `None` means the source was rank-1 —
 /// the slab is the single dummy extent-1 dimension the multicast's
 /// `slab_dad` pads in, and the consumer must index it with a constant
@@ -491,7 +486,7 @@ pub fn slab_kept_dims(nsubs: usize, fixed_dim: usize) -> Option<Vec<usize>> {
 
 /// End-of-run transport quiescence check: leaked in-flight messages or
 /// never-completed posted receives surface as a structured [`CommError`]
-/// instead of being silently dropped. Both backends end every run here.
+/// instead of being silently dropped. Every run ends here.
 pub fn quiesce(m: &mut Machine) -> CommResult<()> {
     m.transport.quiescent_check().map_err(CommError::from)
 }

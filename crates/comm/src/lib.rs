@@ -56,11 +56,11 @@
 //! at subroutine boundaries (paper §6).
 //!
 //! The [`driver`] module sits on top of all of the above: it is the
-//! single backend-agnostic sequencer of the FORALL communication
+//! single sequencer of the FORALL communication
 //! lifecycle (per-statement ghost exchanges, split-phase overlap via a
 //! [`driver::ComputeSink`], phase batching with per-statement fallback,
-//! schedule selection, and end-of-run quiescence). Both executors drive
-//! it; neither re-implements it.
+//! schedule selection, and end-of-run quiescence). The engine drives
+//! it and supplies element evaluation.
 
 #![warn(missing_docs)]
 

@@ -1,9 +1,7 @@
 //! Iteration-space geometry for split-phase stencil execution
-//! (`comm_compute_overlap`): one shared implementation of the ghost
-//! margins, the interior/boundary split, and the dimension-compatibility
-//! test, so the tree-walking executor and the bytecode engine cannot
-//! drift apart on which tuples count as "interior" — the backends'
-//! bit-parity guarantee depends on them agreeing exactly.
+//! (`comm_compute_overlap`): the ghost margins, the interior/boundary
+//! split, and the dimension-compatibility test — what decides which
+//! tuples count as "interior".
 //!
 //! Terminology: a FORALL over per-variable iteration lists executes the
 //! cartesian product of those lists. With ghost margins `(lo, hi)`

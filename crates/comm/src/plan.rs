@@ -11,9 +11,8 @@
 //! that saves `(k−1)·α` per pair at every sender.
 //!
 //! The planner that decides *which* FORALLs form a phase lives in the
-//! core optimizer (`comm_plan` pass); both executors drive this module
-//! with the same [`GhostSpec`] lists, so the tree walker and the VM
-//! cannot drift on what a phase moves or charges.
+//! core optimizer (`comm_plan` pass); the engine drives this module
+//! through [`crate::driver`] with the phase's [`GhostSpec`] lists.
 //!
 //! Failure contract: a completion error mid-[`finish`](CommOp::finish)
 //! does not abandon the remaining posted receives — every handle is

@@ -1,6 +1,6 @@
 //! Cross-run schedule cache (paper §7, optimization 3, scaled up).
 //!
-//! The per-`Executor`/`Engine` schedule reuse of the compilers amortizes
+//! The per-`Engine` schedule reuse of the compilers amortizes
 //! the inspector only *within* one execution; every fresh
 //! `Compiled::run_on`, every matrix cell and every long-running service
 //! request used to rebuild the same PARTI schedules from scratch. The
@@ -121,7 +121,7 @@ impl Hash for SchedKey {
     }
 }
 
-/// The process-wide schedule cache shared by every executor backend.
+/// The process-wide schedule cache.
 pub fn global() -> &'static OnceMap<SchedKey, Schedule> {
     static CACHE: OnceLock<OnceMap<SchedKey, Schedule>> = OnceLock::new();
     CACHE.get_or_init(|| OnceMap::new(SCHED_CACHE_CAP))
@@ -173,16 +173,14 @@ struct ShiftLayout {
 }
 
 /// Per-run front end over the caches: owns the §7(3) within-run reuse
-/// map (previously a signature-keyed `HashMap` in each executor — now
-/// keyed by the full pattern, so a signature collision can no longer
+/// map (keyed by the full pattern, so a signature collision cannot
 /// alias two schedules) and consults the process-wide [`global`] cache
-/// for the cross-run build. One per `Executor`/`Engine` instance.
+/// for the cross-run build. One per `Engine` instance.
 pub struct RunSchedules {
     /// Within-run reuse map, `[read, write]` per pattern: the built
     /// schedule is side-agnostic, but each side's first occurrence must
-    /// charge its own inspector cost, exactly as the per-executor caches
-    /// did. Indexing by side (instead of keying by it) lets the hit path
-    /// look up with one key.
+    /// charge its own inspector cost. Indexing by side (instead of
+    /// keying by it) lets the hit path look up with one key.
     seen: HashMap<SchedKey, [Option<Arc<Schedule>>; 2]>,
     /// §7(3) flag: reuse schedules across executions of the same pattern
     /// within this run (skipping the inspector *charge* on repeats).

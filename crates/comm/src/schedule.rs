@@ -228,7 +228,7 @@ pub fn schedule3(m: &mut Machine, reqs: &[ElementReq]) -> CommResult<Schedule> {
     inspect_and_build(m, ScheduleKind::SenderDriven, reqs)
 }
 
-/// Executor for read-side schedules: `precomp_read` when the schedule
+/// The executor for read-side schedules: `precomp_read` when the schedule
 /// came from `schedule1`, `gather` when from `schedule2`. Moves elements
 /// from `src` (on owners) into `dst` (on requesters), one vectorized
 /// message per processor pair.
@@ -240,7 +240,7 @@ pub fn execute_read(m: &mut Machine, sched: &Schedule, src: &str, dst: &str) -> 
     crate::helpers::exchange(m, src, dst, &sched.plan)
 }
 
-/// Executor for write-side schedules: `postcomp_write` (`schedule1`) or
+/// The executor for write-side schedules: `postcomp_write` (`schedule1`) or
 /// `scatter` (`schedule3`). Identical data motion with roles swapped:
 /// producers send computed elements to the owners of the LHS.
 pub fn execute_write(m: &mut Machine, sched: &Schedule, src: &str, dst: &str) -> CommResult<()> {

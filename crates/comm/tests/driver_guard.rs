@@ -1,19 +1,19 @@
-//! Dual-site guard: the FORALL communication lifecycle is sequenced in
+//! Layering guard: the FORALL communication lifecycle is sequenced in
 //! exactly one place — `f90d_comm::driver` — and the calls into the
 //! run-time library are dispatched in exactly one place — the statement
 //! layer's `f90d_vm::dispatch`. PR 8's bugfix battery showed what
-//! happens otherwise: the rank-1 multicast slab-temp bug had to be
-//! fixed twice, once per backend. This test fails the build if either
-//! backend grows a direct reference to the batching planner, the raw
-//! shift planner or its per-run table, the raw transport post call, the
-//! structured or redistribution primitives, the `set_BOUND` routine or
-//! the scatter executor, so the fix-it-twice bug class cannot quietly
-//! return.
+//! happens otherwise: with orchestration inlined in each of the two
+//! executors of the time, the rank-1 multicast slab-temp bug had to be
+//! fixed twice. This test fails the build if the engine grows a direct
+//! reference to the batching planner, the raw shift planner or its
+//! per-run table, the raw transport post call, the structured or
+//! redistribution primitives, the `set_BOUND` routine or the scatter
+//! executor, so element evaluation and orchestration stay apart.
 
 use std::fs;
 use std::path::Path;
 
-/// Raw-orchestration identifiers the backends must not mention. Doc
+/// Raw-orchestration identifiers the engine must not mention. Doc
 /// comments count too: a comment pointing readers at the raw layer is
 /// the first step toward someone calling it.
 const FORBIDDEN: &[&str] = &[
@@ -43,11 +43,6 @@ fn check(rel: &str) {
             );
         }
     }
-}
-
-#[test]
-fn executor_uses_driver_only() {
-    check("../core/src/exec.rs");
 }
 
 #[test]

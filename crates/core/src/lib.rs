@@ -16,9 +16,11 @@
 //!                                     via fortran_out)
 //! ```
 //!
-//! Execution is loosely synchronous over a simulated MIMD machine
-//! ([`exec::Executor`] on a [`f90d_machine::Machine`]); correctness is
-//! checked against the sequential [`mod@reference`] interpreter.
+//! Execution is loosely synchronous over a simulated MIMD machine: the
+//! node program is lowered once to bytecode ([`vmlower`]) and run by
+//! [`f90d_vm::Engine`] on a [`f90d_machine::Machine`]
+//! ([`Compiled::run_on`], [`Compiled::engine`]); correctness is checked
+//! against the sequential [`mod@reference`] interpreter.
 //!
 //! ## Quick example
 //!
@@ -50,7 +52,6 @@
 
 pub mod codegen;
 pub mod detect;
-pub mod exec;
 pub mod fortran_out;
 pub mod ir;
 pub mod optimize;
@@ -63,9 +64,11 @@ use std::sync::{Arc, OnceLock};
 use f90d_frontend::sema::AnalyzedProgram;
 use f90d_machine::{Machine, OnceMap};
 use f90d_vm::cache::fnv1a;
-use f90d_vm::VmProgram;
+use f90d_vm::{Engine, VmProgram};
 
-pub use exec::{ExecReport, Executor};
+/// The result of one execution, and a runtime fault in the compiled
+/// program.
+pub use f90d_vm::{RunReport as ExecReport, VmError as ExecError};
 pub use options::{Backend, CompileOptions, OptFlags};
 
 /// A compiled program: the SPMD IR plus the analyzed source it came from.
@@ -88,7 +91,8 @@ pub struct Compiled {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunTrace {
     /// Bytecode program-cache outcome: `Some(true)` hit, `Some(false)`
-    /// this run performed the lowering, `None` not consulted (tree walk).
+    /// this run performed the lowering. (`None` is what a default
+    /// `RunTrace` holds; no run reports it.)
     pub program_cache_hit: Option<bool>,
     /// Cross-run schedule-cache hits (first-per-run patterns found
     /// already built by an earlier run).
@@ -100,9 +104,9 @@ pub struct RunTrace {
     /// budget was exhausted when the machine leased). Serve telemetry
     /// and `results.json` report this per request/cell.
     pub workers: usize,
-    /// FORALL executions dispatched to a native-tier kernel (VM backend
-    /// only; always 0 for the tree walker). Informational — the tiers
-    /// are bit-identical on every virtual metric.
+    /// FORALL executions dispatched to a native-tier kernel.
+    /// Informational — the tiers are bit-identical on every virtual
+    /// metric.
     pub native_matched: u64,
     /// FORALL executions that ran the bytecode element loop instead: no
     /// kernel was selected at lowering, a dispatch precondition failed,
@@ -115,19 +119,18 @@ pub struct RunTrace {
     pub native_staged: u64,
     /// Structured shift plans (ghost exchanges, temporary shifts) this
     /// run planned: one per distinct `(layout, dim, amount)` — arrays of
-    /// one layout share a plan (both backends). Exact; like the two
-    /// counts below it explains host time and moves no virtual metric.
+    /// one layout share a plan. Exact; like the two counts below it
+    /// explains host time and moves no virtual metric.
     pub ghost_plans_built: u64,
     /// Structured shifts this run replayed from a plan it had kept.
     pub ghost_plans_reused: u64,
     /// FORALL executions that reused the iteration lists of the
     /// statement's previous execution in the same `DO` (same evaluated
-    /// bounds, same layouts) instead of partitioning again (VM backend
-    /// only).
+    /// bounds, same layouts) instead of partitioning again.
     pub dispatch_reused: u64,
-    /// Comm phases the shared driver posted as one batched, coalesced
-    /// ghost exchange (`comm_plan` on; both backends). Informational —
-    /// the driver's fallback contract keeps results bit-identical.
+    /// Comm phases the driver posted as one batched, coalesced ghost
+    /// exchange (`comm_plan` on). Informational — the driver's fallback
+    /// contract keeps results bit-identical.
     pub comm_groups: u64,
     /// Comm phases the driver refused (planning failed — e.g. mixed
     /// element types) and re-ran statement-by-statement instead.
@@ -135,82 +138,69 @@ pub struct RunTrace {
 }
 
 impl Compiled {
-    /// Execute on a machine (which must have the compiled grid shape)
-    /// with the backend selected in [`CompileOptions::backend`]. Arrays
-    /// start zero-initialized; use [`Executor`] (tree walk) or
-    /// [`f90d_vm::Engine`] over [`Compiled::vm_program`] directly to seed
-    /// inputs first.
-    pub fn run_on(&self, m: &mut Machine) -> Result<ExecReport, exec::ExecError> {
+    /// Execute on a machine (which must have the compiled grid shape).
+    /// Arrays start zero-initialized; use [`Compiled::engine`] directly
+    /// to seed inputs first or to inspect arrays and scalars afterwards.
+    pub fn run_on(&self, m: &mut Machine) -> Result<ExecReport, ExecError> {
         self.run_on_traced(m).map(|(rep, _)| rep)
     }
 
-    /// [`Compiled::run_on`] that also reports the run's cache outcomes:
-    /// the bytecode program-cache lookup (VM backend only) and the
-    /// cross-run schedule-cache hit/miss counts (both backends).
-    pub fn run_on_traced(
-        &self,
-        m: &mut Machine,
-    ) -> Result<(ExecReport, RunTrace), exec::ExecError> {
-        match self.options.backend {
-            Backend::TreeWalk => {
-                let mut ex = Executor::new(&self.spmd, m);
-                ex.sched.reuse = self.options.opt.schedule_reuse;
-                ex.sched.use_global = self.options.sched_cache;
-                ex.overlap = self.options.opt.comm_compute_overlap;
-                ex.plan = self.options.opt.comm_plan;
-                ex.exec = self.options.exec_mode;
-                let rep = ex.run(m)?;
-                let (comm_groups, comm_fallbacks) = ex.comm.counts();
-                let (ghost_plans_built, ghost_plans_reused) = ex.sched.shift_plans();
-                Ok((
-                    rep,
-                    RunTrace {
-                        program_cache_hit: None,
-                        sched_hits: ex.sched.hits(),
-                        sched_misses: ex.sched.misses(),
-                        workers: m.workers(),
-                        native_matched: 0,
-                        native_fallback: 0,
-                        native_staged: 0,
-                        ghost_plans_built,
-                        ghost_plans_reused,
-                        dispatch_reused: 0,
-                        comm_groups,
-                        comm_fallbacks,
-                    },
-                ))
-            }
-            Backend::Vm => {
-                let (prog, hit) = self.vm_program_traced().map_err(exec::ExecError)?;
-                let mut eng = f90d_vm::Engine::new(prog, m);
-                eng.sched.reuse = self.options.opt.schedule_reuse;
-                eng.sched.use_global = self.options.sched_cache;
-                eng.overlap = self.options.opt.comm_compute_overlap;
-                eng.plan = self.options.opt.comm_plan;
-                eng.exec = self.options.exec_mode;
-                let rep = eng.run(m)?;
-                let (native_matched, native_fallback) = eng.native_counts();
-                let (comm_groups, comm_fallbacks) = eng.comm.counts();
-                let (ghost_plans_built, ghost_plans_reused) = eng.sched.shift_plans();
-                Ok((
-                    rep,
-                    RunTrace {
-                        program_cache_hit: Some(hit),
-                        sched_hits: eng.sched.hits(),
-                        sched_misses: eng.sched.misses(),
-                        workers: m.workers(),
-                        native_matched,
-                        native_fallback,
-                        native_staged: eng.native_staged(),
-                        ghost_plans_built,
-                        ghost_plans_reused,
-                        dispatch_reused: eng.dispatch_reused(),
-                        comm_groups,
-                        comm_fallbacks,
-                    },
-                ))
-            }
-        }
+    /// [`Compiled::run_on`] that also reports the run's cache outcomes
+    /// and tier counts.
+    pub fn run_on_traced(&self, m: &mut Machine) -> Result<(ExecReport, RunTrace), ExecError> {
+        let (mut eng, hit) = self.engine_traced(m, false)?;
+        let rep = eng.run(m)?;
+        let (native_matched, native_fallback) = eng.native_counts();
+        let (comm_groups, comm_fallbacks) = eng.comm.counts();
+        let (ghost_plans_built, ghost_plans_reused) = eng.sched.shift_plans();
+        Ok((
+            rep,
+            RunTrace {
+                program_cache_hit: Some(hit),
+                sched_hits: eng.sched.hits(),
+                sched_misses: eng.sched.misses(),
+                workers: m.workers(),
+                native_matched,
+                native_fallback,
+                native_staged: eng.native_staged(),
+                ghost_plans_built,
+                ghost_plans_reused,
+                dispatch_reused: eng.dispatch_reused(),
+                comm_groups,
+                comm_fallbacks,
+            },
+        ))
+    }
+
+    /// An engine over this program's (cached) bytecode, configured from
+    /// [`Compiled::options`], with every array allocated on `m`: seed
+    /// arrays, [`Engine::run`], gather arrays and read scalars.
+    pub fn engine(&self, m: &mut Machine) -> Result<Engine, ExecError> {
+        self.engine_traced(m, false).map(|(eng, _)| eng)
+    }
+
+    /// [`Compiled::engine`] that keeps the array segments already on `m`
+    /// instead of reallocating them: run a program fragment over state an
+    /// earlier fragment produced, or gather arrays after
+    /// [`Compiled::run_on`].
+    pub fn engine_preserving(&self, m: &mut Machine) -> Result<Engine, ExecError> {
+        self.engine_traced(m, true).map(|(eng, _)| eng)
+    }
+
+    /// The configured engine and whether its bytecode was a cache hit.
+    fn engine_traced(&self, m: &mut Machine, preserve: bool) -> Result<(Engine, bool), ExecError> {
+        let (prog, hit) = self.vm_program_traced().map_err(ExecError)?;
+        let mut eng = if preserve {
+            Engine::new_preserving(prog, m)
+        } else {
+            Engine::new(prog, m)
+        };
+        eng.sched.reuse = self.options.opt.schedule_reuse;
+        eng.sched.use_global = self.options.sched_cache;
+        eng.overlap = self.options.opt.comm_compute_overlap;
+        eng.plan = self.options.opt.comm_plan;
+        eng.exec = self.options.exec_mode;
+        Ok((eng, hit))
     }
 
     /// The lowered bytecode program, via the global cache keyed by

@@ -35,9 +35,9 @@ pub struct OptFlags {
     /// group consecutive eligible stencil FORALLs into a *comm phase*
     /// whose ghost exchanges post together, with same-destination
     /// messages coalesced into a single wire transfer — one α charge
-    /// per destination pair instead of one per statement. Both backends
-    /// sequence phases through the shared [`f90d_comm::driver`], whose
-    /// per-cell group/fallback counters surface in
+    /// per destination pair instead of one per statement. The engine
+    /// sequences phases through [`f90d_comm::driver`], whose per-cell
+    /// group/fallback counters surface in
     /// [`RunTrace`](crate::RunTrace). Array results
     /// and PRINT output are bit-identical to per-statement execution;
     /// only the virtual clocks (and the modelled elapsed time) change,
@@ -45,14 +45,14 @@ pub struct OptFlags {
     /// the per-statement virtual metrics. `repro --exp commplan` is the
     /// on/off ablation.
     pub comm_plan: bool,
-    /// Native kernel tier (VM backend only): at lowering time, compile
+    /// Native kernel tier: at lowering time, compile
     /// straight-line affine REAL FORALL bodies into prebuilt
     /// monomorphized closures (`f90d_vm::native`) that the engine
     /// dispatches to instead of the bytecode element loop. Every virtual
     /// metric, PRINT line, and array bit is identical to the bytecode
     /// tier — only host wall clock improves — so this defaults on;
-    /// `repro --no-native` is the escape hatch and three-way proof
-    /// (`--exp vmcmp`).
+    /// `repro --no-native` is the escape hatch and `--exp vmcmp` the
+    /// two-tier proof.
     pub native_kernels: bool,
 }
 
@@ -87,14 +87,16 @@ impl OptFlags {
     }
 }
 
-/// Which execution engine [`crate::Compiled::run_on`] dispatches to.
+/// The execution engine [`crate::Compiled::run_on`] dispatches to.
+/// There is one; the enum, [`CompileOptions::backend`] and
+/// [`CompileOptions::with_backend`] remain only because `benchmark/`
+/// names them and a PR that changes the library may not edit it
+/// (ROADMAP item 2 deletes all three).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Backend {
-    /// Walk the SPMD statement tree directly ([`crate::exec::Executor`]).
-    #[default]
-    TreeWalk,
     /// Lower once to register bytecode (cached by source/options/grid)
     /// and run it on [`f90d_vm::Engine`].
+    #[default]
     Vm,
 }
 
@@ -106,7 +108,7 @@ pub struct CompileOptions {
     pub grid_shape: Option<Vec<i64>>,
     /// Optimization flags.
     pub opt: OptFlags,
-    /// Execution backend.
+    /// Execution backend (one value; see [`Backend`]).
     pub backend: Backend,
     /// Consult the process-wide cross-run schedule cache
     /// (`f90d_comm::sched_cache`) when executing. Off is the `repro
@@ -149,7 +151,7 @@ impl CompileOptions {
         }
     }
 
-    /// Same options with a different backend.
+    /// Same options with the given backend (one value; see [`Backend`]).
     pub fn with_backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
         self

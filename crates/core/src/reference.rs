@@ -453,11 +453,11 @@ fn eval(e: &Expr, info: &UnitInfo, st: &RefState, env: &Frame) -> Result<Value, 
         Expr::Bin(op, l, r) => {
             let a = eval(l, info, st, env)?;
             let b = eval(r, info, st, env)?;
-            crate::exec::eval_bin_pub(*op, a, b).map_err(|e| e.0)
+            f90d_vm::ops::eval_bin(*op, a, b)
         }
         Expr::Un(op, x) => {
             let v = eval(x, info, st, env)?;
-            crate::exec::eval_un_pub(*op, v).map_err(|e| e.0)
+            f90d_vm::ops::eval_un(*op, v)
         }
         Expr::Ref(name, subs) => {
             if let Some(arr) = st.arrays.get(name) {
@@ -516,7 +516,7 @@ fn eval(e: &Expr, info: &UnitInfo, st: &RefState, env: &Frame) -> Result<Value, 
                                 _ => Err("section argument".to_string()),
                             })
                             .collect::<Result<_, String>>()?;
-                        crate::exec::eval_elemental_pub(name, &vals).map_err(|e| e.0)
+                        f90d_vm::ops::eval_elemental(name, &vals)
                     }
                 }
             }

@@ -9,9 +9,9 @@
 //! affine subscripts `a*i + b` into single [`Op::Affine`] instructions.
 //! Statement control flow flattens to a jump-linked instruction stream;
 //! FORALLs, collectives and runtime calls become table-driven
-//! super-instructions carrying the same modelled costs the tree walker
-//! charges (`op_count` / `op_count_cse`), so both backends produce
-//! identical virtual times as well as identical array contents.
+//! super-instructions carrying the modelled costs of the tree they came
+//! from (`op_count` / `op_count_cse`), so virtual time is a property of
+//! the node program, not of how it is evaluated.
 
 use std::collections::HashMap;
 
@@ -168,8 +168,8 @@ impl<'p> Lowerer<'p> {
     }
 
     /// Slot of scalar `name`, creating one for dynamically assigned
-    /// targets (reduction/broadcast destinations are always declared, but
-    /// mirror the tree walker's by-name insertion just in case).
+    /// targets (reduction/broadcast destinations are always declared;
+    /// this is for hand-built IR).
     fn scalar_slot(&mut self, name: &str) -> u16 {
         if let Some(&s) = self.scalar_ids.get(name) {
             return s;
@@ -342,8 +342,7 @@ impl<'p> Lowerer<'p> {
                             fixed_dim: *fixed_dim,
                         },
                         // The surviving-subscript contract lives in the
-                        // shared comm driver, same as the tree walker's
-                        // read path: `None` means a rank-1 source whose
+                        // comm driver: `None` means a rank-1 source whose
                         // dummy extent-1 dimension is indexed at zero.
                         match f90d_comm::driver::slab_kept_dims(subs.len(), *fixed_dim) {
                             Some(kept) => kept.into_iter().map(|d| &subs[d]).collect(),
@@ -574,7 +573,7 @@ impl<'p> Lowerer<'p> {
                 WritePlan::ScatterSeq { invertible } => Some(invertible),
             };
             if scatter.is_none() && b.arr != f.body[0].arr {
-                // The tree walker commits all staged owned writes into the
+                // The engine commits all staged owned writes into the
                 // first body array; reject programs where that would
                 // scatter data across arrays rather than silently diverge.
                 return Err(format!(

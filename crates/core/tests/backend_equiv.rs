@@ -1,10 +1,17 @@
-//! The bytecode backend must be indistinguishable from the tree walker:
-//! identical array contents, identical PRINT output, and identical
-//! virtual time / message counts on every workload shape the paper's
-//! evaluation uses (Jacobi, Gaussian elimination, FFT butterfly,
-//! irregular), in both local-phase execution modes.
+//! The two tiers of the engine must be indistinguishable — identical
+//! array contents (every padded cell on every rank), PRINT output, rank
+//! clocks and message / byte counts — and agree with the sequential
+//! reference interpreter on arrays and PRINT, on every workload shape
+//! the paper's evaluation uses (Jacobi, Gaussian elimination, FFT
+//! butterfly, irregular), in both local-phase execution modes. (Until
+//! PR 21 the first side of each comparison was the tree-walking
+//! executor; the bytecode tier took its place and the reference
+//! comparison was added.)
 
-use f90d_core::{compile, vm_cache, Backend, CompileOptions, Executor};
+mod common;
+
+use common::{observe, reference, Observed, Tier};
+use f90d_core::{compile, vm_cache, CompileOptions, RunTrace};
 use f90d_distrib::ProcGrid;
 use f90d_machine::{ArrayData, ExecMode, Machine, MachineSpec};
 
@@ -94,93 +101,52 @@ END
     )
 }
 
-/// Run `src` under one backend; return per-array host images plus the
-/// execution report data.
-fn run_backend(
-    src: &str,
-    grid: &[i64],
-    arrays: &[&str],
-    backend: Backend,
-    mode: ExecMode,
-) -> (Vec<ArrayData>, f64, u64, u64, Vec<String>) {
+fn run_tier(src: &str, grid: &[i64], arrays: &[&str], tier: Tier, mode: ExecMode) -> Observed {
     // Threaded runs must get a real pool even on single-core CI hosts,
     // where the default worker budget would degrade them to sequential.
     f90d_machine::budget::global().ensure_total_at_least(8);
-    let opts = CompileOptions::on_grid(grid).with_backend(backend);
-    let compiled = compile(src, &opts).expect("compiles");
-    let mut m = Machine::with_mode(MachineSpec::ipsc860(), ProcGrid::new(grid), mode);
-    let report = compiled.run_on(&mut m).expect("runs");
-    let imgs = match backend {
-        Backend::TreeWalk => {
-            let ex = Executor::new_preserving(&compiled.spmd, &mut m);
-            arrays
-                .iter()
-                .map(|a| ex.gather_array(&mut m, a).expect("array exists"))
-                .collect()
-        }
-        Backend::Vm => {
-            let prog = compiled.vm_program().expect("lowers");
-            let eng = f90d_vm::Engine::new_preserving(prog, &mut m);
-            arrays
-                .iter()
-                .map(|a| eng.gather_array(&mut m, a).expect("array exists"))
-                .collect()
-        }
-    };
-    (
-        imgs,
-        report.elapsed,
-        report.messages,
-        report.bytes,
-        report.printed,
-    )
+    observe(src, grid, arrays, tier, mode).expect("runs").0
 }
 
-fn assert_backends_agree(name: &str, src: &str, grid: &[i64], arrays: &[&str]) {
+fn assert_tiers_agree(name: &str, src: &str, grid: &[i64], arrays: &[&str]) {
+    let bytecode = run_tier(src, grid, arrays, Tier::Bytecode, ExecMode::Sequential);
     for mode in [ExecMode::Sequential, ExecMode::Threaded] {
-        let (tw, tw_t, tw_msg, tw_bytes, tw_out) =
-            run_backend(src, grid, arrays, Backend::TreeWalk, ExecMode::Sequential);
-        let (vm, vm_t, vm_msg, vm_bytes, vm_out) =
-            run_backend(src, grid, arrays, Backend::Vm, mode);
-        for (k, (a, b)) in tw.iter().zip(&vm).enumerate() {
-            assert_eq!(
-                a, b,
-                "{name} ({mode:?}): array {} differs between backends",
-                arrays[k]
-            );
-        }
-        assert_eq!(tw_t, vm_t, "{name} ({mode:?}): virtual time differs");
-        assert_eq!(tw_msg, vm_msg, "{name} ({mode:?}): message count differs");
-        assert_eq!(tw_bytes, vm_bytes, "{name} ({mode:?}): byte count differs");
-        assert_eq!(tw_out, vm_out, "{name} ({mode:?}): PRINT output differs");
+        let native = run_tier(src, grid, arrays, Tier::Native, mode);
+        assert_eq!(bytecode, native, "{name} ({mode:?}): the tiers differ");
     }
+    let (want, printed) = reference(src, grid, arrays);
+    assert_eq!(
+        bytecode.arrays, want,
+        "{name}: arrays differ from the reference interpreter"
+    );
+    assert_eq!(bytecode.printed, printed, "{name}: PRINT");
 }
 
 #[test]
 fn jacobi_matches_on_four_nodes() {
-    assert_backends_agree("jacobi", &jacobi(16, 3), &[2, 2], &["A", "B"]);
+    assert_tiers_agree("jacobi", &jacobi(16, 3), &[2, 2], &["A", "B"]);
 }
 
 #[test]
 fn jacobi_matches_on_one_node() {
-    assert_backends_agree("jacobi-1", &jacobi(12, 2), &[1, 1], &["A", "B"]);
+    assert_tiers_agree("jacobi-1", &jacobi(12, 2), &[1, 1], &["A", "B"]);
 }
 
 #[test]
 fn gaussian_matches_across_grids() {
     for p in [1i64, 2, 4] {
-        assert_backends_agree("gaussian", &gaussian(16), &[p], &["A"]);
+        assert_tiers_agree("gaussian", &gaussian(16), &[p], &["A"]);
     }
 }
 
 #[test]
 fn fft_butterfly_matches() {
-    assert_backends_agree("fft", &fft_butterfly(8, 2), &[4], &["X", "TERM2"]);
+    assert_tiers_agree("fft", &fft_butterfly(8, 2), &[4], &["X", "TERM2"]);
 }
 
 #[test]
 fn irregular_matches() {
-    assert_backends_agree(
+    assert_tiers_agree(
         "irregular",
         &irregular(16),
         &[4],
@@ -202,15 +168,15 @@ S = SUM(A)
 PRINT *, 'sum:', S
 END
 ";
-    assert_backends_agree("sums", src, &[4], &["A"]);
+    assert_tiers_agree("sums", src, &[4], &["A"]);
 }
 
 /// A `DO` whose next iterate overflows `i64` has run its last
-/// iteration: `DO K = i64::MAX - 1, i64::MAX` is two trips, on both
-/// backends and in the reference interpreter (it used to wrap to
+/// iteration: `DO K = i64::MAX - 1, i64::MAX` is two trips, on the
+/// engine and in the reference interpreter (it used to wrap to
 /// `i64::MIN <= ub` and never end; a panic in a debug build). Same
 /// downwards at `i64::MIN`, and the loop-control charges are those of
-/// the trips that ran, so the backends still agree on virtual time.
+/// the trips that ran, so the tiers still agree on virtual time.
 #[test]
 fn a_do_increment_that_overflows_ends_the_loop() {
     let src = "
@@ -233,14 +199,10 @@ END DO
 PRINT *, 'DOWN', S
 END
 ";
-    assert_backends_agree("do-overflow", src, &[4], &["A"]);
+    assert_tiers_agree("do-overflow", src, &[4], &["A"]);
     let want = vec!["UP 2 6.000000".to_string(), "DOWN 2".to_string()];
-    let (_, _, _, _, printed) = run_backend(src, &[4], &["A"], Backend::Vm, ExecMode::Sequential);
-    assert_eq!(printed, want);
-    let compiled = compile(src, &CompileOptions::on_grid(&[4])).expect("compiles");
-    let reference = f90d_core::reference::run_reference(&compiled.analyzed, &Default::default())
-        .expect("the reference interpreter terminates too");
-    assert_eq!(reference.printed, want);
+    let native = run_tier(src, &[4], &["A"], Tier::Native, ExecMode::Sequential);
+    assert_eq!(native.printed, want);
 }
 
 /// A zero `DO` stride is the same structured error everywhere — the
@@ -256,13 +218,10 @@ DO K = 1, 4, Z
 END DO
 END
 ";
-    for backend in [Backend::TreeWalk, Backend::Vm] {
-        let compiled = compile(src, &CompileOptions::on_grid(&[2]).with_backend(backend)).unwrap();
-        let mut m = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(&[2]));
-        let err = compiled.run_on(&mut m).expect_err("a zero stride faults");
-        assert_eq!(err.0, "DO stride of zero", "{backend:?}");
-    }
     let compiled = compile(src, &CompileOptions::on_grid(&[2])).unwrap();
+    let mut m = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(&[2]));
+    let err = compiled.run_on(&mut m).expect_err("a zero stride faults");
+    assert_eq!(err.0, "DO stride of zero");
     let err = f90d_core::reference::run_reference(&compiled.analyzed, &Default::default())
         .expect_err("a zero stride faults");
     assert_eq!(err, "DO stride of zero");
@@ -292,12 +251,10 @@ PRINT *, SUM(A)
 END
 "
         );
-        for backend in [Backend::TreeWalk, Backend::Vm] {
-            let opts = CompileOptions::on_grid(&[2]).with_backend(backend);
-            let compiled = compile(&src, &opts).unwrap();
-            let mut m = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(&[2]));
-            let err = compiled.run_on(&mut m).expect_err("the stride faults");
-            assert_eq!(err.0, WANT, "{backend:?}, stride {stride}");
+        for tier in [Tier::Bytecode, Tier::Native] {
+            let err = observe(&src, &[2], &[], tier, ExecMode::Sequential)
+                .expect_err("the stride faults");
+            assert_eq!(err, WANT, "{tier:?}, stride {stride}");
         }
         let (answer, asked) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
@@ -331,8 +288,8 @@ K = 1
 FORALL (I=K+1:N, J=K+1:N) A(I,J) = A(I,K)*A(K,J)
 END
 ";
-    assert_backends_agree("row slab", src, &[2, 2], &["A"]);
-    let (vm, ..) = run_backend(src, &[2, 2], &["A"], Backend::Vm, ExecMode::Sequential);
+    assert_tiers_agree("row slab", src, &[2, 2], &["A"]);
+    let native = run_tier(src, &[2, 2], &["A"], Tier::Native, ExecMode::Sequential);
     let want: Vec<f64> = (1..=8)
         .flat_map(|i| (1..=8).map(move |j| (i, j)))
         .map(|(i, j)| match i.min(j) {
@@ -340,13 +297,13 @@ END
             _ => ((10 * i + 1) * (10 + j)) as f64,
         })
         .collect();
-    assert_eq!(vm[0], ArrayData::Real(want));
+    assert_eq!(native.arrays[0], ArrayData::Real(want));
 }
 
 #[test]
 fn vm_program_is_cached_across_runs() {
     let src = jacobi(8, 1);
-    let opts = CompileOptions::on_grid(&[2, 2]).with_backend(Backend::Vm);
+    let opts = CompileOptions::on_grid(&[2, 2]);
     let compiled = compile(&src, &opts).unwrap();
     let p1 = compiled.vm_program().unwrap();
     let misses = vm_cache().misses();
@@ -361,30 +318,9 @@ fn vm_program_is_cached_across_runs() {
         "second lookup must not re-lower"
     );
     // A different grid is a different program.
-    let other = compile(
-        &src,
-        &CompileOptions::on_grid(&[1, 1]).with_backend(Backend::Vm),
-    )
-    .unwrap();
+    let other = compile(&src, &CompileOptions::on_grid(&[1, 1])).unwrap();
     let p3 = other.vm_program().unwrap();
     assert!(!std::sync::Arc::ptr_eq(&p1, &p3));
-}
-
-/// PRINT output, every rank's clock, messages, bytes and the run trace
-/// of `src` on `grid` under one tier.
-fn traced(
-    src: &str,
-    grid: &[i64],
-    backend: Backend,
-    native: bool,
-) -> (Vec<String>, Vec<u64>, u64, u64, f90d_core::RunTrace) {
-    let mut opts = CompileOptions::on_grid(grid).with_backend(backend);
-    opts.opt.native_kernels = native;
-    let compiled = compile(src, &opts).expect("compiles");
-    let mut m = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(grid));
-    let (rep, trace) = compiled.run_on_traced(&mut m).expect("runs");
-    let clocks = m.transport.clocks.iter().map(|c| c.to_bits()).collect();
-    (rep.printed, clocks, rep.messages, rep.bytes, trace)
 }
 
 /// What a run keeps between executions of one statement — iteration
@@ -392,13 +328,13 @@ fn traced(
 /// layout it was computed for, and must never change a result. Each
 /// program repeats a FORALL inside a `DO` with the *same* evaluated
 /// bounds while something else moves: the reference interpreter (which
-/// keeps nothing) and the tree walker (which keeps only shift plans)
-/// are the oracles for PRINT; clocks, messages and bytes must agree
-/// between all three tiers bit for bit. The first two are pinned in
-/// `corpus/` as well.
+/// keeps nothing) is the oracle for PRINT; clocks, messages and bytes
+/// must agree between the tiers bit for bit, and with the `.virt` pins
+/// of the first two programs in `corpus/` (blessed while the tree
+/// walker, which kept only shift plans, still agreed).
 #[test]
 fn nothing_kept_between_executions_outlives_its_layout() {
-    // (program, [ghost plans built, reused], lists reused on the VM)
+    // (program, [ghost plans built, reused], lists reused)
     let redist_in_loop = include_str!("../../../corpus/redist_in_loop.f90d");
     let redist_round_trip = include_str!("../../../corpus/redist_round_trip.f90d");
     // A reversed subscript under a stride the upper bound is off
@@ -460,29 +396,24 @@ END
         let reference =
             f90d_core::reference::run_reference(&compiled.analyzed, &Default::default())
                 .expect("the reference interpreter runs");
-        let tw = traced(src, &[4], Backend::TreeWalk, false);
-        for native in [true, false] {
-            let vm = traced(src, &[4], Backend::Vm, native);
-            assert_eq!(vm.0, reference.printed, "{name}: PRINT (native {native})");
+        let run = |tier| -> (Observed, RunTrace) {
+            observe(src, &[4], &[], tier, ExecMode::Sequential).expect("runs")
+        };
+        let (bytecode, _) = run(Tier::Bytecode);
+        for tier in [Tier::Bytecode, Tier::Native] {
+            let (seen, t) = run(tier);
+            assert_eq!(seen.printed, reference.printed, "{name}: PRINT ({tier:?})");
             assert_eq!(
-                (&vm.1, vm.2, vm.3),
-                (&tw.1, tw.2, tw.3),
-                "{name}: clocks, messages, bytes (native {native})"
+                (&seen.clocks, seen.messages, seen.bytes),
+                (&bytecode.clocks, bytecode.messages, bytecode.bytes),
+                "{name}: clocks, messages, bytes ({tier:?})"
             );
-            let t = vm.4;
             assert_eq!(
                 [t.ghost_plans_built, t.ghost_plans_reused],
                 plans,
-                "{name}: shift plans (native {native})"
+                "{name}: shift plans ({tier:?})"
             );
-            assert_eq!(t.dispatch_reused, lists, "{name}: lists (native {native})");
+            assert_eq!(t.dispatch_reused, lists, "{name}: lists ({tier:?})");
         }
-        assert_eq!(tw.0, reference.printed, "{name}: PRINT (tree walk)");
-        let t = tw.4;
-        assert_eq!(
-            [t.ghost_plans_built, t.ghost_plans_reused],
-            plans,
-            "{name}: shift plans (tree walk)"
-        );
     }
 }

@@ -2,7 +2,7 @@
 //! native tier does not take runs a chunk of iterations per operator
 //! dispatch over typed columns, and nothing observable may tell — arrays
 //! and every padded cell of them on every rank, every rank clock by
-//! bits, messages, bytes and PRINT equal the tree walker's (and the
+//! bits, messages, bytes and PRINT equal the native tier's (and the
 //! arrays the sequential reference interpreter's), sequential and
 //! threaded; a masked-out iteration evaluates nothing; writes commit in
 //! iteration order; and a fault is the element loop's fault — the first
@@ -23,7 +23,7 @@ use std::sync::Arc;
 use common::{observe, observe_with, Observed, Tier};
 use f90d_core::ir::{ElemAssign, SExpr, SProgram, SStmt};
 use f90d_core::reference::run_reference;
-use f90d_core::{compile, vmlower, Backend, CompileOptions, Executor};
+use f90d_core::{compile, vmlower, CompileOptions};
 use f90d_distrib::ProcGrid;
 use f90d_frontend::ast::BinOp;
 use f90d_machine::{budget, ExecMode, Machine, MachineSpec, Value};
@@ -32,9 +32,8 @@ use f90d_machine::{budget, ExecMode, Machine, MachineSpec, Value};
 const CHUNK: i64 = 512;
 
 /// `src` on `grid`: the chunk evaluator, sequential and threaded, shows
-/// what the tree walker shows (and what the default tiers show), and —
-/// with `reference` — leaves the arrays the reference interpreter
-/// leaves.
+/// what the default tiers show, and — with `reference` — leaves the
+/// arrays the reference interpreter leaves.
 fn agree(label: &str, src: &str, grid: &[i64], arrays: &[&str], reference: bool) -> Observed {
     budget::global().ensure_total_at_least(8);
     let run = |tier, exec| {
@@ -45,8 +44,6 @@ fn agree(label: &str, src: &str, grid: &[i64], arrays: &[&str], reference: bool)
     assert_eq!(tr.native_matched, 0, "{label}: the native tier is off");
     let (thr, _) = run(Tier::Bytecode, ExecMode::Threaded);
     assert_eq!(vm, thr, "{label}: sequential vs threaded\n{src}");
-    let (tw, _) = run(Tier::TreeWalk, ExecMode::Sequential);
-    assert_eq!(vm, tw, "{label}: bytecode vs tree walk\n{src}");
     let (nat, _) = run(Tier::Native, ExecMode::Sequential);
     assert_eq!(vm, nat, "{label}: bytecode vs the default tiers\n{src}");
     if reference {
@@ -70,7 +67,6 @@ fn faults(label: &str, src: &str, grid: &[i64], want: &str) {
     for (tier, exec) in [
         (Tier::Bytecode, ExecMode::Sequential),
         (Tier::Bytecode, ExecMode::Threaded),
-        (Tier::TreeWalk, ExecMode::Sequential),
         (Tier::Native, ExecMode::Sequential),
     ] {
         let err = observe(src, grid, &[], tier, exec).expect_err("the program faults");
@@ -237,7 +233,7 @@ END
 /// One rank of the bytecode tier, run by hand so that the machine can be
 /// looked at after a fault.
 fn run_bytecode(src: &str, grid: &[i64]) -> (Result<(), String>, Machine) {
-    let mut opts = CompileOptions::on_grid(grid).with_backend(Backend::Vm);
+    let mut opts = CompileOptions::on_grid(grid);
     opts.opt.native_kernels = false;
     let compiled = compile(src, &opts).expect("compiles");
     let mut m = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(grid));
@@ -293,19 +289,14 @@ fn foralls(spmd: &mut SProgram) -> Vec<&mut f90d_core::ir::ForallNode> {
 }
 
 /// Run a node program (edited by hand after compilation, so that it
-/// holds what the compiler never emits) on the tree walker and on the
-/// bytecode tier: both results, and the machines they left.
-fn run_ir(spmd: &SProgram, grid: &[i64], exec: ExecMode) -> [(Result<(), String>, Machine); 2] {
+/// holds what the compiler never emits) on the bytecode tier: the
+/// result, and the machine it left.
+fn run_ir(spmd: &SProgram, grid: &[i64], exec: ExecMode) -> (Result<(), String>, Machine) {
     budget::global().ensure_total_at_least(8);
-    let mut m = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(grid));
-    let tw = Executor::new(spmd, &mut m).run(&mut m);
     let prog = Arc::new(vmlower::lower_with(spmd, false).expect("lowers"));
-    let mut m2 = Machine::with_mode(MachineSpec::ipsc860(), ProcGrid::new(grid), exec);
-    let vm = f90d_vm::Engine::new(prog, &mut m2).run(&mut m2);
-    [
-        (tw.map(|_| ()).map_err(|e| e.0), m),
-        (vm.map(|_| ()).map_err(|e| e.0), m2),
-    ]
+    let mut m = Machine::with_mode(MachineSpec::ipsc860(), ProcGrid::new(grid), exec);
+    let vm = f90d_vm::Engine::new(prog, &mut m).run(&mut m);
+    (vm.map(|_| ()).map_err(|e| e.0), m)
 }
 
 fn compiled_ir(src: &str, grid: &[i64]) -> SProgram {
@@ -351,15 +342,14 @@ FORALL (I=1:N1, J=1:N2-1) A(I,J) = B(I,J)
 FORALL (I=1:N1, J=1:N2-1) A(I,J+1) = C(I,J)
 END
 ";
-    let mut spmd = compiled_ir(src, &[4]);
+    let split = compiled_ir(src, &[4]);
+    let mut spmd = split.clone();
     merge_last_two_foralls(&mut spmd);
     for exec in [ExecMode::Sequential, ExecMode::Threaded] {
-        let [(tw, m_tw), (vm, m_vm)] = run_ir(&spmd, &[4], exec);
-        tw.expect("tree walk runs");
+        let (vm, m_vm) = run_ir(&spmd, &[4], exec);
         vm.expect("bytecode runs");
         for rank in 0..4 {
-            let (a_tw, a_vm) = (m_tw.mems[rank].array("A"), m_vm.mems[rank].array("A"));
-            assert_eq!(a_tw, a_vm, "rank {rank} ({exec:?})");
+            let a_vm = m_vm.mems[rank].array("A");
             // Two rows a rank, 2 x 299 = 598 tuples: more than a chunk.
             for (l, i) in [(0, 2 * rank as i64 + 1), (1, 2 * rank as i64 + 2)] {
                 for j in 1..=300i64 {
@@ -372,10 +362,15 @@ END
                 }
             }
         }
-        assert_eq!(
-            m_tw.transport.clocks, m_vm.transport.clocks,
-            "the two bodies charge alike ({exec:?})"
-        );
+        // One FORALL of two bodies costs what the two FORALLs cost (one
+        // charge per rank in place of two: equal to the last bit or so).
+        let (_, m_split) = run_ir(&split, &[4], exec);
+        for (two, one) in m_split.transport.clocks.iter().zip(&m_vm.transport.clocks) {
+            assert!(
+                (two - one).abs() <= 4.0 * f64::EPSILON * two,
+                "the two bodies charge as the two statements did ({exec:?}): {two} vs {one}"
+            );
+        }
     }
 }
 
@@ -404,10 +399,9 @@ END
     let mut spmd = compiled_ir(src, &[4]);
     merge_last_two_foralls(&mut spmd);
     for exec in [ExecMode::Sequential, ExecMode::Threaded] {
-        for (result, _) in run_ir(&spmd, &[4], exec) {
-            // Body 1 divides by zero at J = 30, body 2 at J = 10.
-            assert_eq!(result.unwrap_err(), "integer MOD by zero", "{exec:?}");
-        }
+        // Body 1 divides by zero at J = 30, body 2 at J = 10.
+        let (result, _) = run_ir(&spmd, &[4], exec);
+        assert_eq!(result.unwrap_err(), "integer MOD by zero", "{exec:?}");
     }
 }
 
@@ -431,8 +425,8 @@ fn shift_read(a: &mut ElemAssign, c: i64) {
 
 /// The two ownership faults of a resolved accessor, which no compiled
 /// program reaches (the compiler adds the communication that makes every
-/// read owned): a CYCLIC element of another rank, word for word as the
-/// tree walker says it, and a BLOCK element beyond the ghost cells.
+/// read owned): a CYCLIC element of another rank and a BLOCK element
+/// beyond the ghost cells.
 #[test]
 fn unowned_and_beyond_the_padding_are_the_scalar_form_s_errors() {
     let src = "
@@ -448,17 +442,15 @@ END
 ";
     let mut cyclic = compiled_ir(&src.replace("{dist}", "CYCLIC"), &[4]);
     shift_read(&mut foralls(&mut cyclic)[0].body[0], 1);
-    for (result, _) in run_ir(&cyclic, &[4], ExecMode::Sequential) {
-        assert_eq!(result.unwrap_err(), "rank 0 reads unowned element [1] of B");
-    }
+    let (result, _) = run_ir(&cyclic, &[4], ExecMode::Sequential);
+    assert_eq!(result.unwrap_err(), "rank 0 reads unowned element [1] of B");
     let mut block = compiled_ir(&src.replace("{dist}", "BLOCK"), &[4]);
     shift_read(&mut foralls(&mut block)[0].body[0], 3);
-    // Only the bytecode tier checks the padded range (the tree walker
-    // asserts on it in a debug build).
-    let prog = Arc::new(vmlower::lower_with(&block, false).expect("lowers"));
-    let mut m = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(&[4]));
-    let err = f90d_vm::Engine::new(prog, &mut m).run(&mut m).unwrap_err();
-    assert_eq!(err.0, "rank 0 reads outside the padded segment of B at [4]");
+    let (result, _) = run_ir(&block, &[4], ExecMode::Sequential);
+    assert_eq!(
+        result.unwrap_err(),
+        "rank 0 reads outside the padded segment of B at [4]"
+    );
 }
 
 /// A many-to-one left-hand side (`A(I) = B(I,J)`: the last `J` wins), a
@@ -573,7 +565,8 @@ END
 /// runs the interior sub-product (30 × 30 = 900 tuples a rank, two
 /// chunks) while the ghost strips are on the wire, then the boundary
 /// slabs, and commits both stages together — the arrays of blocking
-/// execution, the virtual clocks of the tree walker's split-phase run.
+/// execution on other clocks (a split-phase FORALL never dispatches
+/// native, so `Tier::Native` only adds the statements around it).
 #[test]
 fn split_phase_runs_interior_and_boundary_through_the_chunk_loop() {
     budget::global().ensure_total_at_least(8);
@@ -605,7 +598,6 @@ END
     let (vm, tr) = overlap(Tier::Bytecode, ExecMode::Sequential);
     assert!(tr.native_fallback > 0 && tr.native_matched == 0);
     assert_eq!(vm, overlap(Tier::Bytecode, ExecMode::Threaded).0);
-    assert_eq!(vm, overlap(Tier::TreeWalk, ExecMode::Sequential).0);
     assert_eq!(vm, overlap(Tier::Native, ExecMode::Sequential).0);
     let blocking = agree("blocking", src, &[2, 2], &arrays, true);
     assert_eq!(vm.arrays, blocking.arrays, "overlap changes clocks only");

@@ -1,13 +1,15 @@
 //! Phase-level communication planning (`OptFlags::comm_plan`): phase
 //! formation on the IR, conflict/separator fallback, bit-exact execution
-//! with the plan honoured on both backends — plus the hoist def-use
+//! with the plan honoured on both tiers — plus the hoist def-use
 //! regression battery (WHERE-masked writes, REDISTRIBUTE, and written
 //! scalars must all pin their exchanges inside the loop).
 
+mod common;
+
+use common::{observe_with, Observed, Tier};
 use f90d_core::ir::{PhaseRole, SStmt};
-use f90d_core::{compile, Backend, CompileOptions, Executor};
-use f90d_distrib::ProcGrid;
-use f90d_machine::{ArrayData, Machine, MachineSpec};
+use f90d_core::{compile, CompileOptions};
+use f90d_machine::ExecMode;
 
 /// Three co-aligned arrays, three consecutive shift stencils per sweep
 /// (the planner's showcase shape), then copy-backs.
@@ -245,78 +247,63 @@ END
 
 // ---- execution: the plan must be invisible in results -----------------------
 
-type Outcome = (f64, u64, u64, Vec<String>, Vec<ArrayData>);
-
-fn run(src: &str, grid: &[i64], backend: Backend, plan: bool, arrays: &[&str]) -> Outcome {
-    let mut opts = CompileOptions::on_grid(grid).with_backend(backend);
-    opts.opt.comm_plan = plan;
-    let compiled = compile(src, &opts).unwrap_or_else(|e| panic!("{e}\n{src}"));
-    let mut m = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(grid));
-    match backend {
-        Backend::TreeWalk => {
-            let mut ex = Executor::new(&compiled.spmd, &mut m);
-            ex.plan = plan;
-            let rep = ex.run(&mut m).unwrap_or_else(|e| panic!("{e}\n{src}"));
-            let data = arrays
-                .iter()
-                .map(|a| ex.gather_array(&mut m, a).unwrap())
-                .collect();
-            (rep.elapsed, rep.messages, rep.bytes, rep.printed, data)
-        }
-        Backend::Vm => {
-            let prog = compiled.vm_program().unwrap();
-            let mut eng = f90d_vm::Engine::new(prog, &mut m);
-            eng.plan = plan;
-            let rep = eng.run(&mut m).unwrap_or_else(|e| panic!("{e}\n{src}"));
-            let data = arrays
-                .iter()
-                .map(|a| eng.gather_array(&mut m, a).unwrap())
-                .collect();
-            (rep.elapsed, rep.messages, rep.bytes, rep.printed, data)
-        }
-    }
+fn run(src: &str, grid: &[i64], tier: Tier, plan: bool, arrays: &[&str]) -> Observed {
+    observe_with(src, grid, arrays, tier, ExecMode::Sequential, &|opts| {
+        opts.opt.comm_plan = plan
+    })
+    .unwrap_or_else(|e| panic!("{e}\n{src}"))
+    .0
 }
 
 #[test]
 fn plan_execution_bit_identical_and_coalesces() {
     let src = triple_stencil(32, 3);
     let arrays = ["A", "B", "C", "A2", "B2", "C2"];
-    for backend in [Backend::TreeWalk, Backend::Vm] {
-        let (t_off, msg_off, by_off, pr_off, arr_off) = run(&src, &[4], backend, false, &arrays);
-        let (t_on, msg_on, by_on, pr_on, arr_on) = run(&src, &[4], backend, true, &arrays);
+    for tier in [Tier::Bytecode, Tier::Native] {
+        let off = run(&src, &[4], tier, false, &arrays);
+        let on = run(&src, &[4], tier, true, &arrays);
         assert_eq!(
-            arr_on, arr_off,
-            "arrays must be bit-identical ({backend:?})"
+            on.arrays, off.arrays,
+            "arrays must be bit-identical ({tier:?})"
         );
-        assert_eq!(pr_on, pr_off, "PRINT must be identical ({backend:?})");
-        assert_eq!(by_on, by_off, "coalescing repacks, never re-sends bytes");
-        assert!(
-            msg_on < msg_off,
-            "phase must coalesce wire messages ({backend:?}): {msg_on} vs {msg_off}"
+        assert_eq!(
+            on.printed, off.printed,
+            "PRINT must be identical ({tier:?})"
+        );
+        assert_eq!(
+            on.bytes, off.bytes,
+            "coalescing repacks, never re-sends bytes"
         );
         assert!(
-            t_on < t_off,
-            "saved message startups must show in virtual time ({backend:?}): {t_on} vs {t_off}"
+            on.messages < off.messages,
+            "phase must coalesce wire messages ({tier:?}): {} vs {}",
+            on.messages,
+            off.messages
+        );
+        assert!(
+            on.elapsed() < off.elapsed(),
+            "saved message startups must show in virtual time ({tier:?}): {} vs {}",
+            on.elapsed(),
+            off.elapsed()
         );
     }
 }
 
 #[test]
-fn plan_execution_identical_across_backends() {
+fn plan_execution_identical_across_tiers() {
     let src = triple_stencil(32, 3);
     let arrays = ["A", "B", "C", "A2", "B2", "C2"];
-    let tw = run(&src, &[4], Backend::TreeWalk, true, &arrays);
-    let vm = run(&src, &[4], Backend::Vm, true, &arrays);
-    assert_eq!(tw.0.to_bits(), vm.0.to_bits(), "virtual time must agree");
-    assert_eq!((tw.1, tw.2), (vm.1, vm.2), "messages/bytes must agree");
-    assert_eq!(tw.3, vm.3, "PRINT must agree");
-    assert_eq!(tw.4, vm.4, "arrays must agree");
+    assert_eq!(
+        run(&src, &[4], Tier::Bytecode, true, &arrays),
+        run(&src, &[4], Tier::Native, true, &arrays),
+        "clocks, messages, bytes, PRINT and arrays must agree"
+    );
 }
 
 // ---- hoist def-use regressions ----------------------------------------------
 
 /// `top_level_comm == expected` plus hoist-on vs hoist-off result
-/// equality on the tree walker.
+/// equality.
 fn check_hoist(src: &str, grid: &[i64], arrays: &[&str], expected_hoisted: usize) {
     let mut on = CompileOptions::on_grid(grid);
     on.opt.hoist_invariant_comm = true;
@@ -328,18 +315,23 @@ fn check_hoist(src: &str, grid: &[i64], arrays: &[&str], expected_hoisted: usize
         .filter(|s| matches!(s, SStmt::Comm(_)))
         .count();
     assert_eq!(hoisted, expected_hoisted, "wrong hoist count\n{src}");
-    let on_res = run(src, grid, Backend::TreeWalk, false, arrays);
-    let mut off = CompileOptions::on_grid(grid);
-    off.opt.hoist_invariant_comm = false;
-    let c_off = compile(src, &off).unwrap();
-    let mut m = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(grid));
-    let mut ex = Executor::new(&c_off.spmd, &mut m);
-    ex.run(&mut m).unwrap();
-    let off_arrays: Vec<ArrayData> = arrays
-        .iter()
-        .map(|a| ex.gather_array(&mut m, a).unwrap())
-        .collect();
-    assert_eq!(on_res.4, off_arrays, "hoist changed results\n{src}");
+    let with_hoist = |hoist: bool| {
+        observe_with(
+            src,
+            grid,
+            arrays,
+            Tier::Native,
+            ExecMode::Sequential,
+            &|opts| opts.opt.hoist_invariant_comm = hoist,
+        )
+        .unwrap_or_else(|e| panic!("{e}\n{src}"))
+        .0
+    };
+    assert_eq!(
+        with_hoist(true).arrays,
+        with_hoist(false).arrays,
+        "hoist changed results\n{src}"
+    );
 }
 
 #[test]

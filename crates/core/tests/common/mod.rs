@@ -2,7 +2,7 @@
 //! program on one execution tier and collect everything the run shows.
 #![allow(dead_code)] // each test binary uses its own part
 
-use f90d_core::{compile, Backend, CompileOptions, RunTrace};
+use f90d_core::{compile, CompileOptions, RunTrace};
 use f90d_distrib::ProcGrid;
 use f90d_machine::{ArrayData, ExecMode, Machine, MachineSpec, Value};
 
@@ -23,11 +23,31 @@ pub struct Observed {
     pub printed: Vec<String>,
 }
 
+impl Observed {
+    /// Modelled elapsed time: the latest rank clock.
+    pub fn elapsed(&self) -> f64 {
+        (self.clocks.iter().map(|&c| f64::from_bits(c))).fold(0.0, f64::max)
+    }
+}
+
+/// The arrays `arrays` and the PRINT lines the sequential reference
+/// interpreter leaves for `src`.
+pub fn reference(src: &str, grid: &[i64], arrays: &[&str]) -> (Vec<ArrayData>, Vec<String>) {
+    let compiled = compile(src, &CompileOptions::on_grid(grid)).expect("compiles");
+    let state = f90d_core::reference::run_reference(&compiled.analyzed, &Default::default())
+        .expect("the reference interpreter runs");
+    let images = (arrays.iter())
+        .map(|a| state.arrays[*a].data.clone())
+        .collect();
+    (images, state.printed)
+}
+
+/// The two execution tiers of the one engine: `native_kernels` on (the
+/// default) and off.
 #[derive(Clone, Copy, Debug)]
 pub enum Tier {
     Native,
     Bytecode,
-    TreeWalk,
 }
 
 pub fn observe(
@@ -50,34 +70,35 @@ pub fn observe_with(
     exec: ExecMode,
     tweak: &dyn Fn(&mut CompileOptions),
 ) -> Result<(Observed, RunTrace), String> {
-    let backend = match tier {
-        Tier::TreeWalk => Backend::TreeWalk,
-        _ => Backend::Vm,
-    };
-    let mut opts = CompileOptions::on_grid(grid).with_backend(backend);
+    let spec = MachineSpec::ipsc860();
+    observe_on(&spec, src, grid, arrays, tier, exec, tweak)
+}
+
+/// [`observe_with`] on another machine model.
+pub fn observe_on(
+    spec: &MachineSpec,
+    src: &str,
+    grid: &[i64],
+    arrays: &[&str],
+    tier: Tier,
+    exec: ExecMode,
+    tweak: &dyn Fn(&mut CompileOptions),
+) -> Result<(Observed, RunTrace), String> {
+    let mut opts = CompileOptions::on_grid(grid);
     opts.opt.native_kernels = matches!(tier, Tier::Native);
     tweak(&mut opts);
     let compiled = compile(src, &opts).unwrap_or_else(|e| panic!("compile failed: {e}\n{src}"));
-    let mut m = Machine::with_mode(MachineSpec::ipsc860(), ProcGrid::new(grid), exec);
+    let mut m = Machine::with_mode(spec.clone(), ProcGrid::new(grid), exec);
     let (rep, trace) = compiled.run_on_traced(&mut m).map_err(|e| {
         f90d_comm::driver::quiesce(&mut m).expect("a failed run leaks nothing in flight");
         e.to_string()
     })?;
-    let images = match tier {
-        Tier::TreeWalk => {
-            let ex = f90d_core::Executor::new_preserving(&compiled.spmd, &mut m);
-            (arrays.iter())
-                .map(|a| ex.gather_array(&mut m, a).expect("array exists"))
-                .collect()
-        }
-        _ => {
-            let prog = compiled.vm_program().expect("lowers");
-            let eng = f90d_vm::Engine::new_preserving(prog, &mut m);
-            (arrays.iter())
-                .map(|a| eng.gather_array(&mut m, a).expect("array exists"))
-                .collect()
-        }
-    };
+    // The run's clocks: gathering to the host below charges its own.
+    let clocks = m.transport.clocks.iter().map(|c| c.to_bits()).collect();
+    let eng = compiled.engine_preserving(&mut m).expect("lowers");
+    let images = (arrays.iter())
+        .map(|a| eng.gather_array(&mut m, a).expect("array exists"))
+        .collect();
     let cells = (m.mems.iter())
         .flat_map(|mem| arrays.iter().map(move |a| mem.array(a)))
         .map(|seg| {
@@ -105,7 +126,7 @@ pub fn observe_with(
         arrays: images,
         cells,
         owned,
-        clocks: m.transport.clocks.iter().map(|c| c.to_bits()).collect(),
+        clocks,
         messages: rep.messages,
         bytes: rep.bytes,
         printed: rep.printed,

@@ -9,7 +9,7 @@
 
 use std::sync::Barrier;
 
-use f90d_core::{compile, vm_cache, Backend, CompileOptions, PROGRAM_CACHE_CAP};
+use f90d_core::{compile, vm_cache, CompileOptions, PROGRAM_CACHE_CAP};
 use f90d_distrib::ProcGrid;
 use f90d_machine::{Machine, MachineSpec};
 
@@ -34,7 +34,7 @@ END
 #[test]
 fn concurrent_compiled_runs_share_one_lowering() {
     const THREADS: usize = 8;
-    let opts = CompileOptions::on_grid(&[2, 2]).with_backend(Backend::Vm);
+    let opts = CompileOptions::on_grid(&[2, 2]);
 
     // Phase 1 — same program from every worker: one lowering, identical
     // bit-exact reports, per-job machines untouched by each other.

@@ -1,5 +1,5 @@
-//! Contract of the native kernel tier (the third execution tier above
-//! the bytecode VM): selection at lowering time is invisible in every
+//! Contract of the native kernel tier (the execution tier above the
+//! bytecode one): selection at lowering time is invisible in every
 //! observable — array bits, virtual time, messages, bytes, PRINT — and
 //! the engine's `native_counts` trace proves which tier actually ran.
 //! Non-matching shapes (masks, divisors that can fault) and non-binding
@@ -14,7 +14,7 @@ use std::collections::HashMap;
 
 use common::{observe, Tier};
 use f90d_core::reference::run_reference;
-use f90d_core::{compile, Backend, CompileOptions, RunTrace};
+use f90d_core::{compile, CompileOptions, RunTrace};
 use f90d_distrib::ProcGrid;
 use f90d_machine::{budget, ArrayData, ExecMode, Machine, MachineSpec};
 
@@ -41,7 +41,7 @@ END
     )
 }
 
-/// Run under the VM backend; return gathered images + report metrics +
+/// Run with the native tier on or off; return gathered images + report metrics +
 /// the run trace (for the native counters).
 fn run_vm(
     src: &str,
@@ -60,13 +60,12 @@ fn run_vm_mode(
     native: bool,
     exec: ExecMode,
 ) -> (Vec<ArrayData>, f64, u64, u64, Vec<String>, RunTrace) {
-    let mut opts = CompileOptions::on_grid(grid).with_backend(Backend::Vm);
+    let mut opts = CompileOptions::on_grid(grid);
     opts.opt.native_kernels = native;
     let compiled = compile(src, &opts).unwrap_or_else(|e| panic!("compile failed: {e}\n{src}"));
     let mut m = Machine::with_mode(MachineSpec::ipsc860(), ProcGrid::new(grid), exec);
     let (rep, trace) = compiled.run_on_traced(&mut m).expect("runs");
-    let prog = compiled.vm_program().expect("lowers");
-    let eng = f90d_vm::Engine::new_preserving(prog, &mut m);
+    let eng = compiled.engine_preserving(&mut m).expect("lowers");
     let imgs = arrays
         .iter()
         .map(|a| eng.gather_array(&mut m, a).expect("array exists"))
@@ -81,29 +80,20 @@ fn run_vm_mode(
     )
 }
 
-fn run_treewalk(src: &str, grid: &[i64], arrays: &[&str]) -> (Vec<ArrayData>, f64, u64, u64) {
-    let opts = CompileOptions::on_grid(grid).with_backend(Backend::TreeWalk);
-    let compiled = compile(src, &opts).expect("compiles");
-    let mut m = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(grid));
-    let rep = compiled.run_on(&mut m).expect("runs");
-    let ex = f90d_core::Executor::new_preserving(&compiled.spmd, &mut m);
-    let imgs = arrays
-        .iter()
-        .map(|a| ex.gather_array(&mut m, a).expect("array exists"))
-        .collect();
-    (imgs, rep.elapsed, rep.messages, rep.bytes)
+/// The arrays the sequential reference interpreter leaves.
+fn reference_arrays(src: &str, grid: &[i64], arrays: &[&str]) -> Vec<ArrayData> {
+    common::reference(src, grid, arrays).0
 }
 
 /// Jacobi's four FORALL shapes (index-cast fill, constant fill, scaled
 /// 4-point stencil, copy) all dispatch native on a BLOCK×BLOCK grid, and
-/// the three tiers agree bit-for-bit on every observable.
+/// the two tiers agree bit-for-bit on every observable.
 #[test]
 fn jacobi_dispatches_native_and_tiers_agree() {
     let src = jacobi(16, 3);
     let arrays = ["A", "B"];
     let (nat, nat_t, nat_msg, nat_b, nat_out, nat_tr) = run_vm(&src, &[2, 2], &arrays, true);
     let (vm, vm_t, vm_msg, vm_b, vm_out, vm_tr) = run_vm(&src, &[2, 2], &arrays, false);
-    let (tw, tw_t, tw_msg, tw_b) = run_treewalk(&src, &[2, 2], &arrays);
 
     // 2 init FORALLs + 2 per sweep × 3 sweeps, every one on the native
     // tier; with the tier disabled, every one is a bytecode fallback.
@@ -115,16 +105,19 @@ fn jacobi_dispatches_native_and_tiers_agree() {
     assert_eq!((vm_tr.native_matched, vm_tr.native_fallback), (0, 8));
 
     assert_eq!(nat, vm, "native vs bytecode array images");
-    assert_eq!(nat, tw, "native vs tree-walk array images");
+    assert_eq!(
+        nat,
+        reference_arrays(&src, &[2, 2], &arrays),
+        "native vs the reference interpreter"
+    );
     assert_eq!((nat_t, nat_msg, nat_b), (vm_t, vm_msg, vm_b));
-    assert_eq!((nat_t, nat_msg, nat_b), (tw_t, tw_msg, tw_b));
     assert_eq!(nat_out, vm_out);
 }
 
 /// The reduction-accumulate FORALLs feeding a SUM-into-scalar reduction
 /// (`S = S + A` and `S = S + W*B`) dispatch on the fused
 /// `reduce_accumulate` template instead of composed generic closures,
-/// and the three tiers agree on every observable including the reduced
+/// and the two tiers agree on every observable including the reduced
 /// PRINT value.
 #[test]
 fn sum_accumulate_dispatches_native() {
@@ -161,11 +154,13 @@ END
     );
     let (vm, vm_t, vm_msg, vm_b, vm_out, vm_tr) = run_vm(src, &[4], &arrays, false);
     assert_eq!((vm_tr.native_matched, vm_tr.native_fallback), (0, 9));
-    let (tw, tw_t, tw_msg, tw_b) = run_treewalk(src, &[4], &arrays);
     assert_eq!(nat, vm, "native vs bytecode array images");
-    assert_eq!(nat, tw, "native vs tree-walk array images");
+    assert_eq!(
+        nat,
+        reference_arrays(src, &[4], &arrays),
+        "native vs the reference interpreter"
+    );
     assert_eq!((nat_t, nat_msg, nat_b), (vm_t, vm_msg, vm_b));
-    assert_eq!((nat_t, nat_msg, nat_b), (tw_t, tw_msg, tw_b));
     assert_eq!(nat_out, vm_out);
     assert!(nat_out.iter().any(|l| l.contains("ACC")), "PRINT ran");
 }
@@ -473,7 +468,7 @@ fn instantiate(case: &IrregularCase) -> String {
 }
 
 /// The irregular path against every other evaluator of the language:
-/// native ≡ bytecode ≡ tree walk in arrays, every copy of them, PRINT,
+/// native ≡ bytecode in arrays, every copy of them, PRINT,
 /// every rank clock, messages and bytes, sequential and threaded, with
 /// the arrays also matching the sequential reference interpreter.
 #[test]
@@ -497,8 +492,6 @@ fn irregular_shapes_agree_with_every_other_tier() {
         let (vm, vm_tr) = run(Tier::Bytecode, ExecMode::Sequential);
         assert_eq!(vm_tr.native_matched, 0, "{label}");
         assert_eq!(nat, vm, "{label}: native vs bytecode\n{src}");
-        let (tw, _) = run(Tier::TreeWalk, ExecMode::Sequential);
-        assert_eq!(nat, tw, "{label}: native vs tree walk\n{src}");
         if !case.reference {
             continue;
         }
@@ -577,7 +570,7 @@ FORALL (I=1:N) B(I) = REAL(I)
 END
 "
         );
-        for tier in [Tier::Native, Tier::Bytecode, Tier::TreeWalk] {
+        for tier in [Tier::Native, Tier::Bytecode] {
             let err = observe(&src, &[4], &["A"], tier, ExecMode::Sequential)
                 .expect_err("the program faults");
             assert_eq!(err, want, "{label} on {tier:?}\n{src}");
@@ -611,9 +604,10 @@ END
     let (nat, nat_t, nat_msg, nat_b, _, tr) = run_vm(src, &[4], &["A", "B"], true);
     assert_eq!(tr.native_matched, 0, "CYCLIC must never dispatch native");
     assert_eq!(tr.native_fallback, 2);
-    let (tw, tw_t, tw_msg, tw_b) = run_treewalk(src, &[4], &["A", "B"]);
-    assert_eq!(nat, tw);
-    assert_eq!((nat_t, nat_msg, nat_b), (tw_t, tw_msg, tw_b));
+    let (vm, vm_t, vm_msg, vm_b, ..) = run_vm(src, &[4], &["A", "B"], false);
+    assert_eq!(nat, vm);
+    assert_eq!(nat, reference_arrays(src, &[4], &["A", "B"]));
+    assert_eq!((nat_t, nat_msg, nat_b), (vm_t, vm_msg, vm_b));
 }
 
 /// The overlap split-phase path always runs bytecode (boundary/interior
@@ -622,7 +616,7 @@ END
 #[test]
 fn overlap_split_phase_counts_as_fallback() {
     let src = jacobi(16, 2);
-    let mut opts = CompileOptions::on_grid(&[2, 2]).with_backend(Backend::Vm);
+    let mut opts = CompileOptions::on_grid(&[2, 2]);
     opts.opt.comm_compute_overlap = true;
     let compiled = compile(&src, &opts).expect("compiles");
     let mut m = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(&[2, 2]));
@@ -992,9 +986,8 @@ fn box_source(case: &BoxCase) -> String {
 /// shape dispatches native on every FORALL execution, stages exactly
 /// where the alias rule has no proof, and is bit-identical — arrays,
 /// every padded cell of every copy, PRINT, every rank clock, messages,
-/// bytes — to the bytecode tier and the tree walker, sequential and
-/// threaded, with the arrays also matching the sequential reference
-/// interpreter.
+/// bytes — to the bytecode tier, sequential and threaded, with the
+/// arrays also matching the sequential reference interpreter.
 #[test]
 fn box_kernels_agree_with_every_other_tier() {
     budget::global().ensure_total_at_least(8);
@@ -1035,8 +1028,6 @@ fn box_kernels_agree_with_every_other_tier() {
             "{label}"
         );
         assert_eq!(nat, vm, "{label}: native vs bytecode\n{src}");
-        let (tw, _) = run(Tier::TreeWalk, ExecMode::Sequential);
-        assert_eq!(nat, tw, "{label}: native vs tree walk\n{src}");
         let compiled = compile(&src, &CompileOptions::on_grid(case.grid)).expect("compiles");
         let reference = run_reference(&compiled.analyzed, &HashMap::new()).expect("reference runs");
         for (name, img) in arrays.iter().zip(&nat.arrays) {

@@ -2,12 +2,16 @@
 //! split-phase stencil execution must strictly lower modelled virtual
 //! time on communication-bound Jacobi cells while keeping array results
 //! and PRINT output bit-identical — on both machine models and both
-//! execution backends. Also covers the redesigned transport's end-of-run
-//! quiescence check surfacing as `ExecError`.
+//! execution tiers. Also covers the transport's end-of-run quiescence
+//! check surfacing as `ExecError`. The split-phase clocks themselves are
+//! pinned by the `overlap` line of every `corpus/*.virt`.
 
-use f90d_core::{compile, Backend, CompileOptions, Executor};
+mod common;
+
+use common::{observe_on, Observed, Tier};
+use f90d_core::{compile, CompileOptions};
 use f90d_distrib::ProcGrid;
-use f90d_machine::{ArrayData, Machine, MachineSpec, Transport};
+use f90d_machine::{ArrayData, ExecMode, Machine, MachineSpec, Transport};
 
 // Local copies of the benchmark workloads (`f90d-bench` sits above this
 // crate in the dependency graph, so the sources are inlined here).
@@ -79,84 +83,60 @@ END
     }
 }
 
-/// Run `src` and return `(elapsed, messages, bytes, printed, arrays)`.
 fn run(
     src: &str,
     grid: &[i64],
     spec: &MachineSpec,
-    backend: Backend,
+    tier: Tier,
     overlap: bool,
     arrays: &[&str],
-) -> (f64, u64, u64, Vec<String>, Vec<ArrayData>) {
-    let mut opts = CompileOptions::on_grid(grid).with_backend(backend);
-    opts.opt.comm_compute_overlap = overlap;
-    let compiled = compile(src, &opts).expect("compiles");
-    let mut m = Machine::new(spec.clone(), ProcGrid::new(grid));
-    match backend {
-        Backend::TreeWalk => {
-            let mut ex = Executor::new(&compiled.spmd, &mut m);
-            ex.overlap = overlap;
-            let rep = ex.run(&mut m).expect("runs");
-            let data = arrays
-                .iter()
-                .map(|a| ex.gather_array(&mut m, a).unwrap())
-                .collect();
-            (rep.elapsed, rep.messages, rep.bytes, rep.printed, data)
-        }
-        Backend::Vm => {
-            let prog = compiled.vm_program().expect("lowers");
-            let mut eng = f90d_vm::Engine::new(prog, &mut m);
-            eng.overlap = overlap;
-            let rep = eng.run(&mut m).expect("runs");
-            let data = arrays
-                .iter()
-                .map(|a| eng.gather_array(&mut m, a).unwrap())
-                .collect();
-            (rep.elapsed, rep.messages, rep.bytes, rep.printed, data)
-        }
-    }
+) -> Observed {
+    observe_on(
+        spec,
+        src,
+        grid,
+        arrays,
+        tier,
+        ExecMode::Sequential,
+        &|opts| opts.opt.comm_compute_overlap = overlap,
+    )
+    .expect("runs")
+    .0
 }
 
 #[test]
 fn overlap_lowers_virtual_time_bit_identical_results() {
     let src = workloads::jacobi(48, 3);
     for spec in [MachineSpec::ipsc860(), MachineSpec::ncube2()] {
-        for backend in [Backend::TreeWalk, Backend::Vm] {
-            let (t_block, msg_b, by_b, print_b, arr_b) =
-                run(&src, &[2, 2], &spec, backend, false, &["A", "B"]);
-            let (t_over, msg_o, by_o, print_o, arr_o) =
-                run(&src, &[2, 2], &spec, backend, true, &["A", "B"]);
+        for tier in [Tier::Bytecode, Tier::Native] {
+            let block = run(&src, &[2, 2], &spec, tier, false, &["A", "B"]);
+            let over = run(&src, &[2, 2], &spec, tier, true, &["A", "B"]);
             assert!(
-                t_over < t_block,
-                "{} {:?}: overlap {t_over} must beat blocking {t_block}",
+                over.elapsed() < block.elapsed(),
+                "{} {tier:?}: overlap {} must beat blocking {}",
                 spec.name,
-                backend
+                over.elapsed(),
+                block.elapsed()
             );
-            assert_eq!(msg_o, msg_b, "same messages either way");
-            assert_eq!(by_o, by_b, "same bytes either way");
-            assert_eq!(print_o, print_b, "same PRINT either way");
-            assert_eq!(arr_o, arr_b, "arrays must be bit-identical");
+            assert_eq!(over.messages, block.messages, "same messages either way");
+            assert_eq!(over.bytes, block.bytes, "same bytes either way");
+            assert_eq!(over.printed, block.printed, "same PRINT either way");
+            assert_eq!(over.arrays, block.arrays, "arrays must be bit-identical");
+            assert_eq!(over.cells, block.cells, "ghost cells included");
         }
     }
 }
 
 #[test]
-fn overlap_backends_agree_bit_exactly() {
+fn overlap_tiers_agree_bit_exactly() {
     let src = workloads::jacobi(32, 2);
     for spec in [MachineSpec::ipsc860(), MachineSpec::ncube2()] {
-        let (t_tw, msg_tw, by_tw, print_tw, arr_tw) =
-            run(&src, &[2, 2], &spec, Backend::TreeWalk, true, &["A", "B"]);
-        let (t_vm, msg_vm, by_vm, print_vm, arr_vm) =
-            run(&src, &[2, 2], &spec, Backend::Vm, true, &["A", "B"]);
         assert_eq!(
-            t_tw.to_bits(),
-            t_vm.to_bits(),
-            "{}: overlap virtual time must agree across backends",
+            run(&src, &[2, 2], &spec, Tier::Bytecode, true, &["A", "B"]),
+            run(&src, &[2, 2], &spec, Tier::Native, true, &["A", "B"]),
+            "{}: overlap clocks, messages, bytes, PRINT and arrays must agree across tiers",
             spec.name
         );
-        assert_eq!((msg_tw, by_tw), (msg_vm, by_vm));
-        assert_eq!(print_tw, print_vm);
-        assert_eq!(arr_tw, arr_vm);
     }
 }
 
@@ -166,12 +146,13 @@ fn overlap_flag_is_inert_for_non_stencil_programs() {
     // (gather/scatter schedules) have no overlap-eligible FORALL: the
     // flag must change nothing, bit for bit.
     for src in [workloads::gaussian(24), workloads::irregular(64)] {
-        for backend in [Backend::TreeWalk, Backend::Vm] {
+        for tier in [Tier::Bytecode, Tier::Native] {
             let spec = MachineSpec::ipsc860();
-            let (t0, m0, b0, p0, a0) = run(&src, &[4], &spec, backend, false, &[]);
-            let (t1, m1, b1, p1, a1) = run(&src, &[4], &spec, backend, true, &[]);
-            assert_eq!(t0.to_bits(), t1.to_bits(), "{backend:?} virtual time");
-            assert_eq!((m0, b0, p0, a0), (m1, b1, p1, a1));
+            assert_eq!(
+                run(&src, &[4], &spec, tier, false, &[]),
+                run(&src, &[4], &spec, tier, true, &[]),
+                "{tier:?}"
+            );
         }
     }
 }
@@ -183,10 +164,10 @@ fn overlap_single_rank_matches_blocking() {
     // increase time.
     let src = workloads::jacobi(24, 2);
     let spec = MachineSpec::ipsc860();
-    let (t_b, _, _, _, arr_b) = run(&src, &[1, 1], &spec, Backend::TreeWalk, false, &["A", "B"]);
-    let (t_o, _, _, _, arr_o) = run(&src, &[1, 1], &spec, Backend::TreeWalk, true, &["A", "B"]);
-    assert_eq!(arr_b, arr_o);
-    assert!(t_o <= t_b);
+    let block = run(&src, &[1, 1], &spec, Tier::Native, false, &["A", "B"]);
+    let over = run(&src, &[1, 1], &spec, Tier::Native, true, &["A", "B"]);
+    assert_eq!(block.arrays, over.arrays);
+    assert!(over.elapsed() <= block.elapsed());
 }
 
 #[test]
@@ -199,27 +180,7 @@ fn leaked_message_surfaces_as_exec_error() {
     let mut m = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(&[2, 2]));
     m.transport
         .post_send(0, 1, 999_999, ArrayData::Real(vec![1.0]));
-    let mut ex = Executor::new(&compiled.spmd, &mut m);
-    let err = ex.run(&mut m).unwrap_err();
-    assert!(
-        err.0.contains("not quiescent"),
-        "expected quiescence failure, got: {err}"
-    );
-}
-
-#[test]
-fn vm_engine_also_checks_quiescence() {
-    let src = workloads::jacobi(12, 1);
-    let compiled = compile(
-        &src,
-        &CompileOptions::on_grid(&[2, 2]).with_backend(Backend::Vm),
-    )
-    .unwrap();
-    let prog = compiled.vm_program().unwrap();
-    let mut m = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(&[2, 2]));
-    m.transport
-        .post_send(0, 1, 999_999, ArrayData::Real(vec![1.0]));
-    let mut eng = f90d_vm::Engine::new(prog, &mut m);
+    let mut eng = compiled.engine(&mut m).unwrap();
     let err = eng.run(&mut m).unwrap_err();
     assert!(
         err.0.contains("not quiescent"),

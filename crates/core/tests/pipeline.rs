@@ -7,7 +7,7 @@
 use std::collections::HashMap;
 
 use f90d_core::reference::run_reference;
-use f90d_core::{compile, CompileOptions, Executor, OptFlags};
+use f90d_core::{compile, CompileOptions, OptFlags};
 use f90d_distrib::ProcGrid;
 use f90d_machine::{ArrayData, Machine, MachineSpec};
 
@@ -24,8 +24,7 @@ fn differential(
     let compiled = compile(src, &o).unwrap_or_else(|e| panic!("compile failed: {e}\n{src}"));
     let reference = run_reference(&compiled.analyzed, inits).expect("reference run");
     let mut m = Machine::new(MachineSpec::ideal(), ProcGrid::new(grid));
-    let mut ex = Executor::new(&compiled.spmd, &mut m);
-    ex.sched.reuse = o.opt.schedule_reuse;
+    let mut ex = compiled.engine(&mut m).expect("lowers");
     for (name, data) in inits {
         assert!(ex.seed_array(&mut m, name, data), "unknown array {name}");
     }

@@ -5,7 +5,7 @@
 use std::collections::HashMap;
 
 use f90d_core::reference::run_reference;
-use f90d_core::{compile, CompileOptions, Executor};
+use f90d_core::{compile, CompileOptions};
 use f90d_distrib::ProcGrid;
 use f90d_machine::{ArrayData, Machine, MachineSpec};
 
@@ -14,7 +14,7 @@ fn differential(src: &str, grid: &[i64], inits: &HashMap<String, ArrayData>) -> 
     let compiled = compile(src, &o).unwrap_or_else(|e| panic!("compile failed: {e}\n{src}"));
     let reference = run_reference(&compiled.analyzed, inits).expect("reference run");
     let mut m = Machine::new(MachineSpec::ideal(), ProcGrid::new(grid));
-    let mut ex = Executor::new(&compiled.spmd, &mut m);
+    let mut ex = compiled.engine(&mut m).expect("lowers");
     for (name, data) in inits {
         assert!(ex.seed_array(&mut m, name, data), "unknown array {name}");
     }
@@ -236,7 +236,7 @@ END
     // Gray-code embedding: grid neighbours are hypercube neighbours.
     let grid = ProcGrid::with_embedding(&[4], GridEmbedding::GrayCode);
     let mut m = Machine::new(MachineSpec::ipsc860(), grid);
-    let mut ex = Executor::new(&compiled.spmd, &mut m);
+    let mut ex = compiled.engine(&mut m).expect("lowers");
     ex.run(&mut m).unwrap();
     let got = ex.gather_array(&mut m, "A").unwrap();
     let want = &reference.arrays["A"];
@@ -298,5 +298,56 @@ END
 ";
     for g in [vec![5], vec![8]] {
         differential(src, &g, &HashMap::new());
+    }
+}
+
+/// Rank 7 is the most an array may have (Fortran 90 R512), and it runs:
+/// written and read, on every element. Ranks 8 and 9 are compile errors
+/// naming the array — a rank-9 *read* used to compile and then fail at
+/// run time (`array read of rank 9 exceeds the VM subscript limit (8)`)
+/// while a rank-9 write ran.
+#[test]
+fn rank_seven_runs_and_more_is_a_compile_error() {
+    let program = |rank: usize| {
+        let dims = vec!["2"; rank].join(",");
+        let dist = std::iter::once("BLOCK")
+            .chain(std::iter::repeat_n("*", rank - 1))
+            .collect::<Vec<_>>()
+            .join(",");
+        let vars: Vec<String> = (1..=rank).map(|k| format!("I{k}")).collect();
+        let triplets: Vec<String> = vars.iter().map(|v| format!("{v}=1:2")).collect();
+        let weighted: Vec<String> = (vars.iter().enumerate())
+            .map(|(k, v)| format!("{}*{v}", 1 << k))
+            .collect();
+        format!(
+            "
+PROGRAM DEEP
+REAL A({dims}), B({dims})
+REAL S
+C$ DISTRIBUTE A({dist})
+C$ DISTRIBUTE B({dist})
+FORALL ({loops}) A({subs}) = REAL({value})
+FORALL ({loops}) B({subs}) = A({subs}) * 0.5
+S = SUM(B)
+PRINT *, 'SUM', S
+END
+",
+            loops = triplets.join(", "),
+            subs = vars.join(","),
+            value = weighted.join(" + "),
+        )
+    };
+    let printed = differential(&program(7), &[2], &HashMap::new());
+    // Every index is 1 on half of the 128 elements and 2 on the rest:
+    // 0.5 * (1 + 2 + … + 64) * 128 * 1.5.
+    assert_eq!(printed, vec!["SUM 12192.000000".to_string()]);
+    for rank in [8, 9] {
+        let err = compile(&program(rank), &CompileOptions::on_grid(&[2])).unwrap_err();
+        assert_eq!(
+            err,
+            format!(
+                "semantic error: array `A` has rank {rank}; the maximum is 7 (Fortran 90 R512)"
+            )
+        );
     }
 }

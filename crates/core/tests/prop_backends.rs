@@ -1,19 +1,19 @@
-//! Differential property test for the execution backends: random FORALL
+//! Differential property test for the execution tiers: random FORALL
 //! programs (1-D and 2-D, random distributions, shifts, masks, strided
 //! innermost loops, inner-invariant reads, in-place updates, updates
 //! that also read a row of their own array outside the rows they write,
 //! the whole pair of statements run once or twice by an enclosing `DO`
 //! — the second trip takes its iteration lists from the first's)
 //! must
-//! produce **bit-identical** arrays under `Backend::TreeWalk`,
-//! `Backend::Vm` — with the native kernel tier both on (the default;
-//! unmasked BLOCK samples dispatch to the monomorphized closures) and
-//! explicitly off — and the sequential reference interpreter, across
-//! grids `[1]`, `[2]`, and `[2,2]` — under a **sampled local-phase
-//! execution mode**: `ExecMode::Threaded` (persistent worker pool,
-//! cross-run schedule cache on as everywhere) must be indistinguishable
-//! from `ExecMode::Sequential` in arrays, virtual time, and elapsed
-//! parity between backends.
+//! produce **bit-identical** arrays on the engine — with the native
+//! kernel tier both on (the default; unmasked BLOCK samples dispatch to
+//! the monomorphized closures) and explicitly off — and in the
+//! sequential reference interpreter, across grids `[1]`, `[2]`, and
+//! `[2,2]` — under a **sampled local-phase execution mode**:
+//! `ExecMode::Threaded` (persistent worker pool, cross-run schedule
+//! cache on as everywhere) must be indistinguishable from
+//! `ExecMode::Sequential` in arrays and virtual time, and the two tiers
+//! from each other.
 //!
 //! A second property samples the irregular path the same way:
 //! `A(U(I)) = B(V(I)) + C(I)` behind INTEGER fills of `U`, `V` and a
@@ -25,7 +25,7 @@
 use std::collections::HashMap;
 
 use f90d_core::reference::run_reference;
-use f90d_core::{compile, Backend, CompileOptions, Executor};
+use f90d_core::{compile, CompileOptions};
 use f90d_distrib::ProcGrid;
 use f90d_machine::{budget, ArrayData, ExecMode, Machine, MachineSpec};
 use proptest::prelude::*;
@@ -236,111 +236,77 @@ fn host_inits(p: &RandProgram) -> HashMap<String, ArrayData> {
     HashMap::from([("B".to_string(), b), ("C".to_string(), c)])
 }
 
+/// Seed `inits` and run `src` under one tier and mode: the arrays `A`,
+/// `B`, `C`, the modelled time by bits, and the engine for its counters.
+fn run_tier(
+    src: &str,
+    p: &RandProgram,
+    inits: &HashMap<String, ArrayData>,
+    native: bool,
+    exec: ExecMode,
+) -> (Vec<ArrayData>, u64, f90d_vm::Engine) {
+    let mut opts = CompileOptions::on_grid(&p.grid);
+    opts.opt.native_kernels = native;
+    let compiled = compile(src, &opts).unwrap_or_else(|e| panic!("compile failed: {e}\n{src}"));
+    let mut m = Machine::with_mode(MachineSpec::ideal(), ProcGrid::new(&p.grid), exec);
+    let mut eng = compiled
+        .engine(&mut m)
+        .unwrap_or_else(|e| panic!("lowering failed: {e}\n{src}"));
+    for (name, data) in inits {
+        assert!(eng.seed_array(&mut m, name, data));
+    }
+    eng.run(&mut m)
+        .unwrap_or_else(|e| panic!("native {native} ({exec:?}) failed: {e}\n{src}"));
+    let arrays = ["A", "B", "C"]
+        .iter()
+        .map(|a| eng.gather_array(&mut m, a).unwrap())
+        .collect();
+    (arrays, m.elapsed().to_bits(), eng)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn backends_and_reference_bit_identical(p in rand_program()) {
+    fn tiers_and_reference_bit_identical(p in rand_program()) {
         // Single-core hosts would otherwise degrade every threaded
         // sample to sequential; raise the budget so the pool is real.
         budget::global().ensure_total_at_least(8);
         let src = program(&p);
         let inits = host_inits(&p);
-        let names = ["A", "B", "C"];
 
         // Sequential reference interpreter.
-        let opts = CompileOptions::on_grid(&p.grid);
-        let compiled = compile(&src, &opts)
+        let compiled = compile(&src, &CompileOptions::on_grid(&p.grid))
             .unwrap_or_else(|e| panic!("compile failed: {e}\n{src}"));
         let reference = run_reference(&compiled.analyzed, &inits).unwrap();
 
-        // Tree walker, under the sampled execution mode.
-        let mut m = Machine::with_mode(MachineSpec::ideal(), ProcGrid::new(&p.grid), p.exec);
-        let mut ex = Executor::new(&compiled.spmd, &mut m);
-        for (name, data) in &inits {
-            prop_assert!(ex.seed_array(&mut m, name, data));
-        }
-        ex.run(&mut m).unwrap_or_else(|e| panic!("tree walk failed: {e}\n{src}"));
-        let tw: Vec<ArrayData> = names
-            .iter()
-            .map(|a| ex.gather_array(&mut m, a).unwrap())
-            .collect();
-
-        // Bytecode engine, native kernel tier on (the default).
-        let compiled_vm = compile(&src, &opts.clone().with_backend(Backend::Vm)).unwrap();
-        let prog = compiled_vm.vm_program().unwrap_or_else(|e| panic!("lowering failed: {e}\n{src}"));
-        let mut m2 = Machine::with_mode(MachineSpec::ideal(), ProcGrid::new(&p.grid), p.exec);
-        let mut eng = f90d_vm::Engine::new(prog, &mut m2);
-        for (name, data) in &inits {
-            prop_assert!(eng.seed_array(&mut m2, name, data));
-        }
-        eng.run(&mut m2).unwrap_or_else(|e| panic!("vm failed: {e}\n{src}"));
+        // Native kernel tier on (the default), under the sampled mode.
+        let (nat, nat_t, eng) = run_tier(&src, &p, &inits, true, p.exec);
         // Both statements of a second trip reuse the first trip's
         // iteration lists; nothing outside a loop keeps any.
         prop_assert_eq!(eng.dispatch_reused(), 2 * p.repeat as u64, "list reuse\n{}", src);
-
-        for (k, name) in names.iter().enumerate() {
-            let vm = eng.gather_array(&mut m2, name).unwrap();
-            prop_assert_eq!(&tw[k], &vm, "array {} differs: tree walk vs vm\n{}", name, src);
-            let want = &reference.arrays[*name];
-            for i in 0..vm.len() {
-                prop_assert!(
-                    vm.get(i) == want.data.get(i),
-                    "array {}[{}] = {:?}, reference {:?}\n{}",
-                    name, i, vm.get(i), want.data.get(i), src
-                );
-            }
+        for (name, img) in ["A", "B", "C"].iter().zip(&nat) {
+            prop_assert_eq!(
+                img, &reference.arrays[*name].data,
+                "array {} vs the reference interpreter\n{}", name, src
+            );
         }
-        // Virtual time parity between the distributed backends.
-        prop_assert_eq!(m.elapsed(), m2.elapsed(), "virtual time differs\n{}", src);
 
-        // Bytecode engine with the native tier disabled: the pure
-        // bytecode element loop must be indistinguishable from the
-        // native-on run in arrays and virtual time, and must never
-        // report a native dispatch.
-        let mut opts_nonative = opts.clone().with_backend(Backend::Vm);
-        opts_nonative.opt.native_kernels = false;
-        let compiled_nn = compile(&src, &opts_nonative).unwrap();
-        let prog_nn = compiled_nn.vm_program().unwrap_or_else(|e| panic!("lowering failed: {e}\n{src}"));
-        prop_assert!(prog_nn.natives.is_empty(), "native off must select no kernels\n{}", src);
-        let mut m3 = Machine::with_mode(MachineSpec::ideal(), ProcGrid::new(&p.grid), p.exec);
-        let mut eng_nn = f90d_vm::Engine::new(prog_nn, &mut m3);
-        for (name, data) in &inits {
-            prop_assert!(eng_nn.seed_array(&mut m3, name, data));
-        }
-        eng_nn.run(&mut m3).unwrap_or_else(|e| panic!("vm (no native) failed: {e}\n{src}"));
+        // Native tier disabled: the pure bytecode element loop must be
+        // indistinguishable from the native-on run in arrays and
+        // virtual time, and must never report a native dispatch.
+        let (vm, vm_t, eng_nn) = run_tier(&src, &p, &inits, false, p.exec);
         prop_assert_eq!(eng_nn.native_counts().0, 0, "native off must never dispatch\n{}", src);
-        for name in &names {
-            let a = eng.gather_array(&mut m2, name).unwrap();
-            let b = eng_nn.gather_array(&mut m3, name).unwrap();
-            prop_assert_eq!(&a, &b, "array {} differs: native vs bytecode\n{}", name, src);
-        }
-        prop_assert_eq!(
-            m2.elapsed().to_bits(), m3.elapsed().to_bits(),
-            "virtual time must be tier-independent\n{}", src
-        );
+        prop_assert_eq!(&nat, &vm, "arrays differ: native vs bytecode\n{}", src);
+        prop_assert_eq!(nat_t, vm_t, "virtual time must be tier-independent\n{}", src);
 
         // Threaded samples additionally anchor against an explicitly
-        // sequential tree-walk run: arrays AND virtual time must be
-        // bit-identical across execution modes.
+        // sequential run: arrays AND virtual time must be bit-identical
+        // across execution modes.
         if p.exec == ExecMode::Threaded {
-            let mut ms = Machine::new(MachineSpec::ideal(), ProcGrid::new(&p.grid));
-            let mut exs = Executor::new(&compiled.spmd, &mut ms);
-            for (name, data) in &inits {
-                prop_assert!(exs.seed_array(&mut ms, name, data));
-            }
-            exs.run(&mut ms).unwrap_or_else(|e| panic!("sequential anchor failed: {e}\n{src}"));
-            for (k, name) in names.iter().enumerate() {
-                let seq = exs.gather_array(&mut ms, name).unwrap();
-                prop_assert_eq!(
-                    &tw[k], &seq,
-                    "array {} differs: threaded vs sequential\n{}", name, src
-                );
-            }
-            prop_assert_eq!(
-                m.elapsed().to_bits(), ms.elapsed().to_bits(),
-                "virtual time must be mode-independent\n{}", src
-            );
+            let (seq, seq_t, _) = run_tier(&src, &p, &inits, true, ExecMode::Sequential);
+            prop_assert_eq!(&nat, &seq, "arrays differ: threaded vs sequential\n{}", src);
+            prop_assert_eq!(nat_t, seq_t, "virtual time must be mode-independent\n{}", src);
         }
     }
 }
@@ -444,35 +410,27 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn irregular_backends_and_reference_bit_identical(p in rand_irregular()) {
+    fn irregular_tiers_and_reference_bit_identical(p in rand_irregular()) {
         budget::global().ensure_total_at_least(8);
         let src = irregular_program(&p);
         let names = ["A", "K", "U", "V"];
-        let run = |backend: Backend, native: bool| {
-            let mut opts = CompileOptions::on_grid(&p.grid).with_backend(backend);
+        let run = |native: bool| {
+            let mut opts = CompileOptions::on_grid(&p.grid);
             opts.opt.native_kernels = native;
             let compiled = compile(&src, &opts)
                 .unwrap_or_else(|e| panic!("compile failed: {e}\n{src}"));
             let mut m = Machine::with_mode(MachineSpec::ipsc860(), ProcGrid::new(&p.grid), p.exec);
             let (rep, trace) = compiled
                 .run_on_traced(&mut m)
-                .unwrap_or_else(|e| panic!("{backend:?} (native {native}) failed: {e}\n{src}"));
-            let arrays: Vec<ArrayData> = match backend {
-                Backend::TreeWalk => {
-                    let ex = Executor::new_preserving(&compiled.spmd, &mut m);
-                    names.iter().map(|a| ex.gather_array(&mut m, a).unwrap()).collect()
-                }
-                Backend::Vm => {
-                    let eng = f90d_vm::Engine::new_preserving(compiled.vm_program().unwrap(), &mut m);
-                    names.iter().map(|a| eng.gather_array(&mut m, a).unwrap()).collect()
-                }
-            };
+                .unwrap_or_else(|e| panic!("native {native} failed: {e}\n{src}"));
+            let eng = compiled.engine_preserving(&mut m).unwrap();
+            let arrays: Vec<ArrayData> =
+                names.iter().map(|a| eng.gather_array(&mut m, a).unwrap()).collect();
             let clocks: Vec<u64> = m.transport.clocks.iter().map(|c| c.to_bits()).collect();
             (arrays, clocks, rep.messages, rep.bytes, trace)
         };
-        let (nat, nat_clocks, nat_msgs, nat_bytes, nat_tr) = run(Backend::Vm, true);
-        let (vm, vm_clocks, vm_msgs, vm_bytes, vm_tr) = run(Backend::Vm, false);
-        let (tw, tw_clocks, tw_msgs, tw_bytes, _) = run(Backend::TreeWalk, false);
+        let (nat, nat_clocks, nat_msgs, nat_bytes, nat_tr) = run(true);
+        let (vm, vm_clocks, vm_msgs, vm_bytes, vm_tr) = run(false);
         prop_assert_eq!(vm_tr.native_matched, 0, "native off must never dispatch\n{}", src);
         // U and V are replicated INTEGER fills and always select (V's
         // subscript tree reads K); K's fill selects unless its divisor
@@ -491,14 +449,9 @@ proptest! {
             "FORALL executions (native, bytecode)\n{}", src
         );
         prop_assert_eq!(&nat, &vm, "arrays differ: native vs bytecode\n{}", src);
-        prop_assert_eq!(&nat, &tw, "arrays differ: native vs tree walk\n{}", src);
         prop_assert_eq!(
             (&nat_clocks, nat_msgs, nat_bytes), (&vm_clocks, vm_msgs, vm_bytes),
             "clocks, messages, bytes: native vs bytecode\n{}", src
-        );
-        prop_assert_eq!(
-            (&nat_clocks, nat_msgs, nat_bytes), (&tw_clocks, tw_msgs, tw_bytes),
-            "clocks, messages, bytes: native vs tree walk\n{}", src
         );
         // Where several iterations write one element the distributed
         // run-time's winner is message order, not iteration order:

@@ -6,7 +6,7 @@
 use std::collections::HashMap;
 
 use f90d_core::reference::run_reference;
-use f90d_core::{compile, CompileOptions, Executor};
+use f90d_core::{compile, CompileOptions};
 use f90d_distrib::ProcGrid;
 use f90d_machine::{ArrayData, Machine, MachineSpec};
 use proptest::prelude::*;
@@ -102,7 +102,7 @@ proptest! {
         ]);
         let reference = run_reference(&compiled.analyzed, &inits).unwrap();
         let mut m = Machine::new(MachineSpec::ideal(), ProcGrid::new(&[p.grid]));
-        let mut ex = Executor::new(&compiled.spmd, &mut m);
+        let mut ex = compiled.engine(&mut m).expect("lowers");
         for (name, data) in &inits {
             prop_assert!(ex.seed_array(&mut m, name, data));
         }

@@ -1,9 +1,9 @@
 //! Flag cross-product differential property test for the shared comm
 //! driver: every combination of `comm_compute_overlap` × `comm_plan` ×
-//! `native_kernels` × local-phase execution mode, on both backends, over
-//! random multi-statement shift kernels — all sequenced by
-//! `f90d_comm::driver`, all compared against the all-flags-off
-//! sequential tree walk.
+//! `native_kernels` × local-phase execution mode, over random
+//! multi-statement shift kernels — all sequenced by `f90d_comm::driver`,
+//! all compared against the all-flags-off sequential bytecode run, whose
+//! arrays and PRINT are the sequential reference interpreter's.
 //!
 //! The driver's contract, flag by flag:
 //!
@@ -14,12 +14,12 @@
 //! * virtual time only changes under `comm_plan` (strictly fewer
 //!   startups) or `comm_compute_overlap` (different charge interleaving
 //!   by design);
-//! * at equal flags the two backends and both native tiers agree on
-//!   every metric bit-for-bit.
+//! * at equal flags the two tiers agree on every metric bit-for-bit.
 
-use f90d_core::{compile, Backend, CompileOptions, Executor};
-use f90d_distrib::ProcGrid;
-use f90d_machine::{budget, ArrayData, ExecMode, Machine, MachineSpec};
+mod common;
+
+use common::{observe_with, reference, Observed, Tier};
+use f90d_machine::{budget, ExecMode};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -114,74 +114,24 @@ fn kernels() -> impl Strategy<Value = Kernel> {
         })
 }
 
-type Metrics = (u64, u64, u64, Vec<String>, Vec<ArrayData>);
+fn names(p: &Kernel) -> Vec<String> {
+    (1..=p.k)
+        .flat_map(|j| [format!("A{j}"), format!("B{j}")])
+        .collect()
+}
 
-/// One run at a full flag assignment; returns
-/// `(virt_bits, messages, bytes, printed, arrays)`.
-fn run_cfg(
-    p: &Kernel,
-    backend: Backend,
-    overlap: bool,
-    plan: bool,
-    native: bool,
-    exec: ExecMode,
-) -> Metrics {
+/// One run at a full flag assignment: everything it shows.
+fn run_cfg(p: &Kernel, overlap: bool, plan: bool, tier: Tier, exec: ExecMode) -> Observed {
     budget::global().ensure_total_at_least(8);
     let src = program(p);
-    let mut opts = CompileOptions::on_grid(&p.grid).with_backend(backend);
-    opts.opt.comm_compute_overlap = overlap;
-    opts.opt.comm_plan = plan;
-    opts.opt.native_kernels = native;
-    let compiled = compile(&src, &opts).unwrap_or_else(|e| panic!("compile failed: {e}\n{src}"));
-    let mut m = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(&p.grid));
-    let names: Vec<String> = (1..=p.k)
-        .flat_map(|j| [format!("A{j}"), format!("B{j}")])
-        .collect();
-    match backend {
-        Backend::TreeWalk => {
-            let mut ex = Executor::new(&compiled.spmd, &mut m);
-            ex.overlap = overlap;
-            ex.plan = plan;
-            ex.exec = Some(exec);
-            let rep = ex
-                .run(&mut m)
-                .unwrap_or_else(|e| panic!("tree walk failed: {e}\n{src}"));
-            let arrays = names
-                .iter()
-                .map(|a| ex.gather_array(&mut m, a).unwrap())
-                .collect();
-            (
-                rep.elapsed.to_bits(),
-                rep.messages,
-                rep.bytes,
-                rep.printed,
-                arrays,
-            )
-        }
-        Backend::Vm => {
-            let prog = compiled
-                .vm_program()
-                .unwrap_or_else(|e| panic!("lowering failed: {e}\n{src}"));
-            let mut eng = f90d_vm::Engine::new(prog, &mut m);
-            eng.overlap = overlap;
-            eng.plan = plan;
-            eng.exec = Some(exec);
-            let rep = eng
-                .run(&mut m)
-                .unwrap_or_else(|e| panic!("vm failed: {e}\n{src}"));
-            let arrays = names
-                .iter()
-                .map(|a| eng.gather_array(&mut m, a).unwrap())
-                .collect();
-            (
-                rep.elapsed.to_bits(),
-                rep.messages,
-                rep.bytes,
-                rep.printed,
-                arrays,
-            )
-        }
-    }
+    let names = names(p);
+    let names: Vec<&str> = names.iter().map(String::as_str).collect();
+    observe_with(&src, &p.grid, &names, tier, exec, &|opts| {
+        opts.opt.comm_compute_overlap = overlap;
+        opts.opt.comm_plan = plan;
+    })
+    .unwrap_or_else(|e| panic!("{tier:?} failed: {e}\n{src}"))
+    .0
 }
 
 proptest! {
@@ -189,44 +139,43 @@ proptest! {
 
     #[test]
     fn every_flag_combination_matches_the_reference(p in kernels()) {
-        // The all-flags-off sequential tree walk is the semantic anchor.
-        let (tb, msg_b, by_b, pr_b, arr_b) =
-            run_cfg(&p, Backend::TreeWalk, false, false, false, ExecMode::Sequential);
+        // The all-flags-off sequential bytecode run is the anchor, and
+        // the reference interpreter is the anchor's.
+        let base = run_cfg(&p, false, false, Tier::Bytecode, ExecMode::Sequential);
+        let names = names(&p);
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        let (want, printed) = reference(&program(&p), &p.grid, &names);
+        prop_assert_eq!(&base.arrays, &want, "arrays vs the reference");
+        prop_assert_eq!(&base.printed, &printed, "PRINT vs the reference");
         for overlap in [false, true] {
             for plan in [false, true] {
-                // Tree walk ignores `native`; run the VM tier both ways
-                // and require all three agree with each other exactly.
-                let tw = run_cfg(&p, Backend::TreeWalk, overlap, plan, false, p.exec);
-                let vm = run_cfg(&p, Backend::Vm, overlap, plan, false, p.exec);
-                let nat = run_cfg(&p, Backend::Vm, overlap, plan, true, p.exec);
-                prop_assert_eq!(&tw, &vm,
-                    "backends must agree at overlap={} plan={}", overlap, plan);
+                let vm = run_cfg(&p, overlap, plan, Tier::Bytecode, p.exec);
+                let nat = run_cfg(&p, overlap, plan, Tier::Native, p.exec);
                 prop_assert_eq!(&vm, &nat,
                     "native tier must be invisible at overlap={} plan={}", overlap, plan);
 
-                let (to, msg_o, by_o, pr_o, arr_o) = tw;
-                prop_assert_eq!(&arr_o, &arr_b,
+                prop_assert_eq!(&vm.arrays, &base.arrays,
                     "arrays bit-identical at overlap={} plan={}", overlap, plan);
-                prop_assert_eq!(&pr_o, &pr_b,
+                prop_assert_eq!(&vm.printed, &base.printed,
                     "PRINT invariant at overlap={} plan={}", overlap, plan);
-                prop_assert_eq!(by_o, by_b, "no flag may change payload bytes");
+                prop_assert_eq!(vm.bytes, base.bytes, "no flag may change payload bytes");
                 if plan {
-                    prop_assert!(msg_o <= msg_b, "the plan must never add messages");
+                    prop_assert!(vm.messages <= base.messages, "the plan must never add messages");
                 } else {
-                    prop_assert_eq!(msg_o, msg_b,
+                    prop_assert_eq!(vm.messages, base.messages,
                         "only comm_plan may change message counts (overlap={})", overlap);
                 }
                 if !plan && !overlap {
-                    prop_assert_eq!(to, tb,
+                    prop_assert_eq!(&vm.clocks, &base.clocks,
                         "virtual time must be bit-identical with both timing flags off");
                 } else if plan && !overlap {
                     prop_assert!(
-                        f64::from_bits(to) <= f64::from_bits(tb),
+                        vm.elapsed() <= base.elapsed(),
                         "the plan must never increase virtual time"
                     );
                 }
                 // overlap on: virtual time differs by design (interior
-                // compute charges against wire time); the cross-backend
+                // compute charges against wire time); the cross-tier
                 // equality above is the invariant that matters.
             }
         }
@@ -234,12 +183,12 @@ proptest! {
 
     #[test]
     fn full_flag_runs_are_deterministic(p in kernels()) {
-        // Everything on at once, twice, both backends: the driver's
-        // sequencing must be a pure function of the program.
-        let a = run_cfg(&p, Backend::Vm, true, true, true, p.exec);
-        let b = run_cfg(&p, Backend::Vm, true, true, true, p.exec);
-        prop_assert_eq!(&a, &b, "all-flags-on VM run must be deterministic");
-        let tw = run_cfg(&p, Backend::TreeWalk, true, true, true, p.exec);
-        prop_assert_eq!(&a, &tw, "all-flags-on metrics must agree across backends");
+        // Everything on at once, twice: the driver's sequencing must be
+        // a pure function of the program.
+        let a = run_cfg(&p, true, true, Tier::Native, p.exec);
+        let b = run_cfg(&p, true, true, Tier::Native, p.exec);
+        prop_assert_eq!(&a, &b, "all-flags-on run must be deterministic");
+        let vm = run_cfg(&p, true, true, Tier::Bytecode, p.exec);
+        prop_assert_eq!(&a, &vm, "all-flags-on metrics must agree across tiers");
     }
 }

@@ -210,6 +210,10 @@ fn check_calls(body: &[Stmt], program: &Program) -> SResult<()> {
     Ok(())
 }
 
+/// Most dimensions an array may have (Fortran 90 R512). The engine
+/// decodes subscripts into fixed buffers sized from it.
+pub const MAX_RANK: usize = 7;
+
 fn analyze_unit(unit: &Unit) -> SResult<UnitInfo> {
     let mut info = UnitInfo {
         name: unit.name.clone(),
@@ -230,6 +234,13 @@ fn analyze_unit(unit: &Unit) -> SResult<UnitInfo> {
         if d.dims.is_empty() {
             info.scalars.insert(d.name.clone(), d.ty);
         } else {
+            if d.dims.len() > MAX_RANK {
+                return err(format!(
+                    "array `{}` has rank {}; the maximum is {MAX_RANK} (Fortran 90 R512)",
+                    d.name,
+                    d.dims.len()
+                ));
+            }
             let extents: SResult<Vec<i64>> = d
                 .dims
                 .iter()
@@ -857,6 +868,20 @@ mod tests {
             "unknown template"
         );
         assert!(analyze_src("PROGRAM T\nCALL NOPE()\nEND\n").is_err()); // unknown sub
+                                                                        // Rank 7 is the most an array may have.
+        let ranked = |r: usize| format!("PROGRAM T\nREAL A({})\nEND\n", vec!["2"; r].join(","));
+        assert_eq!(
+            analyze_src(&ranked(7)).unwrap().main_info().arrays["A"]
+                .extents
+                .len(),
+            7
+        );
+        for r in [8, 9] {
+            assert_eq!(
+                analyze_src(&ranked(r)).unwrap_err().0,
+                format!("array `A` has rank {r}; the maximum is 7 (Fortran 90 R512)")
+            );
+        }
         assert!(analyze_src("PROGRAM T\nREAL A(4)\nB = UNKNOWNFN(A)\nEND\n").is_err());
     }
 

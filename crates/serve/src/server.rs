@@ -154,7 +154,7 @@ impl ServerState {
                     messages: rep.messages,
                     bytes: rep.bytes,
                     printed: rep.printed,
-                    program_cache_hit: trace.program_cache_hit,
+                    program_cache_hit: trace.program_cache_hit == Some(true),
                     sched_hits: trace.sched_hits,
                     sched_misses: trace.sched_misses,
                     workers: trace.workers,

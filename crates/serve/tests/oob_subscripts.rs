@@ -3,7 +3,7 @@
 //! (`broadcast_elem`), the slab index of `B(I,J) = A(I,K)` (`multicast`
 //! / `transfer`), a gathered or scattered `A(U(I))`, an owner
 //! assignment `A(K) = …`, a fixed LHS index `B(I,K) = …` — is a fault
-//! of the tenant's program, not of the daemon: both backends must
+//! of the tenant's program, not of the daemon: both tiers must
 //! report the same structured "subscript … out of bounds" error the
 //! element loops give, and `f90d-serve` must answer
 //! `execution error: …` (not `internal error: execution panicked`) and
@@ -83,14 +83,15 @@ fn program(stmt: &str) -> String {
 }
 
 #[test]
-fn both_backends_report_the_structured_error() {
+fn both_tiers_report_the_structured_error() {
     for (stmt, want) in CASES {
-        for backend in [Backend::TreeWalk, Backend::Vm] {
-            let opts = CompileOptions::on_grid(&GRID).with_backend(backend);
+        for native in [false, true] {
+            let mut opts = CompileOptions::on_grid(&GRID);
+            opts.opt.native_kernels = native;
             let compiled = compile(&program(stmt), &opts).unwrap();
             let mut m = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(&GRID));
             let err = compiled.run_on(&mut m).unwrap_err();
-            assert_eq!(err.0, want, "`{stmt}` on {backend:?}");
+            assert_eq!(err.0, want, "`{stmt}` with native kernels {native}");
         }
     }
 }
@@ -100,26 +101,34 @@ fn the_daemon_answers_execution_error_and_stays_healthy() {
     let handle = Server::spawn(ServeConfig::default()).unwrap();
     let mut c = Client::connect(handle.addr).unwrap();
     for (stmt, want) in CASES {
-        for backend in [Backend::TreeWalk, Backend::Vm] {
-            let resp = c
-                .run(&RunRequest {
-                    source: program(stmt),
-                    grid: GRID.to_vec(),
-                    machine: "ipsc860".to_string(),
-                    backend,
-                    sched_cache: true,
-                    threaded: false,
-                    overlap: false,
-                })
-                .unwrap();
-            assert_eq!(resp.get("ok"), Some(&Json::Bool(false)), "{resp:?}");
-            assert_eq!(
-                resp.get("error"),
-                Some(&Json::Str(format!("execution error: {want}"))),
-                "`{stmt}` on {backend:?}"
-            );
-        }
+        let resp = c
+            .run(&RunRequest {
+                source: program(stmt),
+                grid: GRID.to_vec(),
+                machine: "ipsc860".to_string(),
+                backend: Backend::Vm,
+                sched_cache: true,
+                threaded: false,
+                overlap: false,
+            })
+            .unwrap();
+        assert_eq!(resp.get("ok"), Some(&Json::Bool(false)), "{resp:?}");
+        assert_eq!(
+            resp.get("error"),
+            Some(&Json::Str(format!("execution error: {want}"))),
+            "`{stmt}`"
+        );
     }
+    // The tree walker these cases also ran on is gone: asking for it is
+    // a malformed request, like any unknown backend.
+    let resp = c
+        .request_raw(r#"{"op":"run","source":"END","grid":[2,2],"options":{"backend":"treewalk"}}"#)
+        .unwrap();
+    assert_eq!(resp.get("code"), Some(&Json::Num(400.0)), "{resp:?}");
+    assert_eq!(
+        resp.get("error"),
+        Some(&Json::Str("unknown backend `treewalk` (want vm)".into()))
+    );
     // Still serving, and on the same machine shape: the faulted runs
     // leaked nothing.
     assert_eq!(c.ping().unwrap().get("ok"), Some(&Json::Bool(true)));
@@ -141,7 +150,7 @@ fn the_daemon_answers_execution_error_and_stays_healthy() {
 /// `DO K = i64::MAX - 1, i64::MAX` used to wrap its increment past the
 /// bound and never end, holding the tenant's admission slot forever (a
 /// panic in a debug build). It is two trips: the daemon answers with
-/// the PRINT line, on both backends, and goes on serving.
+/// the PRINT line and goes on serving.
 #[test]
 fn a_do_loop_at_the_edge_of_i64_terminates() {
     let handle = Server::spawn(ServeConfig::default()).unwrap();
@@ -151,25 +160,22 @@ DO Z = 9223372036854775806, 9223372036854775807
   K = K + 1
 END DO
 PRINT *, 'TRIPS', K";
-    for backend in [Backend::TreeWalk, Backend::Vm] {
-        let resp = c
-            .run(&RunRequest {
-                source: program(stmt),
-                grid: GRID.to_vec(),
-                machine: "ipsc860".to_string(),
-                backend,
-                sched_cache: true,
-                threaded: false,
-                overlap: false,
-            })
-            .unwrap();
-        assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{resp:?}");
-        assert_eq!(
-            resp.get("result").and_then(|r| r.get("printed")),
-            Some(&Json::Arr(vec![Json::Str("TRIPS 2".into())])),
-            "{backend:?}"
-        );
-    }
+    let resp = c
+        .run(&RunRequest {
+            source: program(stmt),
+            grid: GRID.to_vec(),
+            machine: "ipsc860".to_string(),
+            backend: Backend::Vm,
+            sched_cache: true,
+            threaded: false,
+            overlap: false,
+        })
+        .unwrap();
+    assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{resp:?}");
+    assert_eq!(
+        resp.get("result").and_then(|r| r.get("printed")),
+        Some(&Json::Arr(vec![Json::Str("TRIPS 2".into())]))
+    );
     assert_eq!(c.ping().unwrap().get("ok"), Some(&Json::Bool(true)));
     handle.shutdown().unwrap();
 }

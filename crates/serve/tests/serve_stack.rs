@@ -157,6 +157,25 @@ fn protocol_end_to_end_over_tcp() {
         .unwrap();
     assert!(!boolean(&cerr, &["ok"]));
     assert_eq!(num(&cerr, &["code"]), 422.0);
+    // So is an array of more than seven dimensions (a rank-9 read used
+    // to compile and fail at run time).
+    for rank in [8, 9] {
+        let dims = vec!["2"; rank].join(",");
+        let deep = c
+            .run(&run_req(
+                format!("PROGRAM DEEP\nREAL A({dims})\nEND\n"),
+                vec![2],
+            ))
+            .unwrap();
+        assert_eq!(num(&deep, &["code"]), 422.0);
+        assert_eq!(
+            get(&deep, &["error"]).as_str().unwrap(),
+            format!(
+                "compile error: semantic error: array `A` has rank {rank}; \
+                 the maximum is 7 (Fortran 90 R512)"
+            )
+        );
+    }
 
     // Raw invalid UTF-8 on the wire → 400, not a dead server.
     let mut raw = TcpStream::connect(handle.addr).unwrap();
@@ -410,8 +429,8 @@ fn server_run_is_bit_identical_to_direct_run() {
 /// INTEGER `**` keeps the exponent's parity above 62 everywhere a tenant
 /// can reach it: `corpus/int_pow.f90d` (`(-1)**63`, a 128-element
 /// alternating fill that sums to 0, powers that wrap) prints its pinned
-/// lines from the reference interpreter, the tree walker, the bytecode
-/// tier and the daemon alike. Every one of them used to clamp the
+/// lines from the reference interpreter, both tiers of the engine and
+/// the daemon alike. Every one of them used to clamp the
 /// exponent to 62 and print `ALT 66.000000`.
 #[test]
 fn integer_pow_is_the_same_on_every_evaluator_and_through_the_daemon() {
@@ -421,7 +440,7 @@ fn integer_pow_is_the_same_on_every_evaluator_and_through_the_daemon() {
         .collect();
     assert!(want[0].starts_with("ALT 0.000000 -1.000000 1.000000 -1.000000"));
     let grid = vec![4];
-    let mut req = run_req(source.to_string(), grid.clone());
+    let req = run_req(source.to_string(), grid.clone());
 
     let compiled = compile(source, &req.compile_options()).unwrap();
     let reference = f90d_core::reference::run_reference(&compiled.analyzed, &Default::default());
@@ -429,20 +448,27 @@ fn integer_pow_is_the_same_on_every_evaluator_and_through_the_daemon() {
 
     let handle = Server::spawn(ServeConfig::default()).unwrap();
     let mut c = Client::connect(handle.addr).unwrap();
-    for backend in [Backend::TreeWalk, Backend::Vm] {
-        req.backend = backend;
-        let compiled = compile(source, &req.compile_options()).unwrap();
+    for native in [false, true] {
+        let mut opts = req.compile_options();
+        opts.opt.native_kernels = native;
+        let compiled = compile(source, &opts).unwrap();
         let mut machine = Machine::new(MachineSpec::ipsc860(), f90d_distrib::ProcGrid::new(&grid));
         let direct = compiled.run_on(&mut machine).unwrap();
-        assert_eq!(direct.printed, want, "{backend:?}");
-        let resp = c.run(&req).unwrap();
-        assert_ok(&resp);
-        let printed: Vec<&str> = match get(&resp, &["result", "printed"]) {
-            Json::Arr(items) => items.iter().map(|i| i.as_str().unwrap()).collect(),
-            other => panic!("printed not an array: {other:?}"),
-        };
-        assert_eq!(printed, want, "{backend:?} through the daemon");
+        assert_eq!(direct.printed, want, "native kernels {native}");
     }
+    let resp = c.run(&req).unwrap();
+    assert_ok(&resp);
+    let printed: Vec<&str> = match get(&resp, &["result", "printed"]) {
+        Json::Arr(items) => items.iter().map(|i| i.as_str().unwrap()).collect(),
+        other => panic!("printed not an array: {other:?}"),
+    };
+    assert_eq!(printed, want, "through the daemon");
+    // The daemon has one backend; the tree walker's wire name is a
+    // structured 400 now.
+    let resp = c
+        .request_raw(r#"{"op":"run","source":"END","grid":[4],"options":{"backend":"treewalk"}}"#)
+        .unwrap();
+    assert_eq!(get(&resp, &["code"]), &Json::Num(400.0), "{resp:?}");
     handle.shutdown().unwrap();
 }
 

@@ -1,11 +1,10 @@
 //! The run-time half of the statement layer: every operation of a node
 //! program whose body does not depend on *how* an expression is
-//! evaluated, implemented once for both executors.
+//! evaluated.
 //!
-//! The tree walker (`f90d_core::exec`) and the bytecode
-//! [`Engine`](crate::engine::Engine) evaluate a statement's operands
-//! their own way — [`CommStmt::try_map`] / [`RtCall::try_map`] with
-//! `E = Value` — and then call the plain functions here: collective and
+//! The [`Engine`](crate::engine::Engine) evaluates a statement's
+//! operands — [`CommStmt::try_map`] / [`RtCall::try_map`] with
+//! `E = Value` — and then calls the plain functions here: collective and
 //! runtime-library dispatch (including the REDISTRIBUTE descriptor
 //! swap), array allocation, owner-filter activation and the paper's
 //! `set_BOUND` iteration partitioning, split-phase overlap eligibility,

@@ -1,8 +1,8 @@
 //! The bytecode execution engine.
 //!
-//! Runs a [`VmProgram`] against a simulated machine with the same
-//! loosely synchronous structure and the same virtual-time cost model as
-//! the tree-walking executor in `f90d-core`. Statements are a flat
+//! Runs a [`VmProgram`] against a simulated machine, loosely
+//! synchronously, charging the machine's virtual-time cost model as it
+//! goes. Statements are a flat
 //! fetch/decode loop; a FORALL the native tier does not take runs
 //! **chunk-at-a-time**: one driver (`Chunk::for_each`) walks a rank's
 //! cartesian iteration space `CHUNK` tuples at a time (a chunk spans
@@ -1053,13 +1053,13 @@ fn resolve_acc(
     }
 }
 
-/// The bytecode engine's [`ComputeSink`]: the shared driver decides
+/// The engine's [`ComputeSink`]: the comm driver decides
 /// *when* ghost exchanges post, complete, and commit; this sink runs the
 /// interior/boundary chunk loops ([`run_forall_rank`], uncommitted)
 /// under the machine's `ExecMode` via `local_phase_map`, which charges
 /// interior ranks as usual and each rank's boundary slabs as one summed
-/// lump (the tree walker charges identically, keeping backend virtual
-/// time bit-equal).
+/// lump (the order of the additions is part of the clock's bits, pinned
+/// by the `overlap` lines of `corpus/*.virt`).
 struct VmSink<'a> {
     cx: ForallCx<'a>,
     resolved: &'a [Vec<Option<ResolvedAcc>>],
@@ -2024,9 +2024,9 @@ struct Stage {
 }
 
 impl Stage {
-    /// Apply the writes to the FORALL's destination on this node. The
-    /// target follows the tree walker: the first body assignment's array
-    /// (lowering rejects mixed-array owned bodies).
+    /// Apply the writes to the FORALL's destination on this node: the
+    /// first body assignment's array (lowering rejects mixed-array owned
+    /// bodies).
     fn commit(&self, cx: ForallCx<'_>, mem: &mut NodeMemory) {
         if self.offs.is_empty() {
             return;

@@ -1,8 +1,7 @@
 //! The native kernel tier: FORALL superinstructions compiled to
 //! monomorphized Rust closures at lowering time.
 //!
-//! This is the third execution tier (tree walk → bytecode → native).
-//! There is no run-time code generation: [`select`] runs once per
+//! This is the tier above the bytecode chunk loop. There is no run-time code generation: [`select`] runs once per
 //! lowered FORALL inside `f90d-core::vmlower`, symbolically evaluates
 //! the straight-line body over the register code, and — when every
 //! value is REAL or INTEGER arithmetic the closures can reproduce
@@ -39,8 +38,8 @@
 //! ([`Lhs::Scatter`]). The inspector's own subscripts (`V(I)`) are
 //! INTEGER box kernels too ([`NativeGather`]).
 //!
-//! The contract is strict bit-identity with the bytecode engine (and
-//! therefore with the tree walker): same operation tree in the same
+//! The contract is strict bit-identity with the bytecode tier: same
+//! operation tree in the same
 //! association order, same integer→real promotion points, the `i64`
 //! operators of `ops::eval_bin` / `eval_intrin`, RHS before LHS with
 //! the same last writer, and the same modelled element-operation cost.

@@ -1,8 +1,9 @@
-//! Value-level operator semantics shared by every executor.
+//! Value-level operator semantics shared by every evaluator.
 //!
-//! Both the tree-walking interpreter (`f90d-core::exec`) and the bytecode
-//! engine in this crate evaluate scalar operations through these
-//! functions, so the two backends cannot drift apart on promotion,
+//! The engine in this crate (scalar context, and as the arm-by-arm
+//! oracle of its column operators) and the sequential reference
+//! interpreter (`f90d-core::reference`) evaluate scalar operations
+//! through these functions, so they cannot drift apart on promotion,
 //! division, or intrinsic edge cases.
 
 use f90d_frontend::ast::{BinOp, UnOp};
@@ -195,7 +196,8 @@ pub fn eval_intrin(f: Intrin, args: &[Value]) -> OpResult {
     }
 }
 
-/// Apply an elemental intrinsic by name (tree-walker entry point).
+/// Apply an elemental intrinsic by name (the reference interpreter's
+/// entry point).
 pub fn eval_elemental(name: &str, args: &[Value]) -> OpResult {
     match Intrin::from_name(name) {
         Some(f) => eval_intrin(f, args),

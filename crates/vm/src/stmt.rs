@@ -1,5 +1,5 @@
 //! The statement layer: the node types of a compiled SPMD program that
-//! both executors understand, defined once.
+//! the tree IR and the bytecode share, defined once.
 //!
 //! A collective call, a runtime-library call, a FORALL loop variable and
 //! an array declaration mean the same thing whether the program is the

@@ -9,7 +9,7 @@
 //! ```
 
 use f90d_bench::workloads;
-use fortran90d::compiler::{compile, CompileOptions, Executor};
+use fortran90d::compiler::{compile, CompileOptions};
 use fortran90d::distrib::ProcGrid;
 use fortran90d::machine::{Machine, MachineSpec};
 
@@ -24,7 +24,7 @@ fn main() {
     }
 
     let mut machine = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(&[8]));
-    let mut ex = Executor::new(&compiled.spmd, &mut machine);
+    let mut ex = compiled.engine(&mut machine).expect("lowers");
     let report = ex.run(&mut machine).expect("runs");
     println!(
         "\nbutterfly on 8 nodes: {:.3} ms modelled, {} messages",

@@ -9,7 +9,7 @@
 //! ```
 
 use f90d_bench::workloads;
-use fortran90d::compiler::{compile, CompileOptions, Executor};
+use fortran90d::compiler::{compile, CompileOptions};
 use fortran90d::distrib::ProcGrid;
 use fortran90d::machine::{Machine, MachineSpec};
 
@@ -20,8 +20,7 @@ fn main() {
         opts.opt.schedule_reuse = reuse;
         let compiled = compile(&src, &opts).expect("compiles");
         let mut machine = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(&[8]));
-        let mut ex = Executor::new(&compiled.spmd, &mut machine);
-        ex.sched.reuse = reuse;
+        let mut ex = compiled.engine(&mut machine).expect("lowers");
         let report = ex.run(&mut machine).expect("runs");
         println!(
             "schedule reuse {}: {:.3} ms modelled, {} messages, gathers recorded: {}",

@@ -14,11 +14,34 @@
 //! * [`frontend`] — Fortran 90D/HPF lexer, parser, semantic analysis, and
 //!   normalization to FORALL form.
 //! * [`compiler`] — the compiler itself: partitioning, communication
-//!   detection/generation, optimizations, SPMD code generation, and the
-//!   loosely synchronous executor.
-//! * [`vm`] — the register-bytecode execution engine
-//!   (`CompileOptions::backend = Backend::Vm`): same results and virtual
-//!   times as the tree walker, several times lower host wall-clock.
+//!   detection/generation, optimizations, SPMD code generation, lowering
+//!   to bytecode, and the sequential reference interpreter.
+//! * [`vm`] — the execution engine: the lowered node program runs
+//!   loosely synchronously over the simulated machine, FORALLs on native
+//!   kernels where their bodies are affine and a chunk at a time on
+//!   bytecode otherwise.
+//!
+//! ```
+//! use fortran90d::compiler::{compile, CompileOptions};
+//! use fortran90d::distrib::ProcGrid;
+//! use fortran90d::machine::{Machine, MachineSpec, Value};
+//!
+//! let src = "
+//! PROGRAM SQUARES
+//! REAL A(8)
+//! C$ DISTRIBUTE A(BLOCK)
+//! FORALL (I=1:8) A(I) = REAL(I*I)
+//! END
+//! ";
+//! let compiled = compile(src, &CompileOptions::on_grid(&[4])).unwrap();
+//! let mut m = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(&[4]));
+//! // `compiled.run_on(&mut m)` runs it; an engine also seeds and gathers.
+//! let mut engine = compiled.engine(&mut m).unwrap();
+//! let report = engine.run(&mut m).unwrap();
+//! assert!(report.elapsed > 0.0);
+//! let a = engine.gather_array(&mut m, "A").unwrap();
+//! assert_eq!(a.get(2), Value::Real(9.0));
+//! ```
 //!
 //! See `README.md` for a quickstart and `ARCHITECTURE.md` for
 //! the system inventory and the paper-reproduction index.
