@@ -1,23 +1,23 @@
 //! Experiment runners — one per paper table/figure and ablation
 //! (ARCHITECTURE.md, "Where the numbers come from"). Every function
-//! returns plain data so the `repro` binary and the criterion benches
-//! draw from the same source.
+//! returns plain data: the `repro` binary turns it into a
+//! [`Report`](crate::report::Report), the facade's tests assert on it.
 
 use std::sync::Arc;
 
-use f90d_core::{compile, CompileOptions, OptFlags, RunTrace};
+use f90d_core::{compile, CompileOptions, ExecReport, OptFlags, RunTrace};
 use f90d_distrib::ProcGrid;
-use f90d_machine::{ExecMode, Machine, MachineSpec};
+use f90d_machine::{ArrayData, ExecMode, Machine, MachineSpec};
 
 use crate::handwritten::ge_handwritten;
+use crate::harness::{spec_of, MACHINES};
 use crate::workloads;
 
 /// Compile + run Gaussian elimination on `p` processors of `spec`;
 /// returns the modelled elimination time (initialization excluded the
 /// same way for both variants).
-pub fn ge_compiled_time(n: i64, p: i64, spec: &MachineSpec, merge_comm: bool) -> f64 {
-    let mut opts = CompileOptions::on_grid(&[p]);
-    opts.opt.merge_comm = merge_comm;
+pub fn ge_compiled_time(n: i64, p: i64, spec: &MachineSpec) -> f64 {
+    let opts = CompileOptions::on_grid(&[p]);
     let compiled = compile(&workloads::gaussian(n), &opts).expect("gaussian compiles");
     let mut m = Machine::new(spec.clone(), ProcGrid::new(&[p]));
     // Execute the initialization FORALLs, reset the clock, then eliminate
@@ -52,13 +52,10 @@ pub struct TierRow {
     pub virt_s: f64,
     /// Virtual time bit-identical across the two tiers.
     pub virt_equal: bool,
-    /// FORALL executions the native run dispatched to kernels.
-    pub native_matched: u64,
-    /// FORALL executions the native run left on the bytecode loop.
-    pub native_fallback: u64,
-    /// Of the matched, the executions in which some rank staged its
-    /// writes instead of writing them in place.
-    pub native_staged: u64,
+    /// Tier counts of the native run: FORALL executions dispatched to
+    /// kernels, left on the bytecode loop, and staged instead of written
+    /// in place.
+    pub trace: RunTrace,
 }
 
 /// Host wall-clock of one full run of `src` under each execution tier:
@@ -80,15 +77,8 @@ pub fn tier_wallclock(src: &str, grid: &[i64], spec: &MachineSpec) -> TierRow {
             (t0.elapsed().as_secs_f64(), rep.elapsed, trace)
         };
         once();
-        (0..3)
-            .map(|_| once())
-            .fold((f64::INFINITY, 0.0, RunTrace::default()), |acc, r| {
-                if r.0 < acc.0 {
-                    r
-                } else {
-                    acc
-                }
-            })
+        let best = (0..3).map(|_| once()).min_by(|a, b| a.0.total_cmp(&b.0));
+        best.expect("three timed runs")
     };
     let (wv, vv, _) = run(false);
     let (wn, vn, trace) = run(true);
@@ -97,9 +87,7 @@ pub fn tier_wallclock(src: &str, grid: &[i64], spec: &MachineSpec) -> TierRow {
         wall_native_s: wn,
         virt_s: vn,
         virt_equal: vv.to_bits() == vn.to_bits(),
-        native_matched: trace.native_matched,
-        native_fallback: trace.native_fallback,
-        native_staged: trace.native_staged,
+        trace,
     }
 }
 
@@ -112,33 +100,17 @@ pub fn ge_hand_time(n: i64, p: i64, spec: &MachineSpec) -> f64 {
 /// Figure 5: compiled-GE execution time vs problem size on 16 nodes of
 /// the iPSC/860 and nCUBE/2 models. Returns `(n, t_ipsc, t_ncube)` rows.
 pub fn fig5(sizes: &[i64], p: i64) -> Vec<(i64, f64, f64)> {
-    let ipsc = MachineSpec::ipsc860();
-    let ncube = MachineSpec::ncube2();
-    sizes
-        .iter()
-        .map(|&n| {
-            (
-                n,
-                ge_compiled_time(n, p, &ipsc, true),
-                ge_compiled_time(n, p, &ncube, true),
-            )
-        })
-        .collect()
+    let time = |n, machine| ge_compiled_time(n, p, &spec_of(machine));
+    let row = |&n| (n, time(n, "ipsc860"), time(n, "ncube2"));
+    sizes.iter().map(row).collect()
 }
 
-/// One Table 4 row: `(p, hand_time, compiled_time)`.
-pub fn table4_row(n: i64, p: i64) -> (i64, f64, f64) {
-    let spec = MachineSpec::ipsc860();
-    (
-        p,
-        ge_hand_time(n, p, &spec),
-        ge_compiled_time(n, p, &spec, true),
-    )
-}
-
-/// Table 4: hand-written vs compiled GE, iPSC/860 model.
+/// Table 4: hand-written vs compiled GE, iPSC/860 model. Rows are
+/// `(p, hand_time, compiled_time)`.
 pub fn table4(n: i64, procs: &[i64]) -> Vec<(i64, f64, f64)> {
-    procs.iter().map(|&p| table4_row(n, p)).collect()
+    let spec = MachineSpec::ipsc860();
+    let row = |&p| (p, ge_hand_time(n, p, &spec), ge_compiled_time(n, p, &spec));
+    procs.iter().map(row).collect()
 }
 
 /// Figure 6: speedups against the sequential (P = 1) run of each code.
@@ -155,12 +127,17 @@ pub fn table3_microbench(n: i64) -> Vec<(&'static str, &'static str, f64)> {
     use f90d_machine::{ElemType, Value};
     use f90d_runtime::{intrinsics as rt, DistArray};
     let spec = MachineSpec::ipsc860();
+    // A REAL array, BLOCK-distributed in every dimension.
+    let real = |m: &mut Machine, name: &str, shape: &[i64]| {
+        let dist = vec![DistKind::Block; shape.len()];
+        DistArray::create(m, name, ElemType::Real, shape, &dist)
+    };
     let mut out = Vec::new();
     // 1. structured communication: CSHIFT
     {
         let mut m = Machine::new(spec.clone(), ProcGrid::new(&[16]));
-        let a = DistArray::create(&mut m, "A", ElemType::Real, &[n], &[DistKind::Block]);
-        let b = DistArray::create(&mut m, "B", ElemType::Real, &[n], &[DistKind::Block]);
+        let a = real(&mut m, "A", &[n]);
+        let b = real(&mut m, "B", &[n]);
         a.fill_with(&mut m, |g| Value::Real(g[0] as f64));
         m.reset_time();
         rt::cshift(&mut m, &a, &b, 0, 3);
@@ -169,7 +146,7 @@ pub fn table3_microbench(n: i64) -> Vec<(&'static str, &'static str, f64)> {
     // 2. reduction: SUM
     {
         let mut m = Machine::new(spec.clone(), ProcGrid::new(&[16]));
-        let a = DistArray::create(&mut m, "A", ElemType::Real, &[n], &[DistKind::Block]);
+        let a = real(&mut m, "A", &[n]);
         a.fill_with(&mut m, |g| Value::Real(g[0] as f64));
         m.reset_time();
         let _ = rt::sum(&mut m, &a);
@@ -178,20 +155,8 @@ pub fn table3_microbench(n: i64) -> Vec<(&'static str, &'static str, f64)> {
     // 3. multicasting: SPREAD
     {
         let mut m = Machine::new(spec.clone(), ProcGrid::new(&[4, 4]));
-        let v = DistArray::create(
-            &mut m,
-            "V",
-            ElemType::Real,
-            &[n.min(256)],
-            &[DistKind::Block],
-        );
-        let d = DistArray::create(
-            &mut m,
-            "D",
-            ElemType::Real,
-            &[16, n.min(256)],
-            &[DistKind::Block, DistKind::Block],
-        );
+        let v = real(&mut m, "V", &[n.min(256)]);
+        let d = real(&mut m, "D", &[16, n.min(256)]);
         v.fill_with(&mut m, |g| Value::Real(g[0] as f64));
         m.reset_time();
         rt::spread(&mut m, &v, &d, 0);
@@ -201,20 +166,8 @@ pub fn table3_microbench(n: i64) -> Vec<(&'static str, &'static str, f64)> {
     {
         let side = (n as f64).sqrt() as i64;
         let mut m = Machine::new(spec.clone(), ProcGrid::new(&[4, 4]));
-        let a = DistArray::create(
-            &mut m,
-            "A",
-            ElemType::Real,
-            &[side, side],
-            &[DistKind::Block, DistKind::Block],
-        );
-        let b = DistArray::create(
-            &mut m,
-            "B",
-            ElemType::Real,
-            &[side, side],
-            &[DistKind::Block, DistKind::Block],
-        );
+        let a = real(&mut m, "A", &[side, side]);
+        let b = real(&mut m, "B", &[side, side]);
         a.fill_with(&mut m, |g| Value::Real((g[0] * side + g[1]) as f64));
         m.reset_time();
         rt::transpose(&mut m, &a, &b);
@@ -224,10 +177,9 @@ pub fn table3_microbench(n: i64) -> Vec<(&'static str, &'static str, f64)> {
     {
         let side = ((n as f64).sqrt() as i64 / 4).max(1) * 4;
         let mut m = Machine::new(spec.clone(), ProcGrid::new(&[4, 4]));
-        let dist = [DistKind::Block, DistKind::Block];
-        let a = DistArray::create(&mut m, "A", ElemType::Real, &[side, side], &dist);
-        let b = DistArray::create(&mut m, "B", ElemType::Real, &[side, side], &dist);
-        let c = DistArray::create(&mut m, "C", ElemType::Real, &[side, side], &dist);
+        let a = real(&mut m, "A", &[side, side]);
+        let b = real(&mut m, "B", &[side, side]);
+        let c = real(&mut m, "C", &[side, side]);
         a.fill_with(&mut m, |g| Value::Real((g[0] + g[1]) as f64));
         b.fill_with(&mut m, |g| Value::Real((g[0] * 2 - g[1]) as f64));
         m.reset_time();
@@ -237,38 +189,44 @@ pub fn table3_microbench(n: i64) -> Vec<(&'static str, &'static str, f64)> {
     out
 }
 
+/// Compile `src` for `grid` under the default optimization flags as
+/// `flags` changes them, run it on a fresh `spec` machine, and gather
+/// the named arrays: what every ablation and claim experiment below
+/// compares two or three of.
+fn run_with(
+    src: &str,
+    grid: &[i64],
+    spec: &MachineSpec,
+    flags: impl FnOnce(&mut OptFlags),
+    arrays: &[&str],
+) -> (ExecReport, Vec<ArrayData>) {
+    let mut opts = CompileOptions::on_grid(grid);
+    flags(&mut opts.opt);
+    let compiled = compile(src, &opts).expect("workload compiles");
+    let mut m = Machine::new(spec.clone(), ProcGrid::new(grid));
+    let mut eng = compiled.engine(&mut m).expect("workload lowers");
+    let rep = eng.run(&mut m).expect("workload runs");
+    let gathered = (arrays.iter())
+        .map(|a| eng.gather_array(&mut m, a).expect("a declared array"))
+        .collect();
+    (rep, gathered)
+}
+
 /// ABL-1 (§7(2) duplicate-communication elimination) on the GE kernel:
 /// `(messages_opt_on, messages_opt_off, t_on, t_off)`.
 pub fn ablation_merge_comm(n: i64, p: i64) -> (u64, u64, f64, f64) {
-    let spec = MachineSpec::ipsc860();
-    let run = |merge: bool| {
-        let mut opts = CompileOptions::on_grid(&[p]);
-        opts.opt.merge_comm = merge;
-        let compiled = compile(&workloads::gaussian(n), &opts).unwrap();
-        let mut m = Machine::new(spec.clone(), ProcGrid::new(&[p]));
-        let mut eng = compiled.engine(&mut m).unwrap();
-        eng.run(&mut m).unwrap();
-        (m.transport.messages, m.elapsed())
-    };
-    let (msg_on, t_on) = run(true);
-    let (msg_off, t_off) = run(false);
-    (msg_on, msg_off, t_on, t_off)
+    let (src, spec) = (workloads::gaussian(n), MachineSpec::ipsc860());
+    let run = |merge| run_with(&src, &[p], &spec, |o| o.merge_comm = merge, &[]).0;
+    let (on, off) = (run(true), run(false));
+    (on.messages, off.messages, on.elapsed, off.elapsed)
 }
 
 /// ABL-2 (§7(3) schedule reuse) on the irregular kernel:
 /// `(t_reuse, t_no_reuse)`.
 pub fn ablation_schedule_reuse(n: i64, p: i64) -> (f64, f64) {
-    let spec = MachineSpec::ipsc860();
-    let run = |reuse: bool| {
-        let mut opts = CompileOptions::on_grid(&[p]);
-        opts.opt.schedule_reuse = reuse;
-        let compiled = compile(&workloads::irregular(n), &opts).unwrap();
-        let mut m = Machine::new(spec.clone(), ProcGrid::new(&[p]));
-        let mut eng = compiled.engine(&mut m).unwrap();
-        eng.run(&mut m).unwrap();
-        m.elapsed()
-    };
-    (run(true), run(false))
+    let (src, spec) = (workloads::irregular(n), MachineSpec::ipsc860());
+    let run = |reuse| run_with(&src, &[p], &spec, |o| o.schedule_reuse = reuse, &[]).0;
+    (run(true).elapsed, run(false).elapsed)
 }
 
 /// ABL-3 (§5.3.1 fused multicast_shift): `(t_fused, t_two_step)`.
@@ -292,15 +250,12 @@ END DO
 END
 "
     );
-    let run = |fused: bool| {
-        let mut opts = CompileOptions::on_grid(&[4, 4]);
-        opts.opt.fuse_multicast_shift = fused;
-        opts.opt.hoist_invariant_comm = false;
-        let compiled = compile(&src, &opts).unwrap();
-        let mut m = Machine::new(spec.clone(), ProcGrid::new(&[4, 4]));
-        let mut eng = compiled.engine(&mut m).unwrap();
-        eng.run(&mut m).unwrap();
-        m.elapsed()
+    let run = |fused| {
+        let flags = |o: &mut OptFlags| {
+            o.fuse_multicast_shift = fused;
+            o.hoist_invariant_comm = false;
+        };
+        run_with(&src, &[4, 4], &spec, flags, &[]).0.elapsed
     };
     (run(true), run(false))
 }
@@ -308,17 +263,9 @@ END
 /// ABL-4 (§5.1 overlap vs temporary shift) on Jacobi:
 /// `(t_overlap, t_temporary)`.
 pub fn ablation_overlap_shift(n: i64, iters: i64, p: i64) -> (f64, f64) {
-    let spec = MachineSpec::ipsc860();
-    let run = |overlap: bool| {
-        let mut opts = CompileOptions::on_grid(&[p, p]);
-        opts.opt.overlap_shift = overlap;
-        let compiled = compile(&workloads::jacobi(n, iters), &opts).unwrap();
-        let mut m = Machine::new(spec.clone(), ProcGrid::new(&[p, p]));
-        let mut eng = compiled.engine(&mut m).unwrap();
-        eng.run(&mut m).unwrap();
-        m.elapsed()
-    };
-    (run(true), run(false))
+    let (src, spec) = (workloads::jacobi(n, iters), MachineSpec::ipsc860());
+    let run = |overlap| run_with(&src, &[p, p], &spec, |o| o.overlap_shift = overlap, &[]).0;
+    (run(true).elapsed, run(false).elapsed)
 }
 
 /// One row of the communication–computation overlap experiment
@@ -362,38 +309,28 @@ pub fn overlap_experiment(n: i64, iters: i64, p: i64) -> Vec<OverlapRow> {
     let src = workloads::jacobi(n, iters);
     let grid = [p, p];
     let run = |spec: &MachineSpec, overlap_shift: bool, overlap: bool| {
-        let mut opts = CompileOptions::on_grid(&grid);
-        opts.opt.overlap_shift = overlap_shift;
-        opts.opt.comm_compute_overlap = overlap;
-        let compiled = compile(&src, &opts).expect("jacobi compiles");
-        let mut m = Machine::new(spec.clone(), ProcGrid::new(&grid));
-        let mut eng = compiled.engine(&mut m).expect("jacobi lowers");
-        let rep = eng.run(&mut m).expect("jacobi runs");
-        let arrays: Vec<_> = ["A", "B"]
-            .iter()
-            .map(|a| eng.gather_array(&mut m, a).unwrap())
-            .collect();
-        (rep.elapsed, rep.printed, arrays)
+        let flags = |o: &mut OptFlags| {
+            o.overlap_shift = overlap_shift;
+            o.comm_compute_overlap = overlap;
+        };
+        run_with(&src, &grid, spec, flags, &["A", "B"])
     };
-    [
-        ("ipsc860", MachineSpec::ipsc860()),
-        ("ncube2", MachineSpec::ncube2()),
-    ]
-    .into_iter()
-    .map(|(machine, spec)| {
-        let (t_temporary, pr_t, arr_t) = run(&spec, false, false);
-        let (t_blocking, pr_b, arr_b) = run(&spec, true, false);
-        let (t_overlap, pr_o, arr_o) = run(&spec, true, true);
+    let row = |machine| {
+        let spec = spec_of(machine);
+        let (temporary, arr_t) = run(&spec, false, false);
+        let (blocking, arr_b) = run(&spec, true, false);
+        let (overlap, arr_o) = run(&spec, true, true);
         OverlapRow {
             machine,
-            t_temporary,
-            t_blocking,
-            t_overlap,
+            t_temporary: temporary.elapsed,
+            t_blocking: blocking.elapsed,
+            t_overlap: overlap.elapsed,
             arrays_identical: arr_t == arr_b && arr_b == arr_o,
-            print_identical: pr_t == pr_b && pr_b == pr_o,
+            print_identical: temporary.printed == blocking.printed
+                && blocking.printed == overlap.printed,
         }
-    })
-    .collect()
+    };
+    MACHINES.into_iter().map(row).collect()
 }
 
 /// One row of the phase-level communication planning experiment
@@ -468,37 +405,21 @@ pub fn commplan_experiment(n: i64, iters: i64, p: i64) -> Vec<CommPlanRow> {
             false,
         ),
     ];
-    let run = |src: &str, names: &[&str], spec: &MachineSpec, plan: bool| {
-        let mut opts = CompileOptions::on_grid(&grid);
-        opts.opt.comm_plan = plan;
-        let compiled = compile(src, &opts).expect("workload compiles");
-        let mut m = Machine::new(spec.clone(), ProcGrid::new(&grid));
-        let mut eng = compiled.engine(&mut m).expect("workload lowers");
-        let rep = eng.run(&mut m).expect("workload runs");
-        let arrays: Vec<_> = names
-            .iter()
-            .map(|a| eng.gather_array(&mut m, a).unwrap())
-            .collect();
-        (rep.elapsed, rep.messages, rep.bytes, rep.printed, arrays)
-    };
     let mut rows = Vec::new();
     for (workload, src, names, gated) in &cases {
-        for (machine, spec) in [
-            ("ipsc860", MachineSpec::ipsc860()),
-            ("ncube2", MachineSpec::ncube2()),
-        ] {
-            let (t_off, msg_off, by_off, pr_off, arr_off) = run(src, names, &spec, false);
-            let (t_on, msg_on, by_on, pr_on, arr_on) = run(src, names, &spec, true);
+        for machine in MACHINES {
+            let run = |plan| run_with(src, &grid, &spec_of(machine), |o| o.comm_plan = plan, names);
+            let ((off, arr_off), (on, arr_on)) = (run(false), run(true));
             rows.push(CommPlanRow {
                 workload,
                 machine,
-                t_per_stmt: t_off,
-                t_plan: t_on,
-                msgs_per_stmt: msg_off,
-                msgs_plan: msg_on,
-                bytes_equal: by_on == by_off,
+                t_per_stmt: off.elapsed,
+                t_plan: on.elapsed,
+                msgs_per_stmt: off.messages,
+                msgs_plan: on.messages,
+                bytes_equal: on.bytes == off.bytes,
                 arrays_identical: arr_on == arr_off,
-                print_identical: pr_on == pr_off,
+                print_identical: on.printed == off.printed,
                 gated: *gated,
             });
         }
@@ -515,10 +436,7 @@ pub fn portability(n: i64, p: i64) -> Vec<(String, f64)> {
         MachineSpec::paragon(4, 4).expect("4x4 mesh is valid"),
     ]
     .into_iter()
-    .map(|spec| {
-        let name = spec.name.clone();
-        (name, ge_compiled_time(n, p, &spec, true))
-    })
+    .map(|spec| (spec.name.clone(), ge_compiled_time(n, p, &spec)))
     .collect()
 }
 
@@ -544,18 +462,4 @@ pub fn threaded_equivalence(n: i64, p: i64) -> bool {
         a.gather_host(&mut m)
     };
     run(ExecMode::Sequential) == run(ExecMode::Threaded)
-}
-
-/// Pretty table printer shared by the repro binary.
-pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
-    println!("\n== {title} ==");
-    println!("{}", header.join("\t"));
-    for r in rows {
-        println!("{}", r.join("\t"));
-    }
-}
-
-/// Keep the default optimization flags visible to binaries.
-pub fn default_flags() -> OptFlags {
-    OptFlags::default()
 }

@@ -5,7 +5,7 @@
 //! Execution is *virtual-time* deterministic — every cell builds its own
 //! [`Machine`], so the modelled seconds, message counts and byte counts
 //! of a cell are identical no matter which worker runs it or in what
-//! order. That is what makes the matrix CI-gateable: [`render_table`]
+//! order. That is what makes the matrix CI-gateable: [`report`]'s table
 //! emits only the deterministic columns in canonical cell order (so
 //! `--jobs 8` output is byte-identical to `--jobs 1`), and
 //! [`diff_baseline`] compares a run against a committed `results.json`
@@ -23,11 +23,12 @@ use std::collections::VecDeque;
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use f90d_core::{compile, CompileOptions};
+use f90d_core::{compile, CompileOptions, ExecReport, RunTrace};
 use f90d_distrib::ProcGrid;
 use f90d_machine::{budget, ExecMode, Machine, MachineSpec};
 use serde::json::Json;
 
+use crate::report::{shape_text, Report, Val};
 use crate::workloads;
 
 /// Matrix size preset.
@@ -72,7 +73,7 @@ impl Cell {
             "{}/n{}/g{}/{}",
             self.workload,
             self.n,
-            grid_name(&self.grid),
+            shape_text(&self.grid),
             self.machine
         )
     }
@@ -88,13 +89,17 @@ impl Cell {
             other => panic!("unknown workload {other}"),
         }
     }
+}
 
-    fn spec(&self) -> MachineSpec {
-        match self.machine {
-            "ipsc860" => MachineSpec::ipsc860(),
-            "ncube2" => MachineSpec::ncube2(),
-            other => panic!("unknown machine {other}"),
-        }
+/// The two machine models of the paper's evaluation, by matrix name.
+pub const MACHINES: [&str; 2] = ["ipsc860", "ncube2"];
+
+/// The model a [`MACHINES`] name stands for.
+pub fn spec_of(machine: &str) -> MachineSpec {
+    match machine {
+        "ipsc860" => MachineSpec::ipsc860(),
+        "ncube2" => MachineSpec::ncube2(),
+        other => panic!("unknown machine {other}"),
     }
 }
 
@@ -103,56 +108,18 @@ impl Cell {
 pub struct CellResult {
     /// The cell that produced this.
     pub cell: Cell,
-    /// Modelled elapsed seconds (deterministic, gated bit-exactly).
-    pub virt_s: f64,
-    /// Messages sent (deterministic, gated).
-    pub messages: u64,
-    /// Payload bytes sent (deterministic, gated).
-    pub bytes: u64,
-    /// PRINT output (deterministic, gated).
-    pub printed: Vec<String>,
+    /// Modelled seconds, messages, payload bytes and PRINT output: the
+    /// deterministic metrics, gated bit-exactly.
+    pub run: ExecReport,
     /// Host wall clock for the run (informational — never gated by
     /// default, scheduling-dependent).
     pub wall_s: f64,
-    /// Program-cache outcome: a hit, or this cell performed the
-    /// lowering. Which cell of a key group lowers depends on worker
-    /// scheduling, so this is informational; the *totals* are
-    /// deterministic.
-    pub cache_hit: bool,
-    /// Schedule-cache hits during this cell's run (informational — which
-    /// cell of a pattern group builds depends on worker scheduling).
-    pub sched_hits: u64,
-    /// Schedule-cache misses (inspector builds) during this cell's run.
-    pub sched_misses: u64,
-    /// Pool workers the cell's machine held for its local phases (0 =
-    /// sequential, either by `--exec sequential` or because the worker
-    /// budget was exhausted when this cell leased). Informational —
-    /// grants depend on which cells run concurrently — and never gated.
-    pub workers: usize,
-    /// FORALL executions dispatched to a native-tier kernel (always 0
-    /// under `repro --no-native`). Informational,
-    /// never gated — the tiers are bit-identical on every gated metric.
-    pub native_matched: u64,
-    /// FORALL executions that ran the bytecode element loop instead.
-    pub native_fallback: u64,
-    /// Structured shift plans the cell's run planned / replayed from
-    /// its per-run table (`RunTrace::ghost_plans_built` / `_reused`),
-    /// and FORALL executions that reused the previous execution's
-    /// iteration lists (`RunTrace::dispatch_reused`).
-    /// Exact per cell, informational, never gated: they explain host
-    /// time and move no gated metric.
-    pub ghost_plans_built: u64,
-    /// See [`CellResult::ghost_plans_built`].
-    pub ghost_plans_reused: u64,
-    /// See [`CellResult::ghost_plans_built`].
-    pub dispatch_reused: u64,
-    /// Comm phases the shared driver posted as one batched, coalesced
-    /// ghost exchange (nonzero only with `comm_plan` on — e.g. the
-    /// `--exp commplan` ablation). Informational, never gated.
-    pub comm_groups: u64,
-    /// Comm phases the driver refused and re-ran statement-by-statement
-    /// (planning failed — e.g. mixed element types). Informational.
-    pub comm_fallbacks: u64,
+    /// The run's cache outcomes and tier counts. Informational, never
+    /// gated: they explain host time and move no gated metric, and some
+    /// (which cell of a key group lowers or builds a schedule, how many
+    /// pool workers a cell was granted) depend on worker scheduling —
+    /// only their totals over a run are deterministic.
+    pub trace: RunTrace,
 }
 
 /// One full matrix run.
@@ -164,16 +131,6 @@ pub struct MatrixReport {
     pub jobs: usize,
     /// Wall clock of the whole run.
     pub wall_s: f64,
-    /// Program-cache hits during this run.
-    pub cache_hits: u64,
-    /// Program-cache misses (lowerings) during this run.
-    pub cache_misses: u64,
-    /// Schedule-cache hits during this run (hits + misses is
-    /// deterministic; the split depends on process cache history — a
-    /// second matrix run in the same process is all hits).
-    pub sched_hits: u64,
-    /// Schedule-cache misses (inspector builds) during this run.
-    pub sched_misses: u64,
     /// Local-phase execution mode the cells ran under.
     pub exec: ExecMode,
     /// Worker-budget total at run time (`repro --workers`, default host
@@ -183,11 +140,31 @@ pub struct MatrixReport {
     pub cells: Vec<CellResult>,
 }
 
-fn grid_name(grid: &[i64]) -> String {
-    grid.iter()
-        .map(|d| d.to_string())
-        .collect::<Vec<_>>()
-        .join("x")
+impl MatrixReport {
+    /// One [`RunTrace::counters`] entry summed over this run's cells.
+    /// The caches are process-wide, so deltas of their own counters
+    /// would also count whatever else the process ran meanwhile.
+    /// (`sched_hits` + `sched_misses` is deterministic; the split
+    /// depends on process cache history — a second matrix run in the
+    /// same process is all hits.)
+    pub fn total(&self, counter: &str) -> u64 {
+        let of = |t: &RunTrace| {
+            t.counters()
+                .iter()
+                .find(|(k, _)| *k == counter)
+                .map(|c| c.1)
+        };
+        (self.cells.iter())
+            .map(|c| of(&c.trace).unwrap_or_else(|| panic!("no counter {counter}")))
+            .sum()
+    }
+
+    /// Cells that found their bytecode in the program cache; the rest
+    /// performed a lowering (one per distinct key).
+    pub fn cache_hits(&self) -> u64 {
+        let hit = |c: &&CellResult| c.trace.program_cache_hit == Some(true);
+        self.cells.iter().filter(hit).count() as u64
+    }
 }
 
 /// Intern a serialized workload name back to the matrix's static name
@@ -200,7 +177,7 @@ fn workload_of(name: &str) -> Option<&'static str> {
 
 /// Intern a serialized machine name back to the matrix's static name.
 fn machine_of(name: &str) -> Option<&'static str> {
-    ["ipsc860", "ncube2"].into_iter().find(|&m| m == name)
+    MACHINES.into_iter().find(|&m| m == name)
 }
 
 /// The experiment matrix at `scale`, in canonical order: workload, then
@@ -232,7 +209,7 @@ pub fn matrix(scale: Scale) -> Vec<Cell> {
     for (workload, sizes, grids) in rows {
         for &n in &sizes {
             for grid in &grids {
-                for machine in ["ipsc860", "ncube2"] {
+                for machine in MACHINES {
                     cells.push(Cell {
                         workload,
                         n,
@@ -246,70 +223,41 @@ pub fn matrix(scale: Scale) -> Vec<Cell> {
     cells
 }
 
-/// Compile and run one cell on its own fresh [`Machine`].
-pub fn run_cell(cell: &Cell) -> CellResult {
-    run_cell_with(cell, true)
-}
-
-/// [`run_cell`] with the cross-run schedule cache on or off
-/// (`repro --no-sched-cache`). Virtual metrics are identical either way.
-pub fn run_cell_with(cell: &Cell, sched_cache: bool) -> CellResult {
-    run_cell_cfg(cell, sched_cache, ExecMode::Sequential)
-}
-
-/// [`run_cell_with`] under an explicit local-phase execution mode
-/// (`repro --exec`). A threaded cell leases up to P pool workers from
-/// the process-wide `f90d_machine::budget` for the duration of the run
-/// — the machine (and with it the pool and its lease) is dropped when
-/// this returns, normally or by panic, so a crashed cell can never leak
-/// budget. Virtual metrics are identical in either mode.
-pub fn run_cell_cfg(cell: &Cell, sched_cache: bool, exec: ExecMode) -> CellResult {
-    run_cell_native(cell, sched_cache, exec, true)
-}
-
-/// [`run_cell_cfg`] with the native kernel tier on or off (`repro
-/// --no-native`). Every gated metric is identical either way; only host
-/// wall clock and the informational `native_kernels` counters change.
-pub fn run_cell_native(cell: &Cell, sched_cache: bool, exec: ExecMode, native: bool) -> CellResult {
+/// Compile and run one cell on its own fresh [`Machine`], under `cfg`'s
+/// schedule-cache, execution-mode and native-tier settings (every gated
+/// metric is identical under any of them). A threaded cell leases up to
+/// P pool workers from the process-wide `f90d_machine::budget` for the
+/// duration of the run — the machine (and with it the pool and its
+/// lease) is dropped when this returns, normally or by panic, so a
+/// crashed cell can never leak budget.
+pub fn run_cell(cell: &Cell, cfg: &MatrixConfig) -> CellResult {
     let mut opts = CompileOptions::on_grid(&cell.grid);
-    opts.sched_cache = sched_cache;
-    opts.exec_mode = Some(exec);
-    opts.opt.native_kernels = native;
+    opts.sched_cache = cfg.sched_cache;
+    opts.exec_mode = Some(cfg.exec);
+    opts.opt.native_kernels = cfg.native;
     let compiled =
         compile(&cell.source(), &opts).unwrap_or_else(|e| panic!("{} compiles: {e}", cell.id()));
-    let mut m = Machine::new(cell.spec(), ProcGrid::new(&cell.grid));
+    let mut m = Machine::new(spec_of(cell.machine), ProcGrid::new(&cell.grid));
     let t0 = Instant::now();
-    let (rep, trace) = compiled
+    let (run, trace) = compiled
         .run_on_traced(&mut m)
         .unwrap_or_else(|e| panic!("{} runs: {e:?}", cell.id()));
     CellResult {
         cell: cell.clone(),
-        virt_s: rep.elapsed,
-        messages: rep.messages,
-        bytes: rep.bytes,
-        printed: rep.printed,
+        run,
         wall_s: t0.elapsed().as_secs_f64(),
-        cache_hit: trace.program_cache_hit == Some(true),
-        sched_hits: trace.sched_hits,
-        sched_misses: trace.sched_misses,
-        workers: trace.workers,
-        native_matched: trace.native_matched,
-        native_fallback: trace.native_fallback,
-        ghost_plans_built: trace.ghost_plans_built,
-        ghost_plans_reused: trace.ghost_plans_reused,
-        dispatch_reused: trace.dispatch_reused,
-        comm_groups: trace.comm_groups,
-        comm_fallbacks: trace.comm_fallbacks,
+        trace,
     }
 }
 
-/// How [`run_matrix_cfg`] runs a matrix: worker count, suite name,
+/// How [`run_matrix`] runs a matrix: worker count, suite name,
 /// schedule-cache toggle, local-phase execution mode, worker budget.
 #[derive(Debug, Clone)]
 pub struct MatrixConfig {
     /// Harness job workers (cells run concurrently).
     pub jobs: usize,
-    /// Suite preset recorded in the report (baselines must match).
+    /// Suite preset recorded in the report — the one the cells were
+    /// built with ([`diff_baseline`] refuses cross-suite comparisons).
     pub scale: Scale,
     /// Consult the cross-run schedule cache (`--no-sched-cache` off).
     pub sched_cache: bool,
@@ -321,8 +269,7 @@ pub struct MatrixConfig {
     /// per cell and degrade to sequential when the pot is empty, so
     /// `jobs × per-cell workers` never exceeds this total.
     pub budget: Option<usize>,
-    /// Native kernel tier on VM cells (`repro --no-native` turns it
-    /// off). Gated metrics are identical either way.
+    /// Native kernel tier on (`repro --no-native` turns it off).
     pub native: bool,
 }
 
@@ -338,28 +285,6 @@ impl MatrixConfig {
             native: true,
         }
     }
-}
-
-/// Run `cells` on `jobs` workers with work stealing; results come back
-/// in canonical (input) order regardless of execution interleaving.
-/// `scale` is recorded as the report's suite name — pass the same value
-/// the cells were built with ([`diff_baseline`] refuses cross-suite
-/// comparisons).
-pub fn run_matrix_scaled(cells: &[Cell], jobs: usize, scale: Scale) -> MatrixReport {
-    run_matrix_with(cells, jobs, scale, true)
-}
-
-/// [`run_matrix_scaled`] with the cross-run schedule cache on or off.
-pub fn run_matrix_with(
-    cells: &[Cell],
-    jobs: usize,
-    scale: Scale,
-    sched_cache: bool,
-) -> MatrixReport {
-    let mut cfg = MatrixConfig::new(scale);
-    cfg.jobs = jobs;
-    cfg.sched_cache = sched_cache;
-    run_matrix_cfg(cells, &cfg)
 }
 
 /// Pop one job for worker `w`: its own deque's front, else a steal from
@@ -417,8 +342,8 @@ fn next_job(queues: &[Mutex<VecDeque<usize>>], w: usize) -> Option<usize> {
     }
 }
 
-/// [`run_matrix_scaled`] under a full [`MatrixConfig`]: schedule cache,
-/// execution mode and worker budget.
+/// Run `cells` on `cfg.jobs` workers with work stealing; results come
+/// back in canonical (input) order regardless of execution interleaving.
 ///
 /// Each worker owns a deque seeded round-robin **before** the scope
 /// starts; it pops its own front and when empty steals from the back of
@@ -427,7 +352,7 @@ fn next_job(queues: &[Mutex<VecDeque<usize>>], w: usize) -> Option<usize> {
 /// process-wide budget for its machine's local phases, so the host runs
 /// at most `budget` pool threads no matter how `jobs × P` multiplies
 /// out; cells that lease nothing run sequentially — bit-identically.
-pub fn run_matrix_cfg(cells: &[Cell], cfg: &MatrixConfig) -> MatrixReport {
+pub fn run_matrix(cells: &[Cell], cfg: &MatrixConfig) -> MatrixReport {
     let jobs = cfg.jobs.max(1);
     if let Some(total) = cfg.budget {
         budget::global().set_total(total);
@@ -447,173 +372,81 @@ pub fn run_matrix_cfg(cells: &[Cell], cfg: &MatrixConfig) -> MatrixReport {
             let slots = &slots;
             s.spawn(move || {
                 while let Some(i) = next_job(queues, w) {
-                    let _ = slots[i].set(run_cell_native(
-                        &cells[i],
-                        cfg.sched_cache,
-                        cfg.exec,
-                        cfg.native,
-                    ));
+                    let _ = slots[i].set(run_cell(&cells[i], cfg));
                 }
             });
         }
     });
 
-    let wall_s = t0.elapsed().as_secs_f64();
-    let cells: Vec<CellResult> = slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("every cell ran"))
-        .collect();
-    // Cache statistics are summed from this run's own cells: the caches
-    // are process-wide, so deltas of their counters would also count
-    // whatever else the process ran meanwhile.
-    let count = |hit: bool| cells.iter().filter(|c| c.cache_hit == hit).count() as u64;
     MatrixReport {
         suite: cfg.scale.name(),
         jobs,
-        wall_s,
-        cache_hits: count(true),
-        cache_misses: count(false),
-        sched_hits: cells.iter().map(|c| c.sched_hits).sum(),
-        sched_misses: cells.iter().map(|c| c.sched_misses).sum(),
+        wall_s: t0.elapsed().as_secs_f64(),
         exec: cfg.exec,
         worker_budget: budget::global().total(),
-        cells,
+        cells: slots
+            .into_iter()
+            .map(|s| s.into_inner().expect("every cell ran"))
+            .collect(),
     }
 }
 
-/// Render the deterministic view of a report: one row per cell in
-/// canonical order, virtual metrics at full precision, plus the cache
-/// totals (which are scheduling-independent: misses = distinct keys).
-/// This is the `repro` stdout that must be byte-identical across
-/// `--jobs` values.
-pub fn render_table(rep: &MatrixReport) -> String {
-    let mut out = String::new();
-    out.push_str("workload\tn\tgrid\tmachine\tvirt_s\tmessages\tbytes\n");
-    for c in &rep.cells {
-        out.push_str(&format!(
-            "{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
-            c.cell.workload,
-            c.cell.n,
-            grid_name(&c.cell.grid),
-            c.cell.machine,
-            c.virt_s,
-            c.messages,
-            c.bytes
-        ));
-        for line in &c.printed {
-            out.push_str(&format!("  print: {line}\n"));
-        }
-    }
-    out.push_str(&format!(
-        "cache: hits={} misses={}\n",
-        rep.cache_hits, rep.cache_misses
-    ));
+/// The run as a [`Report`]. Its table is the deterministic view — one
+/// row per cell in canonical order, virtual metrics at full precision,
+/// plus the program-cache totals (scheduling-independent: misses =
+/// distinct keys) — the `repro` stdout that must be byte-identical
+/// across `--jobs` values. Its document is `results.json`
+/// (`f90d-results/v2`): the gated columns, then the informational ones
+/// ([`diff_baseline`] reads neither those nor the head) — wall clock,
+/// `cache_hit`, and every [`RunTrace::counters`] entry.
+pub fn report(rep: &MatrixReport) -> Report {
+    let mut out = Report::of("", &rep.cells)
+        .col("workload", "workload", |c| {
+            Val::Text(c.cell.workload.into())
+        })
+        .col("n", "n", |c| Val::Int(c.cell.n as u64))
+        .col("grid", "grid", |c| Val::Shape(c.cell.grid.clone()))
+        .col("machine", "machine", |c| Val::Text(c.cell.machine.into()))
+        .col("virt_s", "virt_s", |c| Val::Num(c.run.elapsed))
+        .col("messages", "messages", |c| Val::Int(c.run.messages))
+        .col("bytes", "bytes", |c| Val::Int(c.run.bytes))
+        .col("", "printed", |c| Val::Lines(c.run.printed.clone()))
+        .col("", "wall_s", |c| Val::Num(c.wall_s))
+        .col("", "cache_hit", |c| {
+            Val::Flag(c.trace.program_cache_hit == Some(true))
+        })
+        .counters("", |c| &c.trace)
+        .done();
+    let hits = rep.cache_hits();
+    let misses = rep.cells.len() as u64 - hits;
+    out.notes
+        .push(format!("cache: hits={hits} misses={misses}"));
+    let pair = |hits: u64, misses: u64| {
+        Json::Obj(vec![
+            ("hits".into(), Json::Num(hits as f64)),
+            ("misses".into(), Json::Num(misses as f64)),
+        ])
+    };
+    out.rows_key = "cells";
+    out.meta = vec![
+        ("schema", Json::Str("f90d-results/v2".into())),
+        ("suite", Json::Str(rep.suite.into())),
+        ("jobs", Json::Num(rep.jobs as f64)),
+        ("exec", Json::Str(rep.exec.name().into())),
+        ("worker_budget", Json::Num(rep.worker_budget as f64)),
+        ("wall_s", Json::Num(rep.wall_s)),
+        ("cache", pair(hits, misses)),
+        (
+            "schedule_cache",
+            pair(rep.total("sched_hits"), rep.total("sched_misses")),
+        ),
+    ];
     out
 }
 
-/// Serialize a report to the `results.json` tree (`f90d-results/v2`).
+/// The `results.json` tree of a run (`f90d-results/v2`).
 pub fn report_json(rep: &MatrixReport) -> Json {
-    let cells = rep
-        .cells
-        .iter()
-        .map(|c| {
-            Json::Obj(vec![
-                ("workload".into(), Json::Str(c.cell.workload.into())),
-                ("n".into(), Json::Num(c.cell.n as f64)),
-                (
-                    "grid".into(),
-                    Json::Arr(c.cell.grid.iter().map(|&d| Json::Num(d as f64)).collect()),
-                ),
-                ("machine".into(), Json::Str(c.cell.machine.into())),
-                ("virt_s".into(), Json::Num(c.virt_s)),
-                ("messages".into(), Json::Num(c.messages as f64)),
-                ("bytes".into(), Json::Num(c.bytes as f64)),
-                (
-                    "printed".into(),
-                    Json::Arr(c.printed.iter().map(|s| Json::Str(s.clone())).collect()),
-                ),
-                ("wall_s".into(), Json::Num(c.wall_s)),
-                ("cache_hit".into(), Json::Bool(c.cache_hit)),
-                ("sched_hits".into(), Json::Num(c.sched_hits as f64)),
-                ("sched_misses".into(), Json::Num(c.sched_misses as f64)),
-                // Pool workers leased for this cell's local phases.
-                // Informational, never gated: grants depend on which
-                // cells happened to run concurrently.
-                ("workers".into(), Json::Num(c.workers as f64)),
-                // Native-tier coverage for this cell's FORALL
-                // executions. Informational, never gated: the tiers are
-                // bit-identical on every gated metric, this only shows
-                // how much of the corpus the kernels cover.
-                (
-                    "native_kernels".into(),
-                    Json::Obj(vec![
-                        ("matched".into(), Json::Num(c.native_matched as f64)),
-                        ("fallback".into(), Json::Num(c.native_fallback as f64)),
-                    ]),
-                ),
-                // What the run planned once and replayed (structured
-                // shift plans; FORALL iteration lists). Exact,
-                // informational, never gated.
-                (
-                    "plan_reuse".into(),
-                    Json::Obj(vec![
-                        (
-                            "ghost_plans_built".into(),
-                            Json::Num(c.ghost_plans_built as f64),
-                        ),
-                        (
-                            "ghost_plans_reused".into(),
-                            Json::Num(c.ghost_plans_reused as f64),
-                        ),
-                        (
-                            "dispatch_reused".into(),
-                            Json::Num(c.dispatch_reused as f64),
-                        ),
-                    ]),
-                ),
-                // Shared comm driver phase outcomes for this cell.
-                // Informational, never gated: the driver's fallback
-                // contract keeps every gated metric bit-identical, this
-                // only shows how many phases actually batched.
-                (
-                    "comm_plan".into(),
-                    Json::Obj(vec![
-                        ("groups".into(), Json::Num(c.comm_groups as f64)),
-                        ("fallbacks".into(), Json::Num(c.comm_fallbacks as f64)),
-                    ]),
-                ),
-            ])
-        })
-        .collect();
-    Json::Obj(vec![
-        ("schema".into(), Json::Str("f90d-results/v2".into())),
-        ("suite".into(), Json::Str(rep.suite.into())),
-        ("jobs".into(), Json::Num(rep.jobs as f64)),
-        // Execution mode + worker budget (informational, never gated:
-        // virtual metrics are mode-independent by construction, which is
-        // exactly what `--exec threaded --baseline` proves in CI).
-        ("exec".into(), Json::Str(rep.exec.name().into())),
-        ("worker_budget".into(), Json::Num(rep.worker_budget as f64)),
-        ("wall_s".into(), Json::Num(rep.wall_s)),
-        (
-            "cache".into(),
-            Json::Obj(vec![
-                ("hits".into(), Json::Num(rep.cache_hits as f64)),
-                ("misses".into(), Json::Num(rep.cache_misses as f64)),
-            ]),
-        ),
-        (
-            // Cross-run schedule-cache outcomes. Informational, never
-            // gated by `diff_baseline` (older baselines lack the block;
-            // the split depends on process cache history).
-            "schedule_cache".into(),
-            Json::Obj(vec![
-                ("hits".into(), Json::Num(rep.sched_hits as f64)),
-                ("misses".into(), Json::Num(rep.sched_misses as f64)),
-            ]),
-        ),
-        ("cells".into(), Json::Arr(cells)),
-    ])
+    report(rep).document()
 }
 
 /// The deterministic projection of one serialized cell, used as the

@@ -80,6 +80,50 @@ fn fixed_cell_experiments_reject_ignored_flags() {
     );
 }
 
+/// A typo in `--exp` must not pass a CI gate by running nothing.
+#[test]
+fn unknown_experiment_exits_2_and_lists_the_names() {
+    expect_exit_2(&["--exp", "tabel4"], "unknown experiment tabel4");
+    expect_exit_2(&["--exp", "tabel4", "--quick"], "table4, fig6, port");
+    // The flag that `--no-native` used to pair with did nothing.
+    expect_exit_2(&["--native"], "unknown argument --native");
+}
+
+/// A value-taking flag with a missing or malformed value never falls
+/// back to a default — least of all to "no gate".
+#[test]
+fn missing_or_malformed_values_exit_2() {
+    expect_exit_2(&["--n", "abc"], "--n expects a matrix size");
+    expect_exit_2(&["--exp", "table4", "--n"], "--n expects");
+    expect_exit_2(&["--quick", "--out"], "--out expects a file path");
+    expect_exit_2(&["--quick", "--baseline"], "--baseline expects");
+    expect_exit_2(&["--quick", "--exp"], "--exp expects an experiment name");
+    // The next flag is not a value.
+    expect_exit_2(&["--out", "--quick"], "--out expects a file path");
+    expect_exit_2(
+        &["--quick", "--baseline", "/nonexistent/results.json"],
+        "cannot read baseline /nonexistent/results.json",
+    );
+    // A flag the experiment would ignore is an error on every entry.
+    expect_exit_2(
+        &["--exp", "fig5", "--n", "64"],
+        "--exp fig5 accepts only --quick",
+    );
+}
+
+/// Exit 1 is a failed gate, with the table already printed.
+#[test]
+fn a_failed_gate_exits_1() {
+    let out = repro_bin()
+        .args(["--exp", "commplan", "--quick", "--gate", "99"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("# COMM-PLAN GATE FAILED"), "{stderr}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("multi-stencil\tipsc860"));
+}
+
 #[test]
 fn help_prints_usage_and_exits_0() {
     for flag in ["--help", "-h"] {
@@ -88,6 +132,7 @@ fn help_prints_usage_and_exits_0() {
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(stdout.starts_with("repro [--exp "), "{flag}: {stdout:?}");
         assert!(stdout.contains("--baseline results.json"), "{stdout:?}");
+        assert!(!stdout.contains("--native"), "{stdout:?}");
         assert!(!stdout.contains("//!"), "doc markers leaked: {stdout:?}");
         assert!(out.stderr.is_empty());
     }

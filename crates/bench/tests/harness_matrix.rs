@@ -10,8 +10,17 @@
 //! process-wide program cache.
 
 use f90d_bench::harness::{self, MatrixConfig, Scale};
+use f90d_core::RunTrace;
 use f90d_machine::{budget, pool, ExecMode};
 use serde::json::Json;
+
+/// The Tiny-suite configuration on `jobs` harness workers.
+fn tiny(jobs: usize) -> MatrixConfig {
+    MatrixConfig {
+        jobs,
+        ..MatrixConfig::new(Scale::Tiny)
+    }
+}
 
 /// Strip the `cache:` trailer — cross-run cache state (second run is all
 /// hits) is process history, not a property of a matrix run.
@@ -26,38 +35,43 @@ fn cells_only(table: &str) -> String {
 #[test]
 fn jobs8_matches_jobs1_bit_exactly() {
     let cells = harness::matrix(Scale::Tiny);
-    let serial = harness::run_matrix_scaled(&cells, 1, Scale::Tiny);
-    let parallel = harness::run_matrix_scaled(&cells, 8, Scale::Tiny);
+    let serial = harness::run_matrix(&cells, &tiny(1));
+    let parallel = harness::run_matrix(&cells, &tiny(8));
     assert_eq!(parallel.jobs, 8);
 
     // Canonical order, bit-exact virtual metrics, identical rendering.
     assert_eq!(serial.cells.len(), cells.len());
     for (a, b) in serial.cells.iter().zip(&parallel.cells) {
         assert_eq!(a.cell, b.cell, "cell order must be canonical");
-        assert_eq!(a.virt_s.to_bits(), b.virt_s.to_bits(), "{}", a.cell.id());
-        assert_eq!(a.messages, b.messages, "{}", a.cell.id());
-        assert_eq!(a.bytes, b.bytes, "{}", a.cell.id());
-        assert_eq!(a.printed, b.printed, "{}", a.cell.id());
+        assert_eq!(
+            a.run.elapsed.to_bits(),
+            b.run.elapsed.to_bits(),
+            "{}",
+            a.cell.id()
+        );
+        assert_eq!(a.run.messages, b.run.messages, "{}", a.cell.id());
+        assert_eq!(a.run.bytes, b.run.bytes, "{}", a.cell.id());
+        assert_eq!(a.run.printed, b.run.printed, "{}", a.cell.id());
     }
     assert_eq!(
-        cells_only(&harness::render_table(&serial)),
-        cells_only(&harness::render_table(&parallel)),
+        cells_only(&harness::report(&serial).table()),
+        cells_only(&harness::report(&parallel).table()),
         "deterministic stdout must be byte-identical across --jobs"
     );
 
     // The second run reused every lowering from the first: cross-run
     // sharing through the process-wide cache.
-    assert_eq!(parallel.cache_misses, 0);
-    assert_eq!(parallel.cache_hits, cells.len() as u64);
+    assert_eq!(parallel.cache_hits(), cells.len() as u64);
 
     // Same for the schedule cache: the serial run built every distinct
     // (kind, grid, pattern) key, so the parallel rerun is all hits —
     // cross-run inspector reuse.
-    assert_eq!(parallel.sched_misses, 0, "second run must rebuild nothing");
-    assert!(parallel.sched_hits > 0, "tiny matrix has irregular cells");
+    let (hits, misses) = (parallel.total("sched_hits"), parallel.total("sched_misses"));
+    assert_eq!(misses, 0, "second run must rebuild nothing");
+    assert!(hits > 0, "tiny matrix has irregular cells");
     assert_eq!(
-        serial.sched_hits + serial.sched_misses,
-        parallel.sched_hits,
+        serial.total("sched_hits") + serial.total("sched_misses"),
+        hits,
         "same lookups per matrix run, split shifted to all-hit"
     );
 
@@ -70,11 +84,11 @@ fn jobs8_matches_jobs1_bit_exactly() {
         let block = doc.get("schedule_cache").expect("schedule_cache block");
         assert_eq!(
             block.get("hits").and_then(Json::as_u64),
-            Some(rep.sched_hits)
+            Some(rep.total("sched_hits"))
         );
         assert_eq!(
             block.get("misses").and_then(Json::as_u64),
-            Some(rep.sched_misses)
+            Some(rep.total("sched_misses"))
         );
     }
     harness::diff_baseline(&b, &a, None).expect("jobs=8 run must match jobs=1 baseline");
@@ -93,7 +107,7 @@ fn jobs_exceeding_cells_terminates() {
     let all = harness::matrix(Scale::Tiny);
     let cells = &all[..3];
     for _ in 0..10 {
-        let rep = harness::run_matrix_scaled(cells, 32, Scale::Tiny);
+        let rep = harness::run_matrix(cells, &tiny(32));
         assert_eq!(rep.cells.len(), 3, "every cell ran exactly once");
         for (c, want) in rep.cells.iter().zip(cells) {
             assert_eq!(&c.cell, want, "canonical order preserved");
@@ -109,10 +123,9 @@ fn jobs_exceeding_cells_terminates() {
 fn threaded_exec_matches_sequential_bit_exactly_within_budget() {
     const BUDGET: usize = 6;
     let cells = harness::matrix(Scale::Tiny);
-    let seq = harness::run_matrix_cfg(&cells, &MatrixConfig::new(Scale::Tiny));
+    let seq = harness::run_matrix(&cells, &tiny(1));
 
-    let mut cfg = MatrixConfig::new(Scale::Tiny);
-    cfg.jobs = 2;
+    let mut cfg = tiny(2);
     cfg.exec = ExecMode::Threaded;
     cfg.budget = Some(BUDGET);
     let done = std::sync::atomic::AtomicBool::new(false);
@@ -134,7 +147,7 @@ fn threaded_exec_matches_sequential_bit_exactly_within_budget() {
             }
         });
         let _stop = StopOnDrop(&done);
-        harness::run_matrix_cfg(&cells, &cfg)
+        harness::run_matrix(&cells, &cfg)
     });
 
     assert_eq!(thr.exec, ExecMode::Threaded);
@@ -145,22 +158,27 @@ fn threaded_exec_matches_sequential_bit_exactly_within_budget() {
         "sampled {sampled} live pool threads > budget {BUDGET}"
     );
     assert!(
-        thr.cells.iter().any(|c| c.workers >= 2),
+        thr.cells.iter().any(|c| c.trace.workers >= 2),
         "at least one cell must have run on a real pool"
     );
     assert_eq!(budget::global().in_use(), 0, "all leases returned");
 
     for (a, b) in seq.cells.iter().zip(&thr.cells) {
         assert_eq!(a.cell, b.cell, "canonical order");
-        assert_eq!(a.virt_s.to_bits(), b.virt_s.to_bits(), "{}", a.cell.id());
-        assert_eq!(a.messages, b.messages, "{}", a.cell.id());
-        assert_eq!(a.bytes, b.bytes, "{}", a.cell.id());
-        assert_eq!(a.printed, b.printed, "{}", a.cell.id());
-        assert_eq!(a.workers, 0, "sequential cells lease nothing");
+        assert_eq!(
+            a.run.elapsed.to_bits(),
+            b.run.elapsed.to_bits(),
+            "{}",
+            a.cell.id()
+        );
+        assert_eq!(a.run.messages, b.run.messages, "{}", a.cell.id());
+        assert_eq!(a.run.bytes, b.run.bytes, "{}", a.cell.id());
+        assert_eq!(a.run.printed, b.run.printed, "{}", a.cell.id());
+        assert_eq!(a.trace.workers, 0, "sequential cells lease nothing");
     }
     assert_eq!(
-        cells_only(&harness::render_table(&seq)),
-        cells_only(&harness::render_table(&thr)),
+        cells_only(&harness::report(&seq).table()),
+        cells_only(&harness::report(&thr).table()),
         "deterministic stdout must be byte-identical across --exec"
     );
     // And the serialized documents gate clean against each other (the
@@ -338,4 +356,58 @@ fn results_json_round_trips() {
     let parsed = Json::parse(&doc.render_pretty()).unwrap();
     assert_eq!(parsed, doc);
     harness::diff_baseline(&parsed, &doc, None).expect("round trip is drift-free");
+}
+
+/// `results.json` carries every counter of the trace, under the name
+/// `RunTrace::counters` gives it (a dotted name nests) — so a counter
+/// added to the trace cannot be dropped on the way to the document, as
+/// `native_kernels.staged` once was.
+#[test]
+fn every_trace_counter_reaches_results_json() {
+    let cells = harness::matrix(Scale::Tiny);
+    let rep = harness::run_matrix(&cells[..1], &tiny(1));
+    let doc = harness::report_json(&rep);
+    let cell = &doc.get("cells").and_then(Json::as_arr).unwrap()[0];
+    for (name, value) in rep.cells[0].trace.counters() {
+        let found = name.split('.').try_fold(cell, |at, key| at.get(key));
+        assert_eq!(
+            found.and_then(Json::as_u64),
+            Some(value),
+            "counter {name} in {}",
+            cell.render()
+        );
+    }
+    assert!(RunTrace::default()
+        .counters()
+        .iter()
+        .any(|(name, _)| *name == "native_kernels.staged"));
+}
+
+/// A `results.json` the parent commit wrote (eight cells of its `--quick`
+/// matrix; it has no `native_kernels.staged`) still gates a run of this
+/// harness: only `virt_s`, `messages`, `bytes` and `printed` are compared,
+/// so a document may gain counters without a new schema.
+#[test]
+fn a_results_json_of_the_parent_commit_still_gates() {
+    let base = Json::parse(include_str!("fixtures/results_parent.json")).unwrap();
+    let kept = |c: &harness::Cell| {
+        matches!(
+            (c.workload, c.n, c.grid.as_slice()),
+            ("gaussian", 96, [4])
+                | ("jacobi", 96, [2, 2])
+                | ("fft", 64, [4])
+                | ("irregular", 4096, [4])
+        )
+    };
+    let cells: Vec<_> = (harness::matrix(Scale::Quick).into_iter())
+        .filter(kept)
+        .collect();
+    assert_eq!(cells.len(), 8);
+    let run = harness::run_matrix(&cells, &MatrixConfig::new(Scale::Quick));
+    let summary = harness::diff_baseline(&harness::report_json(&run), &base, None)
+        .expect("the parent's document gates this run");
+    assert!(
+        summary.contains("8 cells match baseline bit-exactly"),
+        "{summary}"
+    );
 }

@@ -137,6 +137,29 @@ pub struct RunTrace {
     pub comm_fallbacks: u64,
 }
 
+impl RunTrace {
+    /// Every counter of the trace as `(name, value)`, under the names a
+    /// report records them: a dotted name is `group.counter`
+    /// (`results.json` nests the groups). A counter added to the trace
+    /// is added here, and every reader — `results.json`, the `repro`
+    /// stderr totals, `--exp vmcmp` — carries it.
+    pub fn counters(&self) -> [(&'static str, u64); 11] {
+        [
+            ("sched_hits", self.sched_hits),
+            ("sched_misses", self.sched_misses),
+            ("workers", self.workers as u64),
+            ("native_kernels.matched", self.native_matched),
+            ("native_kernels.fallback", self.native_fallback),
+            ("native_kernels.staged", self.native_staged),
+            ("plan_reuse.ghost_plans_built", self.ghost_plans_built),
+            ("plan_reuse.ghost_plans_reused", self.ghost_plans_reused),
+            ("plan_reuse.dispatch_reused", self.dispatch_reused),
+            ("comm_plan.groups", self.comm_groups),
+            ("comm_plan.fallbacks", self.comm_fallbacks),
+        ]
+    }
+}
+
 impl Compiled {
     /// Execute on a machine (which must have the compiled grid shape).
     /// Arrays start zero-initialized; use [`Compiled::engine`] directly

@@ -124,8 +124,8 @@ impl MachinePool {
     }
 
     /// Machines constructed by [`MachinePool::check_out`] so far. A
-    /// warmed-up steady state keeps this flat — the serve bench gates on
-    /// exactly that.
+    /// warmed-up steady state keeps this flat — `f90d-serve`'s
+    /// `second_request_rides_every_warm_path` test asserts exactly that.
     pub fn created(&self) -> u64 {
         self.created.load(Ordering::Relaxed)
     }

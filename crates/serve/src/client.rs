@@ -1,9 +1,9 @@
 //! A minimal blocking client for the `f90d-serve/v1` protocol.
 //!
 //! One connection, one request line out, one response line back. Used
-//! by the integration tests, the `serve-bench` harness and the CI smoke
-//! job; also a reference implementation for external clients (the wire
-//! format is plain enough for `nc`, see the README).
+//! by the integration tests and the `benchmark/` serve workloads; also a
+//! reference implementation for external clients (the wire format is
+//! plain enough for `nc`, see the README).
 
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream};

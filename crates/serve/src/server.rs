@@ -458,7 +458,7 @@ impl Server {
     }
 
     /// [`Server::run`] on a background thread: returns a handle with the
-    /// bound address. For in-process harnesses (tests, the serve bench).
+    /// bound address. For in-process harnesses (tests, `benchmark/`).
     pub fn spawn(cfg: ServeConfig) -> io::Result<ServerHandle> {
         let server = Server::bind(cfg)?;
         let addr = server.local_addr()?;

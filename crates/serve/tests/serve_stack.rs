@@ -305,14 +305,18 @@ fn racing_clients_dedup_and_lower_exactly_once() {
     handle.shutdown().unwrap();
 }
 
-/// Two sequential requests for the same irregular job: the second rides
-/// every warm path — compiled cache, program cache, schedule cache,
-/// machine pool — and its telemetry proves it.
+/// Repeats of one irregular job, sequential and then as a concurrent
+/// burst: after the first request every one rides every warm path —
+/// compiled cache, program cache, schedule cache, machine pool — its
+/// telemetry proves it, and the pool constructs no machine again. (That
+/// warm is also *faster* than cold is a wall-clock claim: it is the
+/// `job_ms_p10` of `serve-warm` against `serve-cold` in `benchmark/`.)
 #[test]
 fn second_request_rides_every_warm_path() {
     let handle = Server::spawn(ServeConfig::default()).unwrap();
-    let mut c = Client::connect(handle.addr).unwrap();
-    let req = run_req(irregular(509), vec![4]);
+    let addr = handle.addr;
+    let mut c = Client::connect(addr).unwrap();
+    let req = Arc::new(run_req(irregular(509), vec![4]));
 
     let cold = c.run(&req).unwrap();
     assert_ok(&cold);
@@ -326,26 +330,53 @@ fn second_request_rides_every_warm_path() {
         num(&cold, &["telemetry", "sched_misses"]) > 0.0,
         "cold run builds inspector schedules"
     );
+    let created = |c: &mut Client| num(&c.stats().unwrap(), &["stats", "machine_pool", "created"]);
+    let created_cold = created(&mut c);
+    assert!(created_cold >= 1.0);
 
-    let warm = c.run(&req).unwrap();
-    assert_ok(&warm);
-    assert_eq!(
-        get(&warm, &["telemetry", "program_cache_hit"]),
-        &Json::Bool(true)
-    );
-    assert!(boolean(&warm, &["telemetry", "compile_cache_hit"]));
-    assert!(boolean(&warm, &["telemetry", "machine_reused"]));
-    assert_eq!(
-        num(&warm, &["telemetry", "sched_misses"]),
-        0.0,
-        "warm run reuses every schedule across requests"
-    );
-    assert!(num(&warm, &["telemetry", "sched_hits"]) > 0.0);
+    // Bit-identical virtual metrics cold vs warm, on every cache.
+    let result = get(&cold, &["result"]).render();
+    let assert_warm = move |warm: &Json| {
+        assert_ok(warm);
+        assert_eq!(
+            get(warm, &["telemetry", "program_cache_hit"]),
+            &Json::Bool(true)
+        );
+        assert!(boolean(warm, &["telemetry", "compile_cache_hit"]));
+        assert_eq!(
+            num(warm, &["telemetry", "sched_misses"]),
+            0.0,
+            "warm run reuses every schedule across requests"
+        );
+        assert!(num(warm, &["telemetry", "sched_hits"]) > 0.0);
+        assert_eq!(result, get(warm, &["result"]).render());
+    };
+    for _ in 0..3 {
+        let warm = c.run(&req).unwrap();
+        assert_warm(&warm);
+        assert!(boolean(&warm, &["telemetry", "machine_reused"]));
+    }
 
-    // Bit-identical virtual metrics cold vs warm.
+    // The same job from four clients at once: whether a request joins
+    // the one in flight or leads an execution of its own, it is warm.
+    let start = Arc::new(Barrier::new(4));
+    let clients: Vec<_> = (0..4)
+        .map(|_| {
+            let (req, start) = (Arc::clone(&req), Arc::clone(&start));
+            std::thread::spawn(move || {
+                let mut c = Client::connect(addr).unwrap();
+                start.wait();
+                [c.run(&req).unwrap(), c.run(&req).unwrap()]
+            })
+        })
+        .collect();
+    for client in clients {
+        client.join().unwrap().iter().for_each(&assert_warm);
+    }
     assert_eq!(
-        get(&cold, &["result"]).render(),
-        get(&warm, &["result"]).render()
+        created(&mut c),
+        created_cold,
+        "the warm and burst requests constructed no machine"
     );
     handle.shutdown().unwrap();
 }

@@ -26,7 +26,7 @@ fn main() {
         println!("PEs\thand (s)\tFortran 90D (s)\tratio");
         for &p in &procs {
             let h = ge_hand_time(n, p, &spec);
-            let c = ge_compiled_time(n, p, &spec, true);
+            let c = ge_compiled_time(n, p, &spec);
             println!("{p}\t{h:.3}\t\t{c:.3}\t\t{:.3}", c / h);
         }
     }
