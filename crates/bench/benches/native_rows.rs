@@ -16,14 +16,16 @@
 //! Each sample runs 1 000 000 element updates, so the reported time in
 //! ms reads directly as **ns per element**. [`run_box`] is the only
 //! function that names the kernel API: rewrite it (one call per row,
-//! a row's descriptors `start + r·row_step`) to time an older checkout.
+//! a row's descriptors `start + r·row_step`) to time an older checkout
+//! — or, for one that has box kernels but predates the shared column
+//! pool, import its `Scratch as Pool`.
 
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use f90d_frontend::ast::BinOp::{self, Add, Div, Mul, Sub};
 use f90d_vm::native::{
-    compose, match_template, BoxArgs, BoxFn, BoxOut, BoxRead, NExpr, Scratch, Walk,
+    compose, match_template, BoxArgs, BoxFn, BoxOut, BoxRead, NExpr, Pool, Walk,
 };
 
 const ELEMENTS: usize = 1_000_000;
@@ -50,13 +52,7 @@ struct BoxCase<'a> {
 }
 
 /// Run the kernel over the box until [`ELEMENTS`] updates are done.
-fn run_box(
-    f: &BoxFn,
-    case: &BoxCase<'_>,
-    data: &[Vec<f64>],
-    out: &mut [f64],
-    scratch: &mut Scratch,
-) {
+fn run_box(f: &BoxFn, case: &BoxCase<'_>, data: &[Vec<f64>], out: &mut [f64], pool: &mut Pool) {
     let walk = |&(start, row_step, step): &Site| Walk {
         start,
         row_step,
@@ -82,7 +78,7 @@ fn run_box(
             start: 0,
             row_step: case.pitch as isize,
         };
-        f(black_box(&args), &mut out, scratch);
+        f(black_box(&args), &mut out, pool);
         black_box(&mut out.data);
     }
 }
@@ -103,7 +99,7 @@ fn rank1() -> NExpr {
 
 /// No fused template: `(r0*r0 - r1/s) + (r2 - 2.0)*REAL(i)`.
 fn generic() -> NExpr {
-    use NExpr::{Cast, Lit, Read, Scalar};
+    use NExpr::{Lin, Lit, Read, Scalar};
     bin(
         Add,
         bin(
@@ -111,7 +107,7 @@ fn generic() -> NExpr {
             bin(Mul, Read(0), Read(0)),
             bin(Div, Read(1), Scalar(0)),
         ),
-        bin(Mul, bin(Sub, Read(2), Lit(2.0)), Cast(0)),
+        bin(Mul, bin(Sub, Read(2), Lit(2.0)), Lin(0)),
     )
 }
 
@@ -119,7 +115,7 @@ fn generic() -> NExpr {
 /// — the invariant sites are stride 0 in both layouts, as they are in
 /// the programs the shape comes from.
 fn shapes() -> Vec<(&'static str, NExpr, &'static [usize])> {
-    use NExpr::{Cast, Lit, Read, Scalar};
+    use NExpr::{Lin, Lit, Read, Scalar};
     vec![
         ("stencil4_scale", stencil(), &[]),
         ("rank1_update", rank1(), &[1, 2]),
@@ -137,7 +133,7 @@ fn shapes() -> Vec<(&'static str, NExpr, &'static [usize])> {
             &[],
         ),
         ("copy", Read(0), &[]),
-        ("index_cast", Cast(0), &[]),
+        ("index_cast", Lin(0), &[]),
         ("generic", generic(), &[]),
     ]
 }
@@ -197,7 +193,7 @@ fn bench(c: &mut Criterion) {
                 .collect()
         })
         .collect();
-    let mut scratch = Scratch::default();
+    let mut pool = Pool::default();
     for (label, expr, invariant) in shapes() {
         // The stencil's expression through both evaluators shows what
         // fusing one pass buys over the tree evaluator's row per node.
@@ -232,7 +228,7 @@ fn bench(c: &mut Criterion) {
                     };
                     let mut out = vec![0.0f64; n];
                     g.bench_function(BenchmarkId::new(format!("{label}/{layout}"), n), |b| {
-                        b.iter(|| run_box(f, &case, &data, &mut out, &mut scratch))
+                        b.iter(|| run_box(f, &case, &data, &mut out, &mut pool))
                     });
                 }
             }
@@ -259,7 +255,7 @@ fn bench(c: &mut Criterion) {
             let mut out = vec![1.0f64; rows * pitch];
             let id = BenchmarkId::new(format!("{label}/box/{aliasing}"), format!("{rows}x{len}"));
             g.bench_function(id, |b| {
-                b.iter(|| run_box(&f, &case, &data, &mut out, &mut scratch))
+                b.iter(|| run_box(&f, &case, &data, &mut out, &mut pool))
             });
         }
     }

@@ -221,14 +221,14 @@ impl<'p> Lowerer<'p> {
             }
             SExpr::Un(UnOp::Neg, x) => {
                 let (s, a, b) = self.affine_of(x)?;
-                Some((s, -a, -b))
+                Some((s, a.wrapping_neg(), b.wrapping_neg()))
             }
             SExpr::Bin(op, l, r) => {
                 let (sl, al, bl) = self.affine_of(l)?;
                 let (sr, ar, br) = self.affine_of(r)?;
                 match op {
                     BinOp::Add | BinOp::Sub => {
-                        let sign = if *op == BinOp::Add { 1 } else { -1 };
+                        let sign: i64 = if *op == BinOp::Add { 1 } else { -1 };
                         let slot = match (sl, sr) {
                             (Some(x), Some(y)) if x == y => Some(x),
                             (Some(x), None) => Some(x),
@@ -236,11 +236,13 @@ impl<'p> Lowerer<'p> {
                             (None, None) => None,
                             _ => return None,
                         };
-                        Some((slot, al + sign * ar, bl + sign * br))
+                        // Folds wrap, as the operators they fold do.
+                        let fold = f90d_vm::ops::affine;
+                        Some((slot, fold(sign, ar, al), fold(sign, br, bl)))
                     }
                     BinOp::Mul => match (sl, sr) {
-                        (None, _) => Some((sr, bl * ar, bl * br)),
-                        (_, None) => Some((sl, br * al, br * bl)),
+                        (None, _) => Some((sr, bl.wrapping_mul(ar), bl.wrapping_mul(br))),
+                        (_, None) => Some((sl, br.wrapping_mul(al), br.wrapping_mul(bl))),
                         _ => None,
                     },
                     _ => None,

@@ -62,6 +62,7 @@ impl Value {
     }
 
     /// Coerce to f64 (Fortran numeric conversion). Panics on LOGICAL.
+    #[inline]
     pub fn as_real(&self) -> f64 {
         match self {
             Value::Int(i) => *i as f64,
@@ -72,6 +73,7 @@ impl Value {
     }
 
     /// Coerce to i64 (Fortran INT conversion, truncating).
+    #[inline]
     pub fn as_int(&self) -> i64 {
         match self {
             Value::Int(i) => *i,
@@ -82,6 +84,7 @@ impl Value {
     }
 
     /// Coerce to bool. Panics on numeric types.
+    #[inline]
     pub fn as_bool(&self) -> bool {
         match self {
             Value::Bool(b) => *b,
@@ -91,6 +94,7 @@ impl Value {
 
     /// `[re, im]` of the value as a COMPLEX (a real value has no
     /// imaginary part). Panics on LOGICAL.
+    #[inline]
     pub fn complex_parts(&self) -> [f64; 2] {
         match self {
             Value::Complex(re, im) => [*re, *im],

@@ -470,6 +470,25 @@ fn integer_pow_is_the_same_on_every_evaluator_and_through_the_daemon() {
         .lines()
         .collect();
     assert!(want[0].starts_with("ALT 0.000000 -1.000000 1.000000 -1.000000"));
+    same_on_every_evaluator_and_through_the_daemon(source, &want);
+}
+
+/// INTEGER `+ - *`, unary minus and `ABS` wrap in every build, on every
+/// evaluator: `corpus/int_wrap.f90d` prints its pinned lines (blessed
+/// from a release build of the parent, whose debug build panicked at
+/// six different sites) from the reference interpreter, both tiers and
+/// the daemon — a result, not a 500.
+#[test]
+fn integer_overflow_wraps_on_every_evaluator_and_through_the_daemon() {
+    let source = include_str!("../../../corpus/int_wrap.f90d");
+    let want: Vec<&str> = include_str!("../../../corpus/int_wrap.expected")
+        .lines()
+        .collect();
+    assert_eq!(want[0], "SCALAR -9223372036854775808");
+    same_on_every_evaluator_and_through_the_daemon(source, &want);
+}
+
+fn same_on_every_evaluator_and_through_the_daemon(source: &str, want: &[&str]) {
     let grid = vec![4];
     let req = run_req(source.to_string(), grid.clone());
 

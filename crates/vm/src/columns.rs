@@ -1,23 +1,28 @@
-//! Column operators: the bytecode tier's operator table, applied to a
-//! chunk of FORALL iterations at a time.
+//! Column operators: the one operator table under both FORALL tiers,
+//! applied to a run of iterations at a time.
 //!
-//! The engine evaluates an [`ExprCode`](crate::bytecode::ExprCode) one
-//! `Op` at a time over a chunk of iterations (vectorized interpretation:
-//! dispatch once per operator per chunk, then loop over typed slices).
-//! A register ([`Reg`]) is either one value for every lane of the chunk
-//! or a typed column with one value per lane; the functions here are the
-//! column forms of [`ops::eval_bin`], [`ops::eval_un`] and
-//! [`ops::eval_intrin`]. Each matches on the operand types **once per
-//! chunk**, exactly where the scalar function matches per element,
-//! coerces the operands the way the scalar function does
-//! (`as_real` / `as_int` / `as_bool` / complex parts — [`reals`],
-//! [`ints`], [`bools`], [`cplxs`]) and then runs the identical scalar
-//! formula over `&[i64]` / `&[f64]` / `&[bool]` / `&[[f64; 2]]`. The
-//! scalar functions stay the single statement of the semantics: an
-//! all-uniform operation *is* a call of the scalar function, a faulting
-//! lane's message is produced by calling it on that lane, and the unit
-//! test below checks every operator × operand-type arm against it on
-//! edge values.
+//! The bytecode tier evaluates an [`ExprCode`](crate::bytecode::ExprCode)
+//! one `Op` at a time over a chunk of iterations (vectorized
+//! interpretation: dispatch once per operator per chunk, then loop over
+//! typed slices). A register ([`Reg`]) is either one value for every lane
+//! of the chunk or a typed column with one value per lane; [`bin`],
+//! [`un`] and [`intrin`] are the column forms of [`ops::eval_bin`],
+//! [`ops::eval_un`] and [`ops::eval_intrin`]. Each matches on the operand
+//! types **once per chunk**, exactly where the scalar function matches
+//! per element, coerces the operands the way the scalar function does
+//! ([`reals`], [`ints`], [`bools`], [`cplxs`]) and then runs the identical
+//! scalar formula over typed operands ([`Arg`]). The native tier's
+//! generic kernels (`native::compose`) evaluate a tree whose type
+//! selection already knows, a row of a box at a time, so they enter the
+//! table below the type match: [`Elem::arith`] is the very function
+//! `bin` / `un` / `intrin` reach for INTEGER and REAL operands. `ops.rs`
+//! (scalar) and this file (column) are the only places an operator's
+//! arithmetic is written; INTEGER arithmetic wraps in both, in every
+//! build. The scalar functions stay the single statement of the
+//! semantics: an all-uniform operation *is* a call of the scalar
+//! function, a faulting lane's message is produced by calling it on that
+//! lane, and the unit test below checks every operator × operand-type arm
+//! against it on edge values.
 //!
 //! A column operator reports the first faulting lane *of that operator*;
 //! which iteration of the FORALL faults first overall is the chunk
@@ -27,6 +32,7 @@
 use f90d_frontend::ast::{BinOp, UnOp};
 use f90d_machine::{ArrayData, ElemType, Value};
 
+use crate::native::{BoxFn, BoxKernel};
 use crate::ops::{self, Intrin};
 
 /// One register of the chunk evaluator.
@@ -63,36 +69,136 @@ impl Reg {
     }
 }
 
-/// An element type a column can hold.
-pub(crate) trait Elem: Copy + Default {
-    /// Wrap a buffer as a typed column.
-    fn column(col: Vec<Self>) -> ArrayData;
-    /// The pool's spare buffers of this type.
-    fn spares(pool: &mut Pool) -> &mut Vec<Vec<Self>>;
+/// What a typed operator answers: the result, or the first lane it
+/// refuses (the scalar operator owns the wording of the fault).
+pub type Lanes<T> = Result<Arg<'static, T>, usize>;
+
+/// The rows of the operator table a typed tree evaluates through.
+#[derive(Debug, Clone, Copy)]
+pub enum Arith {
+    /// `x op y`: `+ - * / **`.
+    Bin(BinOp),
+    /// `-x` (the second operand is not looked at).
+    Neg,
+    /// `MOD(x, y)`.
+    Mod,
 }
 
-macro_rules! lane {
-    ($t:ty, $variant:ident, $field:ident) => {
+/// An element type a column can hold — the one element trait of both
+/// tiers. The chunk evaluator's registers hold all four; `f64` (REAL)
+/// and `i64` (INTEGER) are also the lanes of the native tier's box
+/// kernels, and have the rows of the operator table those evaluate
+/// through.
+pub trait Elem: Copy + Default + Send + 'static {
+    /// Wrap a buffer as a typed column.
+    fn column(col: Vec<Self>) -> ArrayData;
+    /// The raw storage of an array of this type (panics on another).
+    fn slice(data: &ArrayData) -> &[Self];
+    /// The raw storage, mutably.
+    fn slice_mut(data: &mut ArrayData) -> &mut [Self];
+    /// The pool's spare buffers of this type.
+    fn spares(pool: &mut Pool) -> &mut Vec<Vec<Self>>;
+    /// `v` coerced to this type, as [`ArrayData::set`] converts it.
+    fn of(v: Value) -> Self;
+    /// `row` over `n` lanes of two operands of this lane's type, as
+    /// `ops.rs` computes it on two such values.
+    fn arith(_row: Arith, _xy: [Arg<'_, Self>; 2], _n: usize, _: &mut Pool) -> Lanes<Self> {
+        unreachable!("only the REAL and INTEGER lanes are computed over")
+    }
+    /// The box kernel of this lane (panics on the other's).
+    fn kernel(_: &BoxKernel) -> &BoxFn<Self> {
+        unreachable!("only the REAL and INTEGER lanes have box kernels")
+    }
+    /// This lane's of a `(REAL, INTEGER)` pair — `Sites::reads` or
+    /// `Sites::ireads`, say.
+    fn pick<X>(_real: X, _int: X) -> X {
+        unreachable!("only the REAL and INTEGER lanes have box kernels")
+    }
+}
+
+macro_rules! elem {
+    ($t:ty, $variant:ident, $field:ident, $of:ident $(; lane $pick:tt; $arith:item)?) => {
         impl Elem for $t {
             fn column(col: Vec<Self>) -> ArrayData {
                 ArrayData::$variant(col)
             }
+            fn slice(data: &ArrayData) -> &[Self] {
+                let ArrayData::$variant(col) = data else { panic!("an array of another type") };
+                col
+            }
+            fn slice_mut(data: &mut ArrayData) -> &mut [Self] {
+                let ArrayData::$variant(col) = data else { panic!("an array of another type") };
+                col
+            }
             fn spares(pool: &mut Pool) -> &mut Vec<Vec<Self>> {
                 &mut pool.$field
             }
+            fn of(v: Value) -> Self {
+                v.$of()
+            }
+            $(
+            fn kernel(k: &BoxKernel) -> &BoxFn<Self> {
+                match k {
+                    BoxKernel::$variant(f) => f,
+                    _ => panic!("a kernel of the other lane"),
+                }
+            }
+            fn pick<X>(real: X, int: X) -> X {
+                (real, int).$pick
+            }
+            $arith
+            )?
         }
     };
 }
-lane!(i64, Int, ints);
-lane!(f64, Real, reals);
-lane!(bool, Bool, bools);
-lane!([f64; 2], Complex, cplxs);
 
-/// Spare column buffers, so that after a rank's first chunk no operator
-/// allocates: a register overwritten gives its buffer back, the next
-/// operator of that type takes it.
+elem!(bool, Bool, bools, as_bool);
+elem!([f64; 2], Complex, cplxs, complex_parts);
+elem!(f64, Real, reals, as_real; lane 0;
+    #[inline(always)]
+    fn arith(row: Arith, [x, y]: [Arg<'_, f64>; 2], n: usize, pool: &mut Pool) -> Lanes<f64> {
+        Ok(match row {
+            Arith::Bin(BinOp::Add) => zip(x, y, n, pool, |x, y| x + y),
+            Arith::Bin(BinOp::Sub) => zip(x, y, n, pool, |x, y| x - y),
+            Arith::Bin(BinOp::Mul) => zip(x, y, n, pool, |x, y| x * y),
+            Arith::Bin(BinOp::Div) => zip(x, y, n, pool, |x, y| x / y),
+            Arith::Bin(_) => zip(x, y, n, pool, f64::powf),
+            Arith::Neg => zip(x, y, n, pool, |x, _| -x),
+            Arith::Mod => zip(x, y, n, pool, |x, y| x % y),
+        })
+    }
+);
+elem!(i64, Int, ints, as_int; lane 1;
+    #[inline(always)]
+    fn arith(row: Arith, [x, y]: [Arg<'_, i64>; 2], n: usize, pool: &mut Pool) -> Lanes<i64> {
+        let refused = match row {
+            Arith::Bin(BinOp::Div) | Arith::Mod => y.position(n, |d| d == 0),
+            Arith::Bin(BinOp::Pow) => y.position(n, |e| e < 0),
+            _ => None,
+        };
+        if let Some(i) = refused {
+            return Err(i);
+        }
+        // Wrapping, every one: an overflow is an answer, in every build.
+        Ok(match row {
+            Arith::Bin(BinOp::Add) => zip(x, y, n, pool, i64::wrapping_add),
+            Arith::Bin(BinOp::Sub) => zip(x, y, n, pool, i64::wrapping_sub),
+            Arith::Bin(BinOp::Mul) => zip(x, y, n, pool, i64::wrapping_mul),
+            Arith::Bin(BinOp::Div) => zip(x, y, n, pool, i64::wrapping_div),
+            Arith::Bin(_) => zip(x, y, n, pool, ops::int_pow),
+            Arith::Neg => zip(x, y, n, pool, |x, _| x.wrapping_neg()),
+            // Sign of the dividend; `MOD(i64::MIN, -1)` is 0.
+            Arith::Mod => zip(x, y, n, pool, i64::wrapping_rem),
+        })
+    }
+);
+
+/// Spare column buffers — the one scratch pool of both tiers — so that
+/// after a rank's first chunk (or row) no operator allocates: a register
+/// overwritten gives its buffer back, the next operator of that type
+/// takes it.
 #[derive(Debug, Default)]
-pub(crate) struct Pool {
+pub struct Pool {
     ints: Vec<Vec<i64>>,
     reals: Vec<Vec<f64>>,
     bools: Vec<Vec<bool>>,
@@ -136,13 +242,17 @@ impl Pool {
     }
 }
 
-/// A register as one operator reads it, coerced to lane type `T`.
-pub(crate) enum Arg<'a, T> {
+/// A typed operand: a register as one operator reads it, coerced to lane
+/// type `T` — or a leaf or intermediate row of a native generic kernel.
+#[derive(Debug)]
+pub enum Arg<'a, T> {
     /// The same value in every lane.
     Uni(T),
-    /// The register's own column.
+    /// A column borrowed from a register or from an array segment.
     Ref(&'a [T]),
-    /// A converted copy in a pooled buffer.
+    /// A pooled buffer the operand owns: a converted copy, a filled
+    /// strided walk, an operator's result. An operator of `T`s computes
+    /// in it instead of taking another.
     Own(Vec<T>),
 }
 
@@ -165,10 +275,19 @@ impl<T: Elem> Arg<'_, T> {
         }
     }
 
-    /// Give a converted copy's buffer back.
+    /// Give a pooled buffer back.
     pub(crate) fn done(self, pool: &mut Pool) {
         if let Arg::Own(col) = self {
             T::spares(pool).push(col);
+        }
+    }
+
+    /// A typed operator's result as a register (its operands were not
+    /// both uniform: that is the scalar operator's case).
+    fn reg(self) -> Reg {
+        match self {
+            Arg::Own(col) => Reg::Col(T::column(col)),
+            _ => unreachable!("a column operator over a column answers with a column"),
         }
     }
 }
@@ -224,7 +343,7 @@ fn unary<A: Elem, R: Elem>(x: Arg<'_, A>, n: usize, pool: &mut Pool, f: impl Fn(
     Reg::Col(R::column(out))
 }
 
-/// `f` of every lane pair of `x` and `y`, as a new column.
+/// `f` of every lane pair of `x` and `y`, in a pooled buffer.
 #[inline(always)]
 fn binary<A: Elem, B: Elem, R: Elem>(
     x: Arg<'_, A>,
@@ -232,7 +351,7 @@ fn binary<A: Elem, B: Elem, R: Elem>(
     n: usize,
     pool: &mut Pool,
     f: impl Fn(A, B) -> R,
-) -> Reg {
+) -> Vec<R> {
     let mut out = pool.take::<R>();
     match (x.col(), y.col()) {
         (Ok(x), Ok(y)) => out.extend(x.iter().zip(y).map(|(&x, &y)| f(x, y))),
@@ -242,7 +361,33 @@ fn binary<A: Elem, B: Elem, R: Elem>(
     }
     x.done(pool);
     y.done(pool);
-    Reg::Col(R::column(out))
+    out
+}
+
+/// [`binary`] where operands and result are of one type: computed in
+/// `x`'s buffer when it owns one (so a chain of operators over a row
+/// takes a buffer per borrowed leaf, not per operator), and two uniform
+/// operands fold to a uniform result.
+#[inline(always)]
+fn zip<T: Elem>(
+    x: Arg<'_, T>,
+    y: Arg<'_, T>,
+    n: usize,
+    pool: &mut Pool,
+    f: impl Fn(T, T) -> T,
+) -> Arg<'static, T> {
+    Arg::Own(match (x, y) {
+        (Arg::Uni(x), Arg::Uni(y)) => return Arg::Uni(f(x, y)),
+        (Arg::Own(mut out), y) => {
+            match y.col() {
+                Ok(y) => out.iter_mut().zip(y).for_each(|(o, &y)| *o = f(*o, y)),
+                Err(y) => out.iter_mut().for_each(|o| *o = f(*o, y)),
+            }
+            y.done(pool);
+            out
+        }
+        (x, y) => binary(x, y, n, pool, f),
+    })
 }
 
 /// The message of a lane the column loop refused, from the scalar
@@ -257,83 +402,60 @@ pub(crate) fn bin(op: BinOp, a: &Reg, b: &Reg, n: usize, pool: &mut Pool) -> Res
     if let (Reg::Uni(x), Reg::Uni(y)) = (a, b) {
         return ops::eval_bin(op, *x, *y).map(Reg::Uni);
     }
-    let lane_fault = |i: usize| fault(ops::eval_bin(op, a.lane(i), b.lane(i)));
-    if op.is_logical() {
-        let (x, y) = (bools(a, pool), bools(b, pool));
-        return Ok(match op {
-            And => binary(x, y, n, pool, |x, y| x && y),
-            _ => binary(x, y, n, pool, |x, y| x || y),
-        });
-    }
     if op.is_comparison() {
         // Numeric comparison with promotion.
         let (x, y) = (reals(a, pool), reals(b, pool));
-        return Ok(match op {
+        return Ok(Reg::Col(ArrayData::Bool(match op {
             Eq => binary(x, y, n, pool, |x, y| x == y),
             Ne => binary(x, y, n, pool, |x, y| x != y),
             Lt => binary(x, y, n, pool, |x, y| x < y),
             Le => binary(x, y, n, pool, |x, y| x <= y),
             Gt => binary(x, y, n, pool, |x, y| x > y),
             _ => binary(x, y, n, pool, |x, y| x >= y),
-        });
+        })));
     }
-    // Arithmetic with Fortran promotion.
-    Ok(match (a.ty(), b.ty()) {
-        (ElemType::Int, ElemType::Int) => {
-            let (x, y) = (ints(a, pool), ints(b, pool));
-            let refused = match op {
-                Div => y.position(n, |d| d == 0),
-                Pow => y.position(n, |e| e < 0),
-                _ => None,
-            };
-            if let Some(i) = refused {
-                return Err(lane_fault(i));
-            }
-            match op {
-                Add => binary(x, y, n, pool, |x, y| x + y),
-                Sub => binary(x, y, n, pool, |x, y| x - y),
-                Mul => binary(x, y, n, pool, |x, y| x * y),
-                Div => binary(x, y, n, pool, |x, y| x.wrapping_div(y)),
-                _ => binary(x, y, n, pool, ops::int_pow),
-            }
-        }
-        (ElemType::Complex, _) | (_, ElemType::Complex) => {
-            if !matches!(op, Add | Sub | Mul | Div) {
-                return Err(lane_fault(0));
-            }
-            let (x, y) = (cplxs(a, pool), cplxs(b, pool));
-            binary(x, y, n, pool, |x, y| {
-                ops::complex_arith(op, x, y).expect("a COMPLEX arithmetic operator")
+    // `.AND.` / `.OR.`, or arithmetic with Fortran promotion.
+    let done = match (a.ty(), b.ty()) {
+        _ if op.is_logical() => {
+            let (x, y) = (bools(a, pool), bools(b, pool));
+            Ok(match op {
+                And => zip(x, y, n, pool, |x, y| x && y).reg(),
+                _ => zip(x, y, n, pool, |x, y| x || y).reg(),
             })
         }
-        _ => {
-            let (x, y) = (reals(a, pool), reals(b, pool));
-            match op {
-                Add => binary(x, y, n, pool, |x, y| x + y),
-                Sub => binary(x, y, n, pool, |x, y| x - y),
-                Mul => binary(x, y, n, pool, |x, y| x * y),
-                Div => binary(x, y, n, pool, |x, y| x / y),
-                _ => binary(x, y, n, pool, |x: f64, y| x.powf(y)),
-            }
+        (ElemType::Int, ElemType::Int) => {
+            i64::arith(Arith::Bin(op), [ints(a, pool), ints(b, pool)], n, pool).map(Arg::reg)
         }
-    })
+        (ElemType::Complex, _) | (_, ElemType::Complex) if matches!(op, Add | Sub | Mul | Div) => {
+            let f = |x, y| ops::complex_arith(op, x, y).expect("a COMPLEX arithmetic operator");
+            Ok(zip(cplxs(a, pool), cplxs(b, pool), n, pool, f).reg())
+        }
+        (ElemType::Complex, _) | (_, ElemType::Complex) => Err(0),
+        _ => f64::arith(Arith::Bin(op), [reals(a, pool), reals(b, pool)], n, pool).map(Arg::reg),
+    };
+    done.map_err(|i| fault(ops::eval_bin(op, a.lane(i), b.lane(i))))
 }
 
 /// Column form of [`ops::eval_un`] over `n` lanes.
 pub(crate) fn un(op: UnOp, a: &Reg, n: usize, pool: &mut Pool) -> Result<Reg, String> {
-    let col = match a {
-        Reg::Uni(v) => return ops::eval_un(op, *v).map(Reg::Uni),
-        Reg::Col(col) => col,
-    };
-    Ok(match (op, col) {
-        (UnOp::Neg, ArrayData::Int(col)) => unary(Arg::Ref(col), n, pool, |x| -x),
-        (UnOp::Neg, ArrayData::Real(col)) => unary(Arg::Ref(col), n, pool, |x| -x),
-        (UnOp::Neg, ArrayData::Complex(col)) => {
-            unary(Arg::Ref(col), n, pool, |[re, im]| [-re, -im])
+    if let Reg::Uni(v) = a {
+        return ops::eval_un(op, *v).map(Reg::Uni);
+    }
+    let neg = match (op, a.ty()) {
+        (UnOp::Not, _) => return Ok(unary(bools(a, pool), n, pool, |x| !x)),
+        (UnOp::Neg, ElemType::Int) => {
+            i64::arith(Arith::Neg, [ints(a, pool), Arg::Uni(0)], n, pool).map(Arg::reg)
         }
-        (UnOp::Neg, ArrayData::Bool(_)) => return Err(fault(ops::eval_un(op, a.lane(0)))),
-        (UnOp::Not, _) => unary(bools(a, pool), n, pool, |x| !x),
-    })
+        (UnOp::Neg, ElemType::Real) => {
+            f64::arith(Arith::Neg, [reals(a, pool), Arg::Uni(0.0)], n, pool).map(Arg::reg)
+        }
+        (UnOp::Neg, ElemType::Complex) => {
+            let neg = |[re, im]: [f64; 2], _| [-re, -im];
+            Ok(zip(cplxs(a, pool), Arg::Uni([0.0; 2]), n, pool, neg).reg())
+        }
+        (UnOp::Neg, ElemType::Bool) => Err(0),
+    };
+    neg.map_err(|i| fault(ops::eval_un(op, a.lane(i))))
 }
 
 /// Column form of [`ops::eval_intrin`] over `n` lanes.
@@ -349,7 +471,7 @@ pub(crate) fn intrin(f: Intrin, args: &[Reg], n: usize, pool: &mut Pool) -> Resu
     }
     let is_int = |a: &Reg| a.ty() == ElemType::Int;
     Ok(match f {
-        Intrin::Abs if is_int(&args[0]) => unary(ints(&args[0], pool), n, pool, i64::abs),
+        Intrin::Abs if is_int(&args[0]) => unary(ints(&args[0], pool), n, pool, i64::wrapping_abs),
         Intrin::Abs => real1(args, n, pool, f64::abs),
         Intrin::Sqrt => real1(args, n, pool, f64::sqrt),
         Intrin::Exp => real1(args, n, pool, f64::exp),
@@ -357,18 +479,18 @@ pub(crate) fn intrin(f: Intrin, args: &[Reg], n: usize, pool: &mut Pool) -> Resu
         Intrin::Sin => real1(args, n, pool, f64::sin),
         Intrin::Cos => real1(args, n, pool, f64::cos),
         Intrin::Tan => real1(args, n, pool, f64::tan),
-        Intrin::Mod if is_int(&args[0]) && is_int(&args[1]) => {
-            let (x, y) = (ints(&args[0], pool), ints(&args[1], pool));
-            if let Some(i) = y.position(n, |d| d == 0) {
-                let lane: Vec<Value> = args.iter().map(|a| a.lane(i)).collect();
-                return Err(fault(ops::eval_intrin(f, &lane)));
-            }
-            // Sign of the dividend; `MOD(i64::MIN, -1)` is 0.
-            binary(x, y, n, pool, i64::wrapping_rem)
-        }
         Intrin::Mod => {
-            let (x, y) = (reals(&args[0], pool), reals(&args[1], pool));
-            binary(x, y, n, pool, |x, y| x % y)
+            let done = if is_int(&args[0]) && is_int(&args[1]) {
+                let xy = [ints(&args[0], pool), ints(&args[1], pool)];
+                i64::arith(Arith::Mod, xy, n, pool).map(Arg::reg)
+            } else {
+                let xy = [reals(&args[0], pool), reals(&args[1], pool)];
+                f64::arith(Arith::Mod, xy, n, pool).map(Arg::reg)
+            };
+            return done.map_err(|i| {
+                let lane: Vec<Value> = args.iter().map(|a| a.lane(i)).collect();
+                fault(ops::eval_intrin(f, &lane))
+            });
         }
         Intrin::Min | Intrin::Max => fold_minmax(args, f == Intrin::Min, n, pool),
         Intrin::ToReal => real1(args, n, pool, |x| x),
@@ -376,13 +498,8 @@ pub(crate) fn intrin(f: Intrin, args: &[Reg], n: usize, pool: &mut Pool) -> Resu
         Intrin::Nint => unary(reals(&args[0], pool), n, pool, |x| x.round() as i64),
         Intrin::Sign => {
             let (x, y) = (reals(&args[0], pool), reals(&args[1], pool));
-            binary(
-                x,
-                y,
-                n,
-                pool,
-                |a, b| if b >= 0.0 { a.abs() } else { -a.abs() },
-            )
+            let sign = |a: f64, b: f64| if b >= 0.0 { a.abs() } else { -a.abs() };
+            zip(x, y, n, pool, sign).reg()
         }
     })
 }
@@ -391,46 +508,28 @@ pub(crate) fn intrin(f: Intrin, args: &[Reg], n: usize, pool: &mut Pool) -> Resu
 /// is, else REAL from ±∞ through `f64::min` / `f64::max`, accumulator
 /// first.
 fn fold_minmax(args: &[Reg], min: bool, n: usize, pool: &mut Pool) -> Reg {
+    /// Every argument, coerced by `arg`, folded into a column of `from`s.
     #[inline(always)]
-    fn fold<T: Elem>(acc: &mut [T], x: &Arg<'_, T>, f: impl Fn(T, T) -> T) {
-        match x.col() {
-            Ok(x) => acc.iter_mut().zip(x).for_each(|(a, &x)| *a = f(*a, x)),
-            Err(x) => acc.iter_mut().for_each(|a| *a = f(*a, x)),
-        }
+    fn fold<'a, T: Elem>(
+        (args, n, pool): (&'a [Reg], usize, &mut Pool),
+        from: T,
+        arg: fn(&'a Reg, &mut Pool) -> Arg<'a, T>,
+        f: impl Fn(T, T) -> T + Copy,
+    ) -> Reg {
+        let mut acc = pool.take::<T>();
+        acc.resize(n, from);
+        let acc = args.iter().fold(Arg::Own(acc), |acc, a| {
+            let x = arg(a, pool);
+            zip(acc, x, n, pool, f)
+        });
+        acc.reg()
     }
-    if args.iter().all(|a| a.ty() == ElemType::Int) {
-        let mut acc = pool.take::<i64>();
-        acc.resize(n, if min { i64::MAX } else { i64::MIN });
-        for a in args {
-            let x = ints(a, pool);
-            if min {
-                fold(&mut acc, &x, i64::min);
-            } else {
-                fold(&mut acc, &x, i64::max);
-            }
-            x.done(pool);
-        }
-        Reg::Col(ArrayData::Int(acc))
-    } else {
-        let mut acc = pool.take::<f64>();
-        acc.resize(
-            n,
-            if min {
-                f64::INFINITY
-            } else {
-                f64::NEG_INFINITY
-            },
-        );
-        for a in args {
-            let x = reals(a, pool);
-            if min {
-                fold(&mut acc, &x, f64::min);
-            } else {
-                fold(&mut acc, &x, f64::max);
-            }
-            x.done(pool);
-        }
-        Reg::Col(ArrayData::Real(acc))
+    let on = (args, n, pool);
+    match (args.iter().all(|a| a.ty() == ElemType::Int), min) {
+        (true, true) => fold(on, i64::MAX, ints, i64::min),
+        (true, false) => fold(on, i64::MIN, ints, i64::max),
+        (false, true) => fold(on, f64::INFINITY, reals, f64::min),
+        (false, false) => fold(on, f64::NEG_INFINITY, reals, f64::max),
     }
 }
 
@@ -586,15 +685,6 @@ mod tests {
         }
     }
 
-    /// The scalar operator would abort the run rather than answer: a
-    /// LOGICAL in a numeric position or a number in a LOGICAL one (the
-    /// front end rejects both), or — in a debug build only — INTEGER
-    /// overflow. The column operators use the same expressions and abort
-    /// the same way; neither is comparable lane by lane.
-    fn aborts(misuse: bool, overflow: bool) -> bool {
-        misuse || (overflow && cfg!(debug_assertions))
-    }
-
     type Scalar<'a> = &'a dyn Fn(&[Value]) -> ops::OpResult;
     type Columns<'a> = &'a dyn Fn(&[Reg], usize, &mut Pool) -> Result<Reg, String>;
 
@@ -669,44 +759,24 @@ mod tests {
         out
     }
 
-    fn int_overflows(op: BinOp, x: i64, y: i64) -> bool {
-        match op {
-            BinOp::Add => x.checked_add(y).is_none(),
-            BinOp::Sub => x.checked_sub(y).is_none(),
-            BinOp::Mul => x.checked_mul(y).is_none(),
-            // `**` wraps in every build.
-            _ => false,
-        }
-    }
-
     #[test]
     fn binary_operators_match_the_scalar_ones_on_every_type_pair() {
         use BinOp::*;
         for op in [Add, Sub, Mul, Div, Pow, Eq, Ne, Lt, Le, Gt, Ge, And, Or] {
             for ta in TYPES {
                 for tb in TYPES {
+                    // A LOGICAL in a numeric position or a number in a
+                    // LOGICAL one aborts the run in the scalar operator
+                    // and in the column one alike (the front end rejects
+                    // both): not comparable lane by lane. INTEGER lanes
+                    // that overflow are: they wrap in every build.
                     let bools = (ta == ElemType::Bool, tb == ElemType::Bool);
-                    let misuse = if op.is_logical() {
-                        bools != (true, true)
-                    } else {
-                        bools != (false, false)
-                    };
-                    let lanes: Vec<Vec<Value>> = pairs(ta, tb)
-                        .into_iter()
-                        .filter(|row| {
-                            let overflow = match (row[0], row[1]) {
-                                (Value::Int(x), Value::Int(y)) => int_overflows(op, x, y),
-                                _ => false,
-                            };
-                            !aborts(misuse, overflow)
-                        })
-                        .collect();
-                    if lanes.is_empty() {
+                    if bools != (op.is_logical(), op.is_logical()) {
                         continue;
                     }
                     check_lanes(
                         &format!("{op:?} {ta:?} {tb:?}"),
-                        &lanes,
+                        &pairs(ta, tb),
                         &|row| ops::eval_bin(op, row[0], row[1]),
                         &|regs, n, pool| bin(op, &regs[0], &regs[1], n, pool),
                     );
@@ -719,15 +789,10 @@ mod tests {
     fn unary_operators_match_the_scalar_ones_on_every_type() {
         for op in [UnOp::Neg, UnOp::Not] {
             for ty in TYPES {
-                let misuse = op == UnOp::Not && ty != ElemType::Bool;
-                let lanes: Vec<Vec<Value>> = edge_values(ty)
-                    .into_iter()
-                    .filter(|&v| !aborts(misuse, op == UnOp::Neg && v == Value::Int(i64::MIN)))
-                    .map(|v| vec![v])
-                    .collect();
-                if lanes.is_empty() {
-                    continue;
+                if op == UnOp::Not && ty != ElemType::Bool {
+                    continue; // misuse, as above
                 }
+                let lanes: Vec<Vec<Value>> = edge_values(ty).into_iter().map(|v| vec![v]).collect();
                 check_lanes(
                     &format!("{op:?} {ty:?}"),
                     &lanes,
@@ -744,11 +809,7 @@ mod tests {
         let numeric = [ElemType::Int, ElemType::Real, ElemType::Complex];
         for f in [Abs, Sqrt, Exp, Log, Sin, Cos, Tan, ToReal, ToInt, Nint] {
             for ty in numeric {
-                let lanes: Vec<Vec<Value>> = edge_values(ty)
-                    .into_iter()
-                    .filter(|&v| !aborts(false, f == Abs && v == Value::Int(i64::MIN)))
-                    .map(|v| vec![v])
-                    .collect();
+                let lanes: Vec<Vec<Value>> = edge_values(ty).into_iter().map(|v| vec![v]).collect();
                 check_lanes(
                     &format!("{f:?} {ty:?}"),
                     &lanes,

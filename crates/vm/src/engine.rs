@@ -70,11 +70,10 @@ use f90d_machine::{ArrayData, ElemType, Machine, NodeMemory, Value};
 use f90d_runtime::DistArray;
 
 use crate::bytecode::*;
-use crate::columns::{self, Arg, Pool, Reg};
+use crate::columns::{self, Arg, Elem, Pool, Reg};
 use crate::dispatch::{self, VmResult};
 use crate::native::{
-    BoxArgs, BoxFn, BoxKernel, BoxOut, BoxRead, Lane, Lhs, Lin, NativeKernel, ReadSite, Scratch,
-    Sites, Walk,
+    BoxArgs, BoxFn, BoxKernel, BoxOut, BoxRead, Lhs, Lin, NativeKernel, ReadSite, Sites, Walk,
 };
 use crate::ops;
 
@@ -609,7 +608,7 @@ impl Engine {
                 }
                 Op::LoadScalar { dst, slot } => regs[dst as usize] = self.scalars[slot as usize],
                 Op::Affine { dst, slot, a, b } => {
-                    regs[dst as usize] = Value::Int(a * self.vars[slot as usize] + b)
+                    regs[dst as usize] = Value::Int(ops::affine(a, self.vars[slot as usize], b))
                 }
                 Op::Bin { op, dst, a, b } => {
                     regs[dst as usize] =
@@ -938,13 +937,13 @@ impl Engine {
         };
         for &(slot, c) in &lin.vterms {
             match kernel.var_slots.iter().position(|&s| s == slot) {
-                Some(j) => aff.k[j] += c,
-                None => aff.base += c * self.vars[slot as usize],
+                Some(j) => aff.k[j] = aff.k[j].wrapping_add(c),
+                None => aff.base = ops::affine(c, self.vars[slot as usize], aff.base),
             }
         }
         for &(slot, c) in &lin.sterms {
             match self.scalars[slot as usize] {
-                Value::Int(v) => aff.base += c * v,
+                Value::Int(v) => aff.base = ops::affine(c, v, aff.base),
                 _ => return None,
             }
         }
@@ -1136,37 +1135,39 @@ impl NatAff {
     }
 
     /// The form over the box `bx`: one multiply-add per variable, once
-    /// per box.
+    /// per box — wrapping, as the INTEGER value it may stand for does.
     #[inline]
     fn at(&self, bx: &BoxAt<'_>) -> Walk {
         let (inner, rest) = self.k.split_last().expect("a FORALL has a variable");
         // A 1-D FORALL's one row is row 0 of nothing: no coefficient.
         let mid = rest.last().copied().unwrap_or(0);
-        let mut start = self.base + mid * bx.rows.first + inner * bx.run.first;
+        let mut start = ops::affine(*inner, bx.run.first, self.base);
+        start = ops::affine(mid, bx.rows.first, start);
         for (c, x) in rest.iter().zip(bx.outer) {
-            start += c * x;
+            start = ops::affine(*c, *x, start);
         }
         Walk {
             start,
-            row_step: mid * bx.rows.stride,
-            step: inner * bx.run.stride,
+            row_step: mid.wrapping_mul(bx.rows.stride),
+            step: inner.wrapping_mul(bx.run.stride),
         }
     }
 
     /// Exact min/max over the box `[lo, hi]` per variable (attained at
-    /// corners, which are real iteration tuples).
-    fn range(&self, lo: &[i64], hi: &[i64]) -> (i64, i64) {
+    /// corners, which are real iteration tuples); `None` when a corner
+    /// leaves `i64` — no subscript or offset in bounds does.
+    fn range(&self, lo: &[i64], hi: &[i64]) -> Option<(i64, i64)> {
         let (mut a, mut b) = (self.base, self.base);
         for (j, &c) in self.k.iter().enumerate() {
-            if c >= 0 {
-                a += c * lo[j];
-                b += c * hi[j];
+            let (least, most) = if c >= 0 {
+                (lo[j], hi[j])
             } else {
-                a += c * hi[j];
-                b += c * lo[j];
-            }
+                (hi[j], lo[j])
+            };
+            a = a.checked_add(c.checked_mul(least)?)?;
+            b = b.checked_add(c.checked_mul(most)?)?;
         }
-        (a, b)
+        Some((a, b))
     }
 
     /// `self += s·other`.
@@ -1249,7 +1250,7 @@ impl IterBox<'_> {
             k: vec![0; self.lo.len()],
         };
         for (k, g) in subs.iter().enumerate() {
-            let (gmin, gmax) = g.range(self.lo, self.hi);
+            let (gmin, gmax) = g.range(self.lo, self.hi)?;
             if gmin < 0 || gmax >= racc.extents[k] {
                 return None;
             }
@@ -1350,7 +1351,7 @@ struct SiteBoxes<'v, T> {
     lins: Vec<Walk>,
 }
 
-impl<'v, T: Lane> SiteBoxes<'v, T> {
+impl<'v, T: Elem> SiteBoxes<'v, T> {
     /// Borrow the (materialized) segments `sites` reads from `mem` — or,
     /// for a site on the segment written in place, its part
     /// `[below, above]` of that.
@@ -1632,7 +1633,7 @@ fn in_place(
     if !(runs.iter()).all(|r| r.len == 1 || write.inner() * r.stride == 1) {
         return None;
     }
-    let (wmin, wmax) = write.range(bx.lo, bx.hi);
+    let (wmin, wmax) = write.range(bx.lo, bx.hi)?;
     // The two innermost lists are cut into runs already.
     let one_to_one = OnceCell::new();
     let injective = || {
@@ -1647,7 +1648,7 @@ fn in_place(
         let SiteOff::Affine(read) = &site.off else {
             return None;
         };
-        let (rmin, rmax) = read.range(bx.lo, bx.hi);
+        let (rmin, rmax) = read.range(bx.lo, bx.hi)?;
         if rmax < wmin {
             Some(View::Below)
         } else if rmin > wmax {
@@ -1762,7 +1763,7 @@ fn index_box(
     cols: &mut [i64],
     (at, row_step): (usize, usize),
     dense: &mut Vec<i64>,
-    scratch: &mut Scratch<i64>,
+    pool: &mut Pool,
 ) {
     if let [sub] = subs {
         let mut out = BoxOut {
@@ -1770,7 +1771,7 @@ fn index_box(
             start: at,
             row_step: row_step as isize,
         };
-        return sub(args, &mut out, scratch);
+        return sub(args, &mut out, pool);
     }
     let ndim = subs.len();
     dense.resize(args.rows * args.len, 0);
@@ -1780,7 +1781,7 @@ fn index_box(
             start: 0,
             row_step: args.len as isize,
         };
-        sub(args, &mut out, scratch);
+        sub(args, &mut out, pool);
         for (r, row) in dense.chunks_exact(args.len).enumerate() {
             let to = &mut cols[(at + r * row_step) * ndim + d..];
             for (col, &v) in to.iter_mut().step_by(ndim).zip(row) {
@@ -1809,7 +1810,7 @@ fn inspect_boxes<'p, E>(
     }
     // Inspector subscripts read no gathered value and alias no write.
     let mut boxes = SiteBoxes::<i64>::new(&g.sites, mem, &name, [&[], &[]]);
-    let (mut cols, mut dense, mut scratch) = (Vec::new(), Vec::new(), Scratch::default());
+    let (mut cols, mut dense, mut pool) = (Vec::new(), Vec::new(), Pool::default());
     let mut result = Ok(());
     nr.for_each_box(lists, |bx| {
         if result.is_err() {
@@ -1818,14 +1819,7 @@ fn inspect_boxes<'p, E>(
         let args = boxes.args(&g.sites, bx);
         cols.resize(args.rows * args.len * g.subs.len(), 0);
         let dense_rows = (0, args.len);
-        index_box(
-            g.subs,
-            &args,
-            &mut cols,
-            dense_rows,
-            &mut dense,
-            &mut scratch,
-        );
+        index_box(g.subs, &args, &mut cols, dense_rows, &mut dense, &mut pool);
         result = push(&cols);
     });
     result
@@ -1875,7 +1869,7 @@ fn run_native_rank<'p>(
 
 /// Every box of the rank, every body — one kernel call. Returns the
 /// scatter columns, if the body is a scatter, and the modelled cost.
-fn run_native_boxes<'p, T: Lane>(
+fn run_native_boxes<'p, T: Elem>(
     nr: &NatRank<'_>,
     lists: &[Vec<i64>],
     mem: &mut NodeMemory,
@@ -1923,11 +1917,11 @@ fn run_native_boxes<'p, T: Lane>(
             .iter()
             .map(|b| SiteBoxes::new(&b.sites, mem, &name, halves))
             .collect();
-        let mut scratch = Scratch::default();
+        let mut pool = Pool::default();
         // A scatter's subscripts: INTEGER kernels over the same sites.
         let mut index_boxes = scatter.map(|subs| {
             let boxes = SiteBoxes::<i64>::new(&bodies[0].sites, mem, &name, [&[], &[]]);
-            (subs, boxes, Vec::new(), Scratch::default())
+            (subs, boxes, Vec::new())
         });
         nr.for_each_box(lists, |bx| {
             for (bi, (b, boxes)) in bodies.iter().zip(&mut boxes).enumerate() {
@@ -1946,12 +1940,12 @@ fn run_native_boxes<'p, T: Lane>(
                     start,
                     row_step,
                 };
-                T::kernel(b.func)(&boxes.args(&b.sites, bx), &mut out, &mut scratch);
+                T::kernel(b.func)(&boxes.args(&b.sites, bx), &mut out, &mut pool);
             }
-            if let Some((subs, boxes, dense, scratch)) = &mut index_boxes {
+            if let Some((subs, boxes, dense)) = &mut index_boxes {
                 let args = boxes.args(&bodies[0].sites, bx);
                 let at = (bx.ordinal(), inner_len);
-                index_box(subs, &args, &mut index, at, dense, scratch);
+                index_box(subs, &args, &mut index, at, dense, &mut pool);
             }
         });
     }
@@ -2214,13 +2208,14 @@ impl<'a> Chunk<'a> {
                 // `1*v + b` without the multiply, which no baseline
                 // x86-64 vector unit has for 64-bit lanes.
                 Some(k) if a == 1 => {
-                    Reg::Col(ArrayData::Int(pool.collect(cols[k].iter().map(|&v| v + b))))
-                }
-                Some(k) => {
-                    let col = pool.collect(cols[k].iter().map(|&v| a * v + b));
+                    let col = pool.collect(cols[k].iter().map(|&v| v.wrapping_add(b)));
                     Reg::Col(ArrayData::Int(col))
                 }
-                None => Reg::Uni(Value::Int(a * cx.vars[slot as usize] + b)),
+                Some(k) => {
+                    let col = pool.collect(cols[k].iter().map(|&v| ops::affine(a, v, b)));
+                    Reg::Col(ArrayData::Int(col))
+                }
+                None => Reg::Uni(Value::Int(ops::affine(a, cx.vars[slot as usize], b))),
             }
         };
         for op in &code.ops {

@@ -43,9 +43,9 @@
 //!   engine dispatches to them per execution and falls back to bytecode
 //!   when a kernel's preconditions fail.
 //! * [`ops`] — value-level operator semantics, shared with the
-//!   sequential reference interpreter; the engine's column operators
-//!   (the private `columns` module) are their chunk forms and are
-//!   unit-tested against them arm by arm.
+//!   sequential reference interpreter; the column operators (the
+//!   private `columns` module, the one operator table under both
+//!   tiers) are their column forms, unit-tested against them arm by arm.
 //! * [`cache`] — the `fnv1a` content hash (the program cache itself is
 //!   `f90d_core::vm_cache()`).
 

@@ -1,14 +1,21 @@
-//! The native kernel tier: FORALL superinstructions compiled to
-//! monomorphized Rust closures at lowering time.
+//! The native kernel tier: FORALL superinstructions built from prebuilt
+//! Rust closures at lowering time.
 //!
-//! This is the tier above the bytecode chunk loop. There is no run-time code generation: [`select`] runs once per
-//! lowered FORALL inside `f90d-core::vmlower`, symbolically evaluates
-//! the straight-line body over the register code, and — when every
-//! value is REAL or INTEGER arithmetic the closures can reproduce
-//! bit-for-bit over subscripts affine in the loop variables — emits a
-//! [`NativeKernel`]: per-body box kernels ([`BoxKernel`]) plus the
-//! read/write site descriptions the engine binds against each rank's
-//! resolved accessors at dispatch time.
+//! This is the tier above the bytecode chunk loop, and what it owns is
+//! what it *proves*, not how an operator is computed. There is no
+//! run-time code generation: [`select`] runs once per lowered FORALL
+//! inside `f90d-core::vmlower`, symbolically evaluates the straight-line
+//! body over the register code, and — when every value is REAL or
+//! INTEGER arithmetic over subscripts affine in the loop variables, none
+//! of which can fault — emits a [`NativeKernel`]: per-body box kernels
+//! ([`BoxKernel`]) plus the read/write site descriptions the engine
+//! binds against each rank's resolved accessors at dispatch time. The
+//! proofs buy slice walks in place of offset columns, no mask, no stage
+//! where the alias rule allows, and six fused templates
+//! ([`match_template`]). Every other shape is a generic kernel
+//! ([`compose`]) that evaluates its tree a row at a time through the
+//! column operator table of the bytecode tier ([`Elem::arith`]): outside
+//! the fused templates this file applies no arithmetic to a lane value.
 //!
 //! A box kernel runs one body over one *box* of the iteration space:
 //! `rows` consecutive values of the FORALL's second-innermost variable ×
@@ -19,13 +26,12 @@
 //! row is one loop over `f64` (or `i64`) slices — the plain doubly
 //! nested local loop the paper's generated Fortran 77 has between
 //! run-time calls. The `dyn` call, the argument build and the output
-//! slicing happen once per box; what is per row is what the arithmetic
-//! needs (the rank-1 update's multiplier is divided once per row). A
-//! 1-D FORALL is a box of one row. A site may be the very element the
-//! box overwrites ([`BoxRead::data`] is `None`): the kernel reads it
-//! from the output row before the row is written — element by element
-//! when it is the operand the shape updates (`x - m*y`, a tree's
-//! leftmost leaf), from a snapshot of the row otherwise.
+//! slicing happen once per box. A 1-D FORALL is a box of one row. A site
+//! may be the very element the box overwrites ([`BoxRead::data`] is
+//! `None`): a generic kernel computes a row before it stores it, so the
+//! site is a view of the output row; a fused one reads it element by
+//! element when it is the operand the shape updates (`x - m*y`), from a
+//! snapshot of the row otherwise.
 //!
 //! The irregular path (paper §4 ex. 3) rides the same boxes. A value the
 //! FORALL's inspector/executor gathered (`B(V(I))`) is, once the
@@ -39,9 +45,8 @@
 //! INTEGER box kernels too ([`NativeGather`]).
 //!
 //! The contract is strict bit-identity with the bytecode tier: same
-//! operation tree in the same
-//! association order, same integer→real promotion points, the `i64`
-//! operators of `ops::eval_bin` / `eval_intrin`, RHS before LHS with
+//! operation tree in the same association order, same integer→real
+//! promotion points, INTEGER arithmetic that wraps, RHS before LHS with
 //! the same last writer, and the same modelled element-operation cost.
 //! A kernel can never fault where the bytecode would return an error:
 //! integer `/` and `MOD` are admitted **by a non-zero, non-`-1` integer
@@ -54,17 +59,19 @@
 //! promoted inside a REAL one (`W(I) = A(I) * REAL(MOD(I, 7) + 1)`;
 //! affine integers promote as before). The repo benchmark declares its
 //! `irregular-gather` workload valid only while at least one of its
-//! FORALLs runs the bytecode loop, that statement is the last one that
-//! does, and a change that claims a gain may not edit the benchmark
-//! (CHANGES.md, PR 17).
+//! FORALLs runs the bytecode loop, and only a benchmark PR may change
+//! that (CHANGES.md, PR 17; ROADMAP item 2(b)): admitting the shape is
+//! the deletion of one refusal in `promote_real`, not a new evaluator.
 
 use std::fmt;
 use std::sync::Arc;
 
 use f90d_frontend::ast::{BinOp, UnOp};
-use f90d_machine::{ArrayData, ElemType, Value};
+use f90d_machine::{ElemType, Value};
 
 use crate::bytecode::{AccPlan, ArrayDecl, ExprCode, GatherSpec, Op, VmForall};
+use crate::columns::{Arg, Arith};
+pub use crate::columns::{Elem, Pool};
 use crate::ops::Intrin;
 
 /// Index of a [`NativeKernel`] in [`VmProgram::natives`](crate::bytecode::VmProgram::natives).
@@ -124,30 +131,34 @@ impl Lin {
         (self.vterms.is_empty() && self.sterms.is_empty()).then_some(self.base)
     }
 
+    /// `self + sign·other`. Folds wrap as the per-element operators do:
+    /// wrapping is a ring homomorphism, so the folded form still equals
+    /// the value computed element by element.
     fn combine(&self, other: &Lin, sign: i64) -> Lin {
         let mut out = self.clone();
-        out.base += sign * other.base;
+        out.base = out.base.wrapping_add(sign.wrapping_mul(other.base));
         for &(s, a) in &other.vterms {
-            merge_term(&mut out.vterms, s, sign * a);
+            merge_term(&mut out.vterms, s, sign.wrapping_mul(a));
         }
         for &(s, a) in &other.sterms {
-            merge_term(&mut out.sterms, s, sign * a);
+            merge_term(&mut out.sterms, s, sign.wrapping_mul(a));
         }
         out
     }
 
     fn scale(&self, k: i64) -> Lin {
+        let scaled = |&(s, a): &(u16, i64)| (s, a.wrapping_mul(k));
         Lin {
-            base: self.base * k,
-            vterms: self.vterms.iter().map(|&(s, a)| (s, a * k)).collect(),
-            sterms: self.sterms.iter().map(|&(s, a)| (s, a * k)).collect(),
+            base: self.base.wrapping_mul(k),
+            vterms: self.vterms.iter().map(scaled).collect(),
+            sterms: self.sterms.iter().map(scaled).collect(),
         }
     }
 }
 
 fn merge_term(terms: &mut Vec<(u16, i64)>, slot: u16, coeff: i64) {
     if let Some(i) = terms.iter().position(|&(s, _)| s == slot) {
-        terms[i].1 += coeff;
+        terms[i].1 = terms[i].1.wrapping_add(coeff);
         if terms[i].1 == 0 {
             // Keep cancelled terms out so `as_const` sees `I - I` shapes.
             terms.remove(i);
@@ -157,10 +168,14 @@ fn merge_term(terms: &mut Vec<(u16, i64)>, slot: u16, coeff: i64) {
     }
 }
 
-/// The REAL expression tree a body's RHS reduced to. Leaves index the
-/// owning [`Sites`]' `reads` / `lins` / `scalar_slots` tables;
-/// interior nodes reproduce `ops::eval_bin`'s REAL arithmetic exactly
-/// (same association order, `Div` is IEEE `/`, `Pow` is `powf`).
+/// The typed expression tree a body's RHS, a vector subscript or an
+/// inspector subscript reduced to: REAL when it feeds a REAL array,
+/// INTEGER when it feeds an INTEGER array or a subscript. A tree is of
+/// one type throughout — the only INTEGER it promotes is an affine leaf.
+/// Leaves index the owning [`Sites`]' tables; interior nodes are
+/// evaluated by the column operators ([`compose`]), in the bytecode's
+/// association order, and none of them can fault: an INTEGER divisor is
+/// a constant other than 0 and -1.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NExpr {
     /// A REAL literal (including integer constants the bytecode would
@@ -168,37 +183,20 @@ pub enum NExpr {
     Lit(f64),
     /// A REAL program scalar: index into [`Sites::scalar_slots`].
     Scalar(usize),
-    /// An integer affine value promoted to REAL here: index into
-    /// [`Sites::lins`].
-    Cast(usize),
-    /// An array element read: index into [`Sites::reads`].
+    /// An affine integer, as a value of the tree's type — in a REAL
+    /// tree it is promoted here: index into [`Sites::lins`].
+    Lin(usize),
+    /// An array element read: index into [`Sites::reads`] in a REAL
+    /// tree, [`Sites::ireads`] in an INTEGER one.
     Read(usize),
     /// Unary negation.
     Neg(Box<NExpr>),
-    /// Binary REAL arithmetic (`Add`/`Sub`/`Mul`/`Div`/`Pow` only).
+    /// Binary arithmetic: `Add`/`Sub`/`Mul`, and `Div`/`Pow` on REALs.
     Bin(BinOp, Box<NExpr>, Box<NExpr>),
-}
-
-/// An INTEGER expression tree: what a body's RHS (INTEGER arrays), a
-/// vector subscript or an inspector subscript reduced to when it is not
-/// affine. Leaves index the owning [`Sites`]' `lins` / `ireads` tables;
-/// interior nodes are the `i64` operators of `ops::eval_bin` /
-/// `eval_un` / `eval_intrin`, none of which can fault here: a divisor
-/// is a constant other than 0 and -1.
-#[derive(Debug, Clone, PartialEq)]
-pub enum IExpr {
-    /// An affine integer: index into [`Sites::lins`].
-    Lin(usize),
-    /// An INTEGER array element read: index into [`Sites::ireads`].
-    Read(usize),
-    /// Unary negation.
-    Neg(Box<IExpr>),
-    /// `Add` / `Sub` / `Mul`.
-    Bin(BinOp, Box<IExpr>, Box<IExpr>),
-    /// Truncating division by a constant.
-    DivC(Box<IExpr>, i64),
-    /// `MOD(x, k)` by a constant: the sign of the dividend.
-    ModC(Box<IExpr>, i64),
+    /// Truncating INTEGER division by a constant.
+    DivC(Box<NExpr>, i64),
+    /// INTEGER `MOD(x, k)` by a constant: the sign of the dividend.
+    ModC(Box<NExpr>, i64),
 }
 
 /// An affine walk over a box: at element `i` of row `r` it stands at
@@ -220,10 +218,11 @@ pub struct Walk {
 }
 
 impl Walk {
-    /// `(start, step)` of row `r`: one multiply-add.
+    /// `(start, step)` of row `r`: one (wrapping) multiply-add.
     #[inline(always)]
     fn row(&self, r: usize) -> (i64, i64) {
-        (self.start + r as i64 * self.row_step, self.step)
+        let down = (r as i64).wrapping_mul(self.row_step);
+        (self.start.wrapping_add(down), self.step)
     }
 }
 
@@ -270,23 +269,13 @@ pub struct BoxOut<'a, T = f64> {
     pub row_step: isize,
 }
 
-/// Buffers a kernel borrows from call to call: scratch rows for the
-/// generic evaluators' intermediate operands, and the snapshot of an
-/// output row a [`BoxRead`] without `data` reads. One per rank, phase
-/// and lane.
-#[derive(Debug, Default)]
-pub struct Scratch<T = f64> {
-    free: Vec<Vec<T>>,
-    own: Vec<T>,
-}
-
 /// A monomorphized box kernel: one whole expression over `rows` × `len`
 /// iterations as a single call. Inside, rows run in order, each row's
 /// descriptors one multiply-add per site away from the box's, and a row
 /// is one loop over slices — no dispatch per row, none per element.
-/// Writes every element of every output row.
-pub type BoxFn<T = f64> =
-    Arc<dyn Fn(&BoxArgs<'_, T>, &mut BoxOut<'_, T>, &mut Scratch<T>) + Send + Sync>;
+/// Writes every element of every output row; the [`Pool`] lends the
+/// columns it needs on the way (one per rank and phase will do).
+pub type BoxFn<T = f64> = Arc<dyn Fn(&BoxArgs<'_, T>, &mut BoxOut<'_, T>, &mut Pool) + Send + Sync>;
 
 /// One read site along one row of a box: element `i` of the row is
 /// `data[start + i·step]`.
@@ -341,13 +330,6 @@ impl<'a, T: Copy> Row<'a, T> {
             step: step as isize,
         }
     }
-
-    /// Whether `site` is the operand updated in place: its row is the
-    /// output row, which already holds it.
-    #[inline(always)]
-    fn updates(&self, site: &BoxRead<'_, T>) -> bool {
-        self.in_place && site.data.is_none()
-    }
 }
 
 /// Keep the output row as it stands, for the sites that read it. Out of
@@ -359,28 +341,28 @@ fn snapshot<T: Copy>(own: &mut Vec<T>, row: &[T]) {
     own.extend_from_slice(row);
 }
 
-impl<T: Copy> BoxArgs<'_, T> {
-    /// The row loop every kernel is written over: `f` once per row, in
-    /// order, on that row's view and output slice. A row some site reads
-    /// its own element of is snapshotted first — a FORALL reads before it
-    /// writes, wherever in the expression the read stands — unless that
-    /// site is `rmw` and no other: the operand `f` can update in place
-    /// (`x = x - m*y` read and written element by element is the same
-    /// thing, without the copy).
+impl<T: Elem> BoxArgs<'_, T> {
+    /// The row loop every fused kernel is written over: `f` once per
+    /// row, in order, on that row's view and output slice. A row some
+    /// site reads its own element of is snapshotted first — a FORALL
+    /// reads before it writes, wherever in the expression the read stands
+    /// — unless that site is `rmw` and no other: the operand `f` can
+    /// update in place (`x = x - m*y` read and written element by element
+    /// is the same thing, without the copy).
     #[inline(always)]
     fn for_rows(
         &self,
         out: &mut BoxOut<'_, T>,
-        scratch: &mut Scratch<T>,
+        pool: &mut Pool,
         rmw: Option<usize>,
-        mut f: impl FnMut(&Row<'_, T>, &mut [T], &mut Scratch<T>),
+        mut f: impl FnMut(&Row<'_, T>, &mut [T]),
     ) {
         let mut owned = (self.reads.iter().enumerate())
             .filter_map(|(i, site)| site.data.is_none().then_some(i));
         let (first, second) = (owned.next(), owned.next());
         let in_place = first.is_some() && first == rmw && second.is_none();
         let keep = first.is_some() && !in_place;
-        let mut own = std::mem::take(&mut scratch.own);
+        let mut own = if keep { pool.take::<T>() } else { Vec::new() };
         // By value: nothing below is reloaded after a row is stored.
         let (rows, len, start, row_step) = (self.rows, self.len, out.start, out.row_step);
         let data = &mut *out.data;
@@ -395,9 +377,11 @@ impl<T: Copy> BoxArgs<'_, T> {
                 own: &own,
                 in_place,
             };
-            f(&view, row, scratch);
+            f(&view, row);
         }
-        scratch.own = own;
+        if keep {
+            T::spares(pool).push(own);
+        }
     }
 }
 
@@ -408,65 +392,6 @@ pub enum BoxKernel {
     Real(BoxFn),
     /// Boxes of an INTEGER array.
     Int(BoxFn<i64>),
-}
-
-/// An element type the box kernels run over: `f64` for REAL arrays,
-/// `i64` for INTEGER ones. What the engine's one box loop needs to stay
-/// generic over the two.
-pub trait Lane: Copy + Default + Send + 'static {
-    /// The raw storage of an array of this type (panics on another).
-    fn slice(data: &ArrayData) -> &[Self];
-    /// The raw storage, mutably.
-    fn slice_mut(data: &mut ArrayData) -> &mut [Self];
-    /// A dense column as array storage.
-    fn column(vals: Vec<Self>) -> ArrayData;
-    /// The kernel of this lane (panics on the other's).
-    fn kernel(k: &BoxKernel) -> &BoxFn<Self>;
-    /// This lane's of a `(REAL, INTEGER)` pair — [`Sites::reads`] or
-    /// [`Sites::ireads`], say.
-    fn pick<X>(real: X, int: X) -> X;
-}
-
-impl Lane for f64 {
-    fn slice(data: &ArrayData) -> &[f64] {
-        data.as_real_slice()
-    }
-    fn slice_mut(data: &mut ArrayData) -> &mut [f64] {
-        data.as_real_slice_mut()
-    }
-    fn column(vals: Vec<f64>) -> ArrayData {
-        ArrayData::Real(vals)
-    }
-    fn kernel(k: &BoxKernel) -> &BoxFn {
-        match k {
-            BoxKernel::Real(f) => f,
-            BoxKernel::Int(_) => panic!("an INTEGER kernel on a REAL lane"),
-        }
-    }
-    fn pick<X>(real: X, _: X) -> X {
-        real
-    }
-}
-
-impl Lane for i64 {
-    fn slice(data: &ArrayData) -> &[i64] {
-        data.as_int_slice()
-    }
-    fn slice_mut(data: &mut ArrayData) -> &mut [i64] {
-        data.as_int_slice_mut()
-    }
-    fn column(vals: Vec<i64>) -> ArrayData {
-        ArrayData::Int(vals)
-    }
-    fn kernel(k: &BoxKernel) -> &BoxFn<i64> {
-        match k {
-            BoxKernel::Int(f) => f,
-            BoxKernel::Real(_) => panic!("a REAL kernel on an INTEGER lane"),
-        }
-    }
-    fn pick<X>(_: X, int: X) -> X {
-        int
-    }
 }
 
 /// One read site of a box kernel.
@@ -625,7 +550,7 @@ enum Sym {
     /// Integer, affine in loop variables and INTEGER scalars.
     Int(Lin),
     /// Integer, any other admitted expression.
-    IntTree(IExpr),
+    IntTree(NExpr),
     /// REAL expression tree.
     Real(NExpr),
     /// Anything the native tier cannot reproduce bit-exactly.
@@ -674,11 +599,11 @@ impl SiteCtx<'_> {
     }
 
     /// The integer value as a tree (affine values become leaves).
-    fn int_tree(&mut self, s: Sym) -> Option<IExpr> {
+    fn int_tree(&mut self, s: Sym) -> Option<NExpr> {
         match s {
             Sym::Int(lin) => {
                 self.sites.lins.push(lin);
-                Some(IExpr::Lin(self.sites.lins.len() - 1))
+                Some(NExpr::Lin(self.sites.lins.len() - 1))
             }
             Sym::IntTree(t) => Some(t),
             _ => None,
@@ -692,7 +617,7 @@ impl SiteCtx<'_> {
                 Some(k) => Sym::Real(NExpr::Lit(k as f64)),
                 None => {
                     self.sites.lins.push(lin);
-                    Sym::Real(NExpr::Cast(self.sites.lins.len() - 1))
+                    Sym::Real(NExpr::Lin(self.sites.lins.len() - 1))
                 }
             },
             real @ Sym::Real(_) => real,
@@ -729,9 +654,9 @@ impl SiteCtx<'_> {
             return match (op, divisor) {
                 (Add | Sub | Mul, _) => {
                     let (l, r) = (tree(self, a), tree(self, b));
-                    Sym::IntTree(IExpr::Bin(op, l, r))
+                    Sym::IntTree(NExpr::Bin(op, l, r))
                 }
-                (Div, Some(k)) => Sym::IntTree(IExpr::DivC(tree(self, a), k)),
+                (Div, Some(k)) => Sym::IntTree(NExpr::DivC(tree(self, a), k)),
                 // A divisor that is not a safe constant can fault, and
                 // integer exponentiation clamps and faults on
                 // negatives: the bytecode tier's to report.
@@ -781,7 +706,7 @@ impl SiteCtx<'_> {
                 Op::Un { op, dst, a } => {
                     regs[dst as usize] = match (op, regs[a as usize].clone()) {
                         (UnOp::Neg, Sym::Int(lin)) => Sym::Int(lin.scale(-1)),
-                        (UnOp::Neg, Sym::IntTree(t)) => Sym::IntTree(IExpr::Neg(Box::new(t))),
+                        (UnOp::Neg, Sym::IntTree(t)) => Sym::IntTree(NExpr::Neg(Box::new(t))),
                         (UnOp::Neg, Sym::Real(e)) => Sym::Real(NExpr::Neg(Box::new(e))),
                         _ => Sym::Opaque,
                     }
@@ -798,7 +723,7 @@ impl SiteCtx<'_> {
                         // every other intrinsic.
                         (Intrin::Mod, [x, y]) => match (self.int_tree(x.clone()), const_divisor(y))
                         {
-                            (Some(x), Some(k)) => Sym::IntTree(IExpr::ModC(Box::new(x), k)),
+                            (Some(x), Some(k)) => Sym::IntTree(NExpr::ModC(Box::new(x), k)),
                             _ => Sym::Opaque,
                         },
                         _ => Sym::Opaque,
@@ -844,7 +769,7 @@ impl SiteCtx<'_> {
             }
             ElemType::Int => {
                 self.sites.ireads.push(site);
-                Sym::IntTree(IExpr::Read(self.sites.ireads.len() - 1))
+                Sym::IntTree(NExpr::Read(self.sites.ireads.len() - 1))
             }
             _ => Sym::Opaque,
         }
@@ -856,7 +781,7 @@ impl SiteCtx<'_> {
             .iter()
             .map(|c| {
                 let sym = self.eval_code(c);
-                self.int_tree(sym).map(|t| compose_int(&t))
+                self.int_tree(sym).map(|t| compose(&t))
             })
             .collect()
     }
@@ -911,7 +836,7 @@ pub fn select(
             }
             // A REAL value stored to an INTEGER array truncates per
             // element: bytecode's.
-            ElemType::Int => ("int_rows", BoxKernel::Int(compose_int(&ctx.int_tree(rhs)?))),
+            ElemType::Int => ("int_rows", BoxKernel::Int(compose(&ctx.int_tree(rhs)?))),
             _ => return None,
         };
         let lhs = match b.scatter {
@@ -1051,10 +976,10 @@ fn fused<const N: usize, F: Fn([f64; N]) -> f64>(
     per_box: impl Fn(&BoxArgs<'_>) -> F + Send + Sync + 'static,
 ) -> BoxFn {
     let rmw = updated_operand(&sites.map(Some));
-    Arc::new(move |a, out, scratch| {
+    Arc::new(move |a, out, pool| {
         // Copies: a site is not reloaded after a row is stored.
         let (reads, f) = (sites.map(|i| a.reads[i]), per_box(a));
-        a.for_rows(out, scratch, rmw, |row, o, _| {
+        a.for_rows(out, pool, rmw, |row, o| {
             map_rows(o, reads.map(|site| row.of(&site)), row.in_place, &f)
         })
     })
@@ -1073,7 +998,7 @@ pub fn match_template(e: &NExpr) -> (&'static str, BoxFn) {
     match e {
         Lit(_) => return ("fill_const", compose(e)),
         Read(_) => return ("copy", compose(e)),
-        Cast(_) => return ("index_cast", compose(e)),
+        Lin(_) => return ("index_cast", compose(e)),
         Scalar(_) => return ("scalar_fill", compose(e)),
         _ => {}
     }
@@ -1103,18 +1028,18 @@ pub fn match_template(e: &NExpr) -> (&'static str, BoxFn) {
                 if let (Read(i1), Read(i2)) = (&**n1, &**n2) {
                     let sites = [*i0, *i1, *i2, *i3];
                     let rmw = updated_operand(&sites.map(Some));
-                    let f: BoxFn = Arc::new(move |a, out, scratch| {
+                    let f: BoxFn = Arc::new(move |a, out, pool| {
                         let [x, p, q, y] = sites.map(|i| a.reads[i]);
                         let fixed = |site: &BoxRead<'_>| site.data.is_some() && site.walk.step == 0;
                         if fixed(&p) && fixed(&q) {
-                            a.for_rows(out, scratch, rmw, |row, o, _| {
+                            a.for_rows(out, pool, rmw, |row, o| {
                                 let m = row.of(&p).at(0) / row.of(&q).at(0);
                                 map_rows(o, [row.of(&x), row.of(&y)], row.in_place, |[x, y]| {
                                     x - m * y
                                 })
                             })
                         } else {
-                            a.for_rows(out, scratch, rmw, |row, o, _| {
+                            a.for_rows(out, pool, rmw, |row, o| {
                                 let reads = [x, p, q, y].map(|site| row.of(&site));
                                 map_rows(o, reads, row.in_place, |[w, x, y, z]| w - (x / y) * z)
                             })
@@ -1157,265 +1082,86 @@ pub fn match_template(e: &NExpr) -> (&'static str, BoxFn) {
     ("generic", compose(e))
 }
 
-// ---- the generic row evaluators ----------------------------------------
+// ---- the generic kernels: rows through the column operators ------------
 
-/// Where a subtree's row value is after [`eval_row`] / [`eval_irow`].
-enum Val<'a, T> {
-    /// The same value at every row element (literals, scalars, reads and
-    /// affine integers that do not depend on the innermost variable, and
-    /// any arithmetic over those — computed once, with the identical
-    /// operation the per-element form would repeat).
-    Uniform(T),
-    /// A unit-stride read, borrowed straight from the array.
-    Slice(&'a [T]),
-    /// Written to the evaluator's output row.
-    Out,
-}
-
-/// `out[i] = f(l[i], r[i])` for every placement of the operands; two
-/// uniform operands fold to a uniform result and leave `out` alone.
-#[inline(always)]
-fn zip_rows<T: Copy>(
-    out: &mut [T],
-    l: Val<'_, T>,
-    r: Val<'_, T>,
-    f: impl Fn(T, T) -> T,
-) -> Option<T> {
-    use Val::*;
-    match (l, r) {
-        (Uniform(x), Uniform(y)) => return Some(f(x, y)),
-        (Uniform(x), Slice(r)) => {
-            for (o, &y) in out.iter_mut().zip(r) {
-                *o = f(x, y);
-            }
-        }
-        (Slice(l), Uniform(y)) => {
-            for (o, &x) in out.iter_mut().zip(l) {
-                *o = f(x, y);
-            }
-        }
-        (Slice(l), Slice(r)) => {
-            for ((o, &x), &y) in out.iter_mut().zip(l).zip(r) {
-                *o = f(x, y);
-            }
-        }
-        (Out, Uniform(y)) => {
-            for o in out.iter_mut() {
-                *o = f(*o, y);
-            }
-        }
-        (Out, Slice(r)) => {
-            for (o, &y) in out.iter_mut().zip(r) {
-                *o = f(*o, y);
-            }
-        }
-        (_, Out) => unreachable!("a right operand is evaluated into a scratch row"),
-    }
-    None
-}
-
-/// `f` applied along a row, wherever the row is.
-#[inline(always)]
-fn map_row<'a, T: Copy>(out: &mut [T], v: Val<'a, T>, f: impl Fn(T) -> T) -> Val<'a, T> {
-    match v {
-        Val::Uniform(x) => return Val::Uniform(f(x)),
-        Val::Slice(row) => {
-            for (o, &x) in out.iter_mut().zip(row) {
-                *o = f(x);
-            }
-        }
-        Val::Out => {
-            for o in out.iter_mut() {
-                *o = f(*o);
-            }
-        }
-    }
-    Val::Out
-}
-
-/// A read site's row: a uniform value, a borrowed slice, or a strided
-/// walk copied to `out`.
-#[inline(always)]
-fn read_row<'a, T: Copy>(r: RowRead<'a, T>, out: &mut [T]) -> Val<'a, T> {
-    if r.step == 0 {
-        return Val::Uniform(r.at(0));
-    }
-    if let Some(row) = r.unit(out.len()) {
-        return Val::Slice(row);
-    }
-    for (i, o) in out.iter_mut().enumerate() {
-        *o = r.at(i);
-    }
-    Val::Out
-}
-
-/// An affine integer's row under `cast`: uniform, or a fill of `out`.
-#[inline(always)]
-fn lin_row<'a, T: Copy>(
-    (start, step): (i64, i64),
-    out: &mut [T],
-    cast: fn(i64) -> T,
-) -> Val<'a, T> {
-    if step == 0 {
-        return Val::Uniform(cast(start));
-    }
-    for (i, o) in out.iter_mut().enumerate() {
-        *o = cast(start + i as i64 * step);
-    }
-    Val::Out
-}
-
-/// A scratch row of `n` elements from the free list.
-fn scratch_row<T: Copy + Default>(scratch: &mut Scratch<T>, n: usize) -> Vec<T> {
-    let mut tmp = scratch.free.pop().unwrap_or_default();
-    tmp.resize(n, T::default());
-    tmp
-}
-
-/// Evaluate `e` over one row of `out.len()` elements, one tight loop per
-/// tree node. Mirrors `ops::eval_bin`'s REAL arithmetic node for node.
-fn eval_row<'a>(
+/// `e` over row `r` of the box, as a typed operand: a leaf is one value
+/// when it does not move along the row, a view of its segment at unit
+/// stride — of `own`, the output row as it stands, when it is the element
+/// the box overwrites — and one fill of a pooled column otherwise; an
+/// operator is its row of the column operator table ([`Elem::arith`])
+/// over its operands, the one place its arithmetic is written.
+fn eval<'a, T: Elem>(
     e: &NExpr,
-    a: &BoxArgs<'a>,
-    row: &Row<'a, f64>,
-    out: &mut [f64],
-    scratch: &mut Scratch,
-) -> Val<'a, f64> {
-    match e {
-        NExpr::Lit(c) => Val::Uniform(*c),
-        NExpr::Scalar(i) => Val::Uniform(a.scalars[*i]),
-        NExpr::Cast(i) => lin_row(a.lins[*i].row(row.r), out, |v| v as f64),
-        NExpr::Read(i) if row.updates(&a.reads[*i]) => Val::Out,
-        NExpr::Read(i) => read_row(row.of(&a.reads[*i]), out),
-        NExpr::Neg(x) => {
-            let v = eval_row(x, a, row, out, scratch);
-            map_row(out, v, |v| -v)
-        }
-        NExpr::Bin(op, l, r) => {
-            let lv = eval_row(l, a, row, out, scratch);
-            let mut tmp = scratch_row(scratch, out.len());
-            let rv = match eval_row(r, a, row, &mut tmp, scratch) {
-                Val::Out => Val::Slice(&tmp),
-                v => v,
-            };
-            let folded = match op {
-                BinOp::Add => zip_rows(out, lv, rv, |x, y| x + y),
-                BinOp::Sub => zip_rows(out, lv, rv, |x, y| x - y),
-                BinOp::Mul => zip_rows(out, lv, rv, |x, y| x * y),
-                BinOp::Div => zip_rows(out, lv, rv, |x, y| x / y),
-                BinOp::Pow => zip_rows(out, lv, rv, |x, y| x.powf(y)),
-                _ => unreachable!("selection admits arithmetic ops only"),
-            };
-            scratch.free.push(tmp);
-            folded.map_or(Val::Out, Val::Uniform)
-        }
-    }
-}
-
-/// [`eval_row`] for INTEGER trees: the `i64` operators of
-/// `ops::eval_bin` / `eval_un` / `eval_intrin`, node for node.
-fn eval_irow<'a>(
-    e: &IExpr,
-    a: &BoxArgs<'a, i64>,
-    row: &Row<'a, i64>,
-    out: &mut [i64],
-    scratch: &mut Scratch<i64>,
-) -> Val<'a, i64> {
-    match e {
-        IExpr::Lin(i) => lin_row(a.lins[*i].row(row.r), out, |v| v),
-        IExpr::Read(i) if row.updates(&a.reads[*i]) => Val::Out,
-        IExpr::Read(i) => read_row(row.of(&a.reads[*i]), out),
-        IExpr::Neg(x) => {
-            let v = eval_irow(x, a, row, out, scratch);
-            map_row(out, v, |v| -v)
-        }
-        IExpr::DivC(x, k) => {
-            let (v, k) = (eval_irow(x, a, row, out, scratch), *k);
-            map_row(out, v, |v| v / k)
-        }
-        IExpr::ModC(x, k) => {
-            let (v, k) = (eval_irow(x, a, row, out, scratch), *k);
-            map_row(out, v, |v| v % k)
-        }
-        IExpr::Bin(op, l, r) => {
-            let lv = eval_irow(l, a, row, out, scratch);
-            let mut tmp = scratch_row(scratch, out.len());
-            let rv = match eval_irow(r, a, row, &mut tmp, scratch) {
-                Val::Out => Val::Slice(&tmp),
-                v => v,
-            };
-            let folded = match op {
-                BinOp::Add => zip_rows(out, lv, rv, |x, y| x + y),
-                BinOp::Sub => zip_rows(out, lv, rv, |x, y| x - y),
-                BinOp::Mul => zip_rows(out, lv, rv, |x, y| x * y),
-                _ => unreachable!("selection admits + - * only"),
-            };
-            scratch.free.push(tmp);
-            folded.map_or(Val::Out, Val::Uniform)
-        }
-    }
-}
-
-/// Whatever of a row is not already in the output row is copied or
-/// filled there.
-#[inline(always)]
-fn settle<T: Copy>(out: &mut [T], v: Val<'_, T>) {
-    match v {
-        Val::Uniform(v) => out.fill(v),
-        Val::Slice(row) => out.copy_from_slice(row),
-        Val::Out => {}
-    }
-}
-
-/// The box kernel for REAL shapes with no fused template: `eval_row`
-/// over the reduced tree, row by row. The tree's leftmost leaf is
-/// evaluated first and into the output row: the one operand that can be
-/// updated in place (`updated_operand`).
-pub fn compose(e: &NExpr) -> BoxFn {
-    fn leaves(e: &NExpr, out: &mut Vec<Option<usize>>) {
-        match e {
-            NExpr::Read(i) => out.push(Some(*i)),
-            NExpr::Neg(x) => leaves(x, out),
-            NExpr::Bin(_, l, r) => {
-                leaves(l, out);
-                leaves(r, out)
-            }
-            NExpr::Lit(_) | NExpr::Scalar(_) | NExpr::Cast(_) => out.push(None),
-        }
-    }
-    let mut operands = Vec::new();
-    leaves(e, &mut operands);
-    let (e, rmw) = (e.clone(), updated_operand(&operands));
-    Arc::new(move |a, out, scratch| {
-        a.for_rows(out, scratch, rmw, |row, o, scratch| {
-            let v = eval_row(&e, a, row, o, scratch);
-            settle(o, v)
-        })
-    })
-}
-
-/// The box kernel of an INTEGER tree: `eval_irow` over it, row by row,
-/// the leftmost leaf in place as in [`compose`].
-pub fn compose_int(e: &IExpr) -> BoxFn<i64> {
-    fn leaves(e: &IExpr, out: &mut Vec<Option<usize>>) {
-        match e {
-            IExpr::Read(i) => out.push(Some(*i)),
-            IExpr::Lin(_) => out.push(None),
-            IExpr::Neg(x) | IExpr::DivC(x, _) | IExpr::ModC(x, _) => leaves(x, out),
-            IExpr::Bin(_, l, r) => {
-                leaves(l, out);
-                leaves(r, out)
+    a: &BoxArgs<'a, T>,
+    r: usize,
+    own: &'a [T],
+    pool: &mut Pool,
+) -> Arg<'a, T> {
+    let n = a.len;
+    let walk = |(start, step): (i64, i64)| {
+        (0..n as i64).map(move |i| start.wrapping_add(i.wrapping_mul(step)))
+    };
+    let uni = |v: Value| Arg::Uni(T::of(v));
+    let sub = |x: &NExpr, pool: &mut Pool| eval(x, a, r, own, pool);
+    let (row, x, y) = match e {
+        NExpr::Lit(c) => return uni(Value::Real(*c)),
+        NExpr::Scalar(i) => return uni(Value::Real(a.scalars[*i])),
+        NExpr::Lin(i) => {
+            return match a.lins[*i].row(r) {
+                (start, 0) => uni(Value::Int(start)),
+                lin => Arg::Own(pool.collect(walk(lin).map(|v| T::of(Value::Int(v))))),
             }
         }
-    }
-    let mut operands = Vec::new();
-    leaves(e, &mut operands);
-    let (e, rmw) = (e.clone(), updated_operand(&operands));
-    Arc::new(move |a, out, scratch| {
-        a.for_rows(out, scratch, rmw, |row, o, scratch| {
-            let v = eval_irow(&e, a, row, o, scratch);
-            settle(o, v)
-        })
+        NExpr::Read(i) => {
+            return match (a.reads[*i].data, a.reads[*i].walk.row(r)) {
+                (None, _) => Arg::Ref(own),
+                (Some(data), (at, 0)) => Arg::Uni(data[at as usize]),
+                (Some(data), (at, 1)) => Arg::Ref(&data[at as usize..][..n]),
+                (Some(data), site) => {
+                    Arg::Own(pool.collect(walk(site).map(|at| data[at as usize])))
+                }
+            }
+        }
+        NExpr::Neg(x) => (Arith::Neg, sub(x, pool), uni(Value::Int(0))),
+        NExpr::Bin(op, x, y) => (Arith::Bin(*op), sub(x, pool), sub(y, pool)),
+        NExpr::DivC(x, k) => (Arith::Bin(BinOp::Div), sub(x, pool), uni(Value::Int(*k))),
+        NExpr::ModC(x, k) => (Arith::Mod, sub(x, pool), uni(Value::Int(*k))),
+    };
+    T::arith(row, [x, y], n, pool).expect("selection admits no operator that can fault")
+}
+
+/// The box kernel of a tree with no fused template — REAL or INTEGER, by
+/// the lane it is built for: every row evaluated through the column
+/// operators, then stored with one typed copy. An operator computes its
+/// row in a pooled column before anything is written, so a site that
+/// reads the box's own elements needs no snapshot: it is a view of the
+/// output row.
+pub fn compose<T: Elem>(e: &NExpr) -> BoxFn<T> {
+    let e = e.clone();
+    Arc::new(move |a, out, pool| {
+        for r in 0..a.rows {
+            let at = (out.start as isize + r as isize * out.row_step) as usize;
+            let o = &mut out.data[at..at + a.len];
+            let v: Arg<'_, T> = match &e {
+                // The row holds what it would be assigned.
+                NExpr::Read(i) if a.reads[*i].data.is_none() => continue,
+                // No other leaf looks at the output row.
+                NExpr::Lit(_) | NExpr::Scalar(_) | NExpr::Lin(_) | NExpr::Read(_) => {
+                    eval(&e, a, r, &[], pool)
+                }
+                // An operator's row is its own column (or one value).
+                _ => match eval(&e, a, r, o, pool) {
+                    Arg::Ref(_) => unreachable!("an operator answers with a column"),
+                    Arg::Uni(x) => Arg::Uni(x),
+                    Arg::Own(col) => Arg::Own(col),
+                },
+            };
+            match v.col() {
+                Ok(col) => o.copy_from_slice(col),
+                Err(x) => o.fill(x),
+            }
+            v.done(pool);
+        }
     })
 }
 
@@ -1437,49 +1183,34 @@ mod tests {
         NExpr::Bin(op, Box::new(l), Box::new(r))
     }
 
-    /// The per-element meaning of an INTEGER tree, through the
-    /// `Value`-level operators the bytecode evaluates with.
-    fn eval_ielem(e: &IExpr, ireads: &[i64], lins: &[i64]) -> i64 {
-        use crate::ops::{eval_bin, eval_intrin, eval_un};
-        let ev = |x: &IExpr| Value::Int(eval_ielem(x, ireads, lins));
-        let v = match e {
-            IExpr::Lin(i) => return lins[*i],
-            IExpr::Read(i) => return ireads[*i],
-            IExpr::Neg(x) => eval_un(UnOp::Neg, ev(x)),
-            IExpr::Bin(op, l, r) => eval_bin(*op, ev(l), ev(r)),
-            IExpr::DivC(x, k) => eval_bin(BinOp::Div, ev(x), Value::Int(*k)),
-            IExpr::ModC(x, k) => eval_intrin(Intrin::Mod, &[ev(x), Value::Int(*k)]),
-        };
-        v.expect("an admitted integer operator cannot fault")
-            .as_int()
-    }
-
-    /// The per-element meaning of a reduced tree — the oracle the box
+    /// The per-element meaning of a tree: the `Value`-level operators of
+    /// `ops.rs` applied to the element's leaf values — the oracle the box
     /// kernels are checked against.
-    fn eval_elem(e: &NExpr, reads: &[f64], lins: &[i64], scalars: &[f64]) -> f64 {
-        let ev = |x: &NExpr| eval_elem(x, reads, lins, scalars);
-        match e {
-            NExpr::Lit(c) => *c,
-            NExpr::Scalar(i) => scalars[*i],
-            NExpr::Cast(i) => lins[*i] as f64,
-            NExpr::Read(i) => reads[*i],
-            NExpr::Neg(x) => -ev(x),
-            NExpr::Bin(BinOp::Add, l, r) => ev(l) + ev(r),
-            NExpr::Bin(BinOp::Sub, l, r) => ev(l) - ev(r),
-            NExpr::Bin(BinOp::Mul, l, r) => ev(l) * ev(r),
-            NExpr::Bin(BinOp::Div, l, r) => ev(l) / ev(r),
-            NExpr::Bin(BinOp::Pow, l, r) => ev(l).powf(ev(r)),
-            NExpr::Bin(..) => unreachable!(),
-        }
+    fn oracle(e: &NExpr, reads: &[Value], lins: &[i64], scalars: &[f64]) -> Value {
+        use crate::ops::{eval_bin, eval_intrin, eval_un};
+        let ev = |x: &NExpr| oracle(x, reads, lins, scalars);
+        let int = |k: &i64| Value::Int(*k);
+        let v = match e {
+            NExpr::Lit(c) => Ok(Value::Real(*c)),
+            NExpr::Scalar(i) => Ok(Value::Real(scalars[*i])),
+            NExpr::Lin(i) => Ok(int(&lins[*i])),
+            NExpr::Read(i) => Ok(reads[*i]),
+            NExpr::Neg(x) => eval_un(UnOp::Neg, ev(x)),
+            NExpr::Bin(op, l, r) => eval_bin(*op, ev(l), ev(r)),
+            NExpr::DivC(x, k) => eval_bin(BinOp::Div, ev(x), int(k)),
+            NExpr::ModC(x, k) => eval_intrin(Intrin::Mod, &[ev(x), int(k)]),
+        };
+        v.expect("an admitted operator cannot fault")
     }
 
-    /// `(start, row_step, step)` walks through one 256-element segment:
-    /// unit-stride rows, strided, negative steps both ways, stride-0
-    /// (inner-invariant), row-invariant, and one value for the whole box.
+    /// `(start, row_step, step)` walks through one [`SEG`]-element
+    /// segment: unit-stride rows, strided, negative steps both ways,
+    /// stride-0 (inner-invariant), row-invariant, and one value for the
+    /// whole box.
     const LAYOUTS: [(i64, i64, i64); 6] = [
         (5, 21, 1),
         (2, 61, 3),
-        (250, -70, -2),
+        (1300, -70, -2),
         (17, 5, 0),
         (30, 0, 1),
         (9, 0, 0),
@@ -1506,8 +1237,11 @@ mod tests {
     const OWN: [&[usize]; 3] = [&[], &[0], &[1, 3]];
 
     /// Box shapes `(rows, len)`: one element, one row, several rows,
-    /// one-element rows.
-    const SHAPES: [(usize, usize); 4] = [(1, 1), (1, 7), (3, 20), (4, 1)];
+    /// one-element rows, rows one past the bytecode tier's `CHUNK`.
+    const SHAPES: [(usize, usize); 5] = [(1, 1), (1, 7), (3, 20), (4, 1), (2, 513)];
+
+    /// Elements per read segment, and of the output the boxes land in.
+    const SEG: i64 = 2048;
 
     /// Where a box of `len`-element rows is written, as `(start,
     /// row_step)`: dense ascending rows, and spaced descending ones.
@@ -1539,51 +1273,66 @@ mod tests {
 
     /// Run `f` over the box, written at each of [`out_layouts`] over an
     /// output that holds `before`, and require every element of every
-    /// row to be — by `bits` — what `want` makes of the site values and
-    /// the affine integers there, and everything between the rows to be
-    /// untouched.
-    fn check_box<T: Lane>(
+    /// row to be — by its bits: `-0.0 == 0.0` — what the [`oracle`]
+    /// makes of `e` over the site values and the affine integers there,
+    /// and everything between the rows to be untouched.
+    fn check_box<T: Elem>(
         f: &BoxFn<T>,
+        e: &NExpr,
         args: &BoxArgs<'_, T>,
         before: &[T],
-        bits: fn(T) -> u64,
-        want: impl Fn(&[T], &[i64]) -> T,
         what: &str,
     ) {
-        let mut scratch = Scratch::default();
+        let mut pool = Pool::default();
+        let value = |x: &T| T::column(vec![*x]).get(0);
+        let bits = |v: Value| match v {
+            Value::Real(x) => x.to_bits(),
+            v => v.as_int() as u64,
+        };
         for to in out_layouts(args.rows, args.len) {
-            let (mut got, mut expect) = (before.to_vec(), before.to_vec());
+            let mut got = before.to_vec();
+            let mut expect: Vec<u64> = before.iter().map(|x| bits(value(x))).collect();
             let mut out = BoxOut {
                 data: &mut got,
                 start: to.0,
                 row_step: to.1,
             };
-            f(args, &mut out, &mut scratch);
+            f(args, &mut out, &mut pool);
             for r in 0..args.rows {
                 for i in 0..args.len {
-                    let at = |w: &Walk| w.start + r as i64 * w.row_step + i as i64 * w.step;
+                    let at = |w: &Walk| {
+                        let (start, step) = w.row(r);
+                        start.wrapping_add((i as i64).wrapping_mul(step))
+                    };
                     let own = (to.0 as isize + r as isize * to.1) as usize + i;
-                    let reads: Vec<T> = (args.reads.iter())
+                    let reads: Vec<Value> = (args.reads.iter())
                         .map(|site| match site.data {
-                            Some(data) => data[at(&site.walk) as usize],
-                            None => before[own],
+                            Some(data) => value(&data[at(&site.walk) as usize]),
+                            None => value(&before[own]),
                         })
                         .collect();
                     let lins: Vec<i64> = args.lins.iter().map(at).collect();
-                    expect[own] = want(&reads, &lins);
+                    // An affine leaf at the root is promoted by the store.
+                    let want = T::of(oracle(e, &reads, &lins, args.scalars));
+                    expect[own] = bits(value(&want));
                 }
             }
-            let bits = |v: Vec<T>| v.into_iter().map(bits).collect::<Vec<_>>();
-            assert_eq!(bits(got), bits(expect), "{what}, written at {to:?}");
+            let got: Vec<u64> = got.iter().map(|x| bits(value(x))).collect();
+            assert_eq!(got, expect, "{what}, written at {to:?}");
         }
     }
 
-    /// Sign-mixed INTEGER segments, one per site.
+    /// Sign-mixed INTEGER segments, one per site; every eighth element
+    /// sits at an end of `i64`, so every operator meets lanes that wrap.
     fn int_data(nreads: usize) -> Vec<Vec<i64>> {
-        (0..nreads)
+        (0..nreads as i64)
             .map(|k| {
-                (0..256)
-                    .map(|x| (x * 37 + k as i64 * 11) % 29 - 13)
+                (0..SEG)
+                    .map(|x| match (x + k) % 16 {
+                        3 => i64::MAX - x,
+                        11 => i64::MIN + x,
+                        _ => (x * 37 + k * 11) % 29 - 13,
+                    })
                     .collect()
             })
             .collect()
@@ -1600,12 +1349,12 @@ mod tests {
         // or reassociated sum changes bits.
         let data: Vec<Vec<f64>> = (0..nreads)
             .map(|k| {
-                (0..256)
+                (0..SEG as usize)
                     .map(|x| ((x * 7 + k * 13) % 23) as f64 / 3.0 - 2.9)
                     .collect()
             })
             .collect();
-        let before: Vec<f64> = (0..100).map(|x| (x % 17) as f64 / 7.0 - 1.1).collect();
+        let before: Vec<f64> = (0..SEG).map(|x| (x % 17) as f64 / 7.0 - 1.1).collect();
         let scalars = [0.7, -1.3];
         let lins = [(4, 11, 3), (9, 0, 0), (-3, 2, 0)].map(|(start, row_step, step)| Walk {
             start,
@@ -1628,55 +1377,52 @@ mod tests {
                     };
                     for (label, f) in [(name, &fused), ("generic", &compose(e))] {
                         let what = format!("{label} kernel, {rows}x{len} mix={mix:?} own={own:?}");
-                        let want =
-                            |reads: &[f64], lins: &[i64]| eval_elem(e, reads, lins, &scalars);
-                        // Bits, not values: `-0.0 == 0.0`.
-                        check_box(f, &args, &before, f64::to_bits, want, &what);
+                        check_box(f, e, &args, &before, &what);
                     }
                 }
             }
         }
     }
 
-    fn ibin(op: BinOp, l: IExpr, r: IExpr) -> IExpr {
-        IExpr::Bin(op, Box::new(l), Box::new(r))
-    }
-
     /// INTEGER box kernels carry, element for element, what
     /// `ops::eval_bin` / `eval_intrin` compute: truncation toward zero
     /// and the sign of the dividend over negative operands and negative
-    /// constants, under every site layout and with own-element reads.
+    /// constants, and the wrapped bits of every lane that overflows —
+    /// under every site layout and with own-element reads.
     #[test]
     fn int_boxes_match_the_value_operators() {
         use BinOp::*;
-        use IExpr::*;
-        let fill = ibin(
+        use NExpr::*;
+        let fill = bin(
             Add,
             ModC(Box::new(Lin(0)), 8),
             Lin(1), // uniform
         );
         let trees = [
             fill,
-            ModC(Box::new(ibin(Sub, Read(0), Lin(0))), -7),
-            DivC(Box::new(ibin(Mul, Read(0), Read(1))), -3),
-            ibin(
+            ModC(Box::new(bin(Sub, Read(0), Lin(0))), -7),
+            DivC(Box::new(bin(Mul, Read(0), Read(1))), -3),
+            bin(
                 Sub,
                 DivC(Box::new(Neg(Box::new(Read(1)))), 4),
                 ModC(Box::new(Read(0)), 5),
             ),
             Neg(Box::new(Lin(1))),
             Read(0),
-            ibin(Mul, Lin(0), Lin(0)),
+            bin(Mul, Lin(0), Lin(0)),
+            // An affine integer that passes `i64::MAX` along the row.
+            bin(Add, Lin(2), Neg(Box::new(Read(1)))),
         ];
         let idata = int_data(2);
-        let before: Vec<i64> = (0..100).map(|x| (x * 5) % 23 - 11).collect();
-        let lins = [(-20, 7, 3), (9, 0, 0)].map(|(start, row_step, step)| Walk {
-            start,
-            row_step,
-            step,
-        });
+        let before: Vec<i64> = (0..SEG).map(|x| (x * 5) % 23 - 11).collect();
+        let lins =
+            [(-20, 7, 3), (9, 0, 0), (i64::MAX - 40, 7, 3)].map(|(start, row_step, step)| Walk {
+                start,
+                row_step,
+                step,
+            });
         for e in &trees {
-            let f = compose_int(e);
+            let f = compose(e);
             for (rows, len) in SHAPES {
                 for mix in MIXES {
                     for own in [&[][..], &[0], &[1]] {
@@ -1689,8 +1435,7 @@ mod tests {
                             scalars: &[],
                         };
                         let what = format!("{e:?}, {rows}x{len} mix={mix:?} own={own:?}");
-                        let want = |reads: &[i64], lins: &[i64]| eval_ielem(e, reads, lins);
-                        check_box(&f, &args, &before, |v| v as u64, want, &what);
+                        check_box(&f, e, &args, &before, &what);
                     }
                 }
             }
@@ -1717,8 +1462,8 @@ mod tests {
         );
         check_boxes(&Lit(2.5), "fill_const", 0);
         check_boxes(&Read(0), "copy", 1);
-        check_boxes(&Cast(0), "index_cast", 0);
-        check_boxes(&Cast(1), "index_cast", 0);
+        check_boxes(&Lin(0), "index_cast", 0);
+        check_boxes(&Lin(1), "index_cast", 0);
         check_boxes(&Scalar(1), "scalar_fill", 0);
         // Shapes with no fused template go through the tree evaluator:
         // nested right operands, negation, casts and scalars inside.
@@ -1727,7 +1472,7 @@ mod tests {
             bin(Pow, Read(0), Lit(2.0)),
             bin(
                 Div,
-                Neg(Box::new(bin(Mul, Read(1), Cast(0)))),
+                Neg(Box::new(bin(Mul, Read(1), Lin(0)))),
                 bin(Add, Scalar(0), bin(Mul, Read(2), Read(0))),
             ),
         );

@@ -17,11 +17,7 @@ pub fn eval_bin(op: BinOp, a: Value, b: Value) -> OpResult {
     use BinOp::*;
     if op.is_logical() {
         let (x, y) = (a.as_bool(), b.as_bool());
-        return Ok(Value::Bool(match op {
-            And => x && y,
-            Or => x || y,
-            _ => unreachable!(),
-        }));
+        return Ok(Value::Bool(if op == And { x && y } else { x || y }));
     }
     if op.is_comparison() {
         // Numeric comparison with promotion.
@@ -39,15 +35,15 @@ pub fn eval_bin(op: BinOp, a: Value, b: Value) -> OpResult {
     // Arithmetic with Fortran promotion.
     match (a, b) {
         (Value::Int(x), Value::Int(y)) => Ok(Value::Int(match op {
-            Add => x + y,
-            Sub => x - y,
-            Mul => x * y,
+            // INTEGER arithmetic wraps in every build (`i64::MIN / -1`
+            // included): an overflow is an answer, never an abort.
+            Add => x.wrapping_add(y),
+            Sub => x.wrapping_sub(y),
+            Mul => x.wrapping_mul(y),
             Div => {
                 if y == 0 {
                     return Err("integer division by zero".into());
                 }
-                // `i64::MIN / -1` wraps like every other integer operator
-                // of a release build instead of aborting the run.
                 x.wrapping_div(y)
             }
             Pow => {
@@ -78,6 +74,12 @@ pub fn eval_bin(op: BinOp, a: Value, b: Value) -> OpResult {
     }
 }
 
+/// `a·v + b` of a folded affine form, wrapping as the operators it
+/// folds do (a ring homomorphism: the fold equals the unfolded value).
+pub fn affine(a: i64, v: i64, b: i64) -> i64 {
+    a.wrapping_mul(v).wrapping_add(b)
+}
+
 /// COMPLEX `+ - * /` on `[re, im]` pairs; `None` for any other operator.
 pub(crate) fn complex_arith(op: BinOp, [ar, ai]: [f64; 2], [br, bi]: [f64; 2]) -> Option<[f64; 2]> {
     use BinOp::*;
@@ -97,7 +99,7 @@ pub(crate) fn complex_arith(op: BinOp, [ar, ai]: [f64; 2], [br, bi]: [f64; 2]) -
 pub fn eval_un(op: UnOp, v: Value) -> OpResult {
     Ok(match op {
         UnOp::Neg => match v {
-            Value::Int(x) => Value::Int(-x),
+            Value::Int(x) => Value::Int(x.wrapping_neg()),
             Value::Real(x) => Value::Real(-x),
             Value::Complex(r, i) => Value::Complex(-r, -i),
             Value::Bool(_) => return Err("negating a LOGICAL".into()),
@@ -168,7 +170,7 @@ pub fn eval_intrin(f: Intrin, args: &[Value]) -> OpResult {
     let f1 = |f: fn(f64) -> f64| -> OpResult { Ok(Value::Real(f(args[0].as_real()))) };
     match f {
         Intrin::Abs => match args[0] {
-            Value::Int(x) => Ok(Value::Int(x.abs())),
+            Value::Int(x) => Ok(Value::Int(x.wrapping_abs())),
             other => Ok(Value::Real(other.as_real().abs())),
         },
         Intrin::Sqrt => f1(f64::sqrt),
@@ -206,7 +208,7 @@ pub fn eval_elemental(name: &str, args: &[Value]) -> OpResult {
 }
 
 /// INTEGER `x ** y` for `y >= 0`: exact whenever the result fits `i64`,
-/// the wrapped bits of a release build's multiplications otherwise —
+/// the wrapped bits of its multiplications otherwise —
 /// never a panic, and never the wrong sign of `(-1)**y`. An exponent
 /// beyond `u32` is clamped keeping its parity: 0 and ±1 cannot tell, and
 /// every other base overflowed long before.
@@ -219,11 +221,7 @@ fn fold_minmax(args: &[Value], min: bool) -> Value {
     let all_int = args.iter().all(|v| matches!(v, Value::Int(_)));
     if all_int {
         let it = args.iter().map(|v| v.as_int());
-        Value::Int(if min {
-            it.min().unwrap()
-        } else {
-            it.max().unwrap()
-        })
+        Value::Int(if min { it.min() } else { it.max() }.unwrap())
     } else {
         let it = args.iter().map(|v| v.as_real());
         Value::Real(if min {
