@@ -7,7 +7,7 @@
 //! `native_kernels = false`, so each FORALL runs on the bytecode tier
 //! whatever `native::select` would make of it. This is the number below
 //! the job level that a change to the bytecode evaluator in
-//! `f90d_vm::engine` moves first.
+//! `f90d_vm` (its private `chunk` module) moves first.
 //!
 //! Reading the output (median of each line):
 //!

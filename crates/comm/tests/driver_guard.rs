@@ -4,7 +4,9 @@
 //! layer's `f90d_vm::dispatch`. PR 8's bugfix battery showed what
 //! happens otherwise: with orchestration inlined in each of the two
 //! executors of the time, the rank-1 multicast slab-temp bug had to be
-//! fixed twice. This test fails the build if the engine grows a direct
+//! fixed twice. This test fails the build if any module of the engine
+//! crate but `dispatch.rs` — the statement stream, the chunk loop, the
+//! native bind and box run, the operator tables — grows a direct
 //! reference to the batching planner, the raw shift planner or its
 //! per-run table, the raw transport post call, the structured or
 //! redistribution primitives, the `set_BOUND` routine or the scatter
@@ -27,10 +29,10 @@ const FORBIDDEN: &[&str] = &[
     "execute_write",
 ];
 
-fn check(rel: &str) {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(rel);
-    let src = fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("guard test cannot read {}: {e}", path.display()));
+fn check(path: &Path) {
+    let rel = path.display();
+    let src =
+        fs::read_to_string(path).unwrap_or_else(|e| panic!("guard test cannot read {rel}: {e}"));
     for needle in FORBIDDEN {
         for (lineno, line) in src.lines().enumerate() {
             assert!(
@@ -47,5 +49,14 @@ fn check(rel: &str) {
 
 #[test]
 fn engine_uses_driver_only() {
-    check("../vm/src/engine.rs");
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../vm/src");
+    let mut checked = 0;
+    for entry in fs::read_dir(&dir).expect("the engine crate's sources") {
+        let path = entry.expect("a directory entry").path();
+        if path.extension().is_some_and(|x| x == "rs") && !path.ends_with("dispatch.rs") {
+            check(&path);
+            checked += 1;
+        }
+    }
+    assert!(checked > 1, "the guard found no engine source to check");
 }

@@ -12,8 +12,8 @@
 //! Every program here runs with `native_kernels = false`
 //! ([`Tier::Bytecode`]), so each FORALL is on the chunk evaluator
 //! whatever the native tier would make of it. The chunk length is a
-//! private constant of `f90d_vm::engine` (512); the shapes below are
-//! sized around it.
+//! private constant of `f90d_vm`'s `chunk` module (512); the shapes
+//! below are sized around it.
 
 mod common;
 

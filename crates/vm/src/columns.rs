@@ -26,7 +26,7 @@
 //!
 //! A column operator reports the first faulting lane *of that operator*;
 //! which iteration of the FORALL faults first overall is the chunk
-//! driver's business (`engine.rs` re-walks a faulting chunk one lane at
+//! driver's business (`chunk.rs` re-walks a faulting chunk one lane at
 //! a time).
 
 use f90d_frontend::ast::{BinOp, UnOp};

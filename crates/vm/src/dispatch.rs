@@ -343,20 +343,23 @@ fn iterations_at(
     if lb > ub {
         return vec![];
     }
-    // The last iterate: `ub` itself need not lie on the stride, but the
-    // template progression below is anchored at whichever end maps
-    // lowest — with a negative subscript or alignment stride, that is
-    // this one.
-    let ub = lb + (ub - lb) / st * st;
+    // The trip count, exact however far apart the bounds lie (a span
+    // past `i64::MAX` is legal). The last iterate: `ub` itself need not
+    // lie on the stride, but the template progression below is anchored
+    // at whichever end maps lowest — with a negative subscript or
+    // alignment stride, that is this one. `lb + k·st` wraps to the
+    // exact iterate, which fits.
+    let count = u128::from(ub.abs_diff(lb) / st as u64) + 1;
+    let at = |k: u128| lb.wrapping_add((k as i64).wrapping_mul(st));
+    let ub = at(count - 1);
     let all = || (lb..=ub).step_by(st as usize).collect();
     match part {
         Partition::Replicate => all(),
         Partition::BlockIter => {
-            let count = (ub - lb) / st + 1;
-            let chunk = (count + nranks - 1) / nranks;
-            let first = rank * chunk;
-            let last = ((rank + 1) * chunk).min(count);
-            (first..last).map(|k| lb + k * st).collect()
+            let chunk = count.div_ceil(nranks as u128);
+            let first = rank as u128 * chunk;
+            let last = ((rank as u128 + 1) * chunk).min(count);
+            (first..last).map(at).collect()
         }
         Partition::OwnerDim { arr, dim, a, b } => {
             let dm = &arrays[*arr].dad.dims[*dim];
@@ -410,6 +413,12 @@ fn iterations_at(
             out
         }
     }
+}
+
+/// Whether a rank's iteration lists hold no tuple — one is empty, and
+/// then, from [`iteration_lists`], all are: such a rank runs nothing.
+pub(crate) fn runs_nothing(lists: &[Vec<i64>]) -> bool {
+    lists.iter().any(Vec::is_empty)
 }
 
 /// Per-rank, per-variable iteration lists of one FORALL execution:

@@ -37,7 +37,9 @@
 //!   overlap eligibility.
 //! * [`bytecode`] — instruction set, expression code, program tables.
 //! * [`engine`] — the execution engine: seed, run, gather, scalar
-//!   inspection.
+//!   inspection; the statement stream and the per-run tables. A FORALL
+//!   runs in the private modules `chunk` (the bytecode tier) or `bind`
+//!   and `boxes` (the native tier: fold and bind, then the box run).
 //! * [`native`] — the native tier: FORALL superinstructions selected at
 //!   lowering time and monomorphized into prebuilt Rust closures; the
 //!   engine dispatches to them per execution and falls back to bytecode
@@ -51,8 +53,11 @@
 
 #![warn(missing_docs)]
 
+mod bind;
+mod boxes;
 pub mod bytecode;
 pub mod cache;
+mod chunk;
 mod columns;
 pub mod dispatch;
 pub mod engine;

@@ -103,14 +103,6 @@ impl Lin {
         }
     }
 
-    fn var(slot: u16) -> Lin {
-        Lin {
-            base: 0,
-            vterms: vec![(slot, 1)],
-            sterms: Vec::new(),
-        }
-    }
-
     fn affine(slot: u16, a: i64, b: i64) -> Lin {
         Lin {
             base: b,
@@ -685,7 +677,7 @@ impl SiteCtx<'_> {
                         _ => Sym::Opaque,
                     }
                 }
-                Op::LoadVar { dst, slot } => regs[dst as usize] = Sym::Int(Lin::var(slot)),
+                Op::LoadVar { dst, slot } => regs[dst as usize] = Sym::Int(Lin::affine(slot, 1, 0)),
                 Op::LoadScalar { dst, slot } => {
                     regs[dst as usize] = match self.t.scalars[slot as usize].1 {
                         ElemType::Int => Sym::Int(Lin::scalar(slot)),
@@ -1172,7 +1164,7 @@ mod tests {
     #[test]
     fn lin_combines_and_scales() {
         let a = Lin::affine(0, 2, 3); // 2*v0 + 3
-        let b = Lin::var(1);
+        let b = Lin::affine(1, 1, 0);
         let s = a.combine(&b, 1).scale(4); // 8*v0 + 4*v1 + 12
         assert_eq!(s.base, 12);
         assert_eq!(s.vterms, vec![(0, 8), (1, 4)]);

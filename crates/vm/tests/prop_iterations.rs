@@ -14,7 +14,10 @@
 //! `dispatch::iteration_lists`, to the per-rank function: beside the
 //! partitioned variable a replicated one, whose list is built once and
 //! copied, must read on every rank that runs as `iterations_for` says —
-//! and a rank with no share of the partitioned one gets nothing.
+//! and a rank with no share of the partitioned one gets nothing. A third
+//! property puts the bounds at the ends of `i64` — a span past
+//! `i64::MAX` included — and holds the `Replicate` and `BlockIter`
+//! lists to the trips enumerated in `i128`.
 
 use f90d_distrib::{
     set_bound, AlignExpr, Alignment, AxisAlign, DadBuilder, DistKind, ProcGrid, Template,
@@ -75,6 +78,41 @@ fn iterations_oracle(
         }
     }
     out.sort_unstable();
+    out
+}
+
+/// Bounds at the ends of `i64`: `lb` within 1000 of `i64::MIN`, `ub`
+/// within 1000 of `i64::MAX`, or both — a span past `i64::MAX` — at
+/// strides up to 2^62, with at most a thousand or so trips.
+fn edge_bounds() -> impl Strategy<Value = [i64; 3]> {
+    let stride = prop_oneof![1i64..4, (1i64 << 58)..(1i64 << 62), Just(1i64 << 62)];
+    (stride, 0i64..1000, 0i64..1000, 0i64..12, 0i64..3).prop_map(|(st, a, b, trips, end)| {
+        let reach = trips as i128 * st as i128 + b as i128;
+        let clamp = |x: i128| x.clamp(i64::MIN.into(), i64::MAX.into()) as i64;
+        match end {
+            0 => [
+                i64::MIN + a,
+                clamp(i64::MIN as i128 + a as i128 + reach),
+                st,
+            ],
+            1 => [
+                clamp(i64::MAX as i128 - a as i128 - reach),
+                i64::MAX - a,
+                st,
+            ],
+            _ => [i64::MIN + a, i64::MAX - b, st.max(1 << 58)],
+        }
+    })
+}
+
+/// `lb..=ub step st` enumerated in `i128`, where no iterate overflows.
+fn trips_i128([lb, ub, st]: [i64; 3]) -> Vec<i64> {
+    let (mut v, ub, st) = (i128::from(lb), i128::from(ub), i128::from(st));
+    let mut out = Vec::new();
+    while v <= ub {
+        out.push(v as i64);
+        v += st;
+    }
     out
 }
 
@@ -206,5 +244,29 @@ proptest! {
         let ub = lb + (count - 1) * st + ub_slack.min(st - 1);
         let kind = DistKind::BlockCyclic(k);
         check_partition(kind, p, (align_stride, align_offset), (a, b_slack), [lb, ub, st])?;
+    }
+
+    /// Bounds at the ends of `i64`: every rank's `Replicate` list is
+    /// every trip, and the `BlockIter` lists are the trips' consecutive
+    /// shares of ⌈trips / p⌉ in rank order — per rank, and in the
+    /// whole-FORALL form with a replicated variable beside the split one.
+    #[test]
+    fn lists_at_the_ends_of_i64_are_the_i128_trips(bounds in edge_bounds(), p in 1i64..7) {
+        let want = trips_i128(bounds);
+        let grid = ProcGrid::new(&[p]);
+        let share = want.len().div_ceil(p as usize);
+        let m = Machine::new(MachineSpec::ideal(), grid.clone());
+        let loops = [(&Partition::BlockIter, bounds), (&Partition::Replicate, bounds)];
+        let lists = iteration_lists(&m, &[], &loops, &[]).unwrap();
+        for rank in 0..p {
+            let replicated = iterations_for(&Partition::Replicate, bounds, &[], &grid, rank);
+            prop_assert_eq!(&replicated, &want, "Replicate, rank {}", rank);
+            let split = iterations_for(&Partition::BlockIter, bounds, &[], &grid, rank);
+            let r = rank as usize;
+            let mine = &want[(r * share).min(want.len())..((r + 1) * share).min(want.len())];
+            prop_assert_eq!(&split[..], mine, "BlockIter, rank {}", rank);
+            let whole = if split.is_empty() { vec![vec![], vec![]] } else { vec![split, want.clone()] };
+            prop_assert_eq!(&lists[r], &whole, "iteration_lists, rank {}", rank);
+        }
     }
 }
