@@ -105,6 +105,36 @@ impl ReduceOp {
             ReduceOp::MaxLoc | ReduceOp::MinLoc => panic!("a loc reduction combines pairs"),
         }
     }
+
+    /// The identity of an INTEGER `SUM`, `PRODUCT`, `MAXVAL` or `MINVAL`.
+    ///
+    /// # Panics
+    /// Panics on the other operators, which have no INTEGER form.
+    pub fn identity_int(&self) -> i64 {
+        match self {
+            ReduceOp::Sum => 0,
+            ReduceOp::Prod => 1,
+            ReduceOp::Max => i64::MIN,
+            ReduceOp::Min => i64::MAX,
+            _ => panic!("{self:?} has no INTEGER form"),
+        }
+    }
+
+    /// `x ⊕ y` of an INTEGER reduction. `+` and `*` wrap, like every
+    /// INTEGER operation, so the combination order cannot show.
+    ///
+    /// # Panics
+    /// Panics on the operators [`ReduceOp::identity_int`] rejects.
+    #[inline]
+    pub fn combine_int(&self, x: i64, y: i64) -> i64 {
+        match self {
+            ReduceOp::Sum => x.wrapping_add(y),
+            ReduceOp::Prod => x.wrapping_mul(y),
+            ReduceOp::Max => x.max(y),
+            ReduceOp::Min => x.min(y),
+            _ => panic!("{self:?} has no INTEGER form"),
+        }
+    }
 }
 
 fn to_payload(v: &[f64]) -> ArrayData {
@@ -197,6 +227,25 @@ pub fn allreduce_along_axis(
 pub fn allreduce_scalar(m: &mut Machine, op: ReduceOp, per_rank: Vec<f64>) -> CommResult<f64> {
     let contribs = per_rank.into_iter().map(|v| vec![v]).collect();
     Ok(allreduce(m, op, contribs)?[0][0])
+}
+
+/// [`allreduce_scalar`] of one INTEGER per node, exact in `i64` (see
+/// [`ReduceOp::combine_int`]). The payload is one 8-byte element and the
+/// trees are the same, so the modelled cost is [`allreduce_scalar`]'s.
+pub fn allreduce_int(m: &mut Machine, op: ReduceOp, per_rank: Vec<i64>) -> CommResult<i64> {
+    m.stats.record("reduce");
+    let members: Vec<i64> = (0..m.nranks()).collect();
+    let payloads = per_rank
+        .into_iter()
+        .map(|v| ArrayData::Int(vec![v]))
+        .collect();
+    let combined = tree_reduce(m, &members, payloads, |acc, x| {
+        let v = op.combine_int(acc.get(0).as_int(), x.get(0).as_int());
+        acc.set(0, Value::Int(v));
+    })?;
+    let v = combined.get(0).as_int();
+    tree_broadcast(m, &members, 0, combined, |_, _, _| {})?;
+    Ok(v)
 }
 
 /// Convenience: MAXLOC/MINLOC allreduce of one (value, global index) pair

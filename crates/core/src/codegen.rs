@@ -8,7 +8,9 @@ use f90d_distrib::{
     AlignExpr, Alignment, AxisAlign, Dad, DadBuilder, DistKind, ProcGrid, Template,
 };
 use f90d_frontend::ast::{self, BinOp, Expr, LhsRef, Stmt, Subscript, Ty};
-use f90d_frontend::sema::{AnalyzedProgram, ArrayMapping, AxisAlignSpec, DistKindSpec, UnitInfo};
+use f90d_frontend::sema::{
+    affine_of, const_eval, AnalyzedProgram, ArrayMapping, AxisAlignSpec, DistKindSpec, UnitInfo,
+};
 use f90d_machine::{ElemType, Value};
 
 use crate::detect::{
@@ -88,6 +90,7 @@ pub fn lower(prog: &AnalyzedProgram, opts: &CompileOptions) -> CResult<SProgram>
         scalars: Vec::new(),
         tmp_counter: 0,
         call_depth: 0,
+        block_loop: None,
     };
     // Declare main-unit arrays and scalars.
     let name_map = cg.declare_unit(main_info, "")?;
@@ -112,6 +115,21 @@ struct Codegen<'a> {
     scalars: Vec<(String, ElemType)>,
     tmp_counter: usize,
     call_depth: usize,
+    /// The FORALL being lowered, while its iterations are
+    /// block-partitioned rather than owner-computes.
+    block_loop: Option<BlockLoop>,
+}
+
+/// A FORALL whose first variable is block-partitioned
+/// (`Partition::BlockIter`): a scatter's.
+struct BlockLoop {
+    var: String,
+    /// `(lb, st, count)`: the variable takes `lb + k*st` for `k` in
+    /// `0..count`, when the bounds are compile-time constants.
+    range: Option<(i64, i64, i64)>,
+    /// Concatenations of the distributed arrays its inspectors read
+    /// (index vectors, the mask) where a rank may not own what it reads.
+    concats: Vec<CommStmt>,
 }
 
 /// Name-resolution context: source name → array id, plus a prefix for
@@ -835,6 +853,21 @@ impl<'a> Codegen<'a> {
                 )
             });
             write_plan = WritePlan::ScatterSeq { invertible };
+            let first = &indices[0];
+            let known = [&first.lb, &first.ub, &first.st].map(|e| const_eval(e, &info.params).ok());
+            let range = match known {
+                [Some(lb), Some(ub), Some(st)] if st > 0 => {
+                    let span = ub.checked_sub(lb).and_then(|d| d.checked_add(st));
+                    span.map(|d| (lb, st, d.max(0) / st))
+                }
+                _ => None,
+            };
+            let var = first.var.clone();
+            self.block_loop = Some(BlockLoop {
+                var,
+                range,
+                concats: Vec::new(),
+            });
             for (k, ix) in indices.iter().enumerate() {
                 let (lbp, lb) = self.scalar_expr(&ix.lb, info, names, prefix)?;
                 let (ubp, ub) = self.scalar_expr(&ix.ub, info, names, prefix)?;
@@ -879,11 +912,13 @@ impl<'a> Codegen<'a> {
             lhs_pats: &lhs_pats,
             owned_write,
             lhs_replicated,
+            in_mask: false,
         };
         let rhs_expr =
             self.lower_elem_expr(rhs, &mut ctx, &mut pre, &mut gathers, &mut seq_slots)?;
         let mask_expr = match mask {
             Some(m) => {
+                ctx.in_mask = true;
                 Some(self.lower_elem_expr(m, &mut ctx, &mut pre, &mut gathers, &mut seq_slots)?)
             }
             None => None,
@@ -894,6 +929,13 @@ impl<'a> Codegen<'a> {
         for e in &lhs_subs_expr {
             lsubs.push(self.loopvar_expr(e, &vars, info, names, prefix)?);
         }
+        pre.splice(
+            0..0,
+            self.block_loop
+                .take()
+                .map(|b| b.concats)
+                .unwrap_or_default(),
+        );
 
         Ok(ForallNode {
             vars: specs,
@@ -1008,7 +1050,20 @@ impl<'a> Codegen<'a> {
                 subs: sub_sexprs,
             });
         }
-        // Non-owner-computes loops fetch all remote data unstructured.
+        // Non-owner-computes loops fetch all remote data unstructured —
+        // but the inspectors evaluate the mask, which cannot wait for a
+        // gather.
+        if !ctx.owned_write && ctx.in_mask {
+            let (arr, plan) = match self.concatenated(arr, subs, &ctx.info.params) {
+                Some(tmp) => (tmp, ReadPlan::Replicated),
+                None => (arr, ReadPlan::Owned),
+            };
+            return Ok(SExpr::Read {
+                arr,
+                plan,
+                subs: sub_sexprs,
+            });
+        }
         if !ctx.owned_write {
             return self.emit_gather(arr, &sub_exprs, &pats, ctx, gathers, seq_slots);
         }
@@ -1282,6 +1337,62 @@ impl<'a> Codegen<'a> {
         })
     }
 
+    /// While a block-partitioned FORALL is lowered, the replicated copy
+    /// of distributed array `arr` its prelude concatenates for a read at
+    /// `subs` by the inspectors (an index vector, the mask) — unless every
+    /// rank owns what it reads there.
+    fn concatenated(
+        &mut self,
+        arr: ArrId,
+        subs: &[Subscript],
+        params: &HashMap<String, i64>,
+    ) -> Option<ArrId> {
+        let block = self.block_loop.as_ref()?;
+        if self.arrays[arr].dad.is_replicated() || self.owned_in_block(arr, subs, block, params) {
+            return None;
+        }
+        let kept = block.concats.iter().find_map(|c| match c {
+            CommStmt::Concat { src, tmp } if *src == arr => Some(*tmp),
+            _ => None,
+        });
+        Some(kept.unwrap_or_else(|| {
+            let tmp = self.fresh_tmp("CONCAT", self.arrays[arr].ty, self.replicated_dad(arr));
+            let block = self.block_loop.as_mut().expect("lowering one");
+            block.concats.push(CommStmt::Concat { src: arr, tmp });
+            tmp
+        }))
+    }
+
+    /// Whether, on a 1-D grid, the rank that the block partition gives
+    /// iteration `k` of `block` owns element `subs` of 1-D `arr` in it:
+    /// the subscript is the partitioned variable plus a constant and its
+    /// range is known, so every iteration can be checked.
+    fn owned_in_block(
+        &self,
+        arr: ArrId,
+        subs: &[Subscript],
+        block: &BlockLoop,
+        params: &HashMap<String, i64>,
+    ) -> bool {
+        let (Some((lb, st, count)), [Subscript::Index(e)]) = (block.range, subs) else {
+            return false;
+        };
+        let Some((1, b)) = affine_of(e, &block.var, params) else {
+            return false;
+        };
+        let dim = &self.arrays[arr].dad.dims[0];
+        if self.grid.rank() != 1 || count > dim.extent {
+            return false;
+        }
+        let chunk = (count + self.grid.size() - 1) / self.grid.size();
+        // Normalized bounds and subscripts are 0-based.
+        (0..count).all(|k| {
+            let g = i128::from(lb) + i128::from(k) * i128::from(st) + i128::from(b);
+            i64::try_from(g)
+                .is_ok_and(|g| (0..dim.extent).contains(&g) && dim.proc_of(g) == k / chunk)
+        })
+    }
+
     /// Lower an expression over loop variables + scalars (used for
     /// subscripts, comm arguments, forall bounds with vars).
     fn loopvar_expr(
@@ -1324,13 +1435,16 @@ impl<'a> Codegen<'a> {
                         };
                         s_subs.push(self.loopvar_expr(ix, vars, info, names, prefix)?);
                     }
-                    // Vector-subscript array: must be replicated to be
-                    // readable during inspection (the paper replicates
-                    // indirection arrays; §5.3.2 example 2).
-                    let plan = if self.arrays[arr].dad.is_replicated() {
-                        ReadPlan::Replicated
-                    } else {
-                        ReadPlan::Owned
+                    // Vector-subscript array: readable during inspection
+                    // where it is replicated (the paper replicates
+                    // indirection arrays; §5.3.2 example 2), or owned by
+                    // the rank of an owner-computes iteration that reads
+                    // it. Outside owner-computes, a distributed one is
+                    // concatenated first.
+                    let (arr, plan) = match self.concatenated(arr, subs, &info.params) {
+                        Some(tmp) => (tmp, ReadPlan::Replicated),
+                        None if self.arrays[arr].dad.is_replicated() => (arr, ReadPlan::Replicated),
+                        None => (arr, ReadPlan::Owned),
                     };
                     Ok(SExpr::Read {
                         arr,
@@ -1394,6 +1508,8 @@ struct RefCtx<'a> {
     lhs_pats: &'a [SubPattern],
     owned_write: bool,
     lhs_replicated: bool,
+    /// Lowering the mask, which every inspector evaluates.
+    in_mask: bool,
 }
 
 /// Source-level name of `decl` with inlining prefixes stripped.

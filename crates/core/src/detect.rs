@@ -76,7 +76,8 @@ pub fn classify_subscript(e: &Expr, vars: &[String], params: &HashMap<String, i6
     }
 }
 
-/// Split `e` as `coeff*var + rest` where `rest` does not mention `var`.
+/// Split `e` as `coeff*var + rest` where `rest` does not mention `var`
+/// (the coefficient in wrapping INTEGER arithmetic, as at run time).
 /// Returns `None` when `e` is not linear in `var` with a literal
 /// coefficient.
 pub fn split_linear(e: &Expr, var: &str, params: &HashMap<String, i64>) -> Option<(i64, Expr)> {
@@ -87,17 +88,17 @@ pub fn split_linear(e: &Expr, var: &str, params: &HashMap<String, i64>) -> Optio
         Expr::Var(n) if n == var => Some((1, Expr::Int(0))),
         Expr::Un(UnOp::Neg, x) => {
             let (c, r) = split_linear(x, var, params)?;
-            Some((-c, Expr::Un(UnOp::Neg, Box::new(r))))
+            Some((c.wrapping_neg(), Expr::Un(UnOp::Neg, Box::new(r))))
         }
         Expr::Bin(BinOp::Add, l, r) => {
             let (c1, r1) = split_linear(l, var, params)?;
             let (c2, r2) = split_linear(r, var, params)?;
-            Some((c1 + c2, Expr::bin(BinOp::Add, r1, r2)))
+            Some((c1.wrapping_add(c2), Expr::bin(BinOp::Add, r1, r2)))
         }
         Expr::Bin(BinOp::Sub, l, r) => {
             let (c1, r1) = split_linear(l, var, params)?;
             let (c2, r2) = split_linear(r, var, params)?;
-            Some((c1 - c2, Expr::bin(BinOp::Sub, r1, r2)))
+            Some((c1.wrapping_sub(c2), Expr::bin(BinOp::Sub, r1, r2)))
         }
         Expr::Bin(BinOp::Mul, l, r) => {
             // One side must be a literal constant for the coefficient to
@@ -106,11 +107,11 @@ pub fn split_linear(e: &Expr, var: &str, params: &HashMap<String, i64>) -> Optio
             let rc = f90d_frontend::sema::const_eval(r, params).ok();
             if let Some(k) = lc {
                 let (c, rest) = split_linear(r, var, params)?;
-                return Some((k * c, Expr::bin(BinOp::Mul, Expr::Int(k), rest)));
+                return Some((k.wrapping_mul(c), Expr::bin(BinOp::Mul, Expr::Int(k), rest)));
             }
             if let Some(k) = rc {
                 let (c, rest) = split_linear(l, var, params)?;
-                return Some((k * c, Expr::bin(BinOp::Mul, rest, Expr::Int(k))));
+                return Some((k.wrapping_mul(c), Expr::bin(BinOp::Mul, rest, Expr::Int(k))));
             }
             None
         }

@@ -152,8 +152,13 @@ fn exec_stmt(
                     .unwrap()
                     .set(&idx, v.convert_to(ty));
             } else {
+                // Assignment converts to the variable's declared type.
                 let v = eval(rhs, info, st, env)?;
-                st.scalars.insert(lhs.name.clone(), v);
+                let ty = st
+                    .scalars
+                    .get(&lhs.name)
+                    .map_or(v.elem_type(), Value::elem_type);
+                st.scalars.insert(lhs.name.clone(), v.convert_to(ty));
             }
             Ok(())
         }
@@ -479,7 +484,14 @@ fn eval(e: &Expr, info: &UnitInfo, st: &RefState, env: &Frame) -> Result<Value, 
                         let arr = &st.arrays[an];
                         let n = arr.data.len();
                         let vals = (0..n).map(|k| arr.data.get(k));
+                        // An INTEGER operand reduces exactly, to an INTEGER.
+                        let int = arr.data.elem_type() == ElemType::Int;
+                        let ints = vals.clone().map(|v| v.as_int());
                         Ok(match name.as_str() {
+                            "SUM" if int => Value::Int(ints.fold(0, i64::wrapping_add)),
+                            "PRODUCT" if int => Value::Int(ints.fold(1, i64::wrapping_mul)),
+                            "MAXVAL" if int => Value::Int(ints.fold(i64::MIN, i64::max)),
+                            "MINVAL" if int => Value::Int(ints.fold(i64::MAX, i64::min)),
                             "SUM" => Value::Real(vals.map(|v| v.as_real()).sum()),
                             "PRODUCT" => Value::Real(vals.map(|v| v.as_real()).product()),
                             "MAXVAL" => Value::Real(

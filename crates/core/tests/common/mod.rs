@@ -8,8 +8,9 @@ use f90d_machine::{ArrayData, ExecMode, Machine, MachineSpec, Value};
 
 /// Everything one run shows: the gathered arrays, every padded cell of
 /// them on every rank (so a copy along a replicated grid axis counts),
-/// every rank clock by bits, messages, bytes, PRINT and the tier tally
-/// — or the run's error, with whether the transport was left quiescent.
+/// every rank clock by bits, messages, bytes, PRINT and the primitives
+/// the run called — or the run's error, with whether the transport was
+/// left quiescent.
 #[derive(Debug, PartialEq)]
 pub struct Observed {
     pub arrays: Vec<ArrayData>,
@@ -21,6 +22,9 @@ pub struct Observed {
     pub messages: u64,
     pub bytes: u64,
     pub printed: Vec<String>,
+    /// `m.stats.sorted()`: calls per communication primitive, schedule
+    /// builders included even where the schedule cache skipped a build.
+    pub stats: Vec<(&'static str, u64)>,
 }
 
 impl Observed {
@@ -93,8 +97,9 @@ pub fn observe_on(
         f90d_comm::driver::quiesce(&mut m).expect("a failed run leaks nothing in flight");
         e.to_string()
     })?;
-    // The run's clocks: gathering to the host below charges its own.
+    // The run's clocks and calls: gathering to the host below adds its own.
     let clocks = m.transport.clocks.iter().map(|c| c.to_bits()).collect();
+    let stats = m.stats.sorted();
     let eng = compiled.engine_preserving(&mut m).expect("lowers");
     let images = (arrays.iter())
         .map(|a| eng.gather_array(&mut m, a).expect("array exists"))
@@ -130,6 +135,7 @@ pub fn observe_on(
         messages: rep.messages,
         bytes: rep.bytes,
         printed: rep.printed,
+        stats,
     };
     Ok((observed, trace))
 }

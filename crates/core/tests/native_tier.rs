@@ -515,6 +515,61 @@ fn irregular_shapes_agree_with_every_other_tier() {
     }
 }
 
+/// `native::select`'s decision on each of the seven FORALLs of the
+/// paper's §4 example 3 behind INTEGER fills, over every divisor, mask,
+/// distribution and one or four ranks. `U` and `V` are replicated
+/// INTEGER fills and always select (`V`'s subscript tree reads `K`);
+/// `K`'s fill selects unless its divisor is `-1` or the scalar `D`; the
+/// irregular FORALL selects unmasked wherever the compiler made its
+/// indirect subscripts a gather and a scatter (on one rank they stay in
+/// place, per-element work); the REAL fills bind under BLOCK only.
+#[test]
+fn irregular_selection_table() {
+    for div in ["(-5)", "(-2)", "(-1)", "D", "(2)", "(3)", "(7)"] {
+        for (masked, mask) in [(false, ""), (true, ", K(I) > -2")] {
+            for dist in ["BLOCK", "CYCLIC", "CYCLIC(3)"] {
+                for grid in [&[1][..], &[4]] {
+                    let src = format!(
+                        "
+PROGRAM SELECT
+INTEGER, PARAMETER :: N = 20
+REAL A(N), B(N), C(N)
+INTEGER U(N), V(N), K(N)
+INTEGER D
+C$ TEMPLATE T(N)
+C$ ALIGN A(I) WITH T(I)
+C$ ALIGN B(I) WITH T(I)
+C$ ALIGN C(I) WITH T(I)
+C$ DISTRIBUTE T({dist})
+D = 4
+FORALL (I=1:N) A(I) = -1.0
+FORALL (I=1:N) B(I) = REAL(I) * 0.5
+FORALL (I=1:N) C(I) = REAL(N - 2*I)
+FORALL (I=1:N) K(I) = MOD(I*3 - N, {div}) + (I - 7)/{div} - MOD(-I, 5)
+FORALL (I=1:N) U(I) = MOD(I*7 + 3, N) + 1
+FORALL (I=1:N) V(I) = MOD(I*5 + K(I)*N + 64*N, N) + 1
+FORALL (I=1:N{mask}) A(U(I)) = B(V(I)) + C(I)
+END
+"
+                    );
+                    let (_, tr) = observe(&src, grid, &[], Tier::Native, ExecMode::Sequential)
+                        .unwrap_or_else(|e| panic!("{e}\n{src}"));
+                    let safe_divisor = !matches!(div, "(-1)" | "D");
+                    let one_rank = grid == [1];
+                    let block = dist == "BLOCK" || one_rank;
+                    let irregular = !masked && !one_rank;
+                    let want = 2 + safe_divisor as u64 + irregular as u64 + 3 * block as u64;
+                    assert_eq!(
+                        (tr.native_matched, tr.native_fallback),
+                        (want, 7 - want),
+                        "FORALL executions (native, bytecode)\n{src}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Faults are part of the contract: a subscript vector that leaves the
 /// array and an integer divisor that is zero at run time return the
 /// same structured error on every tier — a row kernel never faults

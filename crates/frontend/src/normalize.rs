@@ -590,11 +590,12 @@ pub fn simplify(e: Expr) -> Expr {
         Expr::Bin(op, l, r) => {
             let l = simplify(*l);
             let r = simplify(*r);
+            // INTEGER arithmetic wraps, at compile time as at run time.
             if let (Expr::Int(a), Expr::Int(b)) = (&l, &r) {
                 let v = match op {
-                    BinOp::Add => Some(a + b),
-                    BinOp::Sub => Some(a - b),
-                    BinOp::Mul => Some(a * b),
+                    BinOp::Add => Some(a.wrapping_add(*b)),
+                    BinOp::Sub => Some(a.wrapping_sub(*b)),
+                    BinOp::Mul => Some(a.wrapping_mul(*b)),
                     BinOp::Div if *b != 0 => Some(a.wrapping_div(*b)),
                     BinOp::Pow if *b >= 0 => Some(a.wrapping_pow(*b as u32)),
                     _ => None,
@@ -621,9 +622,18 @@ pub fn simplify(e: Expr) -> Expr {
                     if matches!(inner_op, BinOp::Add | BinOp::Sub) =>
                 {
                     if let Expr::Int(a) = &**a {
-                        let a = if *inner_op == BinOp::Sub { -a } else { *a };
-                        let b = if op == BinOp::Sub { -b } else { *b };
-                        return simplify(Expr::bin(BinOp::Add, (**x).clone(), Expr::Int(a + b)));
+                        let a = if *inner_op == BinOp::Sub {
+                            a.wrapping_neg()
+                        } else {
+                            *a
+                        };
+                        let b = if op == BinOp::Sub {
+                            b.wrapping_neg()
+                        } else {
+                            *b
+                        };
+                        let ab = Expr::Int(a.wrapping_add(b));
+                        return simplify(Expr::bin(BinOp::Add, (**x).clone(), ab));
                     }
                     Expr::bin(op, l, r)
                 }
@@ -633,7 +643,7 @@ pub fn simplify(e: Expr) -> Expr {
         Expr::Un(UnOp::Neg, x) => {
             let x = simplify(*x);
             if let Expr::Int(v) = x {
-                Expr::Int(-v)
+                Expr::Int(v.wrapping_neg())
             } else {
                 Expr::Un(UnOp::Neg, Box::new(x))
             }

@@ -475,6 +475,7 @@ fn resolve_directives(unit: &Unit, info: &mut UnitInfo) -> SResult<()> {
 // ---- expression utilities ---------------------------------------------
 
 /// Evaluate a constant integer expression over PARAMETER bindings.
+/// INTEGER arithmetic wraps, as at run time (`f90d_vm::ops`).
 pub fn const_eval(e: &Expr, params: &HashMap<String, i64>) -> SResult<i64> {
     match e {
         Expr::Int(v) => Ok(*v),
@@ -482,13 +483,13 @@ pub fn const_eval(e: &Expr, params: &HashMap<String, i64>) -> SResult<i64> {
             .get(n)
             .copied()
             .ok_or_else(|| SemaError(format!("`{n}` is not a constant"))),
-        Expr::Un(UnOp::Neg, x) => Ok(-const_eval(x, params)?),
+        Expr::Un(UnOp::Neg, x) => Ok(const_eval(x, params)?.wrapping_neg()),
         Expr::Bin(op, l, r) => {
             let (a, b) = (const_eval(l, params)?, const_eval(r, params)?);
             Ok(match op {
-                BinOp::Add => a + b,
-                BinOp::Sub => a - b,
-                BinOp::Mul => a * b,
+                BinOp::Add => a.wrapping_add(b),
+                BinOp::Sub => a.wrapping_sub(b),
+                BinOp::Mul => a.wrapping_mul(b),
                 BinOp::Div => {
                     if b == 0 {
                         return err("constant division by zero");
@@ -528,7 +529,8 @@ pub fn expr_uses_var(e: &Expr, v: &str) -> bool {
 }
 
 /// Extract `(a, b)` such that `e = a*var + b`, when `e` is affine in
-/// `var` with all other terms constant under `params`.
+/// `var` with all other terms constant under `params` (in wrapping
+/// INTEGER arithmetic, as at run time).
 pub fn affine_of(e: &Expr, var: &str, params: &HashMap<String, i64>) -> Option<(i64, i64)> {
     match e {
         Expr::Int(v) => Some((0, *v)),
@@ -536,25 +538,25 @@ pub fn affine_of(e: &Expr, var: &str, params: &HashMap<String, i64>) -> Option<(
         Expr::Var(n) => params.get(n).map(|&v| (0, v)),
         Expr::Un(UnOp::Neg, x) => {
             let (a, b) = affine_of(x, var, params)?;
-            Some((-a, -b))
+            Some((a.wrapping_neg(), b.wrapping_neg()))
         }
         Expr::Bin(BinOp::Add, l, r) => {
             let (a1, b1) = affine_of(l, var, params)?;
             let (a2, b2) = affine_of(r, var, params)?;
-            Some((a1 + a2, b1 + b2))
+            Some((a1.wrapping_add(a2), b1.wrapping_add(b2)))
         }
         Expr::Bin(BinOp::Sub, l, r) => {
             let (a1, b1) = affine_of(l, var, params)?;
             let (a2, b2) = affine_of(r, var, params)?;
-            Some((a1 - a2, b1 - b2))
+            Some((a1.wrapping_sub(a2), b1.wrapping_sub(b2)))
         }
         Expr::Bin(BinOp::Mul, l, r) => {
             let (a1, b1) = affine_of(l, var, params)?;
             let (a2, b2) = affine_of(r, var, params)?;
             if a1 == 0 {
-                Some((b1 * a2, b1 * b2))
+                Some((b1.wrapping_mul(a2), b1.wrapping_mul(b2)))
             } else if a2 == 0 {
-                Some((a1 * b2, b1 * b2))
+                Some((a1.wrapping_mul(b2), b1.wrapping_mul(b2)))
             } else {
                 None // quadratic
             }

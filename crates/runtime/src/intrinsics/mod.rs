@@ -17,7 +17,8 @@ pub mod unstructured;
 
 pub use multicast::spread;
 pub use reduction::{
-    all, any, count, dotproduct, maxloc, maxval, minloc, minval, product, reduce_dim, sum,
+    all, any, count, dotproduct, maxloc, maxval, minloc, minval, product, reduce_dim, reduce_int,
+    sum,
 };
 pub use shift::{cshift, eoshift};
 pub use special::{matmul, MatmulAlgorithm};

@@ -8,7 +8,7 @@
 
 use f90d_comm::helpers::owned_locals_per_dim;
 use f90d_comm::reduce::{
-    allreduce_along_axis, allreduce_loc, allreduce_scalar, encode_value, ReduceOp,
+    allreduce_along_axis, allreduce_int, allreduce_loc, allreduce_scalar, encode_value, ReduceOp,
 };
 use f90d_comm::structured::local_offsets;
 use f90d_distrib::Dad;
@@ -22,47 +22,58 @@ use crate::array::{flatten, row_major_strides, DistArray};
 /// becomes the `f64` the reduction runs in: [`encode_value`] (a LOGICAL
 /// counts 1.0 when true) or `Value::as_real`.
 fn local_partial(m: &mut Machine, a: &DistArray, op: ReduceOp, logical: bool) -> Vec<f64> {
+    partials(m, a, op.identity(), |arr, offs| {
+        fold_owned(arr, offs, op, logical)
+    })
+}
+
+/// [`local_partial`] of an INTEGER array, exact in `i64`.
+fn local_partial_int(m: &mut Machine, a: &DistArray, op: ReduceOp) -> Vec<i64> {
+    partials(m, a, op.identity_int(), |arr, offs| {
+        let at = |off: usize| arr.get_flat(off).as_int();
+        (offs.iter()).fold(op.identity_int(), |acc, &off| op.combine_int(acc, at(off)))
+    })
+}
+
+/// Per rank, `fold` of the offsets of the elements its segment owns in
+/// [`Dad::for_each_owned`] order (per-dimension owned locals, increasing
+/// global index: their row-major product) — or `identity` on a rank
+/// holding a replicated copy that is not the canonical one.
+fn partials<T: Clone>(
+    m: &mut Machine,
+    a: &DistArray,
+    identity: T,
+    fold: impl Fn(&LocalArray, &[usize]) -> T,
+) -> Vec<T> {
     let mut partials = Vec::with_capacity(m.nranks() as usize);
     for rank in 0..m.nranks() {
         let coords = m.grid.coords_of(rank);
-        let canonical = !a.dad.replicated_axes.iter().any(|&ax| coords[ax] != 0);
-        let mut acc = op.identity();
-        if canonical {
-            let arr = m.mems[rank as usize].array(&a.name);
-            let n;
-            (acc, n) = fold_owned(&a.dad, &coords, arr, op, logical);
-            m.transport.charge_elem_ops(rank, n);
+        if a.dad.replicated_axes.iter().any(|&ax| coords[ax] != 0) {
+            partials.push(identity.clone());
+            continue;
         }
-        partials.push(acc);
+        let arr = m.mems[rank as usize].array(&a.name);
+        let offs = local_offsets(arr, &owned_locals_per_dim(&a.dad, &coords));
+        partials.push(fold(arr, &offs));
+        m.transport.charge_elem_ops(rank, offs.len() as i64);
     }
     partials
 }
 
-/// `op` folded over the elements of segment `arr` that the node at
-/// `coords` owns, and how many there are. The element type is matched
-/// once: REAL and INTEGER segments fold from the raw slice; LOGICAL and
-/// COMPLEX ones, and a lazy segment nothing has written yet (every
-/// element reads as zero), one `Value` at a time.
-fn fold_owned(
-    dad: &Dad,
-    coords: &[i64],
-    arr: &LocalArray,
-    op: ReduceOp,
-    logical: bool,
-) -> (f64, i64) {
+/// `op` folded over the elements of segment `arr` at `offs`. The element
+/// type is matched once: REAL and INTEGER segments fold from the raw
+/// slice; LOGICAL and COMPLEX ones, and a lazy segment nothing has
+/// written yet (every element reads as zero), one `Value` at a time.
+fn fold_owned(arr: &LocalArray, offs: &[usize], op: ReduceOp, logical: bool) -> f64 {
     fn fold(offs: &[usize], op: ReduceOp, at: impl Fn(usize) -> f64) -> f64 {
         (offs.iter()).fold(op.identity(), |acc, &off| op.combine(acc, at(off)))
     }
-    // Per-dimension owned locals, increasing global index: their
-    // row-major product is the order `for_each_owned` visits.
-    let offs = local_offsets(arr, &owned_locals_per_dim(dad, coords));
-    let acc = match arr.data() {
-        ArrayData::Real(data) if arr.is_materialized() => fold(&offs, op, |off| data[off]),
-        ArrayData::Int(data) if arr.is_materialized() => fold(&offs, op, |off| data[off] as f64),
-        _ if logical => fold(&offs, op, |off| encode_value(arr.get_flat(off))),
-        _ => fold(&offs, op, |off| arr.get_flat(off).as_real()),
-    };
-    (acc, offs.len() as i64)
+    match arr.data() {
+        ArrayData::Real(data) if arr.is_materialized() => fold(offs, op, |off| data[off]),
+        ArrayData::Int(data) if arr.is_materialized() => fold(offs, op, |off| data[off] as f64),
+        _ if logical => fold(offs, op, |off| encode_value(arr.get_flat(off))),
+        _ => fold(offs, op, |off| arr.get_flat(off).as_real()),
+    }
 }
 
 /// `SUM(a)` — full sum, replicated scalar result.
@@ -87,6 +98,14 @@ pub fn maxval(m: &mut Machine, a: &DistArray) -> f64 {
 pub fn minval(m: &mut Machine, a: &DistArray) -> f64 {
     let p = local_partial(m, a, ReduceOp::Min, false);
     allreduce_scalar(m, ReduceOp::Min, p).expect("collective is internally matched")
+}
+
+/// `SUM`, `PRODUCT`, `MAXVAL` or `MINVAL` (`op`) of an INTEGER array,
+/// exact: INTEGER `+` and `*` wrap, so neither the order of the ranks nor
+/// that of the tree can show in the result.
+pub fn reduce_int(m: &mut Machine, a: &DistArray, op: ReduceOp) -> i64 {
+    let p = local_partial_int(m, a, op);
+    allreduce_int(m, op, p).expect("collective is internally matched")
 }
 
 /// `COUNT(mask)` — number of `.TRUE.` elements of a LOGICAL array.

@@ -17,6 +17,7 @@ use f90d_comm::helpers::tree_broadcast;
 use f90d_comm::op::CommError;
 use f90d_comm::overlap::Margins;
 use f90d_comm::plan::GhostSpec;
+use f90d_comm::reduce::ReduceOp;
 use f90d_comm::{redist, structured, RunSchedules};
 use f90d_distrib::{set_bound, ArrayDimMap, DistKind, LocalIter, ProcGrid};
 use f90d_machine::{ArrayData, ElemType, LocalArray, Machine, Value};
@@ -185,7 +186,9 @@ pub fn exec_comm(
         }
         CommStmt::OverlapShift { arr, dim, c } => {
             let a = &arrays[*arr];
-            driver::ghost_exchange(m, rs, &a.name, &a.dad, *dim, *c)?;
+            if ghosted(a, *dim)? {
+                driver::ghost_exchange(m, rs, &a.name, &a.dad, *dim, *c)?;
+            }
         }
         CommStmt::TempShift {
             src,
@@ -228,7 +231,13 @@ pub fn exec_comm(
             kind, arr, arr2, ..
         } => {
             let a = &arrays[*arr];
+            // An INTEGER operand reduces exactly, to an INTEGER.
+            let mut int = |op| Value::Int(rt::reduce_int(m, a, op));
             let v = match kind {
+                ReduceKind::Sum if a.ty == ElemType::Int => int(ReduceOp::Sum),
+                ReduceKind::Product if a.ty == ElemType::Int => int(ReduceOp::Prod),
+                ReduceKind::MaxVal if a.ty == ElemType::Int => int(ReduceOp::Max),
+                ReduceKind::MinVal if a.ty == ElemType::Int => int(ReduceOp::Min),
                 ReduceKind::Sum => Value::Real(rt::sum(m, a)),
                 ReduceKind::Product => Value::Real(rt::product(m, a)),
                 ReduceKind::MaxVal => Value::Real(rt::maxval(m, a)),
@@ -241,17 +250,7 @@ pub fn exec_comm(
                     Value::Real(rt::dotproduct(m, a, b))
                 }
             };
-            // The runtime reduces in REAL; INTEGER operands convert back.
-            let to_int = a.ty == ElemType::Int
-                && matches!(
-                    kind,
-                    ReduceKind::Sum | ReduceKind::Product | ReduceKind::MaxVal | ReduceKind::MinVal
-                );
-            return Ok(Some(if to_int {
-                Value::Int(v.as_real() as i64)
-            } else {
-                v
-            }));
+            return Ok(Some(v));
         }
     }
     Ok(None)
@@ -494,11 +493,32 @@ pub fn ghost_specs(
     rs: &mut RunSchedules,
     arrays: &[DistArray],
     shifts: &[(ArrId, usize, i64)],
-) -> Vec<GhostSpec> {
-    shifts
-        .iter()
-        .map(|&(arr, dim, c)| GhostSpec::new(m, rs, &arrays[arr].name, &arrays[arr].dad, dim, c))
-        .collect()
+) -> VmResult<Vec<GhostSpec>> {
+    let mut specs = Vec::with_capacity(shifts.len());
+    for &(arr, dim, c) in shifts {
+        let a = &arrays[arr];
+        if ghosted(a, dim)? {
+            specs.push(GhostSpec::new(m, rs, &a.name, &a.dad, dim, c));
+        }
+    }
+    Ok(specs)
+}
+
+/// Whether an `overlap_shift` of `a` along `dim` has ghost cells to fill
+/// under the live layout: a BLOCK dimension has, a local one needs none.
+/// One a REDISTRIBUTE left CYCLIC has none at all, and the statement,
+/// compiled to read the shifted elements from them, cannot run.
+fn ghosted(a: &DistArray, dim: usize) -> VmResult<bool> {
+    let d = &a.dad.dims[dim];
+    match d.dist.kind {
+        _ if d.grid_axis.is_none() => Ok(false),
+        DistKind::Block => Ok(true),
+        kind => Err(VmError(format!(
+            "overlap_shift of {} along dimension {dim} needs the BLOCK layout it was compiled \
+             for, not {kind:?}",
+            a.name
+        ))),
+    }
 }
 
 /// Decide whether a FORALL is eligible for split-phase execution under
@@ -537,5 +557,5 @@ pub fn overlap_plan<'a>(
         .map(|&(arr, dim, c)| (&arrays[arr].dad.dims[dim], c))
         .collect();
     let margins = driver::stencil_margins(&loop_dims, &shift_dims)?;
-    Some((ghost_specs(m, rs, arrays, shifts), margins))
+    Some((ghost_specs(m, rs, arrays, shifts).ok()?, margins))
 }

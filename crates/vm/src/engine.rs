@@ -208,7 +208,9 @@ impl Engine {
             match &prog.code[pc] {
                 PInst::ScalarAssign { slot, rhs, cost } => {
                     let v = self.eval_scalar(rhs, m, &mut regs)?;
-                    self.scalars[*slot as usize] = v;
+                    // Assignment converts to the variable's declared type.
+                    let held = &mut self.scalars[*slot as usize];
+                    *held = v.convert_to(held.elem_type());
                     for r in 0..m.nranks() {
                         m.transport.charge_elem_ops(r, *cost);
                     }
@@ -420,7 +422,7 @@ impl Engine {
                 &mut self.sched,
                 &self.arrays,
                 &shifts,
-            ));
+            )?);
         }
         let skip_pre = self.comm.phase_exchange(m, specs)? == PhaseOutcome::Exchanged;
         for &id in ids {
