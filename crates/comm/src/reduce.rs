@@ -157,21 +157,35 @@ pub fn allreduce_group(
     op: ReduceOp,
     contributions: Vec<Vec<f64>>,
 ) -> CommResult<Vec<Vec<f64>>> {
-    m.stats.record("reduce");
-    assert_eq!(members.len(), contributions.len());
     let payloads: Vec<ArrayData> = contributions.iter().map(|c| to_payload(c)).collect();
-    let combined = tree_reduce(m, members, payloads, |acc, x| {
+    let results = allreduce_payloads(m, members, payloads, |acc, x| {
         let mut a = from_payload(acc);
-        let b = from_payload(x);
-        op.fold(&mut a, &b);
+        op.fold(&mut a, &from_payload(x));
         *acc = to_payload(&a);
     })?;
-    let result = from_payload(&combined);
-    // Broadcast the combined vector back down the tree.
-    let mut slots: Vec<Option<Vec<f64>>> = vec![None; members.len()];
-    tree_broadcast(m, members, 0, to_payload(&result), |_, rank, data| {
+    let vectors = results.into_iter().map(|d| match d {
+        ArrayData::Real(v) => v,
+        other => from_payload(&other),
+    });
+    Ok(vectors.collect())
+}
+
+/// The one allreduce tree under every element type: the members'
+/// payloads folded up by `combine`, and the result broadcast back down.
+/// Returns what each member receives, in `members` order.
+fn allreduce_payloads(
+    m: &mut Machine,
+    members: &[i64],
+    payloads: Vec<ArrayData>,
+    combine: impl Fn(&mut ArrayData, &ArrayData),
+) -> CommResult<Vec<ArrayData>> {
+    m.stats.record("reduce");
+    assert_eq!(members.len(), payloads.len());
+    let combined = tree_reduce(m, members, payloads, combine)?;
+    let mut slots: Vec<Option<ArrayData>> = vec![None; members.len()];
+    tree_broadcast(m, members, 0, combined, |_, rank, data| {
         let pos = members.iter().position(|&r| r == rank).unwrap();
-        slots[pos] = Some(from_payload(data));
+        slots[pos] = Some(data.clone());
     })?;
     Ok(slots
         .into_iter()
@@ -230,22 +244,16 @@ pub fn allreduce_scalar(m: &mut Machine, op: ReduceOp, per_rank: Vec<f64>) -> Co
 }
 
 /// [`allreduce_scalar`] of one INTEGER per node, exact in `i64` (see
-/// [`ReduceOp::combine_int`]). The payload is one 8-byte element and the
-/// trees are the same, so the modelled cost is [`allreduce_scalar`]'s.
+/// [`ReduceOp::combine_int`]). The payload is one 8-byte element on the
+/// same tree, so the modelled cost is [`allreduce_scalar`]'s.
 pub fn allreduce_int(m: &mut Machine, op: ReduceOp, per_rank: Vec<i64>) -> CommResult<i64> {
-    m.stats.record("reduce");
     let members: Vec<i64> = (0..m.nranks()).collect();
-    let payloads = per_rank
-        .into_iter()
-        .map(|v| ArrayData::Int(vec![v]))
-        .collect();
-    let combined = tree_reduce(m, &members, payloads, |acc, x| {
+    let payloads = per_rank.into_iter().map(|v| ArrayData::Int(vec![v]));
+    let results = allreduce_payloads(m, &members, payloads.collect(), |acc, x| {
         let v = op.combine_int(acc.get(0).as_int(), x.get(0).as_int());
         acc.set(0, Value::Int(v));
     })?;
-    let v = combined.get(0).as_int();
-    tree_broadcast(m, &members, 0, combined, |_, _, _| {})?;
-    Ok(v)
+    Ok(results[0].get(0).as_int())
 }
 
 /// Convenience: MAXLOC/MINLOC allreduce of one (value, global index) pair

@@ -1,6 +1,6 @@
 //! The statement grammar: the configurations and the generator.
 
-use crate::{offset, walk, Bits, Comm, Effect, Leaf, Program, Rng, Stmt};
+use crate::{offset, walk, Bits, Effect, Leaf, Program, Rng, Stmt};
 
 /// The REAL arrays every program declares, in bits slots `0..6`, then the
 /// REAL scalar `S`. `Z`, the sink of many-to-one scatters, is never read.
@@ -17,8 +17,8 @@ const DISTS: [&str; 3] = ["BLOCK", "CYCLIC", "CYCLIC(3)"];
 #[derive(Debug, Clone, Copy)]
 pub struct Config {
     pub name: &'static str,
-    /// Statement forms and their weights, as `form:weight` words.
-    pub mix: &'static str,
+    /// Statement forms and their weights.
+    pub mix: &'static [(&'static str, i64)],
     /// Statements per program, before the closing reductions.
     pub statements: (i64, i64),
     /// End with a reduction and a PRINT of every array.
@@ -40,8 +40,19 @@ pub const CONFIGS: [Config; 4] = [
     // masks, in-place and pivot-row reads, the `DO` repeat, the edges.
     Config {
         name: "regular",
-        mix: "stencil:4 inplace:3 repeat:3 array:1 where:1 section:1 reversed:1 sum:1 \
-              redistribute:1 do:1 manytoone:3",
+        mix: &[
+            ("stencil", 4),
+            ("inplace", 3),
+            ("repeat", 3),
+            ("array", 1),
+            ("where", 1),
+            ("section", 1),
+            ("reversed", 1),
+            ("sum", 1),
+            ("redistribute", 1),
+            ("do", 1),
+            ("manytoone", 3),
+        ],
         statements: (3, 8),
         closing: true,
         n1: &[(10, 40), (10, 40), (513, 1100)],
@@ -54,7 +65,15 @@ pub const CONFIGS: [Config; 4] = [
     // through many-to-one index vectors, behind INTEGER `/` and `MOD`.
     Config {
         name: "irregular",
-        mix: "irregular:4 intfill:3 indirect:2 intedge:2 do:2 sum:1 stencil:1",
+        mix: &[
+            ("irregular", 4),
+            ("intfill", 3),
+            ("indirect", 2),
+            ("intedge", 2),
+            ("do", 2),
+            ("sum", 1),
+            ("stencil", 1),
+        ],
         statements: (3, 10),
         closing: true,
         n1: &[(8, 40), (8, 40), (513, 700)],
@@ -68,7 +87,7 @@ pub const CONFIGS: [Config; 4] = [
     // would hide what overlap saves.
     Config {
         name: "comm",
-        mix: "multistencil:4 stencil:1 section:1",
+        mix: &[("multistencil", 4), ("stencil", 1), ("section", 1)],
         statements: (1, 4),
         closing: false,
         n1: &[(16, 56)],
@@ -81,7 +100,15 @@ pub const CONFIGS: [Config; 4] = [
     // syntax and WHERE over small BLOCK arrays.
     Config {
         name: "cold",
-        mix: "array:16 where:12 stencil:1 section:1 indirect:1 sum:1 do:1",
+        mix: &[
+            ("array", 16),
+            ("where", 12),
+            ("stencil", 1),
+            ("section", 1),
+            ("indirect", 1),
+            ("sum", 1),
+            ("do", 1),
+        ],
         statements: (24, 48),
         closing: true,
         n1: &[(8, 8)],
@@ -112,17 +139,13 @@ pub fn generate(cfg: &Config, seed: u64) -> Program {
     let (head, mut head_kinds) = g.head();
     let (init, lo, hi) = (g.bits, cfg.statements.0, cfg.statements.1);
     let statements = g.r.range(lo, hi) as usize;
-    let mix: Vec<(&str, i64)> = (cfg.mix.split_whitespace())
-        .map(|w| w.split_once(':').expect("form:weight"))
-        .map(|(form, weight)| (form, weight.parse().expect("a weight")))
-        .collect();
     while count(&g.out) < statements {
-        let mut at = g.r.range(1, mix.iter().map(|m| m.1).sum());
+        let mut at = g.r.range(1, cfg.mix.iter().map(|m| m.1).sum());
         let weighed = |m: &&(&str, i64)| {
             at -= m.1;
             at <= 0
         };
-        g.form(mix.iter().find(weighed).expect("a form").0);
+        g.form(cfg.mix.iter().find(weighed).expect("a form").0);
     }
     if cfg.closing {
         g.closing();
@@ -173,10 +196,10 @@ fn when(flag: bool, text: String) -> String {
 
 /// A FORALL, executed once per run, whose iteration lists the next trip
 /// of a `DO` reuses; callers change what differs.
-fn leaf(text: String, kinds: &[&'static str], effects: Vec<Effect>, comm: Comm) -> Leaf {
+fn leaf(text: String, kinds: &[&'static str], effects: Vec<Effect>) -> Leaf {
     let mut leaf = Leaf::default();
     (leaf.text, leaf.kinds, leaf.effects) = (text, kinds.to_vec(), effects);
-    (leaf.reuse, leaf.comm) = (Some(1), comm);
+    leaf.reuse = Some(1);
     leaf
 }
 
@@ -211,8 +234,6 @@ struct Gen {
     out: Vec<Stmt>,
     /// The grammar item of the next block.
     kind: &'static str,
-    /// The array a REDISTRIBUTE block holds off the template's layout.
-    moved: Option<usize>,
 }
 
 impl Gen {
@@ -261,38 +282,6 @@ impl Gen {
         std::array::from_fn(|_| pool.remove(self.r.range(0, pool.len() as i64 - 1) as usize))
     }
 
-    /// How shifted reads `(array, dim, shift)` communicate: their ghost
-    /// exchanges merged as `merge_comm` merges them (the widest per array,
-    /// dimension and direction), none along a dimension on one rank. A
-    /// shift off BLOCK takes a temporary; one of an array a REDISTRIBUTE
-    /// moved is not known.
-    fn exchanges(&self, reads: &[(usize, usize, i64)]) -> Comm {
-        let mut out: Vec<(usize, usize, i64)> = Vec::new();
-        for &(a, d, c) in reads.iter().filter(|r| r.2 != 0 && self.spread(r.1) > 1) {
-            if self.moved == Some(a) {
-                return Comm::Unknown;
-            } else if self.dist[d] != "BLOCK" {
-                return Comm::Other;
-            }
-            match (out.iter_mut()).find(|e| (e.0, e.1, e.2 > 0) == (a, d, c > 0)) {
-                Some(e) => e.2 = e.2.abs().max(c.abs()) * c.signum(),
-                None => out.push((a, d, c)),
-            }
-        }
-        Comm::Shifts(out)
-    }
-
-    /// Whether overlap must shorten a statement that communicates so: by
-    /// ghost exchanges of arrays on their declared layout, with an
-    /// interior on every rank.
-    fn overlaps(&self, comm: &Comm) -> bool {
-        let Comm::Shifts(ex) = comm else {
-            return false;
-        };
-        let interior = |e: &(usize, usize, i64)| self.n / self.spread(e.1) > 2 * e.2.abs() + 1;
-        self.moved.is_none() && !ex.is_empty() && ex.iter().all(interior)
-    }
-
     /// Append `leaf`, refilling what it reads first while its values would
     /// leave the budget.
     fn emit(&mut self, leaf: Leaf) {
@@ -319,7 +308,7 @@ impl Gen {
             return self.fill(s);
         }
         let zero = effect(S, &[], 0, (0, 0), true);
-        let mut reset = leaf("S = 0.0".into(), &[], vec![zero], Comm::Quiet);
+        let mut reset = leaf("S = 0.0".into(), &[], vec![zero]);
         reset.reuse = Some(0);
         self.emit(reset);
     }
@@ -399,7 +388,7 @@ impl Gen {
         let coprime: Vec<i64> = (2..self.n).filter(coprime).take(4).collect();
         let k = coprime.get(pick).copied().unwrap_or(1);
         let text = format!("FORALL (I=1:N) IP(I) = MOD(I*{k} + {c}, N) + 1");
-        self.emit(leaf(text, &[], vec![], Comm::Quiet));
+        self.emit(leaf(text, &[], vec![]));
     }
 
     /// Every element of `x` becomes a small integer.
@@ -410,20 +399,20 @@ impl Gen {
         let ((space, kinds), at) = (self.space(1, self.n, 1), self.at(x, 0, 0));
         let text = format!("FORALL ({space}) {at} = REAL(MOD(I*{k}{j} + {c}, {m}))");
         let effects = vec![effect(x, &[], 5, (0, 0), true)];
-        self.emit(leaf(text, &kinds, effects, Comm::Quiet));
+        self.emit(leaf(text, &kinds, effects));
     }
 
     /// The closing reductions and PRINTs.
     fn closing(&mut self) {
         for (x, a) in REALS.iter().enumerate() {
             let text = format!("S = SUM({a})\nPRINT *, 'SUM{a}', S");
-            self.emit(leaf(text, &["sum"], vec![self.sum(x)], Comm::Other));
+            self.emit(leaf(text, &["sum"], vec![self.sum(x)]));
         }
         let text = "MX = MAXVAL(B)\nPRINT *, 'MAXB', MX".to_string();
-        self.emit(leaf(text, &["maxval"], vec![], Comm::Other));
+        self.emit(leaf(text, &["maxval"], vec![]));
         if !self.two_d() {
             let text = "KS = SUM(K)\nPRINT *, 'KS', KS, M, K(1), K(N), IU(N)".to_string();
-            self.emit(leaf(text, &[], vec![], Comm::Other));
+            self.emit(leaf(text, &[], vec![]));
         }
     }
 
@@ -490,13 +479,9 @@ impl Gen {
         let text = format!("FORALL ({space}{mask}) {ax} = {c}{ay1} + {az2} - {ay}{inv_read}");
         kinds.extend(held(&[(pad == 3, "shift3"), (masked, "mask")]));
         kinds.extend(held(&[(inv, "invariant"), (true, "stencil")]));
-        let mut comm = self.exchanges(&[(y, 0, s1), (z, d2, s2)]);
-        if inv {
-            comm = Comm::Other; // and a broadcast element
-        }
-        let overlap = !masked && !inv && st == 1 && self.overlaps(&comm);
-        let stencil = leaf(text, &kinds, vec![assign(x, &[y, z], 0, GROW)], comm);
-        self.emit(Leaf { overlap, ..stencil });
+        let mut stencil = leaf(text, &kinds, vec![assign(x, &[y, z], 0, GROW)]);
+        stencil.two_sums = pad > 0;
+        self.emit(stencil);
     }
 
     /// `T = W + OWN(J+s) [- 0.5*T(row)]`, where `OWN` is `T` itself (in
@@ -514,12 +499,9 @@ impl Gen {
         let text = format!("FORALL ({space}) {at} = {aw} + {aown}{row}");
         kinds.extend(held(&[(own == t, "inplace"), (pivot, "pivot")]));
         kinds.extend(held(&[(pad == 3, "shift3")]));
-        let mut comm = self.exchanges(&[(own, d2, s)]);
-        if pivot {
-            comm = Comm::Unknown; // a broadcast row, or a local one
-        }
-        let effect = assign(t, &[t, w, own], 0, GROW);
-        self.emit(leaf(text, &kinds, vec![effect], comm));
+        let mut statement = leaf(text, &kinds, vec![assign(t, &[t, w, own], 0, GROW)]);
+        statement.two_sums = s != 0;
+        self.emit(statement);
     }
 
     /// `X = a*Y + b*Z - W + c` in array syntax.
@@ -529,7 +511,7 @@ impl Gen {
         let text = format!("{ax} = {ca}{ay} + {cb}{az} - {aw} + {c}.0");
         let kinds = [&self.space(1, self.n, 1).1[..], &["array"]].concat();
         let effect = assign(x, &[y, z, w], 4, GROW);
-        self.emit(leaf(text, &kinds, vec![effect], Comm::Quiet));
+        self.emit(leaf(text, &kinds, vec![effect]));
     }
 
     /// A WHERE statement, a WHERE / ELSEWHERE block, or a masked FORALL.
@@ -549,7 +531,7 @@ impl Gen {
         kinds.push("maskedforall");
         let kinds = [vec!["where"], vec!["where", "elsewhere"], kinds][variant as usize].clone();
         let effect = assign(x, &[y, z], 0, GROW);
-        let mut statement = leaf(text, &kinds, vec![effect], Comm::Quiet);
+        let mut statement = leaf(text, &kinds, vec![effect]);
         statement.reuse = Some(1 + (variant == 1) as u64);
         self.emit(statement);
     }
@@ -565,8 +547,9 @@ impl Gen {
             _ => (format!(":,{to}"), format!(":,{from}")),
         };
         let text = format!("{}({to}) = {}({from})", REALS[x], REALS[y]);
-        let (comm, effect) = (self.exchanges(&[(y, dim, -s)]), assign(x, &[y], 0, (0, 0)));
-        self.emit(leaf(text, &["section"], vec![effect], comm));
+        let mut statement = leaf(text, &["section"], vec![assign(x, &[y], 0, (0, 0))]);
+        statement.two_sums = true;
+        self.emit(statement);
     }
 
     /// A strided FORALL whose upper bound is off the stride, writing
@@ -579,17 +562,17 @@ impl Gen {
         };
         let kinds = held(&[(true, "reversed"), ((self.n - lo) % st != 0, "offstride")]);
         let effect = assign(x, &[y], bit_len(self.n), (1, 0));
-        self.emit(leaf(text, &kinds, vec![effect], Comm::Other));
+        self.emit(leaf(text, &kinds, vec![effect]));
     }
 
     /// `S = SUM(Y)`, then a FORALL that reads it.
     fn sum_form(&mut self, x: usize, y: usize) {
         let text = format!("S = SUM({})", REALS[y]);
-        self.emit(leaf(text, &["sum"], vec![self.sum(y)], Comm::Other));
+        self.emit(leaf(text, &["sum"], vec![self.sum(y)]));
         let (space, at) = (self.space(1, self.n, 1).0, self.at(x, 0, 0));
         let text = format!("FORALL ({space}) {at} = {at} + S");
         let effect = assign(x, &[x, S], 0, (1, 0));
-        self.emit(leaf(text, &[], vec![effect], Comm::Quiet));
+        self.emit(leaf(text, &[], vec![effect]));
     }
 
     /// A gather or a scatter through `IP` (a permutation) or `IU`.
@@ -606,7 +589,7 @@ impl Gen {
         let kind = ["gather", "scatter"][variant as usize / 2];
         let text = format!("FORALL (I=1:N) {text} + REAL(I)");
         let effect = assign(x, &[y], bit_len(self.n), (1, 0));
-        self.emit(leaf(text, &["indirect", kind], vec![effect], Comm::Other));
+        self.emit(leaf(text, &["indirect", kind], vec![effect]));
     }
 
     /// The paper's §4 example 3, `A(U(I)) = B(V(I)) + C(I)`, maybe
@@ -622,7 +605,7 @@ impl Gen {
         let effects = vec![assign(x, &[y, w], 0, (1, 0)); !sink as usize];
         let mut kinds = held(&[(masked, "mask"), (sink, "sink")]);
         kinds.extend(["irregular", "gather", "scatter"]);
-        self.emit(leaf(text, &kinds, effects, Comm::Other));
+        self.emit(leaf(text, &kinds, effects));
     }
 
     /// An INTEGER fill: `MOD` and `/` by a constant (negative, `-1`) or a
@@ -650,7 +633,7 @@ impl Gen {
         };
         let effects = vec![assign(x, &[y], 4, (1, 0)); (variant == 4) as usize];
         let text = format!("FORALL (I=1:N) {text}");
-        self.emit(leaf(text, &["intfill", kind], effects, Comm::Other));
+        self.emit(leaf(text, &["intfill", kind], effects));
     }
 
     /// INTEGER `+ - *`, `/`, `MOD`, `**` and `ABS` past the ends of `i64`.
@@ -665,7 +648,7 @@ impl Gen {
         let forall = ["", "FORALL (I=1:N) "][(variant > 0) as usize];
         let kind = ["wrap", "wrap", "div-edge", "pow"][variant];
         let text = format!("{forall}{text}");
-        self.emit(leaf(text, &["intedge", kind], vec![], Comm::Other));
+        self.emit(leaf(text, &["intedge", kind], vec![]));
     }
 
     /// A statement on `x` alone and unshifted: what may read an array a
@@ -674,7 +657,7 @@ impl Gen {
         let ((space, kinds), at) = (self.space(1, self.n, 1), self.at(x, 0, 0));
         let text = format!("FORALL ({space}) {at} = {at}*2.0 + REAL(I)");
         let effect = assign(x, &[x], bit_len(self.n), (2, 0));
-        self.emit(leaf(text, &kinds, vec![effect], Comm::Quiet));
+        self.emit(leaf(text, &kinds, vec![effect]));
     }
 
     /// `C$ REDISTRIBUTE X(...)` to another layout, what `body` emits, and
@@ -688,10 +671,7 @@ impl Gen {
             other.push(if d == "*" { d } else { self.r.pick(&moved) });
         }
         let to = |dist: &[&str]| format!("C$ REDISTRIBUTE {}({})", REALS[x], dist.join(", "));
-        let (open, close) = (to(&other), to(&self.dist));
-        self.moved = Some(x);
-        self.block(open, &close, 1, body);
-        self.moved = None;
+        self.block(to(&other), &to(&self.dist), 1, body);
     }
 
     /// A sweep that reads its variable around a smoothing stencil, and
@@ -701,14 +681,13 @@ impl Gen {
         let j = when(self.two_d(), ", J=1:N".into());
         let sites = [(x, 0), (y, 0), (y, -1), (y, 1)];
         let [ax, ay, lo, hi] = sites.map(|(a, c)| self.at(a, 0, c));
-        let comm = self.exchanges(&[(y, 0, -1), (y, 0, 1)]);
-        let overlap = self.overlaps(&comm);
         let text = format!("FORALL (I=2:N-1{j}) {ax} = 0.5*({lo} + {hi})");
-        let smooth = leaf(text, &[], vec![assign(x, &[y], 0, GROW)], comm);
-        self.emit(Leaf { overlap, ..smooth });
+        let mut smooth = leaf(text, &[], vec![assign(x, &[y], 0, GROW)]);
+        smooth.two_sums = true;
+        self.emit(smooth);
         let text = format!("FORALL (I=2:N-1{j}) {ay} = {ax} + REAL(IT)");
         let effect = assign(y, &[x], 2, (1, 0));
-        self.emit(leaf(text, &["dovar"], vec![effect], Comm::Quiet));
+        self.emit(leaf(text, &["dovar"], vec![effect]));
         for _ in 0..self.r.range(0, 2) {
             match self.r.range(0, 3) {
                 0 if !self.two_d() => self.irregular(z, x, w),
@@ -722,37 +701,40 @@ impl Gen {
         }
     }
 
-    /// `DO IT` around `k` independent two-shift stencils `Aj = f(Bj)` and
-    /// their copy-backs, which keep every `Bj` loop-varying.
+    /// `DO IT` around a sweep: `k` independent two-shift stencils
+    /// `Aj = f(Bj)`, whose first shifts go one way, then their copy-backs,
+    /// which keep every `Bj` loop-varying.
     fn multi_stencil(&mut self) {
         let (k, trips) = (self.r.range(1, 3) as usize, self.r.range(1, 3) as u32);
-        let pairs: [usize; 6] = self.arrays();
+        let (pairs, sign): ([usize; 6], i64) = (self.arrays(), self.r.pick(&[-1, 1]));
         let shifts: Vec<[i64; 2]> = (0..k)
-            .map(|_| [0; 2].map(|_| self.r.range(-3, 3)))
+            .map(|_| [sign * self.r.range(1, 3), self.r.range(-3, 3)])
             .collect();
         let pad = shifts.iter().flatten().fold(1, |p, s| p.max(s.abs()));
+        // Ghost strips on the first dimension travel between ranks.
+        let wire = self.dist[0] == "BLOCK" && self.spread(0) > 1;
         self.kind = ["do", "multistencil"][(k > 1) as usize];
         self.do_loop(trips, |g| {
             let (space, mut kinds) = g.space(1 + pad, g.n - pad, 1);
             kinds.extend((pad == 3).then_some("shift3"));
-            let d2 = g.two_d() as usize;
+            let (d2, mut lines, mut effects) = (g.two_d() as usize, Vec::new(), Vec::new());
             for (pair, &[s1, s2]) in pairs.chunks(2).zip(&shifts) {
                 let (a, b, c1, c2) = (pair[0], pair[1], g.r.pick(&COEFS), g.r.pick(&COEFS));
                 let own = when(g.r.one_in(2), format!(" - {}", g.at(b, 0, 0)));
                 let sites = [(a, 0, 0), (b, 0, s1), (b, d2, s2)];
                 let [aa, b1, b2] = sites.map(|(x, d, c)| g.at(x, d, c));
-                let text = format!("FORALL ({space}) {aa} = {c1}{b1} + {c2}{b2}{own}");
-                let comm = g.exchanges(&[(b, 0, s1), (b, d2, s2)]);
-                let overlap = g.overlaps(&comm);
-                let stencil = leaf(text, &kinds, vec![assign(a, &[b], 0, GROW)], comm);
-                g.emit(Leaf { overlap, ..stencil });
+                lines.push(format!("FORALL ({space}) {aa} = {c1}{b1} + {c2}{b2}{own}"));
+                effects.push(assign(a, &[b], 0, GROW));
             }
             for pair in pairs.chunks(2).take(k) {
                 let (a, b) = (g.at(pair[0], 0, 0), g.at(pair[1], 0, 0));
-                let copy = assign(pair[1], &[pair[0]], 0, (0, 0));
-                let text = format!("FORALL ({space}) {b} = {a}");
-                g.emit(leaf(text, &kinds, vec![copy], Comm::Quiet));
+                lines.push(format!("FORALL ({space}) {b} = {a}"));
+                effects.push(assign(pair[1], &[pair[0]], 0, (0, 0)));
             }
+            let mut sweep = leaf(lines.join("\n"), &kinds, effects);
+            (sweep.reuse, sweep.two_sums) = (Some(2 * k as u64), d2 == 1);
+            (sweep.overlap, sweep.coalesce) = (wire && d2 == 0, wire && k > 1);
+            g.emit(sweep);
         });
     }
 
@@ -770,6 +752,6 @@ impl Gen {
         };
         let kinds = held(&[(true, "manytoone"), (self.two_d() && self.n > 22, "long")]);
         let effect = assign(x, &[x, y], 0, (1, 0));
-        self.emit(leaf(text, &kinds, vec![effect], Comm::Other));
+        self.emit(leaf(text, &kinds, vec![effect]));
     }
 }

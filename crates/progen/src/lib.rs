@@ -85,26 +85,6 @@ impl Effect {
     }
 }
 
-/// How a statement communicates.
-#[derive(Debug, Clone, PartialEq, Default)]
-enum Comm {
-    /// Not at all, on any grid.
-    Quiet,
-    /// By the ghost exchanges `(array, dim, shift)` of its prelude alone,
-    /// as `merge_comm` leaves them: it may join a comm phase.
-    Shifts(Vec<(usize, usize, i64)>),
-    #[default]
-    Other,
-    /// Not known; it might join a comm phase.
-    Unknown,
-}
-
-impl Comm {
-    fn silent(&self) -> bool {
-        matches!(self, Comm::Shifts(ex) if ex.is_empty()) || *self == Comm::Quiet
-    }
-}
-
 /// One statement of a program's body: what the shrinker drops.
 #[derive(Debug, Clone)]
 pub enum Stmt {
@@ -122,7 +102,8 @@ pub enum Stmt {
 }
 
 /// A statement, or lines the shrinker keeps together (a WHERE block, a
-/// reduction and its PRINT), and what the facts need to know of it.
+/// reduction and its PRINT, a sweep's stencils and copy-backs), and what
+/// the facts need to know of it.
 #[derive(Debug, Clone, Default)]
 pub struct Leaf {
     pub text: String,
@@ -132,9 +113,14 @@ pub struct Leaf {
     /// FORALL executions whose iteration lists the next trip of a `DO`
     /// reuses; `None` where that count is not known.
     reuse: Option<u64>,
-    comm: Comm,
-    /// A stencil overlap shortens while its exchanges stay in the loop.
+    /// A 1-D sweep of unmasked stencils, each shifted on a BLOCK dimension
+    /// over several ranks.
     overlap: bool,
+    /// A sweep of two or more stencils on distinct arrays, each shifted
+    /// the same way on a first BLOCK dimension over several ranks.
+    coalesce: bool,
+    /// It reads a shifted subscript, and is not a 1-D sweep.
+    two_sums: bool,
 }
 
 /// What the properties need to know of a program besides its source.
@@ -145,19 +131,29 @@ pub struct Facts {
     pub compare: Vec<&'static str>,
     /// It has an unstructured gather and an unstructured scatter.
     pub gather_scatter: bool,
-    /// A 1-D program whose last communication is the ghost exchange of a
-    /// shifted, unmasked BLOCK stencil that overlap shortens. (A later one
-    /// could hide the saving behind a rank that saved nothing, and so can
-    /// the compute of a 2-D block: a receiver that is also the slowest
-    /// rank does not wait.)
+    /// A 1-D program that ends with a sweep of shifted, unmasked BLOCK
+    /// stencils, which overlap shortens. (A later exchange could hide the
+    /// saving behind a rank that saved nothing, and so can the compute of
+    /// a 2-D block: a receiver that is also the slowest rank does not
+    /// wait.)
     pub overlap: bool,
-    /// A `DO` holds two or more independent shifted stencils that
-    /// `comm_plan` must coalesce into fewer wire messages.
+    /// A `DO` holds two or more independent stencils whose ghost strips
+    /// go to one neighbour, which `comm_plan` must coalesce into fewer
+    /// wire messages.
     pub coalesce: bool,
     /// Every ghost strip is a few elements (a 1-D program), so a startup
     /// that coalescing saves outweighs the bytes it makes a receiver wait
     /// for before its first statement: `comm_plan` adds no time.
     pub narrow: bool,
+    /// It holds a masked FORALL or a WHERE, whose ranks compute unequal
+    /// shares: a message saved on a rank that waits for none saves no time.
+    pub masked: bool,
+    /// It reads a shifted subscript outside the 1-D sweeps, whose ranks
+    /// wait for their strips (or, on one rank, have no boundary). Overlap
+    /// may split such a statement into an interior and a boundary charged
+    /// as two sums, which may round up the clock of a rank that waits for
+    /// nothing.
+    pub two_sums: bool,
     /// FORALL executions that reuse the iteration lists of their previous
     /// execution, when that count is known.
     pub dispatch_reused: Option<u64>,
@@ -232,7 +228,29 @@ impl Program {
         leaves(&self.body, &mut all);
         let has = |kind| all.iter().any(|l| l.kinds.contains(&kind));
         let sink = has("sink");
-        let mut facts = Facts {
+        // A sweep that ends the program: nothing after it communicates.
+        let last = match self.body.last() {
+            Some(Stmt::Block { body, .. }) => body.last(),
+            _ => None,
+        };
+        let mut dispatch_reused = Some(0);
+        for s in &self.body {
+            let Stmt::Block {
+                open, trips, body, ..
+            } = s
+            else {
+                continue;
+            };
+            // A REDISTRIBUTE drops every kept iteration list.
+            if open.starts_with("DO") && !body.iter().any(|s| matches!(s, Stmt::Block { .. })) {
+                let mut inner = Vec::new();
+                leaves(body, &mut inner);
+                let per_trip: Option<u64> = inner.iter().map(|l| l.reuse).sum();
+                let reused = dispatch_reused.zip(per_trip);
+                dispatch_reused = reused.map(|(n, k)| n + (*trips as u64 - 1) * k);
+            }
+        }
+        Facts {
             compare: self
                 .arrays
                 .iter()
@@ -240,62 +258,13 @@ impl Program {
                 .filter(|a| !sink || *a != "Z")
                 .collect(),
             gather_scatter: has("gather") && has("scatter"),
-            overlap: false,
-            coalesce: false,
+            overlap: matches!(last, Some(Stmt::Leaf(l)) if l.overlap),
+            coalesce: all.iter().any(|l| l.coalesce),
             narrow: !self.head_kinds.contains(&"2-D"),
-            dispatch_reused: Some(0),
-        };
-        // Whether the last communication so far is a stencil that overlap
-        // shortens.
-        let mut last = false;
-        for s in &self.body {
-            let (trips, body) = match s {
-                Stmt::Leaf(l) => {
-                    last = if l.comm.silent() { last } else { l.overlap };
-                    continue;
-                }
-                Stmt::Block {
-                    open, trips, body, ..
-                } if open.starts_with("DO") => (*trips as u64, body),
-                // A REDISTRIBUTE communicates.
-                Stmt::Block { .. } => {
-                    last = false;
-                    continue;
-                }
-            };
-            let mut inner = Vec::new();
-            leaves(body, &mut inner);
-            let written: Vec<usize> = (inner.iter().flat_map(|l| &l.effects))
-                .map(|e| e.target)
-                .collect();
-            // An exchange of an array the loop never writes is hoisted out
-            // of it (`hoist_invariant_comm`).
-            let in_loop = |l: &Leaf| match &l.comm {
-                Comm::Shifts(ex) => Some(Comm::Shifts(
-                    (ex.iter().filter(|e| written.contains(&e.0)).copied()).collect(),
-                )),
-                Comm::Unknown => None,
-                comm => Some(comm.clone()),
-            };
-            for l in &inner {
-                match in_loop(l) {
-                    Some(comm) if comm.silent() => {}
-                    comm => last = l.overlap && comm.as_ref() == Some(&l.comm),
-                }
-            }
-            // A REDISTRIBUTE also drops every kept iteration list.
-            let relayout = body.iter().any(|s| matches!(s, Stmt::Block { .. }));
-            last &= !relayout;
-            let per_trip: Option<u64> = inner.iter().map(|l| l.reuse).sum();
-            if !relayout {
-                let reused = facts.dispatch_reused.zip(per_trip);
-                facts.dispatch_reused = reused.map(|(n, k)| n + (trips - 1) * k);
-                let comms: Option<Vec<_>> = inner.iter().map(|l| Some((in_loop(l)?, *l))).collect();
-                facts.coalesce |= comms.is_some_and(|c| coalesces(&c));
-            }
+            masked: has("mask") || has("where") || has("maskedforall"),
+            two_sums: all.iter().any(|l| l.two_sums),
+            dispatch_reused,
         }
-        facts.overlap = last && facts.narrow;
-        facts
     }
 
     /// This program without its `at`-th statement, counting blocks and
@@ -319,38 +288,6 @@ impl Program {
         let mut p = self.clone();
         remove(&mut p.body, &mut { at }).then_some(p)
     }
-}
-
-/// Whether `plan_comm_phases` (`f90d-core`'s optimizer) groups two or
-/// more of these consecutive statements, with the communication each has
-/// in the loop, into a phase that merges wire traffic: two exchanges in it
-/// repeat, or go the same way along one dimension.
-fn coalesces(stmts: &[(Comm, &Leaf)]) -> bool {
-    let merges = |run: &[(usize, usize, i64)]| {
-        (run.iter().enumerate()).any(|(i, a)| {
-            (run[i + 1..].iter()).any(|b| a == b || (a.1 == b.1 && (a.2 > 0) == (b.2 > 0)))
-        })
-    };
-    let (mut run, mut wrote, mut len, mut found) = (Vec::new(), Vec::new(), 0, false);
-    for (comm, leaf) in stmts {
-        let writes: Vec<usize> = leaf.effects.iter().map(|e| e.target).collect();
-        let ex: &[(usize, usize, i64)] = match comm {
-            Comm::Shifts(ex) => ex,
-            _ => &[],
-        };
-        // No member may write an array the phase exchanges.
-        let clash = (run.iter().chain(ex)).any(|e| wrote.contains(&e.0) || writes.contains(&e.0));
-        if ex.is_empty() || (len > 0 && clash) {
-            found |= len >= 2 && merges(&run);
-            (run, wrote, len) = (Vec::new(), Vec::new(), 0);
-        }
-        if !ex.is_empty() {
-            run.extend(ex);
-            wrote.extend(writes);
-            len += 1;
-        }
-    }
-    found || (len >= 2 && merges(&run))
 }
 
 /// The smallest program the shrinker reaches from `program` while

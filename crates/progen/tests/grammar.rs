@@ -1,4 +1,5 @@
-//! The generator's own properties: it covers the grammar, every program
+//! The generator's own properties: it covers the grammar and both values
+//! of every fact a differential property is gated on, every program
 //! compiles on every grid of its configuration, the exactness budget
 //! holds in the values a program really computes, and the shrinker
 //! minimizes.
@@ -65,16 +66,26 @@ const GRAMMAR: [&str; 43] = [
 #[test]
 fn every_grammar_item_appears() {
     let (mut seen, mut long, mut programs) = (BTreeSet::new(), 0, 0);
+    // Programs each fact a property is gated on holds of.
+    let mut gated = [0; 4];
     for cfg in &CONFIGS {
         for seed in 0..SEEDS {
-            let kinds = generate(cfg, seed).kinds();
+            let p = generate(cfg, seed);
+            let (kinds, f) = (p.kinds(), p.facts());
             long += kinds.iter().filter(|k| **k == "long").count();
             programs += 1;
             seen.extend(kinds);
+            let facts = [f.overlap, f.coalesce, f.masked, f.two_sums];
+            (gated.iter_mut().zip(facts)).for_each(|(n, holds)| *n += holds as usize);
         }
     }
     let missing: Vec<_> = GRAMMAR.iter().filter(|k| !seen.contains(*k)).collect();
     assert!(missing.is_empty(), "never generated: {missing:?}");
+    let both = gated.iter().all(|n| (1..programs).contains(n));
+    assert!(
+        both,
+        "overlap/coalesce/masked/two_sums: {gated:?} of {programs}"
+    );
     // The chunk tier works `CHUNK` = 512 iterations at a time.
     assert!(
         long >= programs,
