@@ -20,12 +20,12 @@
 //!   exchanges at `stencil-ghost`'s shape (a 256 × 256 `(BLOCK, BLOCK)`
 //!   field on a 4 × 4 grid: 64 × 64 segments, `c = ±1` on both
 //!   dimensions in turn), so **ms reads as µs per call**; the machine is
-//!   reset every 80 calls, one job's worth. `planned` is the one-shot
-//!   `structured::overlap_shift`, which plans its move table on every
-//!   call — what every exchange of a run cost before runs kept their
-//!   plans; `replayed` is `driver::ghost_exchange` against a run's
-//!   table that already holds the four plans: key compare, pack, post,
-//!   complete, unpack.
+//!   reset every 80 calls, one job's worth. `planned` is
+//!   `driver::ghost_exchange` against a fresh plan table, so it plans
+//!   its move table on every call — what every exchange of a run cost
+//!   before runs kept their plans; `replayed` is the same call against a
+//!   run's table that already holds the four plans: key compare, pack,
+//!   post, complete, unpack.
 //! * `post_complete/fresh_tag/after/N` — one sample is 1000
 //!   `post_send` + `post_recv` + `complete` triples of a 64-element
 //!   message, **each under a tag never used before** (what collectives
@@ -39,7 +39,7 @@
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use f90d_comm::structured::{alloc_slab_tmp, multicast, overlap_shift};
+use f90d_comm::structured::{alloc_slab_tmp, multicast};
 use f90d_comm::{driver, RunSchedules};
 use f90d_distrib::{Dad, DadBuilder, DistKind, ProcGrid};
 use f90d_machine::{
@@ -132,16 +132,15 @@ fn bench_ghost_exchange(c: &mut Criterion) {
         }
         black_box(m.elapsed());
     };
+    let shift = |m: &mut Machine, rs: &mut RunSchedules, dim, c| {
+        driver::ghost_exchange(m, rs, "U", &dad, dim, c).expect("shift")
+    };
     g.bench_function("planned", |b| {
-        b.iter(|| run(&mut |m, dim, c| overlap_shift(m, "U", &dad, dim, c, false).expect("shift")))
+        b.iter(|| run(&mut |m, dim, c| shift(m, &mut RunSchedules::new(), dim, c)))
     });
     let mut rs = RunSchedules::new();
     g.bench_function("replayed", |b| {
-        b.iter(|| {
-            run(&mut |m, dim, c| {
-                driver::ghost_exchange(m, &mut rs, "U", &dad, dim, c).expect("shift")
-            })
-        })
+        b.iter(|| run(&mut |m, dim, c| shift(m, &mut rs, dim, c)))
     });
     g.finish();
 }

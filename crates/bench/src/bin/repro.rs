@@ -304,7 +304,7 @@ fn num(x: i64) -> Json {
     Json::Num(x as f64)
 }
 
-/// The full §8 experiment matrix on the work-stealing harness
+/// The full §8 experiment matrix on the parallel harness
 /// (`f90d_bench::harness`), `--repeat` times back to back in one
 /// process.
 ///

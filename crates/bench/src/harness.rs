@@ -1,6 +1,6 @@
 //! Parallel repro harness: the full (workload × size × grid × machine)
-//! experiment matrix of the paper's §8 evaluation, run by a
-//! work-stealing pool of `std::thread::scope` workers.
+//! experiment matrix of the paper's §8 evaluation, run by a pool of
+//! `std::thread::scope` workers sharing one cursor over the cells.
 //!
 //! Execution is *virtual-time* deterministic — every cell builds its own
 //! [`Machine`], so the modelled seconds, message counts and byte counts
@@ -19,8 +19,8 @@
 //! runs). Per-run hit/miss deltas for both are surfaced in the report;
 //! neither cache changes a cell's virtual metrics.
 
-use std::collections::VecDeque;
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use f90d_core::{compile, CompileOptions, ExecReport, RunTrace};
@@ -287,67 +287,12 @@ impl MatrixConfig {
     }
 }
 
-/// Pop one job for worker `w`: its own deque's front, else a steal from
-/// the back of another worker's deque.
+/// Run `cells` on `cfg.jobs` workers; results come back in canonical
+/// (input) order regardless of execution interleaving.
 ///
-/// Two audit findings from the original inline version are pinned down
-/// here (and by the `jobs ≫ cells` stress test):
-///
-/// * The old `queues[w].lock().unwrap().pop_front().or_else(|| …steal…)`
-///   kept the **temporary** guard on the worker's own deque alive for
-///   the whole statement — Rust extends initializer temporaries to the
-///   end of the `let` — so every stealer scanned victims *while holding
-///   its own lock*. Two workers in the steal phase could each block on
-///   the other's held mutex: a circular wait that deadlocked the pool
-///   (overwhelmingly likely once `jobs ≫ cells` puts most workers in
-///   the steal phase at once). The own-queue pop is now a separate
-///   statement, so no lock is held while stealing.
-/// * The steal scan itself locked victims front-to-back with blocking
-///   `lock()`, serializing idle workers behind busy queues. It now
-///   skips contended victims with `try_lock` and only re-scans while a
-///   contended victim might still hold work. Skipping is *safe* for
-///   termination: seeding finishes before any worker starts (the seed
-///   loop precedes `thread::scope`, so no worker can observe a
-///   half-seeded deque), and every deque's owner drains it with its own
-///   blocking pop before exiting — a skipped job is never a lost job.
-fn next_job(queues: &[Mutex<VecDeque<usize>>], w: usize) -> Option<usize> {
-    let mine = queues[w].lock().unwrap().pop_front();
-    if mine.is_some() {
-        return mine;
-    }
-    let jobs = queues.len();
-    loop {
-        let mut saw_contended = false;
-        for off in 1..jobs {
-            match queues[(w + off) % jobs].try_lock() {
-                Ok(mut q) => {
-                    if let Some(i) = q.pop_back() {
-                        return Some(i);
-                    }
-                }
-                // Contended: someone is popping/stealing there right
-                // now. Skip it — never block on a victim — but remember
-                // to look again: it may still hold undrained work.
-                Err(std::sync::TryLockError::WouldBlock) => saw_contended = true,
-                // A poisoned victim deque means a worker panicked inside
-                // a pop — its cells are already lost to the panic, which
-                // propagates through the scope join; stop stealing.
-                Err(std::sync::TryLockError::Poisoned(_)) => {}
-            }
-        }
-        if !saw_contended {
-            return None;
-        }
-        std::thread::yield_now();
-    }
-}
-
-/// Run `cells` on `cfg.jobs` workers with work stealing; results come
-/// back in canonical (input) order regardless of execution interleaving.
-///
-/// Each worker owns a deque seeded round-robin **before** the scope
-/// starts; it pops its own front and when empty steals from the back of
-/// the others via `next_job` (try-lock, never blocking on a victim).
+/// The workers share one cursor over the cells: each takes the next
+/// index with a `fetch_add` until the cursor passes the end, so every
+/// cell runs exactly once and no worker ever waits on another.
 /// With `exec = Threaded` every cell leases pool workers from the
 /// process-wide budget for its machine's local phases, so the host runs
 /// at most `budget` pool threads no matter how `jobs × P` multiplies
@@ -359,21 +304,17 @@ pub fn run_matrix(cells: &[Cell], cfg: &MatrixConfig) -> MatrixReport {
     }
     let t0 = Instant::now();
 
-    let queues: Vec<Mutex<VecDeque<usize>>> =
-        (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (i, _) in cells.iter().enumerate() {
-        queues[i % jobs].lock().unwrap().push_back(i);
-    }
+    let next = AtomicUsize::new(0);
     let slots: Vec<OnceLock<CellResult>> = cells.iter().map(|_| OnceLock::new()).collect();
 
     std::thread::scope(|s| {
-        for w in 0..jobs {
-            let queues = &queues;
-            let slots = &slots;
-            s.spawn(move || {
-                while let Some(i) = next_job(queues, w) {
-                    let _ = slots[i].set(run_cell(&cells[i], cfg));
-                }
+        for _ in 0..jobs {
+            s.spawn(|| loop {
+                // Relaxed: the cursor only hands out distinct indices;
+                // results publish through the slots and the scope join.
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(cell) = cells.get(i) else { break };
+                let _ = slots[i].set(run_cell(cell, cfg));
             });
         }
     });

@@ -17,7 +17,7 @@
 //!   (`repro --exp scaling`): jacobi and gaussian at 16–4096 ranks on
 //!   hypercube vs torus vs fat tree, with the per-link contention model
 //!   off and on;
-//! * [`harness`] — the parallel (work-stealing) experiment-matrix
+//! * [`harness`] — the parallel experiment-matrix
 //!   harness behind `repro --jobs N`, with `results.json` emission and
 //!   the `--baseline` CI perf gate.
 //!

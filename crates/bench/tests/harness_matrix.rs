@@ -94,14 +94,10 @@ fn jobs8_matches_jobs1_bit_exactly() {
     harness::diff_baseline(&b, &a, None).expect("jobs=8 run must match jobs=1 baseline");
 }
 
-/// Regression/stress test for the steal path: `jobs ≫ cells` puts most
-/// workers straight into the steal phase. The original loop held each
-/// stealer's **own** deque lock across the victim scan (a `let`
-/// statement's temporary `MutexGuard` lives to the end of the
-/// statement) and blocked on contended victims — two stealers waiting
-/// on each other's held mutex deadlocked the whole matrix. The fix pops
-/// the own queue in its own statement and steals with `try_lock`; this
-/// must now terminate every time.
+/// Stress test for the job queue: with `jobs ≫ cells` most workers find
+/// the cursor already past the end, and every cell must still run
+/// exactly once, in canonical order, and the matrix must terminate
+/// every time (an earlier lock-based queue once deadlocked here).
 #[test]
 fn jobs_exceeding_cells_terminates() {
     let all = harness::matrix(Scale::Tiny);

@@ -11,7 +11,7 @@
 //! crate cannot depend on) drives it through these entry points. The
 //! engine keeps only evaluation: it hands the driver a [`ComputeSink`]
 //! with interior/boundary element-loop callbacks and never touches
-//! [`PhaseExchange`], the shift planner (`structured::shift_moves`), or
+//! [`ExchangeOp`], the shift planner (`structured::shift_moves`), or
 //! the raw transport itself (a guard test in `tests/` enforces exactly
 //! that), so orchestration has one home whatever evaluates elements.
 //!
@@ -26,7 +26,8 @@
 //!
 //! Contracts:
 //! * [`CommDriver::phase_exchange`] batches a phase's deduplicated
-//!   ghost exchanges through one coalesced [`PhaseExchange`]; a runtime
+//!   ghost exchanges through one multi-strip [`ExchangeOp`] — one
+//!   message per processor pair for the whole phase; a runtime
 //!   planning refusal is reported as [`PhaseOutcome::Refused`] (and
 //!   counted) so the caller can fall back to the always-correct
 //!   per-statement path — the planner annotations are advisory.
@@ -41,12 +42,53 @@ use std::sync::Arc;
 use f90d_distrib::{ArrayDimMap, Dad, Locator};
 use f90d_machine::{ArrayData, ElemType, LocalArray, Machine, Transport, Value};
 
-use crate::helpers::{exchange, ExchangeOp};
-use crate::op::{CommError, CommOp, CommResult};
+use crate::helpers::{exchange, ExchangeOp, ExchangePlan};
+use crate::op::{CommError, CommResult};
 use crate::overlap::{dims_overlap_compatible, Margins};
-use crate::plan::{GhostSpec, PhaseExchange};
 use crate::sched_cache::RunSchedules;
 use crate::schedule::{ElementReq, Schedule, ScheduleKind};
+
+/// One planned ghost exchange: fill the ghost cells of `arr` for a
+/// compile-time shift by `c` along array dimension `dim`, by the moves
+/// of `plan` — the run's kept plan for the array's live descriptor
+/// ([`RunSchedules::shift_plan`]), so a spec built twice shares one.
+#[derive(Debug, Clone)]
+pub struct GhostSpec {
+    /// Array whose ghost cells are filled.
+    pub arr: String,
+    /// Shifted array dimension.
+    pub dim: usize,
+    /// Compile-time shift constant.
+    pub c: i64,
+    /// The element moves, as every path that runs this exchange
+    /// prices and performs them.
+    pub plan: Arc<ExchangePlan>,
+}
+
+impl GhostSpec {
+    /// The non-periodic ghost exchange of `arr` (live descriptor `dad`)
+    /// by `c` along `dim`, planned — or found planned — in `rs`.
+    pub fn new(
+        m: &Machine,
+        rs: &mut RunSchedules,
+        arr: &str,
+        dad: &Dad,
+        dim: usize,
+        c: i64,
+    ) -> Self {
+        GhostSpec {
+            arr: arr.to_string(),
+            dim,
+            c,
+            plan: rs.shift_plan(m, arr, None, dad, dim, c, false),
+        }
+    }
+
+    /// This exchange as a strip of an [`ExchangeOp`].
+    fn strip(&self) -> (&str, &str, &ExchangePlan) {
+        (&self.arr, &self.arr, &self.plan)
+    }
+}
 
 /// Outcome of a batched phase exchange attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,7 +130,7 @@ impl CommDriver {
     }
 
     /// Execute one planner-formed comm phase's ghost exchanges as a
-    /// single coalesced [`PhaseExchange`].
+    /// single multi-strip [`ExchangeOp`].
     ///
     /// `specs` is every member's exchange list in statement order,
     /// duplicates included — the driver deduplicates by
@@ -96,7 +138,10 @@ impl CommDriver {
     /// array, so repeated fills would carry identical data). On
     /// [`PhaseOutcome::Exchanged`] the caller runs the members with
     /// their preludes skipped; on [`PhaseOutcome::Refused`] nothing was
-    /// posted and the caller runs the per-statement fallback.
+    /// posted and the caller runs the per-statement fallback. A phase
+    /// over arrays of several element types is refused: one message
+    /// carries one type, and the phase planner only groups same-typed
+    /// arrays, so a mix here is a planner bug.
     pub fn phase_exchange(
         &mut self,
         m: &mut Machine,
@@ -112,13 +157,16 @@ impl CommDriver {
             }
             batch.push(s);
         }
-        let mut op = match PhaseExchange::plan(m, batch) {
-            Ok(op) => op,
-            Err(_) => {
-                self.fallbacks += 1;
-                return Ok(PhaseOutcome::Refused);
-            }
-        };
+        let ty = |s: &GhostSpec| m.mems[0].array(&s.arr).elem_type();
+        if batch.iter().any(|s| ty(s) != ty(&batch[0])) {
+            self.fallbacks += 1;
+            return Ok(PhaseOutcome::Refused);
+        }
+        m.stats.record("comm_phase");
+        for _ in &batch {
+            m.stats.record("overlap_shift");
+        }
+        let mut op = ExchangeOp::new(batch.iter().map(GhostSpec::strip).collect());
         op.post(m)?;
         op.finish(m)?;
         self.groups += 1;
@@ -237,7 +285,7 @@ pub fn run_overlap<S: ComputeSink>(
     let mut posted = Vec::with_capacity(shifts.len());
     for s in shifts {
         m.stats.record("overlap_shift");
-        let mut op = ExchangeOp::new(&s.arr, &s.arr, &s.plan);
+        let mut op = ExchangeOp::new(vec![s.strip()]);
         op.post(m)?;
         posted.push(op);
     }
@@ -252,12 +300,14 @@ pub fn run_overlap<S: ComputeSink>(
         .collect();
     // 3. Interior compute, charged before the completions below so it
     // genuinely hides the wire time.
-    sink.interior(m, &interior)?;
+    let interior_done = sink.interior(m, &interior);
     // 4. Complete the ghost exchanges: each receiver's clock advances
-    // to max(its post-interior clock, strip arrival).
-    for op in posted {
-        op.finish(m)?;
-    }
+    // to max(its post-interior clock, strip arrival). Every posted op
+    // finishes even after a failure, so nothing is left in flight; the
+    // first error wins.
+    let finished: Vec<_> = posted.into_iter().map(|op| op.finish(m)).collect();
+    interior_done?;
+    finished.into_iter().collect::<CommResult<()>>()?;
     // 5. Boundary compute: only the shell tuples whose reads touch
     // ghost cells.
     sink.boundary(m, &boundary)?;
@@ -498,7 +548,7 @@ mod tests {
     use f90d_machine::{ElemType, LocalArray, MachineSpec, Value};
 
     /// 1-D machine with `names` BLOCK arrays, ghost width 2 both sides,
-    /// array `k`'s element `i` = 1000k + i (same fixture as `plan.rs`).
+    /// array `k`'s element `i` = 1000k + i.
     fn setup(n: i64, p: i64, names: &[&str]) -> (Machine, Dad) {
         let grid = ProcGrid::new(&[p]);
         let mut m = Machine::new(MachineSpec::ipsc860(), grid.clone());
@@ -528,6 +578,58 @@ mod tests {
             .iter()
             .map(|&(name, c)| GhostSpec::new(m, &mut rs, name, dad, 0, c))
             .collect()
+    }
+
+    /// The values in the ghost cells rank `rank` reads for `name(i + c)`.
+    fn ghost_values(m: &Machine, dad: &Dad, name: &str, rank: i64, c: i64) -> Vec<f64> {
+        let locals = crate::helpers::owned_dim_locals(dad, 0, m.grid.coords_of(rank)[0]);
+        let (lo, hi) = (locals[0], locals[locals.len() - 1]);
+        let ghosts: Vec<i64> = if c > 0 {
+            (hi + 1..=hi + c).collect()
+        } else {
+            (lo + c..lo).collect()
+        };
+        let a = m.mems[rank as usize].array(name);
+        ghosts.iter().map(|&l| a.get(&[l]).as_real()).collect()
+    }
+
+    /// A phase fills every ghost cell the per-statement exchanges fill,
+    /// with the same bytes in one message per pair instead of one per
+    /// array: one α per pair instead of three, so it finishes earlier.
+    #[test]
+    fn a_phase_is_the_per_statement_fill_in_fewer_messages() {
+        let names = ["A", "B", "C"];
+        let (mut per_stmt, dad) = setup(32, 4, &names);
+        let mut rs = RunSchedules::new();
+        for name in names {
+            ghost_exchange(&mut per_stmt, &mut rs, name, &dad, 0, 1).unwrap();
+        }
+        let (mut m, _) = setup(32, 4, &names);
+        let phase = specs(&m, &dad, &[("A", 1), ("B", 1), ("C", 1)]);
+        CommDriver::new().phase_exchange(&mut m, phase).unwrap();
+        quiesce(&mut m).unwrap();
+        for rank in 0..4 {
+            for name in names {
+                let want = ghost_values(&per_stmt, &dad, name, rank, 1);
+                assert_eq!(ghost_values(&m, &dad, name, rank, 1), want, "{name}@{rank}");
+            }
+        }
+        assert_eq!(m.transport.bytes, per_stmt.transport.bytes);
+        assert_eq!(m.transport.messages * 3, per_stmt.transport.messages);
+        assert!(m.elapsed() < per_stmt.elapsed());
+    }
+
+    /// Shifts of opposite signs cross different pairs: nothing merges,
+    /// and each array's cells still land.
+    #[test]
+    fn opposite_shifts_in_one_phase_send_one_message_per_pair_each() {
+        let (mut m, dad) = setup(24, 4, &["A", "B"]);
+        let phase = specs(&m, &dad, &[("A", 2), ("B", -1)]);
+        CommDriver::new().phase_exchange(&mut m, phase).unwrap();
+        quiesce(&mut m).unwrap();
+        assert_eq!(m.transport.messages, 6);
+        assert_eq!(ghost_values(&m, &dad, "A", 0, 2), vec![6.0, 7.0]);
+        assert_eq!(ghost_values(&m, &dad, "B", 1, -1), vec![1005.0]);
     }
 
     /// Duplicate specs across phase members collapse to one exchange:
@@ -633,6 +735,36 @@ mod tests {
         // The sends were already posted (and counted) when the interior
         // ran — posting precedes compute, completion follows it.
         assert_eq!(sink.msgs_at_interior, m.transport.messages);
+        assert!(m.transport.messages > 0);
+        quiesce(&mut m).unwrap();
+    }
+
+    /// A failing interior still lets every posted exchange finish: its
+    /// error comes back and nothing is left in flight.
+    #[test]
+    fn run_overlap_finishes_every_exchange_when_the_interior_fails() {
+        struct Failing;
+        impl ComputeSink for Failing {
+            type Error = CommError;
+            fn interior(&mut self, _: &mut Machine, _: &[Vec<Vec<i64>>]) -> CommResult<()> {
+                Err(CommError("interior failed".into()))
+            }
+            fn boundary(&mut self, _: &mut Machine, _: &[Vec<Vec<Vec<i64>>>]) -> CommResult<()> {
+                unreachable!("the interior failed")
+            }
+            fn commit(&mut self, _: &mut Machine) -> CommResult<()> {
+                unreachable!("the interior failed")
+            }
+        }
+        let (mut m, dad) = setup(32, 4, &["A"]);
+        let shifts = specs(&m, &dad, &[("A", 1), ("A", -1)]);
+        let mut margins = Margins::new(1);
+        margins.add(0, 1);
+        margins.add(0, -1);
+        let iter_lists: Vec<Vec<Vec<i64>>> =
+            (0..4).map(|r| vec![(8 * r..8 * r + 8).collect()]).collect();
+        let err = run_overlap(&mut m, &shifts, &margins, &iter_lists, &mut Failing).unwrap_err();
+        assert_eq!(err.0, "interior failed");
         assert!(m.transport.messages > 0);
         quiesce(&mut m).unwrap();
     }

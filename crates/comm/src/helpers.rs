@@ -1,24 +1,27 @@
-//! Shared machinery: owned-local enumeration, slab packing, the generic
-//! split-phase vectorized pairwise exchange engine, and binomial trees.
+//! Shared machinery: owned-local enumeration, the one split-phase
+//! point-to-point operation, and binomial trees.
 //!
 //! Every primitive vectorizes its messages — all elements travelling
 //! between one (source, destination) pair are packed into a single message
 //! (paper §7, optimization 1). Packing and unpacking charge the machine's
 //! per-byte copy cost; the wire charges α + β·bytes through the transport.
 //!
-//! The workhorse is [`ExchangeOp`], a genuine split-phase [`CommOp`]:
-//! `post` packs and posts every send (senders pay copy + α) and posts the
-//! matching receives; `finish` completes the receives (receiver clocks
-//! advance to the arrival times) and unpacks. The blocking [`exchange`]
-//! wrapper is post-then-finish with nothing in between — bit-identical
-//! virtual time to the pre-redesign blocking loop.
+//! [`ExchangeOp`] is the only operation that really splits: `post` packs
+//! and posts every send (senders pay copy + α) and posts the matching
+//! receives; `finish` completes the receives (receiver clocks advance to
+//! the arrival times) and unpacks. Shifts, ghost exchanges, comm phases,
+//! `transfer`, `concatenation`, redistribution and the schedule executors
+//! all run through it; the blocking [`exchange`] wrapper is post-then-
+//! finish with nothing in between. The binomial trees ([`tree_broadcast`],
+//! [`tree_reduce`]) have stage dependencies, so they complete every
+//! message inside the call.
 
-use std::collections::BTreeMap;
+use std::ops::Range;
 
 use f90d_distrib::Dad;
 use f90d_machine::{ArrayData, Machine, RecvHandle, Transport};
 
-use crate::op::{CommError, CommOp, CommResult};
+use crate::op::{CommError, CommResult};
 
 /// Local indices (template-local numbering) of the elements of array
 /// dimension `d` owned by grid coordinate `coord`, in increasing global
@@ -87,12 +90,12 @@ pub(crate) fn cartesian_offsets(lists: &[Vec<i64>], strides: &[i64], bias: &[i64
 /// — flat padded offsets into the source array on the source node and
 /// the destination array on the destination node. The map is what gives
 /// a plan its deterministic pair order; an [`ExchangePlan`] is what runs.
-pub type PairMoves = BTreeMap<(i64, i64), Vec<(usize, usize)>>;
+pub type PairMoves = std::collections::BTreeMap<(i64, i64), Vec<(usize, usize)>>;
 
 /// A planned exchange as it is executed and kept: the non-empty pairs
-/// of a [`PairMoves`] in its order, their offsets laid out as one
-/// source and one destination column that `gather_flat` / `scatter_flat`
-/// take a pair's slice of directly.
+/// of a [`PairMoves`] in its `(from, to)` order, their offsets laid out
+/// as one source and one destination column that `gather_flat` /
+/// `scatter_flat` take a pair's slice of directly.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExchangePlan {
     /// `(from, to, end)`: the pair's elements are `[previous end, end)`
@@ -119,22 +122,31 @@ pub struct PairRun<'a> {
 impl From<PairMoves> for ExchangePlan {
     fn from(moves: PairMoves) -> Self {
         let mut plan = ExchangePlan::default();
-        for ((from, to), elems) in moves {
-            if elems.is_empty() {
-                continue;
-            }
-            plan.srcs.extend(elems.iter().map(|&(s, _)| s));
-            plan.dsts.extend(elems.iter().map(|&(_, d)| d));
-            plan.pairs.push((from, to, plan.srcs.len()));
+        for ((from, to), elems) in moves.into_iter().filter(|(_, e)| !e.is_empty()) {
+            let (srcs, dsts) = (elems.iter().map(|e| e.0), elems.iter().map(|e| e.1));
+            plan.push(from, to, srcs, dsts);
         }
         plan
     }
 }
 
 impl ExchangePlan {
-    /// Number of processor pairs (local copies included).
-    pub fn pair_count(&self) -> usize {
-        self.pairs.len()
+    /// Append the pair `from → to`, moving `srcs[i]` to `dsts[i]`,
+    /// after every pair already planned. Unlike a [`PairMoves`] entry,
+    /// an empty pair stays in the plan: it still sends a (zero-byte)
+    /// message.
+    pub(crate) fn push(
+        &mut self,
+        from: i64,
+        to: i64,
+        srcs: impl IntoIterator<Item = usize>,
+        dsts: impl IntoIterator<Item = usize>,
+    ) {
+        debug_assert!(self.pairs.last().map(|p| (p.0, p.1)) < Some((from, to)));
+        self.srcs.extend(srcs);
+        self.dsts.extend(dsts);
+        debug_assert_eq!(self.srcs.len(), self.dsts.len());
+        self.pairs.push((from, to, self.srcs.len()));
     }
 
     /// The `k`-th pair, in plan order.
@@ -175,106 +187,159 @@ impl ExchangePlan {
     }
 }
 
-/// A split-phase vectorized pairwise exchange: for every `(from, to)`
-/// pair of `plan`, pack the listed source elements of array `src` into
-/// one message and unpack into the listed offsets of array `dst` on the
-/// destination node. `from == to` pairs are local copies charged at
-/// memcpy rate (performed at post time — ghost copies from a node's own
-/// block never wait on the wire).
+/// One strip of an [`ExchangeOp`], `(src, dst, plan)`: the elements of
+/// `plan` move out of array `src` on each pair's sender into array
+/// `dst` on its receiver.
+pub type Strip<'a> = (&'a str, &'a str, &'a ExchangePlan);
+
+/// The split-phase vectorized pairwise exchange of one or more
+/// [`Strip`]s. Per `(from, to)` pair, the elements of every strip that
+/// crosses it travel as **one** message, packed in strip order: one α
+/// at the sender and one copy charge over the summed bytes on each
+/// side, so the ghost exchanges of one comm phase cost one startup per
+/// pair instead of one per exchange (PARTI-style aggregation, paper §7
+/// optimization 1 across statements). `from == to` pairs are local
+/// copies charged at memcpy rate and performed at post time — ghost
+/// copies from a node's own block never wait on the wire.
 ///
-/// `src` and `dst` may name the same array only if no (from, to) pair has
-/// overlapping src/dst offsets on one node; redistribution avoids this by
-/// staging through a fresh array.
+/// The strips' sources must share one element type (a message carries
+/// one). A strip's `src` and `dst` may name the same array only if no
+/// pair has overlapping src/dst offsets on one node; redistribution
+/// avoids this by staging through a fresh array.
 ///
-/// The op borrows everything it runs from — names and plan belong to
+/// The op borrows everything it runs from — names and plans belong to
 /// whoever planned the exchange (a schedule, the per-run shift table, a
 /// one-shot planner's local).
 #[derive(Debug)]
 pub struct ExchangeOp<'a> {
-    src: &'a str,
-    dst: &'a str,
-    plan: &'a ExchangePlan,
-    /// Posted receives, `(pair index, handle)` in plan order.
-    pending: Vec<(usize, RecvHandle)>,
+    strips: Vec<Strip<'a>>,
+    /// Every strip's pairs as `(from, to, strip, pair index in its
+    /// plan)`, in (pair, strip) order: a run of one `(from, to)` is one
+    /// message.
+    order: Vec<(i64, i64, usize, usize)>,
+    /// Posted receives, `(the message's run of order, handle)` in pair
+    /// order.
+    pending: Vec<(Range<usize>, RecvHandle)>,
     posted: bool,
 }
 
 impl<'a> ExchangeOp<'a> {
-    /// An exchange of `plan`'s elements from array `src` into array
-    /// `dst`, not yet posted.
-    pub fn new(src: &'a str, dst: &'a str, plan: &'a ExchangePlan) -> Self {
+    /// An exchange of every strip's elements, not yet posted.
+    pub fn new(strips: Vec<Strip<'a>>) -> Self {
+        let mut order: Vec<_> = (strips.iter().enumerate())
+            .flat_map(|(s, &(_, _, plan))| {
+                (plan.pairs().enumerate()).map(move |(k, p)| (p.from, p.to, s, k))
+            })
+            .collect();
+        order.sort_unstable();
         ExchangeOp {
-            src,
-            dst,
-            plan,
+            strips,
+            order,
             pending: Vec::new(),
             posted: false,
         }
     }
-}
 
-impl CommOp for ExchangeOp<'_> {
-    type Output = ();
+    /// `(src, dst, pair)` of entry `at` of the merged order.
+    fn strip_pair(&self, at: usize) -> (&'a str, &'a str, PairRun<'a>) {
+        let (.., s, k) = self.order[at];
+        let (src, dst, plan) = self.strips[s];
+        (src, dst, plan.pair(k))
+    }
 
     /// Perform the local copies, then pack and post one send per remote
-    /// (from, to) pair and post the matching receive. Senders pay the
-    /// packing copy cost and the startup α; receivers pay nothing yet.
-    fn post(&mut self, m: &mut Machine) -> CommResult<()> {
+    /// pair and post the matching receive. Senders pay the packing copy
+    /// cost and the startup α; receivers pay nothing yet.
+    pub fn post(&mut self, m: &mut Machine) -> CommResult<()> {
         if self.posted {
             return Err(CommError("exchange posted twice".into()));
         }
         self.posted = true;
         let tag = m.fresh_tag();
-        let copy_rate = m.spec().time_copy_byte;
-        self.pending.reserve(self.plan.pair_count());
-        // Sends (and local copies) in deterministic pair order.
-        for (k, pair) in self.plan.pairs().enumerate() {
-            let (from, to) = (pair.from, pair.to);
-            // Pack (a local copy stages through the same payload, so
-            // `src == dst` needs no care about overlapping offsets).
+        let mut start = 0;
+        while start < self.order.len() {
+            let (from, to, first, _) = self.order[start];
+            let same_pair = |o: &&(i64, i64, usize, usize)| (o.0, o.1) == (from, to);
+            let end = start + self.order[start..].iter().take_while(same_pair).count();
             let mem = &mut m.mems[from as usize];
-            let payload = mem.array(self.src).gather_flat(pair.srcs.iter().copied());
             if from == to {
-                let a = mem.array_mut(self.dst);
-                a.scatter_flat(pair.dsts.iter().copied(), &payload);
-                let bytes = pair.dsts.len() as i64 * a.elem_type().bytes();
-                m.transport.charge_compute(from, copy_rate * bytes as f64);
-                continue;
+                // Each strip stages through its own payload, so `src ==
+                // dst` needs no care about overlapping offsets.
+                let mut bytes = 0;
+                for at in start..end {
+                    let (src, dst, pair) = self.strip_pair(at);
+                    let strip = mem.array(src).gather_flat(pair.srcs.iter().copied());
+                    let a = mem.array_mut(dst);
+                    a.scatter_flat(pair.dsts.iter().copied(), &strip);
+                    bytes += pair.dsts.len() as i64 * a.elem_type().bytes();
+                }
+                m.transport.charge_copy(from, bytes);
+            } else {
+                let ty = mem.array(self.strips[first].0).elem_type();
+                let mut payload = ArrayData::zeros(ty, 0);
+                for at in start..end {
+                    let (src, _, pair) = self.strip_pair(at);
+                    mem.array(src)
+                        .gather_flat_into(pair.srcs.iter().copied(), &mut payload);
+                }
+                let bytes = payload.len() as i64 * payload.elem_type().bytes();
+                m.transport.charge_copy(from, bytes);
+                m.transport.post_send(from, to, tag, payload);
+                let h = m.transport.post_recv(to, from, tag);
+                self.pending.push((start..end, h));
             }
-            let bytes = payload.len() as i64 * payload.elem_type().bytes();
-            m.transport.charge_compute(from, copy_rate * bytes as f64);
-            m.transport.post_send(from, to, tag, payload);
-            let h = m.transport.post_recv(to, from, tag);
-            self.pending.push((k, h));
+            start = end;
         }
         Ok(())
     }
 
     /// Complete every posted receive in pair order, charge the unpack
-    /// copy, and deposit the elements.
-    fn finish(self, m: &mut Machine) -> CommResult<()> {
+    /// copy, and deposit each strip's elements.
+    ///
+    /// A failed completion does not stop the rest: every later handle is
+    /// still completed (arrived payloads deposit normally), and the error
+    /// names **every** pair whose receive stays open — nothing is left
+    /// in flight and nothing completes twice.
+    pub fn finish(mut self, m: &mut Machine) -> CommResult<()> {
         if !self.posted {
             return Err(CommError("exchange finished before post".into()));
         }
-        let copy_rate = m.spec().time_copy_byte;
-        for (k, h) in self.pending {
-            let payload = m.transport.complete(h)?;
-            let pair = self.plan.pair(k);
+        let mut open = Vec::new();
+        for (run, h) in std::mem::take(&mut self.pending) {
+            let payload = match m.transport.complete(h) {
+                Ok(payload) => payload,
+                Err(e) => {
+                    open.push(e.to_string());
+                    continue;
+                }
+            };
+            let to = self.order[run.start].1;
             let bytes = payload.len() as i64 * payload.elem_type().bytes();
-            m.transport
-                .charge_compute(pair.to, copy_rate * bytes as f64);
-            m.mems[pair.to as usize]
-                .array_mut(self.dst)
-                .scatter_flat(pair.dsts.iter().copied(), &payload);
+            m.transport.charge_copy(to, bytes);
+            let mem = &mut m.mems[to as usize];
+            let mut off = 0;
+            for at in run {
+                let (_, dst, pair) = self.strip_pair(at);
+                let a = mem.array_mut(dst);
+                off = a.scatter_flat_from(pair.dsts.iter().copied(), &payload, off);
+            }
+            assert_eq!(off, payload.len(), "payload longer than its plan");
         }
-        Ok(())
+        if open.is_empty() {
+            return Ok(());
+        }
+        Err(CommError(format!(
+            "exchange finish: {} message(s) still open: {}",
+            open.len(),
+            open.join("; ")
+        )))
     }
 }
 
-/// Blocking wrapper: post-then-finish with no compute in between —
-/// virtual metrics bit-identical to the pre-redesign blocking exchange.
+/// Blocking wrapper: post-then-finish of one strip with no compute in
+/// between.
 pub fn exchange(m: &mut Machine, src: &str, dst: &str, plan: &ExchangePlan) -> CommResult<()> {
-    let mut op = ExchangeOp::new(src, dst, plan);
+    let mut op = ExchangeOp::new(vec![(src, dst, plan)]);
     op.post(m)?;
     op.finish(m)
 }
@@ -300,7 +365,6 @@ pub fn tree_broadcast(
     if f <= 1 {
         return Ok(());
     }
-    let copy_rate = m.spec().time_copy_byte;
     let bytes = payload.len() as i64 * payload.elem_type().bytes();
     let rel = |pos: usize| members[(root_pos + pos) % f];
     let mut step = 1;
@@ -309,11 +373,11 @@ pub fn tree_broadcast(
             let t = s + step;
             if t < f {
                 let (from, to) = (rel(s), rel(t));
-                m.transport.charge_compute(from, copy_rate * bytes as f64);
+                m.transport.charge_copy(from, bytes);
                 m.transport.post_send(from, to, tag, payload.clone());
                 let h = m.transport.post_recv(to, from, tag);
                 let got = m.transport.complete(h)?;
-                m.transport.charge_compute(to, copy_rate * bytes as f64);
+                m.transport.charge_copy(to, bytes);
                 store(m, to, &got);
             }
         }
@@ -335,7 +399,6 @@ pub fn tree_reduce(
     assert_eq!(contributions.len(), f);
     assert!(f > 0);
     let tag = m.fresh_tag();
-    let copy_rate = m.spec().time_copy_byte;
     // Standard binomial: at each round, odd multiples of `step` send to
     // the even multiple below them.
     let mut step = 1;
@@ -346,7 +409,7 @@ pub fn tree_reduce(
             // The sender's slot is never read again: move it out.
             let payload = std::mem::replace(&mut contributions[s + step], ArrayData::Int(vec![]));
             let bytes = payload.len() as i64 * payload.elem_type().bytes();
-            m.transport.charge_compute(from, copy_rate * bytes as f64);
+            m.transport.charge_copy(from, bytes);
             m.transport.post_send(from, to, tag, payload);
             let h = m.transport.post_recv(to, from, tag);
             let got = m.transport.complete(h)?;
@@ -482,7 +545,7 @@ mod tests {
         // Overlapped: post, compute, finish.
         let mut mo = Machine::new(spec, ProcGrid::new(&[2]));
         let plan = build(&mut mo);
-        let mut op = ExchangeOp::new("S", "D", &plan);
+        let mut op = ExchangeOp::new(vec![("S", "D", &plan)]);
         op.post(&mut mo).unwrap();
         mo.transport.charge_elem_ops(1, 4096);
         op.finish(&mut mo).unwrap();
@@ -506,10 +569,10 @@ mod tests {
             mem.insert_array("S", LocalArray::zeros(ElemType::Real, &[1]));
         }
         let nothing = ExchangePlan::default();
-        let mut op = ExchangeOp::new("S", "S", &nothing);
+        let mut op = ExchangeOp::new(vec![("S", "S", &nothing)]);
         assert!(op.post(&mut m).is_ok());
         assert!(op.post(&mut m).is_err());
-        let op2 = ExchangeOp::new("S", "S", &nothing);
+        let op2 = ExchangeOp::new(vec![("S", "S", &nothing)]);
         assert!(op2.finish(&mut m).is_err());
     }
 
@@ -525,11 +588,58 @@ mod tests {
         let mut moves = PairMoves::new();
         moves.insert((0, 1), vec![(0, 0)]);
         let plan = ExchangePlan::from(moves);
-        let mut op = ExchangeOp::new("S", "D", &plan);
+        let mut op = ExchangeOp::new(vec![("S", "D", &plan)]);
         op.post(&mut m).unwrap();
         m.reset_time();
         let err = op.finish(&mut m).unwrap_err();
         assert!(err.0.contains("reset"), "{err}");
+    }
+
+    #[test]
+    fn mid_finish_error_names_the_open_pair_and_drains_the_rest() {
+        // One array on four ranks; A(0) of rank r goes to A(3) of rank
+        // r − 1: three remote pairs, (1,0), (2,1), (3,2) in plan order.
+        let mut m = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(&[4]));
+        for (r, mem) in m.mems.iter_mut().enumerate() {
+            let mut a = LocalArray::zeros(ElemType::Real, &[4]);
+            a.set(&[0], Value::Real(r as f64));
+            mem.insert_array("A", a);
+        }
+        let moves: PairMoves = (1..4).map(|r| ((r, r - 1), vec![(0, 3)])).collect();
+        let plan = ExchangePlan::from(moves);
+        let mut op = ExchangeOp::new(vec![("A", "A", &plan)]);
+        op.post(&mut m).unwrap();
+        assert_eq!(op.pending.len(), 3);
+        // Steal the middle pair's message by completing a receive of our
+        // own on its channel: that pair's completion finds nothing while
+        // the last pair's still succeeds.
+        let (run, h) = &op.pending[1];
+        let (from, to, ..) = op.order[run.start];
+        let tag = h.tag();
+        let stolen = m.transport.post_recv(to, from, tag);
+        m.transport.complete(stolen).unwrap();
+        let err = op.finish(&mut m).unwrap_err();
+        assert!(err.0.contains("1 message(s) still open"), "{err}");
+        assert!(
+            err.0.contains(&format!("recv({to} <- {from}, tag {tag})")),
+            "the error must name the open pair: {err}"
+        );
+        // The pair after the victim was still completed and deposited.
+        assert_eq!(m.mems[2].array("A").get(&[3]), Value::Real(3.0));
+        match m.transport.quiescent_check() {
+            Err(f90d_machine::TransportError::NotQuiescent {
+                in_flight,
+                open_recvs,
+                example,
+            }) => {
+                assert_eq!(in_flight, 0, "every other message was consumed");
+                // The stolen completion retired its own receive; the
+                // victim's original receive is the only one open.
+                assert_eq!(open_recvs, 1);
+                assert_eq!(example, Some((from, to, tag)));
+            }
+            other => panic!("expected NotQuiescent, got {other:?}"),
+        }
     }
 
     #[test]

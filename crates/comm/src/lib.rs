@@ -8,16 +8,18 @@
 //! layering: to move to another transport (their Express → PVM example),
 //! only this crate's substrate changes.
 //!
-//! Every collective is (or wraps) a split-phase [`CommOp`] — `post()`
-//! launches the communication, `finish()` completes it — so callers can
-//! charge local computation between the two and genuinely hide wire time
-//! (see [`op`]). The one-shot functions below are post-then-finish
-//! wrappers with the pre-redesign blocking virtual-time behaviour, and
-//! completion faults surface as [`CommError`]s rather than panics.
-//! Phase-level plans ([`plan`]) go one step further: the ghost exchanges
-//! of several consecutive FORALLs post together, with same-destination
-//! messages coalesced into one wire transfer (PARTI-style aggregation,
-//! paper §7 optimization 1 across statement boundaries).
+//! One operation moves point-to-point data: [`helpers::ExchangeOp`],
+//! which really splits — `post()` packs and sends, `finish()` completes
+//! and unpacks — so callers can charge local computation between the two
+//! and genuinely hide wire time. It takes one or more planned strips and
+//! sends one message per processor pair, so the ghost exchanges of a
+//! whole comm phase coalesce into one wire transfer per pair
+//! (PARTI-style aggregation, paper §7 optimization 1 across statement
+//! boundaries). The binomial trees (multicast, reductions, the broadcast
+//! half of concatenation) have stage dependencies and complete every
+//! message inside the call. Completion faults surface as [`CommError`]s
+//! rather than panics, and a failed finish still completes every other
+//! posted receive.
 //!
 //! **Structured** primitives (paper §5.1) exploit the logical-grid
 //! relationship between sender and receiver, so they need no preprocessing:
@@ -26,9 +28,9 @@
 //!   destination grid line (Fig. 4a);
 //! * [`structured::multicast`] — broadcast along a grid dimension
 //!   (Fig. 4b), binomial tree, `O(log P)` stages;
-//! * [`structured::overlap_shift`] — shift boundary strips into the
-//!   receiver's *overlap areas* (ghost cells) when the shift amount is a
-//!   compile-time constant, avoiding intra-processor copies;
+//! * `overlap_shift` ([`driver::ghost_exchange`]) — shift boundary strips
+//!   into the receiver's *overlap areas* (ghost cells) when the shift
+//!   amount is a compile-time constant, avoiding intra-processor copies;
 //! * [`structured::temporary_shift`] — shift by a runtime amount into a
 //!   temporary;
 //! * [`structured::multicast_shift`] — the fused composition of the two
@@ -68,7 +70,6 @@ pub mod driver;
 pub mod helpers;
 pub mod op;
 pub mod overlap;
-pub mod plan;
 pub mod redist;
 pub mod reduce;
 pub mod sched_cache;
@@ -76,7 +77,7 @@ pub mod schedule;
 pub mod structured;
 
 pub use driver::{CommDriver, ComputeSink, PhaseOutcome};
-pub use op::{CommError, CommOp, CommResult};
+pub use op::{CommError, CommResult};
 pub use reduce::ReduceOp;
 pub use sched_cache::{RunSchedules, SchedKey};
 pub use schedule::{Schedule, ScheduleKind};

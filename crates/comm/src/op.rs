@@ -1,25 +1,11 @@
-//! The split-phase collective front end.
+//! The error type of every collective.
 //!
-//! Every collective in this crate is (or wraps) a [`CommOp`]: a planned
-//! communication structure that is **posted** (sends leave, receives are
-//! registered, the posting ranks pay only startup and packing costs) and
-//! later **finished** (receive completions advance the receivers' clocks
-//! to the arrival times, payloads are unpacked). Local compute charged
-//! between `post` and `finish` genuinely hides wire time — the paper's
-//! §5.1/§7 communication–computation overlap, now expressible at the
-//! collective level.
-//!
-//! The historical one-shot collective functions
-//! ([`crate::structured::overlap_shift`] and friends) survive as thin
-//! post-then-finish wrappers whose virtual-time behaviour is bit-identical
-//! to the pre-redesign blocking library.
-//!
-//! Errors: a completion that finds no matching message (or a handle
-//! invalidated by a transport reset) surfaces as a [`CommError`] which the
-//! executors convert to their own error types — no more panicking deep in
-//! the collective library.
+//! A completion that finds no matching message (or a handle invalidated
+//! by a transport reset) surfaces as a [`CommError`], which the executors
+//! convert to their own error types — nothing panics deep in the
+//! collective library.
 
-use f90d_machine::{Machine, TransportError};
+use f90d_machine::TransportError;
 
 /// Structured failure of a collective operation.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,28 +27,3 @@ impl From<TransportError> for CommError {
 
 /// Result of a collective operation.
 pub type CommResult<T> = Result<T, CommError>;
-
-/// A split-phase collective: `post` launches the communication, `finish`
-/// completes it and yields the output.
-///
-/// Single-round operations (the vectorized pairwise
-/// [`crate::helpers::ExchangeOp`], and every shift/redistribution/schedule
-/// executor built on it) genuinely split: between `post` and `finish` all
-/// posted payloads are on the wire and the participating ranks are free
-/// to compute. Multi-stage tree collectives (multicast, reductions,
-/// concatenation) have internal stage dependencies, so their `post` is a
-/// plan-only step and the staged exchange runs in `finish` — the
-/// interface is uniform, the overlap window just has zero width for them.
-pub trait CommOp {
-    /// What `finish` yields.
-    type Output;
-
-    /// Launch the communication: pack and post sends, post receives.
-    /// Calling `post` twice is an error.
-    fn post(&mut self, m: &mut Machine) -> CommResult<()>;
-
-    /// Complete the communication: wait for (complete) every posted
-    /// receive, unpack payloads, return the output. Consumes the
-    /// operation — a posted receive completes exactly once.
-    fn finish(self, m: &mut Machine) -> CommResult<Self::Output>;
-}

@@ -14,11 +14,12 @@
 //!   is the source rank minus one — the paper's `TMP(I)` — indexed by the
 //!   local indices of the remaining dimensions.
 //! * Shift results either fill the ghost cells of the array itself
-//!   (`overlap_shift`) or a same-shape temporary (`temporary_shift`),
-//!   indexed so that the local loop body reads `TMP(i)` for `B(i ± s)`.
+//!   (`overlap_shift`, run by [`crate::driver::ghost_exchange`]) or a
+//!   same-shape temporary (`temporary_shift`), indexed so that the local
+//!   loop body reads `TMP(i)` for `B(i ± s)`.
 
 use f90d_distrib::Dad;
-use f90d_machine::{ArrayData, ElemType, LocalArray, Machine, Transport};
+use f90d_machine::{ArrayData, ElemType, LocalArray, Machine};
 
 use crate::helpers::{
     cartesian, cartesian_offsets, exchange, fiber_through, owned_locals_per_dim, tree_broadcast,
@@ -61,18 +62,18 @@ pub fn local_offsets(arr: &LocalArray, lists: &[Vec<i64>]) -> Vec<usize> {
     cartesian_offsets(lists, &row_major_strides(&extents), &arr.ghost_lo)
 }
 
-/// Pack the slab `src[.., src_g, ..]` owned by the node at `coords`;
-/// also returns where each packed element lands in the rank-`r-1`
-/// temporary (row-major over the remaining dimensions, the same on
-/// every node).
-fn slab_pack(
+/// The slab `src[.., src_g, ..]` owned by the node at `coords`: the
+/// source offsets of its elements in pack order, and where each lands
+/// in the rank-`r-1` temporary (row-major over the remaining
+/// dimensions, the same on every node).
+fn slab_offsets(
     m: &Machine,
     src: &str,
     dad: &Dad,
     coords: &[i64],
     dim: usize,
     src_g: i64,
-) -> (ArrayData, Vec<usize>) {
+) -> (Vec<usize>, Vec<usize>) {
     let arr = m.mems[m.grid.rank_of(coords) as usize].array(src);
     let mut lists = owned_locals_per_dim(dad, coords);
     lists[dim] = vec![dad.dims[dim].local_of(src_g)];
@@ -80,8 +81,7 @@ fn slab_pack(
     let mut tmp_strides = row_major_strides(&slab_shape(dad, dim));
     tmp_strides.insert(dim, 0);
     let tmp_offsets = cartesian_offsets(&lists, &tmp_strides, &vec![0; lists.len()]);
-    let payload = arr.gather_flat(local_offsets(arr, &lists));
-    (payload, tmp_offsets)
+    (local_offsets(arr, &lists), tmp_offsets)
 }
 
 fn slab_unpack(m: &mut Machine, tmp: &str, rank: i64, data: &ArrayData, offsets: &[usize]) {
@@ -109,35 +109,22 @@ pub fn transfer(
         .grid_axis
         .expect("transfer source dimension must be distributed");
     let src_coord = dad.dims[dim].proc_of(src_g);
-    let tag = m.fresh_tag();
-    let copy_rate = m.spec().time_copy_byte;
-    // Enumerate the owner grid line: all coordinate tuples with
-    // coords[axis] == src_coord.
+    // Each node of the owner grid line (coords[axis] == src_coord)
+    // sends its slab to the node at dst_coord on the same fiber — in
+    // rank order, one pair per sender, so the plan is built in order.
+    // A sender that owns nothing of the slab still sends (an empty
+    // message).
+    let mut plan = ExchangePlan::default();
     for rank in 0..m.nranks() {
-        let coords = m.grid.coords_of(rank);
+        let mut coords = m.grid.coords_of(rank);
         if coords[axis] != src_coord {
             continue;
         }
-        let (payload, offsets) = slab_pack(m, src, dad, &coords, dim, src_g);
-        let mut dst_c = coords.clone();
-        dst_c[axis] = dst_coord;
-        let dst_rank = m.grid.rank_of(&dst_c);
-        if dst_rank == rank {
-            slab_unpack(m, tmp, rank, &payload, &offsets);
-            let bytes = payload.len() as i64 * payload.elem_type().bytes();
-            m.transport.charge_compute(rank, copy_rate * bytes as f64);
-        } else {
-            let bytes = payload.len() as i64 * payload.elem_type().bytes();
-            m.transport.charge_compute(rank, copy_rate * bytes as f64);
-            m.transport.post_send(rank, dst_rank, tag, payload);
-            let h = m.transport.post_recv(dst_rank, rank, tag);
-            let got = m.transport.complete(h)?;
-            m.transport
-                .charge_compute(dst_rank, copy_rate * bytes as f64);
-            slab_unpack(m, tmp, dst_rank, &got, &offsets);
-        }
+        let (srcs, dsts) = slab_offsets(m, src, dad, &coords, dim, src_g);
+        coords[axis] = dst_coord;
+        plan.push(rank, m.grid.rank_of(&coords), srcs, dsts);
     }
-    Ok(())
+    exchange(m, src, tmp, &plan)
 }
 
 /// `multicast` (paper §5.3.1 example 2, Fig. 4b): broadcast the slab
@@ -166,7 +153,10 @@ pub fn multicast(
         }
     }
     for coords in owners {
-        let (payload, offsets) = slab_pack(m, src, dad, &coords, dim, src_g);
+        let (srcs, offsets) = slab_offsets(m, src, dad, &coords, dim, src_g);
+        let payload = m.mems[m.grid.rank_of(&coords) as usize]
+            .array(src)
+            .gather_flat(srcs);
         let (members, root_pos) = fiber_through(m, &coords, axis);
         tree_broadcast(m, &members, root_pos, payload, |m, rank, data| {
             slab_unpack(m, tmp, rank, data, &offsets);
@@ -175,42 +165,16 @@ pub fn multicast(
     Ok(())
 }
 
-/// `overlap_shift` (paper §5.1): for a compile-time shift constant `c`,
-/// move each node's boundary strip of width `|c|` along `dim` into the
-/// neighbouring node's ghost cells, so the local loop can read
-/// `A(i + c)` directly with **no** temporary and no intra-processor
-/// copying. The array must have been allocated with ghost width ≥ `|c|`
-/// on `dim`. With `periodic`, edges wrap (CSHIFT); otherwise edge nodes
-/// simply do not send past the array ends (FORALL boundary semantics).
-///
-/// Supports BLOCK distributions — the only case the paper's Table 1 emits
-/// it for (shifts on CYCLIC layouts route through the unstructured path).
-///
-/// One-shot: plans, posts and finishes. A run that repeats the exchange
-/// replays it from its per-run table instead
-/// ([`crate::driver::ghost_exchange`]) — same plan, same messages.
-pub fn overlap_shift(
-    m: &mut Machine,
-    arr: &str,
-    dad: &Dad,
-    dim: usize,
-    c: i64,
-    periodic: bool,
-) -> CommResult<()> {
-    m.stats.record("overlap_shift");
-    let plan = shift_moves(m, arr, None, dad, dim, c, periodic);
-    exchange(m, arr, arr, &plan)
-}
-
 /// `temporary_shift` (paper §5.1): shift by a (possibly runtime) amount
 /// `s` into the same-local-shape temporary `tmp`: after the call,
 /// `tmp(l) = src(global(l) + s)` on every node, for every owned local `l`
 /// whose shifted global stays in range (`periodic` wraps instead).
-/// Unlike `overlap_shift` this may require intra-processor copying — the
-/// cost difference is the ablation ABL-4 measures.
+/// Unlike `overlap_shift` ([`crate::driver::ghost_exchange`]) this may
+/// require intra-processor copying — the cost difference is the
+/// ablation ABL-4 measures.
 ///
-/// One-shot, like [`overlap_shift`]; [`crate::driver::temporary_shift`]
-/// replays.
+/// One-shot: plans, posts and finishes; [`crate::driver::temporary_shift`]
+/// replays a run's kept plan.
 pub fn temporary_shift(
     m: &mut Machine,
     src: &str,
@@ -227,14 +191,19 @@ pub fn temporary_shift(
 
 /// Plan the element moves of a shift of `src` by `s` along `dim` without
 /// posting anything — the one planner of both shift primitives and of
-/// the phase-level coalescing in [`crate::plan`], so all of them price
-/// and move exactly the same elements. Receiver-centric: every
-/// destination cell is paired with the element `s` away in global space
-/// (wrapped under `periodic`, skipped when it falls off the array).
+/// the comm phases of [`crate::driver::CommDriver::phase_exchange`], so
+/// all of them price and move exactly the same elements.
+/// Receiver-centric: every destination cell is paired with the element
+/// `s` away in global space (wrapped under `periodic`, skipped when it
+/// falls off the array).
 ///
-/// * `tmp == None` ([`overlap_shift`]): the destination cells are the
-///   `|s|` ghost cells of `src` itself just past each node's owned block
-///   on the side `s` points to. BLOCK only.
+/// * `tmp == None` (`overlap_shift`): for a compile-time constant `s`,
+///   the destination cells are the `|s|` ghost cells of `src` itself
+///   just past each node's owned block on the side `s` points to, so the
+///   local loop reads `A(i + s)` with no temporary and no
+///   intra-processor copying. The array must have ghost width ≥ `|s|`
+///   on `dim`. BLOCK only — the only case the paper's Table 1 emits it
+///   for (shifts on CYCLIC layouts route through the unstructured path).
 /// * `tmp == Some(t)` ([`temporary_shift`]): the destination cells are
 ///   every owned local of the same-shape temporary `t`.
 ///
@@ -423,12 +392,13 @@ pub fn multicast_shift(
 /// global shape on every node.
 pub fn concatenation(m: &mut Machine, src: &str, dad: &Dad, dst: &str) -> CommResult<()> {
     m.stats.record("concatenation");
-    let tag = m.fresh_tag();
-    let copy_rate = m.spec().time_copy_byte;
     let nranks = m.nranks();
     // Phase 1: everyone sends its owned elements to rank 0, which
     // deposits them at their global positions. `dst` has the same
     // layout on every node, so rank 0's offsets serve all of them.
+    // Rank 0's own elements are deposited uncharged, outside the
+    // exchange.
+    let mut moves = PairMoves::new();
     let mut assembled: Vec<usize> = Vec::new();
     for rank in 0..nranks {
         let coords = m.grid.coords_of(rank);
@@ -436,30 +406,20 @@ pub fn concatenation(m: &mut Machine, src: &str, dad: &Dad, dst: &str) -> CommRe
         if dad.replicated_axes.iter().any(|&ax| coords[ax] != 0) {
             continue;
         }
-        let arr = m.mems[rank as usize].array(src);
-        let full = m.mems[0].array(dst);
-        let (mut src_offs, mut dst_offs) = (Vec::new(), Vec::new());
-        dad.for_each_owned(&coords, |g, l| {
-            src_offs.push(arr.offset(l));
-            dst_offs.push(full.offset(g));
-        });
-        if src_offs.is_empty() {
-            continue;
+        let (arr, full) = (m.mems[rank as usize].array(src), m.mems[0].array(dst));
+        let mut elems = Vec::new();
+        dad.for_each_owned(&coords, |g, l| elems.push((arr.offset(l), full.offset(g))));
+        assembled.extend(elems.iter().map(|e| e.1));
+        if rank == 0 {
+            let payload = arr.gather_flat(elems.iter().map(|e| e.0));
+            m.mems[0]
+                .array_mut(dst)
+                .scatter_flat(elems.iter().map(|e| e.1), &payload);
+        } else {
+            moves.insert((rank, 0), elems);
         }
-        let mut payload = arr.gather_flat(src_offs);
-        if rank != 0 {
-            let bytes = payload.len() as i64 * payload.elem_type().bytes();
-            m.transport.charge_compute(rank, copy_rate * bytes as f64);
-            m.transport.post_send(rank, 0, tag, payload);
-            let h = m.transport.post_recv(0, rank, tag);
-            payload = m.transport.complete(h)?;
-            m.transport.charge_compute(0, copy_rate * bytes as f64);
-        }
-        m.mems[0]
-            .array_mut(dst)
-            .scatter_flat(dst_offs.iter().copied(), &payload);
-        assembled.extend(dst_offs);
     }
+    exchange(m, src, dst, &moves.into())?;
     // Phase 2: rank 0 tree-broadcasts the assembled array.
     let payload = m.mems[0].array(dst).gather_flat(assembled.iter().copied());
     let members: Vec<i64> = (0..nranks).collect();
@@ -593,10 +553,17 @@ mod tests {
         }
     }
 
+    /// The ghost exchange (`overlap_shift`) of `B` by `c` along dim 0,
+    /// planned on the spot.
+    fn ghost_shift(m: &mut Machine, dad: &Dad, c: i64, periodic: bool) {
+        let plan = shift_moves(m, "B", None, dad, 0, c, periodic);
+        exchange(m, "B", "B", &plan).unwrap();
+    }
+
     #[test]
     fn overlap_shift_fills_ghosts_block() {
         let (mut m, dad) = setup_1d(16, 4, DistKind::Block);
-        overlap_shift(&mut m, "B", &dad, 0, 2, false).unwrap();
+        ghost_shift(&mut m, &dad, 2, false);
         // Node p owns globals 4p..4p+4; ghost cells l=4,5 must hold
         // globals 4p+4, 4p+5 (when in range).
         for p in 0..4i64 {
@@ -613,7 +580,7 @@ mod tests {
     #[test]
     fn overlap_shift_negative_and_periodic() {
         let (mut m, dad) = setup_1d(16, 4, DistKind::Block);
-        overlap_shift(&mut m, "B", &dad, 0, -1, true).unwrap();
+        ghost_shift(&mut m, &dad, -1, true);
         // Ghost l = -1 on node p holds global (4p - 1) mod 16.
         for p in 0..4i64 {
             let arr = m.mems[p as usize].array("B");
@@ -625,7 +592,7 @@ mod tests {
     #[test]
     fn overlap_shift_nonperiodic_edge_unfilled() {
         let (mut m, dad) = setup_1d(16, 4, DistKind::Block);
-        overlap_shift(&mut m, "B", &dad, 0, 1, false).unwrap();
+        ghost_shift(&mut m, &dad, 1, false);
         // Last node's ghost must stay zero (global 16 does not exist).
         let arr = m.mems[3].array("B");
         assert_eq!(arr.get(&[4]), Value::Real(0.0));

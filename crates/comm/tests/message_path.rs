@@ -28,14 +28,12 @@
 //! Each scenario also checks the channel-lifetime rule: once a
 //! collective returns, the transport holds no channel at all.
 
-use f90d_comm::driver::{self, GatherRequests, ScatterOut};
-use f90d_comm::plan::{GhostSpec, PhaseExchange};
+use f90d_comm::driver::{self, CommDriver, GatherRequests, GhostSpec, ScatterOut};
+use f90d_comm::helpers::exchange;
 use f90d_comm::sched_cache::RunSchedules;
 use f90d_comm::structured::{
-    alloc_slab_tmp, concatenation, multicast, multicast_shift, overlap_shift, temporary_shift,
-    transfer,
+    alloc_slab_tmp, concatenation, multicast, multicast_shift, temporary_shift, transfer,
 };
-use f90d_comm::CommOp;
 use f90d_distrib::{Dad, DadBuilder, DistKind, ProcGrid};
 use f90d_machine::{ElemType, LocalArray, Machine, MachineSpec, Transport, Value};
 
@@ -171,6 +169,28 @@ fn assert_drained(m: &Machine, what: &str) {
         .quiescent_check()
         .unwrap_or_else(|e| panic!("{what}: {e}"));
     assert_eq!(m.transport.channels_len(), 0, "{what}: channels left");
+}
+
+/// The ghost exchange (`overlap_shift`) of `arr` by `c` along `d`, by
+/// `rs`'s plan for it: `driver::ghost_exchange`, or — periodic, which
+/// the compiler never emits for ghost cells — the same steps by hand.
+/// With a fresh `rs` it is a one-shot that plans on the spot.
+fn ghost_fill(
+    m: &mut Machine,
+    rs: &mut RunSchedules,
+    arr: &str,
+    dad: &Dad,
+    d: usize,
+    c: i64,
+    periodic: bool,
+) {
+    if periodic {
+        m.stats.record("overlap_shift");
+        let plan = rs.shift_plan(m, arr, None, dad, d, c, true);
+        exchange(m, arr, arr, &plan).unwrap();
+    } else {
+        driver::ghost_exchange(m, rs, arr, dad, d, c).unwrap();
+    }
 }
 
 /// One inspector + executor of an unstructured read of `B` into the
@@ -340,7 +360,7 @@ fn scenarios() -> Vec<(String, u64)> {
                 }
                 for (c, periodic) in [(2, false), (-1, false), (1, true), (-2, true)] {
                     let (mut m, dad) = setup(l, ty, &["B"]);
-                    overlap_shift(&mut m, "B", &dad, d, c, periodic).unwrap();
+                    ghost_fill(&mut m, &mut RunSchedules::new(), "B", &dad, d, c, periodic);
                     record(format!("{tag}/overlap_shift/d{d}/c{c}/p{periodic}"), &m);
                 }
                 // Two arrays one way, one of them also the other way:
@@ -351,9 +371,7 @@ fn scenarios() -> Vec<(String, u64)> {
                     .into_iter()
                     .map(|(arr, c)| GhostSpec::new(&m, &mut rs, arr, &dad, d, c))
                     .collect();
-                let mut px = PhaseExchange::plan(&m, items).unwrap();
-                px.post(&mut m).unwrap();
-                px.finish(&mut m).unwrap();
+                CommDriver::new().phase_exchange(&mut m, items).unwrap();
                 record(format!("{tag}/phase_exchange/d{d}"), &m);
             }
             // Onto every rank, into an array of the other numeric type:
@@ -421,7 +439,6 @@ fn primitives_reproduce_the_per_element_oracle() {
 /// and the repeat both replay.
 #[test]
 fn replayed_shifts_are_the_one_shot_primitives() {
-    use f90d_comm::helpers::exchange;
     for l in &LAYOUTS {
         let dad = dad_of(l);
         let ty = ElemType::Real;
@@ -457,14 +474,16 @@ fn replayed_shifts_are_the_one_shot_primitives() {
                 let (mut rep, _) = setup(l, ty, &["B", "C"]);
                 let mut rs = RunSchedules::new();
                 for arr in ["B", "C", "B"] {
-                    overlap_shift(&mut one, arr, &dad, d, c, periodic).unwrap();
-                    if periodic {
-                        rep.stats.record("overlap_shift");
-                        let plan = rs.shift_plan(&rep, arr, None, &dad, d, c, true);
-                        exchange(&mut rep, arr, arr, &plan).unwrap();
-                    } else {
-                        driver::ghost_exchange(&mut rep, &mut rs, arr, &dad, d, c).unwrap();
-                    }
+                    ghost_fill(
+                        &mut one,
+                        &mut RunSchedules::new(),
+                        arr,
+                        &dad,
+                        d,
+                        c,
+                        periodic,
+                    );
+                    ghost_fill(&mut rep, &mut rs, arr, &dad, d, c, periodic);
                 }
                 let what = what("overlap_shift", c, periodic);
                 assert_eq!(fingerprint(&rep), fingerprint(&one), "{what}");
@@ -498,7 +517,7 @@ fn a_plan_is_not_replayed_across_anything_it_depends_on() {
     }
     let mut rs = RunSchedules::new();
     for (arr, c) in [("B", 1), ("B", -1), ("B", 2), ("N", 1), ("B", 1)] {
-        overlap_shift(&mut one, arr, &dad, 0, c, false).unwrap();
+        ghost_fill(&mut one, &mut RunSchedules::new(), arr, &dad, 0, c, false);
         driver::ghost_exchange(&mut rep, &mut rs, arr, &dad, 0, c).unwrap();
     }
     assert_eq!(rs.shift_plans(), (4, 1));

@@ -21,9 +21,9 @@
 //!   executor that ignores the annotation (or hits a runtime planning
 //!   error) falls back to the bit-identical per-statement schedule. The
 //!   executors batch a phase's ghost exchanges through
-//!   `f90d_comm::plan::PhaseExchange`, which coalesces same-destination
-//!   strips into one wire message (one α charge per neighbour instead of
-//!   one per statement).
+//!   `f90d_comm::CommDriver::phase_exchange`, one multi-strip
+//!   `ExchangeOp` that coalesces same-destination strips into one wire
+//!   message (one α charge per neighbour instead of one per statement).
 //!
 //! (§7 optimization 1, message vectorization, is inherent in the
 //! collective primitives; §7 optimization 3, schedule reuse, lives in the

@@ -23,12 +23,9 @@
 //!   compute charged between post and complete genuinely hides wire time
 //!   (paper §5.1/§7: communication–computation overlap into ghost areas).
 //!
-//! The blocking [`Transport::send`]/[`Transport::recv`] of the original
-//! API survive as provided post-then-complete wrappers with bit-identical
-//! virtual-time behaviour; `recv` keeps the historical panic on an
-//! unmatched message, while `complete` surfaces it as a structured
-//! [`TransportError`] that the collective library propagates up to
-//! `ExecError`.
+//! There is no blocking receive: an unmatched or stale completion
+//! surfaces as a structured [`TransportError`] that the collective
+//! library propagates up to `ExecError`.
 //!
 //! Messages carry [`ArrayData`] payloads (typed element vectors). Cost is
 //! charged against virtual clocks: the sender pays the startup α, the
@@ -190,24 +187,6 @@ pub trait Transport {
     /// posted receives were never completed, instead of silently
     /// dropping them.
     fn quiescent_check(&self) -> Result<(), TransportError>;
-
-    /// Blocking send — a thin alias for [`Transport::post_send`] (the
-    /// sender never waits in this cost model).
-    fn send(&mut self, from: i64, to: i64, tag: Tag, payload: ArrayData) {
-        self.post_send(from, to, tag, payload);
-    }
-
-    /// Blocking receive: post-then-complete with no compute in between —
-    /// bit-identical virtual time to the pre-redesign blocking API.
-    ///
-    /// # Panics
-    /// Panics when no matching message is pending — the historical
-    /// fast-path contract, kept for direct transport users. Library code
-    /// should use [`Transport::complete`] and propagate the error.
-    fn recv(&mut self, to: i64, from: i64, tag: Tag) -> ArrayData {
-        let h = self.post_recv(to, from, tag);
-        self.complete(h).unwrap_or_else(|e| panic!("{e}"))
-    }
 }
 
 /// `(arrival_time, payload)` of the in-flight messages of one channel,
@@ -236,7 +215,8 @@ pub struct MailboxTransport {
     /// each) the table stays a handful of entries instead of growing by
     /// one per message, and the quiescence report can still *name* a
     /// leaked handle when nothing is left in flight — the signature of
-    /// a batched finish that failed mid-way (see `f90d_comm::plan`).
+    /// an exchange whose finish failed mid-way (see
+    /// `f90d_comm::helpers::ExchangeOp::finish`).
     channels: IntMap<(i64, i64, Tag), Channel>,
     /// Drained queues of removed channels, reused (always empty) by the
     /// next channel created, so a message costs no queue allocation.
@@ -306,6 +286,12 @@ impl MailboxTransport {
     /// Charge `seconds` of local computation to node `rank`.
     pub fn charge_compute(&mut self, rank: i64, seconds: f64) {
         self.clocks[rank as usize] += seconds;
+    }
+
+    /// Charge the memcpy of `bytes` (packing or unpacking a message, a
+    /// local copy) to node `rank`.
+    pub fn charge_copy(&mut self, rank: i64, bytes: i64) {
+        self.clocks[rank as usize] += self.spec.time_copy_byte * bytes as f64;
     }
 
     /// Charge `n` modelled element operations to node `rank`.
@@ -459,8 +445,8 @@ impl Transport for MailboxTransport {
         }
         // Every live channel is a leak. Name one: an in-flight message
         // if any, otherwise an open receive (deterministically the
-        // smallest key either way) — the latter is what a phase plan
-        // whose batched finish failed mid-way leaves behind.
+        // smallest key either way) — the latter is what an exchange
+        // whose finish failed mid-way leaves behind.
         let example = self
             .channels
             .iter()
@@ -484,6 +470,12 @@ mod tests {
         ArrayData::zeros(ElemType::Real, n)
     }
 
+    /// Post a receive and complete it at once.
+    fn recv(t: &mut MailboxTransport, to: i64, from: i64, tag: Tag) -> ArrayData {
+        let h = t.post_recv(to, from, tag);
+        t.complete(h).expect("a matching message is pending")
+    }
+
     #[test]
     fn send_recv_fifo_per_tag() {
         let mut t = MailboxTransport::new(MachineSpec::ideal(), 2);
@@ -491,18 +483,18 @@ mod tests {
         a.set(0, crate::value::Value::Real(1.0));
         let mut b = payload(1);
         b.set(0, crate::value::Value::Real(2.0));
-        t.send(0, 1, 7, a.clone());
-        t.send(0, 1, 7, b.clone());
-        assert_eq!(t.recv(1, 0, 7), a);
-        assert_eq!(t.recv(1, 0, 7), b);
+        t.post_send(0, 1, 7, a.clone());
+        t.post_send(0, 1, 7, b.clone());
+        assert_eq!(recv(&mut t, 1, 0, 7), a);
+        assert_eq!(recv(&mut t, 1, 0, 7), b);
     }
 
     #[test]
     fn clocks_advance_with_messages() {
         let mut t = MailboxTransport::new(MachineSpec::ipsc860(), 2);
-        t.send(0, 1, 0, payload(1000)); // 8000 bytes
+        t.post_send(0, 1, 0, payload(1000)); // 8000 bytes
         let expect = 75e-6 + 0.36e-6 * 8000.0 + 10e-6; // alpha + beta*m + 1 hop
-        t.recv(1, 0, 0);
+        recv(&mut t, 1, 0, 0);
         assert!((t.clock(1) - expect).abs() < 1e-12, "{}", t.clock(1));
         // sender only paid alpha
         assert!((t.clock(0) - 75e-6).abs() < 1e-12);
@@ -512,8 +504,8 @@ mod tests {
     fn receiver_waits_for_latest_of_arrival_and_own_clock() {
         let mut t = MailboxTransport::new(MachineSpec::ipsc860(), 2);
         t.charge_compute(1, 1.0); // receiver busy until t=1
-        t.send(0, 1, 0, payload(1));
-        t.recv(1, 0, 0);
+        t.post_send(0, 1, 0, payload(1));
+        recv(&mut t, 1, 0, 0);
         assert!((t.clock(1) - 1.0).abs() < 1e-12);
     }
 
@@ -538,8 +530,8 @@ mod tests {
         );
         // Blocking equivalent: recv first, then compute — strictly later.
         let mut b = MailboxTransport::new(MachineSpec::ipsc860(), 2);
-        b.send(0, 1, 0, payload(1000));
-        b.recv(1, 0, 0);
+        b.post_send(0, 1, 0, payload(1000));
+        recv(&mut b, 1, 0, 0);
         b.charge_compute(1, wire * 0.5);
         assert!(t.clock(1) < b.clock(1));
     }
@@ -547,8 +539,8 @@ mod tests {
     #[test]
     fn self_send_is_cheap_copy() {
         let mut t = MailboxTransport::new(MachineSpec::ipsc860(), 2);
-        t.send(0, 0, 0, payload(1000));
-        t.recv(0, 0, 0);
+        t.post_send(0, 0, 0, payload(1000));
+        recv(&mut t, 0, 0, 0);
         // A self-copy pays only the memcpy rate, never the wire.
         let copy = t.spec().time_copy_byte * 8000.0;
         assert!((t.clock(0) - copy).abs() < 1e-12);
@@ -568,12 +560,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no pending message")]
-    fn recv_without_send_panics() {
+    fn one_message_completes_one_receive() {
         let mut t = MailboxTransport::new(MachineSpec::ideal(), 2);
-        t.send(0, 1, 0, payload(1));
-        t.recv(1, 0, 0);
-        t.recv(1, 0, 0);
+        t.post_send(0, 1, 0, payload(1));
+        recv(&mut t, 1, 0, 0);
+        let h = t.post_recv(1, 0, 0);
+        assert_eq!(
+            t.complete(h),
+            Err(TransportError::NoMatchingMessage {
+                to: 1,
+                from: 0,
+                tag: 0
+            })
+        );
     }
 
     #[test]
@@ -649,9 +648,9 @@ mod tests {
         // Two messages, one completed: still in flight, entry stays.
         t.post_send(0, 1, 5, payload(1));
         t.post_send(0, 1, 5, payload(1));
-        t.recv(1, 0, 5);
+        recv(&mut t, 1, 0, 5);
         assert_eq!(t.channels_len(), 1);
-        t.recv(1, 0, 5);
+        recv(&mut t, 1, 0, 5);
         assert_eq!(t.channels_len(), 0);
     }
 
@@ -661,23 +660,23 @@ mod tests {
         // Drain a few channels first so later ones run on recycled
         // queues: a reused queue must never carry a message across.
         for tag in 100..104 {
-            t.send(2, 0, tag, tagged(-1.0));
-            t.recv(0, 2, tag);
+            t.post_send(2, 0, tag, tagged(-1.0));
+            recv(&mut t, 0, 2, tag);
         }
         // Interleave three channels, several messages each.
         for round in 0..4 {
-            t.send(0, 1, 7, tagged(70.0 + round as f64));
-            t.send(0, 1, 8, tagged(80.0 + round as f64));
-            t.send(1, 0, 7, tagged(170.0 + round as f64));
+            t.post_send(0, 1, 7, tagged(70.0 + round as f64));
+            t.post_send(0, 1, 8, tagged(80.0 + round as f64));
+            t.post_send(1, 0, 7, tagged(170.0 + round as f64));
         }
         // Completion order across channels is free; within one it is
         // the send order.
         for round in 0..4 {
-            assert_eq!(t.recv(0, 1, 7), tagged(170.0 + round as f64));
+            assert_eq!(recv(&mut t, 0, 1, 7), tagged(170.0 + round as f64));
         }
         for round in 0..4 {
-            assert_eq!(t.recv(1, 0, 8), tagged(80.0 + round as f64));
-            assert_eq!(t.recv(1, 0, 7), tagged(70.0 + round as f64));
+            assert_eq!(recv(&mut t, 1, 0, 8), tagged(80.0 + round as f64));
+            assert_eq!(recv(&mut t, 1, 0, 7), tagged(70.0 + round as f64));
         }
         assert_eq!(t.channels_len(), 0);
         // A new channel on a recycled queue starts empty.
@@ -726,7 +725,7 @@ mod tests {
         // The late send satisfies a fresh receive on the failed
         // channel; the original leak remains.
         t.post_send(2, 3, 11, payload(1));
-        t.recv(3, 2, 11);
+        recv(&mut t, 3, 2, 11);
         match t.quiescent_check() {
             Err(TransportError::NotQuiescent { open_recvs, .. }) => assert_eq!(open_recvs, 1),
             other => panic!("expected NotQuiescent, got {other:?}"),
@@ -742,10 +741,10 @@ mod tests {
         b.set_contention(true);
         b.set_contention(false);
         for (from, to) in [(0, 7), (1, 2), (3, 3), (6, 0)] {
-            a.send(from, to, 0, payload(100));
-            b.send(from, to, 0, payload(100));
-            a.recv(to, from, 0);
-            b.recv(to, from, 0);
+            a.post_send(from, to, 0, payload(100));
+            b.post_send(from, to, 0, payload(100));
+            recv(&mut a, to, from, 0);
+            recv(&mut b, to, from, 0);
         }
         assert_eq!(a.clocks, b.clocks);
         assert_eq!(b.links_used(), 0);
@@ -763,10 +762,10 @@ mod tests {
         let mut on = MailboxTransport::new(spec, 5);
         on.set_contention(true);
         for t in [&mut off, &mut on] {
-            t.send(1, 0, 0, payload(1000)); // route [1->0]
-            t.send(2, 0, 1, payload(1000)); // route [2->1, 1->0]: collides
-            t.recv(0, 1, 0);
-            t.recv(0, 2, 1);
+            t.post_send(1, 0, 0, payload(1000)); // route [1->0]
+            t.post_send(2, 0, 1, payload(1000)); // route [2->1, 1->0]: collides
+            recv(t, 0, 1, 0);
+            recv(t, 0, 2, 1);
         }
         assert!(
             on.clock(0) > off.clock(0),
@@ -788,10 +787,10 @@ mod tests {
         let mut off = MailboxTransport::new(MachineSpec::ipsc860(), 8);
         let mut on = MailboxTransport::new(MachineSpec::ipsc860(), 8);
         on.set_contention(true);
-        off.send(0, 5, 0, payload(500));
-        on.send(0, 5, 0, payload(500));
-        off.recv(5, 0, 0);
-        on.recv(5, 0, 0);
+        off.post_send(0, 5, 0, payload(500));
+        on.post_send(0, 5, 0, payload(500));
+        recv(&mut off, 5, 0, 0);
+        recv(&mut on, 5, 0, 0);
         assert!((on.clock(5) - off.clock(5)).abs() < 1e-15);
     }
 
@@ -799,8 +798,8 @@ mod tests {
     fn quiescent_check_reports_leaks() {
         let mut t = MailboxTransport::new(MachineSpec::ideal(), 3);
         assert!(t.quiescent_check().is_ok());
-        t.send(0, 1, 0, payload(10));
-        t.send(1, 2, 0, payload(10));
+        t.post_send(0, 1, 0, payload(10));
+        t.post_send(1, 2, 0, payload(10));
         assert_eq!(t.messages, 2);
         assert_eq!(t.bytes, 160);
         assert!(!t.quiescent());
@@ -816,8 +815,8 @@ mod tests {
             }
             other => panic!("expected NotQuiescent, got {other:?}"),
         }
-        t.recv(1, 0, 0);
-        t.recv(2, 1, 0);
+        recv(&mut t, 1, 0, 0);
+        recv(&mut t, 2, 1, 0);
         assert!(t.quiescent());
         assert!(t.quiescent_check().is_ok());
         // An open posted receive is also a leak.

@@ -12,11 +12,10 @@
 //! live array table, a `[DistArray]` indexed by [`ArrId`] — the
 //! `(array, DAD)` pairs the paper's generated code hands its run-time.
 
-use f90d_comm::driver;
+use f90d_comm::driver::{self, GhostSpec};
 use f90d_comm::helpers::tree_broadcast;
 use f90d_comm::op::CommError;
 use f90d_comm::overlap::Margins;
-use f90d_comm::plan::GhostSpec;
 use f90d_comm::reduce::ReduceOp;
 use f90d_comm::{redist, structured, RunSchedules};
 use f90d_distrib::{set_bound, ArrayDimMap, DistKind, LocalIter, ProcGrid};
