@@ -555,43 +555,67 @@ fn exp_vmcmp(args: &Args) -> Vec<Report> {
 
 /// The §5.1/§7 communication–computation overlap claim on Jacobi: for
 /// both machine models, temporary-shift vs blocking ghost-exchange vs
-/// split-phase (`comm_compute_overlap`) execution. Exits 1 unless
-/// overlap strictly lowers the modelled time with arrays and PRINT
-/// bit-identical across all three — CI runs it as a smoke gate. `--out
-/// overlap.json` is an `f90d-overlap/v2` document.
+/// split-phase (`comm_compute_overlap`) execution, one row per run with
+/// its host time and which tier ran its FORALLs. Exits 1 unless overlap
+/// strictly lowers the modelled time with arrays and PRINT bit-identical
+/// across all three, and unless the overlap run falls back to bytecode
+/// exactly as often as the blocking run — CI runs it as a smoke gate.
+/// `--out overlap.json` is an `f90d-overlap/v3` document.
 fn exp_overlap(args: &Args) -> Vec<Report> {
     let (n, iters, p) = if args.quick { (48, 4, 2) } else { (128, 8, 4) };
     let rows = exp::overlap_experiment(n, iters, p);
+    let runs: Vec<(&exp::OverlapRow, &exp::OverlapRun)> = (rows.iter())
+        .flat_map(|row| row.runs.iter().map(move |run| (row, run)))
+        .collect();
     let mut rep = Report::of(
         format!(
             "Overlap (§5.1/§7) — Jacobi {n}x{n}, {iters} sweeps, {p}x{p} grid: modelled seconds per shift strategy"
         ),
-        &rows,
+        &runs,
     )
-    .col("machine", "machine", |r| Val::Text(r.machine.into()))
-    .col("temporary", "t_temporary_s", |r| Val::Fixed(r.t_temporary, 6))
-    .col("blocking", "t_blocking_s", |r| Val::Fixed(r.t_blocking, 6))
-    .col("overlap", "t_overlap_s", |r| Val::Fixed(r.t_overlap, 6))
-    .col("vs temp", "", |r| Val::Ratio(r.t_temporary / r.t_overlap))
-    .col("vs block", "", |r| Val::Ratio(r.t_blocking / r.t_overlap))
-    .col("bit-identical", "", |r| Val::Flag(r.arrays_identical && r.print_identical))
-    .col("", "arrays_identical", |r| Val::Flag(r.arrays_identical))
-    .col("", "print_identical", |r| Val::Flag(r.print_identical))
+    .col("machine", "machine", |(row, _)| Val::Text(row.machine.into()))
+    .col("shifts", "strategy", |(_, run)| Val::Text(run.strategy.into()))
+    .col("modelled s", "t_s", |(_, run)| Val::Fixed(run.t, 6))
+    .col("vs overlap", "", |(row, run)| {
+        Val::Ratio(run.t / row.run("overlap").t)
+    })
+    .col("bit-identical", "identical", |(_, run)| Val::Flag(run.identical))
+    .col("host ms", "", |(_, run)| Val::Fixed(run.wall_s * 1e3, 2))
+    .col("matched/fallback", "", |(_, run)| {
+        Val::Text(format!(
+            "{}/{}",
+            run.trace.native_matched, run.trace.native_fallback
+        ))
+    })
+    .col("", "wall_s", |(_, run)| Val::Num(run.wall_s))
+    .counters("native_kernels.", |(_, run)| &run.trace)
     .done();
     rep.meta = vec![
-        ("schema", Json::Str("f90d-overlap/v2".into())),
+        ("schema", Json::Str("f90d-overlap/v3".into())),
         ("n", num(n)),
         ("iters", num(iters)),
         ("grid", Json::Arr(vec![num(p), num(p)])),
     ];
-    let failed: Vec<&str> = (rows.iter().filter(|r| !r.holds()))
-        .map(|r| r.machine)
-        .collect();
+    let machines = |held: fn(&exp::OverlapRow) -> bool| -> Vec<&str> {
+        (rows.iter().filter(|r| !held(r)))
+            .map(|r| r.machine)
+            .collect()
+    };
+    let failed = machines(exp::OverlapRow::holds);
     rep.gate(
         "overlap",
         failed.is_empty(),
         "overlap < temporary and overlap < blocking on every machine, results bit-identical: yes",
         format!("OVERLAP CLAIM VIOLATED on: {failed:?}"),
+    );
+    let failed = machines(exp::OverlapRow::same_tier);
+    rep.gate(
+        "overlap_tier",
+        failed.is_empty(),
+        "overlap falls back to bytecode exactly as often as blocking on every machine: yes",
+        format!(
+            "OVERLAP LEFT THE NATIVE TIER (more bytecode fallbacks than blocking) on: {failed:?}"
+        ),
     );
     vec![rep]
 }

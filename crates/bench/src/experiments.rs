@@ -189,6 +189,16 @@ pub fn table3_microbench(n: i64) -> Vec<(&'static str, &'static str, f64)> {
     out
 }
 
+/// One run of [`run_with`].
+struct Run {
+    rep: ExecReport,
+    /// The named arrays, gathered after the run.
+    arrays: Vec<ArrayData>,
+    trace: RunTrace,
+    /// Host seconds of the run, lowering warmed outside them.
+    wall_s: f64,
+}
+
 /// Compile `src` for `grid` under the default optimization flags as
 /// `flags` changes them, run it on a fresh `spec` machine, and gather
 /// the named arrays: what every ablation and claim experiment below
@@ -199,24 +209,32 @@ fn run_with(
     spec: &MachineSpec,
     flags: impl FnOnce(&mut OptFlags),
     arrays: &[&str],
-) -> (ExecReport, Vec<ArrayData>) {
+) -> Run {
     let mut opts = CompileOptions::on_grid(grid);
     flags(&mut opts.opt);
     let compiled = compile(src, &opts).expect("workload compiles");
+    compiled.vm_program().expect("workload lowers");
     let mut m = Machine::new(spec.clone(), ProcGrid::new(grid));
-    let mut eng = compiled.engine(&mut m).expect("workload lowers");
-    let rep = eng.run(&mut m).expect("workload runs");
-    let gathered = (arrays.iter())
+    let t0 = std::time::Instant::now();
+    let (rep, trace) = compiled.run_on_traced(&mut m).expect("workload runs");
+    let wall_s = t0.elapsed().as_secs_f64();
+    let eng = compiled.engine_preserving(&mut m).expect("workload lowers");
+    let arrays = (arrays.iter())
         .map(|a| eng.gather_array(&mut m, a).expect("a declared array"))
         .collect();
-    (rep, gathered)
+    Run {
+        rep,
+        arrays,
+        trace,
+        wall_s,
+    }
 }
 
 /// ABL-1 (§7(2) duplicate-communication elimination) on the GE kernel:
 /// `(messages_opt_on, messages_opt_off, t_on, t_off)`.
 pub fn ablation_merge_comm(n: i64, p: i64) -> (u64, u64, f64, f64) {
     let (src, spec) = (workloads::gaussian(n), MachineSpec::ipsc860());
-    let run = |merge| run_with(&src, &[p], &spec, |o| o.merge_comm = merge, &[]).0;
+    let run = |merge| run_with(&src, &[p], &spec, |o| o.merge_comm = merge, &[]).rep;
     let (on, off) = (run(true), run(false));
     (on.messages, off.messages, on.elapsed, off.elapsed)
 }
@@ -225,7 +243,7 @@ pub fn ablation_merge_comm(n: i64, p: i64) -> (u64, u64, f64, f64) {
 /// `(t_reuse, t_no_reuse)`.
 pub fn ablation_schedule_reuse(n: i64, p: i64) -> (f64, f64) {
     let (src, spec) = (workloads::irregular(n), MachineSpec::ipsc860());
-    let run = |reuse| run_with(&src, &[p], &spec, |o| o.schedule_reuse = reuse, &[]).0;
+    let run = |reuse| run_with(&src, &[p], &spec, |o| o.schedule_reuse = reuse, &[]).rep;
     (run(true).elapsed, run(false).elapsed)
 }
 
@@ -255,7 +273,7 @@ END
             o.fuse_multicast_shift = fused;
             o.hoist_invariant_comm = false;
         };
-        run_with(&src, &[4, 4], &spec, flags, &[]).0.elapsed
+        run_with(&src, &[4, 4], &spec, flags, &[]).rep.elapsed
     };
     (run(true), run(false))
 }
@@ -264,42 +282,62 @@ END
 /// `(t_overlap, t_temporary)`.
 pub fn ablation_overlap_shift(n: i64, iters: i64, p: i64) -> (f64, f64) {
     let (src, spec) = (workloads::jacobi(n, iters), MachineSpec::ipsc860());
-    let run = |overlap| run_with(&src, &[p, p], &spec, |o| o.overlap_shift = overlap, &[]).0;
+    let run = |overlap| run_with(&src, &[p, p], &spec, |o| o.overlap_shift = overlap, &[]).rep;
     (run(true).elapsed, run(false).elapsed)
 }
 
-/// One row of the communication–computation overlap experiment
-/// (`repro --exp overlap`): modelled Jacobi time under the three shift
-/// execution strategies, plus the bit-identity verdicts.
+/// One Jacobi run of the communication–computation overlap experiment
+/// (`repro --exp overlap`) under one shift execution strategy.
+#[derive(Debug, Clone)]
+pub struct OverlapRun {
+    /// `temporary`: `OptFlags::overlap_shift = false`, every shift
+    /// through a temporary (the §5.1 baseline the claimed speedup is
+    /// measured against). `blocking`: the default flags, `overlap_shift`
+    /// into ghost areas with a blocking exchange (the
+    /// `BENCH_baseline.json` configuration). `overlap`:
+    /// `comm_compute_overlap`, the ghost exchange posted, interior
+    /// compute hiding the wire, the boundary computed after completion.
+    pub strategy: &'static str,
+    /// Modelled seconds.
+    pub t: f64,
+    /// Host seconds, lowering warmed outside them.
+    pub wall_s: f64,
+    /// Which tier ran each FORALL execution.
+    pub trace: RunTrace,
+    /// Arrays A and B and PRINT bit-identical to the blocking run's.
+    pub identical: bool,
+}
+
+/// One machine's row of the overlap experiment: its three runs, in the
+/// order `temporary`, `blocking`, `overlap`.
 #[derive(Debug, Clone)]
 pub struct OverlapRow {
     /// Machine model name (`ipsc860` / `ncube2`).
     pub machine: &'static str,
-    /// `OptFlags::overlap_shift = false`: every shift through a
-    /// temporary (the §5.1 baseline the claimed speedup is measured
-    /// against).
-    pub t_temporary: f64,
-    /// Default flags: `overlap_shift` into ghost areas, blocking
-    /// exchange (the `BENCH_baseline.json` configuration).
-    pub t_blocking: f64,
-    /// `comm_compute_overlap`: ghost exchange posted, interior compute
-    /// hides the wire, boundary computed after completion.
-    pub t_overlap: f64,
-    /// Arrays A and B bit-identical across all three modes.
-    pub arrays_identical: bool,
-    /// PRINT output identical across all three modes.
-    pub print_identical: bool,
+    pub runs: [OverlapRun; 3],
 }
 
 impl OverlapRow {
+    /// The run of `strategy`.
+    pub fn run(&self, strategy: &str) -> &OverlapRun {
+        let run = self.runs.iter().find(|r| r.strategy == strategy);
+        run.expect("one of temporary, blocking, overlap")
+    }
+
     /// The §5.1/§7 claim this experiment reproduces: split-phase overlap
     /// beats both the temporary-shift strategy and the blocking ghost
     /// exchange, without changing a single result bit.
     pub fn holds(&self) -> bool {
-        self.t_overlap < self.t_temporary
-            && self.t_overlap < self.t_blocking
-            && self.arrays_identical
-            && self.print_identical
+        let t = |strategy| self.run(strategy).t;
+        t("overlap") < t("temporary")
+            && t("overlap") < t("blocking")
+            && self.runs.iter().all(|r| r.identical)
+    }
+
+    /// Split-phase execution runs every FORALL on the tier blocking
+    /// execution does: their bytecode fallback counts are equal.
+    pub fn same_tier(&self) -> bool {
+        self.run("overlap").trace.native_fallback == self.run("blocking").trace.native_fallback
     }
 }
 
@@ -317,17 +355,22 @@ pub fn overlap_experiment(n: i64, iters: i64, p: i64) -> Vec<OverlapRow> {
     };
     let row = |machine| {
         let spec = spec_of(machine);
-        let (temporary, arr_t) = run(&spec, false, false);
-        let (blocking, arr_b) = run(&spec, true, false);
-        let (overlap, arr_o) = run(&spec, true, true);
+        let [temporary, blocking, overlap] =
+            [(false, false), (true, false), (true, true)].map(|(s, o)| run(&spec, s, o));
+        let strategy = |strategy, r: &Run| OverlapRun {
+            strategy,
+            t: r.rep.elapsed,
+            wall_s: r.wall_s,
+            trace: r.trace,
+            identical: r.arrays == blocking.arrays && r.rep.printed == blocking.rep.printed,
+        };
         OverlapRow {
             machine,
-            t_temporary: temporary.elapsed,
-            t_blocking: blocking.elapsed,
-            t_overlap: overlap.elapsed,
-            arrays_identical: arr_t == arr_b && arr_b == arr_o,
-            print_identical: temporary.printed == blocking.printed
-                && blocking.printed == overlap.printed,
+            runs: [
+                strategy("temporary", &temporary),
+                strategy("blocking", &blocking),
+                strategy("overlap", &overlap),
+            ],
         }
     };
     MACHINES.into_iter().map(row).collect()
@@ -409,17 +452,17 @@ pub fn commplan_experiment(n: i64, iters: i64, p: i64) -> Vec<CommPlanRow> {
     for (workload, src, names, gated) in &cases {
         for machine in MACHINES {
             let run = |plan| run_with(src, &grid, &spec_of(machine), |o| o.comm_plan = plan, names);
-            let ((off, arr_off), (on, arr_on)) = (run(false), run(true));
+            let (off, on) = (run(false), run(true));
             rows.push(CommPlanRow {
                 workload,
                 machine,
-                t_per_stmt: off.elapsed,
-                t_plan: on.elapsed,
-                msgs_per_stmt: off.messages,
-                msgs_plan: on.messages,
-                bytes_equal: on.bytes == off.bytes,
-                arrays_identical: arr_on == arr_off,
-                print_identical: on.printed == off.printed,
+                t_per_stmt: off.rep.elapsed,
+                t_plan: on.rep.elapsed,
+                msgs_per_stmt: off.rep.messages,
+                msgs_plan: on.rep.messages,
+                bytes_equal: on.rep.bytes == off.rep.bytes,
+                arrays_identical: on.arrays == off.arrays,
+                print_identical: on.rep.printed == off.rep.printed,
                 gated: *gated,
             });
         }

@@ -6,7 +6,8 @@
 //!
 //! * [`workloads`] — the Fortran 90D/HPF benchmark programs (Gaussian
 //!   elimination from the Fortran D benchmark suite, Jacobi, the FFT
-//!   butterfly, an irregular kernel);
+//!   butterfly, an irregular kernel), re-exported from `f90d-progen`,
+//!   where the tests below this crate take them too;
 //! * [`handwritten`] — the hand-coded "Fortran 77 + MP" Gaussian
 //!   elimination baseline of Table 4, written directly against the
 //!   run-time system;
@@ -31,4 +32,4 @@ pub mod handwritten;
 pub mod harness;
 pub mod report;
 pub mod scaling;
-pub mod workloads;
+pub use f90d_progen::workloads;

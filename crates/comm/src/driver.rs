@@ -10,7 +10,7 @@
 //! sequenced **here**, once, and the engine in `f90d-vm` (which this
 //! crate cannot depend on) drives it through these entry points. The
 //! engine keeps only evaluation: it hands the driver a [`ComputeSink`]
-//! with interior/boundary element-loop callbacks and never touches
+//! that runs a phase of iteration spaces and never touches
 //! [`ExchangeOp`], the shift planner (`structured::shift_moves`), or
 //! the raw transport itself (a guard test in `tests/` enforces exactly
 //! that), so orchestration has one home whatever evaluates elements.
@@ -235,33 +235,28 @@ pub fn stencil_margins(
 /// owns *when* ghost exchanges post, complete, and commit; the sink owns
 /// *how* elements are evaluated and *how* their cost is charged.
 ///
-/// Contract: `interior` runs (and charges) entirely before the posted
-/// exchanges complete — that ordering is the latency hiding.
-/// `boundary` runs after completion and must charge each rank's slabs
-/// as **one** lump sum (the order of the additions is part of the
-/// virtual clock's bits). Writes from both calls must be staged, not applied;
-/// `commit` applies them together, preserving FORALL RHS-before-LHS
-/// semantics across the phase split.
+/// Contract: a `phase` charges each rank's whole phase as **one** lump
+/// sum (the order of the additions is part of the virtual clock's
+/// bits); the interior phase runs (and charges) entirely before the
+/// posted exchanges complete — that ordering is the latency hiding —
+/// and the boundary phase after. A write may land during a phase only
+/// where no read of the FORALL can see it; every other is staged, and
+/// `commit` applies both phases' staged writes in phase order,
+/// preserving FORALL RHS-before-LHS semantics across the split.
 pub trait ComputeSink {
     /// The backend's error type.
     type Error: From<CommError>;
 
-    /// Run the interior iterations: per rank, the plain cartesian
-    /// product of `lists[rank]` (already restricted to the margin-safe
-    /// interior). Charge each rank's cost as the backend normally would.
-    fn interior(&mut self, m: &mut Machine, lists: &[Vec<Vec<i64>>]) -> Result<(), Self::Error>;
+    /// Run one phase: on each rank, its iteration spaces in turn.
+    fn phase(&mut self, m: &mut Machine, spaces: &Spaces<'_>) -> Result<(), Self::Error>;
 
-    /// Run the boundary slabs: per rank, each sub-product in
-    /// `slabs[rank]`, charging the rank's slabs as one summed lump.
-    fn boundary(
-        &mut self,
-        m: &mut Machine,
-        slabs: &[Vec<Vec<Vec<i64>>>],
-    ) -> Result<(), Self::Error>;
-
-    /// Apply every staged write from both phases.
+    /// Apply every staged write of the phases run so far.
     fn commit(&mut self, m: &mut Machine) -> Result<(), Self::Error>;
 }
+
+/// The iteration spaces of one phase, by rank: each the per-variable
+/// lists of a plain cartesian product.
+pub type Spaces<'s> = dyn Fn(usize) -> &'s [Vec<Vec<i64>>] + Sync + 's;
 
 /// Split-phase stencil execution (paper §5.1/§7 latency hiding), the
 /// single implementation behind `comm_compute_overlap`: post every ghost exchange in `shifts`, run the sink's
@@ -290,17 +285,17 @@ pub fn run_overlap<S: ComputeSink>(
         posted.push(op);
     }
     // 2. Split each rank's iteration space once via the shared geometry.
-    let interior: Vec<Vec<Vec<i64>>> = iter_lists
+    let interior: Vec<_> = iter_lists
         .iter()
-        .map(|lists| margins.interior_lists(lists))
+        .map(|l| margins.interior_lists(l))
         .collect();
-    let boundary: Vec<Vec<Vec<Vec<i64>>>> = iter_lists
+    let boundary: Vec<_> = iter_lists
         .iter()
-        .map(|lists| margins.boundary_slabs(lists))
+        .map(|l| margins.boundary_slabs(l))
         .collect();
     // 3. Interior compute, charged before the completions below so it
     // genuinely hides the wire time.
-    let interior_done = sink.interior(m, &interior);
+    let interior_done = sink.phase(m, &|r| std::slice::from_ref(&interior[r]));
     // 4. Complete the ghost exchanges: each receiver's clock advances
     // to max(its post-interior clock, strip arrival). Every posted op
     // finishes even after a failure, so nothing is left in flight; the
@@ -310,7 +305,7 @@ pub fn run_overlap<S: ComputeSink>(
     finished.into_iter().collect::<CommResult<()>>()?;
     // 5. Boundary compute: only the shell tuples whose reads touch
     // ghost cells.
-    sink.boundary(m, &boundary)?;
+    sink.phase(m, &|r| &boundary[r])?;
     // 6. Commit both phases' staged writes (FORALL RHS-before-LHS).
     sink.commit(m)
 }
@@ -693,25 +688,17 @@ mod tests {
         }
         impl ComputeSink for Probe {
             type Error = CommError;
-            fn interior(
-                &mut self,
-                m: &mut Machine,
-                lists: &[Vec<Vec<i64>>],
-            ) -> Result<(), CommError> {
-                self.calls.push("interior");
-                self.msgs_at_interior = m.transport.messages;
-                // Interior of a ±1-margined 8-wide block keeps the
-                // middle and drops both edges.
-                assert!(lists.iter().all(|l| l.len() == 1));
-                Ok(())
-            }
-            fn boundary(
-                &mut self,
-                _m: &mut Machine,
-                slabs: &[Vec<Vec<Vec<i64>>>],
-            ) -> Result<(), CommError> {
-                self.calls.push("boundary");
-                assert!(slabs.iter().any(|s| !s.is_empty()));
+            fn phase(&mut self, m: &mut Machine, spaces: &Spaces<'_>) -> Result<(), CommError> {
+                // Interior of a ±1-margined 8-wide block keeps the middle
+                // six, its boundary the two edges: one space per rank.
+                let width = if self.calls.is_empty() {
+                    self.msgs_at_interior = m.transport.messages;
+                    6
+                } else {
+                    2
+                };
+                self.calls.push(["interior", "boundary"][self.calls.len()]);
+                assert!((0..4).all(|r| spaces(r).len() == 1 && spaces(r)[0][0].len() == width));
                 Ok(())
             }
             fn commit(&mut self, _m: &mut Machine) -> Result<(), CommError> {
@@ -746,11 +733,8 @@ mod tests {
         struct Failing;
         impl ComputeSink for Failing {
             type Error = CommError;
-            fn interior(&mut self, _: &mut Machine, _: &[Vec<Vec<i64>>]) -> CommResult<()> {
+            fn phase(&mut self, _: &mut Machine, _: &Spaces<'_>) -> CommResult<()> {
                 Err(CommError("interior failed".into()))
-            }
-            fn boundary(&mut self, _: &mut Machine, _: &[Vec<Vec<Vec<i64>>>]) -> CommResult<()> {
-                unreachable!("the interior failed")
             }
             fn commit(&mut self, _: &mut Machine) -> CommResult<()> {
                 unreachable!("the interior failed")

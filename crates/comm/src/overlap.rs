@@ -64,17 +64,21 @@ impl Margins {
         }
     }
 
-    fn range_of(&self, var: usize, list: &[i64]) -> Option<(i64, i64)> {
+    /// The values of variable `var`'s (ascending) list inside its
+    /// interior range (`inside`), or outside it; with no margin on `var`,
+    /// all of them are inside.
+    fn part(&self, var: usize, list: &[i64], inside: bool) -> Vec<i64> {
         let (lo, hi) = self.per_var[var];
-        if lo == 0 && hi == 0 {
-            return None;
-        }
         // Saturating for the same reason as [`Margins::add`]: an
         // overflowed interior bound must clamp (emptying the interior),
         // never wrap around into a range that swallows the boundary.
-        list.first()
-            .zip(list.last())
-            .map(|(&a, &b)| (a.saturating_add(lo), b.saturating_sub(hi)))
+        let range = match (list.first(), list.last()) {
+            (Some(first), Some(last)) => first.saturating_add(lo)..=last.saturating_sub(hi),
+            _ => return Vec::new(),
+        };
+        (list.iter().copied())
+            .filter(|v| range.contains(v) == inside)
+            .collect()
     }
 
     /// The interior sub-product of one rank's iteration lists: margined
@@ -82,17 +86,8 @@ impl Margins {
     /// cartesian product of the result executes exactly the interior
     /// tuples.
     pub fn interior_lists(&self, lists: &[Vec<i64>]) -> Vec<Vec<i64>> {
-        lists
-            .iter()
-            .enumerate()
-            .map(|(k, list)| match self.range_of(k, list) {
-                None => list.clone(),
-                Some((lo, hi)) => list
-                    .iter()
-                    .copied()
-                    .filter(|v| (lo..=hi).contains(v))
-                    .collect(),
-            })
+        (lists.iter().enumerate())
+            .map(|(k, list)| self.part(k, list, true))
             .collect()
     }
 
@@ -104,45 +99,21 @@ impl Margins {
     /// visit only shell tuples — no membership filtering, and a cost
     /// that scales with the shell, not the interior.
     pub fn boundary_slabs(&self, lists: &[Vec<i64>]) -> Vec<Vec<Vec<i64>>> {
-        let mut slabs = Vec::new();
-        for j in 0..lists.len() {
-            let Some((lo, hi)) = self.range_of(j, &lists[j]) else {
-                continue;
-            };
-            let outside: Vec<i64> = lists[j]
-                .iter()
-                .copied()
-                .filter(|v| !(lo..=hi).contains(v))
-                .collect();
-            if outside.is_empty() {
-                continue;
-            }
-            let slab: Vec<Vec<i64>> = lists
-                .iter()
-                .enumerate()
+        let slab = |j: usize| -> Vec<Vec<i64>> {
+            (lists.iter().enumerate())
                 .map(|(k, list)| {
-                    if k == j {
-                        outside.clone()
-                    } else if k < j {
-                        match self.range_of(k, list) {
-                            None => list.clone(),
-                            Some((lo, hi)) => list
-                                .iter()
-                                .copied()
-                                .filter(|v| (lo..=hi).contains(v))
-                                .collect(),
-                        }
-                    } else {
+                    if k > j {
                         list.clone()
+                    } else {
+                        self.part(k, list, k < j)
                     }
                 })
-                .collect();
-            if slab.iter().any(|l| l.is_empty()) {
-                continue;
-            }
-            slabs.push(slab);
-        }
-        slabs
+                .collect()
+        };
+        (0..lists.len())
+            .map(slab)
+            .filter(|slab| slab.iter().all(|l| !l.is_empty()))
+            .collect()
     }
 }
 

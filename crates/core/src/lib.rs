@@ -109,8 +109,9 @@ pub struct RunTrace {
     /// metric.
     pub native_matched: u64,
     /// FORALL executions that ran the bytecode element loop instead: no
-    /// kernel was selected at lowering, a dispatch precondition failed,
-    /// or the overlap split-phase path ran.
+    /// kernel was selected at lowering, or a dispatch precondition
+    /// failed. A split-phase execution under `comm_compute_overlap`
+    /// counts on whichever side its blocking twin would.
     pub native_fallback: u64,
     /// Of the `native_matched`, the executions in which at least one
     /// rank staged its owned writes (committed after the phase) because

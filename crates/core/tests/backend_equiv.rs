@@ -14,92 +14,7 @@ use common::{observe, reference, Observed, Tier};
 use f90d_core::{compile, vm_cache, CompileOptions, RunTrace};
 use f90d_distrib::ProcGrid;
 use f90d_machine::{ArrayData, ExecMode, Machine, MachineSpec};
-
-fn gaussian(n: i64) -> String {
-    format!(
-        "
-PROGRAM GAUSS
-INTEGER, PARAMETER :: N = {n}
-REAL A(N, N)
-INTEGER K
-C$ DISTRIBUTE A(*, BLOCK)
-FORALL (I=1:N, J=1:N) A(I,J) = 1.0/REAL(I+J-1)
-FORALL (I=1:N) A(I,I) = A(I,I) + 2.0
-DO K = 1, N-1
-  FORALL (I=K+1:N, J=K+1:N) A(I,J) = A(I,J) - A(I,K)/A(K,K)*A(K,J)
-END DO
-END
-"
-    )
-}
-
-fn jacobi(n: i64, iters: i64) -> String {
-    format!(
-        "
-PROGRAM JACOBI
-INTEGER, PARAMETER :: N = {n}
-REAL A(N, N), B(N, N)
-INTEGER IT
-C$ TEMPLATE T(N, N)
-C$ ALIGN A(I, J) WITH T(I, J)
-C$ ALIGN B(I, J) WITH T(I, J)
-C$ DISTRIBUTE T(BLOCK, BLOCK)
-FORALL (I=1:N, J=1:N) B(I,J) = REAL(I+J)
-FORALL (I=1:N, J=1:N) A(I,J) = 0.0
-DO IT = 1, {iters}
-  FORALL (I=2:N-1, J=2:N-1)&
-&   A(I,J) = 0.25*(B(I-1,J)+B(I+1,J)+B(I,J-1)+B(I,J+1))
-  FORALL (I=2:N-1, J=2:N-1) B(I,J) = A(I,J)
-END DO
-END
-"
-    )
-}
-
-fn fft_butterfly(nx: i64, incrm: i64) -> String {
-    let size = 2 * nx * incrm;
-    format!(
-        "
-PROGRAM FFTB
-INTEGER, PARAMETER :: NX = {nx}, INCRM = {incrm}, M = {size}
-REAL X(M), TERM2(M)
-C$ TEMPLATE T(M)
-C$ ALIGN X(I) WITH T(I)
-C$ ALIGN TERM2(I) WITH T(I)
-C$ DISTRIBUTE T(BLOCK)
-FORALL (I=1:M) X(I) = REAL(I) * 0.5
-FORALL (I=1:M) TERM2(I) = REAL(M - I)
-FORALL (I=1:INCRM, J=1:NX/2)&
-& X(I+J*INCRM*2-INCRM) = X(I+J*INCRM*2) - TERM2(I+J*INCRM*2-INCRM)
-END
-"
-    )
-}
-
-fn irregular(n: i64) -> String {
-    format!(
-        "
-PROGRAM IRREG
-INTEGER, PARAMETER :: N = {n}
-REAL A(N), B(N), C(N)
-INTEGER U(N), V(N)
-INTEGER IT
-C$ TEMPLATE T(N)
-C$ ALIGN A(I) WITH T(I)
-C$ ALIGN B(I) WITH T(I)
-C$ ALIGN C(I) WITH T(I)
-C$ DISTRIBUTE T(BLOCK)
-FORALL (I=1:N) B(I) = REAL(I)
-FORALL (I=1:N) C(I) = REAL(N - I)
-FORALL (I=1:N) U(I) = MOD(I*7, N) + 1
-FORALL (I=1:N) V(I) = MOD(I*11, N) + 1
-DO IT = 1, 4
-  FORALL (I=1:N) A(U(I)) = B(V(I)) + C(I)
-END DO
-END
-"
-    )
-}
+use f90d_progen::workloads::{fft_butterfly, gaussian, irregular, jacobi};
 
 fn run_tier(src: &str, grid: &[i64], arrays: &[&str], tier: Tier, mode: ExecMode) -> Observed {
     // Threaded runs must get a real pool even on single-core CI hosts,

@@ -565,8 +565,9 @@ END
 /// runs the interior sub-product (30 × 30 = 900 tuples a rank, two
 /// chunks) while the ghost strips are on the wire, then the boundary
 /// slabs, and commits both stages together — the arrays of blocking
-/// execution on other clocks (a split-phase FORALL never dispatches
-/// native, so `Tier::Native` only adds the statements around it).
+/// execution on other clocks. Under `Tier::Native` the masked FORALL
+/// still runs on the chunk loop, split-phase, while the stencil runs
+/// its phases on the box kernels.
 #[test]
 fn split_phase_runs_interior_and_boundary_through_the_chunk_loop() {
     budget::global().ensure_total_at_least(8);
@@ -598,7 +599,13 @@ END
     let (vm, tr) = overlap(Tier::Bytecode, ExecMode::Sequential);
     assert!(tr.native_fallback > 0 && tr.native_matched == 0);
     assert_eq!(vm, overlap(Tier::Bytecode, ExecMode::Threaded).0);
-    assert_eq!(vm, overlap(Tier::Native, ExecMode::Sequential).0);
+    let (nat, nat_tr) = overlap(Tier::Native, ExecMode::Sequential);
+    assert_eq!(
+        (nat_tr.native_matched, nat_tr.native_fallback),
+        (4, 4),
+        "native: the `A` fill and the 3 stencils; bytecode: the `MOD` fill and the 3 masked"
+    );
+    assert_eq!(vm, nat);
     let blocking = agree("blocking", src, &[2, 2], &arrays, true);
     assert_eq!(vm.arrays, blocking.arrays, "overlap changes clocks only");
     assert_eq!(vm.cells, blocking.cells);

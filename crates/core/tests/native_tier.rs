@@ -12,34 +12,12 @@ mod common;
 
 use std::collections::HashMap;
 
-use common::{observe, Tier};
+use common::{observe, observe_with, Tier};
 use f90d_core::reference::run_reference;
 use f90d_core::{compile, CompileOptions, RunTrace};
 use f90d_distrib::ProcGrid;
 use f90d_machine::{budget, ArrayData, ExecMode, Machine, MachineSpec};
-
-fn jacobi(n: i64, iters: i64) -> String {
-    format!(
-        "
-PROGRAM JACOBI
-INTEGER, PARAMETER :: N = {n}
-REAL A(N, N), B(N, N)
-INTEGER IT
-C$ TEMPLATE T(N, N)
-C$ ALIGN A(I, J) WITH T(I, J)
-C$ ALIGN B(I, J) WITH T(I, J)
-C$ DISTRIBUTE T(BLOCK, BLOCK)
-FORALL (I=1:N, J=1:N) B(I,J) = REAL(I+J)
-FORALL (I=1:N, J=1:N) A(I,J) = 0.0
-DO IT = 1, {iters}
-  FORALL (I=2:N-1, J=2:N-1)&
-&   A(I,J) = 0.25*(B(I-1,J)+B(I+1,J)+B(I,J-1)+B(I,J+1))
-  FORALL (I=2:N-1, J=2:N-1) B(I,J) = A(I,J)
-END DO
-END
-"
-    )
-}
+use f90d_progen::workloads::jacobi;
 
 /// Run with the native tier on or off; return gathered images + report metrics +
 /// the run trace (for the native counters).
@@ -665,20 +643,76 @@ END
     assert_eq!((nat_t, nat_msg, nat_b), (vm_t, vm_msg, vm_b));
 }
 
-/// The overlap split-phase path always runs bytecode (boundary/interior
-/// staging), even when the same FORALL dispatches native in blocking
-/// mode — and the fallback counter records it.
+/// The overlap split-phase path runs on the tier the bind chose: the 2
+/// stencil sweeps, split into an interior and a boundary phase, dispatch
+/// native like the 2 inits and the 2 copies around them.
 #[test]
-fn overlap_split_phase_counts_as_fallback() {
+fn overlap_split_phase_dispatches_native() {
     let src = jacobi(16, 2);
     let mut opts = CompileOptions::on_grid(&[2, 2]);
     opts.opt.comm_compute_overlap = true;
     let compiled = compile(&src, &opts).expect("compiles");
     let mut m = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(&[2, 2]));
     let (_, tr) = compiled.run_on_traced(&mut m).expect("runs");
-    // The 2 stencil sweeps run split-phase (fallback); the non-stencil
-    // FORALLs (2 inits + 2 copies) still dispatch native.
-    assert_eq!((tr.native_matched, tr.native_fallback), (4, 2));
+    assert_eq!((tr.native_matched, tr.native_fallback), (6, 0));
+}
+
+/// Stencils that run split-phase under `comm_compute_overlap`, after the
+/// shared 2-D prologue: every FORALL dispatches native and the stencil
+/// stages exactly when `staged`. The shifts by one on both sides of
+/// `J` make `{first, last}` the innermost boundary slab, a run at stride
+/// n − 1 that must not be written in place as a row.
+const OVERLAP_CASES: &[(&str, &str, bool)] = &[
+    (
+        "4-point stencil into another array",
+        "A(I,J) = 0.25*(B(I-1,J) + B(I+1,J) + B(I,J-1) + B(I,J+1))",
+        false,
+    ),
+    (
+        "own element beside shifted reads of another array",
+        "U(I,J) = U(I,J)*0.5 + B(I,J-1) - B(I,J+1)*0.25 + B(I+1,J)",
+        false,
+    ),
+    (
+        "in-place stencil reading its own array shifted (must stage)",
+        "U(I,J) = 0.5*(U(I,J-1) + U(I,J+1)) - U(I-1,J)*0.125",
+        true,
+    ),
+];
+
+/// Split-phase execution on the native tier against the bytecode tier
+/// under overlap — arrays, every padded cell, every rank clock by bits,
+/// messages, bytes, PRINT — sequential and threaded, and against the
+/// arrays of blocking execution, whose clocks it must not share (the
+/// interior hid wire time, so the split really ran).
+#[test]
+fn overlap_stencils_dispatch_native_and_agree() {
+    budget::global().ensure_total_at_least(8);
+    for &(label, stmt, staged) in OVERLAP_CASES {
+        let src = format!(
+            "PROGRAM OV{PROLOGUE_2D}FORALL (I=2:N-1, J=2:N-1) {stmt}\nPRINT *, SUM(A), SUM(U)\nEND\n"
+        );
+        let run = |tier, exec, overlap| {
+            let tweak = |opts: &mut CompileOptions| opts.opt.comm_compute_overlap = overlap;
+            observe_with(&src, &[2, 2], &["A", "U"], tier, exec, &tweak)
+                .unwrap_or_else(|e| panic!("{label}: {tier:?} failed: {e}\n{src}"))
+        };
+        let (nat, tr) = run(Tier::Native, ExecMode::Sequential, true);
+        assert_eq!(
+            (tr.native_matched, tr.native_fallback, tr.native_staged),
+            (5, 0, staged as u64),
+            "{label}: every FORALL should dispatch native\n{src}"
+        );
+        let (vm, _) = run(Tier::Bytecode, ExecMode::Sequential, true);
+        assert_eq!(nat, vm, "{label}: native vs bytecode under overlap\n{src}");
+        let (thr, thr_tr) = run(Tier::Native, ExecMode::Threaded, true);
+        assert_eq!(nat, thr, "{label}: sequential vs threaded\n{src}");
+        assert_eq!(thr_tr.native_staged, staged as u64, "{label}");
+        let (blocking, _) = run(Tier::Native, ExecMode::Sequential, false);
+        assert_eq!(nat.arrays, blocking.arrays, "{label}: overlap vs blocking");
+        assert_eq!(nat.cells, blocking.cells, "{label}: ghost cells included");
+        assert_ne!(nat.clocks, blocking.clocks, "{label}: the split ran");
+    }
 }
 
 /// One FORALL shape the box path has to get right: `body` runs after

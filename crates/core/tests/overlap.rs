@@ -12,76 +12,7 @@ use common::{observe_on, Observed, Tier};
 use f90d_core::{compile, CompileOptions};
 use f90d_distrib::ProcGrid;
 use f90d_machine::{ArrayData, ExecMode, Machine, MachineSpec, Transport};
-
-// Local copies of the benchmark workloads (`f90d-bench` sits above this
-// crate in the dependency graph, so the sources are inlined here).
-mod workloads {
-    pub fn jacobi(n: i64, iters: i64) -> String {
-        format!(
-            "
-PROGRAM JACOBI
-INTEGER, PARAMETER :: N = {n}
-REAL A(N, N), B(N, N)
-INTEGER IT
-C$ TEMPLATE T(N, N)
-C$ ALIGN A(I, J) WITH T(I, J)
-C$ ALIGN B(I, J) WITH T(I, J)
-C$ DISTRIBUTE T(BLOCK, BLOCK)
-FORALL (I=1:N, J=1:N) B(I,J) = REAL(I+J)
-FORALL (I=1:N, J=1:N) A(I,J) = 0.0
-DO IT = 1, {iters}
-  FORALL (I=2:N-1, J=2:N-1)&
-&   A(I,J) = 0.25*(B(I-1,J)+B(I+1,J)+B(I,J-1)+B(I,J+1))
-  FORALL (I=2:N-1, J=2:N-1) B(I,J) = A(I,J)
-END DO
-END
-"
-        )
-    }
-
-    pub fn gaussian(n: i64) -> String {
-        format!(
-            "
-PROGRAM GAUSS
-INTEGER, PARAMETER :: N = {n}
-REAL A(N, N)
-INTEGER K
-C$ DISTRIBUTE A(*, BLOCK)
-FORALL (I=1:N, J=1:N) A(I,J) = 1.0/REAL(I+J-1)
-FORALL (I=1:N) A(I,I) = A(I,I) + 2.0
-DO K = 1, N-1
-  FORALL (I=K+1:N, J=K+1:N) A(I,J) = A(I,J) - A(I,K)/A(K,K)*A(K,J)
-END DO
-END
-"
-        )
-    }
-
-    pub fn irregular(n: i64) -> String {
-        format!(
-            "
-PROGRAM IRREG
-INTEGER, PARAMETER :: N = {n}
-REAL A(N), B(N), C(N)
-INTEGER U(N), V(N)
-INTEGER IT
-C$ TEMPLATE T(N)
-C$ ALIGN A(I) WITH T(I)
-C$ ALIGN B(I) WITH T(I)
-C$ ALIGN C(I) WITH T(I)
-C$ DISTRIBUTE T(BLOCK)
-FORALL (I=1:N) B(I) = REAL(I)
-FORALL (I=1:N) C(I) = REAL(N - I)
-FORALL (I=1:N) U(I) = MOD(I*7, N) + 1
-FORALL (I=1:N) V(I) = MOD(I*11, N) + 1
-DO IT = 1, 4
-  FORALL (I=1:N) A(U(I)) = B(V(I)) + C(I)
-END DO
-END
-"
-        )
-    }
-}
+use f90d_progen::workloads;
 
 fn run(
     src: &str,

@@ -16,10 +16,10 @@
 //! * [`transport`] — the point-to-point message layer (the role Express
 //!   played for the paper): posted `post_send`/`post_recv`/`complete`
 //!   operations (Express `isend`/`irecv`/`msgwait`) with cost charging
-//!   against per-node virtual clocks, plus blocking `send`/`recv`
-//!   wrappers. The collective library in `f90d-comm` is built **only** on
-//!   this interface, reproducing the paper's portability layering (§5,
-//!   reason 3).
+//!   against per-node virtual clocks; a blocking exchange is a post
+//!   followed by its `complete`. The collective library in `f90d-comm` is
+//!   built **only** on this interface, reproducing the paper's
+//!   portability layering (§5, reason 3).
 //! * [`net`] — the interconnect subsystem: deterministic minimal-path
 //!   routing over every [`spec::Topology`] (messages become sequences of
 //!   directed links) and the per-link [`net::LinkClocks`] congestion

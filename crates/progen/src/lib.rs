@@ -13,8 +13,14 @@
 //! combine it in, and the sequential reference interpreter's arrays and
 //! PRINT lines are the only right answer on every grid, but for an array
 //! a many-to-one scatter writes across ranks ([`Facts::compare`]).
+//!
+//! Beside the grammar, [`workloads`] holds the fixed programs the
+//! evaluation runs (Gaussian elimination, Jacobi, the FFT butterfly, the
+//! irregular kernel, the two stencil sweeps): one copy of each source,
+//! for `f90d-bench` and for the tests of the crates below it.
 
 mod grammar;
+pub mod workloads;
 
 pub use grammar::{generate, Config, CONFIGS};
 

@@ -17,59 +17,9 @@ use std::time::{Duration, Instant};
 
 use f90d_core::{compile, Backend};
 use f90d_machine::{budget, Machine, MachineSpec};
+use f90d_progen::workloads::{irregular, jacobi};
 use f90d_serve::{Client, RunRequest, ServeConfig, Server};
 use serde::json::Json;
-
-/// Jacobi relaxation, parameterized so each test owns a unique job key.
-fn jacobi(n: i64, iters: i64) -> String {
-    format!(
-        "
-PROGRAM JACOBI
-INTEGER, PARAMETER :: N = {n}
-REAL A(N, N), B(N, N)
-INTEGER IT
-C$ TEMPLATE T(N, N)
-C$ ALIGN A(I, J) WITH T(I, J)
-C$ ALIGN B(I, J) WITH T(I, J)
-C$ DISTRIBUTE T(BLOCK, BLOCK)
-FORALL (I=1:N, J=1:N) B(I,J) = REAL(I+J)
-FORALL (I=1:N, J=1:N) A(I,J) = 0.0
-DO IT = 1, {iters}
-  FORALL (I=2:N-1, J=2:N-1)&
-&   A(I,J) = 0.25*(B(I-1,J)+B(I+1,J)+B(I,J-1)+B(I,J+1))
-  FORALL (I=2:N-1, J=2:N-1) B(I,J) = A(I,J)
-END DO
-END
-"
-    )
-}
-
-/// Irregular kernel (gather + scatter): the workload whose inspector
-/// schedules land in the cross-run schedule cache.
-fn irregular(n: i64) -> String {
-    format!(
-        "
-PROGRAM IRREG
-INTEGER, PARAMETER :: N = {n}
-REAL A(N), B(N), C(N)
-INTEGER U(N), V(N)
-INTEGER IT
-C$ TEMPLATE T(N)
-C$ ALIGN A(I) WITH T(I)
-C$ ALIGN B(I) WITH T(I)
-C$ ALIGN C(I) WITH T(I)
-C$ DISTRIBUTE T(BLOCK)
-FORALL (I=1:N) B(I) = REAL(I)
-FORALL (I=1:N) C(I) = REAL(N - I)
-FORALL (I=1:N) U(I) = MOD(I*7, N) + 1
-FORALL (I=1:N) V(I) = MOD(I*11, N) + 1
-DO IT = 1, 4
-  FORALL (I=1:N) A(U(I)) = B(V(I)) + C(I)
-END DO
-END
-"
-    )
-}
 
 fn run_req(source: String, grid: Vec<i64>) -> RunRequest {
     RunRequest {

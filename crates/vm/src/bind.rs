@@ -1,12 +1,12 @@
 //! The native tier's bind: a FORALL the native tier selected runs no
 //! bytecode when this execution can bind it ([`bind_native`]). Its
 //! affine forms are folded once per execution ([`fold_native`]), each
-//! rank's sites are proved in bounds over its iteration box, its
-//! iterations are cut into boxes — runs of the second-innermost variable
-//! × runs of the innermost, never reordering rows (`NatRank::new`) — and
-//! the alias rule (`in_place`) decides per rank whether boxes are
-//! written where they stand. What a bound rank then runs is
-//! `crate::boxes`.
+//! rank's sites are proved in bounds over its iteration box, and the
+//! alias rule (`in_place`) decides per rank whether boxes are written
+//! where they stand — proofs that hold on any part of that box. An
+//! iteration space is cut into boxes — runs of the second-innermost
+//! variable × runs of the innermost, never reordering rows ([`Boxes`]).
+//! What a bound rank then runs is `crate::boxes`.
 
 use std::cell::OnceCell;
 
@@ -423,41 +423,25 @@ impl BoxAt<'_> {
     }
 }
 
-/// A kernel bound to one rank: its bodies and inspectors, the boxes of
-/// the two innermost variables, and where the boxes are written.
-pub(crate) struct NatRank<'f> {
-    pub(crate) bodies: Vec<NatBody<'f>>,
-    pub(crate) gathers: Vec<NatGather<'f>>,
+/// The boxes of one iteration space — the rank's whole space, or a part
+/// split-phase execution runs on its own. **A box never reorders rows.**
+/// It spans several values of the second-innermost variable only when
+/// the innermost list is a single run, so that box order is iteration
+/// order; under a broken innermost list every `(row, run)` is a box of
+/// one row, in the order the element loop visits them (run-major order
+/// would change the last writer of `A(I+J) = …`). A 1-D FORALL is one
+/// row.
+pub(crate) struct Boxes {
     /// The runs of the innermost list: what a row spans.
     runs: Vec<Run>,
     /// The runs of the second-innermost list: the rows a box spans.
     row_runs: Vec<Run>,
-    pub(crate) out: NatOut<'f>,
-    /// `Some`: every box is written straight into the LHS segment,
-    /// between these least and greatest flat offsets. `None`: boxes go
-    /// to a dense stage that is committed after the phase in element
-    /// order (RHS before LHS, last writer as listed) — or, for a scatter
-    /// body, handed to the scatter executor as the rank's value column.
-    pub(crate) direct: Option<(usize, usize)>,
 }
 
-impl<'f> NatRank<'f> {
-    /// Form the rank's boxes and decide where they are written.
-    ///
-    /// **A box never reorders rows.** It spans several values of the
-    /// second-innermost variable only when the innermost list is a
-    /// single run, so that box order is iteration order; under a broken
-    /// innermost list every `(row, run)` is a box of one row, in the
-    /// order the element loop visits them (run-major order would change
-    /// the last writer of `A(I+J) = …`). A 1-D FORALL is one row.
-    pub(crate) fn new(
-        mut bodies: Vec<NatBody<'f>>,
-        gathers: Vec<NatGather<'f>>,
-        out: NatOut<'f>,
-        lists: &[Vec<i64>],
-        bx: &IterBox<'_>,
-    ) -> Self {
-        let (inner, rest) = lists.split_last().expect("a FORALL has a variable");
+impl Boxes {
+    /// The boxes of `space`.
+    pub(crate) fn new(space: &[Vec<i64>]) -> Self {
+        let (inner, rest) = space.split_last().expect("a FORALL has a variable");
         let runs = inner_runs(inner);
         let one_row = |(pos, &first)| Run {
             pos,
@@ -470,26 +454,20 @@ impl<'f> NatRank<'f> {
             Some(mid) => mid.iter().enumerate().map(one_row).collect(),
             None => vec![one_row((0, &0))],
         };
-        let direct = in_place(&mut bodies, &out, [&row_runs, &runs], lists, bx);
-        NatRank {
-            bodies,
-            gathers,
-            runs,
-            row_runs,
-            out,
-            direct,
-        }
+        Boxes { runs, row_runs }
     }
 
-    /// Whether the rank's owned writes go through the stage.
-    pub(crate) fn staged(&self) -> bool {
-        matches!(self.out, NatOut::Owned { .. }) && self.direct.is_none()
+    /// Whether `write` steps through the segment at unit stride along
+    /// every run longer than one element, so that each row of a box is
+    /// one `&mut` slice of it — not so on a boundary slab `{first, last}`.
+    pub(crate) fn unit_stride(&self, write: &NatAff) -> bool {
+        (self.runs.iter()).all(|r| r.len == 1 || write.inner() * r.stride == 1)
     }
 
-    /// Every box of the rank over `lists`, in iteration order: the one
-    /// walk the run, the commit and the inspector share.
-    pub(crate) fn for_each_box(&self, lists: &[Vec<i64>], mut f: impl FnMut(&BoxAt<'_>)) {
-        let (inner, rest) = lists.split_last().expect("a FORALL has a variable");
+    /// Every box of `space`, the space they were formed of, in iteration
+    /// order: the one walk the run, the stage and the inspector share.
+    pub(crate) fn for_each(&self, space: &[Vec<i64>], mut f: impl FnMut(&BoxAt<'_>)) {
+        let (inner, rest) = space.split_last().expect("a FORALL has a variable");
         let (mid_len, outer) = match rest.split_last() {
             Some((mid, outer)) => (mid.len(), outer),
             None => (1, rest),
@@ -509,6 +487,47 @@ impl<'f> NatRank<'f> {
             }
             row0 += mid_len;
         });
+    }
+}
+
+/// A kernel bound to one rank: its bodies and inspectors, and where its
+/// boxes are written.
+pub(crate) struct NatRank<'f> {
+    pub(crate) bodies: Vec<NatBody<'f>>,
+    pub(crate) gathers: Vec<NatGather<'f>>,
+    pub(crate) out: NatOut<'f>,
+    /// `Some`: every box is written straight into the LHS segment,
+    /// between these least and greatest flat offsets. `None`: boxes go
+    /// to a dense stage whose writes are committed after the phase in
+    /// element order (RHS before LHS, last writer as listed) — or, for a
+    /// scatter body, handed to the scatter executor as the rank's value
+    /// column.
+    pub(crate) direct: Option<(usize, usize)>,
+}
+
+impl<'f> NatRank<'f> {
+    /// Decide where the rank's boxes over its bound `lists` are written.
+    /// The proofs hold on any part of that space too, so one decision
+    /// serves every phase the rank runs.
+    pub(crate) fn new(
+        mut bodies: Vec<NatBody<'f>>,
+        gathers: Vec<NatGather<'f>>,
+        out: NatOut<'f>,
+        lists: &[Vec<i64>],
+        bx: &IterBox<'_>,
+    ) -> Self {
+        let direct = in_place(&mut bodies, &out, &Boxes::new(lists), lists, bx);
+        NatRank {
+            bodies,
+            gathers,
+            out,
+            direct,
+        }
+    }
+
+    /// Whether the rank's owned writes go through the stage.
+    pub(crate) fn staged(&self) -> bool {
+        matches!(self.out, NatOut::Owned { .. }) && self.direct.is_none()
     }
 }
 
@@ -538,7 +557,7 @@ impl<'f> NatRank<'f> {
 fn in_place(
     bodies: &mut [NatBody<'_>],
     out: &NatOut<'_>,
-    [row_runs, runs]: [&[Run]; 2],
+    boxes: &Boxes,
     lists: &[Vec<i64>],
     bx: &IterBox<'_>,
 ) -> Option<(usize, usize)> {
@@ -546,7 +565,7 @@ fn in_place(
         return None;
     };
     let write = &offs[0];
-    if !(runs.iter()).all(|r| r.len == 1 || write.inner() * r.stride == 1) {
+    if !boxes.unit_stride(write) {
         return None;
     }
     let (wmin, wmax) = write.range(bx.lo, bx.hi)?;
@@ -554,8 +573,8 @@ fn in_place(
     let one_to_one = OnceCell::new();
     let injective = || {
         let of = |(j, list): (usize, &Vec<i64>)| match lists.len() - 1 - j {
-            0 => steps(runs),
-            1 => steps(row_runs),
+            0 => steps(&boxes.runs),
+            1 => steps(&boxes.row_runs),
             _ => steps(&inner_runs(list)),
         };
         write.one_to_one(lists.iter().enumerate().map(of))

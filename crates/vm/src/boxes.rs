@@ -1,16 +1,17 @@
-//! The native tier's run: one walk (`NatRank::for_each_box`) hands every
-//! box of a rank `crate::bind` bound to the body's kernel
-//! (`crate::native`) — into the written segment where the alias rule
-//! allows it, into a dense stage committed in element order otherwise —
-//! and feeds the inspector of an unstructured read the same boxes.
+//! The native tier's run: one walk (`Boxes::for_each`) hands every box
+//! of each iteration space a rank `crate::bind` bound runs to the body's
+//! kernel (`crate::native`) — into the written segment where the alias
+//! rule allows it, into a dense stage whose writes are committed in
+//! element order otherwise — and feeds the inspector of an unstructured
+//! read the same boxes.
 
-use f90d_comm::driver::{GatherRequests, ScatterOut};
+use f90d_comm::driver::{GatherRequests, ScatterOut, Spaces};
 use f90d_comm::op::CommResult;
-use f90d_machine::{ElemType, Machine, NodeMemory};
+use f90d_machine::{Machine, NodeMemory};
 
-use crate::bind::{BoxAt, NatOut, NatRank, NatSites, SiteOff, View};
+use crate::bind::{BoxAt, Boxes, NatAff, NatOut, NatRank, NatSites, SiteOff, View};
 use crate::bytecode::ArrId;
-use crate::chunk::ForallCx;
+use crate::chunk::{ForallCx, RankOut, Staged};
 use crate::columns::{Elem, Pool};
 use crate::native::{BoxArgs, BoxFn, BoxKernel, BoxOut, BoxRead, Walk};
 
@@ -132,8 +133,8 @@ pub(crate) fn inspect_boxes(
     // Inspector subscripts read no gathered value and alias no write.
     let mut boxes = SiteBoxes::<i64>::new(&g.sites, mem, name, [&[], &[]]);
     let (mut cols, mut dense, mut pool) = (Vec::new(), Vec::new(), Pool::default());
-    let mut result = Ok(());
-    nr.for_each_box(&cx.lists[rank], |bx| {
+    let (mut result, lists) = (Ok(()), &cx.lists[rank]);
+    Boxes::new(lists).for_each(lists, |bx| {
         if result.is_err() {
             return;
         }
@@ -146,57 +147,52 @@ pub(crate) fn inspect_boxes(
     result
 }
 
-/// Execute a bound native kernel: one local phase under the machine's
-/// `ExecMode`, same cost charging and same resulting segment as the
-/// bytecode loop — only the work is box kernels over raw slices.
-/// `columns` is the destination's element type when the body is a
-/// vector-subscripted write: every rank's scatter columns are returned
-/// then (empty ones for ranks with no iteration), nothing otherwise.
+/// Run a bound native kernel as one local phase under the machine's
+/// `ExecMode`: every rank runs the boxes of its iteration `spaces` with
+/// the bytecode loop's cost charging and writes, and hands back what it
+/// staged for the one commit (`RankOut::commit`).
 pub(crate) fn run_native_forall(
     cx: ForallCx<'_>,
     m: &mut Machine,
     bound: &[Option<NatRank<'_>>],
-    columns: Option<ElemType>,
-) -> Vec<ScatterOut> {
-    // Each rank on the lane of the written array's element type.
-    let run = |rank: i64, mem: &mut NodeMemory| {
-        let Some(nr) = &bound[rank as usize] else {
+    spaces: &Spaces<'_>,
+) -> Vec<Staged> {
+    let name = |a: ArrId| cx.prog.arrays[a].name.as_str();
+    m.local_phase_map(|rank, mem| {
+        let (Some(nr), spaces) = (&bound[rank as usize], spaces(rank as usize)) else {
             return (None, 0);
         };
-        let lists = &cx.lists[rank as usize];
-        let name = |a: ArrId| cx.prog.arrays[a].name.as_str();
+        // Each rank on the lane of the written array's element type.
         match nr.bodies[0].func {
-            BoxKernel::Real(_) => run_native_boxes::<f64>(nr, lists, mem, name),
-            BoxKernel::Int(_) => run_native_boxes::<i64>(nr, lists, mem, name),
+            BoxKernel::Real(_) => run_native_boxes::<f64>(nr, spaces, mem, name),
+            BoxKernel::Int(_) => run_native_boxes::<i64>(nr, spaces, mem, name),
         }
-    };
-    let Some(ty) = columns else {
-        m.local_phase(|rank, mem| run(rank, mem).1);
-        return Vec::new();
-    };
-    (m.local_phase_map(run).into_iter())
-        .map(|out| out.unwrap_or_else(|| ScatterOut::new(ty)))
-        .collect()
+        .staged()
+    })
 }
 
-/// One rank's share of [`run_native_forall`]: every box of the rank,
-/// every body — one kernel call. Returns the scatter columns, if the
-/// body is a scatter, and the modelled cost.
+/// One rank's share of [`run_native_forall`]: every box of each space in
+/// turn, every body — one kernel call. A space goes in place when the
+/// rank does and its rows are unit-stride ([`Boxes::unit_stride`]), and
+/// through the stage otherwise. On an in-place rank the alias rule's
+/// proofs hold on the space, so its staged writes land right after it,
+/// the stage first filled with the values they replace (an own-element
+/// read takes its operand there); any other rank hands them back.
 fn run_native_boxes<'p, T: Elem>(
     nr: &NatRank<'_>,
-    lists: &[Vec<i64>],
+    spaces: &[Vec<Vec<i64>>],
     mem: &mut NodeMemory,
     name: impl Fn(ArrId) -> &'p str,
-) -> (Option<ScatterOut>, i64) {
+) -> RankOut {
     let (bodies, nb) = (&nr.bodies, nr.bodies.len());
-    let inner_len = lists.last().expect("a bound rank has a variable").len();
     // Lazily-allocated segments expose no raw slice until their buffer
     // exists (`LocalArray::data`); force every array this phase views.
     for arr in bodies.iter().flat_map(|b| b.sites.arrays()) {
         mem.array_mut(name(arr)).materialize();
     }
-    let tuples: usize = lists.iter().map(|l| l.len()).product();
-    let cost = bodies.iter().map(|b| b.cost).sum::<i64>() * tuples as i64;
+    let tuples = |space: &[Vec<i64>]| space.iter().map(Vec::len).product::<usize>();
+    let total: usize = spaces.iter().map(|space| tuples(space)).sum();
+    let cost = bodies.iter().map(|b| b.cost).sum::<i64>() * total as i64;
     // In-place boxes borrow the written segment mutably next to the
     // shared read views, so it leaves the node memory for the phase.
     let mut lhs = match (&nr.out, nr.direct) {
@@ -206,25 +202,26 @@ fn run_native_boxes<'p, T: Elem>(
         }
         _ => None,
     };
-    // Stage layout: per row of the rank, one dense row per body. A
-    // scatter body is alone, so its stage is the value column in
-    // iteration order, next to the row-major index column.
-    let mut stage = vec![T::default(); if lhs.is_some() { 0 } else { tuples * nb }];
-    let scatter = match &nr.out {
-        NatOut::Scatter { subs } => Some(*subs),
-        NatOut::Owned { .. } => None,
+    let (scatter, dsts) = match &nr.out {
+        NatOut::Scatter { subs } => (Some(*subs), &[][..]),
+        NatOut::Owned { offs, .. } => (None, &offs[..]),
     };
-    let mut index = vec![0i64; tuples * scatter.map_or(0, <[_]>::len)];
+    // Stage layout: per row of a space, one dense row per body; its
+    // owned writes leave it, in commit order, after the space. A scatter
+    // body is alone, so its stage is the value column in iteration
+    // order, next to the row-major index column.
+    let (mut stage, mut index) = (Vec::<T>::new(), Vec::new());
+    let (mut offs, mut vals) = (Vec::new(), Vec::new());
     {
         // In place, the segment splits around what the rank writes: the
         // proofs of `in_place` put every read of it on one side.
-        let (halves, written, base): ([&[T]; 2], &mut [T], usize) = match (&mut lhs, nr.direct) {
+        let (halves, mut written, base): ([&[T]; 2], _, _) = match (&mut lhs, nr.direct) {
             (Some(seg), Some((lo, hi))) => {
                 let (below, rest) = T::slice_mut(seg.data_mut()).split_at_mut(lo);
                 let (written, above) = rest.split_at_mut(hi + 1 - lo);
-                ([below, above], written, lo)
+                ([below, above], Some(written), lo)
             }
-            _ => ([&[], &[]], &mut stage, 0),
+            _ => ([&[], &[]], None, 0),
         };
         let mut boxes: Vec<SiteBoxes<'_, T>> = bodies
             .iter()
@@ -236,79 +233,97 @@ fn run_native_boxes<'p, T: Elem>(
             let boxes = SiteBoxes::<i64>::new(&bodies[0].sites, mem, &name, [&[], &[]]);
             (subs, boxes, Vec::new())
         });
-        nr.for_each_box(lists, |bx| {
-            for (bi, (b, boxes)) in bodies.iter().zip(&mut boxes).enumerate() {
-                let (start, row_step) = match &nr.out {
-                    NatOut::Owned { offs, .. } if nr.direct.is_some() => {
-                        let to = offs[bi].at(bx);
-                        (to.start as usize - base, to.row_step as isize)
+        for space in spaces {
+            let inner_len = space.last().expect("a bound rank has a variable").len();
+            let (walk, n, at0) = (Boxes::new(space), tuples(space), stage.len());
+            let in_place = written.is_some() && walk.unit_stride(&dsts[0]);
+            if !in_place {
+                stage.resize(at0 + n * nb, T::default());
+            }
+            if let (false, Some(seg)) = (in_place, &written) {
+                each_write(&walk, space, dsts, |off, at| stage[at] = seg[off - base]);
+            }
+            index.resize(index.len() + n * scatter.map_or(0, <[_]>::len), 0);
+            walk.for_each(space, |bx| {
+                for (bi, (b, boxes)) in bodies.iter().zip(&mut boxes).enumerate() {
+                    let (data, start, row_step) = match &mut written {
+                        Some(seg) if in_place => {
+                            let to = dsts[bi].at(bx);
+                            (&mut **seg, to.start as usize - base, to.row_step as isize)
+                        }
+                        _ => {
+                            let at = at0 + (bx.row0 * nb + bi) * inner_len + bx.run.pos;
+                            (&mut stage[..], at, (nb * inner_len) as isize)
+                        }
+                    };
+                    let mut out = BoxOut {
+                        data,
+                        start,
+                        row_step,
+                    };
+                    T::kernel(b.func)(&boxes.args(&b.sites, bx), &mut out, &mut pool);
+                }
+                if let Some((subs, boxes, dense)) = &mut index_boxes {
+                    let args = boxes.args(&bodies[0].sites, bx);
+                    let at = (at0 + bx.ordinal(), inner_len);
+                    index_box(subs, &args, &mut index, at, dense, &mut pool);
+                }
+            });
+            if !in_place && scatter.is_none() {
+                each_write(&walk, space, dsts, |off, at| match &mut written {
+                    Some(seg) => seg[off - base] = stage[at],
+                    None => {
+                        offs.push(off as i64);
+                        vals.push(stage[at]);
                     }
-                    _ => (
-                        (bx.row0 * nb + bi) * inner_len + bx.run.pos,
-                        (nb * inner_len) as isize,
-                    ),
-                };
-                let mut out = BoxOut {
-                    data: &mut *written,
-                    start,
-                    row_step,
-                };
-                T::kernel(b.func)(&boxes.args(&b.sites, bx), &mut out, &mut pool);
+                });
+                stage.clear();
             }
-            if let Some((subs, boxes, dense)) = &mut index_boxes {
-                let args = boxes.args(&bodies[0].sites, bx);
-                let at = (bx.ordinal(), inner_len);
-                index_box(subs, &args, &mut index, at, dense, &mut pool);
-            }
-        });
-    }
-    let (arr, offs) = match &nr.out {
-        NatOut::Scatter { .. } => {
-            let out = ScatterOut {
-                subs: index,
-                vals: T::column(stage),
-            };
-            return (Some(out), cost);
         }
-        NatOut::Owned { arr, offs } => (*arr, offs),
-    };
-    if let Some(seg) = lhs {
-        mem.insert_array(name(arr), seg);
-        return (None, cost);
     }
-    // Commit in the element loop's order — tuple by tuple, body by body
-    // within a tuple — so overlapping writes keep their last writer.
-    let seg = T::slice_mut(mem.array_mut(name(arr)).data_mut());
-    let mut dst: Vec<Walk> = Vec::with_capacity(nb);
-    nr.for_each_box(lists, |bx| {
-        dst.clear();
-        dst.extend(offs.iter().map(|off| off.at(bx)));
-        let len = bx.run.len;
+    if let (Some(seg), NatOut::Owned { arr, .. }) = (lhs, &nr.out) {
+        mem.insert_array(name(*arr), seg);
+    }
+    RankOut {
+        offs,
+        vals: T::column(vals),
+        scat: ScatterOut {
+            subs: index,
+            vals: T::column(stage),
+        },
+        ops: cost,
+    }
+}
+
+/// Every owned write of the staged `space` (formed into `walk`) in the
+/// element loop's order — tuple by tuple, body by body within a tuple,
+/// so overlapping writes keep their last writer: its flat offset under
+/// the bodies' write forms `dsts`, and its place in the stage.
+fn each_write(walk: &Boxes, space: &[Vec<i64>], dsts: &[NatAff], mut f: impl FnMut(usize, usize)) {
+    let (nb, inner_len) = (dsts.len(), space.last().map_or(0, Vec::len));
+    let mut to: Vec<Walk> = Vec::with_capacity(nb);
+    walk.for_each(space, |bx| {
+        to.clear();
+        to.extend(dsts.iter().map(|off| off.at(bx)));
         for r in 0..bx.rows.len {
             let at = (bx.row0 + r) * nb * inner_len + bx.run.pos;
-            let row = |to: &Walk| to.start + r as i64 * to.row_step;
-            if let [to @ Walk { step: 1, .. }] = &dst[..] {
-                let start = row(to) as usize;
-                seg[start..start + len].copy_from_slice(&stage[at..at + len]);
-                continue;
-            }
-            for i in 0..len {
-                for (bi, to) in dst.iter().enumerate() {
-                    seg[(row(to) + i as i64 * to.step) as usize] = stage[at + bi * inner_len + i];
+            for i in 0..bx.run.len {
+                for (bi, to) in to.iter().enumerate() {
+                    let off = to.start + r as i64 * to.row_step + i as i64 * to.step;
+                    f(off as usize, at + bi * inner_len + i);
                 }
             }
         }
     });
-    (None, cost)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bind::{FoldedSites, IterBox, NatAff, NatBody, NatSite};
+    use crate::bind::{FoldedSites, IterBox, NatBody, NatSite};
     use crate::native::{match_template, NExpr};
     use f90d_frontend::ast::BinOp;
-    use f90d_machine::LocalArray;
+    use f90d_machine::{ElemType, LocalArray};
 
     /// Test arrays: `A` (id 0, the written one) and `B` (id 1) are 6×12
     /// segments, `C` (id 2) is a 12-vector.
@@ -342,6 +357,20 @@ mod tests {
     /// [`check_box_path`], returning also how many boxes the rank's
     /// iterations formed.
     fn check_boxes(bodies: &[(Site, [Site; 2])], lists: &[Vec<i64>]) -> (bool, usize) {
+        let in_place = check_spaces(bodies, lists, &[lists.to_vec()]);
+        let mut boxes = 0;
+        Boxes::new(lists).for_each(lists, |_| boxes += 1);
+        (in_place, boxes)
+    }
+
+    /// [`check_box_path`] for a rank bound over `lists` that runs the
+    /// parts `spaces` of that space in turn, as one phase, and commits
+    /// what it staged after the last.
+    fn check_spaces(
+        bodies: &[(Site, [Site; 2])],
+        lists: &[Vec<i64>],
+        spaces: &[Vec<Vec<i64>>],
+    ) -> bool {
         let mut mem = NodeMemory::new();
         for (k, name) in NAMES.iter().enumerate() {
             let shape: &[i64] = if k == 2 { &[COLS] } else { &[6, COLS] };
@@ -356,10 +385,12 @@ mod tests {
             .map(|n| mem.array(n).data().as_real_slice().to_vec())
             .collect();
         let mut want = pre[0].clone();
-        for &i in &lists[0] {
-            for &j in &lists[1] {
-                for &(lhs, [r0, r1]) in bodies {
-                    want[at(lhs, i, j)] = pre[r0.0][at(r0, i, j)] + pre[r1.0][at(r1, i, j)];
+        for space in spaces {
+            for &i in &space[0] {
+                for &j in &space[1] {
+                    for &(lhs, [r0, r1]) in bodies {
+                        want[at(lhs, i, j)] = pre[r0.0][at(r0, i, j)] + pre[r1.0][at(r1, i, j)];
+                    }
                 }
             }
         }
@@ -405,17 +436,21 @@ mod tests {
             hi: &hi,
         };
         let nr = NatRank::new(bound, Vec::new(), out, lists, &bx);
-        let (scattered, cost) = run_native_boxes::<f64>(&nr, lists, &mut mem, |a| NAMES[a]);
-        assert!(scattered.is_none(), "owned writes scatter nothing");
-        let tuples = (lists[0].len() * lists[1].len()) as i64;
-        assert_eq!(cost, 3 * bodies.len() as i64 * tuples);
+        let out = run_native_boxes::<f64>(&nr, spaces, &mut mem, |a| NAMES[a]);
+        assert!(out.scat.subs.is_empty(), "owned writes scatter nothing");
+        assert_eq!(
+            out.offs.is_empty(),
+            nr.direct.is_some(),
+            "in place or staged"
+        );
+        let tuples: usize = spaces.iter().map(|s| s[0].len() * s[1].len()).sum();
+        assert_eq!(out.ops, 3 * bodies.len() as i64 * tuples as i64);
+        out.commit("A", &mut mem);
         let got = mem.array("A").data().as_real_slice();
         for (x, (g, w)) in got.iter().zip(&want).enumerate() {
             assert_eq!(g.to_bits(), w.to_bits(), "A[{x}]: {g} vs {w}");
         }
-        let mut boxes = 0;
-        nr.for_each_box(lists, |_| boxes += 1);
-        (nr.direct.is_some(), boxes)
+        nr.direct.is_some()
     }
 
     const A_IJ: Site = (0, 0, [COLS, 1]);
@@ -572,5 +607,29 @@ mod tests {
             &[vec![0, 1, 2, 4], (0..6).collect()],
         );
         assert_eq!((in_place, boxes), (true, 2));
+    }
+
+    /// A rank bound over its whole box runs split-phase as the interior
+    /// of a one-cell margin on both variables, then the boundary slabs —
+    /// the last of them `{first, last}` of the innermost list, a run at
+    /// stride 10 that goes through the stage even on a rank that writes
+    /// in place — and leaves the element loop's writes: in place under
+    /// an own-element read (which the stage must hand the old value) and
+    /// under reads of other arrays, staged under a shifted read.
+    #[test]
+    fn split_phase_spaces_give_the_element_writes() {
+        let lists = [vec![1, 2, 3, 4], (1..COLS).collect::<Vec<i64>>()];
+        let mut margins = f90d_comm::overlap::Margins::new(2);
+        for (var, c) in [(0, 1), (0, -1), (1, 1), (1, -1)] {
+            margins.add(var, c);
+        }
+        let slabs = margins.boundary_slabs(&lists);
+        assert_eq!(slabs[1][1], vec![1, COLS - 1], "the innermost slab");
+        let spaces = [vec![margins.interior_lists(&lists)], slabs].concat();
+        for body in [[A_IJ, B_IJ], [B_IJ, C_J]] {
+            assert!(check_spaces(&[(A_IJ, body)], &lists, &spaces));
+        }
+        let shifted = [(A_IJ, [(0, -1, [COLS, 1]), B_IJ])];
+        assert!(!check_spaces(&shifted, &lists, &spaces));
     }
 }

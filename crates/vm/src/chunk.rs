@@ -32,8 +32,9 @@
 //!
 //! The same driver serves the blocking path and both phases of
 //! split-phase overlap (interior, boundary slabs) — one local phase
-//! function, [`run_phase`] — and the bytecode inspector of an
-//! unstructured read ([`inspect`]).
+//! function, [`run_phase`], whose staged writes ([`RankOut`]) the
+//! engine commits as it commits the native tier's — and the bytecode
+//! inspector of an unstructured read ([`inspect`]).
 //!
 //! FORALL local phases run under the machine's
 //! [`ExecMode`](f90d_machine::ExecMode) — rank by
@@ -42,7 +43,7 @@
 //! own memory. Column buffers are per rank and per call, so the threaded
 //! mode shares nothing.
 
-use f90d_comm::driver::{GatherRequests, ScatterOut};
+use f90d_comm::driver::{GatherRequests, ScatterOut, Spaces};
 use f90d_distrib::{ArrayDimMap, DistKind};
 use f90d_machine::{ArrayData, Machine, NodeMemory, Value};
 use f90d_runtime::DistArray;
@@ -327,48 +328,53 @@ pub(crate) struct ForallCx<'a> {
     pub(crate) resolved: &'a [Vec<Option<ResolvedAcc>>],
 }
 
-/// What one rank's chunk loop produces: its owned writes, staged in
-/// commit order (executed iteration major, body minor), its scatter
+/// What one rank of a FORALL phase stages, on either tier: owned writes
+/// in commit order (executed iteration major, body minor), the scatter
 /// writes for the post-loop schedule, and the modelled cost.
 pub(crate) struct RankOut {
     /// Flat padded offsets into the written segment.
-    offs: Vec<i64>,
+    pub(crate) offs: Vec<i64>,
     /// The values, already of the written array's element type.
-    vals: ArrayData,
+    pub(crate) vals: ArrayData,
     pub(crate) scat: ScatterOut,
-    ops: i64,
+    pub(crate) ops: i64,
 }
 
 impl RankOut {
-    /// Apply the staged writes to the FORALL's destination on this node:
+    /// This rank's share of its phase, and its modelled cost.
+    pub(crate) fn staged(self) -> (Staged, i64) {
+        let ops = self.ops;
+        let staged = !self.offs.is_empty() || !self.scat.vals.is_empty();
+        (staged.then(|| Box::new(self)), ops)
+    }
+
+    /// Apply the staged writes to the segment `arr` names on this node:
     /// the first body assignment's array (lowering rejects mixed-array
     /// owned bodies).
-    pub(crate) fn commit(&self, cx: ForallCx<'_>, mem: &mut NodeMemory) {
-        if self.offs.is_empty() {
-            return;
+    pub(crate) fn commit(&self, arr: &str, mem: &mut NodeMemory) {
+        if !self.offs.is_empty() {
+            let offs = self.offs.iter().map(|&off| off as usize);
+            mem.array_mut(arr).scatter_flat(offs, &self.vals);
         }
-        let arr = mem.array_mut(&cx.prog.arrays[cx.f.body[0].arr].name);
-        arr.scatter_flat(self.offs.iter().map(|&off| off as usize), &self.vals);
     }
 }
 
+/// One rank's share of a FORALL phase: what it staged, if anything (on
+/// the native tier most ranks stage nothing, so the slot is a pointer).
+pub(crate) type Staged = Option<Box<RankOut>>;
+
 /// One local phase of the chunk tier under the machine's `ExecMode`:
 /// every rank runs its iteration spaces `spaces(rank)` — its whole
-/// space, an interior sub-product or its boundary slabs — and `keep`
-/// takes the result on the rank's memory (the blocking path commits
-/// there). The first failing rank's error is the phase's.
-pub(crate) fn run_phase<'s, T: Send>(
+/// space, an interior sub-product or its boundary slabs — and hands back
+/// what it staged. The first failing rank's error is the phase's.
+pub(crate) fn run_phase(
     cx: ForallCx<'_>,
     m: &mut Machine,
-    spaces: impl Fn(usize) -> &'s [Vec<Vec<i64>>] + Sync,
-    keep: impl Fn(RankOut, &mut NodeMemory) -> T + Sync,
-) -> VmResult<Vec<T>> {
+    spaces: &Spaces<'_>,
+) -> VmResult<Vec<Staged>> {
     let results = m.local_phase_map(|rank, mem| {
-        match run_forall_rank(cx, rank, mem, spaces(rank as usize)) {
-            Ok(out) => {
-                let ops = out.ops;
-                (Ok(keep(out, mem)), ops)
-            }
+        match run_forall_rank(cx, rank, mem, spaces(rank as usize)).map(RankOut::staged) {
+            Ok((staged, ops)) => (Ok(staged), ops),
             Err(e) => (Err(e), 0),
         }
     });

@@ -11,7 +11,9 @@
 
 use std::sync::Arc;
 
-use f90d_comm::driver::{self, CommDriver, ComputeSink, GatherRequests, PhaseOutcome, ScatterOut};
+use f90d_comm::driver::{
+    self, CommDriver, ComputeSink, GatherRequests, PhaseOutcome, ScatterOut, Spaces,
+};
 use f90d_comm::sched_cache::RunSchedules;
 use f90d_distrib::Dad;
 use f90d_machine::{ArrayData, Machine, Value};
@@ -20,7 +22,7 @@ use f90d_runtime::DistArray;
 use crate::bind::{bind_native, fold_native, NatRank};
 use crate::boxes::{inspect_boxes, run_native_forall};
 use crate::bytecode::*;
-use crate::chunk::{self, resolve_acc, ForallCx, RankOut, ResolvedAcc};
+use crate::chunk::{self, resolve_acc, ForallCx, ResolvedAcc, Staged};
 use crate::dispatch::{self, VmResult};
 use crate::ops;
 
@@ -65,8 +67,8 @@ pub struct Engine {
     /// FORALL executions dispatched to a native-tier kernel.
     native_matched: u64,
     /// FORALL executions that ran the bytecode element loop instead (no
-    /// kernel selected, a dispatch precondition failed, or the overlap
-    /// split-phase path ran).
+    /// kernel selected, or the bind refused it), blocking or
+    /// split-phase alike.
     native_fallback: u64,
     /// Of the `native_matched`, those in which some rank's owned writes
     /// went through the stage instead of in place.
@@ -440,13 +442,10 @@ impl Engine {
     /// lists are worth keeping.
     ///
     /// Under `overlap`, an eligible stencil ([`dispatch::overlap_plan`])
-    /// runs split-phase (paper §5.1/§7 latency hiding), sequenced by the
-    /// shared [`driver::run_overlap`]: the driver posts the ghost
-    /// exchanges, runs this backend's interior element loop under the
-    /// machine's [`f90d_machine::ExecMode`] while the strips are on the
-    /// wire, completes the exchanges, runs the boundary slabs, and
-    /// commits — array results bit-identical to blocking execution, only
-    /// virtual clocks differ.
+    /// runs split-phase (paper §5.1/§7 latency hiding): the shared
+    /// [`driver::run_overlap`] posts the ghost exchanges around the
+    /// interior and boundary phases of the one runner ([`VmSink`]), on
+    /// either tier. Array results are those of blocking execution.
     fn exec_forall(
         &mut self,
         fi: u16,
@@ -512,46 +511,41 @@ impl Engine {
             lists: &iter_lists,
             resolved: &self.accs,
         };
-        if let Some((specs, margins)) = split {
-            // Split-phase boundary/interior execution always runs the
-            // bytecode chunk loop.
-            self.native_fallback += 1;
-            let phases = Vec::new();
-            let mut sink = VmSink { cx, phases };
-            return driver::run_overlap(m, &specs, &margins, &iter_lists, &mut sink);
-        }
         // Native tier: when lowering selected a kernel and every rank's
         // dispatch preconditions hold, the box kernels run instead of
         // the bytecode chunk loop — in the inspector below too.
         let folded = f.native.map(|kid| fold_native(&prog.natives[kid], cx));
         let bound = (folded.as_ref()).and_then(|folded| bind_native(folded.as_ref(), cx));
+        if let Some(bound) = &bound {
+            self.native_matched += 1;
+            self.native_staged += bound.iter().flatten().any(NatRank::staged) as u64;
+        } else {
+            self.native_fallback += 1;
+        }
         // Unstructured reads: inspector + vectorized executor.
         for (gi, g) in f.gathers.iter().enumerate() {
             let src = &self.arrays[g.src];
             exec_gather(cx, src, &mut self.sched, gi, g, m, bound.as_deref())?;
         }
-        let dst = &self.arrays[f.body[0].arr];
-        let scatter = f.body.iter().find_map(|b| b.scatter);
-        let scatter_out: Vec<ScatterOut> = if let Some(bound) = bound {
-            self.native_matched += 1;
-            self.native_staged += bound.iter().flatten().any(NatRank::staged) as u64;
-            let columns = scatter.map(|_| dst.ty);
-            run_native_forall(cx, m, &bound, columns)
-        } else {
-            self.native_fallback += 1;
-            // Main loop: one local phase, each rank committing its
-            // staged owned writes after its last chunk (RHS-before-LHS
-            // within the rank).
-            let spaces = |r: usize| std::slice::from_ref(&iter_lists[r]);
-            chunk::run_phase(cx, m, spaces, |out, mem| {
-                out.commit(cx, mem);
-                out.scat
-            })?
+        let mut sink = VmSink {
+            cx,
+            bound: bound.as_deref(),
+            staged: Vec::new(),
         };
-        // Post-loop scatter (paper §4 cases 3/4).
-        if let Some(invertible) = scatter {
-            let (name, dad) = (&dst.name, &dst.dad);
-            driver::scatter(m, &mut self.sched, name, dad, &scatter_out, invertible)?;
+        if let Some((specs, margins)) = split {
+            driver::run_overlap(m, &specs, &margins, &iter_lists, &mut sink)?;
+        } else {
+            sink.phase(m, &|r| std::slice::from_ref(&iter_lists[r]))?;
+            sink.commit(m)?;
+        }
+        // Post-loop scatter (paper §4 cases 3/4), of the one phase such a
+        // FORALL runs (split-phase execution takes owned writes only).
+        if let Some(invertible) = f.body.iter().find_map(|b| b.scatter) {
+            let dst = &self.arrays[f.body[0].arr];
+            let outs: Vec<ScatterOut> = (sink.staged.into_iter().flatten())
+                .map(|out| out.map_or_else(|| ScatterOut::new(dst.ty), |out| out.scat))
+                .collect();
+            driver::scatter(m, &mut self.sched, &dst.name, &dst.dad, &outs, invertible)?;
         }
         Ok(())
     }
@@ -623,39 +617,37 @@ fn exec_gather(
     Ok(reqs.execute(m, sched, &tmp.name, tmp.ty, g.local_only)?)
 }
 
-/// The engine's [`ComputeSink`]: the comm driver decides
-/// *when* ghost exchanges post, complete, and commit; this sink runs the
-/// interior/boundary chunk loops ([`chunk::run_phase`], uncommitted)
-/// under the machine's `ExecMode` via `local_phase_map`, which charges
-/// interior ranks as usual and each rank's boundary slabs as one summed
-/// lump (the order of the additions is part of the clock's bits, pinned
-/// by the `overlap` lines of `corpus/*.virt`).
+/// The engine's one FORALL runner, and its [`ComputeSink`]: a blocking
+/// execution is one phase over each rank's whole space, then the commit;
+/// a split-phase one is an interior and a boundary phase the comm driver
+/// sequences. A phase runs the box kernels where the FORALL is `bound`
+/// ([`run_native_forall`]), the chunk loop otherwise
+/// ([`chunk::run_phase`]), each rank charged one lump.
 struct VmSink<'a> {
     cx: ForallCx<'a>,
+    bound: Option<&'a [Option<NatRank<'a>>]>,
     /// What each phase run so far staged, in order, per rank.
-    phases: Vec<Vec<RankOut>>,
+    staged: Vec<Vec<Staged>>,
 }
 
 impl ComputeSink for VmSink<'_> {
     type Error = VmError;
 
-    fn interior(&mut self, m: &mut Machine, lists: &[Vec<Vec<i64>>]) -> VmResult<()> {
-        let spaces = |r: usize| std::slice::from_ref(&lists[r]);
-        let staged = chunk::run_phase(self.cx, m, spaces, |out, _| out)?;
-        self.phases.push(staged);
-        Ok(())
-    }
-
-    fn boundary(&mut self, m: &mut Machine, slabs: &[Vec<Vec<Vec<i64>>>]) -> VmResult<()> {
-        let staged = chunk::run_phase(self.cx, m, |r| &slabs[r], |out, _| out)?;
-        self.phases.push(staged);
+    fn phase(&mut self, m: &mut Machine, spaces: &Spaces<'_>) -> VmResult<()> {
+        self.staged.push(match self.bound {
+            Some(bound) => run_native_forall(self.cx, m, bound, spaces),
+            None => chunk::run_phase(self.cx, m, spaces)?,
+        });
         Ok(())
     }
 
     fn commit(&mut self, m: &mut Machine) -> VmResult<()> {
-        for staged in std::mem::take(&mut self.phases) {
+        let arr = &self.cx.prog.arrays[self.cx.f.body[0].arr].name;
+        for staged in &self.staged {
             for (out, mem) in staged.iter().zip(&mut m.mems) {
-                out.commit(self.cx, mem);
+                if let Some(out) = out {
+                    out.commit(arr, mem);
+                }
             }
         }
         Ok(())
