@@ -686,8 +686,9 @@ fn exp_commplan(args: &Args) -> Vec<Report> {
 /// and gaussian at P ∈ {16 … 4096} on hypercube vs torus vs fat tree,
 /// each cell with the per-link contention model off and on. Exits 1
 /// unless contention never improves a modelled time, every
-/// contention-off curve is monotone in P, and jacobi's weak-scaling
-/// efficiency at P = 256 stays above the committed floor. `--quick` caps
+/// contention-off curve is monotone in P, jacobi's weak-scaling
+/// efficiency at P = 256 stays above the committed floor, and gaussian's
+/// fat-tree contention slowdown stays under its cap at every P. `--quick` caps
 /// gaussian at P ≤ 256 (jacobi still covers 4096 — the CI proof that a
 /// 4096-rank machine fits); `--out scaling.json` is an `f90d-scaling/v1`
 /// document.
@@ -739,6 +740,10 @@ fn exp_scaling(args: &Args) -> Vec<Report> {
             "jacobi_eff_floor_p256",
             Json::Num(scaling::JACOBI_EFF_FLOOR_P256),
         ),
+        (
+            "fattree_gaussian_slowdown_cap",
+            Json::Num(scaling::FATTREE_GAUSSIAN_SLOWDOWN_CAP),
+        ),
         ("gates", Json::Obj(gates)),
     ];
     let state: Vec<String> = (sweep.gates.iter())
@@ -748,8 +753,9 @@ fn exp_scaling(args: &Args) -> Vec<Report> {
         "scaling",
         sweep.holds(),
         &format!(
-            "contention never improves, curves monotone in P, jacobi efficiency(P=256) >= {:.2} on every topology: yes",
-            scaling::JACOBI_EFF_FLOOR_P256
+            "contention never improves, curves monotone in P, jacobi efficiency(P=256) >= {:.2} on every topology, fat-tree gaussian slowdown <= {:.1}x: yes",
+            scaling::JACOBI_EFF_FLOOR_P256,
+            scaling::FATTREE_GAUSSIAN_SLOWDOWN_CAP
         ),
         format!("SCALING CLAIM VIOLATED: {}", state.join(" ")),
     );

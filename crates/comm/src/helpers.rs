@@ -1,5 +1,5 @@
 //! Shared machinery: owned-local enumeration, the one split-phase
-//! point-to-point operation, and binomial trees.
+//! point-to-point operation, and the collective trees.
 //!
 //! Every primitive vectorizes its messages — all elements travelling
 //! between one (source, destination) pair are packed into a single message
@@ -12,14 +12,15 @@
 //! the arrival times) and unpacks. Shifts, ghost exchanges, comm phases,
 //! `transfer`, `concatenation`, redistribution and the schedule executors
 //! all run through it; the blocking [`exchange`] wrapper is post-then-
-//! finish with nothing in between. The binomial trees ([`tree_broadcast`],
-//! [`tree_reduce`]) have stage dependencies, so they complete every
-//! message inside the call.
+//! finish with nothing in between. The trees ([`tree_broadcast`] along
+//! the topology-shaped [`broadcast_plan`], the binomial [`tree_reduce`])
+//! have stage dependencies, so they complete every message inside the
+//! call.
 
 use std::ops::Range;
 
 use f90d_distrib::Dad;
-use f90d_machine::{ArrayData, Machine, RecvHandle, Transport};
+use f90d_machine::{ArrayData, Machine, RecvHandle, Topology, Transport};
 
 use crate::op::{CommError, CommResult};
 
@@ -344,9 +345,112 @@ pub fn exchange(m: &mut Machine, src: &str, dst: &str, plan: &ExchangePlan) -> C
     op.finish(m)
 }
 
-/// Binomial-tree broadcast of a payload from `members[root_pos]` to every
-/// member, `O(log F)` message stages. `store` is invoked on every member
-/// (including the root) to deposit the payload into that node's memory.
+/// The edges of a broadcast from `members[root_pos]`, as `(from, to)`
+/// positions in `members` in sending order: `members.len() - 1` edges,
+/// each member but the root receiving once, from a member that already
+/// holds the payload.
+///
+/// One rule, applied at each nesting level of `topology`
+/// ([`Topology::nest_widths`], outermost first) and last with every
+/// member a subtree of its own: split the group into runs of consecutive
+/// members in one subtree; order the runs from the holder's, wrapping
+/// around in member order; broadcast over one representative per run
+/// (the holder for its own run, the first member for every other) with
+/// a binomial, in which representative `t` receives in round
+/// `⌊log2 t⌋`; then apply the rule inside each run. With no nesting
+/// level this is the rotated binomial over all members. Members in
+/// ascending rank order, as every caller passes them, make each run a
+/// whole subtree, so only a subtree's representatives' messages leave
+/// it: on a fat tree at most `arity - 1` edges turn at any one switch
+/// (have it as their lowest common switch).
+pub fn broadcast_plan(
+    members: &[i64],
+    root_pos: usize,
+    topology: &Topology,
+) -> Vec<(usize, usize)> {
+    assert!(root_pos < members.len());
+    let mut edges = Vec::with_capacity(members.len() - 1);
+    let widths = topology.nest_widths();
+    plan_group(members, 0..members.len(), root_pos, widths, &mut edges);
+    edges
+}
+
+/// The node a binomial's node `t > 0` receives from: `t` without its
+/// highest bit, in round `⌊log2 t⌋`. Listing the nodes in increasing
+/// `t` lists the rounds in order.
+fn binomial_parent(t: usize) -> usize {
+    t - (1 << t.ilog2())
+}
+
+/// Append the edges of the broadcast over `members[group]` held by
+/// position `holder`, nested along `widths` ([`broadcast_plan`]'s rule).
+fn plan_group(
+    members: &[i64],
+    group: Range<usize>,
+    holder: usize,
+    mut widths: impl Iterator<Item = i64> + Clone,
+    edges: &mut Vec<(usize, usize)>,
+) {
+    let Some(width) = widths.next() else {
+        // Every member its own run: the binomial over the group rotated
+        // to start at the holder, in index arithmetic.
+        let n = group.len();
+        let node = |i: usize| match holder + i {
+            at if at < group.end => at,
+            at => at - n,
+        };
+        edges.extend((1..n).map(|t| (node(binomial_parent(t)), node(t))));
+        return;
+    };
+    let runs = || subtree_runs(members, group.clone(), width);
+    let own = runs()
+        .find(|run| run.contains(&holder))
+        .expect("holder in group");
+    // The other runs in rotated order: after the holder's, then before.
+    let others = || {
+        let after = runs().filter(|run| run.start > own.start);
+        after.chain(runs().take_while(|run| run.start < own.start))
+    };
+    // Representative t > 0 is the receiver of this level's edge t - 1.
+    let first = edges.len();
+    for (t, run) in (1..).zip(others()) {
+        let from = match binomial_parent(t) {
+            0 => holder,
+            s => edges[first + s - 1].1,
+        };
+        edges.push((from, run.start));
+    }
+    plan_group(members, own.clone(), holder, widths.clone(), edges);
+    for run in others() {
+        plan_group(members, run.clone(), run.start, widths.clone(), edges);
+    }
+}
+
+/// The maximal runs of consecutive positions of `group` whose members
+/// lie in one subtree of `width` leaves, in member order.
+fn subtree_runs(
+    members: &[i64],
+    group: Range<usize>,
+    width: i64,
+) -> impl Iterator<Item = Range<usize>> + '_ {
+    let mut start = group.start;
+    std::iter::from_fn(move || {
+        if start == group.end {
+            return None;
+        }
+        let lo = members[start] / width * width;
+        let len = (members[start..group.end].iter())
+            .take_while(|&&r| (lo..lo + width).contains(&r))
+            .count();
+        start += len;
+        Some(start - len..start)
+    })
+}
+
+/// Broadcast of a payload from `members[root_pos]` to every member along
+/// [`broadcast_plan`]'s tree for the machine's topology, `O(log F)`
+/// message stages. `store` is invoked on every member (including the
+/// root) to deposit the payload into that node's memory.
 ///
 /// Stages depend on each other, so the tree completes within this call
 /// (zero-width overlap window); each edge is still a posted
@@ -358,30 +462,18 @@ pub fn tree_broadcast(
     payload: ArrayData,
     mut store: impl FnMut(&mut Machine, i64, &ArrayData),
 ) -> CommResult<()> {
-    let f = members.len();
-    assert!(root_pos < f);
+    let plan = broadcast_plan(members, root_pos, &m.spec().topology);
     let tag = m.fresh_tag();
     store(m, members[root_pos], &payload);
-    if f <= 1 {
-        return Ok(());
-    }
     let bytes = payload.len() as i64 * payload.elem_type().bytes();
-    let rel = |pos: usize| members[(root_pos + pos) % f];
-    let mut step = 1;
-    while step < f {
-        for s in 0..step.min(f - step) {
-            let t = s + step;
-            if t < f {
-                let (from, to) = (rel(s), rel(t));
-                m.transport.charge_copy(from, bytes);
-                m.transport.post_send(from, to, tag, payload.clone());
-                let h = m.transport.post_recv(to, from, tag);
-                let got = m.transport.complete(h)?;
-                m.transport.charge_copy(to, bytes);
-                store(m, to, &got);
-            }
-        }
-        step *= 2;
+    for (s, t) in plan {
+        let (from, to) = (members[s], members[t]);
+        m.transport.charge_copy(from, bytes);
+        m.transport.post_send(from, to, tag, payload.clone());
+        let h = m.transport.post_recv(to, from, tag);
+        let got = m.transport.complete(h)?;
+        m.transport.charge_copy(to, bytes);
+        store(m, to, &got);
     }
     Ok(())
 }
@@ -695,6 +787,93 @@ mod tests {
         // above 3.
         assert!(m.elapsed() < 6.0 * (alpha + 50e-6));
         assert!(m.elapsed() > 3.0 * alpha);
+    }
+
+    /// One of every topology family, each with at least 16 ranks.
+    fn every_family() -> Vec<Topology> {
+        vec![
+            Topology::Hypercube,
+            Topology::Mesh2D { rows: 4, cols: 4 },
+            Topology::Crossbar,
+            Topology::Torus { dims: vec![4, 4] },
+            Topology::FatTree {
+                arity: 4,
+                levels: 2,
+            },
+            Topology::FatTree {
+                arity: 3,
+                levels: 3,
+            },
+            Topology::FatTree {
+                arity: 2,
+                levels: 4,
+            },
+        ]
+    }
+
+    #[test]
+    fn every_plan_is_a_spanning_tree_in_causal_order() {
+        // The whole 16-rank machine, a column of its 4×4 grid, one
+        // member, and an unaligned run of 11.
+        let groups: [Vec<i64>; 4] = [
+            (0..16).collect(),
+            vec![1, 5, 9, 13],
+            vec![7],
+            (3..14).collect(),
+        ];
+        for topology in every_family() {
+            for members in &groups {
+                for root in 0..members.len() {
+                    let plan = broadcast_plan(members, root, &topology);
+                    let what = format!("{topology:?} {members:?} root {root}: {plan:?}");
+                    assert_eq!(plan.len(), members.len() - 1, "{what}");
+                    let mut holds = vec![false; members.len()];
+                    holds[root] = true;
+                    for &(from, to) in &plan {
+                        assert!(holds[from], "sender {from} before it received: {what}");
+                        assert!(!holds[to], "{to} received twice: {what}");
+                        holds[to] = true;
+                    }
+                    assert!(holds.iter().all(|&h| h), "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn flat_families_keep_the_rotated_binomial() {
+        // Rounds of the binomial over [4, 5, 0, 1, 2, 3]: 4→5; 4→0,
+        // 5→1; 4→2, 5→3.
+        let golden = [(4, 5), (4, 0), (5, 1), (4, 2), (5, 3)];
+        let members: Vec<i64> = (0..6).collect();
+        let flat = every_family()
+            .into_iter()
+            .filter(|t| t.nest_widths().count() == 0);
+        for topology in flat {
+            assert_eq!(broadcast_plan(&members, 4, &topology), golden);
+        }
+        // A fat tree of one switch level has nothing to nest in either.
+        let one_switch = Topology::FatTree {
+            arity: 8,
+            levels: 1,
+        };
+        assert_eq!(broadcast_plan(&members, 4, &one_switch), golden);
+    }
+
+    #[test]
+    fn fat_tree_plan_crosses_the_root_switch_arity_minus_one_times() {
+        // From rank 0, a binomial over the rank list sends its last two
+        // rounds, 192 messages, through the root switch.
+        let (arity, levels) = (4, 4);
+        let topology = Topology::FatTree { arity, levels };
+        let members: Vec<i64> = (0..arity.pow(levels as u32)).collect();
+        for root in 0..members.len() {
+            let plan = broadcast_plan(&members, root, &topology);
+            let through_root = (plan.iter())
+                .filter(|&&(s, t)| topology.hops(members[s], members[t]) == 2 * levels)
+                .count();
+            assert_eq!(through_root, arity as usize - 1, "root {root}");
+        }
     }
 
     #[test]

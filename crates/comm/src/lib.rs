@@ -15,9 +15,15 @@
 //! sends one message per processor pair, so the ghost exchanges of a
 //! whole comm phase coalesce into one wire transfer per pair
 //! (PARTI-style aggregation, paper §7 optimization 1 across statement
-//! boundaries). The binomial trees (multicast, reductions, the broadcast
-//! half of concatenation) have stage dependencies and complete every
-//! message inside the call. Completion faults surface as [`CommError`]s
+//! boundaries). The trees (multicast, reductions, the broadcast half of
+//! concatenation) have stage dependencies and complete every message
+//! inside the call. Every broadcast runs [`helpers::broadcast_plan`]'s
+//! tree, which nests along the machine's switch levels
+//! ([`f90d_machine::Topology::nest_widths`]): subtree-local on a fat
+//! tree, the rotated binomial over the member list everywhere else.
+//! Reductions combine up a binomial toward the first member. This is
+//! where the machine knowledge lives; the generated code only names the
+//! collective. Completion faults surface as [`CommError`]s
 //! rather than panics, and a failed finish still completes every other
 //! posted receive.
 //!
@@ -27,7 +33,7 @@
 //! * [`structured::transfer`] — single source grid line to single
 //!   destination grid line (Fig. 4a);
 //! * [`structured::multicast`] — broadcast along a grid dimension
-//!   (Fig. 4b), binomial tree, `O(log P)` stages;
+//!   (Fig. 4b), along the topology's broadcast tree, `O(log P)` stages;
 //! * `overlap_shift` ([`driver::ghost_exchange`]) — shift boundary strips
 //!   into the receiver's *overlap areas* (ghost cells) when the shift
 //!   amount is a compile-time constant, avoiding intra-processor copies;

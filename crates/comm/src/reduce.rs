@@ -182,15 +182,10 @@ fn allreduce_payloads(
     m.stats.record("reduce");
     assert_eq!(members.len(), payloads.len());
     let combined = tree_reduce(m, members, payloads, combine)?;
-    let mut slots: Vec<Option<ArrayData>> = vec![None; members.len()];
-    tree_broadcast(m, members, 0, combined, |_, rank, data| {
-        let pos = members.iter().position(|&r| r == rank).unwrap();
-        slots[pos] = Some(data.clone());
-    })?;
-    Ok(slots
-        .into_iter()
-        .map(|s| s.expect("broadcast reached every member"))
-        .collect())
+    // The broadcast charges the down leg; every member receives the
+    // same combined payload, so nothing needs depositing per rank.
+    tree_broadcast(m, members, 0, combined.clone(), |_, _, _| {})?;
+    Ok(vec![combined; members.len()])
 }
 
 /// Allreduce over **all** nodes of the machine.

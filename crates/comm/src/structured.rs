@@ -129,7 +129,10 @@ pub fn transfer(
 
 /// `multicast` (paper §5.3.1 example 2, Fig. 4b): broadcast the slab
 /// `src[.., src_g, ..]` from its owner grid line along the grid axis of
-/// `dim`, into `tmp` on every node. Binomial tree per fiber: `O(log P)`.
+/// `dim`, into `tmp` on every node. One broadcast per fiber, along
+/// [`crate::helpers::broadcast_plan`]'s tree for the machine's topology
+/// (subtree-local on a fat tree, the rotated binomial elsewhere):
+/// `O(log P)` stages.
 pub fn multicast(
     m: &mut Machine,
     src: &str,

@@ -9,7 +9,9 @@ use serde::{Deserialize, Serialize};
 
 /// Physical interconnect shape, used for hop counting, for link-level
 /// routing ([`Topology::route`](crate::net) in `f90d_machine::net`) and
-/// for choosing the natural collective trees.
+/// for shaping the broadcast trees: [`Topology::nest_widths`] names the
+/// subtrees a broadcast keeps its traffic inside, and `f90d_comm`'s
+/// broadcast planner nests its tree along them.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Topology {
     /// Binary hypercube of `2^dim` nodes (iPSC/860, nCUBE/2). Hop distance
@@ -73,6 +75,23 @@ impl Topology {
             }
             Topology::FatTree { arity, levels } => 2 * Self::fat_tree_lca(*arity, *levels, a, b),
         }
+    }
+
+    /// The nesting levels a broadcast tree follows, outermost first: the
+    /// leaf counts of the subtrees under each switch level below the
+    /// root. Ranks `a` and `b` share the subtree of width `w` when
+    /// `a / w == b / w`, and traffic between them never climbs above it.
+    ///
+    /// A fat tree of `arity^levels` leaves gives `arity^(levels-1), …,
+    /// arity`. Every other family gives nothing: it has no switch
+    /// hierarchy to nest in, so its broadcast is the flat binomial over
+    /// the member list (on the hypercube, the paper's own tree).
+    pub fn nest_widths(&self) -> impl Iterator<Item = i64> + Clone {
+        let (arity, levels) = match self {
+            Topology::FatTree { arity, levels } => (*arity, *levels),
+            _ => (1, 1),
+        };
+        (1..levels).rev().map(move |l| arity.pow(l as u32))
     }
 
     /// Decompose rank `r` into row-major torus coordinates (last
@@ -348,6 +367,23 @@ mod tests {
         assert_eq!(t.hops(0, 5), 4); // meet at level 2
         assert_eq!(t.hops(0, 63), 6); // opposite corners: through the root
         assert_eq!(t.hops(63, 0), 6);
+    }
+
+    #[test]
+    fn only_the_fat_tree_nests() {
+        let widths = |t: Topology| t.nest_widths().collect::<Vec<_>>();
+        let fat = |arity, levels| Topology::FatTree { arity, levels };
+        assert_eq!(widths(fat(4, 4)), [64, 16, 4]);
+        assert_eq!(widths(fat(3, 2)), [3]);
+        for flat in [
+            fat(2, 1),
+            Topology::Hypercube,
+            Topology::Crossbar,
+            Topology::Mesh2D { rows: 4, cols: 4 },
+            Topology::Torus { dims: vec![4, 4] },
+        ] {
+            assert!(widths(flat.clone()).is_empty(), "{flat:?}");
+        }
     }
 
     #[test]
