@@ -3,7 +3,7 @@
 //! ```text
 //! repro [--exp all|t1|t2|t3|fig5|table4|fig6|port|vmcmp|overlap|commplan|scaling|abl-shift|abl-sched|abl-fuse|abl-overlap|matrix]
 //!       [--n <matrix size>] [--quick]
-//!       [--jobs N] [--exec sequential|threaded] [--workers N]
+//!       [--jobs N]
 //!       [--out results.json] [--baseline results.json] [--wall-tol F]
 //!       [--repeat N] [--no-sched-cache] [--no-native] [--gate F]
 //! ```
@@ -40,7 +40,7 @@ use f90d_bench::workloads;
 use f90d_core::detect::{classify_pair, classify_subscript, DimAlign};
 use f90d_core::{compile, CompileOptions, RunTrace};
 use f90d_frontend::ast::{BinOp, Expr};
-use f90d_machine::{ExecMode, MachineSpec};
+use f90d_machine::MachineSpec;
 use serde::json::Json;
 
 /// The parsed command line.
@@ -50,8 +50,6 @@ struct Args {
     n: Option<i64>,
     quick: bool,
     jobs: usize,
-    exec: ExecMode,
-    workers: Option<usize>,
     out: Option<String>,
     /// Path and parsed document of `--baseline`.
     baseline: Option<(String, Json)>,
@@ -107,8 +105,6 @@ const FLAGS: &[Flag] = &[
     Flag { name: "--n", expects: "a matrix size >= 1", set: |a, v| put(&mut a.n, at_least(v, 1).map(Some)) },
     Flag { name: "--quick", expects: "", set: |a, _| put(&mut a.quick, Some(true)) },
     Flag { name: "--jobs", expects: "a worker count >= 1", set: |a, v| put(&mut a.jobs, at_least(v, 1)) },
-    Flag { name: "--exec", expects: "`sequential` or `threaded`", set: |a, v| put(&mut a.exec, ExecMode::parse(v)) },
-    Flag { name: "--workers", expects: "a worker-budget total >= 1", set: |a, v| put(&mut a.workers, at_least(v, 1).map(Some)) },
     Flag { name: "--out", expects: "a file path", set: |a, v| put(&mut a.out, Some(Some(v.into()))) },
     Flag { name: "--baseline", expects: "a readable results.json", set: |a, v| put(&mut a.baseline, read_baseline(v).map(Some)) },
     Flag { name: "--wall-tol", expects: "a slowdown factor (e.g. 3.0)", set: |a, v| put(&mut a.wall_tol, v.parse().ok().map(Some)) },
@@ -128,8 +124,6 @@ struct Entry {
 
 const MATRIX_FLAGS: &[&str] = &[
     "--jobs",
-    "--exec",
-    "--workers",
     "--out",
     "--baseline",
     "--wall-tol",
@@ -316,16 +310,11 @@ fn num(x: i64) -> Json {
 /// cache must not move a single virtual bit — while wall clock is
 /// reported and only gated under `--wall-tol <factor>`.
 ///
-/// `--exec threaded` runs every cell's local phases on its machine's
-/// persistent worker pool; `--workers N` sets the process-wide budget
-/// the cells lease pool workers from (default: host parallelism), so
-/// `--jobs J --exec threaded` never runs more than N pool threads
-/// however `J × P` multiplies out — cells that lease nothing degrade to
-/// sequential. `--no-sched-cache` makes every cell rebuild its inspector
-/// schedules and `--no-native` runs every FORALL on the bytecode element
-/// loop. Virtual metrics are bit-identical under all of them — the flags
-/// exist to measure and to bisect host-side misbehaviour; the per-cell
-/// counters they move land in `results.json`, never gated.
+/// `--no-sched-cache` makes every cell rebuild its inspector schedules
+/// and `--no-native` runs every FORALL on the bytecode element loop.
+/// Virtual metrics are bit-identical under either — the flags exist to
+/// measure and to bisect host-side misbehaviour; the per-cell counters
+/// they move land in `results.json`, never gated.
 fn exp_matrix(args: &Args) -> Vec<Report> {
     let scale = if args.quick {
         harness::Scale::Quick
@@ -337,19 +326,16 @@ fn exp_matrix(args: &Args) -> Vec<Report> {
         jobs: args.jobs,
         scale,
         sched_cache: args.sched_cache,
-        exec: args.exec,
-        budget: args.workers,
         native: args.native,
     };
     let on_off = |on| if on { "on" } else { "off" };
     let header = format!(
-        "# matrix: {} cells, {} jobs, suite {}, {} run(s), schedule cache {}, exec {}, native kernels {}",
+        "# matrix: {} cells, {} jobs, suite {}, {} run(s), schedule cache {}, native kernels {}",
         cells.len(),
         args.jobs,
         scale.name(),
         args.repeat,
         on_off(args.sched_cache),
-        args.exec.name(),
         on_off(args.native)
     );
     let one_run = |run: usize| {
@@ -364,14 +350,6 @@ fn exp_matrix(args: &Args) -> Vec<Report> {
             per_cell_wall,
             100.0 * per_cell_wall / (m.wall_s * m.jobs as f64)
         ));
-        if m.exec == ExecMode::Threaded {
-            rep.log.push(format!(
-                "# exec threaded: worker budget {}, {} of {} cells ran pooled (rest degraded to sequential)",
-                m.worker_budget,
-                m.cells.iter().filter(|c| c.trace.workers > 0).count(),
-                m.cells.len()
-            ));
-        }
         // `name=total` for every counter of one group of the trace.
         let totals = |prefix: &str| {
             let names = RunTrace::default().counters();

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use f90d_core::{compile, CompileOptions, ExecReport, OptFlags, RunTrace};
 use f90d_distrib::ProcGrid;
-use f90d_machine::{ArrayData, ExecMode, Machine, MachineSpec};
+use f90d_machine::{ArrayData, Machine, MachineSpec};
 
 use crate::handwritten::ge_handwritten;
 use crate::harness::{spec_of, MACHINES};
@@ -481,28 +481,4 @@ pub fn portability(n: i64, p: i64) -> Vec<(String, f64)> {
     .into_iter()
     .map(|spec| (spec.name.clone(), ge_compiled_time(n, p, &spec)))
     .collect()
-}
-
-/// Threaded-executor smoke check: the Jacobi program runs identically in
-/// Sequential and Threaded local-phase modes (hand-written runtime path).
-pub fn threaded_equivalence(n: i64, p: i64) -> bool {
-    use f90d_distrib::DistKind;
-    use f90d_machine::{ElemType, Value};
-    use f90d_runtime::DistArray;
-    let run = |mode: ExecMode| {
-        let mut m = Machine::with_mode(MachineSpec::ideal(), ProcGrid::new(&[p]), mode);
-        let a = DistArray::create(&mut m, "A", ElemType::Real, &[n], &[DistKind::Block]);
-        a.fill_with(&mut m, |g| Value::Real(g[0] as f64));
-        m.local_phase(|rank, mem| {
-            let arr = mem.array_mut("A");
-            let cnt = arr.shape[0];
-            for l in 0..cnt {
-                let v = arr.get(&[l]).as_real();
-                arr.set(&[l], Value::Real(v * 2.0 + rank as f64));
-            }
-            cnt * 2
-        });
-        a.gather_host(&mut m)
-    };
-    run(ExecMode::Sequential) == run(ExecMode::Threaded)
 }

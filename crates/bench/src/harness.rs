@@ -25,7 +25,7 @@ use std::time::Instant;
 
 use f90d_core::{compile, CompileOptions, ExecReport, RunTrace};
 use f90d_distrib::ProcGrid;
-use f90d_machine::{budget, ExecMode, Machine, MachineSpec};
+use f90d_machine::{Machine, MachineSpec};
 use serde::json::Json;
 
 use crate::report::{shape_text, Report, Val};
@@ -116,9 +116,8 @@ pub struct CellResult {
     pub wall_s: f64,
     /// The run's cache outcomes and tier counts. Informational, never
     /// gated: they explain host time and move no gated metric, and some
-    /// (which cell of a key group lowers or builds a schedule, how many
-    /// pool workers a cell was granted) depend on worker scheduling —
-    /// only their totals over a run are deterministic.
+    /// (which cell of a key group lowers or builds a schedule) depend on
+    /// job scheduling — only their totals over a run are deterministic.
     pub trace: RunTrace,
 }
 
@@ -131,11 +130,6 @@ pub struct MatrixReport {
     pub jobs: usize,
     /// Wall clock of the whole run.
     pub wall_s: f64,
-    /// Local-phase execution mode the cells ran under.
-    pub exec: ExecMode,
-    /// Worker-budget total at run time (`repro --workers`, default host
-    /// parallelism). Threaded cells lease pool workers from this pot.
-    pub worker_budget: usize,
     /// Per-cell results, in canonical matrix order.
     pub cells: Vec<CellResult>,
 }
@@ -224,16 +218,11 @@ pub fn matrix(scale: Scale) -> Vec<Cell> {
 }
 
 /// Compile and run one cell on its own fresh [`Machine`], under `cfg`'s
-/// schedule-cache, execution-mode and native-tier settings (every gated
-/// metric is identical under any of them). A threaded cell leases up to
-/// P pool workers from the process-wide `f90d_machine::budget` for the
-/// duration of the run — the machine (and with it the pool and its
-/// lease) is dropped when this returns, normally or by panic, so a
-/// crashed cell can never leak budget.
+/// schedule-cache and native-tier settings (every gated metric is
+/// identical under either).
 pub fn run_cell(cell: &Cell, cfg: &MatrixConfig) -> CellResult {
     let mut opts = CompileOptions::on_grid(&cell.grid);
     opts.sched_cache = cfg.sched_cache;
-    opts.exec_mode = Some(cfg.exec);
     opts.opt.native_kernels = cfg.native;
     let compiled =
         compile(&cell.source(), &opts).unwrap_or_else(|e| panic!("{} compiles: {e}", cell.id()));
@@ -250,25 +239,17 @@ pub fn run_cell(cell: &Cell, cfg: &MatrixConfig) -> CellResult {
     }
 }
 
-/// How [`run_matrix`] runs a matrix: worker count, suite name,
-/// schedule-cache toggle, local-phase execution mode, worker budget.
+/// How [`run_matrix`] runs a matrix: job count, suite name,
+/// schedule-cache and native-tier toggles.
 #[derive(Debug, Clone)]
 pub struct MatrixConfig {
-    /// Harness job workers (cells run concurrently).
+    /// Harness job threads (cells run concurrently).
     pub jobs: usize,
     /// Suite preset recorded in the report — the one the cells were
     /// built with ([`diff_baseline`] refuses cross-suite comparisons).
     pub scale: Scale,
     /// Consult the cross-run schedule cache (`--no-sched-cache` off).
     pub sched_cache: bool,
-    /// Local-phase execution mode per cell (`repro --exec`).
-    pub exec: ExecMode,
-    /// When `Some`, set the process-wide worker-budget total before the
-    /// run (`repro --workers N`); `None` leaves it at its current value
-    /// (default: host parallelism). Threaded cells lease pool workers
-    /// per cell and degrade to sequential when the pot is empty, so
-    /// `jobs × per-cell workers` never exceeds this total.
-    pub budget: Option<usize>,
     /// Native kernel tier on (`repro --no-native` turns it off).
     pub native: bool,
 }
@@ -280,28 +261,19 @@ impl MatrixConfig {
             jobs: 1,
             scale,
             sched_cache: true,
-            exec: ExecMode::Sequential,
-            budget: None,
             native: true,
         }
     }
 }
 
-/// Run `cells` on `cfg.jobs` workers; results come back in canonical
-/// (input) order regardless of execution interleaving.
+/// Run `cells` on `cfg.jobs` job threads; results come back in
+/// canonical (input) order regardless of execution interleaving.
 ///
-/// The workers share one cursor over the cells: each takes the next
+/// The job threads share one cursor over the cells: each takes the next
 /// index with a `fetch_add` until the cursor passes the end, so every
-/// cell runs exactly once and no worker ever waits on another.
-/// With `exec = Threaded` every cell leases pool workers from the
-/// process-wide budget for its machine's local phases, so the host runs
-/// at most `budget` pool threads no matter how `jobs × P` multiplies
-/// out; cells that lease nothing run sequentially — bit-identically.
+/// cell runs exactly once and no job thread ever waits on another.
 pub fn run_matrix(cells: &[Cell], cfg: &MatrixConfig) -> MatrixReport {
     let jobs = cfg.jobs.max(1);
-    if let Some(total) = cfg.budget {
-        budget::global().set_total(total);
-    }
     let t0 = Instant::now();
 
     let next = AtomicUsize::new(0);
@@ -323,8 +295,6 @@ pub fn run_matrix(cells: &[Cell], cfg: &MatrixConfig) -> MatrixReport {
         suite: cfg.scale.name(),
         jobs,
         wall_s: t0.elapsed().as_secs_f64(),
-        exec: cfg.exec,
-        worker_budget: budget::global().total(),
         cells: slots
             .into_iter()
             .map(|s| s.into_inner().expect("every cell ran"))
@@ -373,8 +343,6 @@ pub fn report(rep: &MatrixReport) -> Report {
         ("schema", Json::Str("f90d-results/v2".into())),
         ("suite", Json::Str(rep.suite.into())),
         ("jobs", Json::Num(rep.jobs as f64)),
-        ("exec", Json::Str(rep.exec.name().into())),
-        ("worker_budget", Json::Num(rep.worker_budget as f64)),
         ("wall_s", Json::Num(rep.wall_s)),
         ("cache", pair(hits, misses)),
         (

@@ -30,25 +30,25 @@ fn expect_exit_2(args: &[&str], frag: &str) {
 }
 
 #[test]
-fn zero_jobs_and_workers_exit_2() {
+fn zero_jobs_exit_2() {
     expect_exit_2(&["--jobs", "0"], "--jobs expects a worker count >= 1");
     expect_exit_2(&["--jobs", "-3"], "--jobs expects");
     expect_exit_2(&["--jobs", "lots"], "--jobs expects");
-    expect_exit_2(
-        &["--workers", "0"],
-        "--workers expects a worker-budget total >= 1",
-    );
-    expect_exit_2(&["--workers", "x"], "--workers expects");
 }
 
 #[test]
 fn other_bad_flags_still_exit_2() {
     expect_exit_2(&["--repeat", "0"], "--repeat expects");
-    expect_exit_2(&["--exec", "warp-speed"], "--exec expects");
     expect_exit_2(&["--frobnicate"], "unknown argument");
     // There is one executor: the flag that chose between two is gone.
     expect_exit_2(&["--backend", "treewalk"], "unknown argument --backend");
     expect_exit_2(&["--backend", "vm"], "unknown argument --backend");
+    // Local phases run one way, so the flags that chose threads and
+    // budgeted them are gone too.
+    for value in ["threaded", "sequential"] {
+        expect_exit_2(&["--exec", value], "unknown argument --exec");
+    }
+    expect_exit_2(&["--workers", "4"], "unknown argument --workers");
 }
 
 /// The fixed-cell experiments reject every flag they would ignore.
@@ -132,7 +132,9 @@ fn help_prints_usage_and_exits_0() {
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(stdout.starts_with("repro [--exp "), "{flag}: {stdout:?}");
         assert!(stdout.contains("--baseline results.json"), "{stdout:?}");
-        assert!(!stdout.contains("--native"), "{stdout:?}");
+        for gone in ["--native", "--exec", "--workers"] {
+            assert!(!stdout.contains(gone), "{gone}: {stdout:?}");
+        }
         assert!(!stdout.contains("//!"), "doc markers leaked: {stdout:?}");
         assert!(out.stderr.is_empty());
     }

@@ -99,11 +99,6 @@ pub struct RunTrace {
     pub sched_hits: u64,
     /// Cross-run schedule-cache misses (inspector builds performed).
     pub sched_misses: u64,
-    /// Pool workers the machine held for this run's local phases (0 =
-    /// sequential, either by mode or because the process-wide worker
-    /// budget was exhausted when the machine leased). Serve telemetry
-    /// and `results.json` report this per request/cell.
-    pub workers: usize,
     /// FORALL executions dispatched to a native-tier kernel.
     /// Informational — the tiers are bit-identical on every virtual
     /// metric.
@@ -144,11 +139,10 @@ impl RunTrace {
     /// (`results.json` nests the groups). A counter added to the trace
     /// is added here, and every reader — `results.json`, the `repro`
     /// stderr totals, `--exp vmcmp` — carries it.
-    pub fn counters(&self) -> [(&'static str, u64); 11] {
+    pub fn counters(&self) -> [(&'static str, u64); 10] {
         [
             ("sched_hits", self.sched_hits),
             ("sched_misses", self.sched_misses),
-            ("workers", self.workers as u64),
             ("native_kernels.matched", self.native_matched),
             ("native_kernels.fallback", self.native_fallback),
             ("native_kernels.staged", self.native_staged),
@@ -183,7 +177,6 @@ impl Compiled {
                 program_cache_hit: Some(hit),
                 sched_hits: eng.sched.hits(),
                 sched_misses: eng.sched.misses(),
-                workers: m.workers(),
                 native_matched,
                 native_fallback,
                 native_staged: eng.native_staged(),
@@ -223,7 +216,6 @@ impl Compiled {
         eng.sched.use_global = self.options.sched_cache;
         eng.overlap = self.options.opt.comm_compute_overlap;
         eng.plan = self.options.opt.comm_plan;
-        eng.exec = self.options.exec_mode;
         Ok((eng, hit))
     }
 

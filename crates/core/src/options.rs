@@ -117,16 +117,9 @@ pub struct CompileOptions {
     /// changes — and [`OptFlags::schedule_reuse`] (the per-run §7(3)
     /// optimization, which *does* shape virtual time) stays independent.
     pub sched_cache: bool,
-    /// Local-phase execution mode applied to the machine when this
-    /// program runs (`repro --exec`). `None` (the default) respects
-    /// whatever mode the caller configured on the
-    /// [`Machine`](f90d_machine::Machine); `Some(mode)` makes
-    /// [`Compiled::run_on`](crate::Compiled::run_on) switch the machine
-    /// via `Machine::set_exec`, leasing threaded workers from the
-    /// process-wide budget. Purely a host-execution choice: every
-    /// virtual metric (and the lowered bytecode — this field is
-    /// deliberately **not** part of the VM program-cache key) is
-    /// identical across modes.
+    /// Local-phase execution mode (one value; see [`ExecMode`]). No run
+    /// reads it: the field and [`CompileOptions::with_exec`] remain only
+    /// because `benchmark/` names them (ROADMAP item 1(e) deletes both).
     pub exec_mode: Option<ExecMode>,
 }
 
@@ -157,7 +150,8 @@ impl CompileOptions {
         self
     }
 
-    /// Same options with an explicit local-phase execution mode.
+    /// Same options with the given execution mode (one value; see
+    /// [`ExecMode`]).
     pub fn with_exec(mut self, mode: ExecMode) -> Self {
         self.exec_mode = Some(mode);
         self

@@ -3,32 +3,26 @@
 //! clocks and message / byte counts — and agree with the sequential
 //! reference interpreter on arrays and PRINT, on every workload shape
 //! the paper's evaluation uses (Jacobi, Gaussian elimination, FFT
-//! butterfly, irregular), in both local-phase execution modes. (Until
-//! PR 21 the first side of each comparison was the tree-walking
-//! executor; the bytecode tier took its place and the reference
-//! comparison was added.)
+//! butterfly, irregular). (Until PR 21 the first side of each
+//! comparison was the tree-walking executor; the bytecode tier took its
+//! place and the reference comparison was added.)
 
 mod common;
 
 use common::{observe, reference, Observed, Tier};
 use f90d_core::{compile, vm_cache, CompileOptions, RunTrace};
 use f90d_distrib::ProcGrid;
-use f90d_machine::{ArrayData, ExecMode, Machine, MachineSpec};
+use f90d_machine::{ArrayData, Machine, MachineSpec};
 use f90d_progen::workloads::{fft_butterfly, gaussian, irregular, jacobi};
 
-fn run_tier(src: &str, grid: &[i64], arrays: &[&str], tier: Tier, mode: ExecMode) -> Observed {
-    // Threaded runs must get a real pool even on single-core CI hosts,
-    // where the default worker budget would degrade them to sequential.
-    f90d_machine::budget::global().ensure_total_at_least(8);
-    observe(src, grid, arrays, tier, mode).expect("runs").0
+fn run_tier(src: &str, grid: &[i64], arrays: &[&str], tier: Tier) -> Observed {
+    observe(src, grid, arrays, tier).expect("runs").0
 }
 
 fn assert_tiers_agree(name: &str, src: &str, grid: &[i64], arrays: &[&str]) {
-    let bytecode = run_tier(src, grid, arrays, Tier::Bytecode, ExecMode::Sequential);
-    for mode in [ExecMode::Sequential, ExecMode::Threaded] {
-        let native = run_tier(src, grid, arrays, Tier::Native, mode);
-        assert_eq!(bytecode, native, "{name} ({mode:?}): the tiers differ");
-    }
+    let bytecode = run_tier(src, grid, arrays, Tier::Bytecode);
+    let native = run_tier(src, grid, arrays, Tier::Native);
+    assert_eq!(bytecode, native, "{name}: the tiers differ");
     let (want, printed) = reference(src, grid, arrays);
     assert_eq!(
         bytecode.arrays, want,
@@ -116,7 +110,7 @@ END
 ";
     assert_tiers_agree("do-overflow", src, &[4], &["A"]);
     let want = vec!["UP 2 6.000000".to_string(), "DOWN 2".to_string()];
-    let native = run_tier(src, &[4], &["A"], Tier::Native, ExecMode::Sequential);
+    let native = run_tier(src, &[4], &["A"], Tier::Native);
     assert_eq!(native.printed, want);
 }
 
@@ -167,8 +161,7 @@ END
 "
         );
         for tier in [Tier::Bytecode, Tier::Native] {
-            let err = observe(&src, &[2], &[], tier, ExecMode::Sequential)
-                .expect_err("the stride faults");
+            let err = observe(&src, &[2], &[], tier).expect_err("the stride faults");
             assert_eq!(err, WANT, "{tier:?}, stride {stride}");
         }
         let (answer, asked) = std::sync::mpsc::channel();
@@ -204,7 +197,7 @@ FORALL (I=K+1:N, J=K+1:N) A(I,J) = A(I,K)*A(K,J)
 END
 ";
     assert_tiers_agree("row slab", src, &[2, 2], &["A"]);
-    let native = run_tier(src, &[2, 2], &["A"], Tier::Native, ExecMode::Sequential);
+    let native = run_tier(src, &[2, 2], &["A"], Tier::Native);
     let want: Vec<f64> = (1..=8)
         .flat_map(|i| (1..=8).map(move |j| (i, j)))
         .map(|(i, j)| match i.min(j) {
@@ -311,9 +304,7 @@ END
         let reference =
             f90d_core::reference::run_reference(&compiled.analyzed, &Default::default())
                 .expect("the reference interpreter runs");
-        let run = |tier| -> (Observed, RunTrace) {
-            observe(src, &[4], &[], tier, ExecMode::Sequential).expect("runs")
-        };
+        let run = |tier| -> (Observed, RunTrace) { observe(src, &[4], &[], tier).expect("runs") };
         let (bytecode, _) = run(Tier::Bytecode);
         for tier in [Tier::Bytecode, Tier::Native] {
             let (seen, t) = run(tier);

@@ -3,11 +3,11 @@
 //! dispatch over typed columns, and nothing observable may tell — arrays
 //! and every padded cell of them on every rank, every rank clock by
 //! bits, messages, bytes and PRINT equal the native tier's (and the
-//! arrays the sequential reference interpreter's), sequential and
-//! threaded; a masked-out iteration evaluates nothing; writes commit in
-//! iteration order; and a fault is the element loop's fault — the first
-//! faulting iteration's first faulting operation, in the same words,
-//! with nothing of the rank committed.
+//! arrays the sequential reference interpreter's); a masked-out
+//! iteration evaluates nothing; writes commit in iteration order; and a
+//! fault is the element loop's fault — the first faulting iteration's
+//! first faulting operation, in the same words, with nothing of the
+//! rank committed.
 //!
 //! Every program here runs with `native_kernels = false`
 //! ([`Tier::Bytecode`]), so each FORALL is on the chunk evaluator
@@ -26,25 +26,22 @@ use f90d_core::reference::run_reference;
 use f90d_core::{compile, vmlower, CompileOptions};
 use f90d_distrib::ProcGrid;
 use f90d_frontend::ast::BinOp;
-use f90d_machine::{budget, ExecMode, Machine, MachineSpec, Value};
+use f90d_machine::{Machine, MachineSpec, Value};
 
 /// The evaluator's chunk length.
 const CHUNK: i64 = 512;
 
-/// `src` on `grid`: the chunk evaluator, sequential and threaded, shows
-/// what the default tiers show, and — with `reference` — leaves the
-/// arrays the reference interpreter leaves.
+/// `src` on `grid`: the chunk evaluator shows what the default tiers
+/// show, and — with `reference` — leaves the arrays the reference
+/// interpreter leaves.
 fn agree(label: &str, src: &str, grid: &[i64], arrays: &[&str], reference: bool) -> Observed {
-    budget::global().ensure_total_at_least(8);
-    let run = |tier, exec| {
-        observe(src, grid, arrays, tier, exec)
+    let run = |tier| {
+        observe(src, grid, arrays, tier)
             .unwrap_or_else(|e| panic!("{label}: {tier:?} failed: {e}\n{src}"))
     };
-    let (vm, tr) = run(Tier::Bytecode, ExecMode::Sequential);
+    let (vm, tr) = run(Tier::Bytecode);
     assert_eq!(tr.native_matched, 0, "{label}: the native tier is off");
-    let (thr, _) = run(Tier::Bytecode, ExecMode::Threaded);
-    assert_eq!(vm, thr, "{label}: sequential vs threaded\n{src}");
-    let (nat, _) = run(Tier::Native, ExecMode::Sequential);
+    let (nat, _) = run(Tier::Native);
     assert_eq!(vm, nat, "{label}: bytecode vs the default tiers\n{src}");
     if reference {
         let compiled = compile(src, &CompileOptions::on_grid(grid)).expect("compiles");
@@ -60,17 +57,12 @@ fn agree(label: &str, src: &str, grid: &[i64], arrays: &[&str], reference: bool)
     vm
 }
 
-/// `src` faults: every tier returns `want`, word for word, sequential
-/// and threaded, and leaves nothing in flight (`observe` checks).
+/// `src` faults: every tier returns `want`, word for word, and leaves
+/// nothing in flight (`observe` checks).
 fn faults(label: &str, src: &str, grid: &[i64], want: &str) {
-    budget::global().ensure_total_at_least(8);
-    for (tier, exec) in [
-        (Tier::Bytecode, ExecMode::Sequential),
-        (Tier::Bytecode, ExecMode::Threaded),
-        (Tier::Native, ExecMode::Sequential),
-    ] {
-        let err = observe(src, grid, &[], tier, exec).expect_err("the program faults");
-        assert_eq!(err, want, "{label} on {tier:?} ({exec:?})\n{src}");
+    for tier in [Tier::Bytecode, Tier::Native] {
+        let err = observe(src, grid, &[], tier).expect_err("the program faults");
+        assert_eq!(err, want, "{label} on {tier:?}\n{src}");
     }
 }
 
@@ -291,10 +283,9 @@ fn foralls(spmd: &mut SProgram) -> Vec<&mut f90d_core::ir::ForallNode> {
 /// Run a node program (edited by hand after compilation, so that it
 /// holds what the compiler never emits) on the bytecode tier: the
 /// result, and the machine it left.
-fn run_ir(spmd: &SProgram, grid: &[i64], exec: ExecMode) -> (Result<(), String>, Machine) {
-    budget::global().ensure_total_at_least(8);
+fn run_ir(spmd: &SProgram, grid: &[i64]) -> (Result<(), String>, Machine) {
     let prog = Arc::new(vmlower::lower_with(spmd, false).expect("lowers"));
-    let mut m = Machine::with_mode(MachineSpec::ipsc860(), ProcGrid::new(grid), exec);
+    let mut m = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(grid));
     let vm = f90d_vm::Engine::new(prog, &mut m).run(&mut m);
     (vm.map(|_| ()).map_err(|e| e.0), m)
 }
@@ -345,32 +336,30 @@ END
     let split = compiled_ir(src, &[4]);
     let mut spmd = split.clone();
     merge_last_two_foralls(&mut spmd);
-    for exec in [ExecMode::Sequential, ExecMode::Threaded] {
-        let (vm, m_vm) = run_ir(&spmd, &[4], exec);
-        vm.expect("bytecode runs");
-        for rank in 0..4 {
-            let a_vm = m_vm.mems[rank].array("A");
-            // Two rows a rank, 2 x 299 = 598 tuples: more than a chunk.
-            for (l, i) in [(0, 2 * rank as i64 + 1), (1, 2 * rank as i64 + 2)] {
-                for j in 1..=300i64 {
-                    let want = if j < 300 {
-                        (i * 1000 + j) as f64
-                    } else {
-                        -((i * 1000 + 299) as f64)
-                    };
-                    assert_eq!(a_vm.get(&[l, j - 1]), Value::Real(want), "A({i},{j})");
-                }
+    let (vm, m_vm) = run_ir(&spmd, &[4]);
+    vm.expect("bytecode runs");
+    for rank in 0..4 {
+        let a_vm = m_vm.mems[rank].array("A");
+        // Two rows a rank, 2 x 299 = 598 tuples: more than a chunk.
+        for (l, i) in [(0, 2 * rank as i64 + 1), (1, 2 * rank as i64 + 2)] {
+            for j in 1..=300i64 {
+                let want = if j < 300 {
+                    (i * 1000 + j) as f64
+                } else {
+                    -((i * 1000 + 299) as f64)
+                };
+                assert_eq!(a_vm.get(&[l, j - 1]), Value::Real(want), "A({i},{j})");
             }
         }
-        // One FORALL of two bodies costs what the two FORALLs cost (one
-        // charge per rank in place of two: equal to the last bit or so).
-        let (_, m_split) = run_ir(&split, &[4], exec);
-        for (two, one) in m_split.transport.clocks.iter().zip(&m_vm.transport.clocks) {
-            assert!(
-                (two - one).abs() <= 4.0 * f64::EPSILON * two,
-                "the two bodies charge as the two statements did ({exec:?}): {two} vs {one}"
-            );
-        }
+    }
+    // One FORALL of two bodies costs what the two FORALLs cost (one
+    // charge per rank in place of two: equal to the last bit or so).
+    let (_, m_split) = run_ir(&split, &[4]);
+    for (two, one) in m_split.transport.clocks.iter().zip(&m_vm.transport.clocks) {
+        assert!(
+            (two - one).abs() <= 4.0 * f64::EPSILON * two,
+            "the two bodies charge as the two statements did: {two} vs {one}"
+        );
     }
 }
 
@@ -398,11 +387,9 @@ END
 ";
     let mut spmd = compiled_ir(src, &[4]);
     merge_last_two_foralls(&mut spmd);
-    for exec in [ExecMode::Sequential, ExecMode::Threaded] {
-        // Body 1 divides by zero at J = 30, body 2 at J = 10.
-        let (result, _) = run_ir(&spmd, &[4], exec);
-        assert_eq!(result.unwrap_err(), "integer MOD by zero", "{exec:?}");
-    }
+    // Body 1 divides by zero at J = 30, body 2 at J = 10.
+    let (result, _) = run_ir(&spmd, &[4]);
+    assert_eq!(result.unwrap_err(), "integer MOD by zero");
 }
 
 /// `x + c` of a subscript expression.
@@ -442,11 +429,11 @@ END
 ";
     let mut cyclic = compiled_ir(&src.replace("{dist}", "CYCLIC"), &[4]);
     shift_read(&mut foralls(&mut cyclic)[0].body[0], 1);
-    let (result, _) = run_ir(&cyclic, &[4], ExecMode::Sequential);
+    let (result, _) = run_ir(&cyclic, &[4]);
     assert_eq!(result.unwrap_err(), "rank 0 reads unowned element [1] of B");
     let mut block = compiled_ir(&src.replace("{dist}", "BLOCK"), &[4]);
     shift_read(&mut foralls(&mut block)[0].body[0], 3);
-    let (result, _) = run_ir(&block, &[4], ExecMode::Sequential);
+    let (result, _) = run_ir(&block, &[4]);
     assert_eq!(
         result.unwrap_err(),
         "rank 0 reads outside the padded segment of B at [4]"
@@ -570,7 +557,6 @@ END
 /// its phases on the box kernels.
 #[test]
 fn split_phase_runs_interior_and_boundary_through_the_chunk_loop() {
-    budget::global().ensure_total_at_least(8);
     let src = "
 PROGRAM OVERLAP
 INTEGER, PARAMETER :: N = 64
@@ -590,16 +576,15 @@ END DO
 END
 ";
     let arrays = ["A", "B"];
-    let overlap = |tier, exec| {
-        observe_with(src, &[2, 2], &arrays, tier, exec, &|opts| {
+    let overlap = |tier| {
+        observe_with(src, &[2, 2], &arrays, tier, &|opts| {
             opts.opt.comm_compute_overlap = true;
         })
         .unwrap_or_else(|e| panic!("{tier:?} failed: {e}"))
     };
-    let (vm, tr) = overlap(Tier::Bytecode, ExecMode::Sequential);
+    let (vm, tr) = overlap(Tier::Bytecode);
     assert!(tr.native_fallback > 0 && tr.native_matched == 0);
-    assert_eq!(vm, overlap(Tier::Bytecode, ExecMode::Threaded).0);
-    let (nat, nat_tr) = overlap(Tier::Native, ExecMode::Sequential);
+    let (nat, nat_tr) = overlap(Tier::Native);
     assert_eq!(
         (nat_tr.native_matched, nat_tr.native_fallback),
         (4, 4),

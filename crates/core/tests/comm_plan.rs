@@ -9,7 +9,6 @@ mod common;
 use common::{observe_with, Observed, Tier};
 use f90d_core::ir::{PhaseRole, SStmt};
 use f90d_core::{compile, CompileOptions};
-use f90d_machine::ExecMode;
 
 /// Three co-aligned arrays, three consecutive shift stencils per sweep
 /// (the planner's showcase shape), then copy-backs.
@@ -248,11 +247,9 @@ END
 // ---- execution: the plan must be invisible in results -----------------------
 
 fn run(src: &str, grid: &[i64], tier: Tier, plan: bool, arrays: &[&str]) -> Observed {
-    observe_with(src, grid, arrays, tier, ExecMode::Sequential, &|opts| {
-        opts.opt.comm_plan = plan
-    })
-    .unwrap_or_else(|e| panic!("{e}\n{src}"))
-    .0
+    observe_with(src, grid, arrays, tier, &|opts| opts.opt.comm_plan = plan)
+        .unwrap_or_else(|e| panic!("{e}\n{src}"))
+        .0
 }
 
 #[test]
@@ -316,14 +313,9 @@ fn check_hoist(src: &str, grid: &[i64], arrays: &[&str], expected_hoisted: usize
         .count();
     assert_eq!(hoisted, expected_hoisted, "wrong hoist count\n{src}");
     let with_hoist = |hoist: bool| {
-        observe_with(
-            src,
-            grid,
-            arrays,
-            Tier::Native,
-            ExecMode::Sequential,
-            &|opts| opts.opt.hoist_invariant_comm = hoist,
-        )
+        observe_with(src, grid, arrays, Tier::Native, &|opts| {
+            opts.opt.hoist_invariant_comm = hoist
+        })
         .unwrap_or_else(|e| panic!("{e}\n{src}"))
         .0
     };

@@ -4,7 +4,7 @@
 
 use f90d_core::{compile, CompileOptions, RunTrace};
 use f90d_distrib::ProcGrid;
-use f90d_machine::{ArrayData, ExecMode, Machine, MachineSpec, Value};
+use f90d_machine::{ArrayData, Machine, MachineSpec, Value};
 
 /// Everything one run shows: the gathered arrays, every padded cell of
 /// them on every rank (so a copy along a replicated grid axis counts),
@@ -59,9 +59,8 @@ pub fn observe(
     grid: &[i64],
     arrays: &[&str],
     tier: Tier,
-    exec: ExecMode,
 ) -> Result<(Observed, RunTrace), String> {
-    observe_with(src, grid, arrays, tier, exec, &|_| {})
+    observe_with(src, grid, arrays, tier, &|_| {})
 }
 
 /// [`observe`] with `tweak` applied to the compile options first (an
@@ -71,11 +70,10 @@ pub fn observe_with(
     grid: &[i64],
     arrays: &[&str],
     tier: Tier,
-    exec: ExecMode,
     tweak: &dyn Fn(&mut CompileOptions),
 ) -> Result<(Observed, RunTrace), String> {
     let spec = MachineSpec::ipsc860();
-    observe_on(&spec, src, grid, arrays, tier, exec, tweak)
+    observe_on(&spec, src, grid, arrays, tier, tweak)
 }
 
 /// [`observe_with`] on another machine model.
@@ -85,14 +83,13 @@ pub fn observe_on(
     grid: &[i64],
     arrays: &[&str],
     tier: Tier,
-    exec: ExecMode,
     tweak: &dyn Fn(&mut CompileOptions),
 ) -> Result<(Observed, RunTrace), String> {
     let mut opts = CompileOptions::on_grid(grid);
     opts.opt.native_kernels = matches!(tier, Tier::Native);
     tweak(&mut opts);
     let compiled = compile(src, &opts).unwrap_or_else(|e| panic!("compile failed: {e}\n{src}"));
-    let mut m = Machine::with_mode(spec.clone(), ProcGrid::new(grid), exec);
+    let mut m = Machine::new(spec.clone(), ProcGrid::new(grid));
     let (rep, trace) = compiled.run_on_traced(&mut m).map_err(|e| {
         f90d_comm::driver::quiesce(&mut m).expect("a failed run leaks nothing in flight");
         e.to_string()

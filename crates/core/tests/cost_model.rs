@@ -17,7 +17,7 @@
 mod common;
 
 use common::{observe, Tier};
-use f90d_machine::{ExecMode, MachineSpec};
+use f90d_machine::MachineSpec;
 
 const SRC: &str = "
 PROGRAM COST
@@ -69,7 +69,7 @@ fn charges(r: i64) -> Vec<i64> {
 fn local_computation_is_charged_by_the_documented_rule() {
     let spec = MachineSpec::ipsc860();
     for tier in [Tier::Bytecode, Tier::Native] {
-        let (seen, _) = observe(SRC, &[4], &[], tier, ExecMode::Sequential).expect("runs");
+        let (seen, _) = observe(SRC, &[4], &[], tier).expect("runs");
         assert_eq!((seen.messages, seen.bytes), (0, 0), "no communication");
         for r in 0..4 {
             let want = (charges(r).iter()).fold(0.0, |clock, &n| clock + spec.compute_time(n));

@@ -16,7 +16,7 @@ use common::{observe, observe_with, Tier};
 use f90d_core::reference::run_reference;
 use f90d_core::{compile, CompileOptions, RunTrace};
 use f90d_distrib::ProcGrid;
-use f90d_machine::{budget, ArrayData, ExecMode, Machine, MachineSpec};
+use f90d_machine::{ArrayData, Machine, MachineSpec};
 use f90d_progen::workloads::jacobi;
 
 /// Run with the native tier on or off; return gathered images + report metrics +
@@ -27,21 +27,10 @@ fn run_vm(
     arrays: &[&str],
     native: bool,
 ) -> (Vec<ArrayData>, f64, u64, u64, Vec<String>, RunTrace) {
-    run_vm_mode(src, grid, arrays, native, ExecMode::Sequential)
-}
-
-/// [`run_vm`] under a chosen local-phase execution mode.
-fn run_vm_mode(
-    src: &str,
-    grid: &[i64],
-    arrays: &[&str],
-    native: bool,
-    exec: ExecMode,
-) -> (Vec<ArrayData>, f64, u64, u64, Vec<String>, RunTrace) {
     let mut opts = CompileOptions::on_grid(grid);
     opts.opt.native_kernels = native;
     let compiled = compile(src, &opts).unwrap_or_else(|e| panic!("compile failed: {e}\n{src}"));
-    let mut m = Machine::with_mode(MachineSpec::ipsc860(), ProcGrid::new(grid), exec);
+    let mut m = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(grid));
     let (rep, trace) = compiled.run_on_traced(&mut m).expect("runs");
     let eng = compiled.engine_preserving(&mut m).expect("lowers");
     let imgs = arrays
@@ -447,27 +436,23 @@ fn instantiate(case: &IrregularCase) -> String {
 
 /// The irregular path against every other evaluator of the language:
 /// native ≡ bytecode in arrays, every copy of them, PRINT,
-/// every rank clock, messages and bytes, sequential and threaded, with
-/// the arrays also matching the sequential reference interpreter.
+/// every rank clock, messages and bytes, with the arrays also matching
+/// the sequential reference interpreter.
 #[test]
 fn irregular_shapes_agree_with_every_other_tier() {
-    budget::global().ensure_total_at_least(8);
     for case in IRREGULAR_CASES {
         let (label, src) = (case.label, instantiate(case));
-        let run = |tier, exec| {
-            observe(&src, case.grid, case.arrays, tier, exec)
+        let run = |tier| {
+            observe(&src, case.grid, case.arrays, tier)
                 .unwrap_or_else(|e| panic!("{label}: {tier:?} failed: {e}\n{src}"))
         };
-        let (nat, tr) = run(Tier::Native, ExecMode::Sequential);
+        let (nat, tr) = run(Tier::Native);
         assert_eq!(
             (tr.native_matched, tr.native_fallback),
             (case.native, case.bytecode),
             "{label}: FORALL executions (native, bytecode)\n{src}"
         );
-        let (thr, thr_tr) = run(Tier::Native, ExecMode::Threaded);
-        assert_eq!(thr_tr.native_matched, tr.native_matched, "{label}");
-        assert_eq!(nat, thr, "{label}: sequential vs threaded\n{src}");
-        let (vm, vm_tr) = run(Tier::Bytecode, ExecMode::Sequential);
+        let (vm, vm_tr) = run(Tier::Bytecode);
         assert_eq!(vm_tr.native_matched, 0, "{label}");
         assert_eq!(nat, vm, "{label}: native vs bytecode\n{src}");
         if !case.reference {
@@ -530,7 +515,7 @@ FORALL (I=1:N{mask}) A(U(I)) = B(V(I)) + C(I)
 END
 "
                     );
-                    let (_, tr) = observe(&src, grid, &[], Tier::Native, ExecMode::Sequential)
+                    let (_, tr) = observe(&src, grid, &[], Tier::Native)
                         .unwrap_or_else(|e| panic!("{e}\n{src}"));
                     let safe_divisor = !matches!(div, "(-1)" | "D");
                     let one_rank = grid == [1];
@@ -604,8 +589,7 @@ END
 "
         );
         for tier in [Tier::Native, Tier::Bytecode] {
-            let err = observe(&src, &[4], &["A"], tier, ExecMode::Sequential)
-                .expect_err("the program faults");
+            let err = observe(&src, &[4], &["A"], tier).expect_err("the program faults");
             assert_eq!(err, want, "{label} on {tier:?}\n{src}");
         }
         if reference {
@@ -682,33 +666,29 @@ const OVERLAP_CASES: &[(&str, &str, bool)] = &[
 
 /// Split-phase execution on the native tier against the bytecode tier
 /// under overlap — arrays, every padded cell, every rank clock by bits,
-/// messages, bytes, PRINT — sequential and threaded, and against the
-/// arrays of blocking execution, whose clocks it must not share (the
-/// interior hid wire time, so the split really ran).
+/// messages, bytes, PRINT — and against the arrays of blocking
+/// execution, whose clocks it must not share (the interior hid wire
+/// time, so the split really ran).
 #[test]
 fn overlap_stencils_dispatch_native_and_agree() {
-    budget::global().ensure_total_at_least(8);
     for &(label, stmt, staged) in OVERLAP_CASES {
         let src = format!(
             "PROGRAM OV{PROLOGUE_2D}FORALL (I=2:N-1, J=2:N-1) {stmt}\nPRINT *, SUM(A), SUM(U)\nEND\n"
         );
-        let run = |tier, exec, overlap| {
+        let run = |tier, overlap| {
             let tweak = |opts: &mut CompileOptions| opts.opt.comm_compute_overlap = overlap;
-            observe_with(&src, &[2, 2], &["A", "U"], tier, exec, &tweak)
+            observe_with(&src, &[2, 2], &["A", "U"], tier, &tweak)
                 .unwrap_or_else(|e| panic!("{label}: {tier:?} failed: {e}\n{src}"))
         };
-        let (nat, tr) = run(Tier::Native, ExecMode::Sequential, true);
+        let (nat, tr) = run(Tier::Native, true);
         assert_eq!(
             (tr.native_matched, tr.native_fallback, tr.native_staged),
             (5, 0, staged as u64),
             "{label}: every FORALL should dispatch native\n{src}"
         );
-        let (vm, _) = run(Tier::Bytecode, ExecMode::Sequential, true);
+        let (vm, _) = run(Tier::Bytecode, true);
         assert_eq!(nat, vm, "{label}: native vs bytecode under overlap\n{src}");
-        let (thr, thr_tr) = run(Tier::Native, ExecMode::Threaded, true);
-        assert_eq!(nat, thr, "{label}: sequential vs threaded\n{src}");
-        assert_eq!(thr_tr.native_staged, staged as u64, "{label}");
-        let (blocking, _) = run(Tier::Native, ExecMode::Sequential, false);
+        let (blocking, _) = run(Tier::Native, false);
         assert_eq!(nat.arrays, blocking.arrays, "{label}: overlap vs blocking");
         assert_eq!(nat.cells, blocking.cells, "{label}: ghost cells included");
         assert_ne!(nat.clocks, blocking.clocks, "{label}: the split ran");
@@ -1075,11 +1055,10 @@ fn box_source(case: &BoxCase) -> String {
 /// shape dispatches native on every FORALL execution, stages exactly
 /// where the alias rule has no proof, and is bit-identical — arrays,
 /// every padded cell of every copy, PRINT, every rank clock, messages,
-/// bytes — to the bytecode tier, sequential and threaded, with the
-/// arrays also matching the sequential reference interpreter.
+/// bytes — to the bytecode tier, with the arrays also matching the
+/// sequential reference interpreter.
 #[test]
 fn box_kernels_agree_with_every_other_tier() {
-    budget::global().ensure_total_at_least(8);
     for case in BOX_CASES {
         let (label, src) = (case.label, box_source(case));
         let whole = case.body.starts_with("PROGRAM");
@@ -1089,11 +1068,11 @@ fn box_kernels_agree_with_every_other_tier() {
             _ => &["A", "U"],
         };
         let prologue = if whole { 0 } else { 4 };
-        let run = |tier, exec| {
-            observe(&src, case.grid, arrays, tier, exec)
+        let run = |tier| {
+            observe(&src, case.grid, arrays, tier)
                 .unwrap_or_else(|e| panic!("{label}: {tier:?} failed: {e}\n{src}"))
         };
-        let (nat, tr) = run(Tier::Native, ExecMode::Sequential);
+        let (nat, tr) = run(Tier::Native);
         assert_eq!(
             (tr.native_matched, tr.native_fallback),
             (case.foralls + prologue, 0),
@@ -1103,14 +1082,7 @@ fn box_kernels_agree_with_every_other_tier() {
             tr.native_staged, case.staged,
             "{label}: FORALL executions that staged\n{src}"
         );
-        let (thr, thr_tr) = run(Tier::Native, ExecMode::Threaded);
-        assert_eq!(
-            (thr_tr.native_matched, thr_tr.native_staged),
-            (tr.native_matched, tr.native_staged),
-            "{label}"
-        );
-        assert_eq!(nat, thr, "{label}: sequential vs threaded\n{src}");
-        let (vm, vm_tr) = run(Tier::Bytecode, ExecMode::Sequential);
+        let (vm, vm_tr) = run(Tier::Bytecode);
         assert_eq!(
             (vm_tr.native_matched, vm_tr.native_staged),
             (0, 0),

@@ -11,7 +11,7 @@ mod common;
 use common::{observe_on, Observed, Tier};
 use f90d_core::{compile, CompileOptions};
 use f90d_distrib::ProcGrid;
-use f90d_machine::{ArrayData, ExecMode, Machine, MachineSpec, Transport};
+use f90d_machine::{ArrayData, Machine, MachineSpec, Transport};
 use f90d_progen::workloads;
 
 fn run(
@@ -22,15 +22,9 @@ fn run(
     overlap: bool,
     arrays: &[&str],
 ) -> Observed {
-    observe_on(
-        spec,
-        src,
-        grid,
-        arrays,
-        tier,
-        ExecMode::Sequential,
-        &|opts| opts.opt.comm_compute_overlap = overlap,
-    )
+    observe_on(spec, src, grid, arrays, tier, &|opts| {
+        opts.opt.comm_compute_overlap = overlap
+    })
     .expect("runs")
     .0
 }

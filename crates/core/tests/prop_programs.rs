@@ -1,17 +1,16 @@
 //! The differential properties of the compiler, each stated once, over
 //! programs of the seeded grammar of `f90d-progen` under each of its
 //! configurations. Every program runs on its grid and a machine of its
-//! configuration, on both tiers, in both local-phase execution modes,
-//! under every combination of `comm_plan` and `comm_compute_overlap`, with
-//! the schedule cache cold, warm and off. A failing program is shrunk
-//! (`progen::shrink`) and printed.
+//! configuration, on both tiers, under every combination of `comm_plan`
+//! and `comm_compute_overlap`, with the schedule cache cold, warm and
+//! off. A failing program is shrunk (`progen::shrink`) and printed.
 
 mod common;
 
 use common::{observe_on, Observed, Tier};
 use f90d_core::reference::run_reference;
 use f90d_core::{compile, CompileOptions, RunTrace};
-use f90d_machine::{budget, ExecMode, MachineSpec};
+use f90d_machine::MachineSpec;
 use f90d_progen::{generate, shrink, Program, CONFIGS};
 
 /// Programs per configuration.
@@ -25,20 +24,20 @@ macro_rules! ensure {
     };
 }
 
-fn check(p: &Program, spec: &MachineSpec, exec: ExecMode) -> Result<(), String> {
+fn check(p: &Program, spec: &MachineSpec) -> Result<(), String> {
     let (src, facts, names) = (p.source(), p.facts(), &p.arrays[..]);
     let compiled = compile(&src, &CompileOptions::on_grid(&p.grid))?;
     let want = run_reference(&compiled.analyzed, &Default::default())?;
-    let run = |tier, exec, overlap, plan, cache| -> Result<(Observed, RunTrace), String> {
+    let run = |tier, overlap, plan, cache| -> Result<(Observed, RunTrace), String> {
         let flags = |o: &mut CompileOptions| {
             (o.opt.comm_compute_overlap, o.opt.comm_plan, o.sched_cache) = (overlap, plan, cache)
         };
-        (observe_on(spec, &src, &p.grid, names, tier, exec, &flags))
+        (observe_on(spec, &src, &p.grid, names, tier, &flags))
             .map_err(|e| format!("{tier:?} at overlap={overlap} plan={plan}: {e}"))
     };
-    // The anchor: sequential, bytecode, both timing flags off. The
-    // reference interpreter is its oracle, and it is every other run's.
-    let (anchor, _) = run(Tier::Bytecode, ExecMode::Sequential, false, false, true)?;
+    // The anchor: bytecode, both timing flags off. The reference
+    // interpreter is its oracle, and it is every other run's.
+    let (anchor, _) = run(Tier::Bytecode, false, false, true)?;
     for (name, got) in names.iter().zip(&anchor.arrays) {
         let equal = !facts.compare.contains(name) || *got == want.arrays[*name].data;
         ensure!(equal, "{name} vs the reference");
@@ -54,8 +53,8 @@ fn check(p: &Program, spec: &MachineSpec, exec: ExecMode) -> Result<(), String> 
     let mut all_on = None;
     for (overlap, plan) in [(false, false), (false, true), (true, false), (true, true)] {
         let at = format!("at overlap={overlap} plan={plan}");
-        let (vm, vm_trace) = run(Tier::Bytecode, exec, overlap, plan, true)?;
-        let (nat, nat_trace) = run(Tier::Native, exec, overlap, plan, true)?;
+        let (vm, vm_trace) = run(Tier::Bytecode, overlap, plan, true)?;
+        let (nat, nat_trace) = run(Tier::Native, overlap, plan, true)?;
         ensure!(vm == nat, "bytecode vs native {at}");
         ensure!(vm_trace.native_matched == 0, "native on {at}");
         let reused = (vm_trace.dispatch_reused, nat_trace.dispatch_reused);
@@ -71,7 +70,7 @@ fn check(p: &Program, spec: &MachineSpec, exec: ExecMode) -> Result<(), String> 
         let bytes = vm.bytes == anchor.bytes || fewer && vm.bytes < anchor.bytes;
         let planned = vm.messages <= anchor.messages && bytes;
         match (overlap, plan) {
-            (false, false) => ensure!(vm == anchor, "{exec:?} and warm vs the anchor"),
+            (false, false) => ensure!(vm == anchor, "warm vs the anchor"),
             (true, false) => {
                 ensure!(traffic, "messages or bytes {at}");
                 // Where the split may charge a statement as two sums, they
@@ -98,9 +97,9 @@ fn check(p: &Program, spec: &MachineSpec, exec: ExecMode) -> Result<(), String> 
             }
         }
     }
-    let (again, _) = run(Tier::Native, exec, true, true, true)?;
+    let (again, _) = run(Tier::Native, true, true, true)?;
     ensure!(Some(again) == all_on, "the same configuration twice");
-    let (off, _) = run(Tier::Bytecode, ExecMode::Sequential, false, false, false)?;
+    let (off, _) = run(Tier::Bytecode, false, false, false)?;
     ensure!(off == anchor, "schedule cache off vs on");
     Ok(())
 }
@@ -108,7 +107,6 @@ fn check(p: &Program, spec: &MachineSpec, exec: ExecMode) -> Result<(), String> 
 /// Check `CASES` programs of configuration `name`; panic with the first
 /// failure, shrunk while the same property fails.
 fn programs(name: &str) {
-    budget::global().ensure_total_at_least(8);
     let cfg = CONFIGS.iter().find(|c| c.name == name).unwrap();
     for seed in 0..CASES {
         let p = generate(cfg, seed);
@@ -117,16 +115,14 @@ fn programs(name: &str) {
             "ipsc860" => MachineSpec::ipsc860(),
             _ => MachineSpec::ncube2(),
         };
-        let exec = [ExecMode::Sequential, ExecMode::Threaded][seed as usize / 2 % 2];
-        let Err(e) = check(&p, &spec, exec) else {
+        let Err(e) = check(&p, &spec) else {
             continue;
         };
         let property = |e: &str| e.split(':').next().unwrap_or_default().to_string();
-        let fails =
-            |q: &Program| check(q, &spec, exec).is_err_and(|f| property(&f) == property(&e));
+        let fails = |q: &Program| check(q, &spec).is_err_and(|f| property(&f) == property(&e));
         let small = shrink(&p, fails).source();
         let (grid, machine) = (&p.grid, &spec.name);
-        panic!("{name} program {seed} on {grid:?}, {machine}, {exec:?}: {e}\nminimized:\n{small}");
+        panic!("{name} program {seed} on {grid:?}, {machine}: {e}\nminimized:\n{small}");
     }
 }
 

@@ -26,17 +26,13 @@
 //!   model behind the transport's default-off contention toggle.
 //! * [`machine`] — ties spec + grid + memories + clocks + statistics into
 //!   the [`machine::Machine`] SPMD substrate, and provides the loosely
-//!   synchronous local-phase executors (sequential and threaded).
+//!   synchronous local-phase executor, which runs the ranks one after
+//!   another on the calling thread.
 //! * [`mpool`] — machine pooling for long-running services: a finished
 //!   machine is checked in (fully [`machine::Machine::reset`] — memories,
-//!   clocks, mailboxes, tags, worker lease) and checked out again for the
-//!   next request, so a warmed-up server constructs no machines on its
-//!   hot path.
-//! * [`pool`] / [`budget`] — the persistent chunked worker pool behind
-//!   [`machine::ExecMode::Threaded`] and the process-wide worker budget
-//!   that keeps `harness jobs × per-machine workers` within the host's
-//!   parallelism (machines lease workers per run and degrade gracefully
-//!   to sequential when the budget is exhausted).
+//!   clocks, mailboxes, tags) and checked out again for the next
+//!   request, so a warmed-up server constructs no machines on its hot
+//!   path.
 //! * [`once_map`] — the one keyed build-once cache ([`OnceMap`]) that the
 //!   program, schedule and compile caches of the crates above are
 //!   instances of.
@@ -49,26 +45,22 @@
 
 #![warn(missing_docs)]
 
-pub mod budget;
 mod int_hash;
 pub mod machine;
 pub mod memory;
 pub mod mpool;
 pub mod net;
 pub mod once_map;
-pub mod pool;
 pub mod spec;
 pub mod transport;
 pub mod value;
 
-pub use budget::{WorkerBudget, WorkerLease};
 pub use int_hash::{IntHasher, IntMap};
 pub use machine::{ExecMode, Machine, MachineStats};
 pub use memory::{LocalArray, NodeMemory};
 pub use mpool::MachinePool;
 pub use net::{LinkClocks, LinkId};
 pub use once_map::OnceMap;
-pub use pool::WorkerPool;
 pub use spec::{MachineSpec, SpecError, Topology};
 pub use transport::{MailboxTransport, RecvHandle, Transport, TransportError};
 pub use value::{ArrayData, ElemType, Value};

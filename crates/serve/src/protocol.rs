@@ -9,7 +9,7 @@
 //! for the schedule cache in an earlier PR applies here too).
 
 use f90d_core::{Backend, CompileOptions};
-use f90d_machine::{ExecMode, MachineSpec};
+use f90d_machine::MachineSpec;
 use serde::json::{Json, ParseLimits};
 
 /// Schema tag carried by every response.
@@ -67,8 +67,9 @@ pub struct RunRequest {
     pub backend: Backend,
     /// Consult the process-wide schedule cache.
     pub sched_cache: bool,
-    /// Run local phases on pooled threads (leases workers from the
-    /// process-wide budget at dispatch).
+    /// Always `false`: `"exec"` accepts only `"sequential"`. The field
+    /// remains only because `benchmark/` sets it (ROADMAP item 1(e)
+    /// deletes it).
     pub threaded: bool,
     /// Opt into §5.1/§7 communication–computation overlap.
     pub overlap: bool,
@@ -90,11 +91,6 @@ impl RunRequest {
         let mut opts = CompileOptions::on_grid(&self.grid).with_backend(self.backend);
         opts.sched_cache = self.sched_cache;
         opts.opt.comm_compute_overlap = self.overlap;
-        opts.exec_mode = Some(if self.threaded {
-            ExecMode::Threaded
-        } else {
-            ExecMode::Sequential
-        });
         opts
     }
 }
@@ -179,23 +175,19 @@ fn parse_run(doc: &Json) -> Result<RunRequest, Reject> {
             ))
         }
     };
-    let threaded = match field_str(options, "exec") {
-        None | Some("sequential") => false,
-        Some("threaded") => true,
-        Some(other) => {
-            return Err(Reject::new(
-                400,
-                format!("unknown exec mode `{other}` (want sequential or threaded)"),
-            ))
-        }
-    };
+    if let Some(other) = field_str(options, "exec").filter(|&e| e != "sequential") {
+        return Err(Reject::new(
+            400,
+            format!("unknown exec mode `{other}` (want sequential)"),
+        ));
+    }
     Ok(RunRequest {
         source,
         grid,
         machine,
         backend,
         sched_cache: field_bool(options, "sched_cache", true)?,
-        threaded,
+        threaded: false,
         overlap: field_bool(options, "overlap", false)?,
     })
 }
@@ -219,15 +211,13 @@ pub struct RunOutcome {
     pub sched_hits: u64,
     /// Cross-run schedule-cache misses (inspector builds).
     pub sched_misses: u64,
-    /// Pool workers the machine held (0 = sequential).
-    pub workers: usize,
     /// Served from the server's compiled-program cache (frontend +
     /// codegen skipped entirely).
     pub compile_cache_hit: bool,
     /// The machine came from the pool instead of being constructed.
     pub machine_reused: bool,
-    /// Host milliseconds from admission to execution start: machine
-    /// checkout plus worker-budget leasing.
+    /// Host milliseconds from admission to execution start: the machine
+    /// checkout.
     pub lease_wait_ms: f64,
     /// Host milliseconds of the execution itself.
     pub exec_ms: f64,
@@ -269,7 +259,6 @@ pub fn run_response(out: &RunOutcome, joined: bool, queue_wait_ms: f64) -> Json 
                 ),
                 ("sched_hits".into(), num(out.sched_hits as f64)),
                 ("sched_misses".into(), num(out.sched_misses as f64)),
-                ("workers".into(), num(out.workers as f64)),
                 (
                     "compile_cache_hit".into(),
                     Json::Bool(out.compile_cache_hit),
@@ -331,16 +320,15 @@ mod tests {
 
     #[test]
     fn full_options_parse() {
-        let line = br#"{"op":"run","source":"S","grid":[2,2],"machine":"ncube2","options":{"backend":"vm","exec":"threaded","sched_cache":false,"overlap":true}}"#;
+        let line = br#"{"op":"run","source":"S","grid":[2,2],"machine":"ncube2","options":{"backend":"vm","exec":"sequential","sched_cache":false,"overlap":true}}"#;
         let Request::Run(run) = parse_request(line, &limits()).unwrap() else {
             panic!("want run")
         };
         assert_eq!(run.backend, Backend::Vm);
-        assert!(run.threaded);
+        assert!(!run.threaded);
         assert!(!run.sched_cache);
         assert!(run.overlap);
         let opts = run.compile_options();
-        assert_eq!(opts.exec_mode, Some(ExecMode::Threaded));
         assert!(opts.opt.comm_compute_overlap);
     }
 
@@ -373,6 +361,10 @@ mod tests {
             (
                 &br#"{"op":"run","source":"x","grid":[4],"options":{"backend":"treewalk"}}"#[..],
                 "unknown backend `treewalk` (want vm)",
+            ),
+            (
+                &br#"{"op":"run","source":"x","grid":[4],"options":{"exec":"threaded"}}"#[..],
+                "unknown exec mode `threaded` (want sequential)",
             ),
             (
                 &br#"{"op":"run","source":"x","grid":[4],"options":{"sched_cache":3}}"#[..],
@@ -414,7 +406,6 @@ mod tests {
             program_cache_hit: true,
             sched_hits: 1,
             sched_misses: 0,
-            workers: 0,
             compile_cache_hit: true,
             machine_reused: true,
             lease_wait_ms: 0.1,

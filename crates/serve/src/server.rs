@@ -27,7 +27,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use f90d_core::{compile, Compiled};
-use f90d_machine::{budget, MachinePool, OnceMap};
+use f90d_machine::{MachinePool, OnceMap};
 use serde::json::{Json, ParseLimits};
 
 use crate::admission::Admission;
@@ -157,7 +157,6 @@ impl ServerState {
                     program_cache_hit: trace.program_cache_hit == Some(true),
                     sched_hits: trace.sched_hits,
                     sched_misses: trace.sched_misses,
-                    workers: trace.workers,
                     compile_cache_hit,
                     machine_reused,
                     lease_wait_ms,
@@ -219,7 +218,6 @@ impl ServerState {
     pub fn stats_json(&self) -> Json {
         let vm = f90d_core::vm_cache();
         let sched = f90d_comm::sched_cache::global();
-        let budget = budget::global();
         let n = Json::Num;
         ack_response(&[(
             "stats",
@@ -256,13 +254,6 @@ impl ServerState {
                         ("hits".into(), n(sched.hits() as f64)),
                         ("misses".into(), n(sched.misses() as f64)),
                         ("len".into(), n(sched.len() as f64)),
-                    ]),
-                ),
-                (
-                    "worker_budget".into(),
-                    Json::Obj(vec![
-                        ("total".into(), n(budget.total() as f64)),
-                        ("in_use".into(), n(budget.in_use() as f64)),
                     ]),
                 ),
                 ("inflight_groups".into(), n(self.inflight.len() as f64)),

@@ -31,11 +31,12 @@ fn expect_usage_error(args: &[&str], frag: &str) {
 fn zero_and_malformed_flags_exit_2() {
     expect_usage_error(&["--jobs", "0"], "--jobs");
     expect_usage_error(&["--jobs", "many"], "--jobs");
-    expect_usage_error(&["--workers", "0"], "--workers");
     expect_usage_error(&["--max-request-bytes", "0"], "--max-request-bytes");
     expect_usage_error(&["--listen", "not-an-address"], "--listen");
     expect_usage_error(&["--listen", "localhost"], "--listen");
     expect_usage_error(&["--frobnicate"], "unknown argument");
+    // There is no worker budget to size: the flag is unknown.
+    expect_usage_error(&["--workers", "4"], "unknown argument --workers");
 }
 
 #[test]

@@ -1,7 +1,6 @@
 //! End-to-end battery for the daemon: protocol conformance over real
 //! TCP, racing-client dedup with exactly-once lowering, cross-request
-//! schedule-cache reuse, worker-budget ceilings under threaded load,
-//! overload and shutdown behavior, and bit-identical equivalence with a
+//! schedule-cache reuse, overload and shutdown behavior, and bit-identical equivalence with a
 //! direct in-process `Compiled::run_on` baseline.
 //!
 //! Every test spawns its own in-process server on a `:0` port, so the
@@ -16,7 +15,7 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use f90d_core::{compile, Backend};
-use f90d_machine::{budget, Machine, MachineSpec};
+use f90d_machine::{Machine, MachineSpec};
 use f90d_progen::workloads::{irregular, jacobi};
 use f90d_serve::{Client, RunRequest, ServeConfig, Server};
 use serde::json::Json;
@@ -142,7 +141,6 @@ fn protocol_end_to_end_over_tcp() {
         vec!["stats", "machine_pool", "created"],
         vec!["stats", "program_cache", "hits"],
         vec!["stats", "sched_cache", "misses"],
-        vec!["stats", "worker_budget", "total"],
     ] {
         assert!(num(&stats, &path) >= 0.0, "{path:?}");
     }
@@ -327,47 +325,6 @@ fn second_request_rides_every_warm_path() {
         created(&mut c),
         created_cold,
         "the warm and burst requests constructed no machine"
-    );
-    handle.shutdown().unwrap();
-}
-
-/// Threaded jobs lease pool workers from the process-wide budget; no
-/// response may ever report more workers than the budget holds, and
-/// concurrent in-use never exceeds the total.
-#[test]
-fn threaded_jobs_respect_the_worker_budget() {
-    budget::global().ensure_total_at_least(6);
-    let total = budget::global().total();
-    let handle = Server::spawn(ServeConfig {
-        max_running: 3,
-        max_queued: 16,
-        ..ServeConfig::default()
-    })
-    .unwrap();
-    let addr = handle.addr;
-    let threads: Vec<_> = (0..6)
-        .map(|i| {
-            std::thread::spawn(move || {
-                let mut c = Client::connect(addr).unwrap();
-                let mut req = run_req(jacobi(16 + i, 2), vec![2, 2]);
-                req.threaded = true;
-                c.run(&req).unwrap()
-            })
-        })
-        .collect();
-    for t in threads {
-        let resp = t.join().unwrap();
-        assert_ok(&resp);
-        let workers = num(&resp, &["telemetry", "workers"]);
-        assert!(
-            workers <= total as f64,
-            "granted {workers} workers with a budget of {total}"
-        );
-    }
-    let stats = Client::connect(addr).unwrap().stats().unwrap();
-    assert!(
-        num(&stats, &["stats", "worker_budget", "in_use"])
-            <= num(&stats, &["stats", "worker_budget", "total"])
     );
     handle.shutdown().unwrap();
 }

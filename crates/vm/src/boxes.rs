@@ -147,10 +147,10 @@ pub(crate) fn inspect_boxes(
     result
 }
 
-/// Run a bound native kernel as one local phase under the machine's
-/// `ExecMode`: every rank runs the boxes of its iteration `spaces` with
-/// the bytecode loop's cost charging and writes, and hands back what it
-/// staged for the one commit (`RankOut::commit`).
+/// Run a bound native kernel as one local phase: every rank runs the
+/// boxes of its iteration `spaces` with the bytecode loop's cost
+/// charging and writes, and hands back what it staged for the one
+/// commit (`RankOut::commit`).
 pub(crate) fn run_native_forall(
     cx: ForallCx<'_>,
     m: &mut Machine,

@@ -36,12 +36,10 @@
 //! engine commits as it commits the native tier's — and the bytecode
 //! inspector of an unstructured read ([`inspect`]).
 //!
-//! FORALL local phases run under the machine's
-//! [`ExecMode`](f90d_machine::ExecMode) — rank by
-//! rank, or all ranks concurrently on scoped threads — because every
-//! element read of a compiled FORALL body targets the executing rank's
-//! own memory. Column buffers are per rank and per call, so the threaded
-//! mode shares nothing.
+//! FORALL local phases run through [`Machine::local_phase_map`], rank
+//! by rank: every element read of a compiled FORALL body targets the
+//! executing rank's own memory, and column buffers are per rank and per
+//! call, so no rank sees another's state inside a phase.
 
 use f90d_comm::driver::{GatherRequests, ScatterOut, Spaces};
 use f90d_distrib::{ArrayDimMap, DistKind};
@@ -363,10 +361,10 @@ impl RankOut {
 /// the native tier most ranks stage nothing, so the slot is a pointer).
 pub(crate) type Staged = Option<Box<RankOut>>;
 
-/// One local phase of the chunk tier under the machine's `ExecMode`:
-/// every rank runs its iteration spaces `spaces(rank)` — its whole
-/// space, an interior sub-product or its boundary slabs — and hands back
-/// what it staged. The first failing rank's error is the phase's.
+/// One local phase of the chunk tier: every rank runs its iteration
+/// spaces `spaces(rank)` — its whole space, an interior sub-product or
+/// its boundary slabs — and hands back what it staged. The first failing
+/// rank's error is the phase's.
 pub(crate) fn run_phase(
     cx: ForallCx<'_>,
     m: &mut Machine,

@@ -48,11 +48,10 @@ pub struct Engine {
     /// boundary compute). Off by default — virtual time changes (that is
     /// the point), array results and PRINT do not.
     pub overlap: bool,
-    /// `CompileOptions::exec_mode`: when `Some`, [`Engine::run`]
-    /// switches the machine to this local-phase mode (leasing threaded
-    /// workers from the process-wide `f90d_machine::budget`) before
-    /// executing. `None` respects the machine as given. Virtual metrics
-    /// are identical either way.
+    /// `CompileOptions::exec_mode` (one value; see
+    /// [`f90d_machine::ExecMode`]). [`Engine::run`] does not read it: the
+    /// field remains only because `benchmark/` sets it (ROADMAP item
+    /// 1(e) deletes it).
     pub exec: Option<f90d_machine::ExecMode>,
     /// `OptFlags::comm_plan`: honour [`PhaseRole`] annotations, batching
     /// each phase's ghost exchanges into one coalesced exchange
@@ -199,9 +198,6 @@ impl Engine {
     /// Run the whole program: a flat fetch/decode loop over the
     /// statement stream.
     pub fn run(&mut self, m: &mut Machine) -> VmResult<RunReport> {
-        if let Some(mode) = self.exec {
-            m.set_exec(mode);
-        }
         let prog = self.prog.clone();
         let mut regs: Vec<Value> = Vec::new();
         let mut do_stack: Vec<(i64, i64)> = Vec::new();

@@ -11,8 +11,7 @@
 //! (vectorized interpretation: one operator dispatch per chunk, then a
 //! loop over `&[i64]` / `&[f64]` / `&[bool]` slices). Both charge the
 //! same virtual-time cost model — virtual time is a property of the node
-//! program, not of the tier — under both sequential and threaded
-//! local-phase execution.
+//! program, not of the tier.
 //!
 //! Layering: this crate sits beside the runtime — it depends on the
 //! machine, mapping, communication and runtime crates but *not* on the

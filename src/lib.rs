@@ -6,7 +6,7 @@
 //!
 //! * [`distrib`] — three-stage data mapping (ALIGN / DISTRIBUTE / grid).
 //! * [`machine`] — simulated distributed-memory MIMD machine with
-//!   iPSC/860 and nCUBE/2 cost models, plus a threaded executor.
+//!   iPSC/860 and nCUBE/2 cost models.
 //! * [`comm`] — the collective communication library (structured and
 //!   unstructured/PARTI-style primitives).
 //! * [`runtime`] — distributed arrays and the parallel intrinsics of the

@@ -185,11 +185,6 @@ fn fortran77_listing_of_the_ge_program() {
 }
 
 #[test]
-fn threaded_local_phases_match_sequential() {
-    assert!(experiments::threaded_equivalence(64, 8));
-}
-
-#[test]
 fn print_output_flows_through() {
     let src = "
 PROGRAM HELLO
