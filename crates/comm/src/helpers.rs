@@ -466,14 +466,20 @@ pub fn tree_broadcast(
     let tag = m.fresh_tag();
     store(m, members[root_pos], &payload);
     let bytes = payload.len() as i64 * payload.elem_type().bytes();
+    // Every edge carries the same payload, so the buffer one edge
+    // delivered is sent on by the next: one copy of the payload per
+    // call, not one per edge.
+    let mut spare = None;
     for (s, t) in plan {
         let (from, to) = (members[s], members[t]);
         m.transport.charge_copy(from, bytes);
-        m.transport.post_send(from, to, tag, payload.clone());
+        let msg = spare.take().unwrap_or_else(|| payload.clone());
+        m.transport.post_send(from, to, tag, msg);
         let h = m.transport.post_recv(to, from, tag);
         let got = m.transport.complete(h)?;
         m.transport.charge_copy(to, bytes);
         store(m, to, &got);
+        spare = Some(got);
     }
     Ok(())
 }
@@ -518,15 +524,9 @@ pub fn tree_reduce(
 }
 
 /// The grid fiber (member ranks) along `axis` through the node at
-/// `coords`, plus this node's position in it.
+/// `coords`, plus this node's position in it — its coordinate on `axis`.
 pub fn fiber_through(m: &Machine, coords: &[i64], axis: usize) -> (Vec<i64>, usize) {
-    let members = m.grid.fiber(coords, axis);
-    let me = m.grid.rank_of(coords);
-    let pos = members
-        .iter()
-        .position(|&r| r == me)
-        .expect("node lies on its own fiber");
-    (members, pos)
+    (m.grid.fiber(coords, axis), coords[axis] as usize)
 }
 
 #[cfg(test)]

@@ -147,22 +147,25 @@ pub fn multicast(
         .expect("multicast source dimension must be distributed");
     let src_coord = dad.dims[dim].proc_of(src_g);
     // One broadcast per fiber; fibers are identified by the owner-line
-    // nodes (coords with coords[axis] == src_coord).
+    // nodes (coords with coords[axis] == src_coord), taken in rank order.
+    let mut line: Vec<Vec<i64>> = m.grid.shape.iter().map(|&e| (0..e).collect()).collect();
+    line[axis] = vec![src_coord];
     let mut owners = Vec::new();
-    for rank in 0..m.nranks() {
-        let coords = m.grid.coords_of(rank);
-        if coords[axis] == src_coord {
-            owners.push(coords);
-        }
-    }
-    for coords in owners {
+    cartesian(&line, |coords| owners.push(m.grid.rank_of(coords)));
+    owners.sort_unstable();
+    for owner in owners {
+        let coords = m.grid.coords_of(owner);
         let (srcs, offsets) = slab_offsets(m, src, dad, &coords, dim, src_g);
-        let payload = m.mems[m.grid.rank_of(&coords) as usize]
-            .array(src)
-            .gather_flat(srcs);
+        let payload = m.mems[owner as usize].array(src).gather_flat(srcs);
         let (members, root_pos) = fiber_through(m, &coords, axis);
-        tree_broadcast(m, &members, root_pos, payload, |m, rank, data| {
-            slab_unpack(m, tmp, rank, data, &offsets);
+        // Decided once per fiber: a slab that lands on consecutive
+        // offsets of the temporary is one slice copy per member.
+        let run = offsets
+            .first()
+            .filter(|&&at| (offsets.iter().enumerate()).all(|(k, &off)| off == at + k));
+        tree_broadcast(m, &members, root_pos, payload, |m, rank, data| match run {
+            Some(&at) => m.mems[rank as usize].array_mut(tmp).copy_flat(at, data),
+            None => slab_unpack(m, tmp, rank, data, &offsets),
         })?;
     }
     Ok(())

@@ -124,6 +124,17 @@ pub struct RunTrace {
     /// statement's previous execution in the same `DO` (same evaluated
     /// bounds, same layouts) instead of partitioning again.
     pub dispatch_reused: u64,
+    /// Summed over the FORALL executions that partitioned their
+    /// iteration space (the rest are `dispatch_reused`): the ranks the
+    /// partitioning visited — only those whose grid coordinates can own
+    /// an iteration under the evaluated bounds and owner filter; `P` per
+    /// execution would mean idle ranks are not masked. Exact; explains
+    /// host time only.
+    pub ranks_visited: u64,
+    /// Over the same executions, the ranks that came out with
+    /// iterations: at most `ranks_visited`, equal when the window of
+    /// ranks that can own an iteration is tight.
+    pub ranks_active: u64,
     /// Comm phases the driver posted as one batched, coalesced ghost
     /// exchange (`comm_plan` on). Informational — the driver's fallback
     /// contract keeps results bit-identical.
@@ -139,7 +150,7 @@ impl RunTrace {
     /// (`results.json` nests the groups). A counter added to the trace
     /// is added here, and every reader — `results.json`, the `repro`
     /// stderr totals, `--exp vmcmp` — carries it.
-    pub fn counters(&self) -> [(&'static str, u64); 10] {
+    pub fn counters(&self) -> [(&'static str, u64); 12] {
         [
             ("sched_hits", self.sched_hits),
             ("sched_misses", self.sched_misses),
@@ -149,6 +160,8 @@ impl RunTrace {
             ("plan_reuse.ghost_plans_built", self.ghost_plans_built),
             ("plan_reuse.ghost_plans_reused", self.ghost_plans_reused),
             ("plan_reuse.dispatch_reused", self.dispatch_reused),
+            ("plan_reuse.ranks_visited", self.ranks_visited),
+            ("plan_reuse.ranks_active", self.ranks_active),
             ("comm_plan.groups", self.comm_groups),
             ("comm_plan.fallbacks", self.comm_fallbacks),
         ]
@@ -171,6 +184,7 @@ impl Compiled {
         let (native_matched, native_fallback) = eng.native_counts();
         let (comm_groups, comm_fallbacks) = eng.comm.counts();
         let (ghost_plans_built, ghost_plans_reused) = eng.sched.shift_plans();
+        let (ranks_visited, ranks_active) = eng.ranks_counts();
         Ok((
             rep,
             RunTrace {
@@ -183,6 +197,8 @@ impl Compiled {
                 ghost_plans_built,
                 ghost_plans_reused,
                 dispatch_reused: eng.dispatch_reused(),
+                ranks_visited,
+                ranks_active,
                 comm_groups,
                 comm_fallbacks,
             },

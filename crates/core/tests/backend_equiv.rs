@@ -48,6 +48,29 @@ fn gaussian_matches_across_grids() {
     }
 }
 
+/// Idle ranks are masked before any per-rank work: on the Gaussian
+/// shape of the `gauss-fattree256` benchmark (`(*,BLOCK)`, N = 64 on
+/// 256 ranks, a column per rank for ranks 0..63 and none for the rest)
+/// dispatch visits exactly the ranks that own an iteration, on either
+/// tier. By hand: the fill `A(I,J)` runs on the 64 ranks that own a
+/// column, so does the diagonal `A(I,I)`, and step `K` of the
+/// elimination updates columns `K+1..N`, one rank each — 64 − K ranks.
+/// Both counts are 64 + 64 + Σ_{K=1}^{63} (64 − K) = 128 + 2016 = 2144;
+/// visiting every rank in each of the 65 executions would be 16640.
+#[test]
+fn gaussian_dispatch_visits_only_the_ranks_that_work() {
+    let src = gaussian(64);
+    for tier in [Tier::Bytecode, Tier::Native] {
+        let (_, t) = observe(&src, &[256], &[], tier).expect("runs");
+        assert_eq!(t.dispatch_reused, 0, "{tier:?}: K moves every bound");
+        assert_eq!(
+            (t.ranks_visited, t.ranks_active),
+            (2144, 2144),
+            "{tier:?}: ranks visited and active"
+        );
+    }
+}
+
 #[test]
 fn fft_butterfly_matches() {
     assert_tiers_agree("fft", &fft_butterfly(8, 2), &[4], &["X", "TERM2"]);

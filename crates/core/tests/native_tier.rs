@@ -1127,3 +1127,47 @@ fn box_kernels_agree_with_every_other_tier() {
         }
     }
 }
+
+/// Gaussian elimination on `(*,BLOCK)` with fewer columns than ranks —
+/// ranks 6 and 7 of 8 own none and get no iteration lists — and FORALLs
+/// whose boxes are one element wide, a column per rank that the native
+/// tier runs as one row along it: written in place (an own-element
+/// update reading another array) and through the stage (a stencil down
+/// the column). Arrays, every padded cell, PRINT, every rank clock,
+/// messages and bytes equal on both tiers; arrays and PRINT equal the
+/// reference interpreter's.
+#[test]
+fn narrow_gaussian_and_one_element_wide_boxes_agree_with_every_other_tier() {
+    let src = "PROGRAM NARROW
+INTEGER, PARAMETER :: N = 6
+REAL A(N,N), B(N,N)
+REAL S
+INTEGER K
+C$ DISTRIBUTE A(*, BLOCK)
+C$ DISTRIBUTE B(*, BLOCK)
+FORALL (I=1:N, J=1:N) A(I,J) = 1.0/REAL(I+J+3)
+FORALL (I=1:N, J=1:N) B(I,J) = REAL(I*N-2*J)/7.0
+FORALL (I=1:N) A(I,I) = A(I,I) + 3.0
+DO K = 1, N-1
+  FORALL (I=K+1:N, J=K+1:N) A(I,J) = A(I,J) - A(I,K)/A(K,K)*A(K,J)
+END DO
+FORALL (I=1:N, J=1:N) B(I,J) = B(I,J)*0.5 + A(I,J)
+FORALL (I=2:N, J=1:N) B(I,J) = 0.5*(B(I-1,J) + B(I,J))
+S = SUM(A) + SUM(B)
+PRINT *, 'SUM', S, A(N,N), B(N,1), B(2,N)
+END
+";
+    let (grid, arrays) = (&[8], &["A", "B"]);
+    let run = |tier| observe(src, grid, arrays, tier).expect("runs");
+    let (nat, tr) = run(Tier::Native);
+    // 3 fills, 5 elimination steps, the update and the stencil — only
+    // the stencil, which reads the row above the one it writes, stages.
+    assert_eq!((tr.native_matched, tr.native_fallback), (10, 0));
+    assert_eq!(tr.native_staged, 1);
+    let (vm, _) = run(Tier::Bytecode);
+    assert_eq!(nat, vm, "native vs bytecode");
+    let (want, printed) = common::reference(src, grid, arrays);
+    assert_eq!(nat.arrays, want, "arrays vs the reference interpreter");
+    assert_eq!(nat.printed, printed, "PRINT vs the reference interpreter");
+    assert!(nat.printed[0].starts_with("SUM"), "PRINT ran");
+}

@@ -105,11 +105,7 @@ impl ProcGrid {
                 (0..e).contains(&c),
                 "grid coordinate {c} out of range on axis {axis}"
             );
-            let idx = match self.embedding {
-                GridEmbedding::RowMajor => c,
-                GridEmbedding::GrayCode => gray(c as u64) as i64,
-            };
-            r = r * e + idx;
+            r = r * e + self.embed(c);
         }
         r
     }
@@ -131,17 +127,27 @@ impl ProcGrid {
         coords
     }
 
+    /// The embedded index of coordinate `c` along one axis: its digit in
+    /// the mixed-radix rank.
+    #[inline]
+    fn embed(&self, c: i64) -> i64 {
+        match self.embedding {
+            GridEmbedding::RowMajor => c,
+            GridEmbedding::GrayCode => gray(c as u64) as i64,
+        }
+    }
+
     /// All ranks whose coordinates agree with `coords` on every axis
-    /// except `axis` — the row/column/fiber along `axis` through `coords`.
-    /// This is the processor set of a `multicast` along a grid dimension
-    /// (paper Fig. 4b).
+    /// except `axis` — the row/column/fiber along `axis` through `coords`,
+    /// member `c` at coordinate `c`. This is the processor set of a
+    /// `multicast` along a grid dimension (paper Fig. 4b). Arithmetic:
+    /// `axis` is one digit of the mixed-radix rank, so a member is the
+    /// rank of `coords` with that digit replaced.
     pub fn fiber(&self, coords: &[i64], axis: usize) -> Vec<i64> {
+        let stride: i64 = self.shape[axis + 1..].iter().product();
+        let base = self.rank_of(coords) - self.embed(coords[axis]) * stride;
         (0..self.shape[axis])
-            .map(|c| {
-                let mut cc = coords.to_vec();
-                cc[axis] = c;
-                self.rank_of(&cc)
-            })
+            .map(|c| base + self.embed(c) * stride)
             .collect()
     }
 
@@ -232,6 +238,37 @@ mod tests {
         assert_eq!(g.fiber(&[1, 0], 1), vec![3, 4, 5]);
         // fiber along axis 0 through (_, 2): ranks of (0,2),(1,2)
         assert_eq!(g.fiber(&[0, 2], 0), vec![2, 5]);
+    }
+
+    /// `fiber` is `rank_of` with one coordinate varied, member `c` at
+    /// coordinate `c`, through every node along every axis — under both
+    /// embeddings.
+    #[test]
+    fn fiber_is_rank_of_along_the_axis() {
+        for g in [
+            ProcGrid::new(&[3, 4, 2]),
+            ProcGrid::new(&[5]),
+            ProcGrid::with_embedding(&[4, 2, 8], GridEmbedding::GrayCode),
+            ProcGrid::with_embedding(&[16], GridEmbedding::GrayCode),
+        ] {
+            for r in 0..g.size() {
+                let coords = g.coords_of(r);
+                for axis in 0..g.rank() {
+                    let want: Vec<i64> = (0..g.extent(axis))
+                        .map(|c| {
+                            let mut cc = coords.clone();
+                            cc[axis] = c;
+                            g.rank_of(&cc)
+                        })
+                        .collect();
+                    assert_eq!(
+                        g.fiber(&coords, axis),
+                        want,
+                        "{g:?} at {coords:?}, axis {axis}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

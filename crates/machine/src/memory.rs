@@ -240,6 +240,27 @@ impl LocalArray {
         assert_eq!(end, data.len(), "payload longer than its offset list");
     }
 
+    /// [`LocalArray::scatter_flat`] at the consecutive offsets `start..`:
+    /// a payload of this segment's element type lands as one slice
+    /// copy.
+    ///
+    /// # Panics
+    /// Panics when the run passes the end of the padded segment.
+    pub fn copy_flat(&mut self, start: usize, data: &ArrayData) {
+        let end = start + data.len();
+        if data.is_empty() {
+            return;
+        }
+        self.materialize();
+        match (&mut self.data, data) {
+            (ArrayData::Int(d), ArrayData::Int(s)) => d[start..end].copy_from_slice(s),
+            (ArrayData::Real(d), ArrayData::Real(s)) => d[start..end].copy_from_slice(s),
+            (ArrayData::Bool(d), ArrayData::Bool(s)) => d[start..end].copy_from_slice(s),
+            (ArrayData::Complex(d), ArrayData::Complex(s)) => d[start..end].copy_from_slice(s),
+            _ => self.scatter_flat(start..end, data),
+        }
+    }
+
     /// Deposit `data[start..]`'s leading elements, one per offset, and
     /// return the payload position after the last one — the unpacking
     /// of one array's strip out of a message that carries several.

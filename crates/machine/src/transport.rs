@@ -378,12 +378,12 @@ impl Transport for MailboxTransport {
     fn post_send(&mut self, from: i64, to: i64, tag: Tag, payload: ArrayData) {
         let bytes = payload.len() as i64 * payload.elem_type().bytes();
         let start = self.clocks[from as usize];
-        let wire = self.spec.msg_time(from, to, bytes);
         let arrival = if from != to {
             // Sender is busy for the startup portion; the payload arrives
             // at start + full wire time — or later, when the contention
             // model is on and the route's links are still draining
-            // earlier transfers.
+            // earlier transfers (the link model prices the whole
+            // transfer then, and the idle-network time goes unused).
             self.clocks[from as usize] = start + self.spec.alpha;
             self.messages += 1;
             self.bytes += bytes as u64;
@@ -392,12 +392,13 @@ impl Transport for MailboxTransport {
                     self.spec.topology.route_into(from, to, &mut self.route);
                     links.transfer(&self.spec, &self.route, start, bytes)
                 }
-                None => start + wire,
+                None => start + self.spec.msg_time(from, to, bytes),
             }
         } else {
             // Self-messages are local copies: no wire, no link state.
-            self.clocks[from as usize] = start + wire;
-            start + wire
+            let copy = start + self.spec.msg_time(from, to, bytes);
+            self.clocks[from as usize] = copy;
+            copy
         };
         self.channel((from, to, tag))
             .queue

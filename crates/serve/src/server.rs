@@ -109,6 +109,13 @@ impl ServerState {
         self.shutdown.store(true, Ordering::SeqCst);
     }
 
+    /// The admission gate: its counts, and a run slot for a harness to
+    /// hold — a [`crate::admission::Ticket`] taken here occupies one of
+    /// `max_running` exactly like an executing job until it is dropped.
+    pub fn admission(&self) -> &Admission {
+        &self.admission
+    }
+
     /// True once shutdown has been requested.
     pub fn draining(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst) || sigterm_received()

@@ -12,7 +12,6 @@
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
 
 use f90d_core::{compile, Backend};
 use f90d_machine::{Machine, MachineSpec};
@@ -429,8 +428,9 @@ fn same_on_every_evaluator_and_through_the_daemon(source: &str, want: &[&str]) {
     handle.shutdown().unwrap();
 }
 
-/// With one run slot and a zero-length queue, a second distinct job is
-/// refused with a structured 429 while the first is still executing.
+/// With one run slot and a zero-length queue, a distinct job that
+/// arrives while the slot is taken is refused with a structured 429, and
+/// runs once the slot is free again.
 #[test]
 fn overload_gets_a_structured_429() {
     let handle = Server::spawn(ServeConfig {
@@ -442,26 +442,14 @@ fn overload_gets_a_structured_429() {
     let addr = handle.addr;
     let state = Arc::clone(handle.state());
 
-    // The blocker must outlast the observer below by a wide margin on
-    // any build profile: 250 sweeps of N=128 run ~150 ms optimized (~3 s
-    // unoptimized), against microseconds per poll.
-    let slow = std::thread::spawn(move || {
-        let mut c = Client::connect(addr).unwrap();
-        c.run(&run_req(jacobi(128, 250), vec![2, 2])).unwrap()
-    });
-    // Wait until the slow job holds the run slot.
-    let deadline = Instant::now() + Duration::from_secs(120);
-    while num(&state.stats_json(), &["stats", "admission", "running"]) < 1.0 {
-        assert!(
-            !slow.is_finished(),
-            "the blocking job finished before it was seen running: enlarge it"
-        );
-        assert!(
-            Instant::now() < deadline,
-            "the blocking job never took its run slot"
-        );
-        std::thread::yield_now();
-    }
+    // The blocker is a ticket of the server's own admission gate: it
+    // holds the run slot until the observer has been refused, however
+    // fast a job runs on this build profile.
+    let blocker = state.admission().admit().unwrap();
+    assert_eq!(
+        num(&state.stats_json(), &["stats", "admission", "running"]),
+        1.0
+    );
     let mut c = Client::connect(addr).unwrap();
     let refused = c.run(&run_req(jacobi(20, 1), vec![2, 2])).unwrap();
     assert!(!boolean(&refused, &["ok"]));
@@ -471,9 +459,10 @@ fn overload_gets_a_structured_429() {
         .unwrap()
         .contains("overloaded"));
 
-    let slow_resp = slow.join().unwrap();
-    assert_ok(&slow_resp);
-    // Slot free again: the same job now runs (and rides the warm caches).
+    drop(blocker);
+    // Slot free again: it serves a job not seen before, then the
+    // refused one (which rides the warm caches).
+    assert_ok(&c.run(&run_req(jacobi(128, 2), vec![2, 2])).unwrap());
     let retry = c.run(&run_req(jacobi(20, 1), vec![2, 2])).unwrap();
     assert_ok(&retry);
 

@@ -51,24 +51,40 @@ impl<'v, T: Elem> SiteBoxes<'v, T> {
         }
     }
 
-    /// The kernel arguments of the box `bx`.
-    fn args<'s>(&'s mut self, sites: &'s NatSites<'_>, bx: &BoxAt<'_>) -> BoxArgs<'s, T> {
+    /// The kernel arguments of the box `bx` — or, `column`, of the box
+    /// one element wide `bx` turned into one row along its column: the
+    /// same elements in the same order, each walk's row step its step.
+    fn args<'s>(
+        &'s mut self,
+        sites: &'s NatSites<'_>,
+        bx: &BoxAt<'_>,
+        column: bool,
+    ) -> BoxArgs<'s, T> {
+        let turn = |walk: Walk| {
+            let step = if column { walk.row_step } else { walk.step };
+            Walk { step, ..walk }
+        };
         for (read, site) in (self.reads.iter_mut()).zip(T::pick(&sites.reads, &sites.ireads)) {
-            read.walk = match &site.off {
+            read.walk = turn(match &site.off {
                 SiteOff::Affine(aff) => aff.at(bx),
                 SiteOff::Ordinal => Walk {
                     start: bx.ordinal() as i64,
                     row_step: bx.inner_len as i64,
                     step: 1,
                 },
-            };
+            });
         }
         for (walk, lin) in self.lins.iter_mut().zip(&sites.folded.lins) {
-            *walk = lin.at(bx);
+            *walk = turn(lin.at(bx));
         }
+        let (rows, len) = if column {
+            (1, bx.rows.len)
+        } else {
+            (bx.rows.len, bx.run.len)
+        };
         BoxArgs {
-            rows: bx.rows.len,
-            len: bx.run.len,
+            rows,
+            len,
             reads: &self.reads,
             lins: &self.lins,
             scalars: &sites.folded.scalars,
@@ -138,7 +154,7 @@ pub(crate) fn inspect_boxes(
         if result.is_err() {
             return;
         }
-        let args = boxes.args(&g.sites, bx);
+        let args = boxes.args(&g.sites, bx, false);
         cols.resize(args.rows * args.len * g.subs.len(), 0);
         let dense_rows = (0, args.len);
         index_box(g.subs, &args, &mut cols, dense_rows, &mut dense, &mut pool);
@@ -256,15 +272,19 @@ fn run_native_boxes<'p, T: Elem>(
                             (&mut stage[..], at, (nb * inner_len) as isize)
                         }
                     };
+                    // A box one element wide whose rows are adjacent
+                    // where it is written runs as one row along its
+                    // column.
+                    let column = bx.run.len == 1 && row_step == 1;
                     let mut out = BoxOut {
                         data,
                         start,
                         row_step,
                     };
-                    T::kernel(b.func)(&boxes.args(&b.sites, bx), &mut out, &mut pool);
+                    T::kernel(b.func)(&boxes.args(&b.sites, bx, column), &mut out, &mut pool);
                 }
                 if let Some((subs, boxes, dense)) = &mut index_boxes {
-                    let args = boxes.args(&bodies[0].sites, bx);
+                    let args = boxes.args(&bodies[0].sites, bx, false);
                     let at = (at0 + bx.ordinal(), inner_len);
                     index_box(subs, &args, &mut index, at, dense, &mut pool);
                 }

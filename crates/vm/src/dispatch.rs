@@ -12,8 +12,10 @@
 //! live array table, a `[DistArray]` indexed by [`ArrId`] — the
 //! `(array, DAD)` pairs the paper's generated code hands its run-time.
 
+use std::ops::Range;
+
 use f90d_comm::driver::{self, GhostSpec};
-use f90d_comm::helpers::tree_broadcast;
+use f90d_comm::helpers::{cartesian, tree_broadcast};
 use f90d_comm::op::CommError;
 use f90d_comm::overlap::Margins;
 use f90d_comm::reduce::ReduceOp;
@@ -329,6 +331,27 @@ pub fn iterations_for(
     )
 }
 
+/// The trip count of `lb..=ub` step `st` (`lb <= ub`, `st > 0`) and its
+/// last iterate, exact however far apart the bounds lie (a span past
+/// `i64::MAX` is legal): `ub` itself need not lie on the stride, but
+/// the template progression of an `OwnerDim` variable is anchored at
+/// whichever end maps lowest — with a negative subscript or alignment
+/// stride, that is the last iterate. `lb + k·st` wraps to the exact
+/// iterate, which fits.
+fn trips([lb, ub, st]: [i64; 3]) -> (u128, i64) {
+    let count = u128::from(ub.abs_diff(lb) / st as u64) + 1;
+    (
+        count,
+        lb.wrapping_add(((count - 1) as i64).wrapping_mul(st)),
+    )
+}
+
+/// The template progression `t(v) = s·v + o` of the LHS subscript
+/// `a·v + b` on an array dimension: `(s, o)`.
+fn template_form(dm: &ArrayDimMap, a: i64, b: i64) -> (i64, i64) {
+    (dm.align.stride * a, dm.align.stride * b + dm.align.offset)
+}
+
 /// [`iterations_for`] the rank at grid coordinates `coords` of `nranks`.
 fn iterations_at(
     part: &Partition,
@@ -341,15 +364,8 @@ fn iterations_at(
     if lb > ub {
         return vec![];
     }
-    // The trip count, exact however far apart the bounds lie (a span
-    // past `i64::MAX` is legal). The last iterate: `ub` itself need not
-    // lie on the stride, but the template progression below is anchored
-    // at whichever end maps lowest — with a negative subscript or
-    // alignment stride, that is this one. `lb + k·st` wraps to the
-    // exact iterate, which fits.
-    let count = u128::from(ub.abs_diff(lb) / st as u64) + 1;
+    let (count, ub) = trips([lb, ub, st]);
     let at = |k: u128| lb.wrapping_add((k as i64).wrapping_mul(st));
-    let ub = at(count - 1);
     let all = || (lb..=ub).step_by(st as usize).collect();
     match part {
         Partition::Replicate => all(),
@@ -365,9 +381,7 @@ fn iterations_at(
                 return all();
             }
             let coord = coords[dm.grid_axis.unwrap()];
-            // Template progression t(v) = S*v + O.
-            let s = dm.align.stride * a;
-            let o = dm.align.stride * b + dm.align.offset;
+            let (s, o) = template_form(dm, *a, *b);
             let (t1, t2) = (s * lb + o, s * ub + o);
             let li = set_bound(&dm.dist, coord, t1.min(t2), t1.max(t2), (s * st).abs());
             let cell =
@@ -413,35 +427,109 @@ fn iterations_at(
     }
 }
 
-/// Whether a rank's iteration lists hold no tuple — one is empty, and
-/// then, from [`iteration_lists`], all are: such a rank runs nothing.
+/// The grid coordinates along one axis that can own an iteration of a
+/// BLOCK `OwnerDim` variable over `bounds` (`lb <= ub`): `(axis,
+/// first..last + 1)`, `proc_of` at the two ends of the variable's
+/// template progression, clamped to the template as `set_bound` clamps
+/// it — BLOCK's `μ` is monotone, so every coordinate outside owns no
+/// cell the progression reaches. `None` when the variable bounds no
+/// axis: a replicated one, a `BlockIter` share, and CYCLIC and
+/// BLOCK-CYCLIC, whose owners wrap round the whole axis.
+fn owner_window(
+    part: &Partition,
+    bounds: [i64; 3],
+    arrays: &[DistArray],
+) -> Option<(usize, Range<i64>)> {
+    let Partition::OwnerDim { arr, dim, a, b } = part else {
+        return None;
+    };
+    let dm = &arrays[*arr].dad.dims[*dim];
+    if !dm.is_distributed() || dm.dist.kind != DistKind::Block {
+        return None;
+    }
+    let (s, o) = template_form(dm, *a, *b);
+    let (t1, t2) = (s * bounds[0] + o, s * trips(bounds).1 + o);
+    let (lo, hi) = (t1.min(t2).max(0), t1.max(t2).min(dm.dist.extent - 1));
+    let window = if lo <= hi {
+        dm.dist.proc_of(lo)..dm.dist.proc_of(hi) + 1
+    } else {
+        0..0
+    };
+    Some((dm.grid_axis.unwrap(), window))
+}
+
+/// Whether a rank's iteration lists hold no tuple: it has none (every
+/// rank [`iteration_lists`] gives nothing to run), or one of them is
+/// empty (a split-phase part of a rank's space can be).
 pub(crate) fn runs_nothing(lists: &[Vec<i64>]) -> bool {
-    lists.iter().any(Vec::is_empty)
+    lists.is_empty() || lists.iter().any(Vec::is_empty)
 }
 
 /// Per-rank, per-variable iteration lists of one FORALL execution:
-/// `loops` pairs each variable's partition with its evaluated
+/// `lists[rank][var]`, empty (no list at all) on a rank that runs
+/// nothing.
+pub type IterLists = Vec<Vec<Vec<i64>>>;
+
+/// What [`iteration_lists`] partitioned: the lists, and how many ranks
+/// it did per-rank work for.
+#[derive(Debug)]
+pub struct Dispatched {
+    /// The per-rank lists.
+    pub lists: IterLists,
+    /// Ranks whose grid coordinates lay inside the window of ranks that
+    /// can own an iteration, and so were partitioned (`set_BOUND`) at
+    /// all. A rank outside it costs nothing.
+    pub visited: u64,
+}
+
+/// Partition one FORALL execution over the ranks (`set_BOUND`, paper
+/// §4): `loops` pairs each variable's partition with its evaluated
 /// `[lb, ub, st]`; `owner_filter` holds the evaluated fixed LHS indices
-/// `(arr, dim, index)` — only ranks owning `index` on `dim` take part
-/// (`set_BOUND` masking of inactive processors, paper §4), the others
-/// get empty lists. So does a rank one of whose lists is empty: it runs
-/// nothing, and every list of it is empty.
+/// `(arr, dim, index)` — only ranks owning `index` on `dim` take part.
+///
+/// Inactive processors are masked before any per-rank work: the bounds
+/// and the filter give, per grid axis, the window of coordinates that
+/// can own an iteration (`owner_window`, the filter's one coordinate),
+/// and only the ranks at the coordinates inside every window
+/// (`ProcGrid::rank_of`, so under any embedding) are partitioned. Every
+/// other rank — and a visited one one of whose lists comes out empty —
+/// gets no lists and runs nothing.
 pub fn iteration_lists(
     m: &Machine,
     arrays: &[DistArray],
     loops: &[(&Partition, [i64; 3])],
     owner_filter: &[(ArrId, usize, i64)],
-) -> VmResult<Vec<Vec<Vec<i64>>>> {
+) -> VmResult<Dispatched> {
     if loops.iter().any(|(_, [_, _, st])| *st <= 0) {
         return Err(VmError("FORALL stride must be positive".into()));
     }
-    let mut owners = Vec::with_capacity(owner_filter.len());
+    let nranks = m.nranks();
+    let mut windows: Vec<Range<i64>> = m.grid.shape.iter().map(|&e| 0..e).collect();
+    let mut narrow = |axis: usize, w: Range<i64>| {
+        let have = &mut windows[axis];
+        *have = have.start.max(w.start)..have.end.min(w.end);
+    };
     for &(arr, dim, g) in owner_filter {
         let a = &arrays[arr];
         driver::check_dim(&a.name, &a.dad, dim, g)?;
         let dm = &a.dad.dims[dim];
-        let axis = dm.grid_axis.expect("owner filter on distributed dim");
-        owners.push((axis, dm.proc_of(g)));
+        let owner = dm.proc_of(g);
+        narrow(
+            dm.grid_axis.expect("owner filter on distributed dim"),
+            owner..owner + 1,
+        );
+    }
+    let mut out = Dispatched {
+        lists: (0..nranks).map(|_| Vec::new()).collect(),
+        visited: 0,
+    };
+    if loops.iter().any(|(_, [lb, ub, _])| lb > ub) {
+        return Ok(out);
+    }
+    for &(part, bounds) in loops {
+        if let Some((axis, w)) = owner_window(part, bounds, arrays) {
+            narrow(axis, w);
+        }
     }
     // The variables whose list does not depend on the rank, last: a rank
     // whose share of a partitioned one is empty runs nothing, so its
@@ -455,32 +543,29 @@ pub fn iteration_lists(
     };
     let mut order: Vec<usize> = (0..loops.len()).collect();
     order.sort_by_key(|&k| replicated(loops[k].0));
-    let nranks = m.nranks();
     let shared: Vec<Option<Vec<i64>>> = (loops.iter())
         .map(|&(part, bounds)| {
             replicated(part).then(|| iterations_at(part, bounds, arrays, nranks, 0, &[]))
         })
         .collect();
-    Ok((0..nranks)
-        .map(|rank| {
-            let coords = m.grid.coords_of(rank);
-            let mut lists = vec![Vec::new(); loops.len()];
-            if owners.iter().all(|&(axis, owner)| coords[axis] == owner) {
-                for &k in &order {
-                    let (part, bounds) = loops[k];
-                    lists[k] = match &shared[k] {
-                        Some(all) => all.clone(),
-                        None => iterations_at(part, bounds, arrays, nranks, rank, &coords),
-                    };
-                    if lists[k].is_empty() {
-                        lists.iter_mut().for_each(Vec::clear);
-                        break;
-                    }
-                }
+    let windows: Vec<Vec<i64>> = windows.into_iter().map(Iterator::collect).collect();
+    cartesian(&windows, |coords| {
+        out.visited += 1;
+        let rank = m.grid.rank_of(coords);
+        let mut lists = vec![Vec::new(); loops.len()];
+        for &k in &order {
+            let (part, bounds) = loops[k];
+            lists[k] = match &shared[k] {
+                Some(all) => all.clone(),
+                None => iterations_at(part, bounds, arrays, nranks, rank, coords),
+            };
+            if lists[k].is_empty() {
+                return;
             }
-            lists
-        })
-        .collect())
+        }
+        out.lists[rank as usize] = lists;
+    });
+    Ok(out)
 }
 
 /// The ghost exchanges of an `overlap_shift` prelude

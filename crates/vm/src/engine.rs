@@ -23,7 +23,7 @@ use crate::bind::{bind_native, fold_native, NatRank};
 use crate::boxes::{inspect_boxes, run_native_forall};
 use crate::bytecode::*;
 use crate::chunk::{self, resolve_acc, ForallCx, ResolvedAcc, Staged};
-use crate::dispatch::{self, VmResult};
+use crate::dispatch::{self, IterLists, VmResult};
 use crate::ops;
 
 pub use crate::dispatch::{RunReport, VmError};
@@ -84,10 +84,12 @@ pub struct Engine {
     lists: Vec<Option<ListMemo>>,
     /// FORALL executions that took their iteration lists from `lists`.
     dispatch_reused: u64,
+    /// Over the FORALL executions that partitioned their iteration
+    /// space: the ranks [`dispatch::iteration_lists`] visited, and the
+    /// ranks that came out with iterations.
+    ranks_visited: u64,
+    ranks_active: u64,
 }
-
-/// Per-rank, per-variable iteration lists of one FORALL execution.
-type IterLists = Vec<Vec<Vec<i64>>>;
 
 /// One FORALL's kept iteration lists. `key` is everything
 /// [`dispatch::iteration_lists`] computes them from besides the live
@@ -131,6 +133,8 @@ impl Engine {
             accs: Vec::new(),
             lists: std::iter::repeat_with(|| None).take(nforalls).collect(),
             dispatch_reused: 0,
+            ranks_visited: 0,
+            ranks_active: 0,
         }
     }
 
@@ -167,6 +171,16 @@ impl Engine {
     /// iteration space again. Exact; explains host time only.
     pub fn dispatch_reused(&self) -> u64 {
         self.dispatch_reused
+    }
+
+    /// `(visited, active)`: summed over the FORALL executions that
+    /// partitioned their iteration space (not those counted by
+    /// [`Engine::dispatch_reused`]), the ranks the partitioning visited —
+    /// those inside the window of grid coordinates that can own an
+    /// iteration — and the ranks that came out with iterations. Exact;
+    /// explains host time only. Equal when the window is tight.
+    pub fn ranks_counts(&self) -> (u64, u64) {
+        (self.ranks_visited, self.ranks_active)
     }
 
     /// Read a scalar by name (post-run inspection).
@@ -560,23 +574,27 @@ impl Engine {
         filter: &[(ArrId, usize, i64)],
         in_loop: bool,
     ) -> VmResult<Arc<IterLists>> {
+        let mut partition = || {
+            let done = dispatch::iteration_lists(m, &self.arrays, loops, filter)?;
+            self.ranks_visited += done.visited;
+            self.ranks_active += done.lists.iter().filter(|l| !l.is_empty()).count() as u64;
+            Ok::<_, VmError>(Arc::new(done.lists))
+        };
         if !in_loop {
-            return dispatch::iteration_lists(m, &self.arrays, loops, filter).map(Arc::new);
+            return partition();
         }
         let key = || {
             let bounds = loops.iter().flat_map(|(_, bounds)| *bounds);
             bounds.chain(filter.iter().map(|&(_, _, index)| index))
         };
-        let memo = &mut self.lists[fi as usize];
-        if let Some(kept) = memo
-            .as_ref()
-            .filter(|kept| kept.key.iter().copied().eq(key()))
+        if let Some(kept) =
+            (self.lists[fi as usize].as_ref()).filter(|kept| kept.key.iter().copied().eq(key()))
         {
             self.dispatch_reused += 1;
             return Ok(kept.lists.clone());
         }
-        let lists = Arc::new(dispatch::iteration_lists(m, &self.arrays, loops, filter)?);
-        *memo = Some(ListMemo {
+        let lists = partition()?;
+        self.lists[fi as usize] = Some(ListMemo {
             key: key().collect(),
             lists: lists.clone(),
         });

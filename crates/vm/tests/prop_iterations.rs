@@ -14,13 +14,19 @@
 //! `dispatch::iteration_lists`, to the per-rank function: beside the
 //! partitioned variable a replicated one, whose list is built once and
 //! copied, must read on every rank that runs as `iterations_for` says —
-//! and a rank with no share of the partitioned one gets nothing. A third
-//! property puts the bounds at the ends of `i64` — a span past
-//! `i64::MAX` included — and holds the `Replicate` and `BlockIter`
-//! lists to the trips enumerated in `i128`.
+//! and a rank with no share of the partitioned one gets no lists at
+//! all. A third property puts the bounds at the ends of `i64` — a span
+//! past `i64::MAX` included — and holds the `Replicate` and `BlockIter`
+//! lists to the trips enumerated in `i128`. A fourth moves to a
+//! two-axis grid under either embedding, with an owner filter or a
+//! second partitioned variable, where `iteration_lists` masks idle
+//! ranks before partitioning: the lists are still `iterations_for`'s,
+//! every tuple runs once, and no rank outside the window of ranks that
+//! can own an iteration is visited.
 
 use f90d_distrib::{
-    set_bound, AlignExpr, Alignment, AxisAlign, DadBuilder, DistKind, ProcGrid, Template,
+    set_bound, AlignExpr, Alignment, AxisAlign, DadBuilder, DistKind, GridEmbedding, ProcGrid,
+    Template,
 };
 use f90d_machine::{ElemType, Machine, MachineSpec};
 use f90d_runtime::DistArray;
@@ -163,14 +169,15 @@ fn check_partition(
     let inner = [ub - lb, ub + st, st];
     let m = Machine::new(MachineSpec::ideal(), grid.clone());
     let loops = [(&part, [lb, ub, st]), (&Partition::Replicate, inner)];
-    let lists = iteration_lists(&m, &arrays, &loops, &[]).unwrap();
+    let done = iteration_lists(&m, &arrays, &loops, &[]).unwrap();
+    let lists = &done.lists;
 
     let mut all: Vec<i64> = Vec::new();
     for rank in 0..p {
         let list = iterations_for(&part, [lb, ub, st], &arrays, &grid, rank);
         let shared = iterations_for(&Partition::Replicate, inner, &arrays, &grid, rank);
         let want = if list.is_empty() {
-            vec![vec![], vec![]]
+            vec![]
         } else {
             vec![list.clone(), shared]
         };
@@ -201,8 +208,167 @@ fn check_partition(
     Ok(())
 }
 
+/// A FORALL over `A(n0, n1)` on a two-axis `grid`: dimension 0
+/// distributed `kinds[0]` with the identity alignment, dimension 1
+/// `kinds[1]` aligned `align_stride*i + offset`. The variable `v` runs
+/// `bounds` with the LHS subscript `a*v + b` on dimension 1; on
+/// dimension 0 either the owner filter fixes the row `Ok(g)`, or a
+/// second, outer variable `u` runs `Err(rows)` as the subscript itself.
+/// Every rank's lists are `iterations_for`'s — no lists at all where
+/// one is empty or the filter's row is not the rank's — the tuples run
+/// are the loop's, each once, and the partitioning visits at most `P`
+/// ranks, exactly the active ones when both windows are tight (BLOCK at
+/// a unit template step).
+fn check_grid_partition(
+    grid: ProcGrid,
+    kinds: [DistKind; 2],
+    [n0, n1]: [i64; 2],
+    (align_stride, align_offset): (i64, i64),
+    (a, b_slack): (i64, i64),
+    [lb, ub, st]: [i64; 3],
+    row: Result<i64, [i64; 3]>,
+) -> Result<(), TestCaseError> {
+    let b = b_slack - (a * lb).min(a * ub);
+    let n1 = n1.max((a * lb + b).max(a * ub + b) + 1);
+    let offset = align_offset - (align_stride * (n1 - 1)).min(0);
+    let t_extent = align_stride.abs() * (n1 - 1) + offset + 1;
+    let dad = DadBuilder::new("A", &[n0, n1])
+        .template(Template::new("T", &[n0, t_extent]))
+        .align(Alignment {
+            axes: vec![
+                AxisAlign::Aligned {
+                    template_dim: 0,
+                    expr: AlignExpr::new(1, 0),
+                },
+                AxisAlign::Aligned {
+                    template_dim: 1,
+                    expr: AlignExpr::new(align_stride, offset),
+                },
+            ],
+            replicated_template_dims: vec![],
+        })
+        .distribute(&kinds)
+        .grid(grid.clone())
+        .build()
+        .unwrap();
+    let arrays = [DistArray {
+        name: "A".into(),
+        dad,
+        ty: ElemType::Real,
+    }];
+    let cols = Partition::OwnerDim {
+        arr: 0,
+        dim: 1,
+        a,
+        b,
+    };
+    let rows = Partition::OwnerDim {
+        arr: 0,
+        dim: 0,
+        a: 1,
+        b: 0,
+    };
+    let m = Machine::new(MachineSpec::ideal(), grid.clone());
+    let (loops, filter) = match row {
+        Ok(g) => (vec![(&cols, [lb, ub, st])], vec![(0, 0, g)]),
+        Err(u) => (vec![(&rows, u), (&cols, [lb, ub, st])], vec![]),
+    };
+    let done = iteration_lists(&m, &arrays, &loops, &filter).unwrap();
+    let dm = &arrays[0].dad.dims;
+    let mut run: Vec<(i64, i64)> = Vec::new();
+    let mut active = 0;
+    for rank in 0..grid.size() {
+        let coords = grid.coords_of(rank);
+        let on_row = match row {
+            Ok(g) => !dm[0].is_distributed() || coords[0] == dm[0].proc_of(g),
+            Err(_) => true,
+        };
+        let lists: Vec<Vec<i64>> = (loops.iter())
+            .map(|&(part, bounds)| iterations_for(part, bounds, &arrays, &grid, rank))
+            .collect();
+        let runs = on_row && lists.iter().all(|l| !l.is_empty());
+        let want = if runs { lists } else { vec![] };
+        prop_assert_eq!(
+            &done.lists[rank as usize],
+            &want,
+            "rank {} at {:?}",
+            rank,
+            coords
+        );
+        active += !want.is_empty() as u64;
+        match row {
+            Ok(g) => run.extend(want.iter().flatten().map(|&v| (g, v))),
+            Err(_) if runs => f90d_comm::helpers::cartesian(&want, |t| run.push((t[0], t[1]))),
+            Err(_) => {}
+        }
+    }
+    run.sort_unstable();
+    let trips = |[lb, ub, st]: [i64; 3]| (lb..=ub).step_by(st as usize).collect::<Vec<_>>();
+    let want: Vec<(i64, i64)> = match row {
+        Ok(g) => trips([lb, ub, st]).into_iter().map(|v| (g, v)).collect(),
+        Err(u) => (trips(u).into_iter())
+            .flat_map(|r| trips([lb, ub, st]).into_iter().map(move |v| (r, v)))
+            .collect(),
+    };
+    prop_assert_eq!(run, want, "every tuple once");
+    prop_assert!(done.visited <= grid.size() as u64 && done.visited >= active);
+    let unit = (align_stride * a * st).abs() == 1 && row.map_or_else(|u| u[2] == 1, |_| true);
+    if kinds == [DistKind::Block; 2] && unit {
+        prop_assert_eq!(
+            done.visited,
+            active,
+            "a tight window visits the active ranks only"
+        );
+    }
+    Ok(())
+}
+
+fn embedding() -> impl Strategy<Value = GridEmbedding> {
+    prop_oneof![Just(GridEmbedding::RowMajor), Just(GridEmbedding::GrayCode)]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Two grid axes under either embedding, each distributed BLOCK,
+    /// CYCLIC or CYCLIC(K), a negative alignment stride among the
+    /// strides, often fewer columns than ranks along the column axis,
+    /// and the row fixed by an owner filter or run by an outer
+    /// variable.
+    #[test]
+    fn lists_on_a_two_axis_grid_with_an_owner_filter(
+        p in (0u32..3, 0u32..3),
+        embedding in embedding(),
+        kinds in (dist_kind(), dist_kind()),
+        n in (1i64..9, 1i64..9),
+        align_stride in nonzero(-2, 2),
+        align_offset in 0i64..3,
+        a in nonzero(-2, 2),
+        b_slack in 0i64..3,
+        lb in 0i64..4,
+        count in 1i64..7,
+        st in 1i64..3,
+        row in prop_oneof![
+            (0i64..8).prop_map(Ok),
+            (0i64..4, 0i64..5, 1i64..3).prop_map(|(lb, len, st)| Err([lb, lb + len, st])),
+        ],
+    ) {
+        let grid = ProcGrid::with_embedding(&[1 << p.0, 1 << p.1], embedding);
+        let ub = lb + (count - 1) * st;
+        let n0 = match row {
+            Ok(g) => n.0.max(g + 1),
+            Err([_, ub, _]) => n.0.max(ub + 1),
+        };
+        check_grid_partition(
+            grid,
+            [kinds.0, kinds.1],
+            [n0, n.1],
+            (align_stride, align_offset),
+            (a, b_slack),
+            [lb, ub, st],
+            row,
+        )?;
+    }
 
     #[test]
     fn owner_dim_lists_partition_the_iteration_space(
@@ -257,7 +423,7 @@ proptest! {
         let share = want.len().div_ceil(p as usize);
         let m = Machine::new(MachineSpec::ideal(), grid.clone());
         let loops = [(&Partition::BlockIter, bounds), (&Partition::Replicate, bounds)];
-        let lists = iteration_lists(&m, &[], &loops, &[]).unwrap();
+        let lists = iteration_lists(&m, &[], &loops, &[]).unwrap().lists;
         for rank in 0..p {
             let replicated = iterations_for(&Partition::Replicate, bounds, &[], &grid, rank);
             prop_assert_eq!(&replicated, &want, "Replicate, rank {}", rank);
@@ -265,7 +431,7 @@ proptest! {
             let r = rank as usize;
             let mine = &want[(r * share).min(want.len())..((r + 1) * share).min(want.len())];
             prop_assert_eq!(&split[..], mine, "BlockIter, rank {}", rank);
-            let whole = if split.is_empty() { vec![vec![], vec![]] } else { vec![split, want.clone()] };
+            let whole = if split.is_empty() { vec![] } else { vec![split, want.clone()] };
             prop_assert_eq!(&lists[r], &whole, "iteration_lists, rank {}", rank);
         }
     }
