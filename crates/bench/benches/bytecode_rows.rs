@@ -19,7 +19,7 @@
 //!   iteration; `stencil` includes its four ghost exchanges per FORALL.
 //! * `n8_p2x2/mod_fill` — one sample is 1000 executions of the `MOD`
 //!   fill over 8 × 8 (16 iterations per rank), so **ms reads as µs per
-//!   FORALL**: bounds, iteration lists, accessor resolution and
+//!   FORALL**: bounds, iteration spaces, accessor resolution and
 //!   per-rank set-up, not the loop.
 //!
 //! The file is written against `compile` + `Engine` only, so copying it

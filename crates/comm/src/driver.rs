@@ -39,7 +39,7 @@
 
 use std::sync::Arc;
 
-use f90d_distrib::{ArrayDimMap, Dad, Locator};
+use f90d_distrib::{ArrayDimMap, Dad, Locator, Runs};
 use f90d_machine::{ArrayData, ElemType, LocalArray, Machine, Transport, Value};
 
 use crate::helpers::{exchange, ExchangeOp, ExchangePlan};
@@ -254,9 +254,10 @@ pub trait ComputeSink {
     fn commit(&mut self, m: &mut Machine) -> Result<(), Self::Error>;
 }
 
-/// The iteration spaces of one phase, by rank: each the per-variable
-/// lists of a plain cartesian product.
-pub type Spaces<'s> = dyn Fn(usize) -> &'s [Vec<Vec<i64>>] + Sync + 's;
+/// The iteration spaces of one phase, by rank: one [`Runs`] per FORALL
+/// variable, a space after another — each space the plain cartesian
+/// product of its variables' values. A rank with no space has none.
+pub type Spaces<'s> = dyn Fn(usize) -> &'s [Runs] + Sync + 's;
 
 /// Split-phase stencil execution (paper §5.1/§7 latency hiding), the
 /// single implementation behind `comm_compute_overlap`: post every ghost exchange in `shifts`, run the sink's
@@ -266,14 +267,13 @@ pub type Spaces<'s> = dyn Fn(usize) -> &'s [Vec<Vec<i64>>] + Sync + 's;
 /// bit-identical to blocking execution — only the virtual clocks
 /// differ, which is the point.
 ///
-/// `iter_lists` are the per-rank, per-variable iteration lists of the
-/// full FORALL; the interior/boundary split comes from the shared
-/// [`Margins`] geometry.
+/// `whole` gives each rank's space of the full FORALL; the
+/// interior/boundary split comes from the shared [`Margins`] geometry.
 pub fn run_overlap<S: ComputeSink>(
     m: &mut Machine,
     shifts: &[GhostSpec],
     margins: &Margins,
-    iter_lists: &[Vec<Vec<i64>>],
+    whole: &Spaces<'_>,
     sink: &mut S,
 ) -> Result<(), S::Error> {
     // 1. Post every ghost exchange: senders pay pack + α and are free.
@@ -284,18 +284,20 @@ pub fn run_overlap<S: ComputeSink>(
         op.post(m)?;
         posted.push(op);
     }
-    // 2. Split each rank's iteration space once via the shared geometry.
-    let interior: Vec<_> = iter_lists
-        .iter()
-        .map(|l| margins.interior_lists(l))
-        .collect();
-    let boundary: Vec<_> = iter_lists
-        .iter()
-        .map(|l| margins.boundary_slabs(l))
-        .collect();
+    // 2. Split each rank's iteration space once via the shared geometry:
+    // rank `r`'s spaces are `at[r]..at[r + 1]` of each table.
+    let nranks = m.nranks() as usize;
+    let (mut interior, mut boundary) = (Vec::new(), Vec::new());
+    let (mut interior_at, mut boundary_at) = (vec![0], vec![0]);
+    for r in 0..nranks {
+        margins.interior(whole(r), &mut interior);
+        margins.boundary(whole(r), &mut boundary);
+        interior_at.push(interior.len());
+        boundary_at.push(boundary.len());
+    }
     // 3. Interior compute, charged before the completions below so it
     // genuinely hides the wire time.
-    let interior_done = sink.phase(m, &|r| std::slice::from_ref(&interior[r]));
+    let interior_done = sink.phase(m, &|r| &interior[interior_at[r]..interior_at[r + 1]]);
     // 4. Complete the ghost exchanges: each receiver's clock advances
     // to max(its post-interior clock, strip arrival). Every posted op
     // finishes even after a failure, so nothing is left in flight; the
@@ -305,7 +307,7 @@ pub fn run_overlap<S: ComputeSink>(
     finished.into_iter().collect::<CommResult<()>>()?;
     // 5. Boundary compute: only the shell tuples whose reads touch
     // ghost cells.
-    sink.phase(m, &|r| &boundary[r])?;
+    sink.phase(m, &|r| &boundary[boundary_at[r]..boundary_at[r + 1]])?;
     // 6. Commit both phases' staged writes (FORALL RHS-before-LHS).
     sink.commit(m)
 }
@@ -698,7 +700,7 @@ mod tests {
                     2
                 };
                 self.calls.push(["interior", "boundary"][self.calls.len()]);
-                assert!((0..4).all(|r| spaces(r).len() == 1 && spaces(r)[0][0].len() == width));
+                assert!((0..4).all(|r| spaces(r).len() == 1 && spaces(r)[0].len() == width));
                 Ok(())
             }
             fn commit(&mut self, _m: &mut Machine) -> Result<(), CommError> {
@@ -713,11 +715,10 @@ mod tests {
         margins.add(0, 1);
         margins.add(0, -1);
         // Rank r owns globals 8r..8r+7.
-        let iter_lists: Vec<Vec<Vec<i64>>> = (0..4)
-            .map(|r| vec![(8 * r..8 * r + 8).collect::<Vec<i64>>()])
-            .collect();
+        let spaces: Vec<Runs> = (0..4).map(|r| Runs::of(8 * r..8 * r + 8)).collect();
         let mut sink = Probe::default();
-        run_overlap(&mut m, &shifts, &margins, &iter_lists, &mut sink).unwrap();
+        let whole = |r: usize| std::slice::from_ref(&spaces[r]);
+        run_overlap(&mut m, &shifts, &margins, &whole, &mut sink).unwrap();
         assert_eq!(sink.calls, vec!["interior", "boundary", "commit"]);
         // The sends were already posted (and counted) when the interior
         // ran — posting precedes compute, completion follows it.
@@ -745,9 +746,9 @@ mod tests {
         let mut margins = Margins::new(1);
         margins.add(0, 1);
         margins.add(0, -1);
-        let iter_lists: Vec<Vec<Vec<i64>>> =
-            (0..4).map(|r| vec![(8 * r..8 * r + 8).collect()]).collect();
-        let err = run_overlap(&mut m, &shifts, &margins, &iter_lists, &mut Failing).unwrap_err();
+        let spaces: Vec<Runs> = (0..4).map(|r| Runs::of(8 * r..8 * r + 8)).collect();
+        let whole = |r: usize| std::slice::from_ref(&spaces[r]);
+        let err = run_overlap(&mut m, &shifts, &margins, &whole, &mut Failing).unwrap_err();
         assert_eq!(err.0, "interior failed");
         assert!(m.transport.messages > 0);
         quiesce(&mut m).unwrap();
@@ -764,11 +765,9 @@ mod tests {
         let dm = &dad.dims[0];
         // A compatible loop variable absorbs both shift directions.
         let m = stencil_margins(&[Some(dm)], &[(dm, 1), (dm, -2)]).unwrap();
-        let lists = vec![(0i64..8).collect::<Vec<i64>>()];
-        assert_eq!(
-            m.interior_lists(&lists),
-            vec![(2i64..7).collect::<Vec<i64>>()]
-        );
+        let mut interior = Vec::new();
+        m.interior(&[Runs::of(0..8)], &mut interior);
+        assert_eq!(interior, vec![Runs::of(2..7)]);
         // No owner-computes variable → ineligible.
         assert!(stencil_margins(&[None], &[(dm, 1)]).is_none());
         // A replicated (undistributed) shifted dimension is ineligible

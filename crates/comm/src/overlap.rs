@@ -3,18 +3,20 @@
 //! split, and the dimension-compatibility test — what decides which
 //! tuples count as "interior".
 //!
-//! Terminology: a FORALL over per-variable iteration lists executes the
-//! cartesian product of those lists. With ghost margins `(lo, hi)`
-//! accumulated from the `overlap_shift` prelude, a tuple is **interior**
-//! when every margined variable `v` satisfies
-//! `first + lo <= v <= last - hi` (firsts/lasts of that rank's list) —
-//! every shifted read of such a tuple stays inside the rank's
-//! contiguous BLOCK-owned range, so it can run *before* the ghost
-//! exchange completes. The **boundary** is the complement, expressed as
-//! disjoint sub-products ([`Margins::boundary_slabs`]) so executors
-//! visit only shell tuples instead of filtering the full product.
+//! Terminology: a FORALL over per-variable iteration values ([`Runs`],
+//! one per variable: a rank's *space*) executes the cartesian product of
+//! those values. With ghost margins `(lo, hi)` accumulated from the
+//! `overlap_shift` prelude, a tuple is **interior** when every margined
+//! variable `v` satisfies `first + lo <= v <= last - hi` (the least and
+//! greatest of that rank's values) — every shifted read of such a tuple
+//! stays inside the rank's contiguous BLOCK-owned range, so it can run
+//! *before* the ghost exchange completes. The **boundary** is the
+//! complement, expressed as disjoint sub-products
+//! ([`Margins::boundary`]) so executors visit only shell tuples instead
+//! of filtering the full product. Both cut each variable's progressions
+//! at the margins; no value is looked at.
 
-use f90d_distrib::{ArrayDimMap, DistKind};
+use f90d_distrib::{ArrayDimMap, DistKind, Runs};
 
 /// `true` when a loop variable partitioned by `loop_dm` (the LHS
 /// dimension map) can carry the ghost margin of a shift on `shift_dm`:
@@ -64,56 +66,65 @@ impl Margins {
         }
     }
 
-    /// The values of variable `var`'s (ascending) list inside its
-    /// interior range (`inside`), or outside it; with no margin on `var`,
-    /// all of them are inside.
-    fn part(&self, var: usize, list: &[i64], inside: bool) -> Vec<i64> {
+    /// The values of variable `var` inside its interior range
+    /// (`inside`), or outside it; with no margin on `var`, all of them
+    /// are inside.
+    fn part(&self, var: usize, runs: &Runs, inside: bool) -> Runs {
         let (lo, hi) = self.per_var[var];
-        // Saturating for the same reason as [`Margins::add`]: an
-        // overflowed interior bound must clamp (emptying the interior),
-        // never wrap around into a range that swallows the boundary.
-        let range = match (list.first(), list.last()) {
-            (Some(first), Some(last)) => first.saturating_add(lo)..=last.saturating_sub(hi),
-            _ => return Vec::new(),
-        };
-        (list.iter().copied())
-            .filter(|v| range.contains(v) == inside)
-            .collect()
+        match (runs.first(), runs.last()) {
+            (Some(_), Some(_)) if (lo, hi) == (0, 0) => {
+                if inside {
+                    runs.clone()
+                } else {
+                    Runs::EMPTY
+                }
+            }
+            // Saturating for the same reason as [`Margins::add`]: an
+            // overflowed interior bound must clamp (emptying the
+            // interior), never wrap around into a range that swallows the
+            // boundary.
+            (Some(first), Some(last)) => {
+                runs.clip(first.saturating_add(lo), last.saturating_sub(hi), inside)
+            }
+            _ => Runs::EMPTY,
+        }
     }
 
-    /// The interior sub-product of one rank's iteration lists: margined
-    /// variables restricted to their interior range. Running the plain
-    /// cartesian product of the result executes exactly the interior
-    /// tuples.
-    pub fn interior_lists(&self, lists: &[Vec<i64>]) -> Vec<Vec<i64>> {
-        (lists.iter().enumerate())
-            .map(|(k, list)| self.part(k, list, true))
-            .collect()
+    /// Append to `out` the interior sub-product of one rank's `space`
+    /// (one [`Runs`] per variable): margined variables restricted to
+    /// their interior range. Running the plain cartesian product of the
+    /// result executes exactly the interior tuples. Nothing is appended
+    /// when the interior is empty.
+    pub fn interior(&self, space: &[Runs], out: &mut Vec<Runs>) {
+        let at = out.len();
+        out.extend((space.iter().enumerate()).map(|(k, runs)| self.part(k, runs, true)));
+        if out[at..].iter().any(Runs::is_empty) {
+            out.truncate(at);
+        }
     }
 
-    /// The boundary of one rank's iteration lists as disjoint
-    /// sub-products: for the `j`-th margined variable, the slab of
-    /// tuples where variables before it are interior, it is outside its
-    /// range, and later variables are unrestricted. The slabs partition
-    /// `product(lists) - product(interior_lists(lists))`, so executors
-    /// visit only shell tuples — no membership filtering, and a cost
-    /// that scales with the shell, not the interior.
-    pub fn boundary_slabs(&self, lists: &[Vec<i64>]) -> Vec<Vec<Vec<i64>>> {
-        let slab = |j: usize| -> Vec<Vec<i64>> {
-            (lists.iter().enumerate())
-                .map(|(k, list)| {
-                    if k > j {
-                        list.clone()
-                    } else {
-                        self.part(k, list, k < j)
-                    }
-                })
-                .collect()
-        };
-        (0..lists.len())
-            .map(slab)
-            .filter(|slab| slab.iter().all(|l| !l.is_empty()))
-            .collect()
+    /// Append to `out` the boundary of one rank's `space` as disjoint
+    /// sub-products, one [`Runs`] per variable each: for the `j`-th
+    /// margined variable, the slab of tuples where variables before it
+    /// are interior, it is outside its range, and later variables are
+    /// unrestricted; empty slabs are left out. The slabs partition
+    /// `product(space) - product(interior)`, so executors visit only
+    /// shell tuples — no membership filtering, and a cost that scales
+    /// with the shell, not the interior.
+    pub fn boundary(&self, space: &[Runs], out: &mut Vec<Runs>) {
+        for j in 0..space.len() {
+            let at = out.len();
+            out.extend((space.iter().enumerate()).map(|(k, runs)| {
+                if k > j {
+                    runs.clone()
+                } else {
+                    self.part(k, runs, k < j)
+                }
+            }));
+            if out[at..].iter().any(Runs::is_empty) {
+                out.truncate(at);
+            }
+        }
     }
 }
 
@@ -122,12 +133,49 @@ mod tests {
     use super::*;
     use std::collections::BTreeSet;
 
-    fn product(lists: &[Vec<i64>]) -> BTreeSet<Vec<i64>> {
+    fn space(lists: &[Vec<i64>]) -> Vec<Runs> {
+        lists.iter().map(|l| Runs::of(l.iter().copied())).collect()
+    }
+
+    /// The tuples of the spaces `flat` holds, `nvars` variables each.
+    fn product(flat: &[Runs], nvars: usize) -> BTreeSet<Vec<i64>> {
         let mut out = BTreeSet::new();
-        crate::helpers::cartesian(lists, |idx| {
-            out.insert(idx.to_vec());
-        });
+        for space in flat.chunks_exact(nvars) {
+            let lists: Vec<Vec<i64>> = space.iter().map(|r| r.values().collect()).collect();
+            crate::helpers::cartesian(&lists, |idx| {
+                out.insert(idx.to_vec());
+            });
+        }
         out
+    }
+
+    fn interior(m: &Margins, s: &[Runs]) -> Vec<Runs> {
+        let mut out = Vec::new();
+        m.interior(s, &mut out);
+        out
+    }
+
+    fn boundary(m: &Margins, s: &[Runs]) -> Vec<Runs> {
+        let mut out = Vec::new();
+        m.boundary(s, &mut out);
+        out
+    }
+
+    /// Interior and slabs partition the product of `s`, every slab
+    /// holds tuples, and every interior tuple is margin-safe per `safe`.
+    fn check_partition(m: &Margins, s: &[Runs], safe: impl Fn(&[i64]) -> bool) {
+        let n = s.len();
+        let full = product(s, n);
+        let inner = product(&interior(m, s), n);
+        let mut covered = inner.clone();
+        for slab in boundary(m, s).chunks_exact(n) {
+            assert!(slab.iter().all(|r| !r.is_empty()), "an empty slab");
+            for t in product(slab, n) {
+                assert!(covered.insert(t.clone()), "tuple {t:?} visited twice");
+            }
+        }
+        assert_eq!(covered, full, "interior + slabs must cover the product");
+        assert!(inner.iter().all(|t| safe(t)));
     }
 
     #[test]
@@ -136,32 +184,38 @@ mod tests {
         m.add(0, 1);
         m.add(0, -1);
         m.add(2, 2);
-        let lists = vec![
-            (1..=6).collect::<Vec<i64>>(),
-            vec![10, 11],
-            (0..=5).collect::<Vec<i64>>(),
-        ];
-        let full = product(&lists);
-        let interior = product(&m.interior_lists(&lists));
-        let mut covered = interior.clone();
-        for slab in m.boundary_slabs(&lists) {
-            for t in product(&slab) {
-                assert!(covered.insert(t.clone()), "tuple {t:?} visited twice");
-            }
-        }
-        assert_eq!(covered, full, "interior + slabs must cover the product");
-        // Every interior tuple really is margin-safe.
-        for t in &interior {
-            assert!((2..=5).contains(&t[0]) && (0..=3).contains(&t[2]));
-        }
+        let s = space(&[(1..=6).collect(), vec![10, 11], (0..=5).collect()]);
+        check_partition(&m, &s, |t| {
+            (2..=5).contains(&t[0]) && (0..=3).contains(&t[2])
+        });
+        // The interior of a unit-stride run is one run, its outside the
+        // two ends: a progression at the whole run's width.
+        assert_eq!(interior(&m, &s)[0], Runs::of(2..=5));
+        assert_eq!(boundary(&m, &s)[0], Runs::of([1, 6]));
+        assert_eq!(boundary(&m, &s)[0].runs().len(), 1);
+    }
+
+    /// Variables of several progressions — a CYCLIC(K) share, a strided
+    /// one — are cut run by run, and still partition the product.
+    #[test]
+    fn multi_run_variables_are_cut_run_by_run() {
+        let mut m = Margins::new(2);
+        m.add(0, 2);
+        m.add(0, -1);
+        m.add(1, 1);
+        let s = space(&[vec![0, 1, 2, 8, 9, 10, 16, 17], vec![3, 6, 9, 11, 13]]);
+        assert_eq!(s[0].runs().len(), 3);
+        check_partition(&m, &s, |t| {
+            (1..=15).contains(&t[0]) && (3..=12).contains(&t[1])
+        });
     }
 
     #[test]
     fn no_margins_means_everything_interior() {
         let m = Margins::new(2);
-        let lists = vec![vec![1, 2, 3], vec![4, 5]];
-        assert_eq!(m.interior_lists(&lists), lists);
-        assert!(m.boundary_slabs(&lists).is_empty());
+        let s = space(&[vec![1, 2, 3], vec![4, 5]]);
+        assert_eq!(interior(&m, &s), s);
+        assert!(boundary(&m, &s).is_empty());
     }
 
     #[test]
@@ -169,21 +223,20 @@ mod tests {
         let mut m = Margins::new(1);
         m.add(0, 3);
         m.add(0, -3);
-        let lists = vec![vec![5, 6, 7]]; // interior range (8..=4) is empty
-        assert!(m.interior_lists(&lists)[0].is_empty());
-        let slabs = m.boundary_slabs(&lists);
-        assert_eq!(slabs.len(), 1);
-        assert_eq!(slabs[0][0], vec![5, 6, 7]);
+        let s = space(&[vec![5, 6, 7]]); // interior range (8..=4) is empty
+        assert!(interior(&m, &s).is_empty());
+        assert_eq!(boundary(&m, &s), s);
     }
 
     #[test]
     fn empty_rank_lists_produce_nothing() {
         let mut m = Margins::new(2);
         m.add(1, 1);
-        let lists = vec![vec![], vec![3, 4]];
-        assert!(m.interior_lists(&lists)[0].is_empty());
-        // The slab on var 1 contains the empty var-0 list and is dropped.
-        assert!(m.boundary_slabs(&lists).is_empty());
+        let s = space(&[vec![], vec![3, 4]]);
+        assert!(interior(&m, &s).is_empty());
+        // The slab on var 1 contains the empty var-0 values and is dropped.
+        assert!(boundary(&m, &s).is_empty());
+        assert!(interior(&m, &[]).is_empty() && boundary(&m, &[]).is_empty());
     }
 
     #[test]
@@ -194,11 +247,9 @@ mod tests {
         for c in [i64::MIN, i64::MIN + 1, i64::MAX] {
             let mut m = Margins::new(1);
             m.add(0, c);
-            let lists = vec![vec![5, 6, 7]];
-            assert!(m.interior_lists(&lists)[0].is_empty(), "c = {c}");
-            let slabs = m.boundary_slabs(&lists);
-            assert_eq!(slabs.len(), 1, "c = {c}");
-            assert_eq!(slabs[0][0], vec![5, 6, 7], "c = {c}");
+            let s = space(&[vec![5, 6, 7]]);
+            assert!(interior(&m, &s).is_empty(), "c = {c}");
+            assert_eq!(boundary(&m, &s), s, "c = {c}");
         }
     }
 }
@@ -209,11 +260,14 @@ mod prop {
     use proptest::prelude::*;
     use std::collections::BTreeSet;
 
-    fn product(lists: &[Vec<i64>]) -> BTreeSet<Vec<i64>> {
+    fn product(flat: &[Runs], nvars: usize) -> BTreeSet<Vec<i64>> {
         let mut out = BTreeSet::new();
-        crate::helpers::cartesian(lists, |idx| {
-            out.insert(idx.to_vec());
-        });
+        for space in flat.chunks_exact(nvars) {
+            let lists: Vec<Vec<i64>> = space.iter().map(|r| r.values().collect()).collect();
+            crate::helpers::cartesian(&lists, |idx| {
+                out.insert(idx.to_vec());
+            });
+        }
         out
     }
 
@@ -234,24 +288,27 @@ mod prop {
 
         #[test]
         fn margins_total_and_partition_under_extreme_constants(
-            cs in (extreme(), extreme(), extreme())
+            cs in (extreme(), extreme(), extreme()),
+            holes in any::<u8>(),
         ) {
             let (c1, c2, c3) = cs;
             let mut m = Margins::new(2);
             m.add(0, c1);
             m.add(0, c2);
             m.add(1, c3);
-            let lists = vec![
-                (0..8).collect::<Vec<i64>>(),
-                (10..14).collect::<Vec<i64>>(),
-            ];
+            // The first variable of one or several progressions.
+            let first = (0..8).filter(|&v| v == 0 || holes & (1 << v) == 0);
+            let s = vec![Runs::of(first), Runs::of(10..14)];
             // Totality: no panic, and interior + slabs exactly
             // partition the product whatever the magnitudes.
-            let full = product(&lists);
-            let interior = product(&m.interior_lists(&lists));
-            let mut covered = interior.clone();
-            for slab in m.boundary_slabs(&lists) {
-                for t in product(&slab) {
+            let full = product(&s, 2);
+            let mut inner = Vec::new();
+            m.interior(&s, &mut inner);
+            let mut covered = product(&inner, 2);
+            let mut slabs = Vec::new();
+            m.boundary(&s, &mut slabs);
+            for slab in slabs.chunks_exact(2) {
+                for t in product(slab, 2) {
                     prop_assert!(covered.insert(t.clone()), "tuple visited twice");
                 }
             }

@@ -120,7 +120,7 @@ pub struct RunTrace {
     pub ghost_plans_built: u64,
     /// Structured shifts this run replayed from a plan it had kept.
     pub ghost_plans_reused: u64,
-    /// FORALL executions that reused the iteration lists of the
+    /// FORALL executions that reused the iteration spaces of the
     /// statement's previous execution in the same `DO` (same evaluated
     /// bounds, same layouts) instead of partitioning again.
     pub dispatch_reused: u64,

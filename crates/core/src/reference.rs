@@ -315,7 +315,7 @@ fn forall_iter(
         let lb = eval(&ix.lb, info, st, env)?.as_int();
         let ub = eval(&ix.ub, info, st, env)?.as_int();
         let sp = eval(&ix.st, info, st, env)?.as_int();
-        // The executors' rule and wording (`dispatch::iteration_lists`):
+        // The executors' rule and wording (`dispatch::iteration_spaces`):
         // a zero stride would never end, a negative one run nothing.
         if sp <= 0 {
             return Err("FORALL stride must be positive".into());

@@ -1129,7 +1129,7 @@ fn box_kernels_agree_with_every_other_tier() {
 }
 
 /// Gaussian elimination on `(*,BLOCK)` with fewer columns than ranks —
-/// ranks 6 and 7 of 8 own none and get no iteration lists — and FORALLs
+/// ranks 6 and 7 of 8 own none and get no iteration space — and FORALLs
 /// whose boxes are one element wide, a column per rank that the native
 /// tier runs as one row along it: written in place (an own-element
 /// update reading another array) and through the stage (a stencil down
@@ -1170,4 +1170,59 @@ END
     assert_eq!(nat.arrays, want, "arrays vs the reference interpreter");
     assert_eq!(nat.printed, printed, "PRINT vs the reference interpreter");
     assert!(nat.printed[0].starts_with("SUM"), "PRINT ran");
+}
+
+/// Iteration spaces of several runs through both tiers and the overlap
+/// split. `C` is CYCLIC(2), so `FORALL (I=1:N:3)` leaves every rank
+/// several runs — blocks of the cycle cut the loop's progression — on
+/// the chunk loop (CYCLIC never binds native). The stencil shifts by one
+/// below and two above on both variables of a BLOCK layout, so its
+/// split-phase boundary is `{first, last − 1}` then `{last}` of each:
+/// two runs, through the box kernels on the native tier. Arrays, every
+/// padded cell, every rank clock, messages, bytes and PRINT agree across
+/// the tiers; arrays and PRINT agree with the reference interpreter.
+#[test]
+fn multi_run_spaces_agree_across_tiers_and_the_overlap_split() {
+    let src = "
+PROGRAM RUNS
+INTEGER, PARAMETER :: N = 40
+REAL A(N, N), B(N, N), C(N)
+INTEGER IT
+C$ TEMPLATE T(N, N)
+C$ ALIGN A(I, J) WITH T(I, J)
+C$ ALIGN B(I, J) WITH T(I, J)
+C$ DISTRIBUTE T(BLOCK, BLOCK)
+C$ DISTRIBUTE C(CYCLIC(2))
+FORALL (I=1:N) C(I) = 0.0
+FORALL (I=1:N:3) C(I) = REAL(I) * 2.0 + 1.0
+FORALL (I=1:N, J=1:N) B(I,J) = REAL(MOD(I*7 + J*3, 11))
+FORALL (I=1:N, J=1:N) A(I,J) = 0.0
+DO IT = 1, 2
+  FORALL (I=2:N-2, J=2:N-2)&
+&   A(I,J) = 0.25*(B(I-1,J) + B(I+2,J) + B(I,J-1) + B(I,J+2))
+  FORALL (I=2:N-2, J=2:N-2) B(I,J) = A(I,J)
+END DO
+PRINT *, SUM(A), SUM(B), SUM(C)
+END
+";
+    let arrays = ["A", "B", "C"];
+    let run = |tier, overlap| {
+        let tweak = |opts: &mut CompileOptions| opts.opt.comm_compute_overlap = overlap;
+        observe_with(src, &[2, 2], &arrays, tier, &tweak)
+            .unwrap_or_else(|e| panic!("{tier:?} failed: {e}"))
+    };
+    let (nat, tr) = run(Tier::Native, true);
+    assert_eq!(
+        (tr.native_matched, tr.native_fallback),
+        (5, 3),
+        "the two CYCLIC(2) FORALLs and the `MOD` fill fall back, the rest run native"
+    );
+    let (vm, _) = run(Tier::Bytecode, true);
+    assert_eq!(nat, vm, "native vs bytecode under overlap");
+    let (blocking, _) = run(Tier::Native, false);
+    assert_eq!(nat.arrays, blocking.arrays, "overlap vs blocking");
+    assert_ne!(nat.clocks, blocking.clocks, "the split ran");
+    let (want, printed) = common::reference(src, &[2, 2], &arrays);
+    assert_eq!(nat.arrays, want, "native vs the reference interpreter");
+    assert_eq!(nat.printed, printed, "PRINT vs the reference interpreter");
 }

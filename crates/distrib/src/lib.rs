@@ -37,7 +37,7 @@ pub mod grid;
 pub mod template;
 
 pub use align::{AlignExpr, Alignment, AxisAlign};
-pub use bounds::{set_bound, LocalIter, LocalRange};
+pub use bounds::{set_bound, LocalIter, LocalRange, Progression, Runs};
 pub use dad::{ArrayDimMap, Dad, DadBuilder, Locator};
 pub use dist::{DimDist, DistKind};
 pub use grid::{GridEmbedding, ProcGrid};

@@ -397,6 +397,12 @@ impl NodeMemory {
         self.arrays.remove(name)
     }
 
+    /// Remove array `name`, returning it with its key: inserting it back
+    /// under that key allocates nothing.
+    pub fn take_array(&mut self, name: &str) -> Option<(String, LocalArray)> {
+        self.arrays.remove_entry(name)
+    }
+
     /// Borrow array `name`.
     ///
     /// # Panics

@@ -194,7 +194,7 @@ fn when(flag: bool, text: String) -> String {
     }
 }
 
-/// A FORALL, executed once per run, whose iteration lists the next trip
+/// A FORALL, executed once per run, whose iteration spaces the next trip
 /// of a `DO` reuses; callers change what differs.
 fn leaf(text: String, kinds: &[&'static str], effects: Vec<Effect>) -> Leaf {
     let mut leaf = Leaf::default();

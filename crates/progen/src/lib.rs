@@ -116,7 +116,7 @@ pub struct Leaf {
     /// Its grammar items, `gather`, `scatter` and `sink` included.
     kinds: Vec<&'static str>,
     effects: Vec<Effect>,
-    /// FORALL executions whose iteration lists the next trip of a `DO`
+    /// FORALL executions whose iteration spaces the next trip of a `DO`
     /// reuses; `None` where that count is not known.
     reuse: Option<u64>,
     /// A 1-D sweep of unmasked stencils, each shifted on a BLOCK dimension
@@ -160,7 +160,7 @@ pub struct Facts {
     /// as two sums, which may round up the clock of a rank that waits for
     /// nothing.
     pub two_sums: bool,
-    /// FORALL executions that reuse the iteration lists of their previous
+    /// FORALL executions that reuse the iteration spaces of their previous
     /// execution, when that count is known.
     pub dispatch_reused: Option<u64>,
 }
@@ -247,7 +247,7 @@ impl Program {
             else {
                 continue;
             };
-            // A REDISTRIBUTE drops every kept iteration list.
+            // A REDISTRIBUTE drops every kept iteration space.
             if open.starts_with("DO") && !body.iter().any(|s| matches!(s, Stmt::Block { .. })) {
                 let mut inner = Vec::new();
                 leaves(body, &mut inner);

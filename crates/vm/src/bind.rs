@@ -3,42 +3,66 @@
 //! affine forms are folded once per execution ([`fold_native`]), each
 //! rank's sites are proved in bounds over its iteration box, and the
 //! alias rule (`in_place`) decides per rank whether boxes are written
-//! where they stand — proofs that hold on any part of that box. An
-//! iteration space is cut into boxes — runs of the second-innermost
-//! variable × runs of the innermost, never reordering rows ([`Boxes`]).
-//! What a bound rank then runs is `crate::boxes`.
+//! where they stand — proofs that hold on any part of that box. Every
+//! rank's binding lands in the execution's flat tables ([`Bound`]): a
+//! rank costs O(variables + sites) and allocates nothing. An iteration
+//! space is cut into boxes — runs of the second-innermost variable ×
+//! runs of the innermost, never reordering rows ([`Boxes`]). What a bound
+//! rank then runs is `crate::boxes`.
 
 use std::cell::OnceCell;
+use std::ops::Range;
 
-use f90d_comm::helpers::cartesian;
+use f90d_distrib::{Progression, Runs};
 use f90d_machine::Value;
 
 use crate::bytecode::ArrId;
-use crate::chunk::{affine_window, ForallCx, RDim, ResolvedAcc};
-use crate::dispatch;
+use crate::chunk::{ForallCx, RDim, ResolvedAcc};
 use crate::native::{BoxFn, BoxKernel, Lhs, Lin, NativeKernel, ReadSite, Sites, Walk};
 use crate::ops;
 
+/// The most FORALL variables a kernel binds over: Fortran's array rank
+/// limit. An affine form keeps its coefficients inline, so a bind
+/// allocates none; a FORALL of more variables runs on the bytecode tier.
+pub(crate) const MAX_VARS: usize = 7;
+
 /// One affine form bound to a rank: `base + Σ k[j]·iter_value[j]` over
 /// the FORALL variables, outer to inner.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct NatAff {
     pub(crate) base: i64,
-    pub(crate) k: Vec<i64>,
+    coefs: [i64; MAX_VARS],
+    nvars: usize,
 }
 
 impl NatAff {
+    /// `base + Σ k[j]·v[j]` (`k.len() <= MAX_VARS`).
+    pub(crate) fn new(base: i64, k: &[i64]) -> Self {
+        let mut coefs = [0; MAX_VARS];
+        coefs[..k.len()].copy_from_slice(k);
+        NatAff {
+            base,
+            coefs,
+            nvars: k.len(),
+        }
+    }
+
+    /// The coefficients, outer to inner.
+    fn k(&self) -> &[i64] {
+        &self.coefs[..self.nvars]
+    }
+
     /// Coefficient of the innermost variable.
     #[inline]
     fn inner(&self) -> i64 {
-        *self.k.last().expect("a FORALL has a variable")
+        *self.k().last().expect("a FORALL has a variable")
     }
 
     /// The form over the box `bx`: one multiply-add per variable, once
     /// per box — wrapping, as the INTEGER value it may stand for does.
     #[inline]
     pub(crate) fn at(&self, bx: &BoxAt<'_>) -> Walk {
-        let (inner, rest) = self.k.split_last().expect("a FORALL has a variable");
+        let (inner, rest) = self.k().split_last().expect("a FORALL has a variable");
         // A 1-D FORALL's one row is row 0 of nothing: no coefficient.
         let mid = rest.last().copied().unwrap_or(0);
         let mut start = ops::affine(*inner, bx.run.first, self.base);
@@ -58,7 +82,7 @@ impl NatAff {
     /// leaves `i64` — no subscript or offset in bounds does.
     fn range(&self, lo: &[i64], hi: &[i64]) -> Option<(i64, i64)> {
         let (mut a, mut b) = (self.base, self.base);
-        for (j, &c) in self.k.iter().enumerate() {
+        for (j, &c) in self.k().iter().enumerate() {
             let (least, most) = if c >= 0 {
                 (lo[j], hi[j])
             } else {
@@ -74,27 +98,30 @@ impl NatAff {
     /// composed form still equals the per-element value.
     fn add_scaled(&mut self, other: &NatAff, s: i64) {
         self.base = ops::affine(s, other.base, self.base);
-        for (c, &o) in self.k.iter_mut().zip(&other.k) {
+        for (c, &o) in self.coefs.iter_mut().zip(other.k()) {
             *c = ops::affine(s, o, *c);
         }
     }
 
     /// Whether distinct tuples give distinct values, when variable `j`
-    /// ranges over a list whose least gap and whose span (last − first)
+    /// ranges over values whose least gap and whose span (last − first)
     /// are `steps[j]` — a mixed-radix test, sufficient and not necessary:
     /// taking the variables that vary by the least change each can make
-    /// (`|coefficient| ×` its list's least gap), every one must out-step
+    /// (`|coefficient| ×` its least gap), every one must out-step
     /// everything the smaller ones can add up to (`|coefficient| ×` their
-    /// lists' spans). Saturating: a product or sum past `i64::MAX` can
-    /// only fail the test.
+    /// spans). Saturating: a product or sum past `i64::MAX` can only fail
+    /// the test.
     fn one_to_one(&self, steps: impl Iterator<Item = (i64, i64)>) -> bool {
-        let mut vars: Vec<(i64, i64)> = (self.k.iter().zip(steps))
-            .filter(|&(_, (_, span))| span > 0)
-            .map(|(c, (gap, span))| {
+        let mut vars = [(0i64, 0i64); MAX_VARS];
+        let mut n = 0;
+        for (c, (gap, span)) in self.k().iter().zip(steps) {
+            if span > 0 {
                 let c = c.saturating_abs();
-                (c.saturating_mul(gap), c.saturating_mul(span))
-            })
-            .collect();
+                vars[n] = (c.saturating_mul(gap), c.saturating_mul(span));
+                n += 1;
+            }
+        }
+        let vars = &mut vars[..n];
         vars.sort_unstable();
         let mut below = 0i64;
         vars.iter().all(|&(least, span)| {
@@ -108,13 +135,29 @@ impl NatAff {
 /// What a bind folds once per execution, for every rank: the kernel's
 /// affine forms over the FORALL variables and its REAL scalars.
 pub(crate) struct Folded<'k> {
-    kernel: &'k NativeKernel,
+    pub(crate) kernel: &'k NativeKernel,
     /// Per body, in order.
-    bodies: Vec<FoldedSites>,
+    pub(crate) bodies: Vec<FoldedSites>,
     /// Per gather, in order.
-    gathers: Vec<FoldedSites>,
+    pub(crate) gathers: Vec<FoldedSites>,
     /// The accessor and subscripts of every owned write, in body order.
-    writes: Vec<(u16, Vec<NatAff>)>,
+    pub(crate) writes: Vec<(u16, Range<usize>)>,
+    /// Every site's and write's subscript forms, one after another.
+    pub(crate) subs: Vec<NatAff>,
+}
+
+impl Folded<'_> {
+    /// The site groups — each body's, then each gather's — in the order
+    /// a rank's bound sites are laid out, a group's REAL sites before
+    /// its INTEGER ones.
+    fn groups(&self) -> impl Iterator<Item = &FoldedSites> {
+        self.bodies.iter().chain(&self.gathers)
+    }
+
+    /// Where group `g`'s sites start among a rank's.
+    fn group_at(&self, g: usize) -> usize {
+        self.groups().take(g).map(FoldedSites::len).sum()
+    }
 }
 
 /// A [`Sites`] with its forms folded.
@@ -127,9 +170,16 @@ pub(crate) struct FoldedSites {
     pub(crate) scalars: Vec<f64>,
 }
 
-/// A [`ReadSite`] with its subscripts folded.
+impl FoldedSites {
+    /// How many read sites, of both lanes.
+    fn len(&self) -> usize {
+        self.reads.len() + self.ireads.len()
+    }
+}
+
+/// A [`ReadSite`] with its subscripts folded (into [`Folded::subs`]).
 pub(crate) enum FoldedSite {
-    Array { acc: u16, subs: Vec<NatAff> },
+    Array { acc: u16, subs: Range<usize> },
     Gathered { tmp: ArrId },
 }
 
@@ -140,13 +190,35 @@ pub(crate) enum FoldedSite {
 /// INTEGER scalar a form folds does not hold `Value::Int` or a REAL
 /// one does not hold `Value::Real`.
 pub(crate) fn fold_native<'k>(kernel: &'k NativeKernel, cx: ForallCx<'_>) -> Option<Folded<'k>> {
-    let lin = |lin: &Lin| bind_lin(lin, kernel, cx);
-    let sites = |sites: &Sites| {
-        let site = |s: &ReadSite| {
+    if kernel.var_slots.len() > MAX_VARS {
+        return None;
+    }
+    // The subscript forms of every site and write, into one table.
+    let sub_lists = (kernel.bodies.iter().map(|b| &b.sites))
+        .chain(kernel.gathers.iter().map(|g| &g.sites))
+        .flat_map(|sites| sites.reads.iter().chain(&sites.ireads))
+        .filter_map(|site| match site {
+            ReadSite::Array { subs, .. } => Some(subs),
+            ReadSite::Gathered { .. } => None,
+        })
+        .chain(kernel.bodies.iter().filter_map(|b| match &b.lhs {
+            Lhs::Owned { subs, .. } => Some(subs),
+            Lhs::Scatter { .. } => None,
+        }));
+    let mut subs = Vec::with_capacity(sub_lists.clone().map(Vec::len).sum());
+    let mut fold = |lins: &[Lin]| {
+        let at = subs.len();
+        for lin in lins {
+            subs.push(bind_lin(lin, kernel, cx)?);
+        }
+        Some(at..subs.len())
+    };
+    let mut sites = |sites: &Sites| {
+        let mut site = |s: &ReadSite| {
             Some(match s {
                 ReadSite::Array { acc, subs } => FoldedSite::Array {
                     acc: *acc,
-                    subs: subs.iter().map(lin).collect::<Option<_>>()?,
+                    subs: fold(subs)?,
                 },
                 ReadSite::Gathered { gather } => FoldedSite::Gathered {
                     tmp: cx.f.gathers[*gather as usize].tmp,
@@ -154,9 +226,11 @@ pub(crate) fn fold_native<'k>(kernel: &'k NativeKernel, cx: ForallCx<'_>) -> Opt
             })
         };
         Some(FoldedSites {
-            reads: sites.reads.iter().map(site).collect::<Option<_>>()?,
-            ireads: sites.ireads.iter().map(site).collect::<Option<_>>()?,
-            lins: sites.lins.iter().map(lin).collect::<Option<_>>()?,
+            reads: sites.reads.iter().map(&mut site).collect::<Option<_>>()?,
+            ireads: sites.ireads.iter().map(&mut site).collect::<Option<_>>()?,
+            lins: (sites.lins.iter())
+                .map(|lin| bind_lin(lin, kernel, cx))
+                .collect::<Option<_>>()?,
             scalars: (sites.scalar_slots.iter())
                 .map(|&slot| match cx.scalars[slot as usize] {
                     Value::Real(v) => Some(v),
@@ -165,21 +239,24 @@ pub(crate) fn fold_native<'k>(kernel: &'k NativeKernel, cx: ForallCx<'_>) -> Opt
                 .collect::<Option<_>>()?,
         })
     };
+    let bodies = (kernel.bodies.iter())
+        .map(|b| sites(&b.sites))
+        .collect::<Option<_>>()?;
+    let gathers = (kernel.gathers.iter())
+        .map(|g| sites(&g.sites))
+        .collect::<Option<_>>()?;
     let mut writes = Vec::new();
     for b in &kernel.bodies {
         if let Lhs::Owned { acc, subs } = &b.lhs {
-            writes.push((*acc, subs.iter().map(lin).collect::<Option<_>>()?));
+            writes.push((*acc, fold(subs)?));
         }
     }
     Some(Folded {
         kernel,
-        bodies: (kernel.bodies.iter())
-            .map(|b| sites(&b.sites))
-            .collect::<Option<_>>()?,
-        gathers: (kernel.gathers.iter())
-            .map(|g| sites(&g.sites))
-            .collect::<Option<_>>()?,
+        bodies,
+        gathers,
         writes,
+        subs,
     })
 }
 
@@ -188,13 +265,10 @@ pub(crate) fn fold_native<'k>(kernel: &'k NativeKernel, cx: ForallCx<'_>) -> Opt
 /// INTEGER scalar terms fold their current `Value::Int` (anything
 /// else fails the bind).
 fn bind_lin(lin: &Lin, kernel: &NativeKernel, cx: ForallCx<'_>) -> Option<NatAff> {
-    let mut aff = NatAff {
-        base: lin.base,
-        k: vec![0; kernel.var_slots.len()],
-    };
+    let mut aff = NatAff::new(lin.base, &[0; MAX_VARS][..kernel.var_slots.len()]);
     for &(slot, c) in &lin.vterms {
         match kernel.var_slots.iter().position(|&s| s == slot) {
-            Some(j) => aff.k[j] = aff.k[j].wrapping_add(c),
+            Some(j) => aff.coefs[j] = aff.coefs[j].wrapping_add(c),
             None => aff.base = ops::affine(c, cx.vars[slot as usize], aff.base),
         }
     }
@@ -224,17 +298,14 @@ impl IterBox<'_> {
     /// element).
     fn site(&self, acc: u16, subs: &[NatAff]) -> Option<(ArrId, NatAff)> {
         let racc = self.table[acc as usize].as_ref()?;
-        let mut off = NatAff {
-            base: 0,
-            k: vec![0; self.lo.len()],
-        };
+        let mut off = NatAff::new(0, &[0; MAX_VARS][..self.lo.len()]);
         for (k, g) in subs.iter().enumerate() {
             let RDim::Affine { a, b } = racc.dims[k] else {
                 return None; // CYCLIC / BLOCK-CYCLIC: per-element ownership math
             };
             // The padded index `a·g + b` is monotone in `g`, so the box is
             // in bounds when its corners are in the window.
-            let (lo, hi) = affine_window(a, b, racc.extents[k], racc.padded[k]);
+            let (lo, hi) = racc.windows[k];
             let (gmin, gmax) = g.range(self.lo, self.hi)?;
             if gmin < lo || gmax >= hi {
                 return None;
@@ -245,35 +316,33 @@ impl IterBox<'_> {
         Some((racc.target, off))
     }
 
-    /// Bind one group of leaf tables to the rank.
-    fn sites<'f>(&self, folded: &'f FoldedSites) -> Option<NatSites<'f>> {
-        let site = |s: &FoldedSite| {
-            let (arr, off) = match s {
-                FoldedSite::Array { acc, subs } => {
-                    let (arr, off) = self.site(*acc, subs)?;
-                    (arr, SiteOff::Affine(off))
-                }
-                FoldedSite::Gathered { tmp } => (*tmp, SiteOff::Ordinal),
-            };
-            let view = View::Array;
-            Some(NatSite { arr, off, view })
+    /// Bind one read site, its subscripts folded into `subs`, to the
+    /// rank.
+    fn bind_site(&self, s: &FoldedSite, subs: &[NatAff]) -> Option<NatSite> {
+        let (arr, off) = match s {
+            FoldedSite::Array { acc, subs: at } => {
+                let (arr, off) = self.site(*acc, &subs[at.clone()])?;
+                (arr, SiteOff::Affine(off))
+            }
+            FoldedSite::Gathered { tmp } => (*tmp, SiteOff::Ordinal),
         };
-        Some(NatSites {
-            folded,
-            reads: folded.reads.iter().map(site).collect::<Option<_>>()?,
-            ireads: folded.ireads.iter().map(site).collect::<Option<_>>()?,
+        Some(NatSite {
+            arr,
+            off,
+            view: View::Array,
         })
     }
 }
 
 /// Where one read site's walk starts on a bound rank.
+#[derive(Clone, Copy)]
 pub(crate) enum SiteOff {
     /// The flat padded offset as an affine form over the FORALL
     /// variables.
     Affine(NatAff),
     /// A gathered value: the walk starts at the iteration ordinal of the
     /// box's first element and goes through the sequential buffer at
-    /// unit stride, one inner list per row.
+    /// unit stride, one inner row per row.
     Ordinal,
 }
 
@@ -294,6 +363,7 @@ pub(crate) enum View {
 }
 
 /// One read site bound to one rank.
+#[derive(Clone, Copy)]
 pub(crate) struct NatSite {
     pub(crate) arr: ArrId,
     pub(crate) off: SiteOff,
@@ -301,103 +371,63 @@ pub(crate) struct NatSite {
 }
 
 /// One group of leaf tables ([`Sites`]) bound to one rank.
-pub(crate) struct NatSites<'f> {
+#[derive(Clone, Copy)]
+pub(crate) struct NatSites<'b> {
     /// The rank-independent half: `lins` and `scalars`.
-    pub(crate) folded: &'f FoldedSites,
-    pub(crate) reads: Vec<NatSite>,
-    pub(crate) ireads: Vec<NatSite>,
+    pub(crate) folded: &'b FoldedSites,
+    pub(crate) reads: &'b [NatSite],
+    pub(crate) ireads: &'b [NatSite],
 }
 
 impl NatSites<'_> {
-    /// Every array a box of this group views.
+    /// Every array a box of this group views in the node memory
+    /// ([`View::Array`]), once.
     pub(crate) fn arrays(&self) -> impl Iterator<Item = ArrId> + '_ {
-        self.reads.iter().chain(&self.ireads).map(|site| site.arr)
+        let viewed =
+            || (self.reads.iter().chain(self.ireads)).filter(|s| matches!(s.view, View::Array));
+        (viewed().enumerate())
+            .filter(move |&(i, s)| !viewed().take(i).any(|t| t.arr == s.arr))
+            .map(|(_, s)| s.arr)
     }
 }
 
 /// Where a bound rank's boxes go.
-pub(crate) enum NatOut<'f> {
+pub(crate) enum NatOut<'b> {
     /// Owned writes of `arr`: body `i`'s flat padded offset is
     /// `offs[i]`.
-    Owned { arr: ArrId, offs: Vec<NatAff> },
+    Owned { arr: ArrId, offs: &'b [NatAff] },
     /// The rank's scatter columns: the one body's box is a run of the
     /// value column, `subs` fill the same run of the index column.
-    Scatter { subs: &'f [BoxFn<i64>] },
+    Scatter { subs: &'b [BoxFn<i64>] },
 }
 
 /// One kernel body bound to one rank: everything a box needs with no
 /// descriptor math, bounds checks, or `Value` boxing left.
-pub(crate) struct NatBody<'f> {
-    pub(crate) func: &'f BoxKernel,
-    pub(crate) sites: NatSites<'f>,
+pub(crate) struct NatBody<'b> {
+    pub(crate) func: &'b BoxKernel,
+    pub(crate) sites: NatSites<'b>,
     /// Modelled cost per iteration (identical to the bytecode body's).
     pub(crate) cost: i64,
 }
 
 /// One unstructured read's inspector bound to one rank.
-pub(crate) struct NatGather<'f> {
+pub(crate) struct NatGather<'b> {
     /// Global subscript kernels, one per source dimension.
-    pub(crate) subs: &'f [BoxFn<i64>],
-    pub(crate) sites: NatSites<'f>,
+    pub(crate) subs: &'b [BoxFn<i64>],
+    pub(crate) sites: NatSites<'b>,
 }
 
-/// A maximal arithmetic-progression run of an iteration list: `len`
-/// values from `first` in steps of `stride`, starting at list position
-/// `pos`. A BLOCK partition's list is a single run; a list that is no
-/// progression is several shorter ones through the same path.
-#[derive(Debug, PartialEq)]
-pub(crate) struct Run {
-    pub(crate) pos: usize,
-    pub(crate) len: usize,
-    first: i64,
-    stride: i64,
-}
-
-fn inner_runs(list: &[i64]) -> Vec<Run> {
-    // One progression — every BLOCK share — is seen in one pass with no
-    // early exit, which the compiler vectorizes.
-    if let [first, second, ..] = *list {
-        let stride = second - first;
-        if (list.windows(2)).fold(true, |all, w| all & (w[1] - w[0] == stride)) {
-            return vec![Run {
-                pos: 0,
-                len: list.len(),
-                first,
-                stride,
-            }];
-        }
-    }
-    let mut runs = Vec::new();
-    let mut pos = 0;
-    while pos < list.len() {
-        let stride = list.get(pos + 1).map_or(0, |next| next - list[pos]);
-        let mut len = 1;
-        while pos + len < list.len() && list[pos + len] - list[pos + len - 1] == stride {
-            len += 1;
-        }
-        runs.push(Run {
-            pos,
-            len,
-            first: list[pos],
-            stride,
-        });
-        pos += len;
-    }
-    runs
-}
-
-/// The least gap between neighbours of the list `runs` cuts, and its
-/// span: what [`NatAff::one_to_one`] asks of a variable. A run's last
-/// value wraps to the exact list element; a gap or span past `i64::MAX`
-/// saturates.
-fn steps(runs: &[Run]) -> (i64, i64) {
-    let last = |run: &Run| ops::affine(run.len as i64 - 1, run.stride, run.first);
+/// The least gap between neighbouring values of `runs`, and their span:
+/// what [`NatAff::one_to_one`] asks of a variable. A gap or span past
+/// `i64::MAX` saturates.
+fn steps(runs: &[Progression]) -> (i64, i64) {
     let within = runs.iter().filter(|run| run.len > 1).map(|run| run.stride);
-    let between = runs
-        .windows(2)
-        .map(|w| w[1].first.saturating_sub(last(&w[0])));
+    let between = (runs.windows(2)).map(|w| w[1].first.saturating_sub(w[0].last()));
     let first = runs.first().map_or(0, |run| run.first);
-    let span = runs.last().map_or(0, last).saturating_sub(first);
+    let span = runs
+        .last()
+        .map_or(0, Progression::last)
+        .saturating_sub(first);
     (within.chain(between).min().unwrap_or(0), span)
 }
 
@@ -407,82 +437,100 @@ fn steps(runs: &[Run]) -> (i64, i64) {
 /// is one kernel call per body.
 pub(crate) struct BoxAt<'a> {
     outer: &'a [i64],
-    pub(crate) rows: &'a Run,
-    pub(crate) run: &'a Run,
+    pub(crate) rows: Progression,
+    pub(crate) run: Progression,
+    /// Where `run` starts among the innermost variable's values.
+    pub(crate) pos: usize,
     /// Which of the rank's rows — `outer` tuples × the second-innermost
-    /// list, in iteration order — the box's first is.
+    /// variable's values, in iteration order — the box's first is.
     pub(crate) row0: usize,
-    /// Length of the innermost list: iterations per row.
+    /// How many values the innermost variable has: iterations per row.
     pub(crate) inner_len: usize,
 }
 
 impl BoxAt<'_> {
     /// Which of the rank's iterations the box's first element is.
     pub(crate) fn ordinal(&self) -> usize {
-        self.row0 * self.inner_len + self.run.pos
+        self.row0 * self.inner_len + self.pos
     }
 }
 
 /// The boxes of one iteration space — the rank's whole space, or a part
-/// split-phase execution runs on its own. **A box never reorders rows.**
-/// It spans several values of the second-innermost variable only when
-/// the innermost list is a single run, so that box order is iteration
-/// order; under a broken innermost list every `(row, run)` is a box of
-/// one row, in the order the element loop visits them (run-major order
-/// would change the last writer of `A(I+J) = …`). A 1-D FORALL is one
-/// row.
-pub(crate) struct Boxes {
-    /// The runs of the innermost list: what a row spans.
-    runs: Vec<Run>,
-    /// The runs of the second-innermost list: the rows a box spans.
-    row_runs: Vec<Run>,
+/// split-phase execution runs on its own — read off its progressions.
+/// **A box never reorders rows.** It spans several values of the
+/// second-innermost variable only when the innermost is a single run,
+/// so that box order is iteration order; under an innermost variable of
+/// several runs every `(row, run)` is a box of one row, in the order the
+/// element loop visits them (run-major order would change the last
+/// writer of `A(I+J) = …`). A 1-D FORALL is one row.
+pub(crate) struct Boxes<'s> {
+    space: &'s [Runs],
 }
 
-impl Boxes {
-    /// The boxes of `space`.
-    pub(crate) fn new(space: &[Vec<i64>]) -> Self {
-        let (inner, rest) = space.split_last().expect("a FORALL has a variable");
-        let runs = inner_runs(inner);
-        let one_row = |(pos, &first)| Run {
-            pos,
-            len: 1,
-            first,
-            stride: 0,
-        };
-        let row_runs = match rest.last() {
-            Some(mid) if runs.len() == 1 => inner_runs(mid),
-            Some(mid) => mid.iter().enumerate().map(one_row).collect(),
-            None => vec![one_row((0, &0))],
-        };
-        Boxes { runs, row_runs }
+impl<'s> Boxes<'s> {
+    /// The boxes of `space`, one [`Runs`] per variable (at most
+    /// [`MAX_VARS`]).
+    pub(crate) fn new(space: &'s [Runs]) -> Self {
+        Boxes { space }
+    }
+
+    fn inner(&self) -> &'s Runs {
+        self.space.last().expect("a FORALL has a variable")
+    }
+
+    /// How many tuples.
+    pub(crate) fn tuples(&self) -> usize {
+        self.space.iter().map(Runs::len).product()
     }
 
     /// Whether `write` steps through the segment at unit stride along
     /// every run longer than one element, so that each row of a box is
     /// one `&mut` slice of it — not so on a boundary slab `{first, last}`.
     pub(crate) fn unit_stride(&self, write: &NatAff) -> bool {
-        (self.runs.iter()).all(|r| r.len == 1 || write.inner() * r.stride == 1)
+        (self.inner().runs().iter()).all(|r| r.len == 1 || write.inner() * r.stride == 1)
     }
 
-    /// Every box of `space`, the space they were formed of, in iteration
-    /// order: the one walk the run, the stage and the inspector share.
-    pub(crate) fn for_each(&self, space: &[Vec<i64>], mut f: impl FnMut(&BoxAt<'_>)) {
-        let (inner, rest) = space.split_last().expect("a FORALL has a variable");
-        let (mid_len, outer) = match rest.split_last() {
-            Some((mid, outer)) => (mid.len(), outer),
-            None => (1, rest),
+    /// Every box, in iteration order: the one walk the run, the stage
+    /// and the inspector share.
+    pub(crate) fn for_each(&self, mut f: impl FnMut(&BoxAt<'_>)) {
+        let (inner, rest) = self.space.split_last().expect("a FORALL has a variable");
+        // A 1-D FORALL's one row: the value does not matter.
+        let one_row = [Progression::new(0, 0, 1)];
+        let (rows, outer) = match rest.split_last() {
+            Some((mid, outer)) => (mid.runs(), outer),
+            None => (&one_row[..], rest),
         };
+        let (inner_len, mid_len) = (inner.len(), rows.iter().map(|p| p.len).sum::<usize>());
         let mut row0 = 0;
-        cartesian(outer, |outer| {
-            for rows in &self.row_runs {
-                for run in &self.runs {
+        each_tuple(outer, &mut [0; MAX_VARS], 0, &mut |outer| {
+            if let &[run] = inner.runs() {
+                let mut at = row0;
+                for &rows in rows {
                     f(&BoxAt {
                         outer,
                         rows,
                         run,
-                        row0: row0 + rows.pos,
-                        inner_len: inner.len(),
+                        pos: 0,
+                        row0: at,
+                        inner_len,
                     });
+                    at += rows.len;
+                }
+            } else {
+                let values = rows.iter().flat_map(|p| p.iter());
+                for (r, value) in values.enumerate() {
+                    let mut pos = 0;
+                    for &run in inner.runs() {
+                        f(&BoxAt {
+                            outer,
+                            rows: Progression::new(value, 0, 1),
+                            run,
+                            pos,
+                            row0: row0 + r,
+                            inner_len,
+                        });
+                        pos += run.len;
+                    }
                 }
             }
             row0 += mid_len;
@@ -490,53 +538,219 @@ impl Boxes {
     }
 }
 
-/// A kernel bound to one rank: its bodies and inspectors, and where its
-/// boxes are written.
-pub(crate) struct NatRank<'f> {
-    pub(crate) bodies: Vec<NatBody<'f>>,
-    pub(crate) gathers: Vec<NatGather<'f>>,
-    pub(crate) out: NatOut<'f>,
+/// Every tuple of the values of `vars[depth..]` under `vals[..depth]`,
+/// in iteration order (the last variable fastest).
+fn each_tuple(vars: &[Runs], vals: &mut [i64], depth: usize, f: &mut impl FnMut(&[i64])) {
+    if depth == vars.len() {
+        return f(&vals[..depth]);
+    }
+    for v in vars[depth].values() {
+        vals[depth] = v;
+        each_tuple(vars, vals, depth + 1, f);
+    }
+}
+
+/// A kernel bound to every rank of one execution that runs: each rank's
+/// read sites and write forms in the execution's flat tables, laid out
+/// alike for every rank, so binding a rank allocates nothing.
+pub(crate) struct Bound<'f> {
+    /// `None` only when no rank runs: nothing was bound.
+    folded: Option<&'f Folded<'f>>,
+    /// How many read sites a rank has.
+    nsites: usize,
+    /// Per rank, its binding's index into `heads` ([`Bound::IDLE`]: it
+    /// runs nothing).
+    slot: Vec<u32>,
+    heads: Vec<Head>,
+    /// Every bound rank's read sites, in [`Folded::groups`] order.
+    sites: Vec<NatSite>,
+    /// Every bound rank's owned-write forms, one per body.
+    writes: Vec<NatAff>,
+}
+
+/// What a binding decides besides its sites and writes.
+struct Head {
+    /// The array the owned writes go to.
+    arr: ArrId,
     /// `Some`: every box is written straight into the LHS segment,
     /// between these least and greatest flat offsets. `None`: boxes go
     /// to a dense stage whose writes are committed after the phase in
     /// element order (RHS before LHS, last writer as listed) — or, for a
     /// scatter body, handed to the scatter executor as the rank's value
     /// column.
+    direct: Option<(usize, usize)>,
+}
+
+impl<'f> Bound<'f> {
+    const IDLE: u32 = u32::MAX;
+
+    /// No rank bound yet, of `nranks`, room for `active` of them.
+    pub(crate) fn new(folded: Option<&'f Folded<'f>>, nranks: usize, active: usize) -> Self {
+        let nsites = folded.map_or(0, |f| f.groups().map(FoldedSites::len).sum());
+        let nwrites = folded.map_or(0, |f| f.writes.len());
+        Bound {
+            folded,
+            nsites,
+            slot: vec![Self::IDLE; nranks],
+            heads: Vec::with_capacity(active),
+            sites: Vec::with_capacity(active * nsites),
+            writes: Vec::with_capacity(active * nwrites),
+        }
+    }
+
+    /// Bind rank `rank` over its iteration `space` with its resolved
+    /// accessors `table`: `None` when a site or write is out of bounds
+    /// somewhere in the rank's box, or reaches a dimension that is not
+    /// affine. Decides where the rank's boxes are written; the proofs
+    /// hold on any part of that space too, so one decision serves every
+    /// phase the rank runs.
+    pub(crate) fn push(
+        &mut self,
+        rank: usize,
+        table: &[Option<ResolvedAcc>],
+        space: &[Runs],
+    ) -> Option<()> {
+        let folded = self.folded?;
+        // The runs are ascending, so firsts/lasts are the per-variable
+        // box corners.
+        let (mut lo, mut hi) = ([0; MAX_VARS], [0; MAX_VARS]);
+        for (j, runs) in space.iter().enumerate() {
+            (lo[j], hi[j]) = (runs.first()?, runs.last()?);
+        }
+        let n = space.len();
+        let bx = IterBox {
+            table,
+            lo: &lo[..n],
+            hi: &hi[..n],
+        };
+        let (sites_at, writes_at) = (self.sites.len(), self.writes.len());
+        // Selection makes a scatter body the only body and every owned
+        // body a write of one array.
+        let bodies = &folded.kernel.bodies;
+        let arr = match &bodies[0].lhs {
+            Lhs::Scatter { .. } => 0,
+            Lhs::Owned { acc, .. } => {
+                if folded.writes.len() != bodies.len() {
+                    return None;
+                }
+                for (acc, at) in &folded.writes {
+                    self.writes.push(bx.site(*acc, &folded.subs[at.clone()])?.1);
+                }
+                bx.table[*acc as usize].as_ref()?.target
+            }
+        };
+        for group in folded.groups() {
+            for site in group.reads.iter().chain(&group.ireads) {
+                self.sites.push(bx.bind_site(site, &folded.subs)?);
+            }
+        }
+        let direct = match (&bodies[..], &bodies[0].lhs) {
+            ([_], Lhs::Owned { .. }) => {
+                let sites = &mut self.sites[sites_at..sites_at + folded.bodies[0].len()];
+                in_place(sites, &self.writes[writes_at], arr, space, &bx)
+            }
+            _ => None,
+        };
+        self.slot[rank] = self.heads.len() as u32;
+        self.heads.push(Head { arr, direct });
+        Some(())
+    }
+
+    /// Rank `rank`'s binding, if it runs.
+    pub(crate) fn rank(&self, rank: usize) -> Option<NatRank<'_>> {
+        let (slot, folded) = (self.slot[rank], self.folded?);
+        if slot == Self::IDLE {
+            return None;
+        }
+        let (slot, nsites, nwrites) = (slot as usize, self.nsites, folded.writes.len());
+        let head = &self.heads[slot];
+        Some(NatRank {
+            folded,
+            sites: &self.sites[slot * nsites..(slot + 1) * nsites],
+            writes: &self.writes[slot * nwrites..(slot + 1) * nwrites],
+            arr: head.arr,
+            direct: head.direct,
+        })
+    }
+
+    /// Whether some rank's owned writes go through the stage.
+    pub(crate) fn staged(&self) -> bool {
+        (0..self.slot.len()).any(|rank| self.rank(rank).is_some_and(|nr| nr.staged()))
+    }
+}
+
+/// A kernel bound to one rank: its bodies and inspectors, and where its
+/// boxes are written — a view of its [`Bound`]'s tables.
+#[derive(Clone, Copy)]
+pub(crate) struct NatRank<'b> {
+    folded: &'b Folded<'b>,
+    sites: &'b [NatSite],
+    writes: &'b [NatAff],
+    arr: ArrId,
+    /// `Some`: every box is written in place, between these least and
+    /// greatest flat offsets (see [`Head::direct`]).
     pub(crate) direct: Option<(usize, usize)>,
 }
 
-impl<'f> NatRank<'f> {
-    /// Decide where the rank's boxes over its bound `lists` are written.
-    /// The proofs hold on any part of that space too, so one decision
-    /// serves every phase the rank runs.
-    pub(crate) fn new(
-        mut bodies: Vec<NatBody<'f>>,
-        gathers: Vec<NatGather<'f>>,
-        out: NatOut<'f>,
-        lists: &[Vec<i64>],
-        bx: &IterBox<'_>,
-    ) -> Self {
-        let direct = in_place(&mut bodies, &out, &Boxes::new(lists), lists, bx);
-        NatRank {
-            bodies,
-            gathers,
-            out,
-            direct,
+impl<'b> NatRank<'b> {
+    /// Site group `g` ([`Folded::groups`] order), bound.
+    fn group(&self, g: usize, folded: &'b FoldedSites) -> NatSites<'b> {
+        let at = self.folded.group_at(g);
+        let (reads, rest) = self.sites[at..].split_at(folded.reads.len());
+        NatSites {
+            folded,
+            reads,
+            ireads: &rest[..folded.ireads.len()],
+        }
+    }
+
+    /// The bodies, in order.
+    pub(crate) fn bodies(&self) -> impl Iterator<Item = NatBody<'b>> + '_ {
+        let kernel = self.folded.kernel;
+        (kernel.bodies.iter().zip(&self.folded.bodies).enumerate()).map(|(g, (b, sites))| NatBody {
+            func: &b.func,
+            sites: self.group(g, sites),
+            cost: b.cost,
+        })
+    }
+
+    /// Body 0's kernel: the written array's lane.
+    pub(crate) fn func(&self) -> &'b BoxKernel {
+        &self.folded.kernel.bodies[0].func
+    }
+
+    /// Unstructured read `gi`'s inspector.
+    pub(crate) fn gather(&self, gi: usize) -> NatGather<'b> {
+        let g = self.folded.bodies.len() + gi;
+        NatGather {
+            subs: &self.folded.kernel.gathers[gi].subs,
+            sites: self.group(g, &self.folded.gathers[gi]),
+        }
+    }
+
+    /// Where the boxes go.
+    pub(crate) fn out(&self) -> NatOut<'b> {
+        match &self.folded.kernel.bodies[0].lhs {
+            Lhs::Scatter { subs } => NatOut::Scatter { subs },
+            Lhs::Owned { .. } => NatOut::Owned {
+                arr: self.arr,
+                offs: self.writes,
+            },
         }
     }
 
     /// Whether the rank's owned writes go through the stage.
     pub(crate) fn staged(&self) -> bool {
-        matches!(self.out, NatOut::Owned { .. }) && self.direct.is_none()
+        matches!(self.out(), NatOut::Owned { .. }) && self.direct.is_none()
     }
 }
 
 /// The alias rule. Boxes may be written in place only when nothing the
 /// phase still has to read can be overwritten and the order of writes is
-/// the element order anyway: one body, the write walking the segment at
-/// unit stride along every row (so a row is one `&mut` slice of it), and
-/// every read site **on the written array** covered by one of two
-/// proofs —
+/// the element order anyway: one body (the caller's to check), the write
+/// walking the segment at unit stride along every row (so a row is one
+/// `&mut` slice of it), and every read site **on the written array**
+/// `arr` covered by one of two proofs —
 ///
 /// * *own element*: the site's bound form is the write's own (same base,
 ///   same coefficients), so each tuple reads exactly the element it is
@@ -553,32 +767,21 @@ impl<'f> NatRank<'f> {
 /// Everything else — in-place stencils, a read of a row or column that
 /// interleaves with the written ones, many-to-one or strided writes,
 /// several bodies — is staged. Returns the least and greatest offset
-/// written when the rank goes in place, with the sites' views set.
+/// written when the rank goes in place, with the body's `sites`' views
+/// set.
 fn in_place(
-    bodies: &mut [NatBody<'_>],
-    out: &NatOut<'_>,
-    boxes: &Boxes,
-    lists: &[Vec<i64>],
+    sites: &mut [NatSite],
+    write: &NatAff,
+    arr: ArrId,
+    space: &[Runs],
     bx: &IterBox<'_>,
 ) -> Option<(usize, usize)> {
-    let ([body], NatOut::Owned { arr, offs }) = (bodies, out) else {
-        return None;
-    };
-    let write = &offs[0];
-    if !boxes.unit_stride(write) {
+    if !Boxes::new(space).unit_stride(write) {
         return None;
     }
     let (wmin, wmax) = write.range(bx.lo, bx.hi)?;
-    // The two innermost lists are cut into runs already.
     let one_to_one = OnceCell::new();
-    let injective = || {
-        let of = |(j, list): (usize, &Vec<i64>)| match lists.len() - 1 - j {
-            0 => steps(&boxes.runs),
-            1 => steps(&boxes.row_runs),
-            _ => steps(&inner_runs(list)),
-        };
-        write.one_to_one(lists.iter().enumerate().map(of))
-    };
+    let injective = || write.one_to_one(space.iter().map(|runs| steps(runs.runs())));
     let view = |site: &NatSite| {
         let SiteOff::Affine(read) = &site.off else {
             return None;
@@ -594,12 +797,11 @@ fn in_place(
             None
         }
     };
-    let NatSites { reads, ireads, .. } = &mut body.sites;
-    let aliased = |site: &NatSite| site.arr == *arr;
-    if !(reads.iter().chain(&*ireads)).all(|site| !aliased(site) || view(site).is_some()) {
+    let aliased = |site: &NatSite| site.arr == arr;
+    if !(sites.iter()).all(|site| !aliased(site) || view(site).is_some()) {
         return None;
     }
-    for site in reads.iter_mut().chain(ireads).filter(|site| aliased(site)) {
+    for site in sites.iter_mut().filter(|site| aliased(site)) {
         site.view = view(site).expect("every aliased site was just seen to have a view");
         if let (View::Above, SiteOff::Affine(read)) = (site.view, &mut site.off) {
             read.base -= wmax + 1;
@@ -609,115 +811,52 @@ fn in_place(
 }
 
 /// Bind a folded kernel against the per-rank resolved accessors and
-/// iteration lists of this execution, `cx`. Returns `None` — whole FORALL falls
-/// back to bytecode — unless the fold succeeded (`folded`; it is only
-/// asked for once a rank has iterations) and, on **every** active rank:
-/// every used accessor dimension is affine (BLOCK / undistributed) and
-/// every read/write site stays inside the array extents and the padded
-/// segment over the rank's whole iteration box (no mask means every
-/// listed tuple executes, so corner analysis is exact and any violation
-/// is exactly a bytecode runtime error).
+/// iteration spaces of this execution, `cx`. Returns `None` — whole
+/// FORALL falls back to bytecode — unless the fold succeeded (`folded`;
+/// it is only asked for once a rank has iterations) and, on **every**
+/// active rank: every used accessor dimension is affine (BLOCK /
+/// undistributed) and every read/write site stays inside the array
+/// extents and the padded segment over the rank's whole iteration box
+/// (no mask means every tuple of the space executes, so corner analysis
+/// is exact and any violation is exactly a bytecode runtime error).
 ///
 /// What a bound rank carries is, per array site, the flat padded offset
 /// as an affine form over the FORALL variables — so over a box of the
 /// two innermost variables it is a `(start, row_step, step)` walk
 /// through the segment; a gathered value's walk starts at its iteration
 /// ordinal ([`SiteOff::Ordinal`]) — and the decision whether its boxes
-/// may be written in place ([`NatRank::new`]). The arrays an
+/// may be written in place ([`Bound::push`]). The arrays an
 /// unstructured read or write goes *to* are not sites: they are reached
 /// through schedules, under any distribution.
 pub(crate) fn bind_native<'f>(
-    folded: Option<&'f Folded<'_>>,
+    folded: Option<&'f Folded<'f>>,
     cx: ForallCx<'_>,
-) -> Option<Vec<Option<NatRank<'f>>>> {
-    let mut ranks = Vec::with_capacity(cx.lists.len());
-    let (mut lo, mut hi) = (Vec::new(), Vec::new());
-    for (lists, table) in cx.lists.iter().zip(cx.resolved) {
-        if dispatch::runs_nothing(lists) {
-            ranks.push(None);
-            continue;
+) -> Option<Bound<'f>> {
+    let nranks = cx.resolved.len();
+    let mut bound = Bound::new(folded, nranks, cx.spaces.active());
+    for (rank, table) in cx.resolved.iter().enumerate() {
+        let space = cx.spaces.space(rank);
+        if !space.is_empty() {
+            bound.push(rank, table, space)?;
         }
-        let folded = folded?;
-        // Iteration lists are sorted ascending, so firsts/lasts are
-        // the per-variable box corners.
-        lo.clear();
-        lo.extend(lists.iter().map(|l| l[0]));
-        hi.clear();
-        hi.extend(lists.iter().map(|l| *l.last().unwrap()));
-        let bx = IterBox {
-            table,
-            lo: &lo,
-            hi: &hi,
-        };
-        // Selection makes a scatter body the only body and every
-        // owned body a write of one array.
-        let bodies = &folded.kernel.bodies;
-        let out = match &bodies[0].lhs {
-            Lhs::Scatter { subs } => NatOut::Scatter { subs },
-            Lhs::Owned { acc, .. } => {
-                if folded.writes.len() != bodies.len() {
-                    return None;
-                }
-                let arr = bx.table[*acc as usize].as_ref()?.target;
-                let mut offs = Vec::with_capacity(bodies.len());
-                for (acc, subs) in &folded.writes {
-                    offs.push(bx.site(*acc, subs)?.1);
-                }
-                NatOut::Owned { arr, offs }
-            }
-        };
-        let bodies = (bodies.iter().zip(&folded.bodies))
-            .map(|(b, sites)| {
-                Some(NatBody {
-                    func: &b.func,
-                    sites: bx.sites(sites)?,
-                    cost: b.cost,
-                })
-            })
-            .collect::<Option<_>>()?;
-        let gathers = (folded.kernel.gathers.iter().zip(&folded.gathers))
-            .map(|(g, sites)| {
-                Some(NatGather {
-                    subs: &g.subs,
-                    sites: bx.sites(sites)?,
-                })
-            })
-            .collect::<Option<_>>()?;
-        ranks.push(Some(NatRank::new(bodies, gathers, out, lists, &bx)));
     }
-    Some(ranks)
+    Some(bound)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn inner_list_splits_into_maximal_progressions() {
-        let run = |pos, len, first, stride| Run {
-            pos,
-            len,
-            first,
-            stride,
-        };
-        assert_eq!(inner_runs(&[3, 5, 7, 9]), vec![run(0, 4, 3, 2)]);
-        assert_eq!(inner_runs(&[4]), vec![run(0, 1, 4, 0)]);
-        assert_eq!(
-            inner_runs(&[0, 1, 2, 5, 6, 9, 11]),
-            vec![run(0, 3, 0, 1), run(3, 2, 5, 1), run(5, 2, 9, 2)]
-        );
-        assert_eq!(inner_runs(&[]), vec![]);
-    }
-
     /// The mixed-radix test on hand-built forms.
     #[test]
     fn one_to_one_is_a_mixed_radix_test() {
         let one_to_one = |k: [i64; 2], lists: [Vec<i64>; 2]| {
-            let form = NatAff {
-                base: 7,
-                k: k.to_vec(),
-            };
-            form.one_to_one(lists.iter().map(|list| steps(&inner_runs(list))))
+            let form = NatAff::new(7, &k);
+            form.one_to_one(
+                lists
+                    .iter()
+                    .map(|list| steps(Runs::of(list.clone()).runs())),
+            )
         };
         let upto = |n: i64| (0..n).collect::<Vec<i64>>();
         assert!(one_to_one([12, 1], [upto(5), upto(12)]));

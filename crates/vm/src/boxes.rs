@@ -3,60 +3,96 @@
 //! kernel (`crate::native`) — into the written segment where the alias
 //! rule allows it, into a dense stage whose writes are committed in
 //! element order otherwise — and feeds the inspector of an unstructured
-//! read the same boxes.
+//! read the same boxes. A phase lends every rank the same buffers in
+//! turn ([`Buffers`]), so a rank that writes in place allocates nothing.
 
 use f90d_comm::driver::{GatherRequests, ScatterOut, Spaces};
 use f90d_comm::op::CommResult;
+use f90d_distrib::Runs;
 use f90d_machine::{Machine, NodeMemory};
 
-use crate::bind::{BoxAt, Boxes, NatAff, NatOut, NatRank, NatSites, SiteOff, View};
+use crate::bind::{Bound, BoxAt, Boxes, NatAff, NatOut, NatRank, NatSites, SiteOff, View};
 use crate::bytecode::ArrId;
 use crate::chunk::{ForallCx, RankOut, Staged};
 use crate::columns::{Elem, Pool};
 use crate::native::{BoxArgs, BoxFn, BoxKernel, BoxOut, BoxRead, Walk};
 
-/// The box arguments of one lane of a [`NatSites`] on one node: the
-/// segments viewed are fixed for the phase, the walks are rewritten box
-/// by box.
+/// The box arguments of some groups of [`NatSites`] on one node, one lane:
+/// each group's read views, a group after another, and its `lins` walks
+/// likewise. The segments viewed are fixed for the phase, the walks are
+/// rewritten box by box.
 struct SiteBoxes<'v, T> {
     reads: Vec<BoxRead<'v, T>>,
     lins: Vec<Walk>,
 }
 
+/// An empty vector on `v`'s allocation, for views that borrow another
+/// node's memory. The standard library collects a vector's own
+/// `into_iter` into one of a type of the same size and alignment in
+/// place — an optimisation it does not promise; were it lost, every
+/// rank would allocate its views again, which `alloc_guard` shows.
+fn recycle<'a, 'b, T>(mut v: Vec<BoxRead<'a, T>>) -> Vec<BoxRead<'b, T>> {
+    v.clear();
+    v.into_iter().map(|_| unreachable!("cleared")).collect()
+}
+
 impl<'v, T: Elem> SiteBoxes<'v, T> {
-    /// Borrow the (materialized) segments `sites` reads from `mem` — or,
-    /// for a site on the segment written in place, its part
-    /// `[below, above]` of that.
-    fn new<'p>(
+    /// Box arguments on the buffers of `spare`, which lends them.
+    fn on(spare: &mut SiteBoxes<'static, T>) -> Self {
+        let mut lins = std::mem::take(&mut spare.lins);
+        lins.clear();
+        SiteBoxes {
+            reads: recycle(std::mem::take(&mut spare.reads)),
+            lins,
+        }
+    }
+
+    /// Hand the buffers back to `spare`.
+    fn give(self, spare: &mut SiteBoxes<'static, T>) {
+        spare.reads = recycle(self.reads);
+        spare.lins = self.lins;
+    }
+
+    /// Append the views of the (materialized) segments `sites` reads
+    /// from `mem` — or, for a site on the segment written in place, its
+    /// part `[below, above]` of that — and walks for its `lins`.
+    fn add<'p>(
+        &mut self,
         sites: &NatSites<'_>,
         mem: &'v NodeMemory,
         name: impl Fn(ArrId) -> &'p str,
         [below, above]: [&'v [T]; 2],
-    ) -> Self {
-        let reads = T::pick(&sites.reads, &sites.ireads)
-            .iter()
-            .map(|site| BoxRead {
-                data: match site.view {
-                    View::Array => Some(T::slice(mem.array(name(site.arr)).data())),
-                    View::Own => None,
-                    View::Below => Some(below),
-                    View::Above => Some(above),
+    ) {
+        let (group, at) = (T::pick(sites.reads, sites.ireads), self.reads.len());
+        for (i, site) in group.iter().enumerate() {
+            let data = match site.view {
+                // A site on an array an earlier one of the group views
+                // shares its slice.
+                View::Array => match (group[..i].iter())
+                    .position(|s| s.arr == site.arr && matches!(s.view, View::Array))
+                {
+                    Some(earlier) => self.reads[at + earlier].data,
+                    None => Some(T::slice(mem.array(name(site.arr)).data())),
                 },
-                walk: Walk::default(),
-            })
-            .collect();
-        SiteBoxes {
-            reads,
-            lins: vec![Walk::default(); sites.folded.lins.len()],
+                View::Own => None,
+                View::Below => Some(below),
+                View::Above => Some(above),
+            };
+            let walk = Walk::default();
+            self.reads.push(BoxRead { data, walk });
         }
+        (self.lins).resize(self.lins.len() + sites.folded.lins.len(), Walk::default());
     }
 
-    /// The kernel arguments of the box `bx` — or, `column`, of the box
-    /// one element wide `bx` turned into one row along its column: the
-    /// same elements in the same order, each walk's row step its step.
+    /// The kernel arguments of the group `sites` over the box `bx`, its
+    /// views and walks starting at `at` — or, `column`, of the box one
+    /// element wide `bx` turned into one row along its column: the same
+    /// elements in the same order, each walk's row step its step.
+    /// Advances `at` past the group.
     fn args<'s>(
         &'s mut self,
-        sites: &'s NatSites<'_>,
+        at: &mut (usize, usize),
+        sites: &NatSites<'s>,
         bx: &BoxAt<'_>,
         column: bool,
     ) -> BoxArgs<'s, T> {
@@ -64,7 +100,9 @@ impl<'v, T: Elem> SiteBoxes<'v, T> {
             let step = if column { walk.row_step } else { walk.step };
             Walk { step, ..walk }
         };
-        for (read, site) in (self.reads.iter_mut()).zip(T::pick(&sites.reads, &sites.ireads)) {
+        let (site_reads, lins) = (T::pick(sites.reads, sites.ireads), &sites.folded.lins);
+        let reads = &mut self.reads[at.0..at.0 + site_reads.len()];
+        for (read, site) in reads.iter_mut().zip(site_reads) {
             read.walk = turn(match &site.off {
                 SiteOff::Affine(aff) => aff.at(bx),
                 SiteOff::Ordinal => Walk {
@@ -74,9 +112,11 @@ impl<'v, T: Elem> SiteBoxes<'v, T> {
                 },
             });
         }
-        for (walk, lin) in self.lins.iter_mut().zip(&sites.folded.lins) {
+        let walks = &mut self.lins[at.1..at.1 + lins.len()];
+        for (walk, lin) in walks.iter_mut().zip(lins) {
             *walk = turn(lin.at(bx));
         }
+        *at = (at.0 + site_reads.len(), at.1 + lins.len());
         let (rows, len) = if column {
             (1, bx.rows.len)
         } else {
@@ -85,8 +125,8 @@ impl<'v, T: Elem> SiteBoxes<'v, T> {
         BoxArgs {
             rows,
             len,
-            reads: &self.reads,
-            lins: &self.lins,
+            reads,
+            lins: walks,
             scalars: &sites.folded.scalars,
         }
     }
@@ -134,33 +174,64 @@ fn index_box(
 /// order, pushed to `reqs`.
 pub(crate) fn inspect_boxes(
     cx: ForallCx<'_>,
-    nr: &NatRank<'_>,
+    nr: NatRank<'_>,
     gi: usize,
     rank: usize,
     mem: &mut NodeMemory,
     reqs: &mut GatherRequests,
 ) -> CommResult<()> {
-    let (g, name) = (&nr.gathers[gi], |a: ArrId| cx.prog.arrays[a].name.as_str());
+    let (g, name) = (nr.gather(gi), |a: ArrId| cx.prog.arrays[a].name.as_str());
     // Lazily-allocated segments expose no raw slice until their buffer
     // exists (`LocalArray::data`).
     for arr in g.sites.arrays() {
         mem.array_mut(name(arr)).materialize();
     }
     // Inspector subscripts read no gathered value and alias no write.
-    let mut boxes = SiteBoxes::<i64>::new(&g.sites, mem, name, [&[], &[]]);
+    let mut boxes = SiteBoxes::<i64> {
+        reads: Vec::new(),
+        lins: Vec::new(),
+    };
+    boxes.add(&g.sites, mem, name, [&[], &[]]);
     let (mut cols, mut dense, mut pool) = (Vec::new(), Vec::new(), Pool::default());
-    let (mut result, lists) = (Ok(()), &cx.lists[rank]);
-    Boxes::new(lists).for_each(lists, |bx| {
+    let mut result = Ok(());
+    Boxes::new(cx.spaces.space(rank)).for_each(|bx| {
         if result.is_err() {
             return;
         }
-        let args = boxes.args(&g.sites, bx, false);
+        let args = boxes.args(&mut (0, 0), &g.sites, bx, false);
         cols.resize(args.rows * args.len * g.subs.len(), 0);
         let dense_rows = (0, args.len);
         index_box(g.subs, &args, &mut cols, dense_rows, &mut dense, &mut pool);
         result = reqs.push_row(rank as i64, &cols);
     });
     result
+}
+
+/// What a phase of the native tier lends every rank in turn: the box
+/// arguments' buffers of its lane `T` (and of the INTEGER lane of a
+/// scatter's subscripts), and the kernels' column pool.
+struct Buffers<T: 'static> {
+    boxes: SiteBoxes<'static, T>,
+    index: SiteBoxes<'static, i64>,
+    dense: Vec<i64>,
+    pool: Pool,
+}
+
+impl<T: 'static> Default for Buffers<T> {
+    fn default() -> Self {
+        Buffers {
+            boxes: SiteBoxes {
+                reads: Vec::new(),
+                lins: Vec::new(),
+            },
+            index: SiteBoxes {
+                reads: Vec::new(),
+                lins: Vec::new(),
+            },
+            dense: Vec::new(),
+            pool: Pool::default(),
+        }
+    }
 }
 
 /// Run a bound native kernel as one local phase: every rank runs the
@@ -170,20 +241,32 @@ pub(crate) fn inspect_boxes(
 pub(crate) fn run_native_forall(
     cx: ForallCx<'_>,
     m: &mut Machine,
-    bound: &[Option<NatRank<'_>>],
+    bound: &Bound<'_>,
+    spaces: &Spaces<'_>,
+) -> Vec<Staged> {
+    // Every rank on the lane of the written array's element type.
+    let first = (0..m.nranks() as usize).find_map(|rank| bound.rank(rank));
+    match first.map(|nr| nr.func()) {
+        Some(BoxKernel::Int(_)) => run_lane::<i64>(cx, m, bound, spaces),
+        _ => run_lane::<f64>(cx, m, bound, spaces),
+    }
+}
+
+/// [`run_native_forall`] on the lane `T`.
+fn run_lane<T: Elem>(
+    cx: ForallCx<'_>,
+    m: &mut Machine,
+    bound: &Bound<'_>,
     spaces: &Spaces<'_>,
 ) -> Vec<Staged> {
     let name = |a: ArrId| cx.prog.arrays[a].name.as_str();
+    let nvars = cx.f.vars.len();
+    let mut bufs = Buffers::<T>::default();
     m.local_phase_map(|rank, mem| {
-        let (Some(nr), spaces) = (&bound[rank as usize], spaces(rank as usize)) else {
+        let (Some(nr), spaces) = (bound.rank(rank as usize), spaces(rank as usize)) else {
             return (None, 0);
         };
-        // Each rank on the lane of the written array's element type.
-        match nr.bodies[0].func {
-            BoxKernel::Real(_) => run_native_boxes::<f64>(nr, spaces, mem, name),
-            BoxKernel::Int(_) => run_native_boxes::<i64>(nr, spaces, mem, name),
-        }
-        .staged()
+        run_native_boxes(nr, spaces.chunks_exact(nvars), mem, name, &mut bufs).staged()
     })
 }
 
@@ -194,33 +277,37 @@ pub(crate) fn run_native_forall(
 /// proofs hold on the space, so its staged writes land right after it,
 /// the stage first filled with the values they replace (an own-element
 /// read takes its operand there); any other rank hands them back.
-fn run_native_boxes<'p, T: Elem>(
-    nr: &NatRank<'_>,
-    spaces: &[Vec<Vec<i64>>],
+fn run_native_boxes<'s, 'p, T: Elem>(
+    nr: NatRank<'_>,
+    spaces: impl Iterator<Item = &'s [Runs]> + Clone,
     mem: &mut NodeMemory,
     name: impl Fn(ArrId) -> &'p str,
+    bufs: &mut Buffers<T>,
 ) -> RankOut {
-    let (bodies, nb) = (&nr.bodies, nr.bodies.len());
+    let nb = nr.bodies().count();
     // Lazily-allocated segments expose no raw slice until their buffer
-    // exists (`LocalArray::data`); force every array this phase views.
-    for arr in bodies.iter().flat_map(|b| b.sites.arrays()) {
-        mem.array_mut(name(arr)).materialize();
+    // exists (`LocalArray::data`); force every array this phase views
+    // there (the written segment, taken out below, is forced as it is).
+    for body in nr.bodies() {
+        for arr in body.sites.arrays() {
+            mem.array_mut(name(arr)).materialize();
+        }
     }
-    let tuples = |space: &[Vec<i64>]| space.iter().map(Vec::len).product::<usize>();
-    let total: usize = spaces.iter().map(|space| tuples(space)).sum();
-    let cost = bodies.iter().map(|b| b.cost).sum::<i64>() * total as i64;
+    let total: usize = spaces.clone().map(|space| Boxes::new(space).tuples()).sum();
+    let cost = nr.bodies().map(|b| b.cost).sum::<i64>() * total as i64;
     // In-place boxes borrow the written segment mutably next to the
     // shared read views, so it leaves the node memory for the phase.
-    let mut lhs = match (&nr.out, nr.direct) {
+    let (out, direct) = (nr.out(), nr.direct);
+    let mut lhs = match (&out, direct) {
         (NatOut::Owned { arr, .. }, Some(_)) => {
-            let seg = mem.remove_array(name(*arr));
+            let seg = mem.take_array(name(*arr));
             Some(seg.expect("the written array is allocated on this node"))
         }
         _ => None,
     };
-    let (scatter, dsts) = match &nr.out {
-        NatOut::Scatter { subs } => (Some(*subs), &[][..]),
-        NatOut::Owned { offs, .. } => (None, &offs[..]),
+    let (scatter, dsts) = match out {
+        NatOut::Scatter { subs } => (Some(subs), &[][..]),
+        NatOut::Owned { offs, .. } => (None, offs),
     };
     // Stage layout: per row of a space, one dense row per body; its
     // owned writes leave it, in commit order, after the space. A scatter
@@ -231,44 +318,50 @@ fn run_native_boxes<'p, T: Elem>(
     {
         // In place, the segment splits around what the rank writes: the
         // proofs of `in_place` put every read of it on one side.
-        let (halves, mut written, base): ([&[T]; 2], _, _) = match (&mut lhs, nr.direct) {
-            (Some(seg), Some((lo, hi))) => {
+        let (halves, mut written, base): ([&[T]; 2], _, _) = match (&mut lhs, direct) {
+            (Some((_, seg)), Some((lo, hi))) => {
                 let (below, rest) = T::slice_mut(seg.data_mut()).split_at_mut(lo);
                 let (written, above) = rest.split_at_mut(hi + 1 - lo);
                 ([below, above], Some(written), lo)
             }
             _ => ([&[], &[]], None, 0),
         };
-        let mut boxes: Vec<SiteBoxes<'_, T>> = bodies
-            .iter()
-            .map(|b| SiteBoxes::new(&b.sites, mem, &name, halves))
-            .collect();
-        let mut pool = Pool::default();
+        let mut boxes = SiteBoxes::on(&mut bufs.boxes);
+        for body in nr.bodies() {
+            boxes.add(&body.sites, mem, &name, halves);
+        }
+        let pool = &mut bufs.pool;
         // A scatter's subscripts: INTEGER kernels over the same sites.
         let mut index_boxes = scatter.map(|subs| {
-            let boxes = SiteBoxes::<i64>::new(&bodies[0].sites, mem, &name, [&[], &[]]);
-            (subs, boxes, Vec::new())
+            let mut boxes = SiteBoxes::<i64>::on(&mut bufs.index);
+            let sites = nr.bodies().next().expect("a kernel has a body").sites;
+            boxes.add(&sites, mem, &name, [&[], &[]]);
+            (subs, boxes, sites)
         });
         for space in spaces {
+            let walk = Boxes::new(space);
             let inner_len = space.last().expect("a bound rank has a variable").len();
-            let (walk, n, at0) = (Boxes::new(space), tuples(space), stage.len());
+            let (n, at0) = (walk.tuples(), stage.len());
             let in_place = written.is_some() && walk.unit_stride(&dsts[0]);
             if !in_place {
                 stage.resize(at0 + n * nb, T::default());
             }
             if let (false, Some(seg)) = (in_place, &written) {
-                each_write(&walk, space, dsts, |off, at| stage[at] = seg[off - base]);
+                each_write(&walk, inner_len, dsts, |off, at| {
+                    stage[at] = seg[off - base]
+                });
             }
             index.resize(index.len() + n * scatter.map_or(0, <[_]>::len), 0);
-            walk.for_each(space, |bx| {
-                for (bi, (b, boxes)) in bodies.iter().zip(&mut boxes).enumerate() {
+            walk.for_each(|bx| {
+                let mut at = (0, 0);
+                for (bi, b) in nr.bodies().enumerate() {
                     let (data, start, row_step) = match &mut written {
                         Some(seg) if in_place => {
                             let to = dsts[bi].at(bx);
                             (&mut **seg, to.start as usize - base, to.row_step as isize)
                         }
                         _ => {
-                            let at = at0 + (bx.row0 * nb + bi) * inner_len + bx.run.pos;
+                            let at = at0 + (bx.row0 * nb + bi) * inner_len + bx.pos;
                             (&mut stage[..], at, (nb * inner_len) as isize)
                         }
                     };
@@ -281,16 +374,17 @@ fn run_native_boxes<'p, T: Elem>(
                         start,
                         row_step,
                     };
-                    T::kernel(b.func)(&boxes.args(&b.sites, bx, column), &mut out, &mut pool);
+                    let args = boxes.args(&mut at, &b.sites, bx, column);
+                    T::kernel(b.func)(&args, &mut out, pool);
                 }
-                if let Some((subs, boxes, dense)) = &mut index_boxes {
-                    let args = boxes.args(&bodies[0].sites, bx, false);
+                if let Some((subs, boxes, sites)) = &mut index_boxes {
+                    let args = boxes.args(&mut (0, 0), sites, bx, false);
                     let at = (at0 + bx.ordinal(), inner_len);
-                    index_box(subs, &args, &mut index, at, dense, &mut pool);
+                    index_box(subs, &args, &mut index, at, &mut bufs.dense, pool);
                 }
             });
             if !in_place && scatter.is_none() {
-                each_write(&walk, space, dsts, |off, at| match &mut written {
+                each_write(&walk, inner_len, dsts, |off, at| match &mut written {
                     Some(seg) => seg[off - base] = stage[at],
                     None => {
                         offs.push(off as i64);
@@ -300,9 +394,13 @@ fn run_native_boxes<'p, T: Elem>(
                 stage.clear();
             }
         }
+        boxes.give(&mut bufs.boxes);
+        if let Some((_, boxes, _)) = index_boxes {
+            boxes.give(&mut bufs.index);
+        }
     }
-    if let (Some(seg), NatOut::Owned { arr, .. }) = (lhs, &nr.out) {
-        mem.insert_array(name(*arr), seg);
+    if let Some((key, seg)) = lhs {
+        mem.insert_array(key, seg);
     }
     RankOut {
         offs,
@@ -315,18 +413,19 @@ fn run_native_boxes<'p, T: Elem>(
     }
 }
 
-/// Every owned write of the staged `space` (formed into `walk`) in the
-/// element loop's order — tuple by tuple, body by body within a tuple,
-/// so overlapping writes keep their last writer: its flat offset under
-/// the bodies' write forms `dsts`, and its place in the stage.
-fn each_write(walk: &Boxes, space: &[Vec<i64>], dsts: &[NatAff], mut f: impl FnMut(usize, usize)) {
-    let (nb, inner_len) = (dsts.len(), space.last().map_or(0, Vec::len));
+/// Every owned write of a staged space (formed into `walk`, its
+/// innermost variable `inner_len` values long) in the element loop's
+/// order — tuple by tuple, body by body within a tuple, so overlapping
+/// writes keep their last writer: its flat offset under the bodies'
+/// write forms `dsts`, and its place in the stage.
+fn each_write(walk: &Boxes, inner_len: usize, dsts: &[NatAff], mut f: impl FnMut(usize, usize)) {
+    let nb = dsts.len();
     let mut to: Vec<Walk> = Vec::with_capacity(nb);
-    walk.for_each(space, |bx| {
+    walk.for_each(|bx| {
         to.clear();
         to.extend(dsts.iter().map(|off| off.at(bx)));
         for r in 0..bx.rows.len {
-            let at = (bx.row0 + r) * nb * inner_len + bx.run.pos;
+            let at = (bx.row0 + r) * nb * inner_len + bx.pos;
             for i in 0..bx.run.len {
                 for (bi, to) in to.iter().enumerate() {
                     let off = to.start + r as i64 * to.row_step + i as i64 * to.step;
@@ -340,8 +439,9 @@ fn each_write(walk: &Boxes, space: &[Vec<i64>], dsts: &[NatAff], mut f: impl FnM
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bind::{FoldedSites, IterBox, NatBody, NatSite};
-    use crate::native::{match_template, NExpr};
+    use crate::bind::{Folded, FoldedSite, FoldedSites};
+    use crate::chunk::{RDim, ResolvedAcc};
+    use crate::native::{match_template, Lhs, NExpr, NativeBody, NativeKernel, Sites};
     use f90d_frontend::ast::BinOp;
     use f90d_machine::{ElemType, LocalArray};
 
@@ -354,14 +454,15 @@ mod tests {
     type Site = (ArrId, i64, [i64; 2]);
 
     fn aff((_, base, k): Site) -> NatAff {
-        NatAff {
-            base,
-            k: k.to_vec(),
-        }
+        NatAff::new(base, &k)
     }
 
     fn at((_, base, k): Site, i: i64, j: i64) -> usize {
         (base + k[0] * i + k[1] * j) as usize
+    }
+
+    fn runs(lists: &[Vec<i64>]) -> Vec<Runs> {
+        lists.iter().map(|l| Runs::of(l.iter().copied())).collect()
     }
 
     /// Bind one `lhs = r0 + r1` body per entry of `bodies` over `lists`,
@@ -379,7 +480,7 @@ mod tests {
     fn check_boxes(bodies: &[(Site, [Site; 2])], lists: &[Vec<i64>]) -> (bool, usize) {
         let in_place = check_spaces(bodies, lists, &[lists.to_vec()]);
         let mut boxes = 0;
-        Boxes::new(lists).for_each(lists, |_| boxes += 1);
+        Boxes::new(&runs(lists)).for_each(|_| boxes += 1);
         (in_place, boxes)
     }
 
@@ -420,43 +521,67 @@ mod tests {
             Box::new(NExpr::Read(1)),
         );
         let func = BoxKernel::Real(match_template(&sum).1);
-        let folded = FoldedSites {
-            reads: Vec::new(),
-            ireads: Vec::new(),
-            lins: Vec::new(),
-            scalars: Vec::new(),
+        let kernel = NativeKernel {
+            var_slots: vec![0, 1],
+            bodies: (bodies.iter())
+                .map(|_| NativeBody {
+                    template: "sum",
+                    func: func.clone(),
+                    sites: Sites::default(),
+                    lhs: Lhs::Owned {
+                        acc: 0,
+                        subs: Vec::new(),
+                    },
+                    cost: 3,
+                })
+                .collect(),
+            gathers: Vec::new(),
         };
-        let bound = bodies
-            .iter()
-            .map(|&(_, reads)| NatBody {
-                func: &func,
-                sites: NatSites {
-                    folded: &folded,
-                    reads: (reads.iter())
-                        .map(|&r| NatSite {
-                            arr: r.0,
-                            off: SiteOff::Affine(aff(r)),
-                            view: View::Array,
-                        })
-                        .collect(),
-                    ireads: Vec::new(),
-                },
-                cost: 3,
+        // Every array is read through one flat dimension, so a site's
+        // subscript is its flat offset, bounds-checked over the box.
+        let mut subs = Vec::new();
+        let mut flat = |site: Site| {
+            subs.push(aff(site));
+            subs.len() - 1..subs.len()
+        };
+        let bodies_sites = (bodies.iter())
+            .map(|&(_, reads)| FoldedSites {
+                reads: (reads.iter())
+                    .map(|&r| FoldedSite::Array {
+                        acc: r.0 as u16,
+                        subs: flat(r),
+                    })
+                    .collect(),
+                ireads: Vec::new(),
+                lins: Vec::new(),
+                scalars: Vec::new(),
             })
             .collect();
-        let out = NatOut::Owned {
-            arr: bodies[0].0 .0,
-            offs: bodies.iter().map(|&(lhs, _)| aff(lhs)).collect(),
+        let writes = bodies.iter().map(|&(lhs, _)| (0, flat(lhs))).collect();
+        let folded = Folded {
+            kernel: &kernel,
+            bodies: bodies_sites,
+            gathers: Vec::new(),
+            writes,
+            subs,
         };
-        let lo: Vec<i64> = lists.iter().map(|l| l[0]).collect();
-        let hi: Vec<i64> = lists.iter().map(|l| *l.last().unwrap()).collect();
-        let bx = IterBox {
-            table: &[],
-            lo: &lo,
-            hi: &hi,
-        };
-        let nr = NatRank::new(bound, Vec::new(), out, lists, &bx);
-        let out = run_native_boxes::<f64>(&nr, spaces, &mut mem, |a| NAMES[a]);
+        let table: Vec<Option<ResolvedAcc>> = [6 * COLS, 6 * COLS, COLS]
+            .iter()
+            .enumerate()
+            .map(|(target, &len)| {
+                let dims = vec![RDim::Affine { a: 1, b: 0 }];
+                Some(ResolvedAcc::new(target, dims, vec![len], vec![len]))
+            })
+            .collect();
+        let mut bound = Bound::new(Some(&folded), 1, 1);
+        bound
+            .push(0, &table, &runs(lists))
+            .expect("every site in bounds");
+        let nr = bound.rank(0).expect("bound");
+        let flat_spaces: Vec<Runs> = spaces.iter().flat_map(|s| runs(s)).collect();
+        let mut bufs = Buffers::default();
+        let parts = flat_spaces.chunks_exact(2);
+        let out = run_native_boxes::<f64>(nr, parts, &mut mem, |a| NAMES[a], &mut bufs);
         assert!(out.scat.subs.is_empty(), "owned writes scatter nothing");
         assert_eq!(
             out.offs.is_empty(),
@@ -643,9 +768,12 @@ mod tests {
         for (var, c) in [(0, 1), (0, -1), (1, 1), (1, -1)] {
             margins.add(var, c);
         }
-        let slabs = margins.boundary_slabs(&lists);
-        assert_eq!(slabs[1][1], vec![1, COLS - 1], "the innermost slab");
-        let spaces = [vec![margins.interior_lists(&lists)], slabs].concat();
+        let mut parts = Vec::new();
+        margins.interior(&runs(&lists), &mut parts);
+        margins.boundary(&runs(&lists), &mut parts);
+        let values = |runs: &[Runs]| runs.iter().map(|r| r.values().collect()).collect();
+        let spaces: Vec<Vec<Vec<i64>>> = parts.chunks_exact(2).map(values).collect();
+        assert_eq!(spaces[2][1], vec![1, COLS - 1], "the innermost slab");
         for body in [[A_IJ, B_IJ], [B_IJ, C_J]] {
             assert!(check_spaces(&[(A_IJ, body)], &lists, &spaces));
         }

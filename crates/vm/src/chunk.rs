@@ -42,13 +42,13 @@
 //! call, so no rank sees another's state inside a phase.
 
 use f90d_comm::driver::{GatherRequests, ScatterOut, Spaces};
-use f90d_distrib::{ArrayDimMap, DistKind};
+use f90d_distrib::{ArrayDimMap, DistKind, Runs};
 use f90d_machine::{ArrayData, Machine, NodeMemory, Value};
 use f90d_runtime::DistArray;
 
 use crate::bytecode::{AccPlan, ArrId, ExprCode, Op, VmForall, VmProgram};
 use crate::columns::{self, Arg, Pool, Reg};
-use crate::dispatch::{self, VmError, VmResult};
+use crate::dispatch::{RankSpaces, VmError, VmResult};
 use crate::ops;
 
 /// One dimension of a resolved accessor: how a global subscript becomes
@@ -89,9 +89,36 @@ pub(crate) struct ResolvedAcc {
     pub(crate) padded: Vec<i64>,
     /// Row-major strides over the padded extents.
     pub(crate) strides: Vec<i64>,
+    /// Per affine dimension, the subscripts that pass both bounds
+    /// checks ([`affine_window`]), found once with the accessor.
+    pub(crate) windows: Vec<(i64, i64)>,
 }
 
 impl ResolvedAcc {
+    /// The accessor of `target` through `dims`, whose global extents are
+    /// `extents` and padded ones `padded`.
+    pub(crate) fn new(target: ArrId, dims: Vec<RDim>, extents: Vec<i64>, padded: Vec<i64>) -> Self {
+        let ndim = dims.len();
+        let mut strides = vec![1i64; ndim];
+        for d in (0..ndim.saturating_sub(1)).rev() {
+            strides[d] = strides[d + 1] * padded[d + 1];
+        }
+        let windows = (dims.iter().zip(extents.iter().zip(&padded)))
+            .map(|(dim, (&extent, &padded))| match *dim {
+                RDim::Affine { a, b } => affine_window(a, b, extent, padded),
+                RDim::General { .. } => (0, 0),
+            })
+            .collect();
+        ResolvedAcc {
+            target,
+            dims,
+            extents,
+            padded,
+            strides,
+            windows,
+        }
+    }
+
     /// Flat padded offset of global subscripts `subs`, one per dimension
     /// of the target (lowering has already dropped a slab read's fixed
     /// dimension).
@@ -203,7 +230,7 @@ impl ResolvedAcc {
             // refused whatever it wraps to.
             ok &= match &self.dims[k] {
                 &RDim::Affine { a, b } => {
-                    let (lo, hi) = affine_window(a, b, extent, padded);
+                    let (lo, hi) = self.windows[k];
                     let span = (hi - lo).max(0) as u64;
                     let (scale, shift) = (a * stride, b * stride);
                     add(offs, &g, |g| {
@@ -292,17 +319,7 @@ pub(crate) fn resolve_acc(
         extents.push(dm.extent);
         padded.push(pad);
     }
-    let mut strides = vec![1i64; ndim];
-    for d in (0..ndim.saturating_sub(1)).rev() {
-        strides[d] = strides[d + 1] * padded[d + 1];
-    }
-    ResolvedAcc {
-        target,
-        dims,
-        extents,
-        padded,
-        strides,
-    }
+    ResolvedAcc::new(target, dims, extents, padded)
 }
 
 /// Iterations evaluated per operator dispatch. Large enough that the
@@ -321,8 +338,8 @@ pub(crate) struct ForallCx<'a> {
     /// enclosing `DO` variables.
     pub(crate) vars: &'a [i64],
     pub(crate) scalars: &'a [Value],
-    /// Per rank, its iteration lists and its resolved accessors.
-    pub(crate) lists: &'a [Vec<Vec<i64>>],
+    /// Per rank, its iteration space and its resolved accessors.
+    pub(crate) spaces: &'a RankSpaces,
     pub(crate) resolved: &'a [Vec<Option<ResolvedAcc>>],
 }
 
@@ -386,7 +403,7 @@ fn run_forall_rank(
     cx: ForallCx<'_>,
     rank: i64,
     mem: &NodeMemory,
-    spaces: &[Vec<Vec<i64>>],
+    spaces: &[Runs],
 ) -> Result<RankOut, String> {
     let ty = cx.prog.arrays[cx.f.body[0].arr].ty;
     let mut out = RankOut {
@@ -395,12 +412,12 @@ fn run_forall_rank(
         scat: ScatterOut::new(ty),
         ops: 0,
     };
-    if spaces.iter().all(|lists| dispatch::runs_nothing(lists)) {
+    if spaces.is_empty() {
         return Ok(out);
     }
     let mut ev = Chunk::new(cx, rank, mem, true);
-    for lists in spaces {
-        ev.for_each(lists, |ev| ev.run_bodies(&mut out))?;
+    for space in spaces.chunks_exact(cx.f.vars.len()) {
+        ev.for_each(space, |ev| ev.run_bodies(&mut out))?;
     }
     Ok(out)
 }
@@ -418,7 +435,7 @@ pub(crate) fn inspect(
 ) -> VmResult<()> {
     let mut ev = Chunk::new(cx, rank as i64, mem, false);
     let mut rows = Vec::new();
-    ev.for_each(&cx.lists[rank], |ev| {
+    ev.for_each(cx.spaces.space(rank), |ev| {
         ev.mask()?;
         ev.eval_subs(subs)?;
         rows.clear();
@@ -481,27 +498,29 @@ impl<'a> Chunk<'a> {
         }
     }
 
-    /// The chunk driver: walk the cartesian product of `lists` (last
+    /// The chunk driver: walk the cartesian product of `space` (last
     /// variable fastest) [`CHUNK`] tuples at a time through `body`. A
     /// chunk that faults is walked again one tuple at a time, so the
     /// error returned is the first faulting iteration's first fault —
     /// whatever other lanes of the chunk would have faulted too.
     fn for_each(
         &mut self,
-        lists: &[Vec<i64>],
+        space: &[Runs],
         mut body: impl FnMut(&mut Self) -> Result<(), String>,
     ) -> Result<(), String> {
-        let total: usize = lists.iter().map(Vec::len).product();
+        let total = space
+            .iter()
+            .fold(1usize, |n, runs| n.saturating_mul(runs.len()));
         let mut pos = 0;
         while pos < total {
             let n = CHUNK.min(total - pos);
             let executed = self.executed;
-            self.load(lists, pos, n);
+            self.load(space, pos, n);
             if let Err(e) = body(self) {
                 if n > 1 {
                     self.executed = executed;
                     for lane in pos..pos + n {
-                        self.load(lists, lane, 1);
+                        self.load(space, lane, 1);
                         body(self)?;
                     }
                 }
@@ -513,20 +532,21 @@ impl<'a> Chunk<'a> {
     }
 
     /// Start a chunk: fill the variable columns with tuples
-    /// `pos..pos + n` of the product of `lists`; no `ReadSeq` site of it
-    /// has had its turn yet.
-    fn load(&mut self, lists: &[Vec<i64>], pos: usize, n: usize) {
-        let (inner, outer) = lists.split_last().expect("a FORALL has a variable");
+    /// `pos..pos + n` of the product of `space`, each value computed
+    /// from its progression; no `ReadSeq` site of it has had its turn
+    /// yet.
+    fn load(&mut self, space: &[Runs], pos: usize, n: usize) {
+        let (inner, outer) = space.split_last().expect("a FORALL has a variable");
         self.cols.iter_mut().for_each(Vec::clear);
         let (mut row, mut at, mut left) = (pos / inner.len(), pos % inner.len(), n);
         while left > 0 {
             let run = left.min(inner.len() - at);
             let mut tuple = row;
-            for (col, list) in self.cols.iter_mut().zip(outer).rev() {
-                col.resize(col.len() + run, list[tuple % list.len()]);
-                tuple /= list.len();
+            for (col, var) in self.cols.iter_mut().zip(outer).rev() {
+                col.resize(col.len() + run, var.get(tuple % var.len()));
+                tuple /= var.len();
             }
-            self.cols[outer.len()].extend_from_slice(&inner[at..at + run]);
+            inner.fill(at, run, &mut self.cols[outer.len()]);
             (row, at, left) = (row + 1, 0, left - run);
         }
         self.n = n;
@@ -762,13 +782,9 @@ mod tests {
         for dim0 in first {
             for (extent, padded) in [(1, 1), (7, 5), (11, 9), (11, 40)] {
                 {
-                    let racc = ResolvedAcc {
-                        target: 0,
-                        dims: vec![dim0.clone(), RDim::Affine { a: 1, b: 2 }],
-                        extents: vec![extent, 6],
-                        padded: vec![padded, 9],
-                        strides: vec![9, 1],
-                    };
+                    let dims = vec![dim0.clone(), RDim::Affine { a: 1, b: 2 }];
+                    let racc = ResolvedAcc::new(0, dims, vec![extent, 6], vec![padded, 9]);
+                    assert_eq!(racc.strides, [9, 1]);
                     // Dimension 0 sweeps, the last one is uniform.
                     let subs = [
                         Reg::Col(ArrayData::Int(gs.clone())),

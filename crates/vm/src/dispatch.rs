@@ -15,12 +15,12 @@
 use std::ops::Range;
 
 use f90d_comm::driver::{self, GhostSpec};
-use f90d_comm::helpers::{cartesian, tree_broadcast};
+use f90d_comm::helpers::tree_broadcast;
 use f90d_comm::op::CommError;
 use f90d_comm::overlap::Margins;
 use f90d_comm::reduce::ReduceOp;
 use f90d_comm::{redist, structured, RunSchedules};
-use f90d_distrib::{set_bound, ArrayDimMap, DistKind, LocalIter, ProcGrid};
+use f90d_distrib::{set_bound, ArrayDimMap, DistKind, LocalIter, Progression, Runs};
 use f90d_machine::{ArrayData, ElemType, LocalArray, Machine, Value};
 use f90d_runtime::intrinsics as rt;
 use f90d_runtime::DistArray;
@@ -311,26 +311,6 @@ pub fn exec_runtime(
     Ok(())
 }
 
-/// The iterations of one FORALL variable over `lb..=ub` step `st`
-/// assigned to `rank` — the `set_BOUND` computation (paper §4),
-/// returning **global** iteration values in ascending order.
-pub fn iterations_for(
-    part: &Partition,
-    bounds: [i64; 3],
-    arrays: &[DistArray],
-    grid: &ProcGrid,
-    rank: i64,
-) -> Vec<i64> {
-    iterations_at(
-        part,
-        bounds,
-        arrays,
-        grid.size(),
-        rank,
-        &grid.coords_of(rank),
-    )
-}
-
 /// The trip count of `lb..=ub` step `st` (`lb <= ub`, `st > 0`) and its
 /// last iterate, exact however far apart the bounds lie (a span past
 /// `i64::MAX` is legal): `ub` itself need not lie on the stride, but
@@ -352,28 +332,37 @@ fn template_form(dm: &ArrayDimMap, a: i64, b: i64) -> (i64, i64) {
     (dm.align.stride * a, dm.align.stride * b + dm.align.offset)
 }
 
-/// [`iterations_for`] the rank at grid coordinates `coords` of `nranks`.
-fn iterations_at(
+/// The iterations of one FORALL variable over `lb..=ub` step `st`
+/// (`lb <= ub`, at most `usize::MAX` trips) on the rank at grid
+/// coordinates `coords` of `nranks` — the `set_BOUND` computation
+/// (paper §4) — as the ascending maximal progressions of their
+/// **global** values: `set_bound`'s local triple mapped through μ⁻¹,
+/// which is affine in the local index under every kind but CYCLIC(K),
+/// where the local range is cut at the cycle's blocks first (or its
+/// list is taken value by value). Its cost does not grow with the trip
+/// count but for CYCLIC(K).
+fn runs_at(
     part: &Partition,
     [lb, ub, st]: [i64; 3],
     arrays: &[DistArray],
     nranks: i64,
     rank: i64,
     coords: &[i64],
-) -> Vec<i64> {
-    if lb > ub {
-        return vec![];
-    }
+) -> Runs {
     let (count, ub) = trips([lb, ub, st]);
     let at = |k: u128| lb.wrapping_add((k as i64).wrapping_mul(st));
-    let all = || (lb..=ub).step_by(st as usize).collect();
+    let all = || Runs::one(Progression::new(lb, st, count as usize));
     match part {
         Partition::Replicate => all(),
         Partition::BlockIter => {
             let chunk = count.div_ceil(nranks as u128);
             let first = rank as u128 * chunk;
             let last = ((rank as u128 + 1) * chunk).min(count);
-            (first..last).map(at).collect()
+            if first < last {
+                Runs::one(Progression::new(at(first), st, (last - first) as usize))
+            } else {
+                Runs::EMPTY
+            }
         }
         Partition::OwnerDim { arr, dim, a, b } => {
             let dm = &arrays[*arr].dad.dims[*dim];
@@ -386,43 +375,56 @@ fn iterations_at(
             let li = set_bound(&dm.dist, coord, t1.min(t2), t1.max(t2), (s * st).abs());
             let cell =
                 |l: i64| (dm.dist.global_of(coord, l)).expect("set_bound local maps to global");
-            // The iteration whose LHS element sits in template cell `t`,
-            // when the cell is on the loop's progression.
-            let on_stride = |t: i64| {
-                let (num, v) = (t - o, (t - o) / s);
-                (num % s == 0 && (v - lb) % st == 0).then_some(v)
-            };
-            let in_loop = |v: &i64| (lb..=ub).contains(v);
-            let each = |l: i64| on_stride(cell(l)).filter(in_loop);
-            // μ⁻¹ is affine in the local index under every kind but
-            // CYCLIC(k), so a local range is a progression of template
-            // cells — and of iterations, all of them on the loop's
-            // stride or none, once a step of it is a whole number of the
-            // loop's steps.
-            let progression = match &li {
-                LocalIter::Range(r)
-                    if r.len() >= 2 && !matches!(dm.dist.kind, DistKind::BlockCyclic(_)) =>
-                {
-                    let step = cell(r.lb + r.st) - cell(r.lb);
-                    (step % s == 0 && step / s % st == 0).then(|| match on_stride(cell(r.lb)) {
-                        Some(v0) => ((0..r.len()).map(|k| v0 + k * (step / s)))
-                            .filter(in_loop)
-                            .collect(),
-                        None => Vec::new(),
-                    })
+            let mut runs = Runs::EMPTY;
+            // The iterations whose LHS element sits in the template
+            // cells of the `n` locals `l0 + k·dl`, over which μ⁻¹ is
+            // affine. `set_bound` steps the cells by a whole number of
+            // the template progression's steps `|s·st|`, so a step of
+            // them is a whole number of the loop's steps: all of them are
+            // on the loop's progression, or none.
+            let mut piece = |l0: i64, dl: i64, n: i64| {
+                let c0 = cell(l0);
+                let dv = if n > 1 { (cell(l0 + dl) - c0) / s } else { 0 };
+                let (num, v0) = (c0 - o, (c0 - o) / s);
+                if num % s != 0 || (v0 - lb) % st != 0 {
+                    return;
                 }
-                _ => None,
+                // Ascending cells are descending iterations under a
+                // negative template stride.
+                let p = if dv >= 0 {
+                    Progression::new(v0, dv, n as usize)
+                } else {
+                    Progression::new(v0 + (n - 1) * dv, -dv, n as usize)
+                };
+                runs.extend(p.within(lb, ub));
             };
-            let mut out: Vec<i64> = progression.unwrap_or_else(|| match &li {
-                LocalIter::Range(r) => r.iter().filter_map(each).collect(),
-                LocalIter::List(locals) => locals.iter().copied().filter_map(each).collect(),
-            });
-            // Ascending locals are ascending template cells: descending
-            // iterations under a negative template stride.
-            if s < 0 {
-                out.reverse();
+            let up = s > 0;
+            match &li {
+                LocalIter::Range(r) if r.is_empty() => {}
+                LocalIter::Range(r) => match dm.dist.kind {
+                    DistKind::BlockCyclic(k) => {
+                        // Block `q` of the cycle holds locals
+                        // `q·k..q·k + k`: the range's share of it.
+                        let mut block = |q: i64| {
+                            let lo = r.lb + ((q * k - r.lb).max(0) + r.st - 1) / r.st * r.st;
+                            let hi = r.lb + ((q * k + k - 1).min(r.ub) - r.lb) / r.st * r.st;
+                            if lo <= hi {
+                                piece(lo, r.st, (hi - lo) / r.st + 1);
+                            }
+                        };
+                        let blocks = r.lb / k..=r.ub / k;
+                        if up {
+                            blocks.for_each(&mut block);
+                        } else {
+                            blocks.rev().for_each(&mut block);
+                        }
+                    }
+                    _ => piece(r.lb, r.st, r.len()),
+                },
+                LocalIter::List(locals) if up => locals.iter().for_each(|&l| piece(l, 0, 1)),
+                LocalIter::List(locals) => locals.iter().rev().for_each(|&l| piece(l, 0, 1)),
             }
-            out
+            runs
         }
     }
 }
@@ -458,24 +460,42 @@ fn owner_window(
     Some((dm.grid_axis.unwrap(), window))
 }
 
-/// Whether a rank's iteration lists hold no tuple: it has none (every
-/// rank [`iteration_lists`] gives nothing to run), or one of them is
-/// empty (a split-phase part of a rank's space can be).
-pub(crate) fn runs_nothing(lists: &[Vec<i64>]) -> bool {
-    lists.is_empty() || lists.iter().any(Vec::is_empty)
+/// One FORALL execution's iteration spaces, by rank: a rank's space is
+/// one [`Runs`] per variable, and a rank that runs nothing has none.
+#[derive(Debug)]
+pub struct RankSpaces {
+    nvars: usize,
+    /// Per rank, where its space starts in `vars` ([`RankSpaces::IDLE`]:
+    /// it has none).
+    at: Vec<u32>,
+    /// The spaces of the ranks that run, one after another.
+    vars: Vec<Runs>,
 }
 
-/// Per-rank, per-variable iteration lists of one FORALL execution:
-/// `lists[rank][var]`, empty (no list at all) on a rank that runs
-/// nothing.
-pub type IterLists = Vec<Vec<Vec<i64>>>;
+impl RankSpaces {
+    const IDLE: u32 = u32::MAX;
 
-/// What [`iteration_lists`] partitioned: the lists, and how many ranks
+    /// Rank `rank`'s space: empty when it runs nothing, one non-empty
+    /// [`Runs`] per variable otherwise.
+    pub fn space(&self, rank: usize) -> &[Runs] {
+        match self.at[rank] {
+            Self::IDLE => &[],
+            at => &self.vars[at as usize..at as usize + self.nvars],
+        }
+    }
+
+    /// How many ranks run something.
+    pub fn active(&self) -> usize {
+        self.vars.len().checked_div(self.nvars).unwrap_or(0)
+    }
+}
+
+/// What [`iteration_spaces`] partitioned: the spaces, and how many ranks
 /// it did per-rank work for.
 #[derive(Debug)]
 pub struct Dispatched {
-    /// The per-rank lists.
-    pub lists: IterLists,
+    /// The per-rank spaces.
+    pub spaces: RankSpaces,
     /// Ranks whose grid coordinates lay inside the window of ranks that
     /// can own an iteration, and so were partitioned (`set_BOUND`) at
     /// all. A rank outside it costs nothing.
@@ -492,9 +512,10 @@ pub struct Dispatched {
 /// can own an iteration (`owner_window`, the filter's one coordinate),
 /// and only the ranks at the coordinates inside every window
 /// (`ProcGrid::rank_of`, so under any embedding) are partitioned. Every
-/// other rank — and a visited one one of whose lists comes out empty —
-/// gets no lists and runs nothing.
-pub fn iteration_lists(
+/// other rank — and a visited one one of whose variables comes out
+/// empty — gets no space and runs nothing. A visited rank costs
+/// O(variables): a variable's values are progressions, never listed.
+pub fn iteration_spaces(
     m: &Machine,
     arrays: &[DistArray],
     loops: &[(&Partition, [i64; 3])],
@@ -520,51 +541,62 @@ pub fn iteration_lists(
         );
     }
     let mut out = Dispatched {
-        lists: (0..nranks).map(|_| Vec::new()).collect(),
+        spaces: RankSpaces {
+            nvars: loops.len(),
+            at: vec![RankSpaces::IDLE; nranks as usize],
+            vars: Vec::new(),
+        },
         visited: 0,
     };
     if loops.iter().any(|(_, [lb, ub, _])| lb > ub) {
         return Ok(out);
+    }
+    if loops
+        .iter()
+        .any(|&(_, bounds)| trips(bounds).0 > usize::MAX as u128)
+    {
+        return Err(VmError(
+            "FORALL trip count exceeds the address space".into(),
+        ));
     }
     for &(part, bounds) in loops {
         if let Some((axis, w)) = owner_window(part, bounds, arrays) {
             narrow(axis, w);
         }
     }
-    // The variables whose list does not depend on the rank, last: a rank
-    // whose share of a partitioned one is empty runs nothing, so its
-    // copy of the others is never made. Their lists are built once for
-    // the execution (the coordinates play no part) and copied to the
-    // ranks that run.
-    let replicated = |part: &Partition| match part {
-        Partition::Replicate => true,
-        Partition::BlockIter => false,
-        Partition::OwnerDim { arr, dim, .. } => !arrays[*arr].dad.dims[*dim].is_distributed(),
-    };
-    let mut order: Vec<usize> = (0..loops.len()).collect();
-    order.sort_by_key(|&k| replicated(loops[k].0));
-    let shared: Vec<Option<Vec<i64>>> = (loops.iter())
-        .map(|&(part, bounds)| {
-            replicated(part).then(|| iterations_at(part, bounds, arrays, nranks, 0, &[]))
-        })
-        .collect();
-    let windows: Vec<Vec<i64>> = windows.into_iter().map(Iterator::collect).collect();
-    cartesian(&windows, |coords| {
+    if windows.iter().any(Range::is_empty) {
+        return Ok(out);
+    }
+    let ranks: usize = windows.iter().map(|w| (w.end - w.start) as usize).product();
+    let spaces = &mut out.spaces;
+    spaces.vars.reserve(ranks * loops.len());
+    // Every grid coordinate inside the windows, the last axis fastest.
+    let mut coords: Vec<i64> = windows.iter().map(|w| w.start).collect();
+    'ranks: loop {
         out.visited += 1;
-        let rank = m.grid.rank_of(coords);
-        let mut lists = vec![Vec::new(); loops.len()];
-        for &k in &order {
-            let (part, bounds) = loops[k];
-            lists[k] = match &shared[k] {
-                Some(all) => all.clone(),
-                None => iterations_at(part, bounds, arrays, nranks, rank, coords),
-            };
-            if lists[k].is_empty() {
-                return;
+        let rank = m.grid.rank_of(&coords);
+        let at = spaces.vars.len();
+        spaces.vars.resize(at + loops.len(), Runs::EMPTY);
+        for (k, &(part, bounds)) in loops.iter().enumerate() {
+            let runs = runs_at(part, bounds, arrays, nranks, rank, &coords);
+            if runs.is_empty() {
+                spaces.vars.truncate(at);
+                break;
             }
+            spaces.vars[at + k] = runs;
         }
-        out.lists[rank as usize] = lists;
-    });
+        if spaces.vars.len() > at {
+            spaces.at[rank as usize] = at as u32;
+        }
+        for axis in (0..coords.len()).rev() {
+            coords[axis] += 1;
+            if coords[axis] < windows[axis].end {
+                continue 'ranks;
+            }
+            coords[axis] = windows[axis].start;
+        }
+        break;
+    }
     Ok(out)
 }
 

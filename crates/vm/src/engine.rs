@@ -19,11 +19,11 @@ use f90d_distrib::Dad;
 use f90d_machine::{ArrayData, Machine, Value};
 use f90d_runtime::DistArray;
 
-use crate::bind::{bind_native, fold_native, NatRank};
+use crate::bind::{bind_native, fold_native, Bound};
 use crate::boxes::{inspect_boxes, run_native_forall};
 use crate::bytecode::*;
 use crate::chunk::{self, resolve_acc, ForallCx, ResolvedAcc, Staged};
-use crate::dispatch::{self, IterLists, VmResult};
+use crate::dispatch::{self, RankSpaces, VmResult};
 use crate::ops;
 
 pub use crate::dispatch::{RunReport, VmError};
@@ -77,27 +77,27 @@ pub struct Engine {
     /// execution that needs it on that rank and kept for the run.
     /// Emptied by [`Engine::relayout`].
     accs: Vec<Vec<Option<ResolvedAcc>>>,
-    /// Per FORALL (`VmProgram::foralls` index), the iteration lists of
+    /// Per FORALL (`VmProgram::foralls` index), the iteration spaces of
     /// its last execution *inside a DO* with what they were built from.
     /// A statement outside every loop runs once and keeps nothing.
     /// Emptied by [`Engine::relayout`].
-    lists: Vec<Option<ListMemo>>,
-    /// FORALL executions that took their iteration lists from `lists`.
+    spaces: Vec<Option<SpaceMemo>>,
+    /// FORALL executions that took their iteration spaces from `spaces`.
     dispatch_reused: u64,
     /// Over the FORALL executions that partitioned their iteration
-    /// space: the ranks [`dispatch::iteration_lists`] visited, and the
+    /// space: the ranks [`dispatch::iteration_spaces`] visited, and the
     /// ranks that came out with iterations.
     ranks_visited: u64,
     ranks_active: u64,
 }
 
-/// One FORALL's kept iteration lists. `key` is everything
-/// [`dispatch::iteration_lists`] computes them from besides the live
+/// One FORALL's kept iteration spaces. `key` is everything
+/// [`dispatch::iteration_spaces`] computes them from besides the live
 /// descriptors and the grid: the evaluated `[lb, ub, st]` of every
 /// variable, then the evaluated owner-filter indices.
-struct ListMemo {
+struct SpaceMemo {
     key: Vec<i64>,
-    lists: Arc<IterLists>,
+    spaces: Arc<RankSpaces>,
 }
 
 impl Engine {
@@ -131,7 +131,7 @@ impl Engine {
             native_fallback: 0,
             native_staged: 0,
             accs: Vec::new(),
-            lists: std::iter::repeat_with(|| None).take(nforalls).collect(),
+            spaces: std::iter::repeat_with(|| None).take(nforalls).collect(),
             dispatch_reused: 0,
             ranks_visited: 0,
             ranks_active: 0,
@@ -140,11 +140,11 @@ impl Engine {
 
     /// An array's descriptor was swapped (REDISTRIBUTE): drop everything
     /// this engine planned against the old layouts. The one invalidation
-    /// site of the accessor table and the iteration-list memos — the
+    /// site of the accessor table and the iteration-space memos — the
     /// comm layer's shift plans need none, their key holds the layout.
     fn relayout(&mut self) {
         self.accs.clear();
-        self.lists.iter_mut().for_each(|kept| *kept = None);
+        self.spaces.iter_mut().for_each(|kept| *kept = None);
     }
 
     /// `(matched, fallback)` FORALL execution counts for this engine:
@@ -165,7 +165,7 @@ impl Engine {
         self.native_staged
     }
 
-    /// How many FORALL executions reused the iteration lists of the
+    /// How many FORALL executions reused the iteration spaces of the
     /// statement's previous execution (same evaluated bounds and owner
     /// filter, same layouts, inside a `DO`) instead of partitioning the
     /// iteration space again. Exact; explains host time only.
@@ -449,7 +449,7 @@ impl Engine {
     /// split-phase overlap path, whose post/finish would re-send the
     /// exchanges. The native tier still binds as usual. `in_loop`: the
     /// statement sits inside a `DO` and may run again, so its iteration
-    /// lists are worth keeping.
+    /// spaces are worth keeping.
     ///
     /// Under `overlap`, an eligible stencil ([`dispatch::overlap_plan`])
     /// runs split-phase (paper §5.1/§7 latency hiding): the shared
@@ -494,13 +494,13 @@ impl Engine {
             let st = self.eval_scalar(&spec.st, m, &mut regs)?.as_int();
             loops.push((&spec.part, [lb, ub, st]));
         }
-        let iter_lists = self.iteration_lists(fi, m, &loops, &filter, in_loop)?;
+        let spaces = self.iteration_spaces(fi, m, &loops, &filter, in_loop)?;
         // Resolve the accessors this FORALL references that no earlier
         // execution has, per rank. A rank that runs nothing — every
         // consumer skips it before looking at its table — asks for none.
         self.accs.resize(m.nranks() as usize, Vec::new());
-        for (rank, lists) in iter_lists.iter().enumerate() {
-            if dispatch::runs_nothing(lists) {
+        for rank in 0..m.nranks() as usize {
+            if spaces.space(rank).is_empty() {
                 continue;
             }
             let table = &mut self.accs[rank];
@@ -518,7 +518,7 @@ impl Engine {
             f,
             vars: &self.vars,
             scalars: &self.scalars,
-            lists: &iter_lists,
+            spaces: &spaces,
             resolved: &self.accs,
         };
         // Native tier: when lowering selected a kernel and every rank's
@@ -528,24 +528,24 @@ impl Engine {
         let bound = (folded.as_ref()).and_then(|folded| bind_native(folded.as_ref(), cx));
         if let Some(bound) = &bound {
             self.native_matched += 1;
-            self.native_staged += bound.iter().flatten().any(NatRank::staged) as u64;
+            self.native_staged += bound.staged() as u64;
         } else {
             self.native_fallback += 1;
         }
         // Unstructured reads: inspector + vectorized executor.
         for (gi, g) in f.gathers.iter().enumerate() {
             let src = &self.arrays[g.src];
-            exec_gather(cx, src, &mut self.sched, gi, g, m, bound.as_deref())?;
+            exec_gather(cx, src, &mut self.sched, gi, g, m, bound.as_ref())?;
         }
         let mut sink = VmSink {
             cx,
-            bound: bound.as_deref(),
+            bound: bound.as_ref(),
             staged: Vec::new(),
         };
         if let Some((specs, margins)) = split {
-            driver::run_overlap(m, &specs, &margins, &iter_lists, &mut sink)?;
+            driver::run_overlap(m, &specs, &margins, &|r| spaces.space(r), &mut sink)?;
         } else {
-            sink.phase(m, &|r| std::slice::from_ref(&iter_lists[r]))?;
+            sink.phase(m, &|r| spaces.space(r))?;
             sink.commit(m)?;
         }
         // Post-loop scatter (paper §4 cases 3/4), of the one phase such a
@@ -560,25 +560,25 @@ impl Engine {
         Ok(())
     }
 
-    /// The iteration lists of this execution of FORALL `fi`:
-    /// [`dispatch::iteration_lists`] of the evaluated bounds and owner
+    /// The iteration spaces of this execution of FORALL `fi`:
+    /// [`dispatch::iteration_spaces`] of the evaluated bounds and owner
     /// filter — or, `in_loop`, the statement's previous execution's when
     /// both evaluated to the same values (the layouts are the same:
     /// [`Engine::relayout`] drops the memo otherwise), which is what a
     /// sweep loop's FORALLs do on every iteration after the first.
-    fn iteration_lists(
+    fn iteration_spaces(
         &mut self,
         fi: u16,
         m: &Machine,
         loops: &[(&Partition, [i64; 3])],
         filter: &[(ArrId, usize, i64)],
         in_loop: bool,
-    ) -> VmResult<Arc<IterLists>> {
+    ) -> VmResult<Arc<RankSpaces>> {
         let mut partition = || {
-            let done = dispatch::iteration_lists(m, &self.arrays, loops, filter)?;
+            let done = dispatch::iteration_spaces(m, &self.arrays, loops, filter)?;
             self.ranks_visited += done.visited;
-            self.ranks_active += done.lists.iter().filter(|l| !l.is_empty()).count() as u64;
-            Ok::<_, VmError>(Arc::new(done.lists))
+            self.ranks_active += done.spaces.active() as u64;
+            Ok::<_, VmError>(Arc::new(done.spaces))
         };
         if !in_loop {
             return partition();
@@ -588,17 +588,20 @@ impl Engine {
             bounds.chain(filter.iter().map(|&(_, _, index)| index))
         };
         if let Some(kept) =
-            (self.lists[fi as usize].as_ref()).filter(|kept| kept.key.iter().copied().eq(key()))
+            (self.spaces[fi as usize].as_ref()).filter(|kept| kept.key.iter().copied().eq(key()))
         {
             self.dispatch_reused += 1;
-            return Ok(kept.lists.clone());
+            return Ok(kept.spaces.clone());
         }
-        let lists = partition()?;
-        self.lists[fi as usize] = Some(ListMemo {
-            key: key().collect(),
-            lists: lists.clone(),
+        let spaces = partition()?;
+        let kept = self.spaces[fi as usize].get_or_insert_with(|| SpaceMemo {
+            key: Vec::new(),
+            spaces: spaces.clone(),
         });
-        Ok(lists)
+        kept.key.clear();
+        kept.key.extend(key());
+        kept.spaces = spaces.clone();
+        Ok(spaces)
     }
 }
 
@@ -615,14 +618,14 @@ fn exec_gather(
     gi: usize,
     g: &GatherSpec<ExprCode>,
     m: &mut Machine,
-    bound: Option<&[Option<NatRank<'_>>]>,
+    bound: Option<&Bound<'_>>,
 ) -> VmResult<()> {
     let mut reqs = GatherRequests::new(m, &src.name, &src.dad);
-    for (rank, lists) in cx.lists.iter().enumerate() {
-        if dispatch::runs_nothing(lists) {
+    for rank in 0..m.nranks() as usize {
+        if cx.spaces.space(rank).is_empty() {
             continue;
         }
-        match bound.and_then(|b| b[rank].as_ref()) {
+        match bound.and_then(|b| b.rank(rank)) {
             Some(nr) => inspect_boxes(cx, nr, gi, rank, &mut m.mems[rank], &mut reqs)?,
             None => chunk::inspect(cx, rank, &m.mems[rank], &g.subs, &mut reqs)?,
         }
@@ -639,7 +642,7 @@ fn exec_gather(
 /// ([`chunk::run_phase`]), each rank charged one lump.
 struct VmSink<'a> {
     cx: ForallCx<'a>,
-    bound: Option<&'a [Option<NatRank<'a>>]>,
+    bound: Option<&'a Bound<'a>>,
     /// What each phase run so far staged, in order, per rank.
     staged: Vec<Vec<Staged>>,
 }

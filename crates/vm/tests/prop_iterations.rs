@@ -1,36 +1,38 @@
 //! Property test of the shared `set_BOUND` iteration partitioning
-//! (`f90d_vm::dispatch::iterations_for`), the one implementation both
-//! executors partition every FORALL with: over BLOCK / CYCLIC /
-//! CYCLIC(K) distributions, alignment strides ±1..3 with an offset, LHS
-//! subscripts `a*v + b` and loop strides 1..3, the per-rank iteration
-//! lists of an owner-computes loop are sorted, pairwise disjoint, and
-//! their union is exactly `lb..=ub step st` — every iteration runs on
-//! exactly one rank — and each list equals what the implementation
-//! `iterations_for` replaced computes ([`iterations_oracle`]: every
-//! local of `set_bound` through μ⁻¹, filtered, sorted). A second
-//! property pins the branch that reverses instead of sorting: a negative
-//! template stride over CYCLIC(K) with `ub` off the loop's stride. Both
-//! also hold the whole-FORALL form the executors call,
-//! `dispatch::iteration_lists`, to the per-rank function: beside the
-//! partitioned variable a replicated one, whose list is built once and
-//! copied, must read on every rank that runs as `iterations_for` says —
-//! and a rank with no share of the partitioned one gets no lists at
-//! all. A third property puts the bounds at the ends of `i64` — a span
-//! past `i64::MAX` included — and holds the `Replicate` and `BlockIter`
-//! lists to the trips enumerated in `i128`. A fourth moves to a
-//! two-axis grid under either embedding, with an owner filter or a
-//! second partitioned variable, where `iteration_lists` masks idle
-//! ranks before partitioning: the lists are still `iterations_for`'s,
-//! every tuple runs once, and no rank outside the window of ranks that
-//! can own an iteration is visited.
+//! (`f90d_vm::dispatch::iteration_spaces`), the one implementation both
+//! executors partition every FORALL with. Every rank's space holds, per
+//! variable, ascending maximal progressions: expanded, they must equal
+//! [`iterations_for`] — the list implementation the progressions
+//! replaced, kept here as the oracle — and no run may continue the one
+//! before it. Over BLOCK / CYCLIC / CYCLIC(K) distributions, alignment
+//! strides ±1..3 with an offset, LHS subscripts `a*v + b` and loop
+//! strides 1..3, the per-rank values of an owner-computes loop are
+//! sorted, pairwise disjoint, and their union is exactly
+//! `lb..=ub step st` — every iteration runs on exactly one rank — and
+//! each list equals what the implementation `iterations_for` replaced
+//! computes ([`iterations_oracle`]: every local of `set_bound` through
+//! μ⁻¹, filtered, sorted). A second property pins the branch that
+//! reverses instead of sorting: a negative template stride over
+//! CYCLIC(K) with `ub` off the loop's stride, where a rank's values are
+//! several runs. Both hold the whole FORALL: beside the partitioned
+//! variable a replicated one, found once, must read on every rank that
+//! runs as `iterations_for` says — and a rank with no share of the
+//! partitioned one gets no space at all. A third property puts the
+//! bounds at the ends of `i64` — a span past `i64::MAX` included — and
+//! holds the `Replicate` and `BlockIter` values to the trips enumerated
+//! in `i128`. A fourth moves to a two-axis grid under either embedding,
+//! with an owner filter or a second partitioned variable, where
+//! `iteration_spaces` masks idle ranks before partitioning: the values
+//! are still `iterations_for`'s, every tuple runs once, and no rank
+//! outside the window of ranks that can own an iteration is visited.
 
 use f90d_distrib::{
-    set_bound, AlignExpr, Alignment, AxisAlign, DadBuilder, DistKind, GridEmbedding, ProcGrid,
-    Template,
+    set_bound, AlignExpr, Alignment, AxisAlign, DadBuilder, DistKind, GridEmbedding, LocalIter,
+    ProcGrid, Progression, Template,
 };
 use f90d_machine::{ElemType, Machine, MachineSpec};
 use f90d_runtime::DistArray;
-use f90d_vm::dispatch::{iteration_lists, iterations_for};
+use f90d_vm::dispatch::{iteration_spaces, Dispatched};
 use f90d_vm::stmt::Partition;
 use proptest::prelude::*;
 
@@ -44,6 +46,81 @@ fn dist_kind() -> impl Strategy<Value = DistKind> {
 
 fn nonzero(lo: i64, hi: i64) -> impl Strategy<Value = i64> {
     prop_oneof![lo..0i64, 1i64..hi + 1]
+}
+
+/// The iterations of one FORALL variable over `lb..=ub` step `st`
+/// assigned to `rank` as the executors listed them before they kept
+/// progressions: global iteration values in ascending order.
+fn iterations_for(
+    part: &Partition,
+    [lb, ub, st]: [i64; 3],
+    arrays: &[DistArray],
+    grid: &ProcGrid,
+    rank: i64,
+) -> Vec<i64> {
+    if lb > ub {
+        return vec![];
+    }
+    let (nranks, coords) = (grid.size(), grid.coords_of(rank));
+    let count = u128::from(ub.abs_diff(lb) / st as u64) + 1;
+    let ub = lb.wrapping_add(((count - 1) as i64).wrapping_mul(st));
+    let at = |k: u128| lb.wrapping_add((k as i64).wrapping_mul(st));
+    let all = || (lb..=ub).step_by(st as usize).collect();
+    match part {
+        Partition::Replicate => all(),
+        Partition::BlockIter => {
+            let chunk = count.div_ceil(nranks as u128);
+            let first = rank as u128 * chunk;
+            let last = ((rank as u128 + 1) * chunk).min(count);
+            (first..last).map(at).collect()
+        }
+        Partition::OwnerDim { arr, dim, a, b } => {
+            let dm = &arrays[*arr].dad.dims[*dim];
+            if !dm.is_distributed() {
+                return all();
+            }
+            let coord = coords[dm.grid_axis.unwrap()];
+            let (s, o) = (dm.align.stride * a, dm.align.stride * b + dm.align.offset);
+            let (t1, t2) = (s * lb + o, s * ub + o);
+            let li = set_bound(&dm.dist, coord, t1.min(t2), t1.max(t2), (s * st).abs());
+            let cell =
+                |l: i64| (dm.dist.global_of(coord, l)).expect("set_bound local maps to global");
+            let on_stride = |t: i64| {
+                let (num, v) = (t - o, (t - o) / s);
+                (num % s == 0 && (v - lb) % st == 0).then_some(v)
+            };
+            let each = |l: i64| on_stride(cell(l)).filter(|v| (lb..=ub).contains(v));
+            let mut out: Vec<i64> = match &li {
+                LocalIter::Range(r) => r.iter().filter_map(each).collect(),
+                LocalIter::List(locals) => locals.iter().copied().filter_map(each).collect(),
+            };
+            if s < 0 {
+                out.reverse();
+            }
+            out
+        }
+    }
+}
+
+/// Rank `rank`'s space expanded to per-variable value lists, after
+/// checking that every variable's runs are ascending progressions none
+/// of which continues the one before it.
+fn expanded(done: &Dispatched, rank: i64) -> Result<Vec<Vec<i64>>, TestCaseError> {
+    let space = done.spaces.space(rank as usize);
+    for runs in space {
+        prop_assert!(!runs.is_empty(), "rank {}: an empty variable", rank);
+        for p in runs.runs() {
+            prop_assert!(p.len >= 1 && (p.len == 1 || p.stride > 0), "{:?}", p);
+        }
+        for w in runs.runs().windows(2) {
+            let continues = w[1]
+                .first
+                .checked_sub(w[0].last())
+                .is_some_and(|gap| gap > 0 && (w[0].len == 1 || gap == w[0].stride));
+            prop_assert!(!continues, "rank {}: {:?} continues {:?}", rank, w[1], w[0]);
+        }
+    }
+    Ok(space.iter().map(|r| r.values().collect()).collect())
 }
 
 /// The owner-computes branch of `iterations_for` as it was before it
@@ -169,8 +246,7 @@ fn check_partition(
     let inner = [ub - lb, ub + st, st];
     let m = Machine::new(MachineSpec::ideal(), grid.clone());
     let loops = [(&part, [lb, ub, st]), (&Partition::Replicate, inner)];
-    let done = iteration_lists(&m, &arrays, &loops, &[]).unwrap();
-    let lists = &done.lists;
+    let done = iteration_spaces(&m, &arrays, &loops, &[]).unwrap();
 
     let mut all: Vec<i64> = Vec::new();
     for rank in 0..p {
@@ -181,7 +257,15 @@ fn check_partition(
         } else {
             vec![list.clone(), shared]
         };
-        prop_assert_eq!(&lists[rank as usize], &want, "rank {}", rank);
+        prop_assert_eq!(&expanded(&done, rank)?, &want, "rank {}", rank);
+        // A BLOCK or CYCLIC share, and the replicated variable, are one
+        // progression each; only CYCLIC(K) may take several.
+        let space = done.spaces.space(rank as usize);
+        let cyclic_k = matches!(kind, DistKind::BlockCyclic(_));
+        prop_assert!(space
+            .iter()
+            .skip(cyclic_k as usize)
+            .all(|r| r.runs().len() == 1));
         prop_assert!(
             list.windows(2).all(|w| w[0] < w[1]),
             "rank {} unsorted: {:?}",
@@ -273,7 +357,7 @@ fn check_grid_partition(
         Ok(g) => (vec![(&cols, [lb, ub, st])], vec![(0, 0, g)]),
         Err(u) => (vec![(&rows, u), (&cols, [lb, ub, st])], vec![]),
     };
-    let done = iteration_lists(&m, &arrays, &loops, &filter).unwrap();
+    let done = iteration_spaces(&m, &arrays, &loops, &filter).unwrap();
     let dm = &arrays[0].dad.dims;
     let mut run: Vec<(i64, i64)> = Vec::new();
     let mut active = 0;
@@ -289,7 +373,7 @@ fn check_grid_partition(
         let runs = on_row && lists.iter().all(|l| !l.is_empty());
         let want = if runs { lists } else { vec![] };
         prop_assert_eq!(
-            &done.lists[rank as usize],
+            &expanded(&done, rank)?,
             &want,
             "rank {} at {:?}",
             rank,
@@ -321,6 +405,69 @@ fn check_grid_partition(
         );
     }
     Ok(())
+}
+
+/// A hostile trip count costs nothing: `2^40` trips of a replicated and
+/// of a `BlockIter` variable are one progression per variable and rank,
+/// found at once — where the lists they replaced asked for 8 TiB.
+#[test]
+fn trips_past_memory_are_one_progression_per_rank() {
+    let bounds = [1, 1i64 << 40, 1];
+    let grid = ProcGrid::new(&[4]);
+    let m = Machine::new(MachineSpec::ideal(), grid);
+    let loops = [
+        (&Partition::BlockIter, bounds),
+        (&Partition::Replicate, bounds),
+    ];
+    let done = iteration_spaces(&m, &[], &loops, &[]).unwrap();
+    let share = 1usize << 38;
+    for rank in 0..4 {
+        let space = done.spaces.space(rank);
+        let first = 1 + (rank * share) as i64;
+        assert_eq!(space[0].runs(), [Progression::new(first, 1, share)]);
+        assert_eq!(space[1].runs(), [Progression::new(1, 1, 1 << 40)]);
+    }
+    // Past `usize::MAX` trips is a structured error, not an abort.
+    let whole = [(&Partition::Replicate, [i64::MIN, i64::MAX, 1])];
+    let err = iteration_spaces(&m, &[], &whole, &[]).unwrap_err();
+    assert!(err.0.contains("trip count"), "{err}");
+}
+
+/// CYCLIC(2) under a loop stride of 3 leaves every rank several runs
+/// (the blocks of the cycle cut the progression), and a negative
+/// alignment stride runs them downwards: both still the oracle's values.
+#[test]
+fn cyclic_k_with_a_stride_gives_several_runs() {
+    for align_stride in [1, -1] {
+        check_partition(
+            DistKind::BlockCyclic(2),
+            4,
+            (align_stride, 0),
+            (1, 0),
+            [0, 90, 3],
+        )
+        .unwrap();
+    }
+    let grid = ProcGrid::new(&[4]);
+    let dad = DadBuilder::new("A", &[96])
+        .distribute(&[DistKind::BlockCyclic(2)])
+        .grid(grid.clone())
+        .build()
+        .unwrap();
+    let arrays = [DistArray {
+        name: "A".into(),
+        dad,
+        ty: ElemType::Real,
+    }];
+    let part = Partition::OwnerDim {
+        arr: 0,
+        dim: 0,
+        a: 1,
+        b: 0,
+    };
+    let m = Machine::new(MachineSpec::ideal(), grid);
+    let done = iteration_spaces(&m, &arrays, &[(&part, [0, 95, 3])], &[]).unwrap();
+    assert!((0..4).all(|rank| done.spaces.space(rank)[0].runs().len() > 1));
 }
 
 fn embedding() -> impl Strategy<Value = GridEmbedding> {
@@ -423,7 +570,7 @@ proptest! {
         let share = want.len().div_ceil(p as usize);
         let m = Machine::new(MachineSpec::ideal(), grid.clone());
         let loops = [(&Partition::BlockIter, bounds), (&Partition::Replicate, bounds)];
-        let lists = iteration_lists(&m, &[], &loops, &[]).unwrap().lists;
+        let done = iteration_spaces(&m, &[], &loops, &[]).unwrap();
         for rank in 0..p {
             let replicated = iterations_for(&Partition::Replicate, bounds, &[], &grid, rank);
             prop_assert_eq!(&replicated, &want, "Replicate, rank {}", rank);
@@ -432,7 +579,9 @@ proptest! {
             let mine = &want[(r * share).min(want.len())..((r + 1) * share).min(want.len())];
             prop_assert_eq!(&split[..], mine, "BlockIter, rank {}", rank);
             let whole = if split.is_empty() { vec![] } else { vec![split, want.clone()] };
-            prop_assert_eq!(&lists[r], &whole, "iteration_lists, rank {}", rank);
+            prop_assert_eq!(&expanded(&done, rank)?, &whole, "iteration_spaces, rank {}", rank);
+            // One progression per variable: nothing grows with the trips.
+            prop_assert!(done.spaces.space(r).iter().all(|runs| runs.runs().len() == 1));
         }
     }
 }
