@@ -62,8 +62,9 @@ fn column_machine(spec: MachineSpec, p: i64, rows: i64, cols: i64) -> (Machine, 
     for rank in 0..m.nranks() {
         let coords = m.grid.coords_of(rank);
         let mut la = LocalArray::zeros(ElemType::Real, &dad.local_shape());
-        dad.for_each_owned(&coords, |g, l| {
-            la.set(l, Value::Real((100 * g[0] + g[1]) as f64));
+        let seg = la.segment();
+        dad.for_each_owned(&coords, &seg, |g, off| {
+            la.set_flat(off, Value::Real((100 * g[0] + g[1]) as f64));
         });
         m.mems[rank as usize].insert_array("A", la);
     }

@@ -558,9 +558,10 @@ mod tests {
             for rank in 0..m.nranks() {
                 let coords = m.grid.coords_of(rank);
                 let mut la = LocalArray::with_ghost(ElemType::Real, &dad.local_shape(), &[2], &[2]);
-                for (g, l) in dad.owned_elements(&coords) {
-                    la.set(&l, Value::Real((1000 * base as i64 + g[0]) as f64));
-                }
+                let seg = la.segment();
+                dad.for_each_owned(&coords, &seg, |g, off| {
+                    la.set_flat(off, Value::Real((1000 * base as i64 + g[0]) as f64))
+                });
                 m.mems[rank as usize].insert_array(*name, la);
             }
         }
@@ -579,8 +580,11 @@ mod tests {
 
     /// The values in the ghost cells rank `rank` reads for `name(i + c)`.
     fn ghost_values(m: &Machine, dad: &Dad, name: &str, rank: i64, c: i64) -> Vec<f64> {
-        let locals = crate::helpers::owned_dim_locals(dad, 0, m.grid.coords_of(rank)[0]);
-        let (lo, hi) = (locals[0], locals[locals.len() - 1]);
+        let (dm, held) = (&dad.dims[0], dad.dims[0].owned(m.grid.coords_of(rank)[0]));
+        let (lo, hi) = (
+            dm.local(held.first().unwrap()),
+            dm.local(held.last().unwrap()),
+        );
         let ghosts: Vec<i64> = if c > 0 {
             (hi + 1..=hi + c).collect()
         } else {

@@ -1,5 +1,7 @@
-//! Shared machinery: owned-local enumeration, the one split-phase
-//! point-to-point operation, and the collective trees.
+//! Shared machinery: the one split-phase point-to-point operation and
+//! the collective trees. Which elements a node holds, and where they sit
+//! in its segment, is not decided here: every primitive enumerates them
+//! with `f90d_distrib::Dad::for_each_owned`, the one product walk.
 //!
 //! Every primitive vectorizes its messages — all elements travelling
 //! between one (source, destination) pair are packed into a single message
@@ -19,72 +21,9 @@
 
 use std::ops::Range;
 
-use f90d_distrib::Dad;
 use f90d_machine::{ArrayData, Machine, RecvHandle, Topology, Transport};
 
 use crate::op::{CommError, CommResult};
-
-/// Local indices (template-local numbering) of the elements of array
-/// dimension `d` owned by grid coordinate `coord`, in increasing global
-/// order: [`ArrayDimMap::owned_locals`], the one `O(owned)` walk
-/// `Dad::for_each_owned` is built on too.
-///
-/// [`ArrayDimMap::owned_locals`]: f90d_distrib::ArrayDimMap::owned_locals
-pub fn owned_dim_locals(dad: &Dad, d: usize, coord: i64) -> Vec<i64> {
-    dad.dims[d].owned_locals(coord)
-}
-
-/// Per-dimension owned locals on the node at grid `coords`.
-pub fn owned_locals_per_dim(dad: &Dad, coords: &[i64]) -> Vec<Vec<i64>> {
-    (0..dad.rank())
-        .map(|d| {
-            let c = dad.dims[d].grid_axis.map_or(0, |a| coords[a]);
-            owned_dim_locals(dad, d, c)
-        })
-        .collect()
-}
-
-/// Iterate the cartesian product of per-dim index lists in row-major
-/// order, calling `f` with each combined index vector.
-pub fn cartesian(lists: &[Vec<i64>], mut f: impl FnMut(&[i64])) {
-    if lists.iter().any(|l| l.is_empty()) {
-        return;
-    }
-    let mut cursor = vec![0usize; lists.len()];
-    let mut idx: Vec<i64> = lists.iter().map(|l| l[0]).collect();
-    loop {
-        f(&idx);
-        let mut d = lists.len();
-        loop {
-            if d == 0 {
-                return;
-            }
-            d -= 1;
-            cursor[d] += 1;
-            if cursor[d] < lists[d].len() {
-                idx[d] = lists[d][cursor[d]];
-                break;
-            }
-            cursor[d] = 0;
-            idx[d] = lists[d][0];
-        }
-    }
-}
-
-/// Flat offsets `Σ (l_d + bias_d) · stride_d` of every index vector of
-/// the cartesian product of the per-dimension `lists`, in the row-major
-/// order [`cartesian`] visits them.
-pub(crate) fn cartesian_offsets(lists: &[Vec<i64>], strides: &[i64], bias: &[i64]) -> Vec<usize> {
-    let mut offs = vec![0usize];
-    for ((list, &stride), &b) in lists.iter().zip(strides).zip(bias) {
-        let mut next = Vec::with_capacity(offs.len() * list.len());
-        for &o in &offs {
-            next.extend(list.iter().map(|&l| o + ((l + b) * stride) as usize));
-        }
-        offs = next;
-    }
-    offs
-}
 
 /// The element moves of an exchange while it is being planned:
 /// `(from, to) → ordered (source flat offset, destination flat offset)`
@@ -532,59 +471,11 @@ pub fn fiber_through(m: &Machine, coords: &[i64], axis: usize) -> (Vec<i64>, usi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use f90d_distrib::{DadBuilder, DistKind, ProcGrid};
+    use f90d_distrib::ProcGrid;
     use f90d_machine::{ElemType, LocalArray, MachineSpec, Value};
 
     fn mk_machine(p: i64) -> Machine {
         Machine::new(MachineSpec::ideal(), ProcGrid::new(&[p]))
-    }
-
-    #[test]
-    fn owned_dim_locals_block() {
-        let dad = DadBuilder::new("A", &[10])
-            .distribute(&[DistKind::Block])
-            .grid(ProcGrid::new(&[4]))
-            .build()
-            .unwrap();
-        assert_eq!(owned_dim_locals(&dad, 0, 0), vec![0, 1, 2]);
-        assert_eq!(owned_dim_locals(&dad, 0, 3), vec![0]);
-    }
-
-    #[test]
-    fn cartesian_offsets_are_the_offsets_cartesian_visits() {
-        // A 3-D segment with ghosts: offsets by stride arithmetic must
-        // be `LocalArray::offset` of every visited index, in order.
-        let arr = LocalArray::with_ghost(ElemType::Int, &[3, 4, 2], &[1, 0, 2], &[0, 1, 1]);
-        let strides = [(4 + 1) * (2 + 3), 2 + 3, 1];
-        for lists in [
-            vec![vec![-1, 0, 2], vec![3, 1], vec![-2, 2]],
-            vec![vec![1], vec![0, 1, 2, 3, 4], vec![0]],
-            vec![vec![0, 1], vec![], vec![0]],
-        ] {
-            let mut want = Vec::new();
-            cartesian(&lists, |idx| want.push(arr.offset(idx)));
-            assert_eq!(cartesian_offsets(&lists, &strides, &arr.ghost_lo), want);
-        }
-        // No dimensions: the one empty index vector, offset 0.
-        assert_eq!(cartesian_offsets(&[], &[], &[]), vec![0]);
-    }
-
-    #[test]
-    fn cartesian_row_major() {
-        let lists = vec![vec![0, 1], vec![5, 6, 7]];
-        let mut seen = Vec::new();
-        cartesian(&lists, |idx| seen.push(idx.to_vec()));
-        assert_eq!(seen.len(), 6);
-        assert_eq!(seen[0], vec![0, 5]);
-        assert_eq!(seen[1], vec![0, 6]);
-        assert_eq!(seen[3], vec![1, 5]);
-    }
-
-    #[test]
-    fn cartesian_empty_list_yields_nothing() {
-        let mut n = 0;
-        cartesian(&[vec![], vec![1]], |_| n += 1);
-        assert_eq!(n, 0);
     }
 
     #[test]

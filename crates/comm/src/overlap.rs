@@ -141,10 +141,13 @@ mod tests {
     fn product(flat: &[Runs], nvars: usize) -> BTreeSet<Vec<i64>> {
         let mut out = BTreeSet::new();
         for space in flat.chunks_exact(nvars) {
-            let lists: Vec<Vec<i64>> = space.iter().map(|r| r.values().collect()).collect();
-            crate::helpers::cartesian(&lists, |idx| {
-                out.insert(idx.to_vec());
-            });
+            let mut tuples = vec![vec![]];
+            for runs in space {
+                tuples = (tuples.iter())
+                    .flat_map(|t| runs.values().map(move |v| [&t[..], &[v]].concat()))
+                    .collect();
+            }
+            out.extend(tuples);
         }
         out
     }
@@ -263,10 +266,13 @@ mod prop {
     fn product(flat: &[Runs], nvars: usize) -> BTreeSet<Vec<i64>> {
         let mut out = BTreeSet::new();
         for space in flat.chunks_exact(nvars) {
-            let lists: Vec<Vec<i64>> = space.iter().map(|r| r.values().collect()).collect();
-            crate::helpers::cartesian(&lists, |idx| {
-                out.insert(idx.to_vec());
-            });
+            let mut tuples = vec![vec![]];
+            for runs in space {
+                tuples = (tuples.iter())
+                    .flat_map(|t| runs.values().map(move |v| [&t[..], &[v]].concat()))
+                    .collect();
+            }
+            out.extend(tuples);
         }
         out
     }

@@ -46,17 +46,16 @@ pub fn redistribute(
             continue;
         }
         let src_arr = m.mems[rank as usize].array(src);
-        for (g, l) in src_dad.owned_elements(&coords) {
-            let src_off = src_arr.offset(&l);
-            for dst_rank in dst_dad.owner_ranks(&g) {
-                let dst_l = dst_dad.local_index(&g);
+        src_dad.for_each_owned(&coords, &src_arr.segment(), |g, src_off| {
+            for dst_rank in dst_dad.owner_ranks(g) {
+                let dst_l = dst_dad.local_index(g);
                 let dst_off = m.mems[dst_rank as usize].array(dst).offset(&dst_l);
                 moves
                     .entry((rank, dst_rank))
                     .or_default()
                     .push((src_off, dst_off));
             }
-        }
+        });
     }
     exchange(m, src, dst, &moves.into())
 }
@@ -80,26 +79,27 @@ mod tests {
     fn fill(m: &mut Machine, name: &str, dad: &Dad) {
         for rank in 0..m.nranks() {
             let coords = m.grid.coords_of(rank);
-            for (g, l) in dad.owned_elements(&coords) {
+            let arr = m.mems[rank as usize].array_mut(name);
+            let seg = arr.segment();
+            dad.for_each_owned(&coords, &seg, |g, off| {
                 let v = g.iter().fold(0i64, |acc, &x| acc * 1000 + x);
-                m.mems[rank as usize]
-                    .array_mut(name)
-                    .set(&l, Value::Real(v as f64));
-            }
+                arr.set_flat(off, Value::Real(v as f64));
+            });
         }
     }
 
     fn verify(m: &Machine, name: &str, dad: &Dad) {
         for rank in 0..m.nranks() {
             let coords = m.grid.coords_of(rank);
-            for (g, l) in dad.owned_elements(&coords) {
+            let arr = m.mems[rank as usize].array(name);
+            dad.for_each_owned(&coords, &arr.segment(), |g, off| {
                 let v = g.iter().fold(0i64, |acc, &x| acc * 1000 + x);
                 assert_eq!(
-                    m.mems[rank as usize].array(name).get(&l),
+                    arr.get_flat(off),
                     Value::Real(v as f64),
                     "rank {rank} global {g:?}"
                 );
-            }
+            });
         }
     }
 

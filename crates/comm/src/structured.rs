@@ -18,13 +18,10 @@
 //!   same-shape temporary (`temporary_shift`), indexed so that the local
 //!   loop body reads `TMP(i)` for `B(i ± s)`.
 
-use f90d_distrib::Dad;
+use f90d_distrib::{row_major_strides, Dad, Progression, Runs, Segment};
 use f90d_machine::{ArrayData, ElemType, LocalArray, Machine};
 
-use crate::helpers::{
-    cartesian, cartesian_offsets, exchange, fiber_through, owned_locals_per_dim, tree_broadcast,
-    ExchangePlan, PairMoves,
-};
+use crate::helpers::{exchange, fiber_through, tree_broadcast, ExchangePlan, PairMoves};
 use crate::op::CommResult;
 
 /// Allocate (on every node) the slab temporary for `transfer`/`multicast`
@@ -45,21 +42,24 @@ fn slab_shape(dad: &Dad, dim: usize) -> Vec<i64> {
     shape
 }
 
-/// Row-major strides of a segment of the given (padded) extents.
-fn row_major_strides(extents: &[i64]) -> Vec<i64> {
-    let mut strides = vec![1; extents.len()];
-    for d in (1..extents.len()).rev() {
-        strides[d - 1] = strides[d] * extents[d];
+/// Where `dad`'s local index vectors land in the slab temporary over
+/// `dim`: row-major over the remaining dimensions, `dim` not moving the
+/// offset.
+fn slab_segment(dad: &Dad, dim: usize) -> Segment {
+    let mut strides = row_major_strides(&slab_shape(dad, dim));
+    strides.insert(dim, 0);
+    Segment {
+        strides,
+        bias: vec![0; dad.rank()],
     }
-    strides
 }
 
-/// `arr.offset(idx)` of every index vector of the cartesian product of
-/// the per-dimension `lists`, in row-major order — by stride
-/// arithmetic, no index vector per element.
-pub fn local_offsets(arr: &LocalArray, lists: &[Vec<i64>]) -> Vec<usize> {
-    let extents: Vec<i64> = (0..arr.rank()).map(|d| arr.padded_extent(d)).collect();
-    cartesian_offsets(lists, &row_major_strides(&extents), &arr.ghost_lo)
+/// The elements of `dad` the node at `coords` holds, but along `dim`
+/// only `g`: the slab through `g`.
+fn slab_sets(dad: &Dad, coords: &[i64], dim: usize, g: i64) -> Vec<Runs> {
+    let mut sets = dad.owned(coords);
+    sets[dim] = Runs::one(Progression::new(g, 0, 1));
+    sets
 }
 
 /// The slab `src[.., src_g, ..]` owned by the node at `coords`: the
@@ -75,13 +75,9 @@ fn slab_offsets(
     src_g: i64,
 ) -> (Vec<usize>, Vec<usize>) {
     let arr = m.mems[m.grid.rank_of(coords) as usize].array(src);
-    let mut lists = owned_locals_per_dim(dad, coords);
-    lists[dim] = vec![dad.dims[dim].local_of(src_g)];
-    // The fixed dimension does not exist in the temporary: stride 0.
-    let mut tmp_strides = row_major_strides(&slab_shape(dad, dim));
-    tmp_strides.insert(dim, 0);
-    let tmp_offsets = cartesian_offsets(&lists, &tmp_strides, &vec![0; lists.len()]);
-    (local_offsets(arr, &lists), tmp_offsets)
+    let sets = slab_sets(dad, coords, dim, src_g);
+    let srcs = dad.offsets(&sets, &arr.segment());
+    (srcs, dad.offsets(&sets, &slab_segment(dad, dim)))
 }
 
 fn slab_unpack(m: &mut Machine, tmp: &str, rank: i64, data: &ArrayData, offsets: &[usize]) {
@@ -115,11 +111,8 @@ pub fn transfer(
     // A sender that owns nothing of the slab still sends (an empty
     // message).
     let mut plan = ExchangePlan::default();
-    for rank in 0..m.nranks() {
+    for rank in m.grid.slice(axis, src_coord) {
         let mut coords = m.grid.coords_of(rank);
-        if coords[axis] != src_coord {
-            continue;
-        }
         let (srcs, dsts) = slab_offsets(m, src, dad, &coords, dim, src_g);
         coords[axis] = dst_coord;
         plan.push(rank, m.grid.rank_of(&coords), srcs, dsts);
@@ -146,14 +139,9 @@ pub fn multicast(
         .grid_axis
         .expect("multicast source dimension must be distributed");
     let src_coord = dad.dims[dim].proc_of(src_g);
-    // One broadcast per fiber; fibers are identified by the owner-line
-    // nodes (coords with coords[axis] == src_coord), taken in rank order.
-    let mut line: Vec<Vec<i64>> = m.grid.shape.iter().map(|&e| (0..e).collect()).collect();
-    line[axis] = vec![src_coord];
-    let mut owners = Vec::new();
-    cartesian(&line, |coords| owners.push(m.grid.rank_of(coords)));
-    owners.sort_unstable();
-    for owner in owners {
+    // One broadcast per fiber, from its member on the owner line, in
+    // rank order.
+    for owner in m.grid.slice(axis, src_coord) {
         let coords = m.grid.coords_of(owner);
         let (srcs, offsets) = slab_offsets(m, src, dad, &coords, dim, src_g);
         let payload = m.mems[owner as usize].array(src).gather_flat(srcs);
@@ -239,21 +227,27 @@ pub fn shift_moves(
     let mut moves = PairMoves::new();
     for rank in 0..m.nranks() {
         let coords = m.grid.coords_of(rank);
-        let mut lists = owned_locals_per_dim(dad, &coords);
-        let (Some(&lo), Some(&hi)) = (lists[dim].first(), lists[dim].last()) else {
+        let mut sets = dad.owned(&coords);
+        let along = std::mem::replace(&mut sets[dim], Runs::EMPTY);
+        let (Some(first), Some(last)) = (along.first(), along.last()) else {
             continue;
-        };
-        let global = |l: i64| {
-            dm.array_index_of(coords[axis], l)
-                .expect("owned local maps to a global")
         };
         // (destination local, global index it mirrors) along `dim`.
         let cells: Vec<(i64, i64)> = match tmp {
-            Some(_) => lists[dim].iter().map(|&l| (l, global(l) + s)).collect(),
-            None if s > 0 => (1..=s).map(|k| (hi + k, global(hi) + k)).collect(),
-            None => (s..0).map(|k| (lo + k, global(lo) + k)).collect(),
+            Some(_) => along.values().map(|g| (dm.local(g), g + s)).collect(),
+            None if s > 0 => (1..=s).map(|k| (dm.local(last) + k, last + k)).collect(),
+            None => (s..0).map(|k| (dm.local(first) + k, first + k)).collect(),
         };
-        let dst_arr = m.mems[rank as usize].array(tmp.unwrap_or(src));
+        // The offsets of the other dimensions' product in an array's
+        // segment, `dim` held out; every cell pairs with each in turn.
+        sets[dim] = Runs::one(Progression::new(first, 0, 1));
+        let rows = |name: &str| {
+            let mut seg = m.mems[rank as usize].array(name).segment();
+            let step = std::mem::replace(&mut seg.strides[dim], 0);
+            (dad.offsets(&sets, &seg), seg.bias[dim], step)
+        };
+        let (src_base, src_bias, src_step) = rows(src);
+        let (dst_base, dst_bias, dst_step) = rows(tmp.unwrap_or(src));
         for (dst_l, g) in cells {
             let g_eff = if periodic {
                 g.rem_euclid(n)
@@ -266,12 +260,10 @@ pub fn shift_moves(
             src_c[axis] = dm.proc_of(g_eff);
             let src_rank = m.grid.rank_of(&src_c);
             // Pair the cell with its source over all other dims.
-            lists[dim] = vec![dm.local_of(g_eff)];
-            let src_offs = local_offsets(m.mems[src_rank as usize].array(src), &lists);
-            lists[dim] = vec![dst_l];
-            let dst_offs = local_offsets(dst_arr, &lists);
+            let src_at = ((dm.local(g_eff) + src_bias) * src_step) as usize;
+            let dst_at = ((dst_l + dst_bias) * dst_step) as usize;
             let entry = moves.entry((src_rank, rank)).or_default();
-            entry.extend(src_offs.into_iter().zip(dst_offs));
+            entry.extend((src_base.iter().zip(&dst_base)).map(|(&a, &b)| (a + src_at, b + dst_at)));
         }
     }
     moves.into()
@@ -307,62 +299,35 @@ pub fn multicast_shift(
     // shift axis), so this is a pairwise exchange within the line into a
     // hidden staging vector — but fused: we stage values directly in pack
     // order without materializing a named temporary.
-    let l_fix = dad.dims[mcast_dim].local_of(src_g);
-    let mut owner_coords = Vec::new();
-    for rank in 0..m.nranks() {
+    let tmp_seg = slab_segment(dad, mcast_dim);
+    for rank in m.grid.slice(axis, src_coord) {
         let coords = m.grid.coords_of(rank);
-        if coords[axis] == src_coord {
-            owner_coords.push(coords);
-        }
-    }
-    for coords in owner_coords {
-        let rank = m.grid.rank_of(&coords);
-        let lists = owned_locals_per_dim(dad, &coords);
-        // For each owned local l on shift_dim, the needed global is
-        // global(l) + s; fetch from its owner (same line, differing on the
-        // shift axis if distributed).
-        let mut shifted_lists = lists.clone();
-        shifted_lists[mcast_dim] = vec![l_fix];
-        // Build the payload in row-major order over remaining dims.
-        let tmp_shape = slab_shape(dad, mcast_dim);
+        // The slab through `src_g`, in pack order (row-major over the
+        // remaining dims): where each element lands in the temporary.
+        let sets = slab_sets(dad, &coords, mcast_dim, src_g);
+        let lands = dad.offsets(&sets, &tmp_seg);
         // Where each payload element is read — (rank, flat offset), in
-        // pack order — and where it lands in the temporary.
+        // pack order — and where it lands: element `g` of the shift dim
+        // reads `g + s` from its owner (same line, differing on the
+        // shift axis if distributed), at the same other local indices.
+        let arr = m.mems[rank as usize].array(src);
+        let (seg, ty) = (arr.segment(), arr.elem_type());
         let mut picks: Vec<(i64, usize)> = Vec::new();
         let mut offsets: Vec<usize> = Vec::new();
-        let ty = m.mems[rank as usize].array(src).elem_type();
-        cartesian(&shifted_lists, |idx| {
-            // Destination tmp offset from remaining dims.
-            let rest: Vec<i64> = idx
-                .iter()
-                .enumerate()
-                .filter(|&(d, _)| d != mcast_dim)
-                .map(|(_, &l)| l)
-                .collect();
-            let mut off: i64 = 0;
-            for (d, &l) in rest.iter().enumerate() {
-                off = off * tmp_shape[d] + l;
-            }
-            // Source value: shift idx[shift_dim] by s in global space.
-            let l_shift = idx[shift_dim];
-            let own_c = sdm.grid_axis.map_or(0, |sax| coords[sax]);
-            let g = match sdm.array_index_of(own_c, l_shift) {
-                Some(g) => g,
-                None => return,
-            };
+        let (mut src_c, mut k) = (coords.clone(), 0);
+        dad.walk(&sets, &seg, |idx, off| {
+            let (g, land) = (idx[shift_dim], lands[k]);
+            k += 1;
             let gs = g + s;
             if !(0..n).contains(&gs) {
                 return;
             }
-            let (owner, src_l) = (sdm.proc_of(gs), sdm.local_of(gs));
-            let mut src_c = coords.clone();
             if let Some(sax) = sdm.grid_axis {
-                src_c[sax] = owner;
+                src_c[sax] = sdm.proc_of(gs);
             }
-            let src_rank = m.grid.rank_of(&src_c);
-            let mut sidx = idx.to_vec();
-            sidx[shift_dim] = src_l;
-            picks.push((src_rank, m.mems[src_rank as usize].array(src).offset(&sidx)));
-            offsets.push(off as usize);
+            let src_off = off as i64 + (sdm.local(gs) - sdm.local(g)) * seg.strides[shift_dim];
+            picks.push((m.grid.rank_of(&src_c), src_off as usize));
+            offsets.push(land);
         });
         // Charge the intra-line fetches as one vectorized neighbour
         // exchange when the shift axis is distributed.
@@ -406,15 +371,18 @@ pub fn concatenation(m: &mut Machine, src: &str, dad: &Dad, dst: &str) -> CommRe
     // exchange.
     let mut moves = PairMoves::new();
     let mut assembled: Vec<usize> = Vec::new();
+    let full = m.mems[0].array(dst).segment();
     for rank in 0..nranks {
         let coords = m.grid.coords_of(rank);
         // Skip non-canonical replicas (they hold the same data).
         if dad.replicated_axes.iter().any(|&ax| coords[ax] != 0) {
             continue;
         }
-        let (arr, full) = (m.mems[rank as usize].array(src), m.mems[0].array(dst));
+        let arr = m.mems[rank as usize].array(src);
         let mut elems = Vec::new();
-        dad.for_each_owned(&coords, |g, l| elems.push((arr.offset(l), full.offset(g))));
+        dad.for_each_owned(&coords, &arr.segment(), |g, off| {
+            elems.push((off, full.offset(g)))
+        });
         assembled.extend(elems.iter().map(|e| e.1));
         if rank == 0 {
             let payload = arr.gather_flat(elems.iter().map(|e| e.0));
@@ -456,9 +424,10 @@ mod tests {
         for rank in 0..m.nranks() {
             let coords = m.grid.coords_of(rank);
             let mut la = LocalArray::zeros(ElemType::Real, &dad.local_shape());
-            for (g, l) in dad.owned_elements(&coords) {
-                la.set(&l, Value::Real((100 * g[0] + g[1]) as f64));
-            }
+            let seg = la.segment();
+            dad.for_each_owned(&coords, &seg, |g, off| {
+                la.set_flat(off, Value::Real((100 * g[0] + g[1]) as f64))
+            });
             m.mems[rank as usize].insert_array("B", la);
         }
         (m, dad)
@@ -475,9 +444,10 @@ mod tests {
         for rank in 0..m.nranks() {
             let coords = m.grid.coords_of(rank);
             let mut la = LocalArray::with_ghost(ElemType::Real, &dad.local_shape(), &[4], &[4]);
-            for (g, l) in dad.owned_elements(&coords) {
-                la.set(&l, Value::Real(g[0] as f64));
-            }
+            let seg = la.segment();
+            dad.for_each_owned(&coords, &seg, |g, off| {
+                la.set_flat(off, Value::Real(g[0] as f64))
+            });
             m.mems[rank as usize].insert_array("B", la);
         }
         (m, dad)
@@ -497,8 +467,7 @@ mod tests {
                 continue;
             }
             let tmp = m.mems[rank as usize].array("TMP");
-            for l in owned_dim_locals_pub(&dad, 0, coords[0]) {
-                let g = dad.dims[0].array_index_of(coords[0], l).unwrap();
+            for (g, l) in held(&dad, 0, coords[0]) {
                 assert_eq!(
                     tmp.get(&[l]),
                     Value::Real((100 * g + 3) as f64),
@@ -509,8 +478,11 @@ mod tests {
         assert_eq!(m.stats.count("transfer"), 1);
     }
 
-    fn owned_dim_locals_pub(dad: &Dad, d: usize, c: i64) -> Vec<i64> {
-        crate::helpers::owned_dim_locals(dad, d, c)
+    /// `(array index, local index)` of dimension `d`'s elements held by
+    /// coordinate `c`.
+    fn held(dad: &Dad, d: usize, c: i64) -> Vec<(i64, i64)> {
+        let dm = &dad.dims[d];
+        dm.owned(c).values().map(|g| (g, dm.local(g))).collect()
     }
 
     #[test]
@@ -522,8 +494,7 @@ mod tests {
         for rank in 0..m.nranks() {
             let coords = m.grid.coords_of(rank);
             let tmp = m.mems[rank as usize].array("TMP");
-            for l in owned_dim_locals_pub(&dad, 0, coords[0]) {
-                let g = dad.dims[0].array_index_of(coords[0], l).unwrap();
+            for (g, l) in held(&dad, 0, coords[0]) {
                 assert_eq!(tmp.get(&[l]), Value::Real((100 * g + 3) as f64));
             }
         }
@@ -541,9 +512,10 @@ mod tests {
         for rank in 0..16 {
             let coords = m.grid.coords_of(rank);
             let mut la = LocalArray::zeros(ElemType::Real, &dad.local_shape());
-            for (g, l) in dad.owned_elements(&coords) {
-                la.set(&l, Value::Real(g[0] as f64));
-            }
+            let seg = la.segment();
+            dad.for_each_owned(&coords, &seg, |g, off| {
+                la.set_flat(off, Value::Real(g[0] as f64))
+            });
             m.mems[rank as usize].insert_array("B", la);
         }
         // multicast over a rank-1 array: slab is a scalar; 15 messages in
@@ -615,8 +587,7 @@ mod tests {
             for rank in 0..3 {
                 let coords = m.grid.coords_of(rank);
                 let tmp = m.mems[rank as usize].array("TMP");
-                for l in owned_dim_locals_pub(&dad, 0, coords[0]) {
-                    let g = dad.dims[0].array_index_of(coords[0], l).unwrap();
+                for (g, l) in held(&dad, 0, coords[0]) {
                     if g + 3 < 12 {
                         assert_eq!(
                             tmp.get(&[l]),
@@ -666,8 +637,7 @@ mod tests {
         for rank in 0..m.nranks() {
             let coords = m.grid.coords_of(rank);
             let tmp = m.mems[rank as usize].array("TMP");
-            for l in owned_dim_locals_pub(&dad, 1, coords[1]) {
-                let g = dad.dims[1].array_index_of(coords[1], l).unwrap();
+            for (g, l) in held(&dad, 1, coords[1]) {
                 if g + 1 < 8 {
                     assert_eq!(
                         tmp.get(&[l]),

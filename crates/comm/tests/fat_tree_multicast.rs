@@ -24,9 +24,10 @@ fn column_multicasts(on: bool) -> (f64, u64) {
     for rank in 0..p {
         let coords = m.grid.coords_of(rank);
         let mut la = LocalArray::zeros(ElemType::Real, &dad.local_shape());
-        for (g, l) in dad.owned_elements(&coords) {
-            la.set(&l, Value::Real((100 * g[0] + g[1]) as f64));
-        }
+        let seg = la.segment();
+        dad.for_each_owned(&coords, &seg, |g, off| {
+            la.set_flat(off, Value::Real((100 * g[0] + g[1]) as f64))
+        });
         m.mems[rank as usize].insert_array("A", la);
     }
     alloc_slab_tmp(&mut m, "COL", &dad, 1, ElemType::Real);

@@ -114,8 +114,9 @@ fn setup(l: &Layout, ty: ElemType, names: &[&str]) -> (Machine, Dad) {
         for rank in 0..m.nranks() {
             let coords = m.grid.coords_of(rank);
             let mut la = LocalArray::with_ghost(ty, &dad.local_shape(), &ghosts, &ghosts);
-            dad.for_each_owned(&coords, |g, loc| {
-                la.set(loc, element(ty, base as i64 + 1, g))
+            let seg = la.segment();
+            dad.for_each_owned(&coords, &seg, |g, off| {
+                la.set_flat(off, element(ty, base as i64 + 1, g))
             });
             m.mems[rank as usize].insert_array(*name, la);
         }
@@ -511,7 +512,8 @@ fn a_plan_is_not_replayed_across_anything_it_depends_on() {
         for rank in 0..m.nranks() {
             let coords = m.grid.coords_of(rank);
             let mut la = LocalArray::with_ghost(ty, &dad.local_shape(), &[1], &[1]);
-            dad.for_each_owned(&coords, |g, loc| la.set(loc, element(ty, 9, g)));
+            let seg = la.segment();
+            dad.for_each_owned(&coords, &seg, |g, off| la.set_flat(off, element(ty, 9, g)));
             m.mems[rank as usize].insert_array("N", la);
         }
     }

@@ -25,14 +25,25 @@
 //! dispatch, bind or box run moves the ratio by about one, and costs at
 //! P = 16 and 64, where the per-execution share is small, most of the
 //! margin at once.
+//!
+//! The run-time library's element loops are guarded the same way: a
+//! host gather and a `DIM=` reduction enumerate a node's elements with
+//! the one product walk over its per-dimension owned runs, which
+//! allocates per call, never per element — [`the_element_walks_allocate_per_call`]
+//! holds each to fewer allocations than one per 16 elements. (Before the
+//! walk, every element was copied out as two index vectors.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use f90d_comm::reduce::ReduceOp;
 use f90d_core::{compile, CompileOptions};
-use f90d_distrib::ProcGrid;
-use f90d_machine::{Machine, MachineSpec};
+use f90d_distrib::{DistKind, ProcGrid};
+use f90d_machine::{ElemType, Machine, MachineSpec, Value};
 use f90d_progen::workloads::gaussian;
+use f90d_runtime::intrinsics::reduce_dim;
+use f90d_runtime::intrinsics::reduction::reduced_dad;
+use f90d_runtime::DistArray;
 
 /// `(P, allocations per active rank-execution a run may make)`: half of
 /// what it made while iteration spaces were listed.
@@ -107,4 +118,42 @@ fn the_native_gaussian_allocates_little_per_active_rank() {
             "P = {p}: {per:.2} allocations per active rank-execution, over {bound}"
         );
     }
+}
+
+/// `DistArray::gather_host` and a REAL `SUM(A, DIM=1)` of a 128 × 128
+/// `(BLOCK, CYCLIC(3))` array over a 4 × 4 grid each make fewer
+/// allocations than one per 16 elements.
+#[test]
+fn the_element_walks_allocate_per_call() {
+    let n = 128;
+    let mut m = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(&[4, 4]));
+    let kinds = [DistKind::Block, DistKind::BlockCyclic(3)];
+    let a = DistArray::create(&mut m, "A", ElemType::Real, &[n, n], &kinds);
+    a.fill_with(&mut m, |g| Value::Real((g[0] * n + g[1]) as f64));
+    let dst = DistArray::from_dad(&mut m, "S", ElemType::Real, reduced_dad(&a.dad, 0), 0);
+    let bound = (n * n / 16) as u64;
+
+    let before = allocations();
+    let host = a.gather_host(&mut m);
+    let gather = allocations() - before;
+
+    let before = allocations();
+    reduce_dim(&mut m, &a, &dst, 0, ReduceOp::Sum);
+    let sum = allocations() - before;
+
+    println!("gather_host: {gather} allocations, SUM(A, DIM=1): {sum}, bound {bound}");
+    assert_eq!(
+        host.get(5 * n as usize + 7),
+        Value::Real((5 * n + 7) as f64)
+    );
+    let column: i64 = (0..n).map(|i| i * n + 7).sum();
+    assert_eq!(dst.get_global(&m, &[7]), Value::Real(column as f64));
+    assert!(
+        gather < bound,
+        "gather_host: {gather} allocations, bound {bound}"
+    );
+    assert!(
+        sum < bound,
+        "SUM(A, DIM=1): {sum} allocations, bound {bound}"
+    );
 }

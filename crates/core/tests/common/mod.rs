@@ -115,12 +115,13 @@ pub fn observe_on(
             let decl = (compiled.spmd.arrays.iter())
                 .find(|d| d.name == *name)
                 .expect("array is declared");
-            decl.dad.for_each_owned(&coords, |g, l| {
+            let seg = mem.array(name).segment();
+            decl.dad.for_each_owned(&coords, &seg, |g, off| {
                 let flat = g
                     .iter()
                     .zip(&decl.dad.shape)
                     .fold(0, |at, (&i, &n)| at * n + i);
-                owned.push((k, flat as usize, mem.array(name).get(l)));
+                owned.push((k, flat as usize, mem.array(name).get_flat(off)));
             });
         }
     }

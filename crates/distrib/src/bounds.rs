@@ -6,95 +6,19 @@
 //! processor's *local* loop bounds. Processors with no iterations receive
 //! an empty range — this is how the compiler masks inactive processors.
 //!
-//! For BLOCK and CYCLIC the owned iterations always form an arithmetic
-//! progression in local index space, so the result is a `(llb, lub, lst)`
-//! triple exactly as in the paper. For `CYCLIC(K)` with a non-unit global
-//! stride that is no longer true; [`set_bound`] then returns the explicit
-//! local index list (an extension the paper did not need).
-//!
-//! The node program loops over those triples as they are: a rank's share
-//! of one FORALL variable is a [`Runs`] — its values as ascending maximal
-//! [`Progression`]s, one for every BLOCK, CYCLIC or replicated variable,
-//! several only under `CYCLIC(K)`, where the FORALL dispatch cuts the
-//! local range at the cycle's blocks, or the list once into runs.
+//! Every owned or iterated index set in the compiler is a [`Runs`]: its
+//! values as ascending maximal [`Progression`]s, each a `(llb, lub, lst)`
+//! triple. For BLOCK and CYCLIC the owned iterations form one progression,
+//! exactly the paper's triple; for `CYCLIC(K)` they are one progression
+//! per cycle block (Chatterjee et al., PPoPP 1993, show such sets are
+//! unions of progressions), computed block by block, never value by
+//! value. [`owned_cells`] gives them as global cells, [`set_bound`] as
+//! local indices; a FORALL variable's share on a rank and an array
+//! dimension's owned elements (`ArrayDimMap::owned`) are both built on
+//! them.
 
 use crate::dist::{DimDist, DistKind};
 use crate::ext_gcd;
-
-/// A local iteration range `llb..=lub step lst` (empty when `llb > lub`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LocalRange {
-    /// Local lower bound.
-    pub lb: i64,
-    /// Local upper bound (inclusive, Fortran-style).
-    pub ub: i64,
-    /// Local stride (positive).
-    pub st: i64,
-}
-
-impl LocalRange {
-    /// The canonical empty range.
-    pub const EMPTY: LocalRange = LocalRange {
-        lb: 0,
-        ub: -1,
-        st: 1,
-    };
-
-    /// `true` when the range contains no iterations.
-    pub fn is_empty(&self) -> bool {
-        self.lb > self.ub
-    }
-
-    /// Number of iterations.
-    pub fn len(&self) -> i64 {
-        if self.is_empty() {
-            0
-        } else {
-            (self.ub - self.lb) / self.st + 1
-        }
-    }
-
-    /// Iterate the local indices.
-    pub fn iter(&self) -> impl Iterator<Item = i64> + '_ {
-        let (lb, ub, st) = (self.lb, self.ub, self.st);
-        (0..self.len())
-            .map(move |k| lb + k * st)
-            .filter(move |&l| l <= ub)
-    }
-}
-
-/// Result of [`set_bound`]: an arithmetic local range when one exists,
-/// otherwise an explicit list of local indices.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LocalIter {
-    /// Arithmetic progression of local indices.
-    Range(LocalRange),
-    /// Explicit local index list (only for `CYCLIC(K)` with stride > 1).
-    List(Vec<i64>),
-}
-
-impl LocalIter {
-    /// Number of local iterations.
-    pub fn len(&self) -> i64 {
-        match self {
-            LocalIter::Range(r) => r.len(),
-            LocalIter::List(v) => v.len() as i64,
-        }
-    }
-
-    /// `true` when there are no local iterations.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Collect the local indices.
-    pub fn to_vec(&self) -> Vec<i64> {
-        match self {
-            LocalIter::Range(r) => r.iter().collect(),
-            LocalIter::List(v) => v.clone(),
-        }
-    }
-}
 
 /// `len` values from `first` in steps of `stride`: a `set_BOUND` triple as
 /// the iteration values it stands for. Ascending: `stride > 0` whenever
@@ -139,17 +63,17 @@ impl Progression {
 
     /// The values inside `lo..=hi`, which are a progression again, if any.
     pub fn within(&self, lo: i64, hi: i64) -> Option<Progression> {
-        let (first, stride) = (i128::from(self.first), i128::from(self.stride.max(1)));
-        let (lo, hi) = (i128::from(lo), i128::from(hi));
-        let k_lo = if lo <= first {
-            0
-        } else {
-            (lo - first + stride - 1) / stride
-        };
-        if hi < first {
+        if hi < self.first {
             return None;
         }
-        let k_hi = ((hi - first) / stride).min(self.len as i128 - 1);
+        // Distances from `first` upwards fit in `u64` at any `i64` ends.
+        let stride = self.stride.max(1) as u64;
+        let k_lo = if lo <= self.first {
+            0
+        } else {
+            lo.abs_diff(self.first).div_ceil(stride)
+        };
+        let k_hi = (hi.abs_diff(self.first) / stride).min(self.len as u64 - 1);
         (k_lo <= k_hi).then(|| {
             Progression::new(
                 self.get(k_lo as usize),
@@ -180,12 +104,13 @@ impl Progression {
     }
 }
 
-/// One FORALL variable's iteration values on one rank: ascending maximal
+/// An index set — a FORALL variable's iteration values on one rank, the
+/// indices `set_BOUND` gives a processor, the elements of an array
+/// dimension one grid coordinate holds — as ascending maximal
 /// progressions. Maximal means no run continues the one before it —
 /// what cutting the values greedily, least first, into progressions
-/// gives — so one progression is kept inline and only a variable that
-/// is no progression (`CYCLIC(K)`) holds a list. Empty when the rank
-/// has no value of the variable.
+/// gives — so one progression is kept inline and only a set that is no
+/// progression (`CYCLIC(K)`) holds a list. Empty when there is no value.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Runs(Store);
 
@@ -216,6 +141,7 @@ impl Runs {
 
     /// Append the values of `p`, all above those held already, merging
     /// them into the last run as far as they continue it.
+    #[inline]
     pub fn push(&mut self, p: Progression) {
         let len = self.len() + p.len;
         match &mut self.0 {
@@ -327,54 +253,34 @@ impl Extend<Progression> for Runs {
     }
 }
 
-/// The paper's `set_BOUND`: local loop bounds on processor `p` for the
-/// global iteration space `glb..=gub step gst` over distribution `dist`.
+/// The cells of the global iteration space `glb..=gub step gst` that
+/// processor `p` owns under `dist`, as ascending maximal progressions of
+/// global (template) indices: [`set_bound`] before `μ` takes them to
+/// local indices. One progression under BLOCK, CYCLIC and a collapsed
+/// dimension; under `CYCLIC(K)` one per cycle block the space touches,
+/// each computed from the block's bounds, merged where they continue
+/// each other.
 ///
-/// `gst` must be positive (the front end normalizes negative strides by
-/// reversing the range). `glb`/`gub` are clamped to the dimension extent;
-/// a backwards range yields the empty result.
-pub fn set_bound(dist: &DimDist, p: i64, glb: i64, gub: i64, gst: i64) -> LocalIter {
+/// `gst` must be positive; `glb` / `gub` are clamped to the extent as
+/// [`set_bound`] clamps them.
+pub fn owned_cells(dist: &DimDist, p: i64, glb: i64, gub: i64, gst: i64) -> Runs {
     assert!(gst > 0, "set_bound requires a positive global stride");
     assert!((0..dist.nprocs).contains(&p), "processor out of range");
     let glb = glb.max(0);
     let gub = gub.min(dist.extent - 1);
     if glb > gub {
-        return LocalIter::Range(LocalRange::EMPTY);
+        return Runs::EMPTY;
     }
+    let space = Progression::new(glb, gst, ((gub - glb) / gst + 1) as usize);
+    let one = |cells: Option<Progression>| cells.map_or(Runs::EMPTY, Runs::one);
     match dist.kind {
-        DistKind::Collapsed => {
-            // Every processor owns the whole dimension; the "local" range is
-            // the global one. (Iterations of a collapsed dim are replicated
-            // unless the caller partitions some other dim.)
-            LocalIter::Range(LocalRange {
-                lb: glb,
-                ub: gub,
-                st: gst,
-            })
-        }
+        // Every processor owns the whole dimension. (Iterations of a
+        // collapsed dim are replicated unless the caller partitions some
+        // other dim.)
+        DistKind::Collapsed => Runs::one(space),
         DistKind::Block => {
             let b = dist.block_size();
-            let own_lo = p * b;
-            let own_hi = own_lo + dist.local_count(p) - 1;
-            if own_hi < own_lo {
-                return LocalIter::Range(LocalRange::EMPTY);
-            }
-            // First iterate >= own_lo, last <= own_hi.
-            let lo = own_lo.max(glb);
-            let first_k = crate::ceil_div(lo - glb, gst);
-            let first_g = glb + first_k * gst;
-            if first_g > own_hi || first_g > gub {
-                return LocalIter::Range(LocalRange::EMPTY);
-            }
-            let last_g = {
-                let hi = own_hi.min(gub);
-                glb + ((hi - glb) / gst) * gst
-            };
-            LocalIter::Range(LocalRange {
-                lb: first_g - own_lo,
-                ub: last_g - own_lo,
-                st: gst,
-            })
+            one(space.within(p * b, p * b + b - 1))
         }
         DistKind::Cyclic => {
             let np = dist.nprocs;
@@ -382,60 +288,55 @@ pub fn set_bound(dist: &DimDist, p: i64, glb: i64, gub: i64, gst: i64) -> LocalI
             let (g, x, _) = ext_gcd(gst, np);
             let rhs = (p - glb).rem_euclid(np);
             if rhs % g != 0 {
-                return LocalIter::Range(LocalRange::EMPTY);
+                return Runs::EMPTY;
             }
             let np_g = np / g;
             // k ≡ x * (rhs / g)  (mod np/g)
             let k0 = ((x.rem_euclid(np_g)) * ((rhs / g).rem_euclid(np_g))).rem_euclid(np_g);
-            let first_g = glb + k0 * gst;
-            if first_g > gub {
-                return LocalIter::Range(LocalRange::EMPTY);
-            }
-            // Successive owned iterations are np/g global steps of gst apart.
-            let gstep = gst * np_g;
-            let count = (gub - first_g) / gstep + 1;
-            let last_g = first_g + (count - 1) * gstep;
-            // Local index of global g on cyclic proc p is g / np; the local
-            // stride is gstep / np = gst / g.
-            debug_assert_eq!(gstep % np, 0);
-            LocalIter::Range(LocalRange {
-                lb: first_g / np,
-                ub: last_g / np,
-                st: gstep / np,
-            })
+            // Successive owned cells are np/g global steps of gst apart.
+            let (first, step) = (glb + k0 * gst, gst * np_g);
+            one((first <= gub)
+                .then(|| Progression::new(first, step, ((gub - first) / step + 1) as usize)))
         }
-        DistKind::BlockCyclic(_) => {
-            if gst == 1 {
-                // Stride-1 ranges map to a contiguous local interval because
-                // local order preserves global order.
-                let mut lo = None;
-                let mut hi = None;
-                for gl in dist.owned_globals(p) {
-                    if (glb..=gub).contains(&gl) {
-                        let l = dist.local_of(gl);
-                        if lo.is_none() {
-                            lo = Some(l);
-                        }
-                        hi = Some(l);
-                    }
-                }
-                match (lo, hi) {
-                    (Some(lb), Some(ub)) => LocalIter::Range(LocalRange { lb, ub, st: 1 }),
-                    _ => LocalIter::Range(LocalRange::EMPTY),
-                }
-            } else {
-                let list: Vec<i64> = (0..)
-                    .map(|k| glb + k * gst)
-                    .take_while(|&gl| gl <= gub)
-                    .filter(|&gl| dist.proc_of(gl) == p)
-                    .map(|gl| dist.local_of(gl))
-                    .collect();
-                if list.is_empty() {
-                    LocalIter::Range(LocalRange::EMPTY)
-                } else {
-                    LocalIter::List(list)
-                }
+        DistKind::BlockCyclic(k) => {
+            // Cycle `c` gives `p` the block of cells `c·k·P + p·k ..`.
+            let cycle = k * dist.nprocs;
+            let mut cells = Runs::EMPTY;
+            for c in glb / cycle..=gub / cycle {
+                let lo = c * cycle + p * k;
+                cells.extend(space.within(lo, lo + k - 1));
             }
+            cells
+        }
+    }
+}
+
+/// The paper's `set_BOUND`: local loop bounds on processor `p` for the
+/// global iteration space `glb..=gub step gst` over distribution `dist`,
+/// as ascending maximal progressions of local indices — the `(llb, lub,
+/// lst)` triples, one under BLOCK, CYCLIC and a collapsed dimension.
+/// They are [`owned_cells`] through `μ`, which is affine along any
+/// progression of cells one processor owns.
+///
+/// `gst` must be positive (the front end normalizes negative strides by
+/// reversing the range). `glb`/`gub` are clamped to the dimension extent;
+/// a backwards range yields the empty result.
+pub fn set_bound(dist: &DimDist, p: i64, glb: i64, gub: i64, gst: i64) -> Runs {
+    let local = |cells: &Progression| {
+        let first = dist.local_of(cells.first);
+        let step = if cells.len > 1 {
+            dist.local_of(cells.get(1)) - first
+        } else {
+            0
+        };
+        Progression::new(first, step, cells.len)
+    };
+    match owned_cells(dist, p, glb, gub, gst).runs() {
+        [cells] => Runs::one(local(cells)),
+        runs => {
+            let mut locals = Runs::EMPTY;
+            locals.extend(runs.iter().map(local));
+            locals
         }
     }
 }
@@ -473,7 +374,7 @@ mod tests {
         let d = DimDist::new(DistKind::Block, 16, 4);
         for p in 0..4 {
             let li = set_bound(&d, p, 0, 15, 1);
-            assert_eq!(li.to_vec(), vec![0, 1, 2, 3], "proc {p}");
+            assert_eq!(li, Runs::of(0..4), "proc {p}");
         }
     }
 
@@ -483,10 +384,10 @@ mod tests {
         // processors that own no iterations.
         let d = DimDist::new(DistKind::Block, 16, 4);
         let li = set_bound(&d, 0, 6, 11, 1);
-        assert!(li.is_empty() || li.to_vec().iter().all(|&l| l >= 0)); // p0 owns 0..4
+        assert!(li.is_empty() || li.values().all(|l| l >= 0)); // p0 owns 0..4
         assert!(set_bound(&d, 0, 6, 11, 1).is_empty());
-        assert_eq!(set_bound(&d, 1, 6, 11, 1).to_vec(), vec![2, 3]); // g 6,7
-        assert_eq!(set_bound(&d, 2, 6, 11, 1).to_vec(), vec![0, 1, 2, 3]); // g 8..12
+        assert_eq!(set_bound(&d, 1, 6, 11, 1), Runs::of([2, 3])); // g 6,7
+        assert_eq!(set_bound(&d, 2, 6, 11, 1), Runs::of(0..4)); // g 8..12
         assert!(set_bound(&d, 3, 6, 11, 1).is_empty());
     }
 
@@ -496,11 +397,7 @@ mod tests {
         // globals 1,4,7,10,13,16,19; proc of g is g%4
         // p0 owns 4,16 → locals 1,4 stride 3
         let li = set_bound(&d, 0, 1, 19, 3);
-        assert_eq!(li.to_vec(), vec![1, 4]);
-        match li {
-            LocalIter::Range(r) => assert_eq!(r.st, 3),
-            _ => panic!("cyclic must give a range"),
-        }
+        assert_eq!(li, Runs::one(Progression::new(1, 3, 2)));
     }
 
     #[test]
@@ -523,7 +420,8 @@ mod tests {
                         for gub in glb..n {
                             for gst in 1..=4 {
                                 for proc in 0..p {
-                                    let fast = set_bound(&d, proc, glb, gub, gst).to_vec();
+                                    let fast: Vec<i64> =
+                                        set_bound(&d, proc, glb, gub, gst).values().collect();
                                     let slow = set_bound_reference(&d, proc, glb, gub, gst);
                                     assert_eq!(
                                         fast, slow,
@@ -542,7 +440,7 @@ mod tests {
     fn out_of_extent_bounds_clamped() {
         let d = DimDist::new(DistKind::Block, 10, 2);
         let li = set_bound(&d, 1, 0, 99, 1);
-        assert_eq!(li.to_vec(), vec![0, 1, 2, 3, 4]); // g 5..10
+        assert_eq!(li, Runs::of(0..5)); // g 5..10
     }
 
     #[test]
@@ -639,15 +537,19 @@ mod tests {
     }
 
     #[test]
-    fn local_range_len_and_iter() {
-        let r = LocalRange {
-            lb: 2,
-            ub: 10,
-            st: 3,
-        };
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.iter().collect::<Vec<_>>(), vec![2, 5, 8]);
-        assert!(LocalRange::EMPTY.is_empty());
-        assert_eq!(LocalRange::EMPTY.len(), 0);
+    fn cyclic_k_is_one_progression_per_block() {
+        // CYCLIC(3) over 2 processors: p0 holds cells 0..3, 6..9, 12..15,
+        // 18..21; the even cells of each block are one local progression.
+        let d = DimDist::new(DistKind::BlockCyclic(3), 24, 2);
+        let cells: Vec<(i64, i64, usize)> = (owned_cells(&d, 0, 0, 23, 2).runs().iter())
+            .map(|p| (p.first, p.stride, p.len))
+            .collect();
+        assert_eq!(cells, [(0, 2, 2), (6, 2, 2), (12, 2, 2), (18, 2, 2)]);
+        let locals: Vec<(i64, i64, usize)> = (set_bound(&d, 0, 0, 23, 2).runs().iter())
+            .map(|p| (p.first, p.stride, p.len))
+            .collect();
+        assert_eq!(locals, [(0, 2, 2), (3, 2, 2), (6, 2, 2), (9, 2, 2)]);
+        // At unit stride the blocks' locals continue each other: one run.
+        assert_eq!(set_bound(&d, 1, 0, 23, 1), Runs::of(0..12));
     }
 }

@@ -5,10 +5,18 @@
 //! compute local bounds and send/receive sets. The `Dad` bundles the three
 //! mapping stages for one array; it is the structure the generated code
 //! fills with `set_DAD` before every communication call (paper §5.3.1).
+//!
+//! Which elements a node holds is decided once, here: every dimension's
+//! owned set is a [`Runs`] ([`ArrayDimMap::owned`]), and
+//! [`Dad::for_each_owned`] — over those sets, or [`Dad::walk`] over any
+//! others — is the one product walk every primitive enumerates elements
+//! with, handing each index vector over with its flat offset in a
+//! [`Segment`].
 
 use serde::{Deserialize, Serialize};
 
 use crate::align::{AlignExpr, Alignment, AxisAlign};
+use crate::bounds::{owned_cells, Progression, Runs};
 use crate::dist::{DimDist, DistKind};
 use crate::grid::ProcGrid;
 use crate::template::Template;
@@ -63,38 +71,62 @@ impl ArrayDimMap {
         }
     }
 
-    /// The elements of this dimension held by grid coordinate `p`, in
-    /// increasing array index, each as `f(array index, local index)`.
-    ///
-    /// Walks the coordinate's own template slots — `O(owned)`, not a
-    /// filter of the whole dimension through [`ArrayDimMap::proc_of`] —
-    /// keeping those that hold an array element. Slots ascend with the
-    /// template index, which runs against the array index under a
-    /// negative alignment stride. An undistributed dimension is held
-    /// whole, at local index = array index.
-    fn owned_walk<T>(&self, p: i64, f: impl Fn(i64, i64) -> T) -> Vec<T> {
-        if !self.is_distributed() {
-            return (0..self.extent).map(|i| f(i, i)).collect();
+    /// Local index of array index `i` on its owner: the template-local
+    /// index ([`ArrayDimMap::local_of`]) of a distributed dimension, the
+    /// array index itself of one held whole.
+    #[inline]
+    pub fn local(&self, i: i64) -> i64 {
+        if self.is_distributed() {
+            self.local_of(i)
+        } else {
+            i
         }
-        let mut owned: Vec<T> = (0..self.dist.local_count(p))
-            .filter_map(|l| self.array_index_of(p, l).map(|i| f(i, l)))
-            .collect();
-        if self.align.stride < 0 {
-            owned.reverse();
+    }
+
+    /// The elements of this dimension held by grid coordinate `p`, as
+    /// runs of array indices: `set_BOUND` of the dimension's own
+    /// alignment image `f(0..extent)` ([`owned_cells`]), its cells taken
+    /// back through `f⁻¹` run by run — `O(progressions)`. Cells ascend
+    /// against the array index under a negative alignment stride, so
+    /// their runs are then taken last first. An undistributed dimension
+    /// is held whole. The local indices of a run are
+    /// [`ArrayDimMap::locals`].
+    pub fn owned(&self, p: i64) -> Runs {
+        if self.extent <= 0 {
+            return Runs::EMPTY;
+        }
+        if !self.is_distributed() {
+            return Runs::one(Progression::new(0, 1, self.extent as usize));
+        }
+        let AlignExpr { stride, offset } = self.align;
+        let (t0, t1) = (self.align.apply(0), self.align.apply(self.extent - 1));
+        let cells = owned_cells(&self.dist, p, t0.min(t1), t0.max(t1), stride.abs());
+        let indices = |c: &Progression| {
+            let ends = ((c.first - offset) / stride, (c.last() - offset) / stride);
+            Progression::new(ends.0.min(ends.1), c.stride / stride.abs(), c.len)
+        };
+        let mut owned = Runs::EMPTY;
+        if stride > 0 {
+            owned.extend(cells.runs().iter().map(indices));
+        } else {
+            owned.extend(cells.runs().iter().rev().map(indices));
         }
         owned
     }
 
-    /// The `(array index, local index)` pairs of the elements of this
-    /// dimension held by grid coordinate `p`, in increasing array index
-    /// (`O(owned)`).
-    pub fn owned_pairs(&self, p: i64) -> Vec<(i64, i64)> {
-        self.owned_walk(p, |i, l| (i, l))
-    }
-
-    /// The local half of [`ArrayDimMap::owned_pairs`].
-    pub fn owned_locals(&self, p: i64) -> Vec<i64> {
-        self.owned_walk(p, |_, l| l)
+    /// The local indices of `run`, array indices one grid coordinate
+    /// holds: `(first, step)`, the local index of `run.first` and its
+    /// change from one element to the next. `μ` is affine along any
+    /// progression of cells one coordinate holds, so they are a
+    /// progression too — descending under a negative alignment stride.
+    pub fn locals(&self, run: &Progression) -> (i64, i64) {
+        let first = self.local(run.first);
+        let step = if run.len > 1 {
+            self.local(run.get(1)) - first
+        } else {
+            0
+        };
+        (first, step)
     }
 
     /// Number of local slots a node must allocate for this dimension
@@ -105,17 +137,6 @@ impl ArrayDimMap {
         } else {
             self.extent.max(self.dist.extent.min(self.extent))
         }
-    }
-
-    /// Count of *array* elements of this dimension owned by grid coord `p`.
-    pub fn local_count(&self, p: i64) -> i64 {
-        if !self.is_distributed() {
-            return self.extent;
-        }
-        if self.align.is_identity() {
-            return self.dist.local_count(p).min(self.extent);
-        }
-        (0..self.extent).filter(|&i| self.proc_of(i) == p).count() as i64
     }
 }
 
@@ -192,7 +213,7 @@ impl Dad {
         self.dims
             .iter()
             .zip(index)
-            .map(|(d, &i)| if d.is_distributed() { d.local_of(i) } else { i })
+            .map(|(d, &i)| d.local(i))
             .collect()
     }
 
@@ -219,50 +240,161 @@ impl Dad {
         Some(out)
     }
 
-    /// Visit the `(global_index, local_index)` pairs owned by the node at
-    /// grid `coords`, in row-major order of increasing global index. The
-    /// two slices are buffers reused from element to element: nothing is
-    /// allocated per element.
-    pub fn for_each_owned(&self, coords: &[i64], mut f: impl FnMut(&[i64], &[i64])) {
-        // Per-dim list of (global, local) pairs owned on this node.
-        let mut per_dim: Vec<Vec<(i64, i64)>> = Vec::with_capacity(self.rank());
-        for d in &self.dims {
-            let pairs = d.owned_pairs(d.grid_axis.map_or(0, |ax| coords[ax]));
-            if pairs.is_empty() {
-                return;
-            }
-            per_dim.push(pairs);
+    /// Every dimension's elements held by the node at grid `coords`
+    /// ([`ArrayDimMap::owned`] of its coordinate).
+    pub fn owned(&self, coords: &[i64]) -> Vec<Runs> {
+        (self.dims.iter())
+            .map(|d| d.owned(d.grid_axis.map_or(0, |ax| coords[ax])))
+            .collect()
+    }
+
+    /// Visit the elements held by the node at grid `coords` — the
+    /// [`Dad::walk`] of [`Dad::owned`] — in row-major order of increasing
+    /// array index. Returns how many there are.
+    pub fn for_each_owned(
+        &self,
+        coords: &[i64],
+        seg: &Segment,
+        f: impl FnMut(&[i64], usize),
+    ) -> usize {
+        self.walk(&self.owned(coords), seg, f)
+    }
+
+    /// The flat offsets in `seg` [`Dad::walk`] visits over `sets`, in
+    /// its order.
+    pub fn offsets(&self, sets: &[Runs], seg: &Segment) -> Vec<usize> {
+        let mut offs = Vec::with_capacity(sets.iter().map(Runs::len).product());
+        self.walk(sets, seg, |_, off| offs.push(off));
+        offs
+    }
+
+    /// The one product walk: visit the row-major product of `sets` — per
+    /// dimension, array indices one grid coordinate holds, in
+    /// increasing order — calling `f(index, offset)` with each index
+    /// vector and its flat offset in `seg`, a dimension's local index
+    /// being [`ArrayDimMap::locals`] of its run. The offset moves by one
+    /// precomputed step per element and the index vector is a buffer
+    /// reused from element to element: nothing is allocated per element.
+    /// Returns how many elements it visited.
+    pub fn walk(&self, sets: &[Runs], seg: &Segment, mut f: impl FnMut(&[i64], usize)) -> usize {
+        debug_assert_eq!(sets.len(), self.rank());
+        if sets.iter().any(Runs::is_empty) {
+            return 0;
         }
-        let mut cursor = vec![0usize; self.rank()];
-        let mut g: Vec<i64> = per_dim.iter().map(|v| v[0].0).collect();
-        let mut l: Vec<i64> = per_dim.iter().map(|v| v[0].1).collect();
+        /// A dimension's place: its run, the element in it, the offset
+        /// step along the run and the offset share of its first element.
+        struct Cursor {
+            run: usize,
+            k: usize,
+            step: i64,
+            base: i64,
+        }
+        let enter = |d: usize, run: usize| {
+            let (first, step) = self.dims[d].locals(&sets[d].runs()[run]);
+            let stride = seg.strides[d];
+            Cursor {
+                run,
+                k: 0,
+                step: step * stride,
+                base: (first + seg.bias[d]) * stride,
+            }
+        };
+        // The dimension walked a run at a time: the last one, or the
+        // last holding more than one element — those after it hold one
+        // each, so their index and offset share never move.
+        let Some(last) = sets.len().checked_sub(1) else {
+            f(&[], 0);
+            return 1;
+        };
+        let inner = (0..=last)
+            .rev()
+            .find(|&d| sets[d].len() > 1)
+            .unwrap_or(last);
+        let mut at: Vec<Cursor> = (0..sets.len()).map(|d| enter(d, 0)).collect();
+        let mut index: Vec<i64> = sets.iter().map(|s| s.runs()[0].first).collect();
+        let mut off: i64 = at.iter().map(|c| c.base).sum();
+        let mut visited = 0;
         loop {
-            f(&g, &l);
-            // advance row-major (last dim fastest)
-            let mut dim = self.rank();
+            // The innermost dimension's run, element by element.
+            let (run, step) = (sets[inner].runs()[at[inner].run], at[inner].step);
+            for k in 0..run.len {
+                index[inner] = run.get(k);
+                f(&index, (off + k as i64 * step) as usize);
+            }
+            visited += run.len;
+            // Advance row-major: the innermost dimension a run at a
+            // time, the outer ones an element at a time.
+            let mut d = inner;
             loop {
-                if dim == 0 {
-                    return;
-                }
-                dim -= 1;
-                cursor[dim] += 1;
-                if cursor[dim] == per_dim[dim].len() {
-                    cursor[dim] = 0;
-                }
-                (g[dim], l[dim]) = per_dim[dim][cursor[dim]];
-                if cursor[dim] != 0 {
+                let (runs, c) = (sets[d].runs(), &mut at[d]);
+                if d != inner && c.k + 1 < runs[c.run].len {
+                    c.k += 1;
+                    index[d] += runs[c.run].stride;
+                    off += c.step;
                     break;
                 }
+                let next = (c.run + 1) % runs.len();
+                off -= c.base + c.k as i64 * c.step;
+                if next == c.run {
+                    c.k = 0;
+                } else {
+                    *c = enter(d, next);
+                }
+                off += c.base;
+                index[d] = runs[next].first;
+                if next != 0 {
+                    break;
+                }
+                if d == 0 {
+                    return visited;
+                }
+                d -= 1;
             }
+        }
+    }
+}
+
+/// Where the local index vectors of an array segment sit in its flat
+/// storage: `Σ (l_d + bias_d) · stride_d`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Segment {
+    /// Per dimension, how far one step of its local index moves the
+    /// offset: [`row_major_strides`] of the padded extents (0 for a
+    /// dimension that does not move it).
+    pub strides: Vec<i64>,
+    /// Per dimension, added to the local index first: the ghost cells
+    /// below the interior.
+    pub bias: Vec<i64>,
+}
+
+impl Segment {
+    /// The segment of interior `shape` padded by `ghost_lo` / `ghost_hi`
+    /// cells per dimension.
+    pub fn padded(shape: &[i64], ghost_lo: &[i64], ghost_hi: &[i64]) -> Self {
+        let extents: Vec<i64> = (shape.iter().zip(ghost_lo).zip(ghost_hi))
+            .map(|((&n, &lo), &hi)| n + lo + hi)
+            .collect();
+        Segment {
+            strides: row_major_strides(&extents),
+            bias: ghost_lo.to_vec(),
         }
     }
 
-    /// The pairs [`Dad::for_each_owned`] visits, collected.
-    pub fn owned_elements(&self, coords: &[i64]) -> Vec<(Vec<i64>, Vec<i64>)> {
-        let mut out = Vec::new();
-        self.for_each_owned(coords, |g, l| out.push((g.to_vec(), l.to_vec())));
-        out
+    /// The flat offset of local index vector `local`.
+    pub fn offset(&self, local: &[i64]) -> usize {
+        (local.iter().zip(&self.strides).zip(&self.bias))
+            .map(|((&l, &stride), &bias)| (l + bias) * stride)
+            .sum::<i64>() as usize
     }
+}
+
+/// Row-major strides over `extents`: the last dimension moves by one.
+pub fn row_major_strides(extents: &[i64]) -> Vec<i64> {
+    let mut strides = vec![1; extents.len()];
+    for d in (1..extents.len()).rev() {
+        strides[d - 1] = strides[d] * extents[d];
+    }
+    strides
 }
 
 /// Where a global element lives, without allocating: the canonical
@@ -308,22 +440,20 @@ impl Locator {
                 })
                 .collect()
         };
-        let mut dims = Vec::with_capacity(dad.rank());
-        let mut stride = 1;
-        for d in (0..dad.rank()).rev() {
-            let dm = &dad.dims[d];
-            let owner = dm.is_distributed().then(|| {
-                let axis = dm.grid_axis.expect("distributed dim has axis");
-                (dm.align, dm.dist, axis_ranks(axis))
-            });
-            dims.push(LocatorDim {
-                owner,
-                ghost_lo: ghost_lo[d],
-                stride,
-            });
-            stride *= shape[d] + ghost_lo[d] + ghost_hi[d];
-        }
-        dims.reverse();
+        let seg = Segment::padded(shape, ghost_lo, ghost_hi);
+        let dims = (dad.dims.iter().zip(seg.strides).zip(seg.bias))
+            .map(|((dm, stride), ghost_lo)| {
+                let owner = dm.is_distributed().then(|| {
+                    let axis = dm.grid_axis.expect("distributed dim has axis");
+                    (dm.align, dm.dist, axis_ranks(axis))
+                });
+                LocatorDim {
+                    owner,
+                    ghost_lo,
+                    stride,
+                }
+            })
+            .collect();
         let mut replicas = vec![0];
         for &axis in &dad.replicated_axes {
             let parts = axis_ranks(axis);
@@ -536,6 +666,14 @@ impl DadBuilder {
 mod tests {
     use super::*;
 
+    /// What [`Dad::for_each_owned`] visits, collected.
+    fn visited(dad: &Dad, coords: &[i64], seg: &Segment) -> Vec<(Vec<i64>, usize)> {
+        let mut out = Vec::new();
+        let n = dad.for_each_owned(coords, seg, |g, off| out.push((g.to_vec(), off)));
+        assert_eq!(n, out.len());
+        out
+    }
+
     fn block_2d(n: i64, p: i64, q: i64) -> Dad {
         DadBuilder::new("A", &[n, n])
             .distribute(&[DistKind::Block, DistKind::Block])
@@ -575,11 +713,13 @@ mod tests {
         for (p, q) in [(1, 1), (2, 2), (2, 4), (4, 1)] {
             let dad = block_2d(9, p, q);
             let mut count = vec![vec![0u8; 9]; 9];
+            let seg = Segment::padded(&dad.local_shape(), &[1, 0], &[2, 1]);
             for rank in 0..dad.grid.size() {
                 let coords = dad.grid.coords_of(rank);
-                for (g, l) in dad.owned_elements(&coords) {
+                for (g, off) in visited(&dad, &coords, &seg) {
                     count[g[0] as usize][g[1] as usize] += 1;
-                    assert_eq!(dad.local_index(&g), l);
+                    let l = dad.local_index(&g);
+                    assert_eq!(seg.offset(&l), off);
                     assert_eq!(dad.global_index(&coords, &l), Some(g.clone()));
                     assert!(dad.is_owner(rank, &g));
                 }
@@ -676,8 +816,9 @@ mod tests {
     }
 
     /// The `O(extent × ranks)` definition `for_each_owned` replaced, kept
-    /// as its oracle: filter every dimension through `proc_of`.
-    fn owned_elements_by_filter(dad: &Dad, coords: &[i64]) -> Vec<(Vec<i64>, Vec<i64>)> {
+    /// as its oracle: filter every dimension through `proc_of`, and
+    /// place each element's local index vector in `seg`.
+    fn held_by_filter(dad: &Dad, coords: &[i64], seg: &Segment) -> Vec<(Vec<i64>, usize)> {
         let per_dim: Vec<Vec<(i64, i64)>> = dad
             .dims
             .iter()
@@ -704,7 +845,7 @@ mod tests {
                 })
                 .collect();
         }
-        out
+        out.into_iter().map(|(g, l)| (g, seg.offset(&l))).collect()
     }
 
     proptest::proptest! {
@@ -723,11 +864,13 @@ mod tests {
             q in 1i64..4,
         ) {
             let dad = dad_of(first, two_d.then_some(second), p, q);
+            let ghosts = vec![2; dad.rank()];
+            let seg = Segment::padded(&dad.local_shape(), &ghosts, &ghosts);
             let mut total = 0;
             for rank in 0..dad.grid.size() {
                 let coords = dad.grid.coords_of(rank);
-                let got = dad.owned_elements(&coords);
-                proptest::prop_assert_eq!(&got, &owned_elements_by_filter(&dad, &coords));
+                let got = visited(&dad, &coords, &seg);
+                proptest::prop_assert_eq!(&got, &held_by_filter(&dad, &coords, &seg));
                 total += got.len() as i64;
             }
             proptest::prop_assert_eq!(total, dad.size());

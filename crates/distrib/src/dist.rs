@@ -216,13 +216,6 @@ impl DimDist {
     pub fn max_local_count(&self) -> i64 {
         self.local_count(0)
     }
-
-    /// Iterate the global indices owned by processor `p`, in increasing
-    /// global (= increasing local) order.
-    pub fn owned_globals(&self, p: i64) -> impl Iterator<Item = i64> + '_ {
-        let count = self.local_count(p);
-        (0..count).map(move |l| self.global_of(p, l).expect("local < count must map"))
-    }
 }
 
 #[cfg(test)]
@@ -280,7 +273,8 @@ mod tests {
         assert_eq!(d.local_of(6), 2);
         assert_eq!(d.local_of(7), 3);
         assert_eq!(d.local_count(0), 4);
-        assert_eq!(d.owned_globals(1).collect::<Vec<_>>(), vec![2, 3, 8, 9]);
+        let owned = crate::owned_cells(&d, 1, 0, 11, 1);
+        assert_eq!(owned.values().collect::<Vec<_>>(), vec![2, 3, 8, 9]);
     }
 
     #[test]
@@ -296,7 +290,7 @@ mod tests {
                 for d in all_kinds(n, p) {
                     let mut seen = vec![false; n as usize];
                     for proc in 0..d.nprocs {
-                        for g in d.owned_globals(proc) {
+                        for g in crate::owned_cells(&d, proc, 0, n - 1, 1).values() {
                             assert!(!seen[g as usize], "{d:?} double-owns {g}");
                             seen[g as usize] = true;
                             let (pp, ll) = d.global_to_local(g);

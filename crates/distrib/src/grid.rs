@@ -151,6 +151,16 @@ impl ProcGrid {
             .collect()
     }
 
+    /// All ranks at coordinate `c` on `axis`, ascending: one member of
+    /// every fiber along `axis` — the owner line of a slab along it.
+    /// Arithmetic, like [`ProcGrid::fiber`]: the ranks whose digit for
+    /// `axis` is the embedded `c`.
+    pub fn slice(&self, axis: usize, c: i64) -> impl Iterator<Item = i64> {
+        let stride: i64 = self.shape[axis + 1..].iter().product();
+        let (block, at) = (stride * self.shape[axis], self.embed(c) * stride);
+        (0..self.size() / block).flat_map(move |hi| (0..stride).map(move |lo| hi * block + at + lo))
+    }
+
     /// The rank `amount` steps along `axis` from `coords`, or `None` at
     /// the edge (non-periodic shift).
     pub fn neighbor(&self, coords: &[i64], axis: usize, amount: i64) -> Option<i64> {
@@ -238,6 +248,30 @@ mod tests {
         assert_eq!(g.fiber(&[1, 0], 1), vec![3, 4, 5]);
         // fiber along axis 0 through (_, 2): ranks of (0,2),(1,2)
         assert_eq!(g.fiber(&[0, 2], 0), vec![2, 5]);
+    }
+
+    /// `slice` is every rank whose coordinate on the axis is `c`, in
+    /// rank order, under both embeddings.
+    #[test]
+    fn slice_is_the_ranks_at_one_coordinate() {
+        for g in [
+            ProcGrid::new(&[3, 4, 2]),
+            ProcGrid::new(&[5]),
+            ProcGrid::with_embedding(&[4, 2, 8], GridEmbedding::GrayCode),
+        ] {
+            for axis in 0..g.rank() {
+                for c in 0..g.extent(axis) {
+                    let want: Vec<i64> = (0..g.size())
+                        .filter(|&r| g.coords_of(r)[axis] == c)
+                        .collect();
+                    assert_eq!(
+                        g.slice(axis, c).collect::<Vec<_>>(),
+                        want,
+                        "{g:?} {axis} {c}"
+                    );
+                }
+            }
+        }
     }
 
     /// `fiber` is `rank_of` with one coordinate varied, member `c` at

@@ -21,7 +21,10 @@
 //!
 //! [`bounds::set_bound`] is the paper's `set_BOUND` primitive (§4): it turns
 //! a global iteration range `(glb, gub, gst)` into each processor's local
-//! range `(llb, lub, lst)`, masking processors with no work.
+//! ranges `(llb, lub, lst)` — a [`Runs`], the one representation of an
+//! owned or iterated index set — masking processors with no work.
+//! [`Dad::for_each_owned`] walks the product of a node's per-dimension
+//! owned sets, the one element walk of the run-time primitives.
 //!
 //! All indices in this crate are **0-based**; the front end converts from
 //! Fortran's 1-based (or declared-bound) indexing before any of this math
@@ -37,8 +40,8 @@ pub mod grid;
 pub mod template;
 
 pub use align::{AlignExpr, Alignment, AxisAlign};
-pub use bounds::{set_bound, LocalIter, LocalRange, Progression, Runs};
-pub use dad::{ArrayDimMap, Dad, DadBuilder, Locator};
+pub use bounds::{owned_cells, set_bound, Progression, Runs};
+pub use dad::{row_major_strides, ArrayDimMap, Dad, DadBuilder, Locator, Segment};
 pub use dist::{DimDist, DistKind};
 pub use grid::{GridEmbedding, ProcGrid};
 pub use template::Template;

@@ -27,6 +27,8 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use f90d_distrib::Segment;
+
 use crate::value::{ArrayData, ElemType, Value};
 
 /// One node-local array segment.
@@ -124,6 +126,13 @@ impl LocalArray {
     #[inline]
     pub fn padded_extent(&self, d: usize) -> i64 {
         self.shape[d] + self.ghost_lo[d] + self.ghost_hi[d]
+    }
+
+    /// Where local index vectors sit in the padded storage, for
+    /// [`f90d_distrib::Dad::for_each_owned`]: [`LocalArray::offset`] as
+    /// strides and ghost bias.
+    pub fn segment(&self) -> Segment {
+        Segment::padded(&self.shape, &self.ghost_lo, &self.ghost_hi)
     }
 
     /// Flat offset of a (possibly ghost) local index vector.
@@ -323,30 +332,6 @@ impl LocalArray {
         self.materialize();
         &mut self.data
     }
-
-    /// Iterate all interior local index vectors in row-major order.
-    pub fn interior_indices(&self) -> Vec<Vec<i64>> {
-        let mut out = Vec::new();
-        if self.shape.contains(&0) {
-            return out;
-        }
-        let mut idx = vec![0i64; self.rank()];
-        loop {
-            out.push(idx.clone());
-            let mut d = self.rank();
-            loop {
-                if d == 0 {
-                    return out;
-                }
-                d -= 1;
-                idx[d] += 1;
-                if idx[d] < self.shape[d] {
-                    break;
-                }
-                idx[d] = 0;
-            }
-        }
-    }
 }
 
 /// Observational equality: two segments are equal when every padded
@@ -516,17 +501,6 @@ mod tests {
     #[should_panic(expected = "not allocated")]
     fn missing_array_panics() {
         NodeMemory::new().array("NOPE");
-    }
-
-    #[test]
-    fn interior_indices_row_major() {
-        let a = LocalArray::zeros(ElemType::Int, &[2, 2]);
-        assert_eq!(
-            a.interior_indices(),
-            vec![vec![0, 0], vec![0, 1], vec![1, 0], vec![1, 1]]
-        );
-        let empty = LocalArray::zeros(ElemType::Int, &[0, 2]);
-        assert!(empty.interior_indices().is_empty());
     }
 
     #[test]

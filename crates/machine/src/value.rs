@@ -225,22 +225,6 @@ impl ArrayData {
             other => panic!("expected REAL storage, got {:?}", other.elem_type()),
         }
     }
-
-    /// Borrow as `&[i64]`; panics for non-INTEGER storage.
-    pub fn as_int_slice(&self) -> &[i64] {
-        match self {
-            ArrayData::Int(v) => v,
-            other => panic!("expected INTEGER storage, got {:?}", other.elem_type()),
-        }
-    }
-
-    /// Borrow as `&mut [i64]`; panics for non-INTEGER storage.
-    pub fn as_int_slice_mut(&mut self) -> &mut [i64] {
-        match self {
-            ArrayData::Int(v) => v,
-            other => panic!("expected INTEGER storage, got {:?}", other.elem_type()),
-        }
-    }
 }
 
 #[cfg(test)]

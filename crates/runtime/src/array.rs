@@ -8,7 +8,7 @@
 
 #[cfg(test)]
 use f90d_distrib::ProcGrid;
-use f90d_distrib::{Dad, DadBuilder, DistKind};
+use f90d_distrib::{row_major_strides, Dad, DadBuilder, DistKind};
 use f90d_machine::{ArrayData, ElemType, LocalArray, Machine, Value};
 
 /// Host-side handle to a distributed array.
@@ -97,29 +97,21 @@ impl DistArray {
     pub fn scatter_host(&self, m: &mut Machine, host: &ArrayData) {
         assert_eq!(host.len() as i64, self.size(), "host buffer size mismatch");
         let strides = row_major_strides(self.shape());
-        // Data volume leaves node 0: charge as P-1 messages of local size.
-        let total_bytes = host.len() as i64 * self.ty.bytes();
-        let per = self.size().max(1);
-        let _ = per;
         for rank in 0..m.nranks() {
             let coords = m.grid.coords_of(rank);
-            let owned = self.dad.owned_elements(&coords);
-            if owned.is_empty() {
-                continue;
-            }
-            if rank != 0 {
-                let bytes = owned.len() as i64 * self.ty.bytes();
+            let arr = m.mems[rank as usize].array_mut(&self.name);
+            let seg = arr.segment();
+            let owned = self.dad.for_each_owned(&coords, &seg, |g, off| {
+                arr.set_flat(off, host.get(flatten(g, &strides)))
+            });
+            // Data volume leaves node 0: charge as P-1 messages of local size.
+            if owned > 0 && rank != 0 {
+                let bytes = owned as i64 * self.ty.bytes();
                 let t = m.spec().msg_time(0, rank, bytes);
                 m.transport.charge_compute(0, m.spec().alpha);
                 m.transport.charge_compute(rank, t);
             }
-            let arr = m.mems[rank as usize].array_mut(&self.name);
-            for (g, l) in owned {
-                let flat = flatten(&g, &strides);
-                arr.set(&l, host.get(flat));
-            }
         }
-        let _ = total_bytes;
     }
 
     /// Gather the full array to a host row-major buffer (all-to-one,
@@ -132,20 +124,15 @@ impl DistArray {
             if self.dad.replicated_axes.iter().any(|&ax| coords[ax] != 0) {
                 continue;
             }
-            let owned = self.dad.owned_elements(&coords);
-            if owned.is_empty() {
-                continue;
-            }
-            if rank != 0 {
-                let bytes = owned.len() as i64 * self.ty.bytes();
+            let arr = m.mems[rank as usize].array(&self.name);
+            let owned = self.dad.for_each_owned(&coords, &arr.segment(), |g, off| {
+                host.set(flatten(g, &strides), arr.get_flat(off))
+            });
+            if owned > 0 && rank != 0 {
+                let bytes = owned as i64 * self.ty.bytes();
                 let t = m.spec().msg_time(rank, 0, bytes);
                 m.transport.charge_compute(rank, m.spec().alpha);
                 m.transport.charge_compute(0, t);
-            }
-            let arr = m.mems[rank as usize].array(&self.name);
-            for (g, l) in owned {
-                let flat = flatten(&g, &strides);
-                host.set(flat, arr.get(&l));
             }
         }
         host
@@ -172,10 +159,10 @@ impl DistArray {
     pub fn fill_with(&self, m: &mut Machine, f: impl Fn(&[i64]) -> Value) {
         for rank in 0..m.nranks() {
             let coords = m.grid.coords_of(rank);
-            let arr_name = self.name.clone();
-            for (g, l) in self.dad.owned_elements(&coords) {
-                m.mems[rank as usize].array_mut(&arr_name).set(&l, f(&g));
-            }
+            let arr = m.mems[rank as usize].array_mut(&self.name);
+            let seg = arr.segment();
+            self.dad
+                .for_each_owned(&coords, &seg, |g, off| arr.set_flat(off, f(g)));
         }
     }
 
@@ -187,15 +174,6 @@ impl DistArray {
         dad.name = name.clone();
         DistArray::from_dad(m, name, self.ty, dad, 0)
     }
-}
-
-/// Row-major strides of a shape.
-pub fn row_major_strides(shape: &[i64]) -> Vec<i64> {
-    let mut strides = vec![1i64; shape.len()];
-    for d in (0..shape.len().saturating_sub(1)).rev() {
-        strides[d] = strides[d + 1] * shape[d + 1];
-    }
-    strides
 }
 
 /// Flatten a global index with precomputed strides.

@@ -6,15 +6,13 @@
 //! array dimension with a tree per grid fiber and produce a rank-lowered
 //! distributed result replicated along the reduced grid axis.
 
-use f90d_comm::helpers::owned_locals_per_dim;
 use f90d_comm::reduce::{
     allreduce_along_axis, allreduce_int, allreduce_loc, allreduce_scalar, encode_value, ReduceOp,
 };
-use f90d_comm::structured::local_offsets;
-use f90d_distrib::Dad;
+use f90d_distrib::{row_major_strides, Dad, Locator, Runs};
 use f90d_machine::{ArrayData, LocalArray, Machine, Value};
 
-use crate::array::{flatten, row_major_strides, DistArray};
+use crate::array::{flatten, DistArray};
 
 /// Per-rank partial over canonically-owned elements: `op` folded from
 /// its identity over the rank's elements in [`Dad::for_each_owned`]
@@ -36,9 +34,9 @@ fn local_partial_int(m: &mut Machine, a: &DistArray, op: ReduceOp) -> Vec<i64> {
 }
 
 /// Per rank, `fold` of the offsets of the elements its segment owns in
-/// [`Dad::for_each_owned`] order (per-dimension owned locals, increasing
-/// global index: their row-major product) — or `identity` on a rank
-/// holding a replicated copy that is not the canonical one.
+/// [`Dad::for_each_owned`] order (row-major, increasing global index) —
+/// or `identity` on a rank holding a replicated copy that is not the
+/// canonical one.
 fn partials<T: Clone>(
     m: &mut Machine,
     a: &DistArray,
@@ -53,7 +51,7 @@ fn partials<T: Clone>(
             continue;
         }
         let arr = m.mems[rank as usize].array(&a.name);
-        let offs = local_offsets(arr, &owned_locals_per_dim(&a.dad, &coords));
+        let offs = a.dad.offsets(&a.dad.owned(&coords), &arr.segment());
         partials.push(fold(arr, &offs));
         m.transport.charge_elem_ops(rank, offs.len() as i64);
     }
@@ -138,13 +136,11 @@ pub fn dotproduct(m: &mut Machine, a: &DistArray, b: &DistArray) -> f64 {
         if canonical {
             let mem = &m.mems[rank as usize];
             let (aa, bb) = (mem.array(&a.name), mem.array(&b.name));
-            let mut n = 0i64;
-            a.dad.for_each_owned(&coords, |g, l| {
-                let bl = b.dad.local_index(g);
-                acc += aa.get(l).as_real() * bb.get(&bl).as_real();
-                n += 1;
+            let at_b = Locator::new(&b.dad, &bb.shape, &bb.ghost_lo, &bb.ghost_hi);
+            let n = a.dad.for_each_owned(&coords, &aa.segment(), |g, off| {
+                acc += aa.get_flat(off).as_real() * bb.get_flat(at_b.locate(g).1).as_real();
             });
-            m.transport.charge_elem_ops(rank, 2 * n);
+            m.transport.charge_elem_ops(rank, 2 * n as i64);
         }
         partials.push(acc);
     }
@@ -160,10 +156,8 @@ fn loc_reduce(m: &mut Machine, a: &DistArray, op: ReduceOp) -> Vec<i64> {
         let mut best = (op.identity(), -1i64);
         if canonical {
             let arr = m.mems[rank as usize].array(&a.name);
-            let mut n = 0i64;
-            a.dad.for_each_owned(&coords, |g, l| {
-                n += 1;
-                let v = arr.get(l).as_real();
+            let n = a.dad.for_each_owned(&coords, &arr.segment(), |g, off| {
+                let v = arr.get_flat(off).as_real();
                 let flat = flatten(g, &strides) as i64;
                 let better = match op {
                     ReduceOp::MaxLoc => {
@@ -178,7 +172,7 @@ fn loc_reduce(m: &mut Machine, a: &DistArray, op: ReduceOp) -> Vec<i64> {
                     best = (v, flat);
                 }
             });
-            m.transport.charge_elem_ops(rank, n);
+            m.transport.charge_elem_ops(rank, n as i64);
         }
         partials.push(best);
     }
@@ -224,36 +218,36 @@ pub fn reduced_dad(a: &Dad, dim: usize) -> Dad {
 /// `Max`, `Min`, `And`, `Or`.
 pub fn reduce_dim(m: &mut Machine, a: &DistArray, dst: &DistArray, dim: usize, op: ReduceOp) {
     assert!(!op.is_loc(), "use maxloc/minloc for location reductions");
-    // Phase 1: local partials over the reduced dimension, stored by the
-    // *remaining* dims' local indices, in a dense row-major order shared
-    // by every fiber member.
+    // Phase 1: local partials over the reduced dimension, one per
+    // element of the remaining dims' product, in its row-major order —
+    // the order `dst`'s owned elements are walked in on every fiber
+    // member. Walking `a` row-major visits each partial's elements in
+    // increasing index along `dim`: element `k` of the walk adds to
+    // partial `k / (red · inner) · inner + k mod inner`.
     let nranks = m.nranks();
     let mut per_rank: Vec<Vec<f64>> = Vec::with_capacity(nranks as usize);
-    let mut slots_per_rank: Vec<Vec<Vec<i64>>> = Vec::with_capacity(nranks as usize);
     for rank in 0..nranks {
         let coords = m.grid.coords_of(rank);
         let arr = m.mems[rank as usize].array(&a.name);
-        // Remaining-dim owned locals (dense order).
-        let mut lists = f90d_comm::helpers::owned_locals_per_dim(&a.dad, &coords);
-        let red_list = lists.remove(dim);
-        let mut partial = Vec::new();
-        let mut slots = Vec::new();
-        f90d_comm::helpers::cartesian(&lists, |rest| {
-            let mut acc = op.identity();
-            for &lr in &red_list {
-                let mut idx = rest.to_vec();
-                idx.insert(dim, lr);
-                let mut slot = [acc];
-                op.fold(&mut slot, &[encode_value(arr.get(&idx))]);
-                acc = slot[0];
-            }
-            partial.push(acc);
-            slots.push(rest.to_vec());
+        let owned = a.dad.owned(&coords);
+        let red = owned[dim].len();
+        let inner: usize = owned[dim + 1..].iter().map(Runs::len).product();
+        let slots = (owned.iter().enumerate())
+            .filter(|&(d, _)| d != dim)
+            .map(|(_, runs)| runs.len())
+            .product();
+        let mut partial = vec![op.identity(); slots];
+        let mut k = 0;
+        a.dad.walk(&owned, &arr.segment(), |_, off| {
+            let slot = &mut partial[k / (red * inner) * inner + k % inner];
+            let mut acc = [*slot];
+            op.fold(&mut acc, &[encode_value(arr.get_flat(off))]);
+            *slot = acc[0];
+            k += 1;
         });
         m.transport
-            .charge_elem_ops(rank, (partial.len() * red_list.len().max(1)) as i64);
+            .charge_elem_ops(rank, (partial.len() * red.max(1)) as i64);
         per_rank.push(partial);
-        slots_per_rank.push(slots);
     }
     // Phase 2: tree-combine along the reduced dimension's grid axis.
     let combined = match a.dad.dims[dim].grid_axis {
@@ -262,14 +256,16 @@ pub fn reduce_dim(m: &mut Machine, a: &DistArray, dst: &DistArray, dim: usize, o
         }
         _ => per_rank,
     };
-    // Phase 3: store into dst at the same remaining-dim locals.
+    // Phase 3: store into dst's owned elements, in the same order.
     for rank in 0..nranks {
-        let vals = &combined[rank as usize];
-        let slots = &slots_per_rank[rank as usize];
+        let coords = m.grid.coords_of(rank);
+        let mut vals = combined[rank as usize].iter();
         let arr = m.mems[rank as usize].array_mut(&dst.name);
-        for (v, l) in vals.iter().zip(slots) {
-            arr.set(l, Value::Real(*v).convert_to(arr.elem_type()));
-        }
+        let (seg, ty) = (arr.segment(), arr.elem_type());
+        dst.dad.for_each_owned(&coords, &seg, |_, off| {
+            let v = vals.next().expect("one partial per element");
+            arr.set_flat(off, Value::Real(*v).convert_to(ty));
+        });
     }
 }
 
@@ -298,7 +294,7 @@ mod tests {
     }
 
     /// The per-rank partials fold the rank's elements in the order
-    /// `owned_elements` lists them — row-major by global index — bit for
+    /// `for_each_owned` visits them — row-major by global index — bit for
     /// bit on values whose sum depends on the order, and charge one
     /// element operation per owned element.
     #[test]
@@ -329,8 +325,9 @@ mod tests {
                         owned += 1;
                     }
                 }
+                let held = a.dad.owned(&m.grid.coords_of(rank));
                 assert_eq!(
-                    a.dad.owned_elements(&m.grid.coords_of(rank)).len(),
+                    held.iter().map(Runs::len).product::<usize>(),
                     owned as usize
                 );
                 assert_eq!(
@@ -363,14 +360,12 @@ mod tests {
             let mut acc = op.identity();
             if canonical {
                 let arr = m.mems[rank as usize].array(&a.name);
-                let mut n = 0i64;
-                a.dad.for_each_owned(&coords, |_, l| {
+                let n = a.dad.for_each_owned(&coords, &arr.segment(), |_, off| {
                     let mut slot = [acc];
-                    op.fold(&mut slot, &[map(arr.get(l))]);
+                    op.fold(&mut slot, &[map(arr.get_flat(off))]);
                     acc = slot[0];
-                    n += 1;
                 });
-                m.transport.charge_elem_ops(rank, n);
+                m.transport.charge_elem_ops(rank, n as i64);
             }
             partials.push(acc);
         }
@@ -550,12 +545,10 @@ mod tests {
         // Result is replicated along grid axis 0: both rows hold it.
         for rank in 0..4 {
             let coords = m.grid.coords_of(rank);
-            let lists = f90d_comm::helpers::owned_dim_locals(&dst.dad, 0, coords[1]);
             let arr = m.mems[rank as usize].array("R");
-            for l in lists {
-                let g = dst.dad.dims[0].array_index_of(coords[1], l).unwrap();
-                assert_eq!(arr.get(&[l]), Value::Real((10 * (g + 1)) as f64));
-            }
+            dst.dad.for_each_owned(&coords, &arr.segment(), |g, off| {
+                assert_eq!(arr.get_flat(off), Value::Real((10 * (g[0] + 1)) as f64));
+            });
         }
     }
 

@@ -49,20 +49,17 @@ pub fn eoshift(
 }
 
 fn fill_vacated(m: &mut Machine, dst: &DistArray, dim: usize, shift: i64, n: i64, boundary: Value) {
-    let dad = dst.dad.clone();
-    let name = dst.name.clone();
     for rank in 0..m.nranks() {
         let coords = m.grid.coords_of(rank);
         let mut ops = 0i64;
-        let owned = dad.owned_elements(&coords);
-        let arr = m.mems[rank as usize].array_mut(&name);
-        for (g, l) in owned {
-            let gs = g[dim] + shift;
-            if !(0..n).contains(&gs) {
-                arr.set(&l, boundary);
+        let arr = m.mems[rank as usize].array_mut(&dst.name);
+        let seg = arr.segment();
+        dst.dad.for_each_owned(&coords, &seg, |g, off| {
+            if !(0..n).contains(&(g[dim] + shift)) {
+                arr.set_flat(off, boundary);
                 ops += 1;
             }
-        }
+        });
         m.transport.charge_elem_ops(rank, ops);
     }
 }
@@ -78,40 +75,32 @@ fn local_shift(
     boundary: Option<Value>,
 ) {
     let n = src.shape()[dim];
-    let src_dad = src.dad.clone();
     for rank in 0..m.nranks() {
         let coords = m.grid.coords_of(rank);
-        let owned = src_dad.owned_elements(&coords);
-        let mut writes: Vec<(Vec<i64>, Value)> = Vec::with_capacity(owned.len());
-        {
-            let s_arr = m.mems[rank as usize].array(&src.name);
-            for (g, l) in &owned {
-                let gs = g[dim] + shift;
-                let v = if (0..n).contains(&gs) {
-                    let mut sg = g.clone();
-                    sg[dim] = gs;
-                    let sl = src_dad.local_index(&sg);
-                    s_arr.get(&sl)
-                } else {
-                    match boundary {
-                        Some(b) => b,
-                        None => {
-                            let mut sg = g.clone();
-                            sg[dim] = gs.rem_euclid(n);
-                            let sl = src_dad.local_index(&sg);
-                            s_arr.get(&sl)
-                        }
-                    }
-                };
-                writes.push((l.clone(), v));
-            }
-        }
-        let ops = writes.len() as i64;
+        // `dim` is held whole, at local index = global index: the source
+        // of an element sits `gs - g[dim]` steps along it in `src`.
+        let s_arr = m.mems[rank as usize].array(&src.name);
+        let seg = s_arr.segment();
+        let at = |off: usize, g: i64, gs: i64| (off as i64 + (gs - g) * seg.strides[dim]) as usize;
+        let mut vals = Vec::new();
+        src.dad.for_each_owned(&coords, &seg, |g, off| {
+            let gs = g[dim] + shift;
+            vals.push(if (0..n).contains(&gs) {
+                s_arr.get_flat(at(off, g[dim], gs))
+            } else {
+                match boundary {
+                    Some(b) => b,
+                    None => s_arr.get_flat(at(off, g[dim], gs.rem_euclid(n))),
+                }
+            });
+        });
         let d_arr = m.mems[rank as usize].array_mut(&dst.name);
-        for (l, v) in writes {
-            d_arr.set(&l, v);
-        }
-        m.transport.charge_elem_ops(rank, ops);
+        let d_seg = d_arr.segment();
+        let mut vals_in = vals.iter();
+        let ops = src.dad.for_each_owned(&coords, &d_seg, |_, off| {
+            d_arr.set_flat(off, *vals_in.next().expect("one value per element"));
+        });
+        m.transport.charge_elem_ops(rank, ops as i64);
     }
 }
 

@@ -238,25 +238,25 @@ fn matmul_replicate(m: &mut Machine, a: &DistArray, b: &DistArray, c: &DistArray
     concatenation(m, &b.name, &b.dad, "MM_BFULL").expect("collective is internally matched");
     for rank in 0..m.nranks() {
         let coords = m.grid.coords_of(rank);
-        let owned = c.dad.owned_elements(&coords);
-        let nops = 2 * ak * owned.len() as i64;
         let mem = &mut m.mems[rank as usize];
-        let mut writes = Vec::with_capacity(owned.len());
+        let mut writes = Vec::new();
         {
             let af = mem.array("MM_AFULL");
             let bf = mem.array("MM_BFULL");
-            for (g, l) in owned {
-                let (i, j) = (g[0], g[1]);
-                let mut acc = 0.0;
-                for kk in 0..ak {
-                    acc += af.get(&[i, kk]).as_real() * bf.get(&[kk, j]).as_real();
-                }
-                writes.push((l, acc));
-            }
+            c.dad
+                .for_each_owned(&coords, &mem.array(&c.name).segment(), |g, off| {
+                    let (i, j) = (g[0], g[1]);
+                    let mut acc = 0.0;
+                    for kk in 0..ak {
+                        acc += af.get(&[i, kk]).as_real() * bf.get(&[kk, j]).as_real();
+                    }
+                    writes.push((off, acc));
+                });
         }
+        let nops = 2 * ak * writes.len() as i64;
         let carr = mem.array_mut(&c.name);
-        for (l, v) in writes {
-            carr.set(&l, Value::Real(v));
+        for (off, v) in writes {
+            carr.set_flat(off, Value::Real(v));
         }
         m.transport.charge_elem_ops(rank, nops);
     }

@@ -14,7 +14,9 @@ use f90d_machine::Machine;
 #[cfg(test)]
 use f90d_machine::Value;
 
-use crate::array::{flatten, row_major_strides, DistArray};
+use f90d_distrib::row_major_strides;
+
+use crate::array::{flatten, DistArray};
 use crate::remap::remap;
 
 /// `dst = TRANSPOSE(src)` for rank-2 arrays.
@@ -39,8 +41,8 @@ pub fn reshape(m: &mut Machine, src: &DistArray, dst: &DistArray) {
     });
 }
 
-/// One selected (mask-true) element: its packed stream position, global
-/// index and mask-local index.
+/// One selected (mask-true) element: its packed stream position and
+/// global index.
 struct MaskPick {
     /// Position in the packed (array-element-order) stream.
     pos: i64,
@@ -55,7 +57,7 @@ struct MaskPick {
 fn mask_picks(m: &mut Machine, mask: &DistArray) -> Vec<Vec<MaskPick>> {
     let nranks = m.nranks() as usize;
     let strides = row_major_strides(mask.shape());
-    let mut selected: Vec<Vec<(i64, Vec<i64>, Vec<i64>)>> = Vec::with_capacity(nranks);
+    let mut selected: Vec<Vec<(i64, Vec<i64>)>> = Vec::with_capacity(nranks);
     let mut counts = vec![0f64; nranks];
     for rank in 0..m.nranks() {
         let coords = m.grid.coords_of(rank);
@@ -63,22 +65,21 @@ fn mask_picks(m: &mut Machine, mask: &DistArray) -> Vec<Vec<MaskPick>> {
         let mut sel = Vec::new();
         if canonical {
             let arr = m.mems[rank as usize].array(&mask.name);
-            let owned = mask.dad.owned_elements(&coords);
-            m.transport.charge_elem_ops(rank, owned.len() as i64);
-            for (g, l) in owned {
-                if arr.get(&l).as_bool() {
-                    sel.push((flatten(&g, &strides) as i64, g, l));
+            let owned = mask.dad.for_each_owned(&coords, &arr.segment(), |g, off| {
+                if arr.get_flat(off).as_bool() {
+                    sel.push((flatten(g, &strides) as i64, g.to_vec()));
                 }
-            }
+            });
+            m.transport.charge_elem_ops(rank, owned as i64);
         }
         counts[rank as usize] = sel.len() as f64;
-        sel.sort_by_key(|&(f, _, _)| f);
+        sel.sort_by_key(|&(f, _)| f);
         selected.push(sel);
     }
     // Global packed positions: rank the flat indices across all nodes.
     let mut flagged: Vec<(i64, usize, usize)> = Vec::new(); // (flat, rank, k)
     for (r, sel) in selected.iter().enumerate() {
-        for (k, &(f, _, _)) in sel.iter().enumerate() {
+        for (k, &(f, _)) in sel.iter().enumerate() {
             flagged.push((f, r, k));
         }
     }
@@ -96,7 +97,7 @@ fn mask_picks(m: &mut Machine, mask: &DistArray) -> Vec<Vec<MaskPick>> {
         .map(|(sel, poss)| {
             sel.into_iter()
                 .zip(poss)
-                .map(|((_, global, _), pos)| MaskPick { pos, global })
+                .map(|((_, global), pos)| MaskPick { pos, global })
                 .collect()
         })
         .collect()

@@ -25,17 +25,17 @@ pub fn remap(
     for rank in 0..m.nranks() {
         let coords = m.grid.coords_of(rank);
         let dst_arr = m.mems[rank as usize].array(&dst.name);
-        for (g, l) in dst.dad.owned_elements(&coords) {
-            let Some(sg) = f(&g) else { continue };
-            let src_rank = src.dad.owner_ranks(&sg)[0];
-            let src_l = src.dad.local_index(&sg);
-            let src_off = m.mems[src_rank as usize].array(&src.name).offset(&src_l);
-            let dst_off = dst_arr.offset(&l);
-            moves
-                .entry((src_rank, rank))
-                .or_default()
-                .push((src_off, dst_off));
-        }
+        dst.dad
+            .for_each_owned(&coords, &dst_arr.segment(), |g, dst_off| {
+                let Some(sg) = f(g) else { return };
+                let src_rank = src.dad.owner_ranks(&sg)[0];
+                let src_l = src.dad.local_index(&sg);
+                let src_off = m.mems[src_rank as usize].array(&src.name).offset(&src_l);
+                moves
+                    .entry((src_rank, rank))
+                    .or_default()
+                    .push((src_off, dst_off));
+            });
     }
     exchange(m, &src.name, &dst.name, &moves.into()).expect("collective is internally matched");
 }

@@ -20,7 +20,7 @@ use f90d_comm::op::CommError;
 use f90d_comm::overlap::Margins;
 use f90d_comm::reduce::ReduceOp;
 use f90d_comm::{redist, structured, RunSchedules};
-use f90d_distrib::{set_bound, ArrayDimMap, DistKind, LocalIter, Progression, Runs};
+use f90d_distrib::{owned_cells, ArrayDimMap, DistKind, Progression, Runs};
 use f90d_machine::{ArrayData, ElemType, LocalArray, Machine, Value};
 use f90d_runtime::intrinsics as rt;
 use f90d_runtime::DistArray;
@@ -336,11 +336,10 @@ fn template_form(dm: &ArrayDimMap, a: i64, b: i64) -> (i64, i64) {
 /// (`lb <= ub`, at most `usize::MAX` trips) on the rank at grid
 /// coordinates `coords` of `nranks` — the `set_BOUND` computation
 /// (paper §4) — as the ascending maximal progressions of their
-/// **global** values: `set_bound`'s local triple mapped through μ⁻¹,
-/// which is affine in the local index under every kind but CYCLIC(K),
-/// where the local range is cut at the cycle's blocks first (or its
-/// list is taken value by value). Its cost does not grow with the trip
-/// count but for CYCLIC(K).
+/// **global** values: the LHS cells `set_BOUND` gives the rank
+/// ([`owned_cells`], its runs before `μ`) taken back to iterations run
+/// by run. Its cost does not grow with the trip count but for
+/// CYCLIC(K), where it grows with the cycle blocks the loop touches.
 fn runs_at(
     part: &Partition,
     [lb, ub, st]: [i64; 3],
@@ -372,57 +371,33 @@ fn runs_at(
             let coord = coords[dm.grid_axis.unwrap()];
             let (s, o) = template_form(dm, *a, *b);
             let (t1, t2) = (s * lb + o, s * ub + o);
-            let li = set_bound(&dm.dist, coord, t1.min(t2), t1.max(t2), (s * st).abs());
-            let cell =
-                |l: i64| (dm.dist.global_of(coord, l)).expect("set_bound local maps to global");
+            let cells = owned_cells(&dm.dist, coord, t1.min(t2), t1.max(t2), (s * st).abs());
             let mut runs = Runs::EMPTY;
-            // The iterations whose LHS element sits in the template
-            // cells of the `n` locals `l0 + k·dl`, over which μ⁻¹ is
-            // affine. `set_bound` steps the cells by a whole number of
-            // the template progression's steps `|s·st|`, so a step of
-            // them is a whole number of the loop's steps: all of them are
-            // on the loop's progression, or none.
-            let mut piece = |l0: i64, dl: i64, n: i64| {
-                let c0 = cell(l0);
-                let dv = if n > 1 { (cell(l0 + dl) - c0) / s } else { 0 };
-                let (num, v0) = (c0 - o, (c0 - o) / s);
+            // The iterations whose LHS element sits in the cells `c`:
+            // `t⁻¹`, affine. The cells step by a whole number of the
+            // template progression's steps `|s·st|`, so a step of them
+            // is a whole number of the loop's steps: all of them are on
+            // the loop's progression, or none.
+            let mut piece = |c: &Progression| {
+                let dv = c.stride / s;
+                let (num, v0) = (c.first - o, (c.first - o) / s);
                 if num % s != 0 || (v0 - lb) % st != 0 {
                     return;
                 }
                 // Ascending cells are descending iterations under a
                 // negative template stride.
+                let n = c.len as i64;
                 let p = if dv >= 0 {
-                    Progression::new(v0, dv, n as usize)
+                    Progression::new(v0, dv, c.len)
                 } else {
-                    Progression::new(v0 + (n - 1) * dv, -dv, n as usize)
+                    Progression::new(v0 + (n - 1) * dv, -dv, c.len)
                 };
                 runs.extend(p.within(lb, ub));
             };
-            let up = s > 0;
-            match &li {
-                LocalIter::Range(r) if r.is_empty() => {}
-                LocalIter::Range(r) => match dm.dist.kind {
-                    DistKind::BlockCyclic(k) => {
-                        // Block `q` of the cycle holds locals
-                        // `q·k..q·k + k`: the range's share of it.
-                        let mut block = |q: i64| {
-                            let lo = r.lb + ((q * k - r.lb).max(0) + r.st - 1) / r.st * r.st;
-                            let hi = r.lb + ((q * k + k - 1).min(r.ub) - r.lb) / r.st * r.st;
-                            if lo <= hi {
-                                piece(lo, r.st, (hi - lo) / r.st + 1);
-                            }
-                        };
-                        let blocks = r.lb / k..=r.ub / k;
-                        if up {
-                            blocks.for_each(&mut block);
-                        } else {
-                            blocks.rev().for_each(&mut block);
-                        }
-                    }
-                    _ => piece(r.lb, r.st, r.len()),
-                },
-                LocalIter::List(locals) if up => locals.iter().for_each(|&l| piece(l, 0, 1)),
-                LocalIter::List(locals) => locals.iter().rev().for_each(|&l| piece(l, 0, 1)),
+            if s > 0 {
+                cells.runs().iter().for_each(&mut piece);
+            } else {
+                cells.runs().iter().rev().for_each(&mut piece);
             }
             runs
         }

@@ -27,8 +27,8 @@
 //! outside the window of ranks that can own an iteration is visited.
 
 use f90d_distrib::{
-    set_bound, AlignExpr, Alignment, AxisAlign, DadBuilder, DistKind, GridEmbedding, LocalIter,
-    ProcGrid, Progression, Template,
+    set_bound, AlignExpr, Alignment, AxisAlign, DadBuilder, DistKind, GridEmbedding, ProcGrid,
+    Progression, Template,
 };
 use f90d_machine::{ElemType, Machine, MachineSpec};
 use f90d_runtime::DistArray;
@@ -90,10 +90,7 @@ fn iterations_for(
                 (num % s == 0 && (v - lb) % st == 0).then_some(v)
             };
             let each = |l: i64| on_stride(cell(l)).filter(|v| (lb..=ub).contains(v));
-            let mut out: Vec<i64> = match &li {
-                LocalIter::Range(r) => r.iter().filter_map(each).collect(),
-                LocalIter::List(locals) => locals.iter().copied().filter_map(each).collect(),
-            };
+            let mut out: Vec<i64> = li.values().filter_map(each).collect();
             if s < 0 {
                 out.reverse();
             }
@@ -145,8 +142,8 @@ fn iterations_oracle(
     let o = dm.align.stride * b + dm.align.offset;
     let (t1, t2) = (s * lb + o, s * ub + o);
     let li = set_bound(&dm.dist, coord, t1.min(t2), t1.max(t2), (s * st).abs());
-    let mut out = Vec::with_capacity(li.len() as usize);
-    for l in li.to_vec() {
+    let mut out = Vec::with_capacity(li.len());
+    for l in li.values() {
         let t = dm
             .dist
             .global_of(coord, l)
@@ -382,7 +379,9 @@ fn check_grid_partition(
         active += !want.is_empty() as u64;
         match row {
             Ok(g) => run.extend(want.iter().flatten().map(|&v| (g, v))),
-            Err(_) if runs => f90d_comm::helpers::cartesian(&want, |t| run.push((t[0], t[1]))),
+            Err(_) if runs => {
+                run.extend((want[0].iter()).flat_map(|&u| want[1].iter().map(move |&v| (u, v))))
+            }
             Err(_) => {}
         }
     }
@@ -538,7 +537,8 @@ proptest! {
     /// The template progression runs downwards (a negative alignment
     /// stride under a positive subscript stride, so the lists come out
     /// of `set_bound` descending and are reversed), the distribution is
-    /// CYCLIC(K) (explicit local lists, μ⁻¹ not affine) and `ub` is off
+    /// CYCLIC(K) (several runs per rank, μ⁻¹ affine only within a
+    /// cycle block) and `ub` is off
     /// the loop's stride (the progression is anchored at the last
     /// iterate, not at `ub`).
     #[test]
