@@ -11,40 +11,50 @@
 //! * `push/*` — one sample is 999 424 `GatherRequests::push` calls (122
 //!   inspector runs of 8192), so **ms reads as ns per push**.
 //!   `block1d_8192_p16` is the job's source; `cyclic2d_96x96_p4x4`
-//!   locates through two CYCLIC dimensions.
+//!   goes through two CYCLIC dimensions. A push checks the subscript's
+//!   bounds and records it; locating waits for `execute`, and a
+//!   repeat skips it (before that, every push located).
+//! * `gather/repeat_8192_p16` — one sample is 122 gathers of 8192
+//!   elements (push + `GatherRequests::execute`) of one statement
+//!   through one `RunSchedules` with the subscripts of its last
+//!   execution, so **ms reads as ns per element** for a repeat of the
+//!   whole unstructured read: push, the comparison with the kept rows,
+//!   the modelled inspector charge, the buffers and the exchange.
 //! * `scatter/whole_call_8192_p16` — one sample is 122 `driver::scatter`
-//!   calls of 8192 writes through one `RunSchedules` (a within-run
-//!   schedule hit every time), so **ms reads as ns per written
-//!   element** for the whole post-loop executor: buffer fill, request
-//!   build, schedule lookup, exchange. Subtract
-//!   `schedule/within_run_hit` (µs per call ÷ 8.192 = ns per element)
-//!   for the executor without the lookup.
-//! * `schedule/*` — one sample is 100 `RunSchedules::schedule` calls at
-//!   8192 requests, so **ms × 10 reads as µs per call**.
-//!   `within_run_hit`: the run has seen the pattern; `global_hit`: a
-//!   fresh run finds it in the process-wide cache (and pays the
-//!   modelled inspector, messages included); `miss`: a pattern nobody
-//!   has seen (build + insert; the cache is cleared every 64 calls to
-//!   bound memory). The hit lines pass a prebuilt list, which the shim
-//!   clones because the call takes it by value (≈ 7 µs an inspector,
-//!   which moves its list, does not pay); the miss line generates one
-//!   per call (≈ 16 µs).
+//!   calls of 8192 writes of one statement through one `RunSchedules`
+//!   (the statement's kept schedule every time), so **ms reads as ns
+//!   per written element** for the whole post-loop executor: buffer
+//!   fill, the comparison with the kept rows, exchange.
+//! * `schedule/build_8192_p16` — one sample is 122 `build_schedule`
+//!   calls on the job's gather pattern, so **ms reads as ns per
+//!   request** of the move-table build a cache miss pays.
+//! * `schedule/*` (the rest) — one sample is 100
+//!   `RunSchedules::schedule` calls at 8192 requests, so **ms × 10 reads
+//!   as µs per call**. `within_run_hit`: the run has seen the pattern;
+//!   `global_hit`: a fresh run finds it in the process-wide cache (and
+//!   pays the modelled inspector, messages included); `miss`: a pattern
+//!   nobody has seen (build + insert; the cache is cleared every 64
+//!   calls to bound memory). The hit lines pass a prebuilt list, which
+//!   the shim clones because the call takes it by value (≈ 7 µs an
+//!   inspector, which moves its list, does not pay); the miss line
+//!   generates one per call (≈ 16 µs).
 //! * `int_mod_fill/*` — one sample is 8 runs of `FORALL (I=1:N) U(I) =
 //!   MOD(I*5+3, N) + 1` on a replicated INTEGER `U(8192)` over 16 ranks
 //!   through `Engine`, 1 048 576 element updates, so **ms reads as ns
 //!   per element** (+5 %), on the bytecode tier and on the native one.
 //!
-//! The file uses APIs that predate it except in the three shims
-//! [`push_all`], [`scatter_all`] and [`schedule_one`]; rewriting those
-//! against an older checkout's signatures gives the *before* numbers.
+//! The file uses APIs that predate it except in the four shims
+//! [`push_all`], [`gather_one`], [`scatter_all`] and [`schedule_one`];
+//! rewriting those against an older checkout's signatures gives the
+//! *before* numbers.
 
 use std::hint::black_box;
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use f90d_comm::driver::{self, GatherRequests, ScatterOut};
-use f90d_comm::sched_cache::{self, RunSchedules};
-use f90d_comm::schedule::{ElementReq, ScheduleKind};
+use f90d_comm::sched_cache::{self, RunSchedules, StmtId};
+use f90d_comm::schedule::{build_schedule, ElementReq, ScheduleKind};
 use f90d_core::{compile, Backend, CompileOptions};
 use f90d_distrib::{Dad, DadBuilder, DistKind, ProcGrid};
 use f90d_machine::{ElemType, LocalArray, Machine, MachineSpec, Value};
@@ -89,14 +99,26 @@ fn pattern(shape: &[i64], a: i64, b: i64) -> Vec<i64> {
 
 /// One inspector run: every iteration's subscripts pushed, the
 /// iterations dealt to the ranks in equal blocks.
-fn push_all(m: &Machine, dad: &Dad, subs: &[i64]) {
+fn push_all<'a>(m: &Machine, dad: &'a Dad, subs: &[i64]) -> GatherRequests<'a> {
     let mut reqs = GatherRequests::new(m, "B", dad);
     let ndim = dad.rank();
     let per_rank = subs.len() / ndim / m.nranks() as usize;
     for (k, g) in subs.chunks_exact(ndim).enumerate() {
         reqs.push((k / per_rank) as i64, g).expect("in range");
     }
-    black_box(&reqs);
+    reqs
+}
+
+/// One unstructured read of `B` into `TMP` by the statement the
+/// benchmark stands for: [`push_all`], then the executor.
+fn gather_one(m: &mut Machine, rs: &mut RunSchedules, dad: &Dad, subs: &[i64]) {
+    let reqs = push_all(m, dad, subs);
+    let stmt = StmtId::Gather {
+        forall: 0,
+        gather: 0,
+    };
+    reqs.execute(m, rs, stmt, "TMP", ElemType::Real, false)
+        .expect("in range");
 }
 
 fn bench_push(c: &mut Criterion) {
@@ -118,7 +140,7 @@ fn bench_push(c: &mut Criterion) {
         g.bench_function(label, |b| {
             b.iter(|| {
                 for _ in 0..rounds {
-                    push_all(&m, &dad, black_box(&subs));
+                    black_box(push_all(&m, &dad, black_box(&subs)));
                 }
             })
         });
@@ -126,10 +148,28 @@ fn bench_push(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_gather(c: &mut Criterion) {
+    let mut g = c.benchmark_group("gather");
+    g.sample_size(10);
+    let (mut m, dad) = machine(&[N], &[DistKind::Block], &[P]);
+    let subs = pattern(&[N], 2731, 977);
+    let mut rs = RunSchedules::new();
+    g.bench_function("repeat_8192_p16", |b| {
+        b.iter(|| {
+            for _ in 0..ROUNDS {
+                gather_one(&mut m, &mut rs, &dad, black_box(&subs));
+            }
+            m.reset_time();
+        })
+    });
+    g.finish();
+}
+
 /// The post-loop executor of one irregular FORALL: rank `r` writes its
 /// block of iterations' values to `B(subs(i))`.
 fn scatter_all(m: &mut Machine, rs: &mut RunSchedules, dad: &Dad, outputs: &[ScatterOut]) {
-    driver::scatter(m, rs, "B", dad, outputs, false).expect("in range");
+    let stmt = StmtId::Scatter { forall: 0 };
+    driver::scatter(m, rs, stmt, "B", dad, outputs, false).expect("in range");
 }
 
 /// [`scatter_all`]'s input: the pattern dealt to the ranks in blocks.
@@ -194,6 +234,16 @@ fn bench_schedule(c: &mut Criterion) {
     let (mut m, _) = machine(&[N], &[DistKind::Block], &[P]);
     let mut rs = RunSchedules::new();
     let seen = gather_reqs(977);
+    g.bench_function("build_8192_p16", |b| {
+        b.iter(|| {
+            for _ in 0..ROUNDS {
+                black_box(build_schedule(
+                    ScheduleKind::FanInRequests,
+                    black_box(&seen),
+                ));
+            }
+        })
+    });
     g.bench_function("within_run_hit", |b| {
         b.iter(|| {
             for _ in 0..CALLS {
@@ -261,6 +311,7 @@ END
 criterion_group!(
     benches,
     bench_push,
+    bench_gather,
     bench_scatter,
     bench_schedule,
     bench_int_fill

@@ -40,13 +40,13 @@
 use std::sync::Arc;
 
 use f90d_distrib::{ArrayDimMap, Dad, Locator, Runs};
-use f90d_machine::{ArrayData, ElemType, LocalArray, Machine, Transport, Value};
+use f90d_machine::{ArrayData, ElemType, LocalArray, Machine, NodeMemory, Transport, Value};
 
 use crate::helpers::{exchange, ExchangeOp, ExchangePlan};
 use crate::op::{CommError, CommResult};
 use crate::overlap::{dims_overlap_compatible, Margins};
-use crate::sched_cache::RunSchedules;
-use crate::schedule::{ElementReq, Schedule, ScheduleKind};
+use crate::sched_cache::{Inspection, Rows, RunSchedules, StmtId};
+use crate::schedule::{ElementReq, ScheduleKind};
 
 /// One planned ghost exchange: fill the ghost cells of `arr` for a
 /// compile-time shift by `c` along array dimension `dim`, by the moves
@@ -312,28 +312,19 @@ pub fn run_overlap<S: ComputeSink>(
     sink.commit(m)
 }
 
-/// Build (or reuse, per-run and through the cross-run cache) the
-/// schedule for an unstructured request list, which is taken by value —
-/// it becomes the cache key. For reads, `fast_path` (= `local_only`)
-/// selects the local-only schedule over fan-in requests; for writes
-/// (`is_write`), it (= `invertible`) selects local-only over the
-/// sender-driven schedule. One mapping, used by the gather and scatter
-/// executors below.
-pub fn schedule(
-    m: &mut Machine,
-    rs: &mut RunSchedules,
-    reqs: Vec<ElementReq>,
-    fast_path: bool,
-    is_write: bool,
-) -> CommResult<Arc<Schedule>> {
-    let kind = if fast_path {
+/// The inspector family of an unstructured read (`is_write` false) or
+/// write. For reads, `fast_path` (= `local_only`) selects the
+/// local-only schedule over fan-in requests; for writes, it
+/// (= `invertible`) selects local-only over the sender-driven schedule.
+/// One mapping, used by the gather and scatter executors below.
+pub fn schedule_kind(fast_path: bool, is_write: bool) -> ScheduleKind {
+    if fast_path {
         ScheduleKind::LocalOnly
     } else if is_write {
         ScheduleKind::SenderDriven
     } else {
         ScheduleKind::FanInRequests
-    };
-    rs.schedule(m, kind, reqs, is_write)
+    }
 }
 
 /// The element locator of array `arr` (live descriptor `dad`) over the
@@ -346,19 +337,18 @@ fn locator(m: &Machine, arr: &str, dad: &Dad) -> Locator {
     Locator::new(dad, &seg.shape, &seg.ghost_lo, &seg.ghost_hi)
 }
 
-/// Inspector output of one unstructured FORALL read
-/// (`tmp(count) = src(subs(i…))`): the request list and each rank's
-/// element count. A backend's inspector loop evaluates the subscripts
-/// (the only tier-specific part) and [`push`](Self::push)es them in
-/// iteration order — or a run of iterations at a time through
-/// [`push_row`](Self::push_row); [`execute`](Self::execute) is the
-/// executor half.
+/// Inspector input of one unstructured FORALL read
+/// (`tmp(count) = src(subs(i…))`): every rank's source subscripts, in
+/// iteration order, and its element count. A backend's inspector loop
+/// evaluates the subscripts (the only tier-specific part) and
+/// [`push`](Self::push)es them — or a run of iterations at a time
+/// through [`push_row`](Self::push_row) — rank after rank;
+/// [`execute`](Self::execute) locates them and runs the executor.
 #[derive(Debug)]
 pub struct GatherRequests<'a> {
     src: &'a str,
     src_dad: &'a Dad,
-    locate: Locator,
-    reqs: Vec<ElementReq>,
+    rows: Rows,
     counts: Vec<usize>,
 }
 
@@ -369,25 +359,19 @@ impl<'a> GatherRequests<'a> {
         GatherRequests {
             src,
             src_dad,
-            locate: locator(m, src, src_dad),
-            reqs: Vec::new(),
+            rows: Rows::default(),
             counts: vec![0; m.nranks() as usize],
         }
     }
 
-    /// `rank`'s next sequential-buffer slot reads `src(g)`.
+    /// `rank`'s next sequential-buffer slot reads `src(g)`. The
+    /// subscript is checked against `src`'s extents here, so the first
+    /// error reported is the first the inspector loop meets.
     #[inline]
     pub fn push(&mut self, rank: i64, g: &[i64]) -> CommResult<()> {
         check_bounds(self.src, self.src_dad, g)?;
-        let (owner, src_off) = self.locate.locate(g);
-        let count = &mut self.counts[rank as usize];
-        self.reqs.push(ElementReq {
-            requester: rank,
-            owner,
-            src_off,
-            dst_off: *count,
-        });
-        *count += 1;
+        self.rows.push(rank, g);
+        self.counts[rank as usize] += 1;
         Ok(())
     }
 
@@ -396,28 +380,67 @@ impl<'a> GatherRequests<'a> {
     /// iteration. Stops at the first out-of-range subscript, with
     /// `push`'s error.
     pub fn push_row(&mut self, rank: i64, subs: &[i64]) -> CommResult<()> {
-        let ndim = self.src_dad.rank();
-        self.reqs.reserve(subs.len() / ndim);
-        subs.chunks_exact(ndim).try_for_each(|g| self.push(rank, g))
+        let dims = &self.src_dad.dims;
+        let rows = subs.chunks_exact(dims.len());
+        let n = rows.len();
+        let inside = |g: &[i64]| (g.iter().zip(dims)).all(|(&g, dm)| (0..dm.extent).contains(&g));
+        if let Some(g) = rows.clone().find(|g| !inside(g)) {
+            return check_bounds(self.src, self.src_dad, g);
+        }
+        self.rows.push(rank, &subs[..n * dims.len()]);
+        self.counts[rank as usize] += n;
+        Ok(())
     }
 
     /// Charge the modelled inspector (4 element ops per request, one
-    /// lump per rank), size the per-rank sequential buffers `tmp`, build
-    /// or reuse the schedule (per-run §7(3) reuse + cross-run cache) and
-    /// run the vectorized read.
+    /// lump per rank), size the per-rank sequential buffers `tmp`, and
+    /// run the vectorized read by the schedule of statement `stmt`:
+    /// the one its last execution in this run used when the subscripts
+    /// and the source's layout are what they were then
+    /// ([`RunSchedules::kept`]); otherwise the requests are located and
+    /// the schedule built or reused (per-run §7(3) reuse + cross-run
+    /// cache).
     pub fn execute(
         self,
         m: &mut Machine,
         rs: &mut RunSchedules,
+        stmt: StmtId,
         tmp: &str,
         ty: ElemType,
         local_only: bool,
     ) -> CommResult<()> {
         for (rank, &n) in self.counts.iter().enumerate() {
             m.transport.charge_elem_ops(rank as i64, 4 * n as i64);
-            m.mems[rank].insert_array(tmp, LocalArray::zeros(ty, &[n.max(1) as i64]));
+            seq_buffer(&mut m.mems[rank], tmp, ty, n);
         }
-        let sched = schedule(m, rs, self.reqs, local_only, false)?;
+        let at = Inspection {
+            stmt,
+            kind: schedule_kind(local_only, false),
+            is_write: false,
+            arr: self.src,
+            dad: self.src_dad,
+        };
+        let sched = match rs.kept(m, &at, self.rows.runs()) {
+            Some(sched) => sched,
+            None => {
+                let locate = locator(m, self.src, self.src_dad);
+                let mut reqs = Vec::with_capacity(self.counts.iter().sum());
+                let mut next = vec![0; self.counts.len()];
+                for (rank, subs) in self.rows.runs() {
+                    let dst_off = &mut next[rank as usize];
+                    locate.locate_rows(subs, |owner, src_off| {
+                        reqs.push(ElementReq {
+                            requester: rank,
+                            owner,
+                            src_off,
+                            dst_off: *dst_off,
+                        });
+                        *dst_off += 1;
+                    });
+                }
+                rs.schedule_stmt(m, &at, reqs, self.rows)?
+            }
+        };
         crate::schedule::execute_read(m, &sched, self.src, tmp)
     }
 }
@@ -452,46 +475,90 @@ impl ScatterOut {
 }
 
 /// Post-loop executor of a FORALL whose left-hand side is written
-/// through a vector-valued subscript (paper §4 cases 3/4):
-/// `outputs[rank]` is that rank's writes in iteration order. Each value
-/// column becomes the rank's sequential buffer, and the values move to
-/// the owners of `dst` — every copy, along replicated grid axes — by
-/// `postcomp_write` (`invertible`) or `scatter`.
+/// through a vector-valued subscript (paper §4 cases 3/4), statement
+/// `stmt`: `outputs[rank]` is that rank's writes in iteration order.
+/// Each value column becomes the rank's sequential buffer, and the
+/// values move to the owners of `dst` — every copy, along replicated
+/// grid axes — by `postcomp_write` (`invertible`) or `scatter`: by the
+/// schedule the statement's last execution in this run used when the
+/// subscripts and the destination's layout are what they were then
+/// ([`RunSchedules::kept`]), or one built from the located writes.
 pub fn scatter(
     m: &mut Machine,
     rs: &mut RunSchedules,
+    stmt: StmtId,
     dst: &str,
     dst_dad: &Dad,
     outputs: &[ScatterOut],
     invertible: bool,
 ) -> CommResult<()> {
     let buf = format!("__SCATBUF_{dst}");
-    let locate = locator(m, dst, dst_dad);
+    let at = Inspection {
+        stmt,
+        kind: schedule_kind(invertible, true),
+        is_write: true,
+        arr: dst,
+        dad: dst_dad,
+    };
+    let runs = || (outputs.iter().enumerate()).map(|(rank, out)| (rank as i64, &out.subs[..]));
+    let kept = rs.kept(m, &at, runs());
     let ndim = dst_dad.rank();
-    let total: usize = outputs.iter().map(|out| out.vals.len()).sum();
-    let mut reqs = Vec::with_capacity(total * locate.replicas().len());
     for (rank, out) in outputs.iter().enumerate() {
         let n = out.vals.len();
-        let mut la = LocalArray::zeros(out.vals.elem_type(), &[n.max(1) as i64]);
-        la.scatter_flat(0..n, &out.vals);
-        m.mems[rank].insert_array(buf.as_str(), la);
-        for (k, g) in out.subs.chunks_exact(ndim).enumerate() {
-            check_bounds(dst, dst_dad, g)?;
-            let (owner, dst_off) = locate.locate(g);
-            for replica in locate.replicas() {
-                reqs.push(ElementReq {
-                    // For write schedules the "requester" is the
-                    // receiving owner and the "owner" the producer.
-                    requester: owner + replica,
-                    owner: rank as i64,
-                    src_off: k,
-                    dst_off,
-                });
-            }
+        let seq = seq_buffer(&mut m.mems[rank], &buf, out.vals.elem_type(), n);
+        seq.scatter_flat(0..n, &out.vals);
+        if kept.is_none() {
+            (out.subs.chunks_exact(ndim)).try_for_each(|g| check_bounds(dst, dst_dad, g))?;
         }
     }
-    let sched = schedule(m, rs, reqs, invertible, true)?;
+    let sched = match kept {
+        Some(sched) => sched,
+        None => {
+            let locate = locator(m, dst, dst_dad);
+            let total: usize = outputs.iter().map(|out| out.vals.len()).sum();
+            let mut reqs = Vec::with_capacity(total * locate.replicas().len());
+            for (rank, subs) in runs() {
+                let mut src_off = 0;
+                locate.locate_rows(subs, |owner, dst_off| {
+                    for replica in locate.replicas() {
+                        reqs.push(ElementReq {
+                            // For write schedules the "requester" is the
+                            // receiving owner and the "owner" the producer.
+                            requester: owner + replica,
+                            owner: rank,
+                            src_off,
+                            dst_off,
+                        });
+                    }
+                    src_off += 1;
+                });
+            }
+            rs.schedule_stmt(m, &at, reqs, Rows::of(runs()))?
+        }
+    };
     crate::schedule::execute_write(m, &sched, &buf, dst)
+}
+
+/// Make `name` on node `mem` a sequential buffer of `n` zeros of type
+/// `ty` (one, when `n` is 0) — the buffer a previous execution left
+/// under that name, zeroed in place, when it has that type and shape,
+/// so a repeat allocates nothing for it.
+fn seq_buffer<'m>(
+    mem: &'m mut NodeMemory,
+    name: &str,
+    ty: ElemType,
+    n: usize,
+) -> &'m mut LocalArray {
+    let len = n.max(1) as i64;
+    let fits = |seq: &LocalArray| {
+        seq.elem_type() == ty && seq.shape == [len] && seq.ghost_lo == [0] && seq.ghost_hi == [0]
+    };
+    if !(mem.has_array(name) && fits(mem.array(name))) {
+        mem.insert_array(name, LocalArray::zeros(ty, &[len]));
+    }
+    let seq = mem.array_mut(name);
+    seq.data_mut().fill_zero();
+    seq
 }
 
 /// Subscript `g` (0-based) must lie inside dimension `dim` of `arr`:

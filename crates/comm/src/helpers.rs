@@ -89,6 +89,24 @@ impl ExchangePlan {
         self.pairs.push((from, to, self.srcs.len()));
     }
 
+    /// The plan of the pairs `ends` — `(from, to, end)`, ascending in
+    /// `(from, to)`, each pair's elements `[previous end, end)` of the
+    /// columns — moving `srcs[i]` to `dsts[i]`.
+    pub(crate) fn from_columns(
+        ends: Vec<(i64, i64, usize)>,
+        srcs: Vec<usize>,
+        dsts: Vec<usize>,
+    ) -> Self {
+        debug_assert!(ends.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
+        debug_assert_eq!(ends.last().map_or(0, |e| e.2), srcs.len());
+        debug_assert_eq!(srcs.len(), dsts.len());
+        ExchangePlan {
+            pairs: ends,
+            srcs,
+            dsts,
+        }
+    }
+
     /// The `k`-th pair, in plan order.
     pub fn pair(&self, k: usize) -> PairRun<'_> {
         let (from, to, end) = self.pairs[k];

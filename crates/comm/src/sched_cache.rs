@@ -18,6 +18,16 @@
 //! counts are bit-identical whether the cache is cold, warm, or disabled
 //! (`repro --no-sched-cache`) — that is what keeps `BENCH_baseline.json`
 //! valid.
+//!
+//! Below both sits the run's inspector memo ([`RunSchedules::kept`]):
+//! per unstructured statement ([`StmtId`]), the subscript rows its last
+//! execution located, the layout it located them against and the
+//! schedule that came of it. A repeat that presents bit-equal rows
+//! against an equal layout takes that schedule without locating,
+//! building a key or looking one up — and so is charged exactly what a
+//! within-run repeat is charged anyway. The memo holds contents, not
+//! versions: a rewritten index array presents other rows, a
+//! `REDISTRIBUTE`d array another layout, and nothing is invalidated.
 
 use std::collections::HashMap;
 use std::convert::Infallible;
@@ -172,6 +182,132 @@ struct ShiftLayout {
     dst: SegGeometry,
 }
 
+/// One unstructured statement of a program, as the run keeps its last
+/// inspector: a FORALL's unstructured read by its index among the
+/// statement's reads, or the FORALL's vector-subscripted write.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum StmtId {
+    /// Read `gather` of FORALL `forall`.
+    Gather {
+        /// The FORALL.
+        forall: u32,
+        /// Which of its unstructured reads.
+        gather: u32,
+    },
+    /// The post-loop scatter of FORALL `forall`.
+    Scatter {
+        /// The FORALL.
+        forall: u32,
+    },
+}
+
+/// One execution of an unstructured statement, as the inspector memo
+/// tells executions apart: the statement, its inspector family and
+/// side, and the array it reads or writes — named as the machine holds
+/// it, with its live descriptor.
+#[derive(Debug, Clone, Copy)]
+pub struct Inspection<'a> {
+    /// The statement.
+    pub stmt: StmtId,
+    /// The inspector family.
+    pub kind: ScheduleKind,
+    /// A write schedule (the scatter side).
+    pub is_write: bool,
+    /// The array located in: the gather's source, the scatter's
+    /// destination.
+    pub arr: &'a str,
+    /// Its live descriptor.
+    pub dad: &'a Dad,
+}
+
+/// Global subscript rows as an inspector meets them: row-major, one
+/// index per array dimension a row, a rank's rows after another's in
+/// the order they came.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub struct Rows {
+    subs: Vec<i64>,
+    /// `(rank, end)`: the rank's run of rows ends at `subs[end]`.
+    runs: Vec<(i64, usize)>,
+}
+
+impl Rows {
+    /// Append rows `g` (whole rows, row-major) of rank `rank`.
+    #[inline]
+    pub fn push(&mut self, rank: i64, g: &[i64]) {
+        if g.is_empty() {
+            return;
+        }
+        self.subs.extend_from_slice(g);
+        match self.runs.last_mut() {
+            Some((r, end)) if *r == rank => *end = self.subs.len(),
+            _ => self.runs.push((rank, self.subs.len())),
+        }
+    }
+
+    /// Every run of rows: `(rank, its subscripts)`, in order.
+    pub fn runs(&self) -> impl Iterator<Item = (i64, &[i64])> + Clone {
+        let starts = std::iter::once(0).chain(self.runs.iter().map(|&(_, end)| end));
+        (self.runs.iter().zip(starts)).map(|(&(rank, end), start)| (rank, &self.subs[start..end]))
+    }
+
+    /// The rows of `runs`, copied.
+    pub fn of<'a>(runs: impl Iterator<Item = (i64, &'a [i64])>) -> Self {
+        let mut rows = Rows::default();
+        runs.for_each(|(rank, subs)| rows.push(rank, subs));
+        rows
+    }
+
+    /// Whether `runs` (empty ones skipped) are these rows, bit for bit.
+    fn is<'a>(&self, runs: impl Iterator<Item = (i64, &'a [i64])>) -> bool {
+        let mut mine = self.runs();
+        runs.filter(|(_, subs)| !subs.is_empty())
+            .all(|run| mine.next() == Some(run))
+            && mine.next().is_none()
+    }
+}
+
+/// Everything a [`f90d_distrib::Locator`] reads of an array: its
+/// dimension maps, replicated axes and grid, and its segments'
+/// geometry, compared by equality. A `REDISTRIBUTE`d array presents
+/// other `dims`: another layout, no invalidation.
+#[derive(Debug)]
+struct ArrayLayout {
+    dims: Vec<ArrayDimMap>,
+    replicated_axes: Vec<usize>,
+    grid: ProcGrid,
+    seg: SegGeometry,
+}
+
+impl ArrayLayout {
+    fn of(dad: &Dad, seg: &LocalArray) -> Self {
+        ArrayLayout {
+            dims: dad.dims.clone(),
+            replicated_axes: dad.replicated_axes.clone(),
+            grid: dad.grid.clone(),
+            seg: SegGeometry::of(seg),
+        }
+    }
+
+    fn is(&self, dad: &Dad, seg: &LocalArray) -> bool {
+        self.dims == dad.dims
+            && self.replicated_axes == dad.replicated_axes
+            && self.grid == dad.grid
+            && self.seg.is(seg)
+    }
+}
+
+/// What the run keeps of one statement's last inspector: the family
+/// and side it ran for, what it located — the rows, against the array's
+/// layout — and the schedule that came of them.
+#[derive(Debug)]
+struct Inspected {
+    kind: ScheduleKind,
+    is_write: bool,
+    layout: ArrayLayout,
+    rows: Rows,
+    sched: Arc<Schedule>,
+}
+
 /// Per-run front end over the caches: owns the §7(3) within-run reuse
 /// map (keyed by the full pattern, so a signature collision cannot
 /// alias two schedules) and consults the process-wide [`global`] cache
@@ -200,6 +336,10 @@ pub struct RunSchedules {
     shift_moves_kept: usize,
     shifts_built: u64,
     shifts_reused: u64,
+    /// Per unstructured statement, its last inspector (under `reuse`).
+    kept: HashMap<StmtId, Inspected>,
+    /// Executions that took their schedule from `kept`.
+    reinspected: u64,
 }
 
 impl Default for RunSchedules {
@@ -221,6 +361,8 @@ impl RunSchedules {
             shift_moves_kept: 0,
             shifts_built: 0,
             shifts_reused: 0,
+            kept: HashMap::new(),
+            reinspected: 0,
         }
     }
 
@@ -266,6 +408,67 @@ impl RunSchedules {
             self.seen.entry(key).or_default()[side] = Some(sched.clone());
         }
         Ok(sched)
+    }
+
+    /// The schedule `at`'s statement's last execution in this run used,
+    /// when this one would build the same: [`RunSchedules::reuse`] on,
+    /// the same family and side, the array of the layout it located
+    /// against (its live descriptor and the segments `m` holds), and
+    /// `runs` the rows it located, bit for bit (ranks with no row
+    /// skipped). The executor then runs that schedule without locating,
+    /// without a key and without a lookup in the reuse map — which would
+    /// find it there, so the charges are a repeat's: none. Counted
+    /// ([`RunSchedules::inspectors_reused`]).
+    pub fn kept<'r>(
+        &mut self,
+        m: &Machine,
+        at: &Inspection<'_>,
+        runs: impl Iterator<Item = (i64, &'r [i64])>,
+    ) -> Option<Arc<Schedule>> {
+        if !self.reuse {
+            return None;
+        }
+        let seg = m.mems[0].array(at.arr);
+        let kept = self.kept.get(&at.stmt).filter(|k| {
+            (k.kind, k.is_write) == (at.kind, at.is_write)
+                && k.layout.is(at.dad, seg)
+                && k.rows.is(runs)
+        })?;
+        self.reinspected += 1;
+        Some(kept.sched.clone())
+    }
+
+    /// [`RunSchedules::schedule`] for `at`, whose inspector located
+    /// `rows` into `reqs`: with `reuse` on, the rows, the array's layout
+    /// and the schedule are kept for the statement's next execution
+    /// ([`RunSchedules::kept`]).
+    pub fn schedule_stmt(
+        &mut self,
+        m: &mut Machine,
+        at: &Inspection<'_>,
+        reqs: Vec<ElementReq>,
+        rows: Rows,
+    ) -> CommResult<Arc<Schedule>> {
+        let layout = (self.reuse).then(|| ArrayLayout::of(at.dad, m.mems[0].array(at.arr)));
+        let sched = self.schedule(m, at.kind, reqs, at.is_write)?;
+        if let Some(layout) = layout {
+            let kept = Inspected {
+                kind: at.kind,
+                is_write: at.is_write,
+                layout,
+                rows,
+                sched: sched.clone(),
+            };
+            self.kept.insert(at.stmt, kept);
+        }
+        Ok(sched)
+    }
+
+    /// Unstructured executions this run that took their statement's
+    /// kept schedule ([`RunSchedules::kept`]) instead of locating.
+    /// Exact; explains host time, moves no virtual metric.
+    pub fn inspectors_reused(&self) -> u64 {
+        self.reinspected
     }
 
     /// The plan of a structured shift of `src` (live descriptor `dad`)

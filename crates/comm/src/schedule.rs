@@ -22,7 +22,7 @@
 
 use f90d_machine::{ArrayData, IntMap, Machine, Transport};
 
-use crate::helpers::{ExchangePlan, PairMoves};
+use crate::helpers::ExchangePlan;
 use crate::op::CommResult;
 
 /// Which inspector built the schedule (affects modelled preprocessing
@@ -124,22 +124,46 @@ pub struct ElementReq {
 /// the cost-model half ([`inspect`]) is charged on every run either way,
 /// which is what keeps cached and uncached runs virtual-time identical.
 ///
-/// One pass: each request finds its `(owner, requester)` bucket through
-/// an integer-hashed index, and the ordered move table is assembled
-/// from the finished buckets — one tree insertion per processor pair,
-/// not one tree probe per element.
+/// A counting sort by `(owner, requester)` pair: the first pass gives
+/// each request its pair's id (an integer-hashed index, in order of
+/// first appearance) and counts the pairs; the distinct pairs are
+/// sorted once, which fixes where each one's elements start; the
+/// second pass writes every request's offsets straight into the plan's
+/// columns. A pair's elements keep their request order.
 pub fn build_schedule(kind: ScheduleKind, reqs: &[ElementReq]) -> Schedule {
-    let mut index: IntMap<(i64, i64), usize> = IntMap::default();
-    let mut buckets: Vec<((i64, i64), Vec<(usize, usize)>)> = Vec::new();
-    for r in reqs {
-        let pair = (r.owner, r.requester);
-        let at = *index.entry(pair).or_insert_with(|| {
-            buckets.push((pair, Vec::new()));
-            buckets.len() - 1
-        });
-        buckets[at].1.push((r.src_off, r.dst_off));
+    let mut index: IntMap<(i64, i64), u32> = IntMap::default();
+    // `(pair, elements)` by id.
+    let mut pairs: Vec<((i64, i64), usize)> = Vec::new();
+    let ids: Vec<u32> = (reqs.iter())
+        .map(|r| {
+            let pair = (r.owner, r.requester);
+            let id = *index.entry(pair).or_insert_with(|| {
+                pairs.push((pair, 0));
+                (pairs.len() - 1) as u32
+            });
+            pairs[id as usize].1 += 1;
+            id
+        })
+        .collect();
+    let mut order: Vec<u32> = (0..pairs.len() as u32).collect();
+    order.sort_unstable_by_key(|&id| pairs[id as usize].0);
+    // Each pair's next free slot in the columns, by id.
+    let mut next = vec![0; pairs.len()];
+    let mut ends = Vec::with_capacity(pairs.len());
+    let mut end = 0;
+    for &id in &order {
+        let ((from, to), n) = pairs[id as usize];
+        next[id as usize] = end;
+        end += n;
+        ends.push((from, to, end));
     }
-    let plan = ExchangePlan::from(buckets.into_iter().collect::<PairMoves>());
+    let (mut srcs, mut dsts) = (vec![0; reqs.len()], vec![0; reqs.len()]);
+    for (r, &id) in reqs.iter().zip(&ids) {
+        let at = &mut next[id as usize];
+        (srcs[*at], dsts[*at]) = (r.src_off, r.dst_off);
+        *at += 1;
+    }
+    let plan = ExchangePlan::from_columns(ends, srcs, dsts);
     let sig = hash_moves(&plan);
     Schedule { kind, plan, sig }
 }
@@ -268,6 +292,69 @@ mod tests {
             m.mems[r as usize].insert_array("DST", LocalArray::zeros(ElemType::Real, &[8]));
         }
         m
+    }
+
+    /// The construction [`build_schedule`] replaced, kept as its
+    /// oracle: every request appended to its `(owner, requester)`
+    /// bucket of a `BTreeMap`, the plan read off the map in key order.
+    fn build_by_tree(kind: ScheduleKind, reqs: &[ElementReq]) -> Schedule {
+        let mut moves = crate::helpers::PairMoves::new();
+        for r in reqs {
+            let pair = moves.entry((r.owner, r.requester)).or_default();
+            pair.push((r.src_off, r.dst_off));
+        }
+        let plan = ExchangePlan::from(moves);
+        let sig = hash_moves(&plan);
+        Schedule { kind, plan, sig }
+    }
+
+    /// The counting sort builds the oracle's plan — the same pairs in
+    /// the same order, each pair's elements in the same order, the same
+    /// signature — on random request lists over 1 to 1000 ranks, and on
+    /// the edge cases: no request, a single pair, every request local,
+    /// and pairs that come back out of order between other pairs.
+    #[test]
+    fn counting_sort_is_the_tree_construction() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |below: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % below) as i64
+        };
+        let req = |requester: i64, owner: i64, src_off: i64, dst_off: i64| ElementReq {
+            requester,
+            owner,
+            src_off: src_off as usize,
+            dst_off: dst_off as usize,
+        };
+        let mut lists: Vec<Vec<ElementReq>> = vec![
+            Vec::new(),
+            (0..9).map(|k| req(2, 5, 8 - k, k)).collect(),
+            (0..12).map(|k| req(k % 4, k % 4, k, 11 - k)).collect(),
+            [(1, 0), (0, 1), (1, 0), (3, 3), (0, 1), (1, 0), (2, 1)]
+                .iter()
+                .enumerate()
+                .map(|(k, &(r, o))| req(r, o, k as i64 * 3, k as i64))
+                .collect(),
+        ];
+        for k in 0..300 {
+            // A third over up to a thousand ranks: pairs that rarely
+            // repeat.
+            let p = 1 + next(if k % 3 == 0 { 1000 } else { 16 }) as u64;
+            let n = next(200);
+            let list = (0..n).map(|k| req(next(p), next(p), next(64), k)).collect();
+            lists.push(list);
+        }
+        for reqs in &lists {
+            let (got, want) = (
+                build_schedule(ScheduleKind::FanInRequests, reqs),
+                build_by_tree(ScheduleKind::FanInRequests, reqs),
+            );
+            assert_eq!(got.plan, want.plan, "{reqs:?}");
+            assert_eq!(got.signature(), want.signature());
+            assert_eq!(got.message_count(), want.message_count());
+        }
     }
 
     #[test]

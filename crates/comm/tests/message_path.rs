@@ -30,7 +30,7 @@
 
 use f90d_comm::driver::{self, CommDriver, GatherRequests, GhostSpec, ScatterOut};
 use f90d_comm::helpers::exchange;
-use f90d_comm::sched_cache::RunSchedules;
+use f90d_comm::sched_cache::{RunSchedules, StmtId};
 use f90d_comm::structured::{
     alloc_slab_tmp, concatenation, multicast, multicast_shift, temporary_shift, transfer,
 };
@@ -211,7 +211,11 @@ fn run_gather(
             reqs.push(rank as i64, g).unwrap();
         }
     }
-    reqs.execute(m, rs, "TMP", ty, local_only).unwrap();
+    let stmt = StmtId::Gather {
+        forall: 0,
+        gather: 0,
+    };
+    reqs.execute(m, rs, stmt, "TMP", ty, local_only).unwrap();
 }
 
 /// One post-loop vector-subscripted write into `B`: `writes[rank]` are
@@ -234,7 +238,8 @@ fn run_scatter(
             out
         })
         .collect();
-    driver::scatter(m, rs, "B", dad, &outputs, invertible).unwrap();
+    let stmt = StmtId::Scatter { forall: 0 };
+    driver::scatter(m, rs, stmt, "B", dad, &outputs, invertible).unwrap();
 }
 
 /// The layouts of the unstructured scenarios: every structured one, and

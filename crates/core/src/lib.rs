@@ -135,6 +135,17 @@ pub struct RunTrace {
     /// iterations: at most `ranks_visited`, equal when the window of
     /// ranks that can own an iteration is tight.
     pub ranks_active: u64,
+    /// Unstructured reads and writes (gathers, scatters) whose
+    /// execution took the schedule of the statement's previous
+    /// execution in this run — the same subscripts, located against the
+    /// same layout — without locating a request (`schedule_reuse` on).
+    /// Exact; explains host time and moves no virtual metric.
+    pub inspectors_reused: u64,
+    /// Native-tier rank-phases whose writes were copied from the first
+    /// active rank's instead of computed: every active rank had the
+    /// same iteration space and single in-place write under a body that
+    /// reads no array. Exact; each rank is still charged its own ops.
+    pub ranks_copied: u64,
     /// Comm phases the driver posted as one batched, coalesced ghost
     /// exchange (`comm_plan` on). Informational — the driver's fallback
     /// contract keeps results bit-identical.
@@ -150,7 +161,7 @@ impl RunTrace {
     /// (`results.json` nests the groups). A counter added to the trace
     /// is added here, and every reader — `results.json`, the `repro`
     /// stderr totals, `--exp vmcmp` — carries it.
-    pub fn counters(&self) -> [(&'static str, u64); 12] {
+    pub fn counters(&self) -> [(&'static str, u64); 14] {
         [
             ("sched_hits", self.sched_hits),
             ("sched_misses", self.sched_misses),
@@ -162,6 +173,8 @@ impl RunTrace {
             ("plan_reuse.dispatch_reused", self.dispatch_reused),
             ("plan_reuse.ranks_visited", self.ranks_visited),
             ("plan_reuse.ranks_active", self.ranks_active),
+            ("plan_reuse.inspectors_reused", self.inspectors_reused),
+            ("plan_reuse.ranks_copied", self.ranks_copied),
             ("comm_plan.groups", self.comm_groups),
             ("comm_plan.fallbacks", self.comm_fallbacks),
         ]
@@ -199,6 +212,8 @@ impl Compiled {
                 dispatch_reused: eng.dispatch_reused(),
                 ranks_visited,
                 ranks_active,
+                inspectors_reused: eng.sched.inspectors_reused(),
+                ranks_copied: eng.ranks_copied(),
                 comm_groups,
                 comm_fallbacks,
             },

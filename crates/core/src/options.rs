@@ -91,7 +91,7 @@ impl OptFlags {
 /// There is one; the enum, [`CompileOptions::backend`] and
 /// [`CompileOptions::with_backend`] remain only because `benchmark/`
 /// names them and a PR that changes the library may not edit it
-/// (ROADMAP item 2 deletes all three).
+/// (ROADMAP item 1(e) deletes all three).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Backend {
     /// Lower once to register bytecode (cached by source/options/grid)

@@ -32,12 +32,21 @@
 //! allocates per call, never per element — [`the_element_walks_allocate_per_call`]
 //! holds each to fewer allocations than one per 16 elements. (Before the
 //! walk, every element was copied out as two index vectors.)
+//!
+//! A repeat of an unstructured statement is guarded too: when its
+//! subscripts and layout are those of the execution before, the run
+//! takes the schedule it kept and locates nothing, and the sequential
+//! buffers and inspector buffers are the ones already there —
+//! [`repeated_inspectors_and_copied_ranks_allocate_per_rank`] holds one
+//! repeat of the irregular kernel to the same count at two sizes and
+//! under two thirds of what it made before, and a replicated write
+//! computed once to no allocation for the ranks it is copied to.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use f90d_comm::reduce::ReduceOp;
-use f90d_core::{compile, CompileOptions};
+use f90d_core::{compile, CompileOptions, RunTrace};
 use f90d_distrib::{DistKind, ProcGrid};
 use f90d_machine::{ElemType, Machine, MachineSpec, Value};
 use f90d_progen::workloads::gaussian;
@@ -157,3 +166,89 @@ fn the_element_walks_allocate_per_call() {
         "SUM(A, DIM=1): {sum} allocations, bound {bound}"
     );
 }
+
+/// Allocations one run of `src` makes on `p` ranks after a first run
+/// lowered it and filled the schedule cache, with the run's trace.
+fn warm_run(src: &str, p: i64) -> (u64, RunTrace) {
+    let compiled = compile(src, &CompileOptions::on_grid(&[p])).expect("compiles");
+    let spec = MachineSpec::ipsc860();
+    compiled
+        .run_on(&mut Machine::new(spec.clone(), ProcGrid::new(&[p])))
+        .expect("runs");
+    let mut m = Machine::new(spec, ProcGrid::new(&[p]));
+    let before = allocations();
+    let (_, trace) = compiled.run_on_traced(&mut m).expect("runs");
+    (allocations() - before, trace)
+}
+
+/// What one more trip of a `DO` around `body` costs in allocations on
+/// `p` ranks: a run of five trips less a run of one, over four. `body`
+/// reads `IT`, the trip, only if it means to.
+fn per_trip(setup: &str, body: &str, p: i64) -> (f64, RunTrace) {
+    let program = |trips: i64| format!("{setup}\nDO IT = 1, {trips}\n{body}\nEND DO\nEND\n");
+    let (one, _) = warm_run(&program(1), p);
+    let (five, trace) = warm_run(&program(5), p);
+    ((five as f64 - one as f64) / 4.0, trace)
+}
+
+/// A repeat execution of the irregular kernel `A(U(I)) = B(V(I)) +
+/// C(I)` — its two unstructured reads and its scatter, with the
+/// subscripts of the execution before — allocates per rank and per
+/// processor pair, never per element: as many allocations at N = 2048
+/// as at N = 8192, and on 4 ranks at most [`IRREGULAR_REPEAT_BOUND`].
+/// That is two thirds of what a repeat made before it took the kept
+/// schedule (240: the inspector located and keyed every request, and
+/// each rank's sequential buffers and inspector buffers were allocated
+/// afresh); it makes 103 now. A replicated fill the first rank computes
+/// for every rank (`U(I) = MOD(I*5 + IT, N) + 1`) allocates nothing for
+/// the ranks it copies to: its trip costs as many allocations on 16
+/// ranks as on 4.
+#[test]
+fn repeated_inspectors_and_copied_ranks_allocate_per_rank() {
+    let setup = |n: i64| {
+        format!(
+            "
+PROGRAM IRREG
+INTEGER, PARAMETER :: N = {n}
+REAL A(N), B(N), C(N)
+INTEGER U(N), V(N)
+INTEGER IT
+C$ TEMPLATE T(N)
+C$ ALIGN A(I) WITH T(I)
+C$ ALIGN B(I) WITH T(I)
+C$ ALIGN C(I) WITH T(I)
+C$ DISTRIBUTE T(BLOCK)
+FORALL (I=1:N) B(I) = REAL(I)
+FORALL (I=1:N) C(I) = REAL(N - I)
+FORALL (I=1:N) U(I) = MOD(I*7, N) + 1
+FORALL (I=1:N) V(I) = MOD(I*11, N) + 1"
+        )
+    };
+    let kernel = "FORALL (I=1:N) A(U(I)) = B(V(I)) + C(I)";
+    let (small, _) = per_trip(&setup(2048), kernel, 4);
+    let (repeat, trace) = per_trip(&setup(8192), kernel, 4);
+    println!("irregular kernel: {repeat} allocations per repeat on 4 ranks ({small} at N = 2048)");
+    assert_eq!(
+        trace.inspectors_reused, 12,
+        "two reads and a scatter, four repeats"
+    );
+    assert_eq!(repeat, small, "a repeat allocates per element");
+    assert!(
+        repeat <= IRREGULAR_REPEAT_BOUND,
+        "{repeat} allocations per repeat of the irregular kernel on 4 ranks, over {IRREGULAR_REPEAT_BOUND}"
+    );
+    let fill = "FORALL (I=1:N) U(I) = MOD(I*5 + IT, N) + 1";
+    let (on4, _) = per_trip(&setup(8192), fill, 4);
+    let (on16, trace) = per_trip(&setup(8192), fill, 16);
+    println!("replicated fill: {on4} allocations per trip on 4 ranks, {on16} on 16");
+    assert_eq!(
+        trace.ranks_copied,
+        2 * 15 + 5 * 15,
+        "`U` and `V`, then every trip"
+    );
+    assert_eq!(on16, on4, "a copied rank allocates");
+}
+
+/// Two thirds of the 240 allocations a repeat of the irregular kernel
+/// made on 4 ranks while every execution ran the inspector.
+const IRREGULAR_REPEAT_BOUND: f64 = 160.0;

@@ -346,3 +346,73 @@ END
         }
     }
 }
+
+/// What a run keeps of an unstructured statement's inspector serves a
+/// repeat only when the subscripts and the layout are what they were,
+/// and a replicated write is computed once only when no rank could
+/// write anything else. The irregular kernel and the five corpus pins
+/// of those rules run on both tiers with `schedule_reuse` on and off:
+/// every padded cell, clock, message and byte agrees between the tiers,
+/// PRINT agrees with the reference interpreter, and the counts are
+/// those worked out by hand below. Reuse off takes the inspector every
+/// time (`inspectors_reused` 0); the copies do not depend on it.
+#[test]
+fn inspectors_and_replicated_writes_are_reused_only_when_equal() {
+    let corpus = |name: &str| {
+        let path = format!("{}/../../corpus/{name}.f90d", env!("CARGO_MANIFEST_DIR"));
+        std::fs::read_to_string(path).expect("corpus program")
+    };
+    // (program, arrays, inspectors reused, ranks copied on the native
+    // tier) on 4 ranks.
+    let cases: [(&str, String, &[&str], u64, u64); 6] = [
+        // Two reads (`C(I)`, `B(V(I))`) and the scatter, repeated by
+        // three of four trips; `U` and `V` are computed once (3 + 3).
+        ("irregular", irregular(16), &["A", "U", "V"], 9, 6),
+        // `V` changes every trip: its read misses, `C(I)` and the
+        // scatter through the unchanged `U` hit on trips 2 and 3. `U`
+        // once, `V` on each of three trips: 3 + 9 copies.
+        ("reuse_rewrite", corpus("reuse_rewrite"), &["A", "V"], 4, 12),
+        // `V` is rewritten with the values it holds: all three hit.
+        ("reuse_same", corpus("reuse_same"), &["A", "V"], 6, 12),
+        // `B` is BLOCK on trip 1 and CYCLIC on trips 2 and 3: only
+        // trip 3 meets the layout its read located against before. `W`
+        // is not aligned with `A` (each is distributed on its own), so
+        // `W(I) = A(I) * ...` reads `A` through `precomp_read`, which
+        // hits on trips 2 and 3.
+        ("reuse_redist", corpus("reuse_redist"), &["A", "B"], 3, 3),
+        // Two statements read `B(V(I))`: each keeps its own, and the
+        // second charges no inspector even on trip 1 (the run's reuse
+        // map has the pattern).
+        (
+            "reuse_shared",
+            corpus("reuse_shared"),
+            &["A", "B", "D"],
+            4,
+            3,
+        ),
+        // `R`'s two writes read no array (3 + 3); `S`'s reads `R`.
+        (
+            "replicated_copy",
+            corpus("replicated_copy"),
+            &["R", "S"],
+            0,
+            6,
+        ),
+    ];
+    for (name, src, arrays, reused, copied) in cases {
+        let (_, printed) = reference(&src, &[4], arrays);
+        for reuse in [true, false] {
+            let flags = |opts: &mut CompileOptions| opts.opt.schedule_reuse = reuse;
+            let run = |tier| common::observe_with(&src, &[4], arrays, tier, &flags);
+            let (bytecode, bt) = run(Tier::Bytecode).expect("runs");
+            let (native, nt) = run(Tier::Native).expect("runs");
+            assert_eq!(bytecode, native, "{name} (reuse {reuse}): the tiers differ");
+            assert_eq!(native.printed, printed, "{name} (reuse {reuse}): PRINT");
+            let want = if reuse { reused } else { 0 };
+            for (tier, t) in [("bytecode", bt), ("native", nt)] {
+                assert_eq!(t.inspectors_reused, want, "{name} ({tier}, reuse {reuse})");
+            }
+            assert_eq!((bt.ranks_copied, nt.ranks_copied), (0, copied), "{name}");
+        }
+    }
+}

@@ -404,7 +404,10 @@ pub fn row_major_strides(extents: &[i64]) -> Vec<i64> {
 ///
 /// Built once per `(descriptor, segment layout)` — every rank allocates
 /// an array's segment with the same shape and ghost widths — and
-/// evaluated per element by the unstructured-communication inspectors.
+/// evaluated by the unstructured-communication inspectors, an element
+/// ([`Locator::locate`]) or a column of them ([`Locator::locate_rows`])
+/// at a time. The distribution's constants (BLOCK's block size, the
+/// processor count) are computed here, once, not per element.
 #[derive(Debug, Clone)]
 pub struct Locator {
     dims: Vec<LocatorDim>,
@@ -415,13 +418,100 @@ pub struct Locator {
 
 #[derive(Debug, Clone)]
 struct LocatorDim {
-    /// A distributed dimension's alignment, distribution, and the rank
+    /// A distributed dimension's alignment, `μ`, and the rank
     /// contribution of each grid coordinate along its axis (`φ` is a sum
     /// of per-axis terms under both embeddings).
-    owner: Option<(AlignExpr, DimDist, Vec<i64>)>,
+    owner: Option<(AlignExpr, Mu, Vec<i64>)>,
     ghost_lo: i64,
     /// Row-major stride over the padded extents.
     stride: i64,
+}
+
+/// `μ` of a distributed dimension ([`DimDist::global_to_local`]) with
+/// its constants precomputed, on template indices, which are never
+/// negative: `(grid coordinate, local index)`.
+#[derive(Debug, Clone, Copy)]
+enum Mu {
+    /// Blocks of `b`; the last coordinate, `last`, takes the rest.
+    Block {
+        b: u64,
+        last: u64,
+    },
+    Cyclic {
+        np: u64,
+    },
+    BlockCyclic {
+        k: u64,
+        np: u64,
+    },
+}
+
+impl Mu {
+    fn of(dist: &DimDist) -> Self {
+        let np = dist.nprocs as u64;
+        match dist.kind {
+            DistKind::Block => Mu::Block {
+                b: dist.block_size() as u64,
+                last: np - 1,
+            },
+            DistKind::Cyclic => Mu::Cyclic { np },
+            DistKind::BlockCyclic(k) => Mu::BlockCyclic { k: k as u64, np },
+            DistKind::Collapsed => unreachable!("a collapsed dimension is held whole"),
+        }
+    }
+
+    #[inline]
+    fn block(t: u64, b: u64, last: u64) -> (u64, u64) {
+        let p = (t / b).min(last);
+        (p, t - p * b)
+    }
+
+    #[inline]
+    fn block_cyclic(t: u64, k: u64, np: u64) -> (u64, u64) {
+        let block = t / k;
+        (block % np, block / np * k + t % k)
+    }
+
+    #[inline]
+    fn map(self, t: u64) -> (u64, u64) {
+        match self {
+            Mu::Block { b, last } => Self::block(t, b, last),
+            Mu::Cyclic { np } => (t % np, t / np),
+            Mu::BlockCyclic { k, np } => Self::block_cyclic(t, k, np),
+        }
+    }
+}
+
+impl LocatorDim {
+    /// `(rank contribution, padded offset contribution)` of index `g`.
+    #[inline]
+    fn place(&self, g: i64) -> (i64, i64) {
+        let (rank, local) = match &self.owner {
+            Some((align, mu, ranks)) => {
+                let (p, l) = mu.map(align.apply(g) as u64);
+                (ranks[p as usize], l as i64)
+            }
+            None => (0, g),
+        };
+        (rank, (local + self.ghost_lo) * self.stride)
+    }
+
+    /// [`LocatorDim::place`] of every index of `col`, in order, through
+    /// `each`: the distribution is matched once for the column.
+    #[inline]
+    fn place_column(&self, col: impl Iterator<Item = i64>, mut each: impl FnMut(i64, i64)) {
+        let (ghost_lo, stride) = (self.ghost_lo, self.stride);
+        let Some((align, mu, ranks)) = &self.owner else {
+            return col.for_each(|g| each(0, (g + ghost_lo) * stride));
+        };
+        let mut put = |(p, l): (u64, u64)| each(ranks[p as usize], (l as i64 + ghost_lo) * stride);
+        let t = col.map(|g| align.apply(g) as u64);
+        match *mu {
+            Mu::Block { b, last } => t.for_each(|t| put(Mu::block(t, b, last))),
+            Mu::Cyclic { np } => t.for_each(|t| put((t % np, t / np))),
+            Mu::BlockCyclic { k, np } => t.for_each(|t| put(Mu::block_cyclic(t, k, np))),
+        }
+    }
 }
 
 impl Locator {
@@ -445,7 +535,7 @@ impl Locator {
             .map(|((dm, stride), ghost_lo)| {
                 let owner = dm.is_distributed().then(|| {
                     let axis = dm.grid_axis.expect("distributed dim has axis");
-                    (dm.align, dm.dist, axis_ranks(axis))
+                    (dm.align, Mu::of(&dm.dist), axis_ranks(axis))
                 });
                 LocatorDim {
                     owner,
@@ -474,17 +564,35 @@ impl Locator {
         debug_assert_eq!(g.len(), self.dims.len());
         let (mut rank, mut off) = (0, 0);
         for (dim, &g) in self.dims.iter().zip(g) {
-            let local = match &dim.owner {
-                Some((align, dist, ranks)) => {
-                    let (p, l) = dist.global_to_local(align.apply(g));
-                    rank += ranks[p as usize];
-                    l
-                }
-                None => g,
-            };
-            off += (local + dim.ghost_lo) * dim.stride;
+            let (r, o) = dim.place(g);
+            rank += r;
+            off += o;
         }
         (rank, off as usize)
+    }
+
+    /// [`Locator::locate`] of every row of `subs` — row-major, one index
+    /// per dimension a row, every row inside the array — in order,
+    /// through `each(owner, offset)`. A column at a time: each
+    /// dimension's distribution is matched once per call, and a
+    /// distributed dimension costs one division per element (two under
+    /// `CYCLIC(K)`); an array of several dimensions sums its columns'
+    /// parts in one buffer of the rows.
+    pub fn locate_rows(&self, subs: &[i64], mut each: impl FnMut(i64, usize)) {
+        let ndim = self.dims.len();
+        if let [dim] = &self.dims[..] {
+            return dim.place_column(subs.iter().copied(), |r, o| each(r, o as usize));
+        }
+        debug_assert_eq!(subs.len() % ndim, 0);
+        let mut sums = vec![(0, 0); subs.len() / ndim];
+        for (d, dim) in self.dims.iter().enumerate() {
+            let mut at = sums.iter_mut();
+            dim.place_column(subs.iter().skip(d).step_by(ndim).copied(), |r, o| {
+                let sum = at.next().expect("one sum per row");
+                *sum = (sum.0 + r, sum.1 + o);
+            });
+        }
+        sums.into_iter().for_each(|(r, o)| each(r, o as usize));
     }
 
     /// Rank offsets of the element's copies (see [`Locator::locate`]).
@@ -920,6 +1028,87 @@ mod tests {
                     }
                     g[d] = 0;
                 }
+            }
+        }
+
+        /// The column form, `Locator::locate_rows`, is `owner_ranks` +
+        /// `local_index` too, row by row in the order given: every
+        /// element of a 1-D, 2-D or 3-D array — BLOCK (short last block
+        /// included), CYCLIC, CYCLIC(K) and collapsed dimensions under
+        /// strided, reversed and offset alignments — visited backwards
+        /// and then forwards again (so a column holds repeats, out of
+        /// order), any ghost widths, and a grid with an extra axis no
+        /// dimension uses, along which every element is replicated.
+        #[test]
+        fn locate_rows_equals_owner_ranks_and_local_index(
+            first in dim_case(),
+            second in dim_case(),
+            third in dim_case(),
+            which in (0usize..5, 0usize..5, 0usize..5),
+            ndim in 1usize..4,
+            procs in (1i64..5, 1i64..5, 1i64..5),
+            spare in 1i64..4,
+            ghost_lo in 0i64..3,
+            ghost_hi in 0i64..3,
+        ) {
+            // Three dimensions stay a few thousand elements.
+            let cap = |c: DimCase| DimCase { n: if ndim == 3 { c.n.min(12) } else { c.n }, ..c };
+            let cases: Vec<(DimCase, usize)> = [(first, which.0), (second, which.1), (third, which.2)]
+                .into_iter()
+                .take(ndim)
+                .map(|(c, k)| (cap(c), k))
+                .collect();
+            let procs = [procs.0, procs.1, procs.2];
+            let kinds: Vec<DistKind> = (cases.iter())
+                .map(|(c, k)| if *k == 4 { DistKind::Collapsed } else { c.kind() })
+                .collect();
+            let ndist = kinds.iter().filter(|k| k.is_distributed()).count();
+            let grid: Vec<i64> = procs[..ndist].iter().copied().chain([spare]).collect();
+            let extents: Vec<i64> = cases.iter().map(|(c, _)| c.template_extent()).collect();
+            let dad = DadBuilder::new("A", &cases.iter().map(|(c, _)| c.n).collect::<Vec<_>>())
+                .template(Template::new("T", &extents))
+                .align(Alignment {
+                    axes: (cases.iter().enumerate())
+                        .map(|(template_dim, (c, _))| AxisAlign::Aligned {
+                            template_dim,
+                            expr: c.expr(),
+                        })
+                        .collect(),
+                    replicated_template_dims: vec![],
+                })
+                .distribute(&kinds)
+                .grid(ProcGrid::new(&grid))
+                .build()
+                .unwrap();
+            proptest::prop_assert!(dad.replicated_axes.contains(&ndist));
+            let shape = dad.local_shape();
+            let (lo, hi) = (vec![ghost_lo; dad.rank()], vec![ghost_hi; dad.rank()]);
+            let loc = Locator::new(&dad, &shape, &lo, &hi);
+            let padded: Vec<i64> = shape.iter().map(|s| s + ghost_lo + ghost_hi).collect();
+            let size: i64 = dad.shape.iter().product();
+            let rows: Vec<Vec<i64>> = ((0..size).rev().chain(0..size))
+                .map(|flat| {
+                    let mut g = vec![0; dad.rank()];
+                    let mut rest = flat;
+                    for d in (0..dad.rank()).rev() {
+                        g[d] = rest % dad.shape[d];
+                        rest /= dad.shape[d];
+                    }
+                    g
+                })
+                .collect();
+            let mut got = Vec::new();
+            loc.locate_rows(&[], |owner, off| got.push((owner, off)));
+            proptest::prop_assert!(got.is_empty(), "no row, nothing located");
+            loc.locate_rows(&rows.concat(), |owner, off| got.push((owner, off)));
+            proptest::prop_assert_eq!(got.len(), rows.len());
+            for (g, &(owner, off)) in rows.iter().zip(&got) {
+                let want_off = (dad.local_index(g).iter().zip(&padded))
+                    .fold(0, |off, (&l, &s)| off * s + l + ghost_lo);
+                let copies: Vec<i64> = loc.replicas().iter().map(|r| owner + r).collect();
+                proptest::prop_assert_eq!(&copies, &dad.owner_ranks(g), "element {:?}", g);
+                proptest::prop_assert_eq!(off, want_off as usize, "element {:?}", g);
+                proptest::prop_assert_eq!(loc.locate(g), (owner, off), "element {:?}", g);
             }
         }
     }

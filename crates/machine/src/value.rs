@@ -210,6 +210,16 @@ impl ArrayData {
         }
     }
 
+    /// Set every element to zero, keeping the allocation.
+    pub fn fill_zero(&mut self) {
+        match self {
+            ArrayData::Int(v) => v.fill(0),
+            ArrayData::Real(v) => v.fill(0.0),
+            ArrayData::Bool(v) => v.fill(false),
+            ArrayData::Complex(v) => v.fill([0.0, 0.0]),
+        }
+    }
+
     /// Borrow as `&[f64]`; panics for non-REAL storage.
     pub fn as_real_slice(&self) -> &[f64] {
         match self {

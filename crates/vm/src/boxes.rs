@@ -171,14 +171,14 @@ fn index_box(
 
 /// One rank's native inspector for gather `gi` of a bound FORALL: the
 /// source subscripts of every iteration, a box at a time in iteration
-/// order, pushed to `reqs`.
+/// order, pushed to `reqs`, on the buffers `bufs` lends every rank of
+/// the gather in turn.
 pub(crate) fn inspect_boxes(
     cx: ForallCx<'_>,
-    nr: NatRank<'_>,
-    gi: usize,
-    rank: usize,
+    (nr, gi, rank): (NatRank<'_>, usize, usize),
     mem: &mut NodeMemory,
     reqs: &mut GatherRequests,
+    bufs: &mut Buffers<i64>,
 ) -> CommResult<()> {
     let (g, name) = (nr.gather(gi), |a: ArrId| cx.prog.arrays[a].name.as_str());
     // Lazily-allocated segments expose no raw slice until their buffer
@@ -187,12 +187,9 @@ pub(crate) fn inspect_boxes(
         mem.array_mut(name(arr)).materialize();
     }
     // Inspector subscripts read no gathered value and alias no write.
-    let mut boxes = SiteBoxes::<i64> {
-        reads: Vec::new(),
-        lins: Vec::new(),
-    };
+    let mut boxes = SiteBoxes::on(&mut bufs.index);
     boxes.add(&g.sites, mem, name, [&[], &[]]);
-    let (mut cols, mut dense, mut pool) = (Vec::new(), Vec::new(), Pool::default());
+    let (cols, dense, pool) = (&mut bufs.cols, &mut bufs.dense, &mut bufs.pool);
     let mut result = Ok(());
     Boxes::new(cx.spaces.space(rank)).for_each(|bx| {
         if result.is_err() {
@@ -201,18 +198,21 @@ pub(crate) fn inspect_boxes(
         let args = boxes.args(&mut (0, 0), &g.sites, bx, false);
         cols.resize(args.rows * args.len * g.subs.len(), 0);
         let dense_rows = (0, args.len);
-        index_box(g.subs, &args, &mut cols, dense_rows, &mut dense, &mut pool);
-        result = reqs.push_row(rank as i64, &cols);
+        index_box(g.subs, &args, cols, dense_rows, dense, pool);
+        result = reqs.push_row(rank as i64, cols);
     });
+    boxes.give(&mut bufs.index);
     result
 }
 
-/// What a phase of the native tier lends every rank in turn: the box
-/// arguments' buffers of its lane `T` (and of the INTEGER lane of a
-/// scatter's subscripts), and the kernels' column pool.
-struct Buffers<T: 'static> {
+/// What a phase of the native tier — or the native inspector of one
+/// unstructured read — lends every rank in turn: the box arguments'
+/// buffers of its lane `T` and of the INTEGER lane of subscripts, an
+/// inspector's subscript columns, and the kernels' column pool.
+pub(crate) struct Buffers<T: 'static> {
     boxes: SiteBoxes<'static, T>,
     index: SiteBoxes<'static, i64>,
+    cols: Vec<i64>,
     dense: Vec<i64>,
     pool: Pool,
 }
@@ -228,6 +228,7 @@ impl<T: 'static> Default for Buffers<T> {
                 reads: Vec::new(),
                 lins: Vec::new(),
             },
+            cols: Vec::new(),
             dense: Vec::new(),
             pool: Pool::default(),
         }
@@ -237,13 +238,14 @@ impl<T: 'static> Default for Buffers<T> {
 /// Run a bound native kernel as one local phase: every rank runs the
 /// boxes of its iteration `spaces` with the bytecode loop's cost
 /// charging and writes, and hands back what it staged for the one
-/// commit (`RankOut::commit`).
+/// commit (`RankOut::commit`) — and how many ranks took their writes
+/// from another's instead of running the kernel ([`computed_once`]).
 pub(crate) fn run_native_forall(
     cx: ForallCx<'_>,
     m: &mut Machine,
     bound: &Bound<'_>,
     spaces: &Spaces<'_>,
-) -> Vec<Staged> {
+) -> (Vec<Staged>, u64) {
     // Every rank on the lane of the written array's element type.
     let first = (0..m.nranks() as usize).find_map(|rank| bound.rank(rank));
     match first.map(|nr| nr.func()) {
@@ -252,22 +254,118 @@ pub(crate) fn run_native_forall(
     }
 }
 
-/// [`run_native_forall`] on the lane `T`.
+/// [`run_native_forall`] on the lane `T`. When every active rank would
+/// compute the same values at the same offsets ([`computed_once`]), the
+/// first of them runs the kernel and every other is handed exactly the
+/// elements the write covers ([`copy_writes`]), each still charged its
+/// own ops.
 fn run_lane<T: Elem>(
     cx: ForallCx<'_>,
     m: &mut Machine,
     bound: &Bound<'_>,
     spaces: &Spaces<'_>,
-) -> Vec<Staged> {
+) -> (Vec<Staged>, u64) {
     let name = |a: ArrId| cx.prog.arrays[a].name.as_str();
     let nvars = cx.f.vars.len();
+    let once = computed_once(bound, spaces, m.nranks() as usize);
     let mut bufs = Buffers::<T>::default();
-    m.local_phase_map(|rank, mem| {
+    let staged = m.local_phase_map(|rank, mem| {
         let (Some(nr), spaces) = (bound.rank(rank as usize), spaces(rank as usize)) else {
             return (None, 0);
         };
-        run_native_boxes(nr, spaces.chunks_exact(nvars), mem, name, &mut bufs).staged()
-    })
+        let parts = spaces.chunks_exact(nvars);
+        match once {
+            Some((first, ..)) if first != rank as usize => (None, rank_ops(&nr, parts)),
+            _ => run_native_boxes(nr, parts, mem, name, &mut bufs).staged(),
+        }
+    });
+    let Some((first, arr, write)) = once else {
+        return (staged, 0);
+    };
+    let arr = name(arr);
+    let mut copied = 0;
+    for rank in (first + 1..m.mems.len()).filter(|&r| bound.rank(r).is_some()) {
+        let (done, rest) = m.mems.split_at_mut(rank);
+        let from = T::slice(done[first].array(arr).data());
+        let to = T::slice_mut(rest[0].array_mut(arr).data_mut());
+        copy_writes(from, to, spaces(first).chunks_exact(nvars), &write);
+        copied += 1;
+    }
+    (staged, copied)
+}
+
+/// Whether the phase's values can be computed once for every rank:
+/// every active rank has the same iteration space and writes, in place,
+/// through the same single write form, and the body reads no array —
+/// only loop variables, constants and replicated scalars, which every
+/// rank folds alike. Then each rank would write the same values at the
+/// same offsets of its segment. `(first active rank, the written array,
+/// the write form)` when so, and more than one rank is active.
+fn computed_once(
+    bound: &Bound<'_>,
+    spaces: &Spaces<'_>,
+    nranks: usize,
+) -> Option<(usize, ArrId, NatAff)> {
+    let mut active = (0..nranks).filter_map(|rank| Some((rank, bound.rank(rank)?)));
+    let (first, nr) = active.next()?;
+    let mut bodies = nr.bodies();
+    let (Some(body), None) = (bodies.next(), bodies.next()) else {
+        return None;
+    };
+    let NatOut::Owned {
+        arr,
+        offs: &[write],
+    } = nr.out()
+    else {
+        return None;
+    };
+    if !(body.sites.reads.is_empty() && body.sites.ireads.is_empty()) || nr.direct.is_none() {
+        return None;
+    }
+    let mut others = 0;
+    for (rank, other) in active {
+        let same = matches!(other.out(), NatOut::Owned { offs: &[w], .. } if w == write);
+        if !same || other.direct != nr.direct || spaces(rank) != spaces(first) {
+            return None;
+        }
+        others += 1;
+    }
+    (others > 0).then_some((first, arr, write))
+}
+
+/// Copy every element the write form `write` covers over the boxes of
+/// `spaces` from one rank's segment to another's — row by row, never
+/// the gaps between written rows.
+fn copy_writes<'s, T: Elem>(
+    from: &[T],
+    to: &mut [T],
+    spaces: impl Iterator<Item = &'s [Runs]>,
+    write: &NatAff,
+) {
+    for space in spaces {
+        Boxes::new(space).for_each(|bx| {
+            let walk = write.at(bx);
+            for r in 0..bx.rows.len as i64 {
+                let start = walk.start + r * walk.row_step;
+                if walk.step == 1 {
+                    let row = start as usize..start as usize + bx.run.len;
+                    to[row.clone()].copy_from_slice(&from[row]);
+                } else {
+                    for i in 0..bx.run.len as i64 {
+                        let off = (start + i * walk.step) as usize;
+                        to[off] = from[off];
+                    }
+                }
+            }
+        });
+    }
+}
+
+/// The ops a rank is charged for running the bodies of `nr` over the
+/// boxes of `spaces`: each body's cost per tuple.
+fn rank_ops<'s>(nr: &NatRank<'_>, spaces: impl Iterator<Item = &'s [Runs]>) -> i64 {
+    let total: usize = spaces.map(|space| Boxes::new(space).tuples()).sum();
+    nr.bodies().map(|b| b.cost).sum::<i64>() * total as i64
 }
 
 /// One rank's share of [`run_native_forall`]: every box of each space in
@@ -293,8 +391,7 @@ fn run_native_boxes<'s, 'p, T: Elem>(
             mem.array_mut(name(arr)).materialize();
         }
     }
-    let total: usize = spaces.clone().map(|space| Boxes::new(space).tuples()).sum();
-    let cost = nr.bodies().map(|b| b.cost).sum::<i64>() * total as i64;
+    let cost = rank_ops(&nr, spaces.clone());
     // In-place boxes borrow the written segment mutably next to the
     // shared read views, so it leaves the node memory for the phase.
     let (out, direct) = (nr.out(), nr.direct);
@@ -596,6 +693,79 @@ mod tests {
             assert_eq!(g.to_bits(), w.to_bits(), "A[{x}]: {g} vs {w}");
         }
         nr.direct.is_some()
+    }
+
+    /// A body that reads no array, `A(i, j) = 2.5` over a 6×12 `A`,
+    /// bound on two ranks over `spaces[0]` and `spaces[1]`: it is
+    /// computed once exactly when the two spaces are equal. Copying its
+    /// writes moves the elements of the written rows and leaves the gaps
+    /// between them as they were.
+    #[test]
+    fn a_body_that_reads_no_array_is_computed_once_over_equal_spaces() {
+        let func = BoxKernel::Real(match_template(&NExpr::Lit(2.5)).1);
+        let kernel = NativeKernel {
+            var_slots: vec![0, 1],
+            bodies: vec![NativeBody {
+                template: "fill_const",
+                func,
+                sites: Sites::default(),
+                lhs: Lhs::Owned {
+                    acc: 0,
+                    subs: Vec::new(),
+                },
+                cost: 1,
+            }],
+            gathers: Vec::new(),
+        };
+        let folded = Folded {
+            kernel: &kernel,
+            bodies: vec![FoldedSites {
+                reads: Vec::new(),
+                ireads: Vec::new(),
+                lins: Vec::new(),
+                scalars: Vec::new(),
+            }],
+            gathers: Vec::new(),
+            writes: vec![(0, 0..1)],
+            subs: vec![aff(A_IJ)],
+        };
+        let dims = vec![RDim::Affine { a: 1, b: 0 }];
+        let table = [Some(ResolvedAcc::new(
+            0,
+            dims,
+            vec![6 * COLS],
+            vec![6 * COLS],
+        ))];
+        let cols: Vec<i64> = (2..9).collect();
+        let once = |lists: [Vec<i64>; 2]| {
+            let spaces = [
+                runs(&[lists[0].clone(), cols.clone()]),
+                runs(&[lists[1].clone(), cols.clone()]),
+            ];
+            let mut bound = Bound::new(Some(&folded), 2, 2);
+            for (rank, space) in spaces.iter().enumerate() {
+                bound.push(rank, &table, space).expect("in bounds");
+            }
+            computed_once(&bound, &|r| &spaces[r][..], 2)
+        };
+        assert!(once([vec![0, 1, 2], vec![3, 4, 5]]).is_none(), "other rows");
+        // The same first and last written element: the spaces decide.
+        assert!(
+            once([vec![1, 3, 4], vec![1, 2, 4]]).is_none(),
+            "other rows between"
+        );
+        let rows = vec![1, 3, 4];
+        let (first, arr, write) = once([rows.clone(), rows.clone()]).expect("equal spaces");
+        assert_eq!((first, arr, write), (0, 0, aff(A_IJ)));
+        let from: Vec<f64> = (0..6 * COLS).map(|x| x as f64 + 0.5).collect();
+        let mut to = vec![0.0; from.len()];
+        let space = runs(&[rows.clone(), cols.clone()]);
+        copy_writes(&from, &mut to, std::iter::once(&space[..]), &write);
+        for (x, (&got, &was)) in to.iter().zip(&from).enumerate() {
+            let (i, j) = (x as i64 / COLS, x as i64 % COLS);
+            let written = rows.contains(&i) && cols.contains(&j);
+            assert_eq!(got, if written { was } else { 0.0 }, "A[{x}]");
+        }
     }
 
     const A_IJ: Site = (0, 0, [COLS, 1]);

@@ -14,13 +14,13 @@ use std::sync::Arc;
 use f90d_comm::driver::{
     self, CommDriver, ComputeSink, GatherRequests, PhaseOutcome, ScatterOut, Spaces,
 };
-use f90d_comm::sched_cache::RunSchedules;
+use f90d_comm::sched_cache::{RunSchedules, StmtId};
 use f90d_distrib::Dad;
 use f90d_machine::{ArrayData, Machine, Value};
 use f90d_runtime::DistArray;
 
 use crate::bind::{bind_native, fold_native, Bound};
-use crate::boxes::{inspect_boxes, run_native_forall};
+use crate::boxes::{inspect_boxes, run_native_forall, Buffers};
 use crate::bytecode::*;
 use crate::chunk::{self, resolve_acc, ForallCx, ResolvedAcc, Staged};
 use crate::dispatch::{self, RankSpaces, VmResult};
@@ -89,6 +89,9 @@ pub struct Engine {
     /// ranks that came out with iterations.
     ranks_visited: u64,
     ranks_active: u64,
+    /// Rank-phases of the native tier that took their writes from
+    /// another rank's instead of running the kernel.
+    ranks_copied: u64,
 }
 
 /// One FORALL's kept iteration spaces. `key` is everything
@@ -135,6 +138,7 @@ impl Engine {
             dispatch_reused: 0,
             ranks_visited: 0,
             ranks_active: 0,
+            ranks_copied: 0,
         }
     }
 
@@ -181,6 +185,16 @@ impl Engine {
     /// explains host time only. Equal when the window is tight.
     pub fn ranks_counts(&self) -> (u64, u64) {
         (self.ranks_visited, self.ranks_active)
+    }
+
+    /// Native-tier rank-phases in which a rank took its writes from
+    /// the first active rank instead of running the kernel: every
+    /// active rank had the same iteration space and single in-place
+    /// write, under a body that reads no array, so each would have
+    /// written the same values at the same offsets. Exact; each such
+    /// rank is still charged its own ops, so it explains host time only.
+    pub fn ranks_copied(&self) -> u64 {
+        self.ranks_copied
     }
 
     /// Read a scalar by name (post-run inspection).
@@ -535,12 +549,13 @@ impl Engine {
         // Unstructured reads: inspector + vectorized executor.
         for (gi, g) in f.gathers.iter().enumerate() {
             let src = &self.arrays[g.src];
-            exec_gather(cx, src, &mut self.sched, gi, g, m, bound.as_ref())?;
+            exec_gather(cx, (fi, gi), src, &mut self.sched, m, bound.as_ref())?;
         }
         let mut sink = VmSink {
             cx,
             bound: bound.as_ref(),
             staged: Vec::new(),
+            copied: 0,
         };
         if let Some((specs, margins)) = split {
             driver::run_overlap(m, &specs, &margins, &|r| spaces.space(r), &mut sink)?;
@@ -548,6 +563,7 @@ impl Engine {
             sink.phase(m, &|r| spaces.space(r))?;
             sink.commit(m)?;
         }
+        self.ranks_copied += sink.copied;
         // Post-loop scatter (paper §4 cases 3/4), of the one phase such a
         // FORALL runs (split-phase execution takes owned writes only).
         if let Some(invertible) = f.body.iter().find_map(|b| b.scatter) {
@@ -555,7 +571,9 @@ impl Engine {
             let outs: Vec<ScatterOut> = (sink.staged.into_iter().flatten())
                 .map(|out| out.map_or_else(|| ScatterOut::new(dst.ty), |out| out.scat))
                 .collect();
-            driver::scatter(m, &mut self.sched, &dst.name, &dst.dad, &outs, invertible)?;
+            let stmt = StmtId::Scatter { forall: fi.into() };
+            let (name, dad) = (&dst.name, &dst.dad);
+            driver::scatter(m, &mut self.sched, stmt, name, dad, &outs, invertible)?;
         }
         Ok(())
     }
@@ -605,33 +623,41 @@ impl Engine {
     }
 }
 
-/// Unstructured read `gi` of the FORALL `cx.f`: this tier's inspector
-/// feeding the shared request list and executor. On a rank the native
-/// tier bound (`bound`), the subscripts are INTEGER box kernels evaluated
-/// a box of iterations at a time; otherwise the bytecode chunk loop
-/// evaluates the mask and subscripts of every local iteration — in
-/// iteration order either way.
+/// Unstructured read `gi` of the FORALL `cx.f`, number `fi` of the
+/// program: this tier's inspector feeding the shared request list and
+/// executor. On a rank the native tier bound (`bound`), the subscripts
+/// are INTEGER box kernels evaluated a box of iterations at a time;
+/// otherwise the bytecode chunk loop evaluates the mask and subscripts
+/// of every local iteration — in iteration order either way.
 fn exec_gather(
     cx: ForallCx<'_>,
+    (fi, gi): (u16, usize),
     src: &DistArray,
     sched: &mut RunSchedules,
-    gi: usize,
-    g: &GatherSpec<ExprCode>,
     m: &mut Machine,
     bound: Option<&Bound<'_>>,
 ) -> VmResult<()> {
+    let g = &cx.f.gathers[gi];
     let mut reqs = GatherRequests::new(m, &src.name, &src.dad);
+    let mut bufs = Buffers::default();
     for rank in 0..m.nranks() as usize {
         if cx.spaces.space(rank).is_empty() {
             continue;
         }
         match bound.and_then(|b| b.rank(rank)) {
-            Some(nr) => inspect_boxes(cx, nr, gi, rank, &mut m.mems[rank], &mut reqs)?,
+            Some(nr) => {
+                let mem = &mut m.mems[rank];
+                inspect_boxes(cx, (nr, gi, rank), mem, &mut reqs, &mut bufs)?
+            }
             None => chunk::inspect(cx, rank, &m.mems[rank], &g.subs, &mut reqs)?,
         }
     }
     let tmp = &cx.prog.arrays[g.tmp];
-    Ok(reqs.execute(m, sched, &tmp.name, tmp.ty, g.local_only)?)
+    let stmt = StmtId::Gather {
+        forall: fi.into(),
+        gather: gi as u32,
+    };
+    Ok(reqs.execute(m, sched, stmt, &tmp.name, tmp.ty, g.local_only)?)
 }
 
 /// The engine's one FORALL runner, and its [`ComputeSink`]: a blocking
@@ -645,6 +671,9 @@ struct VmSink<'a> {
     bound: Option<&'a Bound<'a>>,
     /// What each phase run so far staged, in order, per rank.
     staged: Vec<Vec<Staged>>,
+    /// Rank-phases that took another rank's writes instead of running
+    /// the kernel (`boxes::computed_once`).
+    copied: u64,
 }
 
 impl ComputeSink for VmSink<'_> {
@@ -652,7 +681,11 @@ impl ComputeSink for VmSink<'_> {
 
     fn phase(&mut self, m: &mut Machine, spaces: &Spaces<'_>) -> VmResult<()> {
         self.staged.push(match self.bound {
-            Some(bound) => run_native_forall(self.cx, m, bound, spaces),
+            Some(bound) => {
+                let (staged, copied) = run_native_forall(self.cx, m, bound, spaces);
+                self.copied += copied;
+                staged
+            }
             None => chunk::run_phase(self.cx, m, spaces)?,
         });
         Ok(())

@@ -60,7 +60,7 @@
 //! affine integers promote as before). The repo benchmark declares its
 //! `irregular-gather` workload valid only while at least one of its
 //! FORALLs runs the bytecode loop, and only a benchmark PR may change
-//! that (CHANGES.md, PR 17; ROADMAP item 2(b)): admitting the shape is
+//! that (CHANGES.md, PR 17; ROADMAP item 1(b)): admitting the shape is
 //! the deletion of one refusal in `promote_real`, not a new evaluator.
 
 use std::fmt;
