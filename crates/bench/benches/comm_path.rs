@@ -35,10 +35,19 @@
 //! * `route_transfer/*` — one sample is 1000 `Topology::route` +
 //!   `LinkClocks::transfer` over seeded rank pairs: µs reads as ns per
 //!   routed message.
+//! * `redistribute/512x512_4x4` and `transpose/512x512_4x4` — one
+//!   sample is one call on a 512 × 512 REAL array on a 4 × 4 grid:
+//!   `redistribute` from `(BLOCK, BLOCK)` to `(CYCLIC, BLOCK)`, and
+//!   `TRANSPOSE` of the `(BLOCK, BLOCK)` array into another. Both plan
+//!   every element they move (262 144 of them), so ms per call over
+//!   262 144 reads as the planner's and the exchange's host cost per
+//!   element moved. Only public APIs that predate the shared move list
+//!   are used, so the function copies into older checkouts unchanged.
 
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use f90d_comm::redist::redistribute;
 use f90d_comm::structured::{alloc_slab_tmp, multicast};
 use f90d_comm::{driver, RunSchedules};
 use f90d_distrib::{Dad, DadBuilder, DistKind, ProcGrid};
@@ -46,6 +55,8 @@ use f90d_machine::{
     ArrayData, ElemType, LinkClocks, LocalArray, Machine, MachineSpec, MailboxTransport, Transport,
     Value,
 };
+use f90d_runtime::intrinsics::unstructured::transpose;
+use f90d_runtime::DistArray;
 
 const PER_SAMPLE: usize = 1000;
 
@@ -218,11 +229,41 @@ fn bench_route_transfer(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_element_moves(c: &mut Criterion) {
+    let n = 512;
+    let mut m = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(&[4, 4]));
+    let kinds = [DistKind::Block, DistKind::Block];
+    let a = DistArray::create(&mut m, "A", ElemType::Real, &[n, n], &kinds);
+    a.fill_with(&mut m, |g| Value::Real((g[0] * n + g[1]) as f64));
+    let cyclic = [DistKind::Cyclic, DistKind::Block];
+    let b = DistArray::create(&mut m, "B", ElemType::Real, &[n, n], &cyclic);
+    let t = DistArray::create(&mut m, "T", ElemType::Real, &[n, n], &kinds);
+    let mut g = c.benchmark_group("redistribute");
+    g.sample_size(10);
+    g.bench_function("512x512_4x4", |bench| {
+        bench.iter(|| {
+            m.reset_time();
+            redistribute(&mut m, "A", &a.dad, "B", &b.dad).expect("redistributes");
+        })
+    });
+    g.finish();
+    let mut g = c.benchmark_group("transpose");
+    g.sample_size(10);
+    g.bench_function("512x512_4x4", |bench| {
+        bench.iter(|| {
+            m.reset_time();
+            transpose(&mut m, &a, &t);
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_multicast,
     bench_ghost_exchange,
     bench_post_complete,
-    bench_route_transfer
+    bench_route_transfer,
+    bench_element_moves
 );
 criterion_main!(benches);

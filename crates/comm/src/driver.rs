@@ -39,10 +39,10 @@
 
 use std::sync::Arc;
 
-use f90d_distrib::{ArrayDimMap, Dad, Locator, Runs};
+use f90d_distrib::{ArrayDimMap, Dad, Runs};
 use f90d_machine::{ArrayData, ElemType, LocalArray, Machine, NodeMemory, Transport, Value};
 
-use crate::helpers::{exchange, ExchangeOp, ExchangePlan};
+use crate::helpers::{exchange, locator, ExchangeOp, ExchangePlan};
 use crate::op::{CommError, CommResult};
 use crate::overlap::{dims_overlap_compatible, Margins};
 use crate::sched_cache::{Inspection, Rows, RunSchedules, StmtId};
@@ -327,16 +327,6 @@ pub fn schedule_kind(fast_path: bool, is_write: bool) -> ScheduleKind {
     }
 }
 
-/// The element locator of array `arr` (live descriptor `dad`) over the
-/// segments the machine holds for it: built once per inspector run, it
-/// stands in for `owner_ranks` + `local_index` + a by-name segment
-/// lookup per element. Every rank allocates an array's segment with one
-/// shape and one set of ghost widths, so rank 0's speaks for all.
-fn locator(m: &Machine, arr: &str, dad: &Dad) -> Locator {
-    let seg = m.mems[0].array(arr);
-    Locator::new(dad, &seg.shape, &seg.ghost_lo, &seg.ghost_hi)
-}
-
 /// Inspector input of one unstructured FORALL read
 /// (`tmp(count) = src(subs(i…))`): every rank's source subscripts, in
 /// iteration order, and its element count. A backend's inspector loop
@@ -429,12 +419,7 @@ impl<'a> GatherRequests<'a> {
                 for (rank, subs) in self.rows.runs() {
                     let dst_off = &mut next[rank as usize];
                     locate.locate_rows(subs, |owner, src_off| {
-                        reqs.push(ElementReq {
-                            requester: rank,
-                            owner,
-                            src_off,
-                            dst_off: *dst_off,
-                        });
+                        reqs.push(ElementReq::moving(owner, rank, src_off, *dst_off));
                         *dst_off += 1;
                     });
                 }
@@ -521,14 +506,7 @@ pub fn scatter(
                 let mut src_off = 0;
                 locate.locate_rows(subs, |owner, dst_off| {
                     for replica in locate.replicas() {
-                        reqs.push(ElementReq {
-                            // For write schedules the "requester" is the
-                            // receiving owner and the "owner" the producer.
-                            requester: owner + replica,
-                            owner: rank,
-                            src_off,
-                            dst_off,
-                        });
+                        reqs.push(ElementReq::moving(rank, owner + replica, src_off, dst_off));
                     }
                     src_off += 1;
                 });

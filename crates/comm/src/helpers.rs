@@ -1,41 +1,42 @@
-//! Shared machinery: the one split-phase point-to-point operation and
-//! the collective trees. Which elements a node holds, and where they sit
-//! in its segment, is not decided here: every primitive enumerates them
-//! with `f90d_distrib::Dad::for_each_owned`, the one product walk.
+//! Shared machinery: the one plan constructor, the one split-phase
+//! point-to-point operation and the collective trees. Which elements a
+//! node holds, and where they sit in its segment, is not decided here:
+//! every primitive enumerates them with `f90d_distrib::Dad::for_each_owned`,
+//! the one product walk, and finds them in another layout through a
+//! [`locator`].
 //!
-//! Every primitive vectorizes its messages — all elements travelling
-//! between one (source, destination) pair are packed into a single message
-//! (paper §7, optimization 1). Packing and unpacking charge the machine's
-//! per-byte copy cost; the wire charges α + β·bytes through the transport.
+//! Every element-wise planner lists its element moves
+//! ([`ElementReq::moving`]) and [`ExchangePlan::of_moves`] turns the list
+//! into a plan: pairs ascending in `(from, to)`, a pair's elements in
+//! listed order, no empty pair. Every primitive vectorizes its
+//! messages — all elements travelling between one (source, destination)
+//! pair are packed into a single message (paper §7, optimization 1).
+//! Packing and unpacking charge the machine's per-byte copy cost; the
+//! wire charges α + β·bytes through the transport.
 //!
 //! [`ExchangeOp`] is the only operation that really splits: `post` packs
 //! and posts every send (senders pay copy + α) and posts the matching
 //! receives; `finish` completes the receives (receiver clocks advance to
 //! the arrival times) and unpacks. Shifts, ghost exchanges, comm phases,
-//! `transfer`, `concatenation`, redistribution and the schedule executors
-//! all run through it; the blocking [`exchange`] wrapper is post-then-
-//! finish with nothing in between. The trees ([`tree_broadcast`] along
-//! the topology-shaped [`broadcast_plan`], the binomial [`tree_reduce`])
-//! have stage dependencies, so they complete every message inside the
-//! call.
+//! `transfer`, `concatenation`, redistribution, the schedule executors
+//! and the run-time library's remaps all run through it; the blocking
+//! [`exchange`] wrapper is post-then-finish with nothing in between. The
+//! trees ([`tree_broadcast`] along the topology-shaped
+//! [`broadcast_plan`], the binomial [`tree_reduce`]) have stage
+//! dependencies, so they complete every message inside the call.
 
 use std::ops::Range;
 
-use f90d_machine::{ArrayData, Machine, RecvHandle, Topology, Transport};
+use f90d_distrib::{Dad, Locator};
+use f90d_machine::{ArrayData, IntMap, Machine, RecvHandle, Topology, Transport};
 
 use crate::op::{CommError, CommResult};
+use crate::schedule::ElementReq;
 
-/// The element moves of an exchange while it is being planned:
-/// `(from, to) → ordered (source flat offset, destination flat offset)`
-/// — flat padded offsets into the source array on the source node and
-/// the destination array on the destination node. The map is what gives
-/// a plan its deterministic pair order; an [`ExchangePlan`] is what runs.
-pub type PairMoves = std::collections::BTreeMap<(i64, i64), Vec<(usize, usize)>>;
-
-/// A planned exchange as it is executed and kept: the non-empty pairs
-/// of a [`PairMoves`] in its `(from, to)` order, their offsets laid out
-/// as one source and one destination column that `gather_flat` /
-/// `scatter_flat` take a pair's slice of directly.
+/// A planned exchange as it is executed and kept: its processor pairs
+/// ascending in `(from, to)`, their offsets laid out as one source and
+/// one destination column that `gather_flat` / `scatter_flat` take a
+/// pair's slice of directly.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExchangePlan {
     /// `(from, to, end)`: the pair's elements are `[previous end, end)`
@@ -59,20 +60,67 @@ pub struct PairRun<'a> {
     pub dsts: &'a [usize],
 }
 
-impl From<PairMoves> for ExchangePlan {
-    fn from(moves: PairMoves) -> Self {
-        let mut plan = ExchangePlan::default();
-        for ((from, to), elems) in moves.into_iter().filter(|(_, e)| !e.is_empty()) {
-            let (srcs, dsts) = (elems.iter().map(|e| e.0), elems.iter().map(|e| e.1));
-            plan.push(from, to, srcs, dsts);
-        }
-        plan
-    }
-}
-
 impl ExchangePlan {
+    /// The plan of a list of element moves — each moving the element at
+    /// `src_off` on rank `owner` to `dst_off` on rank `requester` — and
+    /// the one rule every element-wise planner's messages follow: pairs
+    /// ascend in `(from, to)`, a pair's elements keep the order they
+    /// were listed in, and a pair no move names is not in the plan.
+    ///
+    /// A counting sort by pair: the first pass gives each move its
+    /// pair's id (an integer-hashed index, in order of first
+    /// appearance) and counts the pairs; the distinct pairs are sorted
+    /// once, which fixes where each one's elements start; the second
+    /// pass writes every move's offsets straight into the columns.
+    pub fn of_moves(moves: &[ElementReq]) -> Self {
+        let mut index: IntMap<(i64, i64), u32> = IntMap::default();
+        // `(pair, elements)` by id.
+        let mut pairs: Vec<((i64, i64), usize)> = Vec::new();
+        // The last move's pair and id: a run of moves between one pair
+        // (a shift lists a whole row of cells at a time) looks it up once.
+        let mut last = None;
+        let ids: Vec<u32> = (moves.iter())
+            .map(|r| {
+                let pair = (r.owner, r.requester);
+                let id = match last {
+                    Some((at, id)) if at == pair => id,
+                    _ => *index.entry(pair).or_insert_with(|| {
+                        pairs.push((pair, 0));
+                        (pairs.len() - 1) as u32
+                    }),
+                };
+                last = Some((pair, id));
+                pairs[id as usize].1 += 1;
+                id
+            })
+            .collect();
+        let mut order: Vec<u32> = (0..pairs.len() as u32).collect();
+        order.sort_unstable_by_key(|&id| pairs[id as usize].0);
+        // Each pair's next free slot in the columns, by id.
+        let mut next = vec![0; pairs.len()];
+        let mut ends = Vec::with_capacity(pairs.len());
+        let mut end = 0;
+        for &id in &order {
+            let ((from, to), n) = pairs[id as usize];
+            next[id as usize] = end;
+            end += n;
+            ends.push((from, to, end));
+        }
+        let (mut srcs, mut dsts) = (vec![0; moves.len()], vec![0; moves.len()]);
+        for (r, &id) in moves.iter().zip(&ids) {
+            let at = &mut next[id as usize];
+            (srcs[*at], dsts[*at]) = (r.src_off, r.dst_off);
+            *at += 1;
+        }
+        ExchangePlan {
+            pairs: ends,
+            srcs,
+            dsts,
+        }
+    }
+
     /// Append the pair `from → to`, moving `srcs[i]` to `dsts[i]`,
-    /// after every pair already planned. Unlike a [`PairMoves`] entry,
+    /// after every pair already planned. Unlike [`ExchangePlan::of_moves`],
     /// an empty pair stays in the plan: it still sends a (zero-byte)
     /// message.
     pub(crate) fn push(
@@ -87,24 +135,6 @@ impl ExchangePlan {
         self.dsts.extend(dsts);
         debug_assert_eq!(self.srcs.len(), self.dsts.len());
         self.pairs.push((from, to, self.srcs.len()));
-    }
-
-    /// The plan of the pairs `ends` — `(from, to, end)`, ascending in
-    /// `(from, to)`, each pair's elements `[previous end, end)` of the
-    /// columns — moving `srcs[i]` to `dsts[i]`.
-    pub(crate) fn from_columns(
-        ends: Vec<(i64, i64, usize)>,
-        srcs: Vec<usize>,
-        dsts: Vec<usize>,
-    ) -> Self {
-        debug_assert!(ends.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
-        debug_assert_eq!(ends.last().map_or(0, |e| e.2), srcs.len());
-        debug_assert_eq!(srcs.len(), dsts.len());
-        ExchangePlan {
-            pairs: ends,
-            srcs,
-            dsts,
-        }
     }
 
     /// The `k`-th pair, in plan order.
@@ -480,6 +510,16 @@ pub fn tree_reduce(
     Ok(contributions.swap_remove(0))
 }
 
+/// The element locator of array `arr` (live descriptor `dad`) over the
+/// segments the machine holds for it: built once per plan, it stands in
+/// for `owner_ranks` + `local_index` + a by-name segment lookup per
+/// element. Every rank allocates an array's segment with one shape and
+/// one set of ghost widths, so rank 0's speaks for all.
+pub fn locator(m: &Machine, arr: &str, dad: &Dad) -> Locator {
+    let seg = m.mems[0].array(arr);
+    Locator::new(dad, &seg.shape, &seg.ghost_lo, &seg.ghost_hi)
+}
+
 /// The grid fiber (member ranks) along `axis` through the node at
 /// `coords`, plus this node's position in it — its coordinate on `axis`.
 pub fn fiber_through(m: &Machine, coords: &[i64], axis: usize) -> (Vec<i64>, usize) {
@@ -497,6 +537,31 @@ mod tests {
     }
 
     #[test]
+    fn of_moves_orders_pairs_and_keeps_listed_order() {
+        let moves = [
+            (2, 0, 5, 1),
+            (0, 1, 7, 0),
+            (2, 0, 3, 2),
+            (0, 0, 1, 1),
+            (0, 1, 4, 4),
+        ];
+        let moves: Vec<_> = (moves.iter())
+            .map(|&(f, t, s, d)| ElementReq::moving(f, t, s, d))
+            .collect();
+        let plan = ExchangePlan::of_moves(&moves);
+        let pairs: Vec<_> = (plan.pairs())
+            .map(|p| (p.from, p.to, p.srcs, p.dsts))
+            .collect();
+        let want: [(i64, i64, &[usize], &[usize]); 3] = [
+            (0, 0, &[1], &[1]),
+            (0, 1, &[7, 4], &[0, 4]),
+            (2, 0, &[5, 3], &[1, 2]),
+        ];
+        assert_eq!(pairs, want);
+        assert_eq!(ExchangePlan::of_moves(&[]), ExchangePlan::default());
+    }
+
+    #[test]
     fn exchange_moves_elements() {
         let mut m = mk_machine(2);
         for mem in &mut m.mems {
@@ -504,9 +569,8 @@ mod tests {
             mem.insert_array("D", LocalArray::zeros(ElemType::Real, &[4]));
         }
         m.mems[0].array_mut("S").set(&[1], Value::Real(42.0));
-        let mut moves = PairMoves::new();
-        moves.insert((0, 1), vec![(1, 2)]);
-        exchange(&mut m, "S", "D", &moves.into()).unwrap();
+        let plan = ExchangePlan::of_moves(&[ElementReq::moving(0, 1, 1, 2)]);
+        exchange(&mut m, "S", "D", &plan).unwrap();
         assert_eq!(m.mems[1].array("D").get(&[2]), Value::Real(42.0));
         assert_eq!(m.transport.messages, 1);
     }
@@ -516,9 +580,8 @@ mod tests {
         let mut m = mk_machine(1);
         m.mems[0].insert_array("A", LocalArray::zeros(ElemType::Int, &[3]));
         m.mems[0].array_mut("A").set(&[0], Value::Int(9));
-        let mut moves = PairMoves::new();
-        moves.insert((0, 0), vec![(0, 2)]);
-        exchange(&mut m, "A", "A", &moves.into()).unwrap();
+        let plan = ExchangePlan::of_moves(&[ElementReq::moving(0, 0, 0, 2)]);
+        exchange(&mut m, "A", "A", &plan).unwrap();
         assert_eq!(m.mems[0].array("A").get(&[2]), Value::Int(9));
         assert_eq!(m.transport.messages, 0);
     }
@@ -534,9 +597,8 @@ mod tests {
                 mem.insert_array("S", LocalArray::zeros(ElemType::Real, &[1024]));
                 mem.insert_array("D", LocalArray::zeros(ElemType::Real, &[1024]));
             }
-            let mut moves = PairMoves::new();
-            moves.insert((0, 1), (0..1024).map(|k| (k, k)).collect());
-            ExchangePlan::from(moves)
+            let moves: Vec<_> = (0..1024).map(|k| ElementReq::moving(0, 1, k, k)).collect();
+            ExchangePlan::of_moves(&moves)
         };
         // Blocking: exchange then compute.
         let mut mb = Machine::new(spec.clone(), ProcGrid::new(&[2]));
@@ -586,9 +648,7 @@ mod tests {
             mem.insert_array("S", LocalArray::zeros(ElemType::Real, &[4]));
             mem.insert_array("D", LocalArray::zeros(ElemType::Real, &[4]));
         }
-        let mut moves = PairMoves::new();
-        moves.insert((0, 1), vec![(0, 0)]);
-        let plan = ExchangePlan::from(moves);
+        let plan = ExchangePlan::of_moves(&[ElementReq::moving(0, 1, 0, 0)]);
         let mut op = ExchangeOp::new(vec![("S", "D", &plan)]);
         op.post(&mut m).unwrap();
         m.reset_time();
@@ -606,8 +666,8 @@ mod tests {
             a.set(&[0], Value::Real(r as f64));
             mem.insert_array("A", a);
         }
-        let moves: PairMoves = (1..4).map(|r| ((r, r - 1), vec![(0, 3)])).collect();
-        let plan = ExchangePlan::from(moves);
+        let moves: Vec<_> = (1..4).map(|r| ElementReq::moving(r, r - 1, 0, 3)).collect();
+        let plan = ExchangePlan::of_moves(&moves);
         let mut op = ExchangeOp::new(vec![("A", "A", &plan)]);
         op.post(&mut m).unwrap();
         assert_eq!(op.pending.len(), 3);

@@ -15,8 +15,9 @@
 use f90d_distrib::Dad;
 use f90d_machine::{LocalArray, Machine};
 
-use crate::helpers::{exchange, PairMoves};
+use crate::helpers::{exchange, locator, ExchangePlan};
 use crate::op::CommResult;
+use crate::schedule::ElementReq;
 
 /// Redistribute array data from layout `src_dad` (stored in array
 /// `src`) to layout `dst_dad` (stored in array `dst`, which must already
@@ -37,7 +38,8 @@ pub fn redistribute(
         "redistribution cannot change the global shape"
     );
     assert_ne!(src, dst, "redistribution stages through a fresh array");
-    let mut moves: PairMoves = PairMoves::new();
+    let to = locator(m, dst, dst_dad);
+    let mut moves = Vec::new();
     for rank in 0..m.nranks() {
         let coords = m.grid.coords_of(rank);
         // Skip replica copies: the canonical copy (coordinate 0 on every
@@ -47,17 +49,13 @@ pub fn redistribute(
         }
         let src_arr = m.mems[rank as usize].array(src);
         src_dad.for_each_owned(&coords, &src_arr.segment(), |g, src_off| {
-            for dst_rank in dst_dad.owner_ranks(g) {
-                let dst_l = dst_dad.local_index(g);
-                let dst_off = m.mems[dst_rank as usize].array(dst).offset(&dst_l);
-                moves
-                    .entry((rank, dst_rank))
-                    .or_default()
-                    .push((src_off, dst_off));
+            let (owner, dst_off) = to.locate(g);
+            for replica in to.replicas() {
+                moves.push(ElementReq::moving(rank, owner + replica, src_off, dst_off));
             }
         });
     }
-    exchange(m, src, dst, &moves.into())
+    exchange(m, src, dst, &ExchangePlan::of_moves(&moves))
 }
 
 /// Allocate `name` on every node with `dad.local_shape()` (no ghosts) and

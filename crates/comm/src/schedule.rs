@@ -20,7 +20,7 @@
 //! The compiler's schedule-reuse optimization keys schedules by their
 //! request pattern — see [`Schedule::signature`].
 
-use f90d_machine::{ArrayData, IntMap, Machine, Transport};
+use f90d_machine::{ArrayData, Machine, Transport};
 
 use crate::helpers::ExchangePlan;
 use crate::op::CommResult;
@@ -118,52 +118,27 @@ pub struct ElementReq {
     pub dst_off: usize,
 }
 
+impl ElementReq {
+    /// The move of the element at flat offset `src_off` on rank `from`
+    /// to flat offset `dst_off` on rank `to`.
+    pub fn moving(from: i64, to: i64, src_off: usize, dst_off: usize) -> Self {
+        ElementReq {
+            requester: to,
+            owner: from,
+            src_off,
+            dst_off,
+        }
+    }
+}
+
 /// Build the executable schedule from a request list — the pure
-/// data-structure half of an inspector, with no machine-time charges.
+/// data-structure half of an inspector, with no machine-time charges:
+/// [`ExchangePlan::of_moves`] and the plan's signature.
 /// [`crate::sched_cache`] calls this on a miss and skips it on a hit;
 /// the cost-model half ([`inspect`]) is charged on every run either way,
 /// which is what keeps cached and uncached runs virtual-time identical.
-///
-/// A counting sort by `(owner, requester)` pair: the first pass gives
-/// each request its pair's id (an integer-hashed index, in order of
-/// first appearance) and counts the pairs; the distinct pairs are
-/// sorted once, which fixes where each one's elements start; the
-/// second pass writes every request's offsets straight into the plan's
-/// columns. A pair's elements keep their request order.
 pub fn build_schedule(kind: ScheduleKind, reqs: &[ElementReq]) -> Schedule {
-    let mut index: IntMap<(i64, i64), u32> = IntMap::default();
-    // `(pair, elements)` by id.
-    let mut pairs: Vec<((i64, i64), usize)> = Vec::new();
-    let ids: Vec<u32> = (reqs.iter())
-        .map(|r| {
-            let pair = (r.owner, r.requester);
-            let id = *index.entry(pair).or_insert_with(|| {
-                pairs.push((pair, 0));
-                (pairs.len() - 1) as u32
-            });
-            pairs[id as usize].1 += 1;
-            id
-        })
-        .collect();
-    let mut order: Vec<u32> = (0..pairs.len() as u32).collect();
-    order.sort_unstable_by_key(|&id| pairs[id as usize].0);
-    // Each pair's next free slot in the columns, by id.
-    let mut next = vec![0; pairs.len()];
-    let mut ends = Vec::with_capacity(pairs.len());
-    let mut end = 0;
-    for &id in &order {
-        let ((from, to), n) = pairs[id as usize];
-        next[id as usize] = end;
-        end += n;
-        ends.push((from, to, end));
-    }
-    let (mut srcs, mut dsts) = (vec![0; reqs.len()], vec![0; reqs.len()]);
-    for (r, &id) in reqs.iter().zip(&ids) {
-        let at = &mut next[id as usize];
-        (srcs[*at], dsts[*at]) = (r.src_off, r.dst_off);
-        *at += 1;
-    }
-    let plan = ExchangePlan::from_columns(ends, srcs, dsts);
+    let plan = ExchangePlan::of_moves(reqs);
     let sig = hash_moves(&plan);
     Schedule { kind, plan, sig }
 }
@@ -298,12 +273,20 @@ mod tests {
     /// oracle: every request appended to its `(owner, requester)`
     /// bucket of a `BTreeMap`, the plan read off the map in key order.
     fn build_by_tree(kind: ScheduleKind, reqs: &[ElementReq]) -> Schedule {
-        let mut moves = crate::helpers::PairMoves::new();
+        let mut moves = std::collections::BTreeMap::<_, Vec<_>>::new();
         for r in reqs {
             let pair = moves.entry((r.owner, r.requester)).or_default();
             pair.push((r.src_off, r.dst_off));
         }
-        let plan = ExchangePlan::from(moves);
+        let mut plan = ExchangePlan::default();
+        for ((from, to), elems) in moves {
+            plan.push(
+                from,
+                to,
+                elems.iter().map(|e| e.0),
+                elems.iter().map(|e| e.1),
+            );
+        }
         let sig = hash_moves(&plan);
         Schedule { kind, plan, sig }
     }

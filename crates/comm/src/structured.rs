@@ -21,8 +21,9 @@
 use f90d_distrib::{row_major_strides, Dad, Progression, Runs, Segment};
 use f90d_machine::{ArrayData, ElemType, LocalArray, Machine};
 
-use crate::helpers::{exchange, fiber_through, tree_broadcast, ExchangePlan, PairMoves};
+use crate::helpers::{exchange, fiber_through, tree_broadcast, ExchangePlan};
 use crate::op::CommResult;
+use crate::schedule::ElementReq;
 
 /// Allocate (on every node) the slab temporary for `transfer`/`multicast`
 /// over dimension `dim` of `dad`: rank `r-1`, shaped by the local
@@ -224,7 +225,7 @@ pub fn shift_moves(
         "overlap_shift supports BLOCK distributions"
     );
     let n = dm.extent;
-    let mut moves = PairMoves::new();
+    let mut moves = Vec::new();
     for rank in 0..m.nranks() {
         let coords = m.grid.coords_of(rank);
         let mut sets = dad.owned(&coords);
@@ -262,11 +263,14 @@ pub fn shift_moves(
             // Pair the cell with its source over all other dims.
             let src_at = ((dm.local(g_eff) + src_bias) * src_step) as usize;
             let dst_at = ((dst_l + dst_bias) * dst_step) as usize;
-            let entry = moves.entry((src_rank, rank)).or_default();
-            entry.extend((src_base.iter().zip(&dst_base)).map(|(&a, &b)| (a + src_at, b + dst_at)));
+            let (srcs, dsts) = (src_base.iter(), dst_base.iter());
+            moves.extend(
+                srcs.zip(dsts)
+                    .map(|(&a, &b)| ElementReq::moving(src_rank, rank, a + src_at, b + dst_at)),
+            );
         }
     }
-    moves.into()
+    ExchangePlan::of_moves(&moves)
 }
 
 /// Fused `multicast_shift` (paper §5.3.1 example 3): for
@@ -369,7 +373,7 @@ pub fn concatenation(m: &mut Machine, src: &str, dad: &Dad, dst: &str) -> CommRe
     // layout on every node, so rank 0's offsets serve all of them.
     // Rank 0's own elements are deposited uncharged, outside the
     // exchange.
-    let mut moves = PairMoves::new();
+    let mut moves = Vec::new();
     let mut assembled: Vec<usize> = Vec::new();
     let full = m.mems[0].array(dst).segment();
     for rank in 0..nranks {
@@ -379,21 +383,20 @@ pub fn concatenation(m: &mut Machine, src: &str, dad: &Dad, dst: &str) -> CommRe
             continue;
         }
         let arr = m.mems[rank as usize].array(src);
-        let mut elems = Vec::new();
+        let first = moves.len();
         dad.for_each_owned(&coords, &arr.segment(), |g, off| {
-            elems.push((off, full.offset(g)))
+            moves.push(ElementReq::moving(rank, 0, off, full.offset(g)))
         });
-        assembled.extend(elems.iter().map(|e| e.1));
+        assembled.extend(moves[first..].iter().map(|e| e.dst_off));
         if rank == 0 {
-            let payload = arr.gather_flat(elems.iter().map(|e| e.0));
+            let own = moves.split_off(first);
+            let payload = arr.gather_flat(own.iter().map(|e| e.src_off));
             m.mems[0]
                 .array_mut(dst)
-                .scatter_flat(elems.iter().map(|e| e.1), &payload);
-        } else {
-            moves.insert((rank, 0), elems);
+                .scatter_flat(own.iter().map(|e| e.dst_off), &payload);
         }
     }
-    exchange(m, src, dst, &moves.into())?;
+    exchange(m, src, dst, &ExchangePlan::of_moves(&moves))?;
     // Phase 2: rank 0 tree-broadcasts the assembled array.
     let payload = m.mems[0].array(dst).gather_flat(assembled.iter().copied());
     let members: Vec<i64> = (0..nranks).collect();

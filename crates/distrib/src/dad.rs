@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::align::{AlignExpr, Alignment, AxisAlign};
 use crate::bounds::{owned_cells, Progression, Runs};
-use crate::dist::{DimDist, DistKind};
+use crate::dist::{DimDist, DistKind, Mu};
 use crate::grid::ProcGrid;
 use crate::template::Template;
 
@@ -418,99 +418,35 @@ pub struct Locator {
 
 #[derive(Debug, Clone)]
 struct LocatorDim {
-    /// A distributed dimension's alignment, `μ`, and the rank
-    /// contribution of each grid coordinate along its axis (`φ` is a sum
-    /// of per-axis terms under both embeddings).
-    owner: Option<(AlignExpr, Mu, Vec<i64>)>,
+    /// The dimension's alignment and `μ` — the identity and
+    /// [`Mu::Whole`] for one held whole.
+    align: AlignExpr,
+    mu: Mu,
+    /// The rank contribution of each grid coordinate along the
+    /// dimension's axis (`φ` is a sum of per-axis terms under both
+    /// embeddings); `[0]` for one held whole.
+    ranks: Vec<i64>,
     ghost_lo: i64,
     /// Row-major stride over the padded extents.
     stride: i64,
-}
-
-/// `μ` of a distributed dimension ([`DimDist::global_to_local`]) with
-/// its constants precomputed, on template indices, which are never
-/// negative: `(grid coordinate, local index)`.
-#[derive(Debug, Clone, Copy)]
-enum Mu {
-    /// Blocks of `b`; the last coordinate, `last`, takes the rest.
-    Block {
-        b: u64,
-        last: u64,
-    },
-    Cyclic {
-        np: u64,
-    },
-    BlockCyclic {
-        k: u64,
-        np: u64,
-    },
-}
-
-impl Mu {
-    fn of(dist: &DimDist) -> Self {
-        let np = dist.nprocs as u64;
-        match dist.kind {
-            DistKind::Block => Mu::Block {
-                b: dist.block_size() as u64,
-                last: np - 1,
-            },
-            DistKind::Cyclic => Mu::Cyclic { np },
-            DistKind::BlockCyclic(k) => Mu::BlockCyclic { k: k as u64, np },
-            DistKind::Collapsed => unreachable!("a collapsed dimension is held whole"),
-        }
-    }
-
-    #[inline]
-    fn block(t: u64, b: u64, last: u64) -> (u64, u64) {
-        let p = (t / b).min(last);
-        (p, t - p * b)
-    }
-
-    #[inline]
-    fn block_cyclic(t: u64, k: u64, np: u64) -> (u64, u64) {
-        let block = t / k;
-        (block % np, block / np * k + t % k)
-    }
-
-    #[inline]
-    fn map(self, t: u64) -> (u64, u64) {
-        match self {
-            Mu::Block { b, last } => Self::block(t, b, last),
-            Mu::Cyclic { np } => (t % np, t / np),
-            Mu::BlockCyclic { k, np } => Self::block_cyclic(t, k, np),
-        }
-    }
 }
 
 impl LocatorDim {
     /// `(rank contribution, padded offset contribution)` of index `g`.
     #[inline]
     fn place(&self, g: i64) -> (i64, i64) {
-        let (rank, local) = match &self.owner {
-            Some((align, mu, ranks)) => {
-                let (p, l) = mu.map(align.apply(g) as u64);
-                (ranks[p as usize], l as i64)
-            }
-            None => (0, g),
-        };
-        (rank, (local + self.ghost_lo) * self.stride)
+        let (p, l) = self.mu.map(self.align.apply(g));
+        (self.ranks[p as usize], (l + self.ghost_lo) * self.stride)
     }
 
     /// [`LocatorDim::place`] of every index of `col`, in order, through
     /// `each`: the distribution is matched once for the column.
     #[inline]
     fn place_column(&self, col: impl Iterator<Item = i64>, mut each: impl FnMut(i64, i64)) {
-        let (ghost_lo, stride) = (self.ghost_lo, self.stride);
-        let Some((align, mu, ranks)) = &self.owner else {
-            return col.for_each(|g| each(0, (g + ghost_lo) * stride));
-        };
-        let mut put = |(p, l): (u64, u64)| each(ranks[p as usize], (l as i64 + ghost_lo) * stride);
-        let t = col.map(|g| align.apply(g) as u64);
-        match *mu {
-            Mu::Block { b, last } => t.for_each(|t| put(Mu::block(t, b, last))),
-            Mu::Cyclic { np } => t.for_each(|t| put((t % np, t / np))),
-            Mu::BlockCyclic { k, np } => t.for_each(|t| put(Mu::block_cyclic(t, k, np))),
-        }
+        let cells = col.map(|g| (self.align.apply(g), ()));
+        self.mu.map_run(cells, |p, l, ()| {
+            each(self.ranks[p as usize], (l + self.ghost_lo) * self.stride)
+        });
     }
 }
 
@@ -533,12 +469,14 @@ impl Locator {
         let seg = Segment::padded(shape, ghost_lo, ghost_hi);
         let dims = (dad.dims.iter().zip(seg.strides).zip(seg.bias))
             .map(|((dm, stride), ghost_lo)| {
-                let owner = dm.is_distributed().then(|| {
-                    let axis = dm.grid_axis.expect("distributed dim has axis");
-                    (dm.align, Mu::of(&dm.dist), axis_ranks(axis))
-                });
+                let (align, mu, ranks) = match dm.grid_axis {
+                    Some(axis) if dm.is_distributed() => (dm.align, dm.dist.mu(), axis_ranks(axis)),
+                    _ => (AlignExpr::IDENTITY, Mu::Whole, vec![0]),
+                };
                 LocatorDim {
-                    owner,
+                    align,
+                    mu,
+                    ranks,
                     ghost_lo,
                     stride,
                 }

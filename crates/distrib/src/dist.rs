@@ -83,80 +83,40 @@ impl DimDist {
         }
     }
 
+    /// `μ` of this dimension with its constants computed: the one
+    /// definition of global index → (grid coordinate, local index).
+    #[inline]
+    pub fn mu(&self) -> Mu {
+        let np = self.nprocs as u64;
+        match self.kind {
+            DistKind::Block => Mu::Block {
+                b: self.block_size() as u64,
+                last: np - 1,
+            },
+            DistKind::Cyclic => Mu::Cyclic { np },
+            DistKind::BlockCyclic(k) => Mu::BlockCyclic { k: k as u64, np },
+            DistKind::Collapsed => Mu::Whole,
+        }
+    }
+
     /// `μ`: the grid coordinate owning global index `g`.
     #[inline]
     pub fn proc_of(&self, g: i64) -> i64 {
-        debug_assert!((0..self.extent).contains(&g), "index {g} out of range");
-        match self.kind {
-            DistKind::Block => (g / self.block_size()).min(self.nprocs - 1),
-            DistKind::Cyclic => g % self.nprocs,
-            DistKind::BlockCyclic(k) => (g / k) % self.nprocs,
-            DistKind::Collapsed => 0,
-        }
+        self.global_to_local(g).0
     }
 
     /// `μ`: the local index of global `g` on its owning processor.
     #[inline]
     pub fn local_of(&self, g: i64) -> i64 {
-        match self.kind {
-            DistKind::Block => g - self.proc_of(g) * self.block_size(),
-            DistKind::Cyclic => g / self.nprocs,
-            DistKind::BlockCyclic(k) => (g / (k * self.nprocs)) * k + g % k,
-            DistKind::Collapsed => g,
-        }
+        self.global_to_local(g).1
     }
 
     /// `μ` as a pair: `(proc, local)` — [`DimDist::proc_of`] and
-    /// [`DimDist::local_of`] sharing their divisions, for per-element
-    /// callers.
+    /// [`DimDist::local_of`] sharing their divisions.
     #[inline]
     pub fn global_to_local(&self, g: i64) -> (i64, i64) {
-        match self.kind {
-            DistKind::Block => {
-                let b = self.block_size();
-                let p = (g / b).min(self.nprocs - 1);
-                (p, g - p * b)
-            }
-            DistKind::Cyclic => (g % self.nprocs, g / self.nprocs),
-            DistKind::BlockCyclic(k) => {
-                let block = g / k;
-                (block % self.nprocs, block / self.nprocs * k + g % k)
-            }
-            DistKind::Collapsed => (0, g),
-        }
-    }
-
-    /// [`DimDist::global_to_local`] of every `(index, item)` of `run`, in
-    /// order, through `each(proc, local, item)` — for callers that map a
-    /// column of indices at once, each with something to do it for. The
-    /// kind is matched once for the run, not once per index, and the
-    /// cyclic kinds divide unsigned: an index of the dimension is not
-    /// negative.
-    #[inline]
-    pub fn global_to_local_run<T>(
-        &self,
-        run: impl Iterator<Item = (i64, T)>,
-        mut each: impl FnMut(i64, i64, T),
-    ) {
-        let np = self.nprocs as u64;
-        match self.kind {
-            DistKind::Cyclic => run.for_each(|(g, item)| {
-                let g = g as u64;
-                each((g % np) as i64, (g / np) as i64, item)
-            }),
-            DistKind::BlockCyclic(k) => {
-                let k = k as u64;
-                run.for_each(|(g, item)| {
-                    let g = g as u64;
-                    let block = g / k;
-                    each((block % np) as i64, (block / np * k + g % k) as i64, item)
-                })
-            }
-            DistKind::Block | DistKind::Collapsed => run.for_each(|(g, item)| {
-                let (p, l) = self.global_to_local(g);
-                each(p, l, item)
-            }),
-        }
+        debug_assert!((0..self.extent).contains(&g), "index {g} out of range");
+        self.mu().map(g)
     }
 
     /// `μ⁻¹`: the global index of local `l` on processor `p`. Returns
@@ -215,6 +175,92 @@ impl DimDist {
     /// owns the maximum.
     pub fn max_local_count(&self) -> i64 {
         self.local_count(0)
+    }
+}
+
+/// `μ` of one template dimension (paper §3 stage 2) with its constants
+/// precomputed: template index → `(grid coordinate, local index)`.
+/// Template indices are never negative, so the arithmetic is unsigned.
+/// [`Mu::map`] maps one index, [`Mu::map_run`] a column of them with
+/// the kind decided once; every per-element `μ` in the workspace is one
+/// of the two.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mu {
+    /// `BLOCK`: blocks of `b`; the last coordinate, `last`, takes the
+    /// rest.
+    Block {
+        /// Block size `ceil(N/P)`.
+        b: u64,
+        /// The last grid coordinate, `P - 1`.
+        last: u64,
+    },
+    /// `CYCLIC` over `np` coordinates.
+    Cyclic {
+        /// Number of grid coordinates `P`.
+        np: u64,
+    },
+    /// `CYCLIC(k)` over `np` coordinates.
+    BlockCyclic {
+        /// Block size `K`.
+        k: u64,
+        /// Number of grid coordinates `P`.
+        np: u64,
+    },
+    /// `*`: the dimension is held whole at coordinate 0.
+    Whole,
+}
+
+#[inline]
+fn block(t: u64, b: u64, last: u64) -> (u64, u64) {
+    let p = (t / b).min(last);
+    (p, t - p * b)
+}
+
+#[inline]
+fn cyclic(t: u64, np: u64) -> (u64, u64) {
+    (t % np, t / np)
+}
+
+#[inline]
+fn block_cyclic(t: u64, k: u64, np: u64) -> (u64, u64) {
+    let block = t / k;
+    (block % np, block / np * k + t % k)
+}
+
+impl Mu {
+    /// `(grid coordinate, local index)` of template index `t ≥ 0`.
+    #[inline]
+    pub fn map(self, t: i64) -> (i64, i64) {
+        debug_assert!(t >= 0, "template index {t} is negative");
+        let t = t as u64;
+        let (p, l) = match self {
+            Mu::Block { b, last } => block(t, b, last),
+            Mu::Cyclic { np } => cyclic(t, np),
+            Mu::BlockCyclic { k, np } => block_cyclic(t, k, np),
+            Mu::Whole => (0, t),
+        };
+        (p as i64, l as i64)
+    }
+
+    /// [`Mu::map`] of every `(index, item)` of `run`, in order, through
+    /// `each(coordinate, local, item)` — for callers that map a column
+    /// of indices at once, each with something to do it for. The kind
+    /// is matched once for the run, not once per index.
+    #[inline]
+    pub fn map_run<T>(
+        self,
+        run: impl Iterator<Item = (i64, T)>,
+        mut each: impl FnMut(i64, i64, T),
+    ) {
+        let mut put = |(p, l): (u64, u64), item| each(p as i64, l as i64, item);
+        match self {
+            Mu::Block { b, last } => run.for_each(|(t, x)| put(block(t as u64, b, last), x)),
+            Mu::Cyclic { np } => run.for_each(|(t, x)| put(cyclic(t as u64, np), x)),
+            Mu::BlockCyclic { k, np } => {
+                run.for_each(|(t, x)| put(block_cyclic(t as u64, k, np), x))
+            }
+            Mu::Whole => run.for_each(|(t, x)| put((0, t as u64), x)),
+        }
     }
 }
 
@@ -311,7 +357,7 @@ mod tests {
                 for d in all_kinds(n, p) {
                     let mut run = Vec::new();
                     let indices = (0..n).rev().map(|g| (g, 2 * g));
-                    d.global_to_local_run(indices, |proc, local, item| {
+                    d.mu().map_run(indices, |proc, local, item| {
                         run.push((proc, local, item));
                     });
                     let each: Vec<(i64, i64, i64)> = ((0..n).rev())

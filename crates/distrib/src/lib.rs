@@ -42,7 +42,7 @@ pub mod template;
 pub use align::{AlignExpr, Alignment, AxisAlign};
 pub use bounds::{owned_cells, set_bound, Progression, Runs};
 pub use dad::{row_major_strides, ArrayDimMap, Dad, DadBuilder, Locator, Segment};
-pub use dist::{DimDist, DistKind};
+pub use dist::{DimDist, DistKind, Mu};
 pub use grid::{GridEmbedding, ProcGrid};
 pub use template::Template;
 

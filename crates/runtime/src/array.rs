@@ -182,13 +182,18 @@ pub fn flatten(idx: &[i64], strides: &[i64]) -> usize {
 }
 
 /// Unflatten a row-major flat index into shape coordinates.
-pub fn unflatten(mut flat: i64, shape: &[i64]) -> Vec<i64> {
+pub fn unflatten(flat: i64, shape: &[i64]) -> Vec<i64> {
     let mut idx = vec![0i64; shape.len()];
+    unflatten_into(flat, shape, &mut idx);
+    idx
+}
+
+/// [`unflatten`] into `idx`, one slot per dimension of `shape`.
+pub fn unflatten_into(mut flat: i64, shape: &[i64], idx: &mut [i64]) {
     for d in (0..shape.len()).rev() {
         idx[d] = flat % shape[d];
         flat /= shape[d];
     }
-    idx
 }
 
 #[cfg(test)]

@@ -18,10 +18,10 @@ pub fn spread(m: &mut Machine, src: &DistArray, dst: &DistArray, dim: usize) {
     let mut expect = dst.shape().to_vec();
     expect.remove(dim);
     assert_eq!(expect, src.shape(), "SPREAD shapes must conform");
-    remap(m, src, dst, |g| {
-        let mut sg = g.to_vec();
-        sg.remove(dim);
-        Some(sg)
+    remap(m, src, dst, |g, sg| {
+        sg[..dim].copy_from_slice(&g[..dim]);
+        sg[dim..].copy_from_slice(&g[dim + 1..]);
+        true
     });
 }
 

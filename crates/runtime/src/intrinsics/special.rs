@@ -8,7 +8,8 @@
 //! replicate-operands algorithm (concatenate + local multiply), which is
 //! always correct but moves `O(N²)` data per node.
 
-use f90d_comm::helpers::{exchange, fiber_through, tree_broadcast, PairMoves};
+use f90d_comm::helpers::{exchange, fiber_through, tree_broadcast, ExchangePlan};
+use f90d_comm::schedule::ElementReq;
 use f90d_comm::structured::concatenation;
 use f90d_distrib::DistKind;
 use f90d_machine::{ArrayData, ElemType, LocalArray, Machine, Value};
@@ -154,74 +155,48 @@ fn matmul_fox(m: &mut Machine, a: &DistArray, b: &DistArray, c: &DistArray) {
             }
             m.transport.charge_elem_ops(rank, 2 * blk * blk * blk);
         }
-        // Roll B upward: block at row r moves to row r-1 (wrap).
-        if q > 1 && stage + 1 < q {
-            let mut moves: PairMoves = PairMoves::new();
-            for rank in 0..m.nranks() {
-                let coords = m.grid.coords_of(rank);
-                let dst = m.grid.rank_of(&[(coords[0] - 1).rem_euclid(q), coords[1]]);
-                let src_arr = m.mems[rank as usize].array(&b.name);
-                let dst_arr = m.mems[dst as usize].array("MM_BROLL");
-                let mut elems = Vec::with_capacity((blk * blk) as usize);
-                for i in 0..blk {
-                    for j in 0..blk {
-                        elems.push((src_arr.offset(&[i, j]), dst_arr.offset(&[i, j])));
-                    }
-                }
-                moves.insert((rank, dst), elems);
-            }
-            exchange(m, &b.name, "MM_BROLL", &moves.into())
-                .expect("collective is internally matched");
-            // Swap rolled data back into B.
-            for rank in 0..m.nranks() {
-                let mem = &mut m.mems[rank as usize];
-                let vals: Vec<Value> = {
-                    let roll = mem.array("MM_BROLL");
-                    (0..blk * blk)
-                        .map(|f| roll.get(&[f / blk, f % blk]))
-                        .collect()
-                };
-                let barr = mem.array_mut(&b.name);
-                for (f, v) in vals.into_iter().enumerate() {
-                    barr.set(&[f as i64 / blk, f as i64 % blk], v);
-                }
-            }
-        }
-    }
-    // Restore B (it has rolled q-1 times → one more roll returns it).
-    if q > 1 {
-        let mut moves: PairMoves = PairMoves::new();
-        for rank in 0..m.nranks() {
-            let coords = m.grid.coords_of(rank);
-            let dst = m.grid.rank_of(&[(coords[0] - 1).rem_euclid(q), coords[1]]);
-            let src_arr = m.mems[rank as usize].array(&b.name);
-            let dst_arr = m.mems[dst as usize].array("MM_BROLL");
-            let mut elems = Vec::with_capacity((blk * blk) as usize);
-            for i in 0..blk {
-                for j in 0..blk {
-                    elems.push((src_arr.offset(&[i, j]), dst_arr.offset(&[i, j])));
-                }
-            }
-            moves.insert((rank, dst), elems);
-        }
-        exchange(m, &b.name, "MM_BROLL", &moves.into()).expect("collective is internally matched");
-        for rank in 0..m.nranks() {
-            let mem = &mut m.mems[rank as usize];
-            let vals: Vec<Value> = {
-                let roll = mem.array("MM_BROLL");
-                (0..blk * blk)
-                    .map(|f| roll.get(&[f / blk, f % blk]))
-                    .collect()
-            };
-            let barr = mem.array_mut(&b.name);
-            for (f, v) in vals.into_iter().enumerate() {
-                barr.set(&[f as i64 / blk, f as i64 % blk], v);
-            }
+        // Roll B upward; after the last stage the roll is the one that
+        // brings B back to where it started.
+        if q > 1 {
+            roll_up(m, &b.name, q, blk);
         }
     }
     for mem in &mut m.mems {
         mem.remove_array("MM_ABLK");
         mem.remove_array("MM_BROLL");
+    }
+}
+
+/// One roll of Fox's algorithm on a `q × q` grid of `blk × blk`
+/// blocks: the block of array `b` at grid row `r` moves to row `r - 1`
+/// (wrapping), staged through `MM_BROLL` and copied back into `b`.
+fn roll_up(m: &mut Machine, b: &str, q: i64, blk: i64) {
+    let mut moves = Vec::with_capacity((m.nranks() * blk * blk) as usize);
+    for rank in 0..m.nranks() {
+        let coords = m.grid.coords_of(rank);
+        let dst = m.grid.rank_of(&[(coords[0] - 1).rem_euclid(q), coords[1]]);
+        let src_arr = m.mems[rank as usize].array(b);
+        let dst_arr = m.mems[dst as usize].array("MM_BROLL");
+        for i in 0..blk {
+            for j in 0..blk {
+                let (src_off, dst_off) = (src_arr.offset(&[i, j]), dst_arr.offset(&[i, j]));
+                moves.push(ElementReq::moving(rank, dst, src_off, dst_off));
+            }
+        }
+    }
+    let plan = ExchangePlan::of_moves(&moves);
+    exchange(m, b, "MM_BROLL", &plan).expect("collective is internally matched");
+    for mem in &mut m.mems {
+        let vals: Vec<Value> = {
+            let roll = mem.array("MM_BROLL");
+            (0..blk * blk)
+                .map(|f| roll.get(&[f / blk, f % blk]))
+                .collect()
+        };
+        let barr = mem.array_mut(b);
+        for (f, v) in vals.into_iter().enumerate() {
+            barr.set(&[f as i64 / blk, f as i64 % blk], v);
+        }
     }
 }
 

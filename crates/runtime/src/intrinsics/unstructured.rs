@@ -8,15 +8,16 @@
 //! reduction, followed by a scheduled exchange; this is the classic
 //! PARTI-style two-phase approach.
 
-use f90d_comm::helpers::{exchange, PairMoves};
+use f90d_comm::helpers::{exchange, locator, ExchangePlan};
 use f90d_comm::reduce::{allreduce, ReduceOp};
+use f90d_comm::schedule::ElementReq;
 use f90d_machine::Machine;
 #[cfg(test)]
 use f90d_machine::Value;
 
 use f90d_distrib::row_major_strides;
 
-use crate::array::{flatten, DistArray};
+use crate::array::{flatten, unflatten_into, DistArray};
 use crate::remap::remap;
 
 /// `dst = TRANSPOSE(src)` for rank-2 arrays.
@@ -25,7 +26,10 @@ pub fn transpose(m: &mut Machine, src: &DistArray, dst: &DistArray) {
     assert_eq!(src.rank(), 2, "TRANSPOSE needs a rank-2 array");
     assert_eq!(dst.shape()[0], src.shape()[1]);
     assert_eq!(dst.shape()[1], src.shape()[0]);
-    remap(m, src, dst, |g| Some(vec![g[1], g[0]]));
+    remap(m, src, dst, |g, sg| {
+        sg.copy_from_slice(&[g[1], g[0]]);
+        true
+    });
 }
 
 /// `dst = RESHAPE(src, SHAPE(dst))` — array-element order (row-major in
@@ -34,10 +38,9 @@ pub fn reshape(m: &mut Machine, src: &DistArray, dst: &DistArray) {
     m.stats.record("reshape");
     assert_eq!(src.size(), dst.size(), "RESHAPE must preserve size");
     let dst_strides = row_major_strides(dst.shape());
-    let src_shape = src.shape().to_vec();
-    remap(m, src, dst, move |g| {
-        let flat = flatten(g, &dst_strides) as i64;
-        Some(crate::array::unflatten(flat, &src_shape))
+    remap(m, src, dst, |g, sg| {
+        unflatten_into(flatten(g, &dst_strides) as i64, src.shape(), sg);
+        true
     });
 }
 
@@ -112,32 +115,27 @@ pub fn pack(m: &mut Machine, src: &DistArray, mask: &DistArray, dst: &DistArray)
     assert_eq!(src.shape(), mask.shape(), "PACK mask must conform");
     assert_eq!(dst.rank(), 1, "PACK result is rank-1");
     let placed = mask_picks(m, mask);
-    let mut moves: PairMoves = PairMoves::new();
+    let (from, to) = (
+        locator(m, &src.name, &src.dad),
+        locator(m, &dst.name, &dst.dad),
+    );
+    let mut moves = Vec::new();
     let mut total = 0i64;
-    for rank in 0..m.nranks() {
-        let sel = &placed[rank as usize];
-        if sel.is_empty() {
-            continue;
-        }
-        let src_arr = m.mems[rank as usize].array(&src.name);
+    for (rank, sel) in (0..).zip(&placed) {
         for pick in sel {
             total += 1;
             if pick.pos >= dst.shape()[0] {
                 continue;
             }
-            let src_l = src.dad.local_index(&pick.global);
-            let src_off = src_arr.offset(&src_l);
-            for dst_rank in dst.dad.owner_ranks(&[pick.pos]) {
-                let dst_l = dst.dad.local_index(&[pick.pos]);
-                let dst_off = m.mems[dst_rank as usize].array(&dst.name).offset(&dst_l);
-                moves
-                    .entry((rank, dst_rank))
-                    .or_default()
-                    .push((src_off, dst_off));
+            let (_, src_off) = from.locate(&pick.global);
+            let (owner, dst_off) = to.locate(&[pick.pos]);
+            for replica in to.replicas() {
+                moves.push(ElementReq::moving(rank, owner + replica, src_off, dst_off));
             }
         }
     }
-    exchange(m, &src.name, &dst.name, &moves.into()).expect("collective is internally matched");
+    let plan = ExchangePlan::of_moves(&moves);
+    exchange(m, &src.name, &dst.name, &plan).expect("collective is internally matched");
     total
 }
 
@@ -149,26 +147,28 @@ pub fn unpack(m: &mut Machine, vec: &DistArray, mask: &DistArray, dst: &DistArra
     assert_eq!(dst.shape(), mask.shape(), "UNPACK mask must conform");
     assert_eq!(vec.rank(), 1, "UNPACK vector is rank-1");
     let placed = mask_picks(m, mask);
-    let mut moves: PairMoves = PairMoves::new();
-    for rank in 0..m.nranks() {
-        for pick in &placed[rank as usize] {
-            if pick.pos >= vec.shape()[0] {
-                continue;
-            }
-            let src_rank = vec.dad.owner_ranks(&[pick.pos])[0];
-            let src_l = vec.dad.local_index(&[pick.pos]);
-            let src_off = m.mems[src_rank as usize].array(&vec.name).offset(&src_l);
-            for dst_rank in dst.dad.owner_ranks(&pick.global) {
-                let dst_l = dst.dad.local_index(&pick.global);
-                let dst_off = m.mems[dst_rank as usize].array(&dst.name).offset(&dst_l);
-                moves
-                    .entry((src_rank, dst_rank))
-                    .or_default()
-                    .push((src_off, dst_off));
-            }
+    let (from, to) = (
+        locator(m, &vec.name, &vec.dad),
+        locator(m, &dst.name, &dst.dad),
+    );
+    let mut moves = Vec::new();
+    for pick in placed.iter().flatten() {
+        if pick.pos >= vec.shape()[0] {
+            continue;
+        }
+        let (src_rank, src_off) = from.locate(&[pick.pos]);
+        let (owner, dst_off) = to.locate(&pick.global);
+        for replica in to.replicas() {
+            moves.push(ElementReq::moving(
+                src_rank,
+                owner + replica,
+                src_off,
+                dst_off,
+            ));
         }
     }
-    exchange(m, &vec.name, &dst.name, &moves.into()).expect("collective is internally matched");
+    let plan = ExchangePlan::of_moves(&moves);
+    exchange(m, &vec.name, &dst.name, &plan).expect("collective is internally matched");
 }
 
 #[cfg(test)]

@@ -7,37 +7,39 @@
 //! any such map with vectorized pairwise messages, honouring both arrays'
 //! full three-stage mappings.
 
-use f90d_comm::helpers::{exchange, PairMoves};
+use f90d_comm::helpers::{exchange, locator, ExchangePlan};
+use f90d_comm::schedule::ElementReq;
 use f90d_machine::Machine;
 
 use crate::array::DistArray;
 
-/// For every global index `g` of `dst`, fetch `src[f(g)]` (skip when `f`
-/// returns `None`). Vectorized: one message per (owner, requester) pair.
+/// For every global index `g` of `dst`, fetch `src[φ(g)]`: `f(g, sg)`
+/// writes `φ(g)` into `sg`, a buffer of `src`'s rank the call owns, and
+/// returns `false` to leave `g` alone. Vectorized: one message per
+/// (owner, requester) pair.
 pub fn remap(
     m: &mut Machine,
     src: &DistArray,
     dst: &DistArray,
-    f: impl Fn(&[i64]) -> Option<Vec<i64>>,
+    mut f: impl FnMut(&[i64], &mut [i64]) -> bool,
 ) {
     m.stats.record("remap");
-    let mut moves: PairMoves = PairMoves::new();
+    let from = locator(m, &src.name, &src.dad);
+    let mut sg = vec![0; src.rank()];
+    let mut moves = Vec::new();
     for rank in 0..m.nranks() {
         let coords = m.grid.coords_of(rank);
         let dst_arr = m.mems[rank as usize].array(&dst.name);
         dst.dad
             .for_each_owned(&coords, &dst_arr.segment(), |g, dst_off| {
-                let Some(sg) = f(g) else { return };
-                let src_rank = src.dad.owner_ranks(&sg)[0];
-                let src_l = src.dad.local_index(&sg);
-                let src_off = m.mems[src_rank as usize].array(&src.name).offset(&src_l);
-                moves
-                    .entry((src_rank, rank))
-                    .or_default()
-                    .push((src_off, dst_off));
+                if f(g, &mut sg) {
+                    let (owner, src_off) = from.locate(&sg);
+                    moves.push(ElementReq::moving(owner, rank, src_off, dst_off));
+                }
             });
     }
-    exchange(m, &src.name, &dst.name, &moves.into()).expect("collective is internally matched");
+    let plan = ExchangePlan::of_moves(&moves);
+    exchange(m, &src.name, &dst.name, &plan).expect("collective is internally matched");
 }
 
 #[cfg(test)]
@@ -52,7 +54,10 @@ mod tests {
         let a = DistArray::create(&mut m, "A", ElemType::Real, &[9], &[DistKind::Block]);
         let b = DistArray::create(&mut m, "B", ElemType::Real, &[9], &[DistKind::Cyclic]);
         a.scatter_host(&mut m, &ArrayData::Real((0..9).map(|x| x as f64).collect()));
-        remap(&mut m, &a, &b, |g| Some(vec![8 - g[0]]));
+        remap(&mut m, &a, &b, |g, sg| {
+            sg[0] = 8 - g[0];
+            true
+        });
         let host = b.gather_host(&mut m);
         assert_eq!(
             host,
@@ -66,12 +71,9 @@ mod tests {
         let a = DistArray::create(&mut m, "A", ElemType::Int, &[4], &[DistKind::Block]);
         let b = DistArray::create(&mut m, "B", ElemType::Int, &[4], &[DistKind::Block]);
         a.fill_with(&mut m, |g| f90d_machine::Value::Int(g[0] + 1));
-        remap(&mut m, &a, &b, |g| {
-            if g[0] % 2 == 0 {
-                Some(vec![g[0]])
-            } else {
-                None
-            }
+        remap(&mut m, &a, &b, |g, sg| {
+            sg[0] = g[0];
+            g[0] % 2 == 0
         });
         let host = b.gather_host(&mut m);
         assert_eq!(host, ArrayData::Int(vec![1, 0, 3, 0]));

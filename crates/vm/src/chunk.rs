@@ -212,7 +212,7 @@ impl ResolvedAcc {
                 inside &= fine;
                 (if fine { dm.align.apply(g) } else { 0 }, off)
             });
-            dm.dist.global_to_local_run(cells, |owner, l, off| {
+            dm.dist.mu().map_run(cells, |owner, l, off| {
                 let l = l + ghost_lo;
                 owned &= owner == coord && (0..padded).contains(&l);
                 *off = off.wrapping_add(l.wrapping_mul(stride));
