@@ -675,7 +675,7 @@ impl<'a> Codegen<'a> {
                         self.scalars.push((target.clone(), self.arrays[arr].ty));
                         pre.push(SStmt::Comm(CommStmt::BroadcastElem {
                             arr,
-                            subs: s_subs,
+                            subs: s_subs.into(),
                             target: target.clone(),
                         }));
                         Ok(SExpr::Scalar(target))
@@ -1327,7 +1327,7 @@ impl<'a> Codegen<'a> {
         gathers.push(GatherSpec {
             src: arr,
             tmp,
-            subs: subs.clone(),
+            subs: subs.as_slice().into(),
             local_only,
         });
         Ok(SExpr::Read {

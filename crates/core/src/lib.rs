@@ -19,8 +19,9 @@
 //! Execution is loosely synchronous over a simulated MIMD machine: the
 //! node program is lowered once to bytecode ([`vmlower`]) and run by
 //! [`f90d_vm::Engine`] on a [`f90d_machine::Machine`]
-//! ([`Compiled::run_on`], [`Compiled::engine`]); correctness is checked
-//! against the sequential [`mod@reference`] interpreter.
+//! ([`Compiled::run_on`], [`Compiled::engine`]); what a run needs and
+//! nothing more is an [`Executable`]. Correctness is checked against the
+//! sequential [`mod@reference`] interpreter.
 //!
 //! ## Quick example
 //!
@@ -76,8 +77,9 @@ pub use options::{Backend, CompileOptions, OptFlags};
 pub struct Compiled {
     /// The SPMD node program.
     pub spmd: ir::SProgram,
-    /// The analyzed + normalized front-end form (kept for the reference
-    /// interpreter and for diagnostics).
+    /// The analyzed + normalized front-end form. No run reads it: it is
+    /// here for the [`mod@reference`] interpreter and for tests, and
+    /// [`Compiled::into_executable`] drops it.
     pub analyzed: AnalyzedProgram,
     /// The options it was compiled with.
     pub options: CompileOptions,
@@ -90,9 +92,10 @@ pub struct Compiled {
 /// parallel repro harness records this per matrix cell.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunTrace {
-    /// Bytecode program-cache outcome: `Some(true)` hit, `Some(false)`
-    /// this run performed the lowering. (`None` is what a default
-    /// `RunTrace` holds; no run reports it.)
+    /// Bytecode program-cache outcome of a [`Compiled::run_on_traced`]:
+    /// `Some(true)` hit, `Some(false)` this run performed the lowering.
+    /// `None` from [`Executable::run_on_traced`], whose caller holds the
+    /// bytecode already and knows where it came from.
     pub program_cache_hit: Option<bool>,
     /// Cross-run schedule-cache hits (first-per-run patterns found
     /// already built by an earlier run).
@@ -181,18 +184,24 @@ impl RunTrace {
     }
 }
 
-impl Compiled {
-    /// Execute on a machine (which must have the compiled grid shape).
-    /// Arrays start zero-initialized; use [`Compiled::engine`] directly
-    /// to seed inputs first or to inspect arrays and scalars afterwards.
-    pub fn run_on(&self, m: &mut Machine) -> Result<ExecReport, ExecError> {
-        self.run_on_traced(m).map(|(rep, _)| rep)
-    }
+/// What runs: a lowered node program and the options that configure
+/// its engine. It is the one place an [`Engine`] is configured from
+/// [`CompileOptions`]; [`Compiled`]'s run methods go through it.
+#[derive(Debug, Clone)]
+pub struct Executable {
+    /// The lowered bytecode program.
+    pub program: Arc<VmProgram>,
+    /// The options it was compiled with.
+    pub options: CompileOptions,
+}
 
-    /// [`Compiled::run_on`] that also reports the run's cache outcomes
-    /// and tier counts.
+impl Executable {
+    /// Execute on a machine (which must have the compiled grid shape),
+    /// arrays zero-initialized, and report the run's cache outcomes and
+    /// tier counts. [`RunTrace::program_cache_hit`] is `None`: the
+    /// caller knows where the bytecode came from.
     pub fn run_on_traced(&self, m: &mut Machine) -> Result<(ExecReport, RunTrace), ExecError> {
-        let (mut eng, hit) = self.engine_traced(m, false)?;
+        let mut eng = self.engine(m);
         let rep = eng.run(m)?;
         let (native_matched, native_fallback) = eng.native_counts();
         let (comm_groups, comm_fallbacks) = eng.comm.counts();
@@ -201,7 +210,7 @@ impl Compiled {
         Ok((
             rep,
             RunTrace {
-                program_cache_hit: Some(hit),
+                program_cache_hit: None,
                 sched_hits: eng.sched.hits(),
                 sched_misses: eng.sched.misses(),
                 native_matched,
@@ -220,11 +229,55 @@ impl Compiled {
         ))
     }
 
+    /// An engine over the program, configured from
+    /// [`Executable::options`], with every array allocated on `m`: seed
+    /// arrays, [`Engine::run`], gather arrays and read scalars.
+    pub fn engine(&self, m: &mut Machine) -> Engine {
+        self.configured(Engine::new(Arc::clone(&self.program), m))
+    }
+
+    /// [`Executable::engine`] that keeps the array segments already on
+    /// `m` instead of reallocating them.
+    pub fn engine_preserving(&self, m: &mut Machine) -> Engine {
+        self.configured(Engine::new_preserving(Arc::clone(&self.program), m))
+    }
+
+    fn configured(&self, mut eng: Engine) -> Engine {
+        eng.sched.reuse = self.options.opt.schedule_reuse;
+        eng.sched.use_global = self.options.sched_cache;
+        eng.overlap = self.options.opt.comm_compute_overlap;
+        eng.plan = self.options.opt.comm_plan;
+        eng
+    }
+}
+
+impl Compiled {
+    /// Execute on a machine (which must have the compiled grid shape).
+    /// Arrays start zero-initialized; use [`Compiled::engine`] directly
+    /// to seed inputs first or to inspect arrays and scalars afterwards.
+    pub fn run_on(&self, m: &mut Machine) -> Result<ExecReport, ExecError> {
+        self.run_on_traced(m).map(|(rep, _)| rep)
+    }
+
+    /// [`Compiled::run_on`] that also reports the run's cache outcomes
+    /// and tier counts.
+    pub fn run_on_traced(&self, m: &mut Machine) -> Result<(ExecReport, RunTrace), ExecError> {
+        let (exe, hit) = self.executable_traced()?;
+        let (rep, trace) = exe.run_on_traced(m)?;
+        Ok((
+            rep,
+            RunTrace {
+                program_cache_hit: Some(hit),
+                ..trace
+            },
+        ))
+    }
+
     /// An engine over this program's (cached) bytecode, configured from
     /// [`Compiled::options`], with every array allocated on `m`: seed
     /// arrays, [`Engine::run`], gather arrays and read scalars.
     pub fn engine(&self, m: &mut Machine) -> Result<Engine, ExecError> {
-        self.engine_traced(m, false).map(|(eng, _)| eng)
+        Ok(self.executable_traced()?.0.engine(m))
     }
 
     /// [`Compiled::engine`] that keeps the array segments already on `m`
@@ -232,22 +285,33 @@ impl Compiled {
     /// earlier fragment produced, or gather arrays after
     /// [`Compiled::run_on`].
     pub fn engine_preserving(&self, m: &mut Machine) -> Result<Engine, ExecError> {
-        self.engine_traced(m, true).map(|(eng, _)| eng)
+        Ok(self.executable_traced()?.0.engine_preserving(m))
     }
 
-    /// The configured engine and whether its bytecode was a cache hit.
-    fn engine_traced(&self, m: &mut Machine, preserve: bool) -> Result<(Engine, bool), ExecError> {
-        let (prog, hit) = self.vm_program_traced().map_err(ExecError)?;
-        let mut eng = if preserve {
-            Engine::new_preserving(prog, m)
-        } else {
-            Engine::new(prog, m)
-        };
-        eng.sched.reuse = self.options.opt.schedule_reuse;
-        eng.sched.use_global = self.options.sched_cache;
-        eng.overlap = self.options.opt.comm_compute_overlap;
-        eng.plan = self.options.opt.comm_plan;
-        Ok((eng, hit))
+    /// The [`Executable`] over this program's cached bytecode, and
+    /// whether the bytecode was a cache hit.
+    fn executable_traced(&self) -> Result<(Executable, bool), ExecError> {
+        let (program, hit) = self.vm_program_traced().map_err(ExecError)?;
+        let options = self.options.clone();
+        Ok((Executable { program, options }, hit))
+    }
+
+    /// Lower this program into an [`Executable`] of its own, dropping
+    /// the syntax tree and the node program. It bypasses [`vm_cache`]:
+    /// it is for a caller whose own cache key is exact (the daemon's
+    /// holds the whole request), where the collision guard of the
+    /// hashed [`ProgramKey`] would only keep a second copy of the node
+    /// program.
+    pub fn into_executable(self) -> Result<Executable, String> {
+        let program = Arc::new(self.lower()?);
+        Ok(Executable {
+            program,
+            options: self.options,
+        })
+    }
+
+    fn lower(&self) -> Result<VmProgram, String> {
+        vmlower::lower_with(&self.spmd, self.options.opt.native_kernels)
     }
 
     /// The lowered bytecode program, via the global cache keyed by
@@ -259,7 +323,6 @@ impl Compiled {
     /// [`Compiled::vm_program`] that also reports whether the lookup was
     /// a cache hit.
     pub fn vm_program_traced(&self) -> Result<(Arc<VmProgram>, bool), String> {
-        let lower = || vmlower::lower_with(&self.spmd, self.options.opt.native_kernels);
         let key = ProgramKey {
             source_hash: self.source_hash,
             opt: self.options.opt.clone(),
@@ -268,7 +331,7 @@ impl Compiled {
         let (entry, hit) = vm_cache().get_or_try_build(&key, || {
             Ok::<_, String>(LoweredProgram {
                 spmd: self.spmd.clone(),
-                program: Arc::new(lower()?),
+                program: Arc::new(self.lower()?),
             })
         })?;
         if entry.spmd == self.spmd {
@@ -276,7 +339,7 @@ impl Compiled {
         } else {
             // `source_hash` is a hash (and a public field): another
             // program owns this key. Equality decides — lower privately.
-            Ok((Arc::new(lower()?), false))
+            Ok((Arc::new(self.lower()?), false))
         }
     }
 
@@ -286,8 +349,9 @@ impl Compiled {
     }
 }
 
-/// Programs kept in [`vm_cache`] — the bound of the daemon's compile
-/// cache in front of it.
+/// Programs kept in [`vm_cache`], the process-wide cache library
+/// callers fill through [`Compiled`]. (The daemon keeps its own
+/// [`Executable`]s and does not fill it.)
 pub const PROGRAM_CACHE_CAP: usize = 512;
 
 /// Identity of a lowering in [`vm_cache`]: everything besides the node
@@ -322,6 +386,7 @@ pub fn vm_cache() -> &'static OnceMap<ProgramKey, LoweredProgram> {
 const _: fn() = || {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Compiled>();
+    assert_send_sync::<Executable>();
     assert_send_sync::<OnceMap<ProgramKey, LoweredProgram>>();
 };
 

@@ -58,19 +58,47 @@ pub fn lower_with(prog: &SProgram, native_kernels: bool) -> LResult<VmProgram> {
         }
     }
     Ok(VmProgram {
-        grid_shape: prog.grid_shape.clone(),
-        arrays,
-        scalars: lw.scalars,
+        grid_shape: prog.grid_shape.as_slice().into(),
+        arrays: frozen(arrays),
+        scalars: frozen(lw.scalars),
         nvars: lw.nvars,
-        consts: lw.consts,
-        accessors: lw.accessors,
-        code: lw.code,
-        foralls: lw.foralls,
-        comms: lw.comms,
-        rtcalls: lw.rtcalls,
-        prints: lw.prints,
-        natives,
+        consts: frozen(lw.consts),
+        accessors: frozen(lw.accessors),
+        code: frozen(lw.code),
+        foralls: frozen(lw.foralls),
+        comms: frozen(lw.comms),
+        rtcalls: frozen(lw.rtcalls),
+        prints: frozen(lw.prints),
+        natives: frozen(natives),
     })
+}
+
+// A lowered program is kept (and cached) far longer than lowering takes,
+// so its tables hold no room to grow. They are allocated at their final
+// length rather than shrunk: `Vec::into_boxed_slice` on a grown vector
+// shrinks it in place and hands the allocator the cut-off tail, and a
+// tail per table fragments the heap the next compilation allocates from.
+// With shrinking, the frontend and code generation of the cold-daemon
+// programs after it ran about 1.4× slower.
+
+/// Collect fallible items into a slice allocated once, at its length.
+fn exact<T>(items: impl ExactSizeIterator<Item = LResult<T>>) -> LResult<Box<[T]>> {
+    let mut out = Vec::with_capacity(items.len());
+    for item in items {
+        out.push(item?);
+    }
+    Ok(out.into())
+}
+
+/// `v` moved into a slice allocated at its length; a grown buffer is
+/// freed whole.
+fn frozen<T>(v: Vec<T>) -> Box<[T]> {
+    if v.len() == v.capacity() {
+        return v.into();
+    }
+    let mut out = Vec::with_capacity(v.len());
+    out.extend(v);
+    out.into()
 }
 
 /// Checked table-index narrowing: the bytecode addresses its tables with
@@ -115,7 +143,9 @@ struct Lowerer<'p> {
     foralls: Vec<VmForall>,
     comms: Vec<stmt::CommStmt<ExprCode, u16>>,
     rtcalls: Vec<stmt::RtCall<ExprCode>>,
-    prints: Vec<Vec<stmt::PrintItem<ExprCode>>>,
+    prints: Vec<Box<[stmt::PrintItem<ExprCode>]>>,
+    /// Scratch buffer [`Lowerer::compile`] emits into.
+    ops: Vec<Op>,
 }
 
 impl<'p> Lowerer<'p> {
@@ -141,6 +171,7 @@ impl<'p> Lowerer<'p> {
             comms: Vec::new(),
             rtcalls: Vec::new(),
             prints: Vec::new(),
+            ops: Vec::new(),
         }
     }
 
@@ -203,12 +234,22 @@ impl<'p> Lowerer<'p> {
 
     // ---- expressions ---------------------------------------------------
 
-    /// Compile `e` into a fresh expression program.
+    /// Compile `e` into a fresh expression program. It is emitted into
+    /// the reused `ops` buffer and copied out at its length.
     fn compile(&mut self, e: &SExpr) -> LResult<ExprCode> {
-        let mut ops = Vec::new();
-        self.emit(e, 0, &mut ops)?;
-        let nregs = code_width(&ops);
-        Ok(ExprCode { ops, out: 0, nregs })
+        let mut ops = std::mem::take(&mut self.ops);
+        ops.clear();
+        let code = self.emit(e, 0, &mut ops).map(|()| ExprCode {
+            ops: ops.as_slice().into(),
+            out: 0,
+            nregs: code_width(&ops),
+        });
+        self.ops = ops;
+        code
+    }
+
+    fn compile_all(&mut self, es: &[SExpr]) -> LResult<Box<[ExprCode]>> {
+        exact(es.iter().map(|e| self.compile(e)))
     }
 
     /// Integer affine view of `e` over at most one bound loop variable:
@@ -427,10 +468,7 @@ impl<'p> Lowerer<'p> {
             }
             SStmt::OwnerAssign { arr, subs, rhs } => {
                 let cost = rhs.op_count().max(1);
-                let subs = subs
-                    .iter()
-                    .map(|e| self.compile(e))
-                    .collect::<LResult<_>>()?;
+                let subs = self.compile_all(subs)?;
                 let rhs = self.compile(rhs)?;
                 self.code.push(PInst::OwnerAssign {
                     arr: *arr,
@@ -493,15 +531,12 @@ impl<'p> Lowerer<'p> {
                 }
             }
             SStmt::Print { items } => {
-                let items = items
-                    .iter()
-                    .map(|it| {
-                        Ok(match it {
-                            PrintItem::Text(t) => stmt::PrintItem::Text(t.clone()),
-                            PrintItem::Val(e) => stmt::PrintItem::Val(self.compile(e)?),
-                        })
+                let items = exact(items.iter().map(|it| {
+                    Ok(match it {
+                        PrintItem::Text(t) => stmt::PrintItem::Text(t.clone()),
+                        PrintItem::Val(e) => stmt::PrintItem::Val(self.compile(e)?),
                     })
-                    .collect::<LResult<_>>()?;
+                }))?;
                 let id = idx16(self.prints.len(), "print table");
                 self.prints.push(items);
                 self.code.push(PInst::Print(id));
@@ -535,16 +570,12 @@ impl<'p> Lowerer<'p> {
     fn lower_forall(&mut self, f: &ForallNode) -> LResult<u16> {
         // Prelude, owner filter and loop bounds evaluate in the outer
         // scope (before the loop variables exist).
-        let pre = f
-            .pre
-            .iter()
-            .map(|c| self.lower_comm(c))
-            .collect::<LResult<Vec<u16>>>()?;
-        let owner_filter = f
-            .owner_filter
-            .iter()
-            .map(|(arr, dim, idx)| Ok((*arr, *dim, self.compile(idx)?)))
-            .collect::<LResult<Vec<_>>>()?;
+        let pre = exact(f.pre.iter().map(|c| self.lower_comm(c)))?;
+        let owner_filter = exact(
+            f.owner_filter
+                .iter()
+                .map(|(arr, dim, idx)| Ok((*arr, *dim, self.compile(idx)?))),
+        )?;
         let mut specs = Vec::with_capacity(f.vars.len());
         for spec in &f.vars {
             let lb = self.compile(&spec.lb)?;
@@ -554,7 +585,7 @@ impl<'p> Lowerer<'p> {
         }
         // Bind the loop variables for the element-context code.
         let var_names: Vec<String> = f.vars.iter().map(|v| v.var.clone()).collect();
-        let vars: Vec<stmt::LoopSpec<ExprCode, u16>> = f
+        let vars: Box<[stmt::LoopSpec<ExprCode, u16>]> = f
             .vars
             .iter()
             .zip(specs)
@@ -584,11 +615,7 @@ impl<'p> Lowerer<'p> {
                 ));
             }
             let rhs = self.compile(&b.rhs)?;
-            let subs = b
-                .subs
-                .iter()
-                .map(|e| self.compile(e))
-                .collect::<LResult<_>>()?;
+            let subs = self.compile_all(&b.subs)?;
             let lhs_acc = if scatter.is_none() {
                 Some(self.acc_id(AccPlan::Owned { arr: b.arr }))
             } else {
@@ -603,22 +630,14 @@ impl<'p> Lowerer<'p> {
                 cost: b.rhs.op_count_cse(&var_names) + 2,
             });
         }
-        let gathers = f
-            .gathers
-            .iter()
-            .map(|g| {
-                Ok(stmt::GatherSpec {
-                    src: g.src,
-                    tmp: g.tmp,
-                    subs: g
-                        .subs
-                        .iter()
-                        .map(|e| self.compile(e))
-                        .collect::<LResult<_>>()?,
-                    local_only: g.local_only,
-                })
+        let gathers = exact(f.gathers.iter().map(|g| {
+            Ok(stmt::GatherSpec {
+                src: g.src,
+                tmp: g.tmp,
+                subs: self.compile_all(&g.subs)?,
+                local_only: g.local_only,
             })
-            .collect::<LResult<Vec<_>>>()?;
+        }))?;
         self.unbind(f.vars.len());
         // Accessors the element loop touches, for per-rank resolution.
         let mut accs_used: Vec<u16> = Vec::new();
@@ -660,8 +679,8 @@ impl<'p> Lowerer<'p> {
             pre,
             gathers,
             owner_filter,
-            body,
-            accs_used,
+            body: body.into(),
+            accs_used: frozen(accs_used),
             native: None, // the selection post-pass in `lower_with` fills this
             plan: f.plan,
         });

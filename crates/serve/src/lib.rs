@@ -12,9 +12,9 @@
 //! [`f90d_core::compile`]:
 //!
 //! - **Request dedup + batching** ([`dedup`]): concurrent identical
-//!   jobs — same (source, options, grid) identity the bytecode program
-//!   cache keys on — collapse onto one execution whose result fans out
-//!   to every waiter.
+//!   jobs — the same whole-request identity the server's compile cache
+//!   keys on — collapse onto one execution whose result fans out to
+//!   every waiter.
 //! - **Admission control** ([`admission`]): a bounded queue in front of
 //!   a bounded number of executing jobs; excess load is refused with a
 //!   structured 429-style error instead of an ever-growing backlog.
@@ -22,7 +22,7 @@
 //!   machines are checked out, fully reset, and reused — the warm hot
 //!   path constructs nothing.
 //! - **Per-request telemetry** ([`telemetry`] and the run response):
-//!   program-cache and schedule-cache outcomes, queue/lease waits and
+//!   compile-cache and schedule-cache outcomes, queue/lease waits and
 //!   execution wall time per request; a `stats` op aggregates
 //!   server-wide counters.
 //!

@@ -205,14 +205,16 @@ pub struct RunOutcome {
     pub bytes: u64,
     /// PRINT output lines.
     pub printed: Vec<String>,
-    /// The bytecode came from the program cache (this run did not lower).
+    /// The bytecode came from a cache (this job did not lower). The
+    /// daemon keeps bytecode in its compile cache, so this equals
+    /// [`RunOutcome::compile_cache_hit`].
     pub program_cache_hit: bool,
     /// Cross-run schedule-cache hits during the execution.
     pub sched_hits: u64,
     /// Cross-run schedule-cache misses (inspector builds).
     pub sched_misses: u64,
-    /// Served from the server's compiled-program cache (frontend +
-    /// codegen skipped entirely).
+    /// Served from the server's compile cache (frontend, codegen and
+    /// lowering skipped entirely).
     pub compile_cache_hit: bool,
     /// The machine came from the pool instead of being constructed.
     pub machine_reused: bool,

@@ -12,11 +12,15 @@
 //! 3. **Admission** ([`crate::admission`]) — leaders take a bounded run
 //!    slot or queue for one; a full queue is a structured 429.
 //!
-//! The execution itself reuses every process-wide warm path: the
-//! server-side [`Compiled`] cache (skips the frontend), the bytecode
-//! program cache ([`f90d_core::vm_cache`]), the cross-run schedule
-//! cache ([`f90d_comm::sched_cache`]) and the [`MachinePool`]. Each
-//! response reports which of those fired for it.
+//! The execution itself reuses every warm path: the server-side compile
+//! cache of [`Executable`]s (skips the frontend, code generation and
+//! lowering), the cross-run schedule cache ([`f90d_comm::sched_cache`])
+//! and the [`MachinePool`]. Each response reports which of those fired
+//! for it. A compile-cache entry holds the bytecode and its options
+//! only: its key, the whole request, is exact, so the daemon does not go
+//! through the process-wide program cache ([`f90d_core::vm_cache`]),
+//! whose hashed key needs a copy of the node program to guard against
+//! collisions.
 
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -26,7 +30,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use f90d_core::{compile, Compiled};
+use f90d_core::{compile, Executable};
 use f90d_machine::{MachinePool, OnceMap};
 use serde::json::{Json, ParseLimits};
 
@@ -38,8 +42,8 @@ use crate::protocol::{
 };
 use crate::telemetry::ServerStats;
 
-/// Compiled programs kept server-side (a request key holds its whole
-/// source, up to the request-line cap).
+/// Executables kept server-side (a request key holds its whole source,
+/// up to the request-line cap).
 const COMPILE_CACHE_CAP: usize = 512;
 
 /// Daemon configuration (the binary's flags map onto this 1:1).
@@ -85,7 +89,7 @@ pub struct ServerState {
     pub pool: MachinePool,
     admission: Admission,
     inflight: Arc<Inflight<RunRequest, JobResult>>,
-    compiled: OnceMap<RunRequest, Compiled>,
+    compiled: OnceMap<RunRequest, Executable>,
     shutdown: AtomicBool,
 }
 
@@ -125,12 +129,16 @@ impl ServerState {
         ParseLimits::network(self.cfg.max_request_bytes, self.cfg.max_json_depth)
     }
 
-    /// The compiled program for `req`, via the server-side cache.
-    /// Returns the program and whether the lookup hit.
-    fn compiled_for(&self, req: &RunRequest) -> Result<(Arc<Compiled>, bool), Reject> {
-        let (compiled, hit) = self
+    /// The executable for `req`, via the server-side cache: on a miss,
+    /// compiled and lowered, with the syntax tree and node program
+    /// dropped before the entry is published. Returns the executable and
+    /// whether the lookup hit. A lowering error is a compile error.
+    fn executable_for(&self, req: &RunRequest) -> Result<(Arc<Executable>, bool), Reject> {
+        let (exe, hit) = self
             .compiled
-            .get_or_try_build(req, || compile(&req.source, &req.compile_options()))
+            .get_or_try_build(req, || {
+                compile(&req.source, &req.compile_options())?.into_executable()
+            })
             .map_err(|e| {
                 ServerStats::bump(&self.stats.compile_errors);
                 Reject::new(422, format!("compile error: {e}"))
@@ -140,18 +148,18 @@ impl ServerState {
         } else {
             &self.stats.compile_cache_misses
         });
-        Ok((compiled, hit))
+        Ok((exe, hit))
     }
 
     /// Execute one job (the dedup leader's path).
     fn execute(&self, req: &RunRequest) -> JobResult {
         ServerStats::bump(&self.stats.runs);
-        let (compiled, compile_cache_hit) = self.compiled_for(req)?;
+        let (exe, compile_cache_hit) = self.executable_for(req)?;
         let lease_start = Instant::now();
         let (mut machine, machine_reused) = self.pool.check_out_traced(&req.spec(), &req.grid);
         let lease_wait_ms = lease_start.elapsed().as_secs_f64() * 1e3;
         let exec_start = Instant::now();
-        let run = compiled.run_on_traced(&mut machine);
+        let run = exe.run_on_traced(&mut machine);
         let exec_ms = exec_start.elapsed().as_secs_f64() * 1e3;
         match run {
             Ok((rep, trace)) => {
@@ -161,7 +169,9 @@ impl ServerState {
                     messages: rep.messages,
                     bytes: rep.bytes,
                     printed: rep.printed,
-                    program_cache_hit: trace.program_cache_hit == Some(true),
+                    // The bytecode came from a cache exactly when the
+                    // executable did.
+                    program_cache_hit: compile_cache_hit,
                     sched_hits: trace.sched_hits,
                     sched_misses: trace.sched_misses,
                     compile_cache_hit,
@@ -245,6 +255,13 @@ impl ServerState {
                         ("created".into(), n(self.pool.created() as f64)),
                         ("reused".into(), n(self.pool.reused() as f64)),
                         ("idle".into(), n(self.pool.idle() as f64)),
+                    ]),
+                ),
+                (
+                    "compile_cache".into(),
+                    Json::Obj(vec![
+                        ("len".into(), n(self.compiled.len() as f64)),
+                        ("cap".into(), n(COMPILE_CACHE_CAP as f64)),
                     ]),
                 ),
                 (
@@ -601,7 +618,7 @@ mod tests {
         let load = |n: &AtomicU64| n.load(Ordering::Relaxed);
         for i in 0..3 * COMPILE_CACHE_CAP {
             let bad = job(format!("PROGRAM BAD{i}\nTHIS IS NOT FORTRAN(\nEND\n"));
-            assert_eq!(state.compiled_for(&bad).unwrap_err().code, 422);
+            assert_eq!(state.executable_for(&bad).unwrap_err().code, 422);
         }
         assert_eq!(
             load(&state.stats.compile_errors),
@@ -612,7 +629,7 @@ mod tests {
 
         for i in 0..3 * COMPILE_CACHE_CAP {
             let good = job(format!("PROGRAM P{i}\nREAL X\nX = {i}.0\nEND\n"));
-            assert!(!state.compiled_for(&good).unwrap().1, "job {i} hit");
+            assert!(!state.executable_for(&good).unwrap().1, "job {i} hit");
         }
         assert_eq!(
             load(&state.stats.compile_cache_misses),

@@ -138,6 +138,7 @@ fn protocol_end_to_end_over_tcp() {
         vec!["stats", "server", "runs"],
         vec!["stats", "admission", "max_running"],
         vec!["stats", "machine_pool", "created"],
+        vec!["stats", "compile_cache", "len"],
         vec!["stats", "program_cache", "hits"],
         vec!["stats", "sched_cache", "misses"],
     ] {
@@ -146,6 +147,7 @@ fn protocol_end_to_end_over_tcp() {
     assert!(num(&stats, &["stats", "server", "requests"]) >= 4.0);
     assert!(num(&stats, &["stats", "server", "bad_requests"]) >= 2.0);
     assert!(num(&stats, &["stats", "server", "compile_errors"]) >= 1.0);
+    assert_eq!(num(&stats, &["stats", "compile_cache", "cap"]), 512.0);
 
     handle.shutdown().unwrap();
 }

@@ -147,7 +147,7 @@ pub enum Op {
 #[derive(Debug, Clone, Default)]
 pub struct ExprCode {
     /// Instructions in evaluation order.
-    pub ops: Vec<Op>,
+    pub ops: Box<[Op]>,
     /// Register holding the result.
     pub out: Reg,
     /// Number of registers the program needs.
@@ -160,7 +160,7 @@ pub struct VmAssign {
     /// Destination array.
     pub arr: ArrId,
     /// Global subscripts.
-    pub subs: Vec<ExprCode>,
+    pub subs: Box<[ExprCode]>,
     /// Value.
     pub rhs: ExprCode,
     /// Accessor used to compute owned-write offsets (`None` for scatter
@@ -176,21 +176,21 @@ pub struct VmAssign {
 #[derive(Debug, Clone)]
 pub struct VmForall {
     /// Loop variables (slots), outer to inner.
-    pub vars: Vec<LoopSpec<ExprCode, u16>>,
+    pub vars: Box<[LoopSpec<ExprCode, u16>]>,
     /// Optional mask (element context).
     pub mask: Option<ExprCode>,
     /// Modelled cost of one mask evaluation.
     pub mask_cost: i64,
     /// Communication prelude (comm-table indices).
-    pub pre: Vec<u16>,
+    pub pre: Box<[u16]>,
     /// Unstructured reads.
-    pub gathers: Vec<GatherSpec<ExprCode>>,
+    pub gathers: Box<[GatherSpec<ExprCode>]>,
     /// `set_BOUND` masking of inactive processors.
-    pub owner_filter: Vec<(ArrId, usize, ExprCode)>,
+    pub owner_filter: Box<[(ArrId, usize, ExprCode)]>,
     /// Body assignments.
-    pub body: Vec<VmAssign>,
+    pub body: Box<[VmAssign]>,
     /// Accessor ids the element loop references (for per-rank resolution).
-    pub accs_used: Vec<u16>,
+    pub accs_used: Box<[u16]>,
     /// Native-tier kernel selected at lowering time
     /// ([`VmProgram::natives`] index), or `None` when the bytecode
     /// element loop is the only executor. Even with a kernel present the
@@ -224,7 +224,7 @@ pub enum PInst {
         /// Destination array.
         arr: ArrId,
         /// Global subscripts.
-        subs: Vec<ExprCode>,
+        subs: Box<[ExprCode]>,
         /// Value.
         rhs: ExprCode,
         /// Modelled cost per owner.
@@ -278,33 +278,36 @@ pub enum PInst {
 }
 
 /// A complete lowered SPMD program.
+///
+/// Its tables are boxed slices: a program is kept (and cached) far
+/// longer than lowering takes, so it holds no room to grow.
 #[derive(Debug, Clone)]
 pub struct VmProgram {
     /// Logical grid shape.
-    pub grid_shape: Vec<i64>,
+    pub grid_shape: Box<[i64]>,
     /// Array table.
-    pub arrays: Vec<ArrayDecl>,
+    pub arrays: Box<[ArrayDecl]>,
     /// Scalar slots (name, type), replicated.
-    pub scalars: Vec<(String, ElemType)>,
+    pub scalars: Box<[(String, ElemType)]>,
     /// Number of loop-variable slots.
     pub nvars: usize,
     /// Constant pool.
-    pub consts: Vec<Value>,
+    pub consts: Box<[Value]>,
     /// Accessor table.
-    pub accessors: Vec<AccPlan>,
+    pub accessors: Box<[AccPlan]>,
     /// Flat instruction stream.
-    pub code: Vec<PInst>,
+    pub code: Box<[PInst]>,
     /// FORALL table.
-    pub foralls: Vec<VmForall>,
+    pub foralls: Box<[VmForall]>,
     /// Communication table (scalar targets are slots).
-    pub comms: Vec<CommStmt<ExprCode, u16>>,
+    pub comms: Box<[CommStmt<ExprCode, u16>]>,
     /// Runtime-call table.
-    pub rtcalls: Vec<RtCall<ExprCode>>,
+    pub rtcalls: Box<[RtCall<ExprCode>]>,
     /// Print table.
-    pub prints: Vec<Vec<PrintItem<ExprCode>>>,
+    pub prints: Box<[Box<[PrintItem<ExprCode>]>]>,
     /// Native-tier kernel table ([`VmForall::native`] indexes into it).
     /// Empty when lowering ran with `native_kernels` off.
-    pub natives: Vec<crate::native::NativeKernel>,
+    pub natives: Box<[crate::native::NativeKernel]>,
 }
 
 impl VmProgram {

@@ -1476,7 +1476,11 @@ mod tests {
     fn gather_forall(rhs: Vec<Op>, nregs: u16) -> (VmForall, Vec<ArrayDecl>) {
         use crate::bytecode::{LoopSpec, Partition, VmAssign};
         use f90d_distrib::DadBuilder;
-        let code = |ops: Vec<Op>, nregs| ExprCode { ops, out: 0, nregs };
+        let code = |ops: Vec<Op>, nregs| ExprCode {
+            ops: ops.into(),
+            out: 0,
+            nregs,
+        };
         let var = |slot| code(vec![Op::LoadVar { dst: 0, slot }], 1);
         let konst = |k| code(vec![Op::Const { dst: 0, k }], 1);
         let decl = |name: &str, is_temp| ArrayDecl {
@@ -1487,32 +1491,32 @@ mod tests {
             is_temp,
         };
         let f = VmForall {
-            vars: vec![LoopSpec {
+            vars: Box::new([LoopSpec {
                 var: 0,
                 lb: konst(0),
                 ub: konst(1),
                 st: konst(2),
                 part: Partition::BlockIter,
-            }],
+            }]),
             mask: None,
             mask_cost: 0,
-            pre: vec![],
-            gathers: vec![GatherSpec {
+            pre: Box::new([]),
+            gathers: Box::new([GatherSpec {
                 src: 1,
                 tmp: 2,
-                subs: vec![var(0)],
+                subs: Box::new([var(0)]),
                 local_only: false,
-            }],
-            owner_filter: vec![],
-            body: vec![VmAssign {
+            }]),
+            owner_filter: Box::new([]),
+            body: Box::new([VmAssign {
                 arr: 0,
-                subs: vec![var(0)],
+                subs: Box::new([var(0)]),
                 rhs: code(rhs, nregs),
                 lhs_acc: Some(0),
                 scatter: None,
                 cost: 3,
-            }],
-            accs_used: vec![0],
+            }]),
+            accs_used: Box::new([0]),
             native: None,
             plan: None,
         };

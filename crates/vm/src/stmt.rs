@@ -142,7 +142,7 @@ pub enum CommStmt<E, N> {
         /// Source array.
         arr: ArrId,
         /// Global subscripts.
-        subs: Vec<E>,
+        subs: Box<[E]>,
         /// Destination scalar.
         target: N,
     },
@@ -447,7 +447,7 @@ pub struct GatherSpec<E> {
     /// Sequential buffer.
     pub tmp: ArrId,
     /// Global subscripts as functions of the loop variables.
-    pub subs: Vec<E>,
+    pub subs: Box<[E]>,
     /// `true` when preprocessing is local-only (invertible subscripts →
     /// `schedule1`/`precomp_read`); `false` → `schedule2`/`gather`.
     pub local_only: bool,
