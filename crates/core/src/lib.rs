@@ -131,8 +131,9 @@ pub struct RunTrace {
     /// iteration space (the rest are `dispatch_reused`): the ranks the
     /// partitioning visited — only those whose grid coordinates can own
     /// an iteration under the evaluated bounds and owner filter; `P` per
-    /// execution would mean idle ranks are not masked. Exact; explains
-    /// host time only.
+    /// execution would mean idle ranks are not masked. A step a `DO`
+    /// loop's plan instantiated visits exactly its active ranks. Exact;
+    /// explains host time only.
     pub ranks_visited: u64,
     /// Over the same executions, the ranks that came out with
     /// iterations: at most `ranks_visited`, equal when the window of
@@ -149,6 +150,11 @@ pub struct RunTrace {
     /// same iteration space and single in-place write under a body that
     /// reads no array. Exact; each rank is still charged its own ops.
     pub ranks_copied: u64,
+    /// Rank bindings of native FORALL executions inside a `DO` that the
+    /// statement's plan of the loop instantiated instead of proving them
+    /// again: each active rank at each step of one of its pieces of the
+    /// loop's range but the first. Exact; explains host time only.
+    pub binds_instantiated: u64,
     /// Comm phases the driver posted as one batched, coalesced ghost
     /// exchange (`comm_plan` on). Informational — the driver's fallback
     /// contract keeps results bit-identical.
@@ -164,7 +170,7 @@ impl RunTrace {
     /// (`results.json` nests the groups). A counter added to the trace
     /// is added here, and every reader — `results.json`, the `repro`
     /// stderr totals, `--exp vmcmp` — carries it.
-    pub fn counters(&self) -> [(&'static str, u64); 14] {
+    pub fn counters(&self) -> [(&'static str, u64); 15] {
         [
             ("sched_hits", self.sched_hits),
             ("sched_misses", self.sched_misses),
@@ -178,6 +184,7 @@ impl RunTrace {
             ("plan_reuse.ranks_active", self.ranks_active),
             ("plan_reuse.inspectors_reused", self.inspectors_reused),
             ("plan_reuse.ranks_copied", self.ranks_copied),
+            ("plan_reuse.binds_instantiated", self.binds_instantiated),
             ("comm_plan.groups", self.comm_groups),
             ("comm_plan.fallbacks", self.comm_fallbacks),
         ]
@@ -223,6 +230,7 @@ impl Executable {
                 ranks_active,
                 inspectors_reused: eng.sched.inspectors_reused(),
                 ranks_copied: eng.ranks_copied(),
+                binds_instantiated: eng.binds_instantiated(),
                 comm_groups,
                 comm_fallbacks,
             },

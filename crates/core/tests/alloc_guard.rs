@@ -5,7 +5,12 @@
 //! on other threads do not perturb the count — over one run of the
 //! `(*,BLOCK)` Gaussian on the native tier, divided by the run's active
 //! rank-executions (`RunTrace::ranks_active`: one rank running one
-//! FORALL execution).
+//! FORALL execution). A debug build also re-derives every step a
+//! `DO`-loop plan instantiated from scratch, to check it
+//! (`engine::check_instantiated`), and counts those allocations too: a
+//! release build read 11.4, 3.8 and 1.4 per active rank-execution at
+//! P = 4, 16 and 64 when the plans came in (15.1, 4.7 and 1.5 before),
+//! a debug build 16.1, 5.1 and 1.7.
 //!
 //! Where the bounds come from. Before FORALL dispatch kept `set_BOUND`'s
 //! triples as progressions, one run of this test made 23 524, 47 010 and

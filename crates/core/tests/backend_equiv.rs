@@ -71,6 +71,53 @@ fn gaussian_dispatch_visits_only_the_ranks_that_work() {
     }
 }
 
+/// The Gaussian step is bound once per rank per piece of the `DO`'s
+/// range and instantiated at every other step of the piece (ROADMAP 6(b),
+/// `bind::BindPlan`). On the same shape as above: the rank of column `c`
+/// (2 ≤ c ≤ 64) runs the steps K = 1..c−1; its `J` share `{c}` and its
+/// `I` range `K+1..64` are affine in `K` over all of them, so its one
+/// piece is its whole life — proved at K = 1 (and at K = c − 1, the far
+/// end) and instantiated at the c − 2 steps after the first. By hand:
+/// Σ_{c=2}^{64} (c − 2) = 1953 of the 2016 rank-steps, the other 63
+/// being the first step's from-scratch binds. The bytecode tier binds
+/// nothing, and both tiers partition only the first step from scratch.
+#[test]
+fn gaussian_binds_each_rank_once_per_piece() {
+    let src = gaussian(64);
+    for (tier, want) in [(Tier::Bytecode, 0), (Tier::Native, 1953)] {
+        let (_, t) = observe(&src, &[256], &[], tier).expect("runs");
+        assert_eq!(
+            t.binds_instantiated, want,
+            "{tier:?}: bindings instantiated"
+        );
+    }
+}
+
+/// The corpus pins of the `DO`-loop plan agree across the tiers and
+/// with the reference interpreter, and plan what their bounds allow.
+/// `doplan_pieces` — `(BLOCK,*)`, N = 24 on 4 ranks, `K = 2, 4, …, 20`,
+/// `FORALL (I=K+1:N, J=K:N-1)` — breaks each rank's piece where `K+1`
+/// reaches its first row, and again where its rows run out. By hand,
+/// the rank of rows `6r+1..6r+6` is proved at the first step and
+/// instantiated through the step where `K+1 = 6r+1` — 1, 2, 5 and 8
+/// steps for r = 0..3 (rank 0 holds rows 3..6 from the start and goes
+/// idle after 1) — then proved again and instantiated to its last row
+/// pair: 0, 1, 1 and 0 more; 18 in all. `doplan_square`'s lower bound
+/// `K*K` is not affine in `K`: every step partitions and proves.
+#[test]
+fn do_plans_instantiate_only_affine_pieces() {
+    let corpus = |name: &str| {
+        let path = format!("{}/../../corpus/{name}.f90d", env!("CARGO_MANIFEST_DIR"));
+        std::fs::read_to_string(path).expect("corpus program")
+    };
+    for (name, want) in [("doplan_pieces", 18), ("doplan_square", 0)] {
+        let src = corpus(name);
+        assert_tiers_agree(name, &src, &[4], &["A"]);
+        let (_, t) = observe(&src, &[4], &[], Tier::Native).expect("runs");
+        assert_eq!(t.binds_instantiated, want, "{name}");
+    }
+}
+
 #[test]
 fn fft_butterfly_matches() {
     assert_tiers_agree("fft", &fft_butterfly(8, 2), &[4], &["X", "TERM2"]);

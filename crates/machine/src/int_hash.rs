@@ -1,9 +1,10 @@
 //! The hasher of the message path's tables (the transport's channel
 //! table, the link clocks, the schedule builder's processor-pair
-//! index): their keys are a few small integers, so one
-//! rotate–xor–multiply per field replaces SipHash over the key's bytes.
-//! Not DoS-resistant — the keys are rank numbers and tags the program
-//! itself generates.
+//! index) and of a node's array slots: their keys are a few small
+//! integers or a short name, so one rotate–xor–multiply per field (per
+//! eight bytes of a name) replaces SipHash over the key's bytes. Not
+//! DoS-resistant — the keys are rank numbers, tags and array names the
+//! program itself generates.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -17,9 +18,14 @@ pub struct IntHasher(u64);
 
 impl Hasher for IntHasher {
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.write_u64(u64::from_le_bytes(word.try_into().expect("eight bytes")));
         }
+        let mut last = [0; 8];
+        let rest = words.remainder();
+        last[..rest.len()].copy_from_slice(rest);
+        self.write_u64(u64::from_le_bytes(last));
     }
 
     // `write_i64` defaults to this; every other width a key uses must

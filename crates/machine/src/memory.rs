@@ -29,6 +29,7 @@ use std::sync::Arc;
 
 use f90d_distrib::Segment;
 
+use crate::int_hash::IntMap;
 use crate::value::{ArrayData, ElemType, Value};
 
 /// One node-local array segment.
@@ -357,7 +358,10 @@ impl PartialEq for LocalArray {
 /// optional shared read-only constant table.
 #[derive(Debug, Clone, Default)]
 pub struct NodeMemory {
-    arrays: HashMap<String, LocalArray>,
+    /// The array segments, by slot ([`NodeMemory::slot`]).
+    segments: Vec<LocalArray>,
+    /// Each array's slot, by name.
+    slots: IntMap<String, usize>,
     scalars: HashMap<String, Value>,
     /// Program constants shared (by reference) across every rank of a
     /// machine — one table, not P copies. Read through
@@ -374,18 +378,26 @@ impl NodeMemory {
 
     /// Install (or replace) array `name`.
     pub fn insert_array(&mut self, name: impl Into<String>, arr: LocalArray) {
-        self.arrays.insert(name.into(), arr);
+        let name = name.into();
+        match self.slots.get(&name) {
+            Some(&slot) => self.segments[slot] = arr,
+            None => {
+                self.slots.insert(name, self.segments.len());
+                self.segments.push(arr);
+            }
+        }
     }
 
-    /// Remove array `name`, returning it.
+    /// Remove array `name`, returning it. The last slot's array moves
+    /// into the freed one.
     pub fn remove_array(&mut self, name: &str) -> Option<LocalArray> {
-        self.arrays.remove(name)
-    }
-
-    /// Remove array `name`, returning it with its key: inserting it back
-    /// under that key allocates nothing.
-    pub fn take_array(&mut self, name: &str) -> Option<(String, LocalArray)> {
-        self.arrays.remove_entry(name)
+        let slot = self.slots.remove(name)?;
+        let arr = self.segments.swap_remove(slot);
+        let moved = self.segments.len();
+        if let Some(at) = self.slots.values_mut().find(|at| **at == moved) {
+            *at = slot;
+        }
+        Some(arr)
     }
 
     /// Borrow array `name`.
@@ -394,21 +406,34 @@ impl NodeMemory {
     /// Panics when the array was never allocated on this node — that is a
     /// compiler bug, not a user error.
     pub fn array(&self, name: &str) -> &LocalArray {
-        self.arrays
-            .get(name)
-            .unwrap_or_else(|| panic!("array `{name}` not allocated on this node"))
+        &self.segments[self.slot(name)]
     }
 
     /// Mutably borrow array `name`.
     pub fn array_mut(&mut self, name: &str) -> &mut LocalArray {
-        self.arrays
-            .get_mut(name)
+        let slot = self.slot(name);
+        &mut self.segments[slot]
+    }
+
+    /// Where array `name` sits among [`NodeMemory::segments_mut`] — until
+    /// an array is removed.
+    ///
+    /// # Panics
+    /// As [`NodeMemory::array`].
+    pub fn slot(&self, name: &str) -> usize {
+        *(self.slots.get(name))
             .unwrap_or_else(|| panic!("array `{name}` not allocated on this node"))
+    }
+
+    /// Every array segment, by [`NodeMemory::slot`]: several borrowed at
+    /// once — one of them mutably — with `split_at_mut`.
+    pub fn segments_mut(&mut self) -> &mut [LocalArray] {
+        &mut self.segments
     }
 
     /// `true` when array `name` exists here.
     pub fn has_array(&self, name: &str) -> bool {
-        self.arrays.contains_key(name)
+        self.slots.contains_key(name)
     }
 
     /// Set scalar `name` (a node-local write; shadows any shared
@@ -441,7 +466,7 @@ impl NodeMemory {
 
     /// Names of all arrays on this node (unordered).
     pub fn array_names(&self) -> impl Iterator<Item = &str> {
-        self.arrays.keys().map(|s| s.as_str())
+        self.slots.keys().map(|s| s.as_str())
     }
 
     /// Drop every array, scalar and shared-constant reference, keeping
@@ -450,7 +475,8 @@ impl NodeMemory {
     /// so a recycled node memory starts exactly like a fresh one without
     /// rebuilding the `HashMap`s.
     pub fn clear(&mut self) {
-        self.arrays.clear();
+        self.segments.clear();
+        self.slots.clear();
         self.scalars.clear();
         self.consts = None;
     }

@@ -90,6 +90,14 @@ impl<K: Eq + Hash + Clone, R: Clone> Inflight<K, R> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Requests that joined an in-flight execution and wait for it, over
+    /// every group: each holds the group's slot besides the map and the
+    /// leader.
+    pub fn joiners(&self) -> usize {
+        let slots = self.slots.lock().unwrap();
+        slots.values().map(|slot| Arc::strong_count(slot) - 2).sum()
+    }
 }
 
 /// The leader's completion guard. [`Leader::resolve`] publishes the

@@ -120,6 +120,12 @@ impl ServerState {
         &self.admission
     }
 
+    /// Requests now waiting on an identical request's execution — what a
+    /// harness that holds a run slot waits for before it lets it go.
+    pub fn joiners(&self) -> usize {
+        self.inflight.joiners()
+    }
+
     /// True once shutdown has been requested.
     pub fn draining(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst) || sigterm_received()

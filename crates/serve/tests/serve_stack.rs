@@ -477,6 +477,49 @@ fn overload_gets_a_structured_429() {
     handle.shutdown().unwrap();
 }
 
+/// Dedup by construction: while a ticket of the server's own admission
+/// gate holds its one run slot, the first of `N` identical requests
+/// leads its group into the admission queue and every later one joins
+/// that group — so exactly `N − 1` join, however fast this build runs a
+/// job. (The standalone smoke once held the slot with a slow Jacobi
+/// instead, which a fast enough host finishes before the burst lands:
+/// it read `joined = 0` on a 2-vCPU runner.)
+#[test]
+fn identical_requests_behind_a_held_slot_all_join_the_first() {
+    const N: usize = 6;
+    let handle = Server::spawn(ServeConfig {
+        max_running: 1,
+        max_queued: 1,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let (addr, state) = (handle.addr, Arc::clone(handle.state()));
+    let blocker = state.admission().admit().unwrap();
+    let req = run_req(jacobi(12, 2), vec![2, 2]);
+    let clients: Vec<_> = (0..N)
+        .map(|_| {
+            let req = req.clone();
+            std::thread::spawn(move || Client::connect(addr).unwrap().run(&req).unwrap())
+        })
+        .collect();
+    let started = std::time::Instant::now();
+    while state.joiners() < N - 1 {
+        let waited = started.elapsed();
+        assert!(waited.as_secs() < 60, "only {} joined", state.joiners());
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    drop(blocker);
+    let joined = || num(&state.stats_json(), &["stats", "server", "joined"]);
+    for client in clients {
+        let response = client.join().unwrap();
+        assert_ok(&response);
+    }
+    assert_eq!(joined(), (N - 1) as f64);
+    let runs = num(&state.stats_json(), &["stats", "server", "runs"]);
+    assert_eq!(runs, 1.0, "one execution for the whole group");
+    handle.shutdown().unwrap();
+}
+
 /// Shutdown drains: in-flight work answers, new runs get 503, pings
 /// still answer, and the accept loop exits cleanly.
 #[test]

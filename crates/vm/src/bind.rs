@@ -18,6 +18,7 @@ use f90d_machine::Value;
 
 use crate::bytecode::ArrId;
 use crate::chunk::{ForallCx, RDim, ResolvedAcc};
+use crate::dispatch::SpacePlan;
 use crate::native::{BoxFn, BoxKernel, Lhs, Lin, NativeKernel, ReadSite, Sites, Walk};
 use crate::ops;
 
@@ -161,6 +162,7 @@ impl Folded<'_> {
 }
 
 /// A [`Sites`] with its forms folded.
+#[derive(Clone, PartialEq)]
 pub(crate) struct FoldedSites {
     pub(crate) reads: Vec<FoldedSite>,
     pub(crate) ireads: Vec<FoldedSite>,
@@ -178,6 +180,7 @@ impl FoldedSites {
 }
 
 /// A [`ReadSite`] with its subscripts folded (into [`Folded::subs`]).
+#[derive(Clone, PartialEq)]
 pub(crate) enum FoldedSite {
     Array { acc: u16, subs: Range<usize> },
     Gathered { tmp: ArrId },
@@ -335,7 +338,7 @@ impl IterBox<'_> {
 }
 
 /// Where one read site's walk starts on a bound rank.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, PartialEq)]
 pub(crate) enum SiteOff {
     /// The flat padded offset as an affine form over the FORALL
     /// variables.
@@ -347,7 +350,7 @@ pub(crate) enum SiteOff {
 }
 
 /// What a read site views while its rank's boxes run.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, PartialEq)]
 pub(crate) enum View {
     /// Its array's segment in the node memory.
     Array,
@@ -363,7 +366,7 @@ pub(crate) enum View {
 }
 
 /// One read site bound to one rank.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, PartialEq)]
 pub(crate) struct NatSite {
     pub(crate) arr: ArrId,
     pub(crate) off: SiteOff,
@@ -379,15 +382,13 @@ pub(crate) struct NatSites<'b> {
     pub(crate) ireads: &'b [NatSite],
 }
 
-impl NatSites<'_> {
-    /// Every array a box of this group views in the node memory
-    /// ([`View::Array`]), once.
-    pub(crate) fn arrays(&self) -> impl Iterator<Item = ArrId> + '_ {
-        let viewed =
-            || (self.reads.iter().chain(self.ireads)).filter(|s| matches!(s.view, View::Array));
-        (viewed().enumerate())
-            .filter(move |&(i, s)| !viewed().take(i).any(|t| t.arr == s.arr))
-            .map(|(_, s)| s.arr)
+impl<'b> NatSites<'b> {
+    /// The array of every site of this group a box views in the node
+    /// memory ([`View::Array`]), repeats included.
+    pub(crate) fn arrays(self) -> impl Iterator<Item = ArrId> + 'b {
+        (self.reads.iter().chain(self.ireads))
+            .filter(|s| matches!(s.view, View::Array))
+            .map(|s| s.arr)
     }
 }
 
@@ -569,6 +570,7 @@ pub(crate) struct Bound<'f> {
 }
 
 /// What a binding decides besides its sites and writes.
+#[derive(Clone, Copy, PartialEq)]
 struct Head {
     /// The array the owned writes go to.
     arr: ArrId,
@@ -841,6 +843,537 @@ pub(crate) fn bind_native<'f>(
         }
     }
     Some(bound)
+}
+
+/// What a [`Folded`] owns besides its kernel.
+#[derive(Clone)]
+pub(crate) struct FoldedTables {
+    bodies: Vec<FoldedSites>,
+    gathers: Vec<FoldedSites>,
+    writes: Vec<(u16, Range<usize>)>,
+    subs: Vec<NatAff>,
+}
+
+impl<'k> Folded<'k> {
+    /// Its tables, apart from the kernel.
+    pub(crate) fn into_tables(self) -> FoldedTables {
+        let Folded {
+            bodies,
+            gathers,
+            writes,
+            subs,
+            ..
+        } = self;
+        FoldedTables {
+            bodies,
+            gathers,
+            writes,
+            subs,
+        }
+    }
+
+    /// `tables` over `kernel` again.
+    fn with_tables(kernel: &'k NativeKernel, t: FoldedTables) -> Self {
+        Folded {
+            kernel,
+            bodies: t.bodies,
+            gathers: t.gathers,
+            writes: t.writes,
+            subs: t.subs,
+        }
+    }
+}
+
+impl FoldedTables {
+    /// Every `lins` form, in group order.
+    fn lins_mut(&mut self) -> impl Iterator<Item = &mut NatAff> {
+        (self.bodies.iter_mut().chain(&mut self.gathers)).flat_map(|g| &mut g.lins)
+    }
+
+    /// The forms moved to `K = k` from `(base at k0, change per unit of
+    /// K)` — the subscripts by `subs`, the `lins` by `lins`.
+    fn move_to(&mut self, k: i64, k0: i64, (subs, lins): (&[(i64, i64)], &[(i64, i64)])) {
+        let dk = k.wrapping_sub(k0);
+        let at = |&(base, change): &(i64, i64)| base.wrapping_add(change.wrapping_mul(dk));
+        for (aff, sub) in self.subs.iter_mut().zip(subs) {
+            aff.base = at(sub);
+        }
+        for (aff, lin) in self.lins_mut().zip(lins) {
+            aff.base = at(lin);
+        }
+    }
+}
+
+/// What a [`Bound`] owns besides its fold.
+pub(crate) struct BoundTables {
+    nsites: usize,
+    slot: Vec<u32>,
+    heads: Vec<Head>,
+    sites: Vec<NatSite>,
+    writes: Vec<NatAff>,
+}
+
+impl<'f> Bound<'f> {
+    /// Its tables, apart from the fold.
+    pub(crate) fn into_tables(self) -> BoundTables {
+        BoundTables {
+            nsites: self.nsites,
+            slot: self.slot,
+            heads: self.heads,
+            sites: self.sites,
+            writes: self.writes,
+        }
+    }
+
+    /// `tables` over `folded` again.
+    fn with_tables(folded: &'f Folded<'f>, t: BoundTables) -> Self {
+        Bound {
+            folded: Some(folded),
+            nsites: t.nsites,
+            slot: t.slot,
+            heads: t.heads,
+            sites: t.sites,
+            writes: t.writes,
+        }
+    }
+
+    /// Whether `other` binds every rank exactly alike: the same folded
+    /// sites, `lins` and scalars, and per rank the same sites, views,
+    /// forms and decisions.
+    pub(crate) fn same(&self, other: &Bound<'_>) -> bool {
+        let folds = match (self.folded, other.folded) {
+            (Some(a), Some(b)) => {
+                (&a.bodies, &a.gathers, &a.writes) == (&b.bodies, &b.gathers, &b.writes)
+            }
+            (a, b) => a.is_none() && b.is_none(),
+        };
+        let (a, b) = (self, other);
+        folds
+            && (&a.slot, &a.heads, &a.sites, &a.writes) == (&b.slot, &b.heads, &b.sites, &b.writes)
+    }
+}
+
+/// A FORALL kernel's binding over the rest of a run of an enclosing `DO`
+/// ([`SpacePlan`]; ROADMAP 6(b)): each rank's binding is proved once per
+/// *piece* of the loop's range — the steps over which its box corners
+/// are affine in the step ([`SpacePlan::until`]) — and instantiated at
+/// every other step of the piece in O(sites): no bounds check, no alias
+/// proof, no allocation.
+///
+/// Every form a bind folds is affine in the DO variable `K` (a kernel
+/// whose forms read an INTEGER scalar, which the loop body may assign,
+/// gets no plan), and composing a form through an affine accessor is
+/// linear, so every bound offset moves by a fixed amount per unit of `K`
+/// — the change of its folded subscripts through `a·stride`. On a piece,
+/// every quantity a proof compares — a subscript's least or greatest
+/// value over the box against its window, a read's range against the
+/// write's, a read's form against the write's — is then affine in the
+/// step, and one-to-one-ness only gets easier as the box shrinks. A
+/// comparison of affine forms that holds at both ends of a piece holds
+/// between them: a rank's piece is proved by its bind at the first step
+/// and a bind at the last, and kept only when the last is exactly what
+/// instantiating the first gives and no form's base crosses an end of
+/// `i64` on the way, which would break affinity. A rank whose piece is
+/// over is proved again, from scratch, at its next step.
+pub(crate) struct BindPlan {
+    /// `K` at the first step, and its change per step.
+    k0: i64,
+    dk: i64,
+    /// The last step of the loop's run.
+    last: i64,
+    /// Per folded subscript and `lins` form: its base at `k0` and its
+    /// change per unit of `K`.
+    subs: Vec<(i64, i64)>,
+    lins: Vec<(i64, i64)>,
+    /// The fold each step borrows, and the one the end of a piece is
+    /// proved with.
+    folded: Option<FoldedTables>,
+    at_end: FoldedTables,
+    nsites: usize,
+    nwrites: usize,
+    /// Per rank active at the first step ([`SpacePlan`] order): the steps
+    /// `from..=until` of its piece, and its binding at `from`, each
+    /// site's form before [`View::Above`] rebased it.
+    pieces: Vec<(i64, i64)>,
+    heads: Vec<Head>,
+    sites: Vec<NatSite>,
+    writes: Vec<NatAff>,
+    /// Per rank's site and write form: its change per unit of `K`.
+    site_change: Vec<i64>,
+    write_change: Vec<i64>,
+    /// The binding each step borrows.
+    bound: Option<BoundTables>,
+}
+
+/// A site's form before [`View::Above`] counted it from just past the
+/// greatest offset written (`head`'s).
+fn raw(site: &NatSite, head: &Head) -> NatSite {
+    let mut site = *site;
+    if let (SiteOff::Affine(aff), View::Above, Some((_, wmax))) =
+        (&mut site.off, site.view, head.direct)
+    {
+        aff.base += wmax as i64 + 1;
+    }
+    site
+}
+
+/// The change of a site's flat offset through `racc` when its folded
+/// subscripts change by `dsubs`: the linear part of [`IterBox::site`].
+fn offset_change(racc: &ResolvedAcc, dsubs: &[(i64, i64)]) -> Option<i64> {
+    let mut change = 0;
+    for (k, &(_, d)) in dsubs.iter().enumerate() {
+        let RDim::Affine { a, .. } = racc.dims[k] else {
+            return None;
+        };
+        change = ops::affine(d, a.wrapping_mul(racc.strides[k]), change);
+    }
+    Some(change)
+}
+
+/// Whether any affine form of `kernel` reads an INTEGER scalar.
+fn reads_scalars(kernel: &NativeKernel) -> bool {
+    let sites =
+        (kernel.bodies.iter().map(|b| &b.sites)).chain(kernel.gathers.iter().map(|g| &g.sites));
+    let site_lins = sites.flat_map(|s| {
+        let subs = (s.reads.iter().chain(&s.ireads)).flat_map(|site| match site {
+            ReadSite::Array { subs, .. } => &subs[..],
+            ReadSite::Gathered { .. } => &[],
+        });
+        subs.chain(&s.lins)
+    });
+    let writes = kernel.bodies.iter().flat_map(|b| match &b.lhs {
+        Lhs::Owned { subs, .. } => &subs[..],
+        Lhs::Scatter { .. } => &[],
+    });
+    site_lins.chain(writes).any(|lin| !lin.sterms.is_empty())
+}
+
+/// The iteration space of rank `h` of `space` at step `t`, into `runs`.
+fn rank_space(space: &SpacePlan, h: usize, t: i64, runs: &mut Vec<Runs>) -> bool {
+    let (mut lo, mut hi) = ([0; MAX_VARS], [0; MAX_VARS]);
+    runs.clear();
+    let active = space.corners(h, t, &mut lo, &mut hi);
+    let n = space.nvars();
+    let ends = lo[..n].iter().zip(&hi[..n]);
+    runs.extend(
+        ends.map(|(&lo, &hi)| Runs::one(Progression::new(lo, 1, hi.abs_diff(lo) as usize + 1))),
+    );
+    active
+}
+
+impl BindPlan {
+    /// The plan from the first step's fold and binding, `first`, at `K =
+    /// k0` (the fold at `K = k0 + 1` is `one`), over `space`, for a run
+    /// of the loop whose `K` changes by `dk` per step and that ends `last`
+    /// steps on. `tables[rank]` is a rank's accessor table. `None` when
+    /// the kernel's forms read an INTEGER scalar or a folded subscript's
+    /// base would cross an end of `i64` within the run.
+    pub(crate) fn new(
+        kernel: &NativeKernel,
+        (folded, bound): (FoldedTables, BoundTables),
+        one: &Folded<'_>,
+        (k0, dk, last): (i64, i64, i64),
+        space: &SpacePlan,
+        tables: &[Vec<Option<ResolvedAcc>>],
+    ) -> Option<BindPlan> {
+        let span = i128::from(dk) * i128::from(last);
+        if reads_scalars(kernel) || folded.subs.len() != one.subs.len() {
+            return None;
+        }
+        let change = |a: &NatAff, b: &NatAff| (a.base, b.base.wrapping_sub(a.base));
+        let subs: Vec<(i64, i64)> = folded
+            .subs
+            .iter()
+            .zip(&one.subs)
+            .map(|(a, b)| change(a, b))
+            .collect();
+        let first_lins = (folded.bodies.iter().chain(&folded.gathers)).flat_map(|g| &g.lins);
+        let one_lins = (one.bodies.iter().chain(&one.gathers)).flat_map(|g| &g.lins);
+        let lins = first_lins
+            .zip(one_lins)
+            .map(|(a, b)| change(a, b))
+            .collect();
+        // A subscript stays one affine form over the whole run.
+        let fits = |&(base, change): &(i64, i64)| {
+            let end = i128::from(base) + i128::from(change) * span;
+            i64::try_from(end).is_ok()
+        };
+        if !subs.iter().all(fits) {
+            return None;
+        }
+        let (nsites, nwrites) = (bound.nsites, folded.writes.len());
+        // Per rank, the change of each bound form through its accessors.
+        let groups: Vec<&FoldedSite> = (folded.bodies.iter().chain(&folded.gathers))
+            .flat_map(|g| g.reads.iter().chain(&g.ireads))
+            .collect();
+        let (mut site_change, mut write_change) = (Vec::new(), Vec::new());
+        for h in 0..bound.heads.len() {
+            let table = &tables[space.rank(h)];
+            let change = |acc: u16, at: &Range<usize>| {
+                offset_change(table[acc as usize].as_ref()?, &subs[at.clone()])
+            };
+            for site in &groups {
+                site_change.push(match site {
+                    FoldedSite::Array { acc, subs } => change(*acc, subs)?,
+                    FoldedSite::Gathered { .. } => 0,
+                });
+            }
+            for (acc, at) in &folded.writes {
+                write_change.push(change(*acc, at)?);
+            }
+        }
+        let heads = bound.heads.clone();
+        let sites = (bound.sites.chunks(nsites.max(1)).zip(&heads))
+            .flat_map(|(sites, head)| sites.iter().map(move |site| raw(site, head)))
+            .collect();
+        let mut plan = BindPlan {
+            k0,
+            dk,
+            last,
+            subs,
+            lins,
+            at_end: folded.clone(),
+            folded: Some(folded),
+            nsites,
+            nwrites,
+            pieces: vec![(0, 0); heads.len()],
+            heads,
+            sites,
+            writes: bound.writes.clone(),
+            site_change,
+            write_change,
+            bound: Some(bound),
+        };
+        for h in 0..plan.heads.len() {
+            plan.reach(kernel, h, 0, space, tables);
+        }
+        Some(plan)
+    }
+
+    /// `K` at step `t`.
+    fn k(&self, t: i64) -> i64 {
+        self.k0.wrapping_add(self.dk.wrapping_mul(t))
+    }
+
+    /// Rank `h`'s binding at step `t` of its piece, where its box corners
+    /// are `lo` and `hi`: its sites, its writes (into `sites`, `writes`)
+    /// and its head.
+    fn instantiate(
+        &self,
+        h: usize,
+        t: i64,
+        (lo, hi): (&[i64], &[i64]),
+        sites: &mut [NatSite],
+        writes: &mut [NatAff],
+    ) -> Head {
+        let dk = self.k(t).wrapping_sub(self.k(self.pieces[h].0));
+        let moved = |base: i64, change: i64| base.wrapping_add(change.wrapping_mul(dk));
+        let (s, w) = (h * self.nsites, h * self.nwrites);
+        for (k, write) in writes.iter_mut().enumerate() {
+            *write = self.writes[w + k];
+            write.base = moved(write.base, self.write_change[w + k]);
+        }
+        let mut head = self.heads[h];
+        if head.direct.is_some() {
+            let range = writes[0].range(lo, hi);
+            let (wmin, wmax) = range.expect("a rank's piece bounds every box");
+            head.direct = Some((wmin as usize, wmax as usize));
+        }
+        for (k, site) in sites.iter_mut().enumerate() {
+            *site = self.sites[s + k];
+            if let SiteOff::Affine(aff) = &mut site.off {
+                aff.base = moved(aff.base, self.site_change[s + k]);
+                if let (View::Above, Some((_, wmax))) = (site.view, head.direct) {
+                    aff.base -= wmax as i64 + 1;
+                }
+            }
+        }
+        head
+    }
+
+    /// Rank `h`, just proved at step `t`: its piece from `t` as far as
+    /// its box corners stay affine and the run goes — when a bind at the
+    /// piece's last step proves it — or `t` alone.
+    fn reach(
+        &mut self,
+        kernel: &NativeKernel,
+        h: usize,
+        t: i64,
+        space: &SpacePlan,
+        tables: &[Vec<Option<ResolvedAcc>>],
+    ) {
+        self.pieces[h] = (t, t);
+        let until = space.until(h, t).min(self.last);
+        if until <= t {
+            return;
+        }
+        let mut runs = Vec::with_capacity(MAX_VARS);
+        rank_space(space, h, until, &mut runs);
+        let mut fold = std::mem::replace(
+            &mut self.at_end,
+            FoldedTables {
+                bodies: Vec::new(),
+                gathers: Vec::new(),
+                writes: Vec::new(),
+                subs: Vec::new(),
+            },
+        );
+        fold.move_to(self.k(until), self.k0, (&self.subs, &self.lins));
+        let folded = Folded::with_tables(kernel, fold);
+        let mut end = Bound::new(Some(&folded), tables.len(), 1);
+        let rank = space.rank(h);
+        let proved = end.push(rank, &tables[rank], &runs).is_some();
+        if proved {
+            let (mut lo, mut hi) = ([0; MAX_VARS], [0; MAX_VARS]);
+            space.corners(h, until, &mut lo, &mut hi);
+            let n = space.nvars();
+            self.pieces[h] = (t, until);
+            let (mut sites, mut writes) = (
+                vec![
+                    NatSite {
+                        arr: 0,
+                        off: SiteOff::Ordinal,
+                        view: View::Array
+                    };
+                    self.nsites
+                ],
+                vec![NatAff::new(0, &[]); self.nwrites],
+            );
+            let head = self.instantiate(h, until, (&lo[..n], &hi[..n]), &mut sites, &mut writes);
+            let span = i128::from(self.k(until)) - i128::from(self.k(t));
+            let steady = |from: &NatAff, change: i64, to: &NatAff| {
+                i128::from(from.base) + i128::from(change) * span == i128::from(to.base)
+            };
+            let (s, w) = (h * self.nsites, h * self.nwrites);
+            let sites_steady = (0..self.nsites).all(|k| {
+                match (self.sites[s + k].off, raw(&end.sites[k], &end.heads[0]).off) {
+                    (SiteOff::Affine(from), SiteOff::Affine(to)) => {
+                        steady(&from, self.site_change[s + k], &to)
+                    }
+                    _ => true,
+                }
+            });
+            let writes_steady = (0..self.nwrites).all(|k| {
+                steady(
+                    &self.writes[w + k],
+                    self.write_change[w + k],
+                    &end.writes[k],
+                )
+            });
+            let same = head == end.heads[0] && sites == end.sites && writes == end.writes;
+            if !(same && sites_steady && writes_steady) {
+                self.pieces[h] = (t, t);
+            }
+        }
+        drop(end);
+        self.at_end = folded.into_tables();
+    }
+
+    /// The kernel folded at step `t`: the first step's fold with its
+    /// forms moved and its REAL scalars read again. `None` when one holds
+    /// another type, as a fold at this step would have found.
+    pub(crate) fn fold<'k>(
+        &mut self,
+        kernel: &'k NativeKernel,
+        t: i64,
+        scalars: &[Value],
+    ) -> Option<Folded<'k>> {
+        let mut tables = self.folded.take().expect("lent one step at a time");
+        tables.move_to(self.k(t), self.k0, (&self.subs, &self.lins));
+        let groups =
+            (kernel.bodies.iter().map(|b| &b.sites)).chain(kernel.gathers.iter().map(|g| &g.sites));
+        let mut real = true;
+        for (sites, group) in groups.zip(tables.bodies.iter_mut().chain(&mut tables.gathers)) {
+            for (v, &slot) in group.scalars.iter_mut().zip(&sites.scalar_slots) {
+                match scalars[slot as usize] {
+                    Value::Real(x) => *v = x,
+                    _ => real = false,
+                }
+            }
+        }
+        if real {
+            Some(Folded::with_tables(kernel, tables))
+        } else {
+            self.folded = Some(tables);
+            None
+        }
+    }
+
+    /// The kernel bound at step `t` over `folded` ([`BindPlan::fold`]),
+    /// its ranks' spaces `spaces` (those [`SpacePlan::at`] gives): every
+    /// rank within its piece instantiated, every other proved again and
+    /// given its next piece. With how many ranks were instantiated; `None`
+    /// when a rank fails its proof, as binding from scratch would.
+    pub(crate) fn bind<'f>(
+        &mut self,
+        folded: &'f Folded<'f>,
+        t: i64,
+        space: &SpacePlan,
+        tables: &[Vec<Option<ResolvedAcc>>],
+    ) -> Option<(Bound<'f>, u64)> {
+        let kernel = folded.kernel;
+        let mut bound =
+            Bound::with_tables(folded, self.bound.take().expect("lent one step at a time"));
+        bound.slot.iter_mut().for_each(|slot| *slot = Bound::IDLE);
+        bound.heads.clear();
+        bound.sites.clear();
+        bound.writes.clear();
+        let (mut lo, mut hi) = ([0; MAX_VARS], [0; MAX_VARS]);
+        let (n, mut instantiated) = (space.nvars(), 0);
+        let mut runs = Vec::new();
+        for h in 0..self.heads.len() {
+            if !space.corners(h, t, &mut lo, &mut hi) {
+                continue;
+            }
+            let rank = space.rank(h);
+            let (from, until) = self.pieces[h];
+            if (from..=until).contains(&t) {
+                let (s, w) = (bound.sites.len(), bound.writes.len());
+                bound.sites.resize(
+                    s + self.nsites,
+                    NatSite {
+                        arr: 0,
+                        off: SiteOff::Ordinal,
+                        view: View::Array,
+                    },
+                );
+                bound.writes.resize(w + self.nwrites, NatAff::new(0, &[]));
+                let head = self.instantiate(
+                    h,
+                    t,
+                    (&lo[..n], &hi[..n]),
+                    &mut bound.sites[s..],
+                    &mut bound.writes[w..],
+                );
+                bound.slot[rank] = bound.heads.len() as u32;
+                bound.heads.push(head);
+                instantiated += 1;
+                continue;
+            }
+            // Proved again from scratch: the rank's next piece.
+            rank_space(space, h, t, &mut runs);
+            let (s, w) = (bound.sites.len(), bound.writes.len());
+            if bound.push(rank, &tables[rank], &runs).is_none() {
+                self.bound = Some(bound.into_tables());
+                return None;
+            }
+            let head = bound.heads[bound.heads.len() - 1];
+            self.heads[h] = head;
+            let (ps, pw) = (h * self.nsites, h * self.nwrites);
+            for k in 0..self.nsites {
+                self.sites[ps + k] = raw(&bound.sites[s + k], &head);
+            }
+            self.writes[pw..pw + self.nwrites].copy_from_slice(&bound.writes[w..w + self.nwrites]);
+            self.reach(kernel, h, t, space, tables);
+        }
+        Some((bound, instantiated))
+    }
+
+    /// Take back what [`BindPlan::fold`] and [`BindPlan::bind`] lent.
+    pub(crate) fn give_back(&mut self, folded: Option<FoldedTables>, bound: Option<BoundTables>) {
+        self.folded = self.folded.take().or(folded);
+        self.bound = self.bound.take().or(bound);
+    }
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 use f90d_comm::driver::{GatherRequests, ScatterOut, Spaces};
 use f90d_comm::op::CommResult;
 use f90d_distrib::Runs;
-use f90d_machine::{Machine, NodeMemory};
+use f90d_machine::{LocalArray, Machine, NodeMemory};
 
 use crate::bind::{Bound, BoxAt, Boxes, NatAff, NatOut, NatRank, NatSites, SiteOff, View};
 use crate::bytecode::ArrId;
@@ -53,27 +53,18 @@ impl<'v, T: Elem> SiteBoxes<'v, T> {
         spare.lins = self.lins;
     }
 
-    /// Append the views of the (materialized) segments `sites` reads
-    /// from `mem` — or, for a site on the segment written in place, its
+    /// Append the views of the segments `sites` reads — `seg(arr)`,
+    /// materialized — or, for a site on the segment written in place, its
     /// part `[below, above]` of that — and walks for its `lins`.
-    fn add<'p>(
+    fn add(
         &mut self,
         sites: &NatSites<'_>,
-        mem: &'v NodeMemory,
-        name: impl Fn(ArrId) -> &'p str,
+        seg: impl Fn(ArrId) -> &'v LocalArray,
         [below, above]: [&'v [T]; 2],
     ) {
-        let (group, at) = (T::pick(sites.reads, sites.ireads), self.reads.len());
-        for (i, site) in group.iter().enumerate() {
+        for site in T::pick(sites.reads, sites.ireads) {
             let data = match site.view {
-                // A site on an array an earlier one of the group views
-                // shares its slice.
-                View::Array => match (group[..i].iter())
-                    .position(|s| s.arr == site.arr && matches!(s.view, View::Array))
-                {
-                    Some(earlier) => self.reads[at + earlier].data,
-                    None => Some(T::slice(mem.array(name(site.arr)).data())),
-                },
+                View::Array => Some(T::slice(seg(site.arr).data())),
                 View::Own => None,
                 View::Below => Some(below),
                 View::Above => Some(above),
@@ -181,14 +172,10 @@ pub(crate) fn inspect_boxes(
     bufs: &mut Buffers<i64>,
 ) -> CommResult<()> {
     let (g, name) = (nr.gather(gi), |a: ArrId| cx.prog.arrays[a].name.as_str());
-    // Lazily-allocated segments expose no raw slice until their buffer
-    // exists (`LocalArray::data`).
-    for arr in g.sites.arrays() {
-        mem.array_mut(name(arr)).materialize();
-    }
+    let (segs, _) = Segments::of(mem, g.sites.arrays(), None, name, &mut bufs.viewed);
     // Inspector subscripts read no gathered value and alias no write.
     let mut boxes = SiteBoxes::on(&mut bufs.index);
-    boxes.add(&g.sites, mem, name, [&[], &[]]);
+    boxes.add(&g.sites, |arr| segs.get(arr), [&[], &[]]);
     let (cols, dense, pool) = (&mut bufs.cols, &mut bufs.dense, &mut bufs.pool);
     let mut result = Ok(());
     Boxes::new(cx.spaces.space(rank)).for_each(|bx| {
@@ -212,6 +199,8 @@ pub(crate) fn inspect_boxes(
 pub(crate) struct Buffers<T: 'static> {
     boxes: SiteBoxes<'static, T>,
     index: SiteBoxes<'static, i64>,
+    /// The arrays a rank's boxes view, with their slots ([`Segments`]).
+    viewed: Vec<(ArrId, usize)>,
     cols: Vec<i64>,
     dense: Vec<i64>,
     pool: Pool,
@@ -228,9 +217,77 @@ impl<T: 'static> Default for Buffers<T> {
                 reads: Vec::new(),
                 lins: Vec::new(),
             },
+            viewed: Vec::new(),
             cols: Vec::new(),
             dense: Vec::new(),
             pool: Pool::default(),
+        }
+    }
+}
+
+/// One rank's segments for a phase, borrowed at once: each array its
+/// boxes view, shared, and — on a rank that writes in place — the written
+/// one, mutably, split off the others by slot ([`NodeMemory::slot`]).
+/// One lookup per array, none per site.
+struct Segments<'m> {
+    /// Slots below the written one (all of them when none is).
+    below: &'m [LocalArray],
+    /// Slots above it.
+    above: &'m [LocalArray],
+    /// The viewed arrays' slots.
+    viewed: &'m [(ArrId, usize)],
+}
+
+impl<'m> Segments<'m> {
+    /// Look up and materialize (lazily-allocated segments expose no raw
+    /// slice until their buffer exists, `LocalArray::data`) every array
+    /// of `arrays`, and the written one `written` if any — returned apart,
+    /// mutably.
+    fn of<'p>(
+        mem: &'m mut NodeMemory,
+        arrays: impl Iterator<Item = ArrId>,
+        written: Option<ArrId>,
+        name: impl Fn(ArrId) -> &'p str,
+        viewed: &'m mut Vec<(ArrId, usize)>,
+    ) -> (Self, Option<&'m mut LocalArray>) {
+        viewed.clear();
+        for arr in arrays {
+            if !viewed.iter().any(|&(a, _)| a == arr) {
+                viewed.push((arr, mem.slot(name(arr))));
+            }
+        }
+        let written = written.map(|arr| mem.slot(name(arr)));
+        let segs = mem.segments_mut();
+        for &(_, slot) in viewed.iter() {
+            segs[slot].materialize();
+        }
+        let (below, lhs, above): (&[LocalArray], _, &[LocalArray]) = match written {
+            Some(slot) => {
+                let (below, rest) = segs.split_at_mut(slot);
+                let (lhs, above) = rest.split_first_mut().expect("the written slot");
+                lhs.materialize();
+                (below, Some(lhs), above)
+            }
+            None => (segs, None, &[]),
+        };
+        (
+            Segments {
+                below,
+                above,
+                viewed,
+            },
+            lhs,
+        )
+    }
+
+    /// The segment of `arr`, one of the viewed arrays.
+    fn get(&self, arr: ArrId) -> &'m LocalArray {
+        let &(_, slot) = (self.viewed.iter())
+            .find(|&&(a, _)| a == arr)
+            .expect("a viewed array");
+        match slot.checked_sub(self.below.len()) {
+            None => &self.below[slot],
+            Some(past) => &self.above[past - 1],
         }
     }
 }
@@ -383,25 +440,16 @@ fn run_native_boxes<'s, 'p, T: Elem>(
     bufs: &mut Buffers<T>,
 ) -> RankOut {
     let nb = nr.bodies().count();
-    // Lazily-allocated segments expose no raw slice until their buffer
-    // exists (`LocalArray::data`); force every array this phase views
-    // there (the written segment, taken out below, is forced as it is).
-    for body in nr.bodies() {
-        for arr in body.sites.arrays() {
-            mem.array_mut(name(arr)).materialize();
-        }
-    }
     let cost = rank_ops(&nr, spaces.clone());
     // In-place boxes borrow the written segment mutably next to the
-    // shared read views, so it leaves the node memory for the phase.
+    // shared read views.
     let (out, direct) = (nr.out(), nr.direct);
-    let mut lhs = match (&out, direct) {
-        (NatOut::Owned { arr, .. }, Some(_)) => {
-            let seg = mem.take_array(name(*arr));
-            Some(seg.expect("the written array is allocated on this node"))
-        }
+    let written = match (&out, direct) {
+        (NatOut::Owned { arr, .. }, Some(_)) => Some(*arr),
         _ => None,
     };
+    let arrays = nr.bodies().flat_map(|body| body.sites.arrays());
+    let (segs, lhs) = Segments::of(mem, arrays, written, name, &mut bufs.viewed);
     let (scatter, dsts) = match out {
         NatOut::Scatter { subs } => (Some(subs), &[][..]),
         NatOut::Owned { offs, .. } => (None, offs),
@@ -415,8 +463,8 @@ fn run_native_boxes<'s, 'p, T: Elem>(
     {
         // In place, the segment splits around what the rank writes: the
         // proofs of `in_place` put every read of it on one side.
-        let (halves, mut written, base): ([&[T]; 2], _, _) = match (&mut lhs, direct) {
-            (Some((_, seg)), Some((lo, hi))) => {
+        let (halves, mut written, base): ([&[T]; 2], _, _) = match (lhs, direct) {
+            (Some(seg), Some((lo, hi))) => {
                 let (below, rest) = T::slice_mut(seg.data_mut()).split_at_mut(lo);
                 let (written, above) = rest.split_at_mut(hi + 1 - lo);
                 ([below, above], Some(written), lo)
@@ -425,14 +473,14 @@ fn run_native_boxes<'s, 'p, T: Elem>(
         };
         let mut boxes = SiteBoxes::on(&mut bufs.boxes);
         for body in nr.bodies() {
-            boxes.add(&body.sites, mem, &name, halves);
+            boxes.add(&body.sites, |arr| segs.get(arr), halves);
         }
         let pool = &mut bufs.pool;
         // A scatter's subscripts: INTEGER kernels over the same sites.
         let mut index_boxes = scatter.map(|subs| {
             let mut boxes = SiteBoxes::<i64>::on(&mut bufs.index);
             let sites = nr.bodies().next().expect("a kernel has a body").sites;
-            boxes.add(&sites, mem, &name, [&[], &[]]);
+            boxes.add(&sites, |arr| segs.get(arr), [&[], &[]]);
             (subs, boxes, sites)
         });
         for space in spaces {
@@ -495,9 +543,6 @@ fn run_native_boxes<'s, 'p, T: Elem>(
         if let Some((_, boxes, _)) = index_boxes {
             boxes.give(&mut bufs.index);
         }
-    }
-    if let Some((key, seg)) = lhs {
-        mem.insert_array(key, seg);
     }
     RankOut {
         offs,

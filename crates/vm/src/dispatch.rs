@@ -437,7 +437,7 @@ fn owner_window(
 
 /// One FORALL execution's iteration spaces, by rank: a rank's space is
 /// one [`Runs`] per variable, and a rank that runs nothing has none.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct RankSpaces {
     nvars: usize,
     /// Per rank, where its space starts in `vars` ([`RankSpaces::IDLE`]:
@@ -649,4 +649,226 @@ pub fn overlap_plan<'a>(
         .collect();
     let margins = driver::stencil_margins(&loop_dims, &shift_dims)?;
     Some((ghost_specs(m, rs, arrays, shifts).ok()?, margins))
+}
+
+/// The most FORALL variables a [`SpacePlan`] plans.
+const MAX_PLANNED: usize = 8;
+
+/// A FORALL's iteration spaces over the rest of a run of an enclosing
+/// `DO` (ROADMAP 6(a)), derived from the spaces [`iteration_spaces`]
+/// partitioned at one step: every later step is instantiated in
+/// O(ranks × variables) with no `set_BOUND` call ([`SpacePlan::at`]).
+///
+/// A plan exists only when every variable's partition gives a rank the
+/// iterations `[max(lb, L), min(ub, U)]` at unit stride — `L..=U` the
+/// rank's own share of the variable: everything for a replicated or
+/// undistributed one, its block under BLOCK at a template stride of ±1 —
+/// and the bounds move inwards (`lb` never decreasing, `ub` never
+/// increasing) with the DO step. Then a rank idle at the first step is
+/// idle at every later one, and an active rank's ends are a maximum and
+/// a minimum of affine forms of the step: affine between breakpoints
+/// where `lb` or `ub` crosses `L` or `U` ([`SpacePlan::until`]).
+#[derive(Debug)]
+pub struct SpacePlan {
+    nranks: usize,
+    /// Per variable: `lb`, its change per step, `ub`, its change.
+    bounds: Vec<[i64; 4]>,
+    /// The ranks active at the first step, ascending.
+    ranks: Vec<u32>,
+    /// Per such rank, per variable: its own share `(L, U)`.
+    own: Vec<(i64, i64)>,
+}
+
+impl SpacePlan {
+    /// The plan from `spaces`, the spaces [`iteration_spaces`] partitioned
+    /// for the bounds `loops`, whose `lb` and `ub` change by `slopes` per
+    /// DO step, for `last` more steps. `None` when a partition or a slope
+    /// is not of the kind above, or a bound would leave `i64` within
+    /// those steps (where the evaluated bounds wrap, they are no longer
+    /// affine in the step).
+    pub fn new(
+        m: &Machine,
+        arrays: &[DistArray],
+        loops: &[(&Partition, [i64; 3])],
+        slopes: &[[i64; 2]],
+        spaces: &RankSpaces,
+        last: i64,
+    ) -> Option<SpacePlan> {
+        let inwards = slopes.iter().all(|&[dlb, dub]| dlb >= 0 && dub <= 0);
+        let unit = loops.iter().all(|(_, [_, _, st])| *st == 1);
+        if !inwards || !unit || slopes.len() != loops.len() || loops.len() > MAX_PLANNED {
+            return None;
+        }
+        let fits = |bound: i64, slope: i64| {
+            let end = i128::from(bound) + i128::from(slope) * i128::from(last);
+            i64::try_from(end).is_ok()
+        };
+        let in_range = (loops.iter().zip(slopes))
+            .all(|(&(_, [lb, ub, _]), &[dlb, dub])| fits(lb, dlb) && fits(ub, dub));
+        if !in_range || last < 0 {
+            return None;
+        }
+        let nranks = m.nranks() as usize;
+        let bounds = (loops.iter().zip(slopes))
+            .map(|(&(_, [lb, ub, _]), &[dlb, dub])| [lb, dlb, ub, dub])
+            .collect();
+        let mut plan = SpacePlan {
+            nranks,
+            bounds,
+            ranks: Vec::with_capacity(spaces.active()),
+            own: Vec::with_capacity(spaces.active() * loops.len()),
+        };
+        for rank in (0..nranks).filter(|&r| !spaces.space(r).is_empty()) {
+            let coords = m.grid.coords_of(rank as i64);
+            plan.ranks.push(rank as u32);
+            for (j, &(part, [lb, ub, _])) in loops.iter().enumerate() {
+                let (lo, hi) = own_share(part, arrays, &coords)?;
+                // The share must be what `set_BOUND` partitioned.
+                let run = unit_run(lb.max(lo), ub.min(hi));
+                if spaces.space(rank)[j] != Runs::one(run) {
+                    return None;
+                }
+                plan.own.push((lo, hi));
+            }
+        }
+        Some(plan)
+    }
+
+    /// How many variables.
+    pub fn nvars(&self) -> usize {
+        self.bounds.len()
+    }
+
+    /// How many ranks were active at the first step.
+    pub fn len(&self) -> usize {
+        self.ranks.len()
+    }
+
+    /// Whether no rank was.
+    pub fn is_empty(&self) -> bool {
+        self.ranks.is_empty()
+    }
+
+    /// Rank `h` of those active at the first step, ascending.
+    pub fn rank(&self, h: usize) -> usize {
+        self.ranks[h] as usize
+    }
+
+    /// The bounds `(lb, ub)` of variable `j` at step `t`.
+    fn bounds(&self, j: usize, t: i64) -> (i64, i64) {
+        let [lb, dlb, ub, dub] = self.bounds[j];
+        (lb + dlb * t, ub + dub * t)
+    }
+
+    /// Rank `h`'s share of variable `j`.
+    fn own(&self, h: usize) -> &[(i64, i64)] {
+        &self.own[h * self.bounds.len()..(h + 1) * self.bounds.len()]
+    }
+
+    /// Rank `h`'s least and greatest value of each variable at step `t`,
+    /// into `lo` and `hi`: `false` when it has no iteration.
+    pub fn corners(&self, h: usize, t: i64, lo: &mut [i64], hi: &mut [i64]) -> bool {
+        for (j, &(own_lo, own_hi)) in self.own(h).iter().enumerate() {
+            let (lb, ub) = self.bounds(j, t);
+            (lo[j], hi[j]) = (lb.max(own_lo), ub.min(own_hi));
+            if lo[j] > hi[j] {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// The spaces at step `t` (`0..=last`).
+    pub fn at(&self, t: i64) -> Dispatched {
+        let mut spaces = RankSpaces::default();
+        let visited = self.fill(t, &mut spaces);
+        Dispatched { spaces, visited }
+    }
+
+    /// [`SpacePlan::at`] into the tables of `spaces`; returns how many
+    /// ranks are active.
+    pub fn fill(&self, t: i64, spaces: &mut RankSpaces) -> u64 {
+        spaces.nvars = self.bounds.len();
+        spaces.at.clear();
+        spaces.at.resize(self.nranks, RankSpaces::IDLE);
+        spaces.vars.clear();
+        let (mut lo, mut hi) = ([0; MAX_PLANNED], [0; MAX_PLANNED]);
+        for (h, &rank) in self.ranks.iter().enumerate() {
+            if self.corners(h, t, &mut lo, &mut hi) {
+                spaces.at[rank as usize] = spaces.vars.len() as u32;
+                let runs = lo
+                    .iter()
+                    .zip(&hi)
+                    .map(|(&lo, &hi)| Runs::one(unit_run(lo, hi)));
+                spaces.vars.extend(runs.take(self.bounds.len()));
+            }
+        }
+        spaces.active() as u64
+    }
+
+    /// The last step, from step `t` on (rank `h` active there), up to
+    /// which each of rank `h`'s ends keeps the form it has at `t` — `lb`
+    /// or `L`, `ub` or `U` — and the rank has an iteration: its ends are
+    /// affine in the step that far.
+    pub fn until(&self, h: usize, t: i64) -> i64 {
+        let mut until = i64::MAX;
+        // The last step at which `from + closing·s <= to`, `s` counted
+        // from `t`.
+        let mut cap = |from: i64, to: i64, closing: i64| {
+            if closing > 0 {
+                let s = (i128::from(to) - i128::from(from)) / i128::from(closing);
+                until = until.min((i128::from(t) + s).min(i64::MAX.into()) as i64);
+            }
+        };
+        for (j, &(own_lo, own_hi)) in self.own(h).iter().enumerate() {
+            let [_, dlb, _, dub] = self.bounds[j];
+            let (lb, ub) = self.bounds(j, t);
+            let dfirst = if lb < own_lo {
+                cap(lb, own_lo, dlb);
+                0
+            } else {
+                dlb
+            };
+            let dlast = if ub > own_hi {
+                cap(own_hi, ub, -dub);
+                0
+            } else {
+                dub
+            };
+            cap(lb.max(own_lo), ub.min(own_hi), dfirst - dlast);
+        }
+        until
+    }
+}
+
+/// `first..=last` (`first <= last`) at unit stride.
+fn unit_run(first: i64, last: i64) -> Progression {
+    Progression::new(first, 1, last.abs_diff(first) as usize + 1)
+}
+
+/// The iterations `L..=U` of a variable partitioned by `part` that the
+/// rank at `coords` owns whatever its bounds, when its share of any
+/// bounds `lb..=ub` (unit stride) is `[max(lb, L), min(ub, U)]`: all of
+/// them replicated or on an undistributed dimension, its block under
+/// BLOCK at a template stride of ±1. `None` for any other partition.
+fn own_share(part: &Partition, arrays: &[DistArray], coords: &[i64]) -> Option<(i64, i64)> {
+    let Partition::OwnerDim { arr, dim, a, b } = part else {
+        return matches!(part, Partition::Replicate).then_some((i64::MIN, i64::MAX));
+    };
+    let dm = &arrays[*arr].dad.dims[*dim];
+    if !dm.is_distributed() {
+        return Some((i64::MIN, i64::MAX));
+    }
+    let (s, o) = template_form(dm, *a, *b);
+    if dm.dist.kind != DistKind::Block || s.abs() != 1 {
+        return None;
+    }
+    let coord = coords[dm.grid_axis?];
+    let cells = owned_cells(&dm.dist, coord, 0, dm.dist.extent - 1, 1);
+    let [cells] = cells.runs() else {
+        // Owns nothing: never active, so never asked.
+        return None;
+    };
+    let (lo, hi) = (cells.first - o, cells.last() - o);
+    Some(if s == 1 { (lo, hi) } else { (-hi, -lo) })
 }

@@ -16,14 +16,15 @@ use f90d_comm::driver::{
 };
 use f90d_comm::sched_cache::{RunSchedules, StmtId};
 use f90d_distrib::Dad;
+use f90d_frontend::ast::{BinOp, UnOp};
 use f90d_machine::{ArrayData, Machine, Value};
 use f90d_runtime::DistArray;
 
-use crate::bind::{bind_native, fold_native, Bound};
+use crate::bind::{bind_native, fold_native, BindPlan, Bound, BoundTables, Folded, FoldedTables};
 use crate::boxes::{inspect_boxes, run_native_forall, Buffers};
 use crate::bytecode::*;
 use crate::chunk::{self, resolve_acc, ForallCx, ResolvedAcc, Staged};
-use crate::dispatch::{self, RankSpaces, VmResult};
+use crate::dispatch::{self, RankSpaces, SpacePlan, VmResult};
 use crate::ops;
 
 pub use crate::dispatch::{RunReport, VmError};
@@ -92,6 +93,145 @@ pub struct Engine {
     /// Rank-phases of the native tier that took their writes from
     /// another rank's instead of running the kernel.
     ranks_copied: u64,
+    /// Per FORALL, its plan over the current run of its innermost
+    /// enclosing `DO` ([`LoopPlan`]). Emptied by [`Engine::relayout`].
+    plans: Vec<Option<LoopPlan>>,
+    /// Per FORALL, the run of its innermost `DO` in which a plan was
+    /// refused ([`Engine::derive_plan`]): its reasons hold for the whole
+    /// run, so it is not asked again. Emptied by [`Engine::relayout`].
+    refused: Vec<u64>,
+    /// `DO` loops entered so far: names one run of a loop.
+    do_runs: u64,
+    /// Rank bindings of native FORALL executions instantiated from a
+    /// [`BindPlan`] instead of proved.
+    binds_instantiated: u64,
+}
+
+/// The innermost `DO` around a statement as it executes.
+#[derive(Clone, Copy)]
+struct DoAt {
+    var: u16,
+    ub: i64,
+    st: i64,
+    /// Which run of the loop ([`Engine::do_runs`]).
+    run: u64,
+}
+
+/// One FORALL's plan over the rest of a run of its innermost enclosing
+/// `DO` (ROADMAP 6(a), 6(b)): the iteration spaces of every later step
+/// ([`SpacePlan`]) and, for a native kernel, its binding ([`BindPlan`]),
+/// derived at one step. Chosen from the lowered code alone — the
+/// FORALL's bounds must be affine in the DO variable ([`do_slope`]) and
+/// move (bounds that do not are the [`SpaceMemo`]'s) — and kept for the
+/// one run of the loop.
+struct LoopPlan {
+    run: u64,
+    /// The DO variable at the first step, and its change per step.
+    k0: i64,
+    dk: i64,
+    /// The last step of the run.
+    last: i64,
+    /// The FORALL's evaluated bounds at the first step, and the change of
+    /// each `lb` and `ub` per step.
+    bounds: Vec<[i64; 3]>,
+    slopes: Vec<[i64; 2]>,
+    space: SpacePlan,
+    bind: Option<BindPlan>,
+    /// The spaces of the last step, whose tables the next one reuses.
+    last_spaces: Option<Arc<RankSpaces>>,
+}
+
+impl LoopPlan {
+    /// Which step of the run the DO variable `k` is, when the bounds
+    /// `loops` are the ones the plan predicts there.
+    fn step(&self, k: i64, loops: &[(&Partition, [i64; 3])]) -> Option<i64> {
+        let (from, dk) = (i128::from(k) - i128::from(self.k0), i128::from(self.dk));
+        let t = (from % dk == 0).then_some(from / dk)?;
+        let t = i64::try_from(t)
+            .ok()
+            .filter(|&t| (0..=self.last).contains(&t))?;
+        let moved = |[lb, ub, st]: [i64; 3], [dlb, dub]: [i64; 2]| [lb + dlb * t, ub + dub * t, st];
+        let same = (self.bounds.iter().zip(&self.slopes).zip(loops))
+            .all(|((&bounds, &slopes), (_, now))| moved(bounds, slopes) == *now);
+        same.then_some(t)
+    }
+}
+
+/// The change of the INTEGER value `code` computes per unit of the DO
+/// variable `d`, when it is affine in it over a run of the loop: built
+/// from literal constants, `d` and other loop variables outside the
+/// FORALL (`own` are its variables), by `+`, `-`, negation and products
+/// with a literal. Scalars and array elements may change between steps,
+/// and anything else is not affine: `None`.
+fn do_slope(code: &ExprCode, d: u16, own: &[u16], consts: &[Value]) -> Option<i64> {
+    // Per register: the change per unit of `d`, and the value when it is
+    // a literal.
+    let mut regs: Vec<Option<(i64, Option<i64>)>> = vec![None; code.nregs as usize];
+    let var = |slot: u16| -> Option<(i64, Option<i64>)> {
+        match slot {
+            _ if slot == d => Some((1, None)),
+            _ if own.contains(&slot) => None,
+            _ => Some((0, None)),
+        }
+    };
+    for op in &code.ops {
+        let (dst, v) = match *op {
+            Op::Const { dst, k } => match consts[k as usize] {
+                Value::Int(v) => (dst, Some((0, Some(v)))),
+                _ => (dst, None),
+            },
+            Op::LoadVar { dst, slot } => (dst, var(slot)),
+            Op::Affine { dst, slot, a, .. } => (
+                dst,
+                var(slot).and_then(|(s, _)| Some((s.checked_mul(a)?, None))),
+            ),
+            Op::Bin { op, dst, a, b } => {
+                let (x, y) = (regs[a as usize], regs[b as usize]);
+                let v = x.zip(y).and_then(|((sx, lx), (sy, ly))| {
+                    let lits = lx.zip(ly);
+                    match op {
+                        BinOp::Add => Some((
+                            sx.checked_add(sy)?,
+                            lits.and_then(|(x, y)| x.checked_add(y)),
+                        )),
+                        BinOp::Sub => Some((
+                            sx.checked_sub(sy)?,
+                            lits.and_then(|(x, y)| x.checked_sub(y)),
+                        )),
+                        BinOp::Mul => match (lx, ly) {
+                            (Some(x), Some(y)) => Some((0, x.checked_mul(y))),
+                            (_, Some(k)) => Some((sx.checked_mul(k)?, None)),
+                            (Some(k), _) => Some((sy.checked_mul(k)?, None)),
+                            _ => (sx == 0 && sy == 0).then_some((0, None)),
+                        },
+                        _ => (sx == 0 && sy == 0).then_some((0, None)),
+                    }
+                });
+                (dst, v)
+            }
+            Op::Un { op, dst, a } => {
+                let v = regs[a as usize].and_then(|(s, l)| match op {
+                    UnOp::Neg => Some((s.checked_neg()?, l.and_then(i64::checked_neg))),
+                    _ => (s == 0).then_some((0, None)),
+                });
+                (dst, v)
+            }
+            Op::Intrin { dst, base, n, .. } => {
+                let args = &regs[base as usize..(base + n) as usize];
+                (
+                    dst,
+                    args.iter()
+                        .all(|a| matches!(a, Some((0, _))))
+                        .then_some((0, None)),
+                )
+            }
+            Op::Read { dst, .. } | Op::LoadScalar { dst, .. } | Op::ReadSeq { dst, .. } => {
+                (dst, None)
+            }
+        };
+        regs[dst as usize] = v;
+    }
+    regs[code.out as usize].map(|(s, _)| s)
 }
 
 /// One FORALL's kept iteration spaces. `key` is everything
@@ -139,6 +279,10 @@ impl Engine {
             ranks_visited: 0,
             ranks_active: 0,
             ranks_copied: 0,
+            plans: std::iter::repeat_with(|| None).take(nforalls).collect(),
+            refused: vec![0; nforalls],
+            do_runs: 0,
+            binds_instantiated: 0,
         }
     }
 
@@ -149,6 +293,8 @@ impl Engine {
     fn relayout(&mut self) {
         self.accs.clear();
         self.spaces.iter_mut().for_each(|kept| *kept = None);
+        self.plans.iter_mut().for_each(|plan| *plan = None);
+        self.refused.fill(0);
     }
 
     /// `(matched, fallback)` FORALL execution counts for this engine:
@@ -197,6 +343,15 @@ impl Engine {
         self.ranks_copied
     }
 
+    /// Rank bindings of native FORALL executions inside a `DO` that were
+    /// instantiated from the statement's plan of the loop (`BindPlan`)
+    /// instead of proved again: each active rank at each step of one of
+    /// its pieces of the loop's range but the first. Exact; explains host
+    /// time only.
+    pub fn binds_instantiated(&self) -> u64 {
+        self.binds_instantiated
+    }
+
     /// Read a scalar by name (post-run inspection).
     pub fn scalar(&self, name: &str) -> Option<Value> {
         let slot = self.prog.scalar_slot(name)?;
@@ -228,7 +383,7 @@ impl Engine {
     pub fn run(&mut self, m: &mut Machine) -> VmResult<RunReport> {
         let prog = self.prog.clone();
         let mut regs: Vec<Value> = Vec::new();
-        let mut do_stack: Vec<(i64, i64)> = Vec::new();
+        let mut do_stack: Vec<DoAt> = Vec::new();
         let mut pc = 0usize;
         while pc < prog.code.len() {
             match &prog.code[pc] {
@@ -277,7 +432,7 @@ impl Engine {
                                 j += 1;
                             }
                             if ids.len() == len {
-                                self.exec_phase(&ids, m, !do_stack.is_empty())?;
+                                self.exec_phase(&ids, m, do_stack.last().copied())?;
                                 pc = j;
                                 continue;
                             }
@@ -286,7 +441,7 @@ impl Engine {
                             // always-correct per-statement schedule.
                         }
                     }
-                    self.exec_forall(*i, m, false, !do_stack.is_empty())?;
+                    self.exec_forall(*i, m, false, do_stack.last().copied())?;
                     pc += 1;
                 }
                 PInst::Runtime(i) => {
@@ -338,7 +493,14 @@ impl Engine {
                     }
                     if (st > 0 && lb <= ub) || (st < 0 && lb >= ub) {
                         self.vars[*var as usize] = lb;
-                        do_stack.push((ub, st));
+                        self.do_runs += 1;
+                        let run = self.do_runs;
+                        do_stack.push(DoAt {
+                            var: *var,
+                            ub,
+                            st,
+                            run,
+                        });
                         pc += 1;
                     } else {
                         pc = *exit;
@@ -348,7 +510,7 @@ impl Engine {
                     for r in 0..m.nranks() {
                         m.transport.charge_elem_ops(r, 1); // loop control
                     }
-                    let (ub, st) = *do_stack.last().expect("DoNext outside DO");
+                    let DoAt { ub, st, .. } = *do_stack.last().expect("DoNext outside DO");
                     // An iterate that overflows lies beyond any bound.
                     match self.vars[*var as usize].checked_add(st) {
                         Some(v) if (st > 0 && v <= ub) || (st < 0 && v >= ub) => {
@@ -436,7 +598,7 @@ impl Engine {
     /// them into one coalesced exchange, then run the members with their
     /// preludes skipped. A runtime planning refusal falls back to the
     /// bit-identical per-statement path — the annotations are advisory.
-    fn exec_phase(&mut self, ids: &[u16], m: &mut Machine, in_loop: bool) -> VmResult<()> {
+    fn exec_phase(&mut self, ids: &[u16], m: &mut Machine, in_loop: Option<DoAt>) -> VmResult<()> {
         let prog = self.prog.clone();
         let mut specs = Vec::new();
         for &id in ids {
@@ -462,8 +624,11 @@ impl Engine {
     /// members run with their prelude skipped — which also bypasses the
     /// split-phase overlap path, whose post/finish would re-send the
     /// exchanges. The native tier still binds as usual. `in_loop`: the
-    /// statement sits inside a `DO` and may run again, so its iteration
-    /// spaces are worth keeping.
+    /// innermost `DO` around the statement, which may run it again: its
+    /// iteration spaces are worth keeping ([`SpaceMemo`]), and a plan
+    /// over the rest of the loop's run worth deriving ([`LoopPlan`]) —
+    /// a step of a kept plan instantiates its spaces and binding instead
+    /// of partitioning and proving them.
     ///
     /// Under `overlap`, an eligible stencil ([`dispatch::overlap_plan`])
     /// runs split-phase (paper §5.1/§7 latency hiding): the shared
@@ -475,7 +640,7 @@ impl Engine {
         fi: u16,
         m: &mut Machine,
         skip_pre: bool,
-        in_loop: bool,
+        in_loop: Option<DoAt>,
     ) -> VmResult<()> {
         let prog = self.prog.clone();
         let f = &prog.foralls[fi as usize];
@@ -508,7 +673,29 @@ impl Engine {
             let st = self.eval_scalar(&spec.st, m, &mut regs)?.as_int();
             loops.push((&spec.part, [lb, ub, st]));
         }
-        let spaces = self.iteration_spaces(fi, m, &loops, &filter, in_loop)?;
+        // This step of a kept plan of the loop, when the bounds are the
+        // ones it predicts.
+        let k = in_loop.map(|d| self.vars[d.var as usize]);
+        let mut plan =
+            in_loop.and_then(|d| self.plans[fi as usize].take().filter(|p| p.run == d.run));
+        let step = plan.as_ref().zip(k).and_then(|(p, k)| p.step(k, &loops));
+        let spaces = match (&mut plan, step) {
+            (Some(p), Some(t)) => {
+                let mut spaces = p.last_spaces.take().unwrap_or_default();
+                let active = match Arc::get_mut(&mut spaces) {
+                    Some(tables) => p.space.fill(t, tables),
+                    None => {
+                        let done = p.space.at(t);
+                        spaces = Arc::new(done.spaces);
+                        done.visited
+                    }
+                };
+                self.ranks_visited += active;
+                self.ranks_active += active;
+                spaces
+            }
+            _ => self.iteration_spaces(fi, m, &loops, &filter, in_loop.is_some())?,
+        };
         // Resolve the accessors this FORALL references that no earlier
         // execution has, per rank. A rank that runs nothing — every
         // consumer skips it before looking at its table — asks for none.
@@ -537,9 +724,45 @@ impl Engine {
         };
         // Native tier: when lowering selected a kernel and every rank's
         // dispatch preconditions hold, the box kernels run instead of
-        // the bytecode chunk loop — in the inspector below too.
-        let folded = f.native.map(|kid| fold_native(&prog.natives[kid], cx));
-        let bound = (folded.as_ref()).and_then(|folded| bind_native(folded.as_ref(), cx));
+        // the bytecode chunk loop — in the inspector below too. A step of
+        // a plan instantiates the plan's binding.
+        let kernel = f.native.map(|kid| &prog.natives[kid]);
+        let mut lent = match (step, plan.as_mut()) {
+            (
+                Some(t),
+                Some(LoopPlan {
+                    bind: Some(bind),
+                    space,
+                    ..
+                }),
+            ) => Some((bind, t, &*space)),
+            _ => None,
+        };
+        let folded = match (kernel, &mut lent) {
+            (Some(kernel), Some((bind, t, _))) => Some(bind.fold(kernel, *t, &self.scalars)),
+            (kernel, _) => kernel.map(|kernel| fold_native(kernel, cx)),
+        };
+        let bound = match (&folded, lent) {
+            (Some(Some(folded)), Some((bind, t, space))) => {
+                let bound = bind.bind(folded, t, space, &self.accs);
+                bound.map(|(bound, instantiated)| {
+                    self.binds_instantiated += instantiated;
+                    bound
+                })
+            }
+            (folded, _) => folded
+                .as_ref()
+                .and_then(|folded| bind_native(folded.as_ref(), cx)),
+        };
+        if cfg!(debug_assertions) && step.is_some() {
+            check_instantiated(
+                m,
+                &self.arrays,
+                (&loops, &filter),
+                cx,
+                (kernel, bound.as_ref()),
+            )?;
+        }
         if let Some(bound) = &bound {
             self.native_matched += 1;
             self.native_staged += bound.staged() as u64;
@@ -575,7 +798,96 @@ impl Engine {
             let (name, dad) = (&dst.name, &dst.dad);
             driver::scatter(m, &mut self.sched, stmt, name, dad, &outs, invertible)?;
         }
+        // Keep the plan, or derive one from this step.
+        let tables = (
+            bound.map(Bound::into_tables),
+            folded.flatten().map(Folded::into_tables),
+        );
+        self.plans[fi as usize] = match (plan, step, in_loop.zip(k)) {
+            (Some(mut plan), Some(_), _) => {
+                if let Some(bind) = &mut plan.bind {
+                    bind.give_back(tables.1, tables.0);
+                }
+                plan.last_spaces = Some(spaces);
+                Some(plan)
+            }
+            (_, _, Some((d, k))) if self.refused[fi as usize] != d.run => {
+                let plan = self.derive_plan((&prog, f, m), (d, k), &loops, &spaces, tables);
+                if plan.is_none() {
+                    self.refused[fi as usize] = d.run;
+                }
+                plan
+            }
+            _ => None,
+        };
         Ok(())
+    }
+
+    /// The plan of FORALL `f` over the rest of the run of the loop `d`
+    /// from this step, where its variable is `k`, its bounds are `loops`,
+    /// its iteration spaces `spaces`, and a native kernel was folded and
+    /// bound as `first`. `None` when the bounds are not affine in the
+    /// loop variable, do not move, or move outwards, or the partitions do
+    /// not allow one ([`SpacePlan::new`]). The binding is planned when
+    /// [`BindPlan::new`] allows it.
+    fn derive_plan(
+        &self,
+        (prog, f, m): (&VmProgram, &VmForall, &Machine),
+        (d, k): (DoAt, i64),
+        loops: &[(&Partition, [i64; 3])],
+        spaces: &RankSpaces,
+        first: (Option<BoundTables>, Option<FoldedTables>),
+    ) -> Option<LoopPlan> {
+        if !f.owner_filter.is_empty() {
+            return None;
+        }
+        let own: Vec<u16> = f.vars.iter().map(|v| v.var).collect();
+        let per_step =
+            |code: &ExprCode| do_slope(code, d.var, &own, &prog.consts)?.checked_mul(d.st);
+        let mut slopes = Vec::with_capacity(f.vars.len());
+        for spec in &f.vars {
+            if per_step(&spec.st)? != 0 {
+                return None;
+            }
+            slopes.push([per_step(&spec.lb)?, per_step(&spec.ub)?]);
+        }
+        // Bounds that do not move are the space memo's.
+        if slopes.iter().all(|&s| s == [0, 0]) {
+            return None;
+        }
+        let last = (i128::from(d.ub) - i128::from(k)) / i128::from(d.st);
+        let last = i64::try_from(last).unwrap_or(i64::MAX);
+        let space = SpacePlan::new(m, &self.arrays, loops, &slopes, spaces, last)?;
+        let bind = match (f.native, first) {
+            (Some(kid), (Some(bound), Some(folded))) => {
+                let kernel = &prog.natives[kid];
+                let mut one = self.vars.clone();
+                one[d.var as usize] = k.checked_add(1)?;
+                let cx = ForallCx {
+                    prog,
+                    f,
+                    vars: &one,
+                    scalars: &self.scalars,
+                    spaces,
+                    resolved: &self.accs,
+                };
+                let one = fold_native(kernel, cx)?;
+                let run = (k, d.st, last);
+                BindPlan::new(kernel, (folded, bound), &one, run, &space, &self.accs)
+            }
+            _ => None,
+        };
+        Some(LoopPlan {
+            run: d.run,
+            k0: k,
+            dk: d.st,
+            last,
+            bounds: loops.iter().map(|&(_, bounds)| bounds).collect(),
+            slopes,
+            space,
+            bind,
+            last_spaces: None,
+        })
     }
 
     /// The iteration spaces of this execution of FORALL `fi`:
@@ -621,6 +933,35 @@ impl Engine {
         kept.spaces = spaces.clone();
         Ok(spaces)
     }
+}
+
+/// Debug builds hold every step a plan instantiated to what partitioning
+/// and binding it from scratch give: the same spaces on every rank, and
+/// — when the binding was instantiated too — the same binding.
+fn check_instantiated(
+    m: &Machine,
+    arrays: &[DistArray],
+    (loops, filter): (&[(&Partition, [i64; 3])], &[(ArrId, usize, i64)]),
+    cx: ForallCx<'_>,
+    (kernel, bound): (Option<&crate::native::NativeKernel>, Option<&Bound<'_>>),
+) -> VmResult<()> {
+    let scratch = dispatch::iteration_spaces(m, arrays, loops, filter)?.spaces;
+    for rank in 0..m.nranks() as usize {
+        assert_eq!(
+            cx.spaces.space(rank),
+            scratch.space(rank),
+            "rank {rank}'s space"
+        );
+    }
+    if let (Some(kernel), Some(bound)) = (kernel, bound) {
+        let folded = fold_native(kernel, cx);
+        let again = bind_native(folded.as_ref(), cx);
+        assert!(
+            again.is_some_and(|again| again.same(bound)),
+            "the instantiated binding"
+        );
+    }
+    Ok(())
 }
 
 /// Unstructured read `gi` of the FORALL `cx.f`, number `fi` of the

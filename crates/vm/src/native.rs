@@ -21,12 +21,19 @@
 //! `rows` consecutive values of the FORALL's second-innermost variable ×
 //! one run of the innermost. The engine hands it, per read site, the
 //! array segment and the `(start, row_step, step)` of the site's walk
-//! through it ([`BoxRead`], [`Walk`]); inside, rows run in order, a row's
-//! descriptors are one multiply-add per site away from the box's, and a
-//! row is one loop over `f64` (or `i64`) slices — the plain doubly
-//! nested local loop the paper's generated Fortran 77 has between
-//! run-time calls. The `dyn` call, the argument build and the output
-//! slicing happen once per box. A 1-D FORALL is a box of one row. A site
+//! through it ([`BoxRead`], [`Walk`]); inside, the box is the plain
+//! doubly nested local loop the paper's generated Fortran 77 has between
+//! run-time calls. Most kernels run its rows in order, a row's
+//! descriptors one multiply-add per site away from the box's and a row
+//! one loop over `f64` (or `i64`) slices. The Gaussian step's rank-1
+//! update, whose rows are short (12 columns a rank at `gauss-ipsc16`'s
+//! shape) and whose multiplier is one value per row, runs a box of
+//! several rows as one 2-D loop instead (`rank1_box`): every row's
+//! multiplier divided first, then a block of four columns at a time
+//! across every row — each element still its own `x - m*y`, in an order
+//! no element can see. The `dyn` call, the argument build and the
+//! output slicing happen once per box. A 1-D FORALL is a box of one
+//! row. A site
 //! may be the very element the box overwrites ([`BoxRead::data`] is
 //! `None`): a generic kernel computes a row before it stores it, so the
 //! site is a view of the output row; a fused one reads it element by
@@ -262,11 +269,12 @@ pub struct BoxOut<'a, T = f64> {
 }
 
 /// A monomorphized box kernel: one whole expression over `rows` × `len`
-/// iterations as a single call. Inside, rows run in order, each row's
-/// descriptors one multiply-add per site away from the box's, and a row
-/// is one loop over slices — no dispatch per row, none per element.
-/// Writes every element of every output row; the [`Pool`] lends the
-/// columns it needs on the way (one per rank and phase will do).
+/// iterations as a single call — no dispatch per row, none per element.
+/// Writes every element of every output row, each from the box's reads
+/// alone, so the order it visits them in is its own (rows in order, a
+/// row one loop over slices, for most; blocks of columns across the
+/// rows for `rank1_box`); the [`Pool`] lends the columns it needs on
+/// the way (one per rank and phase will do).
 pub type BoxFn<T = f64> = Arc<dyn Fn(&BoxArgs<'_, T>, &mut BoxOut<'_, T>, &mut Pool) + Send + Sync>;
 
 /// One read site along one row of a box: element `i` of the row is
@@ -977,6 +985,129 @@ fn fused<const N: usize, F: Fn([f64; N]) -> f64>(
     })
 }
 
+/// One operand of [`rank1_box`] along the rows of a box: element `j` of
+/// row `r` is the output's own element as it stood, or
+/// `data[start + r·row_step + j]`.
+#[derive(Clone, Copy)]
+enum Along<'a> {
+    Own,
+    Rows {
+        data: &'a [f64],
+        start: usize,
+        row_step: isize,
+    },
+}
+
+impl<'a> Along<'a> {
+    /// The operand of `site` when it walks its rows at unit stride.
+    fn of(site: &BoxRead<'a>) -> Option<Self> {
+        match site.data {
+            None => Some(Along::Own),
+            Some(data) if site.walk.step == 1 => Some(Along::Rows {
+                data,
+                start: site.walk.start as usize,
+                row_step: site.walk.row_step as isize,
+            }),
+            Some(_) => None,
+        }
+    }
+
+    /// Element `j` of row `r`, `own` the output's element there.
+    #[inline(always)]
+    fn at(&self, r: usize, j: usize, own: f64) -> f64 {
+        match *self {
+            Along::Own => own,
+            Along::Rows {
+                data,
+                start,
+                row_step,
+            } => data[(start as isize + r as isize * row_step) as usize + j],
+        }
+    }
+}
+
+/// The rank-1 update `x - (p/q)·y` over a box of several rows whose
+/// multiplier does not move along a row — `A(I,K)/A(K,K)` under an inner
+/// `J`, the Gaussian step — and whose `x` and `y` walk their rows at
+/// unit stride, as one 2-D loop: the multiplier of every row first, one
+/// division per row in one pass over the rows, then the box a block of
+/// four columns at a time across every row, a row-invariant `y` held for
+/// the block. Every element is its own `x - m·y`, its own value read
+/// before it is written, so the order of the elements does not matter:
+/// a box reads nothing else it writes (`crate::bind`'s alias rule, or
+/// the stage), and needs no snapshot of a row. Out of line: the
+/// row-at-a-time loop of one-row boxes stays as small as it was.
+#[inline(never)]
+fn rank1_box(
+    a: &BoxArgs<'_>,
+    out: &mut BoxOut<'_>,
+    pool: &mut Pool,
+    [xs, ys]: [Along<'_>; 2],
+    [p, q]: [&BoxRead<'_>; 2],
+) {
+    let ms = multipliers(a.rows, p, q, pool);
+    let (len, start, row_step) = (a.len, out.start, out.row_step);
+    let data = &mut *out.data;
+    let row = |r: usize| (start as isize + r as isize * row_step) as usize;
+    let blocks = len - len % 4;
+    // A `y` that is the same row for every row is held for the block.
+    let fixed_y = match ys {
+        Along::Rows {
+            data,
+            start,
+            row_step: 0,
+        } => Some(&data[start..start + len]),
+        _ => None,
+    };
+    for j in (0..blocks).step_by(4) {
+        if let Some(y) = fixed_y {
+            let y: [f64; 4] = std::array::from_fn(|k| y[j + k]);
+            for (r, &m) in ms.iter().enumerate() {
+                let o = &mut data[row(r) + j..][..4];
+                for k in 0..4 {
+                    o[k] = xs.at(r, j + k, o[k]) - m * y[k];
+                }
+            }
+        } else {
+            for (r, &m) in ms.iter().enumerate() {
+                let o = &mut data[row(r) + j..][..4];
+                for k in 0..4 {
+                    let own = o[k];
+                    o[k] = xs.at(r, j + k, own) - m * ys.at(r, j + k, own);
+                }
+            }
+        }
+    }
+    for j in blocks..len {
+        for (r, &m) in ms.iter().enumerate() {
+            let o = &mut data[row(r) + j];
+            let own = *o;
+            *o = xs.at(r, j, own) - m * ys.at(r, j, own);
+        }
+    }
+    f64::spares(pool).push(ms);
+}
+
+/// The multiplier `p / q` of every row of a box over which neither
+/// moves along a row, as one column: a division per row, in one loop —
+/// over slices when `p` runs down a column and `q` is one value, where
+/// the divisions go two to an instruction.
+fn multipliers(rows: usize, p: &BoxRead<'_>, q: &BoxRead<'_>, pool: &mut Pool) -> Vec<f64> {
+    let (Some(pd), Some(qd)) = (p.data, q.data) else {
+        unreachable!("both sites have data")
+    };
+    let mut ms = pool.take::<f64>();
+    let at = |data: &[f64], walk: &Walk, r: usize| data[walk.row(r).0 as usize];
+    match (p.walk.row_step, q.walk.row_step) {
+        (1, 0) => {
+            let (start, q) = (p.walk.start as usize, at(qd, &q.walk, 0));
+            ms.extend(pd[start..start + rows].iter().map(|&p| p / q));
+        }
+        _ => ms.extend((0..rows).map(|r| at(pd, &p.walk, r) / at(qd, &q.walk, r))),
+    }
+    ms
+}
+
 /// Match the reduced RHS against the fused templates (the paper's hot
 /// shapes: stencil update, rank-1 row elimination, axpy, accumulate) and
 /// fall back to the row-at-a-time tree evaluator. Both paths produce the
@@ -1013,7 +1144,8 @@ pub fn match_template(e: &NExpr) -> (&'static str, BoxFn) {
     }
     // r0 - (r1/r2)*r3 — Gaussian elimination's rank-1 row update. The
     // multiplier does not change along a row of the update (`A(I,K)` and
-    // `A(K,K)` under an inner `J`), so it is divided once per row then.
+    // `A(K,K)` under an inner `J`), so it is divided once per row then,
+    // and a box of such rows at unit stride is one 2-D loop.
     if let Bin(Sub, l, r) = e {
         if let (Read(i0), Bin(Mul, m1, m2)) = (&**l, &**r) {
             if let (Bin(Div, n1, n2), Read(i3)) = (&**m1, &**m2) {
@@ -1023,6 +1155,11 @@ pub fn match_template(e: &NExpr) -> (&'static str, BoxFn) {
                     let f: BoxFn = Arc::new(move |a, out, pool| {
                         let [x, p, q, y] = sites.map(|i| a.reads[i]);
                         let fixed = |site: &BoxRead<'_>| site.data.is_some() && site.walk.step == 0;
+                        if fixed(&p) && fixed(&q) && a.rows > 1 {
+                            if let (Some(xs), Some(ys)) = (Along::of(&x), Along::of(&y)) {
+                                return rank1_box(a, out, pool, [xs, ys], [&p, &q]);
+                            }
+                        }
                         if fixed(&p) && fixed(&q) {
                             a.for_rows(out, pool, rmw, |row, o| {
                                 let m = row.of(&p).at(0) / row.of(&q).at(0);
@@ -1202,17 +1339,19 @@ mod tests {
     const LAYOUTS: [(i64, i64, i64); 6] = [
         (5, 21, 1),
         (2, 61, 3),
-        (1300, -70, -2),
+        (13000, -70, -2),
         (17, 5, 0),
         (30, 0, 1),
         (9, 0, 0),
     ];
 
     /// Which of [`LAYOUTS`] each read site gets: every site alike, one
-    /// of each, and the Gaussian update's own mix (sites 1 and 2
-    /// inner-invariant between unit-stride rows, which is what lets the
-    /// rank-1 kernel divide once per row).
-    const MIXES: [[usize; 4]; 9] = [
+    /// of each, sites 1 and 2 inner-invariant between unit-stride rows
+    /// (what lets the rank-1 kernel divide once per row), and the
+    /// Gaussian step's exact box: with site 0 the own element ([`OWN`]),
+    /// a multiplier per row `A(I,K)`, one pivot `A(K,K)` for the box and
+    /// the row-invariant pivot row `A(K,J)`.
+    const MIXES: [[usize; 4]; 10] = [
         [0, 0, 0, 0],
         [1, 1, 1, 1],
         [2, 2, 2, 2],
@@ -1222,6 +1361,7 @@ mod tests {
         [0, 1, 2, 3],
         [0, 3, 3, 4],
         [4, 5, 3, 0],
+        [0, 3, 5, 4],
     ];
 
     /// Which read sites are the element the box overwrites: none, the
@@ -1229,11 +1369,12 @@ mod tests {
     const OWN: [&[usize]; 3] = [&[], &[0], &[1, 3]];
 
     /// Box shapes `(rows, len)`: one element, one row, several rows,
-    /// one-element rows, rows one past the bytecode tier's `CHUNK`.
-    const SHAPES: [(usize, usize); 5] = [(1, 1), (1, 7), (3, 20), (4, 1), (2, 513)];
+    /// one-element rows, rows one past the bytecode tier's `CHUNK`, and
+    /// the `gauss-ipsc16` benchmark's first box (180 rows of 12).
+    const SHAPES: [(usize, usize); 6] = [(1, 1), (1, 7), (3, 20), (4, 1), (2, 513), (180, 12)];
 
     /// Elements per read segment, and of the output the boxes land in.
-    const SEG: i64 = 2048;
+    const SEG: i64 = 16384;
 
     /// Where a box of `len`-element rows is written, as `(start,
     /// row_step)`: dense ascending rows, and spaced descending ones.

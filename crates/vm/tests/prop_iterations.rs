@@ -25,6 +25,9 @@
 //! `iteration_spaces` masks idle ranks before partitioning: the values
 //! are still `iterations_for`'s, every tuple runs once, and no rank
 //! outside the window of ranks that can own an iteration is visited.
+//! A fifth holds the plan a `DO` loop keeps for a FORALL whose bounds
+//! move with the loop variable (`SpacePlan`) to `iteration_spaces` at
+//! every step of the loop.
 
 use f90d_distrib::{
     set_bound, AlignExpr, Alignment, AxisAlign, DadBuilder, DistKind, GridEmbedding, ProcGrid,
@@ -32,7 +35,7 @@ use f90d_distrib::{
 };
 use f90d_machine::{ElemType, Machine, MachineSpec};
 use f90d_runtime::DistArray;
-use f90d_vm::dispatch::{iteration_spaces, Dispatched};
+use f90d_vm::dispatch::{iteration_spaces, Dispatched, SpacePlan};
 use f90d_vm::stmt::Partition;
 use proptest::prelude::*;
 
@@ -469,6 +472,143 @@ fn cyclic_k_with_a_stride_gives_several_runs() {
     assert!((0..4).all(|rank| done.spaces.space(rank)[0].runs().len() > 1));
 }
 
+/// A FORALL `(I = lbs[0] + sl[0]·K : ubs[0] - su[0]·K, J = …)` inside
+/// `DO K = k0, k0 + dk·(steps - 1), dk` over a 2-D array under
+/// `(*,BLOCK)`, `(BLOCK,*)` or `(BLOCK,BLOCK)` — `J` at subscript
+/// `a·J + b` on a dimension aligned at offset `align_offset` — with its
+/// plan derived at the first step: at every step, every rank's space
+/// must be what `iteration_spaces` partitions from scratch — across the
+/// steps where a bound crosses a block boundary and the step a rank
+/// goes idle — and an active rank's corners must be affine in the step
+/// up to [`SpacePlan::until`], which the binding's pieces rely on.
+fn check_do_plan(
+    layout: usize,
+    p: [i64; 2],
+    n: [i64; 2],
+    align_offset: i64,
+    (a, b): (i64, i64),
+    (lbs, sl): ([i64; 2], [i64; 2]),
+    (ubs, su): ([i64; 2], [i64; 2]),
+    (k0, dk, steps): (i64, i64, i64),
+) -> Result<(), TestCaseError> {
+    let (kinds, shape): ([DistKind; 2], Vec<i64>) = match layout {
+        0 => ([DistKind::Collapsed, DistKind::Block], vec![p[1]]),
+        1 => ([DistKind::Block, DistKind::Collapsed], vec![p[0]]),
+        _ => ([DistKind::Block, DistKind::Block], vec![p[0], p[1]]),
+    };
+    let grid = ProcGrid::new(&shape);
+    let t_extent = n[1] + align_offset;
+    let dad = DadBuilder::new("A", &n)
+        .template(Template::new("T", &[n[0], t_extent]))
+        .align(Alignment {
+            axes: vec![
+                AxisAlign::Aligned {
+                    template_dim: 0,
+                    expr: AlignExpr::new(1, 0),
+                },
+                AxisAlign::Aligned {
+                    template_dim: 1,
+                    expr: AlignExpr::new(1, align_offset),
+                },
+            ],
+            replicated_template_dims: vec![],
+        })
+        .distribute(&kinds)
+        .grid(grid.clone())
+        .build()
+        .unwrap();
+    let arrays = [DistArray {
+        name: "A".into(),
+        dad,
+        ty: ElemType::Real,
+    }];
+    let rows = Partition::OwnerDim {
+        arr: 0,
+        dim: 0,
+        a: 1,
+        b: 0,
+    };
+    let cols = Partition::OwnerDim {
+        arr: 0,
+        dim: 1,
+        a,
+        b,
+    };
+    let m = Machine::new(MachineSpec::ideal(), grid.clone());
+    let at = |t: i64| {
+        let k = k0 + dk * t;
+        let bounds = |j: usize| [lbs[j] + sl[j] * k, ubs[j] - su[j] * k, 1];
+        vec![(&rows, bounds(0)), (&cols, bounds(1))]
+    };
+    let first = iteration_spaces(&m, &arrays, &at(0), &[]).unwrap();
+    let slopes = [0, 1].map(|j| [sl[j] * dk, -su[j] * dk]);
+    let plan = SpacePlan::new(&m, &arrays, &at(0), &slopes, &first.spaces, steps - 1);
+    let Some(plan) = plan else {
+        return Err(TestCaseError(
+            "BLOCK at a unit template stride has a plan".into(),
+        ));
+    };
+    let nvars = plan.nvars();
+    for t in 0..steps {
+        let done = iteration_spaces(&m, &arrays, &at(t), &[]).unwrap();
+        let planned = plan.at(t);
+        for rank in 0..grid.size() as usize {
+            prop_assert_eq!(
+                planned.spaces.space(rank),
+                done.spaces.space(rank),
+                "rank {} at step {}",
+                rank,
+                t
+            );
+        }
+        prop_assert_eq!(planned.visited, done.spaces.active() as u64);
+        let corners = |h: usize, t: i64| {
+            let (mut lo, mut hi) = ([0; 2], [0; 2]);
+            plan.corners(h, t, &mut lo, &mut hi)
+                .then_some([lo[0], lo[1], hi[0], hi[1]])
+        };
+        for h in 0..plan.len() {
+            let Some(here) = corners(h, t) else {
+                continue;
+            };
+            let until = plan.until(h, t).min(steps - 1);
+            prop_assert!(until >= t, "an active rank's piece holds its step");
+            let Some(next) = corners(h, t + 1).filter(|_| until > t) else {
+                continue;
+            };
+            for s in t..=until {
+                let affine = (0..4).map(|c| here[c] + (next[c] - here[c]) * (s - t));
+                let want: Vec<i64> = affine.collect();
+                let got = corners(h, s).map(Vec::from);
+                prop_assert_eq!(
+                    got,
+                    Some(want),
+                    "rank {} affine from step {} to {}",
+                    plan.rank(h),
+                    t,
+                    s
+                );
+            }
+        }
+        prop_assert_eq!(nvars, 2);
+    }
+    Ok(())
+}
+
+/// A bound whose value would leave `i64` within the loop's run wraps when
+/// evaluated, and a wrapped bound is not affine in the step: no plan. A
+/// lower bound 5 below `i64::MAX`, rising by one a step, plans 5 more
+/// steps and not 6.
+#[test]
+fn a_bound_that_would_leave_i64_within_the_run_has_no_plan() {
+    let m = Machine::new(MachineSpec::ideal(), ProcGrid::new(&[2]));
+    let loops = [(&Partition::Replicate, [i64::MAX - 5, 16, 1])];
+    let first = iteration_spaces(&m, &[], &loops, &[]).unwrap();
+    let plan = |last| SpacePlan::new(&m, &[], &loops, &[[1, 0]], &first.spaces, last);
+    assert!(plan(5).is_some());
+    assert!(plan(6).is_none());
+}
+
 fn embedding() -> impl Strategy<Value = GridEmbedding> {
     prop_oneof![Just(GridEmbedding::RowMajor), Just(GridEmbedding::GrayCode)]
 }
@@ -557,6 +697,38 @@ proptest! {
         let ub = lb + (count - 1) * st + ub_slack.min(st - 1);
         let kind = DistKind::BlockCyclic(k);
         check_partition(kind, p, (align_stride, align_offset), (a, b_slack), [lb, ub, st])?;
+    }
+
+    /// [`check_do_plan`] over random layouts, grids, alignment offsets,
+    /// subscripts, bounds that move inwards and `DO` ranges.
+    #[test]
+    fn do_plans_give_the_partitioned_spaces_at_every_step(
+        layout in 0usize..3,
+        p in (0u32..3, 0u32..3),
+        n in (1i64..24, 1i64..24),
+        align_offset in 0i64..4,
+        a in prop_oneof![Just(1i64), Just(-1i64)],
+        b in 0i64..6,
+        lbs in (-3i64..6, -3i64..6),
+        sl in (0i64..3, 0i64..3),
+        ubs in (0i64..30, 0i64..30),
+        su in (0i64..3, 0i64..3),
+        k0 in 0i64..4,
+        dk in 1i64..3,
+        steps in 1i64..14,
+    ) {
+        // `a = -1` walks the columns downwards from `b + n - 1`.
+        let b = if a == 1 { b } else { b + n.1 - 1 };
+        check_do_plan(
+            layout,
+            [1 << p.0, 1 << p.1],
+            [n.0, n.1],
+            align_offset,
+            (a, b),
+            ([lbs.0, lbs.1], [sl.0, sl.1]),
+            ([ubs.0, ubs.1], [su.0, su.1]),
+            (k0, dk, steps),
+        )?;
     }
 
     /// Bounds at the ends of `i64`: every rank's `Replicate` list is
