@@ -15,7 +15,16 @@
 //!   `fattree256_64x1` is `gauss-fattree256`'s (255 receiving ranks,
 //!   contention on: µs per call × 1000 / 255 = ns per receiving rank).
 //!   The `*_one_member` lines run the same local shape on a one-rank
-//!   grid: no message, so they are the pack plus one deposit.
+//!   grid: no message, so they are the pack plus one deposit. The plain
+//!   lines are the one-shot `structured::multicast`, which plans every
+//!   call; the `*_replayed` lines are `driver::multicast` against a
+//!   run's plan table (a fresh one per job): the fiber (members, slots)
+//!   is planned once per job, and an owner's tree and slab offsets once
+//!   per owner — every step on `ipsc16` but each 12th, none on
+//!   `fattree256`, whose owner changes every step.
+//! * `tree_reduce/fattree256` — one sample is 1000 reductions of one
+//!   REAL per rank over 256 ranks of the 4-ary fat tree, contention on:
+//!   **ms reads as µs per call** (255 messages).
 //! * `ghost_exchange/{planned,replayed}` — one sample is 1000 ghost
 //!   exchanges at `stencil-ghost`'s shape (a 256 × 256 `(BLOCK, BLOCK)`
 //!   field on a 4 × 4 grid: 64 × 64 segments, `c = ±1` on both
@@ -47,6 +56,7 @@
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use f90d_comm::helpers::tree_reduce;
 use f90d_comm::redist::redistribute;
 use f90d_comm::structured::{alloc_slab_tmp, multicast};
 use f90d_comm::{driver, RunSchedules};
@@ -84,15 +94,22 @@ fn column_machine(spec: MachineSpec, p: i64, rows: i64, cols: i64) -> (Machine, 
 }
 
 /// `PER_SAMPLE` multicasts of successive columns, the machine reset
-/// after every `steps` of them (one Gaussian elimination's worth).
-fn run_multicasts(m: &mut Machine, dad: &Dad, steps: usize, contention: bool) {
+/// after every `steps` of them (one Gaussian elimination's worth), each
+/// by `cast(m, column)`.
+fn run_multicasts(
+    m: &mut Machine,
+    dad: &Dad,
+    steps: usize,
+    contention: bool,
+    cast: &mut dyn FnMut(&mut Machine, i64),
+) {
     let cols = dad.shape[1];
     for k in 0..PER_SAMPLE {
         if k % steps == 0 {
             m.reset_time();
             m.set_contention(contention);
         }
-        multicast(m, "A", dad, "TMP", 1, (k % steps) as i64 % cols).expect("multicast");
+        cast(m, (k % steps) as i64 % cols);
     }
     black_box(m.elapsed());
 }
@@ -112,10 +129,53 @@ fn bench_multicast(c: &mut Criterion) {
     ];
     for (label, spec, p, rows, cols, steps, contention) in shapes {
         let (mut m, dad) = column_machine(spec, p, rows, cols);
+        let mut one_shot = |m: &mut Machine, g| {
+            multicast(m, "A", &dad, "TMP", 1, g).expect("multicast");
+        };
         g.bench_function(label, |b| {
-            b.iter(|| run_multicasts(&mut m, &dad, steps, contention))
+            b.iter(|| run_multicasts(&mut m, &dad, steps, contention, &mut one_shot))
+        });
+        if label.ends_with("one_member") {
+            continue;
+        }
+        // A run's table: one per job, as an engine keeps one per run.
+        let mut rs = RunSchedules::new();
+        let mut replayed = |m: &mut Machine, g| {
+            if g == 0 {
+                rs = RunSchedules::new();
+            }
+            driver::multicast(m, &mut rs, "A", &dad, "TMP", 1, g).expect("multicast");
+        };
+        g.bench_function(format!("{label}_replayed"), |b| {
+            b.iter(|| run_multicasts(&mut m, &dad, steps, contention, &mut replayed))
         });
     }
+    g.finish();
+}
+
+fn bench_tree_reduce(c: &mut Criterion) {
+    let mut g = c.benchmark_group("tree_reduce");
+    g.sample_size(10);
+    let spec = MachineSpec::fat_tree(4, 4).expect("valid fat tree");
+    let mut m = Machine::new(spec, ProcGrid::new(&[256]));
+    let members: Vec<i64> = (0..256).collect();
+    let sum = |acc: &mut ArrayData, x: &ArrayData| {
+        if let (ArrayData::Real(a), ArrayData::Real(b)) = (acc, x) {
+            a.iter_mut().zip(b).for_each(|(a, b)| *a += b);
+        }
+    };
+    g.bench_function("fattree256", |b| {
+        b.iter(|| {
+            for k in 0..PER_SAMPLE {
+                if k % 63 == 0 {
+                    m.reset_time();
+                    m.set_contention(true);
+                }
+                let parts = vec![ArrayData::Real(vec![1.0]); 256];
+                black_box(tree_reduce(&mut m, &members, parts, sum).expect("reduces"));
+            }
+        })
+    });
     g.finish();
 }
 
@@ -261,6 +321,7 @@ fn bench_element_moves(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_multicast,
+    bench_tree_reduce,
     bench_ghost_exchange,
     bench_post_complete,
     bench_route_transfer,

@@ -20,9 +20,10 @@
 //! [`CommDriver::phase_exchange`] batches and [`run_overlap`] posts — is
 //! planned once per run and key, in the run's [`RunSchedules`], and
 //! replayed after that (the paper's schedule reuse, §7 optimization 3,
-//! applied to the structured path). A replay posts, charges and moves
-//! exactly what the planner's table says, which is what a fresh plan
-//! would say: no virtual metric can tell the two apart.
+//! applied to the structured path); so is every fiber's broadcast of a
+//! [`multicast`]. A replay posts, charges and moves exactly what the
+//! planner's table says, which is what a fresh plan would say: no
+//! virtual metric can tell the two apart.
 //!
 //! Contracts:
 //! * [`CommDriver::phase_exchange`] batches a phase's deduplicated
@@ -47,6 +48,7 @@ use crate::op::{CommError, CommResult};
 use crate::overlap::{dims_overlap_compatible, Margins};
 use crate::sched_cache::{Inspection, Rows, RunSchedules, StmtId};
 use crate::schedule::{ElementReq, ScheduleKind};
+use crate::structured::{multicast_axis, run_slab_cast};
 
 /// One planned ghost exchange: fill the ghost cells of `arr` for a
 /// compile-time shift by `c` along array dimension `dim`, by the moves
@@ -204,6 +206,29 @@ pub fn temporary_shift(
     m.stats.record("temporary_shift");
     let plan = rs.shift_plan(m, src, Some(tmp), dad, dim, s, false);
     exchange(m, src, tmp, &plan)
+}
+
+/// One `multicast` statement (paper §5.3.1 example 2): broadcast the
+/// slab `src[.., src_g, ..]` along the grid axis of `dim` into `tmp` on
+/// every node, each fiber's broadcast by the run's plan for it
+/// ([`RunSchedules::multicast_plan`]).
+pub fn multicast(
+    m: &mut Machine,
+    rs: &mut RunSchedules,
+    src: &str,
+    dad: &Dad,
+    tmp: &str,
+    dim: usize,
+    src_g: i64,
+) -> CommResult<()> {
+    m.stats.record("multicast");
+    let axis = multicast_axis(dad, dim);
+    let l = dad.dims[dim].local(src_g);
+    for owner in m.grid.slice(axis, dad.dims[dim].proc_of(src_g)) {
+        let (fiber, cast) = rs.multicast_plan(m, src, dad, tmp, dim, src_g, owner);
+        run_slab_cast(m, src, &fiber, &cast, l)?;
+    }
+    Ok(())
 }
 
 /// Map a FORALL's `overlap_shift` prelude onto per-loop-variable ghost

@@ -23,7 +23,8 @@
 //! [`exchange`] wrapper is post-then-finish with nothing in between. The
 //! trees ([`tree_broadcast`] along the topology-shaped
 //! [`broadcast_plan`], the binomial [`tree_reduce`]) have stage
-//! dependencies, so they complete every message inside the call.
+//! dependencies, so every edge is one blocking
+//! [`Transport::deliver`].
 
 use std::ops::Range;
 
@@ -355,10 +356,31 @@ pub fn broadcast_plan(
     root_pos: usize,
     topology: &Topology,
 ) -> Vec<(usize, usize)> {
-    assert!(root_pos < members.len());
-    let mut edges = Vec::with_capacity(members.len() - 1);
-    let widths = topology.nest_widths();
-    plan_group(members, 0..members.len(), root_pos, widths, &mut edges);
+    nested_broadcast_plan(&nest_runs(members, topology), members.len(), root_pos)
+}
+
+/// The runs [`broadcast_plan`] splits `members` into at each nesting
+/// level of `topology`, outermost first: a function of the members and
+/// the topology, not of the root, so a kept fiber finds them once. Runs
+/// are maximal and a narrower subtree lies inside a wider one, so a
+/// group of one level (a run of the level above) is exactly a slice of
+/// the next level's runs.
+pub fn nest_runs(members: &[i64], topology: &Topology) -> Vec<Vec<Range<usize>>> {
+    (topology.nest_widths())
+        .map(|width| subtree_runs(members, width))
+        .collect()
+}
+
+/// [`broadcast_plan`] from position `root_pos` of `n` members whose
+/// [`nest_runs`] are `levels`.
+pub fn nested_broadcast_plan(
+    levels: &[Vec<Range<usize>>],
+    n: usize,
+    root_pos: usize,
+) -> Vec<(usize, usize)> {
+    assert!(root_pos < n);
+    let mut edges = Vec::with_capacity(n - 1);
+    plan_group(levels, 0..n, root_pos, &mut edges);
     edges
 }
 
@@ -369,16 +391,16 @@ fn binomial_parent(t: usize) -> usize {
     t - (1 << t.ilog2())
 }
 
-/// Append the edges of the broadcast over `members[group]` held by
-/// position `holder`, nested along `widths` ([`broadcast_plan`]'s rule).
+/// Append the edges of the broadcast over the positions `group` held by
+/// position `holder`, nested along `levels` (each level's runs, the
+/// outermost first: [`broadcast_plan`]'s rule).
 fn plan_group(
-    members: &[i64],
+    levels: &[Vec<Range<usize>>],
     group: Range<usize>,
     holder: usize,
-    mut widths: impl Iterator<Item = i64> + Clone,
     edges: &mut Vec<(usize, usize)>,
 ) {
-    let Some(width) = widths.next() else {
+    let Some((level, deeper)) = levels.split_first() else {
         // Every member its own run: the binomial over the group rotated
         // to start at the holder, in index arithmetic.
         let n = group.len();
@@ -389,15 +411,11 @@ fn plan_group(
         edges.extend((1..n).map(|t| (node(binomial_parent(t)), node(t))));
         return;
     };
-    let runs = || subtree_runs(members, group.clone(), width);
-    let own = runs()
-        .find(|run| run.contains(&holder))
-        .expect("holder in group");
+    let runs = &level[level.partition_point(|run| run.start < group.start)..];
+    let runs = &runs[..runs.partition_point(|run| run.start < group.end)];
+    let own = runs.partition_point(|run| run.end <= holder);
     // The other runs in rotated order: after the holder's, then before.
-    let others = || {
-        let after = runs().filter(|run| run.start > own.start);
-        after.chain(runs().take_while(|run| run.start < own.start))
-    };
+    let others = || runs[own + 1..].iter().chain(&runs[..own]);
     // Representative t > 0 is the receiver of this level's edge t - 1.
     let first = edges.len();
     for (t, run) in (1..).zip(others()) {
@@ -407,41 +425,32 @@ fn plan_group(
         };
         edges.push((from, run.start));
     }
-    plan_group(members, own.clone(), holder, widths.clone(), edges);
+    plan_group(deeper, runs[own].clone(), holder, edges);
     for run in others() {
-        plan_group(members, run.clone(), run.start, widths.clone(), edges);
+        plan_group(deeper, run.clone(), run.start, edges);
     }
 }
 
-/// The maximal runs of consecutive positions of `group` whose members
-/// lie in one subtree of `width` leaves, in member order.
-fn subtree_runs(
-    members: &[i64],
-    group: Range<usize>,
-    width: i64,
-) -> impl Iterator<Item = Range<usize>> + '_ {
-    let mut start = group.start;
-    std::iter::from_fn(move || {
-        if start == group.end {
-            return None;
-        }
+/// The maximal runs of consecutive positions of `members` that lie in
+/// one subtree of `width` leaves, in member order.
+fn subtree_runs(members: &[i64], width: i64) -> Vec<Range<usize>> {
+    let mut runs = Vec::new();
+    let mut start = 0;
+    while start < members.len() {
         let lo = members[start] / width * width;
-        let len = (members[start..group.end].iter())
+        let len = (members[start..].iter())
             .take_while(|&&r| (lo..lo + width).contains(&r))
             .count();
+        runs.push(start..start + len);
         start += len;
-        Some(start - len..start)
-    })
+    }
+    runs
 }
 
 /// Broadcast of a payload from `members[root_pos]` to every member along
 /// [`broadcast_plan`]'s tree for the machine's topology, `O(log F)`
 /// message stages. `store` is invoked on every member (including the
 /// root) to deposit the payload into that node's memory.
-///
-/// Stages depend on each other, so the tree completes within this call
-/// (zero-width overlap window); each edge is still a posted
-/// send/receive/complete triple so completion faults surface as errors.
 pub fn tree_broadcast(
     m: &mut Machine,
     members: &[i64],
@@ -449,23 +458,41 @@ pub fn tree_broadcast(
     payload: ArrayData,
     mut store: impl FnMut(&mut Machine, i64, &ArrayData),
 ) -> CommResult<()> {
-    let plan = broadcast_plan(members, root_pos, &m.spec().topology);
+    let edges = broadcast_plan(members, root_pos, &m.spec().topology);
+    broadcast_along(m, members, root_pos, &edges, payload, |m, at, data| {
+        store(m, members[at], data)
+    })
+}
+
+/// The broadcast of `payload` from `members[root_pos]` along `edges`
+/// ([`broadcast_plan`]'s, for these members and root): `store(m, at,
+/// payload)` deposits it at member position `at`, the root's first.
+///
+/// Stages depend on each other, so the tree completes within this call
+/// (zero-width overlap window): every edge is one
+/// [`Transport::deliver`], whose faults surface as errors.
+pub fn broadcast_along(
+    m: &mut Machine,
+    members: &[i64],
+    root_pos: usize,
+    edges: &[(usize, usize)],
+    payload: ArrayData,
+    mut store: impl FnMut(&mut Machine, usize, &ArrayData),
+) -> CommResult<()> {
     let tag = m.fresh_tag();
-    store(m, members[root_pos], &payload);
+    store(m, root_pos, &payload);
     let bytes = payload.len() as i64 * payload.elem_type().bytes();
     // Every edge carries the same payload, so the buffer one edge
     // delivered is sent on by the next: one copy of the payload per
     // call, not one per edge.
     let mut spare = None;
-    for (s, t) in plan {
+    for &(s, t) in edges {
         let (from, to) = (members[s], members[t]);
         m.transport.charge_copy(from, bytes);
         let msg = spare.take().unwrap_or_else(|| payload.clone());
-        m.transport.post_send(from, to, tag, msg);
-        let h = m.transport.post_recv(to, from, tag);
-        let got = m.transport.complete(h)?;
+        let got = m.transport.deliver(from, to, tag, msg)?;
         m.transport.charge_copy(to, bytes);
-        store(m, to, &got);
+        store(m, t, &got);
         spare = Some(got);
     }
     Ok(())
@@ -495,9 +522,7 @@ pub fn tree_reduce(
             let payload = std::mem::replace(&mut contributions[s + step], ArrayData::Int(vec![]));
             let bytes = payload.len() as i64 * payload.elem_type().bytes();
             m.transport.charge_copy(from, bytes);
-            m.transport.post_send(from, to, tag, payload);
-            let h = m.transport.post_recv(to, from, tag);
-            let got = m.transport.complete(h)?;
+            let got = m.transport.deliver(from, to, tag, payload)?;
             // Charge the combine itself as element ops.
             m.transport.charge_elem_ops(to, got.len() as i64);
             let mut acc = std::mem::replace(&mut contributions[s], ArrayData::Int(vec![]));

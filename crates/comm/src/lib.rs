@@ -17,7 +17,8 @@
 //! (PARTI-style aggregation, paper §7 optimization 1 across statement
 //! boundaries). The trees (multicast, reductions, the broadcast half of
 //! concatenation) have stage dependencies and complete every message
-//! inside the call. Every broadcast runs [`helpers::broadcast_plan`]'s
+//! inside the call, each edge one blocking
+//! [`f90d_machine::Transport::deliver`]. Every broadcast runs [`helpers::broadcast_plan`]'s
 //! tree, which nests along the machine's switch levels
 //! ([`f90d_machine::Topology::nest_widths`]): subtree-local on a fat
 //! tree, the rotated binomial over the member list everywhere else.
@@ -33,7 +34,8 @@
 //! * [`structured::transfer`] — single source grid line to single
 //!   destination grid line (Fig. 4a);
 //! * [`structured::multicast`] — broadcast along a grid dimension
-//!   (Fig. 4b), along the topology's broadcast tree, `O(log P)` stages;
+//!   (Fig. 4b), along the topology's broadcast tree, `O(log P)` stages
+//!   ([`driver::multicast`] replays a run's kept plan for it);
 //! * `overlap_shift` ([`driver::ghost_exchange`]) — shift boundary strips
 //!   into the receiver's *overlap areas* (ghost cells) when the shift
 //!   amount is a compile-time constant, avoiding intra-processor copies;

@@ -28,6 +28,13 @@
 //! within-run repeat is charged anyway. The memo holds contents, not
 //! versions: a rewritten index array presents other rows, a
 //! `REDISTRIBUTE`d array another layout, and nothing is invalidated.
+//!
+//! Beside them the run keeps its structured plans: shift plans by key
+//! and layout ([`RunSchedules::shift_plan`]) and multicast plans
+//! ([`RunSchedules::multicast_plan`]) — a fiber's members with each
+//! member's slot of the temporary, guarded by the memories' layout
+//! stamps, and beside each fiber its last owner's tree and slab
+//! offsets.
 
 use std::collections::HashMap;
 use std::convert::Infallible;
@@ -35,12 +42,12 @@ use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 
 use f90d_distrib::{ArrayDimMap, Dad, ProcGrid};
-use f90d_machine::{LocalArray, Machine, OnceMap};
+use f90d_machine::{LocalArray, Machine, OnceMap, Topology};
 
 use crate::helpers::ExchangePlan;
 use crate::op::CommResult;
 use crate::schedule::{self, ElementReq, Schedule, ScheduleKind};
-use crate::structured::shift_moves;
+use crate::structured::{multicast_axis, shift_moves, Fiber, SlabCast};
 
 /// Schedules kept process-wide. A key retains its full request pattern
 /// plus the built move table, so an unbounded map would grow without
@@ -145,6 +152,14 @@ pub fn global() -> &'static OnceMap<SchedKey, Schedule> {
 /// before the table.
 pub const SHIFT_PLAN_CAP: usize = 1 << 20;
 
+/// Host words kept in one run's multicast fibers
+/// ([`RunSchedules::multicast_plan`]): three a member and two a nesting
+/// run, so a fiber of a few hundred ranks keeps about a thousand. A
+/// fiber that does not fit is planned, used and dropped. Each kept
+/// fiber keeps one [`SlabCast`] beside it, its last multicast's, whose
+/// offsets are no more than the temporary it fills holds on one member.
+pub const MULTICAST_PLAN_CAP: usize = 1 << 20;
+
 /// The allocation geometry of an array's segments — one shape and one
 /// set of ghost widths on every rank, so rank 0's speaks for all.
 #[derive(Debug, PartialEq, Eq)]
@@ -180,6 +195,31 @@ struct ShiftLayout {
     grid: ProcGrid,
     src: SegGeometry,
     dst: SegGeometry,
+}
+
+/// A multicast fiber a run keeps, found by its temporary, its axis and
+/// a member, with the cast of the last multicast along it.
+#[derive(Debug)]
+struct KeptFiber {
+    tmp: String,
+    axis: usize,
+    fiber: Arc<Fiber>,
+    last: Option<LastCast>,
+}
+
+/// A kept [`SlabCast`] with what it is a function of besides its fiber:
+/// the dimension, the owner, the source's dimension maps, the grid, the
+/// source segments' geometry and the topology its tree follows, compared
+/// by equality.
+#[derive(Debug)]
+struct LastCast {
+    dim: usize,
+    owner: i64,
+    dims: Vec<ArrayDimMap>,
+    grid: ProcGrid,
+    src: SegGeometry,
+    topology: Topology,
+    cast: Arc<SlabCast>,
 }
 
 /// One unstructured statement of a program, as the run keeps its last
@@ -336,6 +376,12 @@ pub struct RunSchedules {
     shift_moves_kept: usize,
     shifts_built: u64,
     shifts_reused: u64,
+    /// Multicast fibers of this run.
+    fibers: Vec<KeptFiber>,
+    /// Host words the fibers hold, against [`MULTICAST_PLAN_CAP`].
+    fiber_words: usize,
+    /// Multicast broadcasts that ran along a kept fiber.
+    multicasts_replayed: u64,
     /// Per unstructured statement, its last inspector (under `reuse`).
     kept: HashMap<StmtId, Inspected>,
     /// Executions that took their schedule from `kept`.
@@ -361,6 +407,9 @@ impl RunSchedules {
             shift_moves_kept: 0,
             shifts_built: 0,
             shifts_reused: 0,
+            fibers: Vec::new(),
+            fiber_words: 0,
+            multicasts_replayed: 0,
             kept: HashMap::new(),
             reinspected: 0,
         }
@@ -524,6 +573,109 @@ impl RunSchedules {
     /// replayed from its table. Exact.
     pub fn shift_plans(&self) -> (u64, u64) {
         (self.shifts_built, self.shifts_reused)
+    }
+
+    /// The plan of the multicast broadcast of `src`'s slab through `g`
+    /// (along array dimension `dim`, live descriptor `dad`) from rank
+    /// `owner` into `tmp`: the fiber through `owner` and the owner's
+    /// slab cast, the fiber kept while [`MULTICAST_PLAN_CAP`] allows.
+    ///
+    /// * A fiber is planned once per run, temporary and axis, and taken
+    ///   again only while every member's memory keeps the slot layout
+    ///   it was planned against ([`Fiber::holds`]): a removed array may
+    ///   move the temporary's slot, and the fiber is planned again.
+    /// * A kept fiber keeps the cast of its last multicast, which that
+    ///   owner's next multicast of the same layout and dimension takes
+    ///   again (its step moves it to `g`). The last owner only, not one
+    ///   cast each: an elimination's owner multicasts a block of steps
+    ///   and then never again, and a cast of every owner would hold 63
+    ///   unused 255-edge trees by the end of a Gaussian on 256 ranks.
+    ///
+    /// What the broadcast then charges and moves is the plan's either
+    /// way, so no virtual metric can tell a replay. A debug build plans
+    /// every replayed part afresh as well and asserts the two equal.
+    #[allow(clippy::too_many_arguments)]
+    pub fn multicast_plan(
+        &mut self,
+        m: &Machine,
+        src: &str,
+        dad: &Dad,
+        tmp: &str,
+        dim: usize,
+        g: i64,
+        owner: i64,
+    ) -> (Arc<Fiber>, Arc<SlabCast>) {
+        let axis = multicast_axis(dad, dim);
+        let at = m.grid.coords_of(owner)[axis] as usize;
+        let found = (self.fibers.iter())
+            .position(|f| (f.tmp.as_str(), f.axis) == (tmp, axis) && f.fiber.has_at(at, owner));
+        let k = match found {
+            Some(k) if self.fibers[k].fiber.holds(m) => {
+                self.multicasts_replayed += 1;
+                if cfg!(debug_assertions) {
+                    let fresh = Fiber::new(m, owner, axis, tmp);
+                    assert_eq!(*self.fibers[k].fiber, fresh, "kept fiber");
+                }
+                k
+            }
+            // Planned against a layout since moved: planned again.
+            Some(k) => {
+                self.fibers[k].fiber = Arc::new(Fiber::new(m, owner, axis, tmp));
+                k
+            }
+            None => {
+                let fiber = Fiber::new(m, owner, axis, tmp);
+                if self.fiber_words + fiber.words() > MULTICAST_PLAN_CAP {
+                    let cast = SlabCast::new(m, src, dad, dim, g, owner, &fiber);
+                    return (Arc::new(fiber), Arc::new(cast));
+                }
+                self.fiber_words += fiber.words();
+                self.fibers.push(KeptFiber {
+                    tmp: tmp.to_string(),
+                    axis,
+                    fiber: Arc::new(fiber),
+                    last: None,
+                });
+                self.fibers.len() - 1
+            }
+        };
+        let KeptFiber { fiber, last, .. } = &mut self.fibers[k];
+        let src_seg = m.mems[0].array(src);
+        let topology = &m.spec().topology;
+        match last {
+            Some(c)
+                if (c.dim, c.owner) == (dim, owner)
+                    && c.dims == dad.dims
+                    && c.grid == m.grid
+                    && c.src.is(src_seg)
+                    && c.topology == *topology =>
+            {
+                if cfg!(debug_assertions) {
+                    let fresh = SlabCast::new(m, src, dad, dim, g, owner, fiber);
+                    assert_eq!(*c.cast, fresh, "kept slab cast at {g}");
+                }
+                (fiber.clone(), c.cast.clone())
+            }
+            _ => {
+                let cast = Arc::new(SlabCast::new(m, src, dad, dim, g, owner, fiber));
+                *last = Some(LastCast {
+                    dim,
+                    owner,
+                    dims: dad.dims.clone(),
+                    grid: m.grid.clone(),
+                    src: SegGeometry::of(src_seg),
+                    topology: topology.clone(),
+                    cast: cast.clone(),
+                });
+                (fiber.clone(), cast)
+            }
+        }
+    }
+
+    /// Multicast broadcasts this run ran along a fiber it had kept
+    /// ([`RunSchedules::multicast_plan`]). Exact.
+    pub fn multicasts_replayed(&self) -> u64 {
+        self.multicasts_replayed
     }
 
     /// Global-cache hits this run (first-per-run patterns found built).

@@ -18,10 +18,15 @@
 //!   same-shape temporary (`temporary_shift`), indexed so that the local
 //!   loop body reads `TMP(i)` for `B(i ± s)`.
 
+use std::ops::Range;
+
 use f90d_distrib::{row_major_strides, Dad, Progression, Runs, Segment};
 use f90d_machine::{ArrayData, ElemType, LocalArray, Machine};
 
-use crate::helpers::{exchange, fiber_through, tree_broadcast, ExchangePlan};
+use crate::helpers::{
+    broadcast_along, exchange, fiber_through, nest_runs, nested_broadcast_plan, tree_broadcast,
+    ExchangePlan,
+};
 use crate::op::CommResult;
 use crate::schedule::ElementReq;
 
@@ -127,6 +132,10 @@ pub fn transfer(
 /// [`crate::helpers::broadcast_plan`]'s tree for the machine's topology
 /// (subtree-local on a fat tree, the rotated binomial elsewhere):
 /// `O(log P)` stages.
+///
+/// One-shot: plans each fiber's broadcast ([`Fiber`], [`SlabCast`]) and
+/// runs it once; [`crate::driver::multicast`] replays a run's kept
+/// plans through the same [`run_slab_cast`].
 pub fn multicast(
     m: &mut Machine,
     src: &str,
@@ -136,28 +145,160 @@ pub fn multicast(
     src_g: i64,
 ) -> CommResult<()> {
     m.stats.record("multicast");
-    let axis = dad.dims[dim]
-        .grid_axis
-        .expect("multicast source dimension must be distributed");
-    let src_coord = dad.dims[dim].proc_of(src_g);
+    let axis = multicast_axis(dad, dim);
+    let l = dad.dims[dim].local(src_g);
     // One broadcast per fiber, from its member on the owner line, in
     // rank order.
-    for owner in m.grid.slice(axis, src_coord) {
-        let coords = m.grid.coords_of(owner);
-        let (srcs, offsets) = slab_offsets(m, src, dad, &coords, dim, src_g);
-        let payload = m.mems[owner as usize].array(src).gather_flat(srcs);
-        let (members, root_pos) = fiber_through(m, &coords, axis);
-        // Decided once per fiber: a slab that lands on consecutive
-        // offsets of the temporary is one slice copy per member.
-        let run = offsets
-            .first()
-            .filter(|&&at| (offsets.iter().enumerate()).all(|(k, &off)| off == at + k));
-        tree_broadcast(m, &members, root_pos, payload, |m, rank, data| match run {
-            Some(&at) => m.mems[rank as usize].array_mut(tmp).copy_flat(at, data),
-            None => slab_unpack(m, tmp, rank, data, &offsets),
-        })?;
+    for owner in m.grid.slice(axis, dad.dims[dim].proc_of(src_g)) {
+        let fiber = Fiber::new(m, owner, axis, tmp);
+        let cast = SlabCast::new(m, src, dad, dim, src_g, owner, &fiber);
+        run_slab_cast(m, src, &fiber, &cast, l)?;
     }
     Ok(())
+}
+
+/// The grid axis a multicast over array dimension `dim` runs along.
+pub(crate) fn multicast_axis(dad: &Dad, dim: usize) -> usize {
+    dad.dims[dim]
+        .grid_axis
+        .expect("multicast source dimension must be distributed")
+}
+
+/// The grid fiber a multicast broadcasts along, as a plan keeps it: its
+/// members in grid order and, per member, the slot of the slab
+/// temporary in its memory with the memory's layout stamp beside it
+/// ([`f90d_machine::NodeMemory::layout_stamp`]). A function of the grid,
+/// the axis, the temporary and the members' slot layouts only: on a
+/// 1-D grid every owner's broadcast runs along the one fiber.
+#[derive(Debug, PartialEq)]
+pub struct Fiber {
+    members: Vec<i64>,
+    slots: Vec<(usize, u64)>,
+    /// The members' [`nest_runs`] on the machine's topology.
+    levels: Vec<Vec<Range<usize>>>,
+}
+
+impl Fiber {
+    /// The fiber along `axis` through rank `rank`, depositing into `tmp`.
+    pub fn new(m: &Machine, rank: i64, axis: usize, tmp: &str) -> Self {
+        let members = m.grid.fiber(&m.grid.coords_of(rank), axis);
+        let slots = (members.iter())
+            .map(|&r| {
+                let mem = &m.mems[r as usize];
+                (mem.slot(tmp), mem.layout_stamp())
+            })
+            .collect();
+        let levels = nest_runs(&members, &m.spec().topology);
+        Fiber {
+            members,
+            slots,
+            levels,
+        }
+    }
+
+    /// Whether rank `rank` sits at position `at` of the fiber — the one
+    /// fiber through it, as `at` is its coordinate along the axis.
+    pub fn has_at(&self, at: usize, rank: i64) -> bool {
+        self.members.get(at) == Some(&rank)
+    }
+
+    /// Whether every member's memory still has the layout it had when
+    /// the fiber was planned, so every kept slot still holds the
+    /// temporary.
+    pub fn holds(&self, m: &Machine) -> bool {
+        (self.members.iter().zip(&self.slots))
+            .all(|(&r, &(_, stamp))| m.mems[r as usize].layout_stamp() == stamp)
+    }
+
+    /// Host words the plan keeps.
+    pub fn words(&self) -> usize {
+        3 * self.members.len() + 2 * self.levels.iter().map(Vec::len).sum::<usize>()
+    }
+}
+
+/// One owner's broadcast of its slab along its [`Fiber`]: the root's
+/// position, the tree's edges, where the slab lands in the temporary,
+/// and where its elements sit in the source at local index 0 along the
+/// multicast dimension — the slab at local index `l` sits `l · step`
+/// further on. A function of the source's layout (its dimension maps,
+/// the grid, its segments' geometry), the dimension, the owner and the
+/// topology, not of the global index multicast: an owner's later steps
+/// replay it.
+#[derive(Debug, PartialEq)]
+pub struct SlabCast {
+    root: usize,
+    edges: Vec<(usize, usize)>,
+    /// The temporary's offsets the slab lands on, in pack order.
+    dsts: Vec<usize>,
+    /// `Some(at)` when `dsts` is `at, at + 1, …`: one slice copy per
+    /// member.
+    run: Option<usize>,
+    srcs: Vec<usize>,
+    step: usize,
+}
+
+impl SlabCast {
+    /// The broadcast of the slab through `g` (which `owner` holds) of
+    /// `src` along `fiber`.
+    pub fn new(
+        m: &Machine,
+        src: &str,
+        dad: &Dad,
+        dim: usize,
+        g: i64,
+        owner: i64,
+        fiber: &Fiber,
+    ) -> Self {
+        let coords = m.grid.coords_of(owner);
+        let root = coords[multicast_axis(dad, dim)] as usize;
+        let (srcs, dsts) = slab_offsets(m, src, dad, &coords, dim, g);
+        let step = m.mems[owner as usize].array(src).segment().strides[dim] as usize;
+        let back = dad.dims[dim].local(g) as usize * step;
+        let run = (dsts.first())
+            .filter(|&&at| (dsts.iter().enumerate()).all(|(k, &off)| off == at + k))
+            .copied();
+        SlabCast {
+            root,
+            edges: nested_broadcast_plan(&fiber.levels, fiber.members.len(), root),
+            dsts,
+            run,
+            srcs: srcs.into_iter().map(|at| at - back).collect(),
+            step,
+        }
+    }
+}
+
+/// Run `cast` along `fiber`: gather the slab at local index `l` along
+/// the multicast dimension from the owner's `src`, broadcast it along
+/// the cast's tree, and deposit it into each member's temporary through
+/// the fiber's kept slot — the one executor of every multicast.
+pub fn run_slab_cast(
+    m: &mut Machine,
+    src: &str,
+    fiber: &Fiber,
+    cast: &SlabCast,
+    l: i64,
+) -> CommResult<()> {
+    let owner = fiber.members[cast.root];
+    let shift = l as usize * cast.step;
+    let srcs = cast.srcs.iter().map(|&at| at + shift);
+    let payload = m.mems[owner as usize].array(src).gather_flat(srcs);
+    let members = &fiber.members;
+    broadcast_along(
+        m,
+        members,
+        cast.root,
+        &cast.edges,
+        payload,
+        |m, at, data| {
+            let (rank, (slot, _)) = (members[at], fiber.slots[at]);
+            let tmp = &mut m.mems[rank as usize].segments_mut()[slot];
+            match cast.run {
+                Some(first) => tmp.copy_flat(first, data),
+                None => tmp.scatter_flat(cast.dsts.iter().copied(), data),
+            }
+        },
+    )
 }
 
 /// `temporary_shift` (paper §5.1): shift by a (possibly runtime) amount

@@ -155,6 +155,13 @@ pub struct RunTrace {
     /// again: each active rank at each step of one of its pieces of the
     /// loop's range but the first. Exact; explains host time only.
     pub binds_instantiated: u64,
+    /// Multicast broadcasts that ran along their fiber's kept plan — the
+    /// members and each member's slot of the temporary — instead of
+    /// planning the fiber again: every broadcast of a fiber but its
+    /// first in the run. The owner's part of the plan (its tree and its
+    /// slab's offsets) is kept beside it and taken again at the owner's
+    /// next step. Exact; explains host time only.
+    pub multicasts_replayed: u64,
     /// Comm phases the driver posted as one batched, coalesced ghost
     /// exchange (`comm_plan` on). Informational — the driver's fallback
     /// contract keeps results bit-identical.
@@ -170,7 +177,7 @@ impl RunTrace {
     /// (`results.json` nests the groups). A counter added to the trace
     /// is added here, and every reader — `results.json`, the `repro`
     /// stderr totals, `--exp vmcmp` — carries it.
-    pub fn counters(&self) -> [(&'static str, u64); 15] {
+    pub fn counters(&self) -> [(&'static str, u64); 16] {
         [
             ("sched_hits", self.sched_hits),
             ("sched_misses", self.sched_misses),
@@ -185,6 +192,7 @@ impl RunTrace {
             ("plan_reuse.inspectors_reused", self.inspectors_reused),
             ("plan_reuse.ranks_copied", self.ranks_copied),
             ("plan_reuse.binds_instantiated", self.binds_instantiated),
+            ("plan_reuse.multicasts_replayed", self.multicasts_replayed),
             ("comm_plan.groups", self.comm_groups),
             ("comm_plan.fallbacks", self.comm_fallbacks),
         ]
@@ -231,6 +239,7 @@ impl Executable {
                 inspectors_reused: eng.sched.inspectors_reused(),
                 ranks_copied: eng.ranks_copied(),
                 binds_instantiated: eng.binds_instantiated(),
+                multicasts_replayed: eng.sched.multicasts_replayed(),
                 comm_groups,
                 comm_fallbacks,
             },

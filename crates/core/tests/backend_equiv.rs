@@ -93,6 +93,22 @@ fn gaussian_binds_each_rank_once_per_piece() {
     }
 }
 
+/// Each step's column multicast runs along a kept plan: on the same
+/// shape as above the grid is one fiber of 256 ranks, so the first
+/// multicast (K = 1) plans it — its members and each member's slot of
+/// the slab temporary — and every later one replays it. By hand: the
+/// elimination multicasts column K at each of the 63 steps, and
+/// 63 − 1 = 62 of them are replays, on either tier (the multicast is
+/// communication, not a kernel).
+#[test]
+fn gaussian_multicasts_replay_their_fiber() {
+    let src = gaussian(64);
+    for tier in [Tier::Bytecode, Tier::Native] {
+        let (_, t) = observe(&src, &[256], &[], tier).expect("runs");
+        assert_eq!(t.multicasts_replayed, 62, "{tier:?}: multicasts replayed");
+    }
+}
+
 /// The corpus pins of the `DO`-loop plan agree across the tiers and
 /// with the reference interpreter, and plan what their bounds allow.
 /// `doplan_pieces` — `(BLOCK,*)`, N = 24 on 4 ranks, `K = 2, 4, …, 20`,

@@ -25,6 +25,7 @@
 //!   scalar lookups, instead of P copies of the same values.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use f90d_distrib::Segment;
@@ -354,14 +355,23 @@ impl PartialEq for LocalArray {
     }
 }
 
+/// A number no other memory's layout has had: see
+/// [`NodeMemory::layout_stamp`].
+fn fresh_stamp() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
 /// A node's memory: named array segments, named scalars, and an
 /// optional shared read-only constant table.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct NodeMemory {
     /// The array segments, by slot ([`NodeMemory::slot`]).
     segments: Vec<LocalArray>,
     /// Each array's slot, by name.
     slots: IntMap<String, usize>,
+    /// [`NodeMemory::layout_stamp`].
+    stamp: u64,
     scalars: HashMap<String, Value>,
     /// Program constants shared (by reference) across every rank of a
     /// machine — one table, not P copies. Read through
@@ -370,10 +380,31 @@ pub struct NodeMemory {
     consts: Option<Arc<HashMap<String, Value>>>,
 }
 
+impl Default for NodeMemory {
+    fn default() -> Self {
+        NodeMemory {
+            segments: Vec::new(),
+            slots: IntMap::default(),
+            stamp: fresh_stamp(),
+            scalars: HashMap::new(),
+            consts: None,
+        }
+    }
+}
+
 impl NodeMemory {
     /// Fresh empty memory.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Names this memory's slot assignment: it changes whenever an array
+    /// may have left its [`NodeMemory::slot`] (a removal, a clear), and
+    /// no two memories share it but for a clone, whose slots are the
+    /// same. A plan that keeps slots keeps the stamp beside them, and an
+    /// equal stamp says the slots still hold.
+    pub fn layout_stamp(&self) -> u64 {
+        self.stamp
     }
 
     /// Install (or replace) array `name`.
@@ -392,6 +423,7 @@ impl NodeMemory {
     /// into the freed one.
     pub fn remove_array(&mut self, name: &str) -> Option<LocalArray> {
         let slot = self.slots.remove(name)?;
+        self.stamp = fresh_stamp();
         let arr = self.segments.swap_remove(slot);
         let moved = self.segments.len();
         if let Some(at) = self.slots.values_mut().find(|at| **at == moved) {
@@ -477,6 +509,7 @@ impl NodeMemory {
     pub fn clear(&mut self) {
         self.segments.clear();
         self.slots.clear();
+        self.stamp = fresh_stamp();
         self.scalars.clear();
         self.consts = None;
     }

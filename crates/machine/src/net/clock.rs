@@ -15,18 +15,25 @@
 //! a contended one can only be **slower**, never faster (queueing waits
 //! are `max`es against the uncontended head time).
 
-use crate::int_hash::IntMap;
 use crate::net::route::LinkId;
-use crate::spec::MachineSpec;
+use crate::spec::{MachineSpec, Topology};
 
-/// Busy-until virtual times, one per directed link that has ever carried
-/// traffic (absent = idle since t=0). Link state is sparse: a 4096-rank
-/// machine only pays for the links its program actually crosses (a
-/// crossbar has P² of them, so a dense table is not an option) — the
-/// probes are kept cheap by the integer hasher instead.
+/// Busy-until virtual times of the directed links, indexed by
+/// [`Topology::link_slot`]. The table grows on demand to the highest
+/// slot a transfer has touched, so a machine pays for the slot range of
+/// the links its program crosses — the slot formulas keep that range
+/// near the family's link count (`2·arity^levels·levels` on a fat tree,
+/// `P·log2 P` on a hypercube) but for the crossbar, whose `P²` links
+/// bound its table. A slot no transfer has touched holds `-∞`, which
+/// every head time beats as an idle link's `0` did.
 #[derive(Debug, Clone, Default)]
 pub struct LinkClocks {
-    busy: IntMap<LinkId, f64>,
+    busy: Vec<f64>,
+    /// Slots that have carried traffic.
+    used: usize,
+    /// The slots of the route being charged: one buffer for every
+    /// transfer.
+    route: Vec<usize>,
 }
 
 impl LinkClocks {
@@ -38,22 +45,32 @@ impl LinkClocks {
     /// Forget all traffic (transport reset).
     pub fn clear(&mut self) {
         self.busy.clear();
+        self.used = 0;
     }
 
     /// Number of links that have carried traffic so far.
     pub fn links_used(&self) -> usize {
-        self.busy.len()
+        self.used
     }
 
-    /// Busy-until time of one link (0 when it never carried traffic).
-    pub fn busy_until(&self, link: LinkId) -> f64 {
-        self.busy.get(&link).copied().unwrap_or(0.0)
+    /// Busy-until time of one link of `topology` (0 when it never
+    /// carried traffic).
+    pub fn busy_until(&self, topology: &Topology, link: LinkId) -> f64 {
+        let at = self.busy.get(topology.link_slot(link));
+        at.copied()
+            .filter(|t| *t != f64::NEG_INFINITY)
+            .unwrap_or(0.0)
     }
 
-    /// Charge one transfer posted at `start` along `route` and return
-    /// its arrival time; every link of the route becomes busy until
-    /// then. An empty route (self-message) is the caller's problem —
-    /// this model only prices wire traffic.
+    /// Charge one transfer posted at `start` along `route` (links of
+    /// `spec`'s topology) and return its arrival time; every link of the
+    /// route becomes busy until then. An empty route (self-message) is
+    /// the caller's problem — this model only prices wire traffic.
+    ///
+    /// A route of another topology is a caller error: its links take
+    /// `spec.topology`'s slots, which may be another link's, and are
+    /// priced wrongly. A debug build asserts every link is one of
+    /// `spec.topology`'s ([`Topology::is_link`]).
     pub fn transfer(
         &mut self,
         spec: &MachineSpec,
@@ -61,13 +78,27 @@ impl LinkClocks {
         start: f64,
         bytes: i64,
     ) -> f64 {
+        debug_assert!(
+            route.iter().all(|&link| spec.topology.is_link(link)),
+            "a route of another topology than {:?}: {route:?}",
+            spec.topology
+        );
+        self.route.clear();
+        (self.route).extend(route.iter().map(|link| spec.topology.link_slot(*link)));
+        if let Some(&top) = self.route.iter().max() {
+            if top >= self.busy.len() {
+                self.busy.resize(top + 1, f64::NEG_INFINITY);
+            }
+        }
         let mut head = start + spec.alpha;
-        for link in route {
-            head = head.max(self.busy_until(*link)) + spec.tau;
+        for &slot in &self.route {
+            head = head.max(self.busy[slot]) + spec.tau;
         }
         let arrival = head + spec.beta * bytes as f64;
-        for link in route {
-            self.busy.insert(*link, arrival);
+        for &slot in &self.route {
+            let busy = &mut self.busy[slot];
+            self.used += (*busy == f64::NEG_INFINITY) as usize;
+            *busy = arrival;
         }
         arrival
     }
@@ -117,8 +148,8 @@ mod tests {
 
     #[test]
     fn contention_never_beats_the_idle_time() {
-        let s = spec();
-        let t = Topology::Torus { dims: vec![4, 4] };
+        let s = MachineSpec::torus(&[4, 4]).expect("valid torus");
+        let t = s.topology.clone();
         let mut lc = LinkClocks::new();
         // Pre-load traffic over a shared link region.
         for src in 1..4 {
@@ -152,6 +183,6 @@ mod tests {
         assert_eq!(lc.links_used(), 1);
         lc.clear();
         assert_eq!(lc.links_used(), 0);
-        assert_eq!(lc.busy_until(LinkId::new(0, 1)), 0.0);
+        assert_eq!(lc.busy_until(&s.topology, LinkId::new(0, 1)), 0.0);
     }
 }

@@ -34,6 +34,105 @@ impl LinkId {
 }
 
 impl Topology {
+    /// The index of `link` in a dense per-link table ([`LinkClocks`]):
+    /// distinct links of the family have distinct slots, and a machine's
+    /// slots are all below a bound that grows with its size, so a table
+    /// indexed by slot grows to that bound at most. Defined for the links
+    /// [`Topology::route`] produces; one formula per family:
+    ///
+    /// * crossbar — `(a, b)` with `m = max(a, b)`: `m² + b` when `a = m`,
+    ///   `m² + m + 1 + a` when `b = m`, under `P²`;
+    /// * hypercube — `(s, s ^ 2^k)`, grouped by the address bits `d` the
+    ///   link needs (`s < 2^d`, `k < d`), so the `2^d·d` links among the
+    ///   first `2^d` nodes take the first `2^d·d` slots: `P·log2 P`;
+    /// * mesh and torus — `src·2n + 2d + (0 forward, 1 backward)` over
+    ///   the `n` dimensions (a mesh has two), a torus of extent 2 only
+    ///   ever stepping forward: `2n·P`;
+    /// * fat tree — every entity but the root has one parent link, so
+    ///   the slot is `2·child + (0 up, 1 down)`: under
+    ///   `2·arity^levels·levels`.
+    ///
+    /// [`LinkClocks`]: crate::net::LinkClocks
+    pub fn link_slot(&self, link: LinkId) -> usize {
+        let LinkId { src, dst } = link;
+        let slot = match self {
+            Topology::Crossbar => {
+                let m = src.max(dst);
+                if src == m {
+                    m * m + dst
+                } else {
+                    m * m + m + 1 + src
+                }
+            }
+            Topology::Hypercube => {
+                let k = (src ^ dst).trailing_zeros() as i64;
+                let d = 64 - (src | 1 << k).leading_zeros() as i64;
+                let half = 1 << (d - 1);
+                let base = half * (d - 1);
+                if src < half {
+                    base + src
+                } else {
+                    base + half + (src - half) * d + k
+                }
+            }
+            Topology::Mesh2D { cols, .. } => {
+                let dir = match dst - src {
+                    1 => 2,
+                    -1 => 3,
+                    delta if delta == *cols => 0,
+                    _ => 1,
+                };
+                src * 4 + dir
+            }
+            Topology::Torus { dims } => {
+                // The one dimension whose coordinate differs, found from
+                // the fastest (last) one out.
+                let mut stride = 1;
+                let mut at = (0, 0);
+                for (d, &ext) in dims.iter().enumerate().rev() {
+                    let (a, b) = (src / stride % ext, dst / stride % ext);
+                    if a != b {
+                        at = (d as i64, ((a + 1) % ext != b) as i64);
+                        break;
+                    }
+                    stride *= ext;
+                }
+                src * 2 * dims.len() as i64 + 2 * at.0 + at.1
+            }
+            Topology::FatTree { .. } => 2 * src.min(dst) + (src > dst) as i64,
+        };
+        slot as usize
+    }
+
+    /// Whether `link` joins two adjacent entities of this topology, as
+    /// every link of its routes does: on a fat tree a switch or leaf and
+    /// its parent, elsewhere two ranks one hop apart (within the mesh or
+    /// torus).
+    pub fn is_link(&self, link: LinkId) -> bool {
+        let LinkId { src, dst } = link;
+        let size = match self {
+            Topology::FatTree { arity, levels } => {
+                let leaves = arity.pow(*levels as u32);
+                // Level and group of entity `e`, when it is one.
+                let at = |e: i64| {
+                    let (level, group) = (e / leaves, e % leaves);
+                    let ok = e >= 0 && level <= *levels;
+                    (ok && group < leaves / arity.pow(level as u32)).then_some((level, group))
+                };
+                let up = Topology::fat_tree_up(*arity);
+                let parent = |(level, group): (i64, i64)| (level + 1, up(group));
+                return match (at(src), at(dst)) {
+                    (Some(a), Some(b)) => parent(a) == b || parent(b) == a,
+                    _ => false,
+                };
+            }
+            Topology::Mesh2D { rows, cols } => rows * cols,
+            Topology::Torus { dims } => dims.iter().product(),
+            Topology::Crossbar | Topology::Hypercube => i64::MAX,
+        };
+        (0..size).contains(&src) && (0..size).contains(&dst) && self.hops(src, dst) == 1
+    }
+
     /// The ordered directed links a message from rank `a` to rank `b`
     /// traverses. Empty for a self-message; `route(a, b).len()` always
     /// equals [`Topology::hops`]`(a, b)`.
@@ -108,24 +207,25 @@ impl Topology {
             Topology::FatTree { arity, levels } => {
                 let leaves = arity.checked_pow(*levels as u32).expect("fat tree size");
                 let switch = |level: i64, group: i64| leaves * level + group;
-                let lca = Topology::fat_tree_lca(*arity, *levels, a, b);
                 // Up from leaf `a` to the common ancestor…
-                let mut cur = a; // entity id; group of level-l ancestor is a / arity^l
-                let mut ga = a;
-                for l in 1..=lca {
-                    ga /= arity;
+                let mut cur = a;
+                let lca = Topology::fat_tree_lca(*arity, *levels, a, b, |l, ga| {
                     let next = switch(l, ga);
                     links.push(LinkId::new(cur, next));
                     cur = next;
-                }
-                // …then down to leaf `b`.
-                for l in (1..lca).rev() {
-                    let gb = b / arity.pow(l as u32);
+                });
+                // …then down to leaf `b`: its ancestors below that one,
+                // climbed the same way and laid down in reverse.
+                let (up, top) = (Topology::fat_tree_up(*arity), links.len());
+                let (mut below, mut gb) = (b, b);
+                for l in 1..lca {
+                    gb = up(gb);
                     let next = switch(l, gb);
-                    links.push(LinkId::new(cur, next));
-                    cur = next;
+                    links.push(LinkId::new(next, below));
+                    below = next;
                 }
-                links.push(LinkId::new(cur, b));
+                links.push(LinkId::new(cur, below));
+                links[top..].reverse();
             }
         }
     }
@@ -201,6 +301,21 @@ mod tests {
         );
         // Siblings only touch their shared level-1 switch.
         assert_eq!(t.route(2, 3), vec![LinkId::new(2, 5), LinkId::new(5, 3)]);
+    }
+
+    #[test]
+    fn links_of_another_family_are_not_links() {
+        // One hypercube link, two hops on the 4 × 4 torus.
+        let torus = Topology::Torus { dims: vec![4, 4] };
+        assert!(Topology::Hypercube.is_link(LinkId::new(0, 2)));
+        assert!(!torus.is_link(LinkId::new(0, 2)));
+        // Leaves 0..4, level-1 switches 4 and 5, the root 8.
+        let fat = Topology::FatTree {
+            arity: 2,
+            levels: 2,
+        };
+        assert!(fat.is_link(LinkId::new(0, 4)) && fat.is_link(LinkId::new(8, 5)));
+        assert!(!fat.is_link(LinkId::new(0, 5)) && !fat.is_link(LinkId::new(0, 1)));
     }
 
     #[test]

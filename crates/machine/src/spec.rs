@@ -73,7 +73,9 @@ impl Topology {
                     })
                     .sum()
             }
-            Topology::FatTree { arity, levels } => 2 * Self::fat_tree_lca(*arity, *levels, a, b),
+            Topology::FatTree { arity, levels } => {
+                2 * Self::fat_tree_lca(*arity, *levels, a, b, |_, _| {})
+            }
         }
     }
 
@@ -106,13 +108,30 @@ impl Topology {
         c
     }
 
+    /// The group of a fat-tree entity's parent from its own group `g ≥
+    /// 0`: `g / arity`, by a shift when `arity` is a power of two.
+    pub(crate) fn fat_tree_up(arity: i64) -> impl Fn(i64) -> i64 {
+        let shift = arity.trailing_zeros();
+        let pow2 = arity == 1 << shift;
+        move |g| if pow2 { g >> shift } else { g / arity }
+    }
+
     /// Level of the lowest common ancestor switch of leaves `a` and `b`
-    /// in a complete `arity`-ary tree (0 = same leaf).
-    pub(crate) fn fat_tree_lca(arity: i64, levels: i64, a: i64, b: i64) -> i64 {
+    /// in a complete `arity`-ary tree (0 = same leaf). It climbs one
+    /// level at a time ([`Topology::fat_tree_up`]) and shows every level
+    /// up to the ancestor to `climb(l, the group of a's ancestor)`.
+    pub(crate) fn fat_tree_lca(
+        arity: i64,
+        levels: i64,
+        a: i64,
+        b: i64,
+        mut climb: impl FnMut(i64, i64),
+    ) -> i64 {
+        let up = Self::fat_tree_up(arity);
         let (mut ga, mut gb) = (a, b);
         for l in 1..=levels {
-            ga /= arity;
-            gb /= arity;
+            (ga, gb) = (up(ga), up(gb));
+            climb(l, ga);
             if ga == gb {
                 return l;
             }

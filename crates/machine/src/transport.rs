@@ -27,6 +27,18 @@
 //! surfaces as a structured [`TransportError`] that the collective
 //! library propagates up to `ExecError`.
 //!
+//! # One blocking pair
+//!
+//! [`Transport::deliver`] is a send its receiver completes at once — the
+//! edge of a collective tree, whose next stage needs the payload. Its
+//! provided body is the posted trio, so an implementor gets it for free
+//! and it costs exactly what the trio costs. Override it only to skip
+//! work the trio does on the host and the model does not see: the
+//! mailbox transport charges the send and the receive and hands the
+//! payload back, without queueing it, whenever no earlier message or
+//! receive waits on its channel. An override must charge what the trio
+//! charges, in the trio's order, bit for bit.
+//!
 //! Messages carry [`ArrayData`] payloads (typed element vectors). Cost is
 //! charged against virtual clocks: the sender pays the startup α, the
 //! payload occupies the wire for β·bytes, and the receiver cannot complete
@@ -187,6 +199,25 @@ pub trait Transport {
     /// posted receives were never completed, instead of silently
     /// dropping them.
     fn quiescent_check(&self) -> Result<(), TransportError>;
+
+    /// One blocking message: `post_send`, then `post_recv` and
+    /// `complete` on the receiver, with nothing in between — what a
+    /// collective's tree edge is, since its next stage needs the payload.
+    /// Clocks, counters and errors are the trio's; an implementor that
+    /// can deliver without queueing (no earlier message waits on the
+    /// channel) overrides it to skip the queue, and must keep every
+    /// charge and its order.
+    fn deliver(
+        &mut self,
+        from: i64,
+        to: i64,
+        tag: Tag,
+        payload: ArrayData,
+    ) -> Result<ArrayData, TransportError> {
+        self.post_send(from, to, tag, payload);
+        let h = self.post_recv(to, from, tag);
+        self.complete(h)
+    }
 }
 
 /// `(arrival_time, payload)` of the in-flight messages of one channel,
@@ -368,17 +399,13 @@ impl MailboxTransport {
             open_recvs: 0,
         })
     }
-}
 
-impl Transport for MailboxTransport {
-    fn nranks(&self) -> i64 {
-        self.nranks
-    }
-
-    fn post_send(&mut self, from: i64, to: i64, tag: Tag, payload: ArrayData) {
-        let bytes = payload.len() as i64 * payload.elem_type().bytes();
+    /// Charge the send of `bytes` from `from` to `to` — the sender's
+    /// clock, the message and byte counters, the links — and return the
+    /// payload's arrival time.
+    fn charge_send(&mut self, from: i64, to: i64, bytes: i64) -> f64 {
         let start = self.clocks[from as usize];
-        let arrival = if from != to {
+        if from != to {
             // Sender is busy for the startup portion; the payload arrives
             // at start + full wire time — or later, when the contention
             // model is on and the route's links are still draining
@@ -399,7 +426,18 @@ impl Transport for MailboxTransport {
             let copy = start + self.spec.msg_time(from, to, bytes);
             self.clocks[from as usize] = copy;
             copy
-        };
+        }
+    }
+}
+
+impl Transport for MailboxTransport {
+    fn nranks(&self) -> i64 {
+        self.nranks
+    }
+
+    fn post_send(&mut self, from: i64, to: i64, tag: Tag, payload: ArrayData) {
+        let bytes = payload.len() as i64 * payload.elem_type().bytes();
+        let arrival = self.charge_send(from, to, bytes);
         self.channel((from, to, tag))
             .queue
             .push_back((arrival, payload));
@@ -436,6 +474,29 @@ impl Transport for MailboxTransport {
             self.spare.push(slot.remove().queue);
         }
         let c = &mut self.clocks[h.to as usize];
+        *c = c.max(arrival);
+        Ok(payload)
+    }
+
+    /// With no live channel `(from, to, tag)` the message is the only
+    /// one on it, so it is charged exactly as the posted trio charges it
+    /// and handed back without entering the table. Otherwise an earlier
+    /// message or receive is queued there, and the trio runs.
+    fn deliver(
+        &mut self,
+        from: i64,
+        to: i64,
+        tag: Tag,
+        payload: ArrayData,
+    ) -> Result<ArrayData, TransportError> {
+        if !self.channels.is_empty() && self.channels.contains_key(&(from, to, tag)) {
+            self.post_send(from, to, tag, payload);
+            let h = self.post_recv(to, from, tag);
+            return self.complete(h);
+        }
+        let bytes = payload.len() as i64 * payload.elem_type().bytes();
+        let arrival = self.charge_send(from, to, bytes);
+        let c = &mut self.clocks[to as usize];
         *c = c.max(arrival);
         Ok(payload)
     }

@@ -10,10 +10,48 @@
 //!   what makes the contention model reproducible, and `route_into` a
 //!   reused buffer gives exactly `route`'s links;
 //! * an idle `LinkClocks` network reproduces the paper's distance
-//!   formula `α + β·bytes + τ·hops` to fp-association precision.
+//!   formula `α + β·bytes + τ·hops` to fp-association precision;
+//! * `Topology::link_slot` gives every link some route uses a slot of
+//!   its own, under the family's bound, and the dense `LinkClocks` it
+//!   indexes prices every transfer bit for bit as the sparse per-link
+//!   map it replaced ([`MapClocks`], kept here as the oracle).
 
-use f90d_machine::{LinkClocks, MachineSpec, Topology};
+use std::collections::{HashMap, HashSet};
+
+use f90d_machine::{LinkClocks, LinkId, MachineSpec, Topology};
 use proptest::prelude::*;
+
+/// The per-link busy-until map `LinkClocks` was before it became a
+/// dense table: absent = idle since t = 0.
+#[derive(Default)]
+struct MapClocks {
+    busy: HashMap<LinkId, f64>,
+}
+
+impl MapClocks {
+    fn transfer(&mut self, spec: &MachineSpec, route: &[LinkId], start: f64, bytes: i64) -> f64 {
+        let mut head = start + spec.alpha;
+        for link in route {
+            head = head.max(self.busy.get(link).copied().unwrap_or(0.0)) + spec.tau;
+        }
+        let arrival = head + spec.beta * bytes as f64;
+        for link in route {
+            self.busy.insert(*link, arrival);
+        }
+        arrival
+    }
+}
+
+/// The slot bound of a `p`-rank machine of `topo`'s family.
+fn slot_bound(topo: &Topology, p: i64) -> i64 {
+    match topo {
+        Topology::Crossbar => p * p,
+        Topology::Hypercube => p * p.max(2).ilog2() as i64,
+        Topology::Mesh2D { .. } => 4 * p,
+        Topology::Torus { dims } => 2 * dims.len() as i64 * p,
+        Topology::FatTree { levels, .. } => 2 * p * levels,
+    }
+}
 
 /// A random topology together with its rank count P.
 fn topo_and_size() -> impl Strategy<Value = (Topology, i64)> {
@@ -143,5 +181,70 @@ proptest! {
             arrival,
             ideal
         );
+    }
+}
+
+proptest! {
+    // Every route of the machine per case: fewer cases.
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every link of every route is a link of the topology and has its
+    /// own slot, and the slots stay under the family's bound.
+    #[test]
+    fn link_slots_are_injective_over_routed_links(tp in topo_and_size()) {
+        let (topo, p) = tp;
+        let bound = slot_bound(&topo, p);
+        let mut seen: HashMap<usize, LinkId> = HashMap::new();
+        let mut links = HashSet::new();
+        for a in 0..p {
+            for b in 0..p {
+                links.extend(topo.route(a, b));
+            }
+        }
+        for link in links {
+            prop_assert!(topo.is_link(link), "{:?}: routed {:?} is no link", topo, link);
+            let slot = topo.link_slot(link);
+            prop_assert!((slot as i64) < bound, "{:?}: slot {} of {:?} ≥ {}", topo, slot, link, bound);
+            if let Some(other) = seen.insert(slot, link) {
+                prop_assert!(false, "{:?}: {:?} and {:?} share slot {}", topo, other, link, slot);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The dense table prices a random stream of transfers exactly as
+    /// the per-link map did: every arrival's bits, and the links used.
+    #[test]
+    fn dense_link_clocks_equal_the_map_model(
+        tp in topo_and_size(),
+        seed in 0i64..i64::MAX,
+        n in 1usize..64,
+    ) {
+        let (topo, p) = tp;
+        let mut spec = MachineSpec::ipsc860();
+        spec.topology = topo;
+        let (mut dense, mut map) = (LinkClocks::new(), MapClocks::default());
+        let mut rng = seed as u64 | 1;
+        let mut next = move |below: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % below
+        };
+        for _ in 0..n {
+            let (a, b) = (next(p as u64) as i64, next(p as u64) as i64);
+            let (bytes, start) = (next(4096) as i64, next(1000) as f64 * 1e-6);
+            let route = spec.topology.route(a, b);
+            let got = dense.transfer(&spec, &route, start, bytes);
+            let want = map.transfer(&spec, &route, start, bytes);
+            prop_assert_eq!(got.to_bits(), want.to_bits());
+            prop_assert_eq!(dense.links_used(), map.busy.len());
+        }
+        for (&link, &t) in &map.busy {
+            prop_assert_eq!(dense.busy_until(&spec.topology, link).to_bits(), t.to_bits());
+        }
     }
 }

@@ -149,7 +149,8 @@ pub fn owner_assign(
 }
 
 /// Execute one collective call whose operands are already evaluated;
-/// the two shift primitives replay from the run's plans in `rs`.
+/// the two shift primitives and the multicast replay from the run's
+/// plans in `rs`.
 /// Returns the value to store into the call's scalar target
 /// ([`CommStmt::target`]), if it has one.
 pub fn exec_comm(
@@ -167,7 +168,7 @@ pub fn exec_comm(
         } => {
             let (a, g) = (&arrays[*src], src_g.as_int());
             driver::check_dim(&a.name, &a.dad, *dim, g)?;
-            structured::multicast(m, &a.name, &a.dad, &arrays[*tmp].name, *dim, g)?;
+            driver::multicast(m, rs, &a.name, &a.dad, &arrays[*tmp].name, *dim, g)?;
         }
         CommStmt::Transfer {
             src,
@@ -327,9 +328,10 @@ fn trips([lb, ub, st]: [i64; 3]) -> (u128, i64) {
 }
 
 /// The template progression `t(v) = s·v + o` of the LHS subscript
-/// `a·v + b` on an array dimension: `(s, o)`.
-fn template_form(dm: &ArrayDimMap, a: i64, b: i64) -> (i64, i64) {
-    (dm.align.stride * a, dm.align.stride * b + dm.align.offset)
+/// `a·v + b` on an array dimension: `(s, o)`, exact.
+fn template_form(dm: &ArrayDimMap, a: i64, b: i64) -> (i128, i128) {
+    let (stride, offset) = (i128::from(dm.align.stride), i128::from(dm.align.offset));
+    (stride * i128::from(a), stride * i128::from(b) + offset)
 }
 
 /// The iterations of one FORALL variable over `lb..=ub` step `st`
@@ -369,30 +371,44 @@ fn runs_at(
                 return all();
             }
             let coord = coords[dm.grid_axis.unwrap()];
+            // Template coordinates of iterations anywhere in `i64` need
+            // not fit one: the arithmetic is in `i128`, and what reaches
+            // `owned_cells` saturates, as it clamps to the extent anyway.
             let (s, o) = template_form(dm, *a, *b);
+            let (lb, ub, st) = (i128::from(lb), i128::from(ub), i128::from(st));
             let (t1, t2) = (s * lb + o, s * ub + o);
-            let cells = owned_cells(&dm.dist, coord, t1.min(t2), t1.max(t2), (s * st).abs());
+            let sat = |t: i128| t.clamp(i64::MIN.into(), i64::MAX.into()) as i64;
+            let cells = owned_cells(
+                &dm.dist,
+                coord,
+                sat(t1.min(t2)),
+                sat(t1.max(t2)),
+                sat((s * st).abs()),
+            );
             let mut runs = Runs::EMPTY;
             // The iterations whose LHS element sits in the cells `c`:
             // `t⁻¹`, affine. The cells step by a whole number of the
             // template progression's steps `|s·st|`, so a step of them
             // is a whole number of the loop's steps: all of them are on
-            // the loop's progression, or none.
+            // the loop's progression, or none — and then every one is an
+            // iteration, in `lb..=ub`.
             let mut piece = |c: &Progression| {
-                let dv = c.stride / s;
-                let (num, v0) = (c.first - o, (c.first - o) / s);
+                let dv = i128::from(c.stride) / s;
+                let num = i128::from(c.first) - o;
+                let v0 = num / s;
                 if num % s != 0 || (v0 - lb) % st != 0 {
                     return;
                 }
                 // Ascending cells are descending iterations under a
                 // negative template stride.
-                let n = c.len as i64;
-                let p = if dv >= 0 {
-                    Progression::new(v0, dv, c.len)
+                let n = c.len as i128;
+                let (first, step) = if dv >= 0 {
+                    (v0, dv)
                 } else {
-                    Progression::new(v0 + (n - 1) * dv, -dv, c.len)
+                    (v0 + (n - 1) * dv, -dv)
                 };
-                runs.extend(p.within(lb, ub));
+                let p = Progression::new(first as i64, step as i64, c.len);
+                runs.extend(p.within(lb as i64, ub as i64));
             };
             if s > 0 {
                 cells.runs().iter().for_each(&mut piece);
@@ -425,10 +441,14 @@ fn owner_window(
         return None;
     }
     let (s, o) = template_form(dm, *a, *b);
-    let (t1, t2) = (s * bounds[0] + o, s * trips(bounds).1 + o);
-    let (lo, hi) = (t1.min(t2).max(0), t1.max(t2).min(dm.dist.extent - 1));
+    let [lb, last] = [bounds[0], trips(bounds).1].map(i128::from);
+    let (t1, t2) = (s * lb + o, s * last + o);
+    let (lo, hi) = (
+        t1.min(t2).max(0),
+        t1.max(t2).min(dm.dist.extent as i128 - 1),
+    );
     let window = if lo <= hi {
-        dm.dist.proc_of(lo)..dm.dist.proc_of(hi) + 1
+        dm.dist.proc_of(lo as i64)..dm.dist.proc_of(hi as i64) + 1
     } else {
         0..0
     };
@@ -869,6 +889,90 @@ fn own_share(part: &Partition, arrays: &[DistArray], coords: &[i64]) -> Option<(
         // Owns nothing: never active, so never asked.
         return None;
     };
-    let (lo, hi) = (cells.first - o, cells.last() - o);
-    Some(if s == 1 { (lo, hi) } else { (-hi, -lo) })
+    let (lo, hi) = (i128::from(cells.first) - o, i128::from(cells.last()) - o);
+    let (lo, hi) = if s == 1 { (lo, hi) } else { (-hi, -lo) };
+    // A share past `i64` is left to the per-step partitioning.
+    Some((lo.try_into().ok()?, hi.try_into().ok()?))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use f90d_distrib::{DadBuilder, ProcGrid};
+
+    /// `A(16)` distributed `kind` over 4 ranks.
+    fn array(kind: DistKind) -> DistArray {
+        let dad = DadBuilder::new("A", &[16])
+            .distribute(&[kind])
+            .grid(ProcGrid::new(&[4]))
+            .build()
+            .expect("valid descriptor");
+        DistArray {
+            name: "A".into(),
+            dad,
+            ty: ElemType::Real,
+        }
+    }
+
+    /// Every rank's iterations of `lb..=ub` step `st` under the
+    /// subscript `a·v + b`, from [`runs_at`] and from the definition —
+    /// the iterations whose element is in bounds and on the rank — in
+    /// `i128`, over the 16 elements rather than the trips. Where the
+    /// subscript's progression starts below the array, the cases keep
+    /// it on a multiple of its step from element 0: `set_BOUND` clamps
+    /// its start to 0, and an off-step start skips every iteration.
+    fn check(kind: DistKind, a: i64, b: i64, [lb, ub, st]: [i64; 3]) {
+        let arrays = [array(kind)];
+        let part = Partition::OwnerDim {
+            arr: 0,
+            dim: 0,
+            a,
+            b,
+        };
+        let dm = &arrays[0].dad.dims[0];
+        for rank in 0..4 {
+            let runs = runs_at(&part, [lb, ub, st], &arrays, 4, rank, &[rank]);
+            let mut got: Vec<i64> = runs.values().collect();
+            got.sort_unstable();
+            let mut want: Vec<i64> = (0..16)
+                .filter(|&i| dm.proc_of(i) == rank)
+                .filter_map(|i| {
+                    let num = i128::from(i) - i128::from(b);
+                    let v = num / i128::from(a);
+                    let on = num % i128::from(a) == 0
+                        && (i128::from(lb)..=i128::from(ub)).contains(&v)
+                        && (v - i128::from(lb)) % i128::from(st) == 0;
+                    on.then_some(v as i64)
+                })
+                .collect();
+            want.sort_unstable();
+            assert_eq!(
+                got, want,
+                "{kind:?} a={a} b={b} {lb}..={ub}:{st} rank {rank}"
+            );
+        }
+    }
+
+    #[test]
+    fn runs_at_is_exact_at_the_ends_of_i64() {
+        let kinds = [DistKind::Block, DistKind::Cyclic, DistKind::BlockCyclic(3)];
+        for kind in kinds {
+            // Bounds a few steps from i64::MIN, the subscript moving
+            // them into the array; and the wrapped lower bound of a
+            // `DO` near i64::MAX (`I = K+5:N`).
+            check(kind, 1, i64::MAX, [i64::MIN, i64::MIN + 20, 1]);
+            check(kind, 1, i64::MAX - 3, [i64::MIN + 4, i64::MIN + 30, 3]);
+            check(kind, 1, -1, [i64::MIN, 16, 1]);
+            check(kind, 1, -1, [i64::MIN + 1, 16, 2]);
+            // A few steps from i64::MAX.
+            check(kind, 1, -(i64::MAX - 10), [i64::MAX - 25, i64::MAX, 1]);
+            check(kind, 1, i64::MIN + 20, [i64::MAX - 7, i64::MAX, 2]);
+            // A negative template stride: `-v` of i64::MIN itself does
+            // not fit, and the subscript offset is near i64::MAX.
+            check(kind, -1, i64::MIN + 12, [i64::MIN, i64::MIN + 9, 1]);
+            check(kind, -1, -(i64::MAX - 13), [i64::MAX - 30, i64::MAX, 1]);
+            check(kind, -1, 15, [i64::MIN, i64::MAX, 1]);
+            check(kind, -2, 14, [i64::MIN + 1, i64::MAX, 1]);
+        }
+    }
 }
