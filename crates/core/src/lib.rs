@@ -123,12 +123,7 @@ pub struct RunTrace {
     pub ghost_plans_built: u64,
     /// Structured shifts this run replayed from a plan it had kept.
     pub ghost_plans_reused: u64,
-    /// FORALL executions that reused the iteration spaces of the
-    /// statement's previous execution in the same `DO` (same evaluated
-    /// bounds, same layouts) instead of partitioning again.
-    pub dispatch_reused: u64,
-    /// Summed over the FORALL executions that partitioned their
-    /// iteration space (the rest are `dispatch_reused`): the ranks the
+    /// Summed over the FORALL executions: the ranks the
     /// partitioning visited — only those whose grid coordinates can own
     /// an iteration under the evaluated bounds and owner filter; `P` per
     /// execution would mean idle ranks are not masked. A step a `DO`
@@ -177,7 +172,7 @@ impl RunTrace {
     /// (`results.json` nests the groups). A counter added to the trace
     /// is added here, and every reader — `results.json`, the `repro`
     /// stderr totals, `--exp vmcmp` — carries it.
-    pub fn counters(&self) -> [(&'static str, u64); 16] {
+    pub fn counters(&self) -> [(&'static str, u64); 15] {
         [
             ("sched_hits", self.sched_hits),
             ("sched_misses", self.sched_misses),
@@ -186,7 +181,6 @@ impl RunTrace {
             ("native_kernels.staged", self.native_staged),
             ("plan_reuse.ghost_plans_built", self.ghost_plans_built),
             ("plan_reuse.ghost_plans_reused", self.ghost_plans_reused),
-            ("plan_reuse.dispatch_reused", self.dispatch_reused),
             ("plan_reuse.ranks_visited", self.ranks_visited),
             ("plan_reuse.ranks_active", self.ranks_active),
             ("plan_reuse.inspectors_reused", self.inspectors_reused),
@@ -233,7 +227,6 @@ impl Executable {
                 native_staged: eng.native_staged(),
                 ghost_plans_built,
                 ghost_plans_reused,
-                dispatch_reused: eng.dispatch_reused(),
                 ranks_visited,
                 ranks_active,
                 inspectors_reused: eng.sched.inspectors_reused(),

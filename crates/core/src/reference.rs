@@ -14,6 +14,9 @@ use f90d_machine::{ArrayData, ElemType, Value};
 /// Host-side array.
 #[derive(Debug, Clone)]
 pub struct HostArray {
+    /// The name its errors give: the one it was declared under (a dummy
+    /// argument keeps its actual's).
+    pub name: String,
     /// Extents.
     pub shape: Vec<i64>,
     /// Row-major data.
@@ -21,35 +24,41 @@ pub struct HostArray {
 }
 
 impl HostArray {
-    fn zeros(ty: ElemType, shape: &[i64]) -> Self {
+    fn zeros(name: &str, ty: ElemType, shape: &[i64]) -> Self {
         let n: i64 = shape.iter().product();
         HostArray {
+            name: name.to_string(),
             shape: shape.to_vec(),
             data: ArrayData::zeros(ty, n as usize),
         }
     }
 
-    fn offset(&self, idx: &[i64]) -> usize {
+    /// The row-major offset of the 0-based subscripts `idx`, or the
+    /// engine's error for the first one outside its dimension.
+    fn offset(&self, idx: &[i64]) -> Result<usize, String> {
         let mut off = 0i64;
         for (d, (&i, &e)) in idx.iter().zip(&self.shape).enumerate() {
-            assert!(
-                (0..e).contains(&i),
-                "reference: index {} out of bounds on dim {d} (extent {e})",
-                i + 1
-            );
+            if !(0..e).contains(&i) {
+                return Err(format!(
+                    "subscript {} out of bounds on dim {d} of {} (extent {e})",
+                    i + 1,
+                    self.name
+                ));
+            }
             off = off * e + i;
         }
-        off as usize
+        Ok(off as usize)
     }
 
     /// Read element at `idx`.
-    pub fn get(&self, idx: &[i64]) -> Value {
-        self.data.get(self.offset(idx))
+    pub fn get(&self, idx: &[i64]) -> Result<Value, String> {
+        Ok(self.data.get(self.offset(idx)?))
     }
 
-    fn set(&mut self, idx: &[i64], v: Value) {
-        let off = self.offset(idx);
+    fn set(&mut self, idx: &[i64], v: Value) -> Result<(), String> {
+        let off = self.offset(idx)?;
         self.data.set(off, v);
+        Ok(())
     }
 }
 
@@ -88,7 +97,7 @@ pub fn run_reference(
     let info = &prog.units[main_idx];
     let mut st = RefState::default();
     for (name, arr) in &info.arrays {
-        let mut h = HostArray::zeros(elem_type(arr.ty), &arr.extents);
+        let mut h = HostArray::zeros(name, elem_type(arr.ty), &arr.extents);
         if let Some(d) = init.get(name) {
             assert_eq!(d.len(), h.data.len(), "init size mismatch for {name}");
             h.data = d.clone();
@@ -150,7 +159,7 @@ fn exec_stmt(
                 st.arrays
                     .get_mut(&lhs.name)
                     .unwrap()
-                    .set(&idx, v.convert_to(ty));
+                    .set(&idx, v.convert_to(ty))?;
             } else {
                 // Assignment converts to the variable's declared type.
                 let v = eval(rhs, info, st, env)?;
@@ -198,7 +207,7 @@ fn exec_stmt(
                     .ok_or_else(|| format!("FORALL assigns unknown array {}", lhs.name))?;
                 let ty = arr.data.elem_type();
                 for (idx, v) in writes {
-                    arr.set(&idx, v.convert_to(ty));
+                    arr.set(&idx, v.convert_to(ty))?;
                 }
             }
             Ok(())
@@ -261,7 +270,7 @@ fn exec_stmt(
             for (aname, arr) in &callee_info.arrays {
                 sub.arrays.insert(
                     aname.clone(),
-                    HostArray::zeros(elem_type(arr.ty), &arr.extents),
+                    HostArray::zeros(aname, elem_type(arr.ty), &arr.extents),
                 );
             }
             for (sname, ty) in &callee_info.scalars {
@@ -383,23 +392,22 @@ fn exec_array_intrinsic(
                 let shifted = idx[dim] + shift;
                 let v = if (0..n).contains(&shifted) {
                     s[dim] = shifted;
-                    src.get(&s)
+                    src.get(&s)?
                 } else if let Some(b) = boundary {
                     b
                 } else {
                     s[dim] = shifted.rem_euclid(n);
-                    src.get(&s)
+                    src.get(&s)?
                 };
-                dst.set(idx, v);
-            });
-            Ok(())
+                dst.set(idx, v)
+            })
         }
         "TRANSPOSE" => {
             let src = st.arrays[&arg_arr(0)?].clone();
             let dst = st.arrays.get_mut(lhs).unwrap();
             for i in 0..dst.shape[0] {
                 for j in 0..dst.shape[1] {
-                    dst.set(&[i, j], src.get(&[j, i]));
+                    dst.set(&[i, j], src.get(&[j, i])?)?;
                 }
             }
             Ok(())
@@ -413,9 +421,9 @@ fn exec_array_intrinsic(
                 for j in 0..dst.shape[1] {
                     let mut acc = 0.0;
                     for k in 0..kk {
-                        acc += a.get(&[i, k]).as_real() * b.get(&[k, j]).as_real();
+                        acc += a.get(&[i, k])?.as_real() * b.get(&[k, j])?.as_real();
                     }
-                    dst.set(&[i, j], Value::Real(acc));
+                    dst.set(&[i, j], Value::Real(acc))?;
                 }
             }
             Ok(())
@@ -424,18 +432,20 @@ fn exec_array_intrinsic(
     }
 }
 
-fn visit_all(shape: &[i64], idx: &mut Vec<i64>, f: &mut dyn FnMut(&[i64])) {
-    fn rec(d: usize, shape: &[i64], idx: &mut Vec<i64>, f: &mut dyn FnMut(&[i64])) {
+type Visit<'a> = dyn FnMut(&[i64]) -> Result<(), String> + 'a;
+
+fn visit_all(shape: &[i64], idx: &mut Vec<i64>, f: &mut Visit<'_>) -> Result<(), String> {
+    fn rec(d: usize, shape: &[i64], idx: &mut Vec<i64>, f: &mut Visit<'_>) -> Result<(), String> {
         if d == shape.len() {
-            f(idx);
-            return;
+            return f(idx);
         }
         for i in 0..shape[d] {
             idx[d] = i;
-            rec(d + 1, shape, idx, f);
+            rec(d + 1, shape, idx, f)?;
         }
+        Ok(())
     }
-    rec(0, shape, idx, f);
+    rec(0, shape, idx, f)
 }
 
 fn eval(e: &Expr, info: &UnitInfo, st: &RefState, env: &Frame) -> Result<Value, String> {
@@ -473,7 +483,7 @@ fn eval(e: &Expr, info: &UnitInfo, st: &RefState, env: &Frame) -> Result<Value, 
                         _ => Err("section in element context".to_string()),
                     })
                     .collect::<Result<_, String>>()?;
-                Ok(arr.get(&idx))
+                arr.get(&idx)
             } else {
                 // Intrinsic: reductions over whole arrays, or elemental.
                 match name.as_str() {

@@ -62,7 +62,6 @@ fn gaussian_dispatch_visits_only_the_ranks_that_work() {
     let src = gaussian(64);
     for tier in [Tier::Bytecode, Tier::Native] {
         let (_, t) = observe(&src, &[256], &[], tier).expect("runs");
-        assert_eq!(t.dispatch_reused, 0, "{tier:?}: K moves every bound");
         assert_eq!(
             (t.ranks_visited, t.ranks_active),
             (2144, 2144),
@@ -317,8 +316,8 @@ fn vm_program_is_cached_across_runs() {
     assert!(!std::sync::Arc::ptr_eq(&p1, &p3));
 }
 
-/// What a run keeps between executions of one statement — iteration
-/// lists, resolved accessors, shift plans — must never outlive the
+/// What a run keeps between executions of one statement — resolved
+/// accessors, loop plans, shift plans — must never outlive the
 /// layout it was computed for, and must never change a result. Each
 /// program repeats a FORALL inside a `DO` with the *same* evaluated
 /// bounds while something else moves: the reference interpreter (which
@@ -328,12 +327,12 @@ fn vm_program_is_cached_across_runs() {
 /// walker, which kept only shift plans, still agreed).
 #[test]
 fn nothing_kept_between_executions_outlives_its_layout() {
-    // (program, [ghost plans built, reused], lists reused)
+    // (program, [ghost plans built, reused])
     let redist_in_loop = include_str!("../../../corpus/redist_in_loop.f90d");
     let redist_round_trip = include_str!("../../../corpus/redist_round_trip.f90d");
     // A reversed subscript under a stride the upper bound is off
     // (corpus/reverse_stride's shape), twice over: the second trip's
-    // lists are the first's.
+    // iterations are the first's.
     let reverse_stride_twice = "
 PROGRAM REVTWICE
 INTEGER, PARAMETER :: N = 23
@@ -375,16 +374,16 @@ S = SUM(A)
 PRINT *, 'SUM', S, A(1,2), A(9,3), A(16,16)
 END
 ";
-    for (name, src, plans, lists) in [
-        // Every trip redistributes: nothing is ever reused, and a list
-        // or an accessor that were would index the wrong layout.
-        ("redist_in_loop", redist_in_loop, [0, 0], 0),
+    for (name, src, plans) in [
+        // Every trip redistributes: nothing is ever reused, and an
+        // accessor that were would index the wrong layout.
+        ("redist_in_loop", redist_in_loop, [0, 0]),
         // A is BLOCK again at each stencil, in fresh segments: the two
-        // ghost plans of the first trip serve the other two, the lists
-        // of the trip before must not.
-        ("redist_round_trip", redist_round_trip, [2, 4], 0),
-        ("reverse_stride_twice", reverse_stride_twice, [0, 0], 2),
-        ("moving_owner_filter", moving_owner_filter, [0, 0], 0),
+        // ghost plans of the first trip serve the other two, the
+        // accessors of the trip before must not.
+        ("redist_round_trip", redist_round_trip, [2, 4]),
+        ("reverse_stride_twice", reverse_stride_twice, [0, 0]),
+        ("moving_owner_filter", moving_owner_filter, [0, 0]),
     ] {
         let compiled = compile(src, &CompileOptions::on_grid(&[4])).expect("compiles");
         let reference =
@@ -405,7 +404,6 @@ END
                 plans,
                 "{name}: shift plans ({tier:?})"
             );
-            assert_eq!(t.dispatch_reused, lists, "{name}: lists ({tier:?})");
         }
     }
 }

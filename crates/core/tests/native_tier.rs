@@ -538,39 +538,34 @@ END
 /// same structured error on every tier — a row kernel never faults
 /// where the bytecode would have returned an error, because the shapes
 /// that can are not selected — and leave nothing in flight. The
-/// reference interpreter reports the arithmetic faults in the same
-/// words (a subscript out of range it asserts on).
+/// reference interpreter reports every one in the same words.
 #[test]
 fn irregular_faults_are_the_same_structured_error_on_every_tier() {
-    let cases: [(&str, &str, &str, bool); 4] = [
+    let cases: [(&str, &str, &str); 4] = [
         (
             "scatter subscript out of range",
             "subscript 33 out of bounds on dim 0 of A (extent 32)",
             "FORALL (I=1:N) U(I) = I + 1
 FORALL (I=1:N) A(U(I)) = B(I)",
-            false,
         ),
         (
             "gather subscript out of range",
             "subscript 0 out of bounds on dim 0 of B (extent 32)",
             "FORALL (I=1:N) U(I) = I - 1
 FORALL (I=1:N) A(I) = B(U(I))",
-            false,
         ),
         (
             "MOD by a scalar that is zero",
             "integer MOD by zero",
             "FORALL (I=1:N) U(I) = MOD(I, D)",
-            true,
         ),
         (
             "division by a scalar that is zero",
             "integer division by zero",
             "FORALL (I=1:N) U(I) = I / D",
-            true,
         ),
     ];
-    for (label, want, body, reference) in cases {
+    for (label, want, body) in cases {
         let src = format!(
             "
 PROGRAM FAULT
@@ -592,11 +587,9 @@ END
             let err = observe(&src, &[4], &["A"], tier).expect_err("the program faults");
             assert_eq!(err, want, "{label} on {tier:?}\n{src}");
         }
-        if reference {
-            let compiled = compile(&src, &CompileOptions::on_grid(&[4])).expect("compiles");
-            let err = run_reference(&compiled.analyzed, &HashMap::new()).expect_err("faults");
-            assert_eq!(err, want, "{label} in the reference interpreter");
-        }
+        let compiled = compile(&src, &CompileOptions::on_grid(&[4])).expect("compiles");
+        let err = run_reference(&compiled.analyzed, &HashMap::new()).expect_err("faults");
+        assert_eq!(err, want, "{label} in the reference interpreter");
     }
 }
 

@@ -262,11 +262,11 @@ impl Extend<Progression> for Runs {
 /// each other.
 ///
 /// `gst` must be positive; `glb` / `gub` are clamped to the extent as
-/// [`set_bound`] clamps them.
+/// [`set_bound`] clamps them, `glb` onto the space's step.
 pub fn owned_cells(dist: &DimDist, p: i64, glb: i64, gub: i64, gst: i64) -> Runs {
     assert!(gst > 0, "set_bound requires a positive global stride");
     assert!((0..dist.nprocs).contains(&p), "processor out of range");
-    let glb = glb.max(0);
+    let glb = first_in_extent(glb, gst);
     let gub = gub.min(dist.extent - 1);
     if glb > gub {
         return Runs::EMPTY;
@@ -311,6 +311,16 @@ pub fn owned_cells(dist: &DimDist, p: i64, glb: i64, gub: i64, gst: i64) -> Runs
     }
 }
 
+/// The first cell of `glb + k·gst` (`k >= 0`, `gst > 0`) that is not
+/// negative: `glb` itself, or below `gst` when `glb` is negative.
+fn first_in_extent(glb: i64, gst: i64) -> i64 {
+    if glb >= 0 {
+        return glb;
+    }
+    let (glb, gst) = (i128::from(glb), i128::from(gst));
+    (glb + (-glb + gst - 1) / gst * gst) as i64
+}
+
 /// The paper's `set_BOUND`: local loop bounds on processor `p` for the
 /// global iteration space `glb..=gub step gst` over distribution `dist`,
 /// as ascending maximal progressions of local indices — the `(llb, lub,
@@ -344,7 +354,10 @@ pub fn set_bound(dist: &DimDist, p: i64, glb: i64, gub: i64, gst: i64) -> Runs {
 /// Reference (slow) implementation of `set_BOUND` used by tests: walk the
 /// global range and keep the iterations `p` owns.
 pub fn set_bound_reference(dist: &DimDist, p: i64, glb: i64, gub: i64, gst: i64) -> Vec<i64> {
-    let glb = glb.max(0);
+    let mut glb = glb;
+    while glb < 0 {
+        glb += gst;
+    }
     let gub = gub.min(dist.extent - 1);
     let mut out = Vec::new();
     if matches!(dist.kind, DistKind::Collapsed) {
@@ -441,6 +454,39 @@ mod tests {
         let d = DimDist::new(DistKind::Block, 10, 2);
         let li = set_bound(&d, 1, 0, 99, 1);
         assert_eq!(li, Runs::of(0..5)); // g 5..10
+    }
+
+    /// A range that starts below the extent off its step keeps its step:
+    /// `-3..=15 step 2` is the cells `1, 3, …, 15`, not `0, 2, …` (which
+    /// are on no iteration), under every kind.
+    #[test]
+    fn a_negative_start_off_the_step_keeps_the_step() {
+        for kind in [DistKind::Block, DistKind::Cyclic, DistKind::BlockCyclic(3)] {
+            let d = DimDist::new(kind, 16, 4);
+            for (glb, gst) in [(-3, 2), (-1, 3), (-7, 4), (-2, 2)] {
+                let mut cells: Vec<i64> = (0..4)
+                    .flat_map(|p| {
+                        owned_cells(&d, p, glb, 15, gst)
+                            .values()
+                            .collect::<Vec<_>>()
+                    })
+                    .collect();
+                cells.sort_unstable();
+                let want: Vec<i64> = (glb..=15)
+                    .step_by(gst as usize)
+                    .filter(|&g| g >= 0)
+                    .collect();
+                assert_eq!(cells, want, "{kind:?} {glb}..=15 step {gst}");
+                for p in 0..4 {
+                    let fast: Vec<i64> = set_bound(&d, p, glb, 15, gst).values().collect();
+                    let slow = set_bound_reference(&d, p, glb, 15, gst);
+                    assert_eq!(fast, slow, "{kind:?} p={p} {glb}..=15 step {gst}");
+                }
+            }
+        }
+        let d = DimDist::new(DistKind::Block, 16, 4);
+        assert_eq!(first_in_extent(i64::MIN, i64::MAX), i64::MAX - 1);
+        assert!(owned_cells(&d, 0, i64::MIN, 15, 3).first() == Some(i64::MIN.rem_euclid(3)));
     }
 
     #[test]

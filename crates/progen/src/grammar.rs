@@ -194,12 +194,11 @@ fn when(flag: bool, text: String) -> String {
     }
 }
 
-/// A FORALL, executed once per run, whose iteration spaces the next trip
-/// of a `DO` reuses; callers change what differs.
+/// The leaf of `text`, its grammar items and its effects; callers change
+/// what differs.
 fn leaf(text: String, kinds: &[&'static str], effects: Vec<Effect>) -> Leaf {
     let mut leaf = Leaf::default();
     (leaf.text, leaf.kinds, leaf.effects) = (text, kinds.to_vec(), effects);
-    leaf.reuse = Some(1);
     leaf
 }
 
@@ -308,9 +307,7 @@ impl Gen {
             return self.fill(s);
         }
         let zero = effect(S, &[], 0, (0, 0), true);
-        let mut reset = leaf("S = 0.0".into(), &[], vec![zero]);
-        reset.reuse = Some(0);
-        self.emit(reset);
+        self.emit(leaf("S = 0.0".into(), &[], vec![zero]));
     }
 
     /// A block (of kind `self.kind`) around what `body` emits, run `trips`
@@ -531,9 +528,7 @@ impl Gen {
         kinds.push("maskedforall");
         let kinds = [vec!["where"], vec!["where", "elsewhere"], kinds][variant as usize].clone();
         let effect = assign(x, &[y, z], 0, GROW);
-        let mut statement = leaf(text, &kinds, vec![effect]);
-        statement.reuse = Some(1 + (variant == 1) as u64);
-        self.emit(statement);
+        self.emit(leaf(text, &kinds, vec![effect]));
     }
 
     /// `X(1+s:N) = Y(1:N-s)`, along either dimension of a 2-D array.
@@ -732,7 +727,7 @@ impl Gen {
                 effects.push(assign(pair[1], &[pair[0]], 0, (0, 0)));
             }
             let mut sweep = leaf(lines.join("\n"), &kinds, effects);
-            (sweep.reuse, sweep.two_sums) = (Some(2 * k as u64), d2 == 1);
+            sweep.two_sums = d2 == 1;
             (sweep.overlap, sweep.coalesce) = (wire && d2 == 0, wire && k > 1);
             g.emit(sweep);
         });

@@ -116,9 +116,6 @@ pub struct Leaf {
     /// Its grammar items, `gather`, `scatter` and `sink` included.
     kinds: Vec<&'static str>,
     effects: Vec<Effect>,
-    /// FORALL executions whose iteration spaces the next trip of a `DO`
-    /// reuses; `None` where that count is not known.
-    reuse: Option<u64>,
     /// A 1-D sweep of unmasked stencils, each shifted on a BLOCK dimension
     /// over several ranks.
     overlap: bool,
@@ -160,9 +157,6 @@ pub struct Facts {
     /// as two sums, which may round up the clock of a rank that waits for
     /// nothing.
     pub two_sums: bool,
-    /// FORALL executions that reuse the iteration spaces of their previous
-    /// execution, when that count is known.
-    pub dispatch_reused: Option<u64>,
 }
 
 /// A generated program.
@@ -239,23 +233,6 @@ impl Program {
             Some(Stmt::Block { body, .. }) => body.last(),
             _ => None,
         };
-        let mut dispatch_reused = Some(0);
-        for s in &self.body {
-            let Stmt::Block {
-                open, trips, body, ..
-            } = s
-            else {
-                continue;
-            };
-            // A REDISTRIBUTE drops every kept iteration space.
-            if open.starts_with("DO") && !body.iter().any(|s| matches!(s, Stmt::Block { .. })) {
-                let mut inner = Vec::new();
-                leaves(body, &mut inner);
-                let per_trip: Option<u64> = inner.iter().map(|l| l.reuse).sum();
-                let reused = dispatch_reused.zip(per_trip);
-                dispatch_reused = reused.map(|(n, k)| n + (*trips as u64 - 1) * k);
-            }
-        }
         Facts {
             compare: self
                 .arrays
@@ -269,7 +246,6 @@ impl Program {
             narrow: !self.head_kinds.contains(&"2-D"),
             masked: has("mask") || has("where") || has("maskedforall"),
             two_sums: all.iter().any(|l| l.two_sums),
-            dispatch_reused,
         }
     }
 

@@ -497,6 +497,67 @@ pub struct Dispatched {
     pub visited: u64,
 }
 
+/// The bounds check of an unmasked FORALL's owned write, before it is
+/// partitioned: every variable partitioned through a subscript `a·v + b`
+/// of the written array (`Partition::OwnerDim`) must keep that
+/// subscript inside the dimension's extent over its whole progression.
+/// `set_BOUND` clamps a range to the extent, so without this check the
+/// iterations outside it would silently not run. The image of a
+/// progression is a progression, so the first violating iterate of a
+/// variable costs O(1); the error is the element loops' for the first
+/// violating iteration in FORALL order (outer variables first). A
+/// non-positive stride or an empty range is left to
+/// [`iteration_spaces`]. A masked FORALL is not checked here: its mask
+/// may exclude exactly the violating iterations.
+pub fn check_writes(arrays: &[DistArray], loops: &[(&Partition, [i64; 3])]) -> VmResult<()> {
+    if loops.iter().any(|(_, [lb, ub, st])| *st <= 0 || lb > ub) {
+        return Ok(());
+    }
+    // Per violating variable, in order: (first violating trip, array,
+    // dimension, subscript there).
+    let mut first: Option<(u128, ArrId, usize, i128)> = None;
+    for &(part, bounds) in loops {
+        let Partition::OwnerDim { arr, dim, a, b } = *part else {
+            continue;
+        };
+        let extent = i128::from(arrays[arr].dad.dims[dim].extent);
+        let (count, _) = trips(bounds);
+        let u0 = i128::from(a) * i128::from(bounds[0]) + i128::from(b);
+        let du = i128::from(a) * i128::from(bounds[2]);
+        // The first trip `k` whose subscript `u0 + k·du` leaves `0..extent`.
+        let ceil = |n: i128, d: i128| (n + d - 1) / d;
+        let k = match () {
+            _ if !(0..extent).contains(&u0) => 0,
+            _ if du > 0 => ceil(extent - u0, du),
+            _ if du < 0 => ceil(u0 + 1, -du),
+            _ => continue,
+        };
+        let k = k as u128;
+        if k >= count {
+            continue;
+        }
+        let g = u0 + k as i128 * du;
+        // A variable violating at its first trip makes the first iteration
+        // violate (the lowest such dimension is the one reported);
+        // otherwise the innermost violating variable's first violation,
+        // every other variable at its first trip, comes first.
+        first = match first {
+            Some(at @ (0, _, d, _)) if k > 0 || d <= dim => Some(at),
+            _ => Some((k, arr, dim, g)),
+        };
+    }
+    let Some((_, arr, dim, g)) = first else {
+        return Ok(());
+    };
+    let a = &arrays[arr];
+    let extent = a.dad.dims[dim].extent;
+    Err(VmError(format!(
+        "subscript {} out of bounds on dim {dim} of {} (extent {extent})",
+        g + 1,
+        a.name
+    )))
+}
+
 /// Partition one FORALL execution over the ranks (`set_BOUND`, paper
 /// §4): `loops` pairs each variable's partition with its evaluated
 /// `[lb, ub, st]`; `owner_filter` holds the evaluated fixed LHS indices
@@ -808,6 +869,12 @@ impl SpacePlan {
     /// [`SpacePlan::at`] into the tables of `spaces`; returns how many
     /// ranks are active.
     pub fn fill(&self, t: i64, spaces: &mut RankSpaces) -> u64 {
+        // The bounds only narrow, so the write check ([`check_writes`])
+        // of the step the plan was derived from covers step `t`.
+        debug_assert!((0..self.bounds.len()).all(|j| {
+            let (lb, ub) = self.bounds(j, t);
+            lb >= self.bounds[j][0] && ub <= self.bounds[j][2]
+        }));
         spaces.nvars = self.bounds.len();
         spaces.at.clear();
         spaces.at.resize(self.nranks, RankSpaces::IDLE);

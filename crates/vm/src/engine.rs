@@ -78,16 +78,9 @@ pub struct Engine {
     /// execution that needs it on that rank and kept for the run.
     /// Emptied by [`Engine::relayout`].
     accs: Vec<Vec<Option<ResolvedAcc>>>,
-    /// Per FORALL (`VmProgram::foralls` index), the iteration spaces of
-    /// its last execution *inside a DO* with what they were built from.
-    /// A statement outside every loop runs once and keeps nothing.
-    /// Emptied by [`Engine::relayout`].
-    spaces: Vec<Option<SpaceMemo>>,
-    /// FORALL executions that took their iteration spaces from `spaces`.
-    dispatch_reused: u64,
-    /// Over the FORALL executions that partitioned their iteration
-    /// space: the ranks [`dispatch::iteration_spaces`] visited, and the
-    /// ranks that came out with iterations.
+    /// Over the FORALL executions: the ranks [`dispatch::iteration_spaces`]
+    /// visited (a step a [`LoopPlan`] instantiated visits its active
+    /// ranks), and the ranks that came out with iterations.
     ranks_visited: u64,
     ranks_active: u64,
     /// Rank-phases of the native tier that took their writes from
@@ -95,11 +88,11 @@ pub struct Engine {
     ranks_copied: u64,
     /// Per FORALL, its plan over the current run of its innermost
     /// enclosing `DO` ([`LoopPlan`]). Emptied by [`Engine::relayout`].
+    /// A FORALL refused a plan asks again at its next step: the early
+    /// exits of [`Engine::derive_plan`] make a refusal cheap, and keeping
+    /// refusals for the run measured within noise (ARCHITECTURE.md,
+    /// "What each memo is worth").
     plans: Vec<Option<LoopPlan>>,
-    /// Per FORALL, the run of its innermost `DO` in which a plan was
-    /// refused ([`Engine::derive_plan`]): its reasons hold for the whole
-    /// run, so it is not asked again. Emptied by [`Engine::relayout`].
-    refused: Vec<u64>,
     /// `DO` loops entered so far: names one run of a loop.
     do_runs: u64,
     /// Rank bindings of native FORALL executions instantiated from a
@@ -122,8 +115,7 @@ struct DoAt {
 /// ([`SpacePlan`]) and, for a native kernel, its binding ([`BindPlan`]),
 /// derived at one step. Chosen from the lowered code alone — the
 /// FORALL's bounds must be affine in the DO variable ([`do_slope`]) and
-/// move (bounds that do not are the [`SpaceMemo`]'s) — and kept for the
-/// one run of the loop.
+/// move — and kept for the one run of the loop.
 struct LoopPlan {
     run: u64,
     /// The DO variable at the first step, and its change per step.
@@ -138,7 +130,7 @@ struct LoopPlan {
     space: SpacePlan,
     bind: Option<BindPlan>,
     /// The spaces of the last step, whose tables the next one reuses.
-    last_spaces: Option<Arc<RankSpaces>>,
+    last_spaces: Option<RankSpaces>,
 }
 
 impl LoopPlan {
@@ -234,15 +226,6 @@ fn do_slope(code: &ExprCode, d: u16, own: &[u16], consts: &[Value]) -> Option<i6
     regs[code.out as usize].map(|(s, _)| s)
 }
 
-/// One FORALL's kept iteration spaces. `key` is everything
-/// [`dispatch::iteration_spaces`] computes them from besides the live
-/// descriptors and the grid: the evaluated `[lb, ub, st]` of every
-/// variable, then the evaluated owner-filter indices.
-struct SpaceMemo {
-    key: Vec<i64>,
-    spaces: Arc<RankSpaces>,
-}
-
 impl Engine {
     /// Prepare an engine and allocate every array on the machine.
     pub fn new(prog: Arc<VmProgram>, m: &mut Machine) -> Self {
@@ -274,13 +257,10 @@ impl Engine {
             native_fallback: 0,
             native_staged: 0,
             accs: Vec::new(),
-            spaces: std::iter::repeat_with(|| None).take(nforalls).collect(),
-            dispatch_reused: 0,
             ranks_visited: 0,
             ranks_active: 0,
             ranks_copied: 0,
             plans: std::iter::repeat_with(|| None).take(nforalls).collect(),
-            refused: vec![0; nforalls],
             do_runs: 0,
             binds_instantiated: 0,
         }
@@ -288,13 +268,11 @@ impl Engine {
 
     /// An array's descriptor was swapped (REDISTRIBUTE): drop everything
     /// this engine planned against the old layouts. The one invalidation
-    /// site of the accessor table and the iteration-space memos — the
-    /// comm layer's shift plans need none, their key holds the layout.
+    /// site of the accessor table and the loop plans — the comm layer's
+    /// shift plans need none, their key holds the layout.
     fn relayout(&mut self) {
         self.accs.clear();
-        self.spaces.iter_mut().for_each(|kept| *kept = None);
         self.plans.iter_mut().for_each(|plan| *plan = None);
-        self.refused.fill(0);
     }
 
     /// `(matched, fallback)` FORALL execution counts for this engine:
@@ -315,20 +293,11 @@ impl Engine {
         self.native_staged
     }
 
-    /// How many FORALL executions reused the iteration spaces of the
-    /// statement's previous execution (same evaluated bounds and owner
-    /// filter, same layouts, inside a `DO`) instead of partitioning the
-    /// iteration space again. Exact; explains host time only.
-    pub fn dispatch_reused(&self) -> u64 {
-        self.dispatch_reused
-    }
-
-    /// `(visited, active)`: summed over the FORALL executions that
-    /// partitioned their iteration space (not those counted by
-    /// [`Engine::dispatch_reused`]), the ranks the partitioning visited —
-    /// those inside the window of grid coordinates that can own an
-    /// iteration — and the ranks that came out with iterations. Exact;
-    /// explains host time only. Equal when the window is tight.
+    /// `(visited, active)`: summed over the FORALL executions, the ranks
+    /// the partitioning visited — those inside the window of grid
+    /// coordinates that can own an iteration — and the ranks that came
+    /// out with iterations. Exact; explains host time only. Equal when
+    /// the window is tight.
     pub fn ranks_counts(&self) -> (u64, u64) {
         (self.ranks_visited, self.ranks_active)
     }
@@ -624,11 +593,14 @@ impl Engine {
     /// members run with their prelude skipped — which also bypasses the
     /// split-phase overlap path, whose post/finish would re-send the
     /// exchanges. The native tier still binds as usual. `in_loop`: the
-    /// innermost `DO` around the statement, which may run it again: its
-    /// iteration spaces are worth keeping ([`SpaceMemo`]), and a plan
-    /// over the rest of the loop's run worth deriving ([`LoopPlan`]) —
-    /// a step of a kept plan instantiates its spaces and binding instead
-    /// of partitioning and proving them.
+    /// innermost `DO` around the statement, which may run it again: a
+    /// plan over the rest of the loop's run is worth deriving
+    /// ([`LoopPlan`]) — a step of a kept plan instantiates its spaces and
+    /// binding instead of partitioning and proving them.
+    ///
+    /// An unmasked FORALL that would write outside its array is an error
+    /// before any rank runs ([`dispatch::check_writes`]); a step of a
+    /// plan needs no check, its bounds only narrow.
     ///
     /// Under `overlap`, an eligible stencil ([`dispatch::overlap_plan`])
     /// runs split-phase (paper §5.1/§7 latency hiding): the shared
@@ -682,19 +654,20 @@ impl Engine {
         let spaces = match (&mut plan, step) {
             (Some(p), Some(t)) => {
                 let mut spaces = p.last_spaces.take().unwrap_or_default();
-                let active = match Arc::get_mut(&mut spaces) {
-                    Some(tables) => p.space.fill(t, tables),
-                    None => {
-                        let done = p.space.at(t);
-                        spaces = Arc::new(done.spaces);
-                        done.visited
-                    }
-                };
+                let active = p.space.fill(t, &mut spaces);
                 self.ranks_visited += active;
                 self.ranks_active += active;
                 spaces
             }
-            _ => self.iteration_spaces(fi, m, &loops, &filter, in_loop.is_some())?,
+            _ => {
+                if f.mask.is_none() {
+                    dispatch::check_writes(&self.arrays, &loops)?;
+                }
+                let done = dispatch::iteration_spaces(m, &self.arrays, &loops, &filter)?;
+                self.ranks_visited += done.visited;
+                self.ranks_active += done.spaces.active() as u64;
+                done.spaces
+            }
         };
         // Resolve the accessors this FORALL references that no earlier
         // execution has, per rank. A rank that runs nothing — every
@@ -811,12 +784,8 @@ impl Engine {
                 plan.last_spaces = Some(spaces);
                 Some(plan)
             }
-            (_, _, Some((d, k))) if self.refused[fi as usize] != d.run => {
-                let plan = self.derive_plan((&prog, f, m), (d, k), &loops, &spaces, tables);
-                if plan.is_none() {
-                    self.refused[fi as usize] = d.run;
-                }
-                plan
+            (_, _, Some((d, k))) => {
+                self.derive_plan((&prog, f, m), (d, k), &loops, &spaces, tables)
             }
             _ => None,
         };
@@ -851,7 +820,9 @@ impl Engine {
             }
             slopes.push([per_step(&spec.lb)?, per_step(&spec.ub)?]);
         }
-        // Bounds that do not move are the space memo's.
+        // Bounds that do not move are partitioned again at every step:
+        // planning them as well measured no resolved gain (ARCHITECTURE.md,
+        // "What each memo is worth").
         if slopes.iter().all(|&s| s == [0, 0]) {
             return None;
         }
@@ -888,50 +859,6 @@ impl Engine {
             bind,
             last_spaces: None,
         })
-    }
-
-    /// The iteration spaces of this execution of FORALL `fi`:
-    /// [`dispatch::iteration_spaces`] of the evaluated bounds and owner
-    /// filter — or, `in_loop`, the statement's previous execution's when
-    /// both evaluated to the same values (the layouts are the same:
-    /// [`Engine::relayout`] drops the memo otherwise), which is what a
-    /// sweep loop's FORALLs do on every iteration after the first.
-    fn iteration_spaces(
-        &mut self,
-        fi: u16,
-        m: &Machine,
-        loops: &[(&Partition, [i64; 3])],
-        filter: &[(ArrId, usize, i64)],
-        in_loop: bool,
-    ) -> VmResult<Arc<RankSpaces>> {
-        let mut partition = || {
-            let done = dispatch::iteration_spaces(m, &self.arrays, loops, filter)?;
-            self.ranks_visited += done.visited;
-            self.ranks_active += done.spaces.active() as u64;
-            Ok::<_, VmError>(Arc::new(done.spaces))
-        };
-        if !in_loop {
-            return partition();
-        }
-        let key = || {
-            let bounds = loops.iter().flat_map(|(_, bounds)| *bounds);
-            bounds.chain(filter.iter().map(|&(_, _, index)| index))
-        };
-        if let Some(kept) =
-            (self.spaces[fi as usize].as_ref()).filter(|kept| kept.key.iter().copied().eq(key()))
-        {
-            self.dispatch_reused += 1;
-            return Ok(kept.spaces.clone());
-        }
-        let spaces = partition()?;
-        let kept = self.spaces[fi as usize].get_or_insert_with(|| SpaceMemo {
-            key: Vec::new(),
-            spaces: spaces.clone(),
-        });
-        kept.key.clear();
-        kept.key.extend(key());
-        kept.spaces = spaces.clone();
-        Ok(spaces)
     }
 }
 
