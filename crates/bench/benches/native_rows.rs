@@ -113,22 +113,29 @@ fn generic() -> NExpr {
 
 /// `(label, reduced RHS, sites that do not depend on the inner variable)`
 /// — the invariant sites are stride 0 in both layouts, as they are in
-/// the programs the shape comes from.
+/// the programs the shape comes from. A `_generic` row is a hot shape
+/// with no fused template of its own, and `rank1_update_varying` (a
+/// multiplier that moves along the row) is the rank-1 template handing
+/// the box to the generic kernel.
 fn shapes() -> Vec<(&'static str, NExpr, &'static [usize])> {
     use NExpr::{Lin, Lit, Read, Scalar};
     vec![
         ("stencil4_scale", stencil(), &[]),
         ("rank1_update", rank1(), &[1, 2]),
         ("rank1_update_varying", rank1(), &[]),
-        ("reduce_accumulate", bin(Add, Read(0), Read(1)), &[]),
+        ("reduce_accumulate_generic", bin(Add, Read(0), Read(1)), &[]),
         (
-            "reduce_accumulate_scaled",
+            "reduce_accumulate_scaled_generic",
             bin(Add, Read(0), bin(Mul, Scalar(0), Read(1))),
             &[],
         ),
-        ("axpy", bin(Add, Read(0), bin(Mul, Lit(1.5), Read(1))), &[]),
         (
-            "multiply_accumulate",
+            "axpy_generic",
+            bin(Add, Read(0), bin(Mul, Lit(1.5), Read(1))),
+            &[],
+        ),
+        (
+            "multiply_accumulate_generic",
             bin(Add, Read(0), bin(Mul, Read(1), Read(2))),
             &[],
         ),

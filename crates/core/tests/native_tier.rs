@@ -82,10 +82,9 @@ fn jacobi_dispatches_native_and_tiers_agree() {
 }
 
 /// The reduction-accumulate FORALLs feeding a SUM-into-scalar reduction
-/// (`S = S + A` and `S = S + W*B`) dispatch on the fused
-/// `reduce_accumulate` template instead of composed generic closures,
-/// and the two tiers agree on every observable including the reduced
-/// PRINT value.
+/// (`S = S + A` and `S = S + W*B`) dispatch native — on the generic
+/// kernel, as no fused template has their shape — and the two tiers
+/// agree on every observable including the reduced PRINT value.
 #[test]
 fn sum_accumulate_dispatches_native() {
     let src = "
@@ -130,6 +129,66 @@ END
     assert_eq!((nat_t, nat_msg, nat_b), (vm_t, vm_msg, vm_b));
     assert_eq!(nat_out, vm_out);
     assert!(nat_out.iter().any(|l| l.contains("ACC")), "PRINT ran");
+}
+
+/// FORALLs inside a `DO` whose bounds do not move with the loop are
+/// planned like moving ones: the stencil and the copy back each bind
+/// their 4 ranks at the first trip and instantiate them at the other 3 —
+/// 2 × 3 × 4 = 24 bindings. The irregular kernel `X(U(I)) = B(V(I)) +
+/// C(I)` between them (two gathered reads and a scatter, its iterations
+/// split in equal blocks) has no space plan and binds from scratch at
+/// every trip. Every observable is what the reference interpreter and
+/// the bytecode tier give.
+#[test]
+fn stationary_do_foralls_instantiate_their_bindings() {
+    let src = "
+PROGRAM STILL
+INTEGER, PARAMETER :: N = 32
+REAL A(N), B(N), C(N), X(N)
+INTEGER U(N), V(N)
+INTEGER IT
+C$ TEMPLATE T(N)
+C$ ALIGN A(I) WITH T(I)
+C$ ALIGN B(I) WITH T(I)
+C$ ALIGN C(I) WITH T(I)
+C$ ALIGN X(I) WITH T(I)
+C$ ALIGN U(I) WITH T(I)
+C$ ALIGN V(I) WITH T(I)
+C$ DISTRIBUTE T(BLOCK)
+FORALL (I=1:N) A(I) = 1.0 / REAL(I)
+FORALL (I=1:N) B(I) = 0.0
+FORALL (I=1:N) C(I) = REAL(N - I) / 3.0
+FORALL (I=1:N) X(I) = 0.0
+FORALL (I=1:N) U(I) = MOD(I*7, N) + 1
+FORALL (I=1:N) V(I) = MOD(I*11, N) + 1
+DO IT = 1, 4
+  FORALL (I=2:N-1) B(I) = 0.5 * (A(I-1) + A(I+1))
+  FORALL (I=2:N-1) A(I) = B(I)
+  FORALL (I=1:N) X(U(I)) = B(V(I)) + C(I)
+END DO
+PRINT *, 'STILL', SUM(A), SUM(X)
+END
+";
+    let (grid, arrays) = (&[4], ["A", "B", "X"]);
+    let (nat, nat_t, nat_msg, nat_b, nat_out, nat_tr) = run_vm(src, grid, &arrays, true);
+    assert_eq!(
+        (nat_tr.native_matched, nat_tr.native_fallback),
+        (18, 0),
+        "six fills and three FORALLs a trip, all native"
+    );
+    assert_eq!(
+        nat_tr.binds_instantiated, 24,
+        "every rank of every later trip of the two planned FORALLs"
+    );
+    let (vm, vm_t, vm_msg, vm_b, vm_out, vm_tr) = run_vm(src, grid, &arrays, false);
+    assert_eq!(vm_tr.binds_instantiated, 0);
+    assert_eq!(nat, vm, "native vs bytecode array images");
+    let (ref_arrays, ref_out) = common::reference(src, grid, &arrays);
+    assert_eq!(nat, ref_arrays, "native vs the reference interpreter");
+    assert_eq!((nat_t, nat_msg, nat_b), (vm_t, vm_msg, vm_b));
+    assert_eq!(nat_out, vm_out);
+    assert_eq!(nat_out, ref_out);
+    assert!(nat_out.iter().any(|l| l.contains("STILL")), "PRINT ran");
 }
 
 /// A WHERE-masked FORALL never selects a kernel: masks change which

@@ -373,6 +373,15 @@ pub(crate) struct NatSite {
     pub(crate) view: View,
 }
 
+impl NatSite {
+    /// A placeholder, overwritten before it is read.
+    const BLANK: NatSite = NatSite {
+        arr: 0,
+        off: SiteOff::Ordinal,
+        view: View::Array,
+    };
+}
+
 /// One group of leaf tables ([`Sites`]) bound to one rank.
 #[derive(Clone, Copy)]
 pub(crate) struct NatSites<'b> {
@@ -846,7 +855,7 @@ pub(crate) fn bind_native<'f>(
 }
 
 /// What a [`Folded`] owns besides its kernel.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub(crate) struct FoldedTables {
     bodies: Vec<FoldedSites>,
     gathers: Vec<FoldedSites>,
@@ -905,6 +914,7 @@ impl FoldedTables {
 }
 
 /// What a [`Bound`] owns besides its fold.
+#[derive(Default)]
 pub(crate) struct BoundTables {
     nsites: usize,
     slot: Vec<u32>,
@@ -985,10 +995,10 @@ pub(crate) struct BindPlan {
     /// change per unit of `K`.
     subs: Vec<(i64, i64)>,
     lins: Vec<(i64, i64)>,
-    /// The fold each step borrows, and the one the end of a piece is
-    /// proved with.
+    /// The fold each step borrows.
     folded: Option<FoldedTables>,
-    at_end: FoldedTables,
+    /// What the end of a piece is proved in.
+    end: EndProof,
     nsites: usize,
     nwrites: usize,
     /// Per rank active at the first step ([`SpacePlan`] order): the steps
@@ -1003,6 +1013,19 @@ pub(crate) struct BindPlan {
     write_change: Vec<i64>,
     /// The binding each step borrows.
     bound: Option<BoundTables>,
+}
+
+/// The buffers the end of a rank's piece is proved in ([`BindPlan::reach`]),
+/// kept by the plan so that a proof allocates nothing: the fold at the
+/// piece's last step, a binding of one rank, that rank's space, and the
+/// binding instantiating the piece's first step gives there.
+#[derive(Default)]
+struct EndProof {
+    fold: FoldedTables,
+    bound: BoundTables,
+    runs: Vec<Runs>,
+    sites: Vec<NatSite>,
+    writes: Vec<NatAff>,
 }
 
 /// A site's form before [`View::Above`] counted it from just past the
@@ -1048,22 +1071,10 @@ fn reads_scalars(kernel: &NativeKernel) -> bool {
     site_lins.chain(writes).any(|lin| !lin.sterms.is_empty())
 }
 
-/// The iteration space of rank `h` of `space` at step `t`, into `runs`.
-fn rank_space(space: &SpacePlan, h: usize, t: i64, runs: &mut Vec<Runs>) -> bool {
-    let (mut lo, mut hi) = ([0; MAX_VARS], [0; MAX_VARS]);
-    runs.clear();
-    let active = space.corners(h, t, &mut lo, &mut hi);
-    let n = space.nvars();
-    let ends = lo[..n].iter().zip(&hi[..n]);
-    runs.extend(
-        ends.map(|(&lo, &hi)| Runs::one(Progression::new(lo, 1, hi.abs_diff(lo) as usize + 1))),
-    );
-    active
-}
-
 impl BindPlan {
     /// The plan from the first step's fold and binding, `first`, at `K =
-    /// k0` (the fold at `K = k0 + 1` is `one`), over `space`, for a run
+    /// k0` (the fold at `K = k0 + 1` is `one`, whose tables the ends of
+    /// pieces are then proved in), over `space`, for a run
     /// of the loop whose `K` changes by `dk` per step and that ends `last`
     /// steps on. `tables[rank]` is a rank's accessor table. `None` when
     /// the kernel's forms read an INTEGER scalar or a folded subscript's
@@ -1071,7 +1082,7 @@ impl BindPlan {
     pub(crate) fn new(
         kernel: &NativeKernel,
         (folded, bound): (FoldedTables, BoundTables),
-        one: &Folded<'_>,
+        one: Folded<'_>,
         (k0, dk, last): (i64, i64, i64),
         space: &SpacePlan,
         tables: &[Vec<Option<ResolvedAcc>>],
@@ -1106,7 +1117,10 @@ impl BindPlan {
         let groups: Vec<&FoldedSite> = (folded.bodies.iter().chain(&folded.gathers))
             .flat_map(|g| g.reads.iter().chain(&g.ireads))
             .collect();
-        let (mut site_change, mut write_change) = (Vec::new(), Vec::new());
+        let (mut site_change, mut write_change) = (
+            Vec::with_capacity(bound.heads.len() * nsites),
+            Vec::with_capacity(bound.heads.len() * nwrites),
+        );
         for h in 0..bound.heads.len() {
             let table = &tables[space.rank(h)];
             let change = |acc: u16, at: &Range<usize>| {
@@ -1126,14 +1140,27 @@ impl BindPlan {
         let sites = (bound.sites.chunks(nsites.max(1)).zip(&heads))
             .flat_map(|(sites, head)| sites.iter().map(move |site| raw(site, head)))
             .collect();
+        let end = EndProof {
+            fold: one.into_tables(),
+            bound: BoundTables {
+                nsites,
+                slot: vec![Bound::IDLE; tables.len()],
+                heads: Vec::with_capacity(1),
+                sites: Vec::with_capacity(nsites),
+                writes: Vec::with_capacity(nwrites),
+            },
+            runs: Vec::with_capacity(space.nvars()),
+            sites: vec![NatSite::BLANK; nsites],
+            writes: vec![NatAff::new(0, &[]); nwrites],
+        };
         let mut plan = BindPlan {
             k0,
             dk,
             last,
             subs,
             lins,
-            at_end: folded.clone(),
             folded: Some(folded),
+            end,
             nsites,
             nwrites,
             pieces: vec![(0, 0); heads.len()],
@@ -1193,7 +1220,8 @@ impl BindPlan {
 
     /// Rank `h`, just proved at step `t`: its piece from `t` as far as
     /// its box corners stay affine and the run goes — when a bind at the
-    /// piece's last step proves it — or `t` alone.
+    /// piece's last step proves it — or `t` alone. Proves in the plan's
+    /// [`EndProof`], so allocates nothing.
     fn reach(
         &mut self,
         kernel: &NativeKernel,
@@ -1207,46 +1235,30 @@ impl BindPlan {
         if until <= t {
             return;
         }
-        let mut runs = Vec::with_capacity(MAX_VARS);
-        rank_space(space, h, until, &mut runs);
-        let mut fold = std::mem::replace(
-            &mut self.at_end,
-            FoldedTables {
-                bodies: Vec::new(),
-                gathers: Vec::new(),
-                writes: Vec::new(),
-                subs: Vec::new(),
-            },
-        );
-        fold.move_to(self.k(until), self.k0, (&self.subs, &self.lins));
-        let folded = Folded::with_tables(kernel, fold);
-        let mut end = Bound::new(Some(&folded), tables.len(), 1);
+        let mut end = std::mem::take(&mut self.end);
+        end.runs.clear();
+        space.push_space(h, until, &mut end.runs);
+        end.fold
+            .move_to(self.k(until), self.k0, (&self.subs, &self.lins));
+        let folded = Folded::with_tables(kernel, end.fold);
+        let mut proof = Bound::with_tables(&folded, end.bound);
         let rank = space.rank(h);
-        let proved = end.push(rank, &tables[rank], &runs).is_some();
-        if proved {
+        if proof.push(rank, &tables[rank], &end.runs).is_some() {
             let (mut lo, mut hi) = ([0; MAX_VARS], [0; MAX_VARS]);
             space.corners(h, until, &mut lo, &mut hi);
             let n = space.nvars();
-            self.pieces[h] = (t, until);
-            let (mut sites, mut writes) = (
-                vec![
-                    NatSite {
-                        arr: 0,
-                        off: SiteOff::Ordinal,
-                        view: View::Array
-                    };
-                    self.nsites
-                ],
-                vec![NatAff::new(0, &[]); self.nwrites],
-            );
-            let head = self.instantiate(h, until, (&lo[..n], &hi[..n]), &mut sites, &mut writes);
+            let (sites, writes) = (&mut end.sites[..], &mut end.writes[..]);
+            let head = self.instantiate(h, until, (&lo[..n], &hi[..n]), sites, writes);
             let span = i128::from(self.k(until)) - i128::from(self.k(t));
             let steady = |from: &NatAff, change: i64, to: &NatAff| {
                 i128::from(from.base) + i128::from(change) * span == i128::from(to.base)
             };
             let (s, w) = (h * self.nsites, h * self.nwrites);
             let sites_steady = (0..self.nsites).all(|k| {
-                match (self.sites[s + k].off, raw(&end.sites[k], &end.heads[0]).off) {
+                match (
+                    self.sites[s + k].off,
+                    raw(&proof.sites[k], &proof.heads[0]).off,
+                ) {
                     (SiteOff::Affine(from), SiteOff::Affine(to)) => {
                         steady(&from, self.site_change[s + k], &to)
                     }
@@ -1257,16 +1269,21 @@ impl BindPlan {
                 steady(
                     &self.writes[w + k],
                     self.write_change[w + k],
-                    &end.writes[k],
+                    &proof.writes[k],
                 )
             });
-            let same = head == end.heads[0] && sites == end.sites && writes == end.writes;
-            if !(same && sites_steady && writes_steady) {
-                self.pieces[h] = (t, t);
+            let same = head == proof.heads[0] && *sites == proof.sites && *writes == proof.writes;
+            if same && sites_steady && writes_steady {
+                self.pieces[h] = (t, until);
             }
         }
-        drop(end);
-        self.at_end = folded.into_tables();
+        proof.slot[rank] = Bound::IDLE;
+        proof.heads.clear();
+        proof.sites.clear();
+        proof.writes.clear();
+        end.bound = proof.into_tables();
+        end.fold = folded.into_tables();
+        self.end = end;
     }
 
     /// The kernel folded at step `t`: the first step's fold with its
@@ -1320,7 +1337,6 @@ impl BindPlan {
         bound.writes.clear();
         let (mut lo, mut hi) = ([0; MAX_VARS], [0; MAX_VARS]);
         let (n, mut instantiated) = (space.nvars(), 0);
-        let mut runs = Vec::new();
         for h in 0..self.heads.len() {
             if !space.corners(h, t, &mut lo, &mut hi) {
                 continue;
@@ -1329,14 +1345,7 @@ impl BindPlan {
             let (from, until) = self.pieces[h];
             if (from..=until).contains(&t) {
                 let (s, w) = (bound.sites.len(), bound.writes.len());
-                bound.sites.resize(
-                    s + self.nsites,
-                    NatSite {
-                        arr: 0,
-                        off: SiteOff::Ordinal,
-                        view: View::Array,
-                    },
-                );
+                bound.sites.resize(s + self.nsites, NatSite::BLANK);
                 bound.writes.resize(w + self.nwrites, NatAff::new(0, &[]));
                 let head = self.instantiate(
                     h,
@@ -1351,9 +1360,11 @@ impl BindPlan {
                 continue;
             }
             // Proved again from scratch: the rank's next piece.
-            rank_space(space, h, t, &mut runs);
+            let runs = &mut self.end.runs;
+            runs.clear();
+            space.push_space(h, t, runs);
             let (s, w) = (bound.sites.len(), bound.writes.len());
-            if bound.push(rank, &tables[rank], &runs).is_none() {
+            if bound.push(rank, &tables[rank], runs).is_none() {
                 self.bound = Some(bound.into_tables());
                 return None;
             }

@@ -25,6 +25,7 @@ use f90d_machine::{ArrayData, ElemType, LocalArray, Machine, Value};
 use f90d_runtime::intrinsics as rt;
 use f90d_runtime::DistArray;
 
+use crate::bind::MAX_VARS;
 use crate::stmt::{ArrId, ArrayDecl, CommStmt, Partition, ReduceKind, RtCall};
 
 /// Execution error (runtime faults in the compiled program).
@@ -732,9 +733,6 @@ pub fn overlap_plan<'a>(
     Some((ghost_specs(m, rs, arrays, shifts).ok()?, margins))
 }
 
-/// The most FORALL variables a [`SpacePlan`] plans.
-const MAX_PLANNED: usize = 8;
-
 /// A FORALL's iteration spaces over the rest of a run of an enclosing
 /// `DO` (ROADMAP 6(a)), derived from the spaces [`iteration_spaces`]
 /// partitioned at one step: every later step is instantiated in
@@ -777,7 +775,7 @@ impl SpacePlan {
     ) -> Option<SpacePlan> {
         let inwards = slopes.iter().all(|&[dlb, dub]| dlb >= 0 && dub <= 0);
         let unit = loops.iter().all(|(_, [_, _, st])| *st == 1);
-        if !inwards || !unit || slopes.len() != loops.len() || loops.len() > MAX_PLANNED {
+        if !inwards || !unit || slopes.len() != loops.len() || loops.len() > MAX_VARS {
             return None;
         }
         let fits = |bound: i64, slope: i64| {
@@ -879,18 +877,27 @@ impl SpacePlan {
         spaces.at.clear();
         spaces.at.resize(self.nranks, RankSpaces::IDLE);
         spaces.vars.clear();
-        let (mut lo, mut hi) = ([0; MAX_PLANNED], [0; MAX_PLANNED]);
+        spaces.vars.reserve(self.ranks.len() * self.bounds.len());
         for (h, &rank) in self.ranks.iter().enumerate() {
-            if self.corners(h, t, &mut lo, &mut hi) {
-                spaces.at[rank as usize] = spaces.vars.len() as u32;
-                let runs = lo
-                    .iter()
-                    .zip(&hi)
-                    .map(|(&lo, &hi)| Runs::one(unit_run(lo, hi)));
-                spaces.vars.extend(runs.take(self.bounds.len()));
+            let at = spaces.vars.len() as u32;
+            if self.push_space(h, t, &mut spaces.vars) {
+                spaces.at[rank as usize] = at;
             }
         }
         spaces.active() as u64
+    }
+
+    /// Rank `h`'s iteration space at step `t`, one run per variable,
+    /// pushed onto `runs`: `false`, and nothing pushed, when it has no
+    /// iteration there.
+    pub fn push_space(&self, h: usize, t: i64, runs: &mut Vec<Runs>) -> bool {
+        let (mut lo, mut hi) = ([0; MAX_VARS], [0; MAX_VARS]);
+        let active = self.corners(h, t, &mut lo, &mut hi);
+        if active {
+            let ends = lo.iter().zip(&hi).take(self.bounds.len());
+            runs.extend(ends.map(|(&lo, &hi)| Runs::one(unit_run(lo, hi))));
+        }
+        active
     }
 
     /// The last step, from step `t` on (rank `h` active there), up to

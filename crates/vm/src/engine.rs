@@ -91,7 +91,7 @@ pub struct Engine {
     /// A FORALL refused a plan asks again at its next step: the early
     /// exits of [`Engine::derive_plan`] make a refusal cheap, and keeping
     /// refusals for the run measured within noise (ARCHITECTURE.md,
-    /// "What each memo is worth").
+    /// "What each memo and fork is worth").
     plans: Vec<Option<LoopPlan>>,
     /// `DO` loops entered so far: names one run of a loop.
     do_runs: u64,
@@ -114,8 +114,8 @@ struct DoAt {
 /// `DO` (ROADMAP 6(a), 6(b)): the iteration spaces of every later step
 /// ([`SpacePlan`]) and, for a native kernel, its binding ([`BindPlan`]),
 /// derived at one step. Chosen from the lowered code alone — the
-/// FORALL's bounds must be affine in the DO variable ([`do_slope`]) and
-/// move — and kept for the one run of the loop.
+/// FORALL's bounds must be affine in the DO variable ([`do_slope`]) —
+/// and kept for the one run of the loop.
 struct LoopPlan {
     run: u64,
     /// The DO variable at the first step, and its change per step.
@@ -796,8 +796,8 @@ impl Engine {
     /// from this step, where its variable is `k`, its bounds are `loops`,
     /// its iteration spaces `spaces`, and a native kernel was folded and
     /// bound as `first`. `None` when the bounds are not affine in the
-    /// loop variable, do not move, or move outwards, or the partitions do
-    /// not allow one ([`SpacePlan::new`]). The binding is planned when
+    /// loop variable or move outwards, or the partitions do not allow one
+    /// ([`SpacePlan::new`]). The binding is planned when
     /// [`BindPlan::new`] allows it.
     fn derive_plan(
         &self,
@@ -820,12 +820,6 @@ impl Engine {
             }
             slopes.push([per_step(&spec.lb)?, per_step(&spec.ub)?]);
         }
-        // Bounds that do not move are partitioned again at every step:
-        // planning them as well measured no resolved gain (ARCHITECTURE.md,
-        // "What each memo is worth").
-        if slopes.iter().all(|&s| s == [0, 0]) {
-            return None;
-        }
         let last = (i128::from(d.ub) - i128::from(k)) / i128::from(d.st);
         let last = i64::try_from(last).unwrap_or(i64::MAX);
         let space = SpacePlan::new(m, &self.arrays, loops, &slopes, spaces, last)?;
@@ -844,7 +838,7 @@ impl Engine {
                 };
                 let one = fold_native(kernel, cx)?;
                 let run = (k, d.st, last);
-                BindPlan::new(kernel, (folded, bound), &one, run, &space, &self.accs)
+                BindPlan::new(kernel, (folded, bound), one, run, &space, &self.accs)
             }
             _ => None,
         };
