@@ -223,7 +223,7 @@ fn gather_reqs(b: i64) -> Vec<ElementReq> {
 
 /// One schedule lookup of the request list `reqs`.
 fn schedule_one(m: &mut Machine, rs: &mut RunSchedules, reqs: &[ElementReq]) {
-    let sched = rs.schedule(m, ScheduleKind::FanInRequests, reqs.to_vec(), false);
+    let sched = rs.schedule(m, ScheduleKind::FanInRequests, reqs, false);
     black_box(Arc::as_ptr(&sched.expect("inspector runs")));
 }
 

@@ -448,7 +448,7 @@ impl<'a> GatherRequests<'a> {
                         *dst_off += 1;
                     });
                 }
-                rs.schedule_stmt(m, &at, reqs, self.rows)?
+                rs.schedule_stmt(m, &at, &reqs, self.rows)?
             }
         };
         crate::schedule::execute_read(m, &sched, self.src, tmp)
@@ -536,7 +536,7 @@ pub fn scatter(
                     src_off += 1;
                 });
             }
-            rs.schedule_stmt(m, &at, reqs, Rows::of(runs()))?
+            rs.schedule_stmt(m, &at, &reqs, Rows::of(runs()))?
         }
     };
     crate::schedule::execute_write(m, &sched, &buf, dst)

@@ -32,19 +32,21 @@ use f90d_distrib::{Dad, Locator};
 use f90d_machine::{ArrayData, IntMap, Machine, RecvHandle, Topology, Transport};
 
 use crate::op::{CommError, CommResult};
-use crate::schedule::ElementReq;
+use crate::schedule::{word, ElementReq};
 
 /// A planned exchange as it is executed and kept: its processor pairs
 /// ascending in `(from, to)`, their offsets laid out as one source and
-/// one destination column that `gather_flat` / `scatter_flat` take a
-/// pair's slice of directly.
+/// one destination column of 32-bit words, 8 bytes an element moved,
+/// that `gather_flat` / `scatter_flat` take a pair's slice of, widened.
+/// Every offset fits: a rank segment holds fewer than
+/// [`SEGMENT_LIMIT`](crate::schedule::SEGMENT_LIMIT) elements.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExchangePlan {
     /// `(from, to, end)`: the pair's elements are `[previous end, end)`
     /// of both columns.
     pairs: Vec<(i64, i64, usize)>,
-    srcs: Vec<usize>,
-    dsts: Vec<usize>,
+    srcs: Vec<u32>,
+    dsts: Vec<u32>,
 }
 
 /// One processor pair of an [`ExchangePlan`]: every element travelling
@@ -56,9 +58,9 @@ pub struct PairRun<'a> {
     /// Receiving rank (`== from`: a local copy).
     pub to: i64,
     /// Flat offsets into the source array on `from`.
-    pub srcs: &'a [usize],
+    pub srcs: &'a [u32],
     /// Flat offsets into the destination array on `to`.
-    pub dsts: &'a [usize],
+    pub dsts: &'a [u32],
 }
 
 impl ExchangePlan {
@@ -110,7 +112,7 @@ impl ExchangePlan {
         let (mut srcs, mut dsts) = (vec![0; moves.len()], vec![0; moves.len()]);
         for (r, &id) in moves.iter().zip(&ids) {
             let at = &mut next[id as usize];
-            (srcs[*at], dsts[*at]) = (r.src_off, r.dst_off);
+            (srcs[*at], dsts[*at]) = (word(r.src_off), word(r.dst_off));
             *at += 1;
         }
         ExchangePlan {
@@ -123,7 +125,8 @@ impl ExchangePlan {
     /// Append the pair `from → to`, moving `srcs[i]` to `dsts[i]`,
     /// after every pair already planned. Unlike [`ExchangePlan::of_moves`],
     /// an empty pair stays in the plan: it still sends a (zero-byte)
-    /// message.
+    /// message. An offset of 2^32 or more panics: no rank segment holds
+    /// that many elements ([`SEGMENT_LIMIT`](crate::schedule::SEGMENT_LIMIT)).
     pub(crate) fn push(
         &mut self,
         from: i64,
@@ -132,8 +135,8 @@ impl ExchangePlan {
         dsts: impl IntoIterator<Item = usize>,
     ) {
         debug_assert!(self.pairs.last().map(|p| (p.0, p.1)) < Some((from, to)));
-        self.srcs.extend(srcs);
-        self.dsts.extend(dsts);
+        self.srcs.extend(srcs.into_iter().map(word));
+        self.dsts.extend(dsts.into_iter().map(word));
         debug_assert_eq!(self.srcs.len(), self.dsts.len());
         self.pairs.push((from, to, self.srcs.len()));
     }
@@ -257,9 +260,11 @@ impl<'a> ExchangeOp<'a> {
                 let mut bytes = 0;
                 for at in start..end {
                     let (src, dst, pair) = self.strip_pair(at);
-                    let strip = mem.array(src).gather_flat(pair.srcs.iter().copied());
+                    let strip = mem
+                        .array(src)
+                        .gather_flat(pair.srcs.iter().map(|&o| o as usize));
                     let a = mem.array_mut(dst);
-                    a.scatter_flat(pair.dsts.iter().copied(), &strip);
+                    a.scatter_flat(pair.dsts.iter().map(|&o| o as usize), &strip);
                     bytes += pair.dsts.len() as i64 * a.elem_type().bytes();
                 }
                 m.transport.charge_copy(from, bytes);
@@ -269,7 +274,7 @@ impl<'a> ExchangeOp<'a> {
                 for at in start..end {
                     let (src, _, pair) = self.strip_pair(at);
                     mem.array(src)
-                        .gather_flat_into(pair.srcs.iter().copied(), &mut payload);
+                        .gather_flat_into(pair.srcs.iter().map(|&o| o as usize), &mut payload);
                 }
                 let bytes = payload.len() as i64 * payload.elem_type().bytes();
                 m.transport.charge_copy(from, bytes);
@@ -310,7 +315,7 @@ impl<'a> ExchangeOp<'a> {
             for at in run {
                 let (_, dst, pair) = self.strip_pair(at);
                 let a = mem.array_mut(dst);
-                off = a.scatter_flat_from(pair.dsts.iter().copied(), &payload, off);
+                off = a.scatter_flat_from(pair.dsts.iter().map(|&o| o as usize), &payload, off);
             }
             assert_eq!(off, payload.len(), "payload longer than its plan");
         }
@@ -577,7 +582,7 @@ mod tests {
         let pairs: Vec<_> = (plan.pairs())
             .map(|p| (p.from, p.to, p.srcs, p.dsts))
             .collect();
-        let want: [(i64, i64, &[usize], &[usize]); 3] = [
+        let want: [(i64, i64, &[u32], &[u32]); 3] = [
             (0, 0, &[1], &[1]),
             (0, 1, &[7, 4], &[0, 4]),
             (2, 0, &[5, 3], &[1, 2]),

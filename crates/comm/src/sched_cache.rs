@@ -60,20 +60,20 @@ pub const SCHED_CACHE_CAP: usize = 1024;
 /// pattern. Two keys are the same schedule iff they are `==`, which
 /// compares the whole pattern.
 ///
-/// The key holds the pattern once, shared: the within-run reuse map and
-/// the process-wide cache clone the `Arc`, not the list (an `Arc` of
-/// the inspector's own `Vec`, so making a key moves the list instead
-/// of copying it — a lookup that hits drops it again). Its `Hash`
-/// feeds the hasher `kind`, `grid`, the pattern's length and a 64-bit
-/// fingerprint taken in one pass when the key is made — a lookup hashes
-/// five words, not four fields per request. The fingerprint only picks
-/// a bucket; two patterns that share it are still two keys.
+/// The key holds the pattern once, shared, as the requests' 32-bit
+/// words ([`ElementReq::words`], 16 bytes a request): the within-run
+/// reuse map and the process-wide cache clone the `Arc`, not the list.
+/// Its `Hash` feeds the hasher `kind`, `grid`, the pattern's length and
+/// a 64-bit fingerprint taken in one pass when the key is made — a
+/// lookup hashes five words, not four fields per request. The
+/// fingerprint only picks a bucket; two patterns that share it are
+/// still two keys.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchedKey {
     kind: ScheduleKind,
     grid: Vec<i64>,
     fingerprint: u64,
-    reqs: Arc<Vec<ElementReq>>,
+    reqs: Arc<[[u32; 4]]>,
 }
 
 impl SchedKey {
@@ -86,41 +86,45 @@ impl SchedKey {
         0x27d4_eb2f_1656_67c5,
     ];
 
-    /// The key of `reqs` (in inspector order) under `kind` on `grid`.
-    pub fn new(kind: ScheduleKind, grid: Vec<i64>, reqs: Vec<ElementReq>) -> Self {
+    /// The key of `reqs` (in inspector order) under `kind` on `grid`, in
+    /// one pass: each request is packed into its words, in a list of
+    /// exactly their length, and chained into the fingerprint.
+    pub fn new(kind: ScheduleKind, grid: Vec<i64>, reqs: &[ElementReq]) -> Self {
+        let mut fingerprint = 0;
+        let reqs = (reqs.iter())
+            .map(|r| {
+                let words = r.words();
+                fingerprint = Self::chain(fingerprint, words);
+                words
+            })
+            .collect();
         SchedKey {
             kind,
             grid,
-            fingerprint: Self::fingerprint_of(&reqs),
-            reqs: Arc::new(reqs),
+            fingerprint,
+            reqs,
         }
     }
 
-    /// One pass over the pattern: each request is folded to a word —
-    /// the wrapping sum of its fields times [`SchedKey::FIELD_WEIGHTS`],
-    /// four independent multiplies — and the words are chained in order
-    /// with one rotate–xor–multiply each. Deliberately cheap rather
-    /// than collision-proof (a request word is linear in its fields).
-    fn fingerprint_of(reqs: &[ElementReq]) -> u64 {
+    /// The fingerprint `h` of a pattern, one request longer: the request
+    /// is folded to a word — the wrapping sum of its fields times
+    /// [`SchedKey::FIELD_WEIGHTS`], four independent multiplies — and
+    /// chained on with one rotate–xor–multiply. Deliberately cheap
+    /// rather than collision-proof (a request word is linear in its
+    /// fields).
+    fn chain(h: u64, [requester, owner, src_off, dst_off]: [u32; 4]) -> u64 {
         let [wr, wo, ws, wd] = Self::FIELD_WEIGHTS;
-        reqs.iter().fold(0u64, |h, r| {
-            let word = (r.requester as u64)
-                .wrapping_mul(wr)
-                .wrapping_add((r.owner as u64).wrapping_mul(wo))
-                .wrapping_add((r.src_off as u64).wrapping_mul(ws))
-                .wrapping_add((r.dst_off as u64).wrapping_mul(wd));
-            (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
-        })
+        let word = u64::from(requester)
+            .wrapping_mul(wr)
+            .wrapping_add(u64::from(owner).wrapping_mul(wo))
+            .wrapping_add(u64::from(src_off).wrapping_mul(ws))
+            .wrapping_add(u64::from(dst_off).wrapping_mul(wd));
+        (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
     }
 
     /// Which inspector family builds this schedule.
     pub fn kind(&self) -> ScheduleKind {
         self.kind
-    }
-
-    /// The full request pattern, in inspector order.
-    pub fn reqs(&self) -> &[ElementReq] {
-        &self.reqs
     }
 
     /// The pattern digest the key's `Hash` routes by.
@@ -415,8 +419,8 @@ impl RunSchedules {
         }
     }
 
-    /// The schedule for `reqs` under inspector family `kind`. The list
-    /// is taken by value: it becomes the key, held once.
+    /// The schedule for `reqs` under inspector family `kind`. The key
+    /// packs the list ([`SchedKey::new`]); a miss builds from it.
     ///
     /// Within-run repeats (when [`RunSchedules::reuse`] is on) are free —
     /// no inspector charge, no cache traffic — matching the paper's
@@ -429,7 +433,7 @@ impl RunSchedules {
         &mut self,
         m: &mut Machine,
         kind: ScheduleKind,
-        reqs: Vec<ElementReq>,
+        reqs: &[ElementReq],
         is_write: bool,
     ) -> CommResult<Arc<Schedule>> {
         let key = SchedKey::new(kind, m.grid.shape.clone(), reqs);
@@ -441,7 +445,7 @@ impl RunSchedules {
         }
         let sched = if self.use_global {
             let Ok((s, hit)) = global().get_or_try_build(&key, || {
-                Ok::<_, Infallible>(schedule::build_schedule(kind, key.reqs()))
+                Ok::<_, Infallible>(schedule::build_schedule(kind, reqs))
             });
             if hit {
                 self.hits += 1;
@@ -450,7 +454,7 @@ impl RunSchedules {
             }
             s
         } else {
-            Arc::new(schedule::build_schedule(kind, key.reqs()))
+            Arc::new(schedule::build_schedule(kind, reqs))
         };
         schedule::inspect(m, &sched)?;
         if self.reuse {
@@ -495,7 +499,7 @@ impl RunSchedules {
         &mut self,
         m: &mut Machine,
         at: &Inspection<'_>,
-        reqs: Vec<ElementReq>,
+        reqs: &[ElementReq],
         rows: Rows,
     ) -> CommResult<Arc<Schedule>> {
         let layout = (self.reuse).then(|| ArrayLayout::of(at.dad, m.mems[0].array(at.arr)));

@@ -105,7 +105,9 @@ fn hash_moves(plan: &ExchangePlan) -> u64 {
 
 /// One element request: rank `requester` wants the element at flat offset
 /// `src_off` on rank `owner` placed at flat offset `dst_off` in its
-/// destination array.
+/// destination array — a move as a planner states it. What is kept of
+/// it, in a plan's columns or a cached schedule's key, is 32-bit words
+/// ([`ElementReq::words`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ElementReq {
     /// Rank that will receive the element.
@@ -118,6 +120,23 @@ pub struct ElementReq {
     pub dst_off: usize,
 }
 
+/// Elements a rank segment may hold, ghost cells included: one past
+/// the greatest flat offset a plan stores in a 32-bit word. The VM
+/// refuses a declaration past it before allocating anything.
+pub const SEGMENT_LIMIT: u64 = 1 << 32;
+
+/// `x` as a plan word: a rank, or a flat offset into a rank segment,
+/// which holds fewer than [`SEGMENT_LIMIT`] elements.
+///
+/// # Panics
+/// Panics, naming that invariant, on a value past 32 bits.
+#[inline]
+pub(crate) fn word<T: TryInto<u32> + Copy + std::fmt::Display>(x: T) -> u32 {
+    x.try_into().unwrap_or_else(|_| {
+        panic!("plan word {x} past 32 bits: a rank segment holds fewer than 2^32 elements")
+    })
+}
+
 impl ElementReq {
     /// The move of the element at flat offset `src_off` on rank `from`
     /// to flat offset `dst_off` on rank `to`.
@@ -128,6 +147,23 @@ impl ElementReq {
             src_off,
             dst_off,
         }
+    }
+
+    /// The request as kept: `[requester, owner, src_off, dst_off]` in
+    /// 32-bit words, 16 bytes. Every field fits: a rank segment holds
+    /// fewer than [`SEGMENT_LIMIT`] elements, and a grid fewer than
+    /// 2^32 ranks.
+    ///
+    /// # Panics
+    /// Panics, naming that invariant, on a field past 32 bits.
+    #[inline]
+    pub fn words(&self) -> [u32; 4] {
+        [
+            word(self.requester),
+            word(self.owner),
+            word(self.src_off),
+            word(self.dst_off),
+        ]
     }
 }
 

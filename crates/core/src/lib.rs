@@ -210,7 +210,7 @@ impl Executable {
     /// tier counts. [`RunTrace::program_cache_hit`] is `None`: the
     /// caller knows where the bytecode came from.
     pub fn run_on_traced(&self, m: &mut Machine) -> Result<(ExecReport, RunTrace), ExecError> {
-        let mut eng = self.engine(m);
+        let mut eng = self.engine(m)?;
         let rep = eng.run(m)?;
         let (native_matched, native_fallback) = eng.native_counts();
         let (comm_groups, comm_fallbacks) = eng.comm.counts();
@@ -241,23 +241,25 @@ impl Executable {
 
     /// An engine over the program, configured from
     /// [`Executable::options`], with every array allocated on `m`: seed
-    /// arrays, [`Engine::run`], gather arrays and read scalars.
-    pub fn engine(&self, m: &mut Machine) -> Engine {
-        self.configured(Engine::new(Arc::clone(&self.program), m))
+    /// arrays, [`Engine::run`], gather arrays and read scalars. An array
+    /// the machine cannot hold ([`Engine::try_new`]) is an error.
+    pub fn engine(&self, m: &mut Machine) -> Result<Engine, ExecError> {
+        self.allocated(m, false)
     }
 
     /// [`Executable::engine`] that keeps the array segments already on
     /// `m` instead of reallocating them.
-    pub fn engine_preserving(&self, m: &mut Machine) -> Engine {
-        self.configured(Engine::new_preserving(Arc::clone(&self.program), m))
+    pub fn engine_preserving(&self, m: &mut Machine) -> Result<Engine, ExecError> {
+        self.allocated(m, true)
     }
 
-    fn configured(&self, mut eng: Engine) -> Engine {
+    fn allocated(&self, m: &mut Machine, keep_existing: bool) -> Result<Engine, ExecError> {
+        let mut eng = Engine::try_new(Arc::clone(&self.program), m, keep_existing)?;
         eng.sched.reuse = self.options.opt.schedule_reuse;
         eng.sched.use_global = self.options.sched_cache;
         eng.overlap = self.options.opt.comm_compute_overlap;
         eng.plan = self.options.opt.comm_plan;
-        eng
+        Ok(eng)
     }
 }
 
@@ -287,7 +289,7 @@ impl Compiled {
     /// [`Compiled::options`], with every array allocated on `m`: seed
     /// arrays, [`Engine::run`], gather arrays and read scalars.
     pub fn engine(&self, m: &mut Machine) -> Result<Engine, ExecError> {
-        Ok(self.executable_traced()?.0.engine(m))
+        self.executable_traced()?.0.engine(m)
     }
 
     /// [`Compiled::engine`] that keeps the array segments already on `m`
@@ -295,7 +297,7 @@ impl Compiled {
     /// earlier fragment produced, or gather arrays after
     /// [`Compiled::run_on`].
     pub fn engine_preserving(&self, m: &mut Machine) -> Result<Engine, ExecError> {
-        Ok(self.executable_traced()?.0.engine_preserving(m))
+        self.executable_traced()?.0.engine_preserving(m)
     }
 
     /// The [`Executable`] over this program's cached bytecode, and

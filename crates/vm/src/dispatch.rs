@@ -19,6 +19,7 @@ use f90d_comm::helpers::tree_broadcast;
 use f90d_comm::op::CommError;
 use f90d_comm::overlap::Margins;
 use f90d_comm::reduce::ReduceOp;
+use f90d_comm::schedule::SEGMENT_LIMIT;
 use f90d_comm::{redist, structured, RunSchedules};
 use f90d_distrib::{owned_cells, ArrayDimMap, DistKind, Progression, Runs};
 use f90d_machine::{ArrayData, ElemType, LocalArray, Machine, Value};
@@ -80,29 +81,46 @@ pub fn finish_run(m: &mut Machine, printed: Vec<String>) -> VmResult<RunReport> 
 /// the live array table. With `keep_existing`, arrays already present on
 /// the machine keep their segments — running a program fragment over
 /// state produced by an earlier fragment.
+///
+/// A declaration whose rank segment, ghost cells included, holds 2^32
+/// elements or more is refused before any array is placed: every
+/// element-wise plan stores its offsets in 32 bits
+/// ([`SEGMENT_LIMIT`]).
 pub fn allocate(
     m: &mut Machine,
     grid_shape: &[i64],
     decls: &[ArrayDecl],
     keep_existing: bool,
-) -> Vec<DistArray> {
+) -> VmResult<Vec<DistArray>> {
     if !keep_existing {
         assert_eq!(
             m.grid.shape, grid_shape,
             "machine grid must match the compiled grid"
         );
     }
-    for decl in decls {
-        if keep_existing && m.mems[0].has_array(&decl.name) {
-            continue;
-        }
-        let shape = decl.dad.local_shape();
-        let ghost: Vec<i64> = decl
-            .dad
-            .dims
-            .iter()
-            .map(|d| if d.is_distributed() { decl.ghost } else { 0 })
-            .collect();
+    let placed = |decl: &ArrayDecl| !(keep_existing && m.mems[0].has_array(&decl.name));
+    let segments: Vec<_> = (decls.iter().filter(|d| placed(d)))
+        .map(|decl| {
+            let shape = decl.dad.local_shape();
+            let ghost: Vec<i64> = (decl.dad.dims.iter())
+                .map(|d| if d.is_distributed() { decl.ghost } else { 0 })
+                .collect();
+            let len = (shape.iter().zip(&ghost)).try_fold(1u64, |n, (&s, &g)| {
+                let padded = s.checked_add(g.checked_mul(2)?)?;
+                n.checked_mul(u64::try_from(padded).ok()?)
+            });
+            match len {
+                Some(len) if len < SEGMENT_LIMIT => Ok((decl, shape, ghost)),
+                _ => Err(VmError(format!(
+                    "array {} needs a rank segment of {} elements (ghost cells included); \
+                     a segment holds fewer than 2^32",
+                    decl.name,
+                    len.map_or("2^64 or more".into(), |n| n.to_string()),
+                ))),
+            }
+        })
+        .collect::<VmResult<_>>()?;
+    for (decl, shape, ghost) in segments {
         for mem in &mut m.mems {
             mem.insert_array(
                 decl.name.clone(),
@@ -110,14 +128,14 @@ pub fn allocate(
             );
         }
     }
-    decls
+    Ok(decls
         .iter()
         .map(|d| DistArray {
             name: d.name.clone(),
             dad: d.dad.clone(),
             ty: d.ty,
         })
-        .collect()
+        .collect())
 }
 
 /// Scalar-context read of element `g` of `a` from its first owner:
@@ -787,6 +805,12 @@ impl SpacePlan {
         if !in_range || last < 0 {
             return None;
         }
+        // Every partition's kind before anything is allocated: a
+        // `DO` asks again at every trip of a loop this refuses.
+        let mut shares = [OwnShare::All; MAX_VARS];
+        for (share, (part, _)) in shares.iter_mut().zip(loops) {
+            *share = OwnShare::of(part, arrays)?;
+        }
         let nranks = m.nranks() as usize;
         let bounds = (loops.iter().zip(slopes))
             .map(|(&(_, [lb, ub, _]), &[dlb, dub])| [lb, dlb, ub, dub])
@@ -800,8 +824,8 @@ impl SpacePlan {
         for rank in (0..nranks).filter(|&r| !spaces.space(r).is_empty()) {
             let coords = m.grid.coords_of(rank as i64);
             plan.ranks.push(rank as u32);
-            for (j, &(part, [lb, ub, _])) in loops.iter().enumerate() {
-                let (lo, hi) = own_share(part, arrays, &coords)?;
+            for (j, (share, &(_, [lb, ub, _]))) in shares.iter().zip(loops).enumerate() {
+                let (lo, hi) = share.at(&coords)?;
                 // The share must be what `set_BOUND` partitioned.
                 let run = unit_run(lb.max(lo), ub.min(hi));
                 if spaces.space(rank)[j] != Runs::one(run) {
@@ -940,33 +964,52 @@ fn unit_run(first: i64, last: i64) -> Progression {
     Progression::new(first, 1, last.abs_diff(first) as usize + 1)
 }
 
-/// The iterations `L..=U` of a variable partitioned by `part` that the
-/// rank at `coords` owns whatever its bounds, when its share of any
-/// bounds `lb..=ub` (unit stride) is `[max(lb, L), min(ub, U)]`: all of
-/// them replicated or on an undistributed dimension, its block under
-/// BLOCK at a template stride of ±1. `None` for any other partition.
-fn own_share(part: &Partition, arrays: &[DistArray], coords: &[i64]) -> Option<(i64, i64)> {
-    let Partition::OwnerDim { arr, dim, a, b } = part else {
-        return matches!(part, Partition::Replicate).then_some((i64::MIN, i64::MAX));
-    };
-    let dm = &arrays[*arr].dad.dims[*dim];
-    if !dm.is_distributed() {
-        return Some((i64::MIN, i64::MAX));
+/// How a variable's iterations are shared out among the ranks, when a
+/// rank's share of any bounds `lb..=ub` (unit stride) is `[max(lb, L),
+/// min(ub, U)]` for its own `L..=U` ([`OwnShare::at`]): all of them on
+/// every rank, replicated or on an undistributed dimension, or a block
+/// under BLOCK at a template stride of ±1 (`t(v) = s·v + o`).
+#[derive(Debug, Clone, Copy)]
+enum OwnShare<'a> {
+    All,
+    Block {
+        dm: &'a ArrayDimMap,
+        s: i128,
+        o: i128,
+    },
+}
+
+impl<'a> OwnShare<'a> {
+    /// The share of a variable partitioned by `part`; `None` for any
+    /// other partition.
+    fn of(part: &Partition, arrays: &'a [DistArray]) -> Option<Self> {
+        let Partition::OwnerDim { arr, dim, a, b } = part else {
+            return matches!(part, Partition::Replicate).then_some(OwnShare::All);
+        };
+        let dm = &arrays[*arr].dad.dims[*dim];
+        if !dm.is_distributed() {
+            return Some(OwnShare::All);
+        }
+        let (s, o) = template_form(dm, *a, *b);
+        (dm.dist.kind == DistKind::Block && s.abs() == 1).then_some(OwnShare::Block { dm, s, o })
     }
-    let (s, o) = template_form(dm, *a, *b);
-    if dm.dist.kind != DistKind::Block || s.abs() != 1 {
-        return None;
+
+    /// `L..=U` of the rank at `coords`; `None` when it owns nothing
+    /// (never active, so never asked) or the share leaves `i64`.
+    fn at(self, coords: &[i64]) -> Option<(i64, i64)> {
+        let OwnShare::Block { dm, s, o } = self else {
+            return Some((i64::MIN, i64::MAX));
+        };
+        let coord = coords[dm.grid_axis?];
+        let cells = owned_cells(&dm.dist, coord, 0, dm.dist.extent - 1, 1);
+        let [cells] = cells.runs() else {
+            return None;
+        };
+        let (lo, hi) = (i128::from(cells.first) - o, i128::from(cells.last()) - o);
+        let (lo, hi) = if s == 1 { (lo, hi) } else { (-hi, -lo) };
+        // A share past `i64` is left to the per-step partitioning.
+        Some((lo.try_into().ok()?, hi.try_into().ok()?))
     }
-    let coord = coords[dm.grid_axis?];
-    let cells = owned_cells(&dm.dist, coord, 0, dm.dist.extent - 1, 1);
-    let [cells] = cells.runs() else {
-        // Owns nothing: never active, so never asked.
-        return None;
-    };
-    let (lo, hi) = (i128::from(cells.first) - o, i128::from(cells.last()) - o);
-    let (lo, hi) = if s == 1 { (lo, hi) } else { (-hi, -lo) };
-    // A share past `i64` is left to the per-step partitioning.
-    Some((lo.try_into().ok()?, hi.try_into().ok()?))
 }
 
 #[cfg(test)]
@@ -1048,5 +1091,53 @@ mod tests {
             check(kind, -1, 15, [i64::MIN, i64::MAX, 1]);
             check(kind, -2, 14, [i64::MIN + 1, i64::MAX, 1]);
         }
+    }
+
+    /// `name(extents)` distributed BLOCK on every dimension over `grid`,
+    /// `ghost` cells wide.
+    fn decl(name: &str, extents: &[i64], grid: &[i64], ghost: i64) -> ArrayDecl {
+        let dad = DadBuilder::new(name, extents)
+            .distribute(&vec![DistKind::Block; extents.len()])
+            .grid(ProcGrid::new(grid))
+            .build()
+            .expect("valid descriptor");
+        ArrayDecl {
+            name: name.into(),
+            ty: ElemType::Real,
+            dad,
+            ghost,
+            is_temp: false,
+        }
+    }
+
+    /// A rank segment, ghost cells included, of 2^32 elements or more
+    /// is refused, naming the array and the count — or that the count
+    /// passes `u64` — and no array of the program is placed; one of
+    /// 2^32 − 1 is allocated (lazily: nothing is materialized).
+    #[test]
+    fn allocate_refuses_a_segment_past_32_bit_offsets() {
+        let limit = 1i64 << 32;
+        let mut m = Machine::new(f90d_machine::MachineSpec::ideal(), ProcGrid::new(&[4]));
+        let fits = decl("A", &[4 * (limit - 1)], &[4], 0);
+        let refusals = [
+            (decl("B", &[4 * (limit - 2)], &[4], 1), "4294967296"),
+            (decl("C", &[4 * limit], &[4], 0), "4294967296"),
+            (decl("D", &[limit, limit, 4], &[1, 1, 4], 0), "2^64 or more"),
+        ];
+        for (bad, count) in refusals {
+            let decls = [fits.clone(), bad];
+            let err = allocate(&mut m, &[4], &decls, false).unwrap_err();
+            let want = format!(
+                "array {} needs a rank segment of {count} elements (ghost cells included); \
+                 a segment holds fewer than 2^32",
+                decls[1].name
+            );
+            assert_eq!(err.0, want);
+            assert!(!m.mems[0].has_array("A"), "placed before the refusal");
+        }
+        allocate(&mut m, &[4], &[fits], false).expect("2^32 - 1 elements fit");
+        let a = m.mems[3].array("A");
+        assert_eq!(a.shape, [limit - 1]);
+        assert!(!a.is_materialized());
     }
 }

@@ -228,21 +228,31 @@ fn do_slope(code: &ExprCode, d: u16, own: &[u16], consts: &[Value]) -> Option<i6
 
 impl Engine {
     /// Prepare an engine and allocate every array on the machine.
+    ///
+    /// # Panics
+    /// Panics where [`Engine::try_new`] refuses the program.
     pub fn new(prog: Arc<VmProgram>, m: &mut Machine) -> Self {
-        Self::fresh(prog, m, false)
+        Self::try_new(prog, m, false).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Like [`Engine::new`] but keeps existing array segments (running a
     /// program fragment over state produced by an earlier fragment).
+    ///
+    /// # Panics
+    /// Panics where [`Engine::try_new`] refuses the program.
     pub fn new_preserving(prog: Arc<VmProgram>, m: &mut Machine) -> Self {
-        Self::fresh(prog, m, true)
+        Self::try_new(prog, m, true).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    fn fresh(prog: Arc<VmProgram>, m: &mut Machine, keep_existing: bool) -> Self {
-        let arrays = dispatch::allocate(m, &prog.grid_shape, &prog.arrays, keep_existing);
+    /// [`Engine::new`], or with `keep_existing` [`Engine::new_preserving`],
+    /// that refuses a program whose arrays cannot be allocated
+    /// ([`dispatch::allocate`]: a rank segment of 2^32 elements or more)
+    /// with an error instead of panicking.
+    pub fn try_new(prog: Arc<VmProgram>, m: &mut Machine, keep_existing: bool) -> VmResult<Self> {
+        let arrays = dispatch::allocate(m, &prog.grid_shape, &prog.arrays, keep_existing)?;
         let scalars = prog.scalars.iter().map(|(_, ty)| ty.zero()).collect();
         let (nvars, nforalls) = (prog.nvars, prog.foralls.len());
-        Engine {
+        Ok(Engine {
             prog,
             arrays,
             scalars,
@@ -263,7 +273,7 @@ impl Engine {
             plans: std::iter::repeat_with(|| None).take(nforalls).collect(),
             do_runs: 0,
             binds_instantiated: 0,
-        }
+        })
     }
 
     /// An array's descriptor was swapped (REDISTRIBUTE): drop everything
