@@ -25,23 +25,43 @@
 //!   (the statement's kept schedule every time), so **ms reads as ns
 //!   per written element** for the whole post-loop executor: buffer
 //!   fill, the comparison with the kept rows, exchange.
+//! * `exchange/execute_8192_p16` — one sample is 122 `execute_read`s of
+//!   the job's gather schedule, built once, so **ms reads as ns per
+//!   element** of the executor alone: pack, send, arrive, unpack.
 //! * `schedule/build_8192_p16` — one sample is 122 `build_schedule`
 //!   calls on the job's gather pattern, so **ms reads as ns per
 //!   request** of the move-table build a cache miss pays.
+//!   `schedule/build_8192_p256` is the same pattern on 256 ranks, the
+//!   size of the fat-tree machine: its table of rank pairs holds 8
+//!   entries a request, past `ExchangePlan::of_moves`' cutover, so it
+//!   times the requester-then-owner sort where `build_8192_p16` (1/32
+//!   of an entry a request) times the pair-table sort.
 //! * `schedule/*` (the rest) — one sample is 100
 //!   `RunSchedules::schedule` calls at 8192 requests, so **ms × 10 reads
 //!   as µs per call**. `within_run_hit`: the run has seen the pattern;
 //!   `global_hit`: a fresh run finds it in the process-wide cache (and
 //!   pays the modelled inspector, messages included); `miss`: a pattern
 //!   nobody has seen (build + insert; the cache is cleared every 64
-//!   calls to bound memory). The hit lines pass a prebuilt list, which
-//!   the shim clones because the call takes it by value (≈ 7 µs an
-//!   inspector, which moves its list, does not pay); the miss line
-//!   generates one per call (≈ 16 µs).
+//!   calls to bound memory). The hit lines pack a prebuilt list of
+//!   `ElementReq`s into its 16-byte words (`Pattern::of`) every call
+//!   (the driver's inspectors list the words themselves and do not pay
+//!   that); the miss line generates one per call.
 //! * `int_mod_fill/*` — one sample is 8 runs of `FORALL (I=1:N) U(I) =
 //!   MOD(I*5+3, N) + 1` on a replicated INTEGER `U(8192)` over 16 ranks
 //!   through `Engine`, 1 048 576 element updates, so **ms reads as ns
 //!   per element** (+5 %), on the bytecode tier and on the native one.
+//!
+//! One run of each line on a 2-vCPU Xeon host, medians of three
+//! alternated with a build that predates exchange-held messages and
+//! the counting-sort build (the host's speed drifts up to 2× between
+//! minutes, so compare alternated binaries only): `exchange/execute`
+//! 3.0 ns per element (3.4 before), `schedule/build` 8.5 ns per request
+//! (12.8), `scatter/whole_call` 3.9 (4.3), `gather/repeat` 13.7 (16.2),
+//! `schedule/miss` 188 µs (311), `schedule/global_hit` 57 µs (71).
+//! Against builds forced to one of `of_moves`' two sorts (medians of
+//! three alternated): `schedule/build_8192_p16` 7.7 ns per request
+//! (8.9 with the pair table alone, 17.1 with the requester-then-owner
+//! sort alone), `schedule/build_8192_p256` 16.3 (22.1, 15.9).
 //!
 //! The file uses APIs that predate it except in the four shims
 //! [`push_all`], [`gather_one`], [`scatter_all`] and [`schedule_one`];
@@ -53,8 +73,8 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use f90d_comm::driver::{self, GatherRequests, ScatterOut};
-use f90d_comm::sched_cache::{self, RunSchedules, StmtId};
-use f90d_comm::schedule::{build_schedule, ElementReq, ScheduleKind};
+use f90d_comm::sched_cache::{self, Pattern, RunSchedules, StmtId};
+use f90d_comm::schedule::{build_schedule, execute_read, ElementReq, ScheduleKind};
 use f90d_core::{compile, Backend, CompileOptions};
 use f90d_distrib::{Dad, DadBuilder, DistKind, ProcGrid};
 use f90d_machine::{ElemType, LocalArray, Machine, MachineSpec, Value};
@@ -203,11 +223,12 @@ fn bench_scatter(c: &mut Criterion) {
     g.finish();
 }
 
-/// The request list of the job's gather under pattern offset `b`:
-/// iteration `i` on rank `i / 512` reads `B((i·2731 + b) mod N)` from
-/// its BLOCK owner into its next buffer slot.
-fn gather_reqs(b: i64) -> Vec<ElementReq> {
-    let block = N / P;
+/// The request list of the job's gather under pattern offset `b` on
+/// `p` ranks: iteration `i` on rank `i / (N / p)` reads
+/// `B((i·2731 + b) mod N)` from its BLOCK owner into its next buffer
+/// slot.
+fn gather_reqs(b: i64, p: i64) -> Vec<ElementReq> {
+    let block = N / p;
     (0..N)
         .map(|i| {
             let g = (i * 2731 + b) % N;
@@ -221,9 +242,28 @@ fn gather_reqs(b: i64) -> Vec<ElementReq> {
         .collect()
 }
 
+fn bench_exchange(c: &mut Criterion) {
+    let mut g = c.benchmark_group("exchange");
+    g.sample_size(10);
+    let (mut m, _) = machine(&[N], &[DistKind::Block], &[P]);
+    for mem in &mut m.mems {
+        mem.insert_array("TMP", LocalArray::zeros(ElemType::Real, &[N / P]));
+    }
+    let sched = build_schedule(ScheduleKind::FanInRequests, &gather_reqs(977, P));
+    g.bench_function("execute_8192_p16", |b| {
+        b.iter(|| {
+            for _ in 0..ROUNDS {
+                execute_read(&mut m, black_box(&sched), "B", "TMP").expect("executes");
+            }
+            m.reset_time();
+        })
+    });
+    g.finish();
+}
+
 /// One schedule lookup of the request list `reqs`.
 fn schedule_one(m: &mut Machine, rs: &mut RunSchedules, reqs: &[ElementReq]) {
-    let sched = rs.schedule(m, ScheduleKind::FanInRequests, reqs, false);
+    let sched = rs.schedule(m, ScheduleKind::FanInRequests, Pattern::of(reqs), false);
     black_box(Arc::as_ptr(&sched.expect("inspector runs")));
 }
 
@@ -233,13 +273,24 @@ fn bench_schedule(c: &mut Criterion) {
     g.sample_size(10);
     let (mut m, _) = machine(&[N], &[DistKind::Block], &[P]);
     let mut rs = RunSchedules::new();
-    let seen = gather_reqs(977);
+    let seen = gather_reqs(977, P);
     g.bench_function("build_8192_p16", |b| {
         b.iter(|| {
             for _ in 0..ROUNDS {
                 black_box(build_schedule(
                     ScheduleKind::FanInRequests,
                     black_box(&seen),
+                ));
+            }
+        })
+    });
+    let wide = gather_reqs(977, 256);
+    g.bench_function("build_8192_p256", |b| {
+        b.iter(|| {
+            for _ in 0..ROUNDS {
+                black_box(build_schedule(
+                    ScheduleKind::FanInRequests,
+                    black_box(&wide),
                 ));
             }
         })
@@ -267,7 +318,11 @@ fn bench_schedule(c: &mut Criterion) {
                     sched_cache::global().clear();
                 }
                 fresh += 1;
-                schedule_one(&mut m, &mut RunSchedules::new(), &gather_reqs(1000 + fresh));
+                schedule_one(
+                    &mut m,
+                    &mut RunSchedules::new(),
+                    &gather_reqs(1000 + fresh, P),
+                );
             }
             m.reset_time();
         })
@@ -313,6 +368,7 @@ criterion_group!(
     bench_push,
     bench_gather,
     bench_scatter,
+    bench_exchange,
     bench_schedule,
     bench_int_fill
 );

@@ -46,8 +46,8 @@ use f90d_machine::{ArrayData, ElemType, LocalArray, Machine, NodeMemory, Transpo
 use crate::helpers::{exchange, locator, ExchangeOp, ExchangePlan};
 use crate::op::{CommError, CommResult};
 use crate::overlap::{dims_overlap_compatible, Margins};
-use crate::sched_cache::{Inspection, Rows, RunSchedules, StmtId};
-use crate::schedule::{ElementReq, ScheduleKind};
+use crate::sched_cache::{Inspection, Pattern, Rows, RunSchedules, StmtId};
+use crate::schedule::ScheduleKind;
 use crate::structured::{multicast_axis, run_slab_cast};
 
 /// One planned ghost exchange: fill the ghost cells of `arr` for a
@@ -395,14 +395,10 @@ impl<'a> GatherRequests<'a> {
     /// iteration. Stops at the first out-of-range subscript, with
     /// `push`'s error.
     pub fn push_row(&mut self, rank: i64, subs: &[i64]) -> CommResult<()> {
-        let dims = &self.src_dad.dims;
-        let rows = subs.chunks_exact(dims.len());
-        let n = rows.len();
-        let inside = |g: &[i64]| (g.iter().zip(dims)).all(|(&g, dm)| (0..dm.extent).contains(&g));
-        if let Some(g) = rows.clone().find(|g| !inside(g)) {
-            return check_bounds(self.src, self.src_dad, g);
-        }
-        self.rows.push(rank, &subs[..n * dims.len()]);
+        check_rows(self.src, self.src_dad, subs)?;
+        let ndim = self.src_dad.rank();
+        let n = subs.len() / ndim;
+        self.rows.push(rank, &subs[..n * ndim]);
         self.counts[rank as usize] += n;
         Ok(())
     }
@@ -439,16 +435,16 @@ impl<'a> GatherRequests<'a> {
             Some(sched) => sched,
             None => {
                 let locate = locator(m, self.src, self.src_dad);
-                let mut reqs = Vec::with_capacity(self.counts.iter().sum());
+                let mut reqs = Pattern::with_capacity(self.counts.iter().sum());
                 let mut next = vec![0; self.counts.len()];
                 for (rank, subs) in self.rows.runs() {
                     let dst_off = &mut next[rank as usize];
                     locate.locate_rows(subs, |owner, src_off| {
-                        reqs.push(ElementReq::moving(owner, rank, src_off, *dst_off));
+                        reqs.push(owner, rank, src_off, *dst_off);
                         *dst_off += 1;
                     });
                 }
-                rs.schedule_stmt(m, &at, &reqs, self.rows)?
+                rs.schedule_stmt(m, &at, reqs, self.rows)?
             }
         };
         crate::schedule::execute_read(m, &sched, self.src, tmp)
@@ -512,13 +508,12 @@ pub fn scatter(
     };
     let runs = || (outputs.iter().enumerate()).map(|(rank, out)| (rank as i64, &out.subs[..]));
     let kept = rs.kept(m, &at, runs());
-    let ndim = dst_dad.rank();
     for (rank, out) in outputs.iter().enumerate() {
         let n = out.vals.len();
         let seq = seq_buffer(&mut m.mems[rank], &buf, out.vals.elem_type(), n);
-        seq.scatter_flat(0..n, &out.vals);
+        seq.copy_flat(0, &out.vals);
         if kept.is_none() {
-            (out.subs.chunks_exact(ndim)).try_for_each(|g| check_bounds(dst, dst_dad, g))?;
+            check_rows(dst, dst_dad, &out.subs)?;
         }
     }
     let sched = match kept {
@@ -526,17 +521,17 @@ pub fn scatter(
         None => {
             let locate = locator(m, dst, dst_dad);
             let total: usize = outputs.iter().map(|out| out.vals.len()).sum();
-            let mut reqs = Vec::with_capacity(total * locate.replicas().len());
+            let mut reqs = Pattern::with_capacity(total * locate.replicas().len());
             for (rank, subs) in runs() {
                 let mut src_off = 0;
                 locate.locate_rows(subs, |owner, dst_off| {
                     for replica in locate.replicas() {
-                        reqs.push(ElementReq::moving(rank, owner + replica, src_off, dst_off));
+                        reqs.push(rank, owner + replica, src_off, dst_off);
                     }
                     src_off += 1;
                 });
             }
-            rs.schedule_stmt(m, &at, &reqs, Rows::of(runs()))?
+            rs.schedule_stmt(m, &at, reqs, Rows::of(runs()))?
         }
     };
     crate::schedule::execute_write(m, &sched, &buf, dst)
@@ -583,6 +578,18 @@ pub fn check_bounds(arr: &str, dad: &Dad, g: &[i64]) -> CommResult<()> {
     g.iter()
         .enumerate()
         .try_for_each(|(d, &gd)| check_dim(arr, dad, d, gd))
+}
+
+/// [`check_bounds`] for every whole row of `subs` (row-major, `dad`'s
+/// rank values a row): the first row out of range fails, with its
+/// error. A row in range costs one comparison per subscript.
+fn check_rows(arr: &str, dad: &Dad, subs: &[i64]) -> CommResult<()> {
+    let dims = &dad.dims;
+    let inside = |g: &[i64]| (g.iter().zip(dims)).all(|(&g, dm)| (0..dm.extent).contains(&g));
+    match subs.chunks_exact(dims.len()).find(|g| !inside(g)) {
+        Some(g) => check_bounds(arr, dad, g),
+        None => Ok(()),
+    }
 }
 
 /// The rank-1 slab-temp subscript contract, shared by every consumer of

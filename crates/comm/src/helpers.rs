@@ -8,28 +8,32 @@
 //! Every element-wise planner lists its element moves
 //! ([`ElementReq::moving`]) and [`ExchangePlan::of_moves`] turns the list
 //! into a plan: pairs ascending in `(from, to)`, a pair's elements in
-//! listed order, no empty pair. Every primitive vectorizes its
-//! messages — all elements travelling between one (source, destination)
-//! pair are packed into a single message (paper §7, optimization 1).
-//! Packing and unpacking charge the machine's per-byte copy cost; the
-//! wire charges α + β·bytes through the transport.
+//! listed order, no empty pair — a counting sort on the pair, with no
+//! hash per move. The unstructured inspectors list the same moves as
+//! 32-bit words ([`ExchangePlan::of_words`]). Every primitive vectorizes
+//! its messages — all elements travelling between one (source,
+//! destination) pair are packed into a single message (paper §7,
+//! optimization 1). Packing and unpacking charge the machine's per-byte
+//! copy cost; the wire charges α + β·bytes through the transport.
 //!
-//! [`ExchangeOp`] is the only operation that really splits: `post` packs
-//! and posts every send (senders pay copy + α) and posts the matching
-//! receives; `finish` completes the receives (receiver clocks advance to
-//! the arrival times) and unpacks. Shifts, ghost exchanges, comm phases,
-//! `transfer`, `concatenation`, redistribution, the schedule executors
-//! and the run-time library's remaps all run through it; the blocking
-//! [`exchange`] wrapper is post-then-finish with nothing in between. The
-//! trees ([`tree_broadcast`] along the topology-shaped
-//! [`broadcast_plan`], the binomial [`tree_reduce`]) have stage
-//! dependencies, so every edge is one blocking
+//! [`ExchangeOp`] is the only operation that really splits, and it holds
+//! its messages itself: `post` packs every pair into one wire buffer and
+//! charges each remote message through the transport's send half
+//! (senders pay copy + α), keeping its arrival time; `finish` brings
+//! each to its receiver through the arrival half (receiver clocks
+//! advance to the arrival times) and unpacks. Shifts, ghost exchanges,
+//! comm phases, `transfer`, `concatenation`, redistribution, the
+//! schedule executors and the run-time library's remaps all run through
+//! it; the blocking [`exchange`] wrapper is post-then-finish with
+//! nothing in between. The trees ([`tree_broadcast`] along the
+//! topology-shaped [`broadcast_plan`], the binomial [`tree_reduce`])
+//! have stage dependencies, so every edge is one blocking
 //! [`Transport::deliver`].
 
 use std::ops::Range;
 
 use f90d_distrib::{Dad, Locator};
-use f90d_machine::{ArrayData, IntMap, Machine, RecvHandle, Topology, Transport};
+use f90d_machine::{ArrayData, Machine, NodeMemory, Topology, Transport};
 
 use crate::op::{CommError, CommResult};
 use crate::schedule::{word, ElementReq};
@@ -42,9 +46,9 @@ use crate::schedule::{word, ElementReq};
 /// [`SEGMENT_LIMIT`](crate::schedule::SEGMENT_LIMIT) elements.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExchangePlan {
-    /// `(from, to, end)`: the pair's elements are `[previous end, end)`
-    /// of both columns.
-    pairs: Vec<(i64, i64, usize)>,
+    /// `(from, to, end)` in 32-bit words, 12 bytes a pair: the pair's
+    /// elements are `[previous end, end)` of both columns.
+    pairs: Vec<(u32, u32, u32)>,
     srcs: Vec<u32>,
     dsts: Vec<u32>,
 }
@@ -69,57 +73,121 @@ impl ExchangePlan {
     /// the one rule every element-wise planner's messages follow: pairs
     /// ascend in `(from, to)`, a pair's elements keep the order they
     /// were listed in, and a pair no move names is not in the plan.
-    ///
-    /// A counting sort by pair: the first pass gives each move its
-    /// pair's id (an integer-hashed index, in order of first
-    /// appearance) and counts the pairs; the distinct pairs are sorted
-    /// once, which fixes where each one's elements start; the second
-    /// pass writes every move's offsets straight into the columns.
     pub fn of_moves(moves: &[ElementReq]) -> Self {
-        let mut index: IntMap<(i64, i64), u32> = IntMap::default();
-        // `(pair, elements)` by id.
-        let mut pairs: Vec<((i64, i64), usize)> = Vec::new();
-        // The last move's pair and id: a run of moves between one pair
-        // (a shift lists a whole row of cells at a time) looks it up once.
-        let mut last = None;
-        let ids: Vec<u32> = (moves.iter())
-            .map(|r| {
-                let pair = (r.owner, r.requester);
-                let id = match last {
-                    Some((at, id)) if at == pair => id,
-                    _ => *index.entry(pair).or_insert_with(|| {
-                        pairs.push((pair, 0));
-                        (pairs.len() - 1) as u32
-                    }),
-                };
-                last = Some((pair, id));
-                pairs[id as usize].1 += 1;
-                id
-            })
-            .collect();
-        let mut order: Vec<u32> = (0..pairs.len() as u32).collect();
-        order.sort_unstable_by_key(|&id| pairs[id as usize].0);
-        // Each pair's next free slot in the columns, by id.
-        let mut next = vec![0; pairs.len()];
-        let mut ends = Vec::with_capacity(pairs.len());
-        let mut end = 0;
-        for &id in &order {
-            let ((from, to), n) = pairs[id as usize];
-            next[id as usize] = end;
-            end += n;
-            ends.push((from, to, end));
+        // The first pass checks every field into its word; the others
+        // read the fields it checked.
+        let packed = |k: usize| {
+            let r = &moves[k];
+            [
+                r.requester as u32,
+                r.owner as u32,
+                r.src_off as u32,
+                r.dst_off as u32,
+            ]
+        };
+        Self::sorted(moves.len(), |k| moves[k].words(), packed)
+    }
+
+    /// [`ExchangePlan::of_moves`] of moves given as their words,
+    /// `[requester, owner, src_off, dst_off]` ([`ElementReq::words`]).
+    pub fn of_words(words: &[[u32; 4]]) -> Self {
+        Self::sorted(words.len(), |k| words[k], |k| words[k])
+    }
+
+    /// The plan of the `n` moves `at(0..n)`, whose words `checked(k)`
+    /// reads checked: a stable counting sort on `(owner, requester)`.
+    /// A first pass checks every move and finds the ranks' ranges. When
+    /// a table of every `(owner, requester)` pair is not much bigger
+    /// than the moves, the pair is the sort key: one pass counts each
+    /// pair's moves, the table's running sum places the pairs, and a
+    /// second pass writes every move straight into its pair's run of the
+    /// columns. Both passes keep the current pair's entry in hand while
+    /// moves repeat it, so a planner's runs of one pair cost no table
+    /// traffic and an inspector's scattered pairs one entry a move.
+    /// Otherwise — many ranks, few moves — it sorts least significant
+    /// key first: into requester order, then by owner, and a pass over
+    /// the requesters cuts each owner's run into pairs. The cutover is
+    /// measured: the table sort is the faster up to about 2 entries a
+    /// move on an inspector's scattered pairs and 3–4 on a planner's
+    /// runs, and up to a few hundred entries on a handful of moves; the
+    /// requester-then-owner sort alone made `schedule/build_8192_p16`
+    /// 2.7× and the comm_path ghost exchange, redistribution and
+    /// transpose 1.4–1.8× slower. Past the cutover the table is not just
+    /// slower: on the 4096 ranks the daemon accepts it would hold 2^24
+    /// entries for a shift of a few elements.
+    fn sorted(
+        n: usize,
+        checked: impl Fn(usize) -> [u32; 4],
+        at: impl Fn(usize) -> [u32; 4],
+    ) -> Self {
+        let (mut owners, mut requesters) = (0, 0);
+        for k in 0..n {
+            let [to, from, ..] = checked(k);
+            owners = owners.max(from as usize + 1);
+            requesters = requesters.max(to as usize + 1);
         }
-        let (mut srcs, mut dsts) = (vec![0; moves.len()], vec![0; moves.len()]);
-        for (r, &id) in moves.iter().zip(&ids) {
-            let at = &mut next[id as usize];
-            (srcs[*at], dsts[*at]) = (word(r.src_off), word(r.dst_off));
-            *at += 1;
+        let (mut srcs, mut dsts) = (vec![0; n], vec![0; n]);
+        let mut pairs = Vec::new();
+        let table = owners.saturating_mul(requesters);
+        if table <= 2 * n + 256 {
+            let pair = |[to, from, ..]: [u32; 4]| from as usize * requesters + to as usize;
+            let mut next = vec![0; table];
+            let (mut held, mut run) = (0, 0);
+            for k in 0..n {
+                let id = pair(at(k));
+                if id != held {
+                    next[held] += run;
+                    (held, run) = (id, 0);
+                }
+                run += 1;
+            }
+            if n > 0 {
+                next[held] += run;
+            }
+            let mut end = 0;
+            for (id, slot) in next.iter_mut().enumerate() {
+                if *slot > 0 {
+                    (*slot, end) = (end, end + *slot);
+                    pairs.push((word(id / requesters), word(id % requesters), word(end)));
+                }
+            }
+            let (mut held, mut slot) = (0, next.first().copied().unwrap_or(0));
+            for k in 0..n {
+                let move_ = at(k);
+                let id = pair(move_);
+                if id != held {
+                    next[held] = slot;
+                    (held, slot) = (id, next[id]);
+                }
+                [.., srcs[slot], dsts[slot]] = move_;
+                slot += 1;
+            }
+        } else {
+            let mut by_requester = vec![0; n];
+            counting_sort(
+                requesters,
+                0..n,
+                |k| at(k)[0] as usize,
+                |slot, k| by_requester[slot] = k,
+            );
+            let mut tos = vec![0; n];
+            let ends = counting_sort(
+                owners,
+                by_requester.into_iter(),
+                |k| at(k)[1] as usize,
+                |slot, k| [tos[slot], _, srcs[slot], dsts[slot]] = at(k),
+            );
+            let mut start = 0;
+            for (from, &end) in ends.iter().enumerate() {
+                for k in start..end {
+                    if k + 1 == end || tos[k + 1] != tos[k] {
+                        pairs.push((word(from), tos[k], word(k + 1)));
+                    }
+                }
+                start = end;
+            }
         }
-        ExchangePlan {
-            pairs: ends,
-            srcs,
-            dsts,
-        }
+        ExchangePlan { pairs, srcs, dsts }
     }
 
     /// Append the pair `from → to`, moving `srcs[i]` to `dsts[i]`,
@@ -134,22 +202,24 @@ impl ExchangePlan {
         srcs: impl IntoIterator<Item = usize>,
         dsts: impl IntoIterator<Item = usize>,
     ) {
+        let (from, to) = (word(from), word(to));
         debug_assert!(self.pairs.last().map(|p| (p.0, p.1)) < Some((from, to)));
         self.srcs.extend(srcs.into_iter().map(word));
         self.dsts.extend(dsts.into_iter().map(word));
         debug_assert_eq!(self.srcs.len(), self.dsts.len());
-        self.pairs.push((from, to, self.srcs.len()));
+        self.pairs.push((from, to, word(self.srcs.len())));
     }
 
     /// The `k`-th pair, in plan order.
     pub fn pair(&self, k: usize) -> PairRun<'_> {
         let (from, to, end) = self.pairs[k];
         let start = if k == 0 { 0 } else { self.pairs[k - 1].2 };
+        let run = start as usize..end as usize;
         PairRun {
-            from,
-            to,
-            srcs: &self.srcs[start..end],
-            dsts: &self.dsts[start..end],
+            from: from.into(),
+            to: to.into(),
+            srcs: &self.srcs[run.clone()],
+            dsts: &self.dsts[run],
         }
     }
 
@@ -179,6 +249,30 @@ impl ExchangePlan {
     }
 }
 
+/// The stable counting sort of `items` by `key`, whose values are below
+/// `keys`: `put(slot, item)` places each item at its slot, items of one
+/// key in the order `items` lists them. Returns where each key's run of
+/// slots ends.
+fn counting_sort<I: Iterator<Item = usize> + Clone>(
+    keys: usize,
+    items: I,
+    key: impl Fn(usize) -> usize,
+    mut put: impl FnMut(usize, usize),
+) -> Vec<usize> {
+    let mut next = vec![0; keys];
+    items.clone().for_each(|k| next[key(k)] += 1);
+    let mut end = 0;
+    for slot in &mut next {
+        (*slot, end) = (end, end + *slot);
+    }
+    for k in items {
+        let slot = &mut next[key(k)];
+        put(*slot, k);
+        *slot += 1;
+    }
+    next
+}
+
 /// One strip of an [`ExchangeOp`], `(src, dst, plan)`: the elements of
 /// `plan` move out of array `src` on each pair's sender into array
 /// `dst` on its receiver.
@@ -194,25 +288,73 @@ pub type Strip<'a> = (&'a str, &'a str, &'a ExchangePlan);
 /// copies charged at memcpy rate and performed at post time — ghost
 /// copies from a node's own block never wait on the wire.
 ///
-/// The strips' sources must share one element type (a message carries
+/// The op holds its messages itself. `post` packs every pair, in pair
+/// order, into one wire buffer and prices each remote message through
+/// the transport's send half ([`Transport::charge_send`]); the op keeps
+/// each message's arrival time and its place in the buffer. `finish`
+/// brings each to its receiver through the arrival half
+/// ([`Transport::arrive`]) and unpacks it. No payload, channel or
+/// receive handle is made per pair, and the charges are the posted
+/// trio's, in its order: one startup, one link transfer and one
+/// `max(clock, arrival)` a message.
+/// An op posted and never finished leaves its messages counted in
+/// flight, so the run's quiescence check fails; one finished after a
+/// transport reset fails itself.
+///
+/// The strips' sources must share one element type (the buffer carries
 /// one). A strip's `src` and `dst` may name the same array only if no
 /// pair has overlapping src/dst offsets on one node; redistribution
 /// avoids this by staging through a fresh array.
 ///
 /// The op borrows everything it runs from — names and plans belong to
 /// whoever planned the exchange (a schedule, the per-run shift table, a
-/// one-shot planner's local).
+/// one-shot planner's local). Each array is looked up by name once per
+/// rank and strip, not once per pair.
 #[derive(Debug)]
 pub struct ExchangeOp<'a> {
     strips: Vec<Strip<'a>>,
-    /// Every strip's pairs as `(from, to, strip, pair index in its
-    /// plan)`, in (pair, strip) order: a run of one `(from, to)` is one
+    /// Every strip's pairs as `[from, to, strip, pair index in its
+    /// plan]`, in (pair, strip) order: a run of one `(from, to)` is one
     /// message.
-    order: Vec<(i64, i64, usize, usize)>,
-    /// Posted receives, `(the message's run of order, handle)` in pair
-    /// order.
-    pending: Vec<(Range<usize>, RecvHandle)>,
-    posted: bool,
+    order: Vec<[u32; 4]>,
+    /// What `post` sent; `None` until then.
+    posted: Option<Posted>,
+}
+
+/// The messages of a posted [`ExchangeOp`].
+#[derive(Debug)]
+struct Posted {
+    /// The transport epoch they were sent in.
+    epoch: u64,
+    /// Every element the exchange moves, pair after pair: the wire of
+    /// the remote messages and the staging of the local copies.
+    wire: ArrayData,
+    /// Each remote message: its run of `order`, its arrival time and
+    /// where its elements start in `wire`.
+    sent: Vec<(Range<usize>, f64, usize)>,
+    /// Each rank's `[src, dst]` slot of each strip's arrays, by `rank ×
+    /// strips + strip`, looked up on first use in `post` and again in
+    /// `finish`.
+    slots: Vec<[u32; 2]>,
+}
+
+/// The slot of strip `s`'s source (`side` 0) or destination (1) array
+/// on `rank`, whose memory is `mem`: `slots`' entry, looked up by name
+/// on first use.
+fn slot(
+    slots: &mut [[u32; 2]],
+    strips: &[Strip<'_>],
+    mem: &NodeMemory,
+    rank: i64,
+    s: usize,
+    side: usize,
+) -> usize {
+    let at = &mut slots[rank as usize * strips.len() + s][side];
+    if *at == u32::MAX {
+        let (src, dst, _) = strips[s];
+        *at = word(mem.slot([src, dst][side]));
+    }
+    *at as usize
 }
 
 impl<'a> ExchangeOp<'a> {
@@ -220,113 +362,128 @@ impl<'a> ExchangeOp<'a> {
     pub fn new(strips: Vec<Strip<'a>>) -> Self {
         let mut order: Vec<_> = (strips.iter().enumerate())
             .flat_map(|(s, &(_, _, plan))| {
-                (plan.pairs().enumerate()).map(move |(k, p)| (p.from, p.to, s, k))
+                (plan.pairs.iter().enumerate())
+                    .map(move |(k, &(from, to, _))| [from, to, s as u32, k as u32])
             })
             .collect();
-        order.sort_unstable();
+        if strips.len() > 1 {
+            order.sort_unstable();
+        }
         ExchangeOp {
             strips,
             order,
-            pending: Vec::new(),
-            posted: false,
+            posted: None,
         }
     }
 
-    /// `(src, dst, pair)` of entry `at` of the merged order.
-    fn strip_pair(&self, at: usize) -> (&'a str, &'a str, PairRun<'a>) {
-        let (.., s, k) = self.order[at];
-        let (src, dst, plan) = self.strips[s];
-        (src, dst, plan.pair(k))
+    /// `(strip, pair)` of entry `at` of the merged order.
+    fn strip_pair(&self, at: usize) -> (usize, PairRun<'a>) {
+        let [.., s, k] = self.order[at];
+        (s as usize, self.strips[s as usize].2.pair(k as usize))
     }
 
-    /// Perform the local copies, then pack and post one send per remote
-    /// pair and post the matching receive. Senders pay the packing copy
+    /// Perform the local copies, then pack every remote pair into the
+    /// wire buffer and charge its send. Senders pay the packing copy
     /// cost and the startup α; receivers pay nothing yet.
     pub fn post(&mut self, m: &mut Machine) -> CommResult<()> {
-        if self.posted {
+        if self.posted.is_some() {
             return Err(CommError("exchange posted twice".into()));
         }
-        self.posted = true;
-        let tag = m.fresh_tag();
+        let total = self.strips.iter().map(|&(.., plan)| plan.len()).sum();
+        let wire = match self.order.first() {
+            Some(&[from, _, s, _]) => {
+                let ty = m.mems[from as usize].array(self.strips[s as usize].0);
+                ArrayData::with_capacity(ty.elem_type(), total)
+            }
+            None => ArrayData::Int(Vec::new()),
+        };
+        let mut posted = Posted {
+            epoch: m.transport.epoch(),
+            wire,
+            sent: Vec::with_capacity(self.order.len()),
+            slots: vec![[u32::MAX; 2]; m.mems.len() * self.strips.len()],
+        };
+        let Posted {
+            wire, sent, slots, ..
+        } = &mut posted;
         let mut start = 0;
         while start < self.order.len() {
-            let (from, to, first, _) = self.order[start];
-            let same_pair = |o: &&(i64, i64, usize, usize)| (o.0, o.1) == (from, to);
+            let [from, to, ..] = self.order[start];
+            let same_pair = |o: &&[u32; 4]| o[..2] == [from, to];
             let end = start + self.order[start..].iter().take_while(same_pair).count();
+            let (from, to) = (i64::from(from), i64::from(to));
             let mem = &mut m.mems[from as usize];
             if from == to {
-                // Each strip stages through its own payload, so `src ==
-                // dst` needs no care about overlapping offsets.
+                // Each strip is staged through the wire before the next
+                // is read, so `src == dst` needs no care about
+                // overlapping offsets.
                 let mut bytes = 0;
-                for at in start..end {
-                    let (src, dst, pair) = self.strip_pair(at);
-                    let strip = mem
-                        .array(src)
-                        .gather_flat(pair.srcs.iter().map(|&o| o as usize));
-                    let a = mem.array_mut(dst);
-                    a.scatter_flat(pair.dsts.iter().map(|&o| o as usize), &strip);
+                for k in start..end {
+                    let (s, pair) = self.strip_pair(k);
+                    let src = slot(slots, &self.strips, mem, from, s, 0);
+                    let first = wire.len();
+                    mem.segments()[src]
+                        .gather_flat_into(pair.srcs.iter().map(|&o| o as usize), wire);
+                    let dst = slot(slots, &self.strips, mem, from, s, 1);
+                    let a = &mut mem.segments_mut()[dst];
+                    a.scatter_flat_from(pair.dsts.iter().map(|&o| o as usize), wire, first);
                     bytes += pair.dsts.len() as i64 * a.elem_type().bytes();
                 }
                 m.transport.charge_copy(from, bytes);
             } else {
-                let ty = mem.array(self.strips[first].0).elem_type();
-                let mut payload = ArrayData::zeros(ty, 0);
-                for at in start..end {
-                    let (src, _, pair) = self.strip_pair(at);
-                    mem.array(src)
-                        .gather_flat_into(pair.srcs.iter().map(|&o| o as usize), &mut payload);
+                let at = wire.len();
+                for k in start..end {
+                    let (s, pair) = self.strip_pair(k);
+                    let src = slot(slots, &self.strips, mem, from, s, 0);
+                    mem.segments()[src]
+                        .gather_flat_into(pair.srcs.iter().map(|&o| o as usize), wire);
                 }
-                let bytes = payload.len() as i64 * payload.elem_type().bytes();
+                let bytes = (wire.len() - at) as i64 * wire.elem_type().bytes();
                 m.transport.charge_copy(from, bytes);
-                m.transport.post_send(from, to, tag, payload);
-                let h = m.transport.post_recv(to, from, tag);
-                self.pending.push((start..end, h));
+                let arrival = m.transport.charge_send(from, to, bytes);
+                sent.push((start..end, arrival, at));
             }
             start = end;
         }
+        self.posted = Some(posted);
         Ok(())
     }
 
-    /// Complete every posted receive in pair order, charge the unpack
-    /// copy, and deposit each strip's elements.
-    ///
-    /// A failed completion does not stop the rest: every later handle is
-    /// still completed (arrived payloads deposit normally), and the error
-    /// names **every** pair whose receive stays open — nothing is left
-    /// in flight and nothing completes twice.
+    /// Bring every posted message to its receiver in pair order —
+    /// the receiver's clock advances to the arrival time — charge the
+    /// unpack copy, and deposit each strip's elements.
     pub fn finish(mut self, m: &mut Machine) -> CommResult<()> {
-        if !self.posted {
+        let Some(mut posted) = self.posted.take() else {
             return Err(CommError("exchange finished before post".into()));
+        };
+        if posted.epoch != m.transport.epoch() {
+            return Err(CommError(format!(
+                "exchange finish: {} message(s) posted before a transport reset",
+                posted.sent.len()
+            )));
         }
-        let mut open = Vec::new();
-        for (run, h) in std::mem::take(&mut self.pending) {
-            let payload = match m.transport.complete(h) {
-                Ok(payload) => payload,
-                Err(e) => {
-                    open.push(e.to_string());
-                    continue;
-                }
-            };
-            let to = self.order[run.start].1;
-            let bytes = payload.len() as i64 * payload.elem_type().bytes();
-            m.transport.charge_copy(to, bytes);
+        let Posted {
+            wire, sent, slots, ..
+        } = &mut posted;
+        // The caller may have removed an array since `post`, which
+        // moves another into its slot (`NodeMemory::remove_array`): look
+        // every destination up again, still once per rank and strip.
+        slots.fill([u32::MAX; 2]);
+        for (run, arrival, at) in sent.drain(..) {
+            let to = i64::from(self.order[run.start][1]);
+            m.transport.arrive(to, arrival);
             let mem = &mut m.mems[to as usize];
-            let mut off = 0;
-            for at in run {
-                let (_, dst, pair) = self.strip_pair(at);
-                let a = mem.array_mut(dst);
-                off = a.scatter_flat_from(pair.dsts.iter().map(|&o| o as usize), &payload, off);
+            let mut off = at;
+            for k in run {
+                let (s, pair) = self.strip_pair(k);
+                let dst = slot(slots, &self.strips, mem, to, s, 1);
+                let a = &mut mem.segments_mut()[dst];
+                off = a.scatter_flat_from(pair.dsts.iter().map(|&o| o as usize), wire, off);
             }
-            assert_eq!(off, payload.len(), "payload longer than its plan");
+            m.transport
+                .charge_copy(to, (off - at) as i64 * wire.elem_type().bytes());
         }
-        if open.is_empty() {
-            return Ok(());
-        }
-        Err(CommError(format!(
-            "exchange finish: {} message(s) still open: {}",
-            open.len(),
-            open.join("; ")
-        )))
+        Ok(())
     }
 }
 
@@ -687,50 +844,56 @@ mod tests {
     }
 
     #[test]
-    fn mid_finish_error_names_the_open_pair_and_drains_the_rest() {
-        // One array on four ranks; A(0) of rank r goes to A(3) of rank
-        // r − 1: three remote pairs, (1,0), (2,1), (3,2) in plan order.
-        let mut m = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(&[4]));
-        for (r, mem) in m.mems.iter_mut().enumerate() {
-            let mut a = LocalArray::zeros(ElemType::Real, &[4]);
-            a.set(&[0], Value::Real(r as f64));
-            mem.insert_array("A", a);
+    fn a_posted_exchange_never_finished_is_not_quiescent() {
+        // A(0) of rank r goes to A(3) of rank r − 1: three messages.
+        let mut m = mk_machine(4);
+        for mem in &mut m.mems {
+            mem.insert_array("A", LocalArray::zeros(ElemType::Real, &[4]));
         }
         let moves: Vec<_> = (1..4).map(|r| ElementReq::moving(r, r - 1, 0, 3)).collect();
         let plan = ExchangePlan::of_moves(&moves);
         let mut op = ExchangeOp::new(vec![("A", "A", &plan)]);
         op.post(&mut m).unwrap();
-        assert_eq!(op.pending.len(), 3);
-        // Steal the middle pair's message by completing a receive of our
-        // own on its channel: that pair's completion finds nothing while
-        // the last pair's still succeeds.
-        let (run, h) = &op.pending[1];
-        let (from, to, ..) = op.order[run.start];
-        let tag = h.tag();
-        let stolen = m.transport.post_recv(to, from, tag);
-        m.transport.complete(stolen).unwrap();
-        let err = op.finish(&mut m).unwrap_err();
-        assert!(err.0.contains("1 message(s) still open"), "{err}");
-        assert!(
-            err.0.contains(&format!("recv({to} <- {from}, tag {tag})")),
-            "the error must name the open pair: {err}"
-        );
-        // The pair after the victim was still completed and deposited.
-        assert_eq!(m.mems[2].array("A").get(&[3]), Value::Real(3.0));
-        match m.transport.quiescent_check() {
+        drop(op);
+        assert_eq!(m.transport.messages, 3);
+        assert!(!m.transport.quiescent());
+        assert_eq!(
+            m.transport.quiescent_check(),
             Err(f90d_machine::TransportError::NotQuiescent {
-                in_flight,
-                open_recvs,
-                example,
-            }) => {
-                assert_eq!(in_flight, 0, "every other message was consumed");
-                // The stolen completion retired its own receive; the
-                // victim's original receive is the only one open.
-                assert_eq!(open_recvs, 1);
-                assert_eq!(example, Some((from, to, tag)));
-            }
-            other => panic!("expected NotQuiescent, got {other:?}"),
+                in_flight: 3,
+                open_recvs: 0,
+                example: None,
+            })
+        );
+    }
+
+    #[test]
+    fn finish_finds_a_destination_moved_since_post() {
+        // Rank 0 copies S(0) into D(1) itself at post and receives rank
+        // 1's S(0) into D(0) at finish. In between it drops T, which
+        // moves D into T's slot, and allocates E in D's old one.
+        let mut m = mk_machine(2);
+        for (r, mem) in m.mems.iter_mut().enumerate() {
+            mem.insert_array("T", LocalArray::zeros(ElemType::Real, &[2]));
+            mem.insert_array("S", LocalArray::zeros(ElemType::Real, &[2]));
+            mem.insert_array("D", LocalArray::zeros(ElemType::Real, &[2]));
+            mem.array_mut("S").set(&[0], Value::Real(r as f64 + 1.0));
         }
+        let moves = [
+            ElementReq::moving(0, 0, 0, 1),
+            ElementReq::moving(1, 0, 0, 0),
+        ];
+        let plan = ExchangePlan::of_moves(&moves);
+        let mut op = ExchangeOp::new(vec![("S", "D", &plan)]);
+        op.post(&mut m).unwrap();
+        let mem = &mut m.mems[0];
+        mem.remove_array("T").unwrap();
+        mem.insert_array("E", LocalArray::zeros(ElemType::Real, &[2]));
+        op.finish(&mut m).unwrap();
+        let mem = &m.mems[0];
+        assert_eq!(mem.array("D").get(&[0]), Value::Real(2.0));
+        assert_eq!(mem.array("D").get(&[1]), Value::Real(1.0));
+        assert_eq!(mem.array("E").get(&[0]), Value::Real(0.0));
     }
 
     #[test]

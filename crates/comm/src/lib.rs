@@ -9,11 +9,12 @@
 //! only this crate's substrate changes.
 //!
 //! One operation moves point-to-point data: [`helpers::ExchangeOp`],
-//! which really splits — `post()` packs and sends, `finish()` completes
-//! and unpacks — so callers can charge local computation between the two
-//! and genuinely hide wire time. It takes one or more planned strips and
-//! sends one message per processor pair, so the ghost exchanges of a
-//! whole comm phase coalesce into one wire transfer per pair
+//! which really splits — `post()` packs and sends, `finish()` brings the
+//! messages in and unpacks — so callers can charge local computation
+//! between the two and genuinely hide wire time. It takes one or more
+//! planned strips and sends one message per processor pair, so the
+//! ghost exchanges of a whole comm phase coalesce into one wire
+//! transfer per pair
 //! (PARTI-style aggregation, paper §7 optimization 1 across statement
 //! boundaries). The trees (multicast, reductions, the broadcast half of
 //! concatenation) have stage dependencies and complete every message
@@ -25,8 +26,8 @@
 //! Reductions combine up a binomial toward the first member. This is
 //! where the machine knowledge lives; the generated code only names the
 //! collective. Completion faults surface as [`CommError`]s
-//! rather than panics, and a failed finish still completes every other
-//! posted receive.
+//! rather than panics: a tree edge's failed delivery, or an exchange
+//! finished after a transport reset.
 //!
 //! **Structured** primitives (paper §5.1) exploit the logical-grid
 //! relationship between sender and receiver, so they need no preprocessing:

@@ -8,9 +8,9 @@
 //! one build-once cache ([`OnceMap`]): N workers racing one cold key
 //! perform exactly one build, and keys are **full patterns** — a
 //! [`SchedKey`] is the `(ScheduleKind, grid shape, complete request
-//! list)` triple, compared by *equality*, never by a hash alone:
-//! `Schedule::signature()` and the key's own fingerprint are 64-bit
-//! digests and can collide. Hashes route, equality decides.
+//! list)` triple, compared by *equality*, never by a hash alone: the
+//! key's own fingerprint is a 64-bit digest and can collide. Hashes
+//! route, equality decides.
 //!
 //! What a hit skips is the **wall-clock** rebuild of the move table. The
 //! modelled inspector cost ([`schedule::inspect`]) is charged on every
@@ -46,7 +46,7 @@ use f90d_machine::{LocalArray, Machine, OnceMap, Topology};
 
 use crate::helpers::ExchangePlan;
 use crate::op::CommResult;
-use crate::schedule::{self, ElementReq, Schedule, ScheduleKind};
+use crate::schedule::{self, word, ElementReq, Schedule, ScheduleKind};
 use crate::structured::{multicast_axis, shift_moves, Fiber, SlabCast};
 
 /// Schedules kept process-wide. A key retains its full request pattern
@@ -55,25 +55,79 @@ use crate::structured::{multicast_axis, shift_moves, Fiber, SlabCast};
 /// (benchmark working sets are tens of keys).
 pub const SCHED_CACHE_CAP: usize = 1024;
 
+/// A request pattern as an inspector lists it: each request as its
+/// 32-bit words ([`ElementReq::words`], 16 bytes), and the fingerprint
+/// of the list so far, chained on as each request is pushed — so the
+/// list a [`SchedKey`] keeps is the one the inspector wrote, made in one
+/// pass.
+#[derive(Debug)]
+pub struct Pattern {
+    words: Vec<[u32; 4]>,
+    fingerprint: u64,
+}
+
+impl Pattern {
+    /// An empty pattern with room for `n` requests. An inspector that
+    /// knows its count lists into exactly that much, so a kept key
+    /// holds no growth slack.
+    pub fn with_capacity(n: usize) -> Self {
+        Pattern {
+            words: Vec::with_capacity(n),
+            fingerprint: 0,
+        }
+    }
+
+    /// Append the move of the element at flat offset `src_off` on rank
+    /// `from` to flat offset `dst_off` on rank `to`
+    /// ([`ElementReq::moving`]'s order), each field checked into its
+    /// word.
+    ///
+    /// # Panics
+    /// As [`ElementReq::words`], on a field past 32 bits.
+    #[inline]
+    pub fn push(&mut self, from: i64, to: i64, src_off: usize, dst_off: usize) {
+        let words = [word(to), word(from), word(src_off), word(dst_off)];
+        self.fingerprint = SchedKey::chain(self.fingerprint, words);
+        self.words.push(words);
+    }
+
+    /// The pattern of a request list as planners state it, packed.
+    pub fn of(reqs: &[ElementReq]) -> Self {
+        let mut fingerprint = 0;
+        let words = (reqs.iter())
+            .map(|r| {
+                let words = r.words();
+                fingerprint = SchedKey::chain(fingerprint, words);
+                words
+            })
+            .collect();
+        Pattern { words, fingerprint }
+    }
+
+    /// The requests' words, in the order pushed.
+    pub fn words(&self) -> &[[u32; 4]] {
+        &self.words
+    }
+}
+
 /// The full identity of a communication schedule: inspector family, the
 /// logical grid it was built for, and the complete element-request
 /// pattern. Two keys are the same schedule iff they are `==`, which
 /// compares the whole pattern.
 ///
-/// The key holds the pattern once, shared, as the requests' 32-bit
-/// words ([`ElementReq::words`], 16 bytes a request): the within-run
-/// reuse map and the process-wide cache clone the `Arc`, not the list.
-/// Its `Hash` feeds the hasher `kind`, `grid`, the pattern's length and
-/// a 64-bit fingerprint taken in one pass when the key is made — a
-/// lookup hashes five words, not four fields per request. The
-/// fingerprint only picks a bucket; two patterns that share it are
-/// still two keys.
+/// The key holds the pattern once, shared: the inspector's own
+/// [`Pattern`] list, 16 bytes a request, which the within-run reuse map
+/// and the process-wide cache share through an `Arc`. Its `Hash` feeds
+/// the hasher `kind`, `grid`, the pattern's length and the 64-bit
+/// fingerprint chained while the inspector listed it — a lookup hashes
+/// five words, not four fields per request. The fingerprint only picks
+/// a bucket; two patterns that share it are still two keys.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchedKey {
     kind: ScheduleKind,
     grid: Vec<i64>,
     fingerprint: u64,
-    reqs: Arc<[[u32; 4]]>,
+    reqs: Arc<Vec<[u32; 4]>>,
 }
 
 impl SchedKey {
@@ -86,23 +140,19 @@ impl SchedKey {
         0x27d4_eb2f_1656_67c5,
     ];
 
-    /// The key of `reqs` (in inspector order) under `kind` on `grid`, in
-    /// one pass: each request is packed into its words, in a list of
-    /// exactly their length, and chained into the fingerprint.
-    pub fn new(kind: ScheduleKind, grid: Vec<i64>, reqs: &[ElementReq]) -> Self {
-        let mut fingerprint = 0;
-        let reqs = (reqs.iter())
-            .map(|r| {
-                let words = r.words();
-                fingerprint = Self::chain(fingerprint, words);
-                words
-            })
-            .collect();
+    /// The key of `pattern` under `kind` on `grid`, taking the list as
+    /// it is (its growth slack, if any, released).
+    pub fn new(kind: ScheduleKind, grid: Vec<i64>, pattern: Pattern) -> Self {
+        let Pattern {
+            mut words,
+            fingerprint,
+        } = pattern;
+        words.shrink_to_fit();
         SchedKey {
             kind,
             grid,
             fingerprint,
-            reqs,
+            reqs: Arc::new(words),
         }
     }
 
@@ -130,6 +180,11 @@ impl SchedKey {
     /// The pattern digest the key's `Hash` routes by.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
+    }
+
+    /// The pattern's requests, as words.
+    pub fn words(&self) -> &[[u32; 4]] {
+        &self.reqs
     }
 }
 
@@ -419,8 +474,9 @@ impl RunSchedules {
         }
     }
 
-    /// The schedule for `reqs` under inspector family `kind`. The key
-    /// packs the list ([`SchedKey::new`]); a miss builds from it.
+    /// The schedule for the requests of `pattern` under inspector family
+    /// `kind`. The key takes the list ([`SchedKey::new`]); a miss builds
+    /// from it ([`Schedule::of_words`]).
     ///
     /// Within-run repeats (when [`RunSchedules::reuse`] is on) are free —
     /// no inspector charge, no cache traffic — matching the paper's
@@ -433,10 +489,10 @@ impl RunSchedules {
         &mut self,
         m: &mut Machine,
         kind: ScheduleKind,
-        reqs: &[ElementReq],
+        pattern: Pattern,
         is_write: bool,
     ) -> CommResult<Arc<Schedule>> {
-        let key = SchedKey::new(kind, m.grid.shape.clone(), reqs);
+        let key = SchedKey::new(kind, m.grid.shape.clone(), pattern);
         let side = is_write as usize;
         if self.reuse {
             if let Some(s) = self.seen.get(&key).and_then(|pair| pair[side].as_ref()) {
@@ -445,7 +501,7 @@ impl RunSchedules {
         }
         let sched = if self.use_global {
             let Ok((s, hit)) = global().get_or_try_build(&key, || {
-                Ok::<_, Infallible>(schedule::build_schedule(kind, reqs))
+                Ok::<_, Infallible>(Schedule::of_words(kind, key.words()))
             });
             if hit {
                 self.hits += 1;
@@ -454,7 +510,7 @@ impl RunSchedules {
             }
             s
         } else {
-            Arc::new(schedule::build_schedule(kind, reqs))
+            Arc::new(Schedule::of_words(kind, key.words()))
         };
         schedule::inspect(m, &sched)?;
         if self.reuse {
@@ -491,19 +547,19 @@ impl RunSchedules {
         Some(kept.sched.clone())
     }
 
-    /// [`RunSchedules::schedule`] for `at`, whose inspector located
-    /// `rows` into `reqs`: with `reuse` on, the rows, the array's layout
-    /// and the schedule are kept for the statement's next execution
-    /// ([`RunSchedules::kept`]).
+    /// [`RunSchedules::schedule`] for `at`, whose inspector
+    /// located `rows` into `pattern`: with `reuse` on, the rows, the
+    /// array's layout and the schedule are kept for the statement's next
+    /// execution ([`RunSchedules::kept`]).
     pub fn schedule_stmt(
         &mut self,
         m: &mut Machine,
         at: &Inspection<'_>,
-        reqs: &[ElementReq],
+        pattern: Pattern,
         rows: Rows,
     ) -> CommResult<Arc<Schedule>> {
         let layout = (self.reuse).then(|| ArrayLayout::of(at.dad, m.mems[0].array(at.arr)));
-        let sched = self.schedule(m, at.kind, reqs, at.is_write)?;
+        let sched = self.schedule(m, at.kind, pattern, at.is_write)?;
         if let Some(layout) = layout {
             let kept = Inspected {
                 kind: at.kind,

@@ -18,9 +18,9 @@
 //! A built [`Schedule`] is *reusable*: executing it again performs only
 //! the data exchange, amortizing the inspector (paper §7, optimization 3).
 //! The compiler's schedule-reuse optimization keys schedules by their
-//! request pattern — see [`Schedule::signature`].
+//! whole request pattern — see [`SchedKey`](crate::sched_cache::SchedKey).
 
-use f90d_machine::{ArrayData, Machine, Transport};
+use f90d_machine::{ElemType, Machine, Transport};
 
 use crate::helpers::ExchangePlan;
 use crate::op::CommResult;
@@ -49,29 +49,40 @@ impl ScheduleKind {
     }
 }
 
-/// An executable communication schedule: vectorized element moves plus
-/// bookkeeping for reuse.
+/// An executable communication schedule: the vectorized element moves
+/// and the inspector family that priced them.
 #[derive(Debug, Clone)]
 pub struct Schedule {
     kind: ScheduleKind,
     /// Per (src_rank, dst_rank), the ordered (src flat offset, dst flat
     /// offset) moves the executors run.
     plan: ExchangePlan,
-    /// Structural signature for reuse detection.
-    sig: u64,
 }
 
 impl Schedule {
+    /// The schedule of the requests `words` ([`ElementReq::words`], in
+    /// inspector order) under inspector family `kind`: the pure
+    /// data-structure half of an inspector, [`ExchangePlan::of_words`],
+    /// with no machine-time charges. [`crate::sched_cache`] calls this
+    /// on a miss and skips it on a hit; the cost-model half
+    /// ([`inspect`]) is charged on every run either way, which is what
+    /// keeps cached and uncached runs virtual-time identical.
+    pub fn of_words(kind: ScheduleKind, words: &[[u32; 4]]) -> Self {
+        Schedule {
+            kind,
+            plan: ExchangePlan::of_words(words),
+        }
+    }
+
     /// The inspector family that built this schedule.
     pub fn kind(&self) -> ScheduleKind {
         self.kind
     }
 
-    /// A structural hash of the move pattern: two FORALLs with identical
-    /// access patterns over identically-distributed arrays produce equal
-    /// signatures, which is what makes schedule reuse sound.
-    pub fn signature(&self) -> u64 {
-        self.sig
+    /// The element moves the executors run: two schedules with equal
+    /// plans move the same elements in the same messages.
+    pub fn plan(&self) -> &ExchangePlan {
+        &self.plan
     }
 
     /// Total number of elements moved between distinct nodes.
@@ -83,24 +94,6 @@ impl Schedule {
     pub fn message_count(&self) -> usize {
         self.plan.remote().count()
     }
-}
-
-fn hash_moves(plan: &ExchangePlan) -> u64 {
-    // FNV-1a over the move structure; deterministic across runs.
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut mix = |x: u64| {
-        h ^= x;
-        h = h.wrapping_mul(0x100000001b3);
-    };
-    for pair in plan.pairs() {
-        mix(pair.from as u64);
-        mix(pair.to as u64);
-        for (&s, &d) in pair.srcs.iter().zip(pair.dsts) {
-            mix(s as u64);
-            mix(d as u64 ^ 0x9e3779b97f4a7c15);
-        }
-    }
-    h
 }
 
 /// One element request: rank `requester` wants the element at flat offset
@@ -167,16 +160,13 @@ impl ElementReq {
     }
 }
 
-/// Build the executable schedule from a request list — the pure
-/// data-structure half of an inspector, with no machine-time charges:
-/// [`ExchangePlan::of_moves`] and the plan's signature.
-/// [`crate::sched_cache`] calls this on a miss and skips it on a hit;
-/// the cost-model half ([`inspect`]) is charged on every run either way,
-/// which is what keeps cached and uncached runs virtual-time identical.
+/// [`Schedule::of_words`] of a request list as planners state it:
+/// [`ExchangePlan::of_moves`], which reads each request's words.
 pub fn build_schedule(kind: ScheduleKind, reqs: &[ElementReq]) -> Schedule {
-    let plan = ExchangePlan::of_moves(reqs);
-    let sig = hash_moves(&plan);
-    Schedule { kind, plan, sig }
+    Schedule {
+        kind,
+        plan: ExchangePlan::of_moves(reqs),
+    }
 }
 
 /// The modelled cost of running `sched`'s inspector over the request
@@ -209,7 +199,9 @@ pub fn inspect(m: &mut Machine, sched: &Schedule) -> CommResult<()> {
         return Ok(());
     }
     // The inspector's own messages, one per remote pair in sender
-    // order, all posted before the first completes.
+    // order, all sent before the first arrives. They carry nothing the
+    // model reads, so they are priced by their bytes alone, through
+    // the transport's two halves.
     let mut remote: Vec<(i64, i64, usize)> = sched
         .plan
         .remote()
@@ -222,14 +214,14 @@ pub fn inspect(m: &mut Machine, sched: &Schedule) -> CommResult<()> {
         })
         .collect();
     remote.sort_unstable();
-    let tag = m.fresh_tag();
-    for &(from, to, n) in &remote {
-        m.transport
-            .post_send(from, to, tag, ArrayData::Int(vec![0; n]));
-    }
-    for &(from, to, _) in &remote {
-        let h = m.transport.post_recv(to, from, tag);
-        m.transport.complete(h)?;
+    let arrivals: Vec<f64> = (remote.iter())
+        .map(|&(from, to, n)| {
+            m.transport
+                .charge_send(from, to, n as i64 * ElemType::Int.bytes())
+        })
+        .collect();
+    for (&(_, to, _), arrival) in remote.iter().zip(arrivals) {
+        m.transport.arrive(to, arrival);
     }
     Ok(())
 }
@@ -323,15 +315,17 @@ mod tests {
                 elems.iter().map(|e| e.1),
             );
         }
-        let sig = hash_moves(&plan);
-        Schedule { kind, plan, sig }
+        Schedule { kind, plan }
     }
 
     /// The counting sort builds the oracle's plan — the same pairs in
-    /// the same order, each pair's elements in the same order, the same
-    /// signature — on random request lists over 1 to 1000 ranks, and on
-    /// the edge cases: no request, a single pair, every request local,
-    /// and pairs that come back out of order between other pairs.
+    /// the same order, each pair's elements in the same order — on
+    /// random request lists over 1 to 1000 ranks, each also listed
+    /// requester by requester as an inspector lists it, and in runs of
+    /// one pair as a planner lists them, and on the edge
+    /// cases: no request, a single pair, every request local, and pairs
+    /// that come back out of order between other pairs. The words path
+    /// builds the same plan.
     #[test]
     fn counting_sort_is_the_tree_construction() {
         let mut state = 0x2545_f491_4f6c_dd1du64;
@@ -362,8 +356,20 @@ mod tests {
             // repeat.
             let p = 1 + next(if k % 3 == 0 { 1000 } else { 16 }) as u64;
             let n = next(200);
-            let list = (0..n).map(|k| req(next(p), next(p), next(64), k)).collect();
+            let mut list: Vec<_> = (0..n).map(|k| req(next(p), next(p), next(64), k)).collect();
+            lists.push(list.clone());
+            list.sort_by_key(|r| r.requester);
             lists.push(list);
+            // Runs of one pair, as a planner lists them, a pair coming
+            // back after others.
+            let mut runs = Vec::new();
+            for _ in 0..next(30) {
+                let (requester, owner) = (next(p), next(p));
+                for _ in 0..1 + next(12) {
+                    runs.push(req(requester, owner, next(64), runs.len() as i64));
+                }
+            }
+            lists.push(runs);
         }
         for reqs in &lists {
             let (got, want) = (
@@ -371,8 +377,9 @@ mod tests {
                 build_by_tree(ScheduleKind::FanInRequests, reqs),
             );
             assert_eq!(got.plan, want.plan, "{reqs:?}");
-            assert_eq!(got.signature(), want.signature());
             assert_eq!(got.message_count(), want.message_count());
+            let words: Vec<_> = reqs.iter().map(ElementReq::words).collect();
+            assert_eq!(Schedule::of_words(got.kind, &words).plan, want.plan);
         }
     }
 
@@ -481,11 +488,11 @@ mod tests {
         execute_read(&mut m, &sched2, "SRC", "DST").unwrap();
         let with_inspector = m.elapsed();
         assert!(with_inspector > exec_only, "inspector must cost something");
-        assert_eq!(sched.signature(), sched2.signature());
+        assert_eq!(sched.plan, sched2.plan);
     }
 
     #[test]
-    fn signatures_differ_for_different_patterns() {
+    fn plans_differ_for_different_patterns() {
         let mut m = machine(2);
         let a = schedule1(
             &mut m,
@@ -507,7 +514,7 @@ mod tests {
             }],
         )
         .unwrap();
-        assert_ne!(a.signature(), b.signature());
+        assert_ne!(a.plan, b.plan);
     }
 
     #[test]

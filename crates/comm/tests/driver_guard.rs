@@ -14,9 +14,12 @@
 //! redistribution primitives, the `set_BOUND` routine or the scatter
 //! executor, so element evaluation and orchestration stay apart.
 //!
-//! Inside this crate, messages are posted and completed in exactly two
-//! files: `helpers.rs` (the one split-phase `ExchangeOp` and the two
-//! binomial trees) and `schedule.rs` (the inspector's request exchange).
+//! Inside this crate, messages are sent and brought to their receivers
+//! in exactly two files: `helpers.rs` (the one split-phase `ExchangeOp`,
+//! which holds its messages and prices them through the transport's
+//! two halves, `charge_send` and `arrive`, and the collective trees,
+//! each edge one `Transport::deliver`) and `schedule.rs` (the
+//! inspector's request messages, through the two halves).
 //! [`transport_calls_stay_in_the_message_path`] keeps every other
 //! primitive on top of those, so a per-category profile or a
 //! fault-injecting transport has one loop to hook.
@@ -38,8 +41,16 @@ const FORBIDDEN: &[&str] = &[
     "execute_write",
 ];
 
-/// Point-to-point transport calls, allowed only in [`MESSAGE_PATH`].
-const TRANSPORT_CALLS: &[&str] = &["post_send(", "post_recv(", ".complete("];
+/// Point-to-point transport calls, allowed only in [`MESSAGE_PATH`]:
+/// the posted trio, `deliver`, and the two halves of a message.
+const TRANSPORT_CALLS: &[&str] = &[
+    "post_send(",
+    "post_recv(",
+    ".complete(",
+    ".deliver(",
+    "charge_send(",
+    ".arrive(",
+];
 
 /// The files of `crates/comm/src` that may post and complete messages.
 const MESSAGE_PATH: &[&str] = &["helpers.rs", "schedule.rs"];
@@ -91,8 +102,8 @@ fn engine_uses_driver_only() {
 #[test]
 fn transport_calls_stay_in_the_message_path() {
     for path in sources("src", MESSAGE_PATH) {
-        let why = "messages are posted and completed only by helpers.rs (ExchangeOp and \
-                   the binomial trees) and schedule.rs (the inspector's requests)";
+        let why = "messages are sent and completed only by helpers.rs (ExchangeOp and \
+                   the collective trees) and schedule.rs (the inspector's requests)";
         check(&path, TRANSPORT_CALLS, why);
     }
 }

@@ -13,7 +13,7 @@ use std::cell::Cell;
 use std::convert::Infallible;
 use std::sync::Arc;
 
-use f90d_comm::sched_cache::{SchedKey, SCHED_CACHE_CAP};
+use f90d_comm::sched_cache::{Pattern, SchedKey, SCHED_CACHE_CAP};
 use f90d_comm::schedule::{build_schedule, ElementReq, Schedule, ScheduleKind};
 use f90d_machine::OnceMap;
 
@@ -64,7 +64,7 @@ fn live() -> isize {
 /// A one-request pattern and its key.
 fn key(kind: ScheduleKind, grid: &[i64], src_off: usize) -> (SchedKey, Vec<ElementReq>) {
     let reqs = vec![ElementReq::moving(1, 0, src_off, 0)];
-    (SchedKey::new(kind, grid.to_vec(), &reqs), reqs)
+    (SchedKey::new(kind, grid.to_vec(), Pattern::of(&reqs)), reqs)
 }
 
 /// The schedule of `reqs` under its key `k`, and whether it was cached.
@@ -114,7 +114,7 @@ fn two_patterns_with_equal_fingerprints_are_still_two_schedules() {
         let head = ElementReq::moving(3, 2, 11, 0);
         let reqs = vec![head, ElementReq::moving(o as i64, r as i64, s, d)];
         (
-            SchedKey::new(ScheduleKind::FanInRequests, vec![4], &reqs),
+            SchedKey::new(ScheduleKind::FanInRequests, vec![4], Pattern::of(&reqs)),
             reqs,
         )
     };
@@ -136,11 +136,31 @@ fn two_patterns_with_equal_fingerprints_are_still_two_schedules() {
     let (sb, hit_b) = get(&cache, &b, &reqs_b);
     assert!(!hit_a && !hit_b, "the second pattern aliased the first");
     assert_eq!(cache.len(), 2);
-    assert_ne!(sa.signature(), sb.signature());
+    assert_ne!(sa.plan(), sb.plan());
     for (k, reqs, want) in [(&a, &reqs_a, &sa), (&b, &reqs_b, &sb)] {
         let (found, hit) = get(&cache, k, reqs);
         assert!(hit && Arc::ptr_eq(&found, want));
     }
+}
+
+/// An inspector pushes its requests one at a time; a planner's list is
+/// packed at once. Either way the key is the same: the same words, the
+/// same fingerprint, equal keys.
+#[test]
+fn a_pushed_pattern_is_its_packed_list() {
+    let reqs: Vec<_> = (0..50)
+        .map(|k| ElementReq::moving(k % 7, (k * 3) % 5, k as usize * 11, k as usize))
+        .collect();
+    let mut pushed = Pattern::with_capacity(reqs.len());
+    for r in &reqs {
+        pushed.push(r.owner, r.requester, r.src_off, r.dst_off);
+    }
+    let packed = Pattern::of(&reqs);
+    assert_eq!(pushed.words(), packed.words());
+    let key = |p: Pattern| SchedKey::new(ScheduleKind::SenderDriven, vec![8], p);
+    let (a, b) = (key(pushed), key(packed));
+    assert_eq!(a.fingerprint(), b.fingerprint());
+    assert_eq!(a, b);
 }
 
 #[test]
@@ -195,7 +215,8 @@ fn a_cached_schedule_keeps_24_bytes_an_element() {
                     i % block,
                 ));
             }
-            let key = SchedKey::new(ScheduleKind::FanInRequests, vec![RANKS as i64], &reqs);
+            let pattern = Pattern::of(&reqs);
+            let key = SchedKey::new(ScheduleKind::FanInRequests, vec![RANKS as i64], pattern);
             assert!(
                 !get(&cache, &key, &reqs).1,
                 "schedule {k} aliased an earlier one"

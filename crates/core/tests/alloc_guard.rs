@@ -43,8 +43,9 @@
 //! move in one vector, so what they allocate grows with the processor
 //! pairs, not with the elements —
 //! [`element_moves_allocate_per_pair`] holds the growth from n = 64 to
-//! n = 256 under one allocation per 100 more elements moved: 279 → 283
-//! and 167 → 171 now. (When every planner grouped its moves in a
+//! n = 256 under one allocation per 100 more elements moved: 146 → 150
+//! and 144 → 148 now, 279 → 283 and 167 → 171 while an exchange
+//! allocated a payload per processor pair. (When every planner grouped its moves in a
 //! `BTreeMap` and located each element with `owner_ranks` +
 //! `local_index`, the same calls made 16 975 → 262 991 and 20 741 →
 //! 328 005: 4.0 and 5.0 allocations per element.)
@@ -267,10 +268,11 @@ fn per_trip(setup: &str, body: &str, p: i64) -> (f64, RunTrace) {
 /// located and keyed every request, and each rank's sequential buffers
 /// and inspector buffers were allocated afresh), and 120 while
 /// `SpacePlan::new` allocated its tables and a rank's coordinates
-/// before refusing the scatter's `BlockIter` variable at every trip;
-/// it makes 116 now. A replicated fill the first rank computes
-/// for every rank (`U(I) = MOD(I*5 + IT, N) + 1`) allocates nothing for
-/// the ranks it copies to: its trip costs as many allocations on 16
+/// before refusing the scatter's `BlockIter` variable at every trip,
+/// and 116 while every exchange allocated a payload per processor pair
+/// and the transport queued it; it makes 83 now. A replicated fill the
+/// first rank computes for every rank (`U(I) = MOD(I*5 + IT, N) + 1`)
+/// allocates nothing for the ranks it copies to: its trip costs as many allocations on 16
 /// ranks as on 4.
 #[test]
 fn repeated_inspectors_and_copied_ranks_allocate_per_rank() {
@@ -318,6 +320,6 @@ FORALL (I=1:N) V(I) = MOD(I*11, N) + 1"
     assert_eq!(on16, on4, "a copied rank allocates");
 }
 
-/// The 116 allocations a repeat of the irregular kernel makes on 4
+/// The 83 allocations a repeat of the irregular kernel makes on 4
 /// ranks, and two to spare.
-const IRREGULAR_REPEAT_BOUND: f64 = 118.0;
+const IRREGULAR_REPEAT_BOUND: f64 = 85.0;

@@ -1,8 +1,7 @@
-//! The hasher of the message path's tables (the transport's channel
-//! table, the link clocks, the schedule builder's processor-pair
-//! index) and of a node's array slots: their keys are a few small
-//! integers or a short name, so one rotate–xor–multiply per field (per
-//! eight bytes of a name) replaces SipHash over the key's bytes. Not
+//! The hasher of the transport's channel table and of a node's array
+//! slots: their keys are a few small integers or a short name, so one
+//! rotate–xor–multiply per field (per eight bytes of a name) replaces
+//! SipHash over the key's bytes. Not
 //! DoS-resistant — the keys are rank numbers, tags and array names the
 //! program itself generates.
 

@@ -457,6 +457,11 @@ impl NodeMemory {
             .unwrap_or_else(|| panic!("array `{name}` not allocated on this node"))
     }
 
+    /// Every array segment, by [`NodeMemory::slot`].
+    pub fn segments(&self) -> &[LocalArray] {
+        &self.segments
+    }
+
     /// Every array segment, by [`NodeMemory::slot`]: several borrowed at
     /// once — one of them mutably — with `split_at_mut`.
     pub fn segments_mut(&mut self) -> &mut [LocalArray] {

@@ -43,6 +43,24 @@
 //! charged against virtual clocks: the sender pays the startup α, the
 //! payload occupies the wire for β·bytes, and the receiver cannot complete
 //! its receive before the arrival time.
+//!
+//! # The two halves of a message
+//!
+//! The trait prices every message in two halves, and the mailbox
+//! transport builds its trio and `deliver` from them:
+//!
+//! * [`Transport::charge_send`] — the send charge: the sender's
+//!   α (or a self-copy's memcpy), the message and byte counters and the
+//!   link clocks; it returns the arrival time;
+//! * [`Transport::arrive`] — the arrival: the receiver's clock
+//!   advances to `max(own clock, arrival)`.
+//!
+//! A caller that holds its messages itself — an exchange that keeps
+//! every payload in one buffer of its own, an inspector whose request
+//! messages carry nothing the model reads — calls the two halves
+//! directly and skips the channel table. The transport counts every
+//! message charged and not yet arrived, so one that is never completed
+//! still fails [`Transport::quiescent_check`].
 
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
@@ -179,6 +197,21 @@ pub trait Transport {
     /// Number of nodes reachable through this transport.
     fn nranks(&self) -> i64;
 
+    /// The send half of a message of `bytes` from `from` to `to`: the
+    /// sender's clock advances by the startup α (a self-send pays the
+    /// memcpy rate), the message and byte counters and the links are
+    /// charged, and the message counts as in flight until
+    /// [`Transport::arrive`] takes the arrival time this returns.
+    /// [`Transport::post_send`] is this and a queued payload; a caller
+    /// that holds a message's payload itself calls it directly.
+    fn charge_send(&mut self, from: i64, to: i64, bytes: i64) -> f64;
+
+    /// The arrival half of a message [`Transport::charge_send`] charged
+    /// in this epoch: the receiver `to`'s clock advances to
+    /// `max(own clock, arrival)`, and the message is no longer in
+    /// flight. [`Transport::complete`] is a dequeued payload and this.
+    fn arrive(&mut self, to: i64, arrival: f64);
+
     /// Post a send of `payload` from `from` to `to` under `tag`. The
     /// sender's clock advances by the startup α only (a self-send pays
     /// the memcpy rate); the payload arrives at `post_time + msg_time`.
@@ -245,10 +278,12 @@ pub struct MailboxTransport {
     /// that drains it removes it, so under collectives (a fresh tag
     /// each) the table stays a handful of entries instead of growing by
     /// one per message, and the quiescence report can still *name* a
-    /// leaked handle when nothing is left in flight — the signature of
-    /// an exchange whose finish failed mid-way (see
-    /// `f90d_comm::helpers::ExchangeOp::finish`).
+    /// leaked handle when nothing is left in flight.
     channels: IntMap<(i64, i64, Tag), Channel>,
+    /// Messages charged by [`Transport::charge_send`] and not yet
+    /// [`Transport::arrive`]d: those queued in `channels` and
+    /// those their sender holds.
+    in_flight: u64,
     /// Drained queues of removed channels, reused (always empty) by the
     /// next channel created, so a message costs no queue allocation.
     spare: Vec<Queue>,
@@ -279,6 +314,7 @@ impl MailboxTransport {
             nranks,
             clocks: vec![0.0; nranks as usize],
             channels: IntMap::default(),
+            in_flight: 0,
             spare: Vec::new(),
             messages: 0,
             bytes: 0,
@@ -375,6 +411,7 @@ impl MailboxTransport {
     pub fn reset(&mut self) {
         self.clocks.iter_mut().for_each(|c| *c = 0.0);
         self.channels.clear();
+        self.in_flight = 0;
         self.messages = 0;
         self.bytes = 0;
         self.epoch += 1;
@@ -383,7 +420,15 @@ impl MailboxTransport {
 
     /// `true` when no message is still in flight.
     pub fn quiescent(&self) -> bool {
-        self.channels.values().all(|c| c.queue.is_empty())
+        self.in_flight == 0
+    }
+
+    /// The transport generation: bumped by [`MailboxTransport::reset`].
+    /// A caller holding messages across calls keeps the epoch it sent
+    /// them in, and must not [`Transport::arrive`] them in
+    /// another.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
     }
 
     /// Number of live channels: those holding an in-flight message or
@@ -399,11 +444,15 @@ impl MailboxTransport {
             open_recvs: 0,
         })
     }
+}
 
-    /// Charge the send of `bytes` from `from` to `to` — the sender's
-    /// clock, the message and byte counters, the links — and return the
-    /// payload's arrival time.
+impl Transport for MailboxTransport {
+    fn nranks(&self) -> i64 {
+        self.nranks
+    }
+
     fn charge_send(&mut self, from: i64, to: i64, bytes: i64) -> f64 {
+        self.in_flight += 1;
         let start = self.clocks[from as usize];
         if from != to {
             // Sender is busy for the startup portion; the payload arrives
@@ -428,11 +477,12 @@ impl MailboxTransport {
             copy
         }
     }
-}
 
-impl Transport for MailboxTransport {
-    fn nranks(&self) -> i64 {
-        self.nranks
+    fn arrive(&mut self, to: i64, arrival: f64) {
+        debug_assert!(self.in_flight > 0, "an arrival with nothing in flight");
+        self.in_flight -= 1;
+        let c = &mut self.clocks[to as usize];
+        *c = c.max(arrival);
     }
 
     fn post_send(&mut self, from: i64, to: i64, tag: Tag, payload: ArrayData) {
@@ -473,8 +523,7 @@ impl Transport for MailboxTransport {
         if ch.queue.is_empty() && ch.open_recvs == 0 {
             self.spare.push(slot.remove().queue);
         }
-        let c = &mut self.clocks[h.to as usize];
-        *c = c.max(arrival);
+        self.arrive(h.to, arrival);
         Ok(payload)
     }
 
@@ -496,19 +545,20 @@ impl Transport for MailboxTransport {
         }
         let bytes = payload.len() as i64 * payload.elem_type().bytes();
         let arrival = self.charge_send(from, to, bytes);
-        let c = &mut self.clocks[to as usize];
-        *c = c.max(arrival);
+        self.arrive(to, arrival);
         Ok(payload)
     }
 
+    /// Every live channel is a leak, and so is a message its sender
+    /// holds and never brought to [`Transport::arrive`]: counted
+    /// in `in_flight`, with no channel to name.
     fn quiescent_check(&self) -> Result<(), TransportError> {
-        if self.channels.is_empty() {
+        if self.channels.is_empty() && self.in_flight == 0 {
             return Ok(());
         }
-        // Every live channel is a leak. Name one: an in-flight message
-        // if any, otherwise an open receive (deterministically the
-        // smallest key either way) — the latter is what an exchange
-        // whose finish failed mid-way leaves behind.
+        // Name one live channel: an in-flight message if any, otherwise
+        // an open receive (deterministically the smallest key either
+        // way) — the latter is what a failed completion leaves behind.
         let example = self
             .channels
             .iter()
@@ -516,7 +566,7 @@ impl Transport for MailboxTransport {
             .min()
             .map(|(_, key)| key);
         Err(TransportError::NotQuiescent {
-            in_flight: self.channels.values().map(|c| c.queue.len()).sum(),
+            in_flight: self.in_flight as usize,
             open_recvs: self.channels.values().map(|c| c.open_recvs).sum::<u64>() as usize,
             example,
         })
@@ -854,6 +904,40 @@ mod tests {
         recv(&mut off, 5, 0, 0);
         recv(&mut on, 5, 0, 0);
         assert!((on.clock(5) - off.clock(5)).abs() < 1e-15);
+    }
+
+    #[test]
+    fn the_two_halves_charge_what_the_trio_charges() {
+        let mut trio = MailboxTransport::new(MachineSpec::ipsc860(), 4);
+        let mut held = MailboxTransport::new(MachineSpec::ipsc860(), 4);
+        for t in [&mut trio, &mut held] {
+            t.charge_compute(3, 1e-4);
+        }
+        trio.post_send(0, 3, 1, payload(100));
+        recv(&mut trio, 3, 0, 1);
+        let arrival = held.charge_send(0, 3, 800);
+        // A held message is in flight with no channel to name.
+        assert!(!held.quiescent());
+        assert_eq!(
+            held.quiescent_check(),
+            Err(TransportError::NotQuiescent {
+                in_flight: 1,
+                open_recvs: 0,
+                example: None,
+            })
+        );
+        held.arrive(3, arrival);
+        let bits = |t: &MailboxTransport| t.clocks.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&held), bits(&trio));
+        assert_eq!((held.messages, held.bytes), (trio.messages, trio.bytes));
+        assert_eq!(held.channels_len(), 0);
+        assert!(held.quiescent_check().is_ok());
+        // A reset forgets a held message along with the channels.
+        let epoch = held.epoch();
+        held.charge_send(1, 2, 8);
+        held.reset();
+        assert_eq!(held.epoch(), epoch + 1);
+        assert!(held.quiescent_check().is_ok());
     }
 
     #[test]

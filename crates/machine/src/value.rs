@@ -151,6 +151,16 @@ impl ArrayData {
         }
     }
 
+    /// Empty storage of type `ty` with room for `cap` elements.
+    pub fn with_capacity(ty: ElemType, cap: usize) -> Self {
+        match ty {
+            ElemType::Int => ArrayData::Int(Vec::with_capacity(cap)),
+            ElemType::Real => ArrayData::Real(Vec::with_capacity(cap)),
+            ElemType::Bool => ArrayData::Bool(Vec::with_capacity(cap)),
+            ElemType::Complex => ArrayData::Complex(Vec::with_capacity(cap)),
+        }
+    }
+
     /// Element type of the storage.
     pub fn elem_type(&self) -> ElemType {
         match self {
