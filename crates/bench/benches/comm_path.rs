@@ -25,6 +25,16 @@
 //! * `tree_reduce/fattree256` — one sample is 1000 reductions of one
 //!   REAL per rank over 256 ranks of the 4-ary fat tree, contention on:
 //!   **ms reads as µs per call** (255 messages).
+//! * `reduce/sum_256x256_4x4` — one sample is one runtime `SUM` of a
+//!   256 × 256 `(BLOCK, BLOCK)` REAL array on a 4 × 4 grid (the shape
+//!   the benchmark's `runtime.sum_us` probes, and `stencil-ghost`'s
+//!   checksum): the per-rank folds and the scalar allreduce, **µs per
+//!   call**. `reduce/allreduce_scalar_fattree256` — one sample is 1000
+//!   scalar allreduces over 256 ranks of the 4-ary fat tree, contention
+//!   on (the machine reset every 63, one job's worth): **ms reads as µs
+//!   per call** (255 messages up, 255 down). Both use only APIs that
+//!   predate the run walk, so the function copies into older checkouts
+//!   unchanged.
 //! * `ghost_exchange/{planned,replayed}` — one sample is 1000 ghost
 //!   exchanges at `stencil-ghost`'s shape (a 256 × 256 `(BLOCK, BLOCK)`
 //!   field on a 4 × 4 grid: 64 × 64 segments, `c = ±1` on both
@@ -58,6 +68,7 @@ use std::hint::black_box;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use f90d_comm::helpers::tree_reduce;
 use f90d_comm::redist::redistribute;
+use f90d_comm::reduce::{allreduce_scalar, ReduceOp};
 use f90d_comm::structured::{alloc_slab_tmp, multicast};
 use f90d_comm::{driver, RunSchedules};
 use f90d_distrib::{Dad, DadBuilder, DistKind, ProcGrid};
@@ -65,6 +76,7 @@ use f90d_machine::{
     ArrayData, ElemType, LinkClocks, LocalArray, Machine, MachineSpec, MailboxTransport, Transport,
     Value,
 };
+use f90d_runtime::intrinsics::sum;
 use f90d_runtime::intrinsics::unstructured::transpose;
 use f90d_runtime::DistArray;
 
@@ -173,6 +185,37 @@ fn bench_tree_reduce(c: &mut Criterion) {
                 }
                 let parts = vec![ArrayData::Real(vec![1.0]); 256];
                 black_box(tree_reduce(&mut m, &members, parts, sum).expect("reduces"));
+            }
+        })
+    });
+    g.finish();
+}
+
+fn bench_reduce(c: &mut Criterion) {
+    let mut g = c.benchmark_group("reduce");
+    g.sample_size(20);
+    let n = 256;
+    let mut m = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(&[4, 4]));
+    let kinds = [DistKind::Block, DistKind::Block];
+    let a = DistArray::create(&mut m, "A", ElemType::Real, &[n, n], &kinds);
+    a.fill_with(&mut m, |g| Value::Real(((g[0] * 7 + g[1] * 3) % 64) as f64));
+    g.bench_function("sum_256x256_4x4", |b| {
+        b.iter(|| {
+            m.reset_time();
+            black_box(sum(&mut m, &a))
+        })
+    });
+    let spec = MachineSpec::fat_tree(4, 4).expect("valid fat tree");
+    let mut m = Machine::new(spec, ProcGrid::new(&[256]));
+    g.bench_function("allreduce_scalar_fattree256", |b| {
+        b.iter(|| {
+            for k in 0..PER_SAMPLE {
+                if k % 63 == 0 {
+                    m.reset_time();
+                    m.set_contention(true);
+                }
+                let parts = vec![1.0; 256];
+                black_box(allreduce_scalar(&mut m, ReduceOp::Sum, parts).expect("reduces"));
             }
         })
     });
@@ -322,6 +365,7 @@ criterion_group!(
     benches,
     bench_multicast,
     bench_tree_reduce,
+    bench_reduce,
     bench_ghost_exchange,
     bench_post_complete,
     bench_route_transfer,

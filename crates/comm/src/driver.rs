@@ -444,7 +444,15 @@ impl<'a> GatherRequests<'a> {
                         *dst_off += 1;
                     });
                 }
-                rs.schedule_stmt(m, &at, reqs, self.rows)?
+                let sched = rs.schedule_stmt(m, &at, reqs, self.rows)?;
+                // The sequential buffers are not zeroed: the reads must
+                // fill every slot. A kept schedule was checked here when
+                // it was built, for the same subscript rows.
+                debug_assert!(
+                    fills_every_slot(sched.plan(), &self.counts),
+                    "a gather schedule leaves a sequential-buffer slot unwritten"
+                );
+                sched
             }
         };
         crate::schedule::execute_read(m, &sched, self.src, tmp)
@@ -537,10 +545,12 @@ pub fn scatter(
     crate::schedule::execute_write(m, &sched, &buf, dst)
 }
 
-/// Make `name` on node `mem` a sequential buffer of `n` zeros of type
-/// `ty` (one, when `n` is 0) — the buffer a previous execution left
-/// under that name, zeroed in place, when it has that type and shape,
-/// so a repeat allocates nothing for it.
+/// Make `name` on node `mem` a sequential buffer of `n` elements of
+/// type `ty` (one, when `n` is 0) for an executor that writes every slot
+/// `0..n`: the buffer a previous execution left under that name when it
+/// has that type and shape, so a repeat allocates nothing for it, and a
+/// fresh zeroed one otherwise. Only the placeholder slot of `n = 0`,
+/// which nothing writes, is zeroed again.
 fn seq_buffer<'m>(
     mem: &'m mut NodeMemory,
     name: &str,
@@ -555,8 +565,29 @@ fn seq_buffer<'m>(
         mem.insert_array(name, LocalArray::zeros(ty, &[len]));
     }
     let seq = mem.array_mut(name);
-    seq.data_mut().fill_zero();
+    if n == 0 {
+        seq.data_mut().fill_zero();
+    }
     seq
+}
+
+/// `true` when the reads of `plan` write each rank's sequential-buffer
+/// slots `0..counts[rank]`, each exactly once.
+fn fills_every_slot(plan: &ExchangePlan, counts: &[usize]) -> bool {
+    let starts: Vec<usize> = (counts.iter())
+        .scan(0, |at, &n| Some(std::mem::replace(at, *at + n)))
+        .collect();
+    let mut written = vec![false; counts.iter().sum()];
+    for pair in plan.pairs() {
+        let to = pair.to as usize;
+        for &slot in pair.dsts {
+            let slot = slot as usize;
+            if slot >= counts[to] || std::mem::replace(&mut written[starts[to] + slot], true) {
+                return false;
+            }
+        }
+    }
+    written.iter().all(|&w| w)
 }
 
 /// Subscript `g` (0-based) must lie inside dimension `dim` of `arr`:

@@ -645,17 +645,15 @@ pub fn broadcast_along(
     store(m, root_pos, &payload);
     let bytes = payload.len() as i64 * payload.elem_type().bytes();
     // Every edge carries the same payload, so the buffer one edge
-    // delivered is sent on by the next: one copy of the payload per
-    // call, not one per edge.
-    let mut spare = None;
+    // delivered is sent on by the next: the payload itself travels, and
+    // is never copied.
+    let mut msg = payload;
     for &(s, t) in edges {
         let (from, to) = (members[s], members[t]);
         m.transport.charge_copy(from, bytes);
-        let msg = spare.take().unwrap_or_else(|| payload.clone());
-        let got = m.transport.deliver(from, to, tag, msg)?;
+        msg = m.transport.deliver(from, to, tag, msg)?;
         m.transport.charge_copy(to, bytes);
-        store(m, t, &got);
-        spare = Some(got);
+        store(m, t, &msg);
     }
     Ok(())
 }

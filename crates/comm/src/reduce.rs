@@ -137,14 +137,20 @@ impl ReduceOp {
     }
 }
 
-fn to_payload(v: &[f64]) -> ArrayData {
-    ArrayData::Real(v.to_vec())
+/// `op` folded into the REAL payload `acc` from `x`, slot by slot, in
+/// place.
+fn fold_payload(op: ReduceOp, acc: &mut ArrayData, x: &ArrayData) {
+    match (acc, x) {
+        (ArrayData::Real(a), ArrayData::Real(b)) => op.fold(a, b),
+        _ => unreachable!("reduction payloads are REAL"),
+    }
 }
 
-fn from_payload(d: &ArrayData) -> Vec<f64> {
+/// The elements of REAL payload `d`.
+fn reals(d: &ArrayData) -> &[f64] {
     match d {
-        ArrayData::Real(v) => v.clone(),
-        other => (0..other.len()).map(|k| other.get(k).as_real()).collect(),
+        ArrayData::Real(v) => v,
+        _ => unreachable!("reduction payloads are REAL"),
     }
 }
 
@@ -157,35 +163,37 @@ pub fn allreduce_group(
     op: ReduceOp,
     contributions: Vec<Vec<f64>>,
 ) -> CommResult<Vec<Vec<f64>>> {
-    let payloads: Vec<ArrayData> = contributions.iter().map(|c| to_payload(c)).collect();
-    let results = allreduce_payloads(m, members, payloads, |acc, x| {
-        let mut a = from_payload(acc);
-        op.fold(&mut a, &from_payload(x));
-        *acc = to_payload(&a);
-    })?;
-    let vectors = results.into_iter().map(|d| match d {
-        ArrayData::Real(v) => v,
-        other => from_payload(&other),
-    });
-    Ok(vectors.collect())
+    let payloads = contributions.into_iter().map(ArrayData::Real).collect();
+    let combined = allreduce_payloads(
+        m,
+        members,
+        payloads,
+        |acc, x| fold_payload(op, acc, x),
+        |d| reals(d).to_vec(),
+    )?;
+    Ok(vec![combined; members.len()])
 }
 
 /// The one allreduce tree under every element type: the members'
-/// payloads folded up by `combine`, and the result broadcast back down.
-/// Returns what each member receives, in `members` order.
-fn allreduce_payloads(
+/// payloads folded up toward `members[0]` by `combine`, in place
+/// ([`tree_reduce`]), `read` of the combined payload taken there, and
+/// the payload broadcast back down from `members[0]`
+/// ([`tree_broadcast`]). Every member receives what `read` returns.
+fn allreduce_payloads<R>(
     m: &mut Machine,
     members: &[i64],
     payloads: Vec<ArrayData>,
     combine: impl Fn(&mut ArrayData, &ArrayData),
-) -> CommResult<Vec<ArrayData>> {
+    read: impl FnOnce(&ArrayData) -> R,
+) -> CommResult<R> {
     m.stats.record("reduce");
     assert_eq!(members.len(), payloads.len());
     let combined = tree_reduce(m, members, payloads, combine)?;
+    let result = read(&combined);
     // The broadcast charges the down leg; every member receives the
     // same combined payload, so nothing needs depositing per rank.
-    tree_broadcast(m, members, 0, combined.clone(), |_, _, _| {})?;
-    Ok(vec![combined; members.len()])
+    tree_broadcast(m, members, 0, combined, |_, _, _| {})?;
+    Ok(result)
 }
 
 /// Allreduce over **all** nodes of the machine.
@@ -232,10 +240,18 @@ pub fn allreduce_along_axis(
     Ok(results.into_iter().map(|o| o.unwrap()).collect())
 }
 
-/// Convenience: allreduce a single scalar per node.
+/// Allreduce of one scalar per node: one 8-byte REAL payload per rank,
+/// combined in place up the tree, and the one combined value returned.
 pub fn allreduce_scalar(m: &mut Machine, op: ReduceOp, per_rank: Vec<f64>) -> CommResult<f64> {
-    let contribs = per_rank.into_iter().map(|v| vec![v]).collect();
-    Ok(allreduce(m, op, contribs)?[0][0])
+    let members: Vec<i64> = (0..m.nranks()).collect();
+    let payloads = per_rank.into_iter().map(|v| ArrayData::Real(vec![v]));
+    allreduce_payloads(
+        m,
+        &members,
+        payloads.collect(),
+        |acc, x| fold_payload(op, acc, x),
+        |d| reals(d)[0],
+    )
 }
 
 /// [`allreduce_scalar`] of one INTEGER per node, exact in `i64` (see
@@ -244,27 +260,39 @@ pub fn allreduce_scalar(m: &mut Machine, op: ReduceOp, per_rank: Vec<f64>) -> Co
 pub fn allreduce_int(m: &mut Machine, op: ReduceOp, per_rank: Vec<i64>) -> CommResult<i64> {
     let members: Vec<i64> = (0..m.nranks()).collect();
     let payloads = per_rank.into_iter().map(|v| ArrayData::Int(vec![v]));
-    let results = allreduce_payloads(m, &members, payloads.collect(), |acc, x| {
-        let v = op.combine_int(acc.get(0).as_int(), x.get(0).as_int());
-        acc.set(0, Value::Int(v));
-    })?;
-    Ok(results[0].get(0).as_int())
+    let ints = |d: &ArrayData| match d {
+        ArrayData::Int(v) => v[0],
+        _ => unreachable!("an INTEGER reduction's payloads are INTEGER"),
+    };
+    allreduce_payloads(
+        m,
+        &members,
+        payloads.collect(),
+        |acc, x| {
+            let v = op.combine_int(ints(acc), ints(x));
+            acc.set(0, Value::Int(v));
+        },
+        ints,
+    )
 }
 
-/// Convenience: MAXLOC/MINLOC allreduce of one (value, global index) pair
-/// per node; returns the winning `(value, index)` (replicated logically).
+/// MAXLOC/MINLOC allreduce of one (value, global index) pair per node;
+/// returns the winning `(value, index)` (replicated logically).
 pub fn allreduce_loc(
     m: &mut Machine,
     op: ReduceOp,
     per_rank: Vec<(f64, i64)>,
 ) -> CommResult<(f64, i64)> {
     assert!(op.is_loc());
-    let contribs = per_rank
-        .into_iter()
-        .map(|(v, i)| vec![v, i as f64])
-        .collect();
-    let out = allreduce(m, op, contribs)?;
-    Ok((out[0][0], out[0][1] as i64))
+    let members: Vec<i64> = (0..m.nranks()).collect();
+    let payloads = (per_rank.into_iter()).map(|(v, i)| ArrayData::Real(vec![v, i as f64]));
+    allreduce_payloads(
+        m,
+        &members,
+        payloads.collect(),
+        |acc, x| fold_payload(op, acc, x),
+        |d| (reals(d)[0], reals(d)[1] as i64),
+    )
 }
 
 /// Convert a [`Value`] to its reduction encoding.

@@ -460,7 +460,7 @@ pub fn multicast_shift(
         let mut picks: Vec<(i64, usize)> = Vec::new();
         let mut offsets: Vec<usize> = Vec::new();
         let (mut src_c, mut k) = (coords.clone(), 0);
-        dad.walk(&sets, &seg, |idx, off| {
+        dad.for_each(&sets, &seg, |idx, off| {
             let (g, land) = (idx[shift_dim], lands[k]);
             k += 1;
             let gs = g + s;

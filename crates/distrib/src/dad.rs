@@ -8,10 +8,12 @@
 //!
 //! Which elements a node holds is decided once, here: every dimension's
 //! owned set is a [`Runs`] ([`ArrayDimMap::owned`]), and
-//! [`Dad::for_each_owned`] — over those sets, or [`Dad::walk`] over any
-//! others — is the one product walk every primitive enumerates elements
-//! with, handing each index vector over with its flat offset in a
-//! [`Segment`].
+//! [`Dad::walk`] — over those sets or any others — is the one product
+//! walk every primitive enumerates elements with, an innermost run at a
+//! time ([`OwnedRun`]: a first index vector, a first flat offset in a
+//! [`Segment`], an offset step and a length). [`Dad::for_each_owned`],
+//! [`Dad::for_each`] and [`Dad::offsets`] expand its runs an element at
+//! a time.
 
 use serde::{Deserialize, Serialize};
 
@@ -249,34 +251,62 @@ impl Dad {
     }
 
     /// Visit the elements held by the node at grid `coords` — the
-    /// [`Dad::walk`] of [`Dad::owned`] — in row-major order of increasing
-    /// array index. Returns how many there are.
+    /// [`Dad::for_each`] of [`Dad::owned`] — in row-major order of
+    /// increasing array index. Returns how many there are.
     pub fn for_each_owned(
         &self,
         coords: &[i64],
         seg: &Segment,
         f: impl FnMut(&[i64], usize),
     ) -> usize {
-        self.walk(&self.owned(coords), seg, f)
+        self.for_each(&self.owned(coords), seg, f)
     }
 
     /// The flat offsets in `seg` [`Dad::walk`] visits over `sets`, in
     /// its order.
     pub fn offsets(&self, sets: &[Runs], seg: &Segment) -> Vec<usize> {
         let mut offs = Vec::with_capacity(sets.iter().map(Runs::len).product());
-        self.walk(sets, seg, |_, off| offs.push(off));
+        self.walk(sets, seg, |_, run| offs.extend(run.offsets()));
         offs
+    }
+
+    /// [`Dad::walk`] an element at a time: `f(index, offset)` with each
+    /// index vector of the row-major product of `sets` and its flat
+    /// offset in `seg`. The index vector is the walk's own buffer, so
+    /// nothing is allocated per element. Returns how many elements it
+    /// visited.
+    pub fn for_each(
+        &self,
+        sets: &[Runs],
+        seg: &Segment,
+        mut f: impl FnMut(&[i64], usize),
+    ) -> usize {
+        self.runs(sets, seg, |index, run| {
+            f(index, run.first);
+            for k in 1..run.len {
+                index[run.dim] += run.index_step;
+                f(index, run.offset(k));
+            }
+        })
     }
 
     /// The one product walk: visit the row-major product of `sets` — per
     /// dimension, array indices one grid coordinate holds, in
-    /// increasing order — calling `f(index, offset)` with each index
-    /// vector and its flat offset in `seg`, a dimension's local index
-    /// being [`ArrayDimMap::locals`] of its run. The offset moves by one
-    /// precomputed step per element and the index vector is a buffer
-    /// reused from element to element: nothing is allocated per element.
+    /// increasing order — an innermost run at a time, calling `f(index,
+    /// run)` with the index vector of the run's first element and the
+    /// run's place in `seg` ([`OwnedRun`]), a dimension's local index
+    /// being [`ArrayDimMap::locals`] of its run. Along a run the offset
+    /// moves by one step, so a caller folds it straight off the
+    /// segment's slice. Nothing is allocated per run or element.
     /// Returns how many elements it visited.
-    pub fn walk(&self, sets: &[Runs], seg: &Segment, mut f: impl FnMut(&[i64], usize)) -> usize {
+    pub fn walk(&self, sets: &[Runs], seg: &Segment, mut f: impl FnMut(&[i64], OwnedRun)) -> usize {
+        self.runs(sets, seg, |index, run| f(index, run))
+    }
+
+    /// [`Dad::walk`], lending `f` the index buffer: it may move the run's
+    /// own dimension (`index[run.dim]`), which the walk sets again before
+    /// the next run, and no other.
+    fn runs(&self, sets: &[Runs], seg: &Segment, mut f: impl FnMut(&mut [i64], OwnedRun)) -> usize {
         debug_assert_eq!(sets.len(), self.rank());
         if sets.iter().any(Runs::is_empty) {
             return 0;
@@ -303,7 +333,14 @@ impl Dad {
         // last holding more than one element — those after it hold one
         // each, so their index and offset share never move.
         let Some(last) = sets.len().checked_sub(1) else {
-            f(&[], 0);
+            let run = OwnedRun {
+                dim: 0,
+                index_step: 0,
+                first: 0,
+                step: 0,
+                len: 1,
+            };
+            f(&mut [], run);
             return 1;
         };
         let inner = (0..=last)
@@ -315,12 +352,18 @@ impl Dad {
         let mut off: i64 = at.iter().map(|c| c.base).sum();
         let mut visited = 0;
         loop {
-            // The innermost dimension's run, element by element.
-            let (run, step) = (sets[inner].runs()[at[inner].run], at[inner].step);
-            for k in 0..run.len {
-                index[inner] = run.get(k);
-                f(&index, (off + k as i64 * step) as usize);
-            }
+            // The innermost dimension's run, whole.
+            let run = sets[inner].runs()[at[inner].run];
+            f(
+                &mut index,
+                OwnedRun {
+                    dim: inner,
+                    index_step: run.stride,
+                    first: off as usize,
+                    step: at[inner].step,
+                    len: run.len,
+                },
+            );
             visited += run.len;
             // Advance row-major: the innermost dimension a run at a
             // time, the outer ones an element at a time.
@@ -351,6 +394,44 @@ impl Dad {
                 d -= 1;
             }
         }
+    }
+}
+
+/// One innermost run of a [`Dad::walk`]: `len` elements along dimension
+/// `dim`, the array index moving by `index_step` and the flat offset by
+/// `step` from one to the next. Under a negative alignment stride the
+/// offsets descend while the indices ascend.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OwnedRun {
+    /// The dimension the run moves along.
+    pub dim: usize,
+    /// Array index step along `dim` from one element to the next.
+    pub index_step: i64,
+    /// Flat offset of the run's first element.
+    pub first: usize,
+    /// Flat offset step from one element to the next.
+    pub step: i64,
+    /// Number of elements, at least one.
+    pub len: usize,
+}
+
+impl OwnedRun {
+    /// Flat offset of element `k` of the run.
+    #[inline]
+    pub fn offset(&self, k: usize) -> usize {
+        (self.first as i64 + k as i64 * self.step) as usize
+    }
+
+    /// The run's flat offsets, in order.
+    pub fn offsets(self) -> impl Iterator<Item = usize> {
+        (0..self.len).map(move |k| self.offset(k))
+    }
+
+    /// The run's elements in `data`, in order, when their offsets step
+    /// by one: a slice to fold straight off.
+    #[inline]
+    pub fn contiguous<'a, T>(&self, data: &'a [T]) -> Option<&'a [T]> {
+        (self.step == 1 || self.len == 1).then(|| &data[self.first..self.first + self.len])
     }
 }
 

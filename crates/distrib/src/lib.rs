@@ -23,8 +23,9 @@
 //! a global iteration range `(glb, gub, gst)` into each processor's local
 //! ranges `(llb, lub, lst)` — a [`Runs`], the one representation of an
 //! owned or iterated index set — masking processors with no work.
-//! [`Dad::for_each_owned`] walks the product of a node's per-dimension
-//! owned sets, the one element walk of the run-time primitives.
+//! [`Dad::walk`] walks the product of a node's per-dimension owned sets an
+//! innermost run at a time, the one element walk of the run-time
+//! primitives; [`Dad::for_each_owned`] expands it an element at a time.
 //!
 //! All indices in this crate are **0-based**; the front end converts from
 //! Fortran's 1-based (or declared-bound) indexing before any of this math
@@ -41,7 +42,7 @@ pub mod template;
 
 pub use align::{AlignExpr, Alignment, AxisAlign};
 pub use bounds::{owned_cells, set_bound, Progression, Runs};
-pub use dad::{row_major_strides, ArrayDimMap, Dad, DadBuilder, Locator, Segment};
+pub use dad::{row_major_strides, ArrayDimMap, Dad, DadBuilder, Locator, OwnedRun, Segment};
 pub use dist::{DimDist, DistKind, Mu};
 pub use grid::{GridEmbedding, ProcGrid};
 pub use template::Template;

@@ -3,7 +3,8 @@
 //! iteration spaces exactly and disjointly for every distribution kind —
 //! in maximal runs, equal to the reference walk — an array dimension's
 //! owned runs are the slot-by-slot filter they replaced, and the product
-//! walk visits row-major in increasing array index.
+//! walk visits row-major in increasing array index — its runs, expanded,
+//! being the elements one at a time.
 
 use f90d_distrib::bounds::set_bound_reference;
 use f90d_distrib::{
@@ -11,6 +12,7 @@ use f90d_distrib::{
     DistKind, ProcGrid, Runs, Segment, Template,
 };
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 /// BLOCK, CYCLIC, CYCLIC(1..4) — CYCLIC(1) is CYCLIC — or collapsed.
 fn any_kind() -> impl Strategy<Value = DistKind> {
@@ -110,6 +112,58 @@ fn owned_by_filter(dm: &ArrayDimMap, p: i64) -> Vec<i64> {
         owned.reverse();
     }
     owned
+}
+
+/// The elements the node at grid `rank` holds, one at a time: every
+/// array index in row-major order, kept when `is_owner`, with the offset
+/// of its local index vector in `seg`.
+fn held_one_at_a_time(dad: &Dad, rank: i64, seg: &Segment) -> Vec<(Vec<i64>, usize)> {
+    let mut held = Vec::new();
+    let size = dad.size().max(0);
+    for flat in 0..size {
+        let mut rest = flat;
+        let mut g = vec![0; dad.rank()];
+        for d in (0..dad.rank()).rev() {
+            g[d] = rest % dad.shape[d];
+            rest /= dad.shape[d];
+        }
+        if dad.is_owner(rank, &g) {
+            held.push((g.clone(), seg.offset(&dad.local_index(&g))));
+        }
+    }
+    held
+}
+
+/// `Dad::walk`'s runs over the node at `rank`, each expanded an element
+/// at a time by its index and offset steps, against the elements one at
+/// a time, `for_each_owned` and `offsets`. Returns how many elements the
+/// node holds.
+fn check_run_walk(dad: &Dad, rank: i64, seg: &Segment) -> Result<usize, TestCaseError> {
+    let coords = dad.grid.coords_of(rank);
+    let owned = dad.owned(&coords);
+    let mut expanded: Vec<(Vec<i64>, usize)> = Vec::new();
+    let mut bad_run = None;
+    let n = dad.walk(&owned, seg, |index, run| {
+        if run.len == 0 || run.dim >= index.len().max(1) {
+            bad_run = Some(run);
+        }
+        for k in 0..run.len {
+            let mut g = index.to_vec();
+            if let Some(at) = g.get_mut(run.dim) {
+                *at += k as i64 * run.index_step;
+            }
+            expanded.push((g, run.offset(k)));
+        }
+    });
+    prop_assert_eq!(bad_run, None);
+    prop_assert_eq!(n, expanded.len());
+    prop_assert_eq!(&expanded, &held_one_at_a_time(dad, rank, seg));
+    let mut elements = Vec::new();
+    dad.for_each_owned(&coords, seg, |g, off| elements.push((g.to_vec(), off)));
+    prop_assert_eq!(&elements, &expanded);
+    let offsets: Vec<usize> = expanded.iter().map(|e| e.1).collect();
+    prop_assert_eq!(dad.offsets(&owned, seg), offsets);
+    Ok(n)
 }
 
 fn dist_kind() -> impl Strategy<Value = DistKind> {
@@ -335,6 +389,64 @@ proptest! {
             prop_assert_eq!(n, want);
             prop_assert!(seen.windows(2).all(|w| w[0] < w[1]), "not row-major");
             prop_assert!(seen.iter().all(|g| dad.is_owner(rank, g)));
+        }
+    }
+
+    /// `Dad::walk`, its runs expanded, visits exactly the elements one at
+    /// a time — the same index vectors and offsets, in the same order —
+    /// and `for_each_owned` and `offsets` are that expansion: 1-D to 3-D,
+    /// every kind (CYCLIC(K) included), alignment strides of either
+    /// sign, ghost-padded segments and ranks that own nothing.
+    #[test]
+    fn the_run_walk_expanded_is_the_element_walk(
+        cases in (dim_case(), dim_case(), dim_case()),
+        rank in 1usize..4,
+        procs in (1i64..5, 1i64..5, 1i64..5),
+        ghost in (0i64..3, 0i64..3),
+    ) {
+        let dad = dad_of(&[cases.0, cases.1, cases.2][..rank], &[procs.0, procs.1, procs.2]);
+        let (lo, hi) = (vec![ghost.0; dad.rank()], vec![ghost.1; dad.rank()]);
+        let seg = Segment::padded(&dad.local_shape(), &lo, &hi);
+        for r in 0..dad.grid.size() {
+            check_run_walk(&dad, r, &seg)?;
+        }
+    }
+}
+
+/// The layouts the run walk is most likely to get wrong, named: a
+/// CYCLIC(3) dimension aligned at stride −2 (offsets descending along
+/// ascending indices), a BLOCK dimension whose last grid coordinate owns
+/// nothing, ghost cells on both sides.
+#[test]
+fn the_run_walk_covers_negative_strides_cyclic_ghosts_and_empty_ranks() {
+    let cyclic3 = DimCase {
+        kind: DistKind::BlockCyclic(3),
+        extent: 11,
+        stride: -2,
+        lead: 1,
+        tail: 2,
+    };
+    let short_block = DimCase {
+        kind: DistKind::Block,
+        extent: 5,
+        stride: 1,
+        lead: 0,
+        tail: 0,
+    };
+    for cases in [
+        vec![cyclic3],
+        vec![cyclic3, short_block],
+        vec![short_block, cyclic3],
+    ] {
+        let dad = dad_of(&cases, &[4, 4]);
+        let ghosts = vec![2; dad.rank()];
+        let seg = Segment::padded(&dad.local_shape(), &ghosts, &[1; 2][..dad.rank()]);
+        let held: Vec<usize> = (0..dad.grid.size())
+            .map(|r| check_run_walk(&dad, r, &seg).unwrap_or_else(|e| panic!("{cases:?}: {e:?}")))
+            .collect();
+        assert_eq!(held.iter().sum::<usize>() as i64, dad.size(), "{cases:?}");
+        if cases.len() == 2 {
+            assert!(held.contains(&0), "{cases:?}: a rank owns nothing");
         }
     }
 }

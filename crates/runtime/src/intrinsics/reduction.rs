@@ -9,68 +9,119 @@
 use f90d_comm::reduce::{
     allreduce_along_axis, allreduce_int, allreduce_loc, allreduce_scalar, encode_value, ReduceOp,
 };
-use f90d_distrib::{row_major_strides, Dad, Locator, Runs};
+use f90d_distrib::{row_major_strides, Dad, Locator, OwnedRun, Runs};
 use f90d_machine::{ArrayData, LocalArray, Machine, Value};
 
 use crate::array::{flatten, DistArray};
 
 /// Per-rank partial over canonically-owned elements: `op` folded from
-/// its identity over the rank's elements in [`Dad::for_each_owned`]
-/// order, strictly left to right. `logical` selects how an element
-/// becomes the `f64` the reduction runs in: [`encode_value`] (a LOGICAL
-/// counts 1.0 when true) or `Value::as_real`.
+/// its identity over the rank's elements in [`Dad::walk`] order
+/// (row-major, increasing global index), strictly left to right, a run
+/// at a time. `logical` selects how an element becomes the `f64` the
+/// reduction runs in: [`encode_value`] (a LOGICAL counts 1.0 when true)
+/// or `Value::as_real`.
 fn local_partial(m: &mut Machine, a: &DistArray, op: ReduceOp, logical: bool) -> Vec<f64> {
-    partials(m, a, op.identity(), |arr, offs| {
-        fold_owned(arr, offs, op, logical)
-    })
+    fn with(
+        m: &mut Machine,
+        a: &DistArray,
+        op: ReduceOp,
+        logical: bool,
+        combine: impl Fn(f64, f64) -> f64 + Copy,
+    ) -> Vec<f64> {
+        partials(m, a, op.identity(), |acc, arr, run| {
+            fold_run(acc, arr, run, logical, combine)
+        })
+    }
+    // `ReduceOp::combine`, one operator at a time, so that no element
+    // pays for matching it.
+    match op {
+        ReduceOp::Sum => with(m, a, op, logical, |x, y| x + y),
+        ReduceOp::Prod => with(m, a, op, logical, |x, y| x * y),
+        ReduceOp::Max => with(m, a, op, logical, f64::max),
+        ReduceOp::Min => with(m, a, op, logical, f64::min),
+        _ => with(m, a, op, logical, move |x, y| op.combine(x, y)),
+    }
 }
 
 /// [`local_partial`] of an INTEGER array, exact in `i64`.
 fn local_partial_int(m: &mut Machine, a: &DistArray, op: ReduceOp) -> Vec<i64> {
-    partials(m, a, op.identity_int(), |arr, offs| {
-        let at = |off: usize| arr.get_flat(off).as_int();
-        (offs.iter()).fold(op.identity_int(), |acc, &off| op.combine_int(acc, at(off)))
+    partials(m, a, op.identity_int(), |acc, arr, run| match arr.data() {
+        ArrayData::Int(data) if arr.is_materialized() => {
+            fold_slice(acc, data, run, |&x| x, |x, y| op.combine_int(x, y))
+        }
+        _ => (run.offsets()).fold(acc, |x, off| op.combine_int(x, arr.get_flat(off).as_int())),
     })
 }
 
-/// Per rank, `fold` of the offsets of the elements its segment owns in
-/// [`Dad::for_each_owned`] order (row-major, increasing global index) —
-/// or `identity` on a rank holding a replicated copy that is not the
-/// canonical one.
-fn partials<T: Clone>(
+/// Per rank, `fold` of the runs of the elements its segment owns in
+/// [`Dad::walk`] order, from `identity` — or `identity` on a rank
+/// holding a replicated copy that is not the canonical one. Charges one
+/// element operation per element folded.
+fn partials<T: Copy>(
     m: &mut Machine,
     a: &DistArray,
     identity: T,
-    fold: impl Fn(&LocalArray, &[usize]) -> T,
+    mut fold: impl FnMut(T, &LocalArray, OwnedRun) -> T,
 ) -> Vec<T> {
     let mut partials = Vec::with_capacity(m.nranks() as usize);
     for rank in 0..m.nranks() {
         let coords = m.grid.coords_of(rank);
         if a.dad.replicated_axes.iter().any(|&ax| coords[ax] != 0) {
-            partials.push(identity.clone());
+            partials.push(identity);
             continue;
         }
         let arr = m.mems[rank as usize].array(&a.name);
-        let offs = a.dad.offsets(&a.dad.owned(&coords), &arr.segment());
-        partials.push(fold(arr, &offs));
-        m.transport.charge_elem_ops(rank, offs.len() as i64);
+        let mut acc = identity;
+        let n = (a.dad).walk(&a.dad.owned(&coords), &arr.segment(), |_, run| {
+            acc = fold(acc, arr, run);
+        });
+        partials.push(acc);
+        m.transport.charge_elem_ops(rank, n as i64);
     }
     partials
 }
 
-/// `op` folded over the elements of segment `arr` at `offs`. The element
-/// type is matched once: REAL and INTEGER segments fold from the raw
-/// slice; LOGICAL and COMPLEX ones, and a lazy segment nothing has
-/// written yet (every element reads as zero), one `Value` at a time.
-fn fold_owned(arr: &LocalArray, offs: &[usize], op: ReduceOp, logical: bool) -> f64 {
-    fn fold(offs: &[usize], op: ReduceOp, at: impl Fn(usize) -> f64) -> f64 {
-        (offs.iter()).fold(op.identity(), |acc, &off| op.combine(acc, at(off)))
-    }
+/// `combine` folded from `acc` over the elements of segment `arr` on
+/// `run`. REAL, INTEGER and (when `logical`) LOGICAL segments fold from
+/// the raw slice; COMPLEX ones, and a lazy segment nothing has written
+/// yet (every element reads as zero), one `Value` at a time.
+#[inline]
+fn fold_run(
+    acc: f64,
+    arr: &LocalArray,
+    run: OwnedRun,
+    logical: bool,
+    combine: impl Fn(f64, f64) -> f64,
+) -> f64 {
+    let written = arr.is_materialized();
     match arr.data() {
-        ArrayData::Real(data) if arr.is_materialized() => fold(offs, op, |off| data[off]),
-        ArrayData::Int(data) if arr.is_materialized() => fold(offs, op, |off| data[off] as f64),
-        _ if logical => fold(offs, op, |off| encode_value(arr.get_flat(off))),
-        _ => fold(offs, op, |off| arr.get_flat(off).as_real()),
+        ArrayData::Real(data) if written => fold_slice(acc, data, run, |&x| x, combine),
+        ArrayData::Int(data) if written => fold_slice(acc, data, run, |&x| x as f64, combine),
+        ArrayData::Bool(data) if written && logical => {
+            fold_slice(acc, data, run, |&b| f64::from(u8::from(b)), combine)
+        }
+        _ if logical => {
+            (run.offsets()).fold(acc, |x, off| combine(x, encode_value(arr.get_flat(off))))
+        }
+        _ => (run.offsets()).fold(acc, |x, off| combine(x, arr.get_flat(off).as_real())),
+    }
+}
+
+/// `combine` folded from `acc` over `run`'s elements of `data`, each
+/// `read`: straight along the slice when the run is contiguous.
+#[inline]
+fn fold_slice<T, X, A>(
+    acc: A,
+    data: &[T],
+    run: OwnedRun,
+    read: impl Fn(&T) -> X,
+    combine: impl Fn(A, X) -> A,
+) -> A {
+    match run.contiguous(data) {
+        Some(xs) => xs.iter().fold(acc, |acc, x| combine(acc, read(x))),
+        None => run
+            .offsets()
+            .fold(acc, |acc, off| combine(acc, read(&data[off]))),
     }
 }
 
@@ -124,10 +175,21 @@ pub fn any(m: &mut Machine, mask: &DistArray) -> bool {
     allreduce_scalar(m, ReduceOp::Or, p).expect("collective is internally matched") != 0.0
 }
 
-/// `DOTPRODUCT(a, b)` of two conforming 1-D arrays with identical
-/// mappings: local multiply-accumulate, then one tree reduction.
+/// `DOTPRODUCT(a, b)` of two conforming arrays: local multiply-accumulate
+/// over `a`'s owned elements, each times `b`'s element of the same index
+/// in the same rank's segment of `b`, then one tree reduction.
 pub fn dotproduct(m: &mut Machine, a: &DistArray, b: &DistArray) -> f64 {
+    let partials = dot_partials(m, a, b);
+    allreduce_scalar(m, ReduceOp::Sum, partials).expect("collective is internally matched")
+}
+
+/// The per-rank partials of [`dotproduct`]: `acc += x * y` from 0.0 in
+/// [`Dad::walk`] order of `a`, charging two element operations per
+/// element. Where `b` is mapped as `a` is, its offsets move along each
+/// of `a`'s runs by `a`'s local step; otherwise each is located.
+fn dot_partials(m: &mut Machine, a: &DistArray, b: &DistArray) -> Vec<f64> {
     assert_eq!(a.shape(), b.shape(), "DOTPRODUCT operands must conform");
+    let same = a.dad.dims == b.dad.dims;
     let mut partials = Vec::with_capacity(m.nranks() as usize);
     for rank in 0..m.nranks() {
         let coords = m.grid.coords_of(rank);
@@ -136,15 +198,62 @@ pub fn dotproduct(m: &mut Machine, a: &DistArray, b: &DistArray) -> f64 {
         if canonical {
             let mem = &m.mems[rank as usize];
             let (aa, bb) = (mem.array(&a.name), mem.array(&b.name));
+            let (sa, sb) = (aa.segment(), bb.segment());
             let at_b = Locator::new(&b.dad, &bb.shape, &bb.ghost_lo, &bb.ghost_hi);
-            let n = a.dad.for_each_owned(&coords, &aa.segment(), |g, off| {
-                acc += aa.get_flat(off).as_real() * bb.get_flat(at_b.locate(g).1).as_real();
-            });
+            let (x, y) = (Reals::of(aa), Reals::of(bb));
+            let owned = a.dad.owned(&coords);
+            let n = if same {
+                a.dad.walk(&owned, &sa, |index, run| {
+                    // `b`'s local index moves as `a`'s does: by the same
+                    // local step, times `b`'s stride.
+                    let step = match run.len {
+                        1 => 0,
+                        _ => run.step / sa.strides[run.dim] * sb.strides[run.dim],
+                    };
+                    let along_b = OwnedRun {
+                        first: at_b.locate(index).1,
+                        step,
+                        ..run
+                    };
+                    for k in 0..run.len {
+                        acc += x.at(run.offset(k)) * y.at(along_b.offset(k));
+                    }
+                })
+            } else {
+                (a.dad).for_each(&owned, &sa, |g, off| {
+                    acc += x.at(off) * y.at(at_b.locate(g).1);
+                })
+            };
             m.transport.charge_elem_ops(rank, 2 * n as i64);
         }
         partials.push(acc);
     }
-    allreduce_scalar(m, ReduceOp::Sum, partials).expect("collective is internally matched")
+    partials
+}
+
+/// A segment's elements read as REAL: off the raw slice of a written
+/// REAL segment, one `Value` at a time otherwise.
+#[derive(Clone, Copy)]
+enum Reals<'a> {
+    Slice(&'a [f64]),
+    Values(&'a LocalArray),
+}
+
+impl<'a> Reals<'a> {
+    fn of(arr: &'a LocalArray) -> Self {
+        match arr.data() {
+            ArrayData::Real(data) if arr.is_materialized() => Reals::Slice(data),
+            _ => Reals::Values(arr),
+        }
+    }
+
+    #[inline]
+    fn at(self, off: usize) -> f64 {
+        match self {
+            Reals::Slice(data) => data[off],
+            Reals::Values(arr) => arr.get_flat(off).as_real(),
+        }
+    }
 }
 
 fn loc_reduce(m: &mut Machine, a: &DistArray, op: ReduceOp) -> Vec<i64> {
@@ -238,7 +347,7 @@ pub fn reduce_dim(m: &mut Machine, a: &DistArray, dst: &DistArray, dim: usize, o
             .product();
         let mut partial = vec![op.identity(); slots];
         let mut k = 0;
-        a.dad.walk(&owned, &arr.segment(), |_, off| {
+        a.dad.for_each(&owned, &arr.segment(), |_, off| {
             let slot = &mut partial[k / (red * inner) * inner + k % inner];
             let mut acc = [*slot];
             op.fold(&mut acc, &[encode_value(arr.get_flat(off))]);
@@ -372,11 +481,122 @@ mod tests {
         partials
     }
 
-    /// All seven reductions × REAL / INTEGER / LOGICAL × a `(BLOCK,
-    /// BLOCK)` array with ghost cells, a `(CYCLIC(3), CYCLIC(3))` one, a
-    /// vector replicated along a grid axis and a lazy segment nothing
-    /// has written: every rank's partial and every rank's clock are the
-    /// per-element fold's, bit for bit.
+    /// [`local_partial_int`]'s oracle: one `Value` per element through
+    /// `for_each_owned`, combined exactly in `i64`.
+    fn local_partial_int_oracle(m: &mut Machine, a: &DistArray, op: ReduceOp) -> Vec<i64> {
+        let mut partials = Vec::with_capacity(m.nranks() as usize);
+        for rank in 0..m.nranks() {
+            let coords = m.grid.coords_of(rank);
+            let canonical = !a.dad.replicated_axes.iter().any(|&ax| coords[ax] != 0);
+            let mut acc = op.identity_int();
+            if canonical {
+                let arr = m.mems[rank as usize].array(&a.name);
+                let n = a.dad.for_each_owned(&coords, &arr.segment(), |_, off| {
+                    acc = op.combine_int(acc, arr.get_flat(off).as_int());
+                });
+                m.transport.charge_elem_ops(rank, n as i64);
+            }
+            partials.push(acc);
+        }
+        partials
+    }
+
+    /// [`dot_partials`]' oracle: `acc += x * y` per element through
+    /// `for_each_owned` of `a`, `b`'s element located.
+    fn dot_partials_oracle(m: &mut Machine, a: &DistArray, b: &DistArray) -> Vec<f64> {
+        let mut partials = Vec::with_capacity(m.nranks() as usize);
+        for rank in 0..m.nranks() {
+            let coords = m.grid.coords_of(rank);
+            let canonical = !a.dad.replicated_axes.iter().any(|&ax| coords[ax] != 0);
+            let mut acc = 0.0;
+            if canonical {
+                let mem = &m.mems[rank as usize];
+                let (aa, bb) = (mem.array(&a.name), mem.array(&b.name));
+                let at_b = Locator::new(&b.dad, &bb.shape, &bb.ghost_lo, &bb.ghost_hi);
+                let n = a.dad.for_each_owned(&coords, &aa.segment(), |g, off| {
+                    acc += aa.get_flat(off).as_real() * bb.get_flat(at_b.locate(g).1).as_real();
+                });
+                m.transport.charge_elem_ops(rank, 2 * n as i64);
+            }
+            partials.push(acc);
+        }
+        partials
+    }
+
+    /// REAL partials by their bits, so that `-0.0` and NaNs compare.
+    fn bits(partials: Vec<f64>) -> Vec<u64> {
+        partials.into_iter().map(f64::to_bits).collect()
+    }
+
+    /// Every rank's partial and clock after `got`, against those after
+    /// `want`, each run from a reset machine, bit for bit.
+    fn same_partials_and_clocks<T: std::fmt::Debug + PartialEq>(
+        m: &mut Machine,
+        label: &str,
+        want: impl FnOnce(&mut Machine) -> Vec<T>,
+        got: impl FnOnce(&mut Machine) -> Vec<T>,
+    ) {
+        m.reset_time();
+        let want = want(m);
+        let clocks: Vec<u64> = (0..m.nranks())
+            .map(|r| m.transport.clock(r).to_bits())
+            .collect();
+        m.reset_time();
+        let got = got(m);
+        assert_eq!(got, want, "{label}");
+        for (rank, &clock) in clocks.iter().enumerate() {
+            assert_eq!(
+                m.transport.clock(rank as i64).to_bits(),
+                clock,
+                "{label}: element-op charge on rank {rank}"
+            );
+        }
+    }
+
+    /// The descriptor of `name`, `shape` distributed `kinds` on `grid`,
+    /// its first dimension aligned at stride `stride` (reversed, when
+    /// negative) into a template with one cell of slack on each side.
+    fn layout(name: &str, shape: &[i64], kinds: &[DistKind], stride: i64, grid: &ProcGrid) -> Dad {
+        use f90d_distrib::{AlignExpr, Alignment, AxisAlign, Template};
+        let span = stride.abs() * (shape[0] - 1);
+        let offset = if stride > 0 { 1 } else { span + 1 };
+        let mut extents = shape.to_vec();
+        extents[0] = span + 3;
+        let axes = (0..shape.len())
+            .map(|d| AxisAlign::Aligned {
+                template_dim: d,
+                expr: if d == 0 {
+                    AlignExpr::new(stride, offset)
+                } else {
+                    AlignExpr::new(1, 0)
+                },
+            })
+            .collect();
+        f90d_distrib::DadBuilder::new(name, shape)
+            .template(Template::new("T", &extents))
+            .align(Alignment {
+                axes,
+                replicated_template_dims: vec![],
+            })
+            .distribute(kinds)
+            .grid(grid.clone())
+            .build()
+            .unwrap()
+    }
+
+    /// All seven reductions × REAL / INTEGER / LOGICAL, and the INTEGER
+    /// forms and DOTPRODUCT, × a `(BLOCK, BLOCK)` array with ghost cells,
+    /// a `(CYCLIC(3), CYCLIC(3))` one with its rows aligned at stride −2,
+    /// a CYCLIC(3) vector aligned at stride −2 and replicated along a
+    /// grid axis (offsets that descend along each run), a `(BLOCK,
+    /// BLOCK)` array one row high (the second grid row owns nothing), one
+    /// column wide and aligned at stride −1 (runs down the column, whose
+    /// offset step is the row stride, descending) and a lazy segment
+    /// nothing has written: every rank's partial and every rank's clock
+    /// are the per-element fold's, bit for bit. INTEGER values sit near
+    /// `i64::MAX`, so their sums and products wrap. DOTPRODUCT pairs the
+    /// array with one of its mapping and other ghost widths (another row
+    /// stride), and with one mapped otherwise.
     #[test]
     fn typed_partials_equal_the_per_element_fold() {
         // (op, LOGICAL encoding) of SUM, PRODUCT, MAXVAL, MINVAL, COUNT,
@@ -390,33 +610,41 @@ mod tests {
             (ReduceOp::And, true),
             (ReduceOp::Or, true),
         ];
-        let bc3 = DistKind::BlockCyclic(3);
-        let layouts: [(&[i64], &[DistKind], i64); 3] = [
-            (&[7, 10], &[DistKind::Block, DistKind::Block], 1),
-            (&[7, 10], &[bc3, bc3], 0),
-            (&[11], &[bc3], 0), // replicated along grid axis 1
+        let integer = [ReduceOp::Sum, ReduceOp::Prod, ReduceOp::Max, ReduceOp::Min];
+        let (block, bc3) = (DistKind::Block, DistKind::BlockCyclic(3));
+        // (shape, kinds, alignment stride of the first dimension, ghost)
+        let layouts: [(&[i64], &[DistKind], i64, i64); 5] = [
+            (&[7, 10], &[block, block], 1, 1),
+            (&[7, 10], &[bc3, bc3], -2, 0),
+            (&[11], &[bc3], -2, 0), // replicated along grid axis 1
+            (&[1, 10], &[block, block], 1, 1),
+            (&[10, 1], &[block, block], -1, 1),
         ];
+        let element = |ty: ElemType, g: &[i64]| {
+            let x = g.iter().fold(3, |x, &i| x * 10 + i);
+            match ty {
+                // Sums that depend on the order of the adds.
+                ElemType::Real if x % 3 == 0 => Value::Real(1e16 - x as f64),
+                ElemType::Real => Value::Real(0.1 * x as f64 - 1e16),
+                // Sums and products that wrap.
+                ElemType::Int => Value::Int(i64::MAX - x % 7 * (1 << 60)),
+                _ => Value::Bool(x % 5 != 0),
+            }
+        };
         for ty in [ElemType::Real, ElemType::Int, ElemType::Bool] {
-            for (shape, kinds, ghost) in layouts {
+            for (shape, kinds, stride, ghost) in layouts {
                 for written in [true, false] {
                     let mut m = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(&[2, 2]));
-                    let dad = f90d_distrib::DadBuilder::new("A", shape)
-                        .distribute(kinds)
-                        .grid(m.grid.clone())
-                        .build()
-                        .unwrap();
-                    let a = DistArray::from_dad(&mut m, "A", ty, dad, ghost);
+                    let dad = layout("A", shape, kinds, stride, &m.grid);
+                    let a = DistArray::from_dad(&mut m, "A", ty, dad.clone(), ghost);
+                    let b = DistArray::from_dad(&mut m, "B", ty, dad, ghost + 1);
+                    let other: Vec<DistKind> = kinds.iter().rev().copied().collect();
+                    let c_dad = layout("C", shape, &other, 1, &m.grid);
+                    let c = DistArray::from_dad(&mut m, "C", ty, c_dad, 0);
                     if written {
-                        a.fill_with(&mut m, |g| {
-                            let x = g.iter().fold(3, |x, &i| x * 10 + i);
-                            match ty {
-                                // Sums that depend on the order of the adds.
-                                ElemType::Real if x % 3 == 0 => Value::Real(1e16 - x as f64),
-                                ElemType::Real => Value::Real(0.1 * x as f64 - 1e16),
-                                ElemType::Int => Value::Int(x % 7 - 3),
-                                _ => Value::Bool(x % 5 != 0),
-                            }
-                        });
+                        for arr in [&a, &b, &c] {
+                            arr.fill_with(&mut m, |g| element(ty, g));
+                        }
                     } else {
                         for mem in &mut m.mems {
                             let seg = mem.array("A");
@@ -429,39 +657,71 @@ mod tests {
                             mem.insert_array("A", lazy);
                         }
                     }
+                    let case = format!("{ty:?} {kinds:?} stride {stride} written={written}");
+                    if stride < 0 && shape[1..].iter().all(|&e| e == 1) {
+                        let descends = (0..m.nranks()).any(|r| {
+                            let seg = m.mems[r as usize].array("A").segment();
+                            let mut down = false;
+                            let owned = a.dad.owned(&m.grid.coords_of(r));
+                            a.dad
+                                .walk(&owned, &seg, |_, run| down |= run.len > 1 && run.step < 0);
+                            down
+                        });
+                        assert!(descends, "{case}: offsets descend along a run");
+                    }
                     for (op, logical) in reductions {
                         if ty == ElemType::Bool && !logical {
                             continue; // a LOGICAL in a numeric reduction is a compiler bug
                         }
-                        let label = format!("{ty:?} {kinds:?} written={written} {op:?}");
-                        m.reset_time();
-                        let want = if logical {
-                            local_partial_oracle(&mut m, &a, op, encode_value)
-                        } else {
-                            local_partial_oracle(&mut m, &a, op, |v| v.as_real())
-                        };
-                        let clocks: Vec<u64> = (0..m.nranks())
-                            .map(|r| m.transport.clock(r).to_bits())
-                            .collect();
-                        m.reset_time();
-                        let got = local_partial(&mut m, &a, op, logical);
-                        for rank in 0..m.nranks() as usize {
-                            assert_eq!(got[rank].to_bits(), want[rank].to_bits(), "{label}");
-                            assert_eq!(
-                                m.transport.clock(rank as i64).to_bits(),
-                                clocks[rank],
-                                "{label}: element-op charge"
-                            );
-                        }
-                        assert_eq!(
-                            m.mems[0].array("A").is_materialized(),
-                            written,
-                            "{label}: reading allocates nothing"
+                        same_partials_and_clocks(
+                            &mut m,
+                            &format!("{case} {op:?} logical={logical}"),
+                            |m| {
+                                bits(if logical {
+                                    local_partial_oracle(m, &a, op, encode_value)
+                                } else {
+                                    local_partial_oracle(m, &a, op, |v| v.as_real())
+                                })
+                            },
+                            |m| bits(local_partial(m, &a, op, logical)),
                         );
                     }
+                    if ty == ElemType::Int {
+                        for op in integer {
+                            same_partials_and_clocks(
+                                &mut m,
+                                &format!("{case} INTEGER {op:?}"),
+                                |m| local_partial_int_oracle(m, &a, op),
+                                |m| local_partial_int(m, &a, op),
+                            );
+                        }
+                    }
+                    if ty != ElemType::Bool {
+                        for other in [&b, &c] {
+                            same_partials_and_clocks(
+                                &mut m,
+                                &format!("{case} DOTPRODUCT(A, {})", other.name),
+                                |m| bits(dot_partials_oracle(m, &a, other)),
+                                |m| bits(dot_partials(m, &a, other)),
+                            );
+                        }
+                    }
+                    assert_eq!(
+                        m.mems[0].array("A").is_materialized(),
+                        written,
+                        "{case}: reading allocates nothing"
+                    );
                 }
             }
         }
+        // The INTEGER values wrap: a wrapped sum is what the fold returns.
+        let mut m = Machine::new(MachineSpec::ipsc860(), ProcGrid::new(&[2, 2]));
+        let a = DistArray::create(&mut m, "A", ElemType::Int, &[4, 4], &[block, block]);
+        a.fill_with(&mut m, |_| Value::Int(i64::MAX));
+        assert_eq!(
+            reduce_int(&mut m, &a, ReduceOp::Sum),
+            i64::MAX.wrapping_mul(16)
+        );
     }
 
     #[test]
