@@ -21,26 +21,9 @@ use crate::array::{flatten, DistArray};
 /// reduction runs in: [`encode_value`] (a LOGICAL counts 1.0 when true)
 /// or `Value::as_real`.
 fn local_partial(m: &mut Machine, a: &DistArray, op: ReduceOp, logical: bool) -> Vec<f64> {
-    fn with(
-        m: &mut Machine,
-        a: &DistArray,
-        op: ReduceOp,
-        logical: bool,
-        combine: impl Fn(f64, f64) -> f64 + Copy,
-    ) -> Vec<f64> {
-        partials(m, a, op.identity(), |acc, arr, run| {
-            fold_run(acc, arr, run, logical, combine)
-        })
-    }
-    // `ReduceOp::combine`, one operator at a time, so that no element
-    // pays for matching it.
-    match op {
-        ReduceOp::Sum => with(m, a, op, logical, |x, y| x + y),
-        ReduceOp::Prod => with(m, a, op, logical, |x, y| x * y),
-        ReduceOp::Max => with(m, a, op, logical, f64::max),
-        ReduceOp::Min => with(m, a, op, logical, f64::min),
-        _ => with(m, a, op, logical, move |x, y| op.combine(x, y)),
-    }
+    partials(m, a, op.identity(), |acc, arr, run| {
+        fold_run(acc, arr, run, op, logical)
+    })
 }
 
 /// [`local_partial`] of an INTEGER array, exact in `i64`.
@@ -81,18 +64,13 @@ fn partials<T: Copy>(
     partials
 }
 
-/// `combine` folded from `acc` over the elements of segment `arr` on
+/// `op` folded from `acc` over the elements of segment `arr` on
 /// `run`. REAL, INTEGER and (when `logical`) LOGICAL segments fold from
 /// the raw slice; COMPLEX ones, and a lazy segment nothing has written
 /// yet (every element reads as zero), one `Value` at a time.
 #[inline]
-fn fold_run(
-    acc: f64,
-    arr: &LocalArray,
-    run: OwnedRun,
-    logical: bool,
-    combine: impl Fn(f64, f64) -> f64,
-) -> f64 {
+fn fold_run(acc: f64, arr: &LocalArray, run: OwnedRun, op: ReduceOp, logical: bool) -> f64 {
+    let combine = |x, y| op.combine(x, y);
     let written = arr.is_materialized();
     match arr.data() {
         ArrayData::Real(data) if written => fold_slice(acc, data, run, |&x| x, combine),
@@ -108,7 +86,8 @@ fn fold_run(
 }
 
 /// `combine` folded from `acc` over `run`'s elements of `data`, each
-/// `read`: straight along the slice when the run is contiguous.
+/// `read`: straight along the slice when the run is contiguous, which
+/// takes about half the time of stepping its offsets.
 #[inline]
 fn fold_slice<T, X, A>(
     acc: A,
@@ -184,12 +163,10 @@ pub fn dotproduct(m: &mut Machine, a: &DistArray, b: &DistArray) -> f64 {
 }
 
 /// The per-rank partials of [`dotproduct`]: `acc += x * y` from 0.0 in
-/// [`Dad::walk`] order of `a`, charging two element operations per
-/// element. Where `b` is mapped as `a` is, its offsets move along each
-/// of `a`'s runs by `a`'s local step; otherwise each is located.
+/// [`Dad::walk`] order of `a`, each `y` located in `b`'s segment,
+/// charging two element operations per element.
 fn dot_partials(m: &mut Machine, a: &DistArray, b: &DistArray) -> Vec<f64> {
     assert_eq!(a.shape(), b.shape(), "DOTPRODUCT operands must conform");
-    let same = a.dad.dims == b.dad.dims;
     let mut partials = Vec::with_capacity(m.nranks() as usize);
     for rank in 0..m.nranks() {
         let coords = m.grid.coords_of(rank);
@@ -198,32 +175,11 @@ fn dot_partials(m: &mut Machine, a: &DistArray, b: &DistArray) -> Vec<f64> {
         if canonical {
             let mem = &m.mems[rank as usize];
             let (aa, bb) = (mem.array(&a.name), mem.array(&b.name));
-            let (sa, sb) = (aa.segment(), bb.segment());
             let at_b = Locator::new(&b.dad, &bb.shape, &bb.ghost_lo, &bb.ghost_hi);
             let (x, y) = (Reals::of(aa), Reals::of(bb));
-            let owned = a.dad.owned(&coords);
-            let n = if same {
-                a.dad.walk(&owned, &sa, |index, run| {
-                    // `b`'s local index moves as `a`'s does: by the same
-                    // local step, times `b`'s stride.
-                    let step = match run.len {
-                        1 => 0,
-                        _ => run.step / sa.strides[run.dim] * sb.strides[run.dim],
-                    };
-                    let along_b = OwnedRun {
-                        first: at_b.locate(index).1,
-                        step,
-                        ..run
-                    };
-                    for k in 0..run.len {
-                        acc += x.at(run.offset(k)) * y.at(along_b.offset(k));
-                    }
-                })
-            } else {
-                (a.dad).for_each(&owned, &sa, |g, off| {
-                    acc += x.at(off) * y.at(at_b.locate(g).1);
-                })
-            };
+            let n = (a.dad).for_each(&a.dad.owned(&coords), &aa.segment(), |g, off| {
+                acc += x.at(off) * y.at(at_b.locate(g).1);
+            });
             m.transport.charge_elem_ops(rank, 2 * n as i64);
         }
         partials.push(acc);
